@@ -2,9 +2,9 @@
 
 Two interchangeable implementations live here: loop kernels compiled with
 numba's @njit (default) and a vectorized pure-numpy fallback.  Set
-``MECSIM_NO_NUMBA=1`` in the environment to force the numpy path.  Both are
-exported unconditionally (``*_numba`` may be ``None`` when numba is disabled)
-so benchmarks can compare them; the unsuffixed names are the active bindings.
+``MECSIM_NO_NUMBA=1`` in the environment to force the numpy path; without
+numba installed the numpy path is the only one.  ``hrd_value``, ``hrd_alloc``,
+``csd_value`` and ``csd_alloc`` are the active bindings.
 
 Conventions shared by all kernels:
 
@@ -236,10 +236,10 @@ def _csd_alloc_numpy(n, members, sqrt_ul, sqrt_ed, task_bytes, spare_bytes,
 _DISABLED = _truthy(os.environ.get("MECSIM_NO_NUMBA", ""))
 USING_NUMBA = False
 
-hrd_value_numba = None
-hrd_alloc_numba = None
-csd_value_numba = None
-csd_alloc_numba = None
+hrd_value = _hrd_value_numpy
+hrd_alloc = _hrd_alloc_numpy
+csd_value = _csd_value_numpy
+csd_alloc = _csd_alloc_numpy
 
 if not _DISABLED:
     try:
@@ -247,27 +247,11 @@ if not _DISABLED:
     except ImportError:
         pass
     else:
-        hrd_value_numba = njit(cache=True)(_hrd_value_loop)
-        hrd_alloc_numba = njit(cache=True)(_hrd_alloc_loop)
-        csd_value_numba = njit(cache=True)(_csd_value_loop)
-        csd_alloc_numba = njit(cache=True)(_csd_alloc_loop)
+        hrd_value = njit(cache=True)(_hrd_value_loop)
+        hrd_alloc = njit(cache=True)(_hrd_alloc_loop)
+        csd_value = njit(cache=True)(_csd_value_loop)
+        csd_alloc = njit(cache=True)(_csd_alloc_loop)
         USING_NUMBA = True
-
-hrd_value_numpy = _hrd_value_numpy
-hrd_alloc_numpy = _hrd_alloc_numpy
-csd_value_numpy = _csd_value_numpy
-csd_alloc_numpy = _csd_alloc_numpy
-
-if USING_NUMBA:
-    hrd_value = hrd_value_numba
-    hrd_alloc = hrd_alloc_numba
-    csd_value = csd_value_numba
-    csd_alloc = csd_alloc_numba
-else:
-    hrd_value = hrd_value_numpy
-    hrd_alloc = hrd_alloc_numpy
-    csd_value = csd_value_numpy
-    csd_alloc = csd_alloc_numpy
 
 
 def warmup(n_pairs: int = 4, n_dev: int = 4) -> None:

@@ -1,4 +1,4 @@
-"""Device association: best-gain initializer, coalition game, alternating driver.
+"""Device association: best-gain initializer, coalition games, reallocation.
 
 The optimizer state couples a partition (who is served where) with a
 feasible allocation and cached per-coalition utilities (total weighted delay
@@ -12,6 +12,15 @@ allocation.  The state reallocation step adopts that closed form per
 coalition only when it does not worsen the incumbent (the clamped closed
 form can lose to the initializer's equal-share split when backhaul floors
 bind), which keeps every objective trace nonincreasing.
+
+AMND alternates association and allocation, but one round is all that can
+change the state.  The computation-device game (uplink, compute, storage)
+and the high-rate-device game (downlink, backhaul) share no constraint, so
+they are two independent local searches.  Each ends with a stabilization
+sweep that leaves no improving transfer or swap.  The reallocation can only
+lower cached coalition values, which raises the ``dv`` of every later move,
+so a second round of either game cannot accept a move.  ``run_amnd`` is
+therefore one CSD game, one HRD game and one reallocation.
 """
 
 from dataclasses import dataclass, field
@@ -389,11 +398,9 @@ def evaluate_and_apply(state: GameState, prop: MoveProposal) -> bool:
         if prop.md_to is not None:
             assoc[prop.md_to] = prop.c_from
         cache = state.v_hrd if prop.game == HRD else state.v_csd
-        old = cache[prop.c_from] + cache[prop.c_to]
         cache[prop.c_from] = _write_coalition(state, prop.game, prop.c_from, src)
         cache[prop.c_to] = _write_coalition(state, prop.game, prop.c_to, dst)
-        state.objective = float(
-            state.objective + (cache[prop.c_from] + cache[prop.c_to]) - old)
+        state.objective = float(state.v_hrd.sum() + state.v_csd.sum())
         state.accepted_moves += 1
     if state.move_log is not None:
         state.move_log.append((state.proposals, prop.game, prop.kind,
@@ -401,38 +408,40 @@ def evaluate_and_apply(state: GameState, prop: MoveProposal) -> bool:
     return accepted
 
 
-def stabilize_partition(state: GameState, game: str) -> int:
-    """Deterministic local search: sweep all transfers and same-class swaps,
-    applying improvements, until one full sweep finds none.  Guarantees the
-    exhaustive stability audit passes on exit."""
+def _neighbourhood(state: GameState, game: str):
+    """Every single transfer, then every same-class swap, of one game.  The
+    association is read at each yield, so a consumer that applies a move
+    sees the next proposals drawn from the updated partition."""
     n_dev = (state.demand.n_hrd if game == HRD else state.demand.n_csd)
     n_coal = len(_member_lists(state, game))
     assoc = (state.partition.hrd_sbs if game == HRD
              else state.partition.csd_sbs)
+    for md in range(n_dev):
+        for target in range(n_coal):
+            cur = int(assoc[md])
+            if target != cur:
+                yield MoveProposal(game, "transfer", c_from=cur,
+                                   c_to=target, md_from=md)
+    for i in range(n_dev):
+        for j in range(i + 1, n_dev):
+            ci, cj = int(assoc[i]), int(assoc[j])
+            if ci != cj:
+                yield MoveProposal(game, "swap", c_from=ci, c_to=cj,
+                                   md_from=i, md_to=j)
+
+
+def stabilize_partition(state: GameState, game: str) -> int:
+    """Deterministic local search: sweep all transfers and same-class swaps,
+    applying improvements, until one full sweep finds none.  Guarantees the
+    exhaustive stability audit passes on exit."""
     applied = 0
     improved = True
     while improved:
         improved = False
-        for md in range(n_dev):
-            for target in range(n_coal):
-                cur = int(assoc[md])
-                if target == cur:
-                    continue
-                prop = MoveProposal(game, "transfer", c_from=cur,
-                                    c_to=target, md_from=md)
-                if evaluate_and_apply(state, prop):
-                    improved = True
-                    applied += 1
-        for i in range(n_dev):
-            for j in range(i + 1, n_dev):
-                ci, cj = int(assoc[i]), int(assoc[j])
-                if ci == cj:
-                    continue
-                prop = MoveProposal(game, "swap", c_from=ci, c_to=cj,
-                                    md_from=i, md_to=j)
-                if evaluate_and_apply(state, prop):
-                    improved = True
-                    applied += 1
+        for prop in _neighbourhood(state, game):
+            if evaluate_and_apply(state, prop):
+                improved = True
+                applied += 1
     return applied
 
 
@@ -477,17 +486,15 @@ def reallocate(state: GameState) -> None:
 
 
 def run_amnd(scenario: Scenario, demand: DemandProfile, *,
-             t1: int = 2, t2: int | None = None, patience: int | None = None,
+             t2: int | None = None, patience: int | None = None,
              stabilize: bool = True, table: RateTable | None = None,
              costs: CoalitionCosts | None = None, seed: int | None = None,
              local_rule: str = "offload_if_faster", log_moves: bool = False,
              init_state: GameState | None = None) -> GameState:
-    """Alternating optimization: best-gain init, then per outer iteration the
-    computation-device game, the high-rate-device game, and the guarded
+    """Best-gain init (or a clone of ``init_state``), then the
+    computation-device game, the high-rate-device game and the guarded
     closed-form reallocation.  The returned state's trace holds the
-    objective after the initializer and after each stage."""
-    if t1 < 1:
-        raise ValueError("t1 must be at least 1")
+    objective after the initializer and after each of the three stages."""
     if init_state is not None:
         state = init_state.clone()
     else:
@@ -496,13 +503,12 @@ def run_amnd(scenario: Scenario, demand: DemandProfile, *,
                           log_moves=log_moves)
     if t2 is None:
         t2 = default_game_iters(state.demand.n_hrd, state.demand.n_csd)
-    for _ in range(t1):
-        run_coalition_game(state, CSD, t2, patience, stabilize=stabilize)
-        state.trace.append(state.objective)
-        run_coalition_game(state, HRD, t2, patience, stabilize=stabilize)
-        state.trace.append(state.objective)
-        reallocate(state)
-        state.trace.append(state.objective)
+    run_coalition_game(state, CSD, t2, patience, stabilize=stabilize)
+    state.trace.append(state.objective)
+    run_coalition_game(state, HRD, t2, patience, stabilize=stabilize)
+    state.trace.append(state.objective)
+    reallocate(state)
+    state.trace.append(state.objective)
     return state
 
 
@@ -511,30 +517,10 @@ def audit_stability(state: GameState, margin: float = IMPROVE_MARGIN) -> list:
     the feasible strictly-improving moves (empty list == Nash-stable)."""
     found = []
     for game in (HRD, CSD):
-        lists = _member_lists(state, game)
-        n_dev = state.demand.n_hrd if game == HRD else state.demand.n_csd
-        assoc = (state.partition.hrd_sbs if game == HRD
-                 else state.partition.csd_sbs)
-        for md in range(n_dev):
-            for target in range(len(lists)):
-                cur = int(assoc[md])
-                if target == cur:
-                    continue
-                prop = MoveProposal(game, "transfer", c_from=cur,
-                                    c_to=target, md_from=md)
-                _evaluate(state, prop)
-                if prop.feasible and prop.dv < -margin:
-                    found.append(prop)
-        for i in range(n_dev):
-            for j in range(i + 1, n_dev):
-                ci, cj = int(assoc[i]), int(assoc[j])
-                if ci == cj:
-                    continue
-                prop = MoveProposal(game, "swap", c_from=ci, c_to=cj,
-                                    md_from=i, md_to=j)
-                _evaluate(state, prop)
-                if prop.feasible and prop.dv < -margin:
-                    found.append(prop)
+        for prop in _neighbourhood(state, game):
+            _evaluate(state, prop)
+            if prop.feasible and prop.dv < -margin:
+                found.append(prop)
     return found
 
 

@@ -63,7 +63,6 @@ def _add_scenario_args(p):
 
 
 def _add_game_args(p):
-    p.add_argument("--t1", type=int, default=2, help="outer iterations")
     p.add_argument("--t2", type=int, default=0,
                    help="game proposals per run (0 = default)")
     p.add_argument("--patience", type=int, default=0,
@@ -134,8 +133,8 @@ def _cmd_run(args):
         state = abcg_init(scenario, demand, local_rule=args.local_rule,
                           log_moves=bool(args.move_log))
     else:
-        state = run_amnd(scenario, demand, t1=args.t1, t2=t2,
-                         patience=patience, stabilize=not args.no_stabilize,
+        state = run_amnd(scenario, demand, t2=t2, patience=patience,
+                         stabilize=not args.no_stabilize,
                          local_rule=args.local_rule,
                          log_moves=bool(args.move_log))
         print("objective trace:",
@@ -201,7 +200,7 @@ def _cmd_audit(args):
     for line in bad[:5]:
         print(f"  {line}")
 
-    final = run_amnd(scenario, demand, t1=args.t1, t2=t2, patience=patience,
+    final = run_amnd(scenario, demand, t2=t2, patience=patience,
                      stabilize=not args.no_stabilize,
                      local_rule=args.local_rule, init_state=state0)
     bad = audit_constraints(scenario, demand, final.partition,

@@ -71,7 +71,6 @@ class ExperimentConfig:
     edge_cps: float = 6e10
     storage_bytes: float = 28e6
     cache_policy: str = "sampled"
-    outer_iters: int = 2
     game_iters: int = 0          # 0 selects the built-in default
     patience: int = 0            # 0 selects the built-in default
     stabilize: bool = True
@@ -191,9 +190,8 @@ def run_sweep(config: ExperimentConfig, *, audit: bool = False,
                                             "ABCG", state0, dt0))
             if "AMND" in config.algorithms:
                 t0 = time.perf_counter()
-                final = run_amnd(scn, demand, t1=config.outer_iters, t2=t2,
-                                 patience=patience, stabilize=config.stabilize,
-                                 init_state=state0)
+                final = run_amnd(scn, demand, t2=t2, patience=patience,
+                                 stabilize=config.stabilize, init_state=state0)
                 dt1 = (time.perf_counter() - t0) * 1e3 + dt0 if timing else 0.0
                 if audit:
                     _assert_clean(scn, demand, final, "AMND",

@@ -9,7 +9,7 @@ from mecsim.experiments import (CSV_COLUMNS, ExperimentConfig, SweepRow,
 
 SMALL = ExperimentConfig(grid=(0.4, 0.6), deltas=(0.6,), seeds=(1, 2),
                          n_hrd=8, n_csd=8, m_sbs=3, n_mbs=1,
-                         outer_iters=1, game_iters=200, patience=100)
+                         game_iters=200, patience=100)
 
 
 @pytest.fixture(scope="module")
@@ -21,15 +21,14 @@ def test_one_row_per_point_seed_algorithm(small_rows):
     assert len(small_rows) == 2 * 2 * 2
     single = run_sweep(ExperimentConfig(grid=(0.5,), deltas=(0.6, 1.0),
                                         seeds=(3,), algorithms=("ABCG",),
-                                        n_hrd=4, n_csd=4, m_sbs=2, n_mbs=1,
-                                        outer_iters=1))
+                                        n_hrd=4, n_csd=4, m_sbs=2, n_mbs=1))
     assert len(single) == 2
 
 
 def test_sweep_is_deterministic_to_the_byte(tmp_path):
     cfg = ExperimentConfig(grid=(0.5,), deltas=(0.6,), seeds=(4,),
                            n_hrd=6, n_csd=6, m_sbs=2, n_mbs=1,
-                           outer_iters=1, game_iters=150, patience=80)
+                           game_iters=150, patience=80)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(run_sweep(cfg), p1)
     emit_csv(run_sweep(cfg), p2)
@@ -131,7 +130,7 @@ def test_cli_gen_run_and_trend(tmp_path, capsys):
     rates_path = tmp_path / "rates.csv"
     row_path = tmp_path / "row.csv"
     rc = main(["run", "--scenario", str(scn_path), "--algorithm", "amnd",
-               "--t1", "1", "--t2", "100", "--patience", "50",
+               "--t2", "100", "--patience", "50",
                "--rates-csv", str(rates_path), "--row-csv", str(row_path)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -167,7 +166,7 @@ def test_cli_io_errors_exit_three(tmp_path):
 
 def test_cli_audit_small_instance(tmp_path, capsys):
     rc = main(["audit", "--seed", "5", "--n-mbs", "1", "--m-sbs", "2",
-               "--hrd", "5", "--csd", "5", "--t1", "1",
+               "--hrd", "5", "--csd", "5",
                "--t2", "150", "--patience", "80"])
     assert rc == 0
     out = capsys.readouterr().out
