@@ -1,14 +1,16 @@
-"""Closed-form per-coalition resource allocation and its numerical oracle.
+"""Per-coalition resource allocation: costs, the closed form, and its oracle.
 
-For one SBS the resource problem splits into four independent simplex
-blocks (uplink band, downlink band, backhaul band, edge compute).  Each
-block minimizes a sum of ``cost / fraction`` terms over a unit budget, whose
-optimum gives every active entry a share proportional to the square root of
-its cost.  Backhaul fractions additionally carry a per-device floor (the
-smallest fraction that keeps the access rate from outrunning the backhaul
-rate); floors are applied by clamping without renormalization, and a
-coalition whose clamped fractions overrun the budget is declared infeasible
-rather than repaired.
+``build_costs`` turns a scenario and its demand into the full-share
+weighted delay of every (SBS, request pair) and (SBS, computation device)
+slot, the only inputs the closed form needs.  The closed form itself lives
+in ``_kernels``: square-root shares per resource block (uplink, downlink,
+backhaul, edge compute), with backhaul shares clamped up to a per-device
+floor (the smallest fraction that keeps the access rate from outrunning the
+backhaul rate) and a coalition whose clamped shares overrun the budget
+declared infeasible rather than repaired.  ``coalition_value`` is the one
+evaluator the game calls; ``coalition_utility`` and
+``allocate_hrd``/``allocate_csd`` are its public views on a device set and
+on raw cost vectors.
 
 ``oracle_simplex_min`` solves the same block numerically (bisection on the
 budget multiplier with box clamps) and is the independent check used by the
@@ -20,12 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from ._kernels import FEAS_TOL, IDLE_FRAC
+from ._kernels import (FEAS_TOL, IDLE_FRAC, hrd_closed_form, member_pairs,
+                       shares)
 from .content import DemandProfile
 from .delays import BITS_PER_BYTE, request_pairs
 from .radio import RateTable, build_rate_table
 from .scenario import Scenario
 
+HRD = "hrd"
+CSD = "csd"
 LOCAL = "local"   # virtual coalition tag for coalition_utility
 
 
@@ -111,10 +116,8 @@ def build_costs(scenario: Scenario, demand: DemandProfile,
 
 def allocate_csd(ul_cost, ed_cost):
     """Square-root-share fractions for one coalition's uplink/compute blocks."""
-    su = np.sqrt(np.asarray(ul_cost, dtype=float))
-    se = np.sqrt(np.asarray(ed_cost, dtype=float))
-    alpha = np.minimum(1.0, su / su.sum())
-    gamma = np.minimum(1.0, se / se.sum())
+    alpha = shares(np.sqrt(np.asarray(ul_cost, dtype=float)))
+    gamma = shares(np.sqrt(np.asarray(ed_cost, dtype=float)))
     return alpha, gamma
 
 
@@ -126,23 +129,13 @@ def allocate_hrd(dl_cost, bh_cost, cached, eta_floor):
     the result is infeasible when a floor exceeds 1 or the clamped shares
     overrun the unit budget.
     """
-    dl = np.asarray(dl_cost, dtype=float)
-    sd = np.sqrt(dl)
-    beta = np.minimum(1.0, sd / sd.sum())
-    cached = np.asarray(cached, dtype=bool)
-    eta = np.full(dl.shape, IDLE_FRAC)
-    feasible = True
-    miss = ~cached
-    if miss.any():
-        sb = np.sqrt(np.asarray(bh_cost, dtype=float)[miss])
-        floor = np.asarray(eta_floor, dtype=float)[miss]
-        if (floor > 1.0).any():
-            feasible = False
-        em = np.minimum(1.0, np.maximum(floor, sb / sb.sum()))
-        eta[miss] = em
-        if em.sum() > 1.0 + FEAS_TOL:
-            feasible = False
-    return beta, eta, feasible
+    sd = np.sqrt(np.asarray(dl_cost, dtype=float))
+    miss = ~np.asarray(cached, dtype=bool)
+    eta = np.full(sd.shape, IDLE_FRAC)
+    eta[miss], _, feasible = hrd_closed_form(
+        sd, np.sqrt(np.asarray(bh_cost, dtype=float)[miss]),
+        np.asarray(eta_floor, dtype=float)[miss])
+    return shares(sd), eta, feasible
 
 
 @dataclass
@@ -157,6 +150,24 @@ class CoalitionEval:
     feasible: bool
 
 
+def coalition_value(costs: CoalitionCosts, game: str, c: int, members):
+    """(value, feasible) of the member set ``members`` as coalition ``c`` of
+    ``game`` ("hrd" or "csd"), under the closed-form allocation.
+
+    CSD coalition ``c == n_sbs`` is the virtual coalition of locally
+    computing devices (always feasible).  Members are summed in the order
+    given, which fixes the last ulp of the value.
+    """
+    arr = np.asarray(members, dtype=np.int64)
+    if game == CSD and c == costs.n_sbs:
+        return float(costs.local_delay_w[arr].sum()), True
+    if arr.size == 0:
+        return 0.0, True
+    kernel = _kernels.hrd_value if game == HRD else _kernels.csd_value
+    value, ok = kernel(costs, c, arr)
+    return float(value), bool(ok)
+
+
 def coalition_utility(scenario: Scenario, demand: DemandProfile, coalition,
                       kind: str, *, table: RateTable | None = None,
                       costs: CoalitionCosts | None = None,
@@ -169,29 +180,19 @@ def coalition_utility(scenario: Scenario, demand: DemandProfile, coalition,
     """
     if costs is None:
         costs = build_costs(scenario, demand, table)
-    members = np.asarray(sorted(coalition), dtype=np.int64)
     if kind == LOCAL:
-        return CoalitionEval(float(costs.local_delay_w[members].sum()), True)
-    if members.size == 0:
-        return CoalitionEval(0.0, True)
-    if n is None:
-        raise ValueError("SBS index required for non-virtual coalitions")
-    if kind == "hrd":
-        value, ok = _kernels.hrd_value(
-            int(n), members, costs.pair_off, costs.pair_cnt,
-            costs.sqrt_dl, costs.sqrt_bh, costs.cached, costs.eta_min)
-    elif kind == "csd":
-        value, ok = _kernels.csd_value(
-            int(n), members, costs.sqrt_ul, costs.sqrt_ed,
-            costs.task_bytes, costs.spare_bytes)
-    else:
+        kind, n = CSD, costs.n_sbs
+    elif kind not in (HRD, CSD):
         raise ValueError(f"unknown coalition kind {kind!r}")
-    return CoalitionEval(float(value), bool(ok))
+    elif n is None:
+        raise ValueError("SBS index required for non-virtual coalitions")
+    value, ok = coalition_value(costs, kind, int(n), sorted(coalition))
+    return CoalitionEval(value, ok)
 
 
 # ---------------------------------------------------------------------------
-# Equal-share policy (initializer, and fallback when clamped closed forms
-# are infeasible or worse than the incumbent).
+# Equal-share policy (the initializer's allocation, which the reallocation
+# keeps when the clamped closed form is infeasible or worse).
 # ---------------------------------------------------------------------------
 
 def equal_share_hrd(costs: CoalitionCosts, n: int, members):
@@ -203,10 +204,7 @@ def equal_share_hrd(costs: CoalitionCosts, n: int, members):
     members = np.asarray(sorted(members), dtype=np.int64)
     if members.size == 0:
         return np.empty(0, np.int64), np.empty(0), np.empty(0), 0.0
-    idx = np.concatenate([
-        np.arange(costs.pair_off[m], costs.pair_off[m] + costs.pair_cnt[m])
-        for m in members])
-    ks = np.repeat(members, costs.pair_cnt[members])
+    idx, ks = member_pairs(costs, members)
     miss = ~costs.cached[n, idx]
     beta = np.full(idx.shape, 1.0 / idx.size)
     eta = np.full(idx.shape, IDLE_FRAC)
@@ -220,17 +218,6 @@ def equal_share_hrd(costs: CoalitionCosts, n: int, members):
     value = float((costs.dl_cost[n, idx] / beta).sum()
                   + (costs.bh_cost[n, idx[miss]] / eta[miss]).sum())
     return idx, beta, eta, value
-
-
-def equal_share_csd(costs: CoalitionCosts, n: int, members):
-    """Equal uplink/compute fractions; returns (alpha, gamma, value)."""
-    members = np.asarray(sorted(members), dtype=np.int64)
-    if members.size == 0:
-        return np.empty(0), np.empty(0), 0.0
-    share = 1.0 / members.size
-    value = float((costs.ul_cost[n, members].sum()
-                   + costs.ed_cost[n, members].sum()) / share)
-    return np.full(members.size, share), np.full(members.size, share), value
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +303,7 @@ def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str,
     if members.size == 0:
         return {"pairs": np.empty(0, np.int64), "beta": np.empty(0),
                 "eta": np.empty(0), "objective": 0.0, "feasible": True}
-    idx = np.concatenate([
-        np.arange(costs.pair_off[m], costs.pair_off[m] + costs.pair_cnt[m])
-        for m in members])
-    ks = np.repeat(members, costs.pair_cnt[members])
+    idx, ks = member_pairs(costs, members)
     beta, v_dl = oracle_simplex_min(costs.dl_cost[n, idx], IDLE_FRAC, 1.0, tol)
     eta = np.full(idx.shape, IDLE_FRAC)
     v_bh = 0.0

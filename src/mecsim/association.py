@@ -7,11 +7,12 @@ objective is separable across SBSs, a candidate move re-evaluates only the
 two touched coalitions; a move is accepted when both tentative coalitions
 are feasible and their combined utility strictly improves.
 
-Tentative coalitions are valued under the closed-form square-root
-allocation.  The state reallocation step adopts that closed form per
-coalition only when it does not worsen the incumbent (the clamped closed
-form can lose to the initializer's equal-share split when backhaul floors
-bind), which keeps every objective trace nonincreasing.
+Tentative coalitions are valued by ``allocation.coalition_value`` under the
+closed-form square-root allocation, and accepted ones are installed by the
+matching ``_kernels`` write path.  The state reallocation step adopts that
+closed form per coalition only when it does not worsen the incumbent (the
+clamped closed form can lose to the initializer's equal-share split when
+backhaul floors bind), which keeps every objective trace nonincreasing.
 
 AMND alternates association and allocation, but one round is all that can
 change the state.  The computation-device game (uplink, compute, storage)
@@ -28,17 +29,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import IDLE_FRAC
-from .allocation import CoalitionCosts, build_costs, equal_share_hrd
+from ._kernels import IDLE_FRAC, member_pairs
+from .allocation import (CSD, HRD, CoalitionCosts, build_costs,
+                         coalition_value, equal_share_hrd)
 from .content import DemandProfile
-from .delays import Allocation, DelayReport, Partition, objective
+from .delays import BITS_PER_BYTE, Allocation, DelayReport, Partition, \
+    objective
 from .radio import RateTable, build_rate_table
 from .scenario import Scenario
 
 IMPROVE_MARGIN = 1e-12   # strict-improvement threshold, avoids cycling on ties
-
-HRD = "hrd"
-CSD = "csd"
 
 
 def default_patience(n_hrd: int, n_csd: int) -> int:
@@ -126,9 +126,7 @@ class GameState:
             gamma = self.allocation.gamma[c, members]
             return float((costs.ul_cost[c, members] / alpha).sum()
                          + (costs.ed_cost[c, members] / gamma).sum())
-        idx = np.concatenate([
-            np.arange(costs.pair_off[m], costs.pair_off[m] + costs.pair_cnt[m])
-            for m in members])
+        idx, _ = member_pairs(costs, members)
         beta = self.allocation.beta[c].reshape(-1)[costs.pair_flat[idx]]
         value = float((costs.dl_cost[c, idx] / beta).sum())
         miss = ~costs.cached[c, idx]
@@ -221,7 +219,7 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
     for k in range(n_csd):
         n = int(csd_sbs[k])
         share = 1.0 / size0[n]
-        in_bits = demand.task_input_bytes[k] * 8.0
+        in_bits = demand.task_input_bytes[k] * BITS_PER_BYTE
         t_off = (in_bits / (share * table.s_ul[n] * table.r_ul[n, k])
                  + demand.task_cycles[k] / (share * demand.edge_cps[n]))
         t_lc = demand.task_cycles[k] / demand.local_cps[k]
@@ -311,25 +309,6 @@ def propose_move(state: GameState, game: str,
     raise RuntimeError("could not sample a nonempty coalition pair")
 
 
-def _coalition_value(state: GameState, game: str, c: int, members):
-    """(value, feasible) of a candidate member set for coalition c."""
-    costs = state.costs
-    arr = np.asarray(members, dtype=np.int64)
-    if game == CSD and c == state.n_sbs:
-        return float(costs.local_delay_w[arr].sum()), True
-    if arr.size == 0:
-        return 0.0, True
-    if game == HRD:
-        value, ok = _kernels.hrd_value(
-            c, arr, costs.pair_off, costs.pair_cnt,
-            costs.sqrt_dl, costs.sqrt_bh, costs.cached, costs.eta_min)
-    else:
-        value, ok = _kernels.csd_value(
-            c, arr, costs.sqrt_ul, costs.sqrt_ed,
-            costs.task_bytes, costs.spare_bytes)
-    return float(value), bool(ok)
-
-
 def _tentative_members(state: GameState, prop: MoveProposal):
     lists = _member_lists(state, prop.game)
     src = [k for k in lists[prop.c_from] if k != prop.md_from]
@@ -345,8 +324,8 @@ def _tentative_members(state: GameState, prop: MoveProposal):
 
 def _evaluate(state: GameState, prop: MoveProposal):
     src, dst = _tentative_members(state, prop)
-    v_src, ok_src = _coalition_value(state, prop.game, prop.c_from, src)
-    v_dst, ok_dst = _coalition_value(state, prop.game, prop.c_to, dst)
+    v_src, ok_src = coalition_value(state.costs, prop.game, prop.c_from, src)
+    v_dst, ok_dst = coalition_value(state.costs, prop.game, prop.c_to, dst)
     cache = state.v_hrd if prop.game == HRD else state.v_csd
     dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
     prop.dv = dv
@@ -366,9 +345,7 @@ def _write_coalition(state: GameState, game: str, c: int, members) -> float:
         if arr.size == 0:
             return 0.0
         value, _ = _kernels.hrd_alloc(
-            c, arr, costs.pair_off, costs.pair_cnt, costs.pair_flat,
-            costs.sqrt_dl, costs.sqrt_bh, costs.cached, costs.eta_min,
-            state.allocation.beta[c].reshape(-1),
+            costs, c, arr, state.allocation.beta[c].reshape(-1),
             state.allocation.eta[c].reshape(-1))
     else:
         state.allocation.alpha[c].fill(IDLE_FRAC)
@@ -376,9 +353,7 @@ def _write_coalition(state: GameState, game: str, c: int, members) -> float:
         if arr.size == 0:
             return 0.0
         value, _ = _kernels.csd_alloc(
-            c, arr, costs.sqrt_ul, costs.sqrt_ed,
-            costs.task_bytes, costs.spare_bytes,
-            state.allocation.alpha[c], state.allocation.gamma[c])
+            costs, c, arr, state.allocation.alpha[c], state.allocation.gamma[c])
     return float(value)
 
 
@@ -479,7 +454,7 @@ def reallocate(state: GameState) -> None:
     for n in range(state.n_sbs):
         for game, cache in ((CSD, state.v_csd), (HRD, state.v_hrd)):
             members = _member_lists(state, game)[n]
-            value, ok = _coalition_value(state, game, n, members)
+            value, ok = coalition_value(state.costs, game, n, members)
             if ok and value <= cache[n]:
                 cache[n] = _write_coalition(state, game, n, members)
     state.objective = float(state.v_hrd.sum() + state.v_csd.sum())

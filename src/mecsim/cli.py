@@ -9,7 +9,6 @@ import sys
 
 import numpy as np
 
-from . import _kernels
 from .allocation import oracle_solve_p3
 from .association import abcg_init, audit_stability, run_amnd, write_move_log
 from .content import Catalog, build_demand, demand_rng
@@ -27,6 +26,11 @@ EXIT_IO = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # A flag prefix is an error, not a silent match of a longer flag.
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -306,7 +310,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _kernels.warmup()
     try:
         return args.func(args)
     except OSError as exc:

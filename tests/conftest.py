@@ -8,18 +8,12 @@ draw.
 import numpy as np
 import pytest
 
-from mecsim import _kernels
 from mecsim.content import Catalog, build_demand, demand_rng
 from mecsim.radio import REUSE, build_rate_table
 from mecsim.scenario import Counts, Scenario, SystemParams, dbm_to_mw, \
     generate_scenario
 
 DESK_STORAGE = 28e6   # partial caches: 5 of 20 files plus offload headroom
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    _kernels.warmup()
 
 
 @pytest.fixture(scope="session")

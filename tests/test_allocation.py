@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from mecsim._kernels import FEAS_TOL, IDLE_FRAC
+from mecsim import _kernels
+from mecsim._kernels import FEAS_TOL, IDLE_FRAC, member_pairs
 from mecsim.allocation import (allocate_csd, allocate_hrd, build_costs,
                                coalition_utility, equal_share_hrd,
                                oracle_simplex_min, oracle_solve_p3)
 from mecsim.radio import build_rate_table
-from mecsim.scenario import SystemParams
+from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import demand_for, rate_scenario
 
 
@@ -222,3 +223,64 @@ def test_equal_share_value_never_beats_closed_form_when_unclamped():
             continue
         _, _, _, es_value = equal_share_hrd(costs, n, members)
         assert ev.value <= es_value + 1e-9 * es_value
+
+
+def _check_hrd_write_path(costs, n, members):
+    """The game's HRD write path against the public closed form on raw
+    costs: fractions, value and feasibility agree exactly.  Returns the
+    feasibility."""
+    members = np.asarray(members, dtype=np.int64)
+    idx, ks = member_pairs(costs, members)
+    beta_row = np.full(costs.n_hrd * costs.n_files, IDLE_FRAC)
+    eta_row = beta_row.copy()
+    value, ok = _kernels.hrd_alloc(costs, n, members, beta_row, eta_row)
+    beta, eta, feasible = allocate_hrd(costs.dl_cost[n, idx],
+                                       costs.bh_cost[n, idx],
+                                       costs.cached[n, idx],
+                                       costs.eta_min[n, ks])
+    want_beta = np.full_like(beta_row, IDLE_FRAC)
+    want_eta = want_beta.copy()
+    want_beta[costs.pair_flat[idx]] = beta
+    want_eta[costs.pair_flat[idx]] = eta
+    assert np.array_equal(beta_row, want_beta)
+    assert np.array_equal(eta_row, want_eta)
+    assert ok == feasible
+    assert (value, ok) == _kernels.hrd_value(costs, n, members)
+    return feasible
+
+
+def _check_csd_write_path(costs, n, members):
+    members = np.asarray(members, dtype=np.int64)
+    alpha_row = np.full(costs.n_csd, IDLE_FRAC)
+    gamma_row = alpha_row.copy()
+    value, ok = _kernels.csd_alloc(costs, n, members, alpha_row, gamma_row)
+    alpha, gamma = allocate_csd(costs.ul_cost[n, members],
+                                costs.ed_cost[n, members])
+    want_alpha = np.full_like(alpha_row, IDLE_FRAC)
+    want_gamma = want_alpha.copy()
+    want_alpha[members] = alpha
+    want_gamma[members] = gamma
+    assert np.array_equal(alpha_row, want_alpha)
+    assert np.array_equal(gamma_row, want_gamma)
+    assert (value, ok) == _kernels.csd_value(costs, n, members)
+
+
+def test_write_path_matches_public_closed_form_exactly():
+    scenario = generate_scenario(SystemParams(seed=1),
+                                 Counts(n_hrd=20, n_csd=40))
+    default_costs = build_costs(scenario, demand_for(scenario))
+    # Binding backhaul floors make these two clamped-infeasible.
+    for n, members, floors in ((12, [11, 14], [0.513, 0.333]),
+                               (13, [2, 5], [0.390, 0.676])):
+        assert default_costs.eta_min[n, members] == pytest.approx(floors,
+                                                                  abs=1e-3)
+        assert not _check_hrd_write_path(default_costs, n, members)
+    rng = np.random.default_rng(17)
+    for costs in (unclamped_setup()[2], default_costs):
+        for _ in range(30):
+            n = int(rng.integers(costs.n_sbs))
+            size = int(rng.integers(1, 5))
+            _check_hrd_write_path(
+                costs, n, rng.choice(costs.n_hrd, size=size, replace=False))
+            _check_csd_write_path(
+                costs, n, rng.choice(costs.n_csd, size=size, replace=False))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mecsim.cli import main
+from mecsim.cli import build_parser, main
 from mecsim.experiments import (CSV_COLUMNS, ExperimentConfig, SweepRow,
                                 config_with_overrides, emit_csv, load_config,
                                 load_csv, run_sweep, save_config, seed_average,
@@ -156,6 +156,14 @@ def test_cli_gen_run_and_trend(tmp_path, capsys):
 def test_cli_usage_errors_exit_one(capsys):
     assert main(["run", "--algorithm", "nonsense"]) == 1
     assert main(["trend", "--csv", "x.csv"]) == 1
+    capsys.readouterr()
+
+
+def test_cli_rejects_abbreviated_flags(capsys):
+    # "--t1" is a prefix of "--t1-frac" only; it must not be read as it.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--t1", "0.3"])
+    assert main(["audit", "--hrd", "5", "--cs", "5"]) == 1
     capsys.readouterr()
 
 
