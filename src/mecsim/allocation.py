@@ -55,6 +55,10 @@ class CoalitionCosts:
     sqrt_bh: np.ndarray
     cached: np.ndarray      # (n_sbs, P) bool
     eta_min: np.ndarray     # (n_sbs, n_hrd)
+    dev_sqrt_dl: np.ndarray     # (n_sbs, n_hrd)
+    dev_sqrt_bh: np.ndarray
+    dev_miss: np.ndarray        # int
+    dev_floor_ratio: np.ndarray
     ul_cost: np.ndarray     # (n_sbs, n_csd)
     ed_cost: np.ndarray
     sqrt_ul: np.ndarray
@@ -66,6 +70,14 @@ class CoalitionCosts:
     n_hrd: int
     n_csd: int
     n_files: int
+
+
+def _per_device(ufunc, pair_values, pair_k, n_hrd):
+    """Reduce (n_sbs, P) pair values to (n_sbs, n_hrd) with ``ufunc``,
+    starting from 0."""
+    out = np.zeros((pair_values.shape[0], n_hrd), dtype=pair_values.dtype)
+    ufunc.at(out, (slice(None), pair_k), pair_values)
+    return out
 
 
 def build_costs(scenario: Scenario, demand: DemandProfile,
@@ -92,14 +104,24 @@ def build_costs(scenario: Scenario, demand: DemandProfile,
     ed_cost = (demand.csd_weight * demand.task_cycles)[None, :] \
         / demand.edge_cps[:, None]
 
+    sqrt_dl, sqrt_bh = np.sqrt(dl_cost), np.sqrt(bh_cost)
+    miss = ~cached
+    ratio = np.where(miss, table.eta_min[:, pair_k] / sqrt_bh, 0.0)
+
     return CoalitionCosts(
         pair_k=pair_k, pair_i=pair_i,
         pair_flat=(pair_k * n_files + pair_i).astype(np.int64),
         pair_off=off, pair_cnt=cnt,
         dl_cost=dl_cost, bh_cost=bh_cost,
-        sqrt_dl=np.sqrt(dl_cost), sqrt_bh=np.sqrt(bh_cost),
+        sqrt_dl=sqrt_dl, sqrt_bh=sqrt_bh,
         cached=np.ascontiguousarray(cached),
         eta_min=table.eta_min,
+        dev_sqrt_dl=_per_device(np.add, sqrt_dl, pair_k, demand.n_hrd),
+        dev_sqrt_bh=_per_device(np.add, np.where(miss, sqrt_bh, 0.0), pair_k,
+                                demand.n_hrd),
+        dev_miss=_per_device(np.add, miss.astype(np.int64), pair_k,
+                             demand.n_hrd),
+        dev_floor_ratio=_per_device(np.maximum, ratio, pair_k, demand.n_hrd),
         ul_cost=ul_cost, ed_cost=ed_cost,
         sqrt_ul=np.sqrt(ul_cost), sqrt_ed=np.sqrt(ed_cost),
         local_delay_w=demand.csd_weight * demand.task_cycles / demand.local_cps,

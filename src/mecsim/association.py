@@ -7,12 +7,24 @@ objective is separable across SBSs, a candidate move re-evaluates only the
 two touched coalitions; a move is accepted when both tentative coalitions
 are feasible and their combined utility strictly improves.
 
-Tentative coalitions are valued by ``allocation.coalition_value`` under the
-closed-form square-root allocation, and accepted ones are installed by the
-matching ``_kernels`` write path.  The state reallocation step adopts that
-closed form per coalition only when it does not worsen the incumbent (the
-clamped closed form can lose to the initializer's equal-share split when
-backhaul floors bind), which keeps every objective trace nonincreasing.
+Tentative coalitions are valued under the closed-form square-root
+allocation, and accepted ones are installed by the matching ``_kernels``
+write path.  A move is valued in O(1) from running sums (``CoalitionSums``):
+a CSD coalition is worth ``su**2 + se**2``, the squared sums of its root
+uplink and compute costs, and an HRD coalition ``sd**2 + sb**2`` (root
+downlink costs of all pairs, root backhaul costs of the missed pairs) as
+long as no backhaul floor binds.  A floor binds when its device's
+floor/root-cost ratio times ``sb`` exceeds 1; where that may happen, the
+side is valued from scratch by ``allocation.coalition_value``, which keeps
+the clamped closed form's value and feasibility exactly.  The sums of the
+two touched coalitions are recomputed from their member lists after every
+accepted move, so they never drift, and ``audit_stability`` still values
+every move from scratch, which makes it an independent check on them.
+
+The state reallocation step adopts the closed form per coalition only when
+it does not worsen the incumbent (the clamped closed form can lose to the
+initializer's equal-share split when backhaul floors bind), which keeps
+every objective trace nonincreasing.
 
 AMND alternates association and allocation, but one round is all that can
 change the state.  The computation-device game (uplink, compute, storage)
@@ -24,6 +36,7 @@ so a second round of either game cannot accept a move.  ``run_amnd`` is
 therefore one CSD game, one HRD game and one reallocation.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +76,123 @@ class MoveProposal:
     feasible: bool | None = None
 
 
+class CoalitionSums:
+    """Running sums of every coalition's closed form, one tuple per coalition.
+
+    An HRD coalition holds ``(sd, sb, miss, ratio)``: the sum of its pairs'
+    root downlink costs, the sum of its missed pairs' root backhaul costs,
+    the number of missed pairs, and the largest floor/root-backhaul ratio
+    among them.  A CSD coalition holds ``(su, se, load)``: its root uplink
+    and compute cost sums and its stored task bytes; the virtual local
+    coalition holds ``(local,)``, its summed local delay.  ``hrd_after`` and
+    ``csd_after`` value a coalition after one device leaves and/or one
+    enters with scalar arithmetic.  Stored sums are only ever computed
+    from member lists, by the constructor and ``refresh``.
+    """
+
+    def __init__(self, costs: CoalitionCosts, hrd_members, csd_members):
+        self.costs = costs
+        self.n_sbs = costs.n_sbs
+        # Per-device rows as Python floats, which spares the per-proposal
+        # arithmetic numpy's scalar overhead.
+        self._dl = costs.dev_sqrt_dl.tolist()
+        self._bh = costs.dev_sqrt_bh.tolist()
+        self._miss = costs.dev_miss.tolist()
+        self._ratio = costs.dev_floor_ratio.tolist()
+        self._ul = costs.sqrt_ul.tolist()
+        self._ed = costs.sqrt_ed.tolist()
+        self._bytes = costs.task_bytes.tolist()
+        self._room = (costs.spare_bytes + _kernels.BYTES_TOL).tolist()
+        self._local = costs.local_delay_w.tolist()
+        self.hrd = [self.recompute(HRD, c, m) for c, m in enumerate(hrd_members)]
+        self.csd = [self.recompute(CSD, c, m) for c, m in enumerate(csd_members)]
+
+    def copy(self) -> "CoalitionSums":
+        other = copy.copy(self)
+        other.hrd, other.csd = list(self.hrd), list(self.csd)
+        return other
+
+    def recompute(self, game: str, c: int, members) -> tuple:
+        """The sums of coalition ``c`` of ``game`` from its member list."""
+        costs = self.costs
+        arr = np.asarray(members, dtype=np.int64)
+        if game == CSD:
+            if c == self.n_sbs:
+                return (float(costs.local_delay_w[arr].sum()),)
+            return (float(costs.sqrt_ul[c, arr].sum()),
+                    float(costs.sqrt_ed[c, arr].sum()),
+                    float(costs.task_bytes[arr].sum()))
+        idx, _ = member_pairs(costs, arr)
+        midx = idx[~costs.cached[c, idx]]
+        return (float(costs.sqrt_dl[c, idx].sum()),
+                float(costs.sqrt_bh[c, midx].sum()), int(midx.size),
+                float(costs.dev_floor_ratio[c, arr].max(initial=0.0)))
+
+    def refresh(self, game: str, c: int, members) -> None:
+        sums = self.hrd if game == HRD else self.csd
+        sums[c] = self.recompute(game, c, members)
+
+    def check(self, hrd_members, csd_members, tol: float) -> None:
+        """Assert every stored sum matches recomputation from the members."""
+        for game, sums, lists in ((HRD, self.hrd, hrd_members),
+                                  (CSD, self.csd, csd_members)):
+            for c, members in enumerate(lists):
+                ref = self.recompute(game, c, members)
+                if any(abs(x - y) > tol * max(1.0, abs(y))
+                       for x, y in zip(sums[c], ref)):
+                    raise AssertionError(
+                        f"stale {game} running sums at coalition {c}: "
+                        f"{sums[c]!r} vs {ref!r}")
+
+    def hrd_after(self, c: int, out, inn, size: int):
+        """(value, feasible) of HRD coalition ``c`` once device ``out``
+        leaves and ``inn`` enters (either may be None), holding ``size``
+        members; None when a backhaul floor may bind."""
+        if size == 0:
+            return 0.0, True
+        sd, sb, miss, ratio = self.hrd[c]
+        if out is not None:
+            sd -= self._dl[c][out]
+            sb -= self._bh[c][out]
+            miss -= self._miss[c][out]
+        if inn is not None:
+            sd += self._dl[c][inn]
+            sb += self._bh[c][inn]
+            miss += self._miss[c][inn]
+            ratio = max(ratio, self._ratio[c][inn])
+        if miss == 0:
+            return sd * sd, True
+        # Unclamped shares are sb_p / sb; a floor binds once it exceeds its
+        # share.  After a removal the old ratio is an upper bound.
+        if ratio * sb > 1.0:
+            return None
+        return sd * sd + sb * sb, True
+
+    def csd_after(self, c: int, out, inn, size: int):
+        """(value, feasible) of CSD coalition ``c`` once device ``out``
+        leaves and ``inn`` enters (either may be None), holding ``size``
+        members."""
+        if size == 0:
+            return 0.0, True
+        if c == self.n_sbs:
+            (local,) = self.csd[c]
+            if out is not None:
+                local -= self._local[out]
+            if inn is not None:
+                local += self._local[inn]
+            return local, True
+        su, se, load = self.csd[c]
+        if out is not None:
+            su -= self._ul[c][out]
+            se -= self._ed[c][out]
+            load -= self._bytes[out]
+        if inn is not None:
+            su += self._ul[c][inn]
+            se += self._ed[c][inn]
+            load += self._bytes[inn]
+        return su * su + se * se, load <= self._room[c]
+
+
 @dataclass
 class GameState:
     """Mutable optimizer state; exposed snapshots satisfy the full audit."""
@@ -81,6 +211,7 @@ class GameState:
     game_seed: int
     rng_hrd: np.random.Generator
     rng_csd: np.random.Generator
+    sums: CoalitionSums
     fallback_hrds: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     accepted_moves: int = 0
@@ -102,7 +233,7 @@ class GameState:
             csd_members=[list(c) for c in self.csd_members],
             v_hrd=self.v_hrd.copy(), v_csd=self.v_csd.copy(),
             objective=self.objective, game_seed=self.game_seed,
-            rng_hrd=rng_hrd, rng_csd=rng_csd,
+            rng_hrd=rng_hrd, rng_csd=rng_csd, sums=self.sums.copy(),
             fallback_hrds=list(self.fallback_hrds), trace=list(self.trace),
             accepted_moves=self.accepted_moves, proposals=self.proposals,
             move_log=list(self.move_log) if self.move_log is not None else None,
@@ -136,7 +267,9 @@ class GameState:
         return value
 
     def check(self, tol: float = 1e-9) -> None:
-        """Assert cached utilities and the objective match recomputation."""
+        """Assert running sums, cached utilities and the objective match
+        recomputation."""
+        self.sums.check(self.hrd_members, self.csd_members, tol)
         for n in range(self.n_sbs):
             for game, cache in ((HRD, self.v_hrd[n]), (CSD, self.v_csd[n])):
                 ref = self.coalition_value_from_allocation(game, n)
@@ -267,6 +400,7 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
         hrd_members=hrd_members, csd_members=csd_members,
         v_hrd=v_hrd, v_csd=v_csd, objective=total,
         game_seed=game_seed, rng_hrd=rng_hrd, rng_csd=rng_csd,
+        sums=CoalitionSums(costs, hrd_members, csd_members),
         fallback_hrds=fallback, trace=[total],
         move_log=[] if log_moves else None,
     )
@@ -322,15 +456,38 @@ def _tentative_members(state: GameState, prop: MoveProposal):
     return src, dst
 
 
-def _evaluate(state: GameState, prop: MoveProposal):
-    src, dst = _tentative_members(state, prop)
-    v_src, ok_src = coalition_value(state.costs, prop.game, prop.c_from, src)
-    v_dst, ok_dst = coalition_value(state.costs, prop.game, prop.c_to, dst)
+def _score(state: GameState, prop: MoveProposal, src, dst) -> None:
+    """Set ``prop.dv`` and ``prop.feasible`` from the (value, feasible)
+    pairs of the two tentative coalitions."""
     cache = state.v_hrd if prop.game == HRD else state.v_csd
-    dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
-    prop.dv = dv
-    prop.feasible = ok_src and ok_dst
-    return src, dst
+    prop.dv = (src[0] + dst[0]) - (cache[prop.c_from] + cache[prop.c_to])
+    prop.feasible = src[1] and dst[1]
+
+
+def _evaluate(state: GameState, prop: MoveProposal) -> None:
+    """Value a move from the running sums, or from scratch on the side
+    where a backhaul floor may bind."""
+    lists = _member_lists(state, prop.game)
+    a, b, i, j = prop.c_from, prop.c_to, prop.md_from, prop.md_to
+    moved = 1 if j is None else 0
+    after = state.sums.hrd_after if prop.game == HRD else state.sums.csd_after
+    src = after(a, i, j, len(lists[a]) - moved)
+    dst = after(b, j, i, len(lists[b]) + moved)
+    if src is None or dst is None:
+        t_src, t_dst = _tentative_members(state, prop)
+        if src is None:
+            src = coalition_value(state.costs, prop.game, a, t_src)
+        if dst is None:
+            dst = coalition_value(state.costs, prop.game, b, t_dst)
+    _score(state, prop, src, dst)
+
+
+def _evaluate_exactly(state: GameState, prop: MoveProposal) -> None:
+    """Value a move from scratch with ``coalition_value``."""
+    src, dst = _tentative_members(state, prop)
+    _score(state, prop,
+           coalition_value(state.costs, prop.game, prop.c_from, src),
+           coalition_value(state.costs, prop.game, prop.c_to, dst))
 
 
 def _write_coalition(state: GameState, game: str, c: int, members) -> float:
@@ -360,10 +517,11 @@ def _write_coalition(state: GameState, game: str, c: int, members) -> float:
 def evaluate_and_apply(state: GameState, prop: MoveProposal) -> bool:
     """Accept the proposal iff both tentative coalitions are feasible and
     their combined utility strictly improves; reject leaves state untouched."""
-    src, dst = _evaluate(state, prop)
+    _evaluate(state, prop)
     state.proposals += 1
     accepted = bool(prop.feasible) and prop.dv < -IMPROVE_MARGIN
     if accepted:
+        src, dst = _tentative_members(state, prop)
         lists = _member_lists(state, prop.game)
         lists[prop.c_from] = sorted(src)
         lists[prop.c_to] = sorted(dst)
@@ -375,6 +533,8 @@ def evaluate_and_apply(state: GameState, prop: MoveProposal) -> bool:
         cache = state.v_hrd if prop.game == HRD else state.v_csd
         cache[prop.c_from] = _write_coalition(state, prop.game, prop.c_from, src)
         cache[prop.c_to] = _write_coalition(state, prop.game, prop.c_to, dst)
+        state.sums.refresh(prop.game, prop.c_from, lists[prop.c_from])
+        state.sums.refresh(prop.game, prop.c_to, lists[prop.c_to])
         state.objective = float(state.v_hrd.sum() + state.v_csd.sum())
         state.accepted_moves += 1
     if state.move_log is not None:
@@ -493,7 +653,7 @@ def audit_stability(state: GameState, margin: float = IMPROVE_MARGIN) -> list:
     found = []
     for game in (HRD, CSD):
         for prop in _neighbourhood(state, game):
-            _evaluate(state, prop)
+            _evaluate_exactly(state, prop)
             if prop.feasible and prop.dv < -margin:
                 found.append(prop)
     return found

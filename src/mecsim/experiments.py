@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import stats
 
 from .association import abcg_init, run_amnd
 from .content import Catalog, build_demand, demand_rng
@@ -316,6 +315,8 @@ def trend_check(rows, metric: str, shape: str, *, algorithm: str = "AMND",
         passed = 0 < m < ys.size - 1 and ys[m] < ys[0] and ys[m] < ys[-1]
         detail = f"argmin at index {m}/{ys.size - 1}"
     elif shape in ("nonincreasing", "nondecreasing"):
+        # Imported here: scipy.stats takes most of ``import mecsim``'s time.
+        from scipy import stats
         rho = float(stats.spearmanr(xs, ys).statistic)
         passed = rho <= -rho_min if shape == "nonincreasing" else rho >= rho_min
         detail = f"spearman rho = {rho:.3f}"

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from mecsim import association
 from mecsim._kernels import IDLE_FRAC
-from mecsim.association import (MoveProposal, abcg_init, audit_stability,
+from mecsim.allocation import coalition_value
+from mecsim.association import (MoveProposal, _evaluate, _neighbourhood,
+                                _tentative_members, abcg_init, audit_stability,
                                 evaluate_and_apply, propose_move, reallocate,
                                 run_amnd, run_coalition_game)
 from mecsim.content import Catalog, DemandProfile
@@ -293,3 +296,123 @@ def test_tiny_instance_reaches_an_exhaustively_stable_point():
     final = run_amnd(scn, demand)
     assert audit_stability(final) == []
     final.check()
+
+
+@pytest.fixture(scope="module")
+def desk_runs():
+    """(ABCG state, AMND state) on the criterion-2 desk, seeds 0-19."""
+    runs = []
+    for seed in range(20):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=20, n_csd=20))
+        demand = demand_for(scn, seed=seed)
+        init = abcg_init(scn, demand)
+        runs.append((init, run_amnd(scn, demand, init_state=init)))
+    return runs
+
+
+def _check_moves_against_scratch(state):
+    """Every move of both games, valued from the running sums, against the
+    from-scratch valuation of its two tentative coalitions.  Returns the
+    number of infeasible moves per game."""
+    infeasible = {"hrd": 0, "csd": 0}
+    for game in ("hrd", "csd"):
+        cache = state.v_hrd if game == "hrd" else state.v_csd
+        for prop in _neighbourhood(state, game):
+            src, dst = _tentative_members(state, prop)
+            v_src, ok_src = coalition_value(state.costs, game, prop.c_from, src)
+            v_dst, ok_dst = coalition_value(state.costs, game, prop.c_to, dst)
+            dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
+            _evaluate(state, prop)
+            assert prop.feasible == (ok_src and ok_dst), prop
+            assert abs(prop.dv - dv) <= 1e-12 * max(1.0, abs(v_src) + abs(v_dst)), \
+                (prop, dv)
+            infeasible[game] += not prop.feasible
+    return infeasible
+
+
+def test_running_sums_value_every_move_like_the_closed_form(desk_runs):
+    for init, final in desk_runs:
+        _check_moves_against_scratch(init)
+        _check_moves_against_scratch(final)
+
+
+def test_running_sums_fall_back_where_floors_bind(monkeypatch):
+    # Seed 1, default workload: ABCG puts HRDs 11 and 14 at SBS 12, where
+    # the clamped closed form is infeasible, so moves touching SBS 12 must
+    # be valued from scratch.
+    scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
+    state = abcg_init(scn, demand_for(scn))
+    assert state.hrd_members[12] == [11, 14]
+    assert state.sums.hrd_after(12, None, None, 2) is None
+    fallbacks = []
+
+    def counted(costs, game, c, members):
+        fallbacks.append((game, c))
+        return coalition_value(costs, game, c, members)
+
+    monkeypatch.setattr(association, "coalition_value", counted)
+    assert _check_moves_against_scratch(state)["hrd"] > 0
+    assert ("hrd", 12) in fallbacks
+    assert all(game == "hrd" for game, _ in fallbacks)
+
+
+def test_running_sums_track_storage_load():
+    # 250 kB of spare storage per SBS holds two 100 kB task inputs.
+    scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
+    state = abcg_init(scn, demand_for(scn, storage=25.25e6))
+    assert _check_moves_against_scratch(state)["csd"] > 0
+
+
+def test_clone_keeps_its_own_running_sums():
+    scn, demand, state = desk_state(seed=5)
+    twin = state.clone()
+    sums = (list(twin.sums.hrd), list(twin.sums.csd))
+    run_coalition_game(state, "csd", t2=300)
+    run_coalition_game(state, "hrd", t2=300)
+    assert state.accepted_moves > 0
+    assert (twin.sums.hrd, twin.sums.csd) == sums
+    twin.check()
+    state.check()
+    sd, sb, miss, ratio = state.sums.hrd[0]
+    state.sums.hrd[0] = (sd + 1.0, sb, miss, ratio)
+    with pytest.raises(AssertionError, match="running sums"):
+        state.check()
+    twin.check()
+
+
+# Recorded before the running sums replaced from-scratch move valuation:
+# seed, repr(F_AMND), proposals, accepted moves, hrd_sbs, csd_sbs.
+GOLDEN_DESK = (
+    (0, "707.950473685913", 7064, 14,
+     [0, 9, 13, 4, 6, 1, 1, 5, 10, 2, 8, 12, 2, 7, 14, 3, 9, 11, 4, 7],
+     [1, 5, 10, 15, 7, 14, 3, 15, 15, 15, 8, 12, 2, 15, 15, 15, 15, 15, 4, 9]),
+    (1, "1050.3736410171985", 8955, 30,
+     [0, 6, 13, 3, 4, 13, 2, 5, 7, 8, 5, 12, 0, 7, 10, 3, 9, 14, 1, 8],
+     [15, 15, 14, 0, 5, 11, 2, 15, 15, 3, 15, 15, 15, 8, 10, 4, 7, 15, 8, 9]),
+    (2, "667.306721328047", 6380, 18,
+     [4, 7, 13, 2, 6, 10, 3, 5, 11, 1, 8, 0, 4, 9, 12, 1, 5, 14, 2, 10],
+     [15, 15, 11, 3, 5, 0, 15, 6, 10, 4, 15, 15, 2, 9, 14, 15, 15, 10, 15, 15]),
+    (3, "849.1402324030585", 8574, 29,
+     [0, 14, 5, 2, 8, 12, 1, 7, 10, 4, 9, 11, 4, 6, 10, 3, 7, 14, 0, 13],
+     [15, 7, 13, 14, 6, 15, 15, 5, 11, 4, 15, 15, 1, 15, 12, 3, 15, 10, 2, 9]),
+    (4, "795.21142303418", 6513, 17,
+     [4, 9, 12, 2, 6, 11, 0, 13, 10, 3, 7, 13, 11, 14, 10, 0, 8, 2, 1, 5],
+     [2, 15, 13, 15, 5, 15, 4, 9, 15, 1, 15, 10, 0, 14, 15, 15, 6, 12, 3, 7]),
+)
+
+
+def test_desk_solves_match_recorded_outputs(desk_runs):
+    for seed, f, proposals, accepted, hrd_sbs, csd_sbs in GOLDEN_DESK:
+        final = desk_runs[seed][1]
+        assert (repr(final.objective), final.proposals,
+                final.accepted_moves) == (f, proposals, accepted), seed
+        assert final.partition.hrd_sbs.tobytes() == \
+            np.array(hrd_sbs, dtype=np.int64).tobytes(), seed
+        assert final.partition.csd_sbs.tobytes() == \
+            np.array(csd_sbs, dtype=np.int64).tobytes(), seed
+
+
+def test_desk_solves_are_nash_stable(desk_runs):
+    for seed, (_, final) in enumerate(desk_runs):
+        assert audit_stability(final) == [], seed

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mecsim
 from mecsim.cli import build_parser, main
 from mecsim.experiments import (CSV_COLUMNS, ExperimentConfig, SweepRow,
                                 config_with_overrides, emit_csv, load_config,
@@ -87,6 +92,16 @@ def test_trend_shapes_on_synthetic_series():
         trend_check(synth_rows([1, 2, 3]), "hrd_total_s", "u")
     with pytest.raises(ValueError, match="shape"):
         trend_check(u, "hrd_total_s", "bowl")
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the start-up time; only trend_check needs it.
+    src = os.path.dirname(os.path.dirname(mecsim.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mecsim; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_seed_average_filters_by_algorithm_and_delta(small_rows):
