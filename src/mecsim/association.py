@@ -15,11 +15,17 @@ uplink and compute costs, and an HRD coalition ``sd**2 + sb**2`` (root
 downlink costs of all pairs, root backhaul costs of the missed pairs) as
 long as no backhaul floor binds.  A floor binds when its device's
 floor/root-cost ratio times ``sb`` exceeds 1; where that may happen, the
-side is valued from scratch by ``allocation.coalition_value``, which keeps
-the clamped closed form's value and feasibility exactly.  The sums of the
-two touched coalitions are recomputed from their member lists after every
-accepted move, so they never drift, and ``audit_stability`` still values
-every move from scratch, which makes it an independent check on them.
+side is valued over its tentative members' pairs by
+``CoalitionSums.hrd_value``, plain Python that repeats the clamped closed
+form's arithmetic, so value and feasibility are exactly the kernel's.  The
+sums of the two touched coalitions are recomputed from their member lists
+after every accepted move, so they never drift.  ``audit_stability`` still
+values every move from scratch with the numpy kernels, which makes it an
+independent check on both.
+
+The random phase draws its moves with ``bounded_draws``, which returns
+exactly what ``Generator.integers`` would, from the same stream, at about a
+quarter of the cost.
 
 The state reallocation step adopts the closed form per coalition only when
 it does not worsen the incumbent (the clamped closed form can lose to the
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import IDLE_FRAC, member_pairs
+from ._kernels import FEAS_TOL, IDLE_FRAC, member_pairs
 from .allocation import (CSD, HRD, CoalitionCosts, build_costs,
                          coalition_value, equal_share_hrd)
 from .content import DemandProfile
@@ -76,6 +82,17 @@ class MoveProposal:
     feasible: bool | None = None
 
 
+def _sum(values) -> float:
+    """``float(np.sum(values))`` to the last bit.  numpy adds fewer than
+    eight terms left to right, so a short list needs no array."""
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 class CoalitionSums:
     """Running sums of every coalition's closed form, one tuple per coalition.
 
@@ -86,8 +103,9 @@ class CoalitionSums:
     and compute cost sums and its stored task bytes; the virtual local
     coalition holds ``(local,)``, its summed local delay.  ``hrd_after`` and
     ``csd_after`` value a coalition after one device leaves and/or one
-    enters with scalar arithmetic.  Stored sums are only ever computed
-    from member lists, by the constructor and ``refresh``.
+    enters with scalar arithmetic; ``hrd_value`` values an HRD coalition
+    where a floor may bind.  Stored sums are only ever computed from member
+    lists, by the constructor and ``refresh``.
     """
 
     def __init__(self, costs: CoalitionCosts, hrd_members, csd_members):
@@ -99,6 +117,10 @@ class CoalitionSums:
         self._bh = costs.dev_sqrt_bh.tolist()
         self._miss = costs.dev_miss.tolist()
         self._ratio = costs.dev_floor_ratio.tolist()
+        # Per-SBS pair rows of ``hrd_value``, built on first use: most SBSs
+        # never see a binding floor.  They depend on ``costs`` alone, so
+        # copies share them.
+        self._pairs = [None] * self.n_sbs
         self._ul = costs.sqrt_ul.tolist()
         self._ed = costs.sqrt_ed.tolist()
         self._bytes = costs.task_bytes.tolist()
@@ -167,6 +189,39 @@ class CoalitionSums:
         if ratio * sb > 1.0:
             return None
         return sd * sd + sb * sb, True
+
+    def _pair_row(self, c: int) -> list:
+        """Per device at SBS ``c``: the root downlink costs of its pairs and
+        the (root backhaul cost, floor) of its missed pairs."""
+        costs = self.costs
+        dl, bh = costs.sqrt_dl[c].tolist(), costs.sqrt_bh[c].tolist()
+        hits, floor = costs.cached[c].tolist(), costs.eta_min[c].tolist()
+        starts = costs.pair_off.tolist()
+        ends = (costs.pair_off + costs.pair_cnt).tolist()
+        return [(dl[a:b], [(s, floor[k]) for s, hit in zip(bh[a:b], hits[a:b])
+                           if not hit])
+                for k, (a, b) in enumerate(zip(starts, ends))]
+
+    def hrd_value(self, c: int, members):
+        """(value, feasible) of HRD coalition ``c`` holding ``members``:
+        ``_kernels.hrd_closed_form`` in plain Python, summed in the kernel's
+        order, so both agree to the last bit."""
+        pairs = self._pairs[c]
+        if pairs is None:
+            pairs = self._pairs[c] = self._pair_row(c)
+        dl, bh = [], []
+        for k in members:
+            d, b = pairs[k]
+            dl += d
+            bh += b
+        value = _sum(dl) ** 2
+        if not bh:
+            return value, True
+        sb = _sum([s for s, _ in bh])
+        eta = [min(1.0, max(floor, s / sb)) for s, floor in bh]
+        value += _sum([s * s / e for (s, _), e in zip(bh, eta)])
+        return value, not (any(floor > 1.0 for _, floor in bh)
+                           or _sum(eta) > 1.0 + FEAS_TOL)
 
     def csd_after(self, c: int, out, inn, size: int):
         """(value, feasible) of CSD coalition ``c`` once device ``out``
@@ -414,10 +469,45 @@ def _member_lists(state: GameState, game: str):
     return state.hrd_members if game == HRD else state.csd_members
 
 
-def propose_move(state: GameState, game: str,
-                 rng: np.random.Generator) -> MoveProposal:
+def bounded_draws(rng: np.random.Generator):
+    """``draw(n)``, which returns exactly ``int(rng.integers(n))``.
+
+    numpy draws ``integers(n)`` by Lemire's multiply-shift with rejection
+    over the bit generator's ``next_uint32`` (Lemire, "Fast random integer
+    generation in an interval", ACM TOMACS 2019).  ``draw`` runs the same
+    steps in Python on the same ``next_uint32``, which skips numpy's
+    per-call overhead, and leaves the generator in the state numpy would,
+    so later ``rng`` calls are unchanged.  ``n == 1`` consumes nothing, as
+    in numpy; ``n`` outside [1, 2**32) raises.  Unlike ``rng.integers``,
+    ``draw`` does not take the generator's lock, so the generator must not
+    be shared between threads while ``draw`` is in use.
+    """
+    iface = rng.bit_generator.ctypes
+    next_uint32, bitgen = iface.next_uint32, iface.state
+
+    def draw(n: int) -> int:
+        if n == 1:
+            return 0
+        if not 1 < n < 1 << 32:
+            raise ValueError(f"draw bound {n} outside [1, 2**32)")
+        m = next_uint32(bitgen) * n
+        if m & 0xFFFFFFFF < n:
+            # Reject the 2**32 % n low products that would bias the result.
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(bitgen) * n
+        return m >> 32
+
+    draw.generator = rng   # keeps the bit generator behind ``bitgen`` alive
+    return draw
+
+
+def propose_move(state: GameState, game: str, rng) -> MoveProposal:
     """Draw one candidate move: two distinct coalitions; a member transfers
-    into an empty one, otherwise one member from each side is swapped."""
+    into an empty one, otherwise one member from each side is swapped.
+    ``rng`` is a ``Generator`` or a ``bounded_draws`` of one; both draw the
+    same moves from the same stream."""
+    draw = bounded_draws(rng) if isinstance(rng, np.random.Generator) else rng
     lists = _member_lists(state, game)
     n_coal = len(lists)
     if n_coal < 2:
@@ -425,20 +515,20 @@ def propose_move(state: GameState, game: str,
     # With one nonempty coalition among C, a blind pair misses it with
     # probability (C-2)/C per draw; the bound keeps failure negligible.
     for _ in range(2048):
-        m = int(rng.integers(n_coal))
-        n = int(rng.integers(n_coal - 1))
+        m = draw(n_coal)
+        n = draw(n_coal - 1)
         if n >= m:
             n += 1
         if not lists[m] and not lists[n]:
             continue
         if not lists[m]:
-            j = lists[n][int(rng.integers(len(lists[n])))]
+            j = lists[n][draw(len(lists[n]))]
             return MoveProposal(game, "transfer", c_from=n, c_to=m, md_from=j)
         if not lists[n]:
-            i = lists[m][int(rng.integers(len(lists[m])))]
+            i = lists[m][draw(len(lists[m]))]
             return MoveProposal(game, "transfer", c_from=m, c_to=n, md_from=i)
-        i = lists[m][int(rng.integers(len(lists[m])))]
-        j = lists[n][int(rng.integers(len(lists[n])))]
+        i = lists[m][draw(len(lists[m]))]
+        j = lists[n][draw(len(lists[n]))]
         return MoveProposal(game, "swap", c_from=m, c_to=n, md_from=i, md_to=j)
     raise RuntimeError("could not sample a nonempty coalition pair")
 
@@ -465,20 +555,21 @@ def _score(state: GameState, prop: MoveProposal, src, dst) -> None:
 
 
 def _evaluate(state: GameState, prop: MoveProposal) -> None:
-    """Value a move from the running sums, or from scratch on the side
-    where a backhaul floor may bind."""
+    """Value a move from the running sums, or over the tentative members'
+    pairs on an HRD side where a backhaul floor may bind."""
+    sums = state.sums
     lists = _member_lists(state, prop.game)
     a, b, i, j = prop.c_from, prop.c_to, prop.md_from, prop.md_to
     moved = 1 if j is None else 0
-    after = state.sums.hrd_after if prop.game == HRD else state.sums.csd_after
+    after = sums.hrd_after if prop.game == HRD else sums.csd_after
     src = after(a, i, j, len(lists[a]) - moved)
     dst = after(b, j, i, len(lists[b]) + moved)
     if src is None or dst is None:
         t_src, t_dst = _tentative_members(state, prop)
         if src is None:
-            src = coalition_value(state.costs, prop.game, a, t_src)
+            src = sums.hrd_value(a, t_src)
         if dst is None:
-            dst = coalition_value(state.costs, prop.game, b, t_dst)
+            dst = sums.hrd_value(b, t_dst)
     _score(state, prop, src, dst)
 
 
@@ -591,14 +682,14 @@ def run_coalition_game(state: GameState, game: str, t2: int,
         raise ValueError("t2 must be at least 1")
     if patience is None:
         patience = default_patience(state.demand.n_hrd, state.demand.n_csd)
-    rng = state.rng_hrd if game == HRD else state.rng_csd
+    draw = bounded_draws(state.rng_hrd if game == HRD else state.rng_csd)
     lists = _member_lists(state, game)
     if len(lists) >= 2 and sum(len(c) for c in lists) >= 1:
         rejections = 0
         for _ in range(t2):
             if rejections >= patience:
                 break
-            prop = propose_move(state, game, rng)
+            prop = propose_move(state, game, draw)
             if evaluate_and_apply(state, prop):
                 rejections = 0
             else:

@@ -6,8 +6,8 @@ from mecsim._kernels import IDLE_FRAC
 from mecsim.allocation import coalition_value
 from mecsim.association import (MoveProposal, _evaluate, _neighbourhood,
                                 _tentative_members, abcg_init, audit_stability,
-                                evaluate_and_apply, propose_move, reallocate,
-                                run_amnd, run_coalition_game)
+                                bounded_draws, evaluate_and_apply, propose_move,
+                                reallocate, run_amnd, run_coalition_game)
 from mecsim.content import Catalog, DemandProfile
 from mecsim.delays import audit_constraints
 from mecsim.radio import build_rate_table
@@ -125,6 +125,26 @@ def test_proposals_are_reproducible():
     for a, b in zip(seq1, seq2):
         assert (a.kind, a.c_from, a.c_to, a.md_from, a.md_to) == \
             (b.kind, b.c_from, b.c_to, b.md_from, b.md_to)
+
+
+def test_bounded_draws_match_generator_integers():
+    # The random phase's moves rest on these draws being numpy's own; this
+    # fails if numpy ever changes how Generator.integers draws.
+    ours, twin = np.random.default_rng(2024), np.random.default_rng(2024)
+    draw = bounded_draws(ours)
+    # Rejection is frequent near 2**31: about half of all draws at 2**31+1.
+    bounds = list(range(1, 71)) + [2**31 + 1, 3 * 2**30]
+    for _ in range(40):
+        for n in bounds:
+            assert draw(n) == int(twin.integers(n)), n
+    before = ours.bit_generator.state
+    assert draw(1) == 0
+    assert ours.bit_generator.state == before
+    assert np.array_equal(ours.integers(10**6, size=4),
+                          twin.integers(10**6, size=4))
+    for n in (0, 2**32):
+        with pytest.raises(ValueError, match="outside"):
+            draw(n)
 
 
 def test_empty_coalition_receives_a_transfer():
@@ -311,12 +331,12 @@ def desk_runs():
     return runs
 
 
-def _check_moves_against_scratch(state):
-    """Every move of both games, valued from the running sums, against the
+def _check_moves_against_scratch(state, games=("hrd", "csd")):
+    """Every move of ``games``, valued from the running sums, against the
     from-scratch valuation of its two tentative coalitions.  Returns the
     number of infeasible moves per game."""
     infeasible = {"hrd": 0, "csd": 0}
-    for game in ("hrd", "csd"):
+    for game in games:
         cache = state.v_hrd if game == "hrd" else state.v_csd
         for prop in _neighbourhood(state, game):
             src, dst = _tentative_members(state, prop)
@@ -337,24 +357,55 @@ def test_running_sums_value_every_move_like_the_closed_form(desk_runs):
         _check_moves_against_scratch(final)
 
 
+def _count_floor_valuations(monkeypatch):
+    """Record ``(coalition, size)`` of every ``CoalitionSums.hrd_value``
+    call, and require each result to equal the numpy closed form's."""
+    calls = []
+    inner = association.CoalitionSums.hrd_value
+
+    def counted(sums, c, members):
+        calls.append((c, len(members)))
+        result = inner(sums, c, members)
+        assert result == coalition_value(sums.costs, "hrd", c, members)
+        return result
+
+    monkeypatch.setattr(association.CoalitionSums, "hrd_value", counted)
+    return calls
+
+
 def test_running_sums_fall_back_where_floors_bind(monkeypatch):
     # Seed 1, default workload: ABCG puts HRDs 11 and 14 at SBS 12, where
     # the clamped closed form is infeasible, so moves touching SBS 12 must
-    # be valued from scratch.
+    # be valued over their members' pairs.
     scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
     state = abcg_init(scn, demand_for(scn))
     assert state.hrd_members[12] == [11, 14]
     assert state.sums.hrd_after(12, None, None, 2) is None
-    fallbacks = []
+    fallbacks = _count_floor_valuations(monkeypatch)
+    _check_moves_against_scratch(state, games=("csd",))
+    assert fallbacks == []
+    assert _check_moves_against_scratch(state, games=("hrd",))["hrd"] > 0
+    assert 12 in [c for c, _ in fallbacks]
 
-    def counted(costs, game, c, members):
-        fallbacks.append((game, c))
-        return coalition_value(costs, game, c, members)
 
-    monkeypatch.setattr(association, "coalition_value", counted)
-    assert _check_moves_against_scratch(state)["hrd"] > 0
-    assert ("hrd", 12) in fallbacks
-    assert all(game == "hrd" for game, _ in fallbacks)
+@pytest.fixture(scope="module")
+def multi_request_run():
+    """(ABCG state, AMND state) of the desk with two requests per HRD and
+    100 files, so a device holds several missed pairs under one floor."""
+    scn = generate_scenario(SystemParams(seed=3), Counts(n_hrd=20, n_csd=20))
+    demand = demand_for(scn, n_files=100, requests_per_hrd=2)
+    init = abcg_init(scn, demand)
+    return init, run_amnd(scn, demand, init_state=init)
+
+
+def test_running_sums_value_multi_request_moves(monkeypatch,
+                                                multi_request_run):
+    fallbacks = _count_floor_valuations(monkeypatch)
+    for state in multi_request_run:
+        _check_moves_against_scratch(state)
+    assert fallbacks
+    # Four members hold eight pairs, where numpy starts summing pairwise.
+    assert max(size for _, size in fallbacks) >= 4
 
 
 def test_running_sums_track_storage_load():
@@ -402,9 +453,18 @@ GOLDEN_DESK = (
 )
 
 
-def test_desk_solves_match_recorded_outputs(desk_runs):
-    for seed, f, proposals, accepted, hrd_sbs, csd_sbs in GOLDEN_DESK:
-        final = desk_runs[seed][1]
+# Recorded before the random phase's draws and floor valuations moved to
+# plain Python: the ``multi_request_run`` solve, in the same layout.
+GOLDEN_MULTI_REQUEST = (
+    3, "6698.966235816297", 7435, 16,
+    [0, 14, 10, 4, 8, 14, 1, 4, 10, 4, 7, 11, 4, 9, 10, 2, 14, 14, 3, 14],
+    [15, 7, 13, 14, 6, 15, 15, 5, 11, 4, 15, 15, 1, 15, 12, 3, 15, 10, 2, 9])
+
+
+def test_desk_solves_match_recorded_outputs(desk_runs, multi_request_run):
+    runs = [(golden, desk_runs[golden[0]][1]) for golden in GOLDEN_DESK]
+    runs.append((GOLDEN_MULTI_REQUEST, multi_request_run[1]))
+    for (seed, f, proposals, accepted, hrd_sbs, csd_sbs), final in runs:
         assert (repr(final.objective), final.proposals,
                 final.accepted_moves) == (f, proposals, accepted), seed
         assert final.partition.hrd_sbs.tobytes() == \
