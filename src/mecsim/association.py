@@ -23,9 +23,20 @@ after every accepted move, so they never drift.  ``audit_stability`` still
 values every move from scratch with the numpy kernels, which makes it an
 independent check on both.
 
-The random phase draws its moves with ``bounded_draws``, which returns
-exactly what ``Generator.integers`` would, from the same stream, at about a
-quarter of the cost.
+The random phase proposes moves one after another from the game's
+generator and keeps each that improves.  The partition changes only on an
+accepted move, so proposals are drawn and valued in blocks
+(``_random_phase``): the generator's uint32 stream is read ahead
+(``_ReadAhead``); every position of a window is decoded as
+``propose_move`` would draw there, with numpy's own bounded-integer
+algorithm (``_derive``, ``_chain``); the chained proposals are valued
+elementwise from numpy mirrors of the running sums, with the scalar
+path's float operations in its order (``_Mirror``); and the block is cut
+at its first accept, which ``evaluate_and_apply`` applies.  A draw in
+Lemire's rejection branch goes through ``propose_move``, and the
+generator ends exactly where the consumed draws leave it.  Proposal
+counts, accepted moves, move logs and generator states are therefore
+those of the one-at-a-time loop, to the last bit.
 
 The state reallocation step adopts the closed form per coalition only when
 it does not worsen the incumbent (the clamped closed form can lose to the
@@ -43,6 +54,7 @@ therefore one CSD game, one HRD game and one reallocation.
 """
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +70,11 @@ from .radio import RateTable, build_rate_table
 from .scenario import Scenario
 
 IMPROVE_MARGIN = 1e-12   # strict-improvement threshold, avoids cycling on ties
+MASK32 = 0xFFFFFFFF
+# Proposals per block of the random phase: a block is cut at its first
+# accept, so it starts small after an accept and doubles while none comes.
+# Blocks of 1024 ran no faster on the desk and held twice the temporaries.
+BLOCK_MIN, BLOCK_MAX = 64, 256
 
 
 def default_patience(n_hrd: int, n_csd: int) -> int:
@@ -469,44 +486,51 @@ def _member_lists(state: GameState, game: str):
     return state.hrd_members if game == HRD else state.csd_members
 
 
-def bounded_draws(rng: np.random.Generator):
-    """``draw(n)``, which returns exactly ``int(rng.integers(n))``.
-
-    numpy draws ``integers(n)`` by Lemire's multiply-shift with rejection
-    over the bit generator's ``next_uint32`` (Lemire, "Fast random integer
-    generation in an interval", ACM TOMACS 2019).  ``draw`` runs the same
-    steps in Python on the same ``next_uint32``, which skips numpy's
-    per-call overhead, and leaves the generator in the state numpy would,
-    so later ``rng`` calls are unchanged.  ``n == 1`` consumes nothing, as
-    in numpy; ``n`` outside [1, 2**32) raises.  Unlike ``rng.integers``,
-    ``draw`` does not take the generator's lock, so the generator must not
-    be shared between threads while ``draw`` is in use.
-    """
-    iface = rng.bit_generator.ctypes
-    next_uint32, bitgen = iface.next_uint32, iface.state
+def _lemire(next_uint32):
+    """``draw(n)`` over a ``next_uint32()`` callable, as numpy draws
+    ``Generator.integers(n)`` from its bit generator's ``next_uint32``:
+    Lemire's multiply-shift with rejection (Lemire, "Fast random integer
+    generation in an interval", ACM TOMACS 2019).  ``n == 1`` consumes
+    nothing, as in numpy; ``n`` outside [1, 2**32) raises."""
 
     def draw(n: int) -> int:
         if n == 1:
             return 0
         if not 1 < n < 1 << 32:
             raise ValueError(f"draw bound {n} outside [1, 2**32)")
-        m = next_uint32(bitgen) * n
-        if m & 0xFFFFFFFF < n:
+        m = next_uint32() * n
+        if m & MASK32 < n:
             # Reject the 2**32 % n low products that would bias the result.
             threshold = (1 << 32) % n
-            while m & 0xFFFFFFFF < threshold:
-                m = next_uint32(bitgen) * n
+            while m & MASK32 < threshold:
+                m = next_uint32() * n
         return m >> 32
 
-    draw.generator = rng   # keeps the bit generator behind ``bitgen`` alive
+    return draw
+
+
+def bounded_draws(rng: np.random.Generator):
+    """``draw(n)``, which returns exactly ``int(rng.integers(n))``.
+
+    ``draw`` runs numpy's own algorithm (``_lemire``) in Python on the bit
+    generator's ``next_uint32``, which skips numpy's per-call overhead, and
+    leaves the generator in the state numpy would, so later ``rng`` calls
+    are unchanged.  Unlike ``rng.integers``, ``draw`` does not take the
+    generator's lock, so the generator must not be shared between threads
+    while ``draw`` is in use.
+    """
+    iface = rng.bit_generator.ctypes
+    draw = _lemire(functools.partial(iface.next_uint32, iface.state))
+    draw.generator = rng   # keeps the bit generator behind ``iface`` alive
     return draw
 
 
 def propose_move(state: GameState, game: str, rng) -> MoveProposal:
     """Draw one candidate move: two distinct coalitions; a member transfers
     into an empty one, otherwise one member from each side is swapped.
-    ``rng`` is a ``Generator`` or a ``bounded_draws`` of one; both draw the
-    same moves from the same stream."""
+    ``rng`` is a ``Generator``, or a ``draw(n)`` over its stream
+    (``bounded_draws``, or ``_lemire`` on a ``_ReadAhead``); all draw the
+    same moves."""
     draw = bounded_draws(rng) if isinstance(rng, np.random.Generator) else rng
     lists = _member_lists(state, game)
     n_coal = len(lists)
@@ -550,7 +574,8 @@ def _score(state: GameState, prop: MoveProposal, src, dst) -> None:
     """Set ``prop.dv`` and ``prop.feasible`` from the (value, feasible)
     pairs of the two tentative coalitions."""
     cache = state.v_hrd if prop.game == HRD else state.v_csd
-    prop.dv = (src[0] + dst[0]) - (cache[prop.c_from] + cache[prop.c_to])
+    prop.dv = (src[0] + dst[0]) - (cache.item(prop.c_from)
+                                   + cache.item(prop.c_to))
     prop.feasible = src[1] and dst[1]
 
 
@@ -671,6 +696,309 @@ def stabilize_partition(state: GameState, game: str) -> int:
     return applied
 
 
+class _ReadAhead:
+    """The ``next_uint32`` stream of a game's PCG64 generator, read ahead in
+    windows of ``random_raw`` words.
+
+    numpy's ``next_uint32`` returns a word's low half, then its high half;
+    a high half left over from an earlier call is held in the state dict
+    (``has_uint32``/``uinteger``) and comes first.  ``release`` puts the
+    generator exactly where the consumed draws leave it, dict included.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bit_gen = rng.bit_generator
+        if not isinstance(bit_gen, np.random.PCG64):
+            raise TypeError(f"game generators are PCG64, not {bit_gen!r}")
+        self.bit_gen, self.start = bit_gen, bit_gen.state
+        self.held = self.start["has_uint32"]
+        self.buf = np.array([self.start["uinteger"]][:self.held],
+                            dtype=np.int64)
+        self.pos = 0       # next unread entry of buf
+        self.base = 0      # stream index of buf[0]
+
+    def window(self, n: int) -> np.ndarray:
+        """The next ``n`` unread values, as int64, without consuming them."""
+        missing = n - (self.buf.size - self.pos)
+        if missing > 0:
+            raw = self.bit_gen.random_raw((missing + 1) // 2)
+            halves = np.empty((raw.size, 2), dtype=np.int64)
+            halves[:, 0] = (raw & MASK32).astype(np.int64)
+            halves[:, 1] = (raw >> 32).astype(np.int64)
+            self.base += self.pos
+            self.buf = np.concatenate((self.buf[self.pos:], halves.ravel()))
+            self.pos = 0
+        return self.buf[self.pos:self.pos + n]
+
+    def skip(self, n: int) -> None:
+        self.pos += n
+
+    def next_uint32(self) -> int:
+        value = int(self.window(1)[0])
+        self.pos += 1
+        return value
+
+    def release(self) -> None:
+        used = self.base + self.pos - self.held   # halves of fresh words
+        bit_gen, state = self.bit_gen, dict(self.start)
+        bit_gen.state = state
+        if used > 0:
+            words = (used + 1) // 2
+            if words > 1:
+                bit_gen.random_raw(words - 1, output=False)
+            last = int(bit_gen.random_raw())
+            state = bit_gen.state
+            # numpy leaves the last word's high half here even once used.
+            state["uinteger"] = last >> 32
+        if used >= 0:
+            state["has_uint32"] = used % 2
+        bit_gen.state = state
+
+
+def _derive(window: np.ndarray, sizes: np.ndarray):
+    """Decode every start position of a window of the uint32 stream as
+    ``propose_move`` draws there, for coalitions of the given ``sizes``.
+
+    Returns ``(code, swap, c_from, c_to, k_from, k_to)`` per position, for
+    the ``len(window) - 3`` positions whose draws all lie in the window.
+    ``code`` is the number of values the proposal consumes, negated where
+    both coalitions are empty (``propose_move`` draws the pair again), and
+    0 where a draw's low product falls below its bound: Lemire's rejection
+    branch, which is left to the scalar path.  ``k_from``/``k_to`` index
+    the moving members in their coalitions' member lists.
+    """
+    n_coal, span = sizes.size, window.size - 3
+    # A uint32 times a bound below 2**31 is exact in int64.
+    prod = window[:span] * n_coal
+    m = prod >> 32
+    reject = prod & MASK32 < n_coal
+    if n_coal > 2:
+        prod = window[1:span + 1] * (n_coal - 1)
+        n = prod >> 32
+        reject |= prod & MASK32 < n_coal - 1
+        pair_step = 2
+    else:                       # a bound of 1 draws 0 and consumes nothing
+        n = np.zeros(span, dtype=np.int64)
+        pair_step = 1
+    n += n >= m
+    size_m, size_n = sizes[m], sizes[n]
+    swap = (size_m > 0) & (size_n > 0)
+    c_from = np.where(size_m > 0, m, n)
+    c_to = np.where(size_m > 0, n, m)
+    size_from = sizes[c_from]
+    # Below a bound of 2 the draw is 0 and consumes nothing; the product
+    # of a uint32 and 1 or 0 shifts to 0 as well.
+    take_from = size_from > 1
+    prod = window[pair_step:span + pair_step] * size_from
+    k_from = prod >> 32
+    reject |= take_from & (prod & MASK32 < size_from)
+    take_to = swap & (size_n > 1)
+    at = np.arange(pair_step, span + pair_step) + take_from
+    prod = window[at] * size_n
+    k_to = prod >> 32
+    reject |= take_to & (prod & MASK32 < size_n)
+    code = np.where((size_m == 0) & (size_n == 0), -pair_step,
+                    pair_step + take_from + take_to)
+    code[reject] = 0
+    return code, swap, c_from, c_to, k_from, k_to
+
+
+def _chain(code: list, limit: int) -> list:
+    """Start positions of up to ``limit`` proposals drawn one after another
+    from position 0, skipping redrawn empty pairs; stops before a position
+    in Lemire's rejection branch and at the end of the window."""
+    starts, p = [], 0
+    while p < len(code) and len(starts) < limit:
+        step = code[p]
+        if step == 0:
+            break
+        if step > 0:
+            starts.append(p)
+            p += step
+        else:
+            p -= step
+    return starts
+
+
+class _Mirror:
+    """numpy copies of one game's member lists and running sums, which a
+    block of proposals reads; ``sync`` refreshes one coalition after an
+    accepted move.  ``after`` repeats ``CoalitionSums.hrd_after`` or
+    ``csd_after`` elementwise, with the same float operations in the same
+    order, so each value equals the scalar one to the last bit."""
+
+    def __init__(self, state: GameState, game: str):
+        self.state, self.game = state, game
+        self.lists = _member_lists(state, game)
+        costs, n_coal = state.costs, len(self.lists)
+        n_dev = state.demand.n_hrd if game == HRD else state.demand.n_csd
+        self.size = np.zeros(n_coal, dtype=np.int64)
+        self.members = np.zeros((n_coal, n_dev), dtype=np.int64)
+        # The additive sums, one column each, and every device's terms at
+        # every coalition: HRD (sd, sb, miss), whose small integer counts
+        # are exact as floats, plus the ratio, which is a running max; CSD
+        # (su, se, load, local), where row n_sbs is the local coalition.
+        if game == HRD:
+            terms = (costs.dev_sqrt_dl, costs.dev_sqrt_bh, costs.dev_miss)
+            self.ratio_dev = costs.dev_floor_ratio
+            self.ratio = np.zeros(n_coal)
+        else:
+            pad = np.zeros((1, n_dev))
+            terms = (np.vstack((costs.sqrt_ul, pad)),
+                     np.vstack((costs.sqrt_ed, pad)),
+                     np.broadcast_to(costs.task_bytes, (n_coal, n_dev)),
+                     np.broadcast_to(costs.local_delay_w, (n_coal, n_dev)))
+            self.room = np.append(costs.spare_bytes + _kernels.BYTES_TOL, 0.0)
+        self.terms = np.stack(terms, axis=-1).astype(float)
+        self.sums = np.zeros((n_coal, len(terms)))
+        for c in range(n_coal):
+            self.sync(c)
+
+    def sync(self, c: int) -> None:
+        members = self.lists[c]
+        self.size[c] = len(members)
+        self.members[c, :len(members)] = members
+        sums = self.state.sums
+        if self.game == HRD:
+            self.sums[c] = sums.hrd[c][:3]
+            self.ratio[c] = sums.hrd[c][3]
+        elif c == sums.n_sbs:
+            self.sums[c] = (0.0, 0.0, 0.0) + sums.csd[c]
+        else:
+            self.sums[c] = sums.csd[c] + (0.0,)
+
+    def after(self, c, out, inn, out_on, inn_on, size):
+        """(value, feasible, floor) of coalitions ``c`` once devices ``out``
+        leave where ``out_on`` and ``inn`` enter where ``inn_on`` (``True``
+        for all), holding ``size`` members.  ``floor`` marks HRD sides where
+        a backhaul floor may bind, which ``hrd_after`` leaves to
+        ``hrd_value``."""
+        x = self.sums[c]
+        new = x - self.terms[c, out]
+        x = new if out_on is True else np.where(out_on[:, None], new, x)
+        new = x + self.terms[c, inn]
+        x = new if inn_on is True else np.where(inn_on[:, None], new, x)
+        empty = size == 0
+        if self.game == HRD:
+            sd, sb, miss = x.T
+            ratio = np.maximum(self.ratio[c], self.ratio_dev[c, inn])
+            if inn_on is not True:
+                ratio = np.where(inn_on, ratio, self.ratio[c])
+            value = np.where(miss == 0, sd * sd, sd * sd + sb * sb)
+            floor = (miss != 0) & (ratio * sb > 1.0) & ~empty
+            return np.where(empty, 0.0, value), np.ones_like(empty), floor
+        su, se, load, local = x.T
+        is_local = c == self.state.n_sbs
+        value = np.where(is_local, local, su * su + se * se)
+        feasible = is_local | (load <= self.room[c]) | empty
+        return np.where(empty, 0.0, value), feasible, np.zeros_like(empty)
+
+
+class _Block:
+    """The proposals that start at ``starts`` of a window decoded by
+    ``_derive``, read against the partition that ``mirror`` holds."""
+
+    def __init__(self, game: str, mirror: _Mirror, derived, starts: list):
+        _, swap, c_from, c_to, k_from, k_to = derived
+        idx = np.array(starts)
+        self.game, self.mirror = game, mirror
+        self.swap, self.a, self.b = swap[idx], c_from[idx], c_to[idx]
+        self.i = mirror.members[self.a, k_from[idx]]
+        self.j = mirror.members[self.b, k_to[idx]]
+        self.kind = ["swap" if x else "transfer" for x in self.swap.tolist()]
+
+    def proposal(self, q: int) -> MoveProposal:
+        swap = self.kind[q] == "swap"
+        return MoveProposal(self.game, self.kind[q], c_from=int(self.a[q]),
+                            c_to=int(self.b[q]), md_from=int(self.i[q]),
+                            md_to=int(self.j[q]) if swap else None)
+
+    def first_accept(self, state: GameState):
+        """(index of the first proposal ``evaluate_and_apply`` would
+        accept, or the block's length, and the ``dv`` of those before it).
+        Each side is valued as ``_evaluate`` values it: from the mirrored
+        sums, or, where a backhaul floor may bind, by ``_evaluate`` itself,
+        in order and only up to the first accept."""
+        mirror, swap, a, b = self.mirror, self.swap, self.a, self.b
+        cache = state.v_hrd if self.game == HRD else state.v_csd
+        v_src, ok_src, floor_src = mirror.after(
+            a, self.i, self.j, True, swap, mirror.size[a] - 1 + swap)
+        v_dst, ok_dst, floor_dst = mirror.after(
+            b, self.j, self.i, swap, True, mirror.size[b] + 1 - swap)
+        dv = (v_src + v_dst) - (cache[a] + cache[b])
+        floor = floor_src | floor_dst
+        hits = np.flatnonzero(ok_src & ok_dst & ~floor
+                              & (dv < -IMPROVE_MARGIN))
+        first = int(hits[0]) if hits.size else len(self.kind)
+        dv = dv.tolist()
+        for q in np.flatnonzero(floor[:first]).tolist():
+            prop = self.proposal(q)
+            _evaluate(state, prop)
+            if prop.feasible and prop.dv < -IMPROVE_MARGIN:
+                return q, dv
+            dv[q] = prop.dv
+        return first, dv
+
+
+def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
+    """At most ``t2`` proposals, stopping after ``patience`` consecutive
+    rejections: each proposal is the one ``propose_move`` draws, judged as
+    ``evaluate_and_apply`` judges it, to the last bit.
+
+    Between two accepts the partition is fixed, so a block derives its
+    proposals from a window of the generator's stream (``_derive``,
+    ``_chain``) and values them together (``_Block``).  The block is cut at
+    its first accept, which is applied through ``evaluate_and_apply``; each
+    rejected proposal counts and logs as it would there.  A proposal with a
+    draw in Lemire's rejection branch, or whose redraws run past the
+    window, goes through ``propose_move`` on the same stream.  Blocks
+    start at ``BLOCK_MIN`` proposals and double up to ``BLOCK_MAX`` while
+    they accept nothing, which bounds the read-ahead.
+    """
+    stream = _ReadAhead(state.rng_hrd if game == HRD else state.rng_csd)
+    mirror = _Mirror(state, game)
+    done = rejections = 0
+    block = BLOCK_MIN
+    while done < t2 and rejections < patience:
+        limit = min(block, t2 - done, patience - rejections)
+        derived = _derive(stream.window(4 * limit + 3), mirror.size)
+        code = derived[0].tolist()
+        starts = _chain(code, limit)
+        if not starts:
+            prop = propose_move(state, game, _lemire(stream.next_uint32))
+            accepted = evaluate_and_apply(state, prop)
+        else:
+            moves = _Block(game, mirror, derived, starts)
+            first, dv = moves.first_accept(state)
+            if state.move_log is None:
+                state.proposals += first
+            else:
+                for q in range(first):
+                    state.proposals += 1
+                    state.move_log.append((state.proposals, game,
+                                           moves.kind[q], False, dv[q],
+                                           state.objective))
+            done += first
+            rejections += first
+            end = starts[min(first, len(starts) - 1)]
+            stream.skip(end + code[end])
+            if first == len(starts):
+                block = min(2 * block, BLOCK_MAX)
+                continue
+            prop = moves.proposal(first)
+            accepted = evaluate_and_apply(state, prop)
+            assert accepted, prop
+        done += 1
+        if accepted:
+            rejections = 0
+            block = BLOCK_MIN
+            mirror.sync(prop.c_from)
+            mirror.sync(prop.c_to)
+        else:
+            rejections += 1
+    stream.release()
+
+
 def run_coalition_game(state: GameState, game: str, t2: int,
                        patience: int | None = None, *,
                        stabilize: bool = True) -> GameState:
@@ -682,18 +1010,9 @@ def run_coalition_game(state: GameState, game: str, t2: int,
         raise ValueError("t2 must be at least 1")
     if patience is None:
         patience = default_patience(state.demand.n_hrd, state.demand.n_csd)
-    draw = bounded_draws(state.rng_hrd if game == HRD else state.rng_csd)
     lists = _member_lists(state, game)
     if len(lists) >= 2 and sum(len(c) for c in lists) >= 1:
-        rejections = 0
-        for _ in range(t2):
-            if rejections >= patience:
-                break
-            prop = propose_move(state, game, draw)
-            if evaluate_and_apply(state, prop):
-                rejections = 0
-            else:
-                rejections += 1
+        _random_phase(state, game, t2, patience)
     if stabilize:
         stabilize_partition(state, game)
     return state

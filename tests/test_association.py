@@ -1,13 +1,18 @@
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from mecsim import association
 from mecsim._kernels import IDLE_FRAC
 from mecsim.allocation import coalition_value
-from mecsim.association import (MoveProposal, _evaluate, _neighbourhood,
+from mecsim.association import (MASK32, MoveProposal, _derive, _evaluate,
+                                _lemire, _neighbourhood, _ReadAhead,
                                 _tentative_members, abcg_init, audit_stability,
-                                bounded_draws, evaluate_and_apply, propose_move,
-                                reallocate, run_amnd, run_coalition_game)
+                                bounded_draws, evaluate_and_apply,
+                                propose_move, reallocate, run_amnd,
+                                run_coalition_game, write_move_log)
 from mecsim.content import Catalog, DemandProfile
 from mecsim.delays import audit_constraints
 from mecsim.radio import build_rate_table
@@ -326,7 +331,7 @@ def desk_runs():
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=20, n_csd=20))
         demand = demand_for(scn, seed=seed)
-        init = abcg_init(scn, demand)
+        init = abcg_init(scn, demand, log_moves=True)
         runs.append((init, run_amnd(scn, demand, init_state=init)))
     return runs
 
@@ -394,7 +399,7 @@ def multi_request_run():
     100 files, so a device holds several missed pairs under one floor."""
     scn = generate_scenario(SystemParams(seed=3), Counts(n_hrd=20, n_csd=20))
     demand = demand_for(scn, n_files=100, requests_per_hrd=2)
-    init = abcg_init(scn, demand)
+    init = abcg_init(scn, demand, log_moves=True)
     return init, run_amnd(scn, demand, init_state=init)
 
 
@@ -461,7 +466,38 @@ GOLDEN_MULTI_REQUEST = (
     [15, 7, 13, 14, 6, 15, 15, 5, 11, 4, 15, 15, 1, 15, 12, 3, 15, 10, 2, 9])
 
 
-def test_desk_solves_match_recorded_outputs(desk_runs, multi_request_run):
+# Recorded before the random phase was drawn and valued in blocks: each
+# game generator's final (PCG64 state, has_uint32, uinteger), CSD then HRD,
+# of the desk solves above ("multi" is ``multi_request_run``), and the
+# SHA-256 of seed 0's ``write_move_log`` file.
+GOLDEN_RNG = {
+    0: ((75383566380014319041787061976167178904, 0, 3479969076),
+        (18388660851679587867047905402971316175, 0, 3527960614)),
+    1: ((212313877295116405040932564440147200802, 1, 513581162),
+        (113600332082076963930241087396147353044, 0, 15308638)),
+    2: ((260590508217856256875050754802735862115, 0, 263991310),
+        (158510539194232494727706257853363450342, 1, 3540578751)),
+    3: ((157300841962195696493955064341231784391, 0, 2065352598),
+        (9172946884496230668826920078369019207, 0, 2380263126)),
+    4: ((310792501618525053574602670082774970017, 1, 1950371885),
+        (148344794816309841889316578322114059298, 1, 3386876167)),
+    "multi": ((157300841962195696493955064341231784391, 0, 2065352598),
+              (83881382529054234759704909152641939777, 1, 642542260)),
+}
+GOLDEN_MOVE_LOG_SEED0 = \
+    "0b45ce5e3da87ebde6dc5b0b9ffe4659eaff289137c04c68ac2735000d5ba89f"
+
+
+def _rng_states(state):
+    out = []
+    for rng in (state.rng_csd, state.rng_hrd):
+        st = rng.bit_generator.state
+        out.append((st["state"]["state"], st["has_uint32"], st["uinteger"]))
+    return tuple(out)
+
+
+def test_desk_solves_match_recorded_outputs(desk_runs, multi_request_run,
+                                            tmp_path):
     runs = [(golden, desk_runs[golden[0]][1]) for golden in GOLDEN_DESK]
     runs.append((GOLDEN_MULTI_REQUEST, multi_request_run[1]))
     for (seed, f, proposals, accepted, hrd_sbs, csd_sbs), final in runs:
@@ -471,8 +507,207 @@ def test_desk_solves_match_recorded_outputs(desk_runs, multi_request_run):
             np.array(hrd_sbs, dtype=np.int64).tobytes(), seed
         assert final.partition.csd_sbs.tobytes() == \
             np.array(csd_sbs, dtype=np.int64).tobytes(), seed
+    for seed in range(5):
+        assert _rng_states(desk_runs[seed][1]) == GOLDEN_RNG[seed], seed
+    assert _rng_states(multi_request_run[1]) == GOLDEN_RNG["multi"]
+    path = tmp_path / "moves.csv"
+    write_move_log(desk_runs[0][1], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        GOLDEN_MOVE_LOG_SEED0
 
 
 def test_desk_solves_are_nash_stable(desk_runs):
     for seed, (_, final) in enumerate(desk_runs):
         assert audit_stability(final) == [], seed
+
+
+def _scalar_random_phase(state, game, t2, patience):
+    """The random phase as one loop of ``propose_move`` and
+    ``evaluate_and_apply``, one proposal at a time: the reference that the
+    block version must equal to the last bit."""
+    draw = bounded_draws(state.rng_hrd if game == "hrd" else state.rng_csd)
+    rejections = 0
+    for _ in range(t2):
+        if rejections >= patience:
+            break
+        prop = propose_move(state, game, draw)
+        if evaluate_and_apply(state, prop):
+            rejections = 0
+        else:
+            rejections += 1
+
+
+def _solve_fingerprint(state, path):
+    write_move_log(state, path)
+    alloc = state.allocation
+    return (repr(state.objective), [repr(v) for v in state.trace],
+            state.proposals, state.accepted_moves,
+            state.partition.hrd_sbs.tobytes(),
+            state.partition.csd_sbs.tobytes(), alloc.alpha.tobytes(),
+            alloc.gamma.tobytes(), alloc.beta.tobytes(), alloc.eta.tobytes(),
+            state.rng_csd.bit_generator.state,
+            state.rng_hrd.bit_generator.state, path.read_bytes())
+
+
+def test_random_phase_matches_scalar_reference(desk_runs, multi_request_run,
+                                               monkeypatch, tmp_path):
+    scalar_proposals = []
+    inner = association.propose_move
+
+    def counted(state, game, rng):
+        scalar_proposals.append(game)
+        return inner(state, game, rng)
+
+    monkeypatch.setattr(association, "propose_move", counted)
+
+    def solve(scn, demand, kw, second_round):
+        init = abcg_init(scn, demand, log_moves=True)
+        state = run_amnd(scn, demand, init_state=init, **kw)
+        if second_round:
+            # The game generators now start with a held high half.
+            held.append(state.rng_hrd.bit_generator.state["has_uint32"])
+            run_coalition_game(state, "csd", t2=300, patience=100)
+            run_coalition_game(state, "hrd", t2=300, patience=100)
+        return state
+
+    desk = [(init.scenario, init.demand, final) for init, final in desk_runs]
+    desk.append((multi_request_run[0].scenario, multi_request_run[0].demand,
+                 multi_request_run[1]))
+    cases = [(scn, demand, {}, False, final) for scn, demand, final in desk]
+    for seed in (100, 101):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=20, n_csd=20))
+        demand = demand_for(scn, n_files=100, requests_per_hrd=2)
+        cases.append((scn, demand, {}, True, None))
+    # Few devices among 15 or 2 SBSs: most coalition pairs are drawn again.
+    for seed in range(6):
+        params = (SystemParams(seed=seed) if seed < 4 else
+                  SystemParams(seed=seed, m_sbs=2, n_mbs=1))
+        scn = generate_scenario(params, Counts(n_hrd=3, n_csd=2))
+        demand = demand_for(scn, seed=seed, n_files=6, storage=15.6e6)
+        for kw in ({}, {"patience": 1}, {"patience": 3}):
+            cases.append((scn, demand, kw, seed % 2 == 0, None))
+    for scn, demand, _ in desk[:3]:
+        for kw in ({"t2": 1}, {"patience": 1}, {"patience": 0},
+                   {"t2": 77, "stabilize": False}):
+            cases.append((scn, demand, kw, True, None))
+
+    held = []
+    for n, (scn, demand, kw, second_round, final) in enumerate(cases):
+        if final is None:
+            final = solve(scn, demand, kw, second_round)
+        block = _solve_fingerprint(final, tmp_path / f"block{n}.csv")
+        with monkeypatch.context() as scalar:
+            scalar.setattr(association, "_random_phase", _scalar_random_phase)
+            reference = solve(scn, demand, kw, second_round)
+        path = tmp_path / f"ref{n}.csv"
+        assert block == _solve_fingerprint(reference, path), (n, kw)
+    # The cases reach the scalar path and a start on a held half.
+    assert scalar_proposals and 1 in held
+
+
+def _decode_scalar(window, lists, start):
+    """``propose_move`` from position ``start`` of ``window``, drawing with
+    ``bounded_draws``' algorithm; returns the proposal, the values it
+    consumed, and whether a draw entered Lemire's rejection branch."""
+    pos, branch = start, False
+
+    def next_uint32():
+        nonlocal pos
+        pos += 1
+        return int(window[pos - 1])
+
+    lemire = _lemire(next_uint32)
+
+    def draw(n):
+        nonlocal branch
+        branch |= n > 1 and int(window[pos]) * n & MASK32 < n
+        return lemire(n)
+
+    prop = propose_move(SimpleNamespace(hrd_members=lists), "hrd", draw)
+    return prop, pos - start, branch
+
+
+@pytest.mark.parametrize("sizes", [
+    [0, 3, 0, 1, 0, 0, 2, 5],        # redraws, bound-1 members, swaps
+    [0, 0, 0, 0, 0, 0, 0, 2],        # long runs of redrawn empty pairs
+    [0, 3], [1, 2],                   # two coalitions: the second draw is free
+])
+def test_derive_matches_scalar_draws(sizes):
+    rng = np.random.default_rng(len(sizes) + sum(sizes))
+    window = rng.integers(0, 1 << 32, 1500)
+    # Values whose low product falls below a bound n: j * 2**32 / n rounded
+    # up, for every bound in play.  Some are rejected, some are not.
+    bounds = {len(sizes), len(sizes) - 1} | set(sizes)
+    special = [0] + [-(-j * (1 << 32) // n) for n in bounds if n > 1
+                     for j in range(1, n)]
+    window[::11] = [special[k % len(special)]
+                    for k in range(window[::11].size)]
+    lists = [[10 * c + k for k in range(size)] for c, size in enumerate(sizes)]
+    code, swap, c_from, c_to, k_from, k_to = _derive(
+        window, np.array(sizes, dtype=np.int64))
+    assert code.size == window.size - 3
+    seen = {"rejection": 0, "redraw": 0, "bound_1": 0, "swap": 0,
+            "transfer": 0}
+    for p in range(code.size):
+        q = p
+        while q < code.size and code[q] < 0:
+            q -= code[q]
+        try:
+            prop, used, branch = _decode_scalar(window, lists, p)
+        except IndexError:       # its draws run past the window
+            continue
+        if q >= code.size:
+            continue
+        seen["redraw"] += int(q > p)
+        assert branch == (code[q] == 0), p
+        if branch:
+            seen["rejection"] += 1
+            continue
+        assert q + code[q] == p + used, p
+        derived = (prop.game, "swap" if swap[q] else "transfer",
+                   int(c_from[q]), int(c_to[q]),
+                   lists[c_from[q]][k_from[q]],
+                   lists[c_to[q]][k_to[q]] if swap[q] else None)
+        assert derived == (prop.game, prop.kind, prop.c_from, prop.c_to,
+                           prop.md_from, prop.md_to), p
+        seen[prop.kind] += 1
+        seen["bound_1"] += (sizes[prop.c_from] == 1
+                            or prop.kind == "swap" and sizes[prop.c_to] == 1)
+    assert seen["rejection"] > 0, seen
+    assert (seen["redraw"] > 0) == (sizes.count(0) > 1), seen
+    assert (seen["transfer"] > 0) == (0 in sizes), seen
+    assert (seen["swap"] > 0) == (seen["bound_1"] > 0) == (1 in sizes), seen
+
+
+@pytest.mark.parametrize("held", [0, 1])
+def test_read_ahead_follows_next_uint32(held):
+    def next_uint32(rng):
+        iface = rng.bit_generator.ctypes
+        return iface.next_uint32(iface.state)
+
+    def fresh():
+        rng = np.random.default_rng(np.random.SeedSequence([5, 12]))
+        for _ in range(held):
+            next_uint32(rng)
+        return rng
+
+    peek = fresh()
+    stream_values = [next_uint32(peek) for _ in range(400)]
+    # (values to read ahead, values to consume), then one scalar draw.
+    for plan in ([(0, 0)], [(1, 1)], [(4, 2)], [(7, 3)], [(9, 5), (3, 3)],
+                 [(300, 64), (10, 0), (200, 37)]):
+        ours, twin = fresh(), fresh()
+        stream, taken = _ReadAhead(ours), 0
+        for ahead, used in plan:
+            assert stream.window(ahead).tolist() == \
+                stream_values[taken:taken + ahead]
+            stream.skip(used)
+            taken += used
+        for _ in range(taken):
+            next_uint32(twin)
+        assert _lemire(stream.next_uint32)(1000) == bounded_draws(twin)(1000)
+        stream.release()
+        assert ours.bit_generator.state == twin.bit_generator.state, plan
+        assert np.array_equal(ours.integers(10**6, size=5),
+                              twin.integers(10**6, size=5))
