@@ -71,10 +71,10 @@ from .scenario import Scenario
 
 IMPROVE_MARGIN = 1e-12   # strict-improvement threshold, avoids cycling on ties
 MASK32 = 0xFFFFFFFF
-# Proposals per block of the random phase: a block is cut at its first
-# accept, so it starts small after an accept and doubles while none comes.
-# Blocks of 1024 ran no faster on the desk and held twice the temporaries.
-BLOCK_MIN, BLOCK_MAX = 64, 256
+# Proposals per block of the random phase.  On desk and sweep solves a
+# constant 256 ran as fast as blocks doubling from 64 to 256 while nothing
+# was accepted, and faster than constant blocks of 64, 128 or 512.
+BLOCK = 256
 
 
 def default_patience(n_hrd: int, n_csd: int) -> int:
@@ -951,16 +951,14 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     its first accept, which is applied through ``evaluate_and_apply``; each
     rejected proposal counts and logs as it would there.  A proposal with a
     draw in Lemire's rejection branch, or whose redraws run past the
-    window, goes through ``propose_move`` on the same stream.  Blocks
-    start at ``BLOCK_MIN`` proposals and double up to ``BLOCK_MAX`` while
-    they accept nothing, which bounds the read-ahead.
+    window, goes through ``propose_move`` on the same stream.  A block holds
+    at most ``BLOCK`` proposals, which bounds the read-ahead.
     """
     stream = _ReadAhead(state.rng_hrd if game == HRD else state.rng_csd)
     mirror = _Mirror(state, game)
     done = rejections = 0
-    block = BLOCK_MIN
     while done < t2 and rejections < patience:
-        limit = min(block, t2 - done, patience - rejections)
+        limit = min(BLOCK, t2 - done, patience - rejections)
         derived = _derive(stream.window(4 * limit + 3), mirror.size)
         code = derived[0].tolist()
         starts = _chain(code, limit)
@@ -983,7 +981,6 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
             end = starts[min(first, len(starts) - 1)]
             stream.skip(end + code[end])
             if first == len(starts):
-                block = min(2 * block, BLOCK_MAX)
                 continue
             prop = moves.proposal(first)
             accepted = evaluate_and_apply(state, prop)
@@ -991,7 +988,6 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
         done += 1
         if accepted:
             rejections = 0
-            block = BLOCK_MIN
             mirror.sync(prop.c_from)
             mirror.sync(prop.c_to)
         else:

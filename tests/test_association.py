@@ -331,7 +331,7 @@ def desk_runs():
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=20, n_csd=20))
         demand = demand_for(scn, seed=seed)
-        init = abcg_init(scn, demand, log_moves=True)
+        init = abcg_init(scn, demand)
         runs.append((init, run_amnd(scn, demand, init_state=init)))
     return runs
 
@@ -399,7 +399,7 @@ def multi_request_run():
     100 files, so a device holds several missed pairs under one floor."""
     scn = generate_scenario(SystemParams(seed=3), Counts(n_hrd=20, n_csd=20))
     demand = demand_for(scn, n_files=100, requests_per_hrd=2)
-    init = abcg_init(scn, demand, log_moves=True)
+    init = abcg_init(scn, demand)
     return init, run_amnd(scn, demand, init_state=init)
 
 
@@ -469,7 +469,7 @@ GOLDEN_MULTI_REQUEST = (
 # Recorded before the random phase was drawn and valued in blocks: each
 # game generator's final (PCG64 state, has_uint32, uinteger), CSD then HRD,
 # of the desk solves above ("multi" is ``multi_request_run``), and the
-# SHA-256 of seed 0's ``write_move_log`` file.
+# SHA-256 of the ``write_move_log`` file of seed 0 solved with a move log.
 GOLDEN_RNG = {
     0: ((75383566380014319041787061976167178904, 0, 3479969076),
         (18388660851679587867047905402971316175, 0, 3527960614)),
@@ -500,6 +500,11 @@ def test_desk_solves_match_recorded_outputs(desk_runs, multi_request_run,
                                             tmp_path):
     runs = [(golden, desk_runs[golden[0]][1]) for golden in GOLDEN_DESK]
     runs.append((GOLDEN_MULTI_REQUEST, multi_request_run[1]))
+    # The fixtures solve without a move log, as ``mecsim sweep`` does; the
+    # logging branch of the random phase is pinned by a second seed-0 solve.
+    init = desk_runs[0][0]
+    logged = run_amnd(init.scenario, init.demand, log_moves=True)
+    runs.append((GOLDEN_DESK[0], logged))
     for (seed, f, proposals, accepted, hrd_sbs, csd_sbs), final in runs:
         assert (repr(final.objective), final.proposals,
                 final.accepted_moves) == (f, proposals, accepted), seed
@@ -510,8 +515,9 @@ def test_desk_solves_match_recorded_outputs(desk_runs, multi_request_run,
     for seed in range(5):
         assert _rng_states(desk_runs[seed][1]) == GOLDEN_RNG[seed], seed
     assert _rng_states(multi_request_run[1]) == GOLDEN_RNG["multi"]
+    assert _rng_states(logged) == GOLDEN_RNG[0]
     path = tmp_path / "moves.csv"
-    write_move_log(desk_runs[0][1], path)
+    write_move_log(logged, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         GOLDEN_MOVE_LOG_SEED0
 
@@ -538,19 +544,23 @@ def _scalar_random_phase(state, game, t2, patience):
 
 
 def _solve_fingerprint(state, path):
-    write_move_log(state, path)
     alloc = state.allocation
-    return (repr(state.objective), [repr(v) for v in state.trace],
-            state.proposals, state.accepted_moves,
-            state.partition.hrd_sbs.tobytes(),
-            state.partition.csd_sbs.tobytes(), alloc.alpha.tobytes(),
-            alloc.gamma.tobytes(), alloc.beta.tobytes(), alloc.eta.tobytes(),
-            state.rng_csd.bit_generator.state,
-            state.rng_hrd.bit_generator.state, path.read_bytes())
+    fingerprint = [
+        repr(state.objective), [repr(v) for v in state.trace],
+        state.proposals, state.accepted_moves,
+        state.partition.hrd_sbs.tobytes(), state.partition.csd_sbs.tobytes(),
+        alloc.alpha.tobytes(), alloc.gamma.tobytes(), alloc.beta.tobytes(),
+        alloc.eta.tobytes(), state.rng_csd.bit_generator.state,
+        state.rng_hrd.bit_generator.state]
+    if state.move_log is not None:
+        write_move_log(state, path)
+        fingerprint.append(path.read_bytes())
+    return fingerprint
 
 
-def test_random_phase_matches_scalar_reference(desk_runs, multi_request_run,
-                                               monkeypatch, tmp_path):
+@pytest.mark.parametrize("log_moves", [False, True])
+def test_random_phase_matches_scalar_reference(log_moves, monkeypatch,
+                                               tmp_path):
     scalar_proposals = []
     inner = association.propose_move
 
@@ -561,7 +571,7 @@ def test_random_phase_matches_scalar_reference(desk_runs, multi_request_run,
     monkeypatch.setattr(association, "propose_move", counted)
 
     def solve(scn, demand, kw, second_round):
-        init = abcg_init(scn, demand, log_moves=True)
+        init = abcg_init(scn, demand, log_moves=log_moves)
         state = run_amnd(scn, demand, init_state=init, **kw)
         if second_round:
             # The game generators now start with a held high half.
@@ -570,15 +580,16 @@ def test_random_phase_matches_scalar_reference(desk_runs, multi_request_run,
             run_coalition_game(state, "hrd", t2=300, patience=100)
         return state
 
-    desk = [(init.scenario, init.demand, final) for init, final in desk_runs]
-    desk.append((multi_request_run[0].scenario, multi_request_run[0].demand,
-                 multi_request_run[1]))
-    cases = [(scn, demand, {}, False, final) for scn, demand, final in desk]
-    for seed in (100, 101):
+    cases = []
+    for seed in range(20):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=20, n_csd=20))
+        cases.append((scn, demand_for(scn, seed=seed), {}, False))
+    for seed in (3, 100, 101):
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=20, n_csd=20))
         demand = demand_for(scn, n_files=100, requests_per_hrd=2)
-        cases.append((scn, demand, {}, True, None))
+        cases.append((scn, demand, {}, seed != 3))
     # Few devices among 15 or 2 SBSs: most coalition pairs are drawn again.
     for seed in range(6):
         params = (SystemParams(seed=seed) if seed < 4 else
@@ -586,17 +597,17 @@ def test_random_phase_matches_scalar_reference(desk_runs, multi_request_run,
         scn = generate_scenario(params, Counts(n_hrd=3, n_csd=2))
         demand = demand_for(scn, seed=seed, n_files=6, storage=15.6e6)
         for kw in ({}, {"patience": 1}, {"patience": 3}):
-            cases.append((scn, demand, kw, seed % 2 == 0, None))
-    for scn, demand, _ in desk[:3]:
+            cases.append((scn, demand, kw, seed % 2 == 0))
+    for scn, demand, _, _ in cases[:3]:
         for kw in ({"t2": 1}, {"patience": 1}, {"patience": 0},
                    {"t2": 77, "stabilize": False}):
-            cases.append((scn, demand, kw, True, None))
+            cases.append((scn, demand, kw, True))
 
     held = []
-    for n, (scn, demand, kw, second_round, final) in enumerate(cases):
-        if final is None:
-            final = solve(scn, demand, kw, second_round)
-        block = _solve_fingerprint(final, tmp_path / f"block{n}.csv")
+    for n, (scn, demand, kw, second_round) in enumerate(cases):
+        block = solve(scn, demand, kw, second_round)
+        assert (block.move_log is not None) == log_moves
+        block = _solve_fingerprint(block, tmp_path / f"block{n}.csv")
         with monkeypatch.context() as scalar:
             scalar.setattr(association, "_random_phase", _scalar_random_phase)
             reference = solve(scn, demand, kw, second_round)
