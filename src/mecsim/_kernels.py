@@ -12,8 +12,9 @@ or installation of a coalition goes through them.
 
 The four kernels apply it to one coalition of a ``CoalitionCosts``:
 ``hrd_value``/``csd_value`` return ``(value, feasible)``, and
-``hrd_alloc``/``csd_alloc`` also write the fractions into the SBS's
-allocation rows.  HRD coalitions are described by flattened request pairs:
+``hrd_alloc``/``csd_alloc`` also write the members' fractions into the
+per-pair ``beta``/``eta`` and per-device ``alpha``/``gamma`` arrays of an
+``Allocation``.  HRD coalitions are described by flattened request pairs:
 device ``k`` owns pairs ``pair_off[k] .. pair_off[k] + pair_cnt[k]``.
 """
 
@@ -83,11 +84,13 @@ def hrd_value(costs, n, members):
     return value, ok
 
 
-def hrd_alloc(costs, n, members, beta_row, eta_row):
+def hrd_alloc(costs, n, members, beta, eta):
+    """Writes every member pair's ``beta`` and ``eta``; a hit's is IDLE_FRAC."""
     idx, midx, sd, floor = _hrd_blocks(costs, n, members)
-    eta, value, ok = hrd_closed_form(sd, costs.sqrt_bh[n, midx], floor)
-    beta_row[costs.pair_flat[idx]] = shares(sd)
-    eta_row[costs.pair_flat[midx]] = eta
+    eta_miss, value, ok = hrd_closed_form(sd, costs.sqrt_bh[n, midx], floor)
+    beta[idx] = shares(sd)
+    eta[idx] = IDLE_FRAC
+    eta[midx] = eta_miss
     return value, ok
 
 
@@ -97,9 +100,9 @@ def csd_value(costs, n, members):
     return value, _fits(costs, n, members)
 
 
-def csd_alloc(costs, n, members, alpha_row, gamma_row):
+def csd_alloc(costs, n, members, alpha, gamma):
     su = costs.sqrt_ul[n, members]
     se = costs.sqrt_ed[n, members]
-    alpha_row[members] = shares(su)
-    gamma_row[members] = shares(se)
+    alpha[members] = shares(su)
+    gamma[members] = shares(se)
     return csd_closed_form(su, se), _fits(costs, n, members)

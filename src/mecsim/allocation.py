@@ -45,8 +45,6 @@ class CoalitionCosts:
     """
 
     pair_k: np.ndarray      # (P,)
-    pair_i: np.ndarray
-    pair_flat: np.ndarray   # k * n_files + i, for writing into beta/eta rows
     pair_off: np.ndarray    # (n_hrd,)
     pair_cnt: np.ndarray
     dl_cost: np.ndarray     # (n_sbs, P)
@@ -69,7 +67,6 @@ class CoalitionCosts:
     n_sbs: int
     n_hrd: int
     n_csd: int
-    n_files: int
 
 
 def _per_device(ufunc, pair_values, pair_k, n_hrd):
@@ -85,7 +82,6 @@ def build_costs(scenario: Scenario, demand: DemandProfile,
     if table is None:
         table = build_rate_table(scenario)
     pair_k, pair_i = request_pairs(demand)
-    n_files = demand.catalog.n_files
     cnt = np.bincount(pair_k, minlength=demand.n_hrd).astype(np.int64)
     off = np.concatenate(([0], np.cumsum(cnt)[:-1])).astype(np.int64)
 
@@ -109,9 +105,7 @@ def build_costs(scenario: Scenario, demand: DemandProfile,
     ratio = np.where(miss, table.eta_min[:, pair_k] / sqrt_bh, 0.0)
 
     return CoalitionCosts(
-        pair_k=pair_k, pair_i=pair_i,
-        pair_flat=(pair_k * n_files + pair_i).astype(np.int64),
-        pair_off=off, pair_cnt=cnt,
+        pair_k=pair_k, pair_off=off, pair_cnt=cnt,
         dl_cost=dl_cost, bh_cost=bh_cost,
         sqrt_dl=sqrt_dl, sqrt_bh=sqrt_bh,
         cached=np.ascontiguousarray(cached),
@@ -128,7 +122,6 @@ def build_costs(scenario: Scenario, demand: DemandProfile,
         task_bytes=demand.task_input_bytes.astype(float),
         spare_bytes=demand.storage_bytes - demand.cached_bytes,
         n_sbs=demand.n_sbs, n_hrd=demand.n_hrd, n_csd=demand.n_csd,
-        n_files=n_files,
     )
 
 

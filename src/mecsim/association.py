@@ -315,47 +315,32 @@ class GameState:
         return objective(self.scenario, self.demand, self.partition,
                          self.allocation, self.table)
 
-    def coalition_value_from_allocation(self, game: str, c: int) -> float:
-        """Recompute a coalition's utility straight from the allocation."""
-        costs = self.costs
-        if game == CSD and c == self.n_sbs:
-            return float(costs.local_delay_w[self.csd_members[c]].sum())
-        members = np.asarray(self.csd_members[c] if game == CSD
-                             else self.hrd_members[c], dtype=np.int64)
-        if members.size == 0:
-            return 0.0
-        if game == CSD:
-            alpha = self.allocation.alpha[c, members]
-            gamma = self.allocation.gamma[c, members]
-            return float((costs.ul_cost[c, members] / alpha).sum()
-                         + (costs.ed_cost[c, members] / gamma).sum())
-        idx, _ = member_pairs(costs, members)
-        beta = self.allocation.beta[c].reshape(-1)[costs.pair_flat[idx]]
-        value = float((costs.dl_cost[c, idx] / beta).sum())
-        miss = ~costs.cached[c, idx]
-        if miss.any():
-            eta = self.allocation.eta[c].reshape(-1)[costs.pair_flat[idx[miss]]]
-            value += float((costs.bh_cost[c, idx[miss]] / eta).sum())
-        return value
-
     def check(self, tol: float = 1e-9) -> None:
         """Assert running sums, cached utilities and the objective match
-        recomputation."""
+        recomputation; cached utilities are checked against per-coalition
+        sums of the delay model's weighted per-pair and per-device delays."""
         self.sums.check(self.hrd_members, self.csd_members, tol)
-        for n in range(self.n_sbs):
-            for game, cache in ((HRD, self.v_hrd[n]), (CSD, self.v_csd[n])):
-                ref = self.coalition_value_from_allocation(game, n)
-                if abs(ref - cache) > tol * max(1.0, abs(ref)):
-                    raise AssertionError(
-                        f"stale {game} utility cache at SBS {n}: "
-                        f"{cache!r} vs {ref!r}")
-        ref = self.coalition_value_from_allocation(CSD, self.n_sbs)
-        if abs(ref - self.v_csd[self.n_sbs]) > tol * max(1.0, abs(ref)):
-            raise AssertionError("stale local-coalition utility cache")
+        rep = self.report()
+        demand, part = self.demand, self.partition
+        refs = (
+            (HRD, self.v_hrd, np.bincount(
+                part.hrd_sbs[rep.pair_k],
+                weights=demand.hrd_weight[rep.pair_k] * rep.t_hr_pair,
+                minlength=self.n_sbs)),
+            (CSD, self.v_csd, np.bincount(
+                part.csd_sbs, weights=demand.csd_weight * rep.t_cs,
+                minlength=self.n_sbs + 1)))
+        for game, cache, ref in refs:
+            stale = np.flatnonzero(np.abs(ref - cache)
+                                   > tol * np.maximum(1.0, np.abs(ref)))
+            if stale.size:
+                c = int(stale[0])
+                raise AssertionError(
+                    f"stale {game} utility cache at coalition {c}: "
+                    f"{cache[c]!r} vs {ref[c]!r}")
         total = float(self.v_hrd.sum() + self.v_csd.sum())
         if abs(total - self.objective) > tol * max(1.0, abs(total)):
             raise AssertionError(f"stale objective: {self.objective!r} vs {total!r}")
-        rep = self.report()
         if abs(rep.objective - self.objective) > tol * max(1.0, rep.objective):
             raise AssertionError(
                 f"objective disagrees with delay model: "
@@ -440,16 +425,15 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
             used_bytes[n] += costs.task_bytes[k]
 
     partition = Partition(hrd_sbs=hrd_sbs, csd_sbs=csd_sbs, n_sbs=n_sbs)
-    allocation = Allocation.idle(n_sbs, n_hrd, n_csd, demand.catalog.n_files)
+    allocation = Allocation.idle(costs.pair_k.size, n_csd)
     hrd_members = partition.hrd_coalitions()
     csd_members = partition.csd_coalitions()
 
     v_hrd = np.zeros(n_sbs)
     for n in range(n_sbs):
         idx, beta, eta, value = equal_share_hrd(costs, n, hrd_members[n])
-        flat = costs.pair_flat[idx]
-        allocation.beta[n].reshape(-1)[flat] = beta
-        allocation.eta[n].reshape(-1)[flat] = eta
+        allocation.beta[idx] = beta
+        allocation.eta[idx] = eta
         v_hrd[n] = value
 
     v_csd = np.zeros(n_sbs + 1)
@@ -457,8 +441,8 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
         members = np.asarray(csd_members[n], dtype=np.int64)
         if members.size:
             share = 1.0 / size0[n]
-            allocation.alpha[n, members] = share
-            allocation.gamma[n, members] = share
+            allocation.alpha[members] = share
+            allocation.gamma[members] = share
             v_csd[n] = float((costs.ul_cost[n, members].sum()
                               + costs.ed_cost[n, members].sum()) / share)
     v_csd[n_sbs] = float(costs.local_delay_w[csd_members[n_sbs]].sum())
@@ -607,26 +591,21 @@ def _evaluate_exactly(state: GameState, prop: MoveProposal) -> None:
 
 
 def _write_coalition(state: GameState, game: str, c: int, members) -> float:
-    """Install the closed-form allocation of coalition c; returns its value."""
-    costs = state.costs
+    """Install the closed-form allocation of coalition c; returns its value.
+    Every member's fractions are written, so a device that moved carries
+    none over from its old coalition."""
+    costs, alloc = state.costs, state.allocation
     arr = np.asarray(members, dtype=np.int64)
     if game == CSD and c == state.n_sbs:
+        alloc.alpha[arr] = IDLE_FRAC
+        alloc.gamma[arr] = IDLE_FRAC
         return float(costs.local_delay_w[arr].sum())
+    if arr.size == 0:
+        return 0.0
     if game == HRD:
-        state.allocation.beta[c].fill(IDLE_FRAC)
-        state.allocation.eta[c].fill(IDLE_FRAC)
-        if arr.size == 0:
-            return 0.0
-        value, _ = _kernels.hrd_alloc(
-            costs, c, arr, state.allocation.beta[c].reshape(-1),
-            state.allocation.eta[c].reshape(-1))
+        value, _ = _kernels.hrd_alloc(costs, c, arr, alloc.beta, alloc.eta)
     else:
-        state.allocation.alpha[c].fill(IDLE_FRAC)
-        state.allocation.gamma[c].fill(IDLE_FRAC)
-        if arr.size == 0:
-            return 0.0
-        value, _ = _kernels.csd_alloc(
-            costs, c, arr, state.allocation.alpha[c], state.allocation.gamma[c])
+        value, _ = _kernels.csd_alloc(costs, c, arr, alloc.alpha, alloc.gamma)
     return float(value)
 
 

@@ -6,18 +6,17 @@ failures), 3 I/O error.
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .allocation import oracle_solve_p3
 from .association import abcg_init, audit_stability, run_amnd, write_move_log
-from .content import Catalog, build_demand, demand_rng
 from .delays import audit_constraints
 from .experiments import (ExperimentConfig, _row_from_state,
                           config_with_overrides, emit_csv, emit_rate_csv,
                           load_config, load_csv, run_sweep, trend_check)
-from .scenario import Counts, SystemParams, generate_scenario, load_scenario, \
-    save_scenario
+from .scenario import load_scenario, save_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,33 +36,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Scenario flags in help order: (flag, ExperimentConfig field, help).  Each
+# default is the field's default; --delta takes the first of ``deltas``.
+_SCENARIO_FLAGS = (
+    ("--n-mbs", "n_mbs", None),
+    ("--m-sbs", "m_sbs", "SBS count per macrocell"),
+    ("--hrd", "n_hrd", None),
+    ("--csd", "n_csd", None),
+    ("--a", "a", "access share of the band"),
+    ("--t1-frac", "t1_frac", "uplink share of the coherence block"),
+    ("--isd", "isd_m", None),
+    ("--w-hz", "w_hz", None),
+    ("--files", "n_files", None),
+    ("--file-size", "file_size_bytes", "file size in bytes"),
+    ("--delta", "deltas", "popularity exponent"),
+    ("--requests-per-hrd", "requests_per_hrd", None),
+    ("--storage", "storage_bytes", "per-SBS cache storage in bytes"),
+    ("--cache-policy", "cache_policy", None),
+    ("--task-bytes", "task_input_bytes", None),
+    ("--task-cycles", "task_cycles", None),
+    ("--local-cps", "local_cps", None),
+    ("--edge-cps", "edge_cps", None),
+)
+_BASE = ExperimentConfig()
+
+
 def _add_scenario_args(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-mbs", type=int, default=3)
-    p.add_argument("--m-sbs", type=int, default=5,
-                   help="SBS count per macrocell")
-    p.add_argument("--hrd", type=int, default=20)
-    p.add_argument("--csd", type=int, default=40)
-    p.add_argument("--a", type=float, default=0.5,
-                   help="access share of the band")
-    p.add_argument("--t1-frac", type=float, default=0.5,
-                   help="uplink share of the coherence block")
-    p.add_argument("--isd", type=float, default=1000.0)
-    p.add_argument("--w-hz", type=float, default=20e6)
-    p.add_argument("--files", type=int, default=20)
-    p.add_argument("--file-size", type=float, default=5e6,
-                   help="file size in bytes")
-    p.add_argument("--delta", type=float, default=0.6,
-                   help="popularity exponent")
-    p.add_argument("--requests-per-hrd", type=int, default=1)
-    p.add_argument("--storage", type=float, default=28e6,
-                   help="per-SBS cache storage in bytes")
-    p.add_argument("--cache-policy", choices=["popular_first", "sampled"],
-                   default="sampled")
-    p.add_argument("--task-bytes", type=float, default=1e5)
-    p.add_argument("--task-cycles", type=float, default=1e9)
-    p.add_argument("--local-cps", type=float, default=1.4e9)
-    p.add_argument("--edge-cps", type=float, default=6e10)
+    for flag, field, help_text in _SCENARIO_FLAGS:
+        default = getattr(_BASE, field)
+        if field == "deltas":
+            default = default[0]
+        kwargs = {"help": help_text}
+        if field == "cache_policy":
+            kwargs["choices"] = ["popular_first", "sampled"]
+        p.add_argument(flag, type=type(default), default=default, **kwargs)
 
 
 def _add_game_args(p):
@@ -79,21 +86,12 @@ def _add_game_args(p):
 
 
 def _scenario_from_args(args):
-    params = SystemParams(w_hz=args.w_hz, a=args.a, t1_frac=args.t1_frac,
-                          m_sbs=args.m_sbs, n_mbs=args.n_mbs, isd_m=args.isd,
-                          seed=args.seed)
-    scenario = generate_scenario(params, Counts(n_hrd=args.hrd, n_csd=args.csd))
-    catalog = Catalog.build(args.files, args.delta, args.file_size)
-    demand = build_demand(catalog, scenario.n_sbs, args.hrd, args.csd,
-                          demand_rng(args.seed, args.delta),
-                          requests_per_hrd=args.requests_per_hrd,
-                          task_input_bytes=args.task_bytes,
-                          task_cycles=args.task_cycles,
-                          local_cps=args.local_cps,
-                          edge_cps=args.edge_cps,
-                          storage_bytes=args.storage,
-                          cache_policy=args.cache_policy)
-    return scenario, demand
+    """The scenario and demand that ``mecsim sweep`` builds for these flags."""
+    config = replace(_BASE, **{field: getattr(args, flag[2:].replace("-", "_"))
+                               for flag, field, _ in _SCENARIO_FLAGS
+                               if field != "deltas"})
+    scenario = config.scenario(args.seed)
+    return scenario, config.demand(scenario.n_sbs, args.seed, args.delta)
 
 
 def _load_or_build(args):

@@ -57,38 +57,30 @@ class Partition:
             out[int(n)].append(k)
         return out
 
-    def y_matrix(self) -> np.ndarray:
-        y = np.zeros((self.n_sbs, self.hrd_sbs.size), dtype=np.int8)
-        y[self.hrd_sbs, np.arange(self.hrd_sbs.size)] = 1
-        return y
-
-    def x_matrix(self) -> np.ndarray:
-        x = np.zeros((self.n_sbs, self.csd_sbs.size), dtype=np.int8)
-        edge = self.csd_sbs < self.n_sbs
-        x[self.csd_sbs[edge], np.nonzero(edge)[0]] = 1
-        return x
-
     def copy(self) -> "Partition":
         return Partition(self.hrd_sbs.copy(), self.csd_sbs.copy(), self.n_sbs)
 
 
 @dataclass
 class Allocation:
-    """Fraction tensors; entries outside the association hold IDLE_FRAC."""
+    """Each device's fractions at its serving SBS.
 
-    alpha: np.ndarray   # (n_sbs, n_csd) uplink band fractions
-    gamma: np.ndarray   # (n_sbs, n_csd) edge compute fractions
-    beta: np.ndarray    # (n_sbs, n_hrd, n_files) downlink band fractions
-    eta: np.ndarray     # (n_sbs, n_hrd, n_files) backhaul band fractions
+    ``beta``/``eta`` hold one entry per request pair, in ``request_pairs``
+    order; ``alpha``/``gamma`` one per computation device.  A cache hit's
+    ``eta`` and a local device's ``alpha``/``gamma`` hold IDLE_FRAC.
+    """
+
+    alpha: np.ndarray   # (n_csd,) uplink band fractions
+    gamma: np.ndarray   # (n_csd,) edge compute fractions
+    beta: np.ndarray    # (P,) downlink band fractions
+    eta: np.ndarray     # (P,) backhaul band fractions
 
     @classmethod
-    def idle(cls, n_sbs: int, n_hrd: int, n_csd: int, n_files: int) -> "Allocation":
-        return cls(
-            alpha=np.full((n_sbs, n_csd), IDLE_FRAC),
-            gamma=np.full((n_sbs, n_csd), IDLE_FRAC),
-            beta=np.full((n_sbs, n_hrd, n_files), IDLE_FRAC),
-            eta=np.full((n_sbs, n_hrd, n_files), IDLE_FRAC),
-        )
+    def idle(cls, n_pairs: int, n_csd: int) -> "Allocation":
+        return cls(alpha=np.full(n_csd, IDLE_FRAC),
+                   gamma=np.full(n_csd, IDLE_FRAC),
+                   beta=np.full(n_pairs, IDLE_FRAC),
+                   eta=np.full(n_pairs, IDLE_FRAC))
 
     def copy(self) -> "Allocation":
         return Allocation(self.alpha.copy(), self.gamma.copy(),
@@ -158,21 +150,24 @@ def request_pairs(demand: DemandProfile):
 
 
 def _check_active_fractions(partition, allocation, demand, pair_k, pair_i):
+    if (allocation.beta.shape != pair_k.shape
+            or allocation.alpha.shape != partition.csd_sbs.shape):
+        raise ValueError("allocation does not hold one fraction per request "
+                         "pair and per computation device")
     bad = []
     lo = IDLE_FRAC * (1.0 - 1e-9)
     hi = 1.0 + 1e-9
     n_arr = partition.hrd_sbs[pair_k]
-    beta = allocation.beta[n_arr, pair_k, pair_i]
+    beta, eta = allocation.beta, allocation.eta
     miss = demand.cache[n_arr, pair_i] == 0
-    eta = allocation.eta[n_arr, pair_k, pair_i]
     for j in np.nonzero((beta < lo) | (beta > hi))[0]:
         bad.append(("beta", int(n_arr[j]), int(pair_k[j]), int(pair_i[j])))
     for j in np.nonzero(miss & ((eta < lo) | (eta > hi)))[0]:
         bad.append(("eta", int(n_arr[j]), int(pair_k[j]), int(pair_i[j])))
     edge = np.nonzero(partition.csd_sbs < partition.n_sbs)[0]
     n_csd = partition.csd_sbs[edge]
-    alpha = allocation.alpha[n_csd, edge]
-    gamma = allocation.gamma[n_csd, edge]
+    alpha = allocation.alpha[edge]
+    gamma = allocation.gamma[edge]
     for j in np.nonzero((alpha < lo) | (alpha > hi))[0]:
         bad.append(("alpha", int(n_csd[j]), int(edge[j]), -1))
     for j in np.nonzero((gamma < lo) | (gamma > hi))[0]:
@@ -197,8 +192,7 @@ def objective(scenario: Scenario, demand: DemandProfile, partition: Partition,
     size_bits = demand.catalog.file_size_bytes * BITS_PER_BYTE
     n_arr = partition.hrd_sbs[pair_k]
     if pair_k.size:
-        beta = allocation.beta[n_arr, pair_k, pair_i]
-        eta = allocation.eta[n_arr, pair_k, pair_i]
+        beta, eta = allocation.beta, allocation.eta
         t_dl = size_bits / (beta * table.s_dl[n_arr] * table.r_dl[n_arr, pair_k])
         miss = demand.cache[n_arr, pair_i] == 0
         t_bh = np.where(
@@ -221,8 +215,8 @@ def objective(scenario: Scenario, demand: DemandProfile, partition: Partition,
     edge = np.nonzero(partition.csd_sbs < partition.n_sbs)[0]
     if edge.size:
         ns = partition.csd_sbs[edge]
-        alpha = allocation.alpha[ns, edge]
-        gamma = allocation.gamma[ns, edge]
+        alpha = allocation.alpha[edge]
+        gamma = allocation.gamma[edge]
         in_bits = demand.task_input_bytes[edge] * BITS_PER_BYTE
         t_ul[edge] = in_bits / (alpha * table.s_ul[ns] * table.r_ul[ns, edge])
         t_ed[edge] = demand.task_cycles[edge] / (gamma * demand.edge_cps[ns])
@@ -273,9 +267,12 @@ def audit_constraints(scenario: Scenario, demand: DemandProfile,
         if np.any(arr < lo) or np.any(arr > 1.0 + FEAS_TOL):   # C11-C14
             out.append(f"box: {name} outside [{IDLE_FRAC}, 1]")
 
-    x = partition.x_matrix().astype(float)
-    sum_alpha = (allocation.alpha * x).sum(axis=1)
-    sum_gamma = (allocation.gamma * x).sum(axis=1)
+    edge = np.nonzero(partition.csd_sbs < n_sbs)[0]
+    n_csd = partition.csd_sbs[edge]
+    sum_alpha = np.bincount(n_csd, weights=allocation.alpha[edge],
+                            minlength=n_sbs)
+    sum_gamma = np.bincount(n_csd, weights=allocation.gamma[edge],
+                            minlength=n_sbs)
     for n in range(n_sbs):
         if sum_alpha[n] > 1.0 + FEAS_TOL:
             out.append(f"uplink budget: sum alpha at SBS {n} = {sum_alpha[n]:.12g}")
@@ -284,8 +281,7 @@ def audit_constraints(scenario: Scenario, demand: DemandProfile,
 
     if pair_k.size:
         n_arr = partition.hrd_sbs[pair_k]
-        beta = allocation.beta[n_arr, pair_k, pair_i]
-        eta = allocation.eta[n_arr, pair_k, pair_i]
+        beta, eta = allocation.beta, allocation.eta
         miss = demand.cache[n_arr, pair_i] == 0
         sum_beta = np.bincount(n_arr, weights=beta, minlength=n_sbs)
         sum_eta = np.bincount(n_arr[miss], weights=eta[miss], minlength=n_sbs)
@@ -305,8 +301,7 @@ def audit_constraints(scenario: Scenario, demand: DemandProfile,
 
     # Storage: cached bytes plus offloaded task inputs per SBS.
     load = demand.cached_bytes.copy()
-    edge = np.nonzero(partition.csd_sbs < n_sbs)[0]
-    np.add.at(load, partition.csd_sbs[edge], demand.task_input_bytes[edge])
+    np.add.at(load, n_csd, demand.task_input_bytes[edge])
     for n in range(n_sbs):
         if load[n] > demand.storage_bytes[n] + BYTES_TOL:
             out.append(f"storage: SBS {n} holds {load[n]:.12g} B "

@@ -19,10 +19,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .association import abcg_init, run_amnd
-from .content import Catalog, build_demand, demand_rng
+from .content import Catalog, DemandProfile, build_demand, demand_rng
 from .delays import audit_constraints
 from .radio import build_rate_table
-from .scenario import Counts, SystemParams, generate_scenario
+from .scenario import Counts, Scenario, SystemParams, generate_scenario
 
 _CONFIG_HEADER = "mecsim-config v1"
 
@@ -104,6 +104,22 @@ class ExperimentConfig:
             p_sbs_dbm=self.p_sbs_dbm, p_md_dbm=self.p_md_dbm,
             noise_dbm_hz=self.noise_dbm_hz, seed=seed)
 
+    def scenario(self, seed: int) -> Scenario:
+        """The deployment of ``seed`` at the base system parameters."""
+        return generate_scenario(self.system_params(seed),
+                                 Counts(n_hrd=self.n_hrd, n_csd=self.n_csd))
+
+    def demand(self, n_sbs: int, seed: int, delta: float) -> DemandProfile:
+        """Requests, caches and tasks of ``seed`` at popularity ``delta``."""
+        catalog = Catalog.build(self.n_files, delta, self.file_size_bytes)
+        return build_demand(
+            catalog, n_sbs, self.n_hrd, self.n_csd, demand_rng(seed, delta),
+            requests_per_hrd=self.requests_per_hrd,
+            task_input_bytes=self.task_input_bytes,
+            task_cycles=self.task_cycles, local_cps=self.local_cps,
+            edge_cps=self.edge_cps, storage_bytes=self.storage_bytes,
+            cache_policy=self.cache_policy)
+
 
 @dataclass
 class SweepRow:
@@ -154,23 +170,11 @@ def run_sweep(config: ExperimentConfig, *, audit: bool = False,
         points = [(v, d) for v in config.grid for d in config.deltas]
 
     for seed in config.seeds:
-        base = generate_scenario(config.system_params(seed),
-                                 Counts(n_hrd=config.n_hrd, n_csd=config.n_csd))
-        demand_cache: dict[float, object] = {}
+        base = config.scenario(seed)
+        demand_cache: dict[float, DemandProfile] = {}
         for axis_value, delta in points:
             if delta not in demand_cache:
-                catalog = Catalog.build(config.n_files, delta,
-                                        config.file_size_bytes)
-                demand_cache[delta] = build_demand(
-                    catalog, base.n_sbs, config.n_hrd, config.n_csd,
-                    demand_rng(seed, delta),
-                    requests_per_hrd=config.requests_per_hrd,
-                    task_input_bytes=config.task_input_bytes,
-                    task_cycles=config.task_cycles,
-                    local_cps=config.local_cps,
-                    edge_cps=config.edge_cps,
-                    storage_bytes=config.storage_bytes,
-                    cache_policy=config.cache_policy)
+                demand_cache[delta] = config.demand(base.n_sbs, seed, delta)
             demand = demand_cache[delta]
             if config.axis == "delta":
                 scn = base

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from mecsim._kernels import FEAS_TOL, IDLE_FRAC
+from mecsim._kernels import FEAS_TOL, IDLE_FRAC, member_pairs
 from mecsim.allocation import (allocate_csd, allocate_hrd, build_costs,
                                coalition_utility, equal_share_hrd,
                                oracle_simplex_min)
@@ -209,10 +209,7 @@ def _coalition_values(costs, n, members, kind):
         return value, value
     if not members:
         return 0.0, 0.0
-    idx = np.concatenate([
-        np.arange(costs.pair_off[m], costs.pair_off[m] + costs.pair_cnt[m])
-        for m in members])
-    ks = np.repeat(np.asarray(members), costs.pair_cnt[members])
+    idx, ks = member_pairs(costs, members)
     beta, eta, feasible = allocate_hrd(costs.dl_cost[n, idx],
                                        costs.bh_cost[n, idx],
                                        costs.cached[n, idx],
@@ -269,16 +266,12 @@ def _enumerate_optimum(scenario, demand, costs):
 def _materialize(scenario, demand, costs, hrd_assign, csd_assign):
     """Build the full allocation for one enumerated partition."""
     n_sbs = scenario.n_sbs
-    alloc = Allocation.idle(n_sbs, demand.n_hrd, demand.n_csd,
-                            demand.catalog.n_files)
+    alloc = Allocation.idle(costs.pair_k.size, demand.n_csd)
     for n in range(n_sbs):
         members = sorted(k for k in range(demand.n_hrd)
                          if hrd_assign[k] == n)
         if members:
-            idx = np.concatenate([
-                np.arange(costs.pair_off[m], costs.pair_off[m]
-                          + costs.pair_cnt[m]) for m in members])
-            ks = np.repeat(np.asarray(members), costs.pair_cnt[members])
+            idx, ks = member_pairs(costs, members)
             beta, eta, feasible = allocate_hrd(
                 costs.dl_cost[n, idx], costs.bh_cost[n, idx],
                 costs.cached[n, idx], costs.eta_min[n, ks])
@@ -287,18 +280,18 @@ def _materialize(scenario, demand, costs, hrd_assign, csd_assign):
                            + (costs.bh_cost[n, idx[miss]] / eta[miss]).sum())
             i2, b2, e2, es_value = equal_share_hrd(costs, n, members)
             if feasible and closed <= es_value:
-                alloc.beta[n].reshape(-1)[costs.pair_flat[idx]] = beta
-                alloc.eta[n].reshape(-1)[costs.pair_flat[idx]] = eta
+                alloc.beta[idx] = beta
+                alloc.eta[idx] = eta
             else:
-                alloc.beta[n].reshape(-1)[costs.pair_flat[i2]] = b2
-                alloc.eta[n].reshape(-1)[costs.pair_flat[i2]] = e2
+                alloc.beta[i2] = b2
+                alloc.eta[i2] = e2
         cmembers = sorted(k for k in range(demand.n_csd)
                           if csd_assign[k] == n)
         if cmembers:
             alpha, gamma = allocate_csd(costs.ul_cost[n, cmembers],
                                         costs.ed_cost[n, cmembers])
-            alloc.alpha[n, cmembers] = alpha
-            alloc.gamma[n, cmembers] = gamma
+            alloc.alpha[cmembers] = alpha
+            alloc.gamma[cmembers] = gamma
     partition = Partition(hrd_sbs=np.array(hrd_assign, dtype=np.int64),
                           csd_sbs=np.array(csd_assign, dtype=np.int64),
                           n_sbs=n_sbs)

@@ -231,19 +231,20 @@ def _check_hrd_write_path(costs, n, members):
     feasibility."""
     members = np.asarray(members, dtype=np.int64)
     idx, ks = member_pairs(costs, members)
-    beta_row = np.full(costs.n_hrd * costs.n_files, IDLE_FRAC)
-    eta_row = beta_row.copy()
-    value, ok = _kernels.hrd_alloc(costs, n, members, beta_row, eta_row)
+    # Stale fractions everywhere: the write must replace every member pair's,
+    # a cache hit's eta included, and leave every other pair's alone.
+    stale = np.full(costs.pair_k.size, 0.5)
+    beta_out, eta_out = stale.copy(), stale.copy()
+    value, ok = _kernels.hrd_alloc(costs, n, members, beta_out, eta_out)
     beta, eta, feasible = allocate_hrd(costs.dl_cost[n, idx],
                                        costs.bh_cost[n, idx],
                                        costs.cached[n, idx],
                                        costs.eta_min[n, ks])
-    want_beta = np.full_like(beta_row, IDLE_FRAC)
-    want_eta = want_beta.copy()
-    want_beta[costs.pair_flat[idx]] = beta
-    want_eta[costs.pair_flat[idx]] = eta
-    assert np.array_equal(beta_row, want_beta)
-    assert np.array_equal(eta_row, want_eta)
+    want_beta, want_eta = stale.copy(), stale.copy()
+    want_beta[idx] = beta
+    want_eta[idx] = eta
+    assert np.array_equal(beta_out, want_beta)
+    assert np.array_equal(eta_out, want_eta)
     assert ok == feasible
     assert (value, ok) == _kernels.hrd_value(costs, n, members)
     return feasible
@@ -251,17 +252,16 @@ def _check_hrd_write_path(costs, n, members):
 
 def _check_csd_write_path(costs, n, members):
     members = np.asarray(members, dtype=np.int64)
-    alpha_row = np.full(costs.n_csd, IDLE_FRAC)
-    gamma_row = alpha_row.copy()
-    value, ok = _kernels.csd_alloc(costs, n, members, alpha_row, gamma_row)
+    stale = np.full(costs.n_csd, 0.5)
+    alpha_out, gamma_out = stale.copy(), stale.copy()
+    value, ok = _kernels.csd_alloc(costs, n, members, alpha_out, gamma_out)
     alpha, gamma = allocate_csd(costs.ul_cost[n, members],
                                 costs.ed_cost[n, members])
-    want_alpha = np.full_like(alpha_row, IDLE_FRAC)
-    want_gamma = want_alpha.copy()
+    want_alpha, want_gamma = stale.copy(), stale.copy()
     want_alpha[members] = alpha
     want_gamma[members] = gamma
-    assert np.array_equal(alpha_row, want_alpha)
-    assert np.array_equal(gamma_row, want_gamma)
+    assert np.array_equal(alpha_out, want_alpha)
+    assert np.array_equal(gamma_out, want_gamma)
     assert (value, ok) == _kernels.csd_value(costs, n, members)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mecsim import association
-from mecsim._kernels import IDLE_FRAC
+from mecsim._kernels import IDLE_FRAC, member_pairs
 from mecsim.allocation import coalition_value
 from mecsim.association import (MASK32, MoveProposal, _derive, _evaluate,
                                 _lemire, _neighbourhood, _ReadAhead,
@@ -14,7 +14,7 @@ from mecsim.association import (MASK32, MoveProposal, _derive, _evaluate,
                                 propose_move, reallocate, run_amnd,
                                 run_coalition_game, write_move_log)
 from mecsim.content import Catalog, DemandProfile
-from mecsim.delays import audit_constraints
+from mecsim.delays import Allocation, audit_constraints
 from mecsim.radio import build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import demand_for, rate_scenario
@@ -45,8 +45,8 @@ def test_init_single_cached_file_gets_full_band():
     scn, demand = single_sbs_setup(cache_bit=1)
     state = abcg_init(scn, demand)
     assert state.partition.hrd_sbs.tolist() == [0]
-    assert state.allocation.beta[0, 0, 0] == 1.0
-    assert state.allocation.eta[0, 0, 0] == IDLE_FRAC
+    assert state.allocation.beta.tolist() == [1.0]
+    assert state.allocation.eta.tolist() == [IDLE_FRAC]
     rep = state.report()
     assert rep.hrd_backhaul_s == 0.0
 
@@ -54,8 +54,7 @@ def test_init_single_cached_file_gets_full_band():
 def test_init_two_devices_share_the_band_equally():
     scn, demand = single_sbs_setup(cache_bit=1, n_hrd=2)
     state = abcg_init(scn, demand)
-    assert state.allocation.beta[0, 0, 0] == pytest.approx(0.5)
-    assert state.allocation.beta[0, 1, 0] == pytest.approx(0.5)
+    assert state.allocation.beta == pytest.approx([0.5, 0.5])
 
 
 def test_init_offload_decision_follows_the_comparison():
@@ -435,6 +434,65 @@ def test_clone_keeps_its_own_running_sums():
     with pytest.raises(AssertionError, match="running sums"):
         state.check()
     twin.check()
+
+
+def _rebuilt_allocation(init, final):
+    """``final``'s allocation rebuilt on an idle one: every final coalition
+    installed by the game's write path, except where ``reallocate`` kept the
+    initializer's split, which is copied from ``init``."""
+    scratch = final.clone()
+    scratch.allocation = Allocation.idle(final.costs.pair_k.size,
+                                         final.demand.n_csd)
+    alloc, start = scratch.allocation, init.allocation
+    for c, members in enumerate(final.hrd_members):
+        if association._write_coalition(scratch, "hrd", c, members) \
+                != final.v_hrd[c]:
+            assert members == init.hrd_members[c]
+            idx, _ = member_pairs(final.costs, members)
+            alloc.beta[idx], alloc.eta[idx] = start.beta[idx], start.eta[idx]
+    for c, members in enumerate(final.csd_members):
+        if association._write_coalition(scratch, "csd", c, members) \
+                != final.v_csd[c] and c < final.n_sbs:
+            assert members == init.csd_members[c]
+            alloc.alpha[members] = start.alpha[members]
+            alloc.gamma[members] = start.gamma[members]
+    return alloc
+
+
+def test_allocation_holds_only_the_final_coalitions(desk_runs,
+                                                    multi_request_run):
+    # A device that moved must carry no fraction over from its old SBS: a
+    # pair that became a cache hit holds an idle eta, a device that went
+    # local idle alpha and gamma.
+    for init, final in desk_runs + [multi_request_run]:
+        alloc, costs = final.allocation, final.costs
+        rebuilt = _rebuilt_allocation(init, final)
+        for name in ("alpha", "gamma", "beta", "eta"):
+            assert np.array_equal(getattr(alloc, name),
+                                  getattr(rebuilt, name)), name
+        pairs = np.arange(costs.pair_k.size)
+        hit = costs.cached[final.partition.hrd_sbs[costs.pair_k], pairs]
+        assert np.all(alloc.eta[hit] == IDLE_FRAC)
+        local = final.partition.csd_sbs == final.n_sbs
+        assert np.all(alloc.alpha[local] == IDLE_FRAC)
+        assert np.all(alloc.gamma[local] == IDLE_FRAC)
+
+
+def test_check_catches_stale_caches_and_fractions(desk_runs):
+    final = desk_runs[0][1]
+    final.check()
+    n, local = int(np.flatnonzero(final.v_hrd)[0]), final.n_sbs
+    j = int(np.flatnonzero(final.partition.hrd_sbs[final.costs.pair_k] == n)[0])
+    for game, c, where, at in (("hrd", n, "v_hrd", n),
+                               ("csd", local, "v_csd", local),
+                               ("hrd", n, "beta", j)):
+        state = final.clone()
+        values = (state.allocation.beta if where == "beta"
+                  else getattr(state, where))
+        values[at] = 0.5 * values[at] + 1e-3
+        with pytest.raises(AssertionError,
+                           match=rf"stale {game} utility cache at coalition {c}:"):
+            state.check()
 
 
 # Recorded before the running sums replaced from-scratch move valuation:

@@ -87,33 +87,39 @@ def build_random_state(seed, n_sbs=3, n_hrd=5, n_csd=5, n_files=6):
         hrd_sbs=rng.integers(0, n_sbs, n_hrd).astype(np.int64),
         csd_sbs=rng.integers(0, n_sbs + 1, n_csd).astype(np.int64),
         n_sbs=n_sbs)
-    allocation = Allocation.idle(n_sbs, n_hrd, n_csd, n_files)
-    pk, pi = request_pairs(demand)
-    for k, i in zip(pk, pi):
-        n = partition.hrd_sbs[k]
-        allocation.beta[n, k, i] = rng.uniform(0.01, 1.0)
-        allocation.eta[n, k, i] = rng.uniform(0.01, 1.0)
+    pk, _ = request_pairs(demand)
+    allocation = Allocation.idle(pk.size, n_csd)
+    for j in range(pk.size):
+        allocation.beta[j] = rng.uniform(0.01, 1.0)
+        allocation.eta[j] = rng.uniform(0.01, 1.0)
     for k in range(n_csd):
-        n = partition.csd_sbs[k]
-        if n < n_sbs:
-            allocation.alpha[n, k] = rng.uniform(0.01, 1.0)
-            allocation.gamma[n, k] = rng.uniform(0.01, 1.0)
+        if partition.csd_sbs[k] < n_sbs:
+            allocation.alpha[k] = rng.uniform(0.01, 1.0)
+            allocation.gamma[k] = rng.uniform(0.01, 1.0)
     return scn, demand, partition, allocation
+
+
+def pair_index(demand):
+    """(device, file) -> index of its request pair in the allocation."""
+    pk, pi = request_pairs(demand)
+    return {(int(k), int(i)): j for j, (k, i) in enumerate(zip(pk, pi))}
 
 
 def naive_objective(scn, demand, partition, allocation, table):
     """Independent re-summation with explicit loops over devices and files."""
     total = 0.0
     size_bits = demand.catalog.file_size_bytes * 8.0
+    pair = pair_index(demand)
     for k in range(demand.n_hrd):
         n = int(partition.hrd_sbs[k])
         for i in range(demand.catalog.n_files):
             if not demand.request[k, i]:
                 continue
-            t = size_bits / (allocation.beta[n, k, i] * table.s_dl[n]
+            j = pair[k, i]
+            t = size_bits / (allocation.beta[j] * table.s_dl[n]
                              * table.r_dl[n, k])
             if not demand.cache[n, i]:
-                t += size_bits / (allocation.eta[n, k, i] * table.s_bh[n]
+                t += size_bits / (allocation.eta[j] * table.s_bh[n]
                                   * table.r_bh[n])
             total += demand.hrd_weight[k] * t
     for k in range(demand.n_csd):
@@ -123,8 +129,8 @@ def naive_objective(scn, demand, partition, allocation, table):
                 / demand.local_cps[k]
         else:
             t = demand.task_input_bytes[k] * 8.0 / (
-                allocation.alpha[n, k] * table.s_ul[n] * table.r_ul[n, k])
-            t += demand.task_cycles[k] / (allocation.gamma[n, k]
+                allocation.alpha[k] * table.s_ul[n] * table.r_ul[n, k])
+            t += demand.task_cycles[k] / (allocation.gamma[k]
                                           * demand.edge_cps[n])
             total += demand.csd_weight[k] * t
     return total
@@ -181,20 +187,22 @@ def test_objective_separates_over_coalitions():
     total = objective(scn, demand, partition, allocation, table).objective
     parts = 0.0
     size_bits = demand.catalog.file_size_bytes * 8.0
+    pair = pair_index(demand)
     for n in range(partition.n_sbs + 1):
         sub = 0.0
         for k in np.nonzero(partition.hrd_sbs == n)[0]:
             for i in np.nonzero(demand.request[k])[0]:
-                t = size_bits / (allocation.beta[n, k, i] * table.s_dl[n]
+                j = pair[k, i]
+                t = size_bits / (allocation.beta[j] * table.s_dl[n]
                                  * table.r_dl[n, k]) if n < partition.n_sbs else 0
                 if n < partition.n_sbs and not demand.cache[n, i]:
-                    t += size_bits / (allocation.eta[n, k, i] * table.s_bh[n]
+                    t += size_bits / (allocation.eta[j] * table.s_bh[n]
                                       * table.r_bh[n])
                 sub += demand.hrd_weight[k] * t
         for k in np.nonzero(partition.csd_sbs == n)[0]:
             _, _, t_lc, t_cs = csd_delay(table, demand, n, k,
-                                         allocation.alpha[min(n, partition.n_sbs - 1), k],
-                                         allocation.gamma[min(n, partition.n_sbs - 1), k])
+                                         allocation.alpha[k],
+                                         allocation.gamma[k])
             sub += demand.csd_weight[k] * t_cs
         parts += sub
     assert parts == pytest.approx(total, rel=1e-12)
@@ -205,12 +213,11 @@ def test_raising_a_fraction_never_raises_the_objective():
     table = build_rate_table(scn)
     base = objective(scn, demand, partition, allocation, table).objective
     rng = np.random.default_rng(0)
-    pk, pi = request_pairs(demand)
+    pk, _ = request_pairs(demand)
     for _ in range(10):
         alt = allocation.copy()
         j = int(rng.integers(len(pk)))
-        n = partition.hrd_sbs[pk[j]]
-        alt.beta[n, pk[j], pi[j]] = min(1.0, alt.beta[n, pk[j], pi[j]] * 1.5)
+        alt.beta[j] = min(1.0, alt.beta[j] * 1.5)
         bumped = objective(scn, demand, partition, alt, table).objective
         assert bumped <= base + 1e-12
 
@@ -219,9 +226,18 @@ def test_inconsistent_allocation_reports_offenders():
     scn, demand, partition, allocation = build_random_state(23)
     pk, pi = request_pairs(demand)
     n = partition.hrd_sbs[pk[0]]
-    allocation.beta[n, pk[0], pi[0]] = IDLE_FRAC * 0.5   # below the sentinel
+    allocation.beta[0] = IDLE_FRAC * 0.5   # below the sentinel
     with pytest.raises(ValueError, match=rf"beta\[n={n},k={pk[0]},i={pi[0]}\]"):
         objective(scn, demand, partition, allocation)
+
+
+def test_allocation_of_another_shape_is_rejected():
+    scn, demand, partition, allocation = build_random_state(23)
+    pk, _ = request_pairs(demand)
+    for wrong in (Allocation.idle(pk.size + 1, demand.n_csd),
+                  Allocation.idle(pk.size, demand.n_csd - 1)):
+        with pytest.raises(ValueError, match="one fraction per request pair"):
+            objective(scn, demand, partition, wrong)
 
 
 def test_audit_accepts_valid_state_and_flags_corruption():
@@ -229,38 +245,38 @@ def test_audit_accepts_valid_state_and_flags_corruption():
     # normalize sums so the state is budget-feasible
     pk, pi = request_pairs(demand)
     for n in range(partition.n_sbs):
-        sel = partition.hrd_sbs[pk] == n
-        if sel.any():
-            total = allocation.beta[n, pk[sel], pi[sel]].sum()
-            allocation.beta[n, pk[sel], pi[sel]] /= max(1.0, total)
-            miss = demand.cache[n, pi[sel]] == 0
-            etot = allocation.eta[n, pk[sel][miss], pi[sel][miss]].sum()
+        sel = np.flatnonzero(partition.hrd_sbs[pk] == n)
+        if sel.size:
+            total = allocation.beta[sel].sum()
+            allocation.beta[sel] /= max(1.0, total)
+            miss = sel[demand.cache[n, pi[sel]] == 0]
+            etot = allocation.eta[miss].sum()
             if etot > 0:
-                allocation.eta[n, pk[sel][miss], pi[sel][miss]] /= max(1.0, etot)
+                allocation.eta[miss] /= max(1.0, etot)
         csd = np.nonzero(partition.csd_sbs == n)[0]
         if csd.size:
-            allocation.alpha[n, csd] /= max(1.0, allocation.alpha[n, csd].sum())
-            allocation.gamma[n, csd] /= max(1.0, allocation.gamma[n, csd].sum())
+            allocation.alpha[csd] /= max(1.0, allocation.alpha[csd].sum())
+            allocation.gamma[csd] /= max(1.0, allocation.gamma[csd].sum())
     # force the rate ordering by raising eta to its floor where needed
     table = build_rate_table(scn)
     for j in range(len(pk)):
         n, k, i = partition.hrd_sbs[pk[j]], pk[j], pi[j]
         if not demand.cache[n, i]:
-            need = table.eta_min[n, k] * allocation.beta[n, k, i]
-            allocation.eta[n, k, i] = max(allocation.eta[n, k, i], need)
+            need = table.eta_min[n, k] * allocation.beta[j]
+            allocation.eta[j] = max(allocation.eta[j], need)
     for n in range(partition.n_sbs):   # re-normalize eta after the floors
         sel = (partition.hrd_sbs[pk] == n) & (demand.cache[partition.hrd_sbs[pk], pi] == 0)
         if sel.any():
-            tot = allocation.eta[n, pk[sel], pi[sel]].sum()
+            tot = allocation.eta[sel].sum()
             if tot > 1.0:
-                allocation.eta[n, pk[sel], pi[sel]] /= tot
-                allocation.beta[n, pk[sel], pi[sel]] /= tot
+                allocation.eta[sel] /= tot
+                allocation.beta[sel] /= tot
     assert audit_constraints(scn, demand, partition, allocation) == []
 
     broken = allocation.copy()
     k0 = np.nonzero(partition.csd_sbs < partition.n_sbs)[0]
     if k0.size:
-        broken.alpha[partition.csd_sbs[k0[0]], k0[0]] = 1.5
+        broken.alpha[k0[0]] = 1.5
         msgs = audit_constraints(scn, demand, partition, broken)
         assert any("box" in m or "budget" in m for m in msgs)
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -194,3 +195,28 @@ def test_cli_audit_small_instance(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "audit: CLEAN" in out
+
+def test_cli_run_row_matches_the_sweep_row(tmp_path, capsys):
+    # ``mecsim run`` builds its instance through the sweep's path, so its
+    # default scenario flags reproduce the sweep's AMND row to the byte.
+    row_path, sweep_path = tmp_path / "row.csv", tmp_path / "sweep.csv"
+    assert main(["run", "--seed", "3", "--row-csv", str(row_path)]) == 0
+    assert main(["sweep", "--seeds", "3", "--grid", "0.5", "--deltas", "0.6",
+                 "-o", str(sweep_path)]) == 0
+    capsys.readouterr()
+    amnd = [line for line in sweep_path.read_text().splitlines()
+            if ",AMND," in line]
+    assert row_path.read_text().splitlines()[1:] == amnd
+
+
+# SHA-256 of ``mecsim sweep --seeds 1 --audit``.  Storage layout changes
+# must leave it alone; a change to the allocator re-records it.
+SWEEP_SEED1_SHA256 = \
+    "b64823261dd6c9ab9a3186b34a560c96636ef125bc112735ea3d2fc9705b4f2a"
+
+
+def test_sweep_csv_matches_recorded_digest(tmp_path, capsys):
+    path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--seeds", "1", "--audit", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_SEED1_SHA256
