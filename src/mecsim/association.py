@@ -9,34 +9,35 @@ are feasible and their combined utility strictly improves.
 
 Tentative coalitions are valued under the closed-form square-root
 allocation, and accepted ones are installed by the matching ``_kernels``
-write path.  A move is valued in O(1) from running sums (``CoalitionSums``):
-a CSD coalition is worth ``su**2 + se**2``, the squared sums of its root
-uplink and compute costs, and an HRD coalition ``sd**2 + sb**2`` (root
-downlink costs of all pairs, root backhaul costs of the missed pairs) as
-long as no backhaul floor binds.  A floor binds when its device's
-floor/root-cost ratio times ``sb`` exceeds 1; where that may happen, the
-side is valued over its tentative members' pairs by
-``CoalitionSums.hrd_value``, plain Python that repeats the clamped closed
-form's arithmetic, so value and feasibility are exactly the kernel's.  The
-sums of the two touched coalitions are recomputed from their member lists
-after every accepted move, so they never drift.  ``audit_stability`` still
-values every move from scratch with the numpy kernels, which makes it an
-independent check on both.
+write path.  Every move of a game is valued in O(1) from one store of
+running sums per game (``CoalitionSums``): a CSD coalition is worth
+``su**2 + se**2``, the squared sums of its root uplink and compute costs,
+and an HRD coalition ``sd**2 + sb**2`` (root downlink costs of all pairs,
+root backhaul costs of the missed pairs) as long as no backhaul floor
+binds.  A floor binds when its device's floor/root-cost ratio times ``sb``
+exceeds 1; where that may happen, the side is valued over its tentative
+members' pairs by ``CoalitionSums.hrd_value``, plain Python that repeats
+the clamped closed form's arithmetic, so value and feasibility are exactly
+the kernel's.  The sums of the two touched coalitions are recomputed from
+their member lists after every accepted move, so they never drift.
+``audit_stability`` still values every move from scratch with the numpy
+kernels, which makes it an independent check on both.
 
-The random phase proposes moves one after another from the game's
-generator and keeps each that improves.  The partition changes only on an
-accepted move, so proposals are drawn and valued in blocks
-(``_random_phase``): the generator's uint32 stream is read ahead
-(``_ReadAhead``); every position of a window is decoded as
-``propose_move`` would draw there, with numpy's own bounded-integer
-algorithm (``_derive``, ``_chain``); the chained proposals are valued
-elementwise from numpy mirrors of the running sums, with the scalar
-path's float operations in its order (``_Mirror``); and the block is cut
-at its first accept, which ``evaluate_and_apply`` applies.  A draw in
+Moves are valued in blocks (``_Block``): arrays of transfers and swaps,
+valued elementwise by ``CoalitionSums.after`` at the current partition,
+with the float operations of a block of one in their order, and cut at
+the first accept, which ``evaluate_and_apply`` applies and values once
+more, as a block of one.  The partition changes only on an accepted move,
+so both phases of a game are blocks between accepts.  The random phase
+reads the generator's uint32 stream ahead (``_ReadAhead``) and decodes
+every position of a window as ``propose_move`` would draw there, with
+numpy's own bounded-integer algorithm (``_derive``, ``_chain``); a draw in
 Lemire's rejection branch goes through ``propose_move``, and the
-generator ends exactly where the consumed draws leave it.  Proposal
-counts, accepted moves, move logs and generator states are therefore
-those of the one-at-a-time loop, to the last bit.
+generator ends exactly where the consumed draws leave it.  The
+stabilization sweep's block is the rest of the sweep, in
+``_neighbourhood``'s order.  Proposal counts, accepted moves, move logs
+and generator states are therefore those of the one-at-a-time loops, to
+the last bit.
 
 The state reallocation step adopts the closed form per coalition only when
 it does not worsen the incumbent (the clamped closed form can lose to the
@@ -111,101 +112,112 @@ def _sum(values) -> float:
 
 
 class CoalitionSums:
-    """Running sums of every coalition's closed form, one tuple per coalition.
+    """Running sums of one game's closed form, one row per coalition.
 
-    An HRD coalition holds ``(sd, sb, miss, ratio)``: the sum of its pairs'
-    root downlink costs, the sum of its missed pairs' root backhaul costs,
-    the number of missed pairs, and the largest floor/root-backhaul ratio
-    among them.  A CSD coalition holds ``(su, se, load)``: its root uplink
-    and compute cost sums and its stored task bytes; the virtual local
-    coalition holds ``(local,)``, its summed local delay.  ``hrd_after`` and
-    ``csd_after`` value a coalition after one device leaves and/or one
-    enters with scalar arithmetic; ``hrd_value`` values an HRD coalition
-    where a floor may bind.  Stored sums are only ever computed from member
-    lists, by the constructor and ``refresh``.
+    ``size`` and ``members`` hold each coalition's member list, and
+    ``sums`` its additive sums, one column each; ``terms`` holds every
+    device's terms at every coalition.  An HRD coalition sums ``(sd, sb,
+    miss)``: its pairs' root downlink costs, its missed pairs' root
+    backhaul costs, and the number of missed pairs (small counts, exact as
+    floats); ``ratio`` holds the largest floor/root-backhaul ratio among
+    them, a running max.  A CSD coalition sums ``(su, se, load, local)``:
+    its root uplink and compute costs and its stored task bytes, or, in row
+    ``n_sbs`` (the virtual local coalition), its local delays.  Stored sums
+    change only through ``refresh``, which recomputes a row from a member
+    list.  ``after`` values coalitions after one move, elementwise;
+    ``hrd_value`` values an HRD coalition where a floor may bind.
     """
 
-    def __init__(self, costs: CoalitionCosts, hrd_members, csd_members):
-        self.costs = costs
-        self.n_sbs = costs.n_sbs
-        # Per-device rows as Python floats, which spares the per-proposal
-        # arithmetic numpy's scalar overhead.
-        self._dl = costs.dev_sqrt_dl.tolist()
-        self._bh = costs.dev_sqrt_bh.tolist()
-        self._miss = costs.dev_miss.tolist()
-        self._ratio = costs.dev_floor_ratio.tolist()
-        # Per-SBS pair rows of ``hrd_value``, built on first use: most SBSs
-        # never see a binding floor.  They depend on ``costs`` alone, so
-        # copies share them.
-        self._pairs = [None] * self.n_sbs
-        self._ul = costs.sqrt_ul.tolist()
-        self._ed = costs.sqrt_ed.tolist()
-        self._bytes = costs.task_bytes.tolist()
-        self._room = (costs.spare_bytes + _kernels.BYTES_TOL).tolist()
-        self._local = costs.local_delay_w.tolist()
-        self.hrd = [self.recompute(HRD, c, m) for c, m in enumerate(hrd_members)]
-        self.csd = [self.recompute(CSD, c, m) for c, m in enumerate(csd_members)]
+    def __init__(self, costs: CoalitionCosts, game: str, lists):
+        self.costs, self.game, self.n_sbs = costs, game, costs.n_sbs
+        n_coal = len(lists)
+        if game == HRD:
+            terms = (costs.dev_sqrt_dl, costs.dev_sqrt_bh, costs.dev_miss)
+            # Per-SBS pair rows of ``hrd_value``, built on first use: most
+            # SBSs never see a binding floor.  They depend on ``costs``
+            # alone, so copies share them.
+            self._pairs = [None] * self.n_sbs
+        else:
+            pad = np.zeros((1, costs.n_csd))
+            terms = (np.vstack((costs.sqrt_ul, pad)),
+                     np.vstack((costs.sqrt_ed, pad)),
+                     np.broadcast_to(costs.task_bytes, (n_coal, costs.n_csd)),
+                     np.broadcast_to(costs.local_delay_w,
+                                     (n_coal, costs.n_csd)))
+            self.room = np.append(costs.spare_bytes + _kernels.BYTES_TOL, 0.0)
+        self.terms = np.stack(terms, axis=-1).astype(float)
+        self.size = np.zeros(n_coal, dtype=np.int64)
+        self.members = np.zeros(self.terms.shape[:2], dtype=np.int64)
+        self.sums = np.zeros((n_coal, len(terms)))
+        self.ratio = np.zeros(n_coal)
+        for c, members in enumerate(lists):
+            self.refresh(c, members)
 
     def copy(self) -> "CoalitionSums":
         other = copy.copy(self)
-        other.hrd, other.csd = list(self.hrd), list(self.csd)
+        for name in ("size", "members", "sums", "ratio"):
+            setattr(other, name, getattr(self, name).copy())
         return other
 
-    def recompute(self, game: str, c: int, members) -> tuple:
-        """The sums of coalition ``c`` of ``game`` from its member list."""
+    def _recompute(self, c: int, members):
+        """Row ``c``'s sums and ratio from a member list, summed by numpy."""
         costs = self.costs
         arr = np.asarray(members, dtype=np.int64)
-        if game == CSD:
+        if self.game == CSD:
             if c == self.n_sbs:
-                return (float(costs.local_delay_w[arr].sum()),)
-            return (float(costs.sqrt_ul[c, arr].sum()),
-                    float(costs.sqrt_ed[c, arr].sum()),
-                    float(costs.task_bytes[arr].sum()))
+                return (0.0, 0.0, 0.0, costs.local_delay_w[arr].sum()), 0.0
+            return (costs.sqrt_ul[c, arr].sum(), costs.sqrt_ed[c, arr].sum(),
+                    costs.task_bytes[arr].sum(), 0.0), 0.0
         idx, _ = member_pairs(costs, arr)
         midx = idx[~costs.cached[c, idx]]
-        return (float(costs.sqrt_dl[c, idx].sum()),
-                float(costs.sqrt_bh[c, midx].sum()), int(midx.size),
-                float(costs.dev_floor_ratio[c, arr].max(initial=0.0)))
+        return ((costs.sqrt_dl[c, idx].sum(), costs.sqrt_bh[c, midx].sum(),
+                 midx.size), costs.dev_floor_ratio[c, arr].max(initial=0.0))
 
-    def refresh(self, game: str, c: int, members) -> None:
-        sums = self.hrd if game == HRD else self.csd
-        sums[c] = self.recompute(game, c, members)
+    def refresh(self, c: int, members) -> None:
+        self.size[c] = len(members)
+        self.members[c, :len(members)] = members
+        self.sums[c], self.ratio[c] = self._recompute(c, members)
 
-    def check(self, hrd_members, csd_members, tol: float) -> None:
-        """Assert every stored sum matches recomputation from the members."""
-        for game, sums, lists in ((HRD, self.hrd, hrd_members),
-                                  (CSD, self.csd, csd_members)):
-            for c, members in enumerate(lists):
-                ref = self.recompute(game, c, members)
-                if any(abs(x - y) > tol * max(1.0, abs(y))
-                       for x, y in zip(sums[c], ref)):
-                    raise AssertionError(
-                        f"stale {game} running sums at coalition {c}: "
-                        f"{sums[c]!r} vs {ref!r}")
+    def check(self, lists, tol: float) -> None:
+        """Assert every stored row matches its member list."""
+        for c, members in enumerate(lists):
+            sums, ratio = self._recompute(c, members)
+            ref = np.append(sums, ratio)
+            got = np.append(self.sums[c], self.ratio[c])
+            if (self.members[c, :self.size[c]].tolist() != list(members)
+                    or np.any(np.abs(got - ref)
+                              > tol * np.maximum(1.0, np.abs(ref)))):
+                raise AssertionError(
+                    f"stale {self.game} running sums at coalition {c}: "
+                    f"{got!r} vs {ref!r}")
 
-    def hrd_after(self, c: int, out, inn, size: int):
-        """(value, feasible) of HRD coalition ``c`` once device ``out``
-        leaves and ``inn`` enters (either may be None), holding ``size``
-        members; None when a backhaul floor may bind."""
-        if size == 0:
-            return 0.0, True
-        sd, sb, miss, ratio = self.hrd[c]
-        if out is not None:
-            sd -= self._dl[c][out]
-            sb -= self._bh[c][out]
-            miss -= self._miss[c][out]
-        if inn is not None:
-            sd += self._dl[c][inn]
-            sb += self._bh[c][inn]
-            miss += self._miss[c][inn]
-            ratio = max(ratio, self._ratio[c][inn])
-        if miss == 0:
-            return sd * sd, True
-        # Unclamped shares are sb_p / sb; a floor binds once it exceeds its
-        # share.  After a removal the old ratio is an upper bound.
-        if ratio * sb > 1.0:
-            return None
-        return sd * sd + sb * sb, True
+    def after(self, c, out, inn, out_on, inn_on, size):
+        """(value, feasible, floor) of coalitions ``c`` once devices ``out``
+        leave where ``out_on`` and ``inn`` enter where ``inn_on`` (``True``
+        for all), holding ``size`` members.  ``floor`` marks HRD sides where
+        a backhaul floor may bind (``ratio * sb > 1``); their value is left
+        to ``hrd_value``."""
+        x = self.sums[c]
+        new = x - self.terms[c, out]
+        x = new if out_on is True else np.where(out_on[:, None], new, x)
+        new = x + self.terms[c, inn]
+        x = new if inn_on is True else np.where(inn_on[:, None], new, x)
+        empty = size == 0
+        if self.game == HRD:
+            sd, sb, miss = x.T
+            # After a removal the old ratio is an upper bound.
+            ratio = np.maximum(self.ratio[c],
+                               self.costs.dev_floor_ratio[c, inn])
+            if inn_on is not True:
+                ratio = np.where(inn_on, ratio, self.ratio[c])
+            value = np.where(miss == 0, sd * sd, sd * sd + sb * sb)
+            floor = (miss != 0) & (ratio * sb > 1.0) & ~empty
+            return np.where(empty, 0.0, value), np.ones_like(empty), floor
+        su, se, load, local = x.T
+        is_local = c == self.n_sbs
+        value = np.where(is_local, local, su * su + se * se)
+        feasible = is_local | (load <= self.room[c]) | empty
+        return np.where(empty, 0.0, value), feasible, np.zeros_like(empty)
 
     def _pair_row(self, c: int) -> list:
         """Per device at SBS ``c``: the root downlink costs of its pairs and
@@ -240,30 +252,6 @@ class CoalitionSums:
         return value, not (any(floor > 1.0 for _, floor in bh)
                            or _sum(eta) > 1.0 + FEAS_TOL)
 
-    def csd_after(self, c: int, out, inn, size: int):
-        """(value, feasible) of CSD coalition ``c`` once device ``out``
-        leaves and ``inn`` enters (either may be None), holding ``size``
-        members."""
-        if size == 0:
-            return 0.0, True
-        if c == self.n_sbs:
-            (local,) = self.csd[c]
-            if out is not None:
-                local -= self._local[out]
-            if inn is not None:
-                local += self._local[inn]
-            return local, True
-        su, se, load = self.csd[c]
-        if out is not None:
-            su -= self._ul[c][out]
-            se -= self._ed[c][out]
-            load -= self._bytes[out]
-        if inn is not None:
-            su += self._ul[c][inn]
-            se += self._ed[c][inn]
-            load += self._bytes[inn]
-        return su * su + se * se, load <= self._room[c]
-
 
 @dataclass
 class GameState:
@@ -283,7 +271,7 @@ class GameState:
     game_seed: int
     rng_hrd: np.random.Generator
     rng_csd: np.random.Generator
-    sums: CoalitionSums
+    sums: dict                 # game -> CoalitionSums
     fallback_hrds: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     accepted_moves: int = 0
@@ -305,7 +293,8 @@ class GameState:
             csd_members=[list(c) for c in self.csd_members],
             v_hrd=self.v_hrd.copy(), v_csd=self.v_csd.copy(),
             objective=self.objective, game_seed=self.game_seed,
-            rng_hrd=rng_hrd, rng_csd=rng_csd, sums=self.sums.copy(),
+            rng_hrd=rng_hrd, rng_csd=rng_csd,
+            sums={game: sums.copy() for game, sums in self.sums.items()},
             fallback_hrds=list(self.fallback_hrds), trace=list(self.trace),
             accepted_moves=self.accepted_moves, proposals=self.proposals,
             move_log=list(self.move_log) if self.move_log is not None else None,
@@ -319,7 +308,8 @@ class GameState:
         """Assert running sums, cached utilities and the objective match
         recomputation; cached utilities are checked against per-coalition
         sums of the delay model's weighted per-pair and per-device delays."""
-        self.sums.check(self.hrd_members, self.csd_members, tol)
+        for game, sums in self.sums.items():
+            sums.check(_member_lists(self, game), tol)
         rep = self.report()
         demand, part = self.demand, self.partition
         refs = (
@@ -456,7 +446,8 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
         hrd_members=hrd_members, csd_members=csd_members,
         v_hrd=v_hrd, v_csd=v_csd, objective=total,
         game_seed=game_seed, rng_hrd=rng_hrd, rng_csd=rng_csd,
-        sums=CoalitionSums(costs, hrd_members, csd_members),
+        sums={HRD: CoalitionSums(costs, HRD, hrd_members),
+              CSD: CoalitionSums(costs, CSD, csd_members)},
         fallback_hrds=fallback, trace=[total],
         move_log=[] if log_moves else None,
     )
@@ -541,53 +532,44 @@ def propose_move(state: GameState, game: str, rng) -> MoveProposal:
     raise RuntimeError("could not sample a nonempty coalition pair")
 
 
-def _tentative_members(state: GameState, prop: MoveProposal):
-    lists = _member_lists(state, prop.game)
-    src = [k for k in lists[prop.c_from] if k != prop.md_from]
-    dst = list(lists[prop.c_to])
-    if prop.kind == "transfer":
-        dst.append(prop.md_from)
-    else:
-        src.append(prop.md_to)
-        dst = [k for k in dst if k != prop.md_to]
-        dst.append(prop.md_from)
+def _tentative_members(lists, a: int, b: int, i: int, j: int | None):
+    """The member lists of coalitions ``a`` and ``b`` once device ``i``
+    moves from ``a`` to ``b`` and, in a swap, ``j`` from ``b`` to ``a``."""
+    src = [k for k in lists[a] if k != i]
+    dst = list(lists[b])
+    if j is not None:
+        src.append(j)
+        dst = [k for k in dst if k != j]
+    dst.append(i)
     return src, dst
 
 
-def _score(state: GameState, prop: MoveProposal, src, dst) -> None:
-    """Set ``prop.dv`` and ``prop.feasible`` from the (value, feasible)
-    pairs of the two tentative coalitions."""
-    cache = state.v_hrd if prop.game == HRD else state.v_csd
-    prop.dv = (src[0] + dst[0]) - (cache.item(prop.c_from)
-                                   + cache.item(prop.c_to))
-    prop.feasible = src[1] and dst[1]
+def _score(cache: np.ndarray, a: int, b: int, src, dst):
+    """(dv, feasible) of a move between coalitions ``a`` and ``b`` from
+    the (value, feasible) pairs of its two tentative coalitions."""
+    return (src[0] + dst[0]) - (cache.item(a) + cache.item(b)), \
+        src[1] and dst[1]
 
 
 def _evaluate(state: GameState, prop: MoveProposal) -> None:
-    """Value a move from the running sums, or over the tentative members'
-    pairs on an HRD side where a backhaul floor may bind."""
-    sums = state.sums
-    lists = _member_lists(state, prop.game)
-    a, b, i, j = prop.c_from, prop.c_to, prop.md_from, prop.md_to
-    moved = 1 if j is None else 0
-    after = sums.hrd_after if prop.game == HRD else sums.csd_after
-    src = after(a, i, j, len(lists[a]) - moved)
-    dst = after(b, j, i, len(lists[b]) + moved)
-    if src is None or dst is None:
-        t_src, t_dst = _tentative_members(state, prop)
-        if src is None:
-            src = sums.hrd_value(a, t_src)
-        if dst is None:
-            dst = sums.hrd_value(b, t_dst)
-    _score(state, prop, src, dst)
+    """Value a move as a block of one."""
+    swap = prop.md_to is not None
+    block = _Block(state, prop.game, np.array([swap]), np.array([prop.c_from]),
+                   np.array([prop.c_to]), np.array([prop.md_from]),
+                   np.array([prop.md_to if swap else prop.md_from]))
+    prop.dv, prop.feasible = block.value(state, 0)
 
 
 def _evaluate_exactly(state: GameState, prop: MoveProposal) -> None:
     """Value a move from scratch with ``coalition_value``."""
-    src, dst = _tentative_members(state, prop)
-    _score(state, prop,
-           coalition_value(state.costs, prop.game, prop.c_from, src),
-           coalition_value(state.costs, prop.game, prop.c_to, dst))
+    src, dst = _tentative_members(_member_lists(state, prop.game),
+                                  prop.c_from, prop.c_to, prop.md_from,
+                                  prop.md_to)
+    cache = state.v_hrd if prop.game == HRD else state.v_csd
+    prop.dv, prop.feasible = _score(
+        cache, prop.c_from, prop.c_to,
+        coalition_value(state.costs, prop.game, prop.c_from, src),
+        coalition_value(state.costs, prop.game, prop.c_to, dst))
 
 
 def _write_coalition(state: GameState, game: str, c: int, members) -> float:
@@ -616,8 +598,9 @@ def evaluate_and_apply(state: GameState, prop: MoveProposal) -> bool:
     state.proposals += 1
     accepted = bool(prop.feasible) and prop.dv < -IMPROVE_MARGIN
     if accepted:
-        src, dst = _tentative_members(state, prop)
         lists = _member_lists(state, prop.game)
+        src, dst = _tentative_members(lists, prop.c_from, prop.c_to,
+                                      prop.md_from, prop.md_to)
         lists[prop.c_from] = sorted(src)
         lists[prop.c_to] = sorted(dst)
         assoc = (state.partition.hrd_sbs if prop.game == HRD
@@ -628,8 +611,8 @@ def evaluate_and_apply(state: GameState, prop: MoveProposal) -> bool:
         cache = state.v_hrd if prop.game == HRD else state.v_csd
         cache[prop.c_from] = _write_coalition(state, prop.game, prop.c_from, src)
         cache[prop.c_to] = _write_coalition(state, prop.game, prop.c_to, dst)
-        state.sums.refresh(prop.game, prop.c_from, lists[prop.c_from])
-        state.sums.refresh(prop.game, prop.c_to, lists[prop.c_to])
+        state.sums[prop.game].refresh(prop.c_from, lists[prop.c_from])
+        state.sums[prop.game].refresh(prop.c_to, lists[prop.c_to])
         state.objective = float(state.v_hrd.sum() + state.v_csd.sum())
         state.accepted_moves += 1
     if state.move_log is not None:
@@ -660,18 +643,130 @@ def _neighbourhood(state: GameState, game: str):
                                    md_from=i, md_to=j)
 
 
+class _Block:
+    """Proposals of one game, one per entry of the arrays ``swap`` (a swap,
+    or else a transfer), ``a`` and ``b`` (the coalitions that device ``i``
+    leaves and enters) and ``j`` (the device that leaves ``b`` in a swap),
+    valued together from the running sums at the current partition, each
+    with the float operations, in their order, of a block of one."""
+
+    def __init__(self, state: GameState, game: str, swap, a, b, i, j):
+        sums = state.sums[game]
+        self.game, self.swap, self.a, self.b, self.i, self.j = \
+            game, swap, a, b, i, j
+        self.cache = state.v_hrd if game == HRD else state.v_csd
+        self.v_src, self.ok_src, self.floor_src = sums.after(
+            a, i, j, True, swap, sums.size[a] - 1 + swap)
+        self.v_dst, self.ok_dst, self.floor_dst = sums.after(
+            b, j, i, swap, True, sums.size[b] + 1 - swap)
+        self.dv = (self.v_src + self.v_dst) - (self.cache[a] + self.cache[b])
+
+    def __len__(self) -> int:
+        return self.a.size
+
+    def proposal(self, q: int) -> MoveProposal:
+        swap = bool(self.swap[q])
+        return MoveProposal(self.game, "swap" if swap else "transfer",
+                            c_from=self.a.item(q), c_to=self.b.item(q),
+                            md_from=self.i.item(q),
+                            md_to=self.j.item(q) if swap else None)
+
+    def value(self, state: GameState, q: int):
+        """(dv, feasible) of proposal ``q``; a side where a backhaul floor
+        may bind is valued by ``CoalitionSums.hrd_value`` over its
+        tentative members."""
+        a, b = self.a.item(q), self.b.item(q)
+        src = self.v_src.item(q), bool(self.ok_src[q])
+        dst = self.v_dst.item(q), bool(self.ok_dst[q])
+        if self.floor_src[q] or self.floor_dst[q]:
+            t_src, t_dst = _tentative_members(
+                state.hrd_members, a, b, self.i.item(q),
+                self.j.item(q) if self.swap[q] else None)
+            sums = state.sums[HRD]
+            if self.floor_src[q]:
+                src = sums.hrd_value(a, t_src)
+            if self.floor_dst[q]:
+                dst = sums.hrd_value(b, t_dst)
+        return _score(self.cache, a, b, src, dst)
+
+    def first_accept(self, state: GameState) -> int:
+        """Index of the first proposal ``evaluate_and_apply`` would accept,
+        or the block's length.  Proposals with a floor-bound side are valued
+        by ``value``, in order and only up to the first accept, and their
+        ``dv`` replaces the block's."""
+        floor = self.floor_src | self.floor_dst
+        hits = np.flatnonzero(self.ok_src & self.ok_dst & ~floor
+                              & (self.dv < -IMPROVE_MARGIN))
+        first = int(hits[0]) if hits.size else len(self)
+        for q in np.flatnonzero(floor[:first]).tolist():
+            dv, feasible = self.value(state, q)
+            self.dv[q] = dv
+            if feasible and dv < -IMPROVE_MARGIN:
+                return q
+        return first
+
+
+def _settle(state: GameState, block: _Block, first: int) -> bool:
+    """Count and log the block's proposals before ``first`` as the
+    rejections ``evaluate_and_apply`` would count and log, then apply
+    proposal ``first`` through it, if the block holds one; returns whether
+    a move was applied."""
+    if state.move_log is None:
+        state.proposals += first
+    else:
+        kinds = np.where(block.swap[:first], "swap", "transfer").tolist()
+        for kind, dv in zip(kinds, block.dv[:first].tolist()):
+            state.proposals += 1
+            state.move_log.append((state.proposals, block.game, kind, False,
+                                   dv, state.objective))
+    if first == len(block):
+        return False
+    accepted = evaluate_and_apply(state, block.proposal(first))
+    assert accepted, block.proposal(first)
+    return True
+
+
 def stabilize_partition(state: GameState, game: str) -> int:
     """Deterministic local search: sweep all transfers and same-class swaps,
     applying improvements, until one full sweep finds none.  Guarantees the
-    exhaustive stability audit passes on exit."""
+    exhaustive stability audit passes on exit.
+
+    A sweep visits the moves in ``_neighbourhood``'s order: transfers
+    device-major and target-minor, skipping the device's own coalition,
+    then swaps with ``i < j``, row-major, skipping pairs in one coalition.
+    Between two accepts the partition is fixed, so the rest of the sweep is
+    one ``_Block``; its first accept is applied through
+    ``evaluate_and_apply``, and the sweep resumes at the next position.
+    """
+    assoc = (state.partition.hrd_sbs if game == HRD
+             else state.partition.csd_sbs)
+    n_dev, n_coal = assoc.size, len(_member_lists(state, game))
+    # Per position: the moving device i, the device j swapped with it (i
+    # itself in a transfer, where the block masks it out) and a transfer's
+    # target.
+    dev, target = np.divmod(np.arange(n_dev * n_coal), n_coal)
+    si, sj = np.triu_indices(n_dev, 1)
+    i, j = np.concatenate((dev, si)), np.concatenate((dev, sj))
+    target = np.concatenate((target, np.zeros_like(si)))
+    swap = np.arange(i.size) >= dev.size
     applied = 0
     improved = True
     while improved:
         improved = False
-        for prop in _neighbourhood(state, game):
-            if evaluate_and_apply(state, prop):
-                improved = True
-                applied += 1
+        pos = 0
+        while pos < i.size:
+            a = assoc[i[pos:]]
+            b = np.where(swap[pos:], assoc[j[pos:]], target[pos:])
+            at = np.flatnonzero(a != b)
+            rest = at + pos
+            block = _Block(state, game, swap[rest], a[at], b[at], i[rest],
+                           j[rest])
+            first = block.first_accept(state)
+            if not _settle(state, block, first):
+                break
+            improved = True
+            applied += 1
+            pos = rest[first] + 1
     return applied
 
 
@@ -799,126 +894,6 @@ def _chain(code: list, limit: int) -> list:
     return starts
 
 
-class _Mirror:
-    """numpy copies of one game's member lists and running sums, which a
-    block of proposals reads; ``sync`` refreshes one coalition after an
-    accepted move.  ``after`` repeats ``CoalitionSums.hrd_after`` or
-    ``csd_after`` elementwise, with the same float operations in the same
-    order, so each value equals the scalar one to the last bit."""
-
-    def __init__(self, state: GameState, game: str):
-        self.state, self.game = state, game
-        self.lists = _member_lists(state, game)
-        costs, n_coal = state.costs, len(self.lists)
-        n_dev = state.demand.n_hrd if game == HRD else state.demand.n_csd
-        self.size = np.zeros(n_coal, dtype=np.int64)
-        self.members = np.zeros((n_coal, n_dev), dtype=np.int64)
-        # The additive sums, one column each, and every device's terms at
-        # every coalition: HRD (sd, sb, miss), whose small integer counts
-        # are exact as floats, plus the ratio, which is a running max; CSD
-        # (su, se, load, local), where row n_sbs is the local coalition.
-        if game == HRD:
-            terms = (costs.dev_sqrt_dl, costs.dev_sqrt_bh, costs.dev_miss)
-            self.ratio_dev = costs.dev_floor_ratio
-            self.ratio = np.zeros(n_coal)
-        else:
-            pad = np.zeros((1, n_dev))
-            terms = (np.vstack((costs.sqrt_ul, pad)),
-                     np.vstack((costs.sqrt_ed, pad)),
-                     np.broadcast_to(costs.task_bytes, (n_coal, n_dev)),
-                     np.broadcast_to(costs.local_delay_w, (n_coal, n_dev)))
-            self.room = np.append(costs.spare_bytes + _kernels.BYTES_TOL, 0.0)
-        self.terms = np.stack(terms, axis=-1).astype(float)
-        self.sums = np.zeros((n_coal, len(terms)))
-        for c in range(n_coal):
-            self.sync(c)
-
-    def sync(self, c: int) -> None:
-        members = self.lists[c]
-        self.size[c] = len(members)
-        self.members[c, :len(members)] = members
-        sums = self.state.sums
-        if self.game == HRD:
-            self.sums[c] = sums.hrd[c][:3]
-            self.ratio[c] = sums.hrd[c][3]
-        elif c == sums.n_sbs:
-            self.sums[c] = (0.0, 0.0, 0.0) + sums.csd[c]
-        else:
-            self.sums[c] = sums.csd[c] + (0.0,)
-
-    def after(self, c, out, inn, out_on, inn_on, size):
-        """(value, feasible, floor) of coalitions ``c`` once devices ``out``
-        leave where ``out_on`` and ``inn`` enter where ``inn_on`` (``True``
-        for all), holding ``size`` members.  ``floor`` marks HRD sides where
-        a backhaul floor may bind, which ``hrd_after`` leaves to
-        ``hrd_value``."""
-        x = self.sums[c]
-        new = x - self.terms[c, out]
-        x = new if out_on is True else np.where(out_on[:, None], new, x)
-        new = x + self.terms[c, inn]
-        x = new if inn_on is True else np.where(inn_on[:, None], new, x)
-        empty = size == 0
-        if self.game == HRD:
-            sd, sb, miss = x.T
-            ratio = np.maximum(self.ratio[c], self.ratio_dev[c, inn])
-            if inn_on is not True:
-                ratio = np.where(inn_on, ratio, self.ratio[c])
-            value = np.where(miss == 0, sd * sd, sd * sd + sb * sb)
-            floor = (miss != 0) & (ratio * sb > 1.0) & ~empty
-            return np.where(empty, 0.0, value), np.ones_like(empty), floor
-        su, se, load, local = x.T
-        is_local = c == self.state.n_sbs
-        value = np.where(is_local, local, su * su + se * se)
-        feasible = is_local | (load <= self.room[c]) | empty
-        return np.where(empty, 0.0, value), feasible, np.zeros_like(empty)
-
-
-class _Block:
-    """The proposals that start at ``starts`` of a window decoded by
-    ``_derive``, read against the partition that ``mirror`` holds."""
-
-    def __init__(self, game: str, mirror: _Mirror, derived, starts: list):
-        _, swap, c_from, c_to, k_from, k_to = derived
-        idx = np.array(starts)
-        self.game, self.mirror = game, mirror
-        self.swap, self.a, self.b = swap[idx], c_from[idx], c_to[idx]
-        self.i = mirror.members[self.a, k_from[idx]]
-        self.j = mirror.members[self.b, k_to[idx]]
-        self.kind = ["swap" if x else "transfer" for x in self.swap.tolist()]
-
-    def proposal(self, q: int) -> MoveProposal:
-        swap = self.kind[q] == "swap"
-        return MoveProposal(self.game, self.kind[q], c_from=int(self.a[q]),
-                            c_to=int(self.b[q]), md_from=int(self.i[q]),
-                            md_to=int(self.j[q]) if swap else None)
-
-    def first_accept(self, state: GameState):
-        """(index of the first proposal ``evaluate_and_apply`` would
-        accept, or the block's length, and the ``dv`` of those before it).
-        Each side is valued as ``_evaluate`` values it: from the mirrored
-        sums, or, where a backhaul floor may bind, by ``_evaluate`` itself,
-        in order and only up to the first accept."""
-        mirror, swap, a, b = self.mirror, self.swap, self.a, self.b
-        cache = state.v_hrd if self.game == HRD else state.v_csd
-        v_src, ok_src, floor_src = mirror.after(
-            a, self.i, self.j, True, swap, mirror.size[a] - 1 + swap)
-        v_dst, ok_dst, floor_dst = mirror.after(
-            b, self.j, self.i, swap, True, mirror.size[b] + 1 - swap)
-        dv = (v_src + v_dst) - (cache[a] + cache[b])
-        floor = floor_src | floor_dst
-        hits = np.flatnonzero(ok_src & ok_dst & ~floor
-                              & (dv < -IMPROVE_MARGIN))
-        first = int(hits[0]) if hits.size else len(self.kind)
-        dv = dv.tolist()
-        for q in np.flatnonzero(floor[:first]).tolist():
-            prop = self.proposal(q)
-            _evaluate(state, prop)
-            if prop.feasible and prop.dv < -IMPROVE_MARGIN:
-                return q, dv
-            dv[q] = prop.dv
-        return first, dv
-
-
 def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     """At most ``t2`` proposals, stopping after ``patience`` consecutive
     rejections: each proposal is the one ``propose_move`` draws, judged as
@@ -934,43 +909,30 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     at most ``BLOCK`` proposals, which bounds the read-ahead.
     """
     stream = _ReadAhead(state.rng_hrd if game == HRD else state.rng_csd)
-    mirror = _Mirror(state, game)
+    sums = state.sums[game]
     done = rejections = 0
     while done < t2 and rejections < patience:
         limit = min(BLOCK, t2 - done, patience - rejections)
-        derived = _derive(stream.window(4 * limit + 3), mirror.size)
+        derived = _derive(stream.window(4 * limit + 3), sums.size)
         code = derived[0].tolist()
         starts = _chain(code, limit)
-        if not starts:
+        if starts:
+            _, swap, c_from, c_to, k_from, k_to = derived
+            idx = np.array(starts)
+            a, b = c_from[idx], c_to[idx]
+            block = _Block(state, game, swap[idx], a, b,
+                           sums.members[a, k_from[idx]],
+                           sums.members[b, k_to[idx]])
+            rejected = block.first_accept(state)
+            end = starts[min(rejected, len(starts) - 1)]
+            stream.skip(end + code[end])
+            accepted = _settle(state, block, rejected)
+        else:
             prop = propose_move(state, game, _lemire(stream.next_uint32))
             accepted = evaluate_and_apply(state, prop)
-        else:
-            moves = _Block(game, mirror, derived, starts)
-            first, dv = moves.first_accept(state)
-            if state.move_log is None:
-                state.proposals += first
-            else:
-                for q in range(first):
-                    state.proposals += 1
-                    state.move_log.append((state.proposals, game,
-                                           moves.kind[q], False, dv[q],
-                                           state.objective))
-            done += first
-            rejections += first
-            end = starts[min(first, len(starts) - 1)]
-            stream.skip(end + code[end])
-            if first == len(starts):
-                continue
-            prop = moves.proposal(first)
-            accepted = evaluate_and_apply(state, prop)
-            assert accepted, prop
-        done += 1
-        if accepted:
-            rejections = 0
-            mirror.sync(prop.c_from)
-            mirror.sync(prop.c_to)
-        else:
-            rejections += 1
+            rejected = int(not accepted)
+        done += rejected + accepted
+        rejections = 0 if accepted else rejections + rejected
     stream.release()
 
 

@@ -33,10 +33,6 @@ class Partition:
     csd_sbs: np.ndarray
     n_sbs: int
 
-    @property
-    def local_index(self) -> int:
-        return self.n_sbs
-
     def validate(self) -> None:
         if self.hrd_sbs.size and (self.hrd_sbs.min() < 0
                                   or self.hrd_sbs.max() >= self.n_sbs):

@@ -1,4 +1,7 @@
+import functools
+import gc
 import hashlib
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -343,7 +346,9 @@ def _check_moves_against_scratch(state, games=("hrd", "csd")):
     for game in games:
         cache = state.v_hrd if game == "hrd" else state.v_csd
         for prop in _neighbourhood(state, game):
-            src, dst = _tentative_members(state, prop)
+            src, dst = _tentative_members(
+                state.hrd_members if game == "hrd" else state.csd_members,
+                prop.c_from, prop.c_to, prop.md_from, prop.md_to)
             v_src, ok_src = coalition_value(state.costs, game, prop.c_from, src)
             v_dst, ok_dst = coalition_value(state.costs, game, prop.c_to, dst)
             dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
@@ -384,7 +389,10 @@ def test_running_sums_fall_back_where_floors_bind(monkeypatch):
     scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
     state = abcg_init(scn, demand_for(scn))
     assert state.hrd_members[12] == [11, 14]
-    assert state.sums.hrd_after(12, None, None, 2) is None
+    sums, c, dev, off = state.sums["hrd"], np.array([12]), np.array([11]), \
+        np.array([False])
+    _, _, floor = sums.after(c, dev, dev, off, off, sums.size[c])
+    assert floor.tolist() == [True]
     fallbacks = _count_floor_valuations(monkeypatch)
     _check_moves_against_scratch(state, games=("csd",))
     assert fallbacks == []
@@ -422,18 +430,40 @@ def test_running_sums_track_storage_load():
 def test_clone_keeps_its_own_running_sums():
     scn, demand, state = desk_state(seed=5)
     twin = state.clone()
-    sums = (list(twin.sums.hrd), list(twin.sums.csd))
+
+    def arrays(state):
+        return [getattr(state.sums[game], name).copy()
+                for game in ("hrd", "csd")
+                for name in ("size", "members", "sums", "ratio")]
+
+    sums = arrays(twin)
     run_coalition_game(state, "csd", t2=300)
     run_coalition_game(state, "hrd", t2=300)
     assert state.accepted_moves > 0
-    assert (twin.sums.hrd, twin.sums.csd) == sums
+    assert all(np.array_equal(x, y) for x, y in zip(arrays(twin), sums))
+    assert not all(np.array_equal(x, y) for x, y in zip(arrays(state), sums))
     twin.check()
     state.check()
-    sd, sb, miss, ratio = state.sums.hrd[0]
-    state.sums.hrd[0] = (sd + 1.0, sb, miss, ratio)
+    state.sums["hrd"].sums[0, 0] += 1.0
     with pytest.raises(AssertionError, match="running sums"):
         state.check()
     twin.check()
+
+
+def test_solved_state_is_freed_without_gc():
+    # A reference cycle through a state would keep each solve's arrays
+    # alive until the cyclic collector runs, which raises peak memory.
+    scn, demand, _ = desk_state(seed=5)
+    gc.disable()
+    try:
+        init = abcg_init(scn, demand)
+        final = run_amnd(scn, demand, init_state=init)
+        assert final.accepted_moves > 0
+        refs = [weakref.ref(init), weakref.ref(final)]
+        del init, final
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def _rebuilt_allocation(init, final):
@@ -601,6 +631,20 @@ def _scalar_random_phase(state, game, t2, patience):
             rejections += 1
 
 
+def _scalar_stabilize(state, game, sweeps):
+    """The stabilization sweep as one loop of ``_neighbourhood`` and
+    ``evaluate_and_apply``, one proposal at a time: the reference that the
+    block version must equal to the last bit.  Appends each sweep's count
+    of accepted moves to ``sweeps``."""
+    improved = True
+    while improved:
+        applied = 0
+        for prop in _neighbourhood(state, game):
+            applied += evaluate_and_apply(state, prop)
+        sweeps.append(applied)
+        improved = applied > 0
+
+
 def _solve_fingerprint(state, path):
     alloc = state.allocation
     fingerprint = [
@@ -627,6 +671,26 @@ def test_random_phase_matches_scalar_reference(log_moves, monkeypatch,
         return inner(state, game, rng)
 
     monkeypatch.setattr(association, "propose_move", counted)
+    # Kinds of the moves that the block sweep accepts.
+    swept, sweeping = set(), []
+    inner_sweep, inner_apply = (association.stabilize_partition,
+                                association.evaluate_and_apply)
+
+    def sweep(state, game):
+        sweeping.append(game)
+        try:
+            return inner_sweep(state, game)
+        finally:
+            sweeping.pop()
+
+    def apply(state, prop):
+        accepted = inner_apply(state, prop)
+        if sweeping and accepted:
+            swept.add(prop.kind)
+        return accepted
+
+    monkeypatch.setattr(association, "stabilize_partition", sweep)
+    monkeypatch.setattr(association, "evaluate_and_apply", apply)
 
     def solve(scn, demand, kw, second_round):
         init = abcg_init(scn, demand, log_moves=log_moves)
@@ -661,18 +725,24 @@ def test_random_phase_matches_scalar_reference(log_moves, monkeypatch,
                    {"t2": 77, "stabilize": False}):
             cases.append((scn, demand, kw, True))
 
-    held = []
+    held, sweeps = [], []
     for n, (scn, demand, kw, second_round) in enumerate(cases):
         block = solve(scn, demand, kw, second_round)
         assert (block.move_log is not None) == log_moves
         block = _solve_fingerprint(block, tmp_path / f"block{n}.csv")
         with monkeypatch.context() as scalar:
             scalar.setattr(association, "_random_phase", _scalar_random_phase)
+            scalar.setattr(association, "stabilize_partition",
+                           functools.partial(_scalar_stabilize,
+                                             sweeps=sweeps))
             reference = solve(scn, demand, kw, second_round)
         path = tmp_path / f"ref{n}.csv"
         assert block == _solve_fingerprint(reference, path), (n, kw)
-    # The cases reach the scalar path and a start on a held half.
+    # The cases reach the scalar path and a start on a held half; one
+    # sweep accepts several moves, and the block sweep both kinds.
     assert scalar_proposals and 1 in held
+    assert max(sweeps) >= 2
+    assert swept == {"transfer", "swap"}
 
 
 def _decode_scalar(window, lists, start):
