@@ -8,9 +8,9 @@ backhaul, edge compute), with backhaul shares clamped up to a per-device
 floor (the smallest fraction that keeps the access rate from outrunning the
 backhaul rate) and a coalition whose clamped shares overrun the budget
 declared infeasible rather than repaired.  ``coalition_value`` values one
-coalition with the kernels; it serves the state reallocation and the
-stability audit, while the coalition game values its moves from running
-sums (``association.CoalitionSums``).  ``coalition_utility`` and
+coalition with the kernels; it serves the state reallocation, while the
+coalition game and its stability audit value moves from running sums
+(``association.CoalitionSums``).  ``coalition_utility`` and
 ``allocate_hrd``/``allocate_csd`` are its public views on a device set and
 on raw cost vectors.
 

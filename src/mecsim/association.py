@@ -20,8 +20,9 @@ members' pairs by ``CoalitionSums.hrd_value``, plain Python that repeats
 the clamped closed form's arithmetic, so value and feasibility are exactly
 the kernel's.  The sums of the two touched coalitions are recomputed from
 their member lists after every accepted move, so they never drift.
-``audit_stability`` still values every move from scratch with the numpy
-kernels, which makes it an independent check on both.
+``audit_stability`` values every move with the same valuer, from running
+sums it rebuilds from the member lists, so a stale row of the state's own
+sums cannot hide an improving move from it.
 
 Moves are valued in blocks (``_Block``): arrays of transfers and swaps,
 valued elementwise by ``CoalitionSums.after`` at the current partition,
@@ -35,9 +36,9 @@ numpy's own bounded-integer algorithm (``_derive``, ``_chain``); a draw in
 Lemire's rejection branch goes through ``propose_move``, and the
 generator ends exactly where the consumed draws leave it.  The
 stabilization sweep's block is the rest of the sweep, in
-``_neighbourhood``'s order.  Proposal counts, accepted moves, move logs
-and generator states are therefore those of the one-at-a-time loops, to
-the last bit.
+``_neighbourhood``'s order, and the audit's block is all of it.  Proposal
+counts, accepted moves, move logs and generator states are therefore those
+of the one-at-a-time loops, to the last bit.
 
 The state reallocation step adopts the closed form per coalition only when
 it does not worsen the incumbent (the clamped closed form can lose to the
@@ -461,6 +462,10 @@ def _member_lists(state: GameState, game: str):
     return state.hrd_members if game == HRD else state.csd_members
 
 
+def _association(state: GameState, game: str) -> np.ndarray:
+    return state.partition.hrd_sbs if game == HRD else state.partition.csd_sbs
+
+
 def _lemire(next_uint32):
     """``draw(n)`` over a ``next_uint32()`` callable, as numpy draws
     ``Generator.integers(n)`` from its bit generator's ``next_uint32``:
@@ -544,32 +549,14 @@ def _tentative_members(lists, a: int, b: int, i: int, j: int | None):
     return src, dst
 
 
-def _score(cache: np.ndarray, a: int, b: int, src, dst):
-    """(dv, feasible) of a move between coalitions ``a`` and ``b`` from
-    the (value, feasible) pairs of its two tentative coalitions."""
-    return (src[0] + dst[0]) - (cache.item(a) + cache.item(b)), \
-        src[1] and dst[1]
-
-
 def _evaluate(state: GameState, prop: MoveProposal) -> None:
     """Value a move as a block of one."""
     swap = prop.md_to is not None
-    block = _Block(state, prop.game, np.array([swap]), np.array([prop.c_from]),
-                   np.array([prop.c_to]), np.array([prop.md_from]),
+    block = _Block(state, state.sums[prop.game], np.array([swap]),
+                   np.array([prop.c_from]), np.array([prop.c_to]),
+                   np.array([prop.md_from]),
                    np.array([prop.md_to if swap else prop.md_from]))
-    prop.dv, prop.feasible = block.value(state, 0)
-
-
-def _evaluate_exactly(state: GameState, prop: MoveProposal) -> None:
-    """Value a move from scratch with ``coalition_value``."""
-    src, dst = _tentative_members(_member_lists(state, prop.game),
-                                  prop.c_from, prop.c_to, prop.md_from,
-                                  prop.md_to)
-    cache = state.v_hrd if prop.game == HRD else state.v_csd
-    prop.dv, prop.feasible = _score(
-        cache, prop.c_from, prop.c_to,
-        coalition_value(state.costs, prop.game, prop.c_from, src),
-        coalition_value(state.costs, prop.game, prop.c_to, dst))
+    prop.dv, prop.feasible = block.value(0)
 
 
 def _write_coalition(state: GameState, game: str, c: int, members) -> float:
@@ -603,8 +590,7 @@ def evaluate_and_apply(state: GameState, prop: MoveProposal) -> bool:
                                       prop.md_from, prop.md_to)
         lists[prop.c_from] = sorted(src)
         lists[prop.c_to] = sorted(dst)
-        assoc = (state.partition.hrd_sbs if prop.game == HRD
-                 else state.partition.csd_sbs)
+        assoc = _association(state, prop.game)
         assoc[prop.md_from] = prop.c_to
         if prop.md_to is not None:
             assoc[prop.md_to] = prop.c_from
@@ -621,40 +607,35 @@ def evaluate_and_apply(state: GameState, prop: MoveProposal) -> bool:
     return accepted
 
 
-def _neighbourhood(state: GameState, game: str):
-    """Every single transfer, then every same-class swap, of one game.  The
-    association is read at each yield, so a consumer that applies a move
-    sees the next proposals drawn from the updated partition."""
-    n_dev = (state.demand.n_hrd if game == HRD else state.demand.n_csd)
-    n_coal = len(_member_lists(state, game))
-    assoc = (state.partition.hrd_sbs if game == HRD
-             else state.partition.csd_sbs)
-    for md in range(n_dev):
-        for target in range(n_coal):
-            cur = int(assoc[md])
-            if target != cur:
-                yield MoveProposal(game, "transfer", c_from=cur,
-                                   c_to=target, md_from=md)
-    for i in range(n_dev):
-        for j in range(i + 1, n_dev):
-            ci, cj = int(assoc[i]), int(assoc[j])
-            if ci != cj:
-                yield MoveProposal(game, "swap", c_from=ci, c_to=cj,
-                                   md_from=i, md_to=j)
+def _neighbourhood(n_dev: int, n_coal: int):
+    """Every single transfer, then every same-class swap, of a game with
+    ``n_dev`` devices and ``n_coal`` coalitions, as arrays ``(swap, i, j,
+    target)`` with one entry per position: transfers device-major and
+    target-minor, then swaps with ``i < j``, row-major.  ``i`` is the moving
+    device, ``j`` the device swapped with it (``i`` itself in a transfer,
+    where a block masks it out) and ``target`` a transfer's target."""
+    dev, target = np.divmod(np.arange(n_dev * n_coal), n_coal)
+    si, sj = np.triu_indices(n_dev, 1)
+    i, j = np.concatenate((dev, si)), np.concatenate((dev, sj))
+    target = np.concatenate((target, np.zeros_like(si)))
+    swap = np.arange(i.size) >= dev.size
+    return swap, i, j, target
 
 
 class _Block:
     """Proposals of one game, one per entry of the arrays ``swap`` (a swap,
     or else a transfer), ``a`` and ``b`` (the coalitions that device ``i``
     leaves and enters) and ``j`` (the device that leaves ``b`` in a swap),
-    valued together from the running sums at the current partition, each
-    with the float operations, in their order, of a block of one."""
+    valued together from the running sums ``sums`` of the state's current
+    partition, each with the float operations, in their order, of a block
+    of one."""
 
-    def __init__(self, state: GameState, game: str, swap, a, b, i, j):
-        sums = state.sums[game]
-        self.game, self.swap, self.a, self.b, self.i, self.j = \
-            game, swap, a, b, i, j
-        self.cache = state.v_hrd if game == HRD else state.v_csd
+    def __init__(self, state: GameState, sums: CoalitionSums, swap, a, b,
+                 i, j):
+        self.game, self.sums = sums.game, sums
+        self.swap, self.a, self.b, self.i, self.j = swap, a, b, i, j
+        self.lists = _member_lists(state, sums.game)
+        self.cache = state.v_hrd if sums.game == HRD else state.v_csd
         self.v_src, self.ok_src, self.floor_src = sums.after(
             a, i, j, True, swap, sums.size[a] - 1 + swap)
         self.v_dst, self.ok_dst, self.floor_dst = sums.after(
@@ -671,7 +652,7 @@ class _Block:
                             md_from=self.i.item(q),
                             md_to=self.j.item(q) if swap else None)
 
-    def value(self, state: GameState, q: int):
+    def value(self, q: int):
         """(dv, feasible) of proposal ``q``; a side where a backhaul floor
         may bind is valued by ``CoalitionSums.hrd_value`` over its
         tentative members."""
@@ -680,16 +661,16 @@ class _Block:
         dst = self.v_dst.item(q), bool(self.ok_dst[q])
         if self.floor_src[q] or self.floor_dst[q]:
             t_src, t_dst = _tentative_members(
-                state.hrd_members, a, b, self.i.item(q),
+                self.lists, a, b, self.i.item(q),
                 self.j.item(q) if self.swap[q] else None)
-            sums = state.sums[HRD]
             if self.floor_src[q]:
-                src = sums.hrd_value(a, t_src)
+                src = self.sums.hrd_value(a, t_src)
             if self.floor_dst[q]:
-                dst = sums.hrd_value(b, t_dst)
-        return _score(self.cache, a, b, src, dst)
+                dst = self.sums.hrd_value(b, t_dst)
+        return ((src[0] + dst[0]) - (self.cache.item(a) + self.cache.item(b)),
+                src[1] and dst[1])
 
-    def first_accept(self, state: GameState) -> int:
+    def first_accept(self) -> int:
         """Index of the first proposal ``evaluate_and_apply`` would accept,
         or the block's length.  Proposals with a floor-bound side are valued
         by ``value``, in order and only up to the first accept, and their
@@ -699,11 +680,27 @@ class _Block:
                               & (self.dv < -IMPROVE_MARGIN))
         first = int(hits[0]) if hits.size else len(self)
         for q in np.flatnonzero(floor[:first]).tolist():
-            dv, feasible = self.value(state, q)
+            dv, feasible = self.value(q)
             self.dv[q] = dv
             if feasible and dv < -IMPROVE_MARGIN:
                 return q
         return first
+
+
+def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood,
+                        pos: int):
+    """The ``_Block`` of the positions of ``hood`` (``_neighbourhood``'s
+    arrays) from ``pos`` on at the current partition, skipping a transfer
+    into the device's own coalition and a swap within one coalition, and
+    the positions it holds."""
+    swap, i, j, target = hood
+    assoc = _association(state, sums.game)
+    a = assoc[i[pos:]]
+    b = np.where(swap[pos:], assoc[j[pos:]], target[pos:])
+    at = np.flatnonzero(a != b)
+    rest = at + pos
+    return _Block(state, sums, swap[rest], a[at], b[at], i[rest],
+                  j[rest]), rest
 
 
 def _settle(state: GameState, block: _Block, first: int) -> bool:
@@ -731,42 +728,28 @@ def stabilize_partition(state: GameState, game: str) -> int:
     applying improvements, until one full sweep finds none.  Guarantees the
     exhaustive stability audit passes on exit.
 
-    A sweep visits the moves in ``_neighbourhood``'s order: transfers
-    device-major and target-minor, skipping the device's own coalition,
-    then swaps with ``i < j``, row-major, skipping pairs in one coalition.
-    Between two accepts the partition is fixed, so the rest of the sweep is
-    one ``_Block``; its first accept is applied through
-    ``evaluate_and_apply``, and the sweep resumes at the next position.
+    A sweep visits the moves in ``_neighbourhood``'s order.  Between two
+    accepts the partition is fixed, so the rest of the sweep is one
+    ``_Block`` (``_neighbourhood_block``); its first accept is applied
+    through ``evaluate_and_apply``, and the sweep resumes at the next
+    position.
     """
-    assoc = (state.partition.hrd_sbs if game == HRD
-             else state.partition.csd_sbs)
-    n_dev, n_coal = assoc.size, len(_member_lists(state, game))
-    # Per position: the moving device i, the device j swapped with it (i
-    # itself in a transfer, where the block masks it out) and a transfer's
-    # target.
-    dev, target = np.divmod(np.arange(n_dev * n_coal), n_coal)
-    si, sj = np.triu_indices(n_dev, 1)
-    i, j = np.concatenate((dev, si)), np.concatenate((dev, sj))
-    target = np.concatenate((target, np.zeros_like(si)))
-    swap = np.arange(i.size) >= dev.size
+    sums = state.sums[game]
+    hood = _neighbourhood(_association(state, game).size,
+                          len(_member_lists(state, game)))
     applied = 0
     improved = True
     while improved:
         improved = False
         pos = 0
-        while pos < i.size:
-            a = assoc[i[pos:]]
-            b = np.where(swap[pos:], assoc[j[pos:]], target[pos:])
-            at = np.flatnonzero(a != b)
-            rest = at + pos
-            block = _Block(state, game, swap[rest], a[at], b[at], i[rest],
-                           j[rest])
-            first = block.first_accept(state)
+        while pos < hood[0].size:
+            block, at = _neighbourhood_block(state, sums, hood, pos)
+            first = block.first_accept()
             if not _settle(state, block, first):
                 break
             improved = True
             applied += 1
-            pos = rest[first] + 1
+            pos = at[first] + 1
     return applied
 
 
@@ -920,10 +903,10 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
             _, swap, c_from, c_to, k_from, k_to = derived
             idx = np.array(starts)
             a, b = c_from[idx], c_to[idx]
-            block = _Block(state, game, swap[idx], a, b,
+            block = _Block(state, sums, swap[idx], a, b,
                            sums.members[a, k_from[idx]],
                            sums.members[b, k_to[idx]])
-            rejected = block.first_accept(state)
+            rejected = block.first_accept()
             end = starts[min(rejected, len(starts) - 1)]
             stream.skip(end + code[end])
             accepted = _settle(state, block, rejected)
@@ -994,15 +977,26 @@ def run_amnd(scenario: Scenario, demand: DemandProfile, *,
     return state
 
 
-def audit_stability(state: GameState, margin: float = IMPROVE_MARGIN) -> list:
-    """Exhaustively enumerate single transfers and same-class swaps; returns
-    the feasible strictly-improving moves (empty list == Nash-stable)."""
+def audit_stability(state: GameState) -> list:
+    """Every single transfer and same-class swap of the HRD game, then of the
+    CSD game, valued as one ``_Block`` per game from running sums rebuilt
+    from the member lists, never from ``state.sums``; returns the feasible
+    moves that improve by more than ``IMPROVE_MARGIN``, in ``_neighbourhood``
+    order (empty list == Nash-stable)."""
     found = []
     for game in (HRD, CSD):
-        for prop in _neighbourhood(state, game):
-            _evaluate_exactly(state, prop)
-            if prop.feasible and prop.dv < -margin:
-                found.append(prop)
+        lists = _member_lists(state, game)
+        block, _ = _neighbourhood_block(
+            state, CoalitionSums(state.costs, game, lists),
+            _neighbourhood(_association(state, game).size, len(lists)), 0)
+        feasible = block.ok_src & block.ok_dst
+        for q in np.flatnonzero(block.floor_src | block.floor_dst).tolist():
+            block.dv[q], feasible[q] = block.value(q)
+        for q in np.flatnonzero(feasible
+                                & (block.dv < -IMPROVE_MARGIN)).tolist():
+            prop = block.proposal(q)
+            prop.dv, prop.feasible = block.dv.item(q), True
+            found.append(prop)
     return found
 
 

@@ -167,7 +167,7 @@ def test_criterion_4_nash_stability(dominance_batch):
     total_moves = 0
     for _, _, _, final, _ in runs[:20]:
         final.check(tol=1e-9)
-        moves = audit_stability(final, margin=1e-12)
+        moves = audit_stability(final)
         total_moves += len(moves)
     ok = total_moves == 0
     _verdict(4, "exhaustive stability audit", ok,

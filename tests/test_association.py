@@ -10,10 +10,11 @@ import pytest
 from mecsim import association
 from mecsim._kernels import IDLE_FRAC, member_pairs
 from mecsim.allocation import coalition_value
-from mecsim.association import (MASK32, MoveProposal, _derive, _evaluate,
-                                _lemire, _neighbourhood, _ReadAhead,
-                                _tentative_members, abcg_init, audit_stability,
-                                bounded_draws, evaluate_and_apply,
+from mecsim.association import (IMPROVE_MARGIN, MASK32, MoveProposal,
+                                _derive, _evaluate, _lemire, _neighbourhood,
+                                _ReadAhead, _tentative_members, abcg_init,
+                                audit_stability, bounded_draws,
+                                evaluate_and_apply,
                                 propose_move, reallocate, run_amnd,
                                 run_coalition_game, write_move_log)
 from mecsim.content import Catalog, DemandProfile
@@ -338,6 +339,23 @@ def desk_runs():
     return runs
 
 
+def _moves(state, game):
+    """The moves of ``_neighbourhood``'s arrays, one at a time.  The
+    association is read at each yield, so a consumer that applies a move
+    sees the next moves drawn from the updated partition."""
+    assoc = (state.partition.hrd_sbs if game == "hrd"
+             else state.partition.csd_sbs)
+    n_coal = len(state.hrd_members if game == "hrd" else state.csd_members)
+    for swap, i, j, target in zip(*(a.tolist() for a in
+                                    _neighbourhood(assoc.size, n_coal))):
+        a = int(assoc[i])
+        b = int(assoc[j]) if swap else target
+        if a != b:
+            yield MoveProposal(game, "swap" if swap else "transfer",
+                               c_from=a, c_to=b, md_from=i,
+                               md_to=j if swap else None)
+
+
 def _check_moves_against_scratch(state, games=("hrd", "csd")):
     """Every move of ``games``, valued from the running sums, against the
     from-scratch valuation of its two tentative coalitions.  Returns the
@@ -345,7 +363,7 @@ def _check_moves_against_scratch(state, games=("hrd", "csd")):
     infeasible = {"hrd": 0, "csd": 0}
     for game in games:
         cache = state.v_hrd if game == "hrd" else state.v_csd
-        for prop in _neighbourhood(state, game):
+        for prop in _moves(state, game):
             src, dst = _tentative_members(
                 state.hrd_members if game == "hrd" else state.csd_members,
                 prop.c_from, prop.c_to, prop.md_from, prop.md_to)
@@ -615,6 +633,95 @@ def test_desk_solves_are_nash_stable(desk_runs):
         assert audit_stability(final) == [], seed
 
 
+def _scratch_audit(state):
+    """The stability audit with every move of both games enumerated in
+    nested loops and valued from scratch, one ``coalition_value`` per
+    tentative coalition: the reference that ``audit_stability`` must
+    match."""
+    found = []
+    for game in ("hrd", "csd"):
+        lists = state.hrd_members if game == "hrd" else state.csd_members
+        assoc = (state.partition.hrd_sbs if game == "hrd"
+                 else state.partition.csd_sbs)
+        cache = state.v_hrd if game == "hrd" else state.v_csd
+        props = [MoveProposal(game, "transfer", c_from=int(assoc[md]),
+                              c_to=target, md_from=md)
+                 for md in range(assoc.size) for target in range(len(lists))
+                 if target != assoc[md]]
+        props += [MoveProposal(game, "swap", c_from=int(assoc[i]),
+                               c_to=int(assoc[j]), md_from=i, md_to=j)
+                  for i in range(assoc.size) for j in range(i + 1, assoc.size)
+                  if assoc[i] != assoc[j]]
+        for prop in props:
+            src, dst = _tentative_members(lists, prop.c_from, prop.c_to,
+                                          prop.md_from, prop.md_to)
+            v_src, ok_src = coalition_value(state.costs, game, prop.c_from,
+                                            src)
+            v_dst, ok_dst = coalition_value(state.costs, game, prop.c_to, dst)
+            prop.dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
+            if ok_src and ok_dst and prop.dv < -IMPROVE_MARGIN:
+                found.append(prop)
+    return found
+
+
+def _move_key(prop):
+    return prop.game, prop.kind, prop.c_from, prop.c_to, prop.md_from, \
+        prop.md_to
+
+
+def test_audit_matches_scratch_reference(monkeypatch, desk_runs,
+                                         multi_request_run):
+    states = [init for init, _ in desk_runs]
+    states += [run_amnd(init.scenario, init.demand, t2=50, stabilize=False,
+                        init_state=init) for init, _ in desk_runs[:10]]
+    # Default workload, seed 1: ABCG puts HRDs 11 and 14 at SBS 12, where a
+    # backhaul floor binds.
+    scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
+    states.append(abcg_init(scn, demand_for(scn)))
+    assert states[-1].hrd_members[12] == [11, 14]
+    states.append(multi_request_run[0])
+    fallbacks = _count_floor_valuations(monkeypatch)
+    found = 0
+    for n, state in enumerate(states):
+        moves, reference = audit_stability(state), _scratch_audit(state)
+        assert [_move_key(p) for p in moves] == \
+            [_move_key(p) for p in reference], n
+        for got, ref in zip(moves, reference):
+            assert got.feasible is True
+            assert abs(got.dv - ref.dv) <= 1e-12 * abs(ref.dv), (n, got, ref)
+        found += len(moves)
+    assert found
+    assert 12 in [c for c, _ in fallbacks]
+
+
+def test_audit_ignores_the_state_running_sums(desk_runs):
+    state = desk_runs[1][0].clone()
+
+    def snapshot():
+        alloc = state.allocation
+        return ([state.v_hrd.tobytes(), state.v_csd.tobytes(),
+                 repr(state.objective), alloc.alpha.tobytes(),
+                 alloc.gamma.tobytes(), alloc.beta.tobytes(),
+                 alloc.eta.tobytes(), state.partition.hrd_sbs.tobytes(),
+                 state.partition.csd_sbs.tobytes(), state.hrd_members,
+                 state.csd_members, state.rng_hrd.bit_generator.state,
+                 state.rng_csd.bit_generator.state]
+                + [getattr(state.sums[game], name).tobytes()
+                   for game in ("hrd", "csd")
+                   for name in ("size", "members", "sums", "ratio")])
+
+    before = snapshot()
+    moves = audit_stability(state)
+    assert moves
+    assert snapshot() == before
+    for game in ("hrd", "csd"):
+        c = state.sums[game].size.argmax()
+        state.sums[game].sums[c] *= 0.5
+    with pytest.raises(AssertionError, match="running sums"):
+        state.check()
+    assert audit_stability(state) == moves
+
+
 def _scalar_random_phase(state, game, t2, patience):
     """The random phase as one loop of ``propose_move`` and
     ``evaluate_and_apply``, one proposal at a time: the reference that the
@@ -632,14 +739,14 @@ def _scalar_random_phase(state, game, t2, patience):
 
 
 def _scalar_stabilize(state, game, sweeps):
-    """The stabilization sweep as one loop of ``_neighbourhood`` and
+    """The stabilization sweep as one loop of ``_moves`` and
     ``evaluate_and_apply``, one proposal at a time: the reference that the
     block version must equal to the last bit.  Appends each sweep's count
     of accepted moves to ``sweeps``."""
     improved = True
     while improved:
         applied = 0
-        for prop in _neighbourhood(state, game):
+        for prop in _moves(state, game):
             applied += evaluate_and_apply(state, prop)
         sweeps.append(applied)
         improved = applied > 0

@@ -196,6 +196,14 @@ def test_cli_audit_small_instance(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "audit: CLEAN" in out
 
+
+def test_cli_audit_counts_remaining_moves(capsys):
+    # Without the stabilization sweep the random phase leaves improving
+    # moves, and every one of them counts as a failure.
+    assert main(["audit", "--seed", "3", "--no-stabilize"]) == 2
+    assert "stability audit: 8 improving move(s) remain\n" in \
+        capsys.readouterr().out
+
 def test_cli_run_row_matches_the_sweep_row(tmp_path, capsys):
     # ``mecsim run`` builds its instance through the sweep's path, so its
     # default scenario flags reproduce the sweep's AMND row to the byte.
