@@ -9,9 +9,9 @@ sweep/CSV experiment harness.
 """
 
 from ._kernels import IDLE_FRAC, USING_NUMBA
-from .allocation import (CoalitionCosts, CoalitionEval, allocate_csd,
-                         allocate_hrd, build_costs, coalition_utility,
-                         oracle_simplex_min, oracle_solve_p3)
+from .allocation import (CoalitionCosts, allocate_csd, allocate_hrd,
+                         build_costs, coalition_value, oracle_simplex_min,
+                         oracle_solve_p3)
 from .association import (GameState, MoveProposal, abcg_init, audit_stability,
                           evaluate_and_apply, propose_move, run_amnd,
                           run_coalition_game)

@@ -7,19 +7,19 @@ in ``_kernels``: square-root shares per resource block (uplink, downlink,
 backhaul, edge compute), with backhaul shares clamped up to a per-device
 floor (the smallest fraction that keeps the access rate from outrunning the
 backhaul rate) and a coalition whose clamped shares overrun the budget
-declared infeasible rather than repaired.  ``coalition_value`` values one
-coalition with the kernels; it serves the state reallocation, while the
-coalition game and its stability audit value moves from running sums
-(``association.CoalitionSums``).  ``coalition_utility`` and
-``allocate_hrd``/``allocate_csd`` are its public views on a device set and
-on raw cost vectors.
+declared infeasible rather than repaired.  ``coalition_value`` is the one
+evaluator of a member set: it values one coalition with the kernels and
+serves the state reallocation, while the coalition game and its stability
+audit value moves from running sums (``association.CoalitionSums``).
+``allocate_hrd``/``allocate_csd`` are the same closed form on raw cost
+vectors.
 
 ``oracle_simplex_min`` solves the same block numerically (bisection on the
 budget multiplier with box clamps) and is the independent check used by the
 test suite and the audit CLI.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .scenario import Scenario
 
 HRD = "hrd"
 CSD = "csd"
-LOCAL = "local"   # virtual coalition tag for coalition_utility
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,8 @@ class CoalitionCosts:
     ``*_cost`` entries are full-share weighted delays: the delay a slot
     would incur if granted the entire block (fraction 1).  Request pairs are
     flattened row-major per device; device k owns pairs
-    ``pair_off[k] .. pair_off[k] + pair_cnt[k]``.
+    ``pair_off[k] .. pair_off[k] + pair_cnt[k]``.  ``pair_rows`` holds the
+    HRD kernels' per-SBS pair rows, built on first use (``_kernels``).
     """
 
     pair_k: np.ndarray      # (P,)
@@ -69,6 +69,10 @@ class CoalitionCosts:
     n_sbs: int
     n_hrd: int
     n_csd: int
+    pair_rows: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pair_rows", [None] * self.n_sbs)
 
 
 def _per_device(ufunc, pair_values, pair_k, n_hrd):
@@ -148,23 +152,12 @@ def allocate_hrd(dl_cost, bh_cost, cached, eta_floor):
     """
     sd = np.sqrt(np.asarray(dl_cost, dtype=float))
     miss = ~np.asarray(cached, dtype=bool)
+    sb = np.sqrt(np.asarray(bh_cost, dtype=float)[miss])
+    floor = np.asarray(eta_floor, dtype=float)[miss]
     eta = np.full(sd.shape, IDLE_FRAC)
     eta[miss], _, feasible = hrd_closed_form(
-        sd, np.sqrt(np.asarray(bh_cost, dtype=float)[miss]),
-        np.asarray(eta_floor, dtype=float)[miss])
+        sd.tolist(), list(zip(sb.tolist(), floor.tolist())))
     return shares(sd), eta, feasible
-
-
-@dataclass
-class CoalitionEval:
-    """Outcome of allocating one candidate coalition.
-
-    ``value`` is the members' total weighted delay under the produced
-    allocation; infeasibility is a value here, not an error.
-    """
-
-    value: float
-    feasible: bool
 
 
 def coalition_value(costs: CoalitionCosts, game: str, c: int, members):
@@ -183,28 +176,6 @@ def coalition_value(costs: CoalitionCosts, game: str, c: int, members):
     kernel = _kernels.hrd_value if game == HRD else _kernels.csd_value
     value, ok = kernel(costs, c, arr)
     return float(value), bool(ok)
-
-
-def coalition_utility(scenario: Scenario, demand: DemandProfile, coalition,
-                      kind: str, *, table: RateTable | None = None,
-                      costs: CoalitionCosts | None = None,
-                      n: int | None = None) -> CoalitionEval:
-    """Value and feasibility of a (possibly tentative) coalition at SBS n.
-
-    ``coalition`` is an iterable of device indices; ``kind`` is "hrd",
-    "csd", or "local" for the virtual coalition of locally-computing
-    devices (always feasible).  Non-virtual coalitions need ``n``.
-    """
-    if costs is None:
-        costs = build_costs(scenario, demand, table)
-    if kind == LOCAL:
-        kind, n = CSD, costs.n_sbs
-    elif kind not in (HRD, CSD):
-        raise ValueError(f"unknown coalition kind {kind!r}")
-    elif n is None:
-        raise ValueError("SBS index required for non-virtual coalitions")
-    value, ok = coalition_value(costs, kind, int(n), sorted(coalition))
-    return CoalitionEval(value, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +212,10 @@ def equal_share_hrd(costs: CoalitionCosts, n: int, members):
 # Independent numerical oracle.
 # ---------------------------------------------------------------------------
 
-def oracle_simplex_min(cost, lo, hi, tol: float = 1e-10, max_iter: int = 240):
+ORACLE_MAX_ITER = 240   # bisection steps of ``oracle_simplex_min``
+
+
+def oracle_simplex_min(cost, lo, hi, tol: float = 1e-10):
     """Minimize sum(cost/f) s.t. sum(f) <= 1, lo <= f <= hi, numerically.
 
     Stationarity makes every coordinate ``clip(sqrt(cost/nu), lo, hi)`` for a
@@ -275,7 +249,7 @@ def oracle_simplex_min(cost, lo, hi, tol: float = 1e-10, max_iter: int = 240):
 
     nu = nu_hi
     residual = budget(nu) - 1.0
-    for _ in range(max_iter):
+    for _ in range(ORACLE_MAX_ITER):
         nu = 0.5 * (nu_lo + nu_hi)
         residual = budget(nu) - 1.0
         if abs(residual) <= tol:
@@ -294,8 +268,7 @@ def oracle_simplex_min(cost, lo, hi, tol: float = 1e-10, max_iter: int = 240):
     return f, float((cost / f).sum())
 
 
-def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str,
-                    tol: float = 1e-10):
+def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str):
     """Numerically optimal per-block fractions for one coalition at SBS n.
 
     Returns a dict: for "hrd" kind, pair indices plus beta/eta arrays and the
@@ -309,9 +282,9 @@ def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str,
             return {"alpha": np.empty(0), "gamma": np.empty(0),
                     "objective": 0.0, "feasible": True}
         alpha, v_ul = oracle_simplex_min(
-            costs.ul_cost[n, members], IDLE_FRAC, 1.0, tol)
+            costs.ul_cost[n, members], IDLE_FRAC, 1.0)
         gamma, v_ed = oracle_simplex_min(
-            costs.ed_cost[n, members], IDLE_FRAC, 1.0, tol)
+            costs.ed_cost[n, members], IDLE_FRAC, 1.0)
         spare_ok = costs.task_bytes[members].sum() <= costs.spare_bytes[n] + 1e-6
         return {"alpha": alpha, "gamma": gamma, "objective": v_ul + v_ed,
                 "feasible": bool(spare_ok)}
@@ -321,7 +294,7 @@ def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str,
         return {"pairs": np.empty(0, np.int64), "beta": np.empty(0),
                 "eta": np.empty(0), "objective": 0.0, "feasible": True}
     idx, ks = member_pairs(costs, members)
-    beta, v_dl = oracle_simplex_min(costs.dl_cost[n, idx], IDLE_FRAC, 1.0, tol)
+    beta, v_dl = oracle_simplex_min(costs.dl_cost[n, idx], IDLE_FRAC, 1.0)
     eta = np.full(idx.shape, IDLE_FRAC)
     v_bh = 0.0
     feasible = True
@@ -332,7 +305,7 @@ def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str,
             feasible = False
         else:
             eta_m, v_bh = oracle_simplex_min(
-                costs.bh_cost[n, idx[miss]], floors, 1.0, tol)
+                costs.bh_cost[n, idx[miss]], floors, 1.0)
             eta[miss] = eta_m
     return {"pairs": idx, "beta": beta, "eta": eta,
             "objective": v_dl + v_bh, "feasible": feasible}

@@ -16,13 +16,13 @@ and an HRD coalition ``sd**2 + sb**2`` (root downlink costs of all pairs,
 root backhaul costs of the missed pairs) as long as no backhaul floor
 binds.  A floor binds when its device's floor/root-cost ratio times ``sb``
 exceeds 1; where that may happen, the side is valued over its tentative
-members' pairs by ``CoalitionSums.hrd_value``, plain Python that repeats
-the clamped closed form's arithmetic, so value and feasibility are exactly
-the kernel's.  The sums of the two touched coalitions are recomputed from
-their member lists after every accepted move, so they never drift.
-``audit_stability`` values every move with the same valuer, from running
-sums it rebuilds from the member lists, so a stale row of the state's own
-sums cannot hide an improving move from it.
+members' pairs by ``_kernels.hrd_value``, the clamped closed form that the
+write path installs, so value and feasibility are exactly those of the
+installed allocation.  The sums of the two touched coalitions are
+recomputed from their member lists after every accepted move, so they never
+drift.  ``audit_stability`` values every move with the same valuer, from
+running sums it rebuilds from the member lists, so a stale row of the
+state's own sums cannot hide an improving move from it.
 
 Moves are valued in blocks (``_Block``): arrays of transfers and swaps,
 valued elementwise by ``CoalitionSums.after`` at the current partition,
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import FEAS_TOL, IDLE_FRAC, member_pairs
+from ._kernels import IDLE_FRAC, hrd_value, member_pairs
 from .allocation import (CSD, HRD, CoalitionCosts, build_costs,
                          coalition_value, equal_share_hrd)
 from .content import DemandProfile
@@ -101,17 +101,6 @@ class MoveProposal:
     feasible: bool | None = None
 
 
-def _sum(values) -> float:
-    """``float(np.sum(values))`` to the last bit.  numpy adds fewer than
-    eight terms left to right, so a short list needs no array."""
-    if len(values) >= 8:
-        return float(np.sum(values))
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 class CoalitionSums:
     """Running sums of one game's closed form, one row per coalition.
 
@@ -125,8 +114,8 @@ class CoalitionSums:
     its root uplink and compute costs and its stored task bytes, or, in row
     ``n_sbs`` (the virtual local coalition), its local delays.  Stored sums
     change only through ``refresh``, which recomputes a row from a member
-    list.  ``after`` values coalitions after one move, elementwise;
-    ``hrd_value`` values an HRD coalition where a floor may bind.
+    list.  ``after`` values coalitions after one move, elementwise, and
+    marks the HRD sides where a floor may bind.
     """
 
     def __init__(self, costs: CoalitionCosts, game: str, lists):
@@ -134,10 +123,6 @@ class CoalitionSums:
         n_coal = len(lists)
         if game == HRD:
             terms = (costs.dev_sqrt_dl, costs.dev_sqrt_bh, costs.dev_miss)
-            # Per-SBS pair rows of ``hrd_value``, built on first use: most
-            # SBSs never see a binding floor.  They depend on ``costs``
-            # alone, so copies share them.
-            self._pairs = [None] * self.n_sbs
         else:
             pad = np.zeros((1, costs.n_csd))
             terms = (np.vstack((costs.sqrt_ul, pad)),
@@ -197,7 +182,7 @@ class CoalitionSums:
         leave where ``out_on`` and ``inn`` enter where ``inn_on`` (``True``
         for all), holding ``size`` members.  ``floor`` marks HRD sides where
         a backhaul floor may bind (``ratio * sb > 1``); their value is left
-        to ``hrd_value``."""
+        to ``_kernels.hrd_value``."""
         x = self.sums[c]
         new = x - self.terms[c, out]
         x = new if out_on is True else np.where(out_on[:, None], new, x)
@@ -220,39 +205,6 @@ class CoalitionSums:
         feasible = is_local | (load <= self.room[c]) | empty
         return np.where(empty, 0.0, value), feasible, np.zeros_like(empty)
 
-    def _pair_row(self, c: int) -> list:
-        """Per device at SBS ``c``: the root downlink costs of its pairs and
-        the (root backhaul cost, floor) of its missed pairs."""
-        costs = self.costs
-        dl, bh = costs.sqrt_dl[c].tolist(), costs.sqrt_bh[c].tolist()
-        hits, floor = costs.cached[c].tolist(), costs.eta_min[c].tolist()
-        starts = costs.pair_off.tolist()
-        ends = (costs.pair_off + costs.pair_cnt).tolist()
-        return [(dl[a:b], [(s, floor[k]) for s, hit in zip(bh[a:b], hits[a:b])
-                           if not hit])
-                for k, (a, b) in enumerate(zip(starts, ends))]
-
-    def hrd_value(self, c: int, members):
-        """(value, feasible) of HRD coalition ``c`` holding ``members``:
-        ``_kernels.hrd_closed_form`` in plain Python, summed in the kernel's
-        order, so both agree to the last bit."""
-        pairs = self._pairs[c]
-        if pairs is None:
-            pairs = self._pairs[c] = self._pair_row(c)
-        dl, bh = [], []
-        for k in members:
-            d, b = pairs[k]
-            dl += d
-            bh += b
-        value = _sum(dl) ** 2
-        if not bh:
-            return value, True
-        sb = _sum([s for s, _ in bh])
-        eta = [min(1.0, max(floor, s / sb)) for s, floor in bh]
-        value += _sum([s * s / e for (s, _), e in zip(bh, eta)])
-        return value, not (any(floor > 1.0 for _, floor in bh)
-                           or _sum(eta) > 1.0 + FEAS_TOL)
-
 
 @dataclass
 class GameState:
@@ -269,7 +221,6 @@ class GameState:
     v_hrd: np.ndarray          # (n_sbs,) cached coalition utilities
     v_csd: np.ndarray          # (n_sbs + 1,)
     objective: float
-    game_seed: int
     rng_hrd: np.random.Generator
     rng_csd: np.random.Generator
     sums: dict                 # game -> CoalitionSums
@@ -284,8 +235,8 @@ class GameState:
         return self.partition.n_sbs
 
     def clone(self) -> "GameState":
-        """Independent copy; game rngs restart from the stored seed."""
-        rng_csd, rng_hrd = _game_rngs(self.game_seed)
+        """Independent copy; game rngs restart from the scenario's seed."""
+        rng_csd, rng_hrd = _game_rngs(self.scenario.params.seed)
         return GameState(
             scenario=self.scenario, demand=self.demand, table=self.table,
             costs=self.costs, partition=self.partition.copy(),
@@ -293,8 +244,7 @@ class GameState:
             hrd_members=[list(c) for c in self.hrd_members],
             csd_members=[list(c) for c in self.csd_members],
             v_hrd=self.v_hrd.copy(), v_csd=self.v_csd.copy(),
-            objective=self.objective, game_seed=self.game_seed,
-            rng_hrd=rng_hrd, rng_csd=rng_csd,
+            objective=self.objective, rng_hrd=rng_hrd, rng_csd=rng_csd,
             sums={game: sums.copy() for game, sums in self.sums.items()},
             fallback_hrds=list(self.fallback_hrds), trace=list(self.trace),
             accepted_moves=self.accepted_moves, proposals=self.proposals,
@@ -350,9 +300,6 @@ def _game_rngs(seed: int):
 
 def abcg_init(scenario: Scenario, demand: DemandProfile, *,
               table: RateTable | None = None,
-              costs: CoalitionCosts | None = None,
-              local_rule: str = "offload_if_faster",
-              seed: int | None = None,
               log_moves: bool = False) -> GameState:
     """Association by best channel gain with equal resource shares.
 
@@ -363,15 +310,11 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
     fraction capped so the rate ordering still holds.  Computation devices
     pick the strongest gain, then drop to local execution when offloading
     under the equal split is slower or the task input would not fit in
-    storage (``local_rule="local_if_slower_and_fits"`` selects the reading
-    where a storage overrun keeps the device at the edge instead).
+    storage.  The game generators are seeded from the scenario's seed.
     """
-    if local_rule not in ("offload_if_faster", "local_if_slower_and_fits"):
-        raise ValueError(f"unknown local_rule {local_rule!r}")
     if table is None:
         table = build_rate_table(scenario)
-    if costs is None:
-        costs = build_costs(scenario, demand, table)
+    costs = build_costs(scenario, demand, table)
     n_sbs = scenario.n_sbs
     if n_sbs < 1:
         raise ValueError("no SBS to associate with")
@@ -406,11 +349,7 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
         t_lc = demand.task_cycles[k] / demand.local_cps[k]
         fits = (used_bytes[n] + costs.task_bytes[k]
                 <= costs.spare_bytes[n] + _kernels.BYTES_TOL)
-        if local_rule == "offload_if_faster":
-            go_local = t_off > t_lc or not fits
-        else:
-            go_local = t_off > t_lc and fits
-        if go_local:
+        if t_off > t_lc or not fits:
             csd_sbs[k] = n_sbs
         else:
             used_bytes[n] += costs.task_bytes[k]
@@ -438,15 +377,14 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
                               + costs.ed_cost[n, members].sum()) / share)
     v_csd[n_sbs] = float(costs.local_delay_w[csd_members[n_sbs]].sum())
 
-    game_seed = scenario.params.seed if seed is None else seed
-    rng_csd, rng_hrd = _game_rngs(game_seed)
+    rng_csd, rng_hrd = _game_rngs(scenario.params.seed)
     total = float(v_hrd.sum() + v_csd.sum())
     return GameState(
         scenario=scenario, demand=demand, table=table, costs=costs,
         partition=partition, allocation=allocation,
         hrd_members=hrd_members, csd_members=csd_members,
         v_hrd=v_hrd, v_csd=v_csd, objective=total,
-        game_seed=game_seed, rng_hrd=rng_hrd, rng_csd=rng_csd,
+        rng_hrd=rng_hrd, rng_csd=rng_csd,
         sums={HRD: CoalitionSums(costs, HRD, hrd_members),
               CSD: CoalitionSums(costs, CSD, csd_members)},
         fallback_hrds=fallback, trace=[total],
@@ -654,8 +592,8 @@ class _Block:
 
     def value(self, q: int):
         """(dv, feasible) of proposal ``q``; a side where a backhaul floor
-        may bind is valued by ``CoalitionSums.hrd_value`` over its
-        tentative members."""
+        may bind is valued by ``_kernels.hrd_value`` over its tentative
+        members."""
         a, b = self.a.item(q), self.b.item(q)
         src = self.v_src.item(q), bool(self.ok_src[q])
         dst = self.v_dst.item(q), bool(self.ok_dst[q])
@@ -664,9 +602,9 @@ class _Block:
                 self.lists, a, b, self.i.item(q),
                 self.j.item(q) if self.swap[q] else None)
             if self.floor_src[q]:
-                src = self.sums.hrd_value(a, t_src)
+                src = hrd_value(self.sums.costs, a, t_src)
             if self.floor_dst[q]:
-                dst = self.sums.hrd_value(b, t_dst)
+                dst = hrd_value(self.sums.costs, b, t_dst)
         return ((src[0] + dst[0]) - (self.cache.item(a) + self.cache.item(b)),
                 src[1] and dst[1])
 
@@ -952,9 +890,7 @@ def reallocate(state: GameState) -> None:
 
 def run_amnd(scenario: Scenario, demand: DemandProfile, *,
              t2: int | None = None, patience: int | None = None,
-             stabilize: bool = True, table: RateTable | None = None,
-             costs: CoalitionCosts | None = None, seed: int | None = None,
-             local_rule: str = "offload_if_faster", log_moves: bool = False,
+             stabilize: bool = True, log_moves: bool = False,
              init_state: GameState | None = None) -> GameState:
     """Best-gain init (or a clone of ``init_state``), then the
     computation-device game, the high-rate-device game and the guarded
@@ -963,9 +899,7 @@ def run_amnd(scenario: Scenario, demand: DemandProfile, *,
     if init_state is not None:
         state = init_state.clone()
     else:
-        state = abcg_init(scenario, demand, table=table, costs=costs,
-                          local_rule=local_rule, seed=seed,
-                          log_moves=log_moves)
+        state = abcg_init(scenario, demand, log_moves=log_moves)
     if t2 is None:
         t2 = default_game_iters(state.demand.n_hrd, state.demand.n_csd)
     run_coalition_game(state, CSD, t2, patience, stabilize=stabilize)

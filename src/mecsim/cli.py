@@ -80,9 +80,6 @@ def _add_game_args(p):
                    help="consecutive rejections before early stop (0 = default)")
     p.add_argument("--no-stabilize", action="store_true",
                    help="skip the deterministic stabilization sweep")
-    p.add_argument("--local-rule",
-                   choices=["offload_if_faster", "local_if_slower_and_fits"],
-                   default="offload_if_faster")
 
 
 def _scenario_from_args(args):
@@ -132,12 +129,10 @@ def _cmd_run(args):
     t2 = args.t2 if args.t2 > 0 else None
     patience = args.patience if args.patience > 0 else None
     if args.algorithm == "abcg":
-        state = abcg_init(scenario, demand, local_rule=args.local_rule,
-                          log_moves=bool(args.move_log))
+        state = abcg_init(scenario, demand, log_moves=bool(args.move_log))
     else:
         state = run_amnd(scenario, demand, t2=t2, patience=patience,
                          stabilize=not args.no_stabilize,
-                         local_rule=args.local_rule,
                          log_moves=bool(args.move_log))
         print("objective trace:",
               " ".join(f"{v:.6f}" for v in state.trace))
@@ -194,7 +189,7 @@ def _cmd_audit(args):
     patience = args.patience if args.patience > 0 else None
     failures = 0
 
-    state0 = abcg_init(scenario, demand, local_rule=args.local_rule)
+    state0 = abcg_init(scenario, demand)
     bad = audit_constraints(scenario, demand, state0.partition,
                             state0.allocation, state0.table)
     print(f"constraints at init state: {len(bad)} violation(s)")
@@ -203,8 +198,7 @@ def _cmd_audit(args):
         print(f"  {line}")
 
     final = run_amnd(scenario, demand, t2=t2, patience=patience,
-                     stabilize=not args.no_stabilize,
-                     local_rule=args.local_rule, init_state=state0)
+                     stabilize=not args.no_stabilize, init_state=state0)
     bad = audit_constraints(scenario, demand, final.partition,
                             final.allocation, final.table)
     print(f"constraints at final state: {len(bad)} violation(s)")

@@ -175,15 +175,14 @@ def _check_active_fractions(partition, allocation, demand, pair_k, pair_i):
 
 
 def objective(scenario: Scenario, demand: DemandProfile, partition: Partition,
-              allocation: Allocation, table: RateTable | None = None,
-              validate: bool = True) -> DelayReport:
+              allocation: Allocation, table: RateTable | None = None
+              ) -> DelayReport:
     """Evaluate all delay components and the weighted objective F."""
     if table is None:
         table = build_rate_table(scenario)
     partition.validate()
     pair_k, pair_i = request_pairs(demand)
-    if validate:
-        _check_active_fractions(partition, allocation, demand, pair_k, pair_i)
+    _check_active_fractions(partition, allocation, demand, pair_k, pair_i)
 
     size_bits = demand.catalog.file_size_bytes * BITS_PER_BYTE
     n_arr = partition.hrd_sbs[pair_k]

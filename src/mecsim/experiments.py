@@ -302,18 +302,22 @@ def seed_average(rows, metric: str, *, algorithm: str = "AMND",
     return np.array(xs), np.array([np.mean(groups[x]) for x in xs])
 
 
+TREND_RHO_MIN = 0.8      # |Spearman rho| a monotone trend must reach
+TREND_MIN_POINTS = 5     # grid points a trend check needs
+
+
 def trend_check(rows, metric: str, shape: str, *, algorithm: str = "AMND",
-                delta: float | None = None, rho_min: float = 0.8,
-                min_points: int = 5) -> TrendResult:
+                delta: float | None = None) -> TrendResult:
     """Shape test on the seed-averaged metric along the sweep axis.
 
     Shapes: "u" needs an interior minimum strictly below both endpoints;
     "nonincreasing"/"nondecreasing" need a Spearman correlation of magnitude
-    at least ``rho_min`` with the matching sign.
+    at least ``TREND_RHO_MIN`` with the matching sign.
     """
     xs, ys = seed_average(rows, metric, algorithm=algorithm, delta=delta)
-    if xs.size < min_points:
-        raise ValueError(f"trend check needs at least {min_points} grid points")
+    if xs.size < TREND_MIN_POINTS:
+        raise ValueError(
+            f"trend check needs at least {TREND_MIN_POINTS} grid points")
     if shape == "u":
         m = int(np.argmin(ys))
         passed = 0 < m < ys.size - 1 and ys[m] < ys[0] and ys[m] < ys[-1]
@@ -322,7 +326,8 @@ def trend_check(rows, metric: str, shape: str, *, algorithm: str = "AMND",
         # Imported here: scipy.stats takes most of ``import mecsim``'s time.
         from scipy import stats
         rho = float(stats.spearmanr(xs, ys).statistic)
-        passed = rho <= -rho_min if shape == "nonincreasing" else rho >= rho_min
+        passed = (rho <= -TREND_RHO_MIN if shape == "nonincreasing"
+                  else rho >= TREND_RHO_MIN)
         detail = f"spearman rho = {rho:.3f}"
     else:
         raise ValueError(f"unknown shape {shape!r}")

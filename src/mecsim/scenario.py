@@ -62,23 +62,10 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class Counts:
-    """Node counts for one deployment; SBS count defaults to params.m_sbs."""
+    """Device counts for one deployment; the SBS count is params.m_sbs."""
 
     n_hrd: int
     n_csd: int
-    n_sbs_per_cell: int | None = None
-
-    def resolve_sbs(self, params: SystemParams) -> int:
-        n = self.n_sbs_per_cell if self.n_sbs_per_cell is not None else params.m_sbs
-        if n < 1:
-            raise ValueError("no SBS to associate with (n_sbs_per_cell < 1)")
-        if n != params.m_sbs:
-            raise ValueError(
-                f"n_sbs_per_cell={n} disagrees with params.m_sbs={params.m_sbs}"
-            )
-        if self.n_hrd < 0 or self.n_csd < 0:
-            raise ValueError("device counts must be nonnegative")
-        return n
 
 
 @dataclass(frozen=True)
@@ -240,23 +227,17 @@ def _place_in_disc(rng, center, radius, occupied, retries=_MAX_PLACEMENT_RETRIES
     )
 
 
-def generate_scenario(params: SystemParams, counts: Counts, *,
-                      cell_radius_m: float | None = None,
-                      cell_split: str = "round_robin") -> Scenario:
+def generate_scenario(params: SystemParams, counts: Counts) -> Scenario:
     """Draw one deployment and its frozen channel gains.
 
-    MBSs sit on a hexagonal lattice with spacing ``isd_m``; SBSs and devices
-    are uniform in discs of radius ``isd_m/2`` (configurable) around each MBS.
-    Devices are spread over macrocells round-robin by default
-    (``cell_split="uniform"`` draws the cell per device instead).  The whole
-    draw is a pure function of (params, counts, keyword options).
+    MBSs sit on a hexagonal lattice with spacing ``isd_m``; ``m_sbs`` SBSs
+    per macrocell and the devices are uniform in discs of radius ``isd_m/2``
+    around each MBS, with devices spread over macrocells round-robin.  The
+    whole draw is a pure function of (params, counts).
     """
-    n_sbs_per_cell = counts.resolve_sbs(params)
-    radius = cell_radius_m if cell_radius_m is not None else params.isd_m / 2.0
-    if radius <= 0:
-        raise ValueError("cell radius must be positive")
-    if cell_split not in ("round_robin", "uniform"):
-        raise ValueError(f"unknown cell_split {cell_split!r}")
+    if counts.n_hrd < 0 or counts.n_csd < 0:
+        raise ValueError("device counts must be nonnegative")
+    radius = params.isd_m / 2.0
 
     rng_dep, rng_shadow, rng_los, _ = rng_streams(params.seed)
     mbs_pos = hex_lattice(params.n_mbs, params.isd_m)
@@ -269,17 +250,14 @@ def generate_scenario(params: SystemParams, counts: Counts, *,
 
     sbs_pos, sbs_cell = [], []
     for cell in range(params.n_mbs):
-        for _ in range(n_sbs_per_cell):
+        for _ in range(params.m_sbs):
             sbs_pos.append(drop(cell))
             sbs_cell.append(cell)
 
     def drop_devices(count: int):
         pos, cells = [], []
         for k in range(count):
-            if cell_split == "round_robin":
-                cell = k % params.n_mbs
-            else:
-                cell = int(rng_dep.integers(params.n_mbs))
+            cell = k % params.n_mbs
             pos.append(drop(cell))
             cells.append(cell)
         shape = (count, 2) if count else (0, 2)

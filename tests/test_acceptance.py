@@ -12,8 +12,7 @@ import pytest
 
 from mecsim._kernels import FEAS_TOL, IDLE_FRAC, member_pairs
 from mecsim.allocation import (allocate_csd, allocate_hrd, build_costs,
-                               coalition_utility, equal_share_hrd,
-                               oracle_simplex_min)
+                               equal_share_hrd, oracle_simplex_min)
 from mecsim.association import abcg_init, audit_stability, reallocate, \
     run_amnd, run_coalition_game
 from mecsim.content import Catalog, build_demand, demand_rng, zipf_popularity

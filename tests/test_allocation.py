@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mecsim import _kernels
 from mecsim._kernels import FEAS_TOL, IDLE_FRAC, member_pairs
 from mecsim.allocation import (allocate_csd, allocate_hrd, build_costs,
-                               coalition_utility, equal_share_hrd,
+                               coalition_value, equal_share_hrd,
                                oracle_simplex_min, oracle_solve_p3)
 from mecsim.radio import build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
@@ -158,41 +160,39 @@ def unclamped_setup(seed=3):
     return scn, demand, build_costs(scn, demand, table)
 
 
-def test_coalition_utility_trivial_cases():
+def test_coalition_value_trivial_cases():
     scn, demand, costs = unclamped_setup()
-    empty = coalition_utility(scn, demand, [], "hrd", costs=costs, n=0)
-    assert empty.value == 0.0 and empty.feasible
-    solo = coalition_utility(scn, demand, [2], "local", costs=costs)
+    assert coalition_value(costs, "hrd", 0, []) == (0.0, True)
+    # CSD coalition n_sbs is the virtual coalition of local devices.
+    value, ok = coalition_value(costs, "csd", costs.n_sbs, [2])
     expected = demand.csd_weight[2] * demand.task_cycles[2] / demand.local_cps[2]
-    assert solo.value == pytest.approx(expected, rel=1e-12)
-    assert solo.feasible
+    assert value == pytest.approx(expected, rel=1e-12)
+    assert ok
 
 
-def test_coalition_utility_matches_oracle():
+def test_coalition_value_matches_oracle():
     scn, demand, costs = unclamped_setup()
     rng = np.random.default_rng(0)
     for _ in range(20):
         n = int(rng.integers(costs.n_sbs))
-        members = rng.choice(costs.n_hrd, size=3, replace=False)
-        ev = coalition_utility(scn, demand, members, "hrd", costs=costs, n=n)
+        members = sorted(rng.choice(costs.n_hrd, size=3, replace=False))
+        value, ok = coalition_value(costs, "hrd", n, members)
         sol = oracle_solve_p3(costs, n, members, "hrd")
-        assert ev.feasible and sol["feasible"]
-        assert ev.value == pytest.approx(sol["objective"], rel=1e-6)
-        members = rng.choice(costs.n_csd, size=3, replace=False)
-        ev = coalition_utility(scn, demand, members, "csd", costs=costs, n=n)
+        assert ok and sol["feasible"]
+        assert value == pytest.approx(sol["objective"], rel=1e-6)
+        members = sorted(rng.choice(costs.n_csd, size=3, replace=False))
+        value, _ = coalition_value(costs, "csd", n, members)
         sol = oracle_solve_p3(costs, n, members, "csd")
-        assert ev.value == pytest.approx(sol["objective"], rel=1e-6)
+        assert value == pytest.approx(sol["objective"], rel=1e-6)
 
 
 def test_storage_limit_marks_csd_coalition_infeasible():
     scn, demand, costs = unclamped_setup()
     big = costs.spare_bytes[0] + 1.0
-    costs_tight = costs.__class__(**{**costs.__dict__,
-                                     "task_bytes": np.full(costs.n_csd, big)})
-    ev = coalition_utility(scn, demand, [0], "csd", costs=costs_tight, n=0)
-    assert not ev.feasible
-    ev = coalition_utility(scn, demand, [0], "local", costs=costs_tight)
-    assert ev.feasible
+    costs_tight = dataclasses.replace(costs,
+                                      task_bytes=np.full(costs.n_csd, big))
+    assert not coalition_value(costs_tight, "csd", 0, [0])[1]
+    assert coalition_value(costs_tight, "csd", costs.n_sbs, [0])[1]
 
 
 def test_equal_share_respects_rate_ordering():
@@ -216,13 +216,13 @@ def test_equal_share_value_never_beats_closed_form_when_unclamped():
     rng = np.random.default_rng(2)
     for _ in range(20):
         n = int(rng.integers(costs.n_sbs))
-        members = rng.choice(costs.n_hrd, size=int(rng.integers(1, 5)),
-                             replace=False)
-        ev = coalition_utility(scn, demand, members, "hrd", costs=costs, n=n)
-        if not ev.feasible:
+        members = sorted(rng.choice(costs.n_hrd, size=int(rng.integers(1, 5)),
+                                    replace=False))
+        value, ok = coalition_value(costs, "hrd", n, members)
+        if not ok:
             continue
         _, _, _, es_value = equal_share_hrd(costs, n, members)
-        assert ev.value <= es_value + 1e-9 * es_value
+        assert value <= es_value + 1e-9 * es_value
 
 
 def _check_hrd_write_path(costs, n, members):

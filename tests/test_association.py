@@ -9,7 +9,7 @@ import pytest
 
 from mecsim import association
 from mecsim._kernels import IDLE_FRAC, member_pairs
-from mecsim.allocation import coalition_value
+from mecsim.allocation import coalition_value, oracle_solve_p3
 from mecsim.association import (IMPROVE_MARGIN, MASK32, MoveProposal,
                                 _derive, _evaluate, _lemire, _neighbourhood,
                                 _ReadAhead, _tentative_members, abcg_init,
@@ -385,18 +385,21 @@ def test_running_sums_value_every_move_like_the_closed_form(desk_runs):
 
 
 def _count_floor_valuations(monkeypatch):
-    """Record ``(coalition, size)`` of every ``CoalitionSums.hrd_value``
-    call, and require each result to equal the numpy closed form's."""
+    """Record ``(coalition, size)`` of every ``_kernels.hrd_value`` call the
+    game makes (its floor-bound sides), and require each feasible result to
+    be no lower than the numerical optimum of ``oracle_solve_p3``."""
     calls = []
-    inner = association.CoalitionSums.hrd_value
+    inner = association.hrd_value
 
-    def counted(sums, c, members):
+    def counted(costs, c, members):
         calls.append((c, len(members)))
-        result = inner(sums, c, members)
-        assert result == coalition_value(sums.costs, "hrd", c, members)
-        return result
+        value, ok = inner(costs, c, members)
+        if ok:
+            sol = oracle_solve_p3(costs, c, members, "hrd")
+            assert value >= sol["objective"] * (1 - 1e-9), (c, members)
+        return value, ok
 
-    monkeypatch.setattr(association.CoalitionSums, "hrd_value", counted)
+    monkeypatch.setattr(association, "hrd_value", counted)
     return calls
 
 
@@ -594,6 +597,55 @@ GOLDEN_MOVE_LOG_SEED0 = \
     "0b45ce5e3da87ebde6dc5b0b9ffe4659eaff289137c04c68ac2735000d5ba89f"
 
 
+# Recorded before the write path's backhaul shares moved from numpy to
+# the plain-Python closed form: the SHA-256 of the bytes of the final
+# ``alpha``, ``gamma``, ``beta`` and ``eta`` of the desk solves above
+# ("multi" is ``multi_request_run``).
+GOLDEN_FRACTIONS = {
+    0: (
+        "79eaf1904c6dfe69ec9fee6b6e8a3715e85c967f6620f30df8d46d9e6e8cd490",
+        "79eaf1904c6dfe69ec9fee6b6e8a3715e85c967f6620f30df8d46d9e6e8cd490",
+        "f4e540bdb668be8f504b521599fbdb82bf4c7970e6ef99cb3c83787b70ee4bb1",
+        "17c7a1dd4e05623cdcb7011c330534f27714e27d723794665df8ae66db1c33f3",
+    ),
+    1: (
+        "2ad16d7cc56148f93429dbbfc294a1c3795a7a23aef82cbae3a3cf79ee1e5204",
+        "7863b49ff85764cf8734cdf28c3d2f054874d4801d33b7d41f9f43de2a8ab76f",
+        "f99a74cde3421106bba9557fb26c33f4b4e0f9da243ea5eaec1a1106f0cbbc11",
+        "dcf53c391c31816c47cf0036dca0967517c1ec3890bdbec277acbb9b1e145191",
+    ),
+    2: (
+        "b886f8b258f326ac453a06d0b71c0024526073084a873c0a5080efe2847906c4",
+        "0c71a57c7325be688ed56f89a8529e01953d2cfb07e3cd6b6f1b087d8ab59395",
+        "1d221464cbb600bc751e0d816c18874ab229a396c63530fb1d213c3246836aa4",
+        "99f4434999022a68cc3ee76bf1a5b05aefe62f55fb4e99d6d4a53d6d8009cbab",
+    ),
+    3: (
+        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
+        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
+        "45484ce171dd6777ed35f1975048edfca3d49dfc52c28c1a3afa6d0656ac2fe4",
+        "19aba857479808f4237fb64e37f8ee90c88f84a9525ec7326e955fb9de8bc41a",
+    ),
+    4: (
+        "eb81cbec24ae5d50ce0c94fffa4614d19ef72a8916d6ee8cd0dffe0702e8a239",
+        "eb81cbec24ae5d50ce0c94fffa4614d19ef72a8916d6ee8cd0dffe0702e8a239",
+        "6f8ef1a8afe879fa6dbc1e11a12ddfc803efee0b79e1b6f85720724fbcb2b323",
+        "3bd9b47204323b0664d3421001c5b2ced5a4b9bd073bfd4c32ec20d0d43540b2",
+    ),
+    "multi": (
+        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
+        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
+        "60ad7481ca6052ed703e3301f33a390fc72d28c8b7ccc7f0465dfcc31d2fccad",
+        "618c9d011539433f326431049164d085a6c60b7350ca473a2c115c6cef9baadf",
+    ),
+}
+
+def _fraction_digests(state):
+    alloc = state.allocation
+    return tuple(hashlib.sha256(getattr(alloc, name).tobytes()).hexdigest()
+                 for name in ("alpha", "gamma", "beta", "eta"))
+
+
 def _rng_states(state):
     out = []
     for rng in (state.rng_csd, state.rng_hrd):
@@ -620,8 +672,12 @@ def test_desk_solves_match_recorded_outputs(desk_runs, multi_request_run,
             np.array(csd_sbs, dtype=np.int64).tobytes(), seed
     for seed in range(5):
         assert _rng_states(desk_runs[seed][1]) == GOLDEN_RNG[seed], seed
+        assert _fraction_digests(desk_runs[seed][1]) == \
+            GOLDEN_FRACTIONS[seed], seed
     assert _rng_states(multi_request_run[1]) == GOLDEN_RNG["multi"]
+    assert _fraction_digests(multi_request_run[1]) == GOLDEN_FRACTIONS["multi"]
     assert _rng_states(logged) == GOLDEN_RNG[0]
+    assert _fraction_digests(logged) == GOLDEN_FRACTIONS[0]
     path = tmp_path / "moves.csv"
     write_move_log(logged, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \

@@ -180,6 +180,8 @@ def test_cli_rejects_abbreviated_flags(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--t1", "0.3"])
     assert main(["audit", "--hrd", "5", "--cs", "5"]) == 1
+    # The local/offload rule is no longer an option.
+    assert main(["run", "--local-rule", "offload_if_faster"]) == 1
     capsys.readouterr()
 
 

@@ -23,15 +23,8 @@ def test_generation_is_deterministic():
 
 
 def test_no_sbs_is_an_error():
-    params = SystemParams(seed=1, n_mbs=1)
     with pytest.raises(ValueError, match="SBS"):
-        generate_scenario(params, Counts(n_hrd=1, n_csd=1, n_sbs_per_cell=0))
-
-
-def test_sbs_count_must_match_params():
-    params = SystemParams(seed=1, m_sbs=5)
-    with pytest.raises(ValueError, match="disagrees"):
-        generate_scenario(params, Counts(n_hrd=1, n_csd=1, n_sbs_per_cell=3))
+        SystemParams(seed=1, n_mbs=1, m_sbs=0)
 
 
 def test_three_mbs_form_equilateral_lattice():
