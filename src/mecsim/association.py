@@ -18,17 +18,21 @@ binds.  A floor binds when its device's floor/root-cost ratio times ``sb``
 exceeds 1; where that may happen, the side is valued over its tentative
 members' pairs by ``_kernels.hrd_value``, the clamped closed form that the
 write path installs, so value and feasibility are exactly those of the
-installed allocation.  The sums of the two touched coalitions are
-recomputed from their member lists after every accepted move, so they never
-drift.  ``audit_stability`` values every move with the same valuer, from
-running sums it rebuilds from the member lists, so a stale row of the
-state's own sums cannot hide an improving move from it.
+installed allocation.  A feasible side of that kind is never worth less
+than its relaxed value ``sd**2 + sb**2`` over ``1 + FEAS_TOL``, so a move
+whose relaxed gain cannot clear ``IMPROVE_MARGIN`` even with that discount
+(``_Block.screen``) is rejected without the exact valuation.  The sums of
+the two touched coalitions are recomputed from their member lists after
+every accepted move, so they never drift.  ``audit_stability`` values
+every move with the same valuer, from running sums it rebuilds from the
+member lists, so a stale row of the state's own sums cannot hide an
+improving move from it.
 
 Moves are valued in blocks (``_Block``): arrays of transfers and swaps,
-valued elementwise by ``CoalitionSums.after`` at the current partition,
-with the float operations of a block of one in their order, and cut at
-the first accept, which ``evaluate_and_apply`` applies and values once
-more, as a block of one.  The partition changes only on an accepted move,
+valued elementwise, both sides in one ``CoalitionSums.after`` call, at the
+current partition, with the float operations of a block of one in their
+order, and cut at the first accept, which is applied with the block's own
+valuation (``_apply``).  The partition changes only on an accepted move,
 so both phases of a game are blocks between accepts.  The random phase
 reads the generator's uint32 stream ahead (``_ReadAhead``) and decodes
 every position of a window as ``propose_move`` would draw there, with
@@ -72,6 +76,9 @@ from .radio import RateTable, build_rate_table
 from .scenario import Scenario
 
 IMPROVE_MARGIN = 1e-12   # strict-improvement threshold, avoids cycling on ties
+# Relative allowance of the floor-bound screen (``_Block.screen``): covers
+# FEAS_TOL and the rounding of the running sums.
+SLACK = 1e-8
 MASK32 = 0xFFFFFFFF
 # Proposals per block of the random phase.  On desk and sweep solves a
 # constant 256 ran as fast as blocks doubling from 64 to 256 while nothing
@@ -520,6 +527,13 @@ def evaluate_and_apply(state: GameState, prop: MoveProposal) -> bool:
     """Accept the proposal iff both tentative coalitions are feasible and
     their combined utility strictly improves; reject leaves state untouched."""
     _evaluate(state, prop)
+    return _apply(state, prop)
+
+
+def _apply(state: GameState, prop: MoveProposal) -> bool:
+    """Count and log a valued proposal (its ``dv`` and ``feasible`` set),
+    and apply it iff it is feasible and improves by more than
+    ``IMPROVE_MARGIN``; returns whether it was applied."""
     state.proposals += 1
     accepted = bool(prop.feasible) and prop.dv < -IMPROVE_MARGIN
     if accepted:
@@ -565,8 +579,8 @@ class _Block:
     or else a transfer), ``a`` and ``b`` (the coalitions that device ``i``
     leaves and enters) and ``j`` (the device that leaves ``b`` in a swap),
     valued together from the running sums ``sums`` of the state's current
-    partition, each with the float operations, in their order, of a block
-    of one."""
+    partition, both sides in one ``CoalitionSums.after`` call, each with
+    the float operations, in their order, of a block of one."""
 
     def __init__(self, state: GameState, sums: CoalitionSums, swap, a, b,
                  i, j):
@@ -574,11 +588,20 @@ class _Block:
         self.swap, self.a, self.b, self.i, self.j = swap, a, b, i, j
         self.lists = _member_lists(state, sums.game)
         self.cache = state.v_hrd if sums.game == HRD else state.v_csd
-        self.v_src, self.ok_src, self.floor_src = sums.after(
-            a, i, j, True, swap, sums.size[a] - 1 + swap)
-        self.v_dst, self.ok_dst, self.floor_dst = sums.after(
-            b, j, i, swap, True, sums.size[b] + 1 - swap)
+        # Sources first, then destinations: (i, j) leave and (j, i) enter.
+        n, ends = a.size, np.concatenate((a, b))
+        moved = np.concatenate((i, j, i))
+        on = np.concatenate((np.ones(n, dtype=bool), swap,
+                             np.ones(n, dtype=bool)))
+        step = swap - 1
+        value, self.ok, self.floors = sums.after(
+            ends, moved[:2 * n], moved[n:], on[:2 * n], on[n:],
+            sums.size[ends] + np.concatenate((step, -step)))
+        self.v_src, self.v_dst = value[:n], value[n:]
+        self.feasible = self.ok[:n] & self.ok[n:]
+        self.floor = self.floors[:n] | self.floors[n:]
         self.dv = (self.v_src + self.v_dst) - (self.cache[a] + self.cache[b])
+        self.unvalued = []
 
     def __len__(self) -> int:
         return self.a.size
@@ -594,33 +617,53 @@ class _Block:
         """(dv, feasible) of proposal ``q``; a side where a backhaul floor
         may bind is valued by ``_kernels.hrd_value`` over its tentative
         members."""
-        a, b = self.a.item(q), self.b.item(q)
-        src = self.v_src.item(q), bool(self.ok_src[q])
-        dst = self.v_dst.item(q), bool(self.ok_dst[q])
-        if self.floor_src[q] or self.floor_dst[q]:
+        n, a, b = len(self), self.a.item(q), self.b.item(q)
+        src = self.v_src.item(q), bool(self.ok[q])
+        dst = self.v_dst.item(q), bool(self.ok[n + q])
+        if self.floor[q]:
             t_src, t_dst = _tentative_members(
                 self.lists, a, b, self.i.item(q),
                 self.j.item(q) if self.swap[q] else None)
-            if self.floor_src[q]:
+            if self.floors[q]:
                 src = hrd_value(self.sums.costs, a, t_src)
-            if self.floor_dst[q]:
+            if self.floors[n + q]:
                 dst = hrd_value(self.sums.costs, b, t_dst)
         return ((src[0] + dst[0]) - (self.cache.item(a) + self.cache.item(b)),
                 src[1] and dst[1])
 
+    def screen(self, stop: int):
+        """The floor-bound proposals before ``stop``, split into those that
+        may still be accepted and those that cannot, as two index lists.
+
+        A feasible floor-bound side has shares summing to at most ``1 +
+        FEAS_TOL``, so by Cauchy-Schwarz it is worth at least its relaxed
+        value ``sd**2 + sb**2`` (the block's) over ``1 + FEAS_TOL``.  A
+        proposal whose relaxed ``dv`` stays at or above ``-IMPROVE_MARGIN``
+        after ``SLACK`` times its two sides' values is taken off is
+        therefore infeasible or not improving."""
+        floor = self.floor[:stop]
+        bound = self.dv[:stop] - SLACK * (self.v_src[:stop]
+                                          + self.v_dst[:stop])
+        wins = bound < -IMPROVE_MARGIN
+        return (np.flatnonzero(floor & wins).tolist(),
+                np.flatnonzero(floor & ~wins).tolist())
+
     def first_accept(self) -> int:
         """Index of the first proposal ``evaluate_and_apply`` would accept,
-        or the block's length.  Proposals with a floor-bound side are valued
-        by ``value``, in order and only up to the first accept, and their
-        ``dv`` replaces the block's."""
-        floor = self.floor_src | self.floor_dst
-        hits = np.flatnonzero(self.ok_src & self.ok_dst & ~floor
+        or the block's length.  A floor-bound proposal before it that
+        ``screen`` passes is valued by ``value``, in order and only up to
+        the first accept, and its exact ``dv`` and feasibility replace the
+        block's; one that ``screen`` rejects is not valued, and is listed
+        in ``unvalued``."""
+        hits = np.flatnonzero(self.feasible & ~self.floor
                               & (self.dv < -IMPROVE_MARGIN))
         first = int(hits[0]) if hits.size else len(self)
-        for q in np.flatnonzero(floor[:first]).tolist():
-            dv, feasible = self.value(q)
-            self.dv[q] = dv
-            if feasible and dv < -IMPROVE_MARGIN:
+        if not self.floor[:first].any():
+            return first
+        contenders, self.unvalued = self.screen(first)
+        for q in contenders:
+            self.dv[q], self.feasible[q] = self.value(q)
+            if self.feasible[q] and self.dv[q] < -IMPROVE_MARGIN:
                 return q
         return first
 
@@ -644,11 +687,17 @@ def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood,
 def _settle(state: GameState, block: _Block, first: int) -> bool:
     """Count and log the block's proposals before ``first`` as the
     rejections ``evaluate_and_apply`` would count and log, then apply
-    proposal ``first`` through it, if the block holds one; returns whether
-    a move was applied."""
+    proposal ``first`` with the block's own ``dv`` and feasibility
+    (``_apply``), if the block holds one; returns whether a move was
+    applied.  The log holds each rejection's exact ``dv``, so a
+    floor-bound rejection that ``first_accept`` left unvalued is valued
+    here, and only when it is logged."""
     if state.move_log is None:
         state.proposals += first
     else:
+        for q in block.unvalued:
+            if q < first:
+                block.dv[q] = block.value(q)[0]
         kinds = np.where(block.swap[:first], "swap", "transfer").tolist()
         for kind, dv in zip(kinds, block.dv[:first].tolist()):
             state.proposals += 1
@@ -656,8 +705,10 @@ def _settle(state: GameState, block: _Block, first: int) -> bool:
                                    dv, state.objective))
     if first == len(block):
         return False
-    accepted = evaluate_and_apply(state, block.proposal(first))
-    assert accepted, block.proposal(first)
+    prop = block.proposal(first)
+    prop.dv, prop.feasible = block.dv.item(first), bool(block.feasible[first])
+    accepted = _apply(state, prop)
+    assert accepted, prop
     return True
 
 
@@ -668,8 +719,8 @@ def stabilize_partition(state: GameState, game: str) -> int:
 
     A sweep visits the moves in ``_neighbourhood``'s order.  Between two
     accepts the partition is fixed, so the rest of the sweep is one
-    ``_Block`` (``_neighbourhood_block``); its first accept is applied
-    through ``evaluate_and_apply``, and the sweep resumes at the next
+    ``_Block`` (``_neighbourhood_block``); its first accept is applied with
+    the block's valuation (``_settle``), and the sweep resumes at the next
     position.
     """
     sums = state.sums[game]
@@ -799,16 +850,19 @@ def _derive(window: np.ndarray, sizes: np.ndarray):
 
 
 def _chain(code: list, limit: int) -> list:
-    """Start positions of up to ``limit`` proposals drawn one after another
-    from position 0, skipping redrawn empty pairs; stops before a position
-    in Lemire's rejection branch and at the end of the window."""
-    starts, p = [], 0
-    while p < len(code) and len(starts) < limit:
+    """Start positions of up to ``limit`` (at least 1) proposals drawn one
+    after another from position 0, skipping redrawn empty pairs; stops
+    before a position in Lemire's rejection branch and at the end of the
+    window."""
+    starts, p, end = [], 0, len(code)
+    while p < end:
         step = code[p]
         if step == 0:
             break
         if step > 0:
             starts.append(p)
+            if len(starts) == limit:
+                break
             p += step
         else:
             p -= step
@@ -823,11 +877,12 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     Between two accepts the partition is fixed, so a block derives its
     proposals from a window of the generator's stream (``_derive``,
     ``_chain``) and values them together (``_Block``).  The block is cut at
-    its first accept, which is applied through ``evaluate_and_apply``; each
-    rejected proposal counts and logs as it would there.  A proposal with a
-    draw in Lemire's rejection branch, or whose redraws run past the
-    window, goes through ``propose_move`` on the same stream.  A block holds
-    at most ``BLOCK`` proposals, which bounds the read-ahead.
+    its first accept, which is applied with the block's valuation
+    (``_settle``); each rejected proposal counts and logs as it would in
+    ``evaluate_and_apply``.  A proposal with a draw in Lemire's rejection
+    branch, or whose redraws run past the window, goes through
+    ``propose_move`` on the same stream.  A block holds at most ``BLOCK``
+    proposals, which bounds the read-ahead.
     """
     stream = _ReadAhead(state.rng_hrd if game == HRD else state.rng_csd)
     sums = state.sums[game]
@@ -916,15 +971,17 @@ def audit_stability(state: GameState) -> list:
     CSD game, valued as one ``_Block`` per game from running sums rebuilt
     from the member lists, never from ``state.sums``; returns the feasible
     moves that improve by more than ``IMPROVE_MARGIN``, in ``_neighbourhood``
-    order (empty list == Nash-stable)."""
+    order (empty list == Nash-stable).  Only the floor-bound moves that
+    ``_Block.screen`` passes are valued exactly; the others cannot
+    improve."""
     found = []
     for game in (HRD, CSD):
         lists = _member_lists(state, game)
         block, _ = _neighbourhood_block(
             state, CoalitionSums(state.costs, game, lists),
             _neighbourhood(_association(state, game).size, len(lists)), 0)
-        feasible = block.ok_src & block.ok_dst
-        for q in np.flatnonzero(block.floor_src | block.floor_dst).tolist():
+        feasible = block.feasible & ~block.floor
+        for q in block.screen(len(block))[0]:
             block.dv[q], feasible[q] = block.value(q)
         for q in np.flatnonzero(feasible
                                 & (block.dv < -IMPROVE_MARGIN)).tolist():

@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mecsim import association
-from mecsim._kernels import IDLE_FRAC, member_pairs
+from mecsim import _kernels, association
+from mecsim._kernels import FEAS_TOL, IDLE_FRAC, hrd_closed_form, \
+    member_pairs
 from mecsim.allocation import coalition_value, oracle_solve_p3
 from mecsim.association import (IMPROVE_MARGIN, MASK32, MoveProposal,
                                 _derive, _evaluate, _lemire, _neighbourhood,
@@ -441,6 +442,112 @@ def test_running_sums_value_multi_request_moves(monkeypatch,
     assert max(size for _, size in fallbacks) >= 4
 
 
+def _random_hrd_side(rng):
+    """``hrd_closed_form`` inputs of two to five devices with one to three
+    pairs each.  Every missed pair of a device shares its floor.  One
+    device in three (``tight``) has its missed pairs' root backhaul costs
+    equal and its floor just above their share, so the clamped shares
+    overrun the budget by less than ``FEAS_TOL``; the other floors are
+    drawn at random and bind on some sides."""
+    devices = []
+    for _ in range(rng.integers(2, 6)):
+        n_pairs = rng.integers(1, 4)
+        n_missed = int((rng.random(n_pairs) < 0.8).sum())
+        equal, s = rng.random() < 0.5, rng.uniform(0.05, 2.0)
+        devices.append((rng.uniform(0.1, 2.0, n_pairs).tolist(),
+                        [s if equal else rng.uniform(0.05, 2.0)
+                         for _ in range(n_missed)]))
+    sb = _kernels._sum([s for _, bh in devices for s in bh])
+    tight = rng.integers(len(devices))
+    sd, bh = [], []
+    for k, (dl, roots) in enumerate(devices):
+        sd += dl
+        if not roots:
+            continue
+        if k == tight and len(set(roots)) == 1:
+            floor = roots[0] / sb + rng.uniform(0.0, FEAS_TOL) / len(roots)
+        else:
+            floor = rng.uniform(0.0, 1.5) * min(roots) / sb
+        bh += [(s, floor) for s in roots]
+    return sd, bh
+
+
+def test_feasible_floor_bound_side_is_worth_its_relaxed_bound():
+    # ``_Block.screen`` rejects a floor-bound proposal from this bound.
+    rounding = 1e-13
+    assert rounding < 1e-3 * association.SLACK
+    rng = np.random.default_rng(20)
+    feasible = binding = below_relaxed = 0
+    for _ in range(4000):
+        sd, bh = _random_hrd_side(rng)
+        _, value, ok = hrd_closed_form(sd, bh)
+        if not ok:
+            continue
+        sb = sum(s for s, _ in bh)
+        relaxed = sum(sd) ** 2 + sb ** 2
+        assert value >= (sum(sd) ** 2 + sb ** 2 / (1.0 + FEAS_TOL)) \
+            - rounding * relaxed, (sd, bh)
+        feasible += 1
+        binding += any(floor > s / sb for s, floor in bh)
+        below_relaxed += value < relaxed * (1.0 - 1e-12)
+    assert feasible > 1000 and binding > 100 and below_relaxed > 10
+
+
+def test_screen_skips_only_moves_that_cannot_be_accepted(desk_runs,
+                                                         multi_request_run):
+    states = [state for run in desk_runs for state in run]
+    states += list(multi_request_run)
+    # Default workload, seed 1: ABCG puts HRDs 11 and 14 at SBS 12, where a
+    # backhaul floor binds.
+    scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
+    states.append(abcg_init(scn, demand_for(scn)))
+    assert states[-1].hrd_members[12] == [11, 14]
+    screened_out = feasible_out = 0
+    for n, state in enumerate(states):
+        block, _ = association._neighbourhood_block(
+            state, state.sums["hrd"],
+            _neighbourhood(state.partition.hrd_sbs.size, state.n_sbs), 0)
+        contenders, rejects = block.screen(len(block))
+        assert sorted(contenders + rejects) == \
+            np.flatnonzero(block.floor).tolist(), n
+        for q in rejects:
+            dv, feasible = block.value(q)
+            assert not feasible or dv >= -IMPROVE_MARGIN, (n, q, dv)
+            feasible_out += feasible
+        screened_out += len(rejects)
+    assert screened_out > 1000 and feasible_out > 0
+
+
+def test_game_values_each_accepted_block_move_once(monkeypatch, desk_runs):
+    # A block applies its accept with its own valuation, so ``_evaluate``
+    # runs only for the random phase's scalar-path proposals.
+    evaluated, proposed = [], []
+    inner_evaluate, inner_propose = association._evaluate, \
+        association.propose_move
+
+    def evaluate(state, prop):
+        evaluated.append(prop.game)
+        return inner_evaluate(state, prop)
+
+    def propose(state, game, rng):
+        proposed.append(game)
+        return inner_propose(state, game, rng)
+
+    monkeypatch.setattr(association, "_evaluate", evaluate)
+    monkeypatch.setattr(association, "propose_move", propose)
+    accepted = 0
+    for init, _ in desk_runs:
+        accepted += run_amnd(init.scenario, init.demand,
+                             init_state=init).accepted_moves
+    for seed in range(4):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=3, n_csd=2))
+        demand = demand_for(scn, seed=seed, n_files=6, storage=15.6e6)
+        accepted += run_amnd(scn, demand).accepted_moves
+    assert proposed and accepted > len(proposed)
+    assert len(evaluated) == len(proposed)
+
+
 def test_running_sums_track_storage_load():
     # 250 kB of spare storage per SBS holds two 100 kB task inputs.
     scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
@@ -834,10 +941,10 @@ def test_random_phase_matches_scalar_reference(log_moves, monkeypatch,
         return inner(state, game, rng)
 
     monkeypatch.setattr(association, "propose_move", counted)
-    # Kinds of the moves that the block sweep accepts.
+    # Kinds of the moves that the block sweep applies.
     swept, sweeping = set(), []
     inner_sweep, inner_apply = (association.stabilize_partition,
-                                association.evaluate_and_apply)
+                                association._apply)
 
     def sweep(state, game):
         sweeping.append(game)
@@ -853,7 +960,7 @@ def test_random_phase_matches_scalar_reference(log_moves, monkeypatch,
         return accepted
 
     monkeypatch.setattr(association, "stabilize_partition", sweep)
-    monkeypatch.setattr(association, "evaluate_and_apply", apply)
+    monkeypatch.setattr(association, "_apply", apply)
 
     def solve(scn, demand, kw, second_round):
         init = abcg_init(scn, demand, log_moves=log_moves)
