@@ -32,17 +32,33 @@ Moves are valued in blocks (``_Block``): arrays of transfers and swaps,
 valued elementwise, both sides in one ``CoalitionSums.after`` call, at the
 current partition, with the float operations of a block of one in their
 order, and cut at the first accept, which is applied with the block's own
-valuation (``_apply``).  The partition changes only on an accepted move,
-so both phases of a game are blocks between accepts.  The random phase
-reads the generator's uint32 stream ahead (``_ReadAhead``) and decodes
-every position of a window as ``propose_move`` would draw there, with
-numpy's own bounded-integer algorithm (``_derive``, ``_chain``); a draw in
-Lemire's rejection branch goes through ``propose_move``, and the
-generator ends exactly where the consumed draws leave it.  The
-stabilization sweep's block is the rest of the sweep, in
-``_neighbourhood``'s order, and the audit's block is all of it.  Proposal
-counts, accepted moves, move logs and generator states are therefore those
-of the one-at-a-time loops, to the last bit.
+valuation (``_apply``).  A transfer names the sums' zero device ``none``
+as its missing partner, so ``after`` values both kinds alike, unmasked.
+The partition changes only on an accepted move, so both phases of a game
+are blocks between accepts.  The stabilization sweep's block is the rest of
+the sweep, in ``_neighbourhood``'s order, and the audit's block is all of
+it.
+
+The random phase reads the generator's uint32 stream ahead
+(``_ReadAhead``) and decodes it as ``propose_move`` would draw, with
+numpy's own bounded-integer algorithm (``_Draws``), in two passes: the pair
+draws at every position of a window, from a per-pair table rebuilt only
+when a move changes coalition sizes, then, once ``_chain`` has linked the
+starts, the member draws at those starts only.  A draw in Lemire's
+rejection branch goes through ``propose_move``, and the generator ends
+exactly where the consumed draws leave it.  An accepted swap changes no
+size, so the window's later starts carry over to the next block, which
+reads their members again.  Every draw is one of the ``drawable`` moves at
+the current sizes (the swaps, and the transfers into empty coalitions), a
+swap is valued to the same bits from either side, and the partition
+cannot change while every draw is rejected.  So once the rejections since
+the last accept reach the number of drawable moves, those moves are valued
+as one block; if none would be accepted, every later proposal of the phase
+is a rejection, and the rest of the phase is decoded and counted without
+being valued (``_skip_tail``).  A move log records every proposal's ``dv``,
+so a logged run values every proposal.  Proposal counts, accepted moves,
+move logs and generator states are therefore those of the one-at-a-time
+loops, to the last bit.
 
 The state reallocation step adopts the closed form per coalition only when
 it does not worsen the incumbent (the clamped closed form can lose to the
@@ -113,16 +129,20 @@ class CoalitionSums:
 
     ``size`` and ``members`` hold each coalition's member list, and
     ``sums`` its additive sums, one column each; ``terms`` holds every
-    device's terms at every coalition.  An HRD coalition sums ``(sd, sb,
-    miss)``: its pairs' root downlink costs, its missed pairs' root
-    backhaul costs, and the number of missed pairs (small counts, exact as
-    floats); ``ratio`` holds the largest floor/root-backhaul ratio among
-    them, a running max.  A CSD coalition sums ``(su, se, load, local)``:
-    its root uplink and compute costs and its stored task bytes, or, in row
-    ``n_sbs`` (the virtual local coalition), its local delays.  Stored sums
-    change only through ``refresh``, which recomputes a row from a member
-    list.  ``after`` values coalitions after one move, elementwise, and
-    marks the HRD sides where a floor may bind.
+    device's terms at every coalition, in row ``c * stride + k`` for device
+    ``k`` at coalition ``c``.  Device ``none``, one past the last, has zero
+    terms: it is a transfer's missing partner, and moves nothing.  An HRD
+    coalition sums ``(sd, sb, miss)``: its pairs' root downlink costs, its
+    missed pairs' root backhaul costs, and the number of missed pairs
+    (small counts, exact as floats); ``ratio`` holds the largest
+    floor/root-backhaul ratio among them, a running max, and
+    ``floor_ratio`` each device's, in the rows of ``terms``.  A CSD
+    coalition sums ``(su, se, load, local)``: its root uplink and compute
+    costs and its stored task bytes, or, in row ``n_sbs`` (the virtual
+    local coalition), its local delays.  Stored sums change only through
+    ``refresh``, which recomputes a row from a member list.  ``after``
+    values coalitions after one move, elementwise, and marks the HRD sides
+    where a floor may bind.
     """
 
     def __init__(self, costs: CoalitionCosts, game: str, lists):
@@ -138,9 +158,19 @@ class CoalitionSums:
                      np.broadcast_to(costs.local_delay_w,
                                      (n_coal, costs.n_csd)))
             self.room = np.append(costs.spare_bytes + _kernels.BYTES_TOL, 0.0)
-        self.terms = np.stack(terms, axis=-1).astype(float)
+        self.none = terms[0].shape[1]
+        self.stride = self.none + 1
+        table = np.zeros((n_coal, self.stride, len(terms)))
+        table[:, :self.none] = np.stack(terms, axis=-1)
+        self.terms = table.reshape(-1, len(terms))
+        if game == HRD:
+            ratio = np.zeros((n_coal, self.stride))
+            ratio[:, :self.none] = costs.dev_floor_ratio
+            self.floor_ratio = ratio.ravel()
         self.size = np.zeros(n_coal, dtype=np.int64)
-        self.members = np.zeros(self.terms.shape[:2], dtype=np.int64)
+        # Column ``none`` of every row always holds ``none``.
+        self.members = np.full((n_coal, self.stride), self.none,
+                               dtype=np.int64)
         self.sums = np.zeros((n_coal, len(terms)))
         self.ratio = np.zeros(n_coal)
         for c, members in enumerate(lists):
@@ -184,25 +214,20 @@ class CoalitionSums:
                     f"stale {self.game} running sums at coalition {c}: "
                     f"{got!r} vs {ref!r}")
 
-    def after(self, c, out, inn, out_on, inn_on, size):
-        """(value, feasible, floor) of coalitions ``c`` once devices ``out``
-        leave where ``out_on`` and ``inn`` enter where ``inn_on`` (``True``
-        for all), holding ``size`` members.  ``floor`` marks HRD sides where
-        a backhaul floor may bind (``ratio * sb > 1``); their value is left
-        to ``_kernels.hrd_value``."""
-        x = self.sums[c]
-        new = x - self.terms[c, out]
-        x = new if out_on is True else np.where(out_on[:, None], new, x)
-        new = x + self.terms[c, inn]
-        x = new if inn_on is True else np.where(inn_on[:, None], new, x)
+    def after(self, c, out, inn, size):
+        """(value, feasible, floor) of coalitions ``c`` once device ``out``
+        leaves and ``inn`` enters, holding ``size`` members; ``none`` in
+        either place moves nothing.  ``floor`` marks HRD sides where a
+        backhaul floor may bind (``ratio * sb > 1``); their value is left to
+        ``_kernels.hrd_value``."""
+        row = c * self.stride
+        x = (self.sums.take(c, axis=0) - self.terms.take(row + out, axis=0)
+             + self.terms.take(row + inn, axis=0))
         empty = size == 0
         if self.game == HRD:
             sd, sb, miss = x.T
             # After a removal the old ratio is an upper bound.
-            ratio = np.maximum(self.ratio[c],
-                               self.costs.dev_floor_ratio[c, inn])
-            if inn_on is not True:
-                ratio = np.where(inn_on, ratio, self.ratio[c])
+            ratio = np.maximum(self.ratio[c], self.floor_ratio[row + inn])
             value = np.where(miss == 0, sd * sd, sd * sd + sb * sb)
             floor = (miss != 0) & (ratio * sb > 1.0) & ~empty
             return np.where(empty, 0.0, value), np.ones_like(empty), floor
@@ -496,11 +521,11 @@ def _tentative_members(lists, a: int, b: int, i: int, j: int | None):
 
 def _evaluate(state: GameState, prop: MoveProposal) -> None:
     """Value a move as a block of one."""
-    swap = prop.md_to is not None
-    block = _Block(state, state.sums[prop.game], np.array([swap]),
+    swap, sums = prop.md_to is not None, state.sums[prop.game]
+    block = _Block(state, sums, np.array([swap]),
                    np.array([prop.c_from]), np.array([prop.c_to]),
                    np.array([prop.md_from]),
-                   np.array([prop.md_to if swap else prop.md_from]))
+                   np.array([prop.md_to if swap else sums.none]))
     prop.dv, prop.feasible = block.value(0)
 
 
@@ -564,11 +589,12 @@ def _neighbourhood(n_dev: int, n_coal: int):
     ``n_dev`` devices and ``n_coal`` coalitions, as arrays ``(swap, i, j,
     target)`` with one entry per position: transfers device-major and
     target-minor, then swaps with ``i < j``, row-major.  ``i`` is the moving
-    device, ``j`` the device swapped with it (``i`` itself in a transfer,
-    where a block masks it out) and ``target`` a transfer's target."""
+    device, ``j`` the device swapped with it (``n_dev``, the running sums'
+    ``none``, in a transfer) and ``target`` a transfer's target."""
     dev, target = np.divmod(np.arange(n_dev * n_coal), n_coal)
     si, sj = np.triu_indices(n_dev, 1)
-    i, j = np.concatenate((dev, si)), np.concatenate((dev, sj))
+    i = np.concatenate((dev, si))
+    j = np.concatenate((np.full_like(dev, n_dev), sj))
     target = np.concatenate((target, np.zeros_like(si)))
     swap = np.arange(i.size) >= dev.size
     return swap, i, j, target
@@ -577,10 +603,11 @@ def _neighbourhood(n_dev: int, n_coal: int):
 class _Block:
     """Proposals of one game, one per entry of the arrays ``swap`` (a swap,
     or else a transfer), ``a`` and ``b`` (the coalitions that device ``i``
-    leaves and enters) and ``j`` (the device that leaves ``b`` in a swap),
-    valued together from the running sums ``sums`` of the state's current
-    partition, both sides in one ``CoalitionSums.after`` call, each with
-    the float operations, in their order, of a block of one."""
+    leaves and enters) and ``j`` (the device that leaves ``b`` in a swap,
+    ``sums.none`` in a transfer), valued together from the running sums
+    ``sums`` of the state's current partition, both sides in one
+    ``CoalitionSums.after`` call, each with the float operations, in their
+    order, of a block of one."""
 
     def __init__(self, state: GameState, sums: CoalitionSums, swap, a, b,
                  i, j):
@@ -590,12 +617,9 @@ class _Block:
         self.cache = state.v_hrd if sums.game == HRD else state.v_csd
         # Sources first, then destinations: (i, j) leave and (j, i) enter.
         n, ends = a.size, np.concatenate((a, b))
-        moved = np.concatenate((i, j, i))
-        on = np.concatenate((np.ones(n, dtype=bool), swap,
-                             np.ones(n, dtype=bool)))
         step = swap - 1
         value, self.ok, self.floors = sums.after(
-            ends, moved[:2 * n], moved[n:], on[:2 * n], on[n:],
+            ends, np.concatenate((i, j)), np.concatenate((j, i)),
             sums.size[ends] + np.concatenate((step, -step)))
         self.v_src, self.v_dst = value[:n], value[n:]
         self.feasible = self.ok[:n] & self.ok[n:]
@@ -669,16 +693,22 @@ class _Block:
 
 
 def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood,
-                        pos: int):
+                        pos: int, *, drawable: bool = False):
     """The ``_Block`` of the positions of ``hood`` (``_neighbourhood``'s
     arrays) from ``pos`` on at the current partition, skipping a transfer
     into the device's own coalition and a swap within one coalition, and
-    the positions it holds."""
+    the positions it holds.  With ``drawable``, only the moves that
+    ``propose_move`` can draw are kept: swaps, and transfers into empty
+    coalitions."""
     swap, i, j, target = hood
     assoc = _association(state, sums.game)
     a = assoc[i[pos:]]
-    b = np.where(swap[pos:], assoc[j[pos:]], target[pos:])
-    at = np.flatnonzero(a != b)
+    # A transfer's ``j`` lies past ``assoc``; ``where`` drops what it reads.
+    b = np.where(swap[pos:], assoc.take(j[pos:], mode="clip"), target[pos:])
+    keep = a != b
+    if drawable:
+        keep &= swap[pos:] | (sums.size[b] == 0)
+    at = np.flatnonzero(keep)
     rest = at + pos
     return _Block(state, sums, swap[rest], a[at], b[at], i[rest],
                   j[rest]), rest
@@ -801,52 +831,97 @@ class _ReadAhead:
         bit_gen.state = state
 
 
-def _derive(window: np.ndarray, sizes: np.ndarray):
-    """Decode every start position of a window of the uint32 stream as
-    ``propose_move`` draws there, for coalitions of the given ``sizes``.
+def _drawable(size: np.ndarray) -> int:
+    """The number of distinct moves ``propose_move`` can draw at coalition
+    sizes ``size``: a swap of any two devices in different coalitions, and
+    a transfer of any device into any empty coalition."""
+    n_dev = int(size.sum())
+    return ((n_dev * n_dev - int(size @ size)) // 2
+            + n_dev * int(np.count_nonzero(size == 0)))
 
-    Returns ``(code, swap, c_from, c_to, k_from, k_to)`` per position, for
-    the ``len(window) - 3`` positions whose draws all lie in the window.
-    ``code`` is the number of values the proposal consumes, negated where
-    both coalitions are empty (``propose_move`` draws the pair again), and
-    0 where a draw's low product falls below its bound: Lemire's rejection
-    branch, which is left to the scalar path.  ``k_from``/``k_to`` index
-    the moving members in their coalitions' member lists.
+
+class _Draws:
+    """``propose_move``'s draws, decoded from windows of a game generator's
+    uint32 stream at the coalition sizes ``size`` (the running sums' own
+    array, which a move updates in place).
+
+    The two pair draws give a pair index ``m * (n_coal - 1) + n``, before
+    ``n`` skips ``m``.  ``decode`` runs two passes.  The first decodes every
+    position of a window into a step code: the number of values a proposal
+    drawn from there consumes, negated where both coalitions of its pair
+    are empty (``propose_move`` draws the pair again), and 0 where a pair
+    draw falls in Lemire's rejection branch, which is left to
+    ``propose_move``.  ``_chain`` links the codes into start positions, and
+    the second pass decodes the member draws at those starts only.  A
+    pair's code depends only on its coalitions' size classes (empty, one
+    member, more), and its kind and member-draw bounds only on their sizes,
+    so both passes read them from per-pair tables, which ``resize``
+    rebuilds, with ``drawable``, when a move changes sizes.
     """
-    n_coal, span = sizes.size, window.size - 3
-    # A uint32 times a bound below 2**31 is exact in int64.
-    prod = window[:span] * n_coal
-    m = prod >> 32
-    reject = prod & MASK32 < n_coal
-    if n_coal > 2:
-        prod = window[1:span + 1] * (n_coal - 1)
-        n = prod >> 32
-        reject |= prod & MASK32 < n_coal - 1
-        pair_step = 2
-    else:                       # a bound of 1 draws 0 and consumes nothing
-        n = np.zeros(span, dtype=np.int64)
-        pair_step = 1
-    n += n >= m
-    size_m, size_n = sizes[m], sizes[n]
-    swap = (size_m > 0) & (size_n > 0)
-    c_from = np.where(size_m > 0, m, n)
-    c_to = np.where(size_m > 0, n, m)
-    size_from = sizes[c_from]
-    # Below a bound of 2 the draw is 0 and consumes nothing; the product
-    # of a uint32 and 1 or 0 shifts to 0 as well.
-    take_from = size_from > 1
-    prod = window[pair_step:span + pair_step] * size_from
-    k_from = prod >> 32
-    reject |= take_from & (prod & MASK32 < size_from)
-    take_to = swap & (size_n > 1)
-    at = np.arange(pair_step, span + pair_step) + take_from
-    prod = window[at] * size_n
-    k_to = prod >> 32
-    reject |= take_to & (prod & MASK32 < size_n)
-    code = np.where((size_m == 0) & (size_n == 0), -pair_step,
-                    pair_step + take_from + take_to)
-    code[reject] = 0
-    return code, swap, c_from, c_to, k_from, k_to
+
+    def __init__(self, size: np.ndarray, none: int):
+        self.size, self.none, self.n_coal = size, none, size.size
+        n_coal = size.size
+        # A bound of 1 draws 0 and consumes nothing.
+        self.pair_step = 2 if n_coal > 2 else 1
+        self.m, n = np.divmod(np.arange(n_coal * (n_coal - 1)), n_coal - 1)
+        self.n = n + (n >= self.m)
+        self.resize()
+
+    def resize(self) -> None:
+        m, n = self.m, self.n
+        size_m, size_n = self.size[m], self.size[n]
+        from_m = size_m > 0
+        swap = from_m & (size_n > 0)
+        a, b = np.where(from_m, m, n), np.where(from_m, n, m)
+        size_a = self.size[a]
+        # Per pair: the coalitions, the kind, and the bounds of the member
+        # draws (0 where none is drawn).
+        self.pairs = np.stack((a, b, swap, size_a, np.where(swap, size_n, 0)))
+        self.steps = np.where(from_m | (size_n > 0),
+                              self.pair_step + (size_a > 1)
+                              + (swap & (size_n > 1)), -self.pair_step)
+        self.drawable = _drawable(self.size)
+
+    def decode(self, window: np.ndarray, limit: int):
+        """Up to ``limit`` (at least 1) proposals drawn one after another
+        from the start of ``window``, as arrays ``(ends, swap, a, b, k_from,
+        k_to)``: the window offset after each proposal, whether it is a
+        swap, the coalitions its moving device leaves and enters, and the
+        indices of the moving members in the member rows of ``a`` and ``b``
+        (``none`` in a transfer).  They stop before a proposal with a draw
+        in Lemire's rejection branch, and before one whose draws could run
+        past the window."""
+        bound, step = self.n_coal, self.pair_step
+        span = window.size - 3
+        # A uint32 times a bound below 2**31 is exact in int64.
+        prod = window[:span] * bound
+        reject = prod & MASK32 < bound
+        pair = (prod >> 32) * (bound - 1)
+        if bound > 2:
+            prod = window[1:span + 1] * (bound - 1)
+            reject |= prod & MASK32 < bound - 1
+            pair += prod >> 32
+        code = self.steps[pair]
+        code[reject] = 0
+        at = np.array(_chain(code.tolist(), limit), dtype=np.int64)
+        ends = at + code[at]
+        a, b, swap, size_a, size_b = self.pairs.take(pair[at], axis=1)
+        swap = swap.astype(bool)
+        # Below a bound of 2 a member draw is 0 and consumes nothing; the
+        # product of a uint32 and 1 or 0 shifts to 0 as well.
+        take_a = size_a > 1
+        at += step
+        prod = window[at] * size_a
+        k_from = prod >> 32
+        reject = take_a & (prod & MASK32 < size_a)
+        prod = window[at + take_a] * size_b
+        k_to = np.where(swap, prod >> 32, self.none)
+        reject |= (size_b > 1) & (prod & MASK32 < size_b)
+        cut = np.flatnonzero(reject)
+        cut = int(cut[0]) if cut.size else ends.size
+        return (ends[:cut], swap[:cut], a[:cut], b[:cut], k_from[:cut],
+                k_to[:cut])
 
 
 def _chain(code: list, limit: int) -> list:
@@ -854,14 +929,15 @@ def _chain(code: list, limit: int) -> list:
     after another from position 0, skipping redrawn empty pairs; stops
     before a position in Lemire's rejection branch and at the end of the
     window."""
-    starts, p, end = [], 0, len(code)
+    starts, p, end, count = [], 0, len(code), 0
     while p < end:
         step = code[p]
         if step == 0:
             break
         if step > 0:
             starts.append(p)
-            if len(starts) == limit:
+            count += 1
+            if count == limit:
                 break
             p += step
         else:
@@ -869,46 +945,93 @@ def _chain(code: list, limit: int) -> list:
     return starts
 
 
+def _skip_tail(state: GameState, game: str, stream: _ReadAhead,
+               draws: _Draws, count: int) -> None:
+    """Count ``count`` proposals that are all rejected, and consume their
+    draws from ``stream`` without valuing them: decoded by ``draws``, or
+    drawn by ``propose_move`` where a draw falls in Lemire's rejection
+    branch."""
+    state.proposals += count
+    while count > 0:
+        ends = draws.decode(stream.window(4 * count + 3), count)[0]
+        if ends.size:
+            stream.skip(int(ends[-1]))
+            count -= ends.size
+        else:
+            propose_move(state, game, _lemire(stream.next_uint32))
+            count -= 1
+
+
 def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     """At most ``t2`` proposals, stopping after ``patience`` consecutive
     rejections: each proposal is the one ``propose_move`` draws, judged as
     ``evaluate_and_apply`` judges it, to the last bit.
 
-    Between two accepts the partition is fixed, so a block derives its
-    proposals from a window of the generator's stream (``_derive``,
-    ``_chain``) and values them together (``_Block``).  The block is cut at
-    its first accept, which is applied with the block's valuation
-    (``_settle``); each rejected proposal counts and logs as it would in
-    ``evaluate_and_apply``.  A proposal with a draw in Lemire's rejection
-    branch, or whose redraws run past the window, goes through
-    ``propose_move`` on the same stream.  A block holds at most ``BLOCK``
-    proposals, which bounds the read-ahead.
+    Between two accepts the partition is fixed, so a block decodes its
+    proposals from a window of the generator's stream (``_Draws``) and
+    values them together (``_Block``).  The block is cut at its first
+    accept, which is applied with the block's valuation (``_settle``); each
+    rejected proposal counts and logs as it would in
+    ``evaluate_and_apply``.  An accepted swap changes no coalition's size,
+    so the window's later proposals are still drawn as decoded and carry
+    over to the next block, their members read again.  A proposal with a
+    draw in Lemire's rejection branch, or whose redraws run past the
+    window, goes through ``propose_move`` on the same stream.  A block
+    holds at most ``BLOCK`` proposals, which bounds the read-ahead.
+
+    Once the rejections since the last accept reach ``drawable``, the
+    drawable moves are valued as one block; if none would be accepted, the
+    rest of the phase is rejections (see the module docstring), which
+    ``_skip_tail`` counts and draws without valuing.  A run with a move log
+    values every proposal, as the log holds each one's ``dv``.
     """
     stream = _ReadAhead(state.rng_hrd if game == HRD else state.rng_csd)
     sums = state.sums[game]
+    draws = _Draws(sums.size, sums.none)
+    hood, carry = None, None
     done = rejections = 0
+    checked = state.move_log is not None
     while done < t2 and rejections < patience:
-        limit = min(BLOCK, t2 - done, patience - rejections)
-        derived = _derive(stream.window(4 * limit + 3), sums.size)
-        code = derived[0].tolist()
-        starts = _chain(code, limit)
-        if starts:
-            _, swap, c_from, c_to, k_from, k_to = derived
-            idx = np.array(starts)
-            a, b = c_from[idx], c_to[idx]
-            block = _Block(state, sums, swap[idx], a, b,
-                           sums.members[a, k_from[idx]],
-                           sums.members[b, k_to[idx]])
+        if not checked and rejections >= draws.drawable:
+            checked = True
+            if hood is None:
+                hood = _neighbourhood(sums.none, sums.size.size)
+            block, _ = _neighbourhood_block(state, sums, hood, 0,
+                                            drawable=True)
+            if block.first_accept() == len(block):
+                _skip_tail(state, game, stream, draws,
+                           min(t2 - done, patience - rejections))
+                break
+        if carry is None:
+            limit = min(BLOCK, t2 - done, patience - rejections)
+            carry = draws.decode(stream.window(4 * limit + 3), limit)
+        ends, swap, a, b, k_from, k_to = carry
+        carry = None
+        if ends.size:
+            block = _Block(state, sums, swap, a, b, sums.members[a, k_from],
+                           sums.members[b, k_to])
             rejected = block.first_accept()
-            end = starts[min(rejected, len(starts) - 1)]
-            stream.skip(end + code[end])
+            last = min(rejected, ends.size - 1)
+            stream.skip(int(ends[last]))
             accepted = _settle(state, block, rejected)
+            resized = accepted and not swap[last]
+            if accepted and not resized and last + 1 < ends.size:
+                # A swap keeps every size: the window's later proposals are
+                # drawn as decoded, and the next block reads their members.
+                carry = tuple(x[last + 1:] for x in (ends - ends[last], swap,
+                                                     a, b, k_from, k_to))
         else:
             prop = propose_move(state, game, _lemire(stream.next_uint32))
             accepted = evaluate_and_apply(state, prop)
             rejected = int(not accepted)
+            resized = accepted and prop.md_to is None
         done += rejected + accepted
-        rejections = 0 if accepted else rejections + rejected
+        if accepted:
+            rejections, checked = 0, state.move_log is not None
+            if resized:
+                draws.resize()
+        else:
+            rejections += rejected
     stream.release()
 
 

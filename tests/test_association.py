@@ -12,7 +12,7 @@ from mecsim._kernels import FEAS_TOL, IDLE_FRAC, hrd_closed_form, \
     member_pairs
 from mecsim.allocation import coalition_value, oracle_solve_p3
 from mecsim.association import (IMPROVE_MARGIN, MASK32, MoveProposal,
-                                _derive, _evaluate, _lemire, _neighbourhood,
+                                _Draws, _evaluate, _lemire, _neighbourhood,
                                 _ReadAhead, _tentative_members, abcg_init,
                                 audit_stability, bounded_draws,
                                 evaluate_and_apply,
@@ -411,9 +411,9 @@ def test_running_sums_fall_back_where_floors_bind(monkeypatch):
     scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
     state = abcg_init(scn, demand_for(scn))
     assert state.hrd_members[12] == [11, 14]
-    sums, c, dev, off = state.sums["hrd"], np.array([12]), np.array([11]), \
-        np.array([False])
-    _, _, floor = sums.after(c, dev, dev, off, off, sums.size[c])
+    sums, c = state.sums["hrd"], np.array([12])
+    none = np.array([sums.none])
+    _, _, floor = sums.after(c, none, none, sums.size[c])
     assert floor.tolist() == [True]
     fallbacks = _count_floor_valuations(monkeypatch)
     _check_moves_against_scratch(state, games=("csd",))
@@ -518,34 +518,185 @@ def test_screen_skips_only_moves_that_cannot_be_accepted(desk_runs,
     assert screened_out > 1000 and feasible_out > 0
 
 
-def test_game_values_each_accepted_block_move_once(monkeypatch, desk_runs):
-    # A block applies its accept with its own valuation, so ``_evaluate``
-    # runs only for the random phase's scalar-path proposals.
-    evaluated, proposed = [], []
-    inner_evaluate, inner_propose = association._evaluate, \
-        association.propose_move
+def _game_counts(monkeypatch):
+    """A solve's proposals by how they are handled: ``valued`` (settled
+    block rows and ``_evaluate`` calls), ``evaluated`` (``_evaluate``
+    calls), ``skipped`` (counted in skipped tails) and ``drawn``
+    (``propose_move`` calls outside skipped tails)."""
+    counts = dict.fromkeys(("valued", "evaluated", "skipped", "drawn"), 0)
+    in_tail = []
+    inner_evaluate, inner_propose, inner_settle, inner_tail = (
+        association._evaluate, association.propose_move,
+        association._settle, association._skip_tail)
 
     def evaluate(state, prop):
-        evaluated.append(prop.game)
+        counts["valued"] += 1
+        counts["evaluated"] += 1
         return inner_evaluate(state, prop)
 
     def propose(state, game, rng):
-        proposed.append(game)
+        counts["drawn"] += not in_tail
         return inner_propose(state, game, rng)
+
+    def settle(state, block, first):
+        counts["valued"] += first + (first < len(block))
+        return inner_settle(state, block, first)
+
+    def skip_tail(state, game, stream, draws, count):
+        counts["skipped"] += count
+        in_tail.append(game)
+        try:
+            return inner_tail(state, game, stream, draws, count)
+        finally:
+            in_tail.pop()
 
     monkeypatch.setattr(association, "_evaluate", evaluate)
     monkeypatch.setattr(association, "propose_move", propose)
-    accepted = 0
+    monkeypatch.setattr(association, "_settle", settle)
+    monkeypatch.setattr(association, "_skip_tail", skip_tail)
+    return counts
+
+
+def test_game_values_each_accepted_block_move_once(monkeypatch, desk_runs):
+    # A block applies its accept with its own valuation, so ``_evaluate``
+    # runs only for the random phase's scalar-path proposals; the skipped
+    # tail draws without valuing.  Every other proposal is valued once: as
+    # a settled block row or by ``_evaluate``.
+    counts = _game_counts(monkeypatch)
+    accepted = proposals = 0
     for init, _ in desk_runs:
-        accepted += run_amnd(init.scenario, init.demand,
-                             init_state=init).accepted_moves
+        final = run_amnd(init.scenario, init.demand, init_state=init)
+        accepted += final.accepted_moves
+        proposals += final.proposals - init.proposals
+    # Few devices among 15 SBSs: the scalar path draws long runs of empty
+    # pairs, in the skipped tail unless a move log turns the skip off.
     for seed in range(4):
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=3, n_csd=2))
         demand = demand_for(scn, seed=seed, n_files=6, storage=15.6e6)
-        accepted += run_amnd(scn, demand).accepted_moves
-    assert proposed and accepted > len(proposed)
-    assert len(evaluated) == len(proposed)
+        for log_moves in (False, True):
+            final = run_amnd(scn, demand, log_moves=log_moves)
+            accepted += final.accepted_moves
+            proposals += final.proposals
+    assert counts["drawn"] and accepted > counts["drawn"]
+    assert counts["evaluated"] == counts["drawn"]
+    assert 0 < counts["skipped"] < proposals
+    assert counts["valued"] == proposals - counts["skipped"]
+
+
+def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, tmp_path):
+    # A logged run values every proposal; an unlogged one skips the stable
+    # tail.  Both must end in the same state, generators included.
+    scn = generate_scenario(SystemParams(seed=0), Counts(n_hrd=20, n_csd=20))
+    demand = demand_for(scn, seed=0)
+    ends = []
+    for log_moves in (False, True):
+        with monkeypatch.context() as hooks:
+            counts = _game_counts(hooks)
+            state = run_amnd(scn, demand, log_moves=log_moves)
+        fingerprint = _solve_fingerprint(state, tmp_path / "moves.csv")
+        ends.append((fingerprint[:12], counts, state.proposals))
+    (unlogged, counts, made), (logged, logged_counts, logged_made) = ends
+    assert unlogged == logged
+    assert counts["skipped"] > 0 and counts["valued"] < made
+    assert counts["valued"] + counts["skipped"] == made
+    assert (logged_counts["valued"], logged_counts["skipped"]) == \
+        (logged_made, 0)
+
+
+def _support(lists):
+    """Every move ``propose_move`` can draw for coalitions of members
+    ``lists``, found by walking all its draw outcomes: a swap as the set of
+    its two devices, a transfer as its device and target."""
+    class Exhausted(Exception):
+        pass
+
+    moves, scripts = set(), [()]
+    while scripts:
+        script = scripts.pop()
+        values = iter(script)
+
+        def draw(n):
+            if n == 1:
+                return 0
+            value = next(values, None)
+            if value is None:
+                raise Exhausted(n)
+            return value
+
+        try:
+            prop = propose_move(SimpleNamespace(hrd_members=lists), "hrd",
+                                draw)
+        except Exhausted as more:
+            # A proposal takes at most four draws; longer scripts only
+            # draw an empty pair again.
+            if len(script) < 4:
+                scripts += [script + (v,) for v in range(more.args[0])]
+            continue
+        moves.add(("swap", frozenset((prop.md_from, prop.md_to)))
+                  if prop.kind == "swap" else
+                  ("transfer", prop.md_from, prop.c_to))
+    return moves
+
+
+@pytest.mark.parametrize("sizes", [
+    [0, 3, 0, 1, 0, 0, 2, 5], [0, 0, 0, 2], [1, 1, 1], [3, 0, 0],
+    [0, 3], [1, 2], [2, 2],           # two coalitions
+])
+def test_drawable_count_matches_propose_move_support(sizes):
+    lists = [[10 * c + k for k in range(size)] for c, size in enumerate(sizes)]
+    assert association._drawable(np.array(sizes, dtype=np.int64)) == \
+        len(_support(lists))
+
+
+def test_drawable_block_holds_propose_move_support(desk_runs):
+    for init, final in desk_runs[:5]:
+        for state in (init, final):
+            for game in ("hrd", "csd"):
+                sums = state.sums[game]
+                lists = state.hrd_members if game == "hrd" \
+                    else state.csd_members
+                block, _ = association._neighbourhood_block(
+                    state, sums, _neighbourhood(sums.none, sums.size.size),
+                    0, drawable=True)
+                rows = {("swap", frozenset((p.md_from, p.md_to)))
+                        if p.kind == "swap" else
+                        ("transfer", p.md_from, p.c_to)
+                        for p in map(block.proposal, range(len(block)))}
+                assert len(block) == len(rows) == \
+                    association._drawable(sums.size)
+                assert rows == _support(lists), game
+
+
+def test_swap_is_valued_alike_from_either_side(desk_runs, multi_request_run):
+    # The skipped tail rests on this: a drawn swap is valued as the
+    # neighbourhood's swap of the same two devices, whichever side it is
+    # drawn from.
+    states = [state for run in desk_runs for state in run]
+    states += list(multi_request_run)
+    # Default workload, seed 1: ABCG puts HRDs 11 and 14 at SBS 12, where a
+    # backhaul floor binds.
+    scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
+    states.append(abcg_init(scn, demand_for(scn)))
+    floor_bound = 0
+    for state in states:
+        for game in ("hrd", "csd"):
+            sums = state.sums[game]
+            block, _ = association._neighbourhood_block(
+                state, sums, _neighbourhood(sums.none, sums.size.size), 0)
+            at = np.flatnonzero(block.swap)
+            a, b, i, j = (x[at] for x in (block.a, block.b, block.i,
+                                          block.j))
+            swap = np.ones(at.size, dtype=bool)
+            ahead = association._Block(state, sums, swap, a, b, i, j)
+            back = association._Block(state, sums, swap, b, a, j, i)
+            assert ahead.dv.tobytes() == back.dv.tobytes()
+            assert ahead.feasible.tolist() == back.feasible.tolist()
+            assert ahead.floor.tolist() == back.floor.tolist()
+            for q in np.flatnonzero(ahead.floor).tolist():
+                assert ahead.value(q) == back.value(q), (game, q)
+                floor_bound += 1
+    assert floor_bound > 100
 
 
 def test_running_sums_track_storage_load():
@@ -1017,9 +1168,10 @@ def test_random_phase_matches_scalar_reference(log_moves, monkeypatch,
 
 def _decode_scalar(window, lists, start):
     """``propose_move`` from position ``start`` of ``window``, drawing with
-    ``bounded_draws``' algorithm; returns the proposal, the values it
-    consumed, and whether a draw entered Lemire's rejection branch."""
-    pos, branch = start, False
+    ``bounded_draws``' algorithm.  Returns the proposal, the values it
+    consumed, the position of its last pair draw, and where a draw entered
+    Lemire's rejection branch: ``None``, ``"pair"`` or ``"member"``."""
+    pos, calls, branches = start, [], []
 
     def next_uint32():
         nonlocal pos
@@ -1029,12 +1181,18 @@ def _decode_scalar(window, lists, start):
     lemire = _lemire(next_uint32)
 
     def draw(n):
-        nonlocal branch
-        branch |= n > 1 and int(window[pos]) * n & MASK32 < n
+        calls.append(pos)
+        if n > 1 and int(window[pos]) * n & MASK32 < n:
+            branches.append(len(calls) - 1)
         return lemire(n)
 
     prop = propose_move(SimpleNamespace(hrd_members=lists), "hrd", draw)
-    return prop, pos - start, branch
+    # The last pair draw precedes one member draw per side that moves one.
+    pair = len(calls) - (4 if prop.kind == "swap" else 3)
+    branch = None
+    if branches:
+        branch = "member" if branches[-1] > pair + 1 else "pair"
+    return prop, pos - start, calls[pair], branch
 
 
 @pytest.mark.parametrize("sizes", [
@@ -1053,37 +1211,46 @@ def test_derive_matches_scalar_draws(sizes):
     window[::11] = [special[k % len(special)]
                     for k in range(window[::11].size)]
     lists = [[10 * c + k for k in range(size)] for c, size in enumerate(sizes)]
-    code, swap, c_from, c_to, k_from, k_to = _derive(
-        window, np.array(sizes, dtype=np.int64))
-    assert code.size == window.size - 3
-    seen = {"rejection": 0, "redraw": 0, "bound_1": 0, "swap": 0,
-            "transfer": 0}
-    for p in range(code.size):
-        q = p
-        while q < code.size and code[q] < 0:
-            q -= code[q]
-        try:
-            prop, used, branch = _decode_scalar(window, lists, p)
-        except IndexError:       # its draws run past the window
-            continue
-        if q >= code.size:
-            continue
-        seen["redraw"] += int(q > p)
-        assert branch == (code[q] == 0), p
-        if branch:
-            seen["rejection"] += 1
-            continue
-        assert q + code[q] == p + used, p
-        derived = (prop.game, "swap" if swap[q] else "transfer",
-                   int(c_from[q]), int(c_to[q]),
-                   lists[c_from[q]][k_from[q]],
-                   lists[c_to[q]][k_to[q]] if swap[q] else None)
-        assert derived == (prop.game, prop.kind, prop.c_from, prop.c_to,
-                           prop.md_from, prop.md_to), p
-        seen[prop.kind] += 1
-        seen["bound_1"] += (sizes[prop.c_from] == 1
-                            or prop.kind == "swap" and sizes[prop.c_to] == 1)
-    assert seen["rejection"] > 0, seen
+    none = 99
+    draws = _Draws(np.array(sizes, dtype=np.int64), none)
+    span, limit = window.size - 3, 3
+    seen = {"pair_rejection": 0, "member_rejection": 0, "redraw": 0,
+            "bound_1": 0, "swap": 0, "transfer": 0, "chained": 0}
+    for start in range(span):
+        # Up to ``limit`` proposals decoded from ``start``, against the same
+        # proposals drawn one after another by ``propose_move``.
+        decoded = draws.decode(window[start:], limit)
+        ends = decoded[0].tolist()
+        assert len(ends) <= limit
+        pos = start
+        for q in range(limit):
+            try:
+                prop, used, pair, branch = _decode_scalar(window, lists, pos)
+            except IndexError:   # its draws run past the window
+                break
+            if pair >= span:     # ... or may
+                break
+            if q == len(ends):
+                # The chain stops at a draw in Lemire's rejection branch.
+                assert branch is not None, (start, q)
+                seen[branch + "_rejection"] += 1
+                break
+            assert branch is None, (start, q)
+            assert start + ends[q] == pos + used, (start, q)
+            swap, a, b, k_from, k_to = (int(x[q]) for x in decoded[1:])
+            derived = ("swap" if swap else "transfer", a, b,
+                       lists[a][k_from], lists[b][k_to] if swap else k_to)
+            assert derived == (prop.kind, prop.c_from, prop.c_to,
+                               prop.md_from,
+                               prop.md_to if swap else none), (start, q)
+            seen["redraw"] += pair > pos
+            seen[prop.kind] += 1
+            seen["chained"] += q > 0
+            seen["bound_1"] += (sizes[prop.c_from] == 1
+                                or swap and sizes[prop.c_to] == 1)
+            pos += used
+    assert seen["pair_rejection"] > 0 and seen["member_rejection"] > 0, seen
+    assert seen["chained"] > 0, seen
     assert (seen["redraw"] > 0) == (sizes.count(0) > 1), seen
     assert (seen["transfer"] > 0) == (0 in sizes), seen
     assert (seen["swap"] > 0) == (seen["bound_1"] > 0) == (1 in sizes), seen
