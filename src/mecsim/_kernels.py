@@ -6,23 +6,26 @@ gives every entry the share ``sqrt(cost) / sum(sqrt(cost))`` and the block
 the value ``sum(sqrt(cost))**2``.  Backhaul shares are then clamped up to a
 per-device floor without renormalization, which costs the exact
 ``sum(cost / fraction)`` and is infeasible once the clamped shares overrun
-the budget.  ``shares`` and ``csd_closed_form`` are that arithmetic on
-square-root cost vectors in numpy; ``hrd_closed_form`` is the clamped HRD
-form, written once, in plain Python on lists.  Every clamped backhaul share
-comes from it: the game's floor-bound moves, the write path, the state
-reallocation and the public ``allocate_hrd``.  A move where no floor can
-bind is valued from running sums instead (``association.CoalitionSums``).
+the budget.  ``hrd_closed_form`` is the clamped HRD form, written once, in
+plain Python on lists.  Every clamped backhaul share comes from it: the
+game's floor-bound moves, the write path, the state reallocation and the
+public ``allocate_hrd``.  ``shares`` is the same square-root split on numpy
+arrays, for the public closed forms on raw cost vectors.  A move where no
+floor can bind is valued from running sums instead
+(``association.CoalitionSums``).
 
-The four kernels apply the closed form to one coalition of a
-``CoalitionCosts``: ``hrd_value``/``csd_value`` return ``(value,
+The kernels apply the closed form to one coalition of a ``CoalitionCosts``
+in one pass over the per-SBS lists of its ``Rows``, member by member in the
+order given, with every sum in numpy's order (``_sum``).  ``hrd_summary``/
+``csd_summary`` return a coalition's running-sum row, its floor ratio, its
+value and its feasibility; ``hrd_value``/``csd_value`` return ``(value,
 feasible)``, and ``hrd_alloc``/``csd_alloc`` also write the members'
 fractions into the per-pair ``beta``/``eta`` and per-device
-``alpha``/``gamma`` arrays of an ``Allocation``.  HRD coalitions are
+``alpha``/``gamma`` arrays of an ``Allocation``.  CSD coalition ``n_sbs`` is
+the virtual coalition of locally computing devices: it is worth their local
+delays, always feasible, and holds idle fractions.  HRD coalitions are
 described by flattened request pairs: device ``k`` owns pairs
-``pair_off[k] .. pair_off[k] + pair_cnt[k]``.  The HRD kernels read them
-as lists, one pair row per SBS, built on first use and held once per
-``CoalitionCosts`` (``pair_rows``), so every state and clone that shares the
-costs shares the rows.
+``pair_off[k] .. pair_off[k] + pair_cnt[k]``.
 """
 
 import numpy as np
@@ -65,85 +68,124 @@ def _sum(values) -> float:
     return total
 
 
-def hrd_closed_form(sd, bh):
-    """(eta, value, feasible) of one HRD coalition.
+class Rows:
+    """The matrices and vectors of a ``CoalitionCosts`` that the kernels
+    read, as nested Python lists under the same names (``rows.sqrt_dl[n]
+    [p]`` is ``costs.sqrt_dl[n, p]``), one ``tolist`` each, built once with
+    the costs; ``span[k]`` is the range of device ``k``'s pairs, and
+    ``room[n]`` SBS ``n``'s spare bytes plus ``BYTES_TOL``."""
 
-    ``sd`` lists the root downlink costs of every pair and ``bh`` the (root
-    backhaul cost, backhaul floor) of every missed pair; ``eta`` lists the
-    clamped backhaul shares of the missed pairs.  Sums run in numpy's
-    order, so the result is that of the same arithmetic on arrays.
-    """
-    value = _sum(sd) ** 2
+    def __init__(self, costs):
+        for name in ("cached", "eta_min", "dev_floor_ratio", "sqrt_dl",
+                     "sqrt_bh", "dl_cost", "bh_cost", "sqrt_ul", "sqrt_ed",
+                     "task_bytes", "local_delay_w"):
+            setattr(self, name, getattr(costs, name).tolist())
+        self.span = [range(a, a + c) for a, c in
+                     zip(costs.pair_off.tolist(), costs.pair_cnt.tolist())]
+        self.room = (costs.spare_bytes + BYTES_TOL).tolist()
+
+
+def _clamp(sd, sb, bh):
+    """(eta, value, feasible) of an HRD coalition whose root downlink and
+    missed root backhaul costs sum to ``sd`` and ``sb``, with the (root
+    backhaul cost, floor) of its missed pairs in ``bh``."""
+    value = sd ** 2
     if not bh:
         return [], value, True
-    sb = _sum([s for s, _ in bh])
     eta = [min(1.0, max(floor, s / sb)) for s, floor in bh]
     value += _sum([s * s / e for (s, _), e in zip(bh, eta)])
     return eta, value, not (any(floor > 1.0 for _, floor in bh)
                             or _sum(eta) > 1.0 + FEAS_TOL)
 
 
-def csd_closed_form(su, se):
-    """Value of one CSD coalition from its root uplink and compute costs."""
-    return float(su.sum()) ** 2 + float(se.sum()) ** 2
+def hrd_closed_form(sd, bh):
+    """(eta, value, feasible) of one HRD coalition.
+
+    ``sd`` lists the root downlink costs of every pair and ``bh`` the (root
+    backhaul cost, floor) of every missed pair; ``eta`` lists the clamped
+    backhaul shares of the missed pairs.  Sums run in numpy's order, so the
+    result is that of the same arithmetic on arrays.
+    """
+    return _clamp(_sum(sd), _sum([s for s, _ in bh]), bh)
 
 
-def _pair_rows(costs, n: int) -> list:
-    """Per device at SBS ``n``: the root downlink costs of its pairs and the
-    (root backhaul cost, floor) of its missed pairs."""
-    dl, bh = costs.sqrt_dl[n].tolist(), costs.sqrt_bh[n].tolist()
-    hits, floor = costs.cached[n].tolist(), costs.eta_min[n].tolist()
-    starts = costs.pair_off.tolist()
-    ends = (costs.pair_off + costs.pair_cnt).tolist()
-    return [(dl[a:b], [(s, floor[k]) for s, hit in zip(bh[a:b], hits[a:b])
-                       if not hit])
-            for k, (a, b) in enumerate(zip(starts, ends))]
-
-
-def _hrd_form(costs, n, members):
-    """``hrd_closed_form`` of ``members`` at SBS ``n``, over the pair rows
-    that ``costs`` holds for SBS ``n``.  A row is built on first use: most
-    SBSs are never valued this way."""
-    rows = costs.pair_rows[n]
-    if rows is None:
-        rows = costs.pair_rows[n] = _pair_rows(costs, n)
-    sd, bh = [], []
+def _hrd_lists(costs, n, members):
+    """The ``hrd_closed_form`` inputs of ``members`` at SBS ``n``."""
+    rows = costs.rows
+    dl, bh, hit = rows.sqrt_dl[n], rows.sqrt_bh[n], rows.cached[n]
+    floor, span = rows.eta_min[n], rows.span
+    sd, missed = [], []
     for k in members:
-        d, b = rows[k]
-        sd += d
-        bh += b
-    return hrd_closed_form(sd, bh)
+        pairs = span[k]
+        sd += dl[pairs.start:pairs.stop]
+        for p in pairs:
+            if not hit[p]:
+                missed.append((bh[p], floor[k]))
+    return sd, missed
 
 
-def _fits(costs, n, members):
-    return float(costs.task_bytes[members].sum()) <= \
-        costs.spare_bytes[n] + BYTES_TOL
+def hrd_summary(costs, n, members):
+    """``((sd, sb, miss), ratio, value, feasible)`` of the HRD coalition
+    ``members`` at SBS ``n``: its running-sum row (root downlink costs of
+    all pairs, root backhaul costs and count of the missed pairs), its
+    largest floor ratio and its clamped closed form."""
+    sd, bh = _hrd_lists(costs, n, members)
+    s_d, s_b = _sum(sd), _sum([s for s, _ in bh])
+    ratios = costs.rows.dev_floor_ratio[n]
+    ratio = max([ratios[k] for k in members], default=0.0)
+    _, value, ok = _clamp(s_d, s_b, bh)
+    return (s_d, s_b, float(len(bh))), ratio, value, ok
+
+
+def csd_summary(costs, n, members):
+    """``((su, se, load, local), 0.0, value, feasible)`` of the CSD
+    coalition ``members`` at SBS ``n``: its running-sum row (root uplink and
+    compute costs and task bytes, or in the local coalition local delays),
+    and its closed form."""
+    rows = costs.rows
+    if n == costs.n_sbs:
+        local = _sum([rows.local_delay_w[k] for k in members])
+        return (0.0, 0.0, 0.0, local), 0.0, local, True
+    ul, ed, load = rows.sqrt_ul[n], rows.sqrt_ed[n], rows.task_bytes
+    su = _sum([ul[k] for k in members])
+    se = _sum([ed[k] for k in members])
+    stored = _sum([load[k] for k in members])
+    return ((su, se, stored, 0.0), 0.0, su ** 2 + se ** 2,
+            stored <= rows.room[n])
 
 
 def hrd_value(costs, n, members):
-    _, value, ok = _hrd_form(costs, n, members)
-    return value, ok
+    return hrd_closed_form(*_hrd_lists(costs, n, members))[1:]
+
+
+def csd_value(costs, n, members):
+    return csd_summary(costs, n, members)[2:]
 
 
 def hrd_alloc(costs, n, members, beta, eta):
     """Writes every member pair's ``beta`` and ``eta``; a hit's is IDLE_FRAC."""
-    eta_miss, value, ok = _hrd_form(costs, n, members)
-    idx, _ = member_pairs(costs, members)
-    beta[idx] = shares(costs.sqrt_dl[n, idx])
-    eta[idx] = IDLE_FRAC
-    eta[idx[~costs.cached[n, idx]]] = eta_miss
+    sd, bh = _hrd_lists(costs, n, members)
+    s_d = _sum(sd)
+    eta_miss, value, ok = _clamp(s_d, _sum([s for s, _ in bh]), bh)
+    rows = costs.rows
+    hit, misses, shares_dl = rows.cached[n], iter(eta_miss), iter(sd)
+    for k in members:
+        for p in rows.span[k]:
+            beta[p] = min(1.0, next(shares_dl) / s_d)
+            eta[p] = IDLE_FRAC if hit[p] else next(misses)
     return value, ok
 
 
-def csd_value(costs, n, members):
-    value = csd_closed_form(costs.sqrt_ul[n, members],
-                            costs.sqrt_ed[n, members])
-    return value, _fits(costs, n, members)
-
-
 def csd_alloc(costs, n, members, alpha, gamma):
-    su = costs.sqrt_ul[n, members]
-    se = costs.sqrt_ed[n, members]
-    alpha[members] = shares(su)
-    gamma[members] = shares(se)
-    return csd_closed_form(su, se), _fits(costs, n, members)
+    """Writes every member's ``alpha`` and ``gamma``; a local one's are
+    IDLE_FRAC."""
+    (s_u, s_e, _, _), _, value, ok = csd_summary(costs, n, members)
+    if n == costs.n_sbs:
+        for k in members:
+            alpha[k] = gamma[k] = IDLE_FRAC
+        return value, ok
+    ul, ed = costs.rows.sqrt_ul[n], costs.rows.sqrt_ed[n]
+    for k in members:
+        alpha[k] = min(1.0, ul[k] / s_u)
+        gamma[k] = min(1.0, ed[k] / s_e)
+    return value, ok

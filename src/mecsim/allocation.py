@@ -19,13 +19,14 @@ budget multiplier with box clamps) and is the independent check used by the
 test suite and the audit CLI.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from ._kernels import (FEAS_TOL, IDLE_FRAC, hrd_closed_form, member_pairs,
-                       shares)
+from ._kernels import (FEAS_TOL, IDLE_FRAC, _sum, hrd_closed_form,
+                       member_pairs, shares)
 from .content import DemandProfile
 from .delays import BITS_PER_BYTE, request_pairs
 from .radio import RateTable, build_rate_table
@@ -42,8 +43,8 @@ class CoalitionCosts:
     ``*_cost`` entries are full-share weighted delays: the delay a slot
     would incur if granted the entire block (fraction 1).  Request pairs are
     flattened row-major per device; device k owns pairs
-    ``pair_off[k] .. pair_off[k] + pair_cnt[k]``.  ``pair_rows`` holds the
-    HRD kernels' per-SBS pair rows, built on first use (``_kernels``).
+    ``pair_off[k] .. pair_off[k] + pair_cnt[k]``.  ``rows`` holds the same
+    costs as the per-SBS Python lists the kernels read (``_kernels.Rows``).
     """
 
     pair_k: np.ndarray      # (P,)
@@ -69,10 +70,10 @@ class CoalitionCosts:
     n_sbs: int
     n_hrd: int
     n_csd: int
-    pair_rows: list = field(init=False, repr=False, compare=False)
+    rows: _kernels.Rows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pair_rows", [None] * self.n_sbs)
+        object.__setattr__(self, "rows", _kernels.Rows(self))
 
 
 def _per_device(ufunc, pair_values, pair_k, n_hrd):
@@ -168,14 +169,8 @@ def coalition_value(costs: CoalitionCosts, game: str, c: int, members):
     computing devices (always feasible).  Members are summed in the order
     given, which fixes the last ulp of the value.
     """
-    arr = np.asarray(members, dtype=np.int64)
-    if game == CSD and c == costs.n_sbs:
-        return float(costs.local_delay_w[arr].sum()), True
-    if arr.size == 0:
-        return 0.0, True
     kernel = _kernels.hrd_value if game == HRD else _kernels.csd_value
-    value, ok = kernel(costs, c, arr)
-    return float(value), bool(ok)
+    return kernel(costs, c, members)
 
 
 # ---------------------------------------------------------------------------
@@ -187,25 +182,34 @@ def equal_share_hrd(costs: CoalitionCosts, n: int, members):
     """Equal fractions per active pair/backhauled pair, with the access
     fraction capped so the access rate never outruns the backhaul rate.
 
-    Returns (pair_indices, beta, eta, value); eta holds IDLE_FRAC on hits.
+    Returns (pair_indices, beta, eta, value), pairs in member order; eta
+    holds IDLE_FRAC on hits.
     """
-    members = np.asarray(sorted(members), dtype=np.int64)
-    if members.size == 0:
-        return np.empty(0, np.int64), np.empty(0), np.empty(0), 0.0
-    idx, ks = member_pairs(costs, members)
-    miss = ~costs.cached[n, idx]
-    beta = np.full(idx.shape, 1.0 / idx.size)
-    eta = np.full(idx.shape, IDLE_FRAC)
-    if miss.any():
-        eta[miss] = 1.0 / miss.sum()
-        # Cap beta on misses so eta >= beta * floor (the rate ordering).
-        floor = costs.eta_min[n, ks[miss]]
-        with np.errstate(divide="ignore"):
-            cap = np.where(floor > 0, eta[miss] / floor, np.inf)
-        beta[miss] = np.maximum(IDLE_FRAC, np.minimum(beta[miss], cap))
-    value = float((costs.dl_cost[n, idx] / beta).sum()
-                  + (costs.bh_cost[n, idx[miss]] / eta[miss]).sum())
-    return idx, beta, eta, value
+    rows = costs.rows
+    hit, floor, span = rows.cached[n], rows.eta_min[n], rows.span
+    members = sorted(members)
+    pairs = [p for k in members for p in span[k]]
+    beta, eta, cost_bh = [], [], []
+    if pairs:
+        share = 1.0 / len(pairs)
+        missed = len(pairs) - sum(hit[p] for p in pairs)
+        eta_miss = 1.0 / missed if missed else IDLE_FRAC
+        bh = rows.bh_cost[n]
+        for k in members:
+            # Cap beta on misses so eta >= beta * floor (the rate ordering).
+            cap = eta_miss / floor[k] if floor[k] > 0 else math.inf
+            for p in span[k]:
+                if hit[p]:
+                    beta.append(share)
+                    eta.append(IDLE_FRAC)
+                else:
+                    beta.append(max(IDLE_FRAC, min(share, cap)))
+                    eta.append(eta_miss)
+                    cost_bh.append(bh[p] / eta_miss)
+    dl = rows.dl_cost[n]
+    value = _sum([dl[p] / b for p, b in zip(pairs, beta)]) + _sum(cost_bh)
+    return (np.array(pairs, dtype=np.int64), np.array(beta), np.array(eta),
+            value)
 
 
 # ---------------------------------------------------------------------------

@@ -9,24 +9,33 @@ are feasible and their combined utility strictly improves.
 
 Tentative coalitions are valued under the closed-form square-root
 allocation, and accepted ones are installed by the matching ``_kernels``
-write path.  Every move of a game is valued in O(1) from one store of
-running sums per game (``CoalitionSums``): a CSD coalition is worth
-``su**2 + se**2``, the squared sums of its root uplink and compute costs,
-and an HRD coalition ``sd**2 + sb**2`` (root downlink costs of all pairs,
-root backhaul costs of the missed pairs) as long as no backhaul floor
-binds.  A floor binds when its device's floor/root-cost ratio times ``sb``
-exceeds 1; where that may happen, the side is valued over its tentative
-members' pairs by ``_kernels.hrd_value``, the clamped closed form that the
-write path installs, so value and feasibility are exactly those of the
-installed allocation.  A feasible side of that kind is never worth less
+write path, once per game.  Every move of a game is valued in O(1) from one
+store of running sums per game (``CoalitionSums``): a CSD coalition is
+worth ``su**2 + se**2``, the squared sums of its root uplink and compute
+costs, and an HRD coalition ``sd**2 + sb**2`` (root downlink costs of all
+pairs, root backhaul costs of the missed pairs) as long as no backhaul
+floor binds.  A floor binds when its device's floor/root-cost ratio times
+``sb`` exceeds 1; where that may happen, the side is valued over its
+tentative members' pairs by ``_kernels.hrd_value``, the clamped closed form
+that the write path installs, so value and feasibility are exactly those of
+the installed allocation.  A feasible side of that kind is never worth less
 than its relaxed value ``sd**2 + sb**2`` over ``1 + FEAS_TOL``, so a move
 whose relaxed gain cannot clear ``IMPROVE_MARGIN`` even with that discount
-(``_Block.screen``) is rejected without the exact valuation.  The sums of
-the two touched coalitions are recomputed from their member lists after
-every accepted move, so they never drift.  ``audit_stability`` values
-every move with the same valuer, from running sums it rebuilds from the
-member lists, so a stale row of the state's own sums cannot hide an
-improving move from it.
+(``_Block.screen``) is rejected without the exact valuation.
+
+An accepted move sorts the two touched member lists and makes one pass over
+each (``CoalitionSums.refresh``), which recomputes the coalition's running
+sums, so they never drift, and its cached closed-form value, both summed in
+numpy's order from the per-SBS lists of ``_kernels.Rows``.  The move makes
+no install: both coalitions are marked ``stale``, and
+``run_coalition_game`` installs each stale coalition once, at its end, in
+the member order its value was summed in, so the installed allocation is
+worth the cached value to the last bit.  ``evaluate_and_apply`` installs its
+two coalitions at once.
+
+``audit_stability`` values every move with the same valuer, from running
+sums it rebuilds from the member lists, so a stale row of the state's own
+sums cannot hide an improving move from it.
 
 Moves are valued in blocks (``_Block``): arrays of transfers and swaps,
 valued elementwise, both sides in one ``CoalitionSums.after`` call, at the
@@ -60,10 +69,13 @@ so a logged run values every proposal.  Proposal counts, accepted moves,
 move logs and generator states are therefore those of the one-at-a-time
 loops, to the last bit.
 
-The state reallocation step adopts the closed form per coalition only when
-it does not worsen the incumbent (the clamped closed form can lose to the
-initializer's equal-share split when backhaul floors bind), which keeps
-every objective trace nonincreasing.
+An installed coalition is marked as holding its closed form (``closed``)
+until a move changes it, and the state reallocation skips it: installing
+it again would write the same bits.  Every other coalition still holds the
+initializer's equal-share split, and the reallocation adopts the closed
+form there only when it does not worsen the incumbent (the clamped closed
+form can lose to the equal-share split when backhaul floors bind), which
+keeps every objective trace nonincreasing.
 
 AMND alternates association and allocation, but one round is all that can
 change the state.  The computation-device game (uplink, compute, storage)
@@ -82,7 +94,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import IDLE_FRAC, hrd_value, member_pairs
+from ._kernels import hrd_value
 from .allocation import (CSD, HRD, CoalitionCosts, build_costs,
                          coalition_value, equal_share_hrd)
 from .content import DemandProfile
@@ -140,17 +152,21 @@ class CoalitionSums:
     coalition sums ``(su, se, load, local)``: its root uplink and compute
     costs and its stored task bytes, or, in row ``n_sbs`` (the virtual
     local coalition), its local delays.  Stored sums change only through
-    ``refresh``, which recomputes a row from a member list.  ``after``
-    values coalitions after one move, elementwise, and marks the HRD sides
-    where a floor may bind.
+    ``refresh``, which recomputes a row from a member list in one pass over
+    the kernels' rows (``_kernels.hrd_summary``/``csd_summary``), and
+    returns the coalition's closed-form value from the same pass.
+    ``after`` values coalitions after one move, elementwise, and marks the
+    HRD sides where a floor may bind.
     """
 
     def __init__(self, costs: CoalitionCosts, game: str, lists):
         self.costs, self.game, self.n_sbs = costs, game, costs.n_sbs
         n_coal = len(lists)
         if game == HRD:
+            self.summary = _kernels.hrd_summary
             terms = (costs.dev_sqrt_dl, costs.dev_sqrt_bh, costs.dev_miss)
         else:
+            self.summary = _kernels.csd_summary
             pad = np.zeros((1, costs.n_csd))
             terms = (np.vstack((costs.sqrt_ul, pad)),
                      np.vstack((costs.sqrt_ed, pad)),
@@ -182,29 +198,19 @@ class CoalitionSums:
             setattr(other, name, getattr(self, name).copy())
         return other
 
-    def _recompute(self, c: int, members):
-        """Row ``c``'s sums and ratio from a member list, summed by numpy."""
-        costs = self.costs
-        arr = np.asarray(members, dtype=np.int64)
-        if self.game == CSD:
-            if c == self.n_sbs:
-                return (0.0, 0.0, 0.0, costs.local_delay_w[arr].sum()), 0.0
-            return (costs.sqrt_ul[c, arr].sum(), costs.sqrt_ed[c, arr].sum(),
-                    costs.task_bytes[arr].sum(), 0.0), 0.0
-        idx, _ = member_pairs(costs, arr)
-        midx = idx[~costs.cached[c, idx]]
-        return ((costs.sqrt_dl[c, idx].sum(), costs.sqrt_bh[c, midx].sum(),
-                 midx.size), costs.dev_floor_ratio[c, arr].max(initial=0.0))
-
-    def refresh(self, c: int, members) -> None:
+    def refresh(self, c: int, members):
+        """Recompute row ``c`` from the member list ``members``; returns the
+        coalition's closed-form ``(value, feasible)``."""
         self.size[c] = len(members)
         self.members[c, :len(members)] = members
-        self.sums[c], self.ratio[c] = self._recompute(c, members)
+        self.sums[c], self.ratio[c], value, ok = self.summary(self.costs, c,
+                                                              members)
+        return value, ok
 
     def check(self, lists, tol: float) -> None:
         """Assert every stored row matches its member list."""
         for c, members in enumerate(lists):
-            sums, ratio = self._recompute(c, members)
+            sums, ratio, _, _ = self.summary(self.costs, c, members)
             ref = np.append(sums, ratio)
             got = np.append(self.sums[c], self.ratio[c])
             if (self.members[c, :self.size[c]].tolist() != list(members)
@@ -256,6 +262,11 @@ class GameState:
     rng_hrd: np.random.Generator
     rng_csd: np.random.Generator
     sums: dict                 # game -> CoalitionSums
+    # Per game: the coalitions whose allocation is their closed form, and
+    # those whose cached value and running sums are ahead of their
+    # allocation, which the game installs at its end.
+    closed: dict = field(default_factory=lambda: {HRD: set(), CSD: set()})
+    stale: dict = field(default_factory=lambda: {HRD: set(), CSD: set()})
     fallback_hrds: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     accepted_moves: int = 0
@@ -278,6 +289,8 @@ class GameState:
             v_hrd=self.v_hrd.copy(), v_csd=self.v_csd.copy(),
             objective=self.objective, rng_hrd=rng_hrd, rng_csd=rng_csd,
             sums={game: sums.copy() for game, sums in self.sums.items()},
+            closed={game: set(c) for game, c in self.closed.items()},
+            stale={game: set(c) for game, c in self.stale.items()},
             fallback_hrds=list(self.fallback_hrds), trace=list(self.trace),
             accepted_moves=self.accepted_moves, proposals=self.proposals,
             move_log=list(self.move_log) if self.move_log is not None else None,
@@ -290,7 +303,14 @@ class GameState:
     def check(self, tol: float = 1e-9) -> None:
         """Assert running sums, cached utilities and the objective match
         recomputation; cached utilities are checked against per-coalition
-        sums of the delay model's weighted per-pair and per-device delays."""
+        sums of the delay model's weighted per-pair and per-device delays.
+        A coalition marked as holding its closed form must cache exactly
+        ``coalition_value``, and installing it again must change no
+        fraction's bytes: ``reallocate`` skips it on that premise."""
+        for game, stale in self.stale.items():
+            if stale:
+                raise AssertionError(f"{game} coalitions {sorted(stale)} "
+                                     f"await their install")
         for game, sums in self.sums.items():
             sums.check(_member_lists(self, game), tol)
         rep = self.report()
@@ -318,6 +338,22 @@ class GameState:
             raise AssertionError(
                 f"objective disagrees with delay model: "
                 f"{self.objective!r} vs {rep.objective!r}")
+        again = self.allocation.copy()
+        for game, cache in ((HRD, self.v_hrd), (CSD, self.v_csd)):
+            lists = _member_lists(self, game)
+            for c in sorted(self.closed[game]):
+                value, _ = coalition_value(self.costs, game, c, lists[c])
+                if value != cache[c]:
+                    raise AssertionError(
+                        f"{game} coalition {c} is marked closed-form but "
+                        f"caches {cache[c]!r}, not {value!r}")
+                _install(self.costs, again, game, c, lists[c])
+        for name in ("alpha", "gamma", "beta", "eta"):
+            if getattr(again, name).tobytes() != \
+                    getattr(self.allocation, name).tobytes():
+                raise AssertionError(
+                    f"closed-form coalitions hold other {name} fractions "
+                    f"than their install")
 
 
 def _game_rngs(seed: int):
@@ -529,53 +565,65 @@ def _evaluate(state: GameState, prop: MoveProposal) -> None:
     prop.dv, prop.feasible = block.value(0)
 
 
-def _write_coalition(state: GameState, game: str, c: int, members) -> float:
-    """Install the closed-form allocation of coalition c; returns its value.
-    Every member's fractions are written, so a device that moved carries
-    none over from its old coalition."""
-    costs, alloc = state.costs, state.allocation
-    arr = np.asarray(members, dtype=np.int64)
-    if game == CSD and c == state.n_sbs:
-        alloc.alpha[arr] = IDLE_FRAC
-        alloc.gamma[arr] = IDLE_FRAC
-        return float(costs.local_delay_w[arr].sum())
-    if arr.size == 0:
-        return 0.0
+def _install(costs: CoalitionCosts, alloc: Allocation, game: str, c: int,
+             members) -> float:
+    """Write the closed-form allocation of coalition c into ``alloc``;
+    returns its value.  Every member's fractions are written, so a device
+    that moved carries none over from its old coalition."""
     if game == HRD:
-        value, _ = _kernels.hrd_alloc(costs, c, arr, alloc.beta, alloc.eta)
+        value, _ = _kernels.hrd_alloc(costs, c, members, alloc.beta, alloc.eta)
     else:
-        value, _ = _kernels.csd_alloc(costs, c, arr, alloc.alpha, alloc.gamma)
-    return float(value)
+        value, _ = _kernels.csd_alloc(costs, c, members, alloc.alpha,
+                                      alloc.gamma)
+    return value
+
+
+def _write_coalition(state: GameState, game: str, c: int, members) -> float:
+    """Install the closed-form allocation of coalition c into the state's
+    allocation and mark it ``closed``; returns its value."""
+    value = _install(state.costs, state.allocation, game, c, members)
+    state.closed[game].add(c)
+    state.stale[game].discard(c)
+    return value
 
 
 def evaluate_and_apply(state: GameState, prop: MoveProposal) -> bool:
     """Accept the proposal iff both tentative coalitions are feasible and
-    their combined utility strictly improves; reject leaves state untouched."""
+    their combined utility strictly improves, and install both at once;
+    reject leaves state untouched."""
     _evaluate(state, prop)
-    return _apply(state, prop)
+    accepted = _apply(state, prop)
+    if accepted:
+        lists = _member_lists(state, prop.game)
+        for c in (prop.c_from, prop.c_to):
+            _write_coalition(state, prop.game, c, lists[c])
+    return accepted
 
 
 def _apply(state: GameState, prop: MoveProposal) -> bool:
     """Count and log a valued proposal (its ``dv`` and ``feasible`` set),
     and apply it iff it is feasible and improves by more than
-    ``IMPROVE_MARGIN``; returns whether it was applied."""
+    ``IMPROVE_MARGIN``; returns whether it was applied.  An applied move
+    updates the partition, and the running sums and cached values of its
+    two coalitions, from one pass over each sorted member list, and marks
+    both stale: their allocation is installed later, once per game."""
     state.proposals += 1
     accepted = bool(prop.feasible) and prop.dv < -IMPROVE_MARGIN
     if accepted:
-        lists = _member_lists(state, prop.game)
-        src, dst = _tentative_members(lists, prop.c_from, prop.c_to,
-                                      prop.md_from, prop.md_to)
-        lists[prop.c_from] = sorted(src)
-        lists[prop.c_to] = sorted(dst)
-        assoc = _association(state, prop.game)
-        assoc[prop.md_from] = prop.c_to
+        game, a, b = prop.game, prop.c_from, prop.c_to
+        lists = _member_lists(state, game)
+        src, dst = _tentative_members(lists, a, b, prop.md_from, prop.md_to)
+        lists[a], lists[b] = sorted(src), sorted(dst)
+        assoc = _association(state, game)
+        assoc[prop.md_from] = b
         if prop.md_to is not None:
-            assoc[prop.md_to] = prop.c_from
-        cache = state.v_hrd if prop.game == HRD else state.v_csd
-        cache[prop.c_from] = _write_coalition(state, prop.game, prop.c_from, src)
-        cache[prop.c_to] = _write_coalition(state, prop.game, prop.c_to, dst)
-        state.sums[prop.game].refresh(prop.c_from, lists[prop.c_from])
-        state.sums[prop.game].refresh(prop.c_to, lists[prop.c_to])
+            assoc[prop.md_to] = a
+        cache = state.v_hrd if game == HRD else state.v_csd
+        sums = state.sums[game]
+        cache[a] = sums.refresh(a, lists[a])[0]
+        cache[b] = sums.refresh(b, lists[b])[0]
+        state.closed[game].difference_update((a, b))
+        state.stale[game].update((a, b))
         state.objective = float(state.v_hrd.sum() + state.v_csd.sum())
         state.accepted_moves += 1
     if state.move_log is not None:
@@ -1039,7 +1087,8 @@ def run_coalition_game(state: GameState, game: str, t2: int,
                        patience: int | None = None, *,
                        stabilize: bool = True) -> GameState:
     """Random move phase (at most t2 proposals, early stop after ``patience``
-    consecutive rejections) followed by the stabilization sweep."""
+    consecutive rejections) followed by the stabilization sweep; then each
+    coalition they changed is installed, once."""
     if game not in (HRD, CSD):
         raise ValueError(f"unknown game {game!r}")
     if t2 < 1:
@@ -1051,14 +1100,20 @@ def run_coalition_game(state: GameState, game: str, t2: int,
         _random_phase(state, game, t2, patience)
     if stabilize:
         stabilize_partition(state, game)
+    for c in sorted(state.stale[game]):
+        _write_coalition(state, game, c, lists[c])
     return state
 
 
 def reallocate(state: GameState) -> None:
-    """Refresh every coalition with its closed-form allocation, keeping the
-    incumbent wherever the clamped closed form is infeasible or worse."""
+    """Install the closed-form allocation of every coalition that does not
+    hold it yet, keeping the incumbent wherever the clamped closed form is
+    infeasible or worse.  A coalition marked as holding it (``closed``) is
+    skipped: installing it again would write the same bits."""
     for n in range(state.n_sbs):
         for game, cache in ((CSD, state.v_csd), (HRD, state.v_hrd)):
+            if n in state.closed[game]:
+                continue
             members = _member_lists(state, game)[n]
             value, ok = coalition_value(state.costs, game, n, members)
             if ok and value <= cache[n]:

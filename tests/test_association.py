@@ -804,6 +804,230 @@ def test_check_catches_stale_caches_and_fractions(desk_runs):
             state.check()
 
 
+def test_check_catches_a_false_closed_form_mark(desk_runs):
+    init, final = desk_runs[0]
+    # The initializer's equal shares of two devices are not the closed form.
+    n = min(c for c, members in enumerate(init.hrd_members)
+            if len(members) >= 2)
+    state = init.clone()
+    state.closed["hrd"].add(n)
+    with pytest.raises(AssertionError, match=rf"hrd coalition {n} is marked"):
+        state.check()
+    # One ulp off in one fraction of a coalition that holds its closed form.
+    n = min(c for c in final.closed["csd"] if final.csd_members[c]
+            and c < final.n_sbs)
+    k = final.csd_members[n][0]
+    state = final.clone()
+    state.allocation.gamma[k] = np.nextafter(state.allocation.gamma[k], 0.0)
+    with pytest.raises(AssertionError, match="other gamma fractions"):
+        state.check()
+
+
+def _numpy_sums(costs, game, c, members):
+    """Coalition ``c``'s running-sum row, floor ratio and closed-form value,
+    summed by numpy over fancy-indexed cost arrays: the reference for the
+    row pass."""
+    arr = np.asarray(members, dtype=np.int64)
+    if game == "csd":
+        if c == costs.n_sbs:
+            local = costs.local_delay_w[arr].sum()
+            return (0.0, 0.0, 0.0, local), 0.0, float(local)
+        su, se = costs.sqrt_ul[c, arr].sum(), costs.sqrt_ed[c, arr].sum()
+        return ((su, se, costs.task_bytes[arr].sum(), 0.0), 0.0,
+                float(su) ** 2 + float(se) ** 2)
+    idx, _ = member_pairs(costs, arr)
+    midx = idx[~costs.cached[c, idx]]
+    _, value, _ = hrd_closed_form(
+        costs.sqrt_dl[c, idx].tolist(),
+        list(zip(costs.sqrt_bh[c, midx].tolist(),
+                 costs.eta_min[c, costs.pair_k[midx]].tolist())))
+    return ((costs.sqrt_dl[c, idx].sum(), costs.sqrt_bh[c, midx].sum(),
+             midx.size), costs.dev_floor_ratio[c, arr].max(initial=0.0),
+            value)
+
+
+def test_row_pass_sums_match_numpy_fancy_index_sums(desk_runs,
+                                                    multi_request_run):
+    cases = [(state.costs, game, c, members)
+             for state in [s for run in desk_runs for s in run]
+             + list(multi_request_run)
+             for game in ("hrd", "csd")
+             for c, members in enumerate(state.hrd_members if game == "hrd"
+                                         else state.csd_members)]
+    # Eight members or more: numpy sums pairwise, and so does ``_sum``.
+    costs = multi_request_run[0].costs
+    for size in (8, 9, 13, 20):
+        for c in (0, 7, costs.n_sbs):
+            cases.append((costs, "csd", c, list(range(size))))
+            if c < costs.n_sbs:
+                cases.append((costs, "hrd", c, list(range(size))))
+    assert max(len(members) for *_, members in cases) >= 8
+    for costs, game, c, members in cases:
+        summary = (_kernels.hrd_summary if game == "hrd"
+                   else _kernels.csd_summary)
+        sums, ratio, value, _ = summary(costs, c, members)
+        ref_sums, ref_ratio, ref_value = _numpy_sums(costs, game, c, members)
+        assert np.array(sums).tobytes() == np.array(ref_sums,
+                                                    dtype=float).tobytes()
+        assert np.float64(ratio).tobytes() == np.float64(ref_ratio).tobytes()
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        assert value == coalition_value(costs, game, c, members)[0]
+
+
+def test_check_passes_after_evaluate_and_apply():
+    scn, demand, state = desk_state(seed=5)
+    rng = np.random.default_rng(3)
+    accepted = 0
+    for _ in range(300):
+        prop = propose_move(state, "csd", rng)
+        if evaluate_and_apply(state, prop):
+            accepted += 1
+            assert {prop.c_from, prop.c_to} <= state.closed["csd"]
+            assert state.stale["csd"] == set()
+            state.check()
+    assert accepted >= 2
+    # ``_apply`` alone defers the install.
+    twin = state.clone()
+    block, _ = association._neighbourhood_block(
+        twin, twin.sums["hrd"],
+        _neighbourhood(twin.partition.hrd_sbs.size, twin.n_sbs), 0)
+    q = block.first_accept()
+    assert q < len(block)
+    prop = block.proposal(q)
+    prop.dv, prop.feasible = block.value(q)
+    assert association._apply(twin, prop)
+    assert twin.stale["hrd"] == {prop.c_from, prop.c_to}
+    with pytest.raises(AssertionError, match="await their install"):
+        twin.check()
+
+
+def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
+    # A block accept defers its install to the end of the game, which
+    # installs each coalition whose last change was a block accept once;
+    # ``evaluate_and_apply`` installs its own two coalitions at once.
+    events, scalar, games = [], [], []
+    inner_game, inner_apply, inner_eval, inner_write = (
+        association.run_coalition_game, association._apply,
+        association.evaluate_and_apply, association._write_coalition)
+
+    def game(state, game, *args, **kwargs):
+        games.append(game)
+        try:
+            return inner_game(state, game, *args, **kwargs)
+        finally:
+            games.pop()
+            events.append(("end", game))
+
+    def apply(state, prop):
+        accepted = inner_apply(state, prop)
+        if accepted:
+            events.append(("accept", prop.game, bool(scalar),
+                           (prop.c_from, prop.c_to)))
+        return accepted
+
+    def evaluate(state, prop):
+        scalar.append(prop)
+        try:
+            return inner_eval(state, prop)
+        finally:
+            scalar.pop()
+
+    def write(state, game, c, members):
+        if games:
+            events.append(("install", game, bool(scalar), c))
+        return inner_write(state, game, c, members)
+
+    for name, hook in (("run_coalition_game", game), ("_apply", apply),
+                       ("evaluate_and_apply", evaluate),
+                       ("_write_coalition", write)):
+        monkeypatch.setattr(association, name, hook)
+    for init, _ in desk_runs:
+        run_amnd(init.scenario, init.demand, init_state=init)
+    accepts = installs = deferred = 0
+    last, at_end = {}, []
+    for event in events:
+        if event[0] == "accept":
+            _, game, is_scalar, pair = event
+            accepts += 1
+            for c in pair:
+                last[(game, c)] = "scalar" if is_scalar else "block"
+        elif event[0] == "install":
+            _, game, is_scalar, c = event
+            installs += 1
+            if not is_scalar:
+                at_end.append((game, c))
+        else:
+            want = sorted(key for key, how in last.items()
+                          if how == "block" and key[0] == event[1])
+            assert at_end == want
+            deferred += len(at_end)
+            last, at_end = {}, []
+    scalar_accepts = sum(1 for e in events if e[0] == "accept" and e[2])
+    assert installs == deferred + 2 * scalar_accepts
+    assert accepts > 0 and installs < 2 * accepts
+
+
+def _full_reallocate(state):
+    """``reallocate`` without its skip: every coalition valued, and
+    installed where the closed form is feasible and no worse."""
+    for n in range(state.n_sbs):
+        for game, cache in (("csd", state.v_csd), ("hrd", state.v_hrd)):
+            members = (state.csd_members if game == "csd"
+                       else state.hrd_members)[n]
+            value, ok = coalition_value(state.costs, game, n, members)
+            if ok and value <= cache[n]:
+                cache[n] = association._install(state.costs, state.allocation,
+                                                game, n, members)
+    state.objective = float(state.v_hrd.sum() + state.v_csd.sum())
+
+
+def _reallocated(state, realloc):
+    state = state.clone()
+    realloc(state)
+    alloc = state.allocation
+    return [state.v_hrd.tobytes(), state.v_csd.tobytes(),
+            repr(state.objective)] + [getattr(alloc, name).tobytes()
+                                      for name in ("alpha", "gamma", "beta",
+                                                   "eta")]
+
+
+def test_reallocate_skip_equals_a_full_reallocate(monkeypatch, desk_runs,
+                                                  multi_request_run):
+    # The HRD game runs after a reallocation, so its moves change
+    # coalitions that hold their installed closed form; the skip is
+    # compared with a full reallocation after every accept, before the
+    # game installs the changed coalitions, and after each stage.
+    compared, reinstalled = [], []
+    inner_settle = association._settle
+
+    def settle(state, block, first):
+        accepted = inner_settle(state, block, first)
+        if accepted:
+            reinstalled.append(bool(state.stale[block.game] & installed))
+            compare(state)
+        return accepted
+
+    def compare(state):
+        assert _reallocated(state, reallocate) == \
+            _reallocated(state, _full_reallocate)
+        compared.append(state.objective)
+
+    monkeypatch.setattr(association, "_settle", settle)
+    inits = [init for init, _ in desk_runs[:10]] + [multi_request_run[0]]
+    scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
+    inits.append(abcg_init(scn, demand_for(scn)))
+    for init in inits:
+        state = init.clone()
+        installed = set()
+        for game in ("csd", "hrd"):
+            run_coalition_game(state, game, t2=2000)
+            compare(state)
+            reallocate(state)
+            installed = state.closed["hrd"].copy()
+            compare(state)
+    assert len(compared) > 100 and sum(reinstalled) > 10
+
+
 # Recorded before the running sums replaced from-scratch move valuation:
 # seed, repr(F_AMND), proposals, accepted moves, hrd_sbs, csd_sbs.
 GOLDEN_DESK = (
