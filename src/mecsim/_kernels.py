@@ -1,32 +1,55 @@
 """The closed-form coalition allocation: the association game's hot loop.
 
-One SBS's resource problem splits into independent simplex blocks, each
-minimizing a sum of ``cost / fraction`` over a unit budget.  Its optimum
-gives every entry the share ``sqrt(cost) / sum(sqrt(cost))`` and the block
-the value ``sum(sqrt(cost))**2``.  Backhaul shares are then clamped up to a
-per-device floor without renormalization, which costs the exact
-``sum(cost / fraction)`` and is infeasible once the clamped shares overrun
-the budget.  ``hrd_closed_form`` is the clamped HRD form, written once, in
-plain Python on lists.  Every clamped backhaul share comes from it: the
-game's floor-bound moves, the write path, the state reallocation and the
-public ``allocate_hrd``.  ``shares`` is the same square-root split on numpy
-arrays, for the public closed forms on raw cost vectors.  A move where no
-floor can bind is valued from running sums instead
-(``association.CoalitionSums``).
+A CSD coalition's resource problem splits into two independent simplex
+blocks (uplink and edge compute), each minimizing a sum of ``cost /
+fraction`` over a unit budget.  Its optimum gives every entry the share
+``sqrt(cost) / sum(sqrt(cost))`` and the block the value
+``sum(sqrt(cost))**2``; ``shares`` is that split on numpy arrays.
 
-The kernels apply the closed form to one coalition of a ``CoalitionCosts``
-in one pass over the per-SBS lists of its ``Rows``, member by member in the
-order given, with every sum in numpy's order (``_sum``).  ``hrd_summary``/
-``csd_summary`` return a coalition's running-sum row, its floor ratio, its
-value and its feasibility; ``hrd_value``/``csd_value`` return ``(value,
-feasible)``, and ``hrd_alloc``/``csd_alloc`` also write the members'
-fractions into the per-pair ``beta``/``eta`` and per-device
-``alpha``/``gamma`` arrays of an ``Allocation``.  CSD coalition ``n_sbs`` is
-the virtual coalition of locally computing devices: it is worth their local
-delays, always feasible, and holds idle fractions.  HRD coalitions are
-described by flattened request pairs: device ``k`` owns pairs
+An HRD coalition couples its two blocks through the rate ordering of every
+missed pair: the access rate may not outrun the backhaul rate, which is
+``eta_p >= rho_p * beta_p`` with ``rho_p`` the pair's ``eta_min``.
+``hrd_closed_form`` solves that problem exactly, in plain Python on lists:
+minimize ``sum(D_p / beta_p) + sum_miss(B_p / eta_p)`` subject to
+``sum(beta) <= 1``, ``sum(eta) <= 1`` and the orderings.  It is always
+feasible, since shrinking ``beta`` restores every ordering.  Where no
+ordering binds, the two blocks take their square-root shares and the
+coalition is worth ``sd**2 + sb**2`` (root downlink costs of all pairs,
+root backhaul costs of the missed pairs).  That happens iff
+``max_p(rho_p * sqrt(D_p) / sqrt(B_p)) * sb <= sd``, the screen that
+``association.CoalitionSums`` applies to a move's running sums.  Otherwise
+the KKT conditions (Boyd & Vandenberghe, *Convex Optimization*, 5.5.3)
+leave one unknown, the ratio ``theta = mu / lambda`` of the two budgets'
+multipliers: a missed pair binds iff ``theta > B_p / (rho_p**2 * D_p)``, an
+unbound pair takes ``beta_p ~ sqrt(D_p)`` and ``eta_p ~ sqrt(B_p / theta)``,
+a bound one ``beta_p ~ sqrt((D_p + B_p / rho_p) / (1 + rho_p * theta))``
+and ``eta_p = rho_p * beta_p``, and both budgets bind at the root of
+``S_eta(theta) = S_beta(theta)``, found by a safeguarded Newton iteration
+on ``log(theta)``.  If every pair is missed and bound, the downlink budget
+may be slack instead (``lambda = 0``), with ``beta_p ~ sqrt((D_p + B_p /
+rho_p) / rho_p)`` scaled so that ``sum(eta) = 1``.  Every HRD share and
+value comes from ``hrd_closed_form``: the game's flagged moves, the
+running sums' refresh, the write path, the state reallocation,
+``coalition_value`` and the public ``allocate_hrd``, so a valued
+coalition is worth its installed allocation to the last bit.
+
+The kernels apply the closed forms to one coalition of a
+``CoalitionCosts`` in one pass over the per-SBS lists of its ``Rows``,
+member by member in the order given, with every sum in numpy's order
+(``_sum``).  ``hrd_summary``/``csd_summary`` return a coalition's
+running-sum row, its largest device ratio, its value and its feasibility;
+``hrd_value``/``csd_value`` return ``(value, feasible)``, and
+``hrd_alloc``/``csd_alloc`` also write the members' fractions into the
+per-pair ``beta``/``eta`` and per-device ``alpha``/``gamma`` arrays of an
+``Allocation``.  An HRD coalition is always feasible; a CSD coalition is
+feasible while its task inputs fit in the SBS's spare storage.  CSD
+coalition ``n_sbs`` is the virtual coalition of locally computing devices:
+it is worth their local delays and holds idle fractions.  HRD coalitions
+are described by flattened request pairs: device ``k`` owns pairs
 ``pair_off[k] .. pair_off[k] + pair_cnt[k]``.
 """
+
+import math
 
 import numpy as np
 
@@ -36,6 +59,11 @@ IDLE_FRAC = 1e-8       # placeholder fraction for entries outside the associatio
 
 # The kernels are plain numpy; the benchmark records this as its kernel path.
 USING_NUMBA = False
+
+# Newton steps of ``_coupled_shares``; it converges in well under 20.
+NEWTON_MAX_ITER = 100
+# log(theta) stays below this, so exp() cannot overflow.
+LOG_THETA_MAX = 700.0
 
 
 def warmup() -> None:
@@ -85,56 +113,120 @@ class Rows:
         self.room = (costs.spare_bytes + BYTES_TOL).tolist()
 
 
-def _clamp(sd, sb, bh):
-    """(eta, value, feasible) of an HRD coalition whose root downlink and
-    missed root backhaul costs sum to ``sd`` and ``sb``, with the (root
-    backhaul cost, floor) of its missed pairs in ``bh``."""
-    value = sd ** 2
-    if not bh:
-        return [], value, True
-    eta = [min(1.0, max(floor, s / sb)) for s, floor in bh]
-    value += _sum([s * s / e for (s, _), e in zip(bh, eta)])
-    return eta, value, not (any(floor > 1.0 for _, floor in bh)
-                            or _sum(eta) > 1.0 + FEAS_TOL)
+def _coupled_shares(d, miss):
+    """(beta, eta) of an HRD coalition where some ordering binds: the
+    shares at the root in ``x = log(theta)`` of ``log(S_eta / S_beta)``,
+    or, if every pair is missed and the downlink budget is slack, the
+    shares that fill the backhaul budget alone.  ``d`` and ``miss`` are
+    ``hrd_closed_form``'s inputs."""
+    missed = {i for i, _, _ in miss}
+    s_hit = _sum([v for p, v in enumerate(d) if p not in missed])
+    # Per missed pair: its position, root costs, rho, binding threshold
+    # theta_p and D_p + B_p / rho_p.
+    pairs = [(i, d[i], s, r, (s / (r * d[i])) ** 2, d[i] * d[i] + s * s / r)
+             for i, s, r in miss]
+    if s_hit == 0.0:
+        # lambda = 0: every pair bound, eta_p ~ sqrt(rho_p * D_p + B_p) and
+        # beta_p = eta_p / rho_p, if that leaves sum(beta) <= sum(eta).
+        g = [math.sqrt(r * k) for _, _, _, r, _, k in pairs]
+        h = [v / r for v, (_, _, _, r, _, _) in zip(g, pairs)]
+        total = _sum(g)
+        if _sum(h) <= total:
+            return [v / total for v in h], [v / total for v in g]
+
+    def at(x):
+        """(c, e, log(S_eta / S_beta), its derivative in x) at x."""
+        theta = math.exp(x)
+        root = math.sqrt(theta)
+        c, e = list(d), []
+        s_c, s_e, dc, de = s_hit, 0.0, 0.0, 0.0
+        for i, di, s, r, t, k in pairs:
+            if theta <= t:
+                ei = s / root
+                s_c += di
+                de -= 0.5 * ei
+            else:
+                w = r * theta
+                ci = math.sqrt(k / (1.0 + w))
+                c[i] = ci
+                ei = r * ci
+                g = -0.5 * ci * w / (1.0 + w)
+                s_c += ci
+                dc += g
+                de += r * g
+            e.append(ei)
+            s_e += ei
+        return c, e, math.log(s_e / s_c), de / s_e - dc / s_c
+
+    # Below the smallest threshold no pair binds, and the caller has found
+    # that the root lies above it.
+    lo, hi = min(math.log(t) for _, _, _, _, t, _ in pairs), LOG_THETA_MAX
+    x = lo
+    for _ in range(NEWTON_MAX_ITER):
+        c, e, f, slope = at(x)
+        if f > 0.0:
+            lo = x
+        elif f < 0.0:
+            hi = x
+        else:
+            break
+        step = x - f / slope if slope < 0.0 else hi
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - x) <= 1e-15 * max(1.0, abs(x)):
+            break
+        x = step
+    s_c, s_e = _sum(c), _sum(e)
+    return [min(1.0, v / s_c) for v in c], [min(1.0, v / s_e) for v in e]
 
 
-def hrd_closed_form(sd, bh):
-    """(eta, value, feasible) of one HRD coalition.
+def hrd_closed_form(d, miss):
+    """(beta, eta, value) of one HRD coalition.
 
-    ``sd`` lists the root downlink costs of every pair and ``bh`` the (root
-    backhaul cost, floor) of every missed pair; ``eta`` lists the clamped
-    backhaul shares of the missed pairs.  Sums run in numpy's order, so the
-    result is that of the same arithmetic on arrays.
+    ``d`` lists the root downlink costs ``sqrt(D_p)`` of every pair and
+    ``miss`` the ``(position in d, root backhaul cost sqrt(B_p), rho_p)`` of
+    every missed pair; ``beta`` holds one share per pair and ``eta`` one
+    per missed pair, both in that order.  Sums run in numpy's order.
     """
-    return _clamp(_sum(sd), _sum([s for s, _ in bh]), bh)
+    s_d = _sum(d)
+    if not miss:
+        return [min(1.0, x / s_d) for x in d], [], s_d * s_d
+    b = [s for _, s, _ in miss]
+    s_b = _sum(b)
+    if max([r * d[i] / s for i, s, r in miss]) * s_b <= s_d:
+        return ([min(1.0, x / s_d) for x in d],
+                [min(1.0, s / s_b) for s in b], s_d * s_d + s_b * s_b)
+    beta, eta = _coupled_shares(d, miss)
+    return beta, eta, (_sum([x * x / f for x, f in zip(d, beta)])
+                       + _sum([s * s / f for s, f in zip(b, eta)]))
 
 
 def _hrd_lists(costs, n, members):
     """The ``hrd_closed_form`` inputs of ``members`` at SBS ``n``."""
     rows = costs.rows
     dl, bh, hit = rows.sqrt_dl[n], rows.sqrt_bh[n], rows.cached[n]
-    floor, span = rows.eta_min[n], rows.span
-    sd, missed = [], []
+    rho, span = rows.eta_min[n], rows.span
+    d, miss = [], []
     for k in members:
         pairs = span[k]
-        sd += dl[pairs.start:pairs.stop]
         for p in pairs:
             if not hit[p]:
-                missed.append((bh[p], floor[k]))
-    return sd, missed
+                miss.append((len(d) + p - pairs.start, bh[p], rho[k]))
+        d += dl[pairs.start:pairs.stop]
+    return d, miss
 
 
 def hrd_summary(costs, n, members):
-    """``((sd, sb, miss), ratio, value, feasible)`` of the HRD coalition
+    """``((sd, sb, miss), ratio, value, True)`` of the HRD coalition
     ``members`` at SBS ``n``: its running-sum row (root downlink costs of
     all pairs, root backhaul costs and count of the missed pairs), its
-    largest floor ratio and its clamped closed form."""
-    sd, bh = _hrd_lists(costs, n, members)
-    s_d, s_b = _sum(sd), _sum([s for s, _ in bh])
+    largest device ratio and its closed-form value."""
+    d, miss = _hrd_lists(costs, n, members)
     ratios = costs.rows.dev_floor_ratio[n]
     ratio = max([ratios[k] for k in members], default=0.0)
-    _, value, ok = _clamp(s_d, s_b, bh)
-    return (s_d, s_b, float(len(bh))), ratio, value, ok
+    value = hrd_closed_form(d, miss)[2]
+    return ((_sum(d), _sum([s for _, s, _ in miss]), float(len(miss))),
+            ratio, value, True)
 
 
 def csd_summary(costs, n, members):
@@ -155,7 +247,7 @@ def csd_summary(costs, n, members):
 
 
 def hrd_value(costs, n, members):
-    return hrd_closed_form(*_hrd_lists(costs, n, members))[1:]
+    return hrd_closed_form(*_hrd_lists(costs, n, members))[2], True
 
 
 def csd_value(costs, n, members):
@@ -164,16 +256,15 @@ def csd_value(costs, n, members):
 
 def hrd_alloc(costs, n, members, beta, eta):
     """Writes every member pair's ``beta`` and ``eta``; a hit's is IDLE_FRAC."""
-    sd, bh = _hrd_lists(costs, n, members)
-    s_d = _sum(sd)
-    eta_miss, value, ok = _clamp(s_d, _sum([s for s, _ in bh]), bh)
+    shares_dl, shares_bh, value = hrd_closed_form(*_hrd_lists(costs, n,
+                                                              members))
     rows = costs.rows
-    hit, misses, shares_dl = rows.cached[n], iter(eta_miss), iter(sd)
+    hit, dl, bh = rows.cached[n], iter(shares_dl), iter(shares_bh)
     for k in members:
         for p in rows.span[k]:
-            beta[p] = min(1.0, next(shares_dl) / s_d)
-            eta[p] = IDLE_FRAC if hit[p] else next(misses)
-    return value, ok
+            beta[p] = next(dl)
+            eta[p] = IDLE_FRAC if hit[p] else next(bh)
+    return value, True
 
 
 def csd_alloc(costs, n, members, alpha, gamma):

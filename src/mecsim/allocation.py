@@ -3,20 +3,20 @@
 ``build_costs`` turns a scenario and its demand into the full-share
 weighted delay of every (SBS, request pair) and (SBS, computation device)
 slot, the only inputs the closed form needs.  The closed form itself lives
-in ``_kernels``: square-root shares per resource block (uplink, downlink,
-backhaul, edge compute), with backhaul shares clamped up to a per-device
-floor (the smallest fraction that keeps the access rate from outrunning the
-backhaul rate) and a coalition whose clamped shares overrun the budget
-declared infeasible rather than repaired.  ``coalition_value`` is the one
-evaluator of a member set: it values one coalition with the kernels and
-serves the state reallocation, while the coalition game and its stability
-audit value moves from running sums (``association.CoalitionSums``).
-``allocate_hrd``/``allocate_csd`` are the same closed form on raw cost
+in ``_kernels``: square-root shares per CSD block (uplink, edge compute),
+and for an HRD coalition the exact optimum of its downlink and backhaul
+blocks under the rate ordering ``eta_p >= rho_p * beta_p`` of every missed
+pair, which is always feasible.  ``coalition_value`` is the one evaluator
+of a member set: it values one coalition with the kernels and serves the
+state reallocation, while the coalition game and its stability audit value
+moves from running sums (``association.CoalitionSums``).
+``allocate_hrd``/``allocate_csd`` are the same closed forms on raw cost
 vectors.
 
-``oracle_simplex_min`` solves the same block numerically (bisection on the
-budget multiplier with box clamps) and is the independent check used by the
-test suite and the audit CLI.
+``oracle_simplex_min`` solves one simplex block numerically (bisection on
+the budget multiplier with box clamps), and ``oracle_hrd_min`` the coupled
+HRD problem (nested bisection on the two budget multipliers).  They are the
+independent checks used by the test suite and the audit CLI.
 """
 
 import math
@@ -109,7 +109,9 @@ def build_costs(scenario: Scenario, demand: DemandProfile,
 
     sqrt_dl, sqrt_bh = np.sqrt(dl_cost), np.sqrt(bh_cost)
     miss = ~cached
-    ratio = np.where(miss, table.eta_min[:, pair_k] / sqrt_bh, 0.0)
+    # A missed pair's ordering binds only if rho * sqrt(D) / sqrt(B) times
+    # its coalition's sb exceeds sd (``_kernels.hrd_closed_form``).
+    ratio = np.where(miss, table.eta_min[:, pair_k] * sqrt_dl / sqrt_bh, 0.0)
 
     return CoalitionCosts(
         pair_k=pair_k, pair_off=off, pair_cnt=cnt,
@@ -143,39 +145,38 @@ def allocate_csd(ul_cost, ed_cost):
     return alpha, gamma
 
 
-def allocate_hrd(dl_cost, bh_cost, cached, eta_floor):
+def allocate_hrd(dl_cost, bh_cost, cached, rho):
     """Downlink/backhaul fractions for one coalition's active request pairs.
 
     ``cached`` marks pairs with no backhaul demand; their eta stays at the
-    idle placeholder.  Backhaul shares are clamped up to ``eta_floor``;
-    the result is infeasible when a floor exceeds 1 or the clamped shares
-    overrun the unit budget.
+    idle placeholder.  Every missed pair keeps ``eta >= rho * beta``, its
+    rate ordering (``rho`` is its ``eta_min``).
     """
     sd = np.sqrt(np.asarray(dl_cost, dtype=float))
-    miss = ~np.asarray(cached, dtype=bool)
-    sb = np.sqrt(np.asarray(bh_cost, dtype=float)[miss])
-    floor = np.asarray(eta_floor, dtype=float)[miss]
+    pos = np.flatnonzero(~np.asarray(cached, dtype=bool))
+    sb = np.sqrt(np.asarray(bh_cost, dtype=float)[pos])
+    rho = np.asarray(rho, dtype=float)[pos]
+    beta, eta_miss, _ = hrd_closed_form(
+        sd.tolist(), list(zip(pos.tolist(), sb.tolist(), rho.tolist())))
     eta = np.full(sd.shape, IDLE_FRAC)
-    eta[miss], _, feasible = hrd_closed_form(
-        sd.tolist(), list(zip(sb.tolist(), floor.tolist())))
-    return shares(sd), eta, feasible
+    eta[pos] = eta_miss
+    return np.array(beta), eta
 
 
 def coalition_value(costs: CoalitionCosts, game: str, c: int, members):
     """(value, feasible) of the member set ``members`` as coalition ``c`` of
     ``game`` ("hrd" or "csd"), under the closed-form allocation.
 
-    CSD coalition ``c == n_sbs`` is the virtual coalition of locally
-    computing devices (always feasible).  Members are summed in the order
-    given, which fixes the last ulp of the value.
+    An HRD coalition is always feasible, and so is CSD coalition ``c ==
+    n_sbs``, the virtual coalition of locally computing devices.  Members
+    are summed in the order given, which fixes the last ulp of the value.
     """
     kernel = _kernels.hrd_value if game == HRD else _kernels.csd_value
     return kernel(costs, c, members)
 
 
 # ---------------------------------------------------------------------------
-# Equal-share policy (the initializer's allocation, which the reallocation
-# keeps when the clamped closed form is infeasible or worse).
+# Equal-share policy: the initializer's allocation, the ABCG baseline.
 # ---------------------------------------------------------------------------
 
 def equal_share_hrd(costs: CoalitionCosts, n: int, members):
@@ -186,7 +187,7 @@ def equal_share_hrd(costs: CoalitionCosts, n: int, members):
     holds IDLE_FRAC on hits.
     """
     rows = costs.rows
-    hit, floor, span = rows.cached[n], rows.eta_min[n], rows.span
+    hit, rho, span = rows.cached[n], rows.eta_min[n], rows.span
     members = sorted(members)
     pairs = [p for k in members for p in span[k]]
     beta, eta, cost_bh = [], [], []
@@ -196,8 +197,8 @@ def equal_share_hrd(costs: CoalitionCosts, n: int, members):
         eta_miss = 1.0 / missed if missed else IDLE_FRAC
         bh = rows.bh_cost[n]
         for k in members:
-            # Cap beta on misses so eta >= beta * floor (the rate ordering).
-            cap = eta_miss / floor[k] if floor[k] > 0 else math.inf
+            # Cap beta on misses so eta >= rho * beta (the rate ordering).
+            cap = eta_miss / rho[k] if rho[k] > 0 else math.inf
             for p in span[k]:
                 if hit[p]:
                     beta.append(share)
@@ -216,17 +217,46 @@ def equal_share_hrd(costs: CoalitionCosts, n: int, members):
 # Independent numerical oracle.
 # ---------------------------------------------------------------------------
 
-ORACLE_MAX_ITER = 240   # bisection steps of ``oracle_simplex_min``
+ORACLE_MAX_ITER = 240   # bisection steps of ``_multiplier``
+ORACLE_TOL = 1e-12      # budget residual that ``oracle_hrd_min`` accepts
+
+
+def _multiplier(budget, guess: float, tol: float) -> float:
+    """The multiplier at which ``budget``, a nonincreasing function of it
+    that falls from above 1 to below 1, crosses 1: bracketed from ``guess``
+    by factors of 16, then bisected on a log scale until the residual is
+    within ``tol``.  Raises RuntimeError if it does not converge."""
+    lo = hi = guess
+    while budget(lo) < 1.0 and lo > 1e-300:
+        lo /= 16.0
+    while budget(hi) > 1.0 and hi < 1e300:
+        hi *= 16.0
+    for _ in range(ORACLE_MAX_ITER):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        residual = budget(mid) - 1.0
+        if abs(residual) <= tol:
+            return mid
+        if residual > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi <= lo * (1.0 + 1e-15):
+            residual = budget(hi) - 1.0
+            break
+    if abs(residual) > 1e-7:
+        raise RuntimeError(
+            f"multiplier bisection did not converge: residual {residual:.3e}")
+    return hi
 
 
 def oracle_simplex_min(cost, lo, hi, tol: float = 1e-10):
     """Minimize sum(cost/f) s.t. sum(f) <= 1, lo <= f <= hi, numerically.
 
     Stationarity makes every coordinate ``clip(sqrt(cost/nu), lo, hi)`` for a
-    single multiplier nu; the budget residual is monotone in nu, so nu is
-    found by bisection.  Returns (fractions, objective).  Raises ValueError
-    for an infeasible box (sum of floors above 1) and RuntimeError if the
-    residual fails to converge.
+    single multiplier nu; the budget is nonincreasing in nu, so nu is found
+    by bisection (``_multiplier``).  Returns (fractions, objective).  Raises
+    ValueError for an infeasible box (sum of floors above 1) and
+    RuntimeError if the residual fails to converge.
     """
     cost = np.asarray(cost, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), cost.shape).copy()
@@ -240,45 +270,70 @@ def oracle_simplex_min(cost, lo, hi, tol: float = 1e-10):
     if hi.sum() <= 1.0:
         f = hi.copy()
         return f, float((cost / f).sum())
-
-    def budget(nu: float) -> float:
-        return float(np.clip(np.sqrt(cost / nu), lo, hi).sum())
-
-    nu_lo = float((cost / hi ** 2).min())
-    nu_hi = float((cost / lo ** 2).max())
-    while budget(nu_lo) < 1.0 and nu_lo > 1e-300:
-        nu_lo /= 16.0
-    while budget(nu_hi) > 1.0 and nu_hi < 1e300:
-        nu_hi *= 16.0
-
-    nu = nu_hi
-    residual = budget(nu) - 1.0
-    for _ in range(ORACLE_MAX_ITER):
-        nu = 0.5 * (nu_lo + nu_hi)
-        residual = budget(nu) - 1.0
-        if abs(residual) <= tol:
-            break
-        if residual > 0.0:
-            nu_lo = nu
-        else:
-            nu_hi = nu
-        if (nu_hi - nu_lo) <= 1e-16 * nu_hi:
-            residual = budget(nu) - 1.0
-            break
-    if abs(residual) > 1e-7:
-        raise RuntimeError(
-            f"multiplier bisection did not converge: residual {residual:.3e}")
+    nu = _multiplier(
+        lambda nu: float(np.clip(np.sqrt(cost / nu), lo, hi).sum()),
+        float(np.sqrt(cost).sum()) ** 2, tol)
     f = np.clip(np.sqrt(cost / nu), lo, hi)
     return f, float((cost / f).sum())
+
+
+def oracle_hrd_min(dl_cost, bh_cost, cached, rho):
+    """Minimize sum(D/beta) + sum_miss(B/eta) s.t. sum(beta) <= 1,
+    sum(eta) <= 1 and eta >= rho * beta on every missed pair, numerically.
+
+    For budget multipliers lambda and mu, stationarity gives a hit or a
+    missed pair whose ordering is slack ``beta = sqrt(D/lambda)`` (and
+    ``eta = sqrt(B/mu)``); where ``B * lambda < rho**2 * D * mu`` the
+    ordering binds, and ``beta = sqrt((D + B/rho) / (lambda + rho * mu))``,
+    ``eta = rho * beta``.  The downlink budget is nonincreasing in lambda
+    and the backhaul budget, with lambda solved for, in mu, so each is found
+    by bisection (``_multiplier``): lambda inside, for every trial mu, and
+    mu outside, each to a residual of ``ORACLE_TOL``.  lambda is 0 where
+    the downlink budget is slack even then (every pair missed).  Returns
+    (beta, eta, objective); eta is IDLE_FRAC on hits.
+    """
+    dl = np.asarray(dl_cost, dtype=float)
+    bh = np.asarray(bh_cost, dtype=float)
+    miss = ~np.asarray(cached, dtype=bool)
+    pairs = list(zip(dl.tolist(), np.where(miss, bh, np.nan).tolist(),
+                     np.broadcast_to(rho, dl.shape).tolist()))
+
+    def shares(lam, mu):
+        beta, eta = [], []
+        for d, b, r in pairs:
+            if b != b:      # a hit: no backhaul share
+                beta.append(math.sqrt(d / lam))
+            elif b * lam >= r * r * d * mu:
+                beta.append(math.sqrt(d / lam))
+                eta.append(math.sqrt(b / mu))
+            else:
+                beta.append(math.sqrt((d + b / r) / (lam + r * mu)))
+                eta.append(r * beta[-1])
+        return beta, eta
+
+    def lam_at(mu):
+        if miss.all() and math.fsum(shares(0.0, mu)[0]) <= 1.0:
+            return 0.0
+        return _multiplier(lambda lam: math.fsum(shares(lam, mu)[0]),
+                           float(np.sqrt(dl).sum()) ** 2, ORACLE_TOL)
+
+    mu = 0.0
+    if miss.any():
+        mu = _multiplier(lambda mu: math.fsum(shares(lam_at(mu), mu)[1]),
+                         float(np.sqrt(bh[miss]).sum()) ** 2, ORACLE_TOL)
+    beta, eta_miss = (np.array(x) for x in shares(lam_at(mu), mu))
+    eta = np.full(dl.shape, IDLE_FRAC)
+    eta[miss] = eta_miss
+    return beta, eta, float((dl / beta).sum() + (bh[miss] / eta_miss).sum())
 
 
 def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str):
     """Numerically optimal per-block fractions for one coalition at SBS n.
 
     Returns a dict: for "hrd" kind, pair indices plus beta/eta arrays and the
-    total objective; for "csd", member alpha/gamma arrays and the objective.
-    ``feasible`` is False when the backhaul floors alone overrun the budget
-    (no allocation satisfies the rate-ordering floor under the cap).
+    total objective (``oracle_hrd_min``), always feasible; for "csd", member
+    alpha/gamma arrays and the objective, ``feasible`` False when the
+    members' task inputs overrun the SBS's spare storage.
     """
     members = np.asarray(sorted(members), dtype=np.int64)
     if kind == "csd":
@@ -298,18 +353,9 @@ def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str):
         return {"pairs": np.empty(0, np.int64), "beta": np.empty(0),
                 "eta": np.empty(0), "objective": 0.0, "feasible": True}
     idx, ks = member_pairs(costs, members)
-    beta, v_dl = oracle_simplex_min(costs.dl_cost[n, idx], IDLE_FRAC, 1.0)
-    eta = np.full(idx.shape, IDLE_FRAC)
-    v_bh = 0.0
-    feasible = True
-    miss = ~costs.cached[n, idx]
-    if miss.any():
-        floors = costs.eta_min[n, ks[miss]]
-        if (floors > 1.0).any() or floors.sum() > 1.0 + FEAS_TOL:
-            feasible = False
-        else:
-            eta_m, v_bh = oracle_simplex_min(
-                costs.bh_cost[n, idx[miss]], floors, 1.0)
-            eta[miss] = eta_m
-    return {"pairs": idx, "beta": beta, "eta": eta,
-            "objective": v_dl + v_bh, "feasible": feasible}
+    beta, eta, value = oracle_hrd_min(costs.dl_cost[n, idx],
+                                      costs.bh_cost[n, idx],
+                                      costs.cached[n, idx],
+                                      costs.eta_min[n, ks])
+    return {"pairs": idx, "beta": beta, "eta": eta, "objective": value,
+            "feasible": True}

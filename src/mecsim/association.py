@@ -5,23 +5,25 @@ feasible allocation and cached per-coalition utilities (total weighted delay
 of the coalition's members under the state's allocation).  Because the
 objective is separable across SBSs, a candidate move re-evaluates only the
 two touched coalitions; a move is accepted when both tentative coalitions
-are feasible and their combined utility strictly improves.
+are feasible and their combined utility strictly improves.  Every HRD
+coalition is feasible; a CSD coalition is while its task inputs fit in
+storage.
 
-Tentative coalitions are valued under the closed-form square-root
-allocation, and accepted ones are installed by the matching ``_kernels``
-write path, once per game.  Every move of a game is valued in O(1) from one
-store of running sums per game (``CoalitionSums``): a CSD coalition is
-worth ``su**2 + se**2``, the squared sums of its root uplink and compute
-costs, and an HRD coalition ``sd**2 + sb**2`` (root downlink costs of all
-pairs, root backhaul costs of the missed pairs) as long as no backhaul
-floor binds.  A floor binds when its device's floor/root-cost ratio times
-``sb`` exceeds 1; where that may happen, the side is valued over its
-tentative members' pairs by ``_kernels.hrd_value``, the clamped closed form
-that the write path installs, so value and feasibility are exactly those of
-the installed allocation.  A feasible side of that kind is never worth less
-than its relaxed value ``sd**2 + sb**2`` over ``1 + FEAS_TOL``, so a move
-whose relaxed gain cannot clear ``IMPROVE_MARGIN`` even with that discount
-(``_Block.screen``) is rejected without the exact valuation.
+Tentative coalitions are valued under the closed-form allocation, and
+accepted ones are installed by the matching ``_kernels`` write path, once
+per game.  Every move of a game is valued in O(1) from one store of
+running sums per game (``CoalitionSums``): a CSD coalition is worth
+``su**2 + se**2``, the squared sums of its root uplink and compute costs,
+and an HRD coalition ``sd**2 + sb**2`` (root downlink costs of all pairs,
+root backhaul costs of the missed pairs) as long as no rate ordering
+binds.  One binds only if the largest device ratio ``rho * sqrt(D) /
+sqrt(B)`` times ``sb`` exceeds ``sd``; where that may happen, the side is
+valued over its tentative members' pairs by ``_kernels.hrd_value``, the
+exact closed form that the write path installs, so its value is exactly
+that of the installed allocation.  Dropping the orderings relaxes the
+problem, so such a side is never worth less than ``sd**2 + sb**2``, and a
+move whose relaxed gain cannot clear ``IMPROVE_MARGIN`` (``_Block.screen``)
+is rejected without the exact valuation.
 
 An accepted move sorts the two touched member lists and makes one pass over
 each (``CoalitionSums.refresh``), which recomputes the coalition's running
@@ -72,10 +74,9 @@ loops, to the last bit.
 An installed coalition is marked as holding its closed form (``closed``)
 until a move changes it, and the state reallocation skips it: installing
 it again would write the same bits.  Every other coalition still holds the
-initializer's equal-share split, and the reallocation adopts the closed
-form there only when it does not worsen the incumbent (the clamped closed
-form can lose to the equal-share split when backhaul floors bind), which
-keeps every objective trace nonincreasing.
+initializer's equal-share split, which is a feasible point of the problem
+the closed form solves exactly, so installing the closed form there never
+raises a coalition's delay and every objective trace is nonincreasing.
 
 AMND alternates association and allocation, but one round is all that can
 change the state.  The computation-device game (uplink, compute, storage)
@@ -104,8 +105,8 @@ from .radio import RateTable, build_rate_table
 from .scenario import Scenario
 
 IMPROVE_MARGIN = 1e-12   # strict-improvement threshold, avoids cycling on ties
-# Relative allowance of the floor-bound screen (``_Block.screen``): covers
-# FEAS_TOL and the rounding of the running sums.
+# Relative allowance of the screen (``_Block.screen``) for the rounding of
+# the running sums and of the exact valuation.
 SLACK = 1e-8
 MASK32 = 0xFFFFFFFF
 # Proposals per block of the random phase.  On desk and sweep solves a
@@ -146,8 +147,8 @@ class CoalitionSums:
     terms: it is a transfer's missing partner, and moves nothing.  An HRD
     coalition sums ``(sd, sb, miss)``: its pairs' root downlink costs, its
     missed pairs' root backhaul costs, and the number of missed pairs
-    (small counts, exact as floats); ``ratio`` holds the largest
-    floor/root-backhaul ratio among them, a running max, and
+    (small counts, exact as floats); ``ratio`` holds the largest device
+    ratio ``rho * sqrt(D) / sqrt(B)`` among them, a running max, and
     ``floor_ratio`` each device's, in the rows of ``terms``.  A CSD
     coalition sums ``(su, se, load, local)``: its root uplink and compute
     costs and its stored task bytes, or, in row ``n_sbs`` (the virtual
@@ -156,7 +157,7 @@ class CoalitionSums:
     the kernels' rows (``_kernels.hrd_summary``/``csd_summary``), and
     returns the coalition's closed-form value from the same pass.
     ``after`` values coalitions after one move, elementwise, and marks the
-    HRD sides where a floor may bind.
+    HRD sides where a rate ordering may bind.
     """
 
     def __init__(self, costs: CoalitionCosts, game: str, lists):
@@ -223,8 +224,8 @@ class CoalitionSums:
     def after(self, c, out, inn, size):
         """(value, feasible, floor) of coalitions ``c`` once device ``out``
         leaves and ``inn`` enters, holding ``size`` members; ``none`` in
-        either place moves nothing.  ``floor`` marks HRD sides where a
-        backhaul floor may bind (``ratio * sb > 1``); their value is left to
+        either place moves nothing.  ``floor`` marks HRD sides where a rate
+        ordering may bind (``ratio * sb > sd``); their value is left to
         ``_kernels.hrd_value``."""
         row = c * self.stride
         x = (self.sums.take(c, axis=0) - self.terms.take(row + out, axis=0)
@@ -235,7 +236,7 @@ class CoalitionSums:
             # After a removal the old ratio is an upper bound.
             ratio = np.maximum(self.ratio[c], self.floor_ratio[row + inn])
             value = np.where(miss == 0, sd * sd, sd * sd + sb * sb)
-            floor = (miss != 0) & (ratio * sb > 1.0) & ~empty
+            floor = (miss != 0) & (ratio * sb > sd) & ~empty
             return np.where(empty, 0.0, value), np.ones_like(empty), floor
         su, se, load, local = x.T
         is_local = c == self.n_sbs
@@ -372,10 +373,12 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
     """Association by best channel gain with equal resource shares.
 
     High-rate devices pick the strongest-gain SBS among those whose backhaul
-    can keep up with the access link at full fraction; when no SBS qualifies
-    the device falls back to the overall strongest gain (single association
-    is mandatory) and is listed in ``fallback_hrds``, with its access
-    fraction capped so the rate ordering still holds.  Computation devices
+    can keep up with the access link at full fraction (``eta_min <= 1``).
+    That filter is the baseline's association rule, not a feasibility rule:
+    every coalition has a feasible allocation.  When no SBS passes it the
+    device falls back to the overall strongest gain (single association is
+    mandatory) and is listed in ``fallback_hrds``, with its access fraction
+    capped so the rate ordering still holds.  Computation devices
     pick the strongest gain, then drop to local execution when offloading
     under the equal split is slower or the task input would not fit in
     storage.  The game generators are seeded from the scenario's seed.
@@ -686,7 +689,7 @@ class _Block:
                             md_to=self.j.item(q) if swap else None)
 
     def value(self, q: int):
-        """(dv, feasible) of proposal ``q``; a side where a backhaul floor
+        """(dv, feasible) of proposal ``q``; a side where a rate ordering
         may bind is valued by ``_kernels.hrd_value`` over its tentative
         members."""
         n, a, b = len(self), self.a.item(q), self.b.item(q)
@@ -704,15 +707,15 @@ class _Block:
                 src[1] and dst[1])
 
     def screen(self, stop: int):
-        """The floor-bound proposals before ``stop``, split into those that
+        """The flagged proposals before ``stop``, split into those that
         may still be accepted and those that cannot, as two index lists.
 
-        A feasible floor-bound side has shares summing to at most ``1 +
-        FEAS_TOL``, so by Cauchy-Schwarz it is worth at least its relaxed
-        value ``sd**2 + sb**2`` (the block's) over ``1 + FEAS_TOL``.  A
+        A flagged side's exact value solves the problem whose relaxation,
+        without the rate orderings, is worth ``sd**2 + sb**2`` (the
+        block's value), so it is worth at least that, up to rounding.  A
         proposal whose relaxed ``dv`` stays at or above ``-IMPROVE_MARGIN``
         after ``SLACK`` times its two sides' values is taken off is
-        therefore infeasible or not improving."""
+        therefore not improving."""
         floor = self.floor[:stop]
         bound = self.dv[:stop] - SLACK * (self.v_src[:stop]
                                           + self.v_dst[:stop])
@@ -722,11 +725,11 @@ class _Block:
 
     def first_accept(self) -> int:
         """Index of the first proposal ``evaluate_and_apply`` would accept,
-        or the block's length.  A floor-bound proposal before it that
-        ``screen`` passes is valued by ``value``, in order and only up to
-        the first accept, and its exact ``dv`` and feasibility replace the
-        block's; one that ``screen`` rejects is not valued, and is listed
-        in ``unvalued``."""
+        or the block's length.  A flagged proposal before it that ``screen``
+        passes is valued by ``value``, in order and only up to the first
+        accept, and its exact ``dv`` and feasibility replace the block's;
+        one that ``screen`` rejects is not valued, and is listed in
+        ``unvalued``."""
         hits = np.flatnonzero(self.feasible & ~self.floor
                               & (self.dv < -IMPROVE_MARGIN))
         first = int(hits[0]) if hits.size else len(self)
@@ -767,9 +770,9 @@ def _settle(state: GameState, block: _Block, first: int) -> bool:
     rejections ``evaluate_and_apply`` would count and log, then apply
     proposal ``first`` with the block's own ``dv`` and feasibility
     (``_apply``), if the block holds one; returns whether a move was
-    applied.  The log holds each rejection's exact ``dv``, so a
-    floor-bound rejection that ``first_accept`` left unvalued is valued
-    here, and only when it is logged."""
+    applied.  The log holds each rejection's exact ``dv``, so a flagged
+    rejection that ``first_accept`` left unvalued is valued here, and only
+    when it is logged."""
     if state.move_log is None:
         state.proposals += first
     else:
@@ -1107,17 +1110,13 @@ def run_coalition_game(state: GameState, game: str, t2: int,
 
 def reallocate(state: GameState) -> None:
     """Install the closed-form allocation of every coalition that does not
-    hold it yet, keeping the incumbent wherever the clamped closed form is
-    infeasible or worse.  A coalition marked as holding it (``closed``) is
-    skipped: installing it again would write the same bits."""
+    hold it yet.  A coalition marked as holding it (``closed``) is skipped:
+    installing it again would write the same bits."""
     for n in range(state.n_sbs):
         for game, cache in ((CSD, state.v_csd), (HRD, state.v_hrd)):
-            if n in state.closed[game]:
-                continue
-            members = _member_lists(state, game)[n]
-            value, ok = coalition_value(state.costs, game, n, members)
-            if ok and value <= cache[n]:
-                cache[n] = _write_coalition(state, game, n, members)
+            if n not in state.closed[game]:
+                cache[n] = _write_coalition(state, game, n,
+                                            _member_lists(state, game)[n])
     state.objective = float(state.v_hrd.sum() + state.v_csd.sum())
 
 
@@ -1126,8 +1125,8 @@ def run_amnd(scenario: Scenario, demand: DemandProfile, *,
              stabilize: bool = True, log_moves: bool = False,
              init_state: GameState | None = None) -> GameState:
     """Best-gain init (or a clone of ``init_state``), then the
-    computation-device game, the high-rate-device game and the guarded
-    closed-form reallocation.  The returned state's trace holds the
+    computation-device game, the high-rate-device game and the closed-form
+    reallocation.  The returned state's trace holds the
     objective after the initializer and after each of the three stages."""
     if init_state is not None:
         state = init_state.clone()
@@ -1149,7 +1148,7 @@ def audit_stability(state: GameState) -> list:
     CSD game, valued as one ``_Block`` per game from running sums rebuilt
     from the member lists, never from ``state.sums``; returns the feasible
     moves that improve by more than ``IMPROVE_MARGIN``, in ``_neighbourhood``
-    order (empty list == Nash-stable).  Only the floor-bound moves that
+    order (empty list == Nash-stable).  Only the flagged moves that
     ``_Block.screen`` passes are valued exactly; the others cannot
     improve."""
     found = []

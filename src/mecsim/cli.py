@@ -217,24 +217,27 @@ def _cmd_audit(args):
     print(f"stability audit: {len(moves)} improving move(s) remain")
     failures += len(moves)
 
-    # Closed-form vs numerical optimum on every nonempty final coalition.
+    # Closed-form vs numerical optimum on every nonempty final coalition; a
+    # coalition the oracle finds infeasible is a failure.
     costs = final.costs
     worst_gap = 0.0
-    checked = 0
+    checked = infeasible = 0
     for n in range(final.n_sbs):
         for game, members in (("hrd", final.hrd_members[n]),
                               ("csd", final.csd_members[n])):
             if not members:
                 continue
+            checked += 1
             sol = oracle_solve_p3(costs, n, members, game)
             if not sol["feasible"]:
+                infeasible += 1
                 continue
             cache = final.v_hrd[n] if game == "hrd" else final.v_csd[n]
             gap = (cache - sol["objective"]) / max(1e-12, sol["objective"])
             worst_gap = max(worst_gap, gap)
-            checked += 1
     print(f"allocation vs oracle on {checked} coalition(s): "
-          f"worst relative gap {worst_gap:.3e}")
+          f"worst relative gap {worst_gap:.3e}, {infeasible} infeasible")
+    failures += infeasible
     if worst_gap > 1e-6:
         failures += 1
 

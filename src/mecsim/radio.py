@@ -28,9 +28,9 @@ class RateTable:
     r_dl: np.ndarray      # (n_sbs, n_hrd) bits/s/Hz
     r_ul: np.ndarray      # (n_sbs, n_csd)
     r_bh: np.ndarray      # (n_sbs,)
-    eta_min: np.ndarray   # (n_sbs, n_hrd) backhaul fraction floor: the
-    #                       smallest eta keeping access rate <= backhaul rate
-    #                       for any beta <= 1
+    eta_min: np.ndarray   # (n_sbs, n_hrd) rho in the rate ordering
+    #                       eta >= rho * beta that keeps a missed pair's
+    #                       access rate at most its backhaul rate
 
 
 def build_rate_table(scenario: Scenario) -> RateTable:

@@ -211,9 +211,9 @@ def hex_lattice(n: int, isd_m: float) -> np.ndarray:
     return np.array([[c[4], c[5]] for c in cells[:n]], dtype=float)
 
 
-def _place_in_disc(rng, center, radius, occupied, retries=_MAX_PLACEMENT_RETRIES):
+def _place_in_disc(rng, center, radius, occupied):
     """Uniform point in a disc, resampling collocations with existing nodes."""
-    for _ in range(retries):
+    for _ in range(_MAX_PLACEMENT_RETRIES):
         r = radius * math.sqrt(rng.random())
         ang = 2.0 * math.pi * rng.random()
         pos = np.array([center[0] + r * math.cos(ang),
@@ -223,7 +223,8 @@ def _place_in_disc(rng, center, radius, occupied, retries=_MAX_PLACEMENT_RETRIES
         ) > _COLLOCATION_EPS_M:
             return pos
     raise RuntimeError(
-        f"could not place a node without collocation after {retries} tries"
+        f"could not place a node without collocation after "
+        f"{_MAX_PLACEMENT_RETRIES} tries"
     )
 
 

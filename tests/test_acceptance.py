@@ -12,7 +12,7 @@ import pytest
 
 from mecsim._kernels import FEAS_TOL, IDLE_FRAC, member_pairs
 from mecsim.allocation import (allocate_csd, allocate_hrd, build_costs,
-                               equal_share_hrd, oracle_simplex_min)
+                               oracle_hrd_min, oracle_simplex_min)
 from mecsim.association import abcg_init, audit_stability, reallocate, \
     run_amnd, run_coalition_game
 from mecsim.content import Catalog, build_demand, demand_rng, zipf_popularity
@@ -35,17 +35,18 @@ def _verdict(num, label, ok, detail=""):
 
 def _random_block_instance(rng):
     """One per-SBS allocation problem: an HRD coalition with mixed
-    cached/backhauled pairs plus a CSD coalition, floors too small to bind."""
+    cached/backhauled pairs plus a CSD coalition, rho too small for any rate
+    ordering to bind."""
     m_pairs = int(rng.integers(2, 11))
     dl = 10.0 ** rng.uniform(-2, 2, m_pairs)
     bh = 10.0 ** rng.uniform(-2, 2, m_pairs)
     cached = rng.random(m_pairs) < 0.5
     cached[int(rng.integers(m_pairs))] = False    # keep at least one miss
-    floors = np.full(m_pairs, 1e-6)
+    rho = np.full(m_pairs, 1e-6)
     m_csd = int(rng.integers(1, 11))
     ul = 10.0 ** rng.uniform(-2, 2, m_csd)
     ed = 10.0 ** rng.uniform(-2, 2, m_csd)
-    return dl, bh, cached, floors, ul, ed
+    return dl, bh, cached, rho, ul, ed
 
 
 def test_criterion_1_closed_form_vs_oracle():
@@ -54,13 +55,12 @@ def test_criterion_1_closed_form_vs_oracle():
     worst_frac = 0.0
     worst_obj = 0.0
     t0 = time.perf_counter()
-    for dl, bh, cached, floors, ul, ed in instances:
-        beta, eta, feasible = allocate_hrd(dl, bh, cached, floors)
-        assert feasible
+    for dl, bh, cached, rho, ul, ed in instances:
+        beta, eta = allocate_hrd(dl, bh, cached, rho)
         alpha, gamma = allocate_csd(ul, ed)
         ob, vb = oracle_simplex_min(dl, IDLE_FRAC, 1.0, tol=1e-12)
         miss = ~cached
-        oe, ve = oracle_simplex_min(bh[miss], floors[miss], 1.0, tol=1e-12)
+        oe, ve = oracle_simplex_min(bh[miss], IDLE_FRAC, 1.0, tol=1e-12)
         oa, va = oracle_simplex_min(ul, IDLE_FRAC, 1.0, tol=1e-12)
         og, vg = oracle_simplex_min(ed, IDLE_FRAC, 1.0, tol=1e-12)
         worst_frac = max(
@@ -75,39 +75,41 @@ def test_criterion_1_closed_form_vs_oracle():
         worst_obj = max(worst_obj, abs(closed_obj / oracle_obj - 1.0))
     elapsed = time.perf_counter() - t0
 
-    # Binding floors: the naive clamp either stays feasible (and then cannot
-    # beat the oracle) or is declared infeasible; the oracle optimum is
-    # bounded below by the floor-free simplex optimum, and the gap between
-    # them is reported, not hidden.
+    # Binding rate orderings: the closed form meets the coupled oracle, whose
+    # optimum is bounded below by the optimum without orderings; the gap
+    # between the two is reported, not hidden.
     gaps = []
-    n_infeasible = 0
+    worst_coupled = 0.0
+    n_bound = 0
     for _ in range(50):
         m = int(rng.integers(2, 8))
+        dl = 10.0 ** rng.uniform(-1, 1, m)
         bh = 10.0 ** rng.uniform(-1, 1, m)
-        shares = np.sqrt(bh) / np.sqrt(bh).sum()
-        floors = np.minimum(0.9, shares * rng.uniform(1.5, 3.0, m))
-        if floors.sum() > 1.0:
-            floors *= 0.98 / floors.sum()
-        _, eta, feasible = allocate_hrd(np.ones(m), bh,
-                                        np.zeros(m, dtype=bool), floors)
-        f_oracle, v_oracle = oracle_simplex_min(bh, floors, 1.0)
-        lower_bound = float(np.sqrt(bh).sum()) ** 2
+        cached = rng.random(m) < 0.25
+        rho = rng.uniform(0.5, 3.0, m)
+        beta, eta = allocate_hrd(dl, bh, cached, rho)
+        _, _, v_oracle = oracle_hrd_min(dl, bh, cached, rho)
+        miss = ~cached
+        v_closed = float((dl / beta).sum() + (bh[miss] / eta[miss]).sum())
+        lower_bound = (float(np.sqrt(dl).sum()) ** 2
+                       + float(np.sqrt(bh[miss]).sum()) ** 2)
         assert v_oracle >= lower_bound - 1e-9 * lower_bound
-        if feasible:
-            v_closed = float((bh / eta).sum())
-            assert v_closed >= v_oracle - 1e-9 * max(1.0, v_oracle)
-        else:
-            n_infeasible += 1
+        worst_coupled = max(worst_coupled, abs(v_closed / v_oracle - 1.0))
+        n_bound += bool(np.any(eta[miss]
+                               <= rho[miss] * beta[miss] * (1.0 + 1e-9)))
         gaps.append(v_oracle / lower_bound - 1.0)
 
-    ok = worst_frac <= 1e-8 and worst_obj <= 1e-9 and elapsed < 2.0
+    ok = (worst_frac <= 1e-8 and worst_obj <= 1e-9 and elapsed < 2.0
+          and worst_coupled <= 1e-9)
     _verdict(1, "closed form vs oracle", ok,
              f"max frac err {worst_frac:.2e}, obj gap {worst_obj:.2e}, "
-             f"{elapsed:.2f}s; clamped: {n_infeasible}/50 infeasible, "
-             f"mean floor-penalty {np.mean(gaps):.3e}")
+             f"{elapsed:.2f}s; orderings bind on {n_bound}/50, coupled gap "
+             f"{worst_coupled:.2e}, mean ordering penalty {np.mean(gaps):.3e}")
     assert worst_frac <= 1e-8
     assert worst_obj <= 1e-9
     assert elapsed < 2.0
+    assert worst_coupled <= 1e-9
+    assert n_bound >= 25
 
 
 # ---------------------------------------------------------------------------
@@ -186,80 +188,57 @@ def _tiny_instance(seed):
     return scenario, demand
 
 
-def _coalition_values(costs, n, members, kind):
-    """(floor, closed) utilities of one coalition.
-
-    ``closed`` is the clamped closed-form value or None when that allocation
-    is infeasible (backhaul floors over budget, or storage overrun);
-    ``floor`` additionally admits the equal-share fallback, i.e. the best
-    value any of the optimizer's allocation policies could realize.  Both
-    are None when even the fallback cannot fit (storage).
-    """
+def _coalition_value(costs, n, members, kind):
+    """Closed-form utility of one coalition, computed from the fractions of
+    the public closed forms; None when its task inputs overrun storage.
+    Every HRD coalition is feasible."""
     members = sorted(members)
+    if not members:
+        return 0.0
     if kind == "csd":
-        if not members:
-            return 0.0, 0.0
         if costs.task_bytes[members].sum() > costs.spare_bytes[n] + 1e-6:
-            return None, None
+            return None
         alpha, gamma = allocate_csd(costs.ul_cost[n, members],
                                     costs.ed_cost[n, members])
-        value = float((costs.ul_cost[n, members] / alpha).sum()
-                      + (costs.ed_cost[n, members] / gamma).sum())
-        return value, value
-    if not members:
-        return 0.0, 0.0
+        return float((costs.ul_cost[n, members] / alpha).sum()
+                     + (costs.ed_cost[n, members] / gamma).sum())
     idx, ks = member_pairs(costs, members)
-    beta, eta, feasible = allocate_hrd(costs.dl_cost[n, idx],
-                                       costs.bh_cost[n, idx],
-                                       costs.cached[n, idx],
-                                       costs.eta_min[n, ks])
-    closed = None
-    if feasible:
-        miss = ~costs.cached[n, idx]
-        closed = float((costs.dl_cost[n, idx] / beta).sum()
-                       + (costs.bh_cost[n, idx[miss]] / eta[miss]).sum())
-    _, _, _, es_value = equal_share_hrd(costs, n, members)
-    floor = es_value if closed is None else min(es_value, closed)
-    return floor, closed
+    beta, eta = allocate_hrd(costs.dl_cost[n, idx], costs.bh_cost[n, idx],
+                             costs.cached[n, idx], costs.eta_min[n, ks])
+    miss = ~costs.cached[n, idx]
+    return float((costs.dl_cost[n, idx] / beta).sum()
+                 + (costs.bh_cost[n, idx[miss]] / eta[miss]).sum())
 
 
 def _enumerate_optimum(scenario, demand, costs):
-    """Enumerate every partition; returns (floor optimum, its partition,
-    per-partition floor values, closed-form optimum).
+    """Enumerate every partition; returns (optimum, its partition,
+    per-partition values).
 
-    The floor optimum admits every allocation policy the optimizer could
-    hold (so F_AMND >= floor optimum is a hard invariant); the closed-form
-    optimum restricts partitions to those feasible under the clamped closed
-    form, the notion the move gate itself uses.
+    Each partition is valued with every coalition at its closed form, the
+    allocation the optimizer's final state holds, so F_AMND >= optimum is a
+    hard invariant.
     """
     n_sbs = scenario.n_sbs
     best = (np.inf, None)
-    best_closed = np.inf
     values = {}
     hrd_space = list(itertools.product(range(n_sbs), repeat=demand.n_hrd))
     csd_space = list(itertools.product(range(n_sbs + 1), repeat=demand.n_csd))
     for hrd_assign in hrd_space:
         for csd_assign in csd_space:
-            floors = []
-            closeds = []
+            parts = []
             for n in range(n_sbs):
                 h = [k for k in range(demand.n_hrd) if hrd_assign[k] == n]
                 c = [k for k in range(demand.n_csd) if csd_assign[k] == n]
                 for members, kind in ((h, "hrd"), (c, "csd")):
-                    floor, closed = _coalition_values(costs, n, members, kind)
-                    floors.append(floor)
-                    closeds.append(closed)
-            if any(v is None for v in floors):
+                    parts.append(_coalition_value(costs, n, members, kind))
+            if any(v is None for v in parts):
                 continue
             local = [k for k in range(demand.n_csd) if csd_assign[k] == n_sbs]
-            local_value = float(costs.local_delay_w[local].sum())
-            total = sum(floors) + local_value
+            total = sum(parts) + float(costs.local_delay_w[local].sum())
             values[(hrd_assign, csd_assign)] = total
             if total < best[0]:
                 best = (total, (hrd_assign, csd_assign))
-            if all(v is not None for v in closeds):
-                best_closed = min(best_closed, sum(closeds) + local_value)
-    return best[0], best[1], values, best_closed
+    return best[0], best[1], values
 
 
 def _materialize(scenario, demand, costs, hrd_assign, csd_assign):
@@ -271,19 +250,9 @@ def _materialize(scenario, demand, costs, hrd_assign, csd_assign):
                          if hrd_assign[k] == n)
         if members:
             idx, ks = member_pairs(costs, members)
-            beta, eta, feasible = allocate_hrd(
+            alloc.beta[idx], alloc.eta[idx] = allocate_hrd(
                 costs.dl_cost[n, idx], costs.bh_cost[n, idx],
                 costs.cached[n, idx], costs.eta_min[n, ks])
-            miss = ~costs.cached[n, idx]
-            closed = float((costs.dl_cost[n, idx] / beta).sum()
-                           + (costs.bh_cost[n, idx[miss]] / eta[miss]).sum())
-            i2, b2, e2, es_value = equal_share_hrd(costs, n, members)
-            if feasible and closed <= es_value:
-                alloc.beta[idx] = beta
-                alloc.eta[idx] = eta
-            else:
-                alloc.beta[i2] = b2
-                alloc.eta[i2] = e2
         cmembers = sorted(k for k in range(demand.n_csd)
                           if csd_assign[k] == n)
         if cmembers:
@@ -299,31 +268,28 @@ def _materialize(scenario, demand, costs, hrd_assign, csd_assign):
 
 def test_criterion_5_brute_force_floor():
     gaps = []
-    closed_gaps = []
     for seed in range(10):
         scenario, demand = _tiny_instance(seed)
         costs = build_costs(scenario, demand)
-        f_floor, argmin, values, f_closed = _enumerate_optimum(
-            scenario, demand, costs)
+        f_opt, argmin, values = _enumerate_optimum(scenario, demand, costs)
         final = run_amnd(scenario, demand)
-        assert final.objective >= f_floor - 1e-9 * max(1.0, f_floor), seed
-        gaps.append(final.objective / f_floor - 1.0)
-        closed_gaps.append(final.objective / f_closed - 1.0)
+        assert final.objective >= f_opt - 1e-9 * max(1.0, f_opt), seed
+        gaps.append(final.objective / f_opt - 1.0)
 
         # the enumerator and the delay model agree on the optimum
         partition, alloc = _materialize(scenario, demand, costs, *argmin)
         rep = objective(scenario, demand, partition, alloc)
-        assert rep.objective == pytest.approx(f_floor, rel=1e-9)
+        assert rep.objective == pytest.approx(f_opt, rel=1e-9)
 
-        # feasibility agreement on the optimizer's own output
+        # feasibility agreement on the optimizer's own output, which holds
+        # the closed form on every coalition
         key = (tuple(final.partition.hrd_sbs.tolist()),
                tuple(final.partition.csd_sbs.tolist()))
         assert key in values, "optimizer output failed the enumerator's test"
-        assert final.objective >= values[key] - 1e-9 * max(1.0, values[key])
+        assert final.objective == pytest.approx(values[key], rel=1e-9)
     _verdict(5, "brute-force optimum floor", True,
-             f"gap vs closed-form optimum: mean {np.mean(closed_gaps):.3%}, "
-             f"max {np.max(closed_gaps):.3%}; vs all-policy floor: "
-             f"mean {np.mean(gaps):.3%}, max {np.max(gaps):.3%}")
+             f"gap vs closed-form optimum: mean {np.mean(gaps):.3%}, "
+             f"max {np.max(gaps):.3%}")
 
 
 # ---------------------------------------------------------------------------

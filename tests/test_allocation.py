@@ -7,7 +7,8 @@ from mecsim import _kernels
 from mecsim._kernels import FEAS_TOL, IDLE_FRAC, member_pairs
 from mecsim.allocation import (allocate_csd, allocate_hrd, build_costs,
                                coalition_value, equal_share_hrd,
-                               oracle_simplex_min, oracle_solve_p3)
+                               oracle_hrd_min, oracle_simplex_min,
+                               oracle_solve_p3)
 from mecsim.radio import build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import demand_for, rate_scenario
@@ -36,41 +37,131 @@ def test_singleton_gets_the_whole_block():
 
 
 def test_all_cached_coalition_needs_no_backhaul():
-    beta, eta, feasible = allocate_hrd([1.0, 2.0, 3.0], [9.0, 9.0, 9.0],
-                                       cached=[True, True, True],
-                                       eta_floor=[0.2, 0.2, 0.2])
-    assert feasible
+    beta, eta = allocate_hrd([1.0, 2.0, 3.0], [9.0, 9.0, 9.0],
+                             cached=[True, True, True], rho=[2.0, 2.0, 2.0])
     assert np.all(eta == IDLE_FRAC)
     assert beta.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_symmetric_backhaul_with_slack_floor():
-    beta, eta, feasible = allocate_hrd([1.0, 1.0], [4.0, 4.0],
-                                       cached=[False, False],
-                                       eta_floor=[0.1, 0.1])
-    assert feasible
+    beta, eta = allocate_hrd([1.0, 1.0], [4.0, 4.0], cached=[False, False],
+                             rho=[0.1, 0.1])
     assert eta == pytest.approx([0.5, 0.5])
 
 
-def test_binding_floor_overruns_the_budget():
-    # shares would be [1/11, 10/11]; raising the first to 0.4 breaks C5
-    beta, eta, feasible = allocate_hrd([1.0, 1.0], [1.0, 100.0],
-                                       cached=[False, False],
-                                       eta_floor=[0.4, 1e-6])
-    assert eta[0] == pytest.approx(0.4)
-    assert eta[1] == pytest.approx(10 / 11)
-    assert eta.sum() > 1 + FEAS_TOL
-    assert not feasible
-    # the box-constrained optimum remains feasible and spends the budget
+def test_binding_ordering_matches_the_oracle():
+    # Square-root shares (all 1/2) break the first pair's ordering
+    # eta >= 2 * beta.  At the optimum the first pair binds, the second
+    # does not, and both budgets are full.
+    beta, eta = allocate_hrd([1.0, 1.0], [1.0, 1.0], cached=[False, False],
+                             rho=[2.0, 0.25])
+    ob, oe, ov = oracle_hrd_min([1.0, 1.0], [1.0, 1.0], [False, False],
+                                [2.0, 0.25])
+    assert eta[0] == pytest.approx(2.0 * beta[0], rel=1e-12)
+    assert eta[1] > 0.25 * beta[1]
+    assert beta.sum() == pytest.approx(1.0, abs=1e-12)
+    assert eta.sum() == pytest.approx(1.0, abs=1e-12)
+    assert beta == pytest.approx(ob, rel=1e-9)
+    assert eta == pytest.approx(oe, rel=1e-9)
+    assert float((1.0 / beta).sum() + (1.0 / eta).sum()) == \
+        pytest.approx(ov, rel=1e-11)
+
+
+def _random_hrd_coalition(rng):
+    """Raw costs of one HRD coalition of 1 to 5 pairs, about a quarter of
+    them cached, with rho from 0.05 to 3.2: some orderings bind, some rho
+    exceed 1, and some coalitions are all missed with the downlink budget
+    slack."""
+    m = int(rng.integers(1, 6))
+    return (10.0 ** rng.uniform(-1, 1, m), 10.0 ** rng.uniform(-1, 1, m),
+            rng.random(m) < 0.25, 10.0 ** rng.uniform(-1.3, 0.5, m))
+
+
+def _slsqp_hrd(dl, bh, cached, rho):
+    """(upper, own) for the coupled HRD problem solved by scipy's SLSQP:
+    the objective at its point scaled and shrunk onto the feasible set, an
+    upper bound on the optimum, and its own objective, which may lie below
+    the optimum by its constraint violation."""
+    from scipy.optimize import minimize
+    miss = np.flatnonzero(~cached)
+    p, m = dl.size, miss.size
+    jac = np.zeros((2 + m, p + m))
+    jac[0, :p] = jac[1, p:] = -1.0
+    jac[2 + np.arange(m), p + np.arange(m)] = 1.0
+    jac[2 + np.arange(m), miss] = -rho[miss]
+    ones = np.array([1.0, 1.0] + [0.0] * m)
+
+    def value(z):
+        return float((dl / z[:p]).sum() + (bh[miss] / z[p:]).sum())
+
+    def grad(z):
+        return np.concatenate((-dl / z[:p] ** 2, -bh[miss] / z[p:] ** 2))
+
+    start = np.concatenate((np.full(p, 0.5 / p / max(1.0, rho.max())),
+                            np.full(m, 0.5 / max(m, 1))))
+    res = minimize(value, start, jac=grad, method="SLSQP",
+                   bounds=[(1e-9, 1.0)] * (p + m),
+                   constraints=[{"type": "ineq", "fun": lambda z: ones + jac @ z,
+                                 "jac": lambda z: jac}],
+                   options={"ftol": 1e-14, "maxiter": 500})
+    beta = res.x[:p] / max(1.0, res.x[:p].sum())
+    eta = res.x[p:] / max(1.0, res.x[p:].sum())
+    beta[miss] = np.minimum(beta[miss], eta / rho[miss])
+    return value(np.concatenate((beta, eta))), res.fun
+
+
+def _assert_feasible(beta, eta, cached, rho):
+    miss = ~cached
+    assert np.all(beta > 0.0) and np.all(eta[miss] > 0.0)
+    assert beta.sum() <= 1.0 + FEAS_TOL
+    assert eta[miss].sum() <= 1.0 + FEAS_TOL
+    assert np.all(eta[miss] >= rho[miss] * beta[miss] * (1.0 - FEAS_TOL))
+
+
+def test_closed_form_matches_slsqp():
+    rng = np.random.default_rng(31)
+    seen = dict.fromkeys(("hit", "unbound", "bound", "rho_above_1",
+                          "slack_downlink"), 0)
+    for _ in range(500):
+        dl, bh, cached, rho = _random_hrd_coalition(rng)
+        beta, eta = allocate_hrd(dl, bh, cached, rho)
+        _assert_feasible(beta, eta, cached, rho)
+        miss = ~cached
+        value = float((dl / beta).sum() + (bh[miss] / eta[miss]).sum())
+        upper, own = _slsqp_hrd(dl, bh, cached, rho)
+        assert own * (1.0 - 1e-9) <= value <= upper * (1.0 + 1e-12)
+        bound = eta[miss] <= rho[miss] * beta[miss] * (1.0 + 1e-9)
+        seen["hit"] += bool(cached.any())
+        seen["unbound"] += bool((~bound).any())
+        seen["bound"] += bool(bound.any())
+        seen["rho_above_1"] += bool((rho[miss] > 1.0).any())
+        seen["slack_downlink"] += bool(miss.all() and beta.sum() < 1 - 1e-9)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_coupled_oracle_matches_slsqp():
+    rng = np.random.default_rng(32)
+    for _ in range(60):
+        dl, bh, cached, rho = (x[:3] for x in _random_hrd_coalition(rng))
+        beta, eta, value = oracle_hrd_min(dl, bh, cached, rho)
+        _assert_feasible(beta, eta, cached, rho)
+        assert np.all(eta[cached] == IDLE_FRAC)
+        upper, own = _slsqp_hrd(dl, bh, cached, rho)
+        assert own * (1.0 - 1e-9) <= value <= upper * (1.0 + 1e-9)
+
+
+def test_box_oracle_spends_the_budget_at_a_binding_floor():
     f, obj = oracle_simplex_min([1.0, 100.0], [0.4, 1e-6], 1.0)
     assert f == pytest.approx([0.4, 0.6], rel=1e-9)
     assert obj == pytest.approx(1 / 0.4 + 100 / 0.6, rel=1e-9)
 
 
-def test_floor_above_one_is_infeasible():
-    _, _, feasible = allocate_hrd([1.0], [1.0], cached=[False],
-                                  eta_floor=[1.2])
-    assert not feasible
+def test_ordering_above_one_leaves_downlink_slack():
+    # A lone missed pair with rho > 1 takes the whole backhaul and only
+    # 1 / rho of the downlink.
+    beta, eta = allocate_hrd([1.0], [1.0], cached=[False], rho=[1.25])
+    assert eta[0] == 1.0
+    assert beta[0] == pytest.approx(0.8, rel=1e-15)
 
 
 def test_fraction_scale_invariance():
@@ -79,8 +170,8 @@ def test_fraction_scale_invariance():
     bh = rng.uniform(0.1, 5.0, 6)
     cached = rng.random(6) < 0.4
     floors = np.full(6, 1e-6)
-    b1, e1, _ = allocate_hrd(dl, bh, cached, floors)
-    b2, e2, _ = allocate_hrd(10.0 * dl, 10.0 * bh, cached, floors)
+    b1, e1 = allocate_hrd(dl, bh, cached, floors)
+    b2, e2 = allocate_hrd(10.0 * dl, 10.0 * bh, cached, floors)
     assert b1 == pytest.approx(b2, rel=1e-12)
     assert e1 == pytest.approx(e2, rel=1e-12)
 
@@ -95,16 +186,16 @@ def test_active_fractions_fill_the_budget_exactly():
         assert abs(gamma.sum() - 1.0) <= 1e-12
 
 
-def test_floors_hold_pointwise_after_clamping():
+def test_orderings_and_budgets_hold_pointwise():
     rng = np.random.default_rng(12)
     for _ in range(25):
         m = int(rng.integers(1, 8))
-        floors = rng.uniform(0.0, 0.3, m)
-        _, eta, feasible = allocate_hrd(rng.uniform(0.1, 4, m),
-                                        rng.uniform(0.1, 4, m),
-                                        cached=np.zeros(m, dtype=bool),
-                                        eta_floor=floors)
-        assert np.all(eta >= floors - 1e-15)
+        rho = rng.uniform(0.0, 3.0, m)
+        beta, eta = allocate_hrd(rng.uniform(0.1, 4, m),
+                                 rng.uniform(0.1, 4, m),
+                                 cached=np.zeros(m, dtype=bool), rho=rho)
+        assert np.all(eta >= rho * beta * (1.0 - 1e-15))
+        assert beta.sum() <= 1.0 + 1e-15 and eta.sum() <= 1.0 + 1e-15
 
 
 def test_closed_form_matches_oracle_when_unclamped():
@@ -129,16 +220,16 @@ def test_oracle_singleton_is_exact():
 
 
 def test_oracle_accepts_marginally_binding_floor():
-    # floor exceeds the share by 1e-12: the naive clamp stays budget-feasible
+    # The square-root shares (all 1/2) miss the first ordering by 1e-12.
     costs = np.array([1.0, 1.0])
-    floor = np.array([0.5 + 1e-12, 1e-8])
-    beta, eta, feasible = allocate_hrd(costs, costs,
-                                       cached=np.zeros(2, dtype=bool),
-                                       eta_floor=floor)
-    assert feasible
-    closed_obj = float((costs / eta).sum())
-    _, oracle_obj = oracle_simplex_min(costs, floor, 1.0)
-    assert oracle_obj <= closed_obj + 1e-9 * max(1.0, closed_obj)
+    rho = np.array([1.0 + 1e-12, 1e-8])
+    beta, eta = allocate_hrd(costs, costs, cached=np.zeros(2, dtype=bool),
+                             rho=rho)
+    assert eta[0] >= rho[0] * beta[0]
+    closed_obj = float((costs / beta).sum() + (costs / eta).sum())
+    _, _, oracle_obj = oracle_hrd_min(costs, costs, [False, False], rho)
+    assert closed_obj >= 8.0
+    assert closed_obj == pytest.approx(oracle_obj, rel=1e-11)
 
 
 def test_oracle_rejects_impossible_floors():
@@ -212,23 +303,28 @@ def test_equal_share_respects_rate_ordering():
 
 
 def test_equal_share_value_never_beats_closed_form_when_unclamped():
-    scn, demand, costs = unclamped_setup(seed=5)
+    # Equal share is a feasible point of the problem the closed form solves
+    # exactly, also where rate orderings bind (a = 0.9).
+    scenario = generate_scenario(SystemParams(seed=2, a=0.9),
+                                 Counts(n_hrd=20, n_csd=40))
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        n = int(rng.integers(costs.n_sbs))
-        members = sorted(rng.choice(costs.n_hrd, size=int(rng.integers(1, 5)),
-                                    replace=False))
-        value, ok = coalition_value(costs, "hrd", n, members)
-        if not ok:
-            continue
-        _, _, _, es_value = equal_share_hrd(costs, n, members)
-        assert value <= es_value + 1e-9 * es_value
+    for costs in (unclamped_setup(seed=5)[2],
+                  build_costs(scenario, demand_for(scenario))):
+        for _ in range(40):
+            n = int(rng.integers(costs.n_sbs))
+            members = sorted(rng.choice(costs.n_hrd,
+                                        size=int(rng.integers(1, 5)),
+                                        replace=False))
+            value, ok = coalition_value(costs, "hrd", n, members)
+            _, _, _, es_value = equal_share_hrd(costs, n, members)
+            assert ok
+            assert value <= es_value + 1e-9 * es_value
 
 
 def _check_hrd_write_path(costs, n, members):
     """The game's HRD write path against the public closed form on raw
     costs: fractions, value and feasibility agree exactly.  Returns the
-    feasibility."""
+    public form's beta."""
     members = np.asarray(members, dtype=np.int64)
     idx, ks = member_pairs(costs, members)
     # Stale fractions everywhere: the write must replace every member pair's,
@@ -236,18 +332,16 @@ def _check_hrd_write_path(costs, n, members):
     stale = np.full(costs.pair_k.size, 0.5)
     beta_out, eta_out = stale.copy(), stale.copy()
     value, ok = _kernels.hrd_alloc(costs, n, members, beta_out, eta_out)
-    beta, eta, feasible = allocate_hrd(costs.dl_cost[n, idx],
-                                       costs.bh_cost[n, idx],
-                                       costs.cached[n, idx],
-                                       costs.eta_min[n, ks])
+    beta, eta = allocate_hrd(costs.dl_cost[n, idx], costs.bh_cost[n, idx],
+                             costs.cached[n, idx], costs.eta_min[n, ks])
     want_beta, want_eta = stale.copy(), stale.copy()
     want_beta[idx] = beta
     want_eta[idx] = eta
     assert np.array_equal(beta_out, want_beta)
     assert np.array_equal(eta_out, want_eta)
-    assert ok == feasible
+    assert ok is True
     assert (value, ok) == _kernels.hrd_value(costs, n, members)
-    return feasible
+    return beta
 
 
 def _check_csd_write_path(costs, n, members):
@@ -266,15 +360,20 @@ def _check_csd_write_path(costs, n, members):
 
 
 def test_write_path_matches_public_closed_form_exactly():
-    scenario = generate_scenario(SystemParams(seed=1),
+    scenario = generate_scenario(SystemParams(seed=4),
                                  Counts(n_hrd=20, n_csd=40))
     default_costs = build_costs(scenario, demand_for(scenario))
-    # Binding backhaul floors make these two clamped-infeasible.
-    for n, members, floors in ((12, [11, 14], [0.513, 0.333]),
-                               (13, [2, 5], [0.390, 0.676])):
-        assert default_costs.eta_min[n, members] == pytest.approx(floors,
+    # A device with rho above 1 binds its rate ordering.  At SBS 3 the
+    # downlink budget stays slack; at SBS 4 both budgets bind.
+    for n, members, rho, slack in ((3, [12, 15], [0.977, 1.333], True),
+                                   (4, [0, 9], [0.746, 1.184], False)):
+        assert default_costs.eta_min[n, members] == pytest.approx(rho,
                                                                   abs=1e-3)
-        assert not _check_hrd_write_path(default_costs, n, members)
+        (sd, sb, _), ratio, _, _ = _kernels.hrd_summary(default_costs, n,
+                                                         members)
+        assert ratio * sb > sd
+        beta = _check_hrd_write_path(default_costs, n, members)
+        assert (beta.sum() < 1.0 - 1e-3) == slack
     rng = np.random.default_rng(17)
     for costs in (unclamped_setup()[2], default_costs):
         for _ in range(30):

@@ -270,7 +270,7 @@ def test_patience_zero_without_stabilization_changes_nothing():
     init_f = state.objective
     final = run_amnd(scn, demand, t2=100, patience=0, stabilize=False,
                      init_state=state)
-    # output is the initializer followed by one guarded reallocation
+    # output is the initializer followed by one reallocation
     assert final.accepted_moves == 0
     assert np.array_equal(final.partition.hrd_sbs, init_assoc)
     assert final.objective <= init_f + 1e-12
@@ -325,6 +325,30 @@ def test_tiny_instance_reaches_an_exhaustively_stable_point():
     final = run_amnd(scn, demand)
     assert audit_stability(final) == []
     final.check()
+
+
+@pytest.fixture(scope="module")
+def bound_runs():
+    """(ABCG state, AMND state) on the default workload at a = 0.9, seeds
+    0-9, where many devices have rho above 1 and their rate orderings bind
+    on many moves."""
+    runs = []
+    for seed in range(10):
+        scn = generate_scenario(SystemParams(seed=seed, a=0.9),
+                                Counts(n_hrd=20, n_csd=40))
+        demand = demand_for(scn)
+        init = abcg_init(scn, demand)
+        runs.append((init, run_amnd(scn, demand, init_state=init)))
+    return runs
+
+
+def bound_final_state():
+    """Seed 4, default workload: AMND ends with HRDs 12 and 15 at SBS 3,
+    where device 15's rate ordering binds (rho = 1.33)."""
+    scn = generate_scenario(SystemParams(seed=4), Counts(n_hrd=20, n_csd=40))
+    state = run_amnd(scn, demand_for(scn))
+    assert state.hrd_members[3] == [12, 15]
+    return state
 
 
 @pytest.fixture(scope="module")
@@ -387,17 +411,18 @@ def test_running_sums_value_every_move_like_the_closed_form(desk_runs):
 
 def _count_floor_valuations(monkeypatch):
     """Record ``(coalition, size)`` of every ``_kernels.hrd_value`` call the
-    game makes (its floor-bound sides), and require each feasible result to
-    be no lower than the numerical optimum of ``oracle_solve_p3``."""
+    game makes (its flagged sides), and require each result to be feasible
+    and to equal the numerical optimum of ``oracle_solve_p3``."""
     calls = []
     inner = association.hrd_value
 
     def counted(costs, c, members):
         calls.append((c, len(members)))
         value, ok = inner(costs, c, members)
-        if ok:
-            sol = oracle_solve_p3(costs, c, members, "hrd")
-            assert value >= sol["objective"] * (1 - 1e-9), (c, members)
+        sol = oracle_solve_p3(costs, c, members, "hrd")
+        assert ok and sol["feasible"]
+        assert value == pytest.approx(sol["objective"], rel=1e-9), \
+            (c, members)
         return value, ok
 
     monkeypatch.setattr(association, "hrd_value", counted)
@@ -405,27 +430,24 @@ def _count_floor_valuations(monkeypatch):
 
 
 def test_running_sums_fall_back_where_floors_bind(monkeypatch):
-    # Seed 1, default workload: ABCG puts HRDs 11 and 14 at SBS 12, where
-    # the clamped closed form is infeasible, so moves touching SBS 12 must
-    # be valued over their members' pairs.
-    scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
-    state = abcg_init(scn, demand_for(scn))
-    assert state.hrd_members[12] == [11, 14]
-    sums, c = state.sums["hrd"], np.array([12])
+    # A rate ordering binds at SBS 3, so moves touching SBS 3 must be
+    # valued over their members' pairs; every HRD move is feasible.
+    state = bound_final_state()
+    sums, c = state.sums["hrd"], np.array([3])
     none = np.array([sums.none])
     _, _, floor = sums.after(c, none, none, sums.size[c])
     assert floor.tolist() == [True]
     fallbacks = _count_floor_valuations(monkeypatch)
     _check_moves_against_scratch(state, games=("csd",))
     assert fallbacks == []
-    assert _check_moves_against_scratch(state, games=("hrd",))["hrd"] > 0
-    assert 12 in [c for c, _ in fallbacks]
+    assert _check_moves_against_scratch(state, games=("hrd",))["hrd"] == 0
+    assert 3 in [c for c, _ in fallbacks]
 
 
 @pytest.fixture(scope="module")
 def multi_request_run():
     """(ABCG state, AMND state) of the desk with two requests per HRD and
-    100 files, so a device holds several missed pairs under one floor."""
+    100 files, so a device holds several missed pairs under one rho."""
     scn = generate_scenario(SystemParams(seed=3), Counts(n_hrd=20, n_csd=20))
     demand = demand_for(scn, n_files=100, requests_per_hrd=2)
     init = abcg_init(scn, demand)
@@ -434,8 +456,12 @@ def multi_request_run():
 
 def test_running_sums_value_multi_request_moves(monkeypatch,
                                                 multi_request_run):
+    # The same workload at a = 0.9, where rate orderings bind on many moves.
+    scn = generate_scenario(SystemParams(seed=3, a=0.9),
+                            Counts(n_hrd=20, n_csd=20))
+    bound = abcg_init(scn, demand_for(scn, n_files=100, requests_per_hrd=2))
     fallbacks = _count_floor_valuations(monkeypatch)
-    for state in multi_request_run:
+    for state in list(multi_request_run) + [bound]:
         _check_moves_against_scratch(state)
     assert fallbacks
     # Four members hold eight pairs, where numpy starts summing pairwise.
@@ -444,64 +470,56 @@ def test_running_sums_value_multi_request_moves(monkeypatch,
 
 def _random_hrd_side(rng):
     """``hrd_closed_form`` inputs of two to five devices with one to three
-    pairs each.  Every missed pair of a device shares its floor.  One
-    device in three (``tight``) has its missed pairs' root backhaul costs
-    equal and its floor just above their share, so the clamped shares
-    overrun the budget by less than ``FEAS_TOL``; the other floors are
-    drawn at random and bind on some sides."""
-    devices = []
+    pairs each.  Every missed pair of a device shares its rho, drawn from
+    0.05 to 3, so orderings bind on some sides.  On one side in four every
+    rho is scaled so that the largest device ratio times ``sb`` exceeds
+    ``sd`` by a relative 1e-12 or less: an ordering that only just binds."""
+    d, miss = [], []
     for _ in range(rng.integers(2, 6)):
         n_pairs = rng.integers(1, 4)
-        n_missed = int((rng.random(n_pairs) < 0.8).sum())
-        equal, s = rng.random() < 0.5, rng.uniform(0.05, 2.0)
-        devices.append((rng.uniform(0.1, 2.0, n_pairs).tolist(),
-                        [s if equal else rng.uniform(0.05, 2.0)
-                         for _ in range(n_missed)]))
-    sb = _kernels._sum([s for _, bh in devices for s in bh])
-    tight = rng.integers(len(devices))
-    sd, bh = [], []
-    for k, (dl, roots) in enumerate(devices):
-        sd += dl
-        if not roots:
-            continue
-        if k == tight and len(set(roots)) == 1:
-            floor = roots[0] / sb + rng.uniform(0.0, FEAS_TOL) / len(roots)
-        else:
-            floor = rng.uniform(0.0, 1.5) * min(roots) / sb
-        bh += [(s, floor) for s in roots]
-    return sd, bh
+        rho = rng.uniform(0.05, 3.0)
+        for _ in range(n_pairs):
+            if rng.random() < 0.8:
+                miss.append([len(d), rng.uniform(0.05, 2.0), rho])
+            d.append(rng.uniform(0.1, 2.0))
+    if miss and rng.random() < 0.25:
+        sb = _kernels._sum([s for _, s, _ in miss])
+        ratio = max(r * d[i] / s for i, s, r in miss)
+        scale = _kernels._sum(d) / (ratio * sb) * (1.0 + rng.uniform(0, 1e-12))
+        for m in miss:
+            m[2] *= scale
+    return d, [tuple(m) for m in miss]
 
 
 def test_feasible_floor_bound_side_is_worth_its_relaxed_bound():
-    # ``_Block.screen`` rejects a floor-bound proposal from this bound.
+    # ``_Block.screen`` rejects a flagged proposal from this bound: the
+    # exact value solves a problem whose relaxation, without the rate
+    # orderings, is worth sd**2 + sb**2.
     rounding = 1e-13
     assert rounding < 1e-3 * association.SLACK
     rng = np.random.default_rng(20)
-    feasible = binding = below_relaxed = 0
+    binding = marginal = 0
     for _ in range(4000):
-        sd, bh = _random_hrd_side(rng)
-        _, value, ok = hrd_closed_form(sd, bh)
-        if not ok:
-            continue
-        sb = sum(s for s, _ in bh)
-        relaxed = sum(sd) ** 2 + sb ** 2
-        assert value >= (sum(sd) ** 2 + sb ** 2 / (1.0 + FEAS_TOL)) \
-            - rounding * relaxed, (sd, bh)
-        feasible += 1
-        binding += any(floor > s / sb for s, floor in bh)
-        below_relaxed += value < relaxed * (1.0 - 1e-12)
-    assert feasible > 1000 and binding > 100 and below_relaxed > 10
+        d, miss = _random_hrd_side(rng)
+        beta, eta, value = hrd_closed_form(d, miss)
+        sd, sb = sum(d), sum(s for _, s, _ in miss)
+        relaxed = sd ** 2 + sb ** 2
+        assert value >= relaxed * (1.0 - rounding), (d, miss)
+        assert sum(beta) <= 1.0 + FEAS_TOL and sum(eta) <= 1.0 + FEAS_TOL
+        assert all(e >= r * beta[i] * (1.0 - FEAS_TOL)
+                   for e, (i, _, r) in zip(eta, miss)), (d, miss)
+        ratio = max([r * d[i] / s for i, s, r in miss], default=0.0)
+        binding += ratio * sb > sd
+        marginal += 1.0 < ratio * sb / sd <= 1.0 + 2e-12
+    assert binding > 1000 and marginal > 100
 
 
 def test_screen_skips_only_moves_that_cannot_be_accepted(desk_runs,
-                                                         multi_request_run):
-    states = [state for run in desk_runs for state in run]
+                                                         multi_request_run,
+                                                         bound_runs):
+    states = [state for run in desk_runs + bound_runs for state in run]
     states += list(multi_request_run)
-    # Default workload, seed 1: ABCG puts HRDs 11 and 14 at SBS 12, where a
-    # backhaul floor binds.
-    scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
-    states.append(abcg_init(scn, demand_for(scn)))
-    assert states[-1].hrd_members[12] == [11, 14]
+    states.append(bound_final_state())
     screened_out = feasible_out = 0
     for n, state in enumerate(states):
         block, _ = association._neighbourhood_block(
@@ -668,16 +686,14 @@ def test_drawable_block_holds_propose_move_support(desk_runs):
                 assert rows == _support(lists), game
 
 
-def test_swap_is_valued_alike_from_either_side(desk_runs, multi_request_run):
+def test_swap_is_valued_alike_from_either_side(desk_runs, multi_request_run,
+                                               bound_runs):
     # The skipped tail rests on this: a drawn swap is valued as the
     # neighbourhood's swap of the same two devices, whichever side it is
     # drawn from.
-    states = [state for run in desk_runs for state in run]
+    states = [state for run in desk_runs + bound_runs for state in run]
     states += list(multi_request_run)
-    # Default workload, seed 1: ABCG puts HRDs 11 and 14 at SBS 12, where a
-    # backhaul floor binds.
-    scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
-    states.append(abcg_init(scn, demand_for(scn)))
+    states.append(bound_final_state())
     floor_bound = 0
     for state in states:
         for game in ("hrd", "csd"):
@@ -745,27 +761,18 @@ def test_solved_state_is_freed_without_gc():
         gc.enable()
 
 
-def _rebuilt_allocation(init, final):
+def _rebuilt_allocation(final):
     """``final``'s allocation rebuilt on an idle one: every final coalition
-    installed by the game's write path, except where ``reallocate`` kept the
-    initializer's split, which is copied from ``init``."""
+    installed by the game's write path, each worth its cached value."""
     scratch = final.clone()
     scratch.allocation = Allocation.idle(final.costs.pair_k.size,
                                          final.demand.n_csd)
-    alloc, start = scratch.allocation, init.allocation
-    for c, members in enumerate(final.hrd_members):
-        if association._write_coalition(scratch, "hrd", c, members) \
-                != final.v_hrd[c]:
-            assert members == init.hrd_members[c]
-            idx, _ = member_pairs(final.costs, members)
-            alloc.beta[idx], alloc.eta[idx] = start.beta[idx], start.eta[idx]
-    for c, members in enumerate(final.csd_members):
-        if association._write_coalition(scratch, "csd", c, members) \
-                != final.v_csd[c] and c < final.n_sbs:
-            assert members == init.csd_members[c]
-            alloc.alpha[members] = start.alpha[members]
-            alloc.gamma[members] = start.gamma[members]
-    return alloc
+    for game, cache in (("hrd", final.v_hrd), ("csd", final.v_csd)):
+        lists = final.hrd_members if game == "hrd" else final.csd_members
+        for c, members in enumerate(lists):
+            value = association._write_coalition(scratch, game, c, members)
+            assert value == cache[c], (game, c)
+    return scratch.allocation
 
 
 def test_allocation_holds_only_the_final_coalitions(desk_runs,
@@ -775,7 +782,7 @@ def test_allocation_holds_only_the_final_coalitions(desk_runs,
     # local idle alpha and gamma.
     for init, final in desk_runs + [multi_request_run]:
         alloc, costs = final.allocation, final.costs
-        rebuilt = _rebuilt_allocation(init, final)
+        rebuilt = _rebuilt_allocation(final)
         for name in ("alpha", "gamma", "beta", "eta"):
             assert np.array_equal(getattr(alloc, name),
                                   getattr(rebuilt, name)), name
@@ -836,10 +843,11 @@ def _numpy_sums(costs, game, c, members):
         return ((su, se, costs.task_bytes[arr].sum(), 0.0), 0.0,
                 float(su) ** 2 + float(se) ** 2)
     idx, _ = member_pairs(costs, arr)
-    midx = idx[~costs.cached[c, idx]]
-    _, value, _ = hrd_closed_form(
+    pos = np.flatnonzero(~costs.cached[c, idx])
+    midx = idx[pos]
+    _, _, value = hrd_closed_form(
         costs.sqrt_dl[c, idx].tolist(),
-        list(zip(costs.sqrt_bh[c, midx].tolist(),
+        list(zip(pos.tolist(), costs.sqrt_bh[c, midx].tolist(),
                  costs.eta_min[c, costs.pair_k[midx]].tolist())))
     return ((costs.sqrt_dl[c, idx].sum(), costs.sqrt_bh[c, midx].sum(),
              midx.size), costs.dev_floor_ratio[c, arr].max(initial=0.0),
@@ -968,16 +976,13 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
 
 
 def _full_reallocate(state):
-    """``reallocate`` without its skip: every coalition valued, and
-    installed where the closed form is feasible and no worse."""
+    """``reallocate`` without its skip: every coalition installed."""
     for n in range(state.n_sbs):
         for game, cache in (("csd", state.v_csd), ("hrd", state.v_hrd)):
             members = (state.csd_members if game == "csd"
                        else state.hrd_members)[n]
-            value, ok = coalition_value(state.costs, game, n, members)
-            if ok and value <= cache[n]:
-                cache[n] = association._install(state.costs, state.allocation,
-                                                game, n, members)
+            cache[n] = association._install(state.costs, state.allocation,
+                                            game, n, members)
     state.objective = float(state.v_hrd.sum() + state.v_csd.sum())
 
 
@@ -1028,61 +1033,58 @@ def test_reallocate_skip_equals_a_full_reallocate(monkeypatch, desk_runs,
     assert len(compared) > 100 and sum(reinstalled) > 10
 
 
-# Recorded before the running sums replaced from-scratch move valuation:
-# seed, repr(F_AMND), proposals, accepted moves, hrd_sbs, csd_sbs.
+# Recorded with the exact coupled HRD allocation: seed, repr(F_AMND),
+# proposals, accepted moves, hrd_sbs, csd_sbs of the desk solves.
 GOLDEN_DESK = (
-    (0, "707.950473685913", 7064, 14,
+    (0, "707.950473685913", 7064, 15,
      [0, 9, 13, 4, 6, 1, 1, 5, 10, 2, 8, 12, 2, 7, 14, 3, 9, 11, 4, 7],
      [1, 5, 10, 15, 7, 14, 3, 15, 15, 15, 8, 12, 2, 15, 15, 15, 15, 15, 4, 9]),
-    (1, "1050.3736410171985", 8955, 30,
-     [0, 6, 13, 3, 4, 13, 2, 5, 7, 8, 5, 12, 0, 7, 10, 3, 9, 14, 1, 8],
+    (1, "1015.9427647500497", 8899, 31,
+     [0, 6, 12, 3, 4, 13, 0, 5, 10, 3, 7, 12, 1, 8, 11, 2, 9, 14, 2, 8],
      [15, 15, 14, 0, 5, 11, 2, 15, 15, 3, 15, 15, 15, 8, 10, 4, 7, 15, 8, 9]),
-    (2, "667.306721328047", 6380, 18,
+    (2, "667.306721328047", 6387, 22,
      [4, 7, 13, 2, 6, 10, 3, 5, 11, 1, 8, 0, 4, 9, 12, 1, 5, 14, 2, 10],
      [15, 15, 11, 3, 5, 0, 15, 6, 10, 4, 15, 15, 2, 9, 14, 15, 15, 10, 15, 15]),
     (3, "849.1402324030585", 8574, 29,
      [0, 14, 5, 2, 8, 12, 1, 7, 10, 4, 9, 11, 4, 6, 10, 3, 7, 14, 0, 13],
      [15, 7, 13, 14, 6, 15, 15, 5, 11, 4, 15, 15, 1, 15, 12, 3, 15, 10, 2, 9]),
-    (4, "795.21142303418", 6513, 17,
-     [4, 9, 12, 2, 6, 11, 0, 13, 10, 3, 7, 13, 11, 14, 10, 0, 8, 2, 1, 5],
+    (4, "650.0493893487898", 6907, 22,
+     [4, 9, 12, 2, 6, 11, 0, 13, 10, 4, 7, 13, 3, 14, 10, 3, 8, 2, 1, 5],
      [2, 15, 13, 15, 5, 15, 4, 9, 15, 1, 15, 10, 0, 14, 15, 15, 6, 12, 3, 7]),
 )
 
 
-# Recorded before the random phase's draws and floor valuations moved to
-# plain Python: the ``multi_request_run`` solve, in the same layout.
+# The ``multi_request_run`` solve, in the same layout.
 GOLDEN_MULTI_REQUEST = (
-    3, "6698.966235816297", 7435, 16,
-    [0, 14, 10, 4, 8, 14, 1, 4, 10, 4, 7, 11, 4, 9, 10, 2, 14, 14, 3, 14],
+    3, "3715.4075671066057", 8378, 30,
+    [0, 14, 5, 2, 8, 14, 1, 4, 10, 4, 9, 12, 3, 6, 10, 2, 7, 11, 0, 13],
     [15, 7, 13, 14, 6, 15, 15, 5, 11, 4, 15, 15, 1, 15, 12, 3, 15, 10, 2, 9])
 
 
-# Recorded before the random phase was drawn and valued in blocks: each
-# game generator's final (PCG64 state, has_uint32, uinteger), CSD then HRD,
-# of the desk solves above ("multi" is ``multi_request_run``), and the
-# SHA-256 of the ``write_move_log`` file of seed 0 solved with a move log.
+# Each game generator's final (PCG64 state, has_uint32, uinteger), CSD
+# then HRD, of the desk solves above ("multi" is ``multi_request_run``),
+# and the SHA-256 of the ``write_move_log`` file of seed 0 solved with a
+# move log.
 GOLDEN_RNG = {
     0: ((75383566380014319041787061976167178904, 0, 3479969076),
         (18388660851679587867047905402971316175, 0, 3527960614)),
     1: ((212313877295116405040932564440147200802, 1, 513581162),
-        (113600332082076963930241087396147353044, 0, 15308638)),
+        (297132518108490216651312590601996489278, 0, 2605281452)),
     2: ((260590508217856256875050754802735862115, 0, 263991310),
         (158510539194232494727706257853363450342, 1, 3540578751)),
     3: ((157300841962195696493955064341231784391, 0, 2065352598),
         (9172946884496230668826920078369019207, 0, 2380263126)),
     4: ((310792501618525053574602670082774970017, 1, 1950371885),
-        (148344794816309841889316578322114059298, 1, 3386876167)),
+        (81076790611014968376995089476602900612, 1, 3093165788)),
     "multi": ((157300841962195696493955064341231784391, 0, 2065352598),
-              (83881382529054234759704909152641939777, 1, 642542260)),
+              (109001640345172662294630510931399093249, 0, 2030946328)),
 }
 GOLDEN_MOVE_LOG_SEED0 = \
-    "0b45ce5e3da87ebde6dc5b0b9ffe4659eaff289137c04c68ac2735000d5ba89f"
+    "e1f89d122fb170355c21b29fd402cb1b8224cf29d57c9fa4962ba625bc632bff"
 
 
-# Recorded before the write path's backhaul shares moved from numpy to
-# the plain-Python closed form: the SHA-256 of the bytes of the final
-# ``alpha``, ``gamma``, ``beta`` and ``eta`` of the desk solves above
-# ("multi" is ``multi_request_run``).
+# The SHA-256 of the bytes of the final ``alpha``, ``gamma``, ``beta`` and
+# ``eta`` of the desk solves above ("multi" is ``multi_request_run``).
 GOLDEN_FRACTIONS = {
     0: (
         "79eaf1904c6dfe69ec9fee6b6e8a3715e85c967f6620f30df8d46d9e6e8cd490",
@@ -1093,8 +1095,8 @@ GOLDEN_FRACTIONS = {
     1: (
         "2ad16d7cc56148f93429dbbfc294a1c3795a7a23aef82cbae3a3cf79ee1e5204",
         "7863b49ff85764cf8734cdf28c3d2f054874d4801d33b7d41f9f43de2a8ab76f",
-        "f99a74cde3421106bba9557fb26c33f4b4e0f9da243ea5eaec1a1106f0cbbc11",
-        "dcf53c391c31816c47cf0036dca0967517c1ec3890bdbec277acbb9b1e145191",
+        "2fe62d4aa52000b54e95fa577f9e1e7d77f399f61567e2413251f3574d2acb81",
+        "0df3f1f5f171cfbb4b346b124f58ab70268331c52289b0f52b89b99af2c30fdd",
     ),
     2: (
         "b886f8b258f326ac453a06d0b71c0024526073084a873c0a5080efe2847906c4",
@@ -1111,16 +1113,17 @@ GOLDEN_FRACTIONS = {
     4: (
         "eb81cbec24ae5d50ce0c94fffa4614d19ef72a8916d6ee8cd0dffe0702e8a239",
         "eb81cbec24ae5d50ce0c94fffa4614d19ef72a8916d6ee8cd0dffe0702e8a239",
-        "6f8ef1a8afe879fa6dbc1e11a12ddfc803efee0b79e1b6f85720724fbcb2b323",
-        "3bd9b47204323b0664d3421001c5b2ced5a4b9bd073bfd4c32ec20d0d43540b2",
+        "8081480d39469d67c9bc1a3e5955593927a1d2e0bb3bada40b9761b6afa6b2be",
+        "9381cf431bd9d064afc8f10d43bc3d146b3e2e29798c2a5f2eec38d9a7a955b1",
     ),
     "multi": (
         "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
         "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
-        "60ad7481ca6052ed703e3301f33a390fc72d28c8b7ccc7f0465dfcc31d2fccad",
-        "618c9d011539433f326431049164d085a6c60b7350ca473a2c115c6cef9baadf",
+        "903784367e5047b0f55013a96cc570e479c90f7a8dd11c382e8268c7553a0d18",
+        "e28c4e21bbf086e8d757b30d330a4eafa24e1f5b36459ac70ca6ff35bd37421f",
     ),
 }
+
 
 def _fraction_digests(state):
     alloc = state.allocation
@@ -1208,15 +1211,11 @@ def _move_key(prop):
 
 
 def test_audit_matches_scratch_reference(monkeypatch, desk_runs,
-                                         multi_request_run):
-    states = [init for init, _ in desk_runs]
+                                         multi_request_run, bound_runs):
+    states = [init for init, _ in desk_runs + bound_runs[:3]]
     states += [run_amnd(init.scenario, init.demand, t2=50, stabilize=False,
                         init_state=init) for init, _ in desk_runs[:10]]
-    # Default workload, seed 1: ABCG puts HRDs 11 and 14 at SBS 12, where a
-    # backhaul floor binds.
-    scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
-    states.append(abcg_init(scn, demand_for(scn)))
-    assert states[-1].hrd_members[12] == [11, 14]
+    states.append(bound_final_state())
     states.append(multi_request_run[0])
     fallbacks = _count_floor_valuations(monkeypatch)
     found = 0
@@ -1229,7 +1228,7 @@ def test_audit_matches_scratch_reference(monkeypatch, desk_runs,
             assert abs(got.dv - ref.dv) <= 1e-12 * abs(ref.dv), (n, got, ref)
         found += len(moves)
     assert found
-    assert 12 in [c for c, _ in fallbacks]
+    assert 3 in [c for c, _ in fallbacks]
 
 
 def test_audit_ignores_the_state_running_sums(desk_runs):

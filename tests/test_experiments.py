@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import mecsim
-from mecsim.cli import build_parser, main
+from mecsim.association import run_amnd
+from mecsim.cli import _scenario_from_args, build_parser, main
 from mecsim.experiments import (CSV_COLUMNS, ExperimentConfig, SweepRow,
                                 config_with_overrides, emit_csv, load_config,
                                 load_csv, run_sweep, save_config, seed_average,
@@ -199,6 +200,21 @@ def test_cli_audit_small_instance(tmp_path, capsys):
     assert "audit: CLEAN" in out
 
 
+@pytest.mark.parametrize("seed", [1, 9, 17])
+def test_cli_audit_checks_every_nonempty_coalition(seed, capsys):
+    # The oracle comparison covers every nonempty final coalition of both
+    # games; seed 17 ends with a rate ordering that binds.
+    argv = ["audit", "--seed", str(seed)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    final = run_amnd(*_scenario_from_args(build_parser().parse_args(argv)))
+    nonempty = sum(bool(members) for members in
+                   final.hrd_members + final.csd_members[:final.n_sbs])
+    assert f"allocation vs oracle on {nonempty} coalition(s): " in out
+    assert ", 0 infeasible\n" in out
+    assert "audit: CLEAN" in out
+
+
 def test_cli_audit_counts_remaining_moves(capsys):
     # Without the stabilization sweep the random phase leaves improving
     # moves, and every one of them counts as a failure.
@@ -222,7 +238,7 @@ def test_cli_run_row_matches_the_sweep_row(tmp_path, capsys):
 # SHA-256 of ``mecsim sweep --seeds 1 --audit``.  Storage layout changes
 # must leave it alone; a change to the allocator re-records it.
 SWEEP_SEED1_SHA256 = \
-    "b64823261dd6c9ab9a3186b34a560c96636ef125bc112735ea3d2fc9705b4f2a"
+    "acab82d727f0250adb6c2e3b51c4159408ae5f5b1d8bb0c9d08eb99f0ed7425a"
 
 
 def test_sweep_csv_matches_recorded_digest(tmp_path, capsys):
