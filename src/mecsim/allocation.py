@@ -218,7 +218,7 @@ def equal_share_hrd(costs: CoalitionCosts, n: int, members):
 # ---------------------------------------------------------------------------
 
 ORACLE_MAX_ITER = 240   # bisection steps of ``_multiplier``
-ORACLE_TOL = 1e-12      # budget residual that ``oracle_hrd_min`` accepts
+ORACLE_TOL = 1e-12      # budget residual that the oracles accept
 
 
 def _multiplier(budget, guess: float, tol: float) -> float:
@@ -249,7 +249,7 @@ def _multiplier(budget, guess: float, tol: float) -> float:
     return hi
 
 
-def oracle_simplex_min(cost, lo, hi, tol: float = 1e-10):
+def oracle_simplex_min(cost, lo, hi, tol: float = ORACLE_TOL):
     """Minimize sum(cost/f) s.t. sum(f) <= 1, lo <= f <= hi, numerically.
 
     Stationarity makes every coordinate ``clip(sqrt(cost/nu), lo, hi)`` for a

@@ -382,6 +382,11 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
     pick the strongest gain, then drop to local execution when offloading
     under the equal split is slower or the task input would not fit in
     storage.  The game generators are seeded from the scenario's seed.
+
+    The gain picks (masked argmaxes, with ``np.argmax``'s first-maximum
+    tie rule) and the offload and local delays are array operations; only
+    the storage pass goes device by device, in device order, since each
+    device's room depends on the devices before it.
     """
     if table is None:
         table = build_rate_table(scenario)
@@ -391,39 +396,35 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
         raise ValueError("no SBS to associate with")
     n_hrd, n_csd = demand.n_hrd, demand.n_csd
 
-    fallback = []
-    hrd_sbs = np.zeros(n_hrd, dtype=np.int64)
-    for k in range(n_hrd):
-        gains = scenario.gain_sbs_hrd[:, k]
-        ok = costs.eta_min[:, k] <= 1.0
-        if ok.any():
-            cand = np.nonzero(ok)[0]
-            hrd_sbs[k] = cand[int(np.argmax(gains[cand]))]
-        else:
-            hrd_sbs[k] = int(np.argmax(gains))
-            fallback.append(k)
-
-    csd_sbs = np.zeros(n_csd, dtype=np.int64)
-    for k in range(n_csd):
-        csd_sbs[k] = int(np.argmax(scenario.gain_sbs_csd[:, k]))
+    # Each HRD's strongest SBS among those passing the filter, else its
+    # strongest.
+    gains = scenario.gain_sbs_hrd
+    ok = costs.eta_min <= 1.0
+    passing = ok.any(axis=0)
+    hrd_sbs = np.where(passing, np.argmax(np.where(ok, gains, -np.inf), axis=0),
+                       np.argmax(gains, axis=0)).astype(np.int64)
+    fallback = np.flatnonzero(~passing).tolist()
+    csd_sbs = np.argmax(scenario.gain_sbs_csd, axis=0).astype(np.int64)
 
     # Equal uplink/compute split over the gain-based coalitions, then each
-    # device compares offloading at that split against local execution.
+    # device compares offloading at that split against local execution and
+    # takes storage, in device order, only if offloading is not slower.
     size0 = np.bincount(csd_sbs, minlength=n_sbs).astype(float)
-    used_bytes = np.zeros(n_sbs)
-    for k in range(n_csd):
-        n = int(csd_sbs[k])
-        share = 1.0 / size0[n]
-        in_bits = demand.task_input_bytes[k] * BITS_PER_BYTE
-        t_off = (in_bits / (share * table.s_ul[n] * table.r_ul[n, k])
-                 + demand.task_cycles[k] / (share * demand.edge_cps[n]))
-        t_lc = demand.task_cycles[k] / demand.local_cps[k]
-        fits = (used_bytes[n] + costs.task_bytes[k]
-                <= costs.spare_bytes[n] + _kernels.BYTES_TOL)
-        if t_off > t_lc or not fits:
+    share_k = 1.0 / size0[csd_sbs]
+    in_bits = demand.task_input_bytes * BITS_PER_BYTE
+    t_off = (in_bits / (share_k * table.s_ul[csd_sbs]
+                        * table.r_ul[csd_sbs, np.arange(n_csd)])
+             + demand.task_cycles / (share_k * demand.edge_cps[csd_sbs]))
+    t_lc = demand.task_cycles / demand.local_cps
+    room = (costs.spare_bytes + _kernels.BYTES_TOL).tolist()
+    used_bytes = [0.0] * n_sbs
+    task_bytes = costs.task_bytes.tolist()
+    for k, (n, slower) in enumerate(zip(csd_sbs.tolist(),
+                                        (t_off > t_lc).tolist())):
+        if slower or not used_bytes[n] + task_bytes[k] <= room[n]:
             csd_sbs[k] = n_sbs
         else:
-            used_bytes[n] += costs.task_bytes[k]
+            used_bytes[n] += task_bytes[k]
 
     partition = Partition(hrd_sbs=hrd_sbs, csd_sbs=csd_sbs, n_sbs=n_sbs)
     allocation = Allocation.idle(costs.pair_k.size, n_csd)

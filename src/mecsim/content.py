@@ -6,14 +6,20 @@ is filled either greedily by popularity ("popular_first") or by popularity-
 weighted sampling ("sampled") up to its storage capacity.
 """
 
+import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .scenario import Uniforms
 
 # Decimal unit convention used throughout (config values are bytes).
 KB = 1e3
 MB = 1e6
 GB = 1e9
+
+_SUM_ATOL = float(np.sqrt(np.finfo(float).eps))   # numpy's bound on |sum(p) - 1|
 
 
 def zipf_popularity(n_files: int, delta: float) -> np.ndarray:
@@ -45,17 +51,68 @@ class Catalog:
                    popularity=zipf_popularity(n_files, delta))
 
 
+def _distinct_draws(popularity: np.ndarray, sizes, rng: np.random.Generator):
+    """For each size in ``sizes``, in turn, the picks of
+    ``rng.choice(len(popularity), size, replace=False, p=popularity)``.
+
+    This is numpy's own without-replacement loop, run on Python floats:
+    draw one double per missing pick, zero the weights of the files found,
+    take the cumulative sum over its last entry, find each double's file by
+    ``bisect_right`` (numpy's ``searchsorted(side='right')``), and keep the
+    first pick of each file; repeat until ``size`` files are found.  The
+    doubles come from one read-ahead buffer (``Uniforms``), and the
+    generator ends where the consumed draws leave it, as after the
+    ``rng.choice`` calls.
+    """
+    p = np.asarray(popularity, dtype=float)
+    if sizes:
+        # The checks ``rng.choice`` makes before it draws.
+        if not np.all(p >= 0) or abs(p.sum() - 1.0) > _SUM_ATOL:
+            raise ValueError("popularity is not a probability vector")
+        if max(sizes) > np.count_nonzero(p):
+            raise ValueError("fewer nonzero popularities than picks")
+    weights = p.tolist()
+    draws = Uniforms(rng)
+    out = []
+    for size in sizes:
+        w, found = list(weights), {}
+        while len(found) < size:
+            u = draws.window(size - len(found)).tolist()
+            draws.skip(len(u))
+            cdf = list(itertools.accumulate(w))
+            last = cdf[-1]
+            cdf = [c / last for c in cdf]
+            for x in u:
+                found.setdefault(bisect.bisect_right(cdf, x))
+            for f in found:
+                w[f] = 0.0
+        out.append(list(found))
+    draws.release()
+    return out
+
+
 def draw_requests(catalog: Catalog, n_hrd: int, requests_per_hrd: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Binary request matrix (n_hrd, n_files); distinct files per device,
-    sampled without replacement proportionally to popularity."""
+    sampled without replacement proportionally to popularity.
+
+    The picks and the generator's end state are those of one
+    ``rng.choice(n_files, requests_per_hrd, replace=False, p=popularity)``
+    call per device.  One request each is one ``rng.choice`` call with
+    replacement, which draws the same files from the same doubles; more
+    are drawn by ``_distinct_draws``.
+    """
     if requests_per_hrd < 1 or requests_per_hrd > catalog.n_files:
         raise ValueError("requests_per_hrd must be in [1, n_files]")
     req = np.zeros((n_hrd, catalog.n_files), dtype=np.int8)
-    for k in range(n_hrd):
-        picks = rng.choice(catalog.n_files, size=requests_per_hrd,
-                           replace=False, p=catalog.popularity)
-        req[k, picks] = 1
+    if requests_per_hrd == 1:
+        picks = rng.choice(catalog.n_files, size=n_hrd, p=catalog.popularity)
+        req[np.arange(n_hrd), picks] = 1
+    else:
+        picks = _distinct_draws(catalog.popularity,
+                                [requests_per_hrd] * n_hrd, rng)
+        for k, files in enumerate(picks):
+            req[k, files] = 1
     return req
 
 
@@ -65,26 +122,32 @@ def place_cache(catalog: Catalog, storage_bytes, policy: str = "popular_first",
 
     popular_first caches files in decreasing popularity (ties: lowest index)
     until the next file would not fit; sampled draws distinct files with
-    popularity weights until the same capacity.
+    popularity weights until the same capacity.  Sampled picks and the
+    generator's end state are those of one ``rng.choice(n_files, slots,
+    replace=False, p=popularity)`` call per SBS with room for a file, read
+    through ``_distinct_draws``.
     """
     storage = np.atleast_1d(np.asarray(storage_bytes, dtype=float))
     cache = np.zeros((storage.size, catalog.n_files), dtype=np.int8)
-    by_pop = np.argsort(-catalog.popularity, kind="stable")
+    rows, sizes = [], []
     for n, cap in enumerate(storage):
-        slots = int(cap // catalog.file_size_bytes)
-        slots = min(slots, catalog.n_files)
-        if slots <= 0:
-            continue
-        if policy == "popular_first":
-            picks = by_pop[:slots]
-        elif policy == "sampled":
-            if rng is None:
-                raise ValueError("sampled cache policy needs an rng")
-            picks = rng.choice(catalog.n_files, size=slots, replace=False,
-                               p=catalog.popularity)
-        else:
-            raise ValueError(f"unknown cache policy {policy!r}")
-        cache[n, picks] = 1
+        slots = min(int(cap // catalog.file_size_bytes), catalog.n_files)
+        if slots > 0:
+            rows.append(n)
+            sizes.append(slots)
+    if not rows:
+        return cache
+    if policy == "popular_first":
+        by_pop = np.argsort(-catalog.popularity, kind="stable")
+        picks = [by_pop[:slots] for slots in sizes]
+    elif policy == "sampled":
+        if rng is None:
+            raise ValueError("sampled cache policy needs an rng")
+        picks = _distinct_draws(catalog.popularity, sizes, rng)
+    else:
+        raise ValueError(f"unknown cache policy {policy!r}")
+    for n, files in zip(rows, picks):
+        cache[n, files] = 1
     return cache
 
 

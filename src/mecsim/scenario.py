@@ -211,21 +211,99 @@ def hex_lattice(n: int, isd_m: float) -> np.ndarray:
     return np.array([[c[4], c[5]] for c in cells[:n]], dtype=float)
 
 
-def _place_in_disc(rng, center, radius, occupied):
-    """Uniform point in a disc, resampling collocations with existing nodes."""
-    for _ in range(_MAX_PLACEMENT_RETRIES):
-        r = radius * math.sqrt(rng.random())
-        ang = 2.0 * math.pi * rng.random()
-        pos = np.array([center[0] + r * math.cos(ang),
-                        center[1] + r * math.sin(ang)])
-        if not occupied or min(
-            math.hypot(pos[0] - o[0], pos[1] - o[1]) for o in occupied
-        ) > _COLLOCATION_EPS_M:
-            return pos
-    raise RuntimeError(
-        f"could not place a node without collocation after "
-        f"{_MAX_PLACEMENT_RETRIES} tries"
-    )
+class Uniforms:
+    """The ``rng.random()`` stream of a generator, read ahead in batches.
+
+    ``window(k)`` returns the next ``k`` unread doubles without consuming
+    them and ``skip(k)`` consumes them.  ``rng.random(k)`` makes the same
+    draws as ``k`` calls of ``rng.random()``, so ``release`` can put the
+    generator exactly where the consumed draws leave it: back at the start,
+    then past as many draws as were consumed (nothing to do when every
+    draw read was consumed).
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.start = rng, rng.bit_generator.state
+        self.buf = np.empty(0)
+        self.pos = 0       # next unread entry of buf
+
+    def window(self, k: int) -> np.ndarray:
+        missing = self.pos + k - self.buf.size
+        if missing > 0:
+            more = self.rng.random(max(missing, self.buf.size))
+            self.buf = np.concatenate((self.buf, more))
+        return self.buf[self.pos:self.pos + k]
+
+    def skip(self, k: int) -> None:
+        self.pos += k
+
+    def release(self) -> None:
+        if self.pos < self.buf.size:
+            self.rng.bit_generator.state = self.start
+            self.rng.random(self.pos)
+
+
+def _first_collocation(xy: np.ndarray, first: int):
+    """The index of the first point of ``xy`` from ``first`` on that lies
+    within ``_COLLOCATION_EPS_M`` of an earlier point, or None.
+
+    One matrix of squared distances screens every pair; ``math.hypot``
+    decides each pair closer than twice the threshold, so every pair is
+    judged exactly as a per-point ``math.hypot`` check judges it.
+    """
+    eps = _COLLOCATION_EPS_M
+    dx = xy[first:, 0, None] - xy[None, :-1, 0]
+    dy = xy[first:, 1, None] - xy[None, :-1, 1]
+    near = ~(dx * dx + dy * dy > 4.0 * eps * eps)
+    near &= np.arange(len(xy) - 1) < np.arange(first, len(xy))[:, None]
+    for i, j in zip(*np.nonzero(near)):
+        if not math.hypot(dx[i, j], dy[i, j]) > eps:
+            return first + int(i)
+    return None
+
+
+def _drop_nodes(rng, centers: np.ndarray, radius: float,
+                fixed: np.ndarray) -> np.ndarray:
+    """One uniform point in the disc of ``radius`` around each row of
+    ``centers``, none collocated with ``fixed`` or with an earlier point.
+
+    Each point takes two draws of ``rng.random()``, for its radius and its
+    angle, and a collocated point is redrawn from the next two, up to
+    ``_MAX_PLACEMENT_RETRIES`` times.  The draws of all points are read at
+    once (``Uniforms``) and one distance matrix screens them; from a
+    collocated point on, the later points are laid out again on the draws
+    that follow its rejected pair.  The points and the generator's end state
+    are therefore those of placing and checking one point at a time.
+    Positions use ``math.cos``/``math.sin``, whose results numpy's may
+    miss by an ulp.
+    """
+    n, n_fixed = len(centers), len(fixed)
+    xy = np.concatenate((fixed, np.empty((n, 2))))
+    draws = Uniforms(rng)
+    t = rejected = 0
+    while t < n:
+        u = draws.window(2 * (n - t))
+        r = radius * np.sqrt(u[0::2])
+        ang = (2.0 * math.pi * u[1::2]).tolist()
+        xy[n_fixed + t:, 0] = centers[t:, 0] + r * np.array(
+            [math.cos(a) for a in ang])
+        xy[n_fixed + t:, 1] = centers[t:, 1] + r * np.array(
+            [math.sin(a) for a in ang])
+        bad = _first_collocation(xy, n_fixed + t)
+        if bad is None:
+            draws.skip(u.size)
+            break
+        bad -= n_fixed
+        draws.skip(2 * (bad - t) + 2)
+        rejected = rejected + 1 if bad == t else 1
+        if rejected == _MAX_PLACEMENT_RETRIES:
+            draws.release()
+            raise RuntimeError(
+                f"could not place a node without collocation after "
+                f"{_MAX_PLACEMENT_RETRIES} tries")
+        t = bad
+    draws.release()
+    return xy[n_fixed:]
 
 
 def generate_scenario(params: SystemParams, counts: Counts) -> Scenario:
@@ -235,6 +313,12 @@ def generate_scenario(params: SystemParams, counts: Counts) -> Scenario:
     per macrocell and the devices are uniform in discs of radius ``isd_m/2``
     around each MBS, with devices spread over macrocells round-robin.  The
     whole draw is a pure function of (params, counts).
+
+    Nodes are placed in a fixed order, SBSs cell by cell, then HRDs, then
+    CSDs, each resampled while it is collocated with an MBS or an earlier
+    node.  The deployment stream's draws are read in one batch
+    (``_drop_nodes``) and consumed exactly as placing one node at a time
+    would consume them.
     """
     if counts.n_hrd < 0 or counts.n_csd < 0:
         raise ValueError("device counts must be nonnegative")
@@ -242,33 +326,15 @@ def generate_scenario(params: SystemParams, counts: Counts) -> Scenario:
 
     rng_dep, rng_shadow, rng_los, _ = rng_streams(params.seed)
     mbs_pos = hex_lattice(params.n_mbs, params.isd_m)
-    occupied = [tuple(p) for p in mbs_pos]
-
-    def drop(cell: int) -> np.ndarray:
-        pos = _place_in_disc(rng_dep, mbs_pos[cell], radius, occupied)
-        occupied.append(tuple(pos))
-        return pos
-
-    sbs_pos, sbs_cell = [], []
-    for cell in range(params.n_mbs):
-        for _ in range(params.m_sbs):
-            sbs_pos.append(drop(cell))
-            sbs_cell.append(cell)
-
-    def drop_devices(count: int):
-        pos, cells = [], []
-        for k in range(count):
-            cell = k % params.n_mbs
-            pos.append(drop(cell))
-            cells.append(cell)
-        shape = (count, 2) if count else (0, 2)
-        return (np.array(pos, dtype=float).reshape(shape),
-                np.array(cells, dtype=np.int64))
-
-    hrd_pos, hrd_cell = drop_devices(counts.n_hrd)
-    csd_pos, csd_cell = drop_devices(counts.n_csd)
-    sbs_pos = np.array(sbs_pos, dtype=float)
-    sbs_cell = np.array(sbs_cell, dtype=np.int64)
+    sbs_cell = np.repeat(np.arange(params.n_mbs, dtype=np.int64), params.m_sbs)
+    hrd_cell = np.arange(counts.n_hrd, dtype=np.int64) % params.n_mbs
+    csd_cell = np.arange(counts.n_csd, dtype=np.int64) % params.n_mbs
+    cells = np.concatenate((sbs_cell, hrd_cell, csd_cell))
+    pos = _drop_nodes(rng_dep, mbs_pos[cells], radius, mbs_pos)
+    n_sbs = len(sbs_cell)
+    sbs_pos = pos[:n_sbs]
+    hrd_pos = pos[n_sbs:n_sbs + counts.n_hrd]
+    csd_pos = pos[n_sbs + counts.n_hrd:]
 
     def pair_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)

@@ -148,3 +148,71 @@ def test_demand_rng_is_keyed_by_delta():
     c = demand_rng(5, 1.0).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _reference_draws(catalog, n_hrd, requests_per_hrd, storage, policy, rng):
+    """Reference for ``draw_requests`` then ``place_cache``: one
+    ``rng.choice`` call per device and per SBS with room for a file."""
+    req = np.zeros((n_hrd, catalog.n_files), dtype=np.int8)
+    for k in range(n_hrd):
+        req[k, rng.choice(catalog.n_files, size=requests_per_hrd,
+                          replace=False, p=catalog.popularity)] = 1
+    cache = np.zeros((len(storage), catalog.n_files), dtype=np.int8)
+    by_pop = np.argsort(-catalog.popularity, kind="stable")
+    for n, cap in enumerate(storage):
+        slots = min(int(cap // catalog.file_size_bytes), catalog.n_files)
+        if slots > 0:
+            cache[n, by_pop[:slots] if policy == "popular_first" else
+                  rng.choice(catalog.n_files, size=slots, replace=False,
+                             p=catalog.popularity)] = 1
+    return req, cache
+
+
+def _assert_draws_match_reference(catalog, n_hrd, requests_per_hrd, storage,
+                                  policy, seed):
+    rng, ref = demand_rng(seed, catalog.delta), demand_rng(seed, catalog.delta)
+    req = draw_requests(catalog, n_hrd, requests_per_hrd, rng)
+    cache = place_cache(catalog, storage, policy, rng)
+    ref_req, ref_cache = _reference_draws(catalog, n_hrd, requests_per_hrd,
+                                          storage, policy, ref)
+    assert req.dtype == ref_req.dtype and req.tobytes() == ref_req.tobytes()
+    assert cache.dtype == ref_cache.dtype
+    assert cache.tobytes() == ref_cache.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# Per-SBS storage from none to the whole catalog: 0, 2, 5 and 20 files of 5 MB.
+MIXED_STORAGE = np.resize([28e6, 2e9, 12e6, 0.0, 28e6], 15)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.6, 1.4])
+@pytest.mark.parametrize("policy", ["popular_first", "sampled"])
+@pytest.mark.parametrize("requests_per_hrd", [1, 2, 3])
+def test_batched_demand_draws_match_per_call_choice(requests_per_hrd, policy,
+                                                    delta):
+    catalog = Catalog.build(20, delta)
+    for seed in range(200):
+        _assert_draws_match_reference(catalog, 20, requests_per_hrd,
+                                      MIXED_STORAGE, policy, seed)
+
+
+@pytest.mark.parametrize("n_hrd", [0, 1, 80])
+def test_batched_demand_draws_match_on_a_large_catalog(n_hrd):
+    catalog = Catalog.build(1000, 0.6)
+    storage = np.resize([250e6, 2e9, 0.0], 10)    # 50, 400 and 0 files
+    for seed in range(20):
+        for requests_per_hrd in (1, 2):
+            _assert_draws_match_reference(catalog, n_hrd, requests_per_hrd,
+                                          storage, "sampled", seed)
+
+
+def test_demand_draws_reject_a_popularity_that_is_not_a_distribution():
+    cat = Catalog(n_files=3, file_size_bytes=1e6, delta=0.0,
+                  popularity=np.array([0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="probability"):
+        draw_requests(cat, 2, 2, np.random.default_rng(0))
+    sparse = Catalog(n_files=3, file_size_bytes=1e6, delta=0.0,
+                     popularity=np.array([0.5, 0.5, 0.0]))
+    with pytest.raises(ValueError, match="nonzero"):
+        place_cache(sparse, [3e6], "sampled", np.random.default_rng(0))
+

@@ -215,6 +215,18 @@ def test_cli_audit_checks_every_nonempty_coalition(seed, capsys):
     assert "audit: CLEAN" in out
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 13])
+def test_cli_audit_gap_is_the_allocators_not_the_oracles(seed, capsys):
+    # Both oracles solve to a budget residual of ORACLE_TOL, so the worst
+    # gap the audit reports is the closed forms' rounding, far below the
+    # 1e-6 gate.
+    assert main(["audit", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    gap = float(out.split("worst relative gap ")[1].split(",")[0])
+    assert 0.0 <= gap <= 1e-11
+    assert "audit: CLEAN" in out
+
+
 def test_cli_audit_counts_remaining_moves(capsys):
     # Without the stabilization sweep the random phase leaves improving
     # moves, and every one of them counts as a failure.

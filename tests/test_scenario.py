@@ -3,11 +3,120 @@ import math
 import numpy as np
 import pytest
 
+from mecsim import scenario as scenario_mod
 from mecsim.scenario import (MBS_MD, MBS_SBS, SBS_MD, Counts, SystemParams,
-                             _place_in_disc, channel_gain, generate_scenario,
+                             _drop_nodes, channel_gain, generate_scenario,
                              hex_lattice, load_scenario, los_probability,
-                             pathloss_db, save_scenario)
+                             pathloss_db, rng_streams, save_scenario)
 from conftest import demand_for
+
+SCENARIO_FIELDS = ("mbs_pos", "sbs_pos", "sbs_cell", "hrd_pos", "hrd_cell",
+                   "csd_pos", "csd_cell", "gain_sbs_hrd", "gain_sbs_csd",
+                   "gain_mbs_sbs", "backhaul_mbs")
+
+
+def _place_in_disc(rng, center, radius, occupied, tries):
+    """Reference for ``_drop_nodes``: one node, two scalar draws per try,
+    checked against every occupied point by ``math.hypot``.  Appends the
+    number of tries to ``tries``."""
+    for attempt in range(scenario_mod._MAX_PLACEMENT_RETRIES):
+        r = radius * math.sqrt(rng.random())
+        ang = 2.0 * math.pi * rng.random()
+        pos = np.array([center[0] + r * math.cos(ang),
+                        center[1] + r * math.sin(ang)])
+        if not occupied or min(
+            math.hypot(pos[0] - o[0], pos[1] - o[1]) for o in occupied
+        ) > scenario_mod._COLLOCATION_EPS_M:
+            tries.append(attempt + 1)
+            return pos
+    raise RuntimeError("could not place a node without collocation")
+
+
+def _reference_scenario(params, counts, tries):
+    """``generate_scenario`` placing one node at a time; returns the
+    scenario's arrays by name and the generators it drew from."""
+    rng_dep, rng_shadow, rng_los, _ = gens = rng_streams(params.seed)
+    mbs_pos = hex_lattice(params.n_mbs, params.isd_m)
+    occupied = [tuple(p) for p in mbs_pos]
+    cells = ([c for c in range(params.n_mbs) for _ in range(params.m_sbs)]
+             + [k % params.n_mbs for k in range(counts.n_hrd)]
+             + [k % params.n_mbs for k in range(counts.n_csd)])
+    pos = []
+    for cell in cells:
+        pos.append(_place_in_disc(rng_dep, mbs_pos[cell], params.isd_m / 2.0,
+                                  occupied, tries))
+        occupied.append(tuple(pos[-1]))
+    pos = np.array(pos, dtype=float).reshape(-1, 2)
+    cells = np.array(cells, dtype=np.int64)
+    n_sbs, n_hrd = params.n_mbs * params.m_sbs, counts.n_hrd
+    out = {"mbs_pos": mbs_pos, "sbs_pos": pos[:n_sbs],
+           "sbs_cell": cells[:n_sbs], "hrd_pos": pos[n_sbs:n_sbs + n_hrd],
+           "hrd_cell": cells[n_sbs:n_sbs + n_hrd],
+           "csd_pos": pos[n_sbs + n_hrd:], "csd_cell": cells[n_sbs + n_hrd:]}
+
+    def gains(model, d):
+        return channel_gain(model, d, rng_los.random(d.shape),
+                            rng_shadow.standard_normal(d.shape))
+
+    for dev in ("hrd", "csd"):
+        d = np.linalg.norm(out["sbs_pos"][:, None] - out[f"{dev}_pos"][None],
+                           axis=2)
+        out[f"gain_sbs_{dev}"] = np.asarray(gains(SBS_MD, d)).reshape(d.shape)
+    d_ms = np.linalg.norm(mbs_pos[:, None] - out["sbs_pos"][None], axis=2)
+    out["backhaul_mbs"] = np.argmin(d_ms, axis=0).astype(np.int64)
+    out["gain_mbs_sbs"] = np.asarray(gains(
+        MBS_SBS, d_ms[out["backhaul_mbs"], np.arange(n_sbs)])).reshape(-1)
+    return out, gens
+
+
+def _assert_matches_reference(monkeypatch, params, counts):
+    """The scenario's arrays and its generators' end states equal the
+    one-node-at-a-time reference, byte for byte; returns the reference's
+    tries per node."""
+    drawn = []
+
+    def recording_streams(seed):
+        gens = rng_streams(seed)
+        drawn.extend(gens)
+        return gens
+
+    monkeypatch.setattr(scenario_mod, "rng_streams", recording_streams)
+    scn = generate_scenario(params, counts)
+    tries = []
+    ref, ref_gens = _reference_scenario(params, counts, tries)
+    for name in SCENARIO_FIELDS:
+        got, want = getattr(scn, name), ref[name]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    assert [g.bit_generator.state for g in drawn] == \
+        [g.bit_generator.state for g in ref_gens]
+    return tries
+
+
+@pytest.mark.parametrize("n_hrd, n_csd, m_sbs", [
+    (20, 20, 5),     # desk
+    (20, 40, 5),     # sweep default
+    (80, 160, 10),   # large
+    (0, 20, 5),
+])
+def test_batched_placement_matches_one_node_at_a_time(monkeypatch, n_hrd,
+                                                      n_csd, m_sbs):
+    for seed in range(200):
+        _assert_matches_reference(monkeypatch, SystemParams(seed=seed,
+                                                            m_sbs=m_sbs),
+                                  Counts(n_hrd=n_hrd, n_csd=n_csd))
+
+
+def test_batched_placement_matches_reference_under_collocations(monkeypatch):
+    # At a 50 m threshold most desk scenarios redraw some node, so every
+    # batch is cut short and redrawn from the rejected node on.
+    monkeypatch.setattr(scenario_mod, "_COLLOCATION_EPS_M", 50.0)
+    redrawn = 0
+    for seed in range(200):
+        tries = _assert_matches_reference(monkeypatch, SystemParams(seed=seed),
+                                          Counts(n_hrd=20, n_csd=20))
+        redrawn += max(tries) > 1
+    assert redrawn >= 150
 
 
 def test_generation_is_deterministic():
@@ -128,7 +237,12 @@ def test_devices_land_inside_their_cells(desk_scenario):
 def test_collocation_resampling_gives_up_eventually():
     rng = np.random.default_rng(0)
     with pytest.raises(RuntimeError, match="collocation"):
-        _place_in_disc(rng, np.zeros(2), 0.0, [(0.0, 0.0)])
+        _drop_nodes(rng, np.zeros((1, 2)), 0.0, np.zeros((1, 2)))
+    # It gives up where the reference does, after the same draws.
+    ref = np.random.default_rng(0)
+    with pytest.raises(RuntimeError, match="collocation"):
+        _place_in_disc(ref, np.zeros(2), 0.0, [(0.0, 0.0)], [])
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_with_params_keeps_gains_but_rejects_geometry_changes(desk_scenario):
