@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from mecsim import scenario as scenario_mod
+from mecsim.cli import main
 from mecsim.scenario import (MBS_MD, MBS_SBS, SBS_MD, Counts, SystemParams,
                              _drop_nodes, channel_gain, generate_scenario,
                              hex_lattice, load_scenario, los_probability,
@@ -277,3 +279,67 @@ def test_roundtrip_of_rewritten_file_is_stable(tmp_path, desk_scenario):
     loaded, _ = load_scenario(p1)
     save_scenario(p2, loaded)
     assert p1.read_text() == p2.read_text()
+
+
+# SHA-256 of ``save_scenario`` output with its demand block, per case.  The
+# file format is fixed: a change to the writer must leave these alone.
+SCENARIO_FILE_SHA256 = {
+    "desk": "45fc8731c7ac050ab9696f4ac311a9f1945c03df6b97dfc6bb7af0cf90dc72e4",
+    "no_hrd":
+        "dd8b20dd839d8373d48e00e30afd15d95a3c1882ed3e25025cff61af4c50f111",
+    "two_requests":
+        "57127fb3d4316bfd03cb422cfec5001b135a86b219737278a846540b7ee63546",
+}
+
+
+@pytest.mark.parametrize("case, n_hrd, demand_kw", [
+    ("desk", 20, {}),
+    ("no_hrd", 0, {}),
+    ("two_requests", 20, {"n_files": 100, "requests_per_hrd": 2}),
+])
+def test_scenario_file_matches_recorded_digest(tmp_path, case, n_hrd,
+                                               demand_kw):
+    scn = generate_scenario(SystemParams(seed=7),
+                            Counts(n_hrd=n_hrd, n_csd=20))
+    path = tmp_path / "scn.txt"
+    save_scenario(path, scn, demand_for(scn, **demand_kw))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        SCENARIO_FILE_SHA256[case]
+
+
+def _edit_row(section, edit):
+    """An edit of a scenario file's text that replaces the first line of
+    ``section`` by ``edit`` of it."""
+    def apply(text):
+        lines = text.split("\n")
+        at = lines.index(f"[{section}]") + 1
+        lines[at] = edit(lines[at])
+        return "\n".join(lines)
+    return apply
+
+
+MALFORMED = {
+    "header": (lambda t: t.replace("mecsim-scenario v1", "mecsim v0", 1),
+               "not a scenario file"),
+    "before_first_section": (
+        lambda t: t.replace("\n[params]", "\nstray\n[params]", 1),
+        "before first section"),
+    "ragged_sbs_pos": (_edit_row("sbs_pos", lambda ln: ln.split()[0]), None),
+}
+
+
+@pytest.fixture(scope="module")
+def desk_file_text(tmp_path_factory, desk_scenario):
+    path = tmp_path_factory.mktemp("scn") / "desk.txt"
+    save_scenario(path, desk_scenario, demand_for(desk_scenario))
+    return path.read_text()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_file_is_a_value_error(tmp_path, desk_file_text,
+                                                  case):
+    edit, match = MALFORMED[case]
+    path = tmp_path / "bad.txt"
+    path.write_text(edit(desk_file_text))
+    with pytest.raises(ValueError, match=match):
+        load_scenario(path)
