@@ -4,7 +4,8 @@ A CSD coalition's resource problem splits into two independent simplex
 blocks (uplink and edge compute), each minimizing a sum of ``cost /
 fraction`` over a unit budget.  Its optimum gives every entry the share
 ``sqrt(cost) / sum(sqrt(cost))`` and the block the value
-``sum(sqrt(cost))**2``; ``shares`` is that split on numpy arrays.
+``sum(sqrt(cost))**2``; ``root_shares`` is that split, which every
+closed form here and ``allocation.allocate_csd`` run.
 
 An HRD coalition couples its two blocks through the rate ordering of every
 missed pair: the access rate may not outrun the backhaul rate, which is
@@ -80,9 +81,10 @@ def member_pairs(costs, members):
     return idx, np.repeat(members, cnt[members])
 
 
-def shares(s):
-    """Square-root shares of one block from its entries' root costs ``s``."""
-    return np.minimum(1.0, s / s.sum())
+def root_shares(roots, total):
+    """The square-root split of one block: each entry's share ``min(1, root
+    / total)``, from the entries' root costs ``roots`` and their sum."""
+    return [min(1.0, x / total) for x in roots]
 
 
 def _sum(values) -> float:
@@ -176,8 +178,7 @@ def _coupled_shares(d, miss):
         if abs(step - x) <= 1e-15 * max(1.0, abs(x)):
             break
         x = step
-    s_c, s_e = _sum(c), _sum(e)
-    return [min(1.0, v / s_c) for v in c], [min(1.0, v / s_e) for v in e]
+    return root_shares(c, _sum(c)), root_shares(e, _sum(e))
 
 
 def hrd_closed_form(d, miss):
@@ -190,12 +191,11 @@ def hrd_closed_form(d, miss):
     """
     s_d = _sum(d)
     if not miss:
-        return [min(1.0, x / s_d) for x in d], [], s_d * s_d
+        return root_shares(d, s_d), [], s_d * s_d
     b = [s for _, s, _ in miss]
     s_b = _sum(b)
     if max([r * d[i] / s for i, s, r in miss]) * s_b <= s_d:
-        return ([min(1.0, x / s_d) for x in d],
-                [min(1.0, s / s_b) for s in b], s_d * s_d + s_b * s_b)
+        return root_shares(d, s_d), root_shares(b, s_b), s_d * s_d + s_b * s_b
     beta, eta = _coupled_shares(d, miss)
     return beta, eta, (_sum([x * x / f for x, f in zip(d, beta)])
                        + _sum([s * s / f for s, f in zip(b, eta)]))
@@ -276,7 +276,7 @@ def csd_alloc(costs, n, members, alpha, gamma):
             alpha[k] = gamma[k] = IDLE_FRAC
         return value, ok
     ul, ed = costs.rows.sqrt_ul[n], costs.rows.sqrt_ed[n]
-    for k in members:
-        alpha[k] = min(1.0, ul[k] / s_u)
-        gamma[k] = min(1.0, ed[k] / s_e)
+    for k, a, g in zip(members, root_shares([ul[k] for k in members], s_u),
+                       root_shares([ed[k] for k in members], s_e)):
+        alpha[k], gamma[k] = a, g
     return value, ok

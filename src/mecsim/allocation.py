@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import (FEAS_TOL, IDLE_FRAC, _sum, hrd_closed_form,
-                       member_pairs, shares)
+from ._kernels import (BYTES_TOL, FEAS_TOL, IDLE_FRAC, _sum,
+                       hrd_closed_form, member_pairs, root_shares)
 from .content import DemandProfile
 from .delays import BITS_PER_BYTE, request_pairs
 from .radio import RateTable, build_rate_table
@@ -139,10 +139,12 @@ def build_costs(scenario: Scenario, demand: DemandProfile,
 # ---------------------------------------------------------------------------
 
 def allocate_csd(ul_cost, ed_cost):
-    """Square-root-share fractions for one coalition's uplink/compute blocks."""
-    alpha = shares(np.sqrt(np.asarray(ul_cost, dtype=float)))
-    gamma = shares(np.sqrt(np.asarray(ed_cost, dtype=float)))
-    return alpha, gamma
+    """Square-root-share fractions for one coalition's uplink/compute
+    blocks, by the arithmetic ``_kernels.csd_alloc`` installs."""
+    def split(cost):
+        roots = np.sqrt(np.asarray(cost, dtype=float)).reshape(-1).tolist()
+        return np.array(root_shares(roots, _sum(roots)))
+    return split(ul_cost), split(ed_cost)
 
 
 def allocate_hrd(dl_cost, bh_cost, cached, rho):
@@ -221,11 +223,11 @@ ORACLE_MAX_ITER = 240   # bisection steps of ``_multiplier``
 ORACLE_TOL = 1e-12      # budget residual that the oracles accept
 
 
-def _multiplier(budget, guess: float, tol: float) -> float:
+def _multiplier(budget, guess: float) -> float:
     """The multiplier at which ``budget``, a nonincreasing function of it
     that falls from above 1 to below 1, crosses 1: bracketed from ``guess``
     by factors of 16, then bisected on a log scale until the residual is
-    within ``tol``.  Raises RuntimeError if it does not converge."""
+    within ``ORACLE_TOL``.  Raises RuntimeError if it does not converge."""
     lo = hi = guess
     while budget(lo) < 1.0 and lo > 1e-300:
         lo /= 16.0
@@ -234,7 +236,7 @@ def _multiplier(budget, guess: float, tol: float) -> float:
     for _ in range(ORACLE_MAX_ITER):
         mid = math.sqrt(lo) * math.sqrt(hi)
         residual = budget(mid) - 1.0
-        if abs(residual) <= tol:
+        if abs(residual) <= ORACLE_TOL:
             return mid
         if residual > 0.0:
             lo = mid
@@ -249,7 +251,7 @@ def _multiplier(budget, guess: float, tol: float) -> float:
     return hi
 
 
-def oracle_simplex_min(cost, lo, hi, tol: float = ORACLE_TOL):
+def oracle_simplex_min(cost, lo, hi):
     """Minimize sum(cost/f) s.t. sum(f) <= 1, lo <= f <= hi, numerically.
 
     Stationarity makes every coordinate ``clip(sqrt(cost/nu), lo, hi)`` for a
@@ -272,7 +274,7 @@ def oracle_simplex_min(cost, lo, hi, tol: float = ORACLE_TOL):
         return f, float((cost / f).sum())
     nu = _multiplier(
         lambda nu: float(np.clip(np.sqrt(cost / nu), lo, hi).sum()),
-        float(np.sqrt(cost).sum()) ** 2, tol)
+        float(np.sqrt(cost).sum()) ** 2)
     f = np.clip(np.sqrt(cost / nu), lo, hi)
     return f, float((cost / f).sum())
 
@@ -315,12 +317,12 @@ def oracle_hrd_min(dl_cost, bh_cost, cached, rho):
         if miss.all() and math.fsum(shares(0.0, mu)[0]) <= 1.0:
             return 0.0
         return _multiplier(lambda lam: math.fsum(shares(lam, mu)[0]),
-                           float(np.sqrt(dl).sum()) ** 2, ORACLE_TOL)
+                           float(np.sqrt(dl).sum()) ** 2)
 
     mu = 0.0
     if miss.any():
         mu = _multiplier(lambda mu: math.fsum(shares(lam_at(mu), mu)[1]),
-                         float(np.sqrt(bh[miss]).sum()) ** 2, ORACLE_TOL)
+                         float(np.sqrt(bh[miss]).sum()) ** 2)
     beta, eta_miss = (np.array(x) for x in shares(lam_at(mu), mu))
     eta = np.full(dl.shape, IDLE_FRAC)
     eta[miss] = eta_miss
@@ -344,7 +346,8 @@ def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str):
             costs.ul_cost[n, members], IDLE_FRAC, 1.0)
         gamma, v_ed = oracle_simplex_min(
             costs.ed_cost[n, members], IDLE_FRAC, 1.0)
-        spare_ok = costs.task_bytes[members].sum() <= costs.spare_bytes[n] + 1e-6
+        stored = costs.task_bytes[members].sum()
+        spare_ok = stored <= costs.spare_bytes[n] + BYTES_TOL
         return {"alpha": alpha, "gamma": gamma, "objective": v_ul + v_ed,
                 "feasible": bool(spare_ok)}
     if kind != "hrd":

@@ -105,6 +105,7 @@ from .radio import RateTable, build_rate_table
 from .scenario import Scenario
 
 IMPROVE_MARGIN = 1e-12   # strict-improvement threshold, avoids cycling on ties
+CHECK_TOL = 1e-9         # relative tolerance of ``GameState.check``
 # Relative allowance of the screen (``_Block.screen``) for the rounding of
 # the running sums and of the exact valuation.
 SLACK = 1e-8
@@ -174,7 +175,7 @@ class CoalitionSums:
                      np.broadcast_to(costs.task_bytes, (n_coal, costs.n_csd)),
                      np.broadcast_to(costs.local_delay_w,
                                      (n_coal, costs.n_csd)))
-            self.room = np.append(costs.spare_bytes + _kernels.BYTES_TOL, 0.0)
+            self.room = np.append(costs.rows.room, 0.0)
         self.none = terms[0].shape[1]
         self.stride = self.none + 1
         table = np.zeros((n_coal, self.stride, len(terms)))
@@ -208,7 +209,7 @@ class CoalitionSums:
                                                               members)
         return value, ok
 
-    def check(self, lists, tol: float) -> None:
+    def check(self, lists) -> None:
         """Assert every stored row matches its member list."""
         for c, members in enumerate(lists):
             sums, ratio, _, _ = self.summary(self.costs, c, members)
@@ -216,7 +217,7 @@ class CoalitionSums:
             got = np.append(self.sums[c], self.ratio[c])
             if (self.members[c, :self.size[c]].tolist() != list(members)
                     or np.any(np.abs(got - ref)
-                              > tol * np.maximum(1.0, np.abs(ref)))):
+                              > CHECK_TOL * np.maximum(1.0, np.abs(ref)))):
                 raise AssertionError(
                     f"stale {self.game} running sums at coalition {c}: "
                     f"{got!r} vs {ref!r}")
@@ -301,7 +302,7 @@ class GameState:
         return objective(self.scenario, self.demand, self.partition,
                          self.allocation, self.table)
 
-    def check(self, tol: float = 1e-9) -> None:
+    def check(self) -> None:
         """Assert running sums, cached utilities and the objective match
         recomputation; cached utilities are checked against per-coalition
         sums of the delay model's weighted per-pair and per-device delays.
@@ -313,7 +314,7 @@ class GameState:
                 raise AssertionError(f"{game} coalitions {sorted(stale)} "
                                      f"await their install")
         for game, sums in self.sums.items():
-            sums.check(_member_lists(self, game), tol)
+            sums.check(_member_lists(self, game))
         rep = self.report()
         demand, part = self.demand, self.partition
         refs = (
@@ -326,16 +327,17 @@ class GameState:
                 minlength=self.n_sbs + 1)))
         for game, cache, ref in refs:
             stale = np.flatnonzero(np.abs(ref - cache)
-                                   > tol * np.maximum(1.0, np.abs(ref)))
+                                   > CHECK_TOL * np.maximum(1.0, np.abs(ref)))
             if stale.size:
                 c = int(stale[0])
                 raise AssertionError(
                     f"stale {game} utility cache at coalition {c}: "
                     f"{cache[c]!r} vs {ref[c]!r}")
         total = float(self.v_hrd.sum() + self.v_csd.sum())
-        if abs(total - self.objective) > tol * max(1.0, abs(total)):
+        if abs(total - self.objective) > CHECK_TOL * max(1.0, abs(total)):
             raise AssertionError(f"stale objective: {self.objective!r} vs {total!r}")
-        if abs(rep.objective - self.objective) > tol * max(1.0, rep.objective):
+        if abs(rep.objective - self.objective) > \
+                CHECK_TOL * max(1.0, rep.objective):
             raise AssertionError(
                 f"objective disagrees with delay model: "
                 f"{self.objective!r} vs {rep.objective!r}")
@@ -416,7 +418,7 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
                         * table.r_ul[csd_sbs, np.arange(n_csd)])
              + demand.task_cycles / (share_k * demand.edge_cps[csd_sbs]))
     t_lc = demand.task_cycles / demand.local_cps
-    room = (costs.spare_bytes + _kernels.BYTES_TOL).tolist()
+    room = costs.rows.room
     used_bytes = [0.0] * n_sbs
     task_bytes = costs.task_bytes.tolist()
     for k, (n, slower) in enumerate(zip(csd_sbs.tolist(),
@@ -1074,7 +1076,8 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
                                                      a, b, k_from, k_to))
         else:
             prop = propose_move(state, game, _lemire(stream.next_uint32))
-            accepted = evaluate_and_apply(state, prop)
+            _evaluate(state, prop)
+            accepted = _apply(state, prop)
             rejected = int(not accepted)
             resized = accepted and prop.md_to is None
         done += rejected + accepted

@@ -3,8 +3,10 @@
 File popularity follows a Zipf law with exponent ``delta``; requests are
 drawn per high-rate device proportionally to popularity, and each SBS cache
 is filled either greedily by popularity ("popular_first") or by popularity-
-weighted sampling ("sampled") up to its storage capacity.
-"""
+weighted sampling ("sampled") up to its storage capacity.  ``demand_rng``
+is the demand stream of a seed at one popularity exponent.  The demand
+block of a scenario file is written and read by ``scenario.save_scenario``
+and ``load_scenario``."""
 
 import bisect
 import itertools
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import BYTES_TOL
 from .scenario import Uniforms
 
 # Decimal unit convention used throughout (config values are bytes).
@@ -183,7 +186,7 @@ class DemandProfile:
         return self.cache.sum(axis=1) * self.catalog.file_size_bytes
 
     def validate(self) -> None:
-        if np.any(self.cached_bytes > self.storage_bytes + 1e-6):
+        if np.any(self.cached_bytes > self.storage_bytes + BYTES_TOL):
             raise ValueError("cache exceeds storage capacity")
         if self.n_hrd and not np.all(self.request.sum(axis=1) >= 1):
             raise ValueError("every HRD must request at least one file")
@@ -224,88 +227,12 @@ def build_demand(catalog: Catalog, n_sbs: int, n_hrd: int, n_csd: int,
     return profile
 
 
-def demand_rng(seed: int, delta: float | None = None) -> np.random.Generator:
+def demand_rng(seed: int, delta: float) -> np.random.Generator:
     """Demand-only child stream of a scenario seed.
 
-    Keyed by the popularity exponent when given, so sweeping delta redraws
+    Keyed by the popularity exponent, so sweeping delta redraws
     requests/caches without disturbing the deployment streams.
     """
-    if delta is None:
-        return np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
     key = int(round(float(delta) * 1e9))
     return np.random.default_rng(np.random.SeedSequence([seed, 3, key]))
 
-
-# ---------------------------------------------------------------------------
-# Demand block of the scenario file format.
-# ---------------------------------------------------------------------------
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
-def demand_block_lines(demand: DemandProfile) -> list[str]:
-    lines = ["[demand]", "[catalog]",
-             f"n_files = {demand.catalog.n_files}",
-             f"file_size_bytes = {_fmt(demand.catalog.file_size_bytes)}",
-             f"delta = {_fmt(demand.catalog.delta)}"]
-
-    def int_matrix(name, mat):
-        lines.append(f"[{name}]")
-        for row in np.atleast_2d(mat):
-            lines.append(" ".join(str(int(v)) for v in row))
-
-    def float_row(name, arr):
-        lines.append(f"[{name}]")
-        lines.append(" ".join(_fmt(v) for v in np.asarray(arr).reshape(-1)))
-
-    float_row("popularity", demand.catalog.popularity)
-    int_matrix("requests", demand.request)
-    int_matrix("cache", demand.cache)
-    float_row("task_input_bytes", demand.task_input_bytes)
-    float_row("task_cycles", demand.task_cycles)
-    float_row("local_cps", demand.local_cps)
-    float_row("edge_cps", demand.edge_cps)
-    float_row("storage_bytes", demand.storage_bytes)
-    float_row("hrd_weight", demand.hrd_weight)
-    float_row("csd_weight", demand.csd_weight)
-    return lines
-
-
-def demand_from_sections(sections: dict[str, list[str]]) -> DemandProfile:
-    kv = {}
-    for line in sections["catalog"]:
-        key, _, val = line.partition("=")
-        kv[key.strip()] = val.strip()
-
-    def float_row(name):
-        toks = []
-        for ln in sections.get(name, []):
-            toks.extend(ln.split())
-        return np.array([float(t) for t in toks], dtype=float)
-
-    def int_matrix(name):
-        rows = [[int(t) for t in ln.split()] for ln in sections.get(name, [])]
-        rows = [r for r in rows if r]
-        if not rows:
-            return np.zeros((0, int(kv["n_files"])), dtype=np.int8)
-        return np.array(rows, dtype=np.int8)
-
-    catalog = Catalog(n_files=int(kv["n_files"]),
-                      file_size_bytes=float(kv["file_size_bytes"]),
-                      delta=float(kv["delta"]),
-                      popularity=float_row("popularity"))
-    profile = DemandProfile(
-        catalog=catalog,
-        request=int_matrix("requests"),
-        cache=int_matrix("cache"),
-        task_input_bytes=float_row("task_input_bytes"),
-        task_cycles=float_row("task_cycles"),
-        local_cps=float_row("local_cps"),
-        edge_cps=float_row("edge_cps"),
-        storage_bytes=float_row("storage_bytes"),
-        hrd_weight=float_row("hrd_weight"),
-        csd_weight=float_row("csd_weight"),
-    )
-    profile.validate()
-    return profile

@@ -372,61 +372,87 @@ def generate_scenario(params: SystemParams, counts: Counts) -> Scenario:
 # Versioned text serialization (17 significant digits, row-major matrices).
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+# Keys of the [params] and [catalog] sections, in file order, with types.
+_PARAMS = tuple((key, float) for key in (
+    "w_hz", "a", "t1_frac", "isd_m", "p_mbs_dbm", "p_sbs_dbm", "p_md_dbm",
+    "noise_dbm_hz")) + (("m_sbs", int), ("n_mbs", int), ("seed", int))
+_CATALOG = (("n_files", int), ("file_size_bytes", float), ("delta", float))
+
+# The array sections, in file order: name, element type and shape.  A
+# named dimension counts the rows of a position section ("mbs", "sbs",
+# "hrd", "csd"), which the first section holding it fixes, or the files
+# of [catalog] ("files").  A matrix takes one line per row, a vector one.
+_SCENARIO_ARRAYS = (
+    ("mbs_pos", float, ("mbs", 2)),
+    ("sbs_pos", float, ("sbs", 2)),
+    ("sbs_cell", np.int64, ("sbs",)),
+    ("backhaul_mbs", np.int64, ("sbs",)),
+    ("hrd_pos", float, ("hrd", 2)),
+    ("hrd_cell", np.int64, ("hrd",)),
+    ("csd_pos", float, ("csd", 2)),
+    ("csd_cell", np.int64, ("csd",)),
+    ("gain_sbs_hrd", float, ("sbs", "hrd")),
+    ("gain_sbs_csd", float, ("sbs", "csd")),
+    ("gain_mbs_sbs", float, ("sbs",)),
+)
+# The demand block's, after a [demand] line and its [catalog].
+_DEMAND_ARRAYS = (
+    ("popularity", float, ("files",)),
+    ("requests", np.int8, ("hrd", "files")),
+    ("cache", np.int8, ("sbs", "files")),
+    ("task_input_bytes", float, ("csd",)),
+    ("task_cycles", float, ("csd",)),
+    ("local_cps", float, ("csd",)),
+    ("edge_cps", float, ("sbs",)),
+    ("storage_bytes", float, ("sbs",)),
+    ("hrd_weight", float, ("hrd",)),
+    ("csd_weight", float, ("csd",)),
+)
 
 
-def _write_matrix(lines, name, mat):
+def _text(kind, value) -> str:
+    return format(float(value), ".17g") if kind is float else str(int(value))
+
+
+def _write_keys(lines, name, keys, obj):
     lines.append(f"[{name}]")
-    mat = np.atleast_2d(np.asarray(mat))
-    for row in mat:
-        lines.append(" ".join(_fmt(v) for v in row))
+    lines.extend(f"{key} = {_text(kind, getattr(obj, key))}"
+                 for key, kind in keys)
 
 
-def _write_int_row(lines, name, arr):
-    lines.append(f"[{name}]")
-    lines.append(" ".join(str(int(v)) for v in np.asarray(arr).reshape(-1)))
+def _write_arrays(lines, table, arrays):
+    for name, kind, _ in table:
+        lines.append(f"[{name}]")
+        for row in np.atleast_2d(np.asarray(arrays[name], kind)).tolist():
+            lines.append(" ".join([_text(kind, v) for v in row]))
 
 
 def save_scenario(path, scenario: Scenario, demand=None) -> None:
     """Write a scenario (and optionally its demand profile) to a text file."""
-    p = scenario.params
-    lines = [_SCENARIO_HEADER, "[params]"]
-    for key in ("w_hz", "a", "t1_frac", "isd_m", "p_mbs_dbm", "p_sbs_dbm",
-                "p_md_dbm", "noise_dbm_hz"):
-        lines.append(f"{key} = {_fmt(getattr(p, key))}")
-    for key in ("m_sbs", "n_mbs", "seed"):
-        lines.append(f"{key} = {getattr(p, key)}")
-    _write_matrix(lines, "mbs_pos", scenario.mbs_pos)
-    _write_matrix(lines, "sbs_pos", scenario.sbs_pos)
-    _write_int_row(lines, "sbs_cell", scenario.sbs_cell)
-    _write_int_row(lines, "backhaul_mbs", scenario.backhaul_mbs)
-    _write_matrix(lines, "hrd_pos", scenario.hrd_pos)
-    _write_int_row(lines, "hrd_cell", scenario.hrd_cell)
-    _write_matrix(lines, "csd_pos", scenario.csd_pos)
-    _write_int_row(lines, "csd_cell", scenario.csd_cell)
-    _write_matrix(lines, "gain_sbs_hrd", scenario.gain_sbs_hrd)
-    _write_matrix(lines, "gain_sbs_csd", scenario.gain_sbs_csd)
-    _write_matrix(lines, "gain_mbs_sbs", scenario.gain_mbs_sbs)
+    lines = [_SCENARIO_HEADER]
+    _write_keys(lines, "params", _PARAMS, scenario.params)
+    _write_arrays(lines, _SCENARIO_ARRAYS, vars(scenario))
     if demand is not None:
-        from .content import demand_block_lines
-        lines.extend(demand_block_lines(demand))
+        lines.append("[demand]")
+        _write_keys(lines, "catalog", _CATALOG, demand.catalog)
+        _write_arrays(lines, _DEMAND_ARRAYS, dict(
+            vars(demand), popularity=demand.catalog.popularity,
+            requests=demand.request))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _parse_sections(text: str):
-    header, *rest = [ln.rstrip("\n") for ln in text.splitlines()]
+    """The non-blank lines of each section, by section name."""
+    header, *rest = text.splitlines() or [""]
     if header.strip() != _SCENARIO_HEADER:
         raise ValueError(f"not a scenario file (header {header!r})")
-    sections: dict[str, list[str]] = {}
-    current = None
-    for line in rest:
-        line = line.strip()
-        if not line:
-            continue
+    sections, current = {}, None
+    for line in filter(None, map(str.strip, rest)):
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1]
+            if current in sections:
+                raise ValueError(f"section [{current}] appears twice")
             sections[current] = []
         elif current is None:
             raise ValueError(f"content before first section: {line!r}")
@@ -435,62 +461,64 @@ def _parse_sections(text: str):
     return sections
 
 
-def _matrix(sections, name, width=None):
-    rows = [[float(tok) for tok in ln.split()] for ln in sections[name]]
-    rows = [r for r in rows if r]
-    if not rows:
-        return np.zeros((0, width or 0))
-    return np.array(rows, dtype=float)
+def _lines(sections, name):
+    if name not in sections:
+        raise ValueError(f"scenario file lacks the section [{name}]")
+    return sections[name]
 
 
-def _int_row(sections, name):
-    toks = []
-    for ln in sections.get(name, []):
-        toks.extend(ln.split())
-    return np.array([int(t) for t in toks], dtype=np.int64)
+def _read_keys(sections, name, keys) -> dict:
+    """The ``key = value`` lines of section ``name``, typed as ``keys``."""
+    found = {key.strip(): value.strip() for key, _, value in
+             (line.partition("=") for line in _lines(sections, name))}
+    try:
+        return {key: kind(found[key]) for key, kind in keys}
+    except KeyError as exc:
+        raise ValueError(f"section [{name}] lacks the key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"section [{name}]: {exc}") from None
+
+
+def _read_arrays(sections, table, sizes: dict) -> dict:
+    """Each array section of ``table``, read row by row and checked against
+    its shape; a named dimension missing from ``sizes`` is set there to the
+    section's row count."""
+    out = {}
+    for name, kind, shape in table:
+        rows = [line.split() for line in _lines(sections, name)]
+        dims = tuple(sizes.setdefault(d, len(rows)) if isinstance(d, str)
+                     else d for d in shape)
+        n_rows, width = dims if len(dims) == 2 else (1, dims[0])
+        # A row of no values is a blank line, which the parser drops.
+        if [len(row) for row in rows] != [width] * (n_rows if width else 0):
+            raise ValueError(
+                f"section [{name}] is not {n_rows} row(s) of {width} values")
+        parse = float if kind is float else int
+        try:
+            out[name] = np.array([[parse(tok) for tok in row] for row in rows],
+                                 dtype=kind).reshape(dims)
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"section [{name}]: {exc}") from None
+    return out
 
 
 def load_scenario(path):
-    """Read a scenario file; returns (scenario, demand-or-None)."""
+    """Read a scenario file; returns (scenario, demand-or-None).  A missing
+    section or key, or a section off its table shape, raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         sections = _parse_sections(fh.read())
-    kv = {}
-    for line in sections["params"]:
-        key, _, val = line.partition("=")
-        kv[key.strip()] = val.strip()
-    params = SystemParams(
-        w_hz=float(kv["w_hz"]), a=float(kv["a"]), t1_frac=float(kv["t1_frac"]),
-        m_sbs=int(kv["m_sbs"]), n_mbs=int(kv["n_mbs"]), isd_m=float(kv["isd_m"]),
-        p_mbs_dbm=float(kv["p_mbs_dbm"]), p_sbs_dbm=float(kv["p_sbs_dbm"]),
-        p_md_dbm=float(kv["p_md_dbm"]), noise_dbm_hz=float(kv["noise_dbm_hz"]),
-        seed=int(kv["seed"]),
-    )
-    sbs_pos = _matrix(sections, "sbs_pos", 2)
-    hrd_pos = _matrix(sections, "hrd_pos", 2)
-    csd_pos = _matrix(sections, "csd_pos", 2)
-
-    def gains(name, n_dev):
-        mat = _matrix(sections, name)
-        if mat.size == 0:
-            mat = np.zeros((len(sbs_pos), n_dev))
-        return mat
-
-    scenario = Scenario(
-        params=params,
-        mbs_pos=_matrix(sections, "mbs_pos", 2),
-        sbs_pos=sbs_pos,
-        sbs_cell=_int_row(sections, "sbs_cell"),
-        hrd_pos=hrd_pos,
-        hrd_cell=_int_row(sections, "hrd_cell"),
-        csd_pos=csd_pos,
-        csd_cell=_int_row(sections, "csd_cell"),
-        gain_sbs_hrd=gains("gain_sbs_hrd", len(hrd_pos)),
-        gain_sbs_csd=gains("gain_sbs_csd", len(csd_pos)),
-        gain_mbs_sbs=_matrix(sections, "gain_mbs_sbs").reshape(-1),
-        backhaul_mbs=_int_row(sections, "backhaul_mbs"),
-    )
-    demand = None
-    if "demand" in sections:
-        from .content import demand_from_sections
-        demand = demand_from_sections(sections)
+    sizes = {}
+    params = SystemParams(**_read_keys(sections, "params", _PARAMS))
+    scenario = Scenario(params=params,
+                        **_read_arrays(sections, _SCENARIO_ARRAYS, sizes))
+    if "demand" not in sections:
+        return scenario, None
+    from .content import Catalog, DemandProfile
+    keys = _read_keys(sections, "catalog", _CATALOG)
+    sizes["files"] = keys["n_files"]
+    arrays = _read_arrays(sections, _DEMAND_ARRAYS, sizes)
+    demand = DemandProfile(
+        catalog=Catalog(**keys, popularity=arrays.pop("popularity")),
+        request=arrays.pop("requests"), **arrays)
+    demand.validate()
     return scenario, demand

@@ -58,11 +58,11 @@ def test_criterion_1_closed_form_vs_oracle():
     for dl, bh, cached, rho, ul, ed in instances:
         beta, eta = allocate_hrd(dl, bh, cached, rho)
         alpha, gamma = allocate_csd(ul, ed)
-        ob, vb = oracle_simplex_min(dl, IDLE_FRAC, 1.0, tol=1e-12)
+        ob, vb = oracle_simplex_min(dl, IDLE_FRAC, 1.0)
         miss = ~cached
-        oe, ve = oracle_simplex_min(bh[miss], IDLE_FRAC, 1.0, tol=1e-12)
-        oa, va = oracle_simplex_min(ul, IDLE_FRAC, 1.0, tol=1e-12)
-        og, vg = oracle_simplex_min(ed, IDLE_FRAC, 1.0, tol=1e-12)
+        oe, ve = oracle_simplex_min(bh[miss], IDLE_FRAC, 1.0)
+        oa, va = oracle_simplex_min(ul, IDLE_FRAC, 1.0)
+        og, vg = oracle_simplex_min(ed, IDLE_FRAC, 1.0)
         worst_frac = max(
             worst_frac,
             np.abs(beta / ob - 1.0).max(),
@@ -167,7 +167,7 @@ def test_criterion_4_nash_stability(dominance_batch):
     runs, _ = dominance_batch
     total_moves = 0
     for _, _, _, final, _ in runs[:20]:
-        final.check(tol=1e-9)
+        final.check()
         moves = audit_stability(final)
         total_moves += len(moves)
     ok = total_moves == 0

@@ -214,7 +214,7 @@ def test_accepted_move_changes_objective_by_its_gain():
             # accounting identity: the cached-value delta is applied exactly,
             # and the full delay model agrees with the caches
             assert state.objective < before - 1e-12
-            state.check(tol=1e-9)
+            state.check()
             break
     else:
         pytest.skip("no accepted move found in 300 proposals")
@@ -910,13 +910,13 @@ def test_check_passes_after_evaluate_and_apply():
 
 
 def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
-    # A block accept defers its install to the end of the game, which
-    # installs each coalition whose last change was a block accept once;
-    # ``evaluate_and_apply`` installs its own two coalitions at once.
-    events, scalar, games = [], [], []
+    # Every accept defers its install to the end of the game, a block's and
+    # the random phase's scalar fallback's alike; the game then installs
+    # each coalition it changed once.
+    events, games, scalar = [], [], []
     inner_game, inner_apply, inner_eval, inner_write = (
         association.run_coalition_game, association._apply,
-        association.evaluate_and_apply, association._write_coalition)
+        association._evaluate, association._write_coalition)
 
     def game(state, game, *args, **kwargs):
         games.append(game)
@@ -927,51 +927,54 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
             events.append(("end", game))
 
     def apply(state, prop):
-        accepted = inner_apply(state, prop)
+        # Inside a game only the scalar fallback values a proposal by
+        # ``_evaluate`` before applying it.
+        accepted, is_scalar = inner_apply(state, prop), bool(scalar)
+        scalar.clear()
         if accepted:
-            events.append(("accept", prop.game, bool(scalar),
+            events.append(("accept", prop.game, is_scalar,
                            (prop.c_from, prop.c_to)))
         return accepted
 
     def evaluate(state, prop):
         scalar.append(prop)
-        try:
-            return inner_eval(state, prop)
-        finally:
-            scalar.pop()
+        return inner_eval(state, prop)
 
     def write(state, game, c, members):
         if games:
-            events.append(("install", game, bool(scalar), c))
+            events.append(("install", game, c))
         return inner_write(state, game, c, members)
 
     for name, hook in (("run_coalition_game", game), ("_apply", apply),
-                       ("evaluate_and_apply", evaluate),
+                       ("_evaluate", evaluate),
                        ("_write_coalition", write)):
         monkeypatch.setattr(association, name, hook)
     for init, _ in desk_runs:
         run_amnd(init.scenario, init.demand, init_state=init)
+    # One or three devices among 15 SBSs: the fallback draws these games'
+    # first proposals, and accepts some of them.
+    for n_hrd, n_csd, seed in ((3, 2, 16), (1, 1, 2)):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=n_hrd, n_csd=n_csd))
+        init = abcg_init(scn, demand_for(scn, seed=seed, n_files=6,
+                                         storage=15.6e6))
+        association.run_coalition_game(init, "hrd", t2=3)
     accepts = installs = deferred = 0
-    last, at_end = {}, []
+    changed, at_end = set(), []
     for event in events:
         if event[0] == "accept":
-            _, game, is_scalar, pair = event
             accepts += 1
-            for c in pair:
-                last[(game, c)] = "scalar" if is_scalar else "block"
+            changed.update((event[1], c) for c in event[3])
         elif event[0] == "install":
-            _, game, is_scalar, c = event
             installs += 1
-            if not is_scalar:
-                at_end.append((game, c))
+            at_end.append(event[1:])
         else:
-            want = sorted(key for key, how in last.items()
-                          if how == "block" and key[0] == event[1])
-            assert at_end == want
+            assert at_end == sorted(key for key in changed
+                                    if key[0] == event[1])
             deferred += len(at_end)
-            last, at_end = {}, []
-    scalar_accepts = sum(1 for e in events if e[0] == "accept" and e[2])
-    assert installs == deferred + 2 * scalar_accepts
+            changed, at_end = set(), []
+    assert installs == deferred
+    assert any(e[0] == "accept" and e[2] for e in events)
     assert accepts > 0 and installs < 2 * accepts
 
 

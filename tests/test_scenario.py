@@ -324,7 +324,30 @@ MALFORMED = {
     "before_first_section": (
         lambda t: t.replace("\n[params]", "\nstray\n[params]", 1),
         "before first section"),
-    "ragged_sbs_pos": (_edit_row("sbs_pos", lambda ln: ln.split()[0]), None),
+    "ragged_sbs_pos": (_edit_row("sbs_pos", lambda ln: ln.split()[0]),
+                       "sbs_pos"),
+    "missing_params_key": (lambda t: t.replace("\nseed = 7\n", "\n", 1),
+                           "seed"),
+    "short_sbs_cell": (_edit_row("sbs_cell", lambda ln: ln.rsplit(" ", 1)[0]),
+                       "sbs_cell"),
+    "long_gain_row": (_edit_row("gain_mbs_sbs", lambda ln: ln + " 1e-9"),
+                      "gain_mbs_sbs"),
+    "extra_gain_row": (_edit_row("gain_sbs_hrd", lambda ln: ln + "\n" + ln),
+                       "gain_sbs_hrd"),
+    "extra_hrd": (_edit_row("hrd_pos", lambda ln: ln + "\n" + ln),
+                  "hrd_cell"),
+    "missing_section": (lambda t: t.replace("[csd_cell]", "[csd_cells]", 1),
+                        r"\[csd_cell\]"),
+    "twice": (lambda t: t.replace("[csd_cell]", "[sbs_cell]", 1), "twice"),
+    "bad_token": (_edit_row("gain_sbs_csd", lambda ln: "x" + ln),
+                  "gain_sbs_csd"),
+    "short_requests_row": (_edit_row("requests", lambda ln: ln[:-2]),
+                           "requests"),
+    "missing_catalog_key": (lambda t: t.replace("\ndelta = ", "\ndelta: ", 1),
+                            "delta"),
+    "bad_params_value": (lambda t: t.replace("n_mbs = 3\n", "n_mbs = 3.5\n"),
+                         r"\[params\].*3\.5"),
+    "cache_overflow": (_edit_row("cache", lambda ln: "300" + ln[1:]), "cache"),
 }
 
 
@@ -343,3 +366,13 @@ def test_malformed_scenario_file_is_a_value_error(tmp_path, desk_file_text,
     path.write_text(edit(desk_file_text))
     with pytest.raises(ValueError, match=match):
         load_scenario(path)
+
+
+def test_cli_run_rejects_a_malformed_file_without_a_traceback(
+        tmp_path, capsys, desk_file_text):
+    path = tmp_path / "bad.txt"
+    path.write_text(MALFORMED["missing_params_key"][0](desk_file_text))
+    assert main(["run", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mecsim: ") and "seed" in err
+    assert "Traceback" not in err
