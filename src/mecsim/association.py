@@ -50,26 +50,26 @@ are blocks between accepts.  The stabilization sweep's block is the rest of
 the sweep, in ``_neighbourhood``'s order, and the audit's block is all of
 it.
 
-The random phase reads the generator's uint32 stream ahead
-(``_ReadAhead``) and decodes it as ``propose_move`` would draw, with
-numpy's own bounded-integer algorithm (``_Draws``), in two passes: the pair
-draws at every position of a window, from a per-pair table rebuilt only
-when a move changes coalition sizes, then, once ``_chain`` has linked the
-starts, the member draws at those starts only.  A draw in Lemire's
-rejection branch goes through ``propose_move``, and the generator ends
-exactly where the consumed draws leave it.  An accepted swap changes no
-size, so the window's later starts carry over to the next block, which
-reads their members again.  Every draw is one of the ``drawable`` moves at
-the current sizes (the swaps, and the transfers into empty coalitions), a
-swap is valued to the same bits from either side, and the partition
-cannot change while every draw is rejected.  So once the rejections since
-the last accept reach the number of drawable moves, those moves are valued
-as one block; if none would be accepted, every later proposal of the phase
-is a rejection, and the rest of the phase is decoded and counted without
-being valued (``_skip_tail``).  A move log records every proposal's ``dv``,
-so a logged run values every proposal.  Proposal counts, accepted moves,
-move logs and generator states are therefore those of the one-at-a-time
-loops, to the last bit.
+The random phase reads the generator's ``next_uint32`` stream ahead
+(``scenario.ReadAhead`` over ``uint32s``) and decodes it as
+``propose_move`` would draw, with numpy's own bounded-integer algorithm
+(``_Draws``), in two passes: the pair draws at every position of a window,
+from a per-pair table rebuilt only when a move changes coalition sizes,
+then, once ``_chain`` has linked the starts, the member draws at those
+starts only.  A draw in Lemire's rejection branch goes through
+``propose_move``, and the generator ends exactly where the consumed draws
+leave it.  An accepted swap changes no size, so the window's later starts
+carry over to the next block, which reads their members again.  Every draw
+is one of the ``drawable`` moves at the current sizes (the swaps, and the
+transfers into empty coalitions), a swap is valued to the same bits from
+either side, and the partition cannot change while every draw is rejected.
+So once the rejections since the last accept reach the number of drawable
+moves, those moves are valued as one block; if none would be accepted,
+every later proposal of the phase is a rejection, and the rest of the phase
+is decoded and counted without being valued (``_skip_tail``).  A move log
+records every proposal's ``dv``, so a logged run values every proposal.
+Proposal counts, accepted moves, move logs and generator states are
+therefore those of the one-at-a-time loops, to the last bit.
 
 An installed coalition is marked as holding its closed form (``closed``)
 until a move changes it, and the state reallocation skips it: installing
@@ -102,7 +102,7 @@ from .content import DemandProfile
 from .delays import BITS_PER_BYTE, Allocation, DelayReport, Partition, \
     objective
 from .radio import RateTable, build_rate_table
-from .scenario import Scenario
+from .scenario import ReadAhead, Scenario, uint32s
 
 IMPROVE_MARGIN = 1e-12   # strict-improvement threshold, avoids cycling on ties
 CHECK_TOL = 1e-9         # relative tolerance of ``GameState.check``
@@ -521,7 +521,7 @@ def propose_move(state: GameState, game: str, rng) -> MoveProposal:
     """Draw one candidate move: two distinct coalitions; a member transfers
     into an empty one, otherwise one member from each side is swapped.
     ``rng`` is a ``Generator``, or a ``draw(n)`` over its stream
-    (``bounded_draws``, or ``_lemire`` on a ``_ReadAhead``); all draw the
+    (``bounded_draws``, or ``_lemire`` on a ``ReadAhead``); all draw the
     same moves."""
     draw = bounded_draws(rng) if isinstance(rng, np.random.Generator) else rng
     lists = _member_lists(state, game)
@@ -826,65 +826,6 @@ def stabilize_partition(state: GameState, game: str) -> int:
     return applied
 
 
-class _ReadAhead:
-    """The ``next_uint32`` stream of a game's PCG64 generator, read ahead in
-    windows of ``random_raw`` words.
-
-    numpy's ``next_uint32`` returns a word's low half, then its high half;
-    a high half left over from an earlier call is held in the state dict
-    (``has_uint32``/``uinteger``) and comes first.  ``release`` puts the
-    generator exactly where the consumed draws leave it, dict included.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        bit_gen = rng.bit_generator
-        if not isinstance(bit_gen, np.random.PCG64):
-            raise TypeError(f"game generators are PCG64, not {bit_gen!r}")
-        self.bit_gen, self.start = bit_gen, bit_gen.state
-        self.held = self.start["has_uint32"]
-        self.buf = np.array([self.start["uinteger"]][:self.held],
-                            dtype=np.int64)
-        self.pos = 0       # next unread entry of buf
-        self.base = 0      # stream index of buf[0]
-
-    def window(self, n: int) -> np.ndarray:
-        """The next ``n`` unread values, as int64, without consuming them."""
-        missing = n - (self.buf.size - self.pos)
-        if missing > 0:
-            raw = self.bit_gen.random_raw((missing + 1) // 2)
-            halves = np.empty((raw.size, 2), dtype=np.int64)
-            halves[:, 0] = (raw & MASK32).astype(np.int64)
-            halves[:, 1] = (raw >> 32).astype(np.int64)
-            self.base += self.pos
-            self.buf = np.concatenate((self.buf[self.pos:], halves.ravel()))
-            self.pos = 0
-        return self.buf[self.pos:self.pos + n]
-
-    def skip(self, n: int) -> None:
-        self.pos += n
-
-    def next_uint32(self) -> int:
-        value = int(self.window(1)[0])
-        self.pos += 1
-        return value
-
-    def release(self) -> None:
-        used = self.base + self.pos - self.held   # halves of fresh words
-        bit_gen, state = self.bit_gen, dict(self.start)
-        bit_gen.state = state
-        if used > 0:
-            words = (used + 1) // 2
-            if words > 1:
-                bit_gen.random_raw(words - 1, output=False)
-            last = int(bit_gen.random_raw())
-            state = bit_gen.state
-            # numpy leaves the last word's high half here even once used.
-            state["uinteger"] = last >> 32
-        if used >= 0:
-            state["has_uint32"] = used % 2
-        bit_gen.state = state
-
-
 def _drawable(size: np.ndarray) -> int:
     """The number of distinct moves ``propose_move`` can draw at coalition
     sizes ``size``: a swap of any two devices in different coalitions, and
@@ -999,7 +940,7 @@ def _chain(code: list, limit: int) -> list:
     return starts
 
 
-def _skip_tail(state: GameState, game: str, stream: _ReadAhead,
+def _skip_tail(state: GameState, game: str, stream: ReadAhead,
                draws: _Draws, count: int) -> None:
     """Count ``count`` proposals that are all rejected, and consume their
     draws from ``stream`` without valuing them: decoded by ``draws``, or
@@ -1012,7 +953,7 @@ def _skip_tail(state: GameState, game: str, stream: _ReadAhead,
             stream.skip(int(ends[-1]))
             count -= ends.size
         else:
-            propose_move(state, game, _lemire(stream.next_uint32))
+            propose_move(state, game, _lemire(stream.next))
             count -= 1
 
 
@@ -1022,16 +963,17 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     ``evaluate_and_apply`` judges it, to the last bit.
 
     Between two accepts the partition is fixed, so a block decodes its
-    proposals from a window of the generator's stream (``_Draws``) and
-    values them together (``_Block``).  The block is cut at its first
-    accept, which is applied with the block's valuation (``_settle``); each
-    rejected proposal counts and logs as it would in
-    ``evaluate_and_apply``.  An accepted swap changes no coalition's size,
-    so the window's later proposals are still drawn as decoded and carry
-    over to the next block, their members read again.  A proposal with a
-    draw in Lemire's rejection branch, or whose redraws run past the
-    window, goes through ``propose_move`` on the same stream.  A block
-    holds at most ``BLOCK`` proposals, which bounds the read-ahead.
+    proposals from a window of the generator's stream (read ahead by a
+    ``ReadAhead``, decoded by ``_Draws``) and values them together
+    (``_Block``).  The block is cut at its first accept, which is applied
+    with the block's valuation (``_settle``); each rejected proposal counts
+    and logs as it would in ``evaluate_and_apply``.  An accepted swap
+    changes no coalition's size, so the window's later proposals are still
+    drawn as decoded and carry over to the next block, their members read
+    again.  A proposal with a draw in Lemire's rejection branch, or whose
+    redraws run past the window, goes through ``propose_move`` on the same
+    stream.  A block holds at most ``BLOCK`` proposals, which bounds its
+    window.
 
     Once the rejections since the last accept reach ``drawable``, the
     drawable moves are valued as one block; if none would be accepted, the
@@ -1039,7 +981,8 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     ``_skip_tail`` counts and draws without valuing.  A run with a move log
     values every proposal, as the log holds each one's ``dv``.
     """
-    stream = _ReadAhead(state.rng_hrd if game == HRD else state.rng_csd)
+    stream = ReadAhead(state.rng_hrd if game == HRD else state.rng_csd,
+                       uint32s)
     sums = state.sums[game]
     draws = _Draws(sums.size, sums.none)
     hood, carry = None, None
@@ -1075,7 +1018,7 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
                 carry = tuple(x[last + 1:] for x in (ends - ends[last], swap,
                                                      a, b, k_from, k_to))
         else:
-            prop = propose_move(state, game, _lemire(stream.next_uint32))
+            prop = propose_move(state, game, _lemire(stream.next))
             _evaluate(state, prop)
             accepted = _apply(state, prop)
             rejected = int(not accepted)

@@ -1,10 +1,12 @@
 """Command-line surface: gen, run, sweep, audit, trend.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible/diverged (audit or trend
-failures), 3 I/O error.
+failures), 3 I/O error, 141 (as after SIGPIPE) when the reader of standard
+output closes it early.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -22,6 +24,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_IO = 3
+EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -306,7 +309,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # ``mecsim run | head`` closed stdout: not an I/O error.  Point
+        # stdout at devnull, so the flush at exit finds no broken pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except OSError as exc:
         print(f"mecsim: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -4,9 +4,11 @@ File popularity follows a Zipf law with exponent ``delta``; requests are
 drawn per high-rate device proportionally to popularity, and each SBS cache
 is filled either greedily by popularity ("popular_first") or by popularity-
 weighted sampling ("sampled") up to its storage capacity.  ``demand_rng``
-is the demand stream of a seed at one popularity exponent.  The demand
-block of a scenario file is written and read by ``scenario.save_scenario``
-and ``load_scenario``."""
+is the demand stream of a seed at one popularity exponent; the picks read
+it ahead in batches of doubles (``scenario.ReadAhead``) and leave it where
+the one-at-a-time ``rng.choice`` calls would.  ``build_demand`` weights
+every device 1.  The demand block of a scenario file is written and read
+by ``scenario.save_scenario`` and ``load_scenario``."""
 
 import bisect
 import itertools
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import BYTES_TOL
-from .scenario import Uniforms
+from .scenario import ReadAhead, doubles
 
 # Decimal unit convention used throughout (config values are bytes).
 KB = 1e3
@@ -63,7 +65,7 @@ def _distinct_draws(popularity: np.ndarray, sizes, rng: np.random.Generator):
     take the cumulative sum over its last entry, find each double's file by
     ``bisect_right`` (numpy's ``searchsorted(side='right')``), and keep the
     first pick of each file; repeat until ``size`` files are found.  The
-    doubles come from one read-ahead buffer (``Uniforms``), and the
+    doubles come from one read-ahead buffer (``ReadAhead``), and the
     generator ends where the consumed draws leave it, as after the
     ``rng.choice`` calls.
     """
@@ -75,7 +77,7 @@ def _distinct_draws(popularity: np.ndarray, sizes, rng: np.random.Generator):
         if max(sizes) > np.count_nonzero(p):
             raise ValueError("fewer nonzero popularities than picks")
     weights = p.tolist()
-    draws = Uniforms(rng)
+    draws = ReadAhead(rng, doubles)
     out = []
     for size in sizes:
         w, found = list(weights), {}
@@ -204,10 +206,10 @@ def build_demand(catalog: Catalog, n_sbs: int, n_hrd: int, n_csd: int,
                  local_cps: float = 1.4e9,
                  edge_cps: float = 6e10,
                  storage_bytes: float = 2 * GB,
-                 cache_policy: str = "popular_first",
-                 weight: float = 1.0) -> DemandProfile:
-    """Assemble a demand profile; requests are drawn before cache placement
-    so both consume the rng in a fixed order."""
+                 cache_policy: str = "popular_first") -> DemandProfile:
+    """Assemble a demand profile, every device weighted 1; requests are
+    drawn before cache placement so both consume the rng in a fixed
+    order."""
     request = draw_requests(catalog, n_hrd, requests_per_hrd, rng)
     storage = np.full(n_sbs, float(storage_bytes))
     cache = place_cache(catalog, storage, cache_policy, rng)
@@ -220,8 +222,8 @@ def build_demand(catalog: Catalog, n_sbs: int, n_hrd: int, n_csd: int,
         local_cps=np.full(n_csd, float(local_cps)),
         edge_cps=np.full(n_sbs, float(edge_cps)),
         storage_bytes=storage,
-        hrd_weight=np.full(n_hrd, float(weight)),
-        csd_weight=np.full(n_csd, float(weight)),
+        hrd_weight=np.ones(n_hrd),
+        csd_weight=np.ones(n_csd),
     )
     profile.validate()
     return profile

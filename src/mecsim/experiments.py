@@ -36,6 +36,8 @@ CSV_COLUMNS = (
 _INT_COLUMNS = {"seed", "n_local_csd", "n_edge_csd", "n_backhauled_files",
                 "accepted_moves"}
 _STR_COLUMNS = {"axis", "algorithm"}
+_TYPES = tuple(str if col in _STR_COLUMNS else int if col in _INT_COLUMNS
+               else float for col in CSV_COLUMNS)
 
 SWEEP_AXES = ("a", "t1_frac", "delta")
 
@@ -257,24 +259,18 @@ def load_csv(path) -> list[SweepRow]:
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header in {path}")
         rows = []
-        for line in fh:
-            if not line.strip():
+        for number, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if cells == [""]:
                 continue
-            cells = dict(zip(CSV_COLUMNS, line.strip().split(",")))
-            rows.append(SweepRow(
-                axis=cells["axis"], axis_value=float(cells["axis_value"]),
-                delta=float(cells["delta"]), seed=int(cells["seed"]),
-                algorithm=cells["algorithm"], F=float(cells["F"]),
-                hrd_total_s=float(cells["hrd_total_s"]),
-                hrd_backhaul_s=float(cells["hrd_backhaul_s"]),
-                csd_total_s=float(cells["csd_total_s"]),
-                csd_local_s=float(cells["csd_local_s"]),
-                csd_offload_s=float(cells["csd_offload_s"]),
-                n_local_csd=int(cells["n_local_csd"]),
-                n_edge_csd=int(cells["n_edge_csd"]),
-                n_backhauled_files=int(cells["n_backhauled_files"]),
-                accepted_moves=int(cells["accepted_moves"]),
-                runtime_ms=float(cells["runtime_ms"])))
+            if len(cells) != len(CSV_COLUMNS):
+                raise ValueError(f"{path} line {number}: {len(cells)} cells, "
+                                 f"not {len(CSV_COLUMNS)}")
+            try:
+                values = [kind(cell) for kind, cell in zip(_TYPES, cells)]
+            except ValueError as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
+            rows.append(SweepRow(**dict(zip(CSV_COLUMNS, values))))
     return rows
 
 
@@ -312,8 +308,11 @@ def trend_check(rows, metric: str, shape: str, *, algorithm: str = "AMND",
 
     Shapes: "u" needs an interior minimum strictly below both endpoints;
     "nonincreasing"/"nondecreasing" need a Spearman correlation of magnitude
-    at least ``TREND_RHO_MIN`` with the matching sign.
+    at least ``TREND_RHO_MIN`` with the matching sign.  ``metric`` is a
+    numeric CSV column.
     """
+    if metric not in CSV_COLUMNS or metric in _STR_COLUMNS:
+        raise ValueError(f"metric {metric!r} is not a numeric CSV column")
     xs, ys = seed_average(rows, metric, algorithm=algorithm, delta=delta)
     if xs.size < TREND_MIN_POINTS:
         raise ValueError(
@@ -343,6 +342,7 @@ _TUPLE_FLOAT = {"grid", "deltas"}
 _TUPLE_INT = {"seeds"}
 _TUPLE_STR = {"algorithms"}
 _BOOL = {"stabilize"}
+_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 def save_config(config: ExperimentConfig, path) -> None:
@@ -388,7 +388,11 @@ def config_with_overrides(config: ExperimentConfig,
         elif key in _TUPLE_STR:
             parsed[key] = tuple(str(raw).replace(",", " ").split())
         elif key in _BOOL:
-            parsed[key] = str(raw).strip().lower() in ("1", "true", "yes", "on")
+            word = str(raw).strip().lower()
+            if word not in _TRUE + _FALSE:
+                raise ValueError(f"{key} takes {'/'.join(_TRUE + _FALSE)}, "
+                                 f"not {raw!r}")
+            parsed[key] = word in _TRUE
         else:
             current = getattr(config, key)
             parsed[key] = type(current)(raw) if not isinstance(current, str) else str(raw)

@@ -211,36 +211,58 @@ def hex_lattice(n: int, isd_m: float) -> np.ndarray:
     return np.array([[c[4], c[5]] for c in cells[:n]], dtype=float)
 
 
-class Uniforms:
-    """The ``rng.random()`` stream of a generator, read ahead in batches.
+def doubles(rng: np.random.Generator, k: int) -> np.ndarray:
+    """The next ``k`` draws of ``rng.random()``."""
+    return rng.random(k)
 
-    ``window(k)`` returns the next ``k`` unread doubles without consuming
-    them and ``skip(k)`` consumes them.  ``rng.random(k)`` makes the same
-    draws as ``k`` calls of ``rng.random()``, so ``release`` can put the
-    generator exactly where the consumed draws leave it: back at the start,
-    then past as many draws as were consumed (nothing to do when every
-    draw read was consumed).
+
+def uint32s(rng: np.random.Generator, k: int) -> np.ndarray:
+    """The next ``k`` values of the bit generator's ``next_uint32``, as
+    int64: numpy draws each full-range uint32 with one call of it."""
+    return rng.integers(1 << 32, size=k, dtype=np.uint32).astype(np.int64)
+
+
+class ReadAhead:
+    """A generator's stream, read ahead in batches of ``batch(rng, k)``
+    (``doubles`` or ``uint32s``).
+
+    ``window(k)`` returns the next ``k`` unread values without consuming
+    them, ``skip(k)`` consumes them and ``next()`` consumes one.  A batch
+    of ``k`` makes the same draws as ``k`` single draws, so ``release`` can
+    put the generator exactly where the consumed values leave it: back at
+    the start, then past as many values as were consumed (nothing to do
+    when every value read was consumed).
     """
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng, self.start = rng, rng.bit_generator.state
-        self.buf = np.empty(0)
+    def __init__(self, rng: np.random.Generator, batch):
+        self.rng, self.batch = rng, batch
+        self.start = rng.bit_generator.state
+        self.buf = batch(rng, 0)
         self.pos = 0       # next unread entry of buf
+        self.base = 0      # values consumed before buf[0]
 
     def window(self, k: int) -> np.ndarray:
         missing = self.pos + k - self.buf.size
         if missing > 0:
-            more = self.rng.random(max(missing, self.buf.size))
-            self.buf = np.concatenate((self.buf, more))
+            # Read at least as much again; keep only the unread values.
+            more = self.batch(self.rng, max(missing, self.buf.size))
+            self.base += self.pos
+            self.buf = np.concatenate((self.buf[self.pos:], more))
+            self.pos = 0
         return self.buf[self.pos:self.pos + k]
 
     def skip(self, k: int) -> None:
         self.pos += k
 
+    def next(self):
+        value = self.window(1).item()
+        self.pos += 1
+        return value
+
     def release(self) -> None:
         if self.pos < self.buf.size:
             self.rng.bit_generator.state = self.start
-            self.rng.random(self.pos)
+            self.batch(self.rng, self.base + self.pos)
 
 
 def _first_collocation(xy: np.ndarray, first: int):
@@ -270,7 +292,7 @@ def _drop_nodes(rng, centers: np.ndarray, radius: float,
     Each point takes two draws of ``rng.random()``, for its radius and its
     angle, and a collocated point is redrawn from the next two, up to
     ``_MAX_PLACEMENT_RETRIES`` times.  The draws of all points are read at
-    once (``Uniforms``) and one distance matrix screens them; from a
+    once (``ReadAhead``) and one distance matrix screens them; from a
     collocated point on, the later points are laid out again on the draws
     that follow its rejected pair.  The points and the generator's end state
     are therefore those of placing and checking one point at a time.
@@ -279,7 +301,7 @@ def _drop_nodes(rng, centers: np.ndarray, radius: float,
     """
     n, n_fixed = len(centers), len(fixed)
     xy = np.concatenate((fixed, np.empty((n, 2))))
-    draws = Uniforms(rng)
+    draws = ReadAhead(rng, doubles)
     t = rejected = 0
     while t < n:
         u = draws.window(2 * (n - t))
@@ -408,6 +430,10 @@ _DEMAND_ARRAYS = (
     ("hrd_weight", float, ("hrd",)),
     ("csd_weight", float, ("csd",)),
 )
+# The integer sections whose entries lie in [0, bound): MBS indices, whose
+# bound is the number of MBS positions, and 0/1 flags.
+_VALUE_BOUNDS = {"sbs_cell": "mbs", "backhaul_mbs": "mbs", "hrd_cell": "mbs",
+                 "csd_cell": "mbs", "requests": 2, "cache": 2}
 
 
 def _text(kind, value) -> str:
@@ -499,12 +525,19 @@ def _read_arrays(sections, table, sizes: dict) -> dict:
                                  dtype=kind).reshape(dims)
         except (ValueError, OverflowError) as exc:
             raise ValueError(f"section [{name}]: {exc}") from None
+        if name in _VALUE_BOUNDS:
+            bound = _VALUE_BOUNDS[name]
+            bound = sizes[bound] if isinstance(bound, str) else bound
+            if not np.all((out[name] >= 0) & (out[name] < bound)):
+                raise ValueError(f"section [{name}] has entries outside "
+                                 f"[0, {bound})")
     return out
 
 
 def load_scenario(path):
     """Read a scenario file; returns (scenario, demand-or-None).  A missing
-    section or key, or a section off its table shape, raises ValueError."""
+    section or key, a section off its table shape, or an MBS index or 0/1
+    flag out of range raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         sections = _parse_sections(fh.read())
     sizes = {}

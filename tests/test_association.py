@@ -13,7 +13,7 @@ from mecsim._kernels import FEAS_TOL, IDLE_FRAC, hrd_closed_form, \
 from mecsim.allocation import coalition_value, oracle_solve_p3
 from mecsim.association import (IMPROVE_MARGIN, MASK32, MoveProposal,
                                 _Draws, _evaluate, _lemire, _neighbourhood,
-                                _ReadAhead, _tentative_members, abcg_init,
+                                _tentative_members, abcg_init,
                                 audit_stability, bounded_draws,
                                 evaluate_and_apply,
                                 propose_move, reallocate, run_amnd,
@@ -21,7 +21,8 @@ from mecsim.association import (IMPROVE_MARGIN, MASK32, MoveProposal,
 from mecsim.content import Catalog, DemandProfile
 from mecsim.delays import Allocation, audit_constraints
 from mecsim.radio import build_rate_table
-from mecsim.scenario import Counts, SystemParams, generate_scenario
+from mecsim.scenario import (Counts, ReadAhead, SystemParams, doubles,
+                             generate_scenario, uint32s)
 from conftest import demand_for, rate_scenario
 
 
@@ -1482,11 +1483,16 @@ def test_derive_matches_scalar_draws(sizes):
     assert (seen["swap"] > 0) == (seen["bound_1"] > 0) == (1 in sizes), seen
 
 
-@pytest.mark.parametrize("held", [0, 1])
-def test_read_ahead_follows_next_uint32(held):
+@pytest.mark.parametrize("batch, held", [(uint32s, 0), (uint32s, 1),
+                                         (doubles, 0), (doubles, 1)],
+                         ids=["0", "1", "doubles-0", "doubles-1"])
+def test_read_ahead_follows_next_uint32(batch, held):
     def next_uint32(rng):
         iface = rng.bit_generator.ctypes
         return iface.next_uint32(iface.state)
+
+    def single(rng):
+        return next_uint32(rng) if batch is uint32s else rng.random()
 
     def fresh():
         rng = np.random.default_rng(np.random.SeedSequence([5, 12]))
@@ -1495,21 +1501,32 @@ def test_read_ahead_follows_next_uint32(held):
         return rng
 
     peek = fresh()
-    stream_values = [next_uint32(peek) for _ in range(400)]
+    stream_values = [single(peek) for _ in range(400)]
     # (values to read ahead, values to consume), then one scalar draw.
     for plan in ([(0, 0)], [(1, 1)], [(4, 2)], [(7, 3)], [(9, 5), (3, 3)],
-                 [(300, 64), (10, 0), (200, 37)]):
+                 [(300, 64), (10, 0), (200, 37)], [(5, 5), (6, 4), (20, 9)]):
         ours, twin = fresh(), fresh()
-        stream, taken = _ReadAhead(ours), 0
+        stream, taken = ReadAhead(ours, batch), 0
         for ahead, used in plan:
             assert stream.window(ahead).tolist() == \
                 stream_values[taken:taken + ahead]
             stream.skip(used)
             taken += used
         for _ in range(taken):
-            next_uint32(twin)
-        assert _lemire(stream.next_uint32)(1000) == bounded_draws(twin)(1000)
+            single(twin)
+        if batch is uint32s:
+            assert _lemire(stream.next)(1000) == bounded_draws(twin)(1000)
+        else:
+            assert stream.next() == twin.random()
         stream.release()
         assert ours.bit_generator.state == twin.bit_generator.state, plan
         assert np.array_equal(ours.integers(10**6, size=5),
                               twin.integers(10**6, size=5))
+    # No reference cycle keeps a released reader's buffer alive.
+    gc.disable()
+    try:
+        ref = weakref.ref(stream)
+        del stream
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -191,6 +191,68 @@ def test_cli_io_errors_exit_three(tmp_path):
                  "--metric", "F", "--shape", "u"]) == 3
 
 
+@pytest.mark.parametrize("metric", ["bogus", "axis", "algorithm",
+                                    "n_cached_hits"])
+def test_trend_rejects_a_metric_that_is_not_a_numeric_column(
+        tmp_path, capsys, metric):
+    rows = synth_rows([9, 5, 3, 4, 8])
+    with pytest.raises(ValueError, match="numeric CSV column"):
+        trend_check(rows, metric, "u")
+    path = tmp_path / "rows.csv"
+    emit_csv(rows, path)
+    assert main(["trend", "--csv", str(path), "--metric", metric,
+                 "--shape", "u"]) == 1
+    assert capsys.readouterr().err.startswith("mecsim: metric")
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda rows: rows[:2] + [rows[2].rsplit(",", 1)[0]] + rows[3:], 3),
+    (lambda rows: rows[:4] + [rows[4] + ",0"] + rows[5:], 5),
+    (lambda rows: rows[:5] + [rows[5].replace("AMND", "AMND,x")], 6),
+    (lambda rows: rows[:1] + [rows[1].replace(",1,", ",one,", 1)] + rows[2:],
+     2),
+], ids=["short_row", "long_row", "split_cell", "bad_int"])
+def test_load_csv_names_the_line_of_a_malformed_row(tmp_path, edit, line):
+    path = tmp_path / "rows.csv"
+    emit_csv(synth_rows([9, 5, 3, 4, 8]), path)
+    path.write_text("\n".join(edit(path.read_text().split("\n"))))
+    with pytest.raises(ValueError, match=f"line {line}: "):
+        load_csv(path)
+
+
+def test_bool_override_takes_only_known_words():
+    for word, value in [("1", True), ("TRUE", True), ("yes", True),
+                        ("on", True), ("0", False), ("false", False),
+                        ("No", False), (" off ", False)]:
+        assert config_with_overrides(
+            ExperimentConfig(stabilize=not value),
+            {"stabilize": word}).stabilize is value
+    for word in ("ture", "", "2", "enabled"):
+        with pytest.raises(ValueError, match="stabilize"):
+            config_with_overrides(ExperimentConfig(), {"stabilize": word})
+    assert main(["sweep", "--set", "stabilize=ture"]) == 1
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_closed_stdout_is_not_an_io_error(buffered):
+    # The reader closes the pipe before mecsim writes its report.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = os.path.dirname(os.path.dirname(mecsim.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from mecsim.cli import main; sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, src, "run", "--seed", "0", "--n-mbs",
+         "1", "--m-sbs", "2", "--hrd", "4", "--csd", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_cli_audit_small_instance(tmp_path, capsys):
     rc = main(["audit", "--seed", "5", "--n-mbs", "1", "--m-sbs", "2",
                "--hrd", "5", "--csd", "5",

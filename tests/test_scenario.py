@@ -348,6 +348,19 @@ MALFORMED = {
     "bad_params_value": (lambda t: t.replace("n_mbs = 3\n", "n_mbs = 3.5\n"),
                          r"\[params\].*3\.5"),
     "cache_overflow": (_edit_row("cache", lambda ln: "300" + ln[1:]), "cache"),
+    "sbs_cell_negative": (_edit_row("sbs_cell", lambda ln: "-4" + ln[1:]),
+                          r"\[sbs_cell\].*\[0, 3\)"),
+    "backhaul_mbs_out_of_range": (
+        _edit_row("backhaul_mbs", lambda ln: "3" + ln[1:]),
+        r"\[backhaul_mbs\].*\[0, 3\)"),
+    "hrd_cell_out_of_range": (_edit_row("hrd_cell", lambda ln: "7" + ln[1:]),
+                              r"\[hrd_cell\].*\[0, 3\)"),
+    "csd_cell_out_of_range": (_edit_row("csd_cell", lambda ln: "3" + ln[1:]),
+                              r"\[csd_cell\].*\[0, 3\)"),
+    "request_not_a_flag": (_edit_row("requests", lambda ln: "5" + ln[1:]),
+                           r"\[requests\].*\[0, 2\)"),
+    "cache_not_a_flag": (_edit_row("cache", lambda ln: "-1" + ln[1:]),
+                         r"\[cache\].*\[0, 2\)"),
 }
 
 
