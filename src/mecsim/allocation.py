@@ -6,10 +6,10 @@ slot, the only inputs the closed form needs.  The closed form itself lives
 in ``_kernels``: square-root shares per CSD block (uplink, edge compute),
 and for an HRD coalition the exact optimum of its downlink and backhaul
 blocks under the rate ordering ``eta_p >= rho_p * beta_p`` of every missed
-pair, which is always feasible.  ``coalition_value`` is the one evaluator
-of a member set: it values one coalition with the kernels and serves the
-state reallocation, while the coalition game and its stability audit value
-moves from running sums (``association.CoalitionSums``).
+pair, which is always feasible.  ``coalition_value`` values one member set
+from scratch with the kernels, a public reference that no stage of the solve
+calls; the coalition game and its stability audit value moves from running
+sums (``association.CoalitionSums``).
 ``allocate_hrd``/``allocate_csd`` are the same closed forms on raw cost
 vectors.
 

@@ -71,12 +71,12 @@ records every proposal's ``dv``, so a logged run values every proposal.
 Proposal counts, accepted moves, move logs and generator states are
 therefore those of the one-at-a-time loops, to the last bit.
 
-An installed coalition is marked as holding its closed form (``closed``)
-until a move changes it, and the state reallocation skips it: installing
-it again would write the same bits.  Every other coalition still holds the
-initializer's equal-share split, which is a feasible point of the problem
-the closed form solves exactly, so installing the closed form there never
-raises a coalition's delay and every objective trace is nonincreasing.
+The state reallocation installs the closed form of every SBS coalition.
+One that a game installed already holds it, and installing it again writes
+the same bits.  Every other coalition still holds the initializer's
+equal-share split, which is a feasible point of the problem the closed
+form solves exactly, so installing the closed form there never raises a
+coalition's delay and every objective trace is nonincreasing.
 
 AMND alternates association and allocation, but one round is all that can
 change the state.  The computation-device game (uplink, compute, storage)
@@ -96,8 +96,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import hrd_value
-from .allocation import (CSD, HRD, CoalitionCosts, build_costs,
-                         coalition_value, equal_share_hrd)
+from .allocation import CSD, HRD, CoalitionCosts, build_costs, \
+    equal_share_hrd
 from .content import DemandProfile
 from .delays import BITS_PER_BYTE, Allocation, DelayReport, Partition, \
     objective
@@ -264,10 +264,8 @@ class GameState:
     rng_hrd: np.random.Generator
     rng_csd: np.random.Generator
     sums: dict                 # game -> CoalitionSums
-    # Per game: the coalitions whose allocation is their closed form, and
-    # those whose cached value and running sums are ahead of their
-    # allocation, which the game installs at its end.
-    closed: dict = field(default_factory=lambda: {HRD: set(), CSD: set()})
+    # Per game: the coalitions whose cached value and running sums are
+    # ahead of their allocation, which the game installs at its end.
     stale: dict = field(default_factory=lambda: {HRD: set(), CSD: set()})
     fallback_hrds: list = field(default_factory=list)
     trace: list = field(default_factory=list)
@@ -291,7 +289,6 @@ class GameState:
             v_hrd=self.v_hrd.copy(), v_csd=self.v_csd.copy(),
             objective=self.objective, rng_hrd=rng_hrd, rng_csd=rng_csd,
             sums={game: sums.copy() for game, sums in self.sums.items()},
-            closed={game: set(c) for game, c in self.closed.items()},
             stale={game: set(c) for game, c in self.stale.items()},
             fallback_hrds=list(self.fallback_hrds), trace=list(self.trace),
             accepted_moves=self.accepted_moves, proposals=self.proposals,
@@ -305,10 +302,8 @@ class GameState:
     def check(self) -> None:
         """Assert running sums, cached utilities and the objective match
         recomputation; cached utilities are checked against per-coalition
-        sums of the delay model's weighted per-pair and per-device delays.
-        A coalition marked as holding its closed form must cache exactly
-        ``coalition_value``, and installing it again must change no
-        fraction's bytes: ``reallocate`` skips it on that premise."""
+        sums of the delay model's weighted per-pair and per-device delays,
+        and no coalition may await its install."""
         for game, stale in self.stale.items():
             if stale:
                 raise AssertionError(f"{game} coalitions {sorted(stale)} "
@@ -341,22 +336,6 @@ class GameState:
             raise AssertionError(
                 f"objective disagrees with delay model: "
                 f"{self.objective!r} vs {rep.objective!r}")
-        again = self.allocation.copy()
-        for game, cache in ((HRD, self.v_hrd), (CSD, self.v_csd)):
-            lists = _member_lists(self, game)
-            for c in sorted(self.closed[game]):
-                value, _ = coalition_value(self.costs, game, c, lists[c])
-                if value != cache[c]:
-                    raise AssertionError(
-                        f"{game} coalition {c} is marked closed-form but "
-                        f"caches {cache[c]!r}, not {value!r}")
-                _install(self.costs, again, game, c, lists[c])
-        for name in ("alpha", "gamma", "beta", "eta"):
-            if getattr(again, name).tobytes() != \
-                    getattr(self.allocation, name).tobytes():
-                raise AssertionError(
-                    f"closed-form coalitions hold other {name} fractions "
-                    f"than their install")
 
 
 def _game_rngs(seed: int):
@@ -571,24 +550,16 @@ def _evaluate(state: GameState, prop: MoveProposal) -> None:
     prop.dv, prop.feasible = block.value(0)
 
 
-def _install(costs: CoalitionCosts, alloc: Allocation, game: str, c: int,
-             members) -> float:
-    """Write the closed-form allocation of coalition c into ``alloc``;
-    returns its value.  Every member's fractions are written, so a device
-    that moved carries none over from its old coalition."""
+def _write_coalition(state: GameState, game: str, c: int, members) -> float:
+    """Install the closed-form allocation of coalition c into the state's
+    allocation; returns its value.  Every member's fractions are written,
+    so a device that moved carries none over from its old coalition."""
+    alloc, costs = state.allocation, state.costs
     if game == HRD:
         value, _ = _kernels.hrd_alloc(costs, c, members, alloc.beta, alloc.eta)
     else:
         value, _ = _kernels.csd_alloc(costs, c, members, alloc.alpha,
                                       alloc.gamma)
-    return value
-
-
-def _write_coalition(state: GameState, game: str, c: int, members) -> float:
-    """Install the closed-form allocation of coalition c into the state's
-    allocation and mark it ``closed``; returns its value."""
-    value = _install(state.costs, state.allocation, game, c, members)
-    state.closed[game].add(c)
     state.stale[game].discard(c)
     return value
 
@@ -628,7 +599,6 @@ def _apply(state: GameState, prop: MoveProposal) -> bool:
         sums = state.sums[game]
         cache[a] = sums.refresh(a, lists[a])[0]
         cache[b] = sums.refresh(b, lists[b])[0]
-        state.closed[game].difference_update((a, b))
         state.stale[game].update((a, b))
         state.objective = float(state.v_hrd.sum() + state.v_csd.sum())
         state.accepted_moves += 1
@@ -1056,14 +1026,12 @@ def run_coalition_game(state: GameState, game: str, t2: int,
 
 
 def reallocate(state: GameState) -> None:
-    """Install the closed-form allocation of every coalition that does not
-    hold it yet.  A coalition marked as holding it (``closed``) is skipped:
-    installing it again would write the same bits."""
+    """Install the closed-form allocation of every SBS coalition of both
+    games, and cache its value."""
     for n in range(state.n_sbs):
         for game, cache in ((CSD, state.v_csd), (HRD, state.v_hrd)):
-            if n not in state.closed[game]:
-                cache[n] = _write_coalition(state, game, n,
-                                            _member_lists(state, game)[n])
+            cache[n] = _write_coalition(state, game, n,
+                                        _member_lists(state, game)[n])
     state.objective = float(state.v_hrd.sum() + state.v_csd.sum())
 
 

@@ -85,6 +85,18 @@ def _add_game_args(p):
                    help="skip the deterministic stabilization sweep")
 
 
+def _game_budget(args):
+    """``(t2, patience)`` of ``--t2`` and ``--patience``, with 0 as None,
+    the built-in default; a negative budget is a usage error."""
+    budget = []
+    for name in ("t2", "patience"):
+        value = getattr(args, name)
+        if value < 0:
+            raise ValueError(f"--{name} must be at least 0 (0 = default)")
+        budget.append(value or None)
+    return budget
+
+
 def _scenario_from_args(args):
     """The scenario and demand that ``mecsim sweep`` builds for these flags."""
     config = replace(_BASE, **{field: getattr(args, flag[2:].replace("-", "_"))
@@ -128,9 +140,8 @@ def _cmd_gen(args):
 
 
 def _cmd_run(args):
+    t2, patience = _game_budget(args)
     scenario, demand = _load_or_build(args)
-    t2 = args.t2 if args.t2 > 0 else None
-    patience = args.patience if args.patience > 0 else None
     if args.algorithm == "abcg":
         state = abcg_init(scenario, demand, log_moves=bool(args.move_log))
     else:
@@ -187,27 +198,20 @@ def _cmd_trend(args):
 
 
 def _cmd_audit(args):
+    t2, patience = _game_budget(args)
     scenario, demand = _load_or_build(args)
-    t2 = args.t2 if args.t2 > 0 else None
-    patience = args.patience if args.patience > 0 else None
     failures = 0
 
     state0 = abcg_init(scenario, demand)
-    bad = audit_constraints(scenario, demand, state0.partition,
-                            state0.allocation, state0.table)
-    print(f"constraints at init state: {len(bad)} violation(s)")
-    failures += len(bad)
-    for line in bad[:5]:
-        print(f"  {line}")
-
     final = run_amnd(scenario, demand, t2=t2, patience=patience,
                      stabilize=not args.no_stabilize, init_state=state0)
-    bad = audit_constraints(scenario, demand, final.partition,
-                            final.allocation, final.table)
-    print(f"constraints at final state: {len(bad)} violation(s)")
-    failures += len(bad)
-    for line in bad[:5]:
-        print(f"  {line}")
+    for tag, state in (("init", state0), ("final", final)):
+        bad = audit_constraints(scenario, demand, state.partition,
+                                state.allocation, state.table)
+        print(f"constraints at {tag} state: {len(bad)} violation(s)")
+        failures += len(bad)
+        for line in bad[:5]:
+            print(f"  {line}")
 
     steps = np.diff(np.array(final.trace))
     worst = float(steps.max()) if steps.size else 0.0

@@ -84,6 +84,8 @@ class ExperimentConfig:
             raise ValueError("sweep grid is empty")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if not self.algorithms:
+            raise ValueError("algorithms is empty: name ABCG, AMND or both")
         bad = [alg for alg in self.algorithms if alg not in ("ABCG", "AMND")]
         if bad:
             raise ValueError(f"unknown algorithms {bad}")
@@ -93,6 +95,9 @@ class ExperimentConfig:
         else:
             if any(v < 0 for v in self.grid):
                 raise ValueError("delta grid must be nonnegative")
+        for name in ("game_iters", "patience"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0 (0 = default)")
 
     def system_params(self, seed: int, axis_value: float | None = None) -> SystemParams:
         a, t1 = self.a, self.t1_frac
@@ -163,8 +168,7 @@ def run_sweep(config: ExperimentConfig, *, audit: bool = False,
     """Run the whole sweep; deterministic given the config (runtimes are
     emitted as 0 unless ``timing`` is set, keeping the CSV byte-stable)."""
     config.validate()
-    t2 = config.game_iters if config.game_iters > 0 else None
-    patience = config.patience if config.patience > 0 else None
+    t2, patience = config.game_iters or None, config.patience or None
     rows: list[SweepRow] = []
     if config.axis == "delta":
         points = [(d, d) for d in config.grid]

@@ -136,6 +136,58 @@ def test_config_validation():
         ExperimentConfig(grid=(0.0, 0.5)).validate()
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(seeds=()).validate()
+    with pytest.raises(ValueError, match="algorithms"):
+        ExperimentConfig(algorithms=()).validate()
+    for name in ("game_iters", "patience"):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: -1}).validate()
+        ExperimentConfig(**{name: 0}).validate()   # 0 is the default
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Calls of ``abcg_init`` and ``run_amnd`` made by the sweep and the
+    CLI, counted by name."""
+    calls = []
+    for module in (mecsim.experiments, mecsim.cli):
+        for name in ("abcg_init", "run_amnd"):
+            inner = getattr(module, name)
+
+            def counted(*args, _name=name, _inner=inner, **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+TINY = ["--hrd", "4", "--csd", "4", "--n-mbs", "1", "--m-sbs", "2"]
+
+
+def test_empty_algorithms_are_rejected_before_any_work(tmp_path, capsys,
+                                                        solves):
+    assert main(["sweep", "--set", "algorithms=", "--seeds", "1", "--grid",
+                 "0.5", "--deltas", "0.6", "--set", "n_hrd=4", "--set",
+                 "n_csd=4", "-o", str(tmp_path / "s.csv")]) == 1
+    assert solves == []
+    assert "algorithms" in capsys.readouterr().err
+
+
+def test_negative_game_budgets_are_usage_errors(tmp_path, capsys, solves):
+    # 0 keeps selecting the built-in default; below 0 nothing is solved.
+    sweep = ["sweep", "--seeds", "1", "--grid", "0.5", "--deltas", "0.6",
+             "--set", "n_hrd=4", "--set", "n_csd=4", "-o",
+             str(tmp_path / "s.csv")]
+    for argv, name in ((sweep + ["--set", "game_iters=-5"], "game_iters"),
+                       (sweep + ["--set", "patience=-1"], "patience"),
+                       (["run", "--t2", "-3"] + TINY, "--t2"),
+                       (["run", "--patience", "-1"] + TINY, "--patience"),
+                       (["audit", "--patience", "-1"] + TINY, "--patience"),
+                       (["audit", "--t2", "-2"] + TINY, "--t2")):
+        assert main(argv) == 1, argv
+        assert name in capsys.readouterr().err, argv
+    assert solves == []
+    assert main(["run", "--t2", "0", "--patience", "0"] + TINY) == 0
+    assert solves == ["run_amnd"]
 
 
 def test_cli_gen_run_and_trend(tmp_path, capsys):
