@@ -51,25 +51,25 @@ the sweep, in ``_neighbourhood``'s order, and the audit's block is all of
 it.
 
 The random phase reads the generator's ``next_uint32`` stream ahead
-(``scenario.ReadAhead`` over ``uint32s``) and decodes it as
-``propose_move`` would draw, with numpy's own bounded-integer algorithm
-(``_Draws``), in two passes: the pair draws at every position of a window,
-from a per-pair table rebuilt only when a move changes coalition sizes,
-then, once ``_chain`` has linked the starts, the member draws at those
-starts only.  A draw in Lemire's rejection branch goes through
-``propose_move``, and the generator ends exactly where the consumed draws
-leave it.  An accepted swap changes no size, so the window's later starts
-carry over to the next block, which reads their members again.  Every draw
-is one of the ``drawable`` moves at the current sizes (the swaps, and the
-transfers into empty coalitions), a swap is valued to the same bits from
-either side, and the partition cannot change while every draw is rejected.
-So once the rejections since the last accept reach the number of drawable
-moves, those moves are valued as one block; if none would be accepted,
-every later proposal of the phase is a rejection, and the rest of the phase
-is decoded and counted without being valued (``_skip_tail``).  A move log
-records every proposal's ``dv``, so a logged run values every proposal.
-Proposal counts, accepted moves, move logs and generator states are
-therefore those of the one-at-a-time loops, to the last bit.
+(``scenario.ReadAhead`` over ``uint32s``).  ``propose_move`` reads each
+attempt from ``SLOT`` consecutive values, one for the coalition pair and
+one for each side's member, and skips an attempt that draws no move, so
+whether an attempt draws one, and which, depends only on its own values
+and the coalition sizes.  ``_Draws`` decodes every attempt of a window in
+one pass of array operations, and the generator ends exactly where the
+consumed attempts leave it.  An accepted swap changes no size, so the
+window's later proposals carry over to the next block, which reads their
+members again.  Every draw is one of the ``drawable`` moves at the
+current sizes (the swaps, and the transfers into empty coalitions), a
+swap is valued to the same bits from either side, and the partition
+cannot change while every draw is rejected.  So once the rejections since
+the last accept reach the number of drawable moves, those moves are
+valued as one block; if none would be accepted, every later proposal of
+the phase is a rejection, and the rest of the phase is decoded and
+counted without being valued (``_skip_tail``).  A move log records every
+proposal's ``dv``, so a logged run values every proposal.  Proposal
+counts, accepted moves, move logs and generator states are therefore
+those of the one-at-a-time loops, to the last bit.
 
 The state reallocation installs the closed form of every SBS coalition.
 One that a game installed already holds it, and installing it again writes
@@ -89,7 +89,6 @@ therefore one CSD game, one HRD game and one reallocation.
 """
 
 import copy
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +109,10 @@ CHECK_TOL = 1e-9         # relative tolerance of ``GameState.check``
 # the running sums and of the exact valuation.
 SLACK = 1e-8
 MASK32 = 0xFFFFFFFF
+# Values of the uint32 stream that one attempt of ``propose_move`` reads.
+SLOT = 3
+# Attempts ``propose_move`` makes before it gives up.
+ATTEMPTS = 2048
 # Proposals per block of the random phase.  On desk and sweep solves a
 # constant 256 ran as fast as blocks doubling from 64 to 256 while nothing
 # was accepted, and faster than constant blocks of 64, 128 or 512.
@@ -121,7 +124,8 @@ def default_patience(n_hrd: int, n_csd: int) -> int:
 
 
 def default_game_iters(n_hrd: int, n_csd: int) -> int:
-    return 100 * (n_hrd + n_csd)
+    # At least 1, the smallest budget a game takes, even with no device.
+    return max(1, 100 * (n_hrd + n_csd))
 
 
 @dataclass
@@ -457,74 +461,63 @@ def _association(state: GameState, game: str) -> np.ndarray:
     return state.partition.hrd_sbs if game == HRD else state.partition.csd_sbs
 
 
-def _lemire(next_uint32):
-    """``draw(n)`` over a ``next_uint32()`` callable, as numpy draws
-    ``Generator.integers(n)`` from its bit generator's ``next_uint32``:
-    Lemire's multiply-shift with rejection (Lemire, "Fast random integer
-    generation in an interval", ACM TOMACS 2019).  ``n == 1`` consumes
-    nothing, as in numpy; ``n`` outside [1, 2**32) raises."""
-
-    def draw(n: int) -> int:
-        if n == 1:
-            return 0
-        if not 1 < n < 1 << 32:
-            raise ValueError(f"draw bound {n} outside [1, 2**32)")
-        m = next_uint32() * n
-        if m & MASK32 < n:
-            # Reject the 2**32 % n low products that would bias the result.
-            threshold = (1 << 32) % n
-            while m & MASK32 < threshold:
-                m = next_uint32() * n
-        return m >> 32
-
-    return draw
-
-
-def bounded_draws(rng: np.random.Generator):
-    """``draw(n)``, which returns exactly ``int(rng.integers(n))``.
-
-    ``draw`` runs numpy's own algorithm (``_lemire``) in Python on the bit
-    generator's ``next_uint32``, which skips numpy's per-call overhead, and
-    leaves the generator in the state numpy would, so later ``rng`` calls
-    are unchanged.  Unlike ``rng.integers``, ``draw`` does not take the
-    generator's lock, so the generator must not be shared between threads
-    while ``draw`` is in use.
-    """
-    iface = rng.bit_generator.ctypes
-    draw = _lemire(functools.partial(iface.next_uint32, iface.state))
-    draw.generator = rng   # keeps the bit generator behind ``iface`` alive
-    return draw
+def _bounded(u: int, n: int):
+    """Lemire's multiply-shift of the uint32 ``u`` into [0, n), or None where
+    ``u`` falls in its rejection zone, the ``2**32 % n`` lowest products,
+    which would bias the result (Lemire, "Fast random integer generation
+    in an interval", ACM TOMACS 2019).  A bound of 1 has no zone."""
+    m = u * n
+    return None if m & MASK32 < (1 << 32) % n else m >> 32
 
 
 def propose_move(state: GameState, game: str, rng) -> MoveProposal:
-    """Draw one candidate move: two distinct coalitions; a member transfers
-    into an empty one, otherwise one member from each side is swapped.
-    ``rng`` is a ``Generator``, or a ``draw(n)`` over its stream
-    (``bounded_draws``, or ``_lemire`` on a ``ReadAhead``); all draw the
-    same moves."""
-    draw = bounded_draws(rng) if isinstance(rng, np.random.Generator) else rng
+    """Draw one candidate move: two distinct coalitions holding a member; a
+    member transfers into an empty one, otherwise one member from each side
+    is swapped.
+
+    Each attempt reads ``SLOT`` values ``(u0, u1, u2)`` of the stream.
+    ``u0`` picks the ordered pair ``(m, n)`` by multiply-shift with bound
+    ``C * (C - 1)`` over C coalitions, ``n`` skipping ``m``; ``u1`` picks
+    the member leaving the nonempty side (``m``, unless it is empty), and
+    ``u2`` the member leaving the other side, which a transfer reads but
+    does not use.  An attempt is skipped when its pair holds no member, or
+    when a draw it uses falls in Lemire's rejection zone (``_bounded``), so
+    the pair is uniform among the pairs holding a member, and the members
+    are uniform.  ``rng`` is a ``Generator``, or a callable returning the
+    next uint32 of its stream (``next_uint32``); both draw the same moves.
+    """
+    if isinstance(rng, np.random.Generator):
+        def next_uint32():
+            return int(rng.integers(1 << 32, dtype=np.uint32))
+    else:
+        next_uint32 = rng
     lists = _member_lists(state, game)
     n_coal = len(lists)
     if n_coal < 2:
         raise ValueError("need at least two coalitions to propose a move")
-    # With one nonempty coalition among C, a blind pair misses it with
-    # probability (C-2)/C per draw; the bound keeps failure negligible.
-    for _ in range(2048):
-        m = draw(n_coal)
-        n = draw(n_coal - 1)
+    pairs = n_coal * (n_coal - 1)
+    # With one nonempty coalition among C, an attempt misses it with
+    # probability (C-2)/C; the bound keeps failure negligible.
+    for _ in range(ATTEMPTS):
+        u0, u1, u2 = next_uint32(), next_uint32(), next_uint32()
+        pair = _bounded(u0, pairs)
+        if pair is None:
+            continue
+        m, n = divmod(pair, n_coal - 1)
         if n >= m:
             n += 1
-        if not lists[m] and not lists[n]:
-            continue
         if not lists[m]:
-            j = lists[n][draw(len(lists[n]))]
-            return MoveProposal(game, "transfer", c_from=n, c_to=m, md_from=j)
+            m, n = n, m
+        i = _bounded(u1, len(lists[m])) if lists[m] else None
+        if i is None:
+            continue
         if not lists[n]:
-            i = lists[m][draw(len(lists[m]))]
-            return MoveProposal(game, "transfer", c_from=m, c_to=n, md_from=i)
-        i = lists[m][draw(len(lists[m]))]
-        j = lists[n][draw(len(lists[n]))]
-        return MoveProposal(game, "swap", c_from=m, c_to=n, md_from=i, md_to=j)
+            return MoveProposal(game, "transfer", c_from=m, c_to=n,
+                                md_from=lists[m][i])
+        j = _bounded(u2, len(lists[n]))
+        if j is not None:
+            return MoveProposal(game, "swap", c_from=m, c_to=n,
+                                md_from=lists[m][i], md_to=lists[n][j])
     raise RuntimeError("could not sample a nonempty coalition pair")
 
 
@@ -806,125 +799,83 @@ def _drawable(size: np.ndarray) -> int:
 
 
 class _Draws:
-    """``propose_move``'s draws, decoded from windows of a game generator's
-    uint32 stream at the coalition sizes ``size`` (the running sums' own
-    array, which a move updates in place).
-
-    The two pair draws give a pair index ``m * (n_coal - 1) + n``, before
-    ``n`` skips ``m``.  ``decode`` runs two passes.  The first decodes every
-    position of a window into a step code: the number of values a proposal
-    drawn from there consumes, negated where both coalitions of its pair
-    are empty (``propose_move`` draws the pair again), and 0 where a pair
-    draw falls in Lemire's rejection branch, which is left to
-    ``propose_move``.  ``_chain`` links the codes into start positions, and
-    the second pass decodes the member draws at those starts only.  A
-    pair's code depends only on its coalitions' size classes (empty, one
-    member, more), and its kind and member-draw bounds only on their sizes,
-    so both passes read them from per-pair tables, which ``resize``
-    rebuilds, with ``drawable``, when a move changes sizes.
-    """
+    """``propose_move``'s attempts, decoded from windows of a game
+    generator's uint32 stream, ``SLOT`` values each, at the coalition sizes
+    ``size`` (the running sums' own array, which a move updates in place).
+    Whether an attempt draws a move, and which, depends only on its own
+    values and the sizes, so every attempt of a window is decoded at once,
+    in one pass over its rows."""
 
     def __init__(self, size: np.ndarray, none: int):
-        self.size, self.none, self.n_coal = size, none, size.size
-        n_coal = size.size
-        # A bound of 1 draws 0 and consumes nothing.
-        self.pair_step = 2 if n_coal > 2 else 1
-        self.m, n = np.divmod(np.arange(n_coal * (n_coal - 1)), n_coal - 1)
-        self.n = n + (n >= self.m)
-        self.resize()
+        self.size, self.none = size, none
+        self.pairs = size.size * (size.size - 1)
 
-    def resize(self) -> None:
-        m, n = self.m, self.n
-        size_m, size_n = self.size[m], self.size[n]
-        from_m = size_m > 0
-        swap = from_m & (size_n > 0)
-        a, b = np.where(from_m, m, n), np.where(from_m, n, m)
-        size_a = self.size[a]
-        # Per pair: the coalitions, the kind, and the bounds of the member
-        # draws (0 where none is drawn).
-        self.pairs = np.stack((a, b, swap, size_a, np.where(swap, size_n, 0)))
-        self.steps = np.where(from_m | (size_n > 0),
-                              self.pair_step + (size_a > 1)
-                              + (swap & (size_n > 1)), -self.pair_step)
-        self.drawable = _drawable(self.size)
+    def slots(self, limit: int) -> int:
+        """Attempts to read for ``limit`` proposals: somewhat more than they
+        take on average at the current sizes, and at most ``ATTEMPTS``, so
+        a window holds no run of attempts at which ``propose_move`` gives
+        up.  Needs a member in some coalition."""
+        empty = int(np.count_nonzero(self.size == 0))
+        return min(ATTEMPTS, (limit + limit // 8 + 4) * self.pairs
+                   // (self.pairs - empty * (empty - 1)))
 
     def decode(self, window: np.ndarray, limit: int):
-        """Up to ``limit`` (at least 1) proposals drawn one after another
-        from the start of ``window``, as arrays ``(ends, swap, a, b, k_from,
-        k_to)``: the window offset after each proposal, whether it is a
-        swap, the coalitions its moving device leaves and enters, and the
-        indices of the moving members in the member rows of ``a`` and ``b``
-        (``none`` in a transfer).  They stop before a proposal with a draw
-        in Lemire's rejection branch, and before one whose draws could run
-        past the window."""
-        bound, step = self.n_coal, self.pair_step
-        span = window.size - 3
+        """Up to ``limit`` proposals drawn one after another from the start
+        of ``window`` (whole attempts), as arrays ``(ends, swap, a, b,
+        k_from, k_to)``: the window offset after each proposal, whether it
+        is a swap, the coalitions its moving device leaves and enters, and
+        the indices of the moving members in the member rows of ``a`` and
+        ``b`` (``none`` in a transfer)."""
+        u = window.reshape(-1, SLOT)
+        size, n_coal = self.size, self.size.size
         # A uint32 times a bound below 2**31 is exact in int64.
-        prod = window[:span] * bound
-        reject = prod & MASK32 < bound
-        pair = (prod >> 32) * (bound - 1)
-        if bound > 2:
-            prod = window[1:span + 1] * (bound - 1)
-            reject |= prod & MASK32 < bound - 1
-            pair += prod >> 32
-        code = self.steps[pair]
-        code[reject] = 0
-        at = np.array(_chain(code.tolist(), limit), dtype=np.int64)
-        ends = at + code[at]
-        a, b, swap, size_a, size_b = self.pairs.take(pair[at], axis=1)
-        swap = swap.astype(bool)
-        # Below a bound of 2 a member draw is 0 and consumes nothing; the
-        # product of a uint32 and 1 or 0 shifts to 0 as well.
-        take_a = size_a > 1
-        at += step
-        prod = window[at] * size_a
+        prod = u[:, 0] * self.pairs
+        ok = prod & MASK32 >= (1 << 32) % self.pairs
+        m, n = np.divmod(prod >> 32, n_coal - 1)
+        n += n >= m
+        a = np.where(size[m] > 0, m, n)
+        b = m + n - a
+        size_a, size_b = size[a], size[b]
+        # Each coalition's rejection zone; an empty ``b`` (a transfer) has
+        # none, as its product is 0.
+        zone = (1 << 32) % np.maximum(size, 1)
+        prod = u[:, 1] * size_a
+        ok &= (size_a > 0) & (prod & MASK32 >= zone[a])
         k_from = prod >> 32
-        reject = take_a & (prod & MASK32 < size_a)
-        prod = window[at + take_a] * size_b
-        k_to = np.where(swap, prod >> 32, self.none)
-        reject |= (size_b > 1) & (prod & MASK32 < size_b)
-        cut = np.flatnonzero(reject)
-        cut = int(cut[0]) if cut.size else ends.size
-        return (ends[:cut], swap[:cut], a[:cut], b[:cut], k_from[:cut],
-                k_to[:cut])
+        prod = u[:, 2] * size_b
+        ok &= prod & MASK32 >= zone[b]
+        at = np.flatnonzero(ok)[:limit]
+        swap = size_b[at] > 0
+        return (SLOT * (at + 1), swap, a[at], b[at], k_from[at],
+                np.where(swap, prod[at] >> 32, self.none))
 
 
-def _chain(code: list, limit: int) -> list:
-    """Start positions of up to ``limit`` (at least 1) proposals drawn one
-    after another from position 0, skipping redrawn empty pairs; stops
-    before a position in Lemire's rejection branch and at the end of the
-    window."""
-    starts, p, end, count = [], 0, len(code), 0
-    while p < end:
-        step = code[p]
-        if step == 0:
-            break
-        if step > 0:
-            starts.append(p)
-            count += 1
-            if count == limit:
-                break
-            p += step
-        else:
-            p -= step
-    return starts
+def _proposals(state: GameState, game: str, stream: ReadAhead, draws: _Draws,
+               limit: int):
+    """Up to ``limit`` proposals, at least one, decoded (``_Draws.decode``)
+    from the next unread window of ``stream``, which is left unconsumed.  A
+    window of ``draws.slots(limit)`` attempts that draws nothing is read
+    again at ``ATTEMPTS`` attempts; where that draws nothing either,
+    ``propose_move`` gives up on the same values."""
+    for slots in (draws.slots(limit), ATTEMPTS):
+        window = stream.window(SLOT * slots)
+        found = draws.decode(window, limit)
+        if found[0].size:
+            return found
+    propose_move(state, game, iter(window.tolist()).__next__)
+    raise AssertionError("propose_move drew from attempts without a move")
 
 
 def _skip_tail(state: GameState, game: str, stream: ReadAhead,
                draws: _Draws, count: int) -> None:
     """Count ``count`` proposals that are all rejected, and consume their
-    draws from ``stream`` without valuing them: decoded by ``draws``, or
-    drawn by ``propose_move`` where a draw falls in Lemire's rejection
-    branch."""
+    attempts from ``stream`` without valuing them, at most ``ATTEMPTS``
+    attempts per window."""
     state.proposals += count
     while count > 0:
-        ends = draws.decode(stream.window(4 * count + 3), count)[0]
-        if ends.size:
-            stream.skip(int(ends[-1]))
-            count -= ends.size
-        else:
-            propose_move(state, game, _lemire(stream.next))
-            count -= 1
+        ends = _proposals(state, game, stream, draws, count)[0]
+        stream.skip(int(ends[-1]))
+        count -= ends.size
 
 
 def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
@@ -940,26 +891,23 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     and logs as it would in ``evaluate_and_apply``.  An accepted swap
     changes no coalition's size, so the window's later proposals are still
     drawn as decoded and carry over to the next block, their members read
-    again.  A proposal with a draw in Lemire's rejection branch, or whose
-    redraws run past the window, goes through ``propose_move`` on the same
-    stream.  A block holds at most ``BLOCK`` proposals, which bounds its
-    window.
+    again.  A block holds at most ``BLOCK`` proposals.
 
-    Once the rejections since the last accept reach ``drawable``, the
-    drawable moves are valued as one block; if none would be accepted, the
-    rest of the phase is rejections (see the module docstring), which
+    Once the rejections since the last accept reach the number of drawable
+    moves, those moves are valued as one block; if none would be accepted,
+    the rest of the phase is rejections (see the module docstring), which
     ``_skip_tail`` counts and draws without valuing.  A run with a move log
     values every proposal, as the log holds each one's ``dv``.
     """
     stream = ReadAhead(state.rng_hrd if game == HRD else state.rng_csd,
                        uint32s)
     sums = state.sums[game]
-    draws = _Draws(sums.size, sums.none)
+    draws, drawable = _Draws(sums.size, sums.none), _drawable(sums.size)
     hood, carry = None, None
     done = rejections = 0
     checked = state.move_log is not None
     while done < t2 and rejections < patience:
-        if not checked and rejections >= draws.drawable:
+        if not checked and rejections >= drawable:
             checked = True
             if hood is None:
                 hood = _neighbourhood(sums.none, sums.size.size)
@@ -970,36 +918,28 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
                            min(t2 - done, patience - rejections))
                 break
         if carry is None:
-            limit = min(BLOCK, t2 - done, patience - rejections)
-            carry = draws.decode(stream.window(4 * limit + 3), limit)
+            carry = _proposals(state, game, stream, draws,
+                               min(BLOCK, t2 - done, patience - rejections))
         ends, swap, a, b, k_from, k_to = carry
         carry = None
-        if ends.size:
-            block = _Block(state, sums, swap, a, b, sums.members[a, k_from],
-                           sums.members[b, k_to])
-            rejected = block.first_accept()
-            last = min(rejected, ends.size - 1)
-            stream.skip(int(ends[last]))
-            accepted = _settle(state, block, rejected)
-            resized = accepted and not swap[last]
-            if accepted and not resized and last + 1 < ends.size:
-                # A swap keeps every size: the window's later proposals are
-                # drawn as decoded, and the next block reads their members.
-                carry = tuple(x[last + 1:] for x in (ends - ends[last], swap,
-                                                     a, b, k_from, k_to))
-        else:
-            prop = propose_move(state, game, _lemire(stream.next))
-            _evaluate(state, prop)
-            accepted = _apply(state, prop)
-            rejected = int(not accepted)
-            resized = accepted and prop.md_to is None
+        block = _Block(state, sums, swap, a, b, sums.members[a, k_from],
+                       sums.members[b, k_to])
+        rejected = block.first_accept()
+        last = min(rejected, ends.size - 1)
+        stream.skip(int(ends[last]))
+        accepted = _settle(state, block, rejected)
         done += rejected + accepted
-        if accepted:
-            rejections, checked = 0, state.move_log is not None
-            if resized:
-                draws.resize()
-        else:
+        if not accepted:
             rejections += rejected
+            continue
+        rejections, checked = 0, state.move_log is not None
+        if not swap[last]:
+            drawable = _drawable(sums.size)
+        elif last + 1 < ends.size:
+            # A swap keeps every size: the window's later proposals are
+            # drawn as decoded, and the next block reads their members.
+            carry = tuple(x[last + 1:] for x in (ends - ends[last], swap, a,
+                                                 b, k_from, k_to))
     stream.release()
 
 

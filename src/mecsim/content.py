@@ -188,6 +188,9 @@ class DemandProfile:
         return self.cache.sum(axis=1) * self.catalog.file_size_bytes
 
     def validate(self) -> None:
+        for name in ("task_input_bytes", "task_cycles", "storage_bytes"):
+            if np.any(getattr(self, name) < 0):
+                raise ValueError(f"{name} must not be negative")
         if np.any(self.cached_bytes > self.storage_bytes + BYTES_TOL):
             raise ValueError("cache exceeds storage capacity")
         if self.n_hrd and not np.all(self.request.sum(axis=1) >= 1):

@@ -227,11 +227,11 @@ class ReadAhead:
     (``doubles`` or ``uint32s``).
 
     ``window(k)`` returns the next ``k`` unread values without consuming
-    them, ``skip(k)`` consumes them and ``next()`` consumes one.  A batch
-    of ``k`` makes the same draws as ``k`` single draws, so ``release`` can
-    put the generator exactly where the consumed values leave it: back at
-    the start, then past as many values as were consumed (nothing to do
-    when every value read was consumed).
+    them, and ``skip(k)`` consumes them.  A batch of ``k`` makes the same
+    draws as ``k`` single draws, so ``release`` can put the generator
+    exactly where the consumed values leave it: back at the start, then
+    past as many values as were consumed (nothing to do when every value
+    read was consumed).
     """
 
     def __init__(self, rng: np.random.Generator, batch):
@@ -253,11 +253,6 @@ class ReadAhead:
 
     def skip(self, k: int) -> None:
         self.pos += k
-
-    def next(self):
-        value = self.window(1).item()
-        self.pos += 1
-        return value
 
     def release(self) -> None:
         if self.pos < self.buf.size:

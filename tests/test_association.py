@@ -2,6 +2,7 @@ import functools
 import gc
 import hashlib
 import weakref
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,11 +12,10 @@ from mecsim import _kernels, association
 from mecsim._kernels import FEAS_TOL, IDLE_FRAC, hrd_closed_form, \
     member_pairs
 from mecsim.allocation import coalition_value, oracle_solve_p3
-from mecsim.association import (IMPROVE_MARGIN, MASK32, MoveProposal,
-                                _Draws, _evaluate, _lemire, _neighbourhood,
-                                _tentative_members, abcg_init,
-                                audit_stability, bounded_draws,
-                                evaluate_and_apply,
+from mecsim.association import (ATTEMPTS, IMPROVE_MARGIN, MASK32, SLOT,
+                                MoveProposal, _Draws, _evaluate,
+                                _neighbourhood, _tentative_members, abcg_init,
+                                audit_stability, evaluate_and_apply,
                                 propose_move, reallocate, run_amnd,
                                 run_coalition_game, write_move_log)
 from mecsim.content import Catalog, DemandProfile
@@ -137,26 +137,6 @@ def test_proposals_are_reproducible():
             (b.kind, b.c_from, b.c_to, b.md_from, b.md_to)
 
 
-def test_bounded_draws_match_generator_integers():
-    # The random phase's moves rest on these draws being numpy's own; this
-    # fails if numpy ever changes how Generator.integers draws.
-    ours, twin = np.random.default_rng(2024), np.random.default_rng(2024)
-    draw = bounded_draws(ours)
-    # Rejection is frequent near 2**31: about half of all draws at 2**31+1.
-    bounds = list(range(1, 71)) + [2**31 + 1, 3 * 2**30]
-    for _ in range(40):
-        for n in bounds:
-            assert draw(n) == int(twin.integers(n)), n
-    before = ours.bit_generator.state
-    assert draw(1) == 0
-    assert ours.bit_generator.state == before
-    assert np.array_equal(ours.integers(10**6, size=4),
-                          twin.integers(10**6, size=4))
-    for n in (0, 2**32):
-        with pytest.raises(ValueError, match="outside"):
-            draw(n)
-
-
 def test_empty_coalition_receives_a_transfer():
     scn, demand = single_sbs_setup(cache_bit=1)
     params = SystemParams(m_sbs=2, n_mbs=1)
@@ -247,6 +227,16 @@ def test_game_rejects_zero_iteration_budget():
     _, _, state = desk_state()
     with pytest.raises(ValueError, match="t2"):
         run_coalition_game(state, "hrd", t2=0)
+
+
+def test_empty_deployment_solves_to_zero():
+    # No device: the default game budgets are at least 1, and every stage
+    # leaves F at 0.
+    scn = generate_scenario(SystemParams(seed=0), Counts(n_hrd=0, n_csd=0))
+    state = run_amnd(scn, demand_for(scn, seed=0))
+    assert state.objective == 0.0 and state.trace == [0.0] * 4
+    assert state.proposals == 0 and audit_stability(state) == []
+    state.check()
 
 
 def test_game_trace_is_monotone():
@@ -577,18 +567,18 @@ def _game_counts(monkeypatch):
 
 
 def test_game_values_each_accepted_block_move_once(monkeypatch, desk_runs):
-    # A block applies its accept with its own valuation, so ``_evaluate``
-    # runs only for the random phase's scalar-path proposals; the skipped
-    # tail draws without valuing.  Every other proposal is valued once: as
-    # a settled block row or by ``_evaluate``.
+    # A block applies its accept with its own valuation, and every
+    # proposal of a game is drawn in a block, so neither ``propose_move``
+    # nor ``_evaluate`` runs inside a game; the skipped tail draws without
+    # valuing.  Every other proposal is valued once, as a settled block row.
     counts = _game_counts(monkeypatch)
     accepted = proposals = 0
     for init, _ in desk_runs:
         final = run_amnd(init.scenario, init.demand, init_state=init)
         accepted += final.accepted_moves
         proposals += final.proposals - init.proposals
-    # Few devices among 15 SBSs: the scalar path draws long runs of empty
-    # pairs, in the skipped tail unless a move log turns the skip off.
+    # Few devices among 15 SBSs: most attempts draw no move, in the skipped
+    # tail too unless a move log turns the skip off.
     for seed in range(4):
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=3, n_csd=2))
@@ -597,8 +587,7 @@ def test_game_values_each_accepted_block_move_once(monkeypatch, desk_runs):
             final = run_amnd(scn, demand, log_moves=log_moves)
             accepted += final.accepted_moves
             proposals += final.proposals
-    assert counts["drawn"] and accepted > counts["drawn"]
-    assert counts["evaluated"] == counts["drawn"]
+    assert accepted > 0 and counts["drawn"] == counts["evaluated"] == 0
     assert 0 < counts["skipped"] < proposals
     assert counts["valued"] == proposals - counts["skipped"]
 
@@ -623,39 +612,48 @@ def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, tmp_path):
         (logged_made, 0)
 
 
+def _land(r: int, n: int) -> int:
+    """A uint32 that Lemire's multiply-shift with bound ``n`` maps to ``r``,
+    outside its rejection zone: the largest one, whose low product is at
+    least ``2**32 - n``."""
+    return (((r + 1) << 32) - 1) // n
+
+
 def _support(lists):
     """Every move ``propose_move`` can draw for coalitions of members
-    ``lists``, found by walking all its draw outcomes: a swap as the set of
-    its two devices, a transfer as its device and target."""
-    class Exhausted(Exception):
-        pass
-
-    moves, scripts = set(), [()]
-    while scripts:
-        script = scripts.pop()
-        values = iter(script)
-
-        def draw(n):
-            if n == 1:
-                return 0
-            value = next(values, None)
-            if value is None:
-                raise Exhausted(n)
-            return value
-
-        try:
-            prop = propose_move(SimpleNamespace(hrd_members=lists), "hrd",
-                                draw)
-        except Exhausted as more:
-            # A proposal takes at most four draws; longer scripts only
-            # draw an empty pair again.
-            if len(script) < 4:
-                scripts += [script + (v,) for v in range(more.args[0])]
-            continue
-        moves.add(("swap", frozenset((prop.md_from, prop.md_to)))
-                  if prop.kind == "swap" else
-                  ("transfer", prop.md_from, prop.c_to))
-    return moves
+    ``lists``, with its probability, found by feeding it one attempt per
+    slot outcome: each ordered coalition pair, each member of the side that
+    leaves (the first, unless it is empty) and each member of the other
+    side.  A swap is keyed by the set of its two devices, a transfer by its
+    device and target."""
+    n_coal, sizes = len(lists), [len(c) for c in lists]
+    pairs = n_coal * (n_coal - 1)
+    weights = {}
+    for pair in range(pairs):
+        m, n = divmod(pair, n_coal - 1)
+        n += n >= m
+        a, b = (m, n) if lists[m] else (n, m)
+        # An empty side's draw is read unused, so it stands for 1 outcome.
+        bound_a, bound_b = max(sizes[a], 1), max(sizes[b], 1)
+        for i in range(bound_a):
+            for j in range(bound_b):
+                slot = iter([_land(pair, pairs), _land(i, bound_a),
+                             _land(j, bound_b)])
+                try:
+                    prop = propose_move(SimpleNamespace(hrd_members=lists),
+                                        "hrd", slot.__next__)
+                except StopIteration:
+                    # No member in the pair: the next attempt is read.
+                    assert not lists[m] and not lists[n], pair
+                    continue
+                assert next(slot, None) is None
+                key = (("swap", frozenset((prop.md_from, prop.md_to)))
+                       if prop.kind == "swap" else
+                       ("transfer", prop.md_from, prop.c_to))
+                weights[key] = weights.get(key, 0) + Fraction(
+                    1, pairs * bound_a * bound_b)
+    total = sum(weights.values())
+    return {key: w / total for key, w in weights.items()}
 
 
 @pytest.mark.parametrize("sizes", [
@@ -664,8 +662,17 @@ def _support(lists):
 ])
 def test_drawable_count_matches_propose_move_support(sizes):
     lists = [[10 * c + k for k in range(size)] for c, size in enumerate(sizes)]
+    support = _support(lists)
     assert association._drawable(np.array(sizes, dtype=np.int64)) == \
-        len(_support(lists))
+        len(support)
+    # A uniform ordered pair among the pairs holding a member, then uniform
+    # members: each move is drawn from two ordered pairs.
+    empty = sizes.count(0)
+    holding = len(sizes) * (len(sizes) - 1) - empty * (empty - 1)
+    for key, p in support.items():
+        devices = key[1] if key[0] == "swap" else (key[1],)
+        sides = np.prod([sizes[k // 10] for k in devices])
+        assert p == Fraction(2, holding * int(sides)), key
 
 
 def test_drawable_block_holds_propose_move_support(desk_runs):
@@ -684,7 +691,7 @@ def test_drawable_block_holds_propose_move_support(desk_runs):
                         for p in map(block.proposal, range(len(block)))}
                 assert len(block) == len(rows) == \
                     association._drawable(sums.size)
-                assert rows == _support(lists), game
+                assert rows == set(_support(lists)), game
 
 
 def test_swap_is_valued_alike_from_either_side(desk_runs, multi_request_run,
@@ -891,9 +898,9 @@ def test_check_passes_after_evaluate_and_apply():
 
 
 def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
-    # Every accept defers its install to the end of the game, a block's and
-    # the random phase's scalar fallback's alike; the game then installs
-    # each coalition it changed once.
+    # Every accept of a game is a block accept, and defers its install to
+    # the end of the game; the game then installs each coalition it
+    # changed once.
     events, games, scalar = [], [], []
     inner_game, inner_apply, inner_eval, inner_write = (
         association.run_coalition_game, association._apply,
@@ -908,8 +915,8 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
             events.append(("end", game))
 
     def apply(state, prop):
-        # Inside a game only the scalar fallback values a proposal by
-        # ``_evaluate`` before applying it.
+        # A proposal valued by ``_evaluate`` before it is applied is not a
+        # block's.
         accepted, is_scalar = inner_apply(state, prop), bool(scalar)
         scalar.clear()
         if accepted:
@@ -932,8 +939,8 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
         monkeypatch.setattr(association, name, hook)
     for init, _ in desk_runs:
         run_amnd(init.scenario, init.demand, init_state=init)
-    # One or three devices among 15 SBSs: the fallback draws these games'
-    # first proposals, and accepts some of them.
+    # One or three devices among 15 SBSs: most attempts of these games
+    # draw no move.
     for n_hrd, n_csd, seed in ((3, 2, 16), (1, 1, 2)):
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=n_hrd, n_csd=n_csd))
@@ -955,7 +962,7 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
             deferred += len(at_end)
             changed, at_end = set(), []
     assert installs == deferred
-    assert any(e[0] == "accept" and e[2] for e in events)
+    assert not any(e[0] == "accept" and e[2] for e in events)
     assert accepts > 0 and installs < 2 * accepts
 
 
@@ -1002,19 +1009,19 @@ def test_reallocate_is_idempotent(desk_runs, multi_request_run):
 # Recorded with the exact coupled HRD allocation: seed, repr(F_AMND),
 # proposals, accepted moves, hrd_sbs, csd_sbs of the desk solves.
 GOLDEN_DESK = (
-    (0, "707.950473685913", 7064, 15,
-     [0, 9, 13, 4, 6, 1, 1, 5, 10, 2, 8, 12, 2, 7, 14, 3, 9, 11, 4, 7],
+    (0, "666.9442220015959", 7606, 18,
+     [0, 9, 13, 4, 8, 1, 1, 5, 10, 2, 7, 12, 2, 6, 14, 3, 9, 11, 4, 7],
      [1, 5, 10, 15, 7, 14, 3, 15, 15, 15, 8, 12, 2, 15, 15, 15, 15, 15, 4, 9]),
-    (1, "1015.9427647500497", 8899, 31,
-     [0, 6, 12, 3, 4, 13, 0, 5, 10, 3, 7, 12, 1, 8, 11, 2, 9, 14, 2, 8],
-     [15, 15, 14, 0, 5, 11, 2, 15, 15, 3, 15, 15, 15, 8, 10, 4, 7, 15, 8, 9]),
-    (2, "667.306721328047", 6387, 22,
-     [4, 7, 13, 2, 6, 10, 3, 5, 11, 1, 8, 0, 4, 9, 12, 1, 5, 14, 2, 10],
-     [15, 15, 11, 3, 5, 0, 15, 6, 10, 4, 15, 15, 2, 9, 14, 15, 15, 10, 15, 15]),
-    (3, "849.1402324030585", 8574, 29,
-     [0, 14, 5, 2, 8, 12, 1, 7, 10, 4, 9, 11, 4, 6, 10, 3, 7, 14, 0, 13],
-     [15, 7, 13, 14, 6, 15, 15, 5, 11, 4, 15, 15, 1, 15, 12, 3, 15, 10, 2, 9]),
-    (4, "650.0493893487898", 6907, 22,
+    (1, "1069.090024029498", 8172, 31,
+     [10, 6, 12, 2, 4, 13, 3, 5, 9, 3, 7, 12, 13, 0, 11, 2, 8, 14, 1, 8],
+     [15, 7, 14, 0, 15, 11, 2, 15, 15, 3, 15, 15, 15, 8, 10, 4, 5, 15, 8, 9]),
+    (2, "701.631963336417", 8696, 25,
+     [4, 7, 13, 2, 7, 10, 3, 5, 11, 1, 8, 6, 4, 8, 12, 1, 9, 14, 2, 0],
+     [15, 15, 14, 3, 5, 0, 15, 6, 10, 4, 15, 11, 2, 9, 12, 15, 15, 10, 15, 15]),
+    (3, "796.8420937102513", 8434, 37,
+     [0, 14, 10, 2, 8, 13, 1, 4, 11, 4, 9, 12, 3, 6, 10, 2, 7, 14, 0, 5],
+     [15, 7, 13, 14, 6, 15, 3, 5, 11, 4, 15, 15, 1, 15, 12, 2, 15, 10, 0, 9]),
+    (4, "650.0493893487898", 7243, 18,
      [4, 9, 12, 2, 6, 11, 0, 13, 10, 4, 7, 13, 3, 14, 10, 3, 8, 2, 1, 5],
      [2, 15, 13, 15, 5, 15, 4, 9, 15, 1, 15, 10, 0, 14, 15, 15, 6, 12, 3, 7]),
 )
@@ -1022,9 +1029,9 @@ GOLDEN_DESK = (
 
 # The ``multi_request_run`` solve, in the same layout.
 GOLDEN_MULTI_REQUEST = (
-    3, "3715.4075671066057", 8378, 30,
-    [0, 14, 5, 2, 8, 14, 1, 4, 10, 4, 9, 12, 3, 6, 10, 2, 7, 11, 0, 13],
-    [15, 7, 13, 14, 6, 15, 15, 5, 11, 4, 15, 15, 1, 15, 12, 3, 15, 10, 2, 9])
+    3, "3721.210371339339", 8494, 36,
+    [0, 14, 12, 2, 8, 14, 1, 4, 10, 4, 9, 13, 3, 6, 10, 2, 7, 11, 0, 5],
+    [15, 7, 13, 14, 6, 15, 3, 5, 11, 4, 15, 15, 1, 15, 12, 2, 15, 10, 0, 9])
 
 
 # Each game generator's final (PCG64 state, has_uint32, uinteger), CSD
@@ -1032,21 +1039,21 @@ GOLDEN_MULTI_REQUEST = (
 # and the SHA-256 of the ``write_move_log`` file of seed 0 solved with a
 # move log.
 GOLDEN_RNG = {
-    0: ((75383566380014319041787061976167178904, 0, 3479969076),
-        (18388660851679587867047905402971316175, 0, 3527960614)),
-    1: ((212313877295116405040932564440147200802, 1, 513581162),
-        (297132518108490216651312590601996489278, 0, 2605281452)),
-    2: ((260590508217856256875050754802735862115, 0, 263991310),
-        (158510539194232494727706257853363450342, 1, 3540578751)),
-    3: ((157300841962195696493955064341231784391, 0, 2065352598),
-        (9172946884496230668826920078369019207, 0, 2380263126)),
-    4: ((310792501618525053574602670082774970017, 1, 1950371885),
-        (81076790611014968376995089476602900612, 1, 3093165788)),
-    "multi": ((157300841962195696493955064341231784391, 0, 2065352598),
-              (109001640345172662294630510931399093249, 0, 2030946328)),
+    0: ((137266430919236884596918213322859515563, 1, 1247542633),
+        (289814756413237485323061328913348644392, 1, 910442340)),
+    1: ((155712518447124807496485510294008375300, 0, 1498140436),
+        (22245996542721618569313132189226619847, 1, 2998633645)),
+    2: ((153141914138633670766373307975663437837, 0, 561395012),
+        (215369542395073345637980103850431521124, 1, 1073335465)),
+    3: ((252419200620835462565989155626660472130, 1, 2799041970),
+        (304041145559377082854033948586881815394, 1, 2642187909)),
+    4: ((142997481617115768259187706823450407010, 0, 1659156135),
+        (76113391552919301058085317172406735756, 0, 2776511300)),
+    "multi": ((252419200620835462565989155626660472130, 1, 2799041970),
+              (265555745491597838692566554222148422000, 1, 4129799526)),
 }
 GOLDEN_MOVE_LOG_SEED0 = \
-    "e1f89d122fb170355c21b29fd402cb1b8224cf29d57c9fa4962ba625bc632bff"
+    "4174d8e51feee03aab918fbfda5e7dcc5e5a725f2fdcc55cb0dc22cdf6a81000"
 
 
 # The SHA-256 of the bytes of the final ``alpha``, ``gamma``, ``beta`` and
@@ -1055,26 +1062,26 @@ GOLDEN_FRACTIONS = {
     0: (
         "79eaf1904c6dfe69ec9fee6b6e8a3715e85c967f6620f30df8d46d9e6e8cd490",
         "79eaf1904c6dfe69ec9fee6b6e8a3715e85c967f6620f30df8d46d9e6e8cd490",
-        "f4e540bdb668be8f504b521599fbdb82bf4c7970e6ef99cb3c83787b70ee4bb1",
-        "17c7a1dd4e05623cdcb7011c330534f27714e27d723794665df8ae66db1c33f3",
+        "e21b50a3e67c55b1dfe8e1d3feab8ba148bb4dd7478b41e603fbcc99de0bea28",
+        "f6e716cf2490c7e61278dd910a928dcdc52c731aa4804197cf2901019c4304ce",
     ),
     1: (
-        "2ad16d7cc56148f93429dbbfc294a1c3795a7a23aef82cbae3a3cf79ee1e5204",
-        "7863b49ff85764cf8734cdf28c3d2f054874d4801d33b7d41f9f43de2a8ab76f",
-        "2fe62d4aa52000b54e95fa577f9e1e7d77f399f61567e2413251f3574d2acb81",
-        "0df3f1f5f171cfbb4b346b124f58ab70268331c52289b0f52b89b99af2c30fdd",
+        "f8a979c8ef8c40ce9209e306a0043ba651e927e3c9b5bd62ce243301c886cb0c",
+        "f9dbebd0f2f8ef68fbff26784c172066e12bd524eecbd4fa59248841b137ec0d",
+        "c116f2b9a4fa033cd00af6ed16d62cbb22850e3c707993a88e876b7214b403a7",
+        "6536f566198b78c60b6fb4ae126947ba8d7b1a8a72112eafa74fa74d640b1d81",
     ),
     2: (
-        "b886f8b258f326ac453a06d0b71c0024526073084a873c0a5080efe2847906c4",
-        "0c71a57c7325be688ed56f89a8529e01953d2cfb07e3cd6b6f1b087d8ab59395",
-        "1d221464cbb600bc751e0d816c18874ab229a396c63530fb1d213c3246836aa4",
-        "99f4434999022a68cc3ee76bf1a5b05aefe62f55fb4e99d6d4a53d6d8009cbab",
+        "08159ee438ef6c7f24922d8ec31875cd3b3a602ece935f4f45f503f599bd4e6a",
+        "548264b2f5a26af7cba1753fbed2900c5c48b40dc5ec3653222bb2b04243ebcf",
+        "6d77bfb0801c16802c0c3cbd4769f2e0dc8f4eee3837a97c8a3a90f9d5a1fa5e",
+        "0cd30ee6c72f54ba8881953b73e8672930f327ead60ab80b66023b32c480a27c",
     ),
     3: (
-        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
-        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
-        "45484ce171dd6777ed35f1975048edfca3d49dfc52c28c1a3afa6d0656ac2fe4",
-        "19aba857479808f4237fb64e37f8ee90c88f84a9525ec7326e955fb9de8bc41a",
+        "6176aa6d952eb0e379e85ccc35d9b4e05deea6771d5173eeb83cd95380d9d7d9",
+        "6176aa6d952eb0e379e85ccc35d9b4e05deea6771d5173eeb83cd95380d9d7d9",
+        "7d75cc924504d9f70fe98536ca3642e32c78c0c6d1b2a23d225390e821dfe011",
+        "28e31f1080d154699960fea4f22e57b2d69c2343e57f0624c6d4c686e9c0fc95",
     ),
     4: (
         "eb81cbec24ae5d50ce0c94fffa4614d19ef72a8916d6ee8cd0dffe0702e8a239",
@@ -1083,8 +1090,8 @@ GOLDEN_FRACTIONS = {
         "9381cf431bd9d064afc8f10d43bc3d146b3e2e29798c2a5f2eec38d9a7a955b1",
     ),
     "multi": (
-        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
-        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
+        "6176aa6d952eb0e379e85ccc35d9b4e05deea6771d5173eeb83cd95380d9d7d9",
+        "6176aa6d952eb0e379e85ccc35d9b4e05deea6771d5173eeb83cd95380d9d7d9",
         "903784367e5047b0f55013a96cc570e479c90f7a8dd11c382e8268c7553a0d18",
         "e28c4e21bbf086e8d757b30d330a4eafa24e1f5b36459ac70ca6ff35bd37421f",
     ),
@@ -1225,20 +1232,32 @@ def test_audit_ignores_the_state_running_sums(desk_runs):
     assert audit_stability(state) == moves
 
 
-def _scalar_random_phase(state, game, t2, patience):
+def _scalar_random_phase(state, game, t2, patience, skipped):
     """The random phase as one loop of ``propose_move`` and
-    ``evaluate_and_apply``, one proposal at a time: the reference that the
-    block version must equal to the last bit."""
-    draw = bounded_draws(state.rng_hrd if game == "hrd" else state.rng_csd)
-    rejections = 0
+    ``evaluate_and_apply``, one proposal at a time, on the bit generator's
+    own ``next_uint32``: the reference that the block version must equal
+    to the last bit.  Appends the number of attempts that drew no move to
+    ``skipped``."""
+    iface = (state.rng_hrd if game == "hrd" else state.rng_csd).\
+        bit_generator.ctypes
+    read = 0
+
+    def next_uint32():
+        nonlocal read
+        read += 1
+        return iface.next_uint32(iface.state)
+
+    rejections = proposals = 0
     for _ in range(t2):
         if rejections >= patience:
             break
-        prop = propose_move(state, game, draw)
+        prop = propose_move(state, game, next_uint32)
+        proposals += 1
         if evaluate_and_apply(state, prop):
             rejections = 0
         else:
             rejections += 1
+    skipped.append(read // SLOT - proposals)
 
 
 def _scalar_stabilize(state, game, sweeps):
@@ -1273,6 +1292,7 @@ def _solve_fingerprint(state, path):
 @pytest.mark.parametrize("log_moves", [False, True])
 def test_random_phase_matches_scalar_reference(log_moves, monkeypatch,
                                                tmp_path):
+    # ``propose_move`` calls of the block version.
     scalar_proposals = []
     inner = association.propose_move
 
@@ -1322,7 +1342,7 @@ def test_random_phase_matches_scalar_reference(log_moves, monkeypatch,
                                 Counts(n_hrd=20, n_csd=20))
         demand = demand_for(scn, n_files=100, requests_per_hrd=2)
         cases.append((scn, demand, {}, seed != 3))
-    # Few devices among 15 or 2 SBSs: most coalition pairs are drawn again.
+    # Few devices among 15 or 2 SBSs: most attempts draw no move.
     for seed in range(6):
         params = (SystemParams(seed=seed) if seed < 4 else
                   SystemParams(seed=seed, m_sbs=2, n_mbs=1))
@@ -1335,114 +1355,147 @@ def test_random_phase_matches_scalar_reference(log_moves, monkeypatch,
                    {"t2": 77, "stabilize": False}):
             cases.append((scn, demand, kw, True))
 
-    held, sweeps = [], []
+    held, sweeps, skipped = [], [], []
     for n, (scn, demand, kw, second_round) in enumerate(cases):
         block = solve(scn, demand, kw, second_round)
         assert (block.move_log is not None) == log_moves
         block = _solve_fingerprint(block, tmp_path / f"block{n}.csv")
         with monkeypatch.context() as scalar:
-            scalar.setattr(association, "_random_phase", _scalar_random_phase)
+            scalar.setattr(association, "_random_phase",
+                           functools.partial(_scalar_random_phase,
+                                             skipped=skipped))
             scalar.setattr(association, "stabilize_partition",
                            functools.partial(_scalar_stabilize,
                                              sweeps=sweeps))
             reference = solve(scn, demand, kw, second_round)
         path = tmp_path / f"ref{n}.csv"
         assert block == _solve_fingerprint(reference, path), (n, kw)
-    # The cases reach the scalar path and a start on a held half; one
+    # The cases skip attempts that draw no move, and start on a held half;
+    # the block version draws every proposal from its decoded windows.  One
     # sweep accepts several moves, and the block sweep both kinds.
-    assert scalar_proposals and 1 in held
+    assert sum(skipped) > 0 and 1 in held
+    assert not scalar_proposals
     assert max(sweeps) >= 2
     assert swept == {"transfer", "swap"}
 
 
 def _decode_scalar(window, lists, start):
-    """``propose_move`` from position ``start`` of ``window``, drawing with
-    ``bounded_draws``' algorithm.  Returns the proposal, the values it
-    consumed, the position of its last pair draw, and where a draw entered
-    Lemire's rejection branch: ``None``, ``"pair"`` or ``"member"``."""
-    pos, calls, branches = start, [], []
+    """``propose_move`` from attempt ``start`` of ``window``, one attempt
+    at a time.  Returns the proposal, the number of attempts it read, and
+    why each attempt before its last drew no move: ``"redraw"`` (a pair
+    without a member), ``"pair_rejection"`` or ``"member_rejection"`` (a
+    draw in Lemire's rejection zone)."""
+    pos = start * SLOT
 
     def next_uint32():
         nonlocal pos
         pos += 1
         return int(window[pos - 1])
 
-    lemire = _lemire(next_uint32)
-
-    def draw(n):
-        calls.append(pos)
-        if n > 1 and int(window[pos]) * n & MASK32 < n:
-            branches.append(len(calls) - 1)
-        return lemire(n)
-
-    prop = propose_move(SimpleNamespace(hrd_members=lists), "hrd", draw)
-    # The last pair draw precedes one member draw per side that moves one.
-    pair = len(calls) - (4 if prop.kind == "swap" else 3)
-    branch = None
-    if branches:
-        branch = "member" if branches[-1] > pair + 1 else "pair"
-    return prop, pos - start, calls[pair], branch
+    prop = propose_move(SimpleNamespace(hrd_members=lists), "hrd",
+                        next_uint32)
+    used, n_coal = pos // SLOT - start, len(lists)
+    pairs, reasons = n_coal * (n_coal - 1), []
+    for t in range(start, start + used - 1):
+        prod = int(window[SLOT * t]) * pairs
+        m, n = divmod(prod >> 32, n_coal - 1)
+        n += n >= m
+        reasons.append("pair_rejection" if prod & MASK32 < (1 << 32) % pairs
+                       else "member_rejection" if lists[m] or lists[n]
+                       else "redraw")
+    return prop, used, reasons
 
 
 @pytest.mark.parametrize("sizes", [
     [0, 3, 0, 1, 0, 0, 2, 5],        # redraws, bound-1 members, swaps
-    [0, 0, 0, 0, 0, 0, 0, 2],        # long runs of redrawn empty pairs
-    [0, 3], [1, 2],                   # two coalitions: the second draw is free
+    [0, 0, 0, 0, 0, 0, 0, 2],        # long runs of pairs without a member
+    [0, 3], [1, 2],                   # two coalitions: one pair draw
 ])
 def test_derive_matches_scalar_draws(sizes):
     rng = np.random.default_rng(len(sizes) + sum(sizes))
-    window = rng.integers(0, 1 << 32, 1500)
+    n_slots = 500
+    window = rng.integers(0, 1 << 32, SLOT * n_slots)
     # Values whose low product falls below a bound n: j * 2**32 / n rounded
-    # up, for every bound in play.  Some are rejected, some are not.
-    bounds = {len(sizes), len(sizes) - 1} | set(sizes)
-    special = [0] + [-(-j * (1 << 32) // n) for n in bounds if n > 1
-                     for j in range(1, n)]
+    # up, for every bound in play.  Those in the bound's rejection zone are
+    # rejected; 0 is in every zone.
+    pairs = len(sizes) * (len(sizes) - 1)
+    bounds = {pairs} | set(sizes)
+    special = [-(-j * (1 << 32) // n) for n in bounds if n > 1
+               for j in range(n)]
     window[::11] = [special[k % len(special)]
                     for k in range(window[::11].size)]
     lists = [[10 * c + k for k in range(size)] for c, size in enumerate(sizes)]
     none = 99
     draws = _Draws(np.array(sizes, dtype=np.int64), none)
-    span, limit = window.size - 3, 3
+    limit = 3
     seen = {"pair_rejection": 0, "member_rejection": 0, "redraw": 0,
             "bound_1": 0, "swap": 0, "transfer": 0, "chained": 0}
-    for start in range(span):
-        # Up to ``limit`` proposals decoded from ``start``, against the same
-        # proposals drawn one after another by ``propose_move``.
-        decoded = draws.decode(window[start:], limit)
+    for start in range(n_slots):
+        # Up to ``limit`` proposals decoded from attempt ``start``, against
+        # the same proposals drawn one after another by ``propose_move``.
+        decoded = draws.decode(window[SLOT * start:], limit)
         ends = decoded[0].tolist()
         assert len(ends) <= limit
         pos = start
         for q in range(limit):
             try:
-                prop, used, pair, branch = _decode_scalar(window, lists, pos)
-            except IndexError:   # its draws run past the window
+                prop, used, reasons = _decode_scalar(window, lists, pos)
+            except IndexError:   # its attempts run past the window
                 break
-            if pair >= span:     # ... or may
-                break
-            if q == len(ends):
-                # The chain stops at a draw in Lemire's rejection branch.
-                assert branch is not None, (start, q)
-                seen[branch + "_rejection"] += 1
-                break
-            assert branch is None, (start, q)
-            assert start + ends[q] == pos + used, (start, q)
+            assert q < len(ends), (start, q)
+            assert start + ends[q] // SLOT == pos + used, (start, q)
             swap, a, b, k_from, k_to = (int(x[q]) for x in decoded[1:])
             derived = ("swap" if swap else "transfer", a, b,
                        lists[a][k_from], lists[b][k_to] if swap else k_to)
             assert derived == (prop.kind, prop.c_from, prop.c_to,
                                prop.md_from,
                                prop.md_to if swap else none), (start, q)
-            seen["redraw"] += pair > pos
+            for reason in reasons:
+                seen[reason] += 1
             seen[prop.kind] += 1
             seen["chained"] += q > 0
             seen["bound_1"] += (sizes[prop.c_from] == 1
                                 or swap and sizes[prop.c_to] == 1)
             pos += used
-    assert seen["pair_rejection"] > 0 and seen["member_rejection"] > 0, seen
+        else:
+            q = limit
+        # The decode holds exactly the proposals within the window.
+        assert len(ends) == q, start
+    # A bound has a rejection zone unless it is a power of 2.
+    zone = {"pair": (1 << 32) % pairs,
+            "member": max((1 << 32) % n for n in sizes if n)}
+    for side, width in zone.items():
+        assert (seen[side + "_rejection"] > 0) == (width > 0), seen
     assert seen["chained"] > 0, seen
     assert (seen["redraw"] > 0) == (sizes.count(0) > 1), seen
     assert (seen["transfer"] > 0) == (0 in sizes), seen
     assert (seen["swap"] > 0) == (seen["bound_1"] > 0) == (1 in sizes), seen
+
+
+@pytest.mark.parametrize("hit", [100, ATTEMPTS - 1, ATTEMPTS, None])
+def test_window_without_a_move_reads_on_or_gives_up(hit):
+    # One device among 8 coalitions: an attempt draws a move only where its
+    # pair holds coalition 0.  The first window of a one-proposal block
+    # holds 20 attempts; past them the decode reads ``ATTEMPTS`` attempts,
+    # and where none draws a move ``propose_move`` gives up, as it would
+    # one attempt at a time.
+    lists = [[0]] + [[] for _ in range(7)]
+    draws = _Draws(np.array([1] + [0] * 7, dtype=np.int64), 1)
+    assert draws.slots(1) == 20
+    values = np.full(SLOT * (ATTEMPTS + 1), _land(8, 56), dtype=np.int64)
+    stream = SimpleNamespace(window=lambda k: values[:k])
+    state = SimpleNamespace(hrd_members=lists)
+    if hit is not None:
+        values[SLOT * hit] = _land(0, 56)      # the pair (0, 1)
+    if hit is None or hit >= ATTEMPTS:
+        with pytest.raises(RuntimeError, match="could not sample"):
+            association._proposals(state, "hrd", stream, draws, 1)
+        return
+    ends, swap, a, b, k_from, _ = association._proposals(
+        state, "hrd", stream, draws, 1)
+    assert ends.tolist() == [SLOT * (hit + 1)]
+    assert (swap.tolist(), a.tolist(), b.tolist(), k_from.tolist()) == \
+        ([False], [0], [1], [0])
 
 
 @pytest.mark.parametrize("batch, held", [(uint32s, 0), (uint32s, 1),
@@ -1476,10 +1529,8 @@ def test_read_ahead_follows_next_uint32(batch, held):
             taken += used
         for _ in range(taken):
             single(twin)
-        if batch is uint32s:
-            assert _lemire(stream.next)(1000) == bounded_draws(twin)(1000)
-        else:
-            assert stream.next() == twin.random()
+        assert stream.window(1).item() == single(twin)
+        stream.skip(1)
         stream.release()
         assert ours.bit_generator.state == twin.bit_generator.state, plan
         assert np.array_equal(ours.integers(10**6, size=5),

@@ -142,6 +142,20 @@ def test_demand_validation_catches_bad_profiles():
         broken.validate()
 
 
+@pytest.mark.parametrize("field, kw", [
+    ("task_input_bytes", {"task_input_bytes": -1.0}),
+    ("task_cycles", {"task_cycles": -1.0}),
+    ("storage_bytes", {"storage_bytes": -5.0}),
+])
+def test_negative_task_sizes_are_rejected(field, kw):
+    cat = Catalog.build(4, 0.5, file_size_bytes=1e6)
+    with pytest.raises(ValueError, match=f"{field} must not be negative"):
+        build_demand(cat, 2, 3, 2, demand_rng(0, 0.5), **kw)
+    # Zero stays allowed.
+    zero = build_demand(cat, 2, 3, 2, demand_rng(0, 0.5), **{field: 0.0})
+    assert np.all(getattr(zero, field) == 0.0)
+
+
 def test_demand_rng_is_keyed_by_delta():
     a = demand_rng(5, 0.6).random(4)
     b = demand_rng(5, 0.6).random(4)

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,48 @@ def test_negative_game_budgets_are_usage_errors(tmp_path, capsys, solves):
     assert solves == ["run_amnd"]
 
 
+def test_empty_deployment_solves_through_every_command(tmp_path, capsys):
+    # No device: the default game budgets are still valid, and F is 0.
+    empty = ["--hrd", "0", "--csd", "0"]
+    assert main(["run"] + empty) == 0
+    assert main(["audit"] + empty) == 0
+    assert "audit: CLEAN" in capsys.readouterr().out
+    path = tmp_path / "s.csv"
+    assert main(["sweep", "--set", "n_hrd=0", "--set", "n_csd=0", "--seeds",
+                 "1", "--grid", "0.5", "--deltas", "0.6", "--audit", "-o",
+                 str(path)]) == 0
+    rows = load_csv(path)
+    assert [row.algorithm for row in rows] == ["ABCG", "AMND"]
+    assert all(row.F == 0.0 for row in rows)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["run", "--task-bytes", "-1"] + TINY, "task_input_bytes"),
+    (["run", "--task-cycles", "-1"] + TINY, "task_cycles"),
+    (["run", "--storage", "-5"] + TINY, "storage_bytes"),
+    (["sweep", "--audit", "--set", "task_input_bytes=-1", "--seeds", "1",
+      "--grid", "0.5", "--deltas", "0.6", "-o", os.devnull],
+     "task_input_bytes"),
+], ids=["task_bytes", "task_cycles", "storage", "sweep"])
+def test_negative_task_sizes_are_usage_errors(capsys, argv, field):
+    # Rejected before any cost is computed: no RuntimeWarning from sqrt.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"mecsim: {field} must not be negative\n"
+
+
+def test_python_m_mecsim_runs_the_command_line():
+    src = os.path.dirname(os.path.dirname(mecsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "mecsim", "--help"],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert b"usage: mecsim" in proc.stdout
+
+
 def test_cli_gen_run_and_trend(tmp_path, capsys):
     scn_path = tmp_path / "scn.txt"
     rc = main(["gen", "-o", str(scn_path), "--seed", "3", "--n-mbs", "1",
@@ -345,7 +388,7 @@ def test_cli_audit_counts_remaining_moves(capsys):
     # Without the stabilization sweep the random phase leaves improving
     # moves, and every one of them counts as a failure.
     assert main(["audit", "--seed", "3", "--no-stabilize"]) == 2
-    assert "stability audit: 8 improving move(s) remain\n" in \
+    assert "stability audit: 6 improving move(s) remain\n" in \
         capsys.readouterr().out
 
 def test_cli_run_row_matches_the_sweep_row(tmp_path, capsys):
@@ -364,7 +407,7 @@ def test_cli_run_row_matches_the_sweep_row(tmp_path, capsys):
 # SHA-256 of ``mecsim sweep --seeds 1 --audit``.  Storage layout changes
 # must leave it alone; a change to the allocator re-records it.
 SWEEP_SEED1_SHA256 = \
-    "acab82d727f0250adb6c2e3b51c4159408ae5f5b1d8bb0c9d08eb99f0ed7425a"
+    "fb264657e9cc3b18e353b33ccaf24883c4e98f8a8061fc2567a38d140d890c12"
 
 
 def test_sweep_csv_matches_recorded_digest(tmp_path, capsys):

@@ -361,6 +361,13 @@ MALFORMED = {
                            r"\[requests\].*\[0, 2\)"),
     "cache_not_a_flag": (_edit_row("cache", lambda ln: "-1" + ln[1:]),
                          r"\[cache\].*\[0, 2\)"),
+    "negative_task_bytes": (_edit_row("task_input_bytes",
+                                      lambda ln: "-" + ln),
+                            "task_input_bytes must not be negative"),
+    "negative_task_cycles": (_edit_row("task_cycles", lambda ln: "-" + ln),
+                             "task_cycles must not be negative"),
+    "negative_storage": (_edit_row("storage_bytes", lambda ln: "-" + ln),
+                         "storage_bytes must not be negative"),
 }
 
 
