@@ -51,13 +51,14 @@ the sweep, in ``_neighbourhood``'s order, and the audit's block is all of
 it.
 
 The random phase reads the generator's ``next_uint32`` stream ahead
-(``scenario.ReadAhead`` over ``uint32s``).  ``propose_move`` reads each
-attempt from ``SLOT`` consecutive values, one for the coalition pair and
-one for each side's member, and skips an attempt that draws no move, so
-whether an attempt draws one, and which, depends only on its own values
-and the coalition sizes.  ``_Draws`` decodes every attempt of a window in
-one pass of array operations, and the generator ends exactly where the
-consumed attempts leave it.  An accepted swap changes no size, so the
+(``scenario.ReadAhead``).  ``propose_move`` reads each attempt from
+``SLOT`` consecutive values, one for the coalition pair and one for each
+side's member, and skips an attempt that draws no move, so whether an
+attempt draws one, and which, depends only on its own values and the
+coalition sizes.  ``_Draws`` decodes each attempt's pair draw, which no
+size enters, once, as it is read, and the member draws of every attempt
+of a window in one pass of array operations; the generator ends exactly
+where the consumed attempts leave it.  An accepted swap changes no size, so the
 window's later proposals carry over to the next block, which reads their
 members again.  Every draw is one of the ``drawable`` moves at the
 current sizes (the swaps, and the transfers into empty coalitions), a
@@ -89,6 +90,7 @@ therefore one CSD game, one HRD game and one reallocation.
 """
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,23 +233,27 @@ class CoalitionSums:
         leaves and ``inn`` enters, holding ``size`` members; ``none`` in
         either place moves nothing.  ``floor`` marks HRD sides where a rate
         ordering may bind (``ratio * sb > sd``); their value is left to
-        ``_kernels.hrd_value``."""
+        ``_kernels.hrd_value``.  HRD sides are all feasible and no ordering
+        binds on a CSD side, so those are None."""
         row = c * self.stride
+        enter = row + inn
         x = (self.sums.take(c, axis=0) - self.terms.take(row + out, axis=0)
-             + self.terms.take(row + inn, axis=0))
+             + self.terms.take(enter, axis=0))
         empty = size == 0
         if self.game == HRD:
             sd, sb, miss = x.T
             # After a removal the old ratio is an upper bound.
-            ratio = np.maximum(self.ratio[c], self.floor_ratio[row + inn])
-            value = np.where(miss == 0, sd * sd, sd * sd + sb * sb)
-            floor = (miss != 0) & (ratio * sb > sd) & ~empty
-            return np.where(empty, 0.0, value), np.ones_like(empty), floor
+            ratio = np.maximum(self.ratio.take(c), self.floor_ratio.take(enter))
+            sd2 = sd * sd
+            value = np.where(miss == 0, sd2, sd2 + sb * sb)
+            # The counts are exact, so an empty side has ``miss == 0``.
+            floor = (miss != 0) & (ratio * sb > sd)
+            return np.where(empty, 0.0, value), None, floor
         su, se, load, local = x.T
         is_local = c == self.n_sbs
         value = np.where(is_local, local, su * su + se * se)
-        feasible = is_local | (load <= self.room[c]) | empty
-        return np.where(empty, 0.0, value), feasible, np.zeros_like(empty)
+        feasible = is_local | (load <= self.room.take(c)) | empty
+        return np.where(empty, 0.0, value), feasible, None
 
 
 @dataclass
@@ -601,19 +607,23 @@ def _apply(state: GameState, prop: MoveProposal) -> bool:
     return accepted
 
 
+@functools.lru_cache(maxsize=8)
 def _neighbourhood(n_dev: int, n_coal: int):
     """Every single transfer, then every same-class swap, of a game with
     ``n_dev`` devices and ``n_coal`` coalitions, as arrays ``(swap, i, j,
     target)`` with one entry per position: transfers device-major and
     target-minor, then swaps with ``i < j``, row-major.  ``i`` is the moving
     device, ``j`` the device swapped with it (``n_dev``, the running sums'
-    ``none``, in a transfer) and ``target`` a transfer's target."""
+    ``none``, in a transfer) and ``target`` a transfer's target.  Built once
+    per shape; the arrays are shared, so they are read-only."""
     dev, target = np.divmod(np.arange(n_dev * n_coal), n_coal)
     si, sj = np.triu_indices(n_dev, 1)
     i = np.concatenate((dev, si))
     j = np.concatenate((np.full_like(dev, n_dev), sj))
     target = np.concatenate((target, np.zeros_like(si)))
     swap = np.arange(i.size) >= dev.size
+    for x in (swap, i, j, target):
+        x.flags.writeable = False
     return swap, i, j, target
 
 
@@ -634,14 +644,18 @@ class _Block:
         self.cache = state.v_hrd if sums.game == HRD else state.v_csd
         # Sources first, then destinations: (i, j) leave and (j, i) enter.
         n, ends = a.size, np.concatenate((a, b))
+        moved = np.concatenate((i, j, i))
         step = swap - 1
-        value, self.ok, self.floors = sums.after(
-            ends, np.concatenate((i, j)), np.concatenate((j, i)),
-            sums.size[ends] + np.concatenate((step, -step)))
+        value, ok, self.floors = sums.after(
+            ends, moved[:2 * n], moved[n:],
+            sums.size.take(ends) + np.concatenate((step, -step)))
         self.v_src, self.v_dst = value[:n], value[n:]
-        self.feasible = self.ok[:n] & self.ok[n:]
-        self.floor = self.floors[:n] | self.floors[n:]
-        self.dv = (self.v_src + self.v_dst) - (self.cache[a] + self.cache[b])
+        hrd = ok is None
+        self.feasible = np.ones(n, dtype=bool) if hrd else ok[:n] & ok[n:]
+        self.floor = (self.floors[:n] | self.floors[n:] if hrd
+                      else np.zeros(n, dtype=bool))
+        old = self.cache.take(ends)
+        self.dv = (self.v_src + self.v_dst) - (old[:n] + old[n:])
         self.unvalued = []
 
     def __len__(self) -> int:
@@ -657,20 +671,18 @@ class _Block:
     def value(self, q: int):
         """(dv, feasible) of proposal ``q``; a side where a rate ordering
         may bind is valued by ``_kernels.hrd_value`` over its tentative
-        members."""
+        members (every HRD side is feasible)."""
+        if not self.floor[q]:
+            return self.dv.item(q), bool(self.feasible[q])
         n, a, b = len(self), self.a.item(q), self.b.item(q)
-        src = self.v_src.item(q), bool(self.ok[q])
-        dst = self.v_dst.item(q), bool(self.ok[n + q])
-        if self.floor[q]:
-            t_src, t_dst = _tentative_members(
-                self.lists, a, b, self.i.item(q),
-                self.j.item(q) if self.swap[q] else None)
-            if self.floors[q]:
-                src = hrd_value(self.sums.costs, a, t_src)
-            if self.floors[n + q]:
-                dst = hrd_value(self.sums.costs, b, t_dst)
-        return ((src[0] + dst[0]) - (self.cache.item(a) + self.cache.item(b)),
-                src[1] and dst[1])
+        t_src, t_dst = _tentative_members(
+            self.lists, a, b, self.i.item(q),
+            self.j.item(q) if self.swap[q] else None)
+        src = (hrd_value(self.sums.costs, a, t_src)[0] if self.floors[q]
+               else self.v_src.item(q))
+        dst = (hrd_value(self.sums.costs, b, t_dst)[0] if self.floors[n + q]
+               else self.v_dst.item(q))
+        return (src + dst) - (self.cache.item(a) + self.cache.item(b)), True
 
     def screen(self, stop: int):
         """The flagged proposals before ``stop``, split into those that
@@ -686,8 +698,8 @@ class _Block:
         bound = self.dv[:stop] - SLACK * (self.v_src[:stop]
                                           + self.v_dst[:stop])
         wins = bound < -IMPROVE_MARGIN
-        return (np.flatnonzero(floor & wins).tolist(),
-                np.flatnonzero(floor & ~wins).tolist())
+        return ((floor & wins).nonzero()[0].tolist(),
+                (floor & ~wins).nonzero()[0].tolist())
 
     def first_accept(self) -> int:
         """Index of the first proposal ``evaluate_and_apply`` would accept,
@@ -696,10 +708,10 @@ class _Block:
         accept, and its exact ``dv`` and feasibility replace the block's;
         one that ``screen`` rejects is not valued, and is listed in
         ``unvalued``."""
-        hits = np.flatnonzero(self.feasible & ~self.floor
-                              & (self.dv < -IMPROVE_MARGIN))
+        hits = (self.feasible & ~self.floor
+                & (self.dv < -IMPROVE_MARGIN)).nonzero()[0]
         first = int(hits[0]) if hits.size else len(self)
-        if not self.floor[:first].any():
+        if not np.count_nonzero(self.floor[:first]):
             return first
         contenders, self.unvalued = self.screen(first)
         for q in contenders:
@@ -725,7 +737,7 @@ def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood,
     keep = a != b
     if drawable:
         keep &= swap[pos:] | (sums.size[b] == 0)
-    at = np.flatnonzero(keep)
+    at = keep.nonzero()[0]
     rest = at + pos
     return _Block(state, sums, swap[rest], a[at], b[at], i[rest],
                   j[rest]), rest
@@ -799,16 +811,31 @@ def _drawable(size: np.ndarray) -> int:
 
 
 class _Draws:
-    """``propose_move``'s attempts, decoded from windows of a game
-    generator's uint32 stream, ``SLOT`` values each, at the coalition sizes
-    ``size`` (the running sums' own array, which a move updates in place).
-    Whether an attempt draws a move, and which, depends only on its own
-    values and the sizes, so every attempt of a window is decoded at once,
-    in one pass over its rows."""
+    """``propose_move``'s attempts at the coalition sizes ``size`` (the
+    running sums' own array, which a move updates in place), read from a
+    game generator's uint32 stream.  An attempt's pair draw, which no size
+    enters, is decoded once, as it is read (``attempts``); the rest depends
+    only on its own values and the sizes, so every attempt of a window is
+    decoded at once, in one pass over its rows (``decode``)."""
 
     def __init__(self, size: np.ndarray, none: int):
         self.size, self.none = size, none
         self.pairs = size.size * (size.size - 1)
+        # The ordered pair (m, n) of each pair index, ``n`` skipping ``m``;
+        # index ``pairs``, a rejected pair draw, reads (0, 0).
+        m, n = np.divmod(np.arange(self.pairs), size.size - 1)
+        self.m, self.n = np.append(m, 0), np.append(n + (n >= m), 0)
+
+    def attempts(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """``ReadAhead`` batch: the next ``k`` attempts of ``rng``, one row
+        ``(pair, u1, u2)`` each, ``pair`` the pair index that ``u0`` picks,
+        or ``pairs`` where ``u0`` falls in the rejection zone."""
+        u = uint32s(rng, SLOT * k).reshape(-1, SLOT)
+        # A uint32 times a bound below 2**31 is exact in int64.
+        prod = u[:, 0] * self.pairs
+        u[:, 0] = np.where(prod & MASK32 >= (1 << 32) % self.pairs,
+                           prod >> 32, self.pairs)
+        return u
 
     def slots(self, limit: int) -> int:
         """Attempts to read for ``limit`` proposals: somewhat more than they
@@ -821,59 +848,54 @@ class _Draws:
 
     def decode(self, window: np.ndarray, limit: int):
         """Up to ``limit`` proposals drawn one after another from the start
-        of ``window`` (whole attempts), as arrays ``(ends, swap, a, b,
-        k_from, k_to)``: the window offset after each proposal, whether it
-        is a swap, the coalitions its moving device leaves and enters, and
-        the indices of the moving members in the member rows of ``a`` and
-        ``b`` (``none`` in a transfer)."""
-        u = window.reshape(-1, SLOT)
-        size, n_coal = self.size, self.size.size
-        # A uint32 times a bound below 2**31 is exact in int64.
-        prod = u[:, 0] * self.pairs
-        ok = prod & MASK32 >= (1 << 32) % self.pairs
-        m, n = np.divmod(prod >> 32, n_coal - 1)
-        n += n >= m
-        a = np.where(size[m] > 0, m, n)
+        of ``window`` (rows of ``attempts``), as arrays ``(ends, swap, a, b,
+        k_from, k_to)``: the window offset, in attempts, after each
+        proposal, whether it is a swap, the coalitions its moving device
+        leaves and enters, and the indices of the moving members in the
+        member rows of ``a`` and ``b`` (``none`` in a transfer)."""
+        pair, u1, u2 = window.T
+        size = self.size
+        m, n = self.m.take(pair), self.n.take(pair)
+        a = np.where(size.take(m) > 0, m, n)
         b = m + n - a
-        size_a, size_b = size[a], size[b]
+        size_a, size_b = size.take(a), size.take(b)
         # Each coalition's rejection zone; an empty ``b`` (a transfer) has
         # none, as its product is 0.
         zone = (1 << 32) % np.maximum(size, 1)
-        prod = u[:, 1] * size_a
-        ok &= (size_a > 0) & (prod & MASK32 >= zone[a])
+        prod = u1 * size_a
+        ok = (pair < self.pairs) & (size_a > 0) & (prod & MASK32
+                                                   >= zone.take(a))
         k_from = prod >> 32
-        prod = u[:, 2] * size_b
-        ok &= prod & MASK32 >= zone[b]
-        at = np.flatnonzero(ok)[:limit]
+        prod = u2 * size_b
+        ok &= prod & MASK32 >= zone.take(b)
+        at = ok.nonzero()[0][:limit]
         swap = size_b[at] > 0
-        return (SLOT * (at + 1), swap, a[at], b[at], k_from[at],
+        return (at + 1, swap, a[at], b[at], k_from[at],
                 np.where(swap, prod[at] >> 32, self.none))
 
 
-def _proposals(state: GameState, game: str, stream: ReadAhead, draws: _Draws,
-               limit: int):
+def _proposals(stream: ReadAhead, draws: _Draws, limit: int):
     """Up to ``limit`` proposals, at least one, decoded (``_Draws.decode``)
-    from the next unread window of ``stream``, which is left unconsumed.  A
-    window of ``draws.slots(limit)`` attempts that draws nothing is read
-    again at ``ATTEMPTS`` attempts; where that draws nothing either,
-    ``propose_move`` gives up on the same values."""
+    from the next unread window of ``stream`` (a ``ReadAhead`` of
+    ``draws.attempts``), which is left unconsumed.  A window of
+    ``draws.slots(limit)`` attempts that draws nothing is read again at
+    ``ATTEMPTS`` attempts; where that draws nothing either, this gives up
+    as ``propose_move`` would on the same values."""
     for slots in (draws.slots(limit), ATTEMPTS):
-        window = stream.window(SLOT * slots)
-        found = draws.decode(window, limit)
+        found = draws.decode(stream.window(slots), limit)
         if found[0].size:
             return found
-    propose_move(state, game, iter(window.tolist()).__next__)
-    raise AssertionError("propose_move drew from attempts without a move")
+    raise RuntimeError("could not sample a nonempty coalition pair")
 
 
-def _skip_tail(state: GameState, game: str, stream: ReadAhead,
-               draws: _Draws, count: int) -> None:
+def _skip_tail(state: GameState, stream: ReadAhead, draws: _Draws,
+               count: int) -> None:
     """Count ``count`` proposals that are all rejected, and consume their
     attempts from ``stream`` without valuing them, at most ``ATTEMPTS``
     attempts per window."""
     state.proposals += count
     while count > 0:
-        ends = _proposals(state, game, stream, draws, count)[0]
+        ends = _proposals(stream, draws, count)[0]
         stream.skip(int(ends[-1]))
         count -= ends.size
 
@@ -899,31 +921,31 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     ``_skip_tail`` counts and draws without valuing.  A run with a move log
     values every proposal, as the log holds each one's ``dv``.
     """
-    stream = ReadAhead(state.rng_hrd if game == HRD else state.rng_csd,
-                       uint32s)
     sums = state.sums[game]
     draws, drawable = _Draws(sums.size, sums.none), _drawable(sums.size)
-    hood, carry = None, None
+    stream = ReadAhead(state.rng_hrd if game == HRD else state.rng_csd,
+                       draws.attempts)
+    carry = None
     done = rejections = 0
     checked = state.move_log is not None
     while done < t2 and rejections < patience:
         if not checked and rejections >= drawable:
             checked = True
-            if hood is None:
-                hood = _neighbourhood(sums.none, sums.size.size)
-            block, _ = _neighbourhood_block(state, sums, hood, 0,
-                                            drawable=True)
+            block, _ = _neighbourhood_block(
+                state, sums, _neighbourhood(sums.none, sums.size.size), 0,
+                drawable=True)
             if block.first_accept() == len(block):
-                _skip_tail(state, game, stream, draws,
+                _skip_tail(state, stream, draws,
                            min(t2 - done, patience - rejections))
                 break
         if carry is None:
-            carry = _proposals(state, game, stream, draws,
+            carry = _proposals(stream, draws,
                                min(BLOCK, t2 - done, patience - rejections))
         ends, swap, a, b, k_from, k_to = carry
         carry = None
-        block = _Block(state, sums, swap, a, b, sums.members[a, k_from],
-                       sums.members[b, k_to])
+        block = _Block(state, sums, swap, a, b,
+                       sums.members.take(a * sums.stride + k_from),
+                       sums.members.take(b * sums.stride + k_to))
         rejected = block.first_accept()
         last = min(rejected, ends.size - 1)
         stream.skip(int(ends[last]))

@@ -252,62 +252,75 @@ def _cmd_audit(args):
     return EXIT_OK if failures == 0 else EXIT_INFEASIBLE
 
 
-def build_parser() -> _Parser:
+_COMMANDS = ("gen", "run", "sweep", "audit", "trend")
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The ``mecsim`` parser with every command, or with ``command`` alone,
+    which parses that command's argv the same way at a fraction of the
+    cost; ``main`` builds only the command its argv names."""
     parser = _Parser(prog="mecsim",
                      description="Small-cell edge computing/caching simulator")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # With one command built, the usage line still names all five.
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(_COMMANDS) + "}" if command else None))
 
-    p = sub.add_parser("gen", parents=[], help="generate a scenario file")
-    _add_scenario_args(p)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_gen)
+    def add(name, func, help_text):
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(func=func)
+            return p
 
-    p = sub.add_parser("run", help="run one algorithm and print its report")
-    p.add_argument("--algorithm", choices=["abcg", "amnd"], default="amnd")
-    p.add_argument("--scenario", help="scenario file from `gen`")
-    _add_scenario_args(p)
-    _add_game_args(p)
-    p.add_argument("--move-log", help="write accepted/rejected moves as CSV")
-    p.add_argument("--rates-csv", help="dump share factors and link rates")
-    p.add_argument("--row-csv", help="write the delay report as one CSV row")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("sweep", help="run a seeded sweep and emit CSV")
-    p.add_argument("--config", help="config file (mecsim-config v1)")
-    p.add_argument("--axis", choices=["a", "t1_frac", "delta"], default=None)
-    p.add_argument("--grid", default=None, help="space/comma separated values")
-    p.add_argument("--deltas", default=None)
-    p.add_argument("--seeds", default=None)
-    p.add_argument("--algorithms", default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.add_argument("--set", action="append", default=[], metavar="FIELD=VALUE",
-                   help="override any config field (repeatable)")
-    p.add_argument("--timing", action="store_true",
-                   help="record wall-clock runtimes (breaks byte determinism)")
-    p.add_argument("--audit", action="store_true",
-                   help="verify constraints at every emitted state")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("audit", help="constraint, stability and oracle audit")
-    p.add_argument("--scenario", help="scenario file from `gen`")
-    _add_scenario_args(p)
-    _add_game_args(p)
-    p.set_defaults(func=_cmd_audit)
-
-    p = sub.add_parser("trend", help="shape-check a sweep CSV")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--metric", required=True,
-                   help="e.g. hrd_total_s, csd_local_s, F")
-    p.add_argument("--shape", choices=["u", "nonincreasing", "nondecreasing"],
-                   required=True)
-    p.add_argument("--algorithm", choices=["ABCG", "AMND"], default="AMND")
-    p.add_argument("--delta", type=float, default=None)
-    p.set_defaults(func=_cmd_trend)
+    if p := add("gen", _cmd_gen, "generate a scenario file"):
+        _add_scenario_args(p)
+        p.add_argument("-o", "--output", required=True)
+    if p := add("run", _cmd_run, "run one algorithm and print its report"):
+        p.add_argument("--algorithm", choices=["abcg", "amnd"], default="amnd")
+        p.add_argument("--scenario", help="scenario file from `gen`")
+        _add_scenario_args(p)
+        _add_game_args(p)
+        p.add_argument("--move-log",
+                       help="write accepted/rejected moves as CSV")
+        p.add_argument("--rates-csv", help="dump share factors and link rates")
+        p.add_argument("--row-csv",
+                       help="write the delay report as one CSV row")
+    if p := add("sweep", _cmd_sweep, "run a seeded sweep and emit CSV"):
+        p.add_argument("--config", help="config file (mecsim-config v1)")
+        p.add_argument("--axis", choices=["a", "t1_frac", "delta"],
+                       default=None)
+        p.add_argument("--grid", default=None,
+                       help="space/comma separated values")
+        p.add_argument("--deltas", default=None)
+        p.add_argument("--seeds", default=None)
+        p.add_argument("--algorithms", default=None)
+        p.add_argument("-o", "--output", default=None)
+        p.add_argument("--set", action="append", default=[],
+                       metavar="FIELD=VALUE",
+                       help="override any config field (repeatable)")
+        p.add_argument("--timing", action="store_true",
+                       help="record wall-clock runtimes "
+                            "(breaks byte determinism)")
+        p.add_argument("--audit", action="store_true",
+                       help="verify constraints at every emitted state")
+    if p := add("audit", _cmd_audit, "constraint, stability and oracle audit"):
+        p.add_argument("--scenario", help="scenario file from `gen`")
+        _add_scenario_args(p)
+        _add_game_args(p)
+    if p := add("trend", _cmd_trend, "shape-check a sweep CSV"):
+        p.add_argument("--csv", required=True)
+        p.add_argument("--metric", required=True,
+                       help="e.g. hrd_total_s, csd_local_s, F")
+        p.add_argument("--shape",
+                       choices=["u", "nonincreasing", "nondecreasing"],
+                       required=True)
+        p.add_argument("--algorithm", choices=["ABCG", "AMND"], default="AMND")
+        p.add_argument("--delta", type=float, default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -191,6 +191,10 @@ class DemandProfile:
         for name in ("task_input_bytes", "task_cycles", "storage_bytes"):
             if np.any(getattr(self, name) < 0):
                 raise ValueError(f"{name} must not be negative")
+        # Devices without input bytes have no uplink cost for the closed
+        # form (or the oracle) to split among them.
+        if np.any(self.task_input_bytes == 0):
+            raise ValueError("task_input_bytes must be positive")
         if np.any(self.cached_bytes > self.storage_bytes + BYTES_TOL):
             raise ValueError("cache exceeds storage capacity")
         if self.n_hrd and not np.all(self.request.sum(axis=1) >= 1):

@@ -224,13 +224,14 @@ def uint32s(rng: np.random.Generator, k: int) -> np.ndarray:
 
 class ReadAhead:
     """A generator's stream, read ahead in batches of ``batch(rng, k)``
-    (``doubles`` or ``uint32s``).
+    (``doubles``, ``uint32s``, or a coalition game's ``_Draws.attempts``,
+    whose ``k`` entries are rows of three values).
 
-    ``window(k)`` returns the next ``k`` unread values without consuming
+    ``window(k)`` returns the next ``k`` unread entries without consuming
     them, and ``skip(k)`` consumes them.  A batch of ``k`` makes the same
     draws as ``k`` single draws, so ``release`` can put the generator
-    exactly where the consumed values leave it: back at the start, then
-    past as many values as were consumed (nothing to do when every value
+    exactly where the consumed entries leave it: back at the start, then
+    past as many entries as were consumed (nothing to do when every entry
     read was consumed).
     """
 
@@ -239,13 +240,13 @@ class ReadAhead:
         self.start = rng.bit_generator.state
         self.buf = batch(rng, 0)
         self.pos = 0       # next unread entry of buf
-        self.base = 0      # values consumed before buf[0]
+        self.base = 0      # entries consumed before buf[0]
 
     def window(self, k: int) -> np.ndarray:
-        missing = self.pos + k - self.buf.size
+        missing = self.pos + k - len(self.buf)
         if missing > 0:
-            # Read at least as much again; keep only the unread values.
-            more = self.batch(self.rng, max(missing, self.buf.size))
+            # Read at least as much again; keep only the unread entries.
+            more = self.batch(self.rng, max(missing, len(self.buf)))
             self.base += self.pos
             self.buf = np.concatenate((self.buf[self.pos:], more))
             self.pos = 0
@@ -255,7 +256,7 @@ class ReadAhead:
         self.pos += k
 
     def release(self) -> None:
-        if self.pos < self.buf.size:
+        if self.pos < len(self.buf):
             self.rng.bit_generator.state = self.start
             self.batch(self.rng, self.base + self.pos)
 

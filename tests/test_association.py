@@ -531,9 +531,8 @@ def _game_counts(monkeypatch):
     """A solve's proposals by how they are handled: ``valued`` (settled
     block rows and ``_evaluate`` calls), ``evaluated`` (``_evaluate``
     calls), ``skipped`` (counted in skipped tails) and ``drawn``
-    (``propose_move`` calls outside skipped tails)."""
+    (``propose_move`` calls)."""
     counts = dict.fromkeys(("valued", "evaluated", "skipped", "drawn"), 0)
-    in_tail = []
     inner_evaluate, inner_propose, inner_settle, inner_tail = (
         association._evaluate, association.propose_move,
         association._settle, association._skip_tail)
@@ -544,20 +543,16 @@ def _game_counts(monkeypatch):
         return inner_evaluate(state, prop)
 
     def propose(state, game, rng):
-        counts["drawn"] += not in_tail
+        counts["drawn"] += 1
         return inner_propose(state, game, rng)
 
     def settle(state, block, first):
         counts["valued"] += first + (first < len(block))
         return inner_settle(state, block, first)
 
-    def skip_tail(state, game, stream, draws, count):
+    def skip_tail(state, stream, draws, count):
         counts["skipped"] += count
-        in_tail.append(game)
-        try:
-            return inner_tail(state, game, stream, draws, count)
-        finally:
-            in_tail.pop()
+        return inner_tail(state, stream, draws, count)
 
     monkeypatch.setattr(association, "_evaluate", evaluate)
     monkeypatch.setattr(association, "propose_move", propose)
@@ -692,6 +687,10 @@ def test_drawable_block_holds_propose_move_support(desk_runs):
                 assert len(block) == len(rows) == \
                     association._drawable(sums.size)
                 assert rows == set(_support(lists)), game
+    # ``_neighbourhood`` is built once per shape and shared, so read-only.
+    hood = _neighbourhood(20, 15)
+    assert hood is _neighbourhood(20, 15)
+    assert not any(x.flags.writeable for x in hood)
 
 
 def test_swap_is_valued_alike_from_either_side(desk_runs, multi_request_run,
@@ -1379,6 +1378,19 @@ def test_random_phase_matches_scalar_reference(log_moves, monkeypatch,
     assert swept == {"transfer", "swap"}
 
 
+class _Fed:
+    """A stand-in generator whose uint32 stream is ``values``, for
+    ``scenario.uint32s``."""
+
+    def __init__(self, values):
+        self.values, self.pos = values, 0
+        self.bit_generator = SimpleNamespace(state=None)
+
+    def integers(self, high, size, dtype):
+        self.pos += size
+        return self.values[self.pos - size:self.pos].astype(dtype)
+
+
 def _decode_scalar(window, lists, start):
     """``propose_move`` from attempt ``start`` of ``window``, one attempt
     at a time.  Returns the proposal, the number of attempts it read, and
@@ -1406,12 +1418,13 @@ def _decode_scalar(window, lists, start):
     return prop, used, reasons
 
 
-@pytest.mark.parametrize("sizes", [
-    [0, 3, 0, 1, 0, 0, 2, 5],        # redraws, bound-1 members, swaps
-    [0, 0, 0, 0, 0, 0, 0, 2],        # long runs of pairs without a member
-    [0, 3], [1, 2],                   # two coalitions: one pair draw
-])
-def test_derive_matches_scalar_draws(sizes):
+@pytest.mark.parametrize("sizes, refill", [
+    ([0, 3, 0, 1, 0, 0, 2, 5], False),   # redraws, bound-1 members, swaps
+    ([0, 0, 0, 0, 0, 0, 0, 2], False),   # long runs of pairs without a member
+    ([0, 3], False), ([1, 2], False),     # two coalitions: one pair draw
+    ([2, 0, 3, 1, 0], True),    # windows across a refill; coalition 0 used
+], ids=["sizes0", "sizes1", "sizes2", "sizes3", "refill"])
+def test_derive_matches_scalar_draws(sizes, refill):
     rng = np.random.default_rng(len(sizes) + sum(sizes))
     n_slots = 500
     window = rng.integers(0, 1 << 32, SLOT * n_slots)
@@ -1429,12 +1442,20 @@ def test_derive_matches_scalar_draws(sizes):
     draws = _Draws(np.array(sizes, dtype=np.int64), none)
     limit = 3
     seen = {"pair_rejection": 0, "member_rejection": 0, "redraw": 0,
-            "bound_1": 0, "swap": 0, "transfer": 0, "chained": 0}
+            "bound_1": 0, "swap": 0, "transfer": 0, "chained": 0,
+            "crossed": 0}
     for start in range(n_slots):
         # Up to ``limit`` proposals decoded from attempt ``start``, against
         # the same proposals drawn one after another by ``propose_move``.
-        decoded = draws.decode(window[SLOT * start:], limit)
+        head = start + 1 + start % 5
+        stream = ReadAhead(_Fed(window), draws.attempts)
+        # With ``refill``, the first batch ends 1 to 5 attempts past
+        # ``start``, and a second completes the window.
+        stream.window(head if refill else n_slots)
+        stream.skip(start)
+        decoded = draws.decode(stream.window(n_slots - start), limit)
         ends = decoded[0].tolist()
+        seen["crossed"] += refill and bool(ends) and start + ends[-1] > head
         assert len(ends) <= limit
         pos = start
         for q in range(limit):
@@ -1443,7 +1464,7 @@ def test_derive_matches_scalar_draws(sizes):
             except IndexError:   # its attempts run past the window
                 break
             assert q < len(ends), (start, q)
-            assert start + ends[q] // SLOT == pos + used, (start, q)
+            assert start + ends[q] == pos + used, (start, q)
             swap, a, b, k_from, k_to = (int(x[q]) for x in decoded[1:])
             derived = ("swap" if swap else "transfer", a, b,
                        lists[a][k_from], lists[b][k_to] if swap else k_to)
@@ -1467,6 +1488,7 @@ def test_derive_matches_scalar_draws(sizes):
     for side, width in zone.items():
         assert (seen[side + "_rejection"] > 0) == (width > 0), seen
     assert seen["chained"] > 0, seen
+    assert (seen["crossed"] > 0) == refill, seen
     assert (seen["redraw"] > 0) == (sizes.count(0) > 1), seen
     assert (seen["transfer"] > 0) == (0 in sizes), seen
     assert (seen["swap"] > 0) == (seen["bound_1"] > 0) == (1 in sizes), seen
@@ -1477,23 +1499,26 @@ def test_window_without_a_move_reads_on_or_gives_up(hit):
     # One device among 8 coalitions: an attempt draws a move only where its
     # pair holds coalition 0.  The first window of a one-proposal block
     # holds 20 attempts; past them the decode reads ``ATTEMPTS`` attempts,
-    # and where none draws a move ``propose_move`` gives up, as it would
-    # one attempt at a time.
+    # and where none draws a move it gives up, as ``propose_move`` does one
+    # attempt at a time.
     lists = [[0]] + [[] for _ in range(7)]
     draws = _Draws(np.array([1] + [0] * 7, dtype=np.int64), 1)
     assert draws.slots(1) == 20
     values = np.full(SLOT * (ATTEMPTS + 1), _land(8, 56), dtype=np.int64)
-    stream = SimpleNamespace(window=lambda k: values[:k])
-    state = SimpleNamespace(hrd_members=lists)
     if hit is not None:
         values[SLOT * hit] = _land(0, 56)      # the pair (0, 1)
+    rows = draws.attempts(_Fed(values), ATTEMPTS + 1)
+    stream = SimpleNamespace(window=lambda k: rows[:k])
+    state = SimpleNamespace(hrd_members=lists)
     if hit is None or hit >= ATTEMPTS:
-        with pytest.raises(RuntimeError, match="could not sample"):
-            association._proposals(state, "hrd", stream, draws, 1)
+        for give_up in (lambda: association._proposals(stream, draws, 1),
+                        lambda: propose_move(state, "hrd",
+                                             iter(values.tolist()).__next__)):
+            with pytest.raises(RuntimeError, match="could not sample"):
+                give_up()
         return
-    ends, swap, a, b, k_from, _ = association._proposals(
-        state, "hrd", stream, draws, 1)
-    assert ends.tolist() == [SLOT * (hit + 1)]
+    ends, swap, a, b, k_from, _ = association._proposals(stream, draws, 1)
+    assert ends.tolist() == [hit + 1]
     assert (swap.tolist(), a.tolist(), b.tolist(), k_from.tolist()) == \
         ([False], [0], [1], [0])
 

@@ -151,6 +151,11 @@ def test_negative_task_sizes_are_rejected(field, kw):
     cat = Catalog.build(4, 0.5, file_size_bytes=1e6)
     with pytest.raises(ValueError, match=f"{field} must not be negative"):
         build_demand(cat, 2, 3, 2, demand_rng(0, 0.5), **kw)
+    if field == "task_input_bytes":
+        # Zero input bytes leave no uplink cost to split: rejected too.
+        with pytest.raises(ValueError, match=f"{field} must be positive"):
+            build_demand(cat, 2, 3, 2, demand_rng(0, 0.5), **{field: 0.0})
+        return
     # Zero stays allowed.
     zero = build_demand(cat, 2, 3, 2, demand_rng(0, 0.5), **{field: 0.0})
     assert np.all(getattr(zero, field) == 0.0)

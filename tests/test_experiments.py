@@ -207,21 +207,32 @@ def test_empty_deployment_solves_through_every_command(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv, field", [
-    (["run", "--task-bytes", "-1"] + TINY, "task_input_bytes"),
-    (["run", "--task-cycles", "-1"] + TINY, "task_cycles"),
-    (["run", "--storage", "-5"] + TINY, "storage_bytes"),
-    (["sweep", "--audit", "--set", "task_input_bytes=-1", "--seeds", "1",
-      "--grid", "0.5", "--deltas", "0.6", "-o", os.devnull],
-     "task_input_bytes"),
-], ids=["task_bytes", "task_cycles", "storage", "sweep"])
-def test_negative_task_sizes_are_usage_errors(capsys, argv, field):
-    # Rejected before any cost is computed: no RuntimeWarning from sqrt.
+SWEEP_ONE = ["--seeds", "1", "--grid", "0.5", "--deltas", "0.6", "-o",
+             os.devnull]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--task-bytes", "-1"] + TINY,
+     "task_input_bytes must not be negative"),
+    (["run", "--task-cycles", "-1"] + TINY, "task_cycles must not be negative"),
+    (["run", "--storage", "-5"] + TINY, "storage_bytes must not be negative"),
+    (["sweep", "--audit", "--set", "task_input_bytes=-1"] + SWEEP_ONE,
+     "task_input_bytes must not be negative"),
+    (["run", "--task-bytes", "0"] + TINY, "task_input_bytes must be positive"),
+    (["audit", "--task-bytes", "0"] + TINY,
+     "task_input_bytes must be positive"),
+    (["sweep", "--audit", "--set", "task_input_bytes=0"] + SWEEP_ONE,
+     "task_input_bytes must be positive"),
+], ids=["task_bytes", "task_cycles", "storage", "sweep", "zero_task_bytes",
+        "zero_task_bytes_audit", "zero_task_bytes_sweep"])
+def test_negative_task_sizes_are_usage_errors(capsys, argv, message):
+    # Rejected before any cost is computed: no RuntimeWarning from sqrt,
+    # and no ZeroDivisionError from splitting zero uplink costs.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err == f"mecsim: {field} must not be negative\n"
+    assert err == f"mecsim: {message}\n"
 
 
 def test_python_m_mecsim_runs_the_command_line():
@@ -231,6 +242,8 @@ def test_python_m_mecsim_runs_the_command_line():
                           capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert b"usage: mecsim" in proc.stdout
+    # The top-level help lists every command.
+    assert b"usage: mecsim [-h] {gen,run,sweep,audit,trend}" in proc.stdout
 
 
 def test_cli_gen_run_and_trend(tmp_path, capsys):
@@ -272,13 +285,49 @@ def test_cli_usage_errors_exit_one(capsys):
 
 
 def test_cli_rejects_abbreviated_flags(capsys):
-    # "--t1" is a prefix of "--t1-frac" only; it must not be read as it.
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "--t1", "0.3"])
+    # "--t1" is a prefix of "--t1-frac" only; it must not be read as it,
+    # by the full parser or by the one-command parser that ``main`` builds.
+    for command in (None, "run"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser(command).parse_args(["run", "--t1", "0.3"])
+        assert exc.value.code == 1
+    assert main(["run", "--t1", "0.3"]) == 1
     assert main(["audit", "--hrd", "5", "--cs", "5"]) == 1
     # The local/offload rule is no longer an option.
     assert main(["run", "--local-rule", "offload_if_faster"]) == 1
     capsys.readouterr()
+
+
+# A few argv per command, after the command name.
+COMMAND_ARGV = {
+    "gen": [["-o", "x.txt"], ["--hrd", "3", "--seed", "2", "--output", "y"]],
+    "run": [[], ["--algorithm", "abcg", "--t2", "5", "--move-log", "m.csv",
+                 "--a", "0.7", "--cache-policy", "sampled"]],
+    "sweep": [[], ["--set", "n_hrd=3", "--set", "n_csd=2", "--audit",
+                   "--grid", "0.5", "--axis", "t1_frac", "-o", "s.csv"]],
+    "audit": [[], ["--seed", "3", "--patience", "7", "--no-stabilize",
+                   "--scenario", "s.txt"]],
+    "trend": [["--csv", "r.csv", "--metric", "F", "--shape", "u",
+               "--delta", "0.6", "--algorithm", "ABCG"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGV))
+def test_one_command_parser_parses_like_the_full_parser(capsys, command):
+    for argv in COMMAND_ARGV[command]:
+        argv = [command] + argv
+        assert build_parser(command).parse_args(argv) == \
+            build_parser().parse_args(argv)
+    # ``mecsim <command> --help`` prints the full parser's help of it.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    full = capsys.readouterr().out
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == full
+    flags = {flag for argv in COMMAND_ARGV[command] for flag in argv
+             if flag.startswith("-")}
+    assert flags and all(flag in full for flag in flags)
 
 
 def test_cli_io_errors_exit_three(tmp_path):

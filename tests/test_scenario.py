@@ -364,6 +364,9 @@ MALFORMED = {
     "negative_task_bytes": (_edit_row("task_input_bytes",
                                       lambda ln: "-" + ln),
                             "task_input_bytes must not be negative"),
+    "zero_task_bytes": (_edit_row("task_input_bytes",
+                                  lambda ln: "0" + ln[ln.index(" "):]),
+                        "task_input_bytes must be positive"),
     "negative_task_cycles": (_edit_row("task_cycles", lambda ln: "-" + ln),
                              "task_cycles must not be negative"),
     "negative_storage": (_edit_row("storage_bytes", lambda ln: "-" + ln),
