@@ -34,6 +34,7 @@ from .scenario import Scenario
 
 HRD = "hrd"
 CSD = "csd"
+_HRD_INPUTS = "file_size_bytes, hrd_weight, a, t1_frac or w_hz"
 
 
 @dataclass(frozen=True)
@@ -94,18 +95,34 @@ def build_costs(scenario: Scenario, demand: DemandProfile,
 
     size_bits = demand.catalog.file_size_bytes * BITS_PER_BYTE
     w_pair = demand.hrd_weight[pair_k]
-    dl_cost = w_pair[None, :] * size_bits / (
-        table.s_dl[:, None] * table.r_dl[:, pair_k])
-    bh_cost = w_pair[None, :] * size_bits / (
-        table.s_bh[:, None] * table.r_bh[:, None])
+    with np.errstate(all="ignore"):
+        in_bits = demand.task_input_bytes * BITS_PER_BYTE
+        dl_cost = w_pair[None, :] * size_bits / (
+            table.s_dl[:, None] * table.r_dl[:, pair_k])
+        bh_cost = w_pair[None, :] * size_bits / (
+            table.s_bh[:, None] * table.r_bh[:, None])
+        ul_cost = demand.csd_weight[None, :] * in_bits[None, :] / (
+            table.s_ul[:, None] * table.r_ul)
+        ed_cost = (demand.csd_weight * demand.task_cycles)[None, :] \
+            / demand.edge_cps[:, None]
+        local = demand.csd_weight * demand.task_cycles / demand.local_cps
+        # The split divides by a block's root costs; a device that gains
+        # by offloading has a positive edge cost.  A block of m entries is
+        # worth at most m times their costs' sum, so no value overflows.
+        for name, cost, ok, inputs in (
+                ("downlink", dl_cost, dl_cost > 0, _HRD_INPUTS),
+                ("backhaul", bh_cost, bh_cost > 0, _HRD_INPUTS),
+                ("uplink", ul_cost, ul_cost > 0,
+                 "task_input_bytes, csd_weight, a, t1_frac or w_hz"),
+                ("edge compute", ed_cost, (ed_cost > 0) | (local == 0),
+                 "task_cycles, csd_weight or edge_cps"),
+                ("local compute", local, local >= 0,
+                 "task_cycles, csd_weight or local_cps")):
+            if not (ok.all() and np.isfinite(cost.sum() * cost.size)):
+                raise ValueError(
+                    f"{name} costs overflow or underflow: check {inputs}")
     cached = demand.cache[:, pair_i] == 1 if pair_k.size else \
         np.zeros((demand.n_sbs, 0), dtype=bool)
-
-    in_bits = demand.task_input_bytes * BITS_PER_BYTE
-    ul_cost = demand.csd_weight[None, :] * in_bits[None, :] / (
-        table.s_ul[:, None] * table.r_ul)
-    ed_cost = (demand.csd_weight * demand.task_cycles)[None, :] \
-        / demand.edge_cps[:, None]
 
     sqrt_dl, sqrt_bh = np.sqrt(dl_cost), np.sqrt(bh_cost)
     miss = ~cached
@@ -127,7 +144,7 @@ def build_costs(scenario: Scenario, demand: DemandProfile,
         dev_floor_ratio=_per_device(np.maximum, ratio, pair_k, demand.n_hrd),
         ul_cost=ul_cost, ed_cost=ed_cost,
         sqrt_ul=np.sqrt(ul_cost), sqrt_ed=np.sqrt(ed_cost),
-        local_delay_w=demand.csd_weight * demand.task_cycles / demand.local_cps,
+        local_delay_w=local,
         task_bytes=demand.task_input_bytes.astype(float),
         spare_bytes=demand.storage_bytes - demand.cached_bytes,
         n_sbs=demand.n_sbs, n_hrd=demand.n_hrd, n_csd=demand.n_csd,

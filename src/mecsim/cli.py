@@ -15,6 +15,7 @@ import numpy as np
 from .allocation import oracle_solve_p3
 from .association import abcg_init, audit_stability, run_amnd, write_move_log
 from .delays import audit_constraints
+from .domains import check
 from .experiments import (ExperimentConfig, _row_from_state,
                           config_with_overrides, emit_csv, emit_rate_csv,
                           load_config, load_csv, run_sweep, trend_check)
@@ -87,14 +88,10 @@ def _add_game_args(p):
 
 def _game_budget(args):
     """``(t2, patience)`` of ``--t2`` and ``--patience``, with 0 as None,
-    the built-in default; a negative budget is a usage error."""
-    budget = []
-    for name in ("t2", "patience"):
-        value = getattr(args, name)
-        if value < 0:
-            raise ValueError(f"--{name} must be at least 0 (0 = default)")
-        budget.append(value or None)
-    return budget
+    the built-in default."""
+    check("--t2", args.t2)
+    check("--patience", args.patience)
+    return args.t2 or None, args.patience or None
 
 
 def _scenario_from_args(args):

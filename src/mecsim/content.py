@@ -12,11 +12,13 @@ by ``scenario.save_scenario`` and ``load_scenario``."""
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import BYTES_TOL
+from .domains import check, check_fields
 from .scenario import ReadAhead, doubles
 
 # Decimal unit convention used throughout (config values are bytes).
@@ -29,10 +31,8 @@ _SUM_ATOL = float(np.sqrt(np.finfo(float).eps))   # numpy's bound on |sum(p) - 1
 
 def zipf_popularity(n_files: int, delta: float) -> np.ndarray:
     """Normalized Zipf weights: p_i proportional to 1 / i**delta, i from 1."""
-    if n_files < 1:
-        raise ValueError("need at least one file")
-    if delta < 0:
-        raise ValueError("Zipf exponent must be nonnegative")
+    check("n_files", n_files)
+    check("delta", delta)
     weights = np.arange(1, n_files + 1, dtype=float) ** (-float(delta))
     return weights / weights.sum()
 
@@ -46,11 +46,12 @@ class Catalog:
     delta: float
     popularity: np.ndarray
 
+    def __post_init__(self):
+        check_fields(self)
+
     @classmethod
     def build(cls, n_files: int = 20, delta: float = 0.6,
               file_size_bytes: float = 5 * MB) -> "Catalog":
-        if file_size_bytes <= 0:
-            raise ValueError("file size must be positive")
         return cls(n_files=n_files, file_size_bytes=float(file_size_bytes),
                    delta=float(delta),
                    popularity=zipf_popularity(n_files, delta))
@@ -133,10 +134,13 @@ def place_cache(catalog: Catalog, storage_bytes, policy: str = "popular_first",
     through ``_distinct_draws``.
     """
     storage = np.atleast_1d(np.asarray(storage_bytes, dtype=float))
+    check("storage_bytes", storage)
     cache = np.zeros((storage.size, catalog.n_files), dtype=np.int8)
+    # A quotient that overflows is a file so small that every file fits.
+    with np.errstate(over="ignore", invalid="ignore"):
+        room = np.minimum(storage // catalog.file_size_bytes, catalog.n_files)
     rows, sizes = [], []
-    for n, cap in enumerate(storage):
-        slots = min(int(cap // catalog.file_size_bytes), catalog.n_files)
+    for n, slots in enumerate(room.astype(int).tolist()):
         if slots > 0:
             rows.append(n)
             sizes.append(slots)
@@ -187,22 +191,18 @@ class DemandProfile:
     def cached_bytes(self) -> np.ndarray:
         return self.cache.sum(axis=1) * self.catalog.file_size_bytes
 
+    def __post_init__(self):
+        check_fields(self)
+
     def validate(self) -> None:
-        for name in ("task_input_bytes", "task_cycles", "storage_bytes"):
-            if np.any(getattr(self, name) < 0):
-                raise ValueError(f"{name} must not be negative")
-        # Devices without input bytes have no uplink cost for the closed
-        # form (or the oracle) to split among them.
-        if np.any(self.task_input_bytes == 0):
-            raise ValueError("task_input_bytes must be positive")
-        if np.any(self.cached_bytes > self.storage_bytes + BYTES_TOL):
-            raise ValueError("cache exceeds storage capacity")
+        """The rules that relate two fields."""
+        with np.errstate(over="ignore"):
+            cached = self.cached_bytes
+        if np.any(cached > self.storage_bytes + BYTES_TOL):
+            raise ValueError("cached files of file_size_bytes exceed "
+                             "storage_bytes")
         if self.n_hrd and not np.all(self.request.sum(axis=1) >= 1):
             raise ValueError("every HRD must request at least one file")
-        if np.any(self.hrd_weight <= 0) or np.any(self.csd_weight <= 0):
-            raise ValueError("weights must be positive")
-        if np.any(self.local_cps <= 0) or np.any(self.edge_cps <= 0):
-            raise ValueError("compute capabilities must be positive")
 
 
 def build_demand(catalog: Catalog, n_sbs: int, n_hrd: int, n_csd: int,
@@ -242,6 +242,8 @@ def demand_rng(seed: int, delta: float) -> np.random.Generator:
     Keyed by the popularity exponent, so sweeping delta redraws
     requests/caches without disturbing the deployment streams.
     """
-    key = int(round(float(delta) * 1e9))
-    return np.random.default_rng(np.random.SeedSequence([seed, 3, key]))
+    key = float(delta) * 1e9
+    if not math.isfinite(key):
+        raise ValueError(f"delta={delta} overflows the demand stream's key")
+    return np.random.default_rng(np.random.SeedSequence([seed, 3, round(key)]))
 

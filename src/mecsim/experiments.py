@@ -21,6 +21,7 @@ import numpy as np
 from .association import abcg_init, run_amnd
 from .content import Catalog, DemandProfile, build_demand, demand_rng
 from .delays import audit_constraints
+from .domains import check_fields
 from .radio import build_rate_table
 from .scenario import Counts, Scenario, SystemParams, generate_scenario
 
@@ -89,15 +90,10 @@ class ExperimentConfig:
         bad = [alg for alg in self.algorithms if alg not in ("ABCG", "AMND")]
         if bad:
             raise ValueError(f"unknown algorithms {bad}")
+        check_fields(self)
         if self.axis in ("a", "t1_frac"):
             if any(not (0.0 < v < 1.0) for v in self.grid):
                 raise ValueError(f"{self.axis} grid must lie strictly in (0, 1)")
-        else:
-            if any(v < 0 for v in self.grid):
-                raise ValueError("delta grid must be nonnegative")
-        for name in ("game_iters", "patience"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be at least 0 (0 = default)")
 
     def system_params(self, seed: int, axis_value: float | None = None) -> SystemParams:
         a, t1 = self.a, self.t1_frac
@@ -385,19 +381,23 @@ def config_with_overrides(config: ExperimentConfig,
     for key, raw in overrides.items():
         if key not in valid:
             raise ValueError(f"unknown config field {key!r}")
-        if key in _TUPLE_FLOAT:
-            parsed[key] = tuple(float(t) for t in str(raw).replace(",", " ").split())
-        elif key in _TUPLE_INT:
-            parsed[key] = tuple(int(t) for t in str(raw).replace(",", " ").split())
-        elif key in _TUPLE_STR:
-            parsed[key] = tuple(str(raw).replace(",", " ").split())
-        elif key in _BOOL:
-            word = str(raw).strip().lower()
-            if word not in _TRUE + _FALSE:
-                raise ValueError(f"{key} takes {'/'.join(_TRUE + _FALSE)}, "
-                                 f"not {raw!r}")
-            parsed[key] = word in _TRUE
-        else:
-            current = getattr(config, key)
-            parsed[key] = type(current)(raw) if not isinstance(current, str) else str(raw)
+        try:
+            parsed[key] = _parse(key, raw, getattr(config, key))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     return replace(config, **parsed)
+
+
+def _parse(key, raw, current):
+    if key in _TUPLE_FLOAT:
+        return tuple(float(t) for t in str(raw).replace(",", " ").split())
+    if key in _TUPLE_INT:
+        return tuple(int(t) for t in str(raw).replace(",", " ").split())
+    if key in _TUPLE_STR:
+        return tuple(str(raw).replace(",", " ").split())
+    if key in _BOOL:
+        word = str(raw).strip().lower()
+        if word not in _TRUE + _FALSE:
+            raise ValueError(f"takes {'/'.join(_TRUE + _FALSE)}, not {raw!r}")
+        return word in _TRUE
+    return type(current)(raw) if not isinstance(current, str) else str(raw)

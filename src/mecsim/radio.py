@@ -59,7 +59,7 @@ def build_rate_table(scenario: Scenario) -> RateTable:
     noise_acc = noise_mw_hz * band_acc          # (n_sbs,)
     noise_bh = noise_mw_hz * band_bh
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         snr_dl = dbm_to_mw(p.p_sbs_dbm) * scenario.gain_sbs_hrd / noise_acc[:, None]
         snr_ul = dbm_to_mw(p.p_md_dbm) * scenario.gain_sbs_csd / noise_acc[:, None]
         snr_bh = dbm_to_mw(p.p_mbs_dbm) * scenario.gain_mbs_sbs / noise_bh
@@ -72,6 +72,13 @@ def build_rate_table(scenario: Scenario) -> RateTable:
     s_dl = a * p.w_hz * (1.0 - t1) / (REUSE * m_of_sbs)
     s_ul = a * p.w_hz * t1 / (REUSE * m_of_sbs)
     s_bh = (1.0 - a) * p.w_hz * (1.0 - t1) / (REUSE * m_of_sbs)
+    for link, s, r, used in (("downlink", s_dl, r_dl, scenario.n_hrd),
+                             ("backhaul", s_bh, r_bh, scenario.n_hrd),
+                             ("uplink", s_ul, r_ul, scenario.n_csd)):
+        if used and not (np.all(s > 0) and np.all((0 < r) & (r < np.inf))):
+            raise ValueError(
+                f"{link} rates at a={a}, t1_frac={t1}, w_hz={p.w_hz} and "
+                "these channel gains are not finite and positive")
     return RateTable(s_dl=s_dl, s_ul=s_ul, s_bh=s_bh,
                      r_dl=r_dl, r_ul=r_ul, r_bh=r_bh, eta_min=eta_min)
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .domains import check_fields
+
 MIN_PATHLOSS_DISTANCE_M = 1.0   # pathloss curves are clamped below this
 _COLLOCATION_EPS_M = 1e-9
 _MAX_PLACEMENT_RETRIES = 100
@@ -42,22 +44,7 @@ class SystemParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.a <= 1.0):
-            raise ValueError(f"band split a={self.a} outside [0, 1]")
-        if not (0.0 <= self.t1_frac <= 1.0):
-            raise ValueError(f"t1_frac={self.t1_frac} outside [0, 1]")
-        if self.w_hz <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.m_sbs < 1:
-            raise ValueError("need at least one SBS per macrocell")
-        if self.n_mbs < 1:
-            raise ValueError("need at least one MBS")
-        if self.isd_m <= 0:
-            raise ValueError("inter-site distance must be positive")
-        for p in (self.p_mbs_dbm, self.p_sbs_dbm, self.p_md_dbm,
-                  self.noise_dbm_hz):
-            if not math.isfinite(p):
-                raise ValueError("powers must be finite")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -66,6 +53,9 @@ class Counts:
 
     n_hrd: int
     n_csd: int
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -338,8 +328,6 @@ def generate_scenario(params: SystemParams, counts: Counts) -> Scenario:
     (``_drop_nodes``) and consumed exactly as placing one node at a time
     would consume them.
     """
-    if counts.n_hrd < 0 or counts.n_csd < 0:
-        raise ValueError("device counts must be nonnegative")
     radius = params.isd_m / 2.0
 
     rng_dep, rng_shadow, rng_los, _ = rng_streams(params.seed)

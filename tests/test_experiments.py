@@ -421,7 +421,7 @@ def test_cli_audit_checks_every_nonempty_coalition(seed, capsys):
     assert "audit: CLEAN" in out
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7, 13])
+@pytest.mark.parametrize("seed", range(20))
 def test_cli_audit_gap_is_the_allocators_not_the_oracles(seed, capsys):
     # Both oracles solve to a budget residual of ORACLE_TOL, so the worst
     # gap the audit reports is the closed forms' rounding, far below the
