@@ -5,33 +5,12 @@ blocks (uplink and edge compute), each minimizing a sum of ``cost /
 fraction`` over a unit budget.  Its optimum gives every entry the share
 ``sqrt(cost) / sum(sqrt(cost))`` and the block the value
 ``sum(sqrt(cost))**2``; ``root_shares`` is that split, which every
-closed form here and ``allocation.allocate_csd`` run.
-
-An HRD coalition couples its two blocks through the rate ordering of every
-missed pair: the access rate may not outrun the backhaul rate, which is
-``eta_p >= rho_p * beta_p`` with ``rho_p`` the pair's ``eta_min``.
-``hrd_closed_form`` solves that problem exactly, in plain Python on lists:
-minimize ``sum(D_p / beta_p) + sum_miss(B_p / eta_p)`` subject to
-``sum(beta) <= 1``, ``sum(eta) <= 1`` and the orderings.  It is always
-feasible, since shrinking ``beta`` restores every ordering.  Where no
-ordering binds, the two blocks take their square-root shares and the
-coalition is worth ``sd**2 + sb**2`` (root downlink costs of all pairs,
-root backhaul costs of the missed pairs).  That happens iff
-``max_p(rho_p * sqrt(D_p) / sqrt(B_p)) * sb <= sd``, the screen that
-``association.CoalitionSums`` applies to a move's running sums.  Otherwise
-the KKT conditions (Boyd & Vandenberghe, *Convex Optimization*, 5.5.3)
-leave one unknown, the ratio ``theta = mu / lambda`` of the two budgets'
-multipliers: a missed pair binds iff ``theta > B_p / (rho_p**2 * D_p)``, an
-unbound pair takes ``beta_p ~ sqrt(D_p)`` and ``eta_p ~ sqrt(B_p / theta)``,
-a bound one ``beta_p ~ sqrt((D_p + B_p / rho_p) / (1 + rho_p * theta))``
-and ``eta_p = rho_p * beta_p``, and both budgets bind at the root of
-``S_eta(theta) = S_beta(theta)``, found by a safeguarded Newton iteration
-on ``log(theta)``.  If every pair is missed and bound, the downlink budget
-may be slack instead (``lambda = 0``), with ``beta_p ~ sqrt((D_p + B_p /
-rho_p) / rho_p)`` scaled so that ``sum(eta) = 1``.  Every HRD share and
+closed form here and ``allocation.allocate_csd`` run.  An HRD coalition
+couples its downlink and backhaul blocks through the rate ordering of its
+missed pairs; ``hrd_closed_form`` solves it exactly.  Every HRD share and
 value comes from ``hrd_closed_form``: the game's flagged moves, the
 running sums' refresh, the write path, the state reallocation,
-``coalition_value`` and the public ``allocate_hrd``, so a valued
+``allocation.coalition_value`` and ``allocation.allocate_hrd``, so a valued
 coalition is worth its installed allocation to the last bit.
 
 The kernels apply the closed forms to one coalition of a
@@ -188,6 +167,31 @@ def hrd_closed_form(d, miss):
     ``miss`` the ``(position in d, root backhaul cost sqrt(B_p), rho_p)`` of
     every missed pair; ``beta`` holds one share per pair and ``eta`` one
     per missed pair, both in that order.  Sums run in numpy's order.
+
+    The problem: minimize ``sum(D_p / beta_p) + sum_miss(B_p / eta_p)``
+    subject to ``sum(beta) <= 1``, ``sum(eta) <= 1`` and the rate ordering
+    ``eta_p >= rho_p * beta_p`` of every missed pair, which keeps its
+    access rate from outrunning its backhaul rate (``rho_p`` is the pair's
+    ``RateTable.eta_min``).  It is always feasible, since shrinking
+    ``beta`` restores every ordering.  Where no ordering binds, the two
+    blocks take their square-root shares and the coalition is worth
+    ``sd**2 + sb**2`` (root downlink costs of all pairs, root backhaul
+    costs of the missed pairs).  That happens iff
+    ``max_p(rho_p * sqrt(D_p) / sqrt(B_p)) * sb <= sd``, the test that
+    ``association.CoalitionSums`` makes on a move's running sums.
+
+    Otherwise the KKT conditions (Boyd & Vandenberghe, *Convex
+    Optimization*, 5.5.3) leave one unknown, the ratio ``theta = mu /
+    lambda`` of the two budgets' multipliers: a missed pair binds iff
+    ``theta > B_p / (rho_p**2 * D_p)``, an unbound pair takes ``beta_p ~
+    sqrt(D_p)`` and ``eta_p ~ sqrt(B_p / theta)``, a bound one ``beta_p ~
+    sqrt((D_p + B_p / rho_p) / (1 + rho_p * theta))`` and ``eta_p = rho_p *
+    beta_p``, and both budgets bind at the root of ``S_eta(theta) =
+    S_beta(theta)``, found by a safeguarded Newton iteration on
+    ``log(theta)`` (``_coupled_shares``).  If every pair is missed and
+    bound, the downlink budget may be slack instead (``lambda = 0``), with
+    ``beta_p ~ sqrt((D_p + B_p / rho_p) / rho_p)`` scaled so that
+    ``sum(eta) = 1``.
     """
     s_d = _sum(d)
     if not miss:

@@ -3,15 +3,13 @@
 ``build_costs`` turns a scenario and its demand into the full-share
 weighted delay of every (SBS, request pair) and (SBS, computation device)
 slot, the only inputs the closed form needs.  The closed form itself lives
-in ``_kernels``: square-root shares per CSD block (uplink, edge compute),
-and for an HRD coalition the exact optimum of its downlink and backhaul
-blocks under the rate ordering ``eta_p >= rho_p * beta_p`` of every missed
-pair, which is always feasible.  ``coalition_value`` values one member set
-from scratch with the kernels, a public reference that no stage of the solve
-calls; the coalition game and its stability audit value moves from running
-sums (``association.CoalitionSums``).
-``allocate_hrd``/``allocate_csd`` are the same closed forms on raw cost
-vectors.
+in ``_kernels``: square-root shares per CSD block (``_kernels.root_shares``)
+and the exact HRD optimum (``_kernels.hrd_closed_form``).
+``coalition_value`` values one member set from scratch with the kernels, a
+public reference that no stage of the solve calls; the coalition game and
+its stability audit value moves from running sums
+(``association.CoalitionSums``).  ``allocate_hrd``/``allocate_csd`` are the
+same closed forms on raw cost vectors.
 
 ``oracle_simplex_min`` solves one simplex block numerically (bisection on
 the budget multiplier with box clamps), and ``oracle_hrd_min`` the coupled

@@ -1,92 +1,26 @@
-"""Device association: best-gain initializer, coalition games, reallocation.
+"""Device association: the best-gain initializer, the coalition games, AMND.
 
-The optimizer state couples a partition (who is served where) with a
-feasible allocation and cached per-coalition utilities (total weighted delay
-of the coalition's members under the state's allocation).  Because the
-objective is separable across SBSs, a candidate move re-evaluates only the
-two touched coalitions; a move is accepted when both tentative coalitions
-are feasible and their combined utility strictly improves.  Every HRD
-coalition is feasible; a CSD coalition is while its task inputs fit in
-storage.
+``abcg_init`` associates every device by best channel gain with equal
+shares: the baseline, and AMND's starting point.  ``run_amnd`` runs the
+computation-device game, the high-rate-device game and a reallocation of
+every coalition, once (its docstring says why once is enough).  A game
+(``run_coalition_game``) is a random phase of drawn moves
+(``_random_phase``, drawing as ``propose_move`` draws) and a
+deterministic stabilization sweep (``stabilize_partition``).  A move
+transfers a device into another coalition or swaps two devices of
+different coalitions; it is accepted iff both tentative coalitions are
+feasible and their total weighted delay falls by more than
+``IMPROVE_MARGIN``.
 
-Tentative coalitions are valued under the closed-form allocation, and
-accepted ones are installed by the matching ``_kernels`` write path, once
-per game.  Every move of a game is valued in O(1) from one store of
-running sums per game (``CoalitionSums``): a CSD coalition is worth
-``su**2 + se**2``, the squared sums of its root uplink and compute costs,
-and an HRD coalition ``sd**2 + sb**2`` (root downlink costs of all pairs,
-root backhaul costs of the missed pairs) as long as no rate ordering
-binds.  One binds only if the largest device ratio ``rho * sqrt(D) /
-sqrt(B)`` times ``sb`` exceeds ``sd``; where that may happen, the side is
-valued over its tentative members' pairs by ``_kernels.hrd_value``, the
-exact closed form that the write path installs, so its value is exactly
-that of the installed allocation.  Dropping the orderings relaxes the
-problem, so such a side is never worth less than ``sd**2 + sb**2``, and a
-move whose relaxed gain cannot clear ``IMPROVE_MARGIN`` (``_Block.screen``)
-is rejected without the exact valuation.
-
-An accepted move sorts the two touched member lists and makes one pass over
-each (``CoalitionSums.refresh``), which recomputes the coalition's running
-sums, so they never drift, and its cached closed-form value, both summed in
-numpy's order from the per-SBS lists of ``_kernels.Rows``.  The move makes
-no install: both coalitions are marked ``stale``, and
-``run_coalition_game`` installs each stale coalition once, at its end, in
-the member order its value was summed in, so the installed allocation is
-worth the cached value to the last bit.  ``evaluate_and_apply`` installs its
-two coalitions at once.
-
-``audit_stability`` values every move with the same valuer, from running
-sums it rebuilds from the member lists, so a stale row of the state's own
-sums cannot hide an improving move from it.
-
-Moves are valued in blocks (``_Block``): arrays of transfers and swaps,
-valued elementwise, both sides in one ``CoalitionSums.after`` call, at the
-current partition, with the float operations of a block of one in their
-order, and cut at the first accept, which is applied with the block's own
-valuation (``_apply``).  A transfer names the sums' zero device ``none``
-as its missing partner, so ``after`` values both kinds alike, unmasked.
-The partition changes only on an accepted move, so both phases of a game
-are blocks between accepts.  The stabilization sweep's block is the rest of
-the sweep, in ``_neighbourhood``'s order, and the audit's block is all of
-it.
-
-The random phase reads the generator's ``next_uint32`` stream ahead
-(``scenario.ReadAhead``).  ``propose_move`` reads each attempt from
-``SLOT`` consecutive values, one for the coalition pair and one for each
-side's member, and skips an attempt that draws no move, so whether an
-attempt draws one, and which, depends only on its own values and the
-coalition sizes.  ``_Draws`` decodes each attempt's pair draw, which no
-size enters, once, as it is read, and the member draws of every attempt
-of a window in one pass of array operations; the generator ends exactly
-where the consumed attempts leave it.  An accepted swap changes no size, so the
-window's later proposals carry over to the next block, which reads their
-members again.  Every draw is one of the ``drawable`` moves at the
-current sizes (the swaps, and the transfers into empty coalitions), a
-swap is valued to the same bits from either side, and the partition
-cannot change while every draw is rejected.  So once the rejections since
-the last accept reach the number of drawable moves, those moves are
-valued as one block; if none would be accepted, every later proposal of
-the phase is a rejection, and the rest of the phase is decoded and
-counted without being valued (``_skip_tail``).  A move log records every
-proposal's ``dv``, so a logged run values every proposal.  Proposal
-counts, accepted moves, move logs and generator states are therefore
-those of the one-at-a-time loops, to the last bit.
-
-The state reallocation installs the closed form of every SBS coalition.
-One that a game installed already holds it, and installing it again writes
-the same bits.  Every other coalition still holds the initializer's
-equal-share split, which is a feasible point of the problem the closed
-form solves exactly, so installing the closed form there never raises a
-coalition's delay and every objective trace is nonincreasing.
-
-AMND alternates association and allocation, but one round is all that can
-change the state.  The computation-device game (uplink, compute, storage)
-and the high-rate-device game (downlink, backhaul) share no constraint, so
-they are two independent local searches.  Each ends with a stabilization
-sweep that leaves no improving transfer or swap.  The reallocation can only
-lower cached coalition values, which raises the ``dv`` of every later move,
-so a second round of either game cannot accept a move.  ``run_amnd`` is
-therefore one CSD game, one HRD game and one reallocation.
+The state (``GameState``) couples the partition with a feasible
+allocation and every coalition's cached closed-form value.  The objective
+is separable across SBSs, so a move touches two coalitions, which are
+valued from running sums (``CoalitionSums``), many moves at a time
+(``_Block``), with the moves that cannot win screened off unvalued
+(``_Block.screen``).  ``audit_stability`` checks Nash stability with the
+same valuer.  ``propose_move`` and ``evaluate_and_apply`` draw, value and
+apply one proposal at a time: the reference that the batched phases match
+to the last bit.
 """
 
 import copy
@@ -115,9 +49,8 @@ MASK32 = 0xFFFFFFFF
 SLOT = 3
 # Attempts ``propose_move`` makes before it gives up.
 ATTEMPTS = 2048
-# Proposals per block of the random phase.  On desk and sweep solves a
-# constant 256 ran as fast as blocks doubling from 64 to 256 while nothing
-# was accepted, and faster than constant blocks of 64, 128 or 512.
+# Proposals per block of the random phase: a block pays a fixed number of
+# numpy calls, and values its proposals past an accept for nothing.
 BLOCK = 256
 
 
@@ -145,26 +78,41 @@ class MoveProposal:
 
 
 class CoalitionSums:
-    """Running sums of one game's closed form, one row per coalition.
+    """Running sums of one game's closed form, one row per coalition, from
+    which a move is valued in O(1).
+
+    A CSD coalition is worth ``su**2 + se**2``, the squared sums of its
+    members' root uplink and root compute costs, and is feasible while its
+    stored task bytes fit in the SBS's spare storage; the virtual local
+    coalition, row ``n_sbs``, is worth its members' local delays.  An HRD
+    coalition is always feasible, and is worth ``sd**2 + sb**2`` (root
+    downlink costs of all its pairs, root backhaul costs of its missed
+    pairs) as long as no rate ordering binds, which holds iff its largest
+    device ratio ``rho * sqrt(D) / sqrt(B)`` over its missed pairs, times
+    ``sb``, is at most ``sd`` (``_kernels.hrd_closed_form``).  The sums
+    carry each coalition's largest ratio, so ``after`` flags in O(1) a side
+    where an ordering may bind (the floor flag), and leaves its exact value
+    to ``_kernels.hrd_value`` (``_Block.value``).  After a removal the
+    stored ratio is only an upper bound, so a flag may be spurious but is
+    never missed.
 
     ``size`` and ``members`` hold each coalition's member list, and
-    ``sums`` its additive sums, one column each; ``terms`` holds every
-    device's terms at every coalition, in row ``c * stride + k`` for device
-    ``k`` at coalition ``c``.  Device ``none``, one past the last, has zero
-    terms: it is a transfer's missing partner, and moves nothing.  An HRD
-    coalition sums ``(sd, sb, miss)``: its pairs' root downlink costs, its
-    missed pairs' root backhaul costs, and the number of missed pairs
-    (small counts, exact as floats); ``ratio`` holds the largest device
-    ratio ``rho * sqrt(D) / sqrt(B)`` among them, a running max, and
-    ``floor_ratio`` each device's, in the rows of ``terms``.  A CSD
-    coalition sums ``(su, se, load, local)``: its root uplink and compute
-    costs and its stored task bytes, or, in row ``n_sbs`` (the virtual
-    local coalition), its local delays.  Stored sums change only through
-    ``refresh``, which recomputes a row from a member list in one pass over
-    the kernels' rows (``_kernels.hrd_summary``/``csd_summary``), and
-    returns the coalition's closed-form value from the same pass.
-    ``after`` values coalitions after one move, elementwise, and marks the
-    HRD sides where a rate ordering may bind.
+    ``sums`` its additive sums, one column each: ``(sd, sb, miss)`` for
+    HRD, with ``miss`` the number of missed pairs (a small count, exact as
+    a float), and ``(su, se, load, local)`` for CSD, with ``load`` the
+    stored task bytes and ``local`` the local delays of row ``n_sbs``.
+    ``terms`` holds every device's terms at every coalition, in row ``c *
+    stride + k`` for device ``k`` at coalition ``c``, and ``floor_ratio``
+    its ratio in the same rows; ``ratio`` holds each coalition's largest.
+    Device ``none``, one past the last, has zero terms and ratio: it is a
+    transfer's missing partner, so ``after`` values transfers and swaps
+    alike, without masks.
+
+    Stored sums change only through ``refresh``, which recomputes a row
+    from a member list in one pass over the kernels' per-SBS lists
+    (``_kernels.hrd_summary``/``csd_summary``) and returns the coalition's
+    closed-form value from the same pass: the sums never drift, and the
+    value is the one the write path installs for that member order.
     """
 
     def __init__(self, costs: CoalitionCosts, game: str, lists):
@@ -230,11 +178,10 @@ class CoalitionSums:
 
     def after(self, c, out, inn, size):
         """(value, feasible, floor) of coalitions ``c`` once device ``out``
-        leaves and ``inn`` enters, holding ``size`` members; ``none`` in
-        either place moves nothing.  ``floor`` marks HRD sides where a rate
-        ordering may bind (``ratio * sb > sd``); their value is left to
-        ``_kernels.hrd_value``.  HRD sides are all feasible and no ordering
-        binds on a CSD side, so those are None."""
+        leaves and ``inn`` enters, holding ``size`` members, elementwise;
+        ``none`` in either place moves nothing.  ``floor`` is the floor
+        flag, ``ratio * sb > sd``.  HRD sides are all feasible and no
+        ordering binds on a CSD side, so those are None."""
         row = c * self.stride
         enter = row + inn
         x = (self.sums.take(c, axis=0) - self.terms.take(row + out, axis=0)
@@ -490,7 +437,14 @@ def propose_move(state: GameState, game: str, rng) -> MoveProposal:
     when a draw it uses falls in Lemire's rejection zone (``_bounded``), so
     the pair is uniform among the pairs holding a member, and the members
     are uniform.  ``rng`` is a ``Generator``, or a callable returning the
-    next uint32 of its stream (``next_uint32``); both draw the same moves.
+    next uint32 of its stream (``next_uint32``); both draw the same moves,
+    as numpy draws each full-range uint32 with one ``next_uint32`` call.
+
+    The fixed slot is this package's choice, not the paper's: it fixes
+    which stream values an attempt reads, not the law of the drawn moves.
+    With it, whether an attempt draws a move, and which, depends only on
+    its own three values and the coalition sizes, and no size enters the
+    pair draw, which lets ``_Draws`` decode many attempts at once.
     """
     if isinstance(rng, np.random.Generator):
         def next_uint32():
@@ -582,7 +536,7 @@ def _apply(state: GameState, prop: MoveProposal) -> bool:
     ``IMPROVE_MARGIN``; returns whether it was applied.  An applied move
     updates the partition, and the running sums and cached values of its
     two coalitions, from one pass over each sorted member list, and marks
-    both stale: their allocation is installed later, once per game."""
+    both stale, for ``run_coalition_game`` to install."""
     state.proposals += 1
     accepted = bool(prop.feasible) and prop.dv < -IMPROVE_MARGIN
     if accepted:
@@ -628,13 +582,27 @@ def _neighbourhood(n_dev: int, n_coal: int):
 
 
 class _Block:
-    """Proposals of one game, one per entry of the arrays ``swap`` (a swap,
-    or else a transfer), ``a`` and ``b`` (the coalitions that device ``i``
-    leaves and enters) and ``j`` (the device that leaves ``b`` in a swap,
-    ``sums.none`` in a transfer), valued together from the running sums
-    ``sums`` of the state's current partition, both sides in one
-    ``CoalitionSums.after`` call, each with the float operations, in their
-    order, of a block of one."""
+    """Proposals of one game, valued together at the state's current
+    partition and cut at the first that would be accepted.
+
+    Entry ``q`` of the arrays ``swap`` (a swap, or else a transfer), ``a``
+    and ``b`` (the coalitions that device ``i`` leaves and enters) and
+    ``j`` (the device that leaves ``b`` in a swap, ``sums.none`` in a
+    transfer) is one proposal.  The partition changes only on an accepted
+    move, so the proposals up to the next accept can be valued as one
+    block, from the running sums ``sums``: both sides of every proposal in
+    one ``CoalitionSums.after`` call, each with the float operations, in
+    their order, of a block of one, so the values are those of
+    ``evaluate_and_apply`` to the last bit.  A block takes a fixed number of
+    numpy calls, whatever its length: one ``(i, j, i)`` concatenation gives
+    both the leaving devices ``(i, j)`` and the entering ones ``(j, i)``,
+    and one ``take`` of the cached values gives both sides' old values.
+
+    ``first_accept`` finds the first proposal that would be accepted, and
+    the block is cut there: the caller applies it with the block's own
+    valuation (``_settle``), so no move is valued twice, and values the
+    proposals after it again, at the new partition, in a new block.
+    """
 
     def __init__(self, state: GameState, sums: CoalitionSums, swap, a, b,
                  i, j):
@@ -813,10 +781,21 @@ def _drawable(size: np.ndarray) -> int:
 class _Draws:
     """``propose_move``'s attempts at the coalition sizes ``size`` (the
     running sums' own array, which a move updates in place), read from a
-    game generator's uint32 stream.  An attempt's pair draw, which no size
-    enters, is decoded once, as it is read (``attempts``); the rest depends
-    only on its own values and the sizes, so every attempt of a window is
-    decoded at once, in one pass over its rows (``decode``)."""
+    game generator's uint32 stream through a ``scenario.ReadAhead``, whose
+    entries are the rows of ``attempts``.
+
+    An attempt's pair draw depends on no size, so it is decoded once, as
+    the attempt is read (``attempts``): the row's first value becomes the
+    index of the ordered coalition pair it picks, which ``m`` and ``n`` map
+    to the pair, or ``pairs`` where it falls in Lemire's rejection zone.
+    This matters because windows overlap: the part of a window past an
+    accept is read again by the next block.  The rest of an attempt
+    depends only on its values and the sizes, so ``decode`` decodes the
+    member draws of every attempt of a window at once, in one pass of
+    array operations: sides, member validity and members, then the first
+    valid attempts.  Nothing walks the stream one attempt at a time, and
+    nothing is rebuilt when a size changes.
+    """
 
     def __init__(self, size: np.ndarray, none: int):
         self.size, self.none = size, none
@@ -903,23 +882,34 @@ def _skip_tail(state: GameState, stream: ReadAhead, draws: _Draws,
 def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     """At most ``t2`` proposals, stopping after ``patience`` consecutive
     rejections: each proposal is the one ``propose_move`` draws, judged as
-    ``evaluate_and_apply`` judges it, to the last bit.
+    ``evaluate_and_apply`` judges it, to the last bit.  Proposal counts,
+    accepted moves, move logs and the generator's end state are those of
+    that one-at-a-time loop.
 
-    Between two accepts the partition is fixed, so a block decodes its
-    proposals from a window of the generator's stream (read ahead by a
-    ``ReadAhead``, decoded by ``_Draws``) and values them together
-    (``_Block``).  The block is cut at its first accept, which is applied
-    with the block's valuation (``_settle``); each rejected proposal counts
-    and logs as it would in ``evaluate_and_apply``.  An accepted swap
-    changes no coalition's size, so the window's later proposals are still
-    drawn as decoded and carry over to the next block, their members read
-    again.  A block holds at most ``BLOCK`` proposals.
+    Between two accepts the partition is fixed, so a block decodes up to
+    ``BLOCK`` proposals from a window of the generator's stream
+    (``_proposals``) and values them together (``_Block``).  An accepted
+    swap changes no coalition's size, so the window's later proposals are
+    still drawn as decoded and carry over to the next block, which reads
+    their members again; a transfer changes two sizes, and the next block
+    decodes afresh.
 
-    Once the rejections since the last accept reach the number of drawable
-    moves, those moves are valued as one block; if none would be accepted,
-    the rest of the phase is rejections (see the module docstring), which
-    ``_skip_tail`` counts and draws without valuing.  A run with a move log
+    The stable-tail skip: most of a phase is spent where no move can win
+    any more.  Every draw is one of the ``_drawable`` moves at the current
+    sizes, a swap across two coalitions or a transfer into an empty one; a
+    swap is valued to the same bits from either side; and the partition
+    cannot change while every draw is rejected.  So once the rejections
+    since the last accept reach the number of drawable moves, those moves
+    are valued as one block (``_neighbourhood_block`` with ``drawable``),
+    with the same screen and exact valuation of flagged sides, once per run
+    of rejections.  If none of them would be accepted, every later
+    proposal of the phase is a rejection: ``_skip_tail`` counts them and
+    consumes their attempts without valuing them.  A run with a move log
     values every proposal, as the log holds each one's ``dv``.
+
+    The generator is read ahead and put back where the consumed attempts
+    leave it when the phase ends (``scenario.ReadAhead``), so a game's
+    generator must not be shared between threads.
     """
     sums = state.sums[game]
     draws, drawable = _Draws(sums.size, sums.none), _drawable(sums.size)
@@ -970,7 +960,20 @@ def run_coalition_game(state: GameState, game: str, t2: int,
                        stabilize: bool = True) -> GameState:
     """Random move phase (at most t2 proposals, early stop after ``patience``
     consecutive rejections) followed by the stabilization sweep; then each
-    coalition they changed is installed, once."""
+    coalition they changed is installed, once.
+
+    Installs are deferred to the end of the game.  An accepted move
+    (``_apply``) sorts the two touched member lists and recomputes both
+    coalitions' running sums and cached values from one pass over each
+    (``CoalitionSums.refresh``), but writes no fractions: it marks both
+    coalitions stale, and a coalition that many moves touch is installed
+    once.  The install (``_write_coalition``) runs the matching
+    ``_kernels`` write path over the same sorted member list, so the
+    installed fractions are worth the cached value to the last bit.
+    ``GameState.check`` refuses a state with a coalition awaiting its
+    install; ``evaluate_and_apply``, which applies one proposal outside a
+    game, installs its two coalitions at once.
+    """
     if game not in (HRD, CSD):
         raise ValueError(f"unknown game {game!r}")
     if t2 < 1:
@@ -989,7 +992,8 @@ def run_coalition_game(state: GameState, game: str, t2: int,
 
 def reallocate(state: GameState) -> None:
     """Install the closed-form allocation of every SBS coalition of both
-    games, and cache its value."""
+    games, and cache its value.  A coalition a game installed already holds
+    it and gets the same bits again."""
     for n in range(state.n_sbs):
         for game, cache in ((CSD, state.v_csd), (HRD, state.v_hrd)):
             cache[n] = _write_coalition(state, game, n,
@@ -1004,7 +1008,21 @@ def run_amnd(scenario: Scenario, demand: DemandProfile, *,
     """Best-gain init (or a clone of ``init_state``), then the
     computation-device game, the high-rate-device game and the closed-form
     reallocation.  The returned state's trace holds the
-    objective after the initializer and after each of the three stages."""
+    objective after the initializer and after each of the three stages.
+
+    AMND alternates association and allocation, but one round is all that
+    can change the state.  The computation-device game (uplink, compute,
+    storage) and the high-rate-device game (downlink, backhaul) share no
+    constraint, so they are two independent local searches, and each ends
+    with a stabilization sweep that leaves no improving transfer or swap.
+    The reallocation can only lower a coalition's value: one that a game
+    installed already holds its closed form, and every other one still
+    holds the initializer's equal split, a feasible point of the problem
+    that the closed form solves exactly.  Lower cached values raise the
+    ``dv`` of every later move, so a second round of either game cannot
+    accept a move, and every stage leaves the objective where it was or
+    lower.
+    """
     if init_state is not None:
         state = init_state.clone()
     else:
@@ -1023,11 +1041,12 @@ def run_amnd(scenario: Scenario, demand: DemandProfile, *,
 def audit_stability(state: GameState) -> list:
     """Every single transfer and same-class swap of the HRD game, then of the
     CSD game, valued as one ``_Block`` per game from running sums rebuilt
-    from the member lists, never from ``state.sums``; returns the feasible
-    moves that improve by more than ``IMPROVE_MARGIN``, in ``_neighbourhood``
-    order (empty list == Nash-stable).  Only the flagged moves that
-    ``_Block.screen`` passes are valued exactly; the others cannot
-    improve."""
+    from the member lists, never from ``state.sums``, so that a stale row
+    of the state's own sums cannot hide an improving move; returns the
+    feasible moves that improve by more than ``IMPROVE_MARGIN``, in
+    ``_neighbourhood`` order (empty list == Nash-stable).  Only the flagged
+    moves that ``_Block.screen`` passes are valued exactly; the others
+    cannot improve."""
     found = []
     for game in (HRD, CSD):
         lists = _member_lists(state, game)

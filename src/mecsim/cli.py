@@ -7,6 +7,7 @@ output closes it early.
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -28,11 +29,20 @@ EXIT_IO = 3
 EXIT_PIPE = 141
 
 
+# What a number that ``float()`` reads can start with after its sign.
+# argparse reads a word that starts with ``-`` as a value only where its
+# negative-number pattern matches, and its own takes ``-5`` and ``-.5`` but
+# not ``-inf``, ``-nan``, ``-1e-5`` or ``-1.``.
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         # A flag prefix is an error, not a silent match of a longer flag.
         kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
+        # ``--a -inf`` reaches the domain check, as ``--a=-inf`` does.
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -57,9 +57,10 @@ class Catalog:
                    popularity=zipf_popularity(n_files, delta))
 
 
-def _distinct_draws(popularity: np.ndarray, sizes, rng: np.random.Generator):
+def _distinct_draws(catalog: Catalog, sizes, rng: np.random.Generator,
+                    need: str):
     """For each size in ``sizes``, in turn, the picks of
-    ``rng.choice(len(popularity), size, replace=False, p=popularity)``.
+    ``rng.choice(n_files, size, replace=False, p=popularity)``.
 
     This is numpy's own without-replacement loop, run on Python floats:
     draw one double per missing pick, zero the weights of the files found,
@@ -68,15 +69,20 @@ def _distinct_draws(popularity: np.ndarray, sizes, rng: np.random.Generator):
     first pick of each file; repeat until ``size`` files are found.  The
     doubles come from one read-ahead buffer (``ReadAhead``), and the
     generator ends where the consumed draws leave it, as after the
-    ``rng.choice`` calls.
+    ``rng.choice`` calls.  ``need`` names what the largest size counts in
+    the error raised when fewer files than that have a nonzero popularity.
     """
-    p = np.asarray(popularity, dtype=float)
+    p = np.asarray(catalog.popularity, dtype=float)
     if sizes:
         # The checks ``rng.choice`` makes before it draws.
         if not np.all(p >= 0) or abs(p.sum() - 1.0) > _SUM_ATOL:
             raise ValueError("popularity is not a probability vector")
-        if max(sizes) > np.count_nonzero(p):
-            raise ValueError("fewer nonzero popularities than picks")
+        nonzero = np.count_nonzero(p)
+        if max(sizes) > nonzero:
+            raise ValueError(
+                f"delta={catalog.delta:g} leaves {nonzero} of the "
+                f"{catalog.n_files} files a nonzero popularity, fewer than "
+                f"the {max(sizes)} distinct {need}")
     weights = p.tolist()
     draws = ReadAhead(rng, doubles)
     out = []
@@ -115,8 +121,8 @@ def draw_requests(catalog: Catalog, n_hrd: int, requests_per_hrd: int,
         picks = rng.choice(catalog.n_files, size=n_hrd, p=catalog.popularity)
         req[np.arange(n_hrd), picks] = 1
     else:
-        picks = _distinct_draws(catalog.popularity,
-                                [requests_per_hrd] * n_hrd, rng)
+        picks = _distinct_draws(catalog, [requests_per_hrd] * n_hrd, rng,
+                                "requests of requests_per_hrd")
         for k, files in enumerate(picks):
             req[k, files] = 1
     return req
@@ -152,7 +158,8 @@ def place_cache(catalog: Catalog, storage_bytes, policy: str = "popular_first",
     elif policy == "sampled":
         if rng is None:
             raise ValueError("sampled cache policy needs an rng")
-        picks = _distinct_draws(catalog.popularity, sizes, rng)
+        picks = _distinct_draws(catalog, sizes, rng,
+                                "files of a sampled cache")
     else:
         raise ValueError(f"unknown cache policy {policy!r}")
     for n, files in zip(rows, picks):

@@ -1,14 +1,15 @@
 """The domain of every numeric input, and the one check that enforces it.
 
 ``DOMAINS`` names each numeric field of ``SystemParams``, ``Counts``,
-``Catalog``, ``DemandProfile`` and ``ExperimentConfig``, and the CLI's
-``--t2``.  The constructors, ``ExperimentConfig.validate`` and the functions
-that read such a value first (``zipf_popularity``, ``place_cache``, the CLI's
-game budget) call ``check``, so flags, ``sweep --set``, config files and
-scenario files meet one rule.  Rules that relate two inputs, and the checks
-that derived rates and costs neither overflow nor underflow
-(``radio.build_rate_table``, ``allocation.build_costs``), stay where they
-apply.
+``Catalog``, ``DemandProfile`` and ``ExperimentConfig``, the CLI's ``--t2``,
+and the positions and gains of a scenario file's deployment.  The
+constructors, ``ExperimentConfig.validate``, ``scenario.load_scenario`` and
+the functions that read such a value first (``zipf_popularity``,
+``place_cache``, the CLI's game budget) call ``check``, so flags, ``sweep
+--set``, config files and scenario files meet one rule.  Rules that relate
+two inputs, and the checks that derived rates and costs neither overflow
+nor underflow (``radio.build_rate_table``, ``allocation.build_costs``),
+stay where they apply.
 """
 
 import math
@@ -85,6 +86,12 @@ DOMAINS = {
     # Node discs far wider than the 1e-9 m collocation threshold, and
     # squared distances that stay finite.
     "isd_m": Domain(1e-6, 1e100, unit=" m"),
+    # A scenario file's deployment: node positions in m, and linear
+    # channel gains, which every rate takes the logarithm of.
+    **dict.fromkeys(("mbs_pos", "sbs_pos", "hrd_pos", "csd_pos"),
+                    Domain(-math.inf)),
+    **dict.fromkeys(("gain_sbs_hrd", "gain_sbs_csd", "gain_mbs_sbs"),
+                    _POSITIVE),
 }
 
 

@@ -5,14 +5,9 @@ popularity exponent ``delta``) over a grid, overlaying popularity exponents
 and averaging over seeds.  Per seed the deployment is drawn once; only the
 quantities that depend on the swept parameter are regenerated (rates for the
 resource splits, requests/caches for delta).
-
-The default workload is deliberately contended: storage below the catalog
-size with popularity-sampled per-SBS caches (so cache-hit dynamics are
-visible) and enough computation devices per SBS that edge-server sharing
-stays binding across the grid.  Pass Table-style storage (2 GB) or smaller
-device counts for uncontended workloads.
 """
 
+import inspect
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -42,35 +37,49 @@ _TYPES = tuple(str if col in _STR_COLUMNS else int if col in _INT_COLUMNS
 
 SWEEP_AXES = ("a", "t1_frac", "delta")
 
+_CATALOG = inspect.signature(Catalog.build).parameters
+_DEMAND = inspect.signature(build_demand).parameters
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: base system + workload knobs, axis grid, seeds, algorithms."""
+    """One sweep: base system + workload knobs, axis grid, seeds, algorithms.
+
+    Each system and workload field takes its default from the definition
+    it feeds (``SystemParams``, ``Catalog.build``, ``build_demand``), except
+    two that make the default sweep contended: storage of 28 MB per SBS,
+    below the catalog's 20 files of 5 MB, with caches sampled by popularity
+    (5 files cached, with headroom for offloaded task inputs), so that cache
+    hits and misses both show across the grid.  The 40 computation devices
+    against 20 high-rate devices keep edge-server sharing binding.  Set
+    ``storage_bytes = 2e9`` and ``cache_policy = popular_first`` for an
+    everything-cached workload.
+    """
 
     axis: str = "a"
     grid: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
     deltas: tuple = (0.6, 1.0, 1.4)
     seeds: tuple = (1, 2, 3, 4, 5)
     algorithms: tuple = ("ABCG", "AMND")
-    w_hz: float = 20e6
-    a: float = 0.5
-    t1_frac: float = 0.5
-    m_sbs: int = 5
-    n_mbs: int = 3
-    isd_m: float = 1000.0
-    p_mbs_dbm: float = 46.0
-    p_sbs_dbm: float = 24.0
-    p_md_dbm: float = 23.0
-    noise_dbm_hz: float = -174.0
+    w_hz: float = SystemParams.w_hz
+    a: float = SystemParams.a
+    t1_frac: float = SystemParams.t1_frac
+    m_sbs: int = SystemParams.m_sbs
+    n_mbs: int = SystemParams.n_mbs
+    isd_m: float = SystemParams.isd_m
+    p_mbs_dbm: float = SystemParams.p_mbs_dbm
+    p_sbs_dbm: float = SystemParams.p_sbs_dbm
+    p_md_dbm: float = SystemParams.p_md_dbm
+    noise_dbm_hz: float = SystemParams.noise_dbm_hz
     n_hrd: int = 20
     n_csd: int = 40
-    n_files: int = 20
-    file_size_bytes: float = 5e6
-    requests_per_hrd: int = 1
-    task_input_bytes: float = 1e5
-    task_cycles: float = 1e9
-    local_cps: float = 1.4e9
-    edge_cps: float = 6e10
+    n_files: int = _CATALOG["n_files"].default
+    file_size_bytes: float = _CATALOG["file_size_bytes"].default
+    requests_per_hrd: int = _DEMAND["requests_per_hrd"].default
+    task_input_bytes: float = _DEMAND["task_input_bytes"].default
+    task_cycles: float = _DEMAND["task_cycles"].default
+    local_cps: float = _DEMAND["local_cps"].default
+    edge_cps: float = _DEMAND["edge_cps"].default
     storage_bytes: float = 28e6
     cache_policy: str = "sampled"
     game_iters: int = 0          # 0 selects the built-in default

@@ -215,14 +215,18 @@ def uint32s(rng: np.random.Generator, k: int) -> np.ndarray:
 class ReadAhead:
     """A generator's stream, read ahead in batches of ``batch(rng, k)``
     (``doubles``, ``uint32s``, or a coalition game's ``_Draws.attempts``,
-    whose ``k`` entries are rows of three values).
+    whose ``k`` entries are rows of three values), so that many draws cost
+    one numpy call.
 
     ``window(k)`` returns the next ``k`` unread entries without consuming
-    them, and ``skip(k)`` consumes them.  A batch of ``k`` makes the same
-    draws as ``k`` single draws, so ``release`` can put the generator
-    exactly where the consumed entries leave it: back at the start, then
-    past as many entries as were consumed (nothing to do when every entry
-    read was consumed).
+    them, reading a batch at least as long as the buffer when it runs
+    short, and ``skip(k)`` consumes them.  A batch of ``k`` makes the same
+    draws as ``k`` single draws, so ``release`` puts the generator exactly
+    where the consumed entries leave it: back at the start, then past as
+    many entries as were consumed (nothing to do when every entry read was
+    consumed).  What a caller draws through it, and the generator's end
+    state, are therefore those of drawing one entry at a time, which the
+    tests keep as the reference.
     """
 
     def __init__(self, rng: np.random.Generator, batch):
@@ -520,14 +524,16 @@ def _read_arrays(sections, table, sizes: dict) -> dict:
 
 def load_scenario(path):
     """Read a scenario file; returns (scenario, demand-or-None).  A missing
-    section or key, a section off its table shape, or an MBS index or 0/1
-    flag out of range raises ValueError."""
+    section or key, a section off its table shape, an MBS index or 0/1
+    flag out of range, or a value outside its domain (``domains.DOMAINS``:
+    positions finite, gains finite and positive) raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         sections = _parse_sections(fh.read())
     sizes = {}
     params = SystemParams(**_read_keys(sections, "params", _PARAMS))
     scenario = Scenario(params=params,
                         **_read_arrays(sections, _SCENARIO_ARRAYS, sizes))
+    check_fields(scenario)
     if "demand" not in sections:
         return scenario, None
     from .content import Catalog, DemandProfile

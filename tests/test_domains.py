@@ -141,3 +141,29 @@ def test_inputs_valid_before_the_table_still_solve(capsys, argv):
     assert main(["run"] + argv + tiny) == 0
     assert main(["audit"] + argv + tiny) == 0
     assert "audit: CLEAN" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", VALUES + ("-nan", "-1e-5", "-1."))
+@pytest.mark.parametrize("flag", sorted(FLAGS))
+def test_a_separate_value_reads_as_the_joined_form(capsys, flag, value):
+    outcomes = []
+    for form in ([flag, value], [f"{flag}={value}"]):
+        code = main(["run"] + form + TINY)
+        outcomes.append((code,) + capsys.readouterr())
+    assert outcomes[0] == outcomes[1], (flag, value, outcomes)
+    assert outcomes[0][0] in (0, 1), outcomes[0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--delta", "500"],
+     "delta=500 leaves 4 of the 20 files a nonzero popularity, fewer than "
+     "the 5 distinct files of a sampled cache"),
+    (["--delta", "500", "--requests-per-hrd", "5"],
+     "delta=500 leaves 4 of the 20 files a nonzero popularity, fewer than "
+     "the 5 distinct requests of requests_per_hrd")],
+    ids=["cache", "requests"])
+def test_too_few_popular_files_names_delta_and_both_counts(capsys, argv,
+                                                           message):
+    # Popularities of files 5 to 20 at delta 500 underflow to 0.
+    assert main(["run"] + argv + TINY) == 1
+    assert capsys.readouterr().err == f"mecsim: {message}\n"

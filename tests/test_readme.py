@@ -1,0 +1,44 @@
+"""The README's pointers into the code resolve: a renamed or deleted name
+fails here instead of leaving a stale pointer."""
+
+import dataclasses
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import mecsim
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+MODULES = {m.name for m in pkgutil.iter_modules(mecsim.__path__)}
+
+
+def _dotted_names(text):
+    """Every backticked dotted name outside fenced blocks whose first part
+    is ``mecsim`` or one of its modules."""
+    text = re.sub(r"(?ms)^```.*?^```", "", text)
+    names = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)
+    return sorted({n for n in names
+                   if n.split(".")[0] in MODULES | {"mecsim"}})
+
+
+def _resolve(name):
+    parts = name.split(".")
+    obj = mecsim
+    for part in parts[parts[0] == "mecsim":]:
+        if obj is mecsim and part in MODULES:
+            obj = importlib.import_module(f"mecsim.{part}")
+        elif hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif dataclasses.is_dataclass(obj) and part in {
+                f.name for f in dataclasses.fields(obj)}:
+            return
+        else:
+            raise AttributeError(f"{name}: no {part!r} in {obj!r}")
+
+
+def test_readme_names_resolve():
+    names = _dotted_names(README.read_text(encoding="utf-8"))
+    assert len(names) >= 20, names
+    for name in names:
+        _resolve(name)

@@ -371,6 +371,16 @@ MALFORMED = {
                              "task_cycles must not be negative"),
     "negative_storage": (_edit_row("storage_bytes", lambda ln: "-" + ln),
                          "storage_bytes must not be negative"),
+    "infinite_position": (_edit_row("hrd_pos", lambda ln: "inf" + ln[
+        ln.index(" "):]), "hrd_pos must be finite"),
+    "nan_position": (_edit_row("sbs_pos", lambda ln: "nan" + ln[
+        ln.index(" "):]), "sbs_pos must be finite"),
+    "nan_gain": (_edit_row("gain_sbs_hrd", lambda ln: "nan" + ln[
+        ln.index(" "):]), "gain_sbs_hrd must be finite"),
+    "negative_gain": (_edit_row("gain_sbs_csd", lambda ln: "-" + ln),
+                      "gain_sbs_csd must not be negative"),
+    "zero_gain": (_edit_row("gain_mbs_sbs", lambda ln: "0" + ln[
+        ln.index(" "):]), "gain_mbs_sbs must be positive"),
 }
 
 
@@ -399,3 +409,4 @@ def test_cli_run_rejects_a_malformed_file_without_a_traceback(
     err = capsys.readouterr().err
     assert err.startswith("mecsim: ") and "seed" in err
     assert "Traceback" not in err
+
