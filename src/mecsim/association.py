@@ -5,12 +5,12 @@ shares: the baseline, and AMND's starting point.  ``run_amnd`` runs the
 computation-device game, the high-rate-device game and a reallocation of
 every coalition, once (its docstring says why once is enough).  A game
 (``run_coalition_game``) is a random phase of drawn moves
-(``_random_phase``, drawing as ``propose_move`` draws) and a
-deterministic stabilization sweep (``stabilize_partition``).  A move
-transfers a device into another coalition or swaps two devices of
-different coalitions; it is accepted iff both tentative coalitions are
-feasible and their total weighted delay falls by more than
-``IMPROVE_MARGIN``.
+(``_random_phase``, which samples each accept as ``propose_move``'s draws
+would reach it) and a deterministic stabilization sweep
+(``stabilize_partition``).  A move transfers a device into another
+coalition or swaps two devices of different coalitions; it is accepted iff
+both tentative coalitions are feasible and their total weighted delay
+falls by more than ``IMPROVE_MARGIN``.
 
 The state (``GameState``) couples the partition with a feasible
 allocation and every coalition's cached closed-form value.  The objective
@@ -19,8 +19,8 @@ valued from running sums (``CoalitionSums``), many moves at a time
 (``_Block``), with the moves that cannot win screened off unvalued
 (``_Block.screen``).  ``audit_stability`` checks Nash stability with the
 same valuer.  ``propose_move`` and ``evaluate_and_apply`` draw, value and
-apply one proposal at a time: the reference that the batched phases match
-to the last bit.
+apply one proposal at a time: the reference that the stabilization sweep
+matches to the last bit, and the random phase in law.
 """
 
 import copy
@@ -37,7 +37,7 @@ from .content import DemandProfile
 from .delays import BITS_PER_BYTE, Allocation, DelayReport, Partition, \
     objective
 from .radio import RateTable, build_rate_table
-from .scenario import ReadAhead, Scenario, uint32s
+from .scenario import Scenario
 
 IMPROVE_MARGIN = 1e-12   # strict-improvement threshold, avoids cycling on ties
 CHECK_TOL = 1e-9         # relative tolerance of ``GameState.check``
@@ -45,13 +45,8 @@ CHECK_TOL = 1e-9         # relative tolerance of ``GameState.check``
 # the running sums and of the exact valuation.
 SLACK = 1e-8
 MASK32 = 0xFFFFFFFF
-# Values of the uint32 stream that one attempt of ``propose_move`` reads.
-SLOT = 3
 # Attempts ``propose_move`` makes before it gives up.
 ATTEMPTS = 2048
-# Proposals per block of the random phase: a block pays a fixed number of
-# numpy calls, and values its proposals past an accept for nothing.
-BLOCK = 256
 
 
 def default_patience(n_hrd: int, n_csd: int) -> int:
@@ -229,13 +224,16 @@ class GameState:
     accepted_moves: int = 0
     proposals: int = 0
     move_log: list | None = None
+    # Draws the logged rejections of the random phase (``_random_phase``).
+    rng_log: np.random.Generator | None = None
 
     @property
     def n_sbs(self) -> int:
         return self.partition.n_sbs
 
     def clone(self) -> "GameState":
-        """Independent copy; game rngs restart from the scenario's seed."""
+        """Independent copy; its generators restart from the scenario's
+        seed."""
         rng_csd, rng_hrd = _game_rngs(self.scenario.params.seed)
         return GameState(
             scenario=self.scenario, demand=self.demand, table=self.table,
@@ -250,6 +248,7 @@ class GameState:
             fallback_hrds=list(self.fallback_hrds), trace=list(self.trace),
             accepted_moves=self.accepted_moves, proposals=self.proposals,
             move_log=list(self.move_log) if self.move_log is not None else None,
+            rng_log=_log_rng(self.scenario.params.seed, self.move_log),
         )
 
     def report(self) -> DelayReport:
@@ -299,6 +298,13 @@ def _game_rngs(seed: int):
     rng_csd = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     rng_hrd = np.random.default_rng(np.random.SeedSequence([seed, 12]))
     return rng_csd, rng_hrd
+
+
+def _log_rng(seed: int, move_log):
+    """The generator of the logged rejections, for a state with a move log."""
+    if move_log is None:
+        return None
+    return np.random.default_rng(np.random.SeedSequence([seed, 13]))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +394,7 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
     v_csd[n_sbs] = float(costs.local_delay_w[csd_members[n_sbs]].sum())
 
     rng_csd, rng_hrd = _game_rngs(scenario.params.seed)
+    move_log = [] if log_moves else None
     total = float(v_hrd.sum() + v_csd.sum())
     return GameState(
         scenario=scenario, demand=demand, table=table, costs=costs,
@@ -397,8 +404,8 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
         rng_hrd=rng_hrd, rng_csd=rng_csd,
         sums={HRD: CoalitionSums(costs, HRD, hrd_members),
               CSD: CoalitionSums(costs, CSD, csd_members)},
-        fallback_hrds=fallback, trace=[total],
-        move_log=[] if log_moves else None,
+        fallback_hrds=fallback, trace=[total], move_log=move_log,
+        rng_log=_log_rng(scenario.params.seed, move_log),
     )
 
 
@@ -428,7 +435,7 @@ def propose_move(state: GameState, game: str, rng) -> MoveProposal:
     member transfers into an empty one, otherwise one member from each side
     is swapped.
 
-    Each attempt reads ``SLOT`` values ``(u0, u1, u2)`` of the stream.
+    Each attempt reads three values ``(u0, u1, u2)`` of the stream.
     ``u0`` picks the ordered pair ``(m, n)`` by multiply-shift with bound
     ``C * (C - 1)`` over C coalitions, ``n`` skipping ``m``; ``u1`` picks
     the member leaving the nonempty side (``m``, unless it is empty), and
@@ -441,10 +448,8 @@ def propose_move(state: GameState, game: str, rng) -> MoveProposal:
     as numpy draws each full-range uint32 with one ``next_uint32`` call.
 
     The fixed slot is this package's choice, not the paper's: it fixes
-    which stream values an attempt reads, not the law of the drawn moves.
-    With it, whether an attempt draws a move, and which, depends only on
-    its own three values and the coalition sizes, and no size enters the
-    pair draw, which lets ``_Draws`` decode many attempts at once.
+    which stream values an attempt reads, not the law of the drawn moves
+    (``_draw_weights``), which the random phase follows.
     """
     if isinstance(rng, np.random.Generator):
         def next_uint32():
@@ -583,7 +588,7 @@ def _neighbourhood(n_dev: int, n_coal: int):
 
 class _Block:
     """Proposals of one game, valued together at the state's current
-    partition and cut at the first that would be accepted.
+    partition.
 
     Entry ``q`` of the arrays ``swap`` (a swap, or else a transfer), ``a``
     and ``b`` (the coalitions that device ``i`` leaves and enters) and
@@ -602,6 +607,8 @@ class _Block:
     the block is cut there: the caller applies it with the block's own
     valuation (``_settle``), so no move is valued twice, and values the
     proposals after it again, at the new partition, in a new block.
+    ``improving`` finds every proposal that would be accepted, for the
+    random phase and the stability audit.
     """
 
     def __init__(self, state: GameState, sums: CoalitionSums, swap, a, b,
@@ -624,7 +631,6 @@ class _Block:
                       else np.zeros(n, dtype=bool))
         old = self.cache.take(ends)
         self.dv = (self.v_src + self.v_dst) - (old[:n] + old[n:])
-        self.unvalued = []
 
     def __len__(self) -> int:
         return self.a.size
@@ -637,9 +643,10 @@ class _Block:
                             md_to=self.j.item(q) if swap else None)
 
     def value(self, q: int):
-        """(dv, feasible) of proposal ``q``; a side where a rate ordering
-        may bind is valued by ``_kernels.hrd_value`` over its tentative
-        members (every HRD side is feasible)."""
+        """(dv, feasible) of proposal ``q``, exact: a side where a rate
+        ordering may bind is valued by ``_kernels.hrd_value`` over its
+        tentative members (every HRD side is feasible), once, and the result
+        replaces the block's ``dv`` and clears the proposal's flag."""
         if not self.floor[q]:
             return self.dv.item(q), bool(self.feasible[q])
         n, a, b = len(self), self.a.item(q), self.b.item(q)
@@ -650,7 +657,9 @@ class _Block:
                else self.v_src.item(q))
         dst = (hrd_value(self.sums.costs, b, t_dst)[0] if self.floors[n + q]
                else self.v_dst.item(q))
-        return (src + dst) - (self.cache.item(a) + self.cache.item(b)), True
+        self.dv[q] = (src + dst) - (self.cache.item(a) + self.cache.item(b))
+        self.floor[q] = False
+        return self.dv.item(q), True
 
     def screen(self, stop: int):
         """The flagged proposals before ``stop``, split into those that
@@ -673,20 +682,25 @@ class _Block:
         """Index of the first proposal ``evaluate_and_apply`` would accept,
         or the block's length.  A flagged proposal before it that ``screen``
         passes is valued by ``value``, in order and only up to the first
-        accept, and its exact ``dv`` and feasibility replace the block's;
-        one that ``screen`` rejects is not valued, and is listed in
-        ``unvalued``."""
+        accept; one that ``screen`` rejects is not valued."""
         hits = (self.feasible & ~self.floor
                 & (self.dv < -IMPROVE_MARGIN)).nonzero()[0]
         first = int(hits[0]) if hits.size else len(self)
         if not np.count_nonzero(self.floor[:first]):
             return first
-        contenders, self.unvalued = self.screen(first)
-        for q in contenders:
-            self.dv[q], self.feasible[q] = self.value(q)
-            if self.feasible[q] and self.dv[q] < -IMPROVE_MARGIN:
+        for q in self.screen(first)[0]:
+            dv, feasible = self.value(q)
+            if feasible and dv < -IMPROVE_MARGIN:
                 return q
         return first
+
+    def improving(self) -> np.ndarray:
+        """Which proposals ``evaluate_and_apply`` would accept, as a mask;
+        every flagged proposal that ``screen`` passes is valued by
+        ``value``, and no other."""
+        for q in self.screen(len(self))[0]:
+            self.value(q)
+        return self.feasible & ~self.floor & (self.dv < -IMPROVE_MARGIN)
 
 
 def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood,
@@ -722,14 +736,7 @@ def _settle(state: GameState, block: _Block, first: int) -> bool:
     if state.move_log is None:
         state.proposals += first
     else:
-        for q in block.unvalued:
-            if q < first:
-                block.dv[q] = block.value(q)[0]
-        kinds = np.where(block.swap[:first], "swap", "transfer").tolist()
-        for kind, dv in zip(kinds, block.dv[:first].tolist()):
-            state.proposals += 1
-            state.move_log.append((state.proposals, block.game, kind, False,
-                                   dv, state.objective))
+        _log_rejections(state, block, range(first))
     if first == len(block):
         return False
     prop = block.proposal(first)
@@ -769,190 +776,87 @@ def stabilize_partition(state: GameState, game: str) -> int:
     return applied
 
 
-def _drawable(size: np.ndarray) -> int:
-    """The number of distinct moves ``propose_move`` can draw at coalition
-    sizes ``size``: a swap of any two devices in different coalitions, and
-    a transfer of any device into any empty coalition."""
-    n_dev = int(size.sum())
-    return ((n_dev * n_dev - int(size @ size)) // 2
-            + n_dev * int(np.count_nonzero(size == 0)))
+def _draw_weights(size: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """``propose_move``'s probability of drawing the move of a device from
+    coalition ``a`` into coalition ``b``, elementwise, at coalition sizes
+    ``size``, for the moves it can draw: a swap with a member of ``b``, or a
+    transfer into an empty ``b``.  Of the ``H = C(C-1) - E(E-1)`` ordered
+    pairs of C coalitions (E of them empty) that hold a member, two pick
+    the move's coalitions, and the members are uniform, so a swap has
+    probability ``2 / (H |a| |b|)`` and a transfer ``2 / (H |a|)``."""
+    empty = int(np.count_nonzero(size == 0))
+    held = size.size * (size.size - 1) - empty * (empty - 1)
+    return 2.0 / (held * size.take(a) * np.maximum(size.take(b), 1))
 
 
-class _Draws:
-    """``propose_move``'s attempts at the coalition sizes ``size`` (the
-    running sums' own array, which a move updates in place), read from a
-    game generator's uint32 stream through a ``scenario.ReadAhead``, whose
-    entries are the rows of ``attempts``.
-
-    An attempt's pair draw depends on no size, so it is decoded once, as
-    the attempt is read (``attempts``): the row's first value becomes the
-    index of the ordered coalition pair it picks, which ``m`` and ``n`` map
-    to the pair, or ``pairs`` where it falls in Lemire's rejection zone.
-    This matters because windows overlap: the part of a window past an
-    accept is read again by the next block.  The rest of an attempt
-    depends only on its values and the sizes, so ``decode`` decodes the
-    member draws of every attempt of a window at once, in one pass of
-    array operations: sides, member validity and members, then the first
-    valid attempts.  Nothing walks the stream one attempt at a time, and
-    nothing is rebuilt when a size changes.
-    """
-
-    def __init__(self, size: np.ndarray, none: int):
-        self.size, self.none = size, none
-        self.pairs = size.size * (size.size - 1)
-        # The ordered pair (m, n) of each pair index, ``n`` skipping ``m``;
-        # index ``pairs``, a rejected pair draw, reads (0, 0).
-        m, n = np.divmod(np.arange(self.pairs), size.size - 1)
-        self.m, self.n = np.append(m, 0), np.append(n + (n >= m), 0)
-
-    def attempts(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """``ReadAhead`` batch: the next ``k`` attempts of ``rng``, one row
-        ``(pair, u1, u2)`` each, ``pair`` the pair index that ``u0`` picks,
-        or ``pairs`` where ``u0`` falls in the rejection zone."""
-        u = uint32s(rng, SLOT * k).reshape(-1, SLOT)
-        # A uint32 times a bound below 2**31 is exact in int64.
-        prod = u[:, 0] * self.pairs
-        u[:, 0] = np.where(prod & MASK32 >= (1 << 32) % self.pairs,
-                           prod >> 32, self.pairs)
-        return u
-
-    def slots(self, limit: int) -> int:
-        """Attempts to read for ``limit`` proposals: somewhat more than they
-        take on average at the current sizes, and at most ``ATTEMPTS``, so
-        a window holds no run of attempts at which ``propose_move`` gives
-        up.  Needs a member in some coalition."""
-        empty = int(np.count_nonzero(self.size == 0))
-        return min(ATTEMPTS, (limit + limit // 8 + 4) * self.pairs
-                   // (self.pairs - empty * (empty - 1)))
-
-    def decode(self, window: np.ndarray, limit: int):
-        """Up to ``limit`` proposals drawn one after another from the start
-        of ``window`` (rows of ``attempts``), as arrays ``(ends, swap, a, b,
-        k_from, k_to)``: the window offset, in attempts, after each
-        proposal, whether it is a swap, the coalitions its moving device
-        leaves and enters, and the indices of the moving members in the
-        member rows of ``a`` and ``b`` (``none`` in a transfer)."""
-        pair, u1, u2 = window.T
-        size = self.size
-        m, n = self.m.take(pair), self.n.take(pair)
-        a = np.where(size.take(m) > 0, m, n)
-        b = m + n - a
-        size_a, size_b = size.take(a), size.take(b)
-        # Each coalition's rejection zone; an empty ``b`` (a transfer) has
-        # none, as its product is 0.
-        zone = (1 << 32) % np.maximum(size, 1)
-        prod = u1 * size_a
-        ok = (pair < self.pairs) & (size_a > 0) & (prod & MASK32
-                                                   >= zone.take(a))
-        k_from = prod >> 32
-        prod = u2 * size_b
-        ok &= prod & MASK32 >= zone.take(b)
-        at = ok.nonzero()[0][:limit]
-        swap = size_b[at] > 0
-        return (at + 1, swap, a[at], b[at], k_from[at],
-                np.where(swap, prod[at] >> 32, self.none))
-
-
-def _proposals(stream: ReadAhead, draws: _Draws, limit: int):
-    """Up to ``limit`` proposals, at least one, decoded (``_Draws.decode``)
-    from the next unread window of ``stream`` (a ``ReadAhead`` of
-    ``draws.attempts``), which is left unconsumed.  A window of
-    ``draws.slots(limit)`` attempts that draws nothing is read again at
-    ``ATTEMPTS`` attempts; where that draws nothing either, this gives up
-    as ``propose_move`` would on the same values."""
-    for slots in (draws.slots(limit), ATTEMPTS):
-        found = draws.decode(stream.window(slots), limit)
-        if found[0].size:
-            return found
-    raise RuntimeError("could not sample a nonempty coalition pair")
-
-
-def _skip_tail(state: GameState, stream: ReadAhead, draws: _Draws,
-               count: int) -> None:
-    """Count ``count`` proposals that are all rejected, and consume their
-    attempts from ``stream`` without valuing them, at most ``ATTEMPTS``
-    attempts per window."""
-    state.proposals += count
-    while count > 0:
-        ends = _proposals(stream, draws, count)[0]
-        stream.skip(int(ends[-1]))
-        count -= ends.size
+def _log_rejections(state: GameState, block: _Block, rows) -> None:
+    """Count and log the proposals ``rows`` of ``block`` as rejections, each
+    with its exact ``dv`` (``_Block.value``)."""
+    kinds = np.where(block.swap[rows], "swap", "transfer").tolist()
+    for kind, q in zip(kinds, rows):
+        state.proposals += 1
+        state.move_log.append((state.proposals, block.game, kind, False,
+                               block.value(q)[0], state.objective))
 
 
 def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     """At most ``t2`` proposals, stopping after ``patience`` consecutive
-    rejections: each proposal is the one ``propose_move`` draws, judged as
-    ``evaluate_and_apply`` judges it, to the last bit.  Proposal counts,
-    accepted moves, move logs and the generator's end state are those of
-    that one-at-a-time loop.
+    rejections, each drawn by ``propose_move``'s law and judged as
+    ``evaluate_and_apply`` judges it: equal in law to that one-at-a-time
+    loop, not bit-equal to it.
 
-    Between two accepts the partition is fixed, so a block decodes up to
-    ``BLOCK`` proposals from a window of the generator's stream
-    (``_proposals``) and values them together (``_Block``).  An accepted
-    swap changes no coalition's size, so the window's later proposals are
-    still drawn as decoded and carry over to the next block, which reads
-    their members again; a transfer changes two sizes, and the next block
-    decodes afresh.
+    A rejected proposal leaves the partition as it was, so the proposals up
+    to the next accept are independent draws from the same moves, those
+    ``propose_move`` can draw, move ``k`` with probability ``q_k``
+    (``_draw_weights``).  The phase values each of them once per partition
+    (``_neighbourhood_block`` with ``drawable``, then ``_Block.improving``;
+    a swap, which ``propose_move`` draws from either side, is one row, as
+    it is valued to the same bits from both) instead of drawing the
+    proposals one by one: the number of rejections before the next accept
+    is geometric, with success probability the sum of ``q`` over the
+    winning moves, and the accepted move is a winner drawn with probability
+    in proportion to its ``q`` (the n-fold way: Bortz, Kalos and Lebowitz,
+    J. Comput. Phys. 17:10-18, 1975).  A wait that reaches the budget left,
+    ``min(t2 - done, patience)``, counts as that many rejections and ends
+    the phase, as it always does at a partition without a winner.  Both
+    draws come from the game's generator.
 
-    The stable-tail skip: most of a phase is spent where no move can win
-    any more.  Every draw is one of the ``_drawable`` moves at the current
-    sizes, a swap across two coalitions or a transfer into an empty one; a
-    swap is valued to the same bits from either side; and the partition
-    cannot change while every draw is rejected.  So once the rejections
-    since the last accept reach the number of drawable moves, those moves
-    are valued as one block (``_neighbourhood_block`` with ``drawable``),
-    with the same screen and exact valuation of flagged sides, once per run
-    of rejections.  If none of them would be accepted, every later
-    proposal of the phase is a rejection: ``_skip_tail`` counts them and
-    consumes their attempts without valuing them.  A run with a move log
-    values every proposal, as the log holds each one's ``dv``.
-
-    The generator is read ahead and put back where the consumed attempts
-    leave it when the phase ends (``scenario.ReadAhead``), so a game's
-    generator must not be shared between threads.
+    A move log holds a row per proposal.  Its rejected rows are drawn
+    independently by ``q`` among the moves that do not win, from the
+    state's own ``rng_log``, so logging changes no result; a flagged one is
+    valued exactly only when it is logged.
     """
     sums = state.sums[game]
-    draws, drawable = _Draws(sums.size, sums.none), _drawable(sums.size)
-    stream = ReadAhead(state.rng_hrd if game == HRD else state.rng_csd,
-                       draws.attempts)
-    carry = None
-    done = rejections = 0
-    checked = state.move_log is not None
-    while done < t2 and rejections < patience:
-        if not checked and rejections >= drawable:
-            checked = True
-            block, _ = _neighbourhood_block(
-                state, sums, _neighbourhood(sums.none, sums.size.size), 0,
-                drawable=True)
-            if block.first_accept() == len(block):
-                _skip_tail(state, stream, draws,
-                           min(t2 - done, patience - rejections))
-                break
-        if carry is None:
-            carry = _proposals(stream, draws,
-                               min(BLOCK, t2 - done, patience - rejections))
-        ends, swap, a, b, k_from, k_to = carry
-        carry = None
-        block = _Block(state, sums, swap, a, b,
-                       sums.members.take(a * sums.stride + k_from),
-                       sums.members.take(b * sums.stride + k_to))
-        rejected = block.first_accept()
-        last = min(rejected, ends.size - 1)
-        stream.skip(int(ends[last]))
-        accepted = _settle(state, block, rejected)
-        done += rejected + accepted
-        if not accepted:
-            rejections += rejected
-            continue
-        rejections, checked = 0, state.move_log is not None
-        if not swap[last]:
-            drawable = _drawable(sums.size)
-        elif last + 1 < ends.size:
-            # A swap keeps every size: the window's later proposals are
-            # drawn as decoded, and the next block reads their members.
-            carry = tuple(x[last + 1:] for x in (ends - ends[last], swap, a,
-                                                 b, k_from, k_to))
-    stream.release()
+    rng = state.rng_hrd if game == HRD else state.rng_csd
+    hood = _neighbourhood(sums.none, sums.size.size)
+    done = 0
+    while (budget := min(t2 - done, patience)) > 0:
+        block, _ = _neighbourhood_block(state, sums, hood, 0, drawable=True)
+        q = _draw_weights(sums.size, block.a, block.b)
+        win = block.improving()
+        wins = win.nonzero()[0]
+        cum = np.cumsum(q.take(wins))
+        if not wins.size:
+            wait = budget
+        else:
+            p = 1.0 if wins.size == len(block) else cum[-1]
+            wait = min(int(rng.geometric(p)) - 1, budget)
+        if state.move_log is None:
+            state.proposals += wait
+        elif wait:
+            lose = (~win).nonzero()[0]
+            p_lose = q.take(lose)
+            _log_rejections(state, block, state.rng_log.choice(
+                lose, size=wait, p=p_lose / p_lose.sum()).tolist())
+        if wait == budget:
+            return
+        pick = np.searchsorted(cum, rng.random() * cum[-1], side="right")
+        k = wins.item(min(pick, wins.size - 1))
+        prop = block.proposal(k)
+        prop.dv, prop.feasible = block.dv.item(k), True
+        accepted = _apply(state, prop)
+        assert accepted, prop
+        done += wait + 1
 
 
 def run_coalition_game(state: GameState, game: str, t2: int,
@@ -1053,11 +957,7 @@ def audit_stability(state: GameState) -> list:
         block, _ = _neighbourhood_block(
             state, CoalitionSums(state.costs, game, lists),
             _neighbourhood(_association(state, game).size, len(lists)), 0)
-        feasible = block.feasible & ~block.floor
-        for q in block.screen(len(block))[0]:
-            block.dv[q], feasible[q] = block.value(q)
-        for q in np.flatnonzero(feasible
-                                & (block.dv < -IMPROVE_MARGIN)).tolist():
+        for q in np.flatnonzero(block.improving()).tolist():
             prop = block.proposal(q)
             prop.dv, prop.feasible = block.dv.item(q), True
             found.append(prop)
@@ -1065,7 +965,9 @@ def audit_stability(state: GameState) -> list:
 
 
 def write_move_log(state: GameState, path) -> None:
-    """Dump the move log as CSV: proposal index, game, kind, accepted, dv, F."""
+    """Dump the move log as CSV: proposal index, game, kind, accepted, dv, F.
+    The random phase's rejected rows are drawn by their law
+    (``_random_phase``)."""
     if state.move_log is None:
         raise ValueError("state was created without log_moves=True")
     with open(path, "w", encoding="utf-8") as fh:

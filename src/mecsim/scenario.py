@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domains import check_fields
+from .domains import check, check_fields
 
 MIN_PATHLOSS_DISTANCE_M = 1.0   # pathloss curves are clamped below this
 _COLLOCATION_EPS_M = 1e-9
@@ -206,17 +206,10 @@ def doubles(rng: np.random.Generator, k: int) -> np.ndarray:
     return rng.random(k)
 
 
-def uint32s(rng: np.random.Generator, k: int) -> np.ndarray:
-    """The next ``k`` values of the bit generator's ``next_uint32``, as
-    int64: numpy draws each full-range uint32 with one call of it."""
-    return rng.integers(1 << 32, size=k, dtype=np.uint32).astype(np.int64)
-
-
 class ReadAhead:
     """A generator's stream, read ahead in batches of ``batch(rng, k)``
-    (``doubles``, ``uint32s``, or a coalition game's ``_Draws.attempts``,
-    whose ``k`` entries are rows of three values), so that many draws cost
-    one numpy call.
+    (``doubles``, for the placement and demand draws), so that many draws
+    cost one numpy call.
 
     ``window(k)`` returns the next ``k`` unread entries without consuming
     them, reading a batch at least as long as the buffer when it runs
@@ -330,7 +323,8 @@ def generate_scenario(params: SystemParams, counts: Counts) -> Scenario:
     CSDs, each resampled while it is collocated with an MBS or an earlier
     node.  The deployment stream's draws are read in one batch
     (``_drop_nodes``) and consumed exactly as placing one node at a time
-    would consume them.
+    would consume them.  The gains must lie in the domain that
+    ``load_scenario`` applies, or ValueError names the gain and ``isd_m``.
     """
     radius = params.isd_m / 2.0
 
@@ -366,7 +360,7 @@ def generate_scenario(params: SystemParams, counts: Counts) -> Scenario:
                                 rng_los.random(len(sbs_pos)),
                                 rng_shadow.standard_normal(len(sbs_pos)))
 
-    return Scenario(
+    scenario = Scenario(
         params=params, mbs_pos=mbs_pos,
         sbs_pos=sbs_pos, sbs_cell=sbs_cell,
         hrd_pos=hrd_pos, hrd_cell=hrd_cell,
@@ -376,6 +370,13 @@ def generate_scenario(params: SystemParams, counts: Counts) -> Scenario:
         gain_mbs_sbs=np.asarray(gain_mbs_sbs, dtype=float).reshape(-1),
         backhaul_mbs=backhaul_mbs,
     )
+    for name in ("gain_sbs_hrd", "gain_sbs_csd", "gain_mbs_sbs"):
+        try:
+            check(name, getattr(scenario, name))
+        except ValueError as exc:
+            raise ValueError(f"{exc}: its pathloss underflows at isd_m = "
+                             f"{params.isd_m:g} m") from None
+    return scenario
 
 
 # ---------------------------------------------------------------------------

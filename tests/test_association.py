@@ -12,9 +12,9 @@ from mecsim import _kernels, association
 from mecsim._kernels import FEAS_TOL, IDLE_FRAC, hrd_closed_form, \
     member_pairs
 from mecsim.allocation import coalition_value, oracle_solve_p3
-from mecsim.association import (ATTEMPTS, IMPROVE_MARGIN, MASK32, SLOT,
-                                MoveProposal, _Draws, _evaluate,
-                                _neighbourhood, _tentative_members, abcg_init,
+from mecsim.association import (ATTEMPTS, IMPROVE_MARGIN, MoveProposal,
+                                _draw_weights, _evaluate, _neighbourhood,
+                                _tentative_members, abcg_init,
                                 audit_stability, evaluate_and_apply,
                                 propose_move, reallocate, run_amnd,
                                 run_coalition_game, write_move_log)
@@ -22,7 +22,7 @@ from mecsim.content import Catalog, DemandProfile
 from mecsim.delays import Allocation, audit_constraints
 from mecsim.radio import build_rate_table
 from mecsim.scenario import (Counts, ReadAhead, SystemParams, doubles,
-                             generate_scenario, uint32s)
+                             generate_scenario)
 from conftest import demand_for, rate_scenario
 
 
@@ -528,17 +528,22 @@ def test_screen_skips_only_moves_that_cannot_be_accepted(desk_runs,
 
 
 def _game_counts(monkeypatch):
-    """A solve's proposals by how they are handled: ``valued`` (settled
-    block rows and ``_evaluate`` calls), ``evaluated`` (``_evaluate``
-    calls), ``skipped`` (counted in skipped tails) and ``drawn``
-    (``propose_move`` calls)."""
-    counts = dict.fromkeys(("valued", "evaluated", "skipped", "drawn"), 0)
-    inner_evaluate, inner_propose, inner_settle, inner_tail = (
-        association._evaluate, association.propose_move,
-        association._settle, association._skip_tail)
+    """A solve's work by kind: ``drawn`` (``propose_move`` calls),
+    ``evaluated`` (``_evaluate`` calls), ``phases`` (random phases run),
+    ``partitions`` (drawable blocks the random phases value),
+    ``random_accepts`` (moves they apply), ``random_proposals`` (proposals
+    they count), and ``settled`` (proposals the stabilization sweep counts,
+    each a valued block row)."""
+    counts = dict.fromkeys(("drawn", "evaluated", "phases", "partitions",
+                            "random_accepts", "random_proposals", "settled"),
+                           0)
+    inner_evaluate, inner_propose, inner_settle, inner_phase, inner_block, \
+        inner_apply = (association._evaluate, association.propose_move,
+                       association._settle, association._random_phase,
+                       association._neighbourhood_block, association._apply)
+    phase = []
 
     def evaluate(state, prop):
-        counts["valued"] += 1
         counts["evaluated"] += 1
         return inner_evaluate(state, prop)
 
@@ -547,33 +552,48 @@ def _game_counts(monkeypatch):
         return inner_propose(state, game, rng)
 
     def settle(state, block, first):
-        counts["valued"] += first + (first < len(block))
+        counts["settled"] += first + (first < len(block))
         return inner_settle(state, block, first)
 
-    def skip_tail(state, stream, draws, count):
-        counts["skipped"] += count
-        return inner_tail(state, stream, draws, count)
+    def random_phase(state, game, t2, patience):
+        counts["phases"] += 1
+        before = state.proposals
+        phase.append(game)
+        try:
+            return inner_phase(state, game, t2, patience)
+        finally:
+            phase.pop()
+            counts["random_proposals"] += state.proposals - before
 
-    monkeypatch.setattr(association, "_evaluate", evaluate)
-    monkeypatch.setattr(association, "propose_move", propose)
-    monkeypatch.setattr(association, "_settle", settle)
-    monkeypatch.setattr(association, "_skip_tail", skip_tail)
+    def block(state, sums, hood, pos, *, drawable=False):
+        counts["partitions"] += bool(phase) and drawable
+        return inner_block(state, sums, hood, pos, drawable=drawable)
+
+    def apply(state, prop):
+        accepted = inner_apply(state, prop)
+        counts["random_accepts"] += bool(phase) and accepted
+        return accepted
+
+    for name, hook in (("_evaluate", evaluate), ("propose_move", propose),
+                       ("_settle", settle), ("_random_phase", random_phase),
+                       ("_neighbourhood_block", block), ("_apply", apply)):
+        monkeypatch.setattr(association, name, hook)
     return counts
 
 
 def test_game_values_each_accepted_block_move_once(monkeypatch, desk_runs):
-    # A block applies its accept with its own valuation, and every
-    # proposal of a game is drawn in a block, so neither ``propose_move``
-    # nor ``_evaluate`` runs inside a game; the skipped tail draws without
-    # valuing.  Every other proposal is valued once, as a settled block row.
+    # The random phase values the drawable moves once per partition, as one
+    # block: once before each accept, which it applies with that block's
+    # valuation, and once at the partition it ends on.  Neither
+    # ``propose_move`` nor ``_evaluate`` runs inside a game, and every
+    # proposal of the sweep is a valued block row.
     counts = _game_counts(monkeypatch)
     accepted = proposals = 0
     for init, _ in desk_runs:
         final = run_amnd(init.scenario, init.demand, init_state=init)
         accepted += final.accepted_moves
         proposals += final.proposals - init.proposals
-    # Few devices among 15 SBSs: most attempts draw no move, in the skipped
-    # tail too unless a move log turns the skip off.
+    # Few devices among 15 SBSs: most coalitions are empty.
     for seed in range(4):
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=3, n_csd=2))
@@ -582,29 +602,50 @@ def test_game_values_each_accepted_block_move_once(monkeypatch, desk_runs):
             final = run_amnd(scn, demand, log_moves=log_moves)
             accepted += final.accepted_moves
             proposals += final.proposals
-    assert accepted > 0 and counts["drawn"] == counts["evaluated"] == 0
-    assert 0 < counts["skipped"] < proposals
-    assert counts["valued"] == proposals - counts["skipped"]
+    assert counts["drawn"] == counts["evaluated"] == 0
+    assert 0 < counts["random_accepts"] < accepted
+    assert counts["partitions"] == counts["random_accepts"] + counts["phases"]
+    assert counts["random_proposals"] + counts["settled"] == proposals
+    # Most proposals of a phase are rejections that are counted, not drawn.
+    assert counts["random_proposals"] > 10 * counts["partitions"]
 
 
 def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, tmp_path):
-    # A logged run values every proposal; an unlogged one skips the stable
-    # tail.  Both must end in the same state, generators included.
-    scn = generate_scenario(SystemParams(seed=0), Counts(n_hrd=20, n_csd=20))
-    demand = demand_for(scn, seed=0)
-    ends = []
-    for log_moves in (False, True):
-        with monkeypatch.context() as hooks:
-            counts = _game_counts(hooks)
+    # An unlogged random phase counts its rejections, the tail that ends it
+    # included, without drawing them; a logged one draws each logged row
+    # from the state's own log generator, and values a flagged row exactly
+    # only when it logs it.  Both must end in the same state, game
+    # generators included, and the log holds every proposal once.
+    cases = []
+    for seed in range(5):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=20, n_csd=20))
+        cases.append((scn, demand_for(scn, seed=seed)))
+    for seed in (3, 4):
+        scn = generate_scenario(SystemParams(seed=seed, a=0.9),
+                                Counts(n_hrd=20, n_csd=20))
+        cases.append((scn, demand_for(scn, n_files=100, requests_per_hrd=2)))
+    scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=3, n_csd=2))
+    cases.append((scn, demand_for(scn, seed=1, n_files=6, storage=15.6e6)))
+    valued = {False: 0, True: 0}
+    inner = association.hrd_value
+
+    def counted(costs, c, members):
+        valued[log_moves] += 1
+        return inner(costs, c, members)
+
+    monkeypatch.setattr(association, "hrd_value", counted)
+    for n, (scn, demand) in enumerate(cases):
+        ends = []
+        for log_moves in (False, True):
             state = run_amnd(scn, demand, log_moves=log_moves)
-        fingerprint = _solve_fingerprint(state, tmp_path / "moves.csv")
-        ends.append((fingerprint[:12], counts, state.proposals))
-    (unlogged, counts, made), (logged, logged_counts, logged_made) = ends
-    assert unlogged == logged
-    assert counts["skipped"] > 0 and counts["valued"] < made
-    assert counts["valued"] + counts["skipped"] == made
-    assert (logged_counts["valued"], logged_counts["skipped"]) == \
-        (logged_made, 0)
+            ends.append(_solve_fingerprint(state, tmp_path / "moves.csv"))
+        unlogged, logged = ends
+        assert unlogged == logged[:len(unlogged)], n
+        assert [row[0] for row in state.move_log] == \
+            list(range(1, state.proposals + 1)), n
+        assert sum(row[3] for row in state.move_log) == state.accepted_moves
+    assert 0 < valued[False] < valued[True]
 
 
 def _land(r: int, n: int) -> int:
@@ -658,19 +699,30 @@ def _support(lists):
 def test_drawable_count_matches_propose_move_support(sizes):
     lists = [[10 * c + k for k in range(size)] for c, size in enumerate(sizes)]
     support = _support(lists)
-    assert association._drawable(np.array(sizes, dtype=np.int64)) == \
-        len(support)
+    # A swap of two devices of different coalitions, or a transfer into an
+    # empty coalition: the moves the random phase weighs.
+    members = sum(lists, [])
+    moves = {("swap", frozenset((i, j))): (i // 10, j // 10)
+             for i in members for j in members if i // 10 < j // 10}
+    moves.update({("transfer", i, c): (i // 10, c) for i in members
+                  for c, size in enumerate(sizes) if size == 0})
+    assert set(moves) == set(support)
     # A uniform ordered pair among the pairs holding a member, then uniform
     # members: each move is drawn from two ordered pairs.
     empty = sizes.count(0)
     holding = len(sizes) * (len(sizes) - 1) - empty * (empty - 1)
-    for key, p in support.items():
+    a, b = (np.array(x) for x in zip(*moves.values()))
+    weights = _draw_weights(np.array(sizes, dtype=np.int64), a, b)
+    for key, weight in zip(moves, weights.tolist()):
         devices = key[1] if key[0] == "swap" else (key[1],)
         sides = np.prod([sizes[k // 10] for k in devices])
-        assert p == Fraction(2, holding * int(sides)), key
+        assert support[key] == Fraction(2, holding * int(sides)), key
+        assert weight == float(support[key]), key
 
 
 def test_drawable_block_holds_propose_move_support(desk_runs):
+    # The random phase's drawable block holds each move ``propose_move``
+    # can draw once, and weighs it by its exact probability, rounded once.
     for init, final in desk_runs[:5]:
         for state in (init, final):
             for game in ("hrd", "csd"):
@@ -680,13 +732,14 @@ def test_drawable_block_holds_propose_move_support(desk_runs):
                 block, _ = association._neighbourhood_block(
                     state, sums, _neighbourhood(sums.none, sums.size.size),
                     0, drawable=True)
-                rows = {("swap", frozenset((p.md_from, p.md_to)))
+                rows = [("swap", frozenset((p.md_from, p.md_to)))
                         if p.kind == "swap" else
                         ("transfer", p.md_from, p.c_to)
-                        for p in map(block.proposal, range(len(block)))}
-                assert len(block) == len(rows) == \
-                    association._drawable(sums.size)
-                assert rows == set(_support(lists)), game
+                        for p in map(block.proposal, range(len(block)))]
+                support = _support(lists)
+                assert len(set(rows)) == len(rows) == len(support)
+                weights = _draw_weights(sums.size, block.a, block.b).tolist()
+                assert weights == [float(support[key]) for key in rows], game
     # ``_neighbourhood`` is built once per shape and shared, so read-only.
     hood = _neighbourhood(20, 15)
     assert hood is _neighbourhood(20, 15)
@@ -695,9 +748,8 @@ def test_drawable_block_holds_propose_move_support(desk_runs):
 
 def test_swap_is_valued_alike_from_either_side(desk_runs, multi_request_run,
                                                bound_runs):
-    # The skipped tail rests on this: a drawn swap is valued as the
-    # neighbourhood's swap of the same two devices, whichever side it is
-    # drawn from.
+    # The random phase rests on this: it values each drawable swap once,
+    # from one side, whichever side ``propose_move`` would draw it from.
     states = [state for run in desk_runs + bound_runs for state in run]
     states += list(multi_request_run)
     states.append(bound_final_state())
@@ -938,8 +990,7 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
         monkeypatch.setattr(association, name, hook)
     for init, _ in desk_runs:
         run_amnd(init.scenario, init.demand, init_state=init)
-    # One or three devices among 15 SBSs: most attempts of these games
-    # draw no move.
+    # One or three devices among 15 SBSs: most coalitions are empty.
     for n_hrd, n_csd, seed in ((3, 2, 16), (1, 1, 2)):
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=n_hrd, n_csd=n_csd))
@@ -1008,29 +1059,29 @@ def test_reallocate_is_idempotent(desk_runs, multi_request_run):
 # Recorded with the exact coupled HRD allocation: seed, repr(F_AMND),
 # proposals, accepted moves, hrd_sbs, csd_sbs of the desk solves.
 GOLDEN_DESK = (
-    (0, "666.9442220015959", 7606, 18,
+    (0, "667.0660852850223", 6724, 16,
      [0, 9, 13, 4, 8, 1, 1, 5, 10, 2, 7, 12, 2, 6, 14, 3, 9, 11, 4, 7],
-     [1, 5, 10, 15, 7, 14, 3, 15, 15, 15, 8, 12, 2, 15, 15, 15, 15, 15, 4, 9]),
-    (1, "1069.090024029498", 8172, 31,
-     [10, 6, 12, 2, 4, 13, 3, 5, 9, 3, 7, 12, 13, 0, 11, 2, 8, 14, 1, 8],
-     [15, 7, 14, 0, 15, 11, 2, 15, 15, 3, 15, 15, 15, 8, 10, 4, 5, 15, 8, 9]),
-    (2, "701.631963336417", 8696, 25,
-     [4, 7, 13, 2, 7, 10, 3, 5, 11, 1, 8, 6, 4, 8, 12, 1, 9, 14, 2, 0],
+     [1, 5, 10, 15, 15, 9, 3, 15, 15, 15, 8, 12, 2, 15, 15, 15, 15, 15, 4, 7]),
+    (1, "1012.3090133361644", 9327, 35,
+     [0, 6, 12, 3, 4, 13, 0, 5, 10, 3, 7, 1, 13, 8, 12, 2, 9, 14, 2, 8],
+     [15, 15, 14, 0, 5, 11, 2, 15, 15, 3, 15, 15, 15, 8, 10, 4, 7, 15, 8, 9]),
+    (2, "669.5148483279049", 8144, 26,
+     [4, 7, 13, 2, 7, 10, 3, 5, 11, 1, 8, 6, 4, 9, 12, 1, 5, 14, 2, 0],
      [15, 15, 14, 3, 5, 0, 15, 6, 10, 4, 15, 11, 2, 9, 12, 15, 15, 10, 15, 15]),
-    (3, "796.8420937102513", 8434, 37,
-     [0, 14, 10, 2, 8, 13, 1, 4, 11, 4, 9, 12, 3, 6, 10, 2, 7, 14, 0, 5],
-     [15, 7, 13, 14, 6, 15, 3, 5, 11, 4, 15, 15, 1, 15, 12, 2, 15, 10, 0, 9]),
-    (4, "650.0493893487898", 7243, 18,
+    (3, "789.1552756671138", 7741, 29,
+     [0, 14, 12, 2, 8, 13, 1, 4, 10, 4, 9, 11, 3, 6, 10, 2, 7, 14, 0, 5],
+     [15, 7, 13, 14, 6, 15, 15, 5, 11, 4, 15, 15, 1, 15, 12, 3, 15, 10, 2, 9]),
+    (4, "649.8047888708849", 8144, 28,
      [4, 9, 12, 2, 6, 11, 0, 13, 10, 4, 7, 13, 3, 14, 10, 3, 8, 2, 1, 5],
-     [2, 15, 13, 15, 5, 15, 4, 9, 15, 1, 15, 10, 0, 14, 15, 15, 6, 12, 3, 7]),
+     [11, 15, 13, 2, 5, 15, 4, 9, 15, 1, 15, 10, 0, 14, 15, 15, 6, 12, 3, 7]),
 )
 
 
 # The ``multi_request_run`` solve, in the same layout.
 GOLDEN_MULTI_REQUEST = (
-    3, "3721.210371339339", 8494, 36,
-    [0, 14, 12, 2, 8, 14, 1, 4, 10, 4, 9, 13, 3, 6, 10, 2, 7, 11, 0, 5],
-    [15, 7, 13, 14, 6, 15, 3, 5, 11, 4, 15, 15, 1, 15, 12, 2, 15, 10, 0, 9])
+    3, "3896.178885992313", 8235, 41,
+    [0, 7, 12, 2, 8, 14, 1, 4, 11, 4, 9, 13, 3, 6, 10, 2, 7, 14, 0, 5],
+    [15, 7, 13, 14, 6, 15, 15, 5, 11, 4, 15, 15, 1, 15, 12, 3, 15, 10, 2, 9])
 
 
 # Each game generator's final (PCG64 state, has_uint32, uinteger), CSD
@@ -1038,61 +1089,61 @@ GOLDEN_MULTI_REQUEST = (
 # and the SHA-256 of the ``write_move_log`` file of seed 0 solved with a
 # move log.
 GOLDEN_RNG = {
-    0: ((137266430919236884596918213322859515563, 1, 1247542633),
-        (289814756413237485323061328913348644392, 1, 910442340)),
-    1: ((155712518447124807496485510294008375300, 0, 1498140436),
-        (22245996542721618569313132189226619847, 1, 2998633645)),
-    2: ((153141914138633670766373307975663437837, 0, 561395012),
-        (215369542395073345637980103850431521124, 1, 1073335465)),
-    3: ((252419200620835462565989155626660472130, 1, 2799041970),
-        (304041145559377082854033948586881815394, 1, 2642187909)),
-    4: ((142997481617115768259187706823450407010, 0, 1659156135),
-        (76113391552919301058085317172406735756, 0, 2776511300)),
-    "multi": ((252419200620835462565989155626660472130, 1, 2799041970),
-              (265555745491597838692566554222148422000, 1, 4129799526)),
+    0: ((83859812022039524749139676866599146185, 0, 0),
+        (171577682909891176005746160613366480515, 0, 0)),
+    1: ((35980785291564339547440427002349133711, 0, 0),
+        (43023144488572247013051657932322201453, 0, 0)),
+    2: ((190969997697919746100566314232291408707, 0, 0),
+        (285786449028809158837318039036125333203, 0, 0)),
+    3: ((6991687428257118705175068534766578884, 0, 0),
+        (146326740694513934396620997093218687042, 0, 0)),
+    4: ((78624924516840777687985225879594759139, 0, 0),
+        (47338256212657138697842966483499079971, 0, 0)),
+    "multi": ((6991687428257118705175068534766578884, 0, 0),
+              (81734224320607830781939111464305212474, 0, 0)),
 }
 GOLDEN_MOVE_LOG_SEED0 = \
-    "4174d8e51feee03aab918fbfda5e7dcc5e5a725f2fdcc55cb0dc22cdf6a81000"
+    "caac95a43b1fcb1e333ebb7ab485273d1bb9cdc4eb4f710735b0b57be1b3d712"
 
 
 # The SHA-256 of the bytes of the final ``alpha``, ``gamma``, ``beta`` and
 # ``eta`` of the desk solves above ("multi" is ``multi_request_run``).
 GOLDEN_FRACTIONS = {
     0: (
-        "79eaf1904c6dfe69ec9fee6b6e8a3715e85c967f6620f30df8d46d9e6e8cd490",
-        "79eaf1904c6dfe69ec9fee6b6e8a3715e85c967f6620f30df8d46d9e6e8cd490",
+        "d3e5c95223921be5a5c0a72d949fc45aef24c4fb4658bf9d604a4bdd5002001e",
+        "d3e5c95223921be5a5c0a72d949fc45aef24c4fb4658bf9d604a4bdd5002001e",
         "e21b50a3e67c55b1dfe8e1d3feab8ba148bb4dd7478b41e603fbcc99de0bea28",
         "f6e716cf2490c7e61278dd910a928dcdc52c731aa4804197cf2901019c4304ce",
     ),
     1: (
-        "f8a979c8ef8c40ce9209e306a0043ba651e927e3c9b5bd62ce243301c886cb0c",
-        "f9dbebd0f2f8ef68fbff26784c172066e12bd524eecbd4fa59248841b137ec0d",
-        "c116f2b9a4fa033cd00af6ed16d62cbb22850e3c707993a88e876b7214b403a7",
-        "6536f566198b78c60b6fb4ae126947ba8d7b1a8a72112eafa74fa74d640b1d81",
+        "2ad16d7cc56148f93429dbbfc294a1c3795a7a23aef82cbae3a3cf79ee1e5204",
+        "7863b49ff85764cf8734cdf28c3d2f054874d4801d33b7d41f9f43de2a8ab76f",
+        "79e7ba95a0183030bedca0b3a2d8da030b63fafdf1edb20be026cc365bb4fbe0",
+        "d7a808bf8d5e78980a3db5a542326ab060561421ad9c87a81f04447f0b97204e",
     ),
     2: (
         "08159ee438ef6c7f24922d8ec31875cd3b3a602ece935f4f45f503f599bd4e6a",
         "548264b2f5a26af7cba1753fbed2900c5c48b40dc5ec3653222bb2b04243ebcf",
-        "6d77bfb0801c16802c0c3cbd4769f2e0dc8f4eee3837a97c8a3a90f9d5a1fa5e",
-        "0cd30ee6c72f54ba8881953b73e8672930f327ead60ab80b66023b32c480a27c",
+        "95bcdfcb500bca1f1643cba9b68c54e27535f4cce2369066c5e9950933b3c0d8",
+        "89b1bef1358c507ee0a8a2ebad4f1f5d8131a4bae5c02b88fb6d3e10097998bb",
     ),
     3: (
-        "6176aa6d952eb0e379e85ccc35d9b4e05deea6771d5173eeb83cd95380d9d7d9",
-        "6176aa6d952eb0e379e85ccc35d9b4e05deea6771d5173eeb83cd95380d9d7d9",
-        "7d75cc924504d9f70fe98536ca3642e32c78c0c6d1b2a23d225390e821dfe011",
-        "28e31f1080d154699960fea4f22e57b2d69c2343e57f0624c6d4c686e9c0fc95",
+        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
+        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
+        "53f17f3069a9e5cdef5e688169dc95158abb0a90c19bc65280c2c154c91b7aca",
+        "f3260709c665daa0ccd80d5a59beff49abbaacf92339d2d6f64a03f9e598f7c0",
     ),
     4: (
-        "eb81cbec24ae5d50ce0c94fffa4614d19ef72a8916d6ee8cd0dffe0702e8a239",
-        "eb81cbec24ae5d50ce0c94fffa4614d19ef72a8916d6ee8cd0dffe0702e8a239",
+        "6091e687adbe5c0e353dcd89dd20461c48207fb2d487957dbe454727e73e5634",
+        "6091e687adbe5c0e353dcd89dd20461c48207fb2d487957dbe454727e73e5634",
         "8081480d39469d67c9bc1a3e5955593927a1d2e0bb3bada40b9761b6afa6b2be",
         "9381cf431bd9d064afc8f10d43bc3d146b3e2e29798c2a5f2eec38d9a7a955b1",
     ),
     "multi": (
-        "6176aa6d952eb0e379e85ccc35d9b4e05deea6771d5173eeb83cd95380d9d7d9",
-        "6176aa6d952eb0e379e85ccc35d9b4e05deea6771d5173eeb83cd95380d9d7d9",
-        "903784367e5047b0f55013a96cc570e479c90f7a8dd11c382e8268c7553a0d18",
-        "e28c4e21bbf086e8d757b30d330a4eafa24e1f5b36459ac70ca6ff35bd37421f",
+        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
+        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
+        "b1ed79696bc1c9f8b37c9bd5939b19d99a8a732bb7e05abee1c591f6bce018ef",
+        "32a3f2376b604003c6122d4a819602432408365d9a9e87ff91519583d0e42823",
     ),
 }
 
@@ -1231,32 +1282,20 @@ def test_audit_ignores_the_state_running_sums(desk_runs):
     assert audit_stability(state) == moves
 
 
-def _scalar_random_phase(state, game, t2, patience, skipped):
+def _scalar_random_phase(state, game, t2, patience):
     """The random phase as one loop of ``propose_move`` and
-    ``evaluate_and_apply``, one proposal at a time, on the bit generator's
-    own ``next_uint32``: the reference that the block version must equal
-    to the last bit.  Appends the number of attempts that drew no move to
-    ``skipped``."""
-    iface = (state.rng_hrd if game == "hrd" else state.rng_csd).\
-        bit_generator.ctypes
-    read = 0
-
-    def next_uint32():
-        nonlocal read
-        read += 1
-        return iface.next_uint32(iface.state)
-
-    rejections = proposals = 0
+    ``evaluate_and_apply``, one proposal at a time, on the game's own
+    generator: the reference that the rejection-free phase must equal in
+    law."""
+    rng = state.rng_hrd if game == "hrd" else state.rng_csd
+    rejections = 0
     for _ in range(t2):
         if rejections >= patience:
             break
-        prop = propose_move(state, game, next_uint32)
-        proposals += 1
-        if evaluate_and_apply(state, prop):
+        if evaluate_and_apply(state, propose_move(state, game, rng)):
             rejections = 0
         else:
             rejections += 1
-    skipped.append(read // SLOT - proposals)
 
 
 def _scalar_stabilize(state, game, sweeps):
@@ -1288,18 +1327,110 @@ def _solve_fingerprint(state, path):
     return fingerprint
 
 
+class _Accepted(Exception):
+    """Raised in place of applying the first accepted move of a phase."""
+
+
+def _first_accepts(monkeypatch, state, game, phase, runs):
+    """``runs`` random phases ``phase`` of ``game`` from ``state``, each on
+    a generator seeded by its run and cut at its first accept, which is not
+    applied.  Per run: the rejections before the accept, the accepted move
+    (a swap keyed by its two devices, a transfer by its device and target)
+    and, with a move log, the (kind, dv) of the first logged rejection, or
+    None."""
+    inner = association._apply
+
+    def apply(state, prop):
+        if prop.feasible and prop.dv < -IMPROVE_MARGIN:
+            raise _Accepted(prop)
+        return inner(state, prop)
+
+    monkeypatch.setattr(association, "_apply", apply)
+    out = []
+    for run in range(runs):
+        state.rng_hrd = state.rng_csd = np.random.default_rng([run, 0])
+        state.rng_log = np.random.default_rng([run, 1])
+        state.proposals = 0
+        log = state.move_log
+        if log is not None:
+            log.clear()
+        with pytest.raises(_Accepted) as accepted:
+            phase(state, game, 10 ** 6, 10 ** 6)
+        prop = accepted.value.args[0]
+        key = (frozenset((prop.md_from, prop.md_to)) if prop.kind == "swap"
+               else (prop.md_from, prop.c_to))
+        first = (log[0][2], log[0][4]) if log else None
+        out.append((state.proposals, key, first))
+    return out
+
+
+def _same_law(a, b, least=10):
+    """Pearson's chi-square test that two samples of categories come from
+    one law, at significance 1e-4; categories with fewer than ``least``
+    samples in the two together share one cell."""
+    from scipy.stats import chi2_contingency
+    pooled = {}
+    for x in a + b:
+        pooled[x] = pooled.get(x, 0) + 1
+    cell = {x: x if n >= least else "rare" for x, n in pooled.items()}
+    cells = sorted(set(cell.values()), key=repr)
+    table = [[sum(cell[x] == c for x in sample) for c in cells]
+             for sample in (a, b)]
+    return len(cells) < 2 or chi2_contingency(table).pvalue > 1e-4
+
+
 @pytest.mark.parametrize("log_moves", [False, True])
-def test_random_phase_matches_scalar_reference(log_moves, monkeypatch,
-                                               tmp_path):
-    # ``propose_move`` calls of the block version.
-    scalar_proposals = []
-    inner = association.propose_move
+def test_random_phase_matches_scalar_reference(log_moves, monkeypatch):
+    # From fixed partitions, the number of rejections before the first
+    # accept and the accepted move follow the law of the one-at-a-time
+    # loop, and so do the logged rejections.  Each partition has several
+    # winners of unequal weight; the HRD ones have flagged moves that win,
+    # and flagged moves that the screen rejects.  The draws are seeded, so
+    # the outcome is fixed; the critical values are generous.
+    states = []
+    for seed, m_sbs, n_hrd in ((2, 3, 6), (3, 4, 8)):
+        scn = generate_scenario(SystemParams(seed=seed, m_sbs=m_sbs, n_mbs=1,
+                                             a=0.9),
+                                Counts(n_hrd=n_hrd, n_csd=4))
+        demand = demand_for(scn, seed=seed, n_files=20, requests_per_hrd=2)
+        states.append((abcg_init(scn, demand, log_moves=log_moves), "hrd"))
+    # Eight of the ten CSDs compute locally: the winners' weights differ
+    # from the drawable moves' mean by a factor of about 2.
+    scn = generate_scenario(SystemParams(seed=8, m_sbs=4, n_mbs=1),
+                            Counts(n_hrd=10, n_csd=10))
+    demand = demand_for(scn, seed=8, n_files=20, storage=15.6e6)
+    states.append((abcg_init(scn, demand, log_moves=log_moves), "csd"))
+    runs = 1500
+    for n, (state, game) in enumerate(states):
+        sums = state.sums[game]
+        block, _ = association._neighbourhood_block(
+            state, sums, _neighbourhood(sums.none, sums.size.size), 0,
+            drawable=True)
+        flagged = block.floor.copy()
+        win = block.improving()
+        assert 1 < np.count_nonzero(win) < len(block), n
+        assert game == "csd" or (flagged & win).any() and \
+            (flagged & ~win).any(), n
+        p = float(_draw_weights(sums.size, block.a, block.b)[win].sum())
+        with monkeypatch.context() as hooks:
+            ours = _first_accepts(hooks, state, game,
+                                  association._random_phase, runs)
+        with monkeypatch.context() as hooks:
+            theirs = _first_accepts(hooks, state, game, _scalar_random_phase,
+                                    runs)
+        for k in range(3 if log_moves else 2):
+            assert _same_law([x[k] for x in ours if x[k] is not None],
+                             [x[k] for x in theirs if x[k] is not None]), \
+                (n, k)
+        # Each side's mean wait is within 5 standard errors of the
+        # geometric law's, (1 - p) / p.
+        for sample in (ours, theirs):
+            waits = np.array([x[0] for x in sample])
+            sd = np.sqrt(1.0 - p) / p / np.sqrt(runs)
+            assert abs(waits.mean() - (1.0 - p) / p) < 5 * sd, (n, p)
 
-    def counted(state, game, rng):
-        scalar_proposals.append(game)
-        return inner(state, game, rng)
 
-    monkeypatch.setattr(association, "propose_move", counted)
+def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):
     # Kinds of the moves that the block sweep applies.
     swept, sweeping = set(), []
     inner_sweep, inner_apply = (association.stabilize_partition,
@@ -1321,209 +1452,75 @@ def test_random_phase_matches_scalar_reference(log_moves, monkeypatch,
     monkeypatch.setattr(association, "stabilize_partition", sweep)
     monkeypatch.setattr(association, "_apply", apply)
 
-    def solve(scn, demand, kw, second_round):
-        init = abcg_init(scn, demand, log_moves=log_moves)
-        state = run_amnd(scn, demand, init_state=init, **kw)
-        if second_round:
-            # The game generators now start with a held high half.
-            held.append(state.rng_hrd.bit_generator.state["has_uint32"])
-            run_coalition_game(state, "csd", t2=300, patience=100)
-            run_coalition_game(state, "hrd", t2=300, patience=100)
-        return state
-
     cases = []
     for seed in range(20):
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=20, n_csd=20))
-        cases.append((scn, demand_for(scn, seed=seed), {}, False))
+        cases.append((scn, demand_for(scn, seed=seed), {}))
     for seed in (3, 100, 101):
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=20, n_csd=20))
-        demand = demand_for(scn, n_files=100, requests_per_hrd=2)
-        cases.append((scn, demand, {}, seed != 3))
-    # Few devices among 15 or 2 SBSs: most attempts draw no move.
+        cases.append((scn, demand_for(scn, n_files=100, requests_per_hrd=2),
+                      {}))
+    # Few devices among 15 or 2 SBSs.
     for seed in range(6):
         params = (SystemParams(seed=seed) if seed < 4 else
                   SystemParams(seed=seed, m_sbs=2, n_mbs=1))
         scn = generate_scenario(params, Counts(n_hrd=3, n_csd=2))
         demand = demand_for(scn, seed=seed, n_files=6, storage=15.6e6)
         for kw in ({}, {"patience": 1}, {"patience": 3}):
-            cases.append((scn, demand, kw, seed % 2 == 0))
-    for scn, demand, _, _ in cases[:3]:
-        for kw in ({"t2": 1}, {"patience": 1}, {"patience": 0},
-                   {"t2": 77, "stabilize": False}):
-            cases.append((scn, demand, kw, True))
+            cases.append((scn, demand, kw))
+    # Sweeps from partitions that the random phase left unsettled.
+    for scn, demand, _ in cases[:3]:
+        for kw in ({"t2": 1}, {"patience": 1}, {"patience": 0}):
+            cases.append((scn, demand, kw))
 
-    held, sweeps, skipped = [], [], []
-    for n, (scn, demand, kw, second_round) in enumerate(cases):
-        block = solve(scn, demand, kw, second_round)
-        assert (block.move_log is not None) == log_moves
+    sweeps = []
+    for n, (scn, demand, kw) in enumerate(cases):
+        # Half the solves keep a move log, which holds every swept row.
+        log_moves = n % 2 == 1
+        block = run_amnd(scn, demand, log_moves=log_moves, **kw)
         block = _solve_fingerprint(block, tmp_path / f"block{n}.csv")
         with monkeypatch.context() as scalar:
-            scalar.setattr(association, "_random_phase",
-                           functools.partial(_scalar_random_phase,
-                                             skipped=skipped))
             scalar.setattr(association, "stabilize_partition",
                            functools.partial(_scalar_stabilize,
                                              sweeps=sweeps))
-            reference = solve(scn, demand, kw, second_round)
+            reference = run_amnd(scn, demand, log_moves=log_moves, **kw)
         path = tmp_path / f"ref{n}.csv"
         assert block == _solve_fingerprint(reference, path), (n, kw)
-    # The cases skip attempts that draw no move, and start on a held half;
-    # the block version draws every proposal from its decoded windows.  One
-    # sweep accepts several moves, and the block sweep both kinds.
-    assert sum(skipped) > 0 and 1 in held
-    assert not scalar_proposals
+    # One sweep accepts several moves, and the block sweep both kinds.
     assert max(sweeps) >= 2
     assert swept == {"transfer", "swap"}
 
 
-class _Fed:
-    """A stand-in generator whose uint32 stream is ``values``, for
-    ``scenario.uint32s``."""
-
-    def __init__(self, values):
-        self.values, self.pos = values, 0
-        self.bit_generator = SimpleNamespace(state=None)
-
-    def integers(self, high, size, dtype):
-        self.pos += size
-        return self.values[self.pos - size:self.pos].astype(dtype)
-
-
-def _decode_scalar(window, lists, start):
-    """``propose_move`` from attempt ``start`` of ``window``, one attempt
-    at a time.  Returns the proposal, the number of attempts it read, and
-    why each attempt before its last drew no move: ``"redraw"`` (a pair
-    without a member), ``"pair_rejection"`` or ``"member_rejection"`` (a
-    draw in Lemire's rejection zone)."""
-    pos = start * SLOT
-
-    def next_uint32():
-        nonlocal pos
-        pos += 1
-        return int(window[pos - 1])
-
-    prop = propose_move(SimpleNamespace(hrd_members=lists), "hrd",
-                        next_uint32)
-    used, n_coal = pos // SLOT - start, len(lists)
-    pairs, reasons = n_coal * (n_coal - 1), []
-    for t in range(start, start + used - 1):
-        prod = int(window[SLOT * t]) * pairs
-        m, n = divmod(prod >> 32, n_coal - 1)
-        n += n >= m
-        reasons.append("pair_rejection" if prod & MASK32 < (1 << 32) % pairs
-                       else "member_rejection" if lists[m] or lists[n]
-                       else "redraw")
-    return prop, used, reasons
-
-
-@pytest.mark.parametrize("sizes, refill", [
-    ([0, 3, 0, 1, 0, 0, 2, 5], False),   # redraws, bound-1 members, swaps
-    ([0, 0, 0, 0, 0, 0, 0, 2], False),   # long runs of pairs without a member
-    ([0, 3], False), ([1, 2], False),     # two coalitions: one pair draw
-    ([2, 0, 3, 1, 0], True),    # windows across a refill; coalition 0 used
-], ids=["sizes0", "sizes1", "sizes2", "sizes3", "refill"])
-def test_derive_matches_scalar_draws(sizes, refill):
-    rng = np.random.default_rng(len(sizes) + sum(sizes))
-    n_slots = 500
-    window = rng.integers(0, 1 << 32, SLOT * n_slots)
-    # Values whose low product falls below a bound n: j * 2**32 / n rounded
-    # up, for every bound in play.  Those in the bound's rejection zone are
-    # rejected; 0 is in every zone.
-    pairs = len(sizes) * (len(sizes) - 1)
-    bounds = {pairs} | set(sizes)
-    special = [-(-j * (1 << 32) // n) for n in bounds if n > 1
-               for j in range(n)]
-    window[::11] = [special[k % len(special)]
-                    for k in range(window[::11].size)]
-    lists = [[10 * c + k for k in range(size)] for c, size in enumerate(sizes)]
-    none = 99
-    draws = _Draws(np.array(sizes, dtype=np.int64), none)
-    limit = 3
-    seen = {"pair_rejection": 0, "member_rejection": 0, "redraw": 0,
-            "bound_1": 0, "swap": 0, "transfer": 0, "chained": 0,
-            "crossed": 0}
-    for start in range(n_slots):
-        # Up to ``limit`` proposals decoded from attempt ``start``, against
-        # the same proposals drawn one after another by ``propose_move``.
-        head = start + 1 + start % 5
-        stream = ReadAhead(_Fed(window), draws.attempts)
-        # With ``refill``, the first batch ends 1 to 5 attempts past
-        # ``start``, and a second completes the window.
-        stream.window(head if refill else n_slots)
-        stream.skip(start)
-        decoded = draws.decode(stream.window(n_slots - start), limit)
-        ends = decoded[0].tolist()
-        seen["crossed"] += refill and bool(ends) and start + ends[-1] > head
-        assert len(ends) <= limit
-        pos = start
-        for q in range(limit):
-            try:
-                prop, used, reasons = _decode_scalar(window, lists, pos)
-            except IndexError:   # its attempts run past the window
-                break
-            assert q < len(ends), (start, q)
-            assert start + ends[q] == pos + used, (start, q)
-            swap, a, b, k_from, k_to = (int(x[q]) for x in decoded[1:])
-            derived = ("swap" if swap else "transfer", a, b,
-                       lists[a][k_from], lists[b][k_to] if swap else k_to)
-            assert derived == (prop.kind, prop.c_from, prop.c_to,
-                               prop.md_from,
-                               prop.md_to if swap else none), (start, q)
-            for reason in reasons:
-                seen[reason] += 1
-            seen[prop.kind] += 1
-            seen["chained"] += q > 0
-            seen["bound_1"] += (sizes[prop.c_from] == 1
-                                or swap and sizes[prop.c_to] == 1)
-            pos += used
-        else:
-            q = limit
-        # The decode holds exactly the proposals within the window.
-        assert len(ends) == q, start
-    # A bound has a rejection zone unless it is a power of 2.
-    zone = {"pair": (1 << 32) % pairs,
-            "member": max((1 << 32) % n for n in sizes if n)}
-    for side, width in zone.items():
-        assert (seen[side + "_rejection"] > 0) == (width > 0), seen
-    assert seen["chained"] > 0, seen
-    assert (seen["crossed"] > 0) == refill, seen
-    assert (seen["redraw"] > 0) == (sizes.count(0) > 1), seen
-    assert (seen["transfer"] > 0) == (0 in sizes), seen
-    assert (seen["swap"] > 0) == (seen["bound_1"] > 0) == (1 in sizes), seen
+def _uint32s(rng, k):
+    """The next ``k`` values of the bit generator's ``next_uint32``: numpy
+    draws each full-range uint32 with one call of it."""
+    return rng.integers(1 << 32, size=k, dtype=np.uint32)
 
 
 @pytest.mark.parametrize("hit", [100, ATTEMPTS - 1, ATTEMPTS, None])
 def test_window_without_a_move_reads_on_or_gives_up(hit):
     # One device among 8 coalitions: an attempt draws a move only where its
-    # pair holds coalition 0.  The first window of a one-proposal block
-    # holds 20 attempts; past them the decode reads ``ATTEMPTS`` attempts,
-    # and where none draws a move it gives up, as ``propose_move`` does one
-    # attempt at a time.
+    # pair holds coalition 0.  ``propose_move`` reads on, attempt by
+    # attempt, to the first that does, and gives up after ``ATTEMPTS``.
     lists = [[0]] + [[] for _ in range(7)]
-    draws = _Draws(np.array([1] + [0] * 7, dtype=np.int64), 1)
-    assert draws.slots(1) == 20
-    values = np.full(SLOT * (ATTEMPTS + 1), _land(8, 56), dtype=np.int64)
+    values = [_land(8, 56)] * (3 * (ATTEMPTS + 1))
     if hit is not None:
-        values[SLOT * hit] = _land(0, 56)      # the pair (0, 1)
-    rows = draws.attempts(_Fed(values), ATTEMPTS + 1)
-    stream = SimpleNamespace(window=lambda k: rows[:k])
+        values[3 * hit] = _land(0, 56)      # the pair (0, 1)
+    stream = iter(values)
     state = SimpleNamespace(hrd_members=lists)
     if hit is None or hit >= ATTEMPTS:
-        for give_up in (lambda: association._proposals(stream, draws, 1),
-                        lambda: propose_move(state, "hrd",
-                                             iter(values.tolist()).__next__)):
-            with pytest.raises(RuntimeError, match="could not sample"):
-                give_up()
+        with pytest.raises(RuntimeError, match="could not sample"):
+            propose_move(state, "hrd", stream.__next__)
         return
-    ends, swap, a, b, k_from, _ = association._proposals(stream, draws, 1)
-    assert ends.tolist() == [hit + 1]
-    assert (swap.tolist(), a.tolist(), b.tolist(), k_from.tolist()) == \
-        ([False], [0], [1], [0])
+    prop = propose_move(state, "hrd", stream.__next__)
+    assert len(values) - len(list(stream)) == 3 * (hit + 1)
+    assert (prop.kind, prop.c_from, prop.c_to, prop.md_from) == \
+        ("transfer", 0, 1, 0)
 
 
-@pytest.mark.parametrize("batch, held", [(uint32s, 0), (uint32s, 1),
+@pytest.mark.parametrize("batch, held", [(_uint32s, 0), (_uint32s, 1),
                                          (doubles, 0), (doubles, 1)],
                          ids=["0", "1", "doubles-0", "doubles-1"])
 def test_read_ahead_follows_next_uint32(batch, held):
@@ -1532,7 +1529,7 @@ def test_read_ahead_follows_next_uint32(batch, held):
         return iface.next_uint32(iface.state)
 
     def single(rng):
-        return next_uint32(rng) if batch is uint32s else rng.random()
+        return next_uint32(rng) if batch is _uint32s else rng.random()
 
     def fresh():
         rng = np.random.default_rng(np.random.SeedSequence([5, 12]))

@@ -167,3 +167,19 @@ def test_too_few_popular_files_names_delta_and_both_counts(capsys, argv,
     # Popularities of files 5 to 20 at delta 500 underflow to 0.
     assert main(["run"] + argv + TINY) == 1
     assert capsys.readouterr().err == f"mecsim: {message}\n"
+
+
+def test_generated_gains_that_underflow_name_the_gain_and_isd(tmp_path,
+                                                               capsys):
+    # At isd_m = 1e90 the backhaul gains underflow to 0, which a scenario
+    # file may not hold: ``gen`` writes no file, and ``run`` refuses the
+    # same deployment alike.
+    argv = ["--isd", "1e90", "--hrd", "0", "--csd", "0", "--n-mbs", "1",
+            "--m-sbs", "2"]
+    path = tmp_path / "s.txt"
+    for command in (["gen", "-o", str(path)], ["run"]):
+        assert main(command + argv) == 1
+        assert capsys.readouterr() == (
+            "", "mecsim: gain_mbs_sbs must be positive: its pathloss "
+                "underflows at isd_m = 1e+90 m\n")
+    assert not path.exists()
