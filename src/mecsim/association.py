@@ -223,9 +223,8 @@ class GameState:
     trace: list = field(default_factory=list)
     accepted_moves: int = 0
     proposals: int = 0
-    move_log: list | None = None
-    # Draws the logged rejections of the random phase (``_random_phase``).
-    rng_log: np.random.Generator | None = None
+    # One row per accepted move (``_apply``); ``write_move_log`` dumps it.
+    move_log: list = field(default_factory=list)
 
     @property
     def n_sbs(self) -> int:
@@ -247,8 +246,7 @@ class GameState:
             stale={game: set(c) for game, c in self.stale.items()},
             fallback_hrds=list(self.fallback_hrds), trace=list(self.trace),
             accepted_moves=self.accepted_moves, proposals=self.proposals,
-            move_log=list(self.move_log) if self.move_log is not None else None,
-            rng_log=_log_rng(self.scenario.params.seed, self.move_log),
+            move_log=list(self.move_log),
         )
 
     def report(self) -> DelayReport:
@@ -300,20 +298,12 @@ def _game_rngs(seed: int):
     return rng_csd, rng_hrd
 
 
-def _log_rng(seed: int, move_log):
-    """The generator of the logged rejections, for a state with a move log."""
-    if move_log is None:
-        return None
-    return np.random.default_rng(np.random.SeedSequence([seed, 13]))
-
-
 # ---------------------------------------------------------------------------
 # Initializer: strongest gain + equal shares, then the local/offload choice.
 # ---------------------------------------------------------------------------
 
 def abcg_init(scenario: Scenario, demand: DemandProfile, *,
-              table: RateTable | None = None,
-              log_moves: bool = False) -> GameState:
+              table: RateTable | None = None) -> GameState:
     """Association by best channel gain with equal resource shares.
 
     High-rate devices pick the strongest-gain SBS among those whose backhaul
@@ -394,7 +384,6 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
     v_csd[n_sbs] = float(costs.local_delay_w[csd_members[n_sbs]].sum())
 
     rng_csd, rng_hrd = _game_rngs(scenario.params.seed)
-    move_log = [] if log_moves else None
     total = float(v_hrd.sum() + v_csd.sum())
     return GameState(
         scenario=scenario, demand=demand, table=table, costs=costs,
@@ -404,8 +393,7 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
         rng_hrd=rng_hrd, rng_csd=rng_csd,
         sums={HRD: CoalitionSums(costs, HRD, hrd_members),
               CSD: CoalitionSums(costs, CSD, csd_members)},
-        fallback_hrds=fallback, trace=[total], move_log=move_log,
-        rng_log=_log_rng(scenario.params.seed, move_log),
+        fallback_hrds=fallback, trace=[total],
     )
 
 
@@ -536,12 +524,12 @@ def evaluate_and_apply(state: GameState, prop: MoveProposal) -> bool:
 
 
 def _apply(state: GameState, prop: MoveProposal) -> bool:
-    """Count and log a valued proposal (its ``dv`` and ``feasible`` set),
-    and apply it iff it is feasible and improves by more than
-    ``IMPROVE_MARGIN``; returns whether it was applied.  An applied move
-    updates the partition, and the running sums and cached values of its
-    two coalitions, from one pass over each sorted member list, and marks
-    both stale, for ``run_coalition_game`` to install."""
+    """Count a valued proposal (its ``dv`` and ``feasible`` set), and apply
+    it iff it is feasible and improves by more than ``IMPROVE_MARGIN``;
+    returns whether it was applied.  An applied move updates the partition,
+    and the running sums and cached values of its two coalitions, from one
+    pass over each sorted member list, marks both stale, for
+    ``run_coalition_game`` to install, and is logged."""
     state.proposals += 1
     accepted = bool(prop.feasible) and prop.dv < -IMPROVE_MARGIN
     if accepted:
@@ -560,9 +548,8 @@ def _apply(state: GameState, prop: MoveProposal) -> bool:
         state.stale[game].update((a, b))
         state.objective = float(state.v_hrd.sum() + state.v_csd.sum())
         state.accepted_moves += 1
-    if state.move_log is not None:
-        state.move_log.append((state.proposals, prop.game, prop.kind,
-                               accepted, prop.dv, state.objective))
+        state.move_log.append((state.proposals, game, prop.kind, prop.dv,
+                               state.objective))
     return accepted
 
 
@@ -603,12 +590,12 @@ class _Block:
     both the leaving devices ``(i, j)`` and the entering ones ``(j, i)``,
     and one ``take`` of the cached values gives both sides' old values.
 
-    ``first_accept`` finds the first proposal that would be accepted, and
-    the block is cut there: the caller applies it with the block's own
-    valuation (``_settle``), so no move is valued twice, and values the
-    proposals after it again, at the new partition, in a new block.
-    ``improving`` finds every proposal that would be accepted, for the
-    random phase and the stability audit.
+    ``improving`` finds every proposal that would be accepted.  A winner
+    is applied with the block's own valuation (``_accept``), so no move is
+    valued twice: the stabilization sweep applies the first and values the
+    proposals after it again, at the new partition, in a new block; the
+    random phase draws one among them all; the stability audit reports
+    them all.
     """
 
     def __init__(self, state: GameState, sums: CoalitionSums, swap, a, b,
@@ -661,9 +648,9 @@ class _Block:
         self.floor[q] = False
         return self.dv.item(q), True
 
-    def screen(self, stop: int):
-        """The flagged proposals before ``stop``, split into those that
-        may still be accepted and those that cannot, as two index lists.
+    def screen(self):
+        """The flagged proposals, split into those that may still be
+        accepted and those that cannot, as two index lists.
 
         A flagged side's exact value solves the problem whose relaxation,
         without the rate orderings, is worth ``sd**2 + sb**2`` (the
@@ -671,34 +658,15 @@ class _Block:
         proposal whose relaxed ``dv`` stays at or above ``-IMPROVE_MARGIN``
         after ``SLACK`` times its two sides' values is taken off is
         therefore not improving."""
-        floor = self.floor[:stop]
-        bound = self.dv[:stop] - SLACK * (self.v_src[:stop]
-                                          + self.v_dst[:stop])
-        wins = bound < -IMPROVE_MARGIN
-        return ((floor & wins).nonzero()[0].tolist(),
-                (floor & ~wins).nonzero()[0].tolist())
-
-    def first_accept(self) -> int:
-        """Index of the first proposal ``evaluate_and_apply`` would accept,
-        or the block's length.  A flagged proposal before it that ``screen``
-        passes is valued by ``value``, in order and only up to the first
-        accept; one that ``screen`` rejects is not valued."""
-        hits = (self.feasible & ~self.floor
-                & (self.dv < -IMPROVE_MARGIN)).nonzero()[0]
-        first = int(hits[0]) if hits.size else len(self)
-        if not np.count_nonzero(self.floor[:first]):
-            return first
-        for q in self.screen(first)[0]:
-            dv, feasible = self.value(q)
-            if feasible and dv < -IMPROVE_MARGIN:
-                return q
-        return first
+        wins = self.dv - SLACK * (self.v_src + self.v_dst) < -IMPROVE_MARGIN
+        return ((self.floor & wins).nonzero()[0].tolist(),
+                (self.floor & ~wins).nonzero()[0].tolist())
 
     def improving(self) -> np.ndarray:
         """Which proposals ``evaluate_and_apply`` would accept, as a mask;
         every flagged proposal that ``screen`` passes is valued by
         ``value``, and no other."""
-        for q in self.screen(len(self))[0]:
+        for q in self.screen()[0]:
             self.value(q)
         return self.feasible & ~self.floor & (self.dv < -IMPROVE_MARGIN)
 
@@ -725,24 +693,24 @@ def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood,
                   j[rest]), rest
 
 
-def _settle(state: GameState, block: _Block, first: int) -> bool:
-    """Count and log the block's proposals before ``first`` as the
-    rejections ``evaluate_and_apply`` would count and log, then apply
-    proposal ``first`` with the block's own ``dv`` and feasibility
-    (``_apply``), if the block holds one; returns whether a move was
-    applied.  The log holds each rejection's exact ``dv``, so a flagged
-    rejection that ``first_accept`` left unvalued is valued here, and only
-    when it is logged."""
-    if state.move_log is None:
-        state.proposals += first
-    else:
-        _log_rejections(state, block, range(first))
-    if first == len(block):
-        return False
-    prop = block.proposal(first)
-    prop.dv, prop.feasible = block.dv.item(first), bool(block.feasible[first])
+def _accept(state: GameState, block: _Block, k: int) -> None:
+    """Apply proposal ``k`` of ``block``, a winner, with the block's own
+    ``dv`` and feasibility (``_apply``)."""
+    prop = block.proposal(k)
+    prop.dv, prop.feasible = block.dv.item(k), bool(block.feasible[k])
     accepted = _apply(state, prop)
     assert accepted, prop
+
+
+def _settle(state: GameState, block: _Block, first: int) -> bool:
+    """Count the block's proposals before ``first`` as the rejections
+    ``evaluate_and_apply`` would count, then accept proposal ``first``
+    (``_accept``), if the block holds one; returns whether a move was
+    applied."""
+    state.proposals += first
+    if first == len(block):
+        return False
+    _accept(state, block, first)
     return True
 
 
@@ -753,9 +721,9 @@ def stabilize_partition(state: GameState, game: str) -> int:
 
     A sweep visits the moves in ``_neighbourhood``'s order.  Between two
     accepts the partition is fixed, so the rest of the sweep is one
-    ``_Block`` (``_neighbourhood_block``); its first accept is applied with
-    the block's valuation (``_settle``), and the sweep resumes at the next
-    position.
+    ``_Block`` (``_neighbourhood_block``); its first winner
+    (``_Block.improving``) is applied with the block's valuation
+    (``_settle``), and the sweep resumes at the next position.
     """
     sums = state.sums[game]
     hood = _neighbourhood(_association(state, game).size,
@@ -767,7 +735,8 @@ def stabilize_partition(state: GameState, game: str) -> int:
         pos = 0
         while pos < hood[0].size:
             block, at = _neighbourhood_block(state, sums, hood, pos)
-            first = block.first_accept()
+            wins = block.improving().nonzero()[0]
+            first = wins.item(0) if wins.size else len(block)
             if not _settle(state, block, first):
                 break
             improved = True
@@ -787,16 +756,6 @@ def _draw_weights(size: np.ndarray, a: np.ndarray, b: np.ndarray):
     empty = int(np.count_nonzero(size == 0))
     held = size.size * (size.size - 1) - empty * (empty - 1)
     return 2.0 / (held * size.take(a) * np.maximum(size.take(b), 1))
-
-
-def _log_rejections(state: GameState, block: _Block, rows) -> None:
-    """Count and log the proposals ``rows`` of ``block`` as rejections, each
-    with its exact ``dv`` (``_Block.value``)."""
-    kinds = np.where(block.swap[rows], "swap", "transfer").tolist()
-    for kind, q in zip(kinds, rows):
-        state.proposals += 1
-        state.move_log.append((state.proposals, block.game, kind, False,
-                               block.value(q)[0], state.objective))
 
 
 def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
@@ -821,10 +780,8 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     the phase, as it always does at a partition without a winner.  Both
     draws come from the game's generator.
 
-    A move log holds a row per proposal.  Its rejected rows are drawn
-    independently by ``q`` among the moves that do not win, from the
-    state's own ``rng_log``, so logging changes no result; a flagged one is
-    valued exactly only when it is logged.
+    The rejections are counted, never drawn: the move log holds the
+    accepted moves only (``_apply``).
     """
     sums = state.sums[game]
     rng = state.rng_hrd if game == HRD else state.rng_csd
@@ -833,38 +790,28 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     while (budget := min(t2 - done, patience)) > 0:
         block, _ = _neighbourhood_block(state, sums, hood, 0, drawable=True)
         q = _draw_weights(sums.size, block.a, block.b)
-        win = block.improving()
-        wins = win.nonzero()[0]
+        wins = block.improving().nonzero()[0]
         cum = np.cumsum(q.take(wins))
         if not wins.size:
             wait = budget
         else:
             p = 1.0 if wins.size == len(block) else cum[-1]
             wait = min(int(rng.geometric(p)) - 1, budget)
-        if state.move_log is None:
-            state.proposals += wait
-        elif wait:
-            lose = (~win).nonzero()[0]
-            p_lose = q.take(lose)
-            _log_rejections(state, block, state.rng_log.choice(
-                lose, size=wait, p=p_lose / p_lose.sum()).tolist())
+        state.proposals += wait
         if wait == budget:
             return
         pick = np.searchsorted(cum, rng.random() * cum[-1], side="right")
-        k = wins.item(min(pick, wins.size - 1))
-        prop = block.proposal(k)
-        prop.dv, prop.feasible = block.dv.item(k), True
-        accepted = _apply(state, prop)
-        assert accepted, prop
+        _accept(state, block, wins.item(min(pick, wins.size - 1)))
         done += wait + 1
 
 
 def run_coalition_game(state: GameState, game: str, t2: int,
-                       patience: int | None = None, *,
-                       stabilize: bool = True) -> GameState:
+                       patience: int | None = None) -> GameState:
     """Random move phase (at most t2 proposals, early stop after ``patience``
-    consecutive rejections) followed by the stabilization sweep; then each
-    coalition they changed is installed, once.
+    consecutive rejections) followed by the stabilization sweep, which
+    always runs, so the game ends Nash-stable; then each coalition they
+    changed is installed, once.  Both phases accept a move through
+    ``_apply``, which appends it to the move log.
 
     Installs are deferred to the end of the game.  An accepted move
     (``_apply``) sorts the two touched member lists and recomputes both
@@ -887,8 +834,7 @@ def run_coalition_game(state: GameState, game: str, t2: int,
     lists = _member_lists(state, game)
     if len(lists) >= 2 and sum(len(c) for c in lists) >= 1:
         _random_phase(state, game, t2, patience)
-    if stabilize:
-        stabilize_partition(state, game)
+    stabilize_partition(state, game)
     for c in sorted(state.stale[game]):
         _write_coalition(state, game, c, lists[c])
     return state
@@ -907,7 +853,6 @@ def reallocate(state: GameState) -> None:
 
 def run_amnd(scenario: Scenario, demand: DemandProfile, *,
              t2: int | None = None, patience: int | None = None,
-             stabilize: bool = True, log_moves: bool = False,
              init_state: GameState | None = None) -> GameState:
     """Best-gain init (or a clone of ``init_state``), then the
     computation-device game, the high-rate-device game and the closed-form
@@ -930,12 +875,12 @@ def run_amnd(scenario: Scenario, demand: DemandProfile, *,
     if init_state is not None:
         state = init_state.clone()
     else:
-        state = abcg_init(scenario, demand, log_moves=log_moves)
+        state = abcg_init(scenario, demand)
     if t2 is None:
         t2 = default_game_iters(state.demand.n_hrd, state.demand.n_csd)
-    run_coalition_game(state, CSD, t2, patience, stabilize=stabilize)
+    run_coalition_game(state, CSD, t2, patience)
     state.trace.append(state.objective)
-    run_coalition_game(state, HRD, t2, patience, stabilize=stabilize)
+    run_coalition_game(state, HRD, t2, patience)
     state.trace.append(state.objective)
     reallocate(state)
     state.trace.append(state.objective)
@@ -965,13 +910,10 @@ def audit_stability(state: GameState) -> list:
 
 
 def write_move_log(state: GameState, path) -> None:
-    """Dump the move log as CSV: proposal index, game, kind, accepted, dv, F.
-    The random phase's rejected rows are drawn by their law
-    (``_random_phase``)."""
-    if state.move_log is None:
-        raise ValueError("state was created without log_moves=True")
+    """Dump the move log as CSV, one row per accepted move: the index of its
+    proposal among the state's proposals, the game, the kind, its ``dv``
+    and the objective after it."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("proposal,game,kind,accepted,dv,objective\n")
-        for row in state.move_log:
-            it, game, kind, acc, dv, obj = row
-            fh.write(f"{it},{game},{kind},{int(acc)},{dv:.12g},{obj:.12g}\n")
+        fh.write("proposal,game,kind,dv,objective\n")
+        for it, game, kind, dv, obj in state.move_log:
+            fh.write(f"{it},{game},{kind},{dv:.12g},{obj:.12g}\n")

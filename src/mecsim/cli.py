@@ -92,8 +92,6 @@ def _add_game_args(p):
                    help="game proposals per run (0 = default)")
     p.add_argument("--patience", type=int, default=0,
                    help="consecutive rejections before early stop (0 = default)")
-    p.add_argument("--no-stabilize", action="store_true",
-                   help="skip the deterministic stabilization sweep")
 
 
 def _game_budget(args):
@@ -150,11 +148,9 @@ def _cmd_run(args):
     t2, patience = _game_budget(args)
     scenario, demand = _load_or_build(args)
     if args.algorithm == "abcg":
-        state = abcg_init(scenario, demand, log_moves=bool(args.move_log))
+        state = abcg_init(scenario, demand)
     else:
-        state = run_amnd(scenario, demand, t2=t2, patience=patience,
-                         stabilize=not args.no_stabilize,
-                         log_moves=bool(args.move_log))
+        state = run_amnd(scenario, demand, t2=t2, patience=patience)
         print("objective trace:",
               " ".join(f"{v:.6f}" for v in state.trace))
     _print_report(args.algorithm.upper(), state)
@@ -168,7 +164,7 @@ def _cmd_run(args):
         cfg = ExperimentConfig(axis="a", grid=(scenario.params.a,))
         row = _row_from_state(cfg, scenario.params.a, demand.catalog.delta,
                               scenario.params.seed, args.algorithm.upper(),
-                              state, 0.0)
+                              state)
         emit_csv([row], args.row_csv)
         print(f"report row written to {args.row_csv}")
     return EXIT_OK
@@ -187,7 +183,7 @@ def _cmd_sweep(args):
         if value is not None:
             overrides[key] = value
     config = config_with_overrides(config, overrides)
-    rows = run_sweep(config, audit=args.audit, timing=args.timing)
+    rows = run_sweep(config, audit=args.audit)
     emit_csv(rows, config.output)
     print(f"wrote {len(rows)} rows to {config.output}")
     return EXIT_OK
@@ -211,7 +207,7 @@ def _cmd_audit(args):
 
     state0 = abcg_init(scenario, demand)
     final = run_amnd(scenario, demand, t2=t2, patience=patience,
-                     stabilize=not args.no_stabilize, init_state=state0)
+                     init_state=state0)
     for tag, state in (("init", state0), ("final", final)):
         bad = audit_constraints(scenario, demand, state.partition,
                                 state.allocation, state.table)
@@ -287,7 +283,7 @@ def build_parser(command: str | None = None) -> _Parser:
         _add_scenario_args(p)
         _add_game_args(p)
         p.add_argument("--move-log",
-                       help="write accepted/rejected moves as CSV")
+                       help="write the accepted moves as CSV")
         p.add_argument("--rates-csv", help="dump share factors and link rates")
         p.add_argument("--row-csv",
                        help="write the delay report as one CSV row")
@@ -304,9 +300,6 @@ def build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--set", action="append", default=[],
                        metavar="FIELD=VALUE",
                        help="override any config field (repeatable)")
-        p.add_argument("--timing", action="store_true",
-                       help="record wall-clock runtimes "
-                            "(breaks byte determinism)")
         p.add_argument("--audit", action="store_true",
                        help="verify constraints at every emitted state")
     if p := add("audit", _cmd_audit, "constraint, stability and oracle audit"):

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import BYTES_TOL
 from .domains import check, check_fields
-from .scenario import ReadAhead, doubles
+from .scenario import ReadAhead
 
 # Decimal unit convention used throughout (config values are bytes).
 KB = 1e3
@@ -84,7 +84,7 @@ def _distinct_draws(catalog: Catalog, sizes, rng: np.random.Generator,
                 f"{catalog.n_files} files a nonzero popularity, fewer than "
                 f"the {max(sizes)} distinct {need}")
     weights = p.tolist()
-    draws = ReadAhead(rng, doubles)
+    draws = ReadAhead(rng)
     out = []
     for size in sizes:
         w, found = list(weights), {}

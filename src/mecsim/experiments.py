@@ -8,7 +8,6 @@ resource splits, requests/caches for delta).
 """
 
 import inspect
-import time
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -26,7 +25,7 @@ CSV_COLUMNS = (
     "axis", "axis_value", "delta", "seed", "algorithm", "F",
     "hrd_total_s", "hrd_backhaul_s", "csd_total_s", "csd_local_s",
     "csd_offload_s", "n_local_csd", "n_edge_csd", "n_backhauled_files",
-    "accepted_moves", "runtime_ms",
+    "accepted_moves",
 )
 
 _INT_COLUMNS = {"seed", "n_local_csd", "n_edge_csd", "n_backhauled_files",
@@ -84,7 +83,6 @@ class ExperimentConfig:
     cache_policy: str = "sampled"
     game_iters: int = 0          # 0 selects the built-in default
     patience: int = 0            # 0 selects the built-in default
-    stabilize: bool = True
     output: str = "sweep.csv"
 
     def validate(self) -> None:
@@ -150,12 +148,11 @@ class SweepRow:
     n_edge_csd: int
     n_backhauled_files: int
     accepted_moves: int
-    runtime_ms: float
     n_cached_hits: int = 0    # carried for analysis; not a CSV column
 
 
-def _row_from_state(cfg, axis_value, delta, seed, algorithm, state,
-                    runtime_ms) -> SweepRow:
+def _row_from_state(cfg, axis_value, delta, seed, algorithm,
+                    state) -> SweepRow:
     rep = state.report()
     return SweepRow(
         axis=cfg.axis, axis_value=float(axis_value), delta=float(delta),
@@ -164,14 +161,12 @@ def _row_from_state(cfg, axis_value, delta, seed, algorithm, state,
         csd_total_s=rep.csd_total_s, csd_local_s=rep.csd_local_s,
         csd_offload_s=rep.csd_offload_s, n_local_csd=rep.n_local_csd,
         n_edge_csd=rep.n_edge_csd, n_backhauled_files=rep.n_backhauled_files,
-        accepted_moves=state.accepted_moves, runtime_ms=float(runtime_ms),
-        n_cached_hits=rep.n_cached_hits)
+        accepted_moves=state.accepted_moves, n_cached_hits=rep.n_cached_hits)
 
 
-def run_sweep(config: ExperimentConfig, *, audit: bool = False,
-              timing: bool = False) -> list[SweepRow]:
-    """Run the whole sweep; deterministic given the config (runtimes are
-    emitted as 0 unless ``timing`` is set, keeping the CSV byte-stable)."""
+def run_sweep(config: ExperimentConfig, *,
+              audit: bool = False) -> list[SweepRow]:
+    """Run the whole sweep; deterministic given the config."""
     config.validate()
     t2, patience = config.game_iters or None, config.patience or None
     rows: list[SweepRow] = []
@@ -193,25 +188,21 @@ def run_sweep(config: ExperimentConfig, *, audit: bool = False,
                 scn = base.with_params(**{config.axis: float(axis_value)})
             table = build_rate_table(scn)
 
-            t0 = time.perf_counter()
             state0 = abcg_init(scn, demand, table=table)
-            dt0 = (time.perf_counter() - t0) * 1e3 if timing else 0.0
             if audit:
                 _assert_clean(scn, demand, state0, "ABCG",
                               axis_value, delta, seed)
             if "ABCG" in config.algorithms:
                 rows.append(_row_from_state(config, axis_value, delta, seed,
-                                            "ABCG", state0, dt0))
+                                            "ABCG", state0))
             if "AMND" in config.algorithms:
-                t0 = time.perf_counter()
                 final = run_amnd(scn, demand, t2=t2, patience=patience,
-                                 stabilize=config.stabilize, init_state=state0)
-                dt1 = (time.perf_counter() - t0) * 1e3 + dt0 if timing else 0.0
+                                 init_state=state0)
                 if audit:
                     _assert_clean(scn, demand, final, "AMND",
                                   axis_value, delta, seed)
                 rows.append(_row_from_state(config, axis_value, delta, seed,
-                                            "AMND", final, dt1))
+                                            "AMND", final))
     rows.sort(key=lambda r: (r.axis_value, r.delta, r.seed, r.algorithm))
     return rows
 
@@ -350,8 +341,6 @@ def trend_check(rows, metric: str, shape: str, *, algorithm: str = "AMND",
 _TUPLE_FLOAT = {"grid", "deltas"}
 _TUPLE_INT = {"seeds"}
 _TUPLE_STR = {"algorithms"}
-_BOOL = {"stabilize"}
-_TRUE, _FALSE = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 
 
 def save_config(config: ExperimentConfig, path) -> None:
@@ -404,9 +393,4 @@ def _parse(key, raw, current):
         return tuple(int(t) for t in str(raw).replace(",", " ").split())
     if key in _TUPLE_STR:
         return tuple(str(raw).replace(",", " ").split())
-    if key in _BOOL:
-        word = str(raw).strip().lower()
-        if word not in _TRUE + _FALSE:
-            raise ValueError(f"takes {'/'.join(_TRUE + _FALSE)}, not {raw!r}")
-        return word in _TRUE
     return type(current)(raw) if not isinstance(current, str) else str(raw)

@@ -201,15 +201,10 @@ def hex_lattice(n: int, isd_m: float) -> np.ndarray:
     return np.array([[c[4], c[5]] for c in cells[:n]], dtype=float)
 
 
-def doubles(rng: np.random.Generator, k: int) -> np.ndarray:
-    """The next ``k`` draws of ``rng.random()``."""
-    return rng.random(k)
-
-
 class ReadAhead:
-    """A generator's stream, read ahead in batches of ``batch(rng, k)``
-    (``doubles``, for the placement and demand draws), so that many draws
-    cost one numpy call.
+    """A generator's stream of ``rng.random()`` doubles, read ahead in
+    batches, for the placement and demand draws, so that many draws cost
+    one numpy call.
 
     ``window(k)`` returns the next ``k`` unread entries without consuming
     them, reading a batch at least as long as the buffer when it runs
@@ -222,10 +217,10 @@ class ReadAhead:
     tests keep as the reference.
     """
 
-    def __init__(self, rng: np.random.Generator, batch):
-        self.rng, self.batch = rng, batch
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
         self.start = rng.bit_generator.state
-        self.buf = batch(rng, 0)
+        self.buf = rng.random(0)
         self.pos = 0       # next unread entry of buf
         self.base = 0      # entries consumed before buf[0]
 
@@ -233,7 +228,7 @@ class ReadAhead:
         missing = self.pos + k - len(self.buf)
         if missing > 0:
             # Read at least as much again; keep only the unread entries.
-            more = self.batch(self.rng, max(missing, len(self.buf)))
+            more = self.rng.random(max(missing, len(self.buf)))
             self.base += self.pos
             self.buf = np.concatenate((self.buf[self.pos:], more))
             self.pos = 0
@@ -245,7 +240,7 @@ class ReadAhead:
     def release(self) -> None:
         if self.pos < len(self.buf):
             self.rng.bit_generator.state = self.start
-            self.batch(self.rng, self.base + self.pos)
+            self.rng.random(self.base + self.pos)
 
 
 def _first_collocation(xy: np.ndarray, first: int):
@@ -284,7 +279,7 @@ def _drop_nodes(rng, centers: np.ndarray, radius: float,
     """
     n, n_fixed = len(centers), len(fixed)
     xy = np.concatenate((fixed, np.empty((n, 2))))
-    draws = ReadAhead(rng, doubles)
+    draws = ReadAhead(rng)
     t = rejected = 0
     while t < n:
         u = draws.window(2 * (n - t))

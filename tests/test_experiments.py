@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mecsim
+from mecsim import association
 from mecsim.association import run_amnd
 from mecsim.cli import _scenario_from_args, build_parser, main
 from mecsim.experiments import (CSV_COLUMNS, ExperimentConfig, SweepRow,
@@ -76,7 +77,7 @@ def synth_rows(series, metric="hrd_total_s", algorithm="AMND", delta=0.6):
                   algorithm=algorithm, F=0.0, hrd_total_s=0.0,
                   hrd_backhaul_s=0.0, csd_total_s=0.0, csd_local_s=0.0,
                   csd_offload_s=0.0, n_local_csd=0, n_edge_csd=0,
-                  n_backhauled_files=0, accepted_moves=0, runtime_ms=0.0)
+                  n_backhauled_files=0, accepted_moves=0)
         kw[metric] = float(y)
         rows.append(SweepRow(**kw))
     return rows
@@ -115,8 +116,7 @@ def test_seed_average_filters_by_algorithm_and_delta(small_rows):
 
 def test_config_roundtrip_and_overrides(tmp_path):
     cfg = ExperimentConfig(axis="t1_frac", grid=(0.2, 0.4), seeds=(9,),
-                           storage_bytes=1e7, cache_policy="popular_first",
-                           stabilize=False)
+                           storage_bytes=1e7, cache_policy="popular_first")
     path = tmp_path / "cfg.txt"
     save_config(cfg, path)
     loaded = load_config(path)
@@ -305,8 +305,7 @@ COMMAND_ARGV = {
                  "--a", "0.7", "--cache-policy", "sampled"]],
     "sweep": [[], ["--set", "n_hrd=3", "--set", "n_csd=2", "--audit",
                    "--grid", "0.5", "--axis", "t1_frac", "-o", "s.csv"]],
-    "audit": [[], ["--seed", "3", "--patience", "7", "--no-stabilize",
-                   "--scenario", "s.txt"]],
+    "audit": [[], ["--seed", "3", "--patience", "7", "--scenario", "s.txt"]],
     "trend": [["--csv", "r.csv", "--metric", "F", "--shape", "u",
                "--delta", "0.6", "--algorithm", "ABCG"]],
 }
@@ -364,17 +363,20 @@ def test_load_csv_names_the_line_of_a_malformed_row(tmp_path, edit, line):
         load_csv(path)
 
 
-def test_bool_override_takes_only_known_words():
-    for word, value in [("1", True), ("TRUE", True), ("yes", True),
-                        ("on", True), ("0", False), ("false", False),
-                        ("No", False), (" off ", False)]:
-        assert config_with_overrides(
-            ExperimentConfig(stabilize=not value),
-            {"stabilize": word}).stabilize is value
-    for word in ("ture", "", "2", "enabled"):
-        with pytest.raises(ValueError, match="stabilize"):
-            config_with_overrides(ExperimentConfig(), {"stabilize": word})
-    assert main(["sweep", "--set", "stabilize=ture"]) == 1
+def test_stabilize_and_timing_switches_are_gone(tmp_path, capsys):
+    # Every solve ends with the stabilization sweep, and a sweep CSV holds
+    # no wall time: neither has a flag or a config field.
+    for argv in (["run", "--no-stabilize"], ["audit", "--no-stabilize"],
+                 ["sweep", "--timing"]):
+        assert main(argv) == 1, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+    path = tmp_path / "cfg.txt"
+    path.write_text("mecsim-config v1\nstabilize = 1\n")
+    for argv in (["sweep", "--set", "stabilize=1"],
+                 ["sweep", "--config", str(path)]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == \
+            "mecsim: unknown config field 'stabilize'\n"
 
 
 @pytest.mark.parametrize("buffered", [False, True])
@@ -433,10 +435,12 @@ def test_cli_audit_gap_is_the_allocators_not_the_oracles(seed, capsys):
     assert "audit: CLEAN" in out
 
 
-def test_cli_audit_counts_remaining_moves(capsys):
+def test_cli_audit_counts_remaining_moves(monkeypatch, capsys):
     # Without the stabilization sweep the random phase leaves improving
     # moves, and every one of them counts as a failure.
-    assert main(["audit", "--seed", "3", "--no-stabilize"]) == 2
+    monkeypatch.setattr(association, "stabilize_partition",
+                        lambda state, game: 0)
+    assert main(["audit", "--seed", "3"]) == 2
     assert "stability audit: 9 improving move(s) remain\n" in \
         capsys.readouterr().out
 
@@ -456,7 +460,7 @@ def test_cli_run_row_matches_the_sweep_row(tmp_path, capsys):
 # SHA-256 of ``mecsim sweep --seeds 1 --audit``.  Storage layout changes
 # must leave it alone; a change to the allocator re-records it.
 SWEEP_SEED1_SHA256 = \
-    "afa80041754884d54e29e00bb6538ee6bcaffd5e34322f3a59deb88c459549ae"
+    "d11c8af40b2962da57da027ba7cd917a15e05642b8842c21f109c24509539cb3"
 
 
 def test_sweep_csv_matches_recorded_digest(tmp_path, capsys):

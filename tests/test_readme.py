@@ -8,6 +8,9 @@ import re
 from pathlib import Path
 
 import mecsim
+from mecsim import association, experiments
+from mecsim.scenario import Counts, SystemParams, generate_scenario
+from conftest import demand_for
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = {m.name for m in pkgutil.iter_modules(mecsim.__path__)}
@@ -42,3 +45,27 @@ def test_readme_names_resolve():
     assert len(names) >= 20, names
     for name in names:
         _resolve(name)
+
+
+def _block_after(text, label):
+    """The first fenced block after ``label``, without its fences."""
+    found = re.search(re.escape(label) + r".*?^```\n(.*?)^```", text,
+                      re.S | re.M)
+    assert found, label
+    return found.group(1)
+
+
+def test_readme_sweep_columns_are_the_csv_columns():
+    block = _block_after(README.read_text(encoding="utf-8"),
+                         "**Sweep CSV.**")
+    assert tuple(c.strip() for c in block.split(",")) == \
+        experiments.CSV_COLUMNS
+
+
+def test_readme_move_log_header_is_the_written_one(tmp_path):
+    block = _block_after(README.read_text(encoding="utf-8"), "**Move log.**")
+    scn = generate_scenario(SystemParams(seed=0), Counts(n_hrd=3, n_csd=2))
+    path = tmp_path / "moves.csv"
+    association.write_move_log(
+        association.run_amnd(scn, demand_for(scn, seed=0)), path)
+    assert block == path.read_text(encoding="utf-8").splitlines(True)[0]
