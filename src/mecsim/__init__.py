@@ -13,8 +13,7 @@ from .allocation import (CoalitionCosts, allocate_csd, allocate_hrd,
                          build_costs, coalition_value, oracle_simplex_min,
                          oracle_solve_p3)
 from .association import (GameState, MoveProposal, abcg_init, audit_stability,
-                          evaluate_and_apply, propose_move, run_amnd,
-                          run_coalition_game)
+                          run_amnd, run_coalition_game)
 from .content import (Catalog, DemandProfile, build_demand, demand_rng,
                       draw_requests, place_cache, zipf_popularity)
 from .delays import (Allocation, DelayReport, Partition, audit_constraints,

@@ -5,8 +5,8 @@ shares: the baseline, and AMND's starting point.  ``run_amnd`` runs the
 computation-device game, the high-rate-device game and a reallocation of
 every coalition, once (its docstring says why once is enough).  A game
 (``run_coalition_game``) is a random phase of drawn moves
-(``_random_phase``, which samples each accept as ``propose_move``'s draws
-would reach it) and a deterministic stabilization sweep
+(``_random_phase``, which samples each accept under the law of the drawn
+moves, ``_draw_weights``) and a deterministic stabilization sweep
 (``stabilize_partition``).  A move transfers a device into another
 coalition or swaps two devices of different coalitions; it is accepted iff
 both tentative coalitions are feasible and their total weighted delay
@@ -18,8 +18,8 @@ is separable across SBSs, so a move touches two coalitions, which are
 valued from running sums (``CoalitionSums``), many moves at a time
 (``_Block``), with the moves that cannot win screened off unvalued
 (``_Block.screen``).  ``audit_stability`` checks Nash stability with the
-same valuer.  ``propose_move`` and ``evaluate_and_apply`` draw, value and
-apply one proposal at a time: the reference that the stabilization sweep
+same valuer.  The tests draw, value and apply one proposal at a time
+(``tests/reference.py``): the reference that the stabilization sweep
 matches to the last bit, and the random phase in law.
 """
 
@@ -44,9 +44,6 @@ CHECK_TOL = 1e-9         # relative tolerance of ``GameState.check``
 # Relative allowance of the screen (``_Block.screen``) for the rounding of
 # the running sums and of the exact valuation.
 SLACK = 1e-8
-MASK32 = 0xFFFFFFFF
-# Attempts ``propose_move`` makes before it gives up.
-ATTEMPTS = 2048
 
 
 def default_patience(n_hrd: int, n_csd: int) -> int:
@@ -409,71 +406,6 @@ def _association(state: GameState, game: str) -> np.ndarray:
     return state.partition.hrd_sbs if game == HRD else state.partition.csd_sbs
 
 
-def _bounded(u: int, n: int):
-    """Lemire's multiply-shift of the uint32 ``u`` into [0, n), or None where
-    ``u`` falls in its rejection zone, the ``2**32 % n`` lowest products,
-    which would bias the result (Lemire, "Fast random integer generation
-    in an interval", ACM TOMACS 2019).  A bound of 1 has no zone."""
-    m = u * n
-    return None if m & MASK32 < (1 << 32) % n else m >> 32
-
-
-def propose_move(state: GameState, game: str, rng) -> MoveProposal:
-    """Draw one candidate move: two distinct coalitions holding a member; a
-    member transfers into an empty one, otherwise one member from each side
-    is swapped.
-
-    Each attempt reads three values ``(u0, u1, u2)`` of the stream.
-    ``u0`` picks the ordered pair ``(m, n)`` by multiply-shift with bound
-    ``C * (C - 1)`` over C coalitions, ``n`` skipping ``m``; ``u1`` picks
-    the member leaving the nonempty side (``m``, unless it is empty), and
-    ``u2`` the member leaving the other side, which a transfer reads but
-    does not use.  An attempt is skipped when its pair holds no member, or
-    when a draw it uses falls in Lemire's rejection zone (``_bounded``), so
-    the pair is uniform among the pairs holding a member, and the members
-    are uniform.  ``rng`` is a ``Generator``, or a callable returning the
-    next uint32 of its stream (``next_uint32``); both draw the same moves,
-    as numpy draws each full-range uint32 with one ``next_uint32`` call.
-
-    The fixed slot is this package's choice, not the paper's: it fixes
-    which stream values an attempt reads, not the law of the drawn moves
-    (``_draw_weights``), which the random phase follows.
-    """
-    if isinstance(rng, np.random.Generator):
-        def next_uint32():
-            return int(rng.integers(1 << 32, dtype=np.uint32))
-    else:
-        next_uint32 = rng
-    lists = _member_lists(state, game)
-    n_coal = len(lists)
-    if n_coal < 2:
-        raise ValueError("need at least two coalitions to propose a move")
-    pairs = n_coal * (n_coal - 1)
-    # With one nonempty coalition among C, an attempt misses it with
-    # probability (C-2)/C; the bound keeps failure negligible.
-    for _ in range(ATTEMPTS):
-        u0, u1, u2 = next_uint32(), next_uint32(), next_uint32()
-        pair = _bounded(u0, pairs)
-        if pair is None:
-            continue
-        m, n = divmod(pair, n_coal - 1)
-        if n >= m:
-            n += 1
-        if not lists[m]:
-            m, n = n, m
-        i = _bounded(u1, len(lists[m])) if lists[m] else None
-        if i is None:
-            continue
-        if not lists[n]:
-            return MoveProposal(game, "transfer", c_from=m, c_to=n,
-                                md_from=lists[m][i])
-        j = _bounded(u2, len(lists[n]))
-        if j is not None:
-            return MoveProposal(game, "swap", c_from=m, c_to=n,
-                                md_from=lists[m][i], md_to=lists[n][j])
-    raise RuntimeError("could not sample a nonempty coalition pair")
-
-
 def _tentative_members(lists, a: int, b: int, i: int, j: int | None):
     """The member lists of coalitions ``a`` and ``b`` once device ``i``
     moves from ``a`` to ``b`` and, in a swap, ``j`` from ``b`` to ``a``."""
@@ -484,16 +416,6 @@ def _tentative_members(lists, a: int, b: int, i: int, j: int | None):
         dst = [k for k in dst if k != j]
     dst.append(i)
     return src, dst
-
-
-def _evaluate(state: GameState, prop: MoveProposal) -> None:
-    """Value a move as a block of one."""
-    swap, sums = prop.md_to is not None, state.sums[prop.game]
-    block = _Block(state, sums, np.array([swap]),
-                   np.array([prop.c_from]), np.array([prop.c_to]),
-                   np.array([prop.md_from]),
-                   np.array([prop.md_to if swap else sums.none]))
-    prop.dv, prop.feasible = block.value(0)
 
 
 def _write_coalition(state: GameState, game: str, c: int, members) -> float:
@@ -508,19 +430,6 @@ def _write_coalition(state: GameState, game: str, c: int, members) -> float:
                                       alloc.gamma)
     state.stale[game].discard(c)
     return value
-
-
-def evaluate_and_apply(state: GameState, prop: MoveProposal) -> bool:
-    """Accept the proposal iff both tentative coalitions are feasible and
-    their combined utility strictly improves, and install both at once;
-    reject leaves state untouched."""
-    _evaluate(state, prop)
-    accepted = _apply(state, prop)
-    if accepted:
-        lists = _member_lists(state, prop.game)
-        for c in (prop.c_from, prop.c_to):
-            _write_coalition(state, prop.game, c, lists[c])
-    return accepted
 
 
 def _apply(state: GameState, prop: MoveProposal) -> bool:
@@ -584,11 +493,12 @@ class _Block:
     move, so the proposals up to the next accept can be valued as one
     block, from the running sums ``sums``: both sides of every proposal in
     one ``CoalitionSums.after`` call, each with the float operations, in
-    their order, of a block of one, so the values are those of
-    ``evaluate_and_apply`` to the last bit.  A block takes a fixed number of
-    numpy calls, whatever its length: one ``(i, j, i)`` concatenation gives
-    both the leaving devices ``(i, j)`` and the entering ones ``(j, i)``,
-    and one ``take`` of the cached values gives both sides' old values.
+    their order, of a block of one, so a proposal's value does not depend
+    on the block that holds it, to the last bit.  A block takes a fixed
+    number of numpy calls, whatever its length: one ``(i, j, i)``
+    concatenation gives both the leaving devices ``(i, j)`` and the
+    entering ones ``(j, i)``, and one ``take`` of the cached values gives
+    both sides' old values.
 
     ``improving`` finds every proposal that would be accepted.  A winner
     is applied with the block's own valuation (``_accept``), so no move is
@@ -663,7 +573,7 @@ class _Block:
                 (self.floor & ~wins).nonzero()[0].tolist())
 
     def improving(self) -> np.ndarray:
-        """Which proposals ``evaluate_and_apply`` would accept, as a mask;
+        """Which proposals ``_apply`` would accept, as a mask;
         every flagged proposal that ``screen`` passes is valued by
         ``value``, and no other."""
         for q in self.screen()[0]:
@@ -676,9 +586,9 @@ def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood,
     """The ``_Block`` of the positions of ``hood`` (``_neighbourhood``'s
     arrays) from ``pos`` on at the current partition, skipping a transfer
     into the device's own coalition and a swap within one coalition, and
-    the positions it holds.  With ``drawable``, only the moves that
-    ``propose_move`` can draw are kept: swaps, and transfers into empty
-    coalitions."""
+    the positions it holds.  With ``drawable``, only the moves a random
+    phase draws (``_draw_weights``) are kept: swaps, and transfers into
+    empty coalitions."""
     swap, i, j, target = hood
     assoc = _association(state, sums.game)
     a = assoc[i[pos:]]
@@ -703,10 +613,9 @@ def _accept(state: GameState, block: _Block, k: int) -> None:
 
 
 def _settle(state: GameState, block: _Block, first: int) -> bool:
-    """Count the block's proposals before ``first`` as the rejections
-    ``evaluate_and_apply`` would count, then accept proposal ``first``
-    (``_accept``), if the block holds one; returns whether a move was
-    applied."""
+    """Count the block's proposals before ``first`` as rejections, then
+    accept proposal ``first`` (``_accept``), if the block holds one; returns
+    whether a move was applied."""
     state.proposals += first
     if first == len(block):
         return False
@@ -746,13 +655,19 @@ def stabilize_partition(state: GameState, game: str) -> int:
 
 
 def _draw_weights(size: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """``propose_move``'s probability of drawing the move of a device from
-    coalition ``a`` into coalition ``b``, elementwise, at coalition sizes
-    ``size``, for the moves it can draw: a swap with a member of ``b``, or a
-    transfer into an empty ``b``.  Of the ``H = C(C-1) - E(E-1)`` ordered
-    pairs of C coalitions (E of them empty) that hold a member, two pick
-    the move's coalitions, and the members are uniform, so a swap has
-    probability ``2 / (H |a| |b|)`` and a transfer ``2 / (H |a|)``."""
+    """The law of a drawn move: the probability of drawing the move of a
+    device from coalition ``a`` into coalition ``b``, elementwise, at
+    coalition sizes ``size``.
+
+    A draw takes an ordered pair of distinct coalitions, uniform among the
+    ``H = C(C-1) - E(E-1)`` pairs of C coalitions (E of them empty) that
+    hold a member, then a uniform member of each nonempty side: a swap of
+    the two members, or, where one side is empty, a transfer of the member
+    into it.  The drawable moves are thus the swaps between two
+    coalitions and the transfers into an empty one.  Two ordered pairs
+    pick a move's coalitions, so a swap has probability ``2 / (H |a| |b|)``
+    and a transfer ``2 / (H |a|)``.  The tests draw this law one move at a
+    time (``tests/reference.py``)."""
     empty = int(np.count_nonzero(size == 0))
     held = size.size * (size.size - 1) - empty * (empty - 1)
     return 2.0 / (held * size.take(a) * np.maximum(size.take(b), 1))
@@ -760,25 +675,25 @@ def _draw_weights(size: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     """At most ``t2`` proposals, stopping after ``patience`` consecutive
-    rejections, each drawn by ``propose_move``'s law and judged as
-    ``evaluate_and_apply`` judges it: equal in law to that one-at-a-time
-    loop, not bit-equal to it.
+    rejections, each drawn by the law of ``_draw_weights`` and accepted as
+    ``_apply`` accepts it: equal in law to a loop that draws and judges one
+    proposal at a time (``tests/reference.py``), not bit-equal to it.
 
     A rejected proposal leaves the partition as it was, so the proposals up
-    to the next accept are independent draws from the same moves, those
-    ``propose_move`` can draw, move ``k`` with probability ``q_k``
-    (``_draw_weights``).  The phase values each of them once per partition
-    (``_neighbourhood_block`` with ``drawable``, then ``_Block.improving``;
-    a swap, which ``propose_move`` draws from either side, is one row, as
-    it is valued to the same bits from both) instead of drawing the
-    proposals one by one: the number of rejections before the next accept
-    is geometric, with success probability the sum of ``q`` over the
-    winning moves, and the accepted move is a winner drawn with probability
-    in proportion to its ``q`` (the n-fold way: Bortz, Kalos and Lebowitz,
-    J. Comput. Phys. 17:10-18, 1975).  A wait that reaches the budget left,
-    ``min(t2 - done, patience)``, counts as that many rejections and ends
-    the phase, as it always does at a partition without a winner.  Both
-    draws come from the game's generator.
+    to the next accept are independent draws from the same drawable moves,
+    move ``k`` with probability ``q_k``.  The phase values each of them
+    once per partition (``_neighbourhood_block`` with ``drawable``, then
+    ``_Block.improving``; a swap, drawn from either side, is one row, as it
+    is valued to the same bits from both) instead of drawing the proposals
+    one by one: the number of rejections before the next accept is
+    geometric, with success probability ``p``, the sum of ``q`` over the
+    winning moves (1 exactly where every drawable move wins), and the
+    accepted move is a winner drawn with probability in proportion to its
+    ``q`` (the n-fold way: Bortz, Kalos and Lebowitz, J. Comput. Phys.
+    17:10-18, 1975), so ``q`` is computed at the winners only.  A wait that
+    reaches the budget left, ``min(t2 - done, patience)``, counts as that
+    many rejections and ends the phase, as it always does at a partition
+    without a winner.  Both draws come from the game's generator.
 
     The rejections are counted, never drawn: the move log holds the
     accepted moves only (``_apply``).
@@ -789,9 +704,9 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     done = 0
     while (budget := min(t2 - done, patience)) > 0:
         block, _ = _neighbourhood_block(state, sums, hood, 0, drawable=True)
-        q = _draw_weights(sums.size, block.a, block.b)
         wins = block.improving().nonzero()[0]
-        cum = np.cumsum(q.take(wins))
+        cum = np.cumsum(_draw_weights(sums.size, block.a.take(wins),
+                                      block.b.take(wins)))
         if not wins.size:
             wait = budget
         else:
@@ -822,8 +737,7 @@ def run_coalition_game(state: GameState, game: str, t2: int,
     ``_kernels`` write path over the same sorted member list, so the
     installed fractions are worth the cached value to the last bit.
     ``GameState.check`` refuses a state with a coalition awaiting its
-    install; ``evaluate_and_apply``, which applies one proposal outside a
-    game, installs its two coalitions at once.
+    install.
     """
     if game not in (HRD, CSD):
         raise ValueError(f"unknown game {game!r}")

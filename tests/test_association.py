@@ -8,22 +8,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mecsim
 from mecsim import _kernels, association
 from mecsim._kernels import FEAS_TOL, IDLE_FRAC, hrd_closed_form, \
     member_pairs
 from mecsim.allocation import coalition_value, oracle_solve_p3
-from mecsim.association import (ATTEMPTS, IMPROVE_MARGIN, MoveProposal,
-                                _draw_weights, _evaluate, _neighbourhood,
-                                _tentative_members, abcg_init,
-                                audit_stability, evaluate_and_apply,
-                                propose_move, reallocate, run_amnd,
-                                run_coalition_game, write_move_log)
+from mecsim.association import (IMPROVE_MARGIN, MoveProposal, _draw_weights,
+                                _neighbourhood, _tentative_members,
+                                abcg_init, audit_stability, reallocate,
+                                run_amnd, run_coalition_game, write_move_log)
 from mecsim.content import Catalog, DemandProfile
 from mecsim.delays import Allocation, audit_constraints
 from mecsim.radio import build_rate_table
 from mecsim.scenario import (Counts, ReadAhead, SystemParams,
                              generate_scenario)
 from conftest import demand_for, rate_scenario
+from reference import ATTEMPTS, _evaluate, evaluate_and_apply, propose_move
 
 
 def single_sbs_setup(cache_bit, local_cps=1.4e9, n_hrd=1, n_csd=1):
@@ -534,28 +534,17 @@ def test_screen_skips_only_moves_that_cannot_be_accepted(desk_runs,
 
 
 def _game_counts(monkeypatch):
-    """A solve's work by kind: ``drawn`` (``propose_move`` calls),
-    ``evaluated`` (``_evaluate`` calls), ``phases`` (random phases run),
+    """A solve's work by kind: ``phases`` (random phases run),
     ``partitions`` (drawable blocks the random phases value),
     ``random_accepts`` (moves they apply), ``random_proposals`` (proposals
     they count), and ``settled`` (proposals the stabilization sweep counts,
     each a valued block row)."""
-    counts = dict.fromkeys(("drawn", "evaluated", "phases", "partitions",
-                            "random_accepts", "random_proposals", "settled"),
-                           0)
-    inner_evaluate, inner_propose, inner_settle, inner_phase, inner_block, \
-        inner_apply = (association._evaluate, association.propose_move,
-                       association._settle, association._random_phase,
-                       association._neighbourhood_block, association._apply)
+    counts = dict.fromkeys(("phases", "partitions", "random_accepts",
+                            "random_proposals", "settled"), 0)
+    inner_settle, inner_phase, inner_block, inner_apply = (
+        association._settle, association._random_phase,
+        association._neighbourhood_block, association._apply)
     phase = []
-
-    def evaluate(state, prop):
-        counts["evaluated"] += 1
-        return inner_evaluate(state, prop)
-
-    def propose(state, game, rng):
-        counts["drawn"] += 1
-        return inner_propose(state, game, rng)
 
     def settle(state, block, first):
         counts["settled"] += first + (first < len(block))
@@ -580,8 +569,7 @@ def _game_counts(monkeypatch):
         counts["random_accepts"] += bool(phase) and accepted
         return accepted
 
-    for name, hook in (("_evaluate", evaluate), ("propose_move", propose),
-                       ("_settle", settle), ("_random_phase", random_phase),
+    for name, hook in (("_settle", settle), ("_random_phase", random_phase),
                        ("_neighbourhood_block", block), ("_apply", apply)):
         monkeypatch.setattr(association, name, hook)
     return counts
@@ -590,9 +578,10 @@ def _game_counts(monkeypatch):
 def test_game_values_each_accepted_block_move_once(monkeypatch, desk_runs):
     # The random phase values the drawable moves once per partition, as one
     # block: once before each accept, which it applies with that block's
-    # valuation, and once at the partition it ends on.  Neither
-    # ``propose_move`` nor ``_evaluate`` runs inside a game, and every
-    # proposal of the sweep is a valued block row.
+    # valuation, and once at the partition it ends on.  The library holds
+    # no one-at-a-time draw or valuation (they live in the tests'
+    # ``reference`` module), and every proposal of the sweep is a valued
+    # block row.
     counts = _game_counts(monkeypatch)
     accepted = proposals = 0
     for init, _ in desk_runs:
@@ -607,7 +596,9 @@ def test_game_values_each_accepted_block_move_once(monkeypatch, desk_runs):
         final = run_amnd(scn, demand)
         accepted += final.accepted_moves
         proposals += final.proposals
-    assert counts["drawn"] == counts["evaluated"] == 0
+    assert not any(hasattr(module, name) for module in (mecsim, association)
+                   for name in ("propose_move", "evaluate_and_apply",
+                                "_evaluate", "_bounded", "ATTEMPTS", "MASK32"))
     assert 0 < counts["random_accepts"] < accepted
     assert counts["partitions"] == counts["random_accepts"] + counts["phases"]
     assert counts["random_proposals"] + counts["settled"] == proposals
@@ -969,10 +960,10 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
     # Every accept of a game is a block accept, and defers its install to
     # the end of the game; the game then installs each coalition it
     # changed once.
-    events, games, scalar = [], [], []
-    inner_game, inner_apply, inner_eval, inner_write = (
+    events, games, blocks = [], [], []
+    inner_game, inner_apply, inner_accept, inner_write = (
         association.run_coalition_game, association._apply,
-        association._evaluate, association._write_coalition)
+        association._accept, association._write_coalition)
 
     def game(state, game, *args, **kwargs):
         games.append(game)
@@ -983,18 +974,19 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
             events.append(("end", game))
 
     def apply(state, prop):
-        # A proposal valued by ``_evaluate`` before it is applied is not a
-        # block's.
-        accepted, is_scalar = inner_apply(state, prop), bool(scalar)
-        scalar.clear()
+        # A proposal applied outside ``_accept`` is not a block's.
+        accepted, is_scalar = inner_apply(state, prop), not blocks
         if accepted:
             events.append(("accept", prop.game, is_scalar,
                            (prop.c_from, prop.c_to)))
         return accepted
 
-    def evaluate(state, prop):
-        scalar.append(prop)
-        return inner_eval(state, prop)
+    def accept(state, block, k):
+        blocks.append(k)
+        try:
+            return inner_accept(state, block, k)
+        finally:
+            blocks.pop()
 
     def write(state, game, c, members):
         if games:
@@ -1002,8 +994,7 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
         return inner_write(state, game, c, members)
 
     for name, hook in (("run_coalition_game", game), ("_apply", apply),
-                       ("_evaluate", evaluate),
-                       ("_write_coalition", write)):
+                       ("_accept", accept), ("_write_coalition", write)):
         monkeypatch.setattr(association, name, hook)
     for init, _ in desk_runs:
         run_amnd(init.scenario, init.demand, init_state=init)
@@ -1450,6 +1441,91 @@ def test_random_phase_matches_scalar_reference(monkeypatch):
             waits = np.array([x[0] for x in sample])
             sd = np.sqrt(1.0 - p) / p / np.sqrt(runs)
             assert abs(waits.mean() - (1.0 - p) / p) < 5 * sd, (n, p)
+
+
+def _every_move_wins_state():
+    """ABCG state of five HRDs among three SBSs, every file cached, where
+    every drawable HRD move wins: devices 0-2 sit at SBS 0 and 3-4 at SBS 1,
+    SBS 2 is empty and nearly as fast for all.  The weights spread from 1 to
+    100, so the initializer's equal splits are worth far more than the
+    closed forms that a move installs on both its sides, and that gain
+    outweighs the rate any move gives up."""
+    rates = np.array([[5.0, 5.0, 5.0, 4.9, 4.9], [4.9, 4.9, 4.9, 5.0, 5.0],
+                      [4.8] * 5])
+    scn = rate_scenario(SystemParams(m_sbs=3, n_mbs=1), r_dl=rates,
+                        r_ul=np.full((3, 1), 4.0), r_bh=np.full(3, 9.0))
+    request = np.zeros((5, 2), dtype=np.int8)
+    request[:, 0] = 1
+    demand = DemandProfile(
+        catalog=Catalog.build(2, 0.6, file_size_bytes=5e6), request=request,
+        cache=np.ones((3, 2), dtype=np.int8),
+        task_input_bytes=np.full(1, 1e5), task_cycles=np.full(1, 1e9),
+        local_cps=np.full(1, 1.4e9), edge_cps=np.full(3, 6e10),
+        storage_bytes=np.full(3, 2e9),
+        hrd_weight=np.array([1.0, 10.0, 100.0, 3.0, 30.0]),
+        csd_weight=np.ones(1))
+    return abcg_init(scn, demand)
+
+
+def _whole_phases(state, game, phase, t2, patience, runs, side):
+    """``runs`` whole random phases ``phase`` of ``game``, each from a clone
+    of ``state`` on a generator seeded by its run and ``side``.  Per run:
+    the end partition of the game, its number of accepts, its number of
+    proposals and the number of proposals after its last accept."""
+    out = []
+    for run in range(runs):
+        twin = state.clone()
+        twin.rng_hrd = twin.rng_csd = np.random.default_rng([run, side])
+        phase(twin, game, t2, patience)
+        assoc = twin.partition.hrd_sbs if game == "hrd" \
+            else twin.partition.csd_sbs
+        last = twin.move_log[-1][0] if twin.move_log else 0
+        out.append((tuple(assoc.tolist()), len(twin.move_log),
+                    twin.proposals, twin.proposals - last))
+    return out
+
+
+def test_whole_random_phase_matches_scalar_reference():
+    # Whole random phases, to the same ``t2`` and ``patience``, end on the
+    # same partitions after as many accepts and proposals as the
+    # one-at-a-time loop, in law.  One phase is ended by ``t2``, one by
+    # ``patience``, and one starts where every drawable move wins (the
+    # wait is then 0, at ``p = 1``); the winners' weights are unequal.
+    # The draws are seeded, so the outcome is fixed.
+    scn = generate_scenario(SystemParams(seed=2, m_sbs=3, n_mbs=1, a=0.9),
+                            Counts(n_hrd=6, n_csd=4))
+    hrd = abcg_init(scn, demand_for(scn, seed=2, n_files=20,
+                                    requests_per_hrd=2))
+    scn = generate_scenario(SystemParams(seed=3, m_sbs=4, n_mbs=1),
+                            Counts(n_hrd=4, n_csd=8))
+    csd = abcg_init(scn, demand_for(scn, seed=3, n_files=20, storage=15.6e6))
+    cases = {"t2": (hrd, "hrd", 4, 10 ** 6, 500),
+             "patience": (csd, "csd", 10 ** 6, 4, 500),
+             "every move wins": (_every_move_wins_state(), "hrd", 2, 10 ** 6,
+                                 800)}
+    for name, (state, game, t2, patience, runs) in cases.items():
+        sums = state.sums[game]
+        block, _ = association._neighbourhood_block(
+            state, sums, _neighbourhood(sums.none, sums.size.size), 0,
+            drawable=True)
+        win = block.improving()
+        q = _draw_weights(sums.size, block.a, block.b)[win]
+        assert np.unique(q).size > 1, name
+        assert win.all() == (name == "every move wins"), name
+        ours = _whole_phases(state, game, association._random_phase, t2,
+                             patience, runs, 1)
+        theirs = _whole_phases(state, game, _scalar_random_phase, t2,
+                               patience, runs, 2)
+        for sample in (ours, theirs):
+            if name == "patience":
+                assert {tail for *_, tail in sample} == {patience}, name
+            else:
+                assert {x[2] for x in sample} == {t2}, name
+        # The long tail of proposal counts shares one bin.
+        for k, key in enumerate((lambda x: x[0], lambda x: x[1],
+                                 lambda x: min(x[2], 20))):
+            assert _same_law(list(map(key, ours)), list(map(key, theirs))), \
+                (name, k)
 
 
 def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):
