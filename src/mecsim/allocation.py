@@ -119,8 +119,7 @@ def build_costs(scenario: Scenario, demand: DemandProfile,
             if not (ok.all() and np.isfinite(cost.sum() * cost.size)):
                 raise ValueError(
                     f"{name} costs overflow or underflow: check {inputs}")
-    cached = demand.cache[:, pair_i] == 1 if pair_k.size else \
-        np.zeros((demand.n_sbs, 0), dtype=bool)
+    cached = demand.cache[:, pair_i] == 1
 
     sqrt_dl, sqrt_bh = np.sqrt(dl_cost), np.sqrt(bh_cost)
     miss = ~cached

@@ -132,9 +132,6 @@ class CoalitionSums:
             ratio[:, :self.none] = costs.dev_floor_ratio
             self.floor_ratio = ratio.ravel()
         self.size = np.zeros(n_coal, dtype=np.int64)
-        # Column ``none`` of every row always holds ``none``.
-        self.members = np.full((n_coal, self.stride), self.none,
-                               dtype=np.int64)
         self.sums = np.zeros((n_coal, len(terms)))
         self.ratio = np.zeros(n_coal)
         for c, members in enumerate(lists):
@@ -142,7 +139,7 @@ class CoalitionSums:
 
     def copy(self) -> "CoalitionSums":
         other = copy.copy(self)
-        for name in ("size", "members", "sums", "ratio"):
+        for name in ("size", "sums", "ratio"):
             setattr(other, name, getattr(self, name).copy())
         return other
 
@@ -150,7 +147,6 @@ class CoalitionSums:
         """Recompute row ``c`` from the member list ``members``; returns the
         coalition's closed-form ``(value, feasible)``."""
         self.size[c] = len(members)
-        self.members[c, :len(members)] = members
         self.sums[c], self.ratio[c], value, ok = self.summary(self.costs, c,
                                                               members)
         return value, ok
@@ -161,7 +157,7 @@ class CoalitionSums:
             sums, ratio, _, _ = self.summary(self.costs, c, members)
             ref = np.append(sums, ratio)
             got = np.append(self.sums[c], self.ratio[c])
-            if (self.members[c, :self.size[c]].tolist() != list(members)
+            if (self.size[c] != len(members)
                     or np.any(np.abs(got - ref)
                               > CHECK_TOL * np.maximum(1.0, np.abs(ref)))):
                 raise AssertionError(
@@ -209,7 +205,6 @@ class GameState:
     csd_members: list          # length n_sbs + 1; last entry is local
     v_hrd: np.ndarray          # (n_sbs,) cached coalition utilities
     v_csd: np.ndarray          # (n_sbs + 1,)
-    objective: float
     rng_hrd: np.random.Generator
     rng_csd: np.random.Generator
     sums: dict                 # game -> CoalitionSums
@@ -227,6 +222,11 @@ class GameState:
     def n_sbs(self) -> int:
         return self.partition.n_sbs
 
+    @property
+    def objective(self) -> float:
+        """F, the sum of the cached coalition values."""
+        return float(self.v_hrd.sum() + self.v_csd.sum())
+
     def clone(self) -> "GameState":
         """Independent copy; its generators restart from the scenario's
         seed."""
@@ -238,7 +238,7 @@ class GameState:
             hrd_members=[list(c) for c in self.hrd_members],
             csd_members=[list(c) for c in self.csd_members],
             v_hrd=self.v_hrd.copy(), v_csd=self.v_csd.copy(),
-            objective=self.objective, rng_hrd=rng_hrd, rng_csd=rng_csd,
+            rng_hrd=rng_hrd, rng_csd=rng_csd,
             sums={game: sums.copy() for game, sums in self.sums.items()},
             stale={game: set(c) for game, c in self.stale.items()},
             fallback_hrds=list(self.fallback_hrds), trace=list(self.trace),
@@ -279,9 +279,6 @@ class GameState:
                 raise AssertionError(
                     f"stale {game} utility cache at coalition {c}: "
                     f"{cache[c]!r} vs {ref[c]!r}")
-        total = float(self.v_hrd.sum() + self.v_csd.sum())
-        if abs(total - self.objective) > CHECK_TOL * max(1.0, abs(total)):
-            raise AssertionError(f"stale objective: {self.objective!r} vs {total!r}")
         if abs(rep.objective - self.objective) > \
                 CHECK_TOL * max(1.0, rep.objective):
             raise AssertionError(
@@ -381,17 +378,17 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
     v_csd[n_sbs] = float(costs.local_delay_w[csd_members[n_sbs]].sum())
 
     rng_csd, rng_hrd = _game_rngs(scenario.params.seed)
-    total = float(v_hrd.sum() + v_csd.sum())
-    return GameState(
+    state = GameState(
         scenario=scenario, demand=demand, table=table, costs=costs,
         partition=partition, allocation=allocation,
         hrd_members=hrd_members, csd_members=csd_members,
-        v_hrd=v_hrd, v_csd=v_csd, objective=total,
-        rng_hrd=rng_hrd, rng_csd=rng_csd,
+        v_hrd=v_hrd, v_csd=v_csd, rng_hrd=rng_hrd, rng_csd=rng_csd,
         sums={HRD: CoalitionSums(costs, HRD, hrd_members),
               CSD: CoalitionSums(costs, CSD, csd_members)},
-        fallback_hrds=fallback, trace=[total],
+        fallback_hrds=fallback,
     )
+    state.trace.append(state.objective)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +452,6 @@ def _apply(state: GameState, prop: MoveProposal) -> bool:
         cache[a] = sums.refresh(a, lists[a])[0]
         cache[b] = sums.refresh(b, lists[b])[0]
         state.stale[game].update((a, b))
-        state.objective = float(state.v_hrd.sum() + state.v_csd.sum())
         state.accepted_moves += 1
         state.move_log.append((state.proposals, game, prop.kind, prop.dv,
                                state.objective))
@@ -762,7 +758,6 @@ def reallocate(state: GameState) -> None:
         for game, cache in ((CSD, state.v_csd), (HRD, state.v_hrd)):
             cache[n] = _write_coalition(state, game, n,
                                         _member_lists(state, game)[n])
-    state.objective = float(state.v_hrd.sum() + state.v_csd.sum())
 
 
 def run_amnd(scenario: Scenario, demand: DemandProfile, *,

@@ -6,6 +6,8 @@ misses, downlink backhaul) and task completion time for computation
 devices (uplink plus edge execution when offloaded, local execution
 otherwise).  F is separable across SBSs, which is what lets the
 association game re-evaluate only the coalitions a move touches.
+``objective`` and ``audit_constraints`` read one gather of the served links
+and apply one fraction rule, so they agree on what an allocation may hold.
 """
 
 from dataclasses import dataclass
@@ -145,77 +147,77 @@ def request_pairs(demand: DemandProfile):
     return pk.astype(np.int64), pi.astype(np.int64)
 
 
-def _check_active_fractions(partition, allocation, demand, pair_k, pair_i):
-    if (allocation.beta.shape != pair_k.shape
-            or allocation.alpha.shape != partition.csd_sbs.shape):
+def _links(partition: Partition, demand: DemandProfile):
+    """Each request pair's device, file, serving SBS and cache-miss flag,
+    then the offloading computation devices and their SBSs."""
+    pair_k, pair_i = request_pairs(demand)
+    n_arr = partition.hrd_sbs[pair_k]
+    edge = np.nonzero(partition.csd_sbs < partition.n_sbs)[0]
+    return (pair_k, pair_i, n_arr, demand.cache[n_arr, pair_i] == 0,
+            edge, partition.csd_sbs[edge])
+
+
+def _fraction_faults(allocation: Allocation, csd_sbs, pair_k, pair_i,
+                     n_arr) -> list:
+    """The fraction rule: one ``alpha`` and ``gamma`` per computation device
+    and one ``beta`` and ``eta`` per request pair (else ValueError), each
+    in ``[IDLE_FRAC, 1]`` up to FEAS_TOL (C11-C14).  Returns the entries
+    outside that box as ``(name, sbs, device, file or -1)``."""
+    csd = np.arange(csd_sbs.size)
+    rule = (("alpha", csd_sbs, csd, np.full(csd.size, -1)),
+            ("gamma", csd_sbs, csd, np.full(csd.size, -1)),
+            ("beta", n_arr, pair_k, pair_i), ("eta", n_arr, pair_k, pair_i))
+    if any(getattr(allocation, name).shape != k.shape
+           for name, _, k, _ in rule):
         raise ValueError("allocation does not hold one fraction per request "
                          "pair and per computation device")
-    bad = []
-    lo = IDLE_FRAC * (1.0 - 1e-9)
-    hi = 1.0 + 1e-9
-    n_arr = partition.hrd_sbs[pair_k]
-    beta, eta = allocation.beta, allocation.eta
-    miss = demand.cache[n_arr, pair_i] == 0
-    for j in np.nonzero((beta < lo) | (beta > hi))[0]:
-        bad.append(("beta", int(n_arr[j]), int(pair_k[j]), int(pair_i[j])))
-    for j in np.nonzero(miss & ((eta < lo) | (eta > hi)))[0]:
-        bad.append(("eta", int(n_arr[j]), int(pair_k[j]), int(pair_i[j])))
-    edge = np.nonzero(partition.csd_sbs < partition.n_sbs)[0]
-    n_csd = partition.csd_sbs[edge]
-    alpha = allocation.alpha[edge]
-    gamma = allocation.gamma[edge]
-    for j in np.nonzero((alpha < lo) | (alpha > hi))[0]:
-        bad.append(("alpha", int(n_csd[j]), int(edge[j]), -1))
-    for j in np.nonzero((gamma < lo) | (gamma > hi))[0]:
-        bad.append(("gamma", int(n_csd[j]), int(edge[j]), -1))
-    if bad:
-        shown = ", ".join(f"{t}[n={n},k={k},i={i}]" for t, n, k, i in bad[:10])
-        raise ValueError(f"allocation inconsistent with association: {shown}"
-                         + ("..." if len(bad) > 10 else ""))
+    lo, hi = IDLE_FRAC * (1.0 - 1e-9), 1.0 + FEAS_TOL
+    faults = []
+    for name, n, k, i in rule:
+        frac = getattr(allocation, name)
+        for j in np.nonzero((frac < lo) | (frac > hi))[0]:
+            faults.append((name, int(n[j]), int(k[j]), int(i[j])))
+    return faults
 
 
 def objective(scenario: Scenario, demand: DemandProfile, partition: Partition,
               allocation: Allocation, table: RateTable | None = None
               ) -> DelayReport:
-    """Evaluate all delay components and the weighted objective F."""
+    """Evaluate all delay components and the weighted objective F; raises
+    ValueError where the audit would report the association or a fraction."""
     if table is None:
         table = build_rate_table(scenario)
     partition.validate()
-    pair_k, pair_i = request_pairs(demand)
-    _check_active_fractions(partition, allocation, demand, pair_k, pair_i)
+    pair_k, pair_i, n_arr, miss, edge, ns = _links(partition, demand)
+    bad = _fraction_faults(allocation, partition.csd_sbs, pair_k, pair_i,
+                           n_arr)
+    if bad:
+        shown = ", ".join(f"{t}[n={n},k={k},i={i}]" for t, n, k, i in bad[:10])
+        raise ValueError(f"allocation inconsistent with association: {shown}"
+                         + ("..." if len(bad) > 10 else ""))
 
     size_bits = demand.catalog.file_size_bytes * BITS_PER_BYTE
-    n_arr = partition.hrd_sbs[pair_k]
-    if pair_k.size:
-        beta, eta = allocation.beta, allocation.eta
-        t_dl = size_bits / (beta * table.s_dl[n_arr] * table.r_dl[n_arr, pair_k])
-        miss = demand.cache[n_arr, pair_i] == 0
-        t_bh = np.where(
-            miss, size_bits / (eta * table.s_bh[n_arr] * table.r_bh[n_arr]), 0.0)
-        t_hr = t_dl + t_bh
-        w_pair = demand.hrd_weight[pair_k]
-        hrd_total = float((w_pair * t_hr).sum())
-        hrd_backhaul = float((w_pair * t_bh).sum())
-        n_miss = int(miss.sum())
-    else:
-        t_dl = t_bh = t_hr = np.zeros(0)
-        hrd_total = hrd_backhaul = 0.0
-        n_miss = 0
+    beta, eta = allocation.beta, allocation.eta
+    t_dl = size_bits / (beta * table.s_dl[n_arr] * table.r_dl[n_arr, pair_k])
+    t_bh = np.where(
+        miss, size_bits / (eta * table.s_bh[n_arr] * table.r_bh[n_arr]), 0.0)
+    t_hr = t_dl + t_bh
+    w_pair = demand.hrd_weight[pair_k]
+    hrd_total = float((w_pair * t_hr).sum())
+    hrd_backhaul = float((w_pair * t_bh).sum())
+    n_miss = int(miss.sum())
 
     n_csd = demand.n_csd
     t_ul = np.zeros(n_csd)
     t_ed = np.zeros(n_csd)
-    t_lc = demand.task_cycles / demand.local_cps if n_csd else np.zeros(0)
+    t_lc = demand.task_cycles / demand.local_cps
     t_cs = t_lc.copy()
-    edge = np.nonzero(partition.csd_sbs < partition.n_sbs)[0]
-    if edge.size:
-        ns = partition.csd_sbs[edge]
-        alpha = allocation.alpha[edge]
-        gamma = allocation.gamma[edge]
-        in_bits = demand.task_input_bytes[edge] * BITS_PER_BYTE
-        t_ul[edge] = in_bits / (alpha * table.s_ul[ns] * table.r_ul[ns, edge])
-        t_ed[edge] = demand.task_cycles[edge] / (gamma * demand.edge_cps[ns])
-        t_cs[edge] = t_ul[edge] + t_ed[edge]
+    alpha = allocation.alpha[edge]
+    gamma = allocation.gamma[edge]
+    in_bits = demand.task_input_bytes[edge] * BITS_PER_BYTE
+    t_ul[edge] = in_bits / (alpha * table.s_ul[ns] * table.r_ul[ns, edge])
+    t_ed[edge] = demand.task_cycles[edge] / (gamma * demand.edge_cps[ns])
+    t_cs[edge] = t_ul[edge] + t_ed[edge]
     local = np.setdiff1d(np.arange(n_csd), edge)
     csd_offload = float((demand.csd_weight[edge] * t_cs[edge]).sum())
     csd_local = float((demand.csd_weight[local] * t_lc[local]).sum())
@@ -241,58 +243,49 @@ def audit_constraints(scenario: Scenario, demand: DemandProfile,
     """Check the full constraint set of one exposed state.
 
     Returns human-readable violation strings (empty list when clean):
-    single association per device, per-SBS fraction budget sums, storage
-    capacity including offloaded task inputs, the access-vs-backhaul rate
-    ordering on cache misses, and the [IDLE_FRAC, 1] fraction boxes.
+    single association per device, the fraction rule ``objective`` also
+    enforces (array shapes, then the [IDLE_FRAC, 1] boxes), per-SBS
+    fraction budget sums, the access-vs-backhaul rate ordering on cache
+    misses, and storage capacity including offloaded task inputs.
     """
     if table is None:
         table = build_rate_table(scenario)
-    out: list[str] = []
     try:
         partition.validate()
     except ValueError as exc:           # C1/C2/C9/C10
-        out.append(f"association: {exc}")
-        return out
+        return [f"association: {exc}"]
+    pair_k, pair_i, n_arr, miss, edge, n_csd = _links(partition, demand)
+    try:
+        faults = _fraction_faults(allocation, partition.csd_sbs, pair_k,
+                                  pair_i, n_arr)
+    except ValueError as exc:
+        return [f"allocation: {exc}"]
+    out = [f"box: {name} outside [{IDLE_FRAC}, 1]"       # C11-C14
+           for name in dict.fromkeys(fault[0] for fault in faults)]
 
-    pair_k, pair_i = request_pairs(demand)
     n_sbs = partition.n_sbs
-    lo = IDLE_FRAC * (1.0 - 1e-9)
-    for name, arr in (("alpha", allocation.alpha), ("gamma", allocation.gamma),
-                      ("beta", allocation.beta), ("eta", allocation.eta)):
-        if np.any(arr < lo) or np.any(arr > 1.0 + FEAS_TOL):   # C11-C14
-            out.append(f"box: {name} outside [{IDLE_FRAC}, 1]")
-
-    edge = np.nonzero(partition.csd_sbs < n_sbs)[0]
-    n_csd = partition.csd_sbs[edge]
-    sum_alpha = np.bincount(n_csd, weights=allocation.alpha[edge],
-                            minlength=n_sbs)
-    sum_gamma = np.bincount(n_csd, weights=allocation.gamma[edge],
-                            minlength=n_sbs)
-    for n in range(n_sbs):
-        if sum_alpha[n] > 1.0 + FEAS_TOL:
-            out.append(f"uplink budget: sum alpha at SBS {n} = {sum_alpha[n]:.12g}")
-        if sum_gamma[n] > 1.0 + FEAS_TOL:
-            out.append(f"compute budget: sum gamma at SBS {n} = {sum_gamma[n]:.12g}")
-
-    if pair_k.size:
-        n_arr = partition.hrd_sbs[pair_k]
-        beta, eta = allocation.beta, allocation.eta
-        miss = demand.cache[n_arr, pair_i] == 0
-        sum_beta = np.bincount(n_arr, weights=beta, minlength=n_sbs)
-        sum_eta = np.bincount(n_arr[miss], weights=eta[miss], minlength=n_sbs)
+    budgets = [
+        (label, name, np.bincount(sbs, weights=frac, minlength=n_sbs))
+        for label, name, sbs, frac in (
+            ("uplink", "alpha", n_csd, allocation.alpha[edge]),
+            ("compute", "gamma", n_csd, allocation.gamma[edge]),
+            ("downlink", "beta", n_arr, allocation.beta),
+            ("backhaul", "eta", n_arr[miss], allocation.eta[miss]))]
+    for group in (budgets[:2], budgets[2:]):    # SBS by SBS in each class
         for n in range(n_sbs):
-            if sum_beta[n] > 1.0 + FEAS_TOL:
-                out.append(f"downlink budget: sum beta at SBS {n} = {sum_beta[n]:.12g}")
-            if sum_eta[n] > 1.0 + FEAS_TOL:
-                out.append(f"backhaul budget: sum eta at SBS {n} = {sum_eta[n]:.12g}")
-        # Rate ordering on misses: access delivery must not outrun backhaul.
-        acc = beta * table.s_dl[n_arr] * table.r_dl[n_arr, pair_k]
-        bh = eta * table.s_bh[n_arr] * table.r_bh[n_arr]
-        bad = miss & (acc > bh * (1.0 + FEAS_TOL))
-        for j in np.nonzero(bad)[0]:
-            out.append(
-                f"rate ordering: pair (n={int(n_arr[j])}, k={int(pair_k[j])}, "
-                f"i={int(pair_i[j])}) access {acc[j]:.6g} > backhaul {bh[j]:.6g}")
+            for label, name, total in group:
+                if total[n] > 1.0 + FEAS_TOL:
+                    out.append(f"{label} budget: sum {name} at SBS {n} = "
+                               f"{total[n]:.12g}")
+
+    # Rate ordering on misses: access delivery must not outrun backhaul.
+    acc = allocation.beta * table.s_dl[n_arr] * table.r_dl[n_arr, pair_k]
+    bh = allocation.eta * table.s_bh[n_arr] * table.r_bh[n_arr]
+    bad = miss & (acc > bh * (1.0 + FEAS_TOL))
+    for j in np.nonzero(bad)[0]:
+        out.append(
+            f"rate ordering: pair (n={int(n_arr[j])}, k={int(pair_k[j])}, "
+            f"i={int(pair_i[j])}) access {acc[j]:.6g} > backhaul {bh[j]:.6g}")
 
     # Storage: cached bytes plus offloaded task inputs per SBS.
     load = demand.cached_bytes.copy()

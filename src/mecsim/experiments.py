@@ -5,6 +5,10 @@ popularity exponent ``delta``) over a grid, overlaying popularity exponents
 and averaging over seeds.  Per seed the deployment is drawn once; only the
 quantities that depend on the swept parameter are regenerated (rates for the
 resource splits, requests/caches for delta).
+
+``SweepRow``'s fields, in order, are the CSV columns and their types;
+``ExperimentConfig``'s fields and their defaults' types are the config
+file's keys and value types.
 """
 
 import inspect
@@ -20,19 +24,6 @@ from .radio import build_rate_table
 from .scenario import Counts, Scenario, SystemParams, generate_scenario
 
 _CONFIG_HEADER = "mecsim-config v1"
-
-CSV_COLUMNS = (
-    "axis", "axis_value", "delta", "seed", "algorithm", "F",
-    "hrd_total_s", "hrd_backhaul_s", "csd_total_s", "csd_local_s",
-    "csd_offload_s", "n_local_csd", "n_edge_csd", "n_backhauled_files",
-    "accepted_moves",
-)
-
-_INT_COLUMNS = {"seed", "n_local_csd", "n_edge_csd", "n_backhauled_files",
-                "accepted_moves"}
-_STR_COLUMNS = {"axis", "algorithm"}
-_TYPES = tuple(str if col in _STR_COLUMNS else int if col in _INT_COLUMNS
-               else float for col in CSV_COLUMNS)
 
 SWEEP_AXES = ("a", "t1_frac", "delta")
 
@@ -102,37 +93,28 @@ class ExperimentConfig:
             if any(not (0.0 < v < 1.0) for v in self.grid):
                 raise ValueError(f"{self.axis} grid must lie strictly in (0, 1)")
 
-    def system_params(self, seed: int, axis_value: float | None = None) -> SystemParams:
-        a, t1 = self.a, self.t1_frac
-        if axis_value is not None and self.axis == "a":
-            a = axis_value
-        elif axis_value is not None and self.axis == "t1_frac":
-            t1 = axis_value
-        return SystemParams(
-            w_hz=self.w_hz, a=a, t1_frac=t1, m_sbs=self.m_sbs,
-            n_mbs=self.n_mbs, isd_m=self.isd_m, p_mbs_dbm=self.p_mbs_dbm,
-            p_sbs_dbm=self.p_sbs_dbm, p_md_dbm=self.p_md_dbm,
-            noise_dbm_hz=self.noise_dbm_hz, seed=seed)
-
     def scenario(self, seed: int) -> Scenario:
-        """The deployment of ``seed`` at the base system parameters."""
-        return generate_scenario(self.system_params(seed),
+        """The deployment of ``seed`` at the base system parameters; each
+        field of ``SystemParams`` is this config's field of its name."""
+        params = {f.name: getattr(self, f.name) for f in fields(SystemParams)
+                  if f.name != "seed"}
+        return generate_scenario(SystemParams(**params, seed=seed),
                                  Counts(n_hrd=self.n_hrd, n_csd=self.n_csd))
 
     def demand(self, n_sbs: int, seed: int, delta: float) -> DemandProfile:
-        """Requests, caches and tasks of ``seed`` at popularity ``delta``."""
+        """Requests, caches and tasks of ``seed`` at popularity ``delta``;
+        each keyword of ``build_demand`` is this config's field of its name."""
         catalog = Catalog.build(self.n_files, delta, self.file_size_bytes)
         return build_demand(
             catalog, n_sbs, self.n_hrd, self.n_csd, demand_rng(seed, delta),
-            requests_per_hrd=self.requests_per_hrd,
-            task_input_bytes=self.task_input_bytes,
-            task_cycles=self.task_cycles, local_cps=self.local_cps,
-            edge_cps=self.edge_cps, storage_bytes=self.storage_bytes,
-            cache_policy=self.cache_policy)
+            **{name: getattr(self, name) for name, p in _DEMAND.items()
+               if p.kind is p.KEYWORD_ONLY})
 
 
 @dataclass
 class SweepRow:
+    """One sweep CSV row; its fields are the columns, in order and type."""
+
     axis: str
     axis_value: float
     delta: float
@@ -148,7 +130,9 @@ class SweepRow:
     n_edge_csd: int
     n_backhauled_files: int
     accepted_moves: int
-    n_cached_hits: int = 0    # carried for analysis; not a CSV column
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def _row_from_state(cfg, axis_value, delta, seed, algorithm,
@@ -157,11 +141,9 @@ def _row_from_state(cfg, axis_value, delta, seed, algorithm,
     return SweepRow(
         axis=cfg.axis, axis_value=float(axis_value), delta=float(delta),
         seed=int(seed), algorithm=algorithm, F=rep.objective,
-        hrd_total_s=rep.hrd_total_s, hrd_backhaul_s=rep.hrd_backhaul_s,
-        csd_total_s=rep.csd_total_s, csd_local_s=rep.csd_local_s,
-        csd_offload_s=rep.csd_offload_s, n_local_csd=rep.n_local_csd,
-        n_edge_csd=rep.n_edge_csd, n_backhauled_files=rep.n_backhauled_files,
-        accepted_moves=state.accepted_moves, n_cached_hits=rep.n_cached_hits)
+        accepted_moves=state.accepted_moves,
+        **{f.name: getattr(rep, f.name) for f in fields(rep)
+           if f.name in CSV_COLUMNS})
 
 
 def run_sweep(config: ExperimentConfig, *,
@@ -239,16 +221,9 @@ def emit_csv(rows: list[SweepRow], path) -> None:
         raise ValueError("refusing to emit an empty sweep")
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            value = getattr(row, col)
-            if col in _STR_COLUMNS:
-                cells.append(str(value))
-            elif col in _INT_COLUMNS:
-                cells.append(str(int(value)))
-            else:
-                cells.append(format(float(value), ".12g"))
-        lines.append(",".join(cells))
+        values = [f.type(getattr(row, f.name)) for f in fields(SweepRow)]
+        lines.append(",".join(format(v, ".12g") if isinstance(v, float)
+                              else str(v) for v in values))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -267,10 +242,11 @@ def load_csv(path) -> list[SweepRow]:
                 raise ValueError(f"{path} line {number}: {len(cells)} cells, "
                                  f"not {len(CSV_COLUMNS)}")
             try:
-                values = [kind(cell) for kind, cell in zip(_TYPES, cells)]
+                values = [f.type(cell)
+                          for f, cell in zip(fields(SweepRow), cells)]
             except ValueError as exc:
                 raise ValueError(f"{path} line {number}: {exc}") from None
-            rows.append(SweepRow(**dict(zip(CSV_COLUMNS, values))))
+            rows.append(SweepRow(*values))
     return rows
 
 
@@ -311,7 +287,7 @@ def trend_check(rows, metric: str, shape: str, *, algorithm: str = "AMND",
     at least ``TREND_RHO_MIN`` with the matching sign.  ``metric`` is a
     numeric CSV column.
     """
-    if metric not in CSV_COLUMNS or metric in _STR_COLUMNS:
+    if metric not in {f.name for f in fields(SweepRow) if f.type is not str}:
         raise ValueError(f"metric {metric!r} is not a numeric CSV column")
     xs, ys = seed_average(rows, metric, algorithm=algorithm, delta=delta)
     if xs.size < TREND_MIN_POINTS:
@@ -337,11 +313,6 @@ def trend_check(rows, metric: str, shape: str, *, algorithm: str = "AMND",
 # ---------------------------------------------------------------------------
 # Config file (versioned key = value text; field names match the dataclass).
 # ---------------------------------------------------------------------------
-
-_TUPLE_FLOAT = {"grid", "deltas"}
-_TUPLE_INT = {"seeds"}
-_TUPLE_STR = {"algorithms"}
-
 
 def save_config(config: ExperimentConfig, path) -> None:
     lines = [_CONFIG_HEADER]
@@ -374,23 +345,21 @@ def load_config(path) -> ExperimentConfig:
 def config_with_overrides(config: ExperimentConfig,
                           overrides: dict) -> ExperimentConfig:
     """Apply string-valued overrides (config file or CLI) onto a config."""
-    valid = {f.name: f.type for f in fields(ExperimentConfig)}
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     parsed = {}
     for key, raw in overrides.items():
-        if key not in valid:
+        if key not in defaults:
             raise ValueError(f"unknown config field {key!r}")
         try:
-            parsed[key] = _parse(key, raw, getattr(config, key))
+            parsed[key] = _parse(raw, defaults[key])
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
     return replace(config, **parsed)
 
 
-def _parse(key, raw, current):
-    if key in _TUPLE_FLOAT:
-        return tuple(float(t) for t in str(raw).replace(",", " ").split())
-    if key in _TUPLE_INT:
-        return tuple(int(t) for t in str(raw).replace(",", " ").split())
-    if key in _TUPLE_STR:
-        return tuple(str(raw).replace(",", " ").split())
-    return type(current)(raw) if not isinstance(current, str) else str(raw)
+def _parse(raw, default):
+    """``raw`` as the type of ``default``, item by item for a tuple."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(t)
+                     for t in str(raw).replace(",", " ").split())
+    return type(default)(raw)

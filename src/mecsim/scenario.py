@@ -82,8 +82,6 @@ MBS_MD = LinkModel("mbs-md", 30.8, 24.2, 2.7, 42.8, "macro", 63.0, 6.0, 6.0)
 MBS_SBS = LinkModel("mbs-sbs", 30.2, 23.5, 16.3, 36.3, "macro", 72.0, 6.0, 6.0)
 SBS_MD = LinkModel("sbs-md", 41.1, 20.9, 32.9, 37.5, "micro", 0.0, 6.0, 4.0)
 
-LINK_MODELS = {m.link_class: m for m in (MBS_MD, MBS_SBS, SBS_MD)}
-
 
 def pathloss_db(model: LinkModel, d_m, los):
     """Distance pathloss in dB; distances below 1 m are clamped to 1 m."""

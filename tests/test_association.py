@@ -795,7 +795,7 @@ def test_clone_keeps_its_own_running_sums():
     def arrays(state):
         return [getattr(state.sums[game], name).copy()
                 for game in ("hrd", "csd")
-                for name in ("size", "members", "sums", "ratio")]
+                for name in ("size", "sums", "ratio")]
 
     sums = arrays(twin)
     run_coalition_game(state, "csd", t2=300)
@@ -1291,7 +1291,7 @@ def test_audit_ignores_the_state_running_sums(desk_runs):
                  state.rng_csd.bit_generator.state]
                 + [getattr(state.sums[game], name).tobytes()
                    for game in ("hrd", "csd")
-                   for name in ("size", "members", "sums", "ratio")])
+                   for name in ("size", "sums", "ratio")])
 
     before = snapshot()
     moves = audit_stability(state)

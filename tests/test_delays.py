@@ -234,10 +234,18 @@ def test_inconsistent_allocation_reports_offenders():
 def test_allocation_of_another_shape_is_rejected():
     scn, demand, partition, allocation = build_random_state(23)
     pk, _ = request_pairs(demand)
+    short_eta, short_gamma = allocation.copy(), allocation.copy()
+    short_eta.eta = short_eta.eta[:-1]
+    short_gamma.gamma = short_gamma.gamma[:-1]
     for wrong in (Allocation.idle(pk.size + 1, demand.n_csd),
-                  Allocation.idle(pk.size, demand.n_csd - 1)):
+                  Allocation.idle(pk.size, demand.n_csd - 1),
+                  short_eta, short_gamma):
         with pytest.raises(ValueError, match="one fraction per request pair"):
             objective(scn, demand, partition, wrong)
+        msgs = audit_constraints(scn, demand, partition, wrong)
+        assert len(msgs) == 1
+        assert msgs[0].startswith("allocation: ")
+        assert "one fraction per request pair" in msgs[0]
 
 
 def test_audit_accepts_valid_state_and_flags_corruption():

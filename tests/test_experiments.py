@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -64,10 +65,15 @@ def test_emit_rejects_empty_and_roundtrips(tmp_path, small_rows):
     assert header == ",".join(CSV_COLUMNS)
     assert all(len(ln.split(",")) == len(CSV_COLUMNS) for ln in lines)
     back = load_csv(path)
+    assert len(back) == len(small_rows)
     for a, b in zip(small_rows, back):
-        assert b.F == pytest.approx(a.F, rel=1e-11)
-        assert b.seed == a.seed and b.algorithm == a.algorithm
-        assert b.n_backhauled_files == a.n_backhauled_files
+        for col in CSV_COLUMNS:
+            x, y = getattr(a, col), getattr(b, col)
+            assert type(y) is type(x), col
+            if isinstance(x, float):
+                assert y == float(format(x, ".12g")), col
+            else:
+                assert y == x, col
 
 
 def synth_rows(series, metric="hrd_total_s", algorithm="AMND", delta=0.6):
@@ -115,12 +121,23 @@ def test_seed_average_filters_by_algorithm_and_delta(small_rows):
 
 
 def test_config_roundtrip_and_overrides(tmp_path):
-    cfg = ExperimentConfig(axis="t1_frac", grid=(0.2, 0.4), seeds=(9,),
-                           storage_bytes=1e7, cache_policy="popular_first")
+    cfg = ExperimentConfig(
+        axis="t1_frac", grid=(0.2, 0.4), deltas=(0.8, 1.2), seeds=(9, 4),
+        algorithms=("AMND",), w_hz=10e6, a=0.6, t1_frac=0.4, m_sbs=4,
+        n_mbs=2, isd_m=800.0, p_mbs_dbm=43.0, p_sbs_dbm=20.0, p_md_dbm=21.0,
+        noise_dbm_hz=-170.0, n_hrd=7, n_csd=9, n_files=12,
+        file_size_bytes=2e6, requests_per_hrd=2, task_input_bytes=5e4,
+        task_cycles=2e9, local_cps=1e9, edge_cps=3e10, storage_bytes=1e7,
+        cache_policy="popular_first", game_iters=50, patience=20,
+        output="other.csv")
+    default = ExperimentConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name)
+               for f in fields(ExperimentConfig))
     path = tmp_path / "cfg.txt"
     save_config(cfg, path)
     loaded = load_config(path)
     assert loaded == cfg
+    assert repr(loaded) == repr(cfg)     # (9, 4) == (9.0, 4.0), types too
     bumped = config_with_overrides(loaded, {"seeds": "1 2 3", "a": "0.3",
                                             "algorithms": "AMND"})
     assert bumped.seeds == (1, 2, 3)
