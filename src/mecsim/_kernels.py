@@ -21,12 +21,15 @@ running-sum row, its largest device ratio, its value and its feasibility;
 ``hrd_value``/``csd_value`` return ``(value, feasible)``, and
 ``hrd_alloc``/``csd_alloc`` also write the members' fractions into the
 per-pair ``beta``/``eta`` and per-device ``alpha``/``gamma`` arrays of an
-``Allocation``.  An HRD coalition is always feasible; a CSD coalition is
-feasible while its task inputs fit in the SBS's spare storage.  CSD
-coalition ``n_sbs`` is the virtual coalition of locally computing devices:
-it is worth their local delays and holds idle fractions.  HRD coalitions
-are described by flattened request pairs: device ``k`` owns pairs
-``pair_off[k] .. pair_off[k] + pair_cnt[k]``.
+``Allocation``.  The three HRD kernels share one solve per SBS and member
+list (``_hrd_solved``, memoized on the ``Rows``): a solve values,
+refreshes, installs and audits the same member lists many times, and a
+repeat costs one dictionary lookup.  An HRD coalition is always feasible;
+a CSD coalition is feasible while its task inputs fit in the SBS's spare
+storage.  CSD coalition ``n_sbs`` is the virtual coalition of locally
+computing devices: it is worth their local delays and holds idle
+fractions.  HRD coalitions are described by flattened request pairs:
+device ``k`` owns pairs ``pair_off[k] .. pair_off[k] + pair_cnt[k]``.
 """
 
 import math
@@ -81,8 +84,10 @@ class Rows:
     """The matrices and vectors of a ``CoalitionCosts`` that the kernels
     read, as nested Python lists under the same names (``rows.sqrt_dl[n]
     [p]`` is ``costs.sqrt_dl[n, p]``), one ``tolist`` each, built once with
-    the costs; ``span[k]`` is the range of device ``k``'s pairs, and
-    ``room[n]`` SBS ``n``'s spare bytes plus ``BYTES_TOL``."""
+    the costs; ``span[k]`` is the range of device ``k``'s pairs,
+    ``room[n]`` SBS ``n``'s spare bytes plus ``BYTES_TOL``, and
+    ``hrd_solved`` the memo of ``_hrd_solved``, which lives as long as the
+    costs."""
 
     def __init__(self, costs):
         for name in ("cached", "eta_min", "dev_floor_ratio", "sqrt_dl",
@@ -92,6 +97,7 @@ class Rows:
         self.span = [range(a, a + c) for a, c in
                      zip(costs.pair_off.tolist(), costs.pair_cnt.tolist())]
         self.room = (costs.spare_bytes + BYTES_TOL).tolist()
+        self.hrd_solved = {}        # (SBS, member tuple) -> its solve
 
 
 def _coupled_shares(d, miss):
@@ -220,17 +226,32 @@ def _hrd_lists(costs, n, members):
     return d, miss
 
 
-def hrd_summary(costs, n, members):
-    """``((sd, sb, miss), ratio, value, True)`` of the HRD coalition
+def _hrd_solved(costs, n, members):
+    """``((sd, sb, miss), ratio, beta, eta, value)`` of the HRD coalition
     ``members`` at SBS ``n``: its running-sum row (root downlink costs of
     all pairs, root backhaul costs and count of the missed pairs), its
-    largest device ratio and its closed-form value."""
-    d, miss = _hrd_lists(costs, n, members)
-    ratios = costs.rows.dev_floor_ratio[n]
-    ratio = max([ratios[k] for k in members], default=0.0)
-    value = hrd_closed_form(d, miss)[2]
-    return ((_sum(d), _sum([s for _, s, _ in miss]), float(len(miss))),
-            ratio, value, True)
+    largest device ratio and ``hrd_closed_form``'s shares and value.
+
+    Solved once per SBS and member list (in its order) on ``costs.rows``:
+    the result depends on nothing else, and the lists it holds are never
+    written to."""
+    memo, key = costs.rows.hrd_solved, (n, tuple(members))
+    solved = memo.get(key)
+    if solved is None:
+        d, miss = _hrd_lists(costs, n, members)
+        ratios = costs.rows.dev_floor_ratio[n]
+        solved = memo[key] = (
+            (_sum(d), _sum([s for _, s, _ in miss]), float(len(miss))),
+            max([ratios[k] for k in members], default=0.0),
+            *hrd_closed_form(d, miss))
+    return solved
+
+
+def hrd_summary(costs, n, members):
+    """``((sd, sb, miss), ratio, value, True)`` of the HRD coalition
+    ``members`` at SBS ``n`` (``_hrd_solved``)."""
+    row, ratio, _, _, value = _hrd_solved(costs, n, members)
+    return row, ratio, value, True
 
 
 def csd_summary(costs, n, members):
@@ -251,7 +272,7 @@ def csd_summary(costs, n, members):
 
 
 def hrd_value(costs, n, members):
-    return hrd_closed_form(*_hrd_lists(costs, n, members))[2], True
+    return _hrd_solved(costs, n, members)[4], True
 
 
 def csd_value(costs, n, members):
@@ -260,8 +281,7 @@ def csd_value(costs, n, members):
 
 def hrd_alloc(costs, n, members, beta, eta):
     """Writes every member pair's ``beta`` and ``eta``; a hit's is IDLE_FRAC."""
-    shares_dl, shares_bh, value = hrd_closed_form(*_hrd_lists(costs, n,
-                                                              members))
+    _, _, shares_dl, shares_bh, value = _hrd_solved(costs, n, members)
     rows = costs.rows
     hit, dl, bh = rows.cached[n], iter(shares_dl), iter(shares_bh)
     for k in members:

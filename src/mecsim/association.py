@@ -26,6 +26,7 @@ matches to the last bit, and the random phase in law.
 import copy
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +45,8 @@ CHECK_TOL = 1e-9         # relative tolerance of ``GameState.check``
 # Relative allowance of the screen (``_Block.screen``) for the rounding of
 # the running sums and of the exact valuation.
 SLACK = 1e-8
+# Rows of the first block of a stabilization sweep (``stabilize_partition``).
+SWEEP_CHUNK = 2048
 
 
 def default_patience(n_hrd: int, n_csd: int) -> int:
@@ -458,24 +461,50 @@ def _apply(state: GameState, prop: MoveProposal) -> bool:
     return accepted
 
 
+class _Hood(NamedTuple):
+    """``_neighbourhood``'s arrays."""
+
+    swap: np.ndarray
+    rows: np.ndarray
+    coalitions: np.ndarray
+
+
+def _move_rows(swap, i, j):
+    """The rows of moves ``(swap, i, j)`` that no partition changes, stacked
+    for one ``take``: the size steps ``(s, -s)`` of the coalitions that
+    ``i`` leaves and enters (``s`` is -1 in a transfer, 0 in a swap), then
+    the moving devices ``(i, j, i)``: ``(i, j)`` leave and ``(j, i)``
+    enter."""
+    step = swap - 1
+    return np.stack((step, -step, i, j, i))
+
+
 @functools.lru_cache(maxsize=8)
-def _neighbourhood(n_dev: int, n_coal: int):
+def _neighbourhood(n_dev: int, n_coal: int) -> _Hood:
     """Every single transfer, then every same-class swap, of a game with
-    ``n_dev`` devices and ``n_coal`` coalitions, as arrays ``(swap, i, j,
-    target)`` with one entry per position: transfers device-major and
-    target-minor, then swaps with ``i < j``, row-major.  ``i`` is the moving
-    device, ``j`` the device swapped with it (``n_dev``, the running sums'
-    ``none``, in a transfer) and ``target`` a transfer's target.  Built once
-    per shape; the arrays are shared, so they are read-only."""
+    ``n_dev`` devices and ``n_coal`` coalitions, one entry per position:
+    transfers device-major and target-minor, then swaps with ``i < j``,
+    row-major.  ``swap`` flags the swaps; ``rows`` holds ``_move_rows`` of
+    the moving device ``i`` and the device ``j`` swapped with it
+    (``n_dev``, the running sums' ``none``, in a transfer), then one more
+    row: where the coalition that ``i`` enters is found in the association
+    followed by ``coalitions`` (``arange(n_coal)``), at ``j`` in a swap and
+    at ``n_dev + t`` in a transfer into coalition ``t``.  Its
+    last two rows thus give both ends of every move in one ``take``
+    (``_neighbourhood_block``).  Built once per shape; the arrays are
+    shared, so they are read-only."""
     dev, target = np.divmod(np.arange(n_dev * n_coal), n_coal)
     si, sj = np.triu_indices(n_dev, 1)
     i = np.concatenate((dev, si))
     j = np.concatenate((np.full_like(dev, n_dev), sj))
     target = np.concatenate((target, np.zeros_like(si)))
     swap = np.arange(i.size) >= dev.size
-    for x in (swap, i, j, target):
+    rows = np.vstack((_move_rows(swap, i, j),
+                      np.where(swap, j, n_dev + target)))
+    hood = _Hood(swap, rows, np.arange(n_coal))
+    for x in hood:
         x.flags.writeable = False
-    return swap, i, j, target
+    return hood
 
 
 class _Block:
@@ -485,16 +514,18 @@ class _Block:
     Entry ``q`` of the arrays ``swap`` (a swap, or else a transfer), ``a``
     and ``b`` (the coalitions that device ``i`` leaves and enters) and
     ``j`` (the device that leaves ``b`` in a swap, ``sums.none`` in a
-    transfer) is one proposal.  The partition changes only on an accepted
-    move, so the proposals up to the next accept can be valued as one
-    block, from the running sums ``sums``: both sides of every proposal in
-    one ``CoalitionSums.after`` call, each with the float operations, in
-    their order, of a block of one, so a proposal's value does not depend
-    on the block that holds it, to the last bit.  A block takes a fixed
-    number of numpy calls, whatever its length: one ``(i, j, i)``
-    concatenation gives both the leaving devices ``(i, j)`` and the
-    entering ones ``(j, i)``, and one ``take`` of the cached values gives
-    both sides' old values.
+    transfer) is one proposal.  The constructor takes ``swap``, the
+    proposals' ``_move_rows`` as ``rows`` (``i`` and ``j`` are its rows 2
+    and 3) and ``ends``, the rows ``(a, b)``.  The partition changes only
+    on an accepted move, so the proposals up to the next accept can be
+    valued as one block, from the running sums ``sums``: both sides of
+    every proposal in one ``CoalitionSums.after`` call, each with the float
+    operations, in their order, of a block of one, so a proposal's value
+    does not depend on the block that holds it, to the last bit.  A block
+    takes a fixed number of numpy calls, whatever its length: ``rows``
+    holds the leaving devices ``(i, j)`` and the entering ones ``(j, i)``
+    as overlapping views, and one ``take`` of the cached values gives both
+    sides' old values.
 
     ``improving`` finds every proposal that would be accepted.  A winner
     is applied with the block's own valuation (``_accept``), so no move is
@@ -504,26 +535,27 @@ class _Block:
     them all.
     """
 
-    def __init__(self, state: GameState, sums: CoalitionSums, swap, a, b,
-                 i, j):
+    def __init__(self, state: GameState, sums: CoalitionSums, swap, rows,
+                 ends):
         self.game, self.sums = sums.game, sums
-        self.swap, self.a, self.b, self.i, self.j = swap, a, b, i, j
+        self.swap, self.ends = swap, ends
+        self.a, self.b = ends
+        self.i, self.j = rows[2], rows[3]
         self.lists = _member_lists(state, sums.game)
         self.cache = state.v_hrd if sums.game == HRD else state.v_csd
-        # Sources first, then destinations: (i, j) leave and (j, i) enter.
-        n, ends = a.size, np.concatenate((a, b))
-        moved = np.concatenate((i, j, i))
-        step = swap - 1
+        # Sources first, then destinations.
+        n, sides = swap.size, ends.reshape(-1)
+        moved = rows[2:5].reshape(-1)
         value, ok, self.floors = sums.after(
-            ends, moved[:2 * n], moved[n:],
-            sums.size.take(ends) + np.concatenate((step, -step)))
+            sides, moved[:2 * n], moved[n:],
+            sums.size.take(sides) + rows[:2].reshape(-1))
         self.v_src, self.v_dst = value[:n], value[n:]
         hrd = ok is None
         self.feasible = np.ones(n, dtype=bool) if hrd else ok[:n] & ok[n:]
         self.floor = (self.floors[:n] | self.floors[n:] if hrd
                       else np.zeros(n, dtype=bool))
         old = self.cache.take(ends)
-        self.dv = (self.v_src + self.v_dst) - (old[:n] + old[n:])
+        self.dv = (self.v_src + self.v_dst) - (old[0] + old[1])
 
     def __len__(self) -> int:
         return self.a.size
@@ -572,31 +604,30 @@ class _Block:
         """Which proposals ``_apply`` would accept, as a mask;
         every flagged proposal that ``screen`` passes is valued by
         ``value``, and no other."""
-        for q in self.screen()[0]:
-            self.value(q)
+        if self.floor.any():        # never in a CSD block
+            for q in self.screen()[0]:
+                self.value(q)
         return self.feasible & ~self.floor & (self.dv < -IMPROVE_MARGIN)
 
 
-def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood,
-                        pos: int, *, drawable: bool = False):
-    """The ``_Block`` of the positions of ``hood`` (``_neighbourhood``'s
-    arrays) from ``pos`` on at the current partition, skipping a transfer
+def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood: _Hood,
+                        start: int, stop: int | None = None, *,
+                        drawable: bool = False):
+    """The ``_Block`` of the positions ``start:stop`` of ``hood``
+    (``_neighbourhood``) at the current partition, skipping a transfer
     into the device's own coalition and a swap within one coalition, and
     the positions it holds.  With ``drawable``, only the moves a random
     phase draws (``_draw_weights``) are kept: swaps, and transfers into
     empty coalitions."""
-    swap, i, j, target = hood
-    assoc = _association(state, sums.game)
-    a = assoc[i[pos:]]
-    # A transfer's ``j`` lies past ``assoc``; ``where`` drops what it reads.
-    b = np.where(swap[pos:], assoc.take(j[pos:], mode="clip"), target[pos:])
-    keep = a != b
+    ext = np.concatenate((_association(state, sums.game), hood.coalitions))
+    ends = ext.take(hood.rows[4:, start:stop])
+    keep = ends[0] != ends[1]
     if drawable:
-        keep &= swap[pos:] | (sums.size[b] == 0)
+        keep &= hood.swap[start:stop] | (sums.size.take(ends[1]) == 0)
     at = keep.nonzero()[0]
-    rest = at + pos
-    return _Block(state, sums, swap[rest], a[at], b[at], i[rest],
-                  j[rest]), rest
+    rest = at + start
+    return _Block(state, sums, hood.swap.take(rest),
+                  hood.rows.take(rest, axis=1), ends.take(at, axis=1)), rest
 
 
 def _accept(state: GameState, block: _Block, k: int) -> None:
@@ -625,10 +656,14 @@ def stabilize_partition(state: GameState, game: str) -> int:
     exhaustive stability audit passes on exit.
 
     A sweep visits the moves in ``_neighbourhood``'s order.  Between two
-    accepts the partition is fixed, so the rest of the sweep is one
-    ``_Block`` (``_neighbourhood_block``); its first winner
+    accepts the partition is fixed, so the rest of the sweep is valued in
+    ``_Block``s (``_neighbourhood_block``) of ``SWEEP_CHUNK`` positions,
+    doubling while a block holds no winner and back to ``SWEEP_CHUNK``
+    after an accept, so that a sweep values the contenders of a few blocks
+    past its accept, not of the whole rest.  A block's first winner
     (``_Block.improving``) is applied with the block's valuation
-    (``_settle``), and the sweep resumes at the next position.
+    (``_settle``), and the sweep resumes at the next position.  A move's
+    value does not depend on its block, so the chunks change no result.
     """
     sums = state.sums[game]
     hood = _neighbourhood(_association(state, game).size,
@@ -637,16 +672,18 @@ def stabilize_partition(state: GameState, game: str) -> int:
     improved = True
     while improved:
         improved = False
-        pos = 0
-        while pos < hood[0].size:
-            block, at = _neighbourhood_block(state, sums, hood, pos)
+        pos, chunk = 0, SWEEP_CHUNK
+        while pos < hood.swap.size:
+            block, at = _neighbourhood_block(state, sums, hood, pos,
+                                             pos + chunk)
             wins = block.improving().nonzero()[0]
             first = wins.item(0) if wins.size else len(block)
             if not _settle(state, block, first):
-                break
+                pos, chunk = pos + chunk, 2 * chunk
+                continue
             improved = True
             applied += 1
-            pos = at[first] + 1
+            pos, chunk = at[first] + 1, SWEEP_CHUNK
     return applied
 
 
@@ -701,13 +738,13 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     while (budget := min(t2 - done, patience)) > 0:
         block, _ = _neighbourhood_block(state, sums, hood, 0, drawable=True)
         wins = block.improving().nonzero()[0]
-        cum = np.cumsum(_draw_weights(sums.size, block.a.take(wins),
-                                      block.b.take(wins)))
         if not wins.size:
-            wait = budget
-        else:
-            p = 1.0 if wins.size == len(block) else cum[-1]
-            wait = min(int(rng.geometric(p)) - 1, budget)
+            state.proposals += budget
+            return
+        cum = np.cumsum(_draw_weights(sums.size,
+                                      *block.ends.take(wins, axis=1)))
+        p = 1.0 if wins.size == len(block) else cum[-1]
+        wait = min(int(rng.geometric(p)) - 1, budget)
         state.proposals += wait
         if wait == budget:
             return

@@ -35,7 +35,15 @@ class Partition:
     csd_sbs: np.ndarray
     n_sbs: int
 
-    def validate(self) -> None:
+    def validate(self, n_hrd: int, n_csd: int) -> None:
+        """Raise ValueError unless the partition associates each of
+        ``n_hrd`` high-rate devices with one SBS and each of ``n_csd``
+        computation devices with one SBS or local execution."""
+        for name, sbs, n_dev in (("HRD", self.hrd_sbs, n_hrd),
+                                 ("CSD", self.csd_sbs, n_csd)):
+            if sbs.shape != (n_dev,):
+                raise ValueError(f"{name} association of shape {sbs.shape} "
+                                 f"for {n_dev} devices")
         if self.hrd_sbs.size and (self.hrd_sbs.min() < 0
                                   or self.hrd_sbs.max() >= self.n_sbs):
             raise ValueError("every HRD must be associated with exactly one SBS")
@@ -187,7 +195,7 @@ def objective(scenario: Scenario, demand: DemandProfile, partition: Partition,
     ValueError where the audit would report the association or a fraction."""
     if table is None:
         table = build_rate_table(scenario)
-    partition.validate()
+    partition.validate(demand.n_hrd, demand.n_csd)
     pair_k, pair_i, n_arr, miss, edge, ns = _links(partition, demand)
     bad = _fraction_faults(allocation, partition.csd_sbs, pair_k, pair_i,
                            n_arr)
@@ -251,7 +259,7 @@ def audit_constraints(scenario: Scenario, demand: DemandProfile,
     if table is None:
         table = build_rate_table(scenario)
     try:
-        partition.validate()
+        partition.validate(demand.n_hrd, demand.n_csd)
     except ValueError as exc:           # C1/C2/C9/C10
         return [f"association: {exc}"]
     pair_k, pair_i, n_arr, miss, edge, n_csd = _links(partition, demand)

@@ -88,11 +88,12 @@ def propose_move(state, game: str, rng) -> MoveProposal:
 
 def _evaluate(state, prop: MoveProposal) -> None:
     """Value a move as a block of one."""
-    swap, sums = prop.md_to is not None, state.sums[prop.game]
-    block = association._Block(state, sums, np.array([swap]),
-                               np.array([prop.c_from]), np.array([prop.c_to]),
-                               np.array([prop.md_from]),
-                               np.array([prop.md_to if swap else sums.none]))
+    swap, sums = np.array([prop.md_to is not None]), state.sums[prop.game]
+    rows = association._move_rows(
+        swap, np.array([prop.md_from]),
+        np.array([prop.md_to if swap[0] else sums.none]))
+    block = association._Block(state, sums, swap, rows,
+                               np.array([[prop.c_from], [prop.c_to]]))
     prop.dv, prop.feasible = block.value(0)
 
 

@@ -19,6 +19,7 @@ from mecsim.association import (IMPROVE_MARGIN, MoveProposal, _draw_weights,
                                 run_amnd, run_coalition_game, write_move_log)
 from mecsim.content import Catalog, DemandProfile
 from mecsim.delays import Allocation, audit_constraints
+from mecsim.experiments import ExperimentConfig
 from mecsim.radio import build_rate_table
 from mecsim.scenario import (Counts, ReadAhead, SystemParams,
                              generate_scenario)
@@ -368,10 +369,11 @@ def _moves(state, game):
     assoc = (state.partition.hrd_sbs if game == "hrd"
              else state.partition.csd_sbs)
     n_coal = len(state.hrd_members if game == "hrd" else state.csd_members)
-    for swap, i, j, target in zip(*(a.tolist() for a in
-                                    _neighbourhood(assoc.size, n_coal))):
+    hood = _neighbourhood(assoc.size, n_coal)
+    _, _, i_row, j_row, _, to_row = hood.rows.tolist()
+    for swap, i, j, to in zip(hood.swap.tolist(), i_row, j_row, to_row):
         a = int(assoc[i])
-        b = int(assoc[j]) if swap else target
+        b = int(np.concatenate((assoc, hood.coalitions))[to])
         if a != b:
             yield MoveProposal(game, "swap" if swap else "transfer",
                                c_from=a, c_to=b, md_from=i,
@@ -560,9 +562,9 @@ def _game_counts(monkeypatch):
             phase.pop()
             counts["random_proposals"] += state.proposals - before
 
-    def block(state, sums, hood, pos, *, drawable=False):
+    def block(state, sums, hood, *at, drawable=False):
         counts["partitions"] += bool(phase) and drawable
-        return inner_block(state, sums, hood, pos, drawable=drawable)
+        return inner_block(state, sums, hood, *at, drawable=drawable)
 
     def apply(state, prop):
         accepted = inner_apply(state, prop)
@@ -770,8 +772,12 @@ def test_swap_is_valued_alike_from_either_side(desk_runs, multi_request_run,
             a, b, i, j = (x[at] for x in (block.a, block.b, block.i,
                                           block.j))
             swap = np.ones(at.size, dtype=bool)
-            ahead = association._Block(state, sums, swap, a, b, i, j)
-            back = association._Block(state, sums, swap, b, a, j, i)
+            ahead = association._Block(state, sums, swap,
+                                       association._move_rows(swap, i, j),
+                                       np.stack((a, b)))
+            back = association._Block(state, sums, swap,
+                                      association._move_rows(swap, j, i),
+                                      np.stack((b, a)))
             assert ahead.dv.tobytes() == back.dv.tobytes()
             assert ahead.feasible.tolist() == back.feasible.tolist()
             assert ahead.floor.tolist() == back.floor.tolist()
@@ -875,6 +881,80 @@ def test_check_catches_stale_caches_and_fractions(desk_runs):
         with pytest.raises(AssertionError,
                            match=rf"stale {game} utility cache at coalition {c}:"):
             state.check()
+
+
+def _closed_form_counts(monkeypatch):
+    """Every ``hrd_closed_form`` call the kernels make, as the ``(costs,
+    SBS, member tuple)`` whose lists it solves."""
+    solved, pending = [], []
+    inner_lists, inner_form = _kernels._hrd_lists, _kernels.hrd_closed_form
+
+    def lists(costs, n, members):
+        pending.append((costs, n, tuple(members)))
+        return inner_lists(costs, n, members)
+
+    def closed_form(d, miss):
+        solved.append(pending.pop())
+        return inner_form(d, miss)
+
+    monkeypatch.setattr(_kernels, "_hrd_lists", lists)
+    monkeypatch.setattr(_kernels, "hrd_closed_form", closed_form)
+    return solved
+
+
+def _memo_cases():
+    """(scenario, demand) of desk seeds 0-9 and of the three a = 0.9
+    points of the default sweep (seed 1)."""
+    cases = []
+    for seed in range(10):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=20, n_csd=20))
+        cases.append((scn, demand_for(scn, seed=seed)))
+    config = ExperimentConfig()
+    base = config.scenario(1)
+    for delta in config.deltas:
+        cases.append((base.with_params(a=0.9),
+                      config.demand(base.n_sbs, 1, delta)))
+    return cases
+
+
+def test_solve_runs_each_hrd_closed_form_once(monkeypatch):
+    # From the initializer through the stability audit, the kernels solve
+    # each (SBS, member list) once: valuations, refreshes, installs and
+    # the audit reuse the memoized solve.
+    solved = _closed_form_counts(monkeypatch)
+    valued = 0
+    for scn, demand in _memo_cases():
+        solved.clear()
+        final = run_amnd(scn, demand)
+        assert audit_stability(final) == []
+        keys = [(n, members) for costs, n, members in solved]
+        assert all(costs is final.costs for costs, _, _ in solved)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(final.costs.rows.hrd_solved)
+        valued += len(keys)
+    assert valued > 0
+
+
+def test_memoized_hrd_solves_equal_fresh_ones():
+    for scn, demand in _memo_cases():
+        final = run_amnd(scn, demand)
+        audit_stability(final)
+        memo = final.costs.rows.hrd_solved
+        for n, members in enumerate(final.hrd_members):
+            assert memo[n, tuple(members)][4] == final.v_hrd[n]
+        assert len(memo) > final.n_sbs
+        for (n, members), (row, ratio, beta, eta, value) in memo.items():
+            d, miss = _kernels._hrd_lists(final.costs, n, members)
+            fresh = hrd_closed_form(d, miss)
+            assert np.array([value, *beta, *eta]).tobytes() == np.array(
+                [fresh[2], *fresh[0], *fresh[1]]).tobytes(), (n, members)
+            sums, ratio_, _ = _numpy_sums(final.costs, "hrd", n,
+                                          list(members))
+            assert np.array(row).tobytes() == np.array(
+                sums, dtype=float).tobytes()
+            assert np.float64(ratio).tobytes() == np.float64(
+                ratio_).tobytes()
 
 
 def _numpy_sums(costs, game, c, members):
@@ -1526,6 +1606,43 @@ def test_whole_random_phase_matches_scalar_reference():
                                  lambda x: min(x[2], 20))):
             assert _same_law(list(map(key, ours)), list(map(key, theirs))), \
                 (name, k)
+
+
+def test_chunked_sweep_matches_one_block_sweep(monkeypatch, tmp_path):
+    # A move's value does not depend on its block, so the sweep's chunks
+    # change no result, however small the first one is.
+    blocks = []
+    inner = association._neighbourhood_block
+
+    def block(state, sums, hood, *at, drawable=False):
+        out = inner(state, sums, hood, *at, drawable=drawable)
+        if not drawable:
+            blocks.append(at)
+        return out
+
+    monkeypatch.setattr(association, "_neighbourhood_block", block)
+    cases = []
+    for seed in range(4):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=20, n_csd=20))
+        cases.append((scn, demand_for(scn, seed=seed)))
+    for n, (scn, demand) in enumerate(cases):
+        whole = _solve_fingerprint(run_amnd(scn, demand),
+                                   tmp_path / f"whole{n}.csv")
+        # Desk neighbourhoods fit in the first chunk.
+        assert all(at[1] - at[0] == association.SWEEP_CHUNK
+                   for at in blocks), blocks
+        for chunk in (1, 7, 64):
+            blocks.clear()
+            monkeypatch.setattr(association, "SWEEP_CHUNK", chunk)
+            path = tmp_path / f"chunk{n}-{chunk}.csv"
+            assert _solve_fingerprint(run_amnd(scn, demand), path) == whole
+            # A chunk without a winner doubles the next one.
+            sizes = [stop - start for start, stop in blocks]
+            assert chunk * 4 in sizes, (chunk, sizes)
+            monkeypatch.undo()
+            monkeypatch.setattr(association, "_neighbourhood_block", block)
+        blocks.clear()
 
 
 def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mecsim._kernels import IDLE_FRAC
+from mecsim.association import abcg_init
 from mecsim.content import Catalog, DemandProfile
 from mecsim.delays import (Allocation, Partition, audit_constraints,
                            csd_delay, hrd_delay, objective, request_pairs)
 from mecsim.radio import RateTable, build_rate_table
-from mecsim.scenario import SystemParams
+from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import demand_for, rate_scenario
 
 
@@ -246,6 +249,20 @@ def test_allocation_of_another_shape_is_rejected():
         assert len(msgs) == 1
         assert msgs[0].startswith("allocation: ")
         assert "one fraction per request pair" in msgs[0]
+
+
+def test_association_of_another_length_is_rejected():
+    scn = generate_scenario(SystemParams(seed=3), Counts(n_hrd=6, n_csd=6))
+    state = abcg_init(scn, demand_for(scn))
+    part = state.partition
+    for name in ("hrd_sbs", "csd_sbs"):
+        sbs = getattr(part, name)
+        for wrong in (sbs[:-1], np.append(sbs, 0)):
+            bad = dataclasses.replace(part, **{name: wrong})
+            with pytest.raises(ValueError, match="association of shape"):
+                objective(scn, state.demand, bad, state.allocation)
+            msgs = audit_constraints(scn, state.demand, bad, state.allocation)
+            assert len(msgs) == 1 and msgs[0].startswith("association: ")
 
 
 def test_audit_accepts_valid_state_and_flags_corruption():
