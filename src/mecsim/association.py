@@ -7,7 +7,8 @@ every coalition, once (its docstring says why once is enough).  A game
 (``run_coalition_game``) is a random phase of drawn moves
 (``_random_phase``, which samples each accept under the law of the drawn
 moves, ``_draw_weights``) and a deterministic stabilization sweep
-(``stabilize_partition``).  A move transfers a device into another
+(``stabilize_partition``, which visits the moves cyclically from the
+last accept).  A move transfers a device into another
 coalition or swaps two devices of different coalitions; it is accepted iff
 both tentative coalitions are feasible and their total weighted delay
 falls by more than ``IMPROVE_MARGIN``.
@@ -17,10 +18,13 @@ allocation and every coalition's cached closed-form value.  The objective
 is separable across SBSs, so a move touches two coalitions, which are
 valued from running sums (``CoalitionSums``), many moves at a time
 (``_Block``), with the moves that cannot win screened off unvalued
-(``_Block.screen``).  ``audit_stability`` checks Nash stability with the
-same valuer.  The tests draw, value and apply one proposal at a time
-(``tests/reference.py``): the reference that the stabilization sweep
-matches to the last bit, and the random phase in law.
+(``_Block.screen``).  A block's winner is applied with the block's own
+valuation by one state-update step (``_commit``, through ``_accept``).
+``audit_stability`` checks Nash stability with the same valuer.  The tests
+draw, value and apply one proposal at a time (``tests/reference.py``,
+through ``_apply``, which tests a move and then takes the same step): the
+reference that the stabilization sweep matches to the last bit, and the
+random phase in law.
 """
 
 import copy
@@ -79,7 +83,13 @@ class CoalitionSums:
     A CSD coalition is worth ``su**2 + se**2``, the squared sums of its
     members' root uplink and root compute costs, and is feasible while its
     stored task bytes fit in the SBS's spare storage; the virtual local
-    coalition, row ``n_sbs``, is worth its members' local delays.  An HRD
+    coalition, row ``n_sbs``, is worth its members' local delays.  Each row
+    holds only its own kind of terms: a device's local delay sits in the
+    local row alone, at 0 in every SBS row, whose root costs sit at 0 in
+    the local row, and the local row's storage room is +inf.  So ``after``
+    values every CSD side as ``su*su + se*se + local`` and tests ``load <=
+    room``, with no case for the local row: each term it adds is an exact
+    0.0, which changes no bit.  An HRD
     coalition is always feasible, and is worth ``sd**2 + sb**2`` (root
     downlink costs of all its pairs, root backhaul costs of its missed
     pairs) as long as no rate ordering binds, which holds iff its largest
@@ -95,7 +105,8 @@ class CoalitionSums:
     ``sums`` its additive sums, one column each: ``(sd, sb, miss)`` for
     HRD, with ``miss`` the number of missed pairs (a small count, exact as
     a float), and ``(su, se, load, local)`` for CSD, with ``load`` the
-    stored task bytes and ``local`` the local delays of row ``n_sbs``.
+    stored task bytes and ``local`` the local delays, 0 outside row
+    ``n_sbs``.
     ``terms`` holds every device's terms at every coalition, in row ``c *
     stride + k`` for device ``k`` at coalition ``c``, and ``floor_ratio``
     its ratio in the same rows; ``ratio`` holds each coalition's largest.
@@ -122,9 +133,9 @@ class CoalitionSums:
             terms = (np.vstack((costs.sqrt_ul, pad)),
                      np.vstack((costs.sqrt_ed, pad)),
                      np.broadcast_to(costs.task_bytes, (n_coal, costs.n_csd)),
-                     np.broadcast_to(costs.local_delay_w,
-                                     (n_coal, costs.n_csd)))
-            self.room = np.append(costs.rows.room, 0.0)
+                     np.vstack((np.zeros((self.n_sbs, costs.n_csd)),
+                                costs.local_delay_w)))
+            self.room = np.append(costs.rows.room, np.inf)
         self.none = terms[0].shape[1]
         self.stride = self.none + 1
         table = np.zeros((n_coal, self.stride, len(terms)))
@@ -172,7 +183,9 @@ class CoalitionSums:
         leaves and ``inn`` enters, holding ``size`` members, elementwise;
         ``none`` in either place moves nothing.  ``floor`` is the floor
         flag, ``ratio * sb > sd``.  HRD sides are all feasible and no
-        ordering binds on a CSD side, so those are None."""
+        ordering binds on a CSD side, so those are None.  A CSD side is
+        valued by one expression, the local row included (the class
+        docstring says why)."""
         row = c * self.stride
         enter = row + inn
         x = (self.sums.take(c, axis=0) - self.terms.take(row + out, axis=0)
@@ -188,10 +201,9 @@ class CoalitionSums:
             floor = (miss != 0) & (ratio * sb > sd)
             return np.where(empty, 0.0, value), None, floor
         su, se, load, local = x.T
-        is_local = c == self.n_sbs
-        value = np.where(is_local, local, su * su + se * se)
-        feasible = is_local | (load <= self.room.take(c)) | empty
-        return np.where(empty, 0.0, value), feasible, None
+        feasible = (load <= self.room.take(c)) | empty
+        return (np.where(empty, 0.0, su * su + se * se + local), feasible,
+                None)
 
 
 @dataclass
@@ -218,7 +230,7 @@ class GameState:
     trace: list = field(default_factory=list)
     accepted_moves: int = 0
     proposals: int = 0
-    # One row per accepted move (``_apply``); ``write_move_log`` dumps it.
+    # One row per accepted move (``_commit``); ``write_move_log`` dumps it.
     move_log: list = field(default_factory=list)
 
     @property
@@ -434,31 +446,41 @@ def _write_coalition(state: GameState, game: str, c: int, members) -> float:
 
 def _apply(state: GameState, prop: MoveProposal) -> bool:
     """Count a valued proposal (its ``dv`` and ``feasible`` set), and apply
-    it iff it is feasible and improves by more than ``IMPROVE_MARGIN``;
-    returns whether it was applied.  An applied move updates the partition,
-    and the running sums and cached values of its two coalitions, from one
-    pass over each sorted member list, marks both stale, for
-    ``run_coalition_game`` to install, and is logged."""
+    it (``_commit``) iff it is feasible and improves by more than
+    ``IMPROVE_MARGIN``; returns whether it was applied.  The one-at-a-time
+    reference (``tests/reference.py``) applies its moves here; a game
+    applies a block's winner through ``_accept``, which tests nothing
+    again."""
     state.proposals += 1
     accepted = bool(prop.feasible) and prop.dv < -IMPROVE_MARGIN
     if accepted:
-        game, a, b = prop.game, prop.c_from, prop.c_to
-        lists = _member_lists(state, game)
-        src, dst = _tentative_members(lists, a, b, prop.md_from, prop.md_to)
-        lists[a], lists[b] = sorted(src), sorted(dst)
-        assoc = _association(state, game)
-        assoc[prop.md_from] = b
-        if prop.md_to is not None:
-            assoc[prop.md_to] = a
-        cache = state.v_hrd if game == HRD else state.v_csd
-        sums = state.sums[game]
-        cache[a] = sums.refresh(a, lists[a])[0]
-        cache[b] = sums.refresh(b, lists[b])[0]
-        state.stale[game].update((a, b))
-        state.accepted_moves += 1
-        state.move_log.append((state.proposals, game, prop.kind, prop.dv,
-                               state.objective))
+        _commit(state, prop.game, prop.kind, prop.c_from, prop.c_to,
+                prop.md_from, prop.md_to, prop.dv)
     return accepted
+
+
+def _commit(state: GameState, game: str, kind: str, a: int, b: int, i: int,
+            j: int | None, dv: float) -> None:
+    """Apply an accepted, counted move of kind ``kind`` (device ``i`` from
+    coalition ``a`` into ``b`` and, in a swap, ``j`` from ``b`` into
+    ``a``), worth ``dv``: update the partition, and the running sums and
+    cached values of its two coalitions from one pass over each sorted
+    member list, mark both stale, for ``run_coalition_game`` to install,
+    and log the move."""
+    lists = _member_lists(state, game)
+    src, dst = _tentative_members(lists, a, b, i, j)
+    lists[a], lists[b] = sorted(src), sorted(dst)
+    assoc = _association(state, game)
+    assoc[i] = b
+    if j is not None:
+        assoc[j] = a
+    cache = state.v_hrd if game == HRD else state.v_csd
+    sums = state.sums[game]
+    cache[a] = sums.refresh(a, lists[a])[0]
+    cache[b] = sums.refresh(b, lists[b])[0]
+    state.stale[game].update((a, b))
+    state.accepted_moves += 1
+    state.move_log.append((state.proposals, game, kind, dv, state.objective))
 
 
 class _Hood(NamedTuple):
@@ -527,6 +549,12 @@ class _Block:
     as overlapping views, and one ``take`` of the cached values gives both
     sides' old values.
 
+    A block holds only its game's arrays.  A CSD block has ``feasible``,
+    both sides' storage test, and no floor flags (``floor`` is None): no
+    ordering binds on a CSD side.  An HRD block has ``floor``, each
+    proposal's floor flag, and ``floors``, each side's, sources first; its
+    ``feasible`` is None, since every HRD move is feasible.
+
     ``improving`` finds every proposal that would be accepted.  A winner
     is applied with the block's own valuation (``_accept``), so no move is
     valued twice: the stabilization sweep applies the first and values the
@@ -546,14 +574,15 @@ class _Block:
         # Sources first, then destinations.
         n, sides = swap.size, ends.reshape(-1)
         moved = rows[2:5].reshape(-1)
-        value, ok, self.floors = sums.after(
+        value, ok, floors = sums.after(
             sides, moved[:2 * n], moved[n:],
             sums.size.take(sides) + rows[:2].reshape(-1))
         self.v_src, self.v_dst = value[:n], value[n:]
-        hrd = ok is None
-        self.feasible = np.ones(n, dtype=bool) if hrd else ok[:n] & ok[n:]
-        self.floor = (self.floors[:n] | self.floors[n:] if hrd
-                      else np.zeros(n, dtype=bool))
+        if ok is None:
+            self.feasible, self.floors = None, floors
+            self.floor = floors[:n] | floors[n:]
+        else:
+            self.feasible, self.floor = ok[:n] & ok[n:], None
         old = self.cache.take(ends)
         self.dv = (self.v_src + self.v_dst) - (old[0] + old[1])
 
@@ -572,8 +601,10 @@ class _Block:
         ordering may bind is valued by ``_kernels.hrd_value`` over its
         tentative members (every HRD side is feasible), once, and the result
         replaces the block's ``dv`` and clears the proposal's flag."""
-        if not self.floor[q]:
+        if self.floor is None:
             return self.dv.item(q), bool(self.feasible[q])
+        if not self.floor[q]:
+            return self.dv.item(q), True
         n, a, b = len(self), self.a.item(q), self.b.item(q)
         t_src, t_dst = _tentative_members(
             self.lists, a, b, self.i.item(q),
@@ -587,8 +618,8 @@ class _Block:
         return self.dv.item(q), True
 
     def screen(self):
-        """The flagged proposals, split into those that may still be
-        accepted and those that cannot, as two index lists.
+        """The flagged proposals of an HRD block, split into those that may
+        still be accepted and those that cannot, as two index lists.
 
         A flagged side's exact value solves the problem whose relaxation,
         without the rate orderings, is worth ``sd**2 + sb**2`` (the
@@ -604,10 +635,13 @@ class _Block:
         """Which proposals ``_apply`` would accept, as a mask;
         every flagged proposal that ``screen`` passes is valued by
         ``value``, and no other."""
-        if self.floor.any():        # never in a CSD block
-            for q in self.screen()[0]:
-                self.value(q)
-        return self.feasible & ~self.floor & (self.dv < -IMPROVE_MARGIN)
+        if self.floor is None:
+            return self.feasible & (self.dv < -IMPROVE_MARGIN)
+        if not self.floor.any():
+            return self.dv < -IMPROVE_MARGIN
+        for q in self.screen()[0]:
+            self.value(q)
+        return ~self.floor & (self.dv < -IMPROVE_MARGIN)
 
 
 def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood: _Hood,
@@ -618,25 +652,35 @@ def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood: _Hood,
     into the device's own coalition and a swap within one coalition, and
     the positions it holds.  With ``drawable``, only the moves a random
     phase draws (``_draw_weights``) are kept: swaps, and transfers into
-    empty coalitions."""
+    empty coalitions.  A ``stop`` past the last move, by at most one lap,
+    wraps round to the first (a cycle of the stabilization sweep): a
+    position ``q`` stands for the move at ``q`` modulo the number of
+    moves."""
     ext = np.concatenate((_association(state, sums.game), hood.coalitions))
-    ends = ext.take(hood.rows[4:, start:stop])
+    if stop is not None and stop > hood.swap.size:
+        targets = hood.rows[4:].take(np.arange(start, stop), axis=1,
+                                     mode="wrap")
+    else:
+        targets = hood.rows[4:, start:stop]
+    ends = ext.take(targets)
     keep = ends[0] != ends[1]
     if drawable:
         keep &= hood.swap[start:stop] | (sums.size.take(ends[1]) == 0)
     at = keep.nonzero()[0]
     rest = at + start
-    return _Block(state, sums, hood.swap.take(rest),
-                  hood.rows.take(rest, axis=1), ends.take(at, axis=1)), rest
+    return _Block(state, sums, hood.swap.take(rest, mode="wrap"),
+                  hood.rows.take(rest, axis=1, mode="wrap"),
+                  ends.take(at, axis=1)), rest
 
 
 def _accept(state: GameState, block: _Block, k: int) -> None:
-    """Apply proposal ``k`` of ``block``, a winner, with the block's own
-    ``dv`` and feasibility (``_apply``)."""
-    prop = block.proposal(k)
-    prop.dv, prop.feasible = block.dv.item(k), bool(block.feasible[k])
-    accepted = _apply(state, prop)
-    assert accepted, prop
+    """Count proposal ``k`` of ``block``, a winner, and apply it with the
+    block's own ``dv`` (``_commit``), testing nothing again."""
+    state.proposals += 1
+    swap = block.swap.item(k)
+    _commit(state, block.game, "swap" if swap else "transfer",
+            block.a.item(k), block.b.item(k), block.i.item(k),
+            block.j.item(k) if swap else None, block.dv.item(k))
 
 
 def _settle(state: GameState, block: _Block, first: int) -> bool:
@@ -655,35 +699,48 @@ def stabilize_partition(state: GameState, game: str) -> int:
     applying improvements, until one full sweep finds none.  Guarantees the
     exhaustive stability audit passes on exit.
 
-    A sweep visits the moves in ``_neighbourhood``'s order.  Between two
-    accepts the partition is fixed, so the rest of the sweep is valued in
-    ``_Block``s (``_neighbourhood_block``) of ``SWEEP_CHUNK`` positions,
-    doubling while a block holds no winner and back to ``SWEEP_CHUNK``
-    after an accept, so that a sweep values the contenders of a few blocks
-    past its accept, not of the whole rest.  A block's first winner
+    A sweep visits the moves in ``_neighbourhood``'s order, cyclically:
+    after an accept at position ``p`` it values ``p + 1`` to the last move
+    and then the first to ``p``, at the new partition, and it stops after a
+    whole cycle without a winner.  Between two accepts the partition is
+    fixed, so a cycle is valued in ``_Block``s (``_neighbourhood_block``,
+    whose positions wrap round) of ``SWEEP_CHUNK`` positions, doubling
+    while a block holds no winner and back to ``SWEEP_CHUNK`` after an
+    accept, so that a sweep values the contenders of a few blocks past its
+    accept, not of the whole rest; one block thus spans the end of one
+    pass and the start of the next.  A block's first winner
     (``_Block.improving``) is applied with the block's valuation
-    (``_settle``), and the sweep resumes at the next position.  A move's
-    value does not depend on its block, so the chunks change no result.
+    (``_settle``).  A move's value does not depend on its block, so the
+    chunks change no result.
+
+    The sweep accepts the moves, in order, of passes that each start at
+    the first position, until a pass accepts none, and ``proposals``
+    counts what those passes value.  They value the rows after the last
+    accept twice, to the end of its pass and again in the pass that
+    accepts none, so the rows of the final cycle before its wrap are
+    counted once more.
     """
     sums = state.sums[game]
     hood = _neighbourhood(_association(state, game).size,
                           len(_member_lists(state, game)))
-    applied = 0
-    improved = True
-    while improved:
-        improved = False
-        pos, chunk = 0, SWEEP_CHUNK
-        while pos < hood.swap.size:
-            block, at = _neighbourhood_block(state, sums, hood, pos,
-                                             pos + chunk)
-            wins = block.improving().nonzero()[0]
-            first = wins.item(0) if wins.size else len(block)
-            if not _settle(state, block, first):
-                pos, chunk = pos + chunk, 2 * chunk
-                continue
-            improved = True
-            applied += 1
-            pos, chunk = at[first] + 1, SWEEP_CHUNK
+    n = hood.swap.size
+    applied = tail = 0
+    pos, end, chunk = 0, n, SWEEP_CHUNK
+    while pos < end:
+        block, at = _neighbourhood_block(state, sums, hood, pos,
+                                         min(pos + chunk, end))
+        wins = block.improving().nonzero()[0]
+        first = wins.item(0) if wins.size else len(block)
+        if not _settle(state, block, first):
+            # The rows of this cycle before the wrap.
+            tail += int(np.count_nonzero(at < n))
+            pos, chunk = pos + chunk, 2 * chunk
+            continue
+        applied += 1
+        pos = at.item(first) % n + 1
+        end, chunk, tail = pos + n, SWEEP_CHUNK, 0
+    if applied:
+        state.proposals += tail
     return applied
 
 
@@ -729,7 +786,7 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     without a winner.  Both draws come from the game's generator.
 
     The rejections are counted, never drawn: the move log holds the
-    accepted moves only (``_apply``).
+    accepted moves only (``_commit``).
     """
     sums = state.sums[game]
     rng = state.rng_hrd if game == HRD else state.rng_csd
@@ -758,11 +815,11 @@ def run_coalition_game(state: GameState, game: str, t2: int,
     """Random move phase (at most t2 proposals, early stop after ``patience``
     consecutive rejections) followed by the stabilization sweep, which
     always runs, so the game ends Nash-stable; then each coalition they
-    changed is installed, once.  Both phases accept a move through
-    ``_apply``, which appends it to the move log.
+    changed is installed, once.  Both phases apply a move through
+    ``_accept`` and ``_commit``, which appends it to the move log.
 
     Installs are deferred to the end of the game.  An accepted move
-    (``_apply``) sorts the two touched member lists and recomputes both
+    (``_commit``) sorts the two touched member lists and recomputes both
     coalitions' running sums and cached values from one pass over each
     (``CoalitionSums.refresh``), but writes no fractions: it marks both
     coalitions stale, and a coalition that many moves touch is installed

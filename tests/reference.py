@@ -8,8 +8,9 @@ last bit; the random phase (``association._random_phase``) matches a loop of
 these in law, and ``association._draw_weights`` states that law.
 
 Every library call goes through the ``association`` module, so a test that
-patches ``association._apply`` or ``association._write_coalition`` sees the
-reference's calls too.
+patches ``association._apply``, ``association._commit`` (the step that
+``_apply`` takes for an accepted move) or ``association._write_coalition``
+sees the reference's calls too.
 """
 
 import numpy as np

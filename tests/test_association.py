@@ -539,18 +539,39 @@ def _game_counts(monkeypatch):
     """A solve's work by kind: ``phases`` (random phases run),
     ``partitions`` (drawable blocks the random phases value),
     ``random_accepts`` (moves they apply), ``random_proposals`` (proposals
-    they count), and ``settled`` (proposals the stabilization sweep counts,
-    each a valued block row)."""
+    they count), and ``settled`` (proposals the stabilization sweep counts:
+    each valued block row once, and the rows of its final cycle before the
+    wrap once more, as the passes of the one-at-a-time sweep count
+    them)."""
     counts = dict.fromkeys(("phases", "partitions", "random_accepts",
                             "random_proposals", "settled"), 0)
-    inner_settle, inner_phase, inner_block, inner_apply = (
+    inner_settle, inner_phase, inner_block, inner_commit = (
         association._settle, association._random_phase,
-        association._neighbourhood_block, association._apply)
+        association._neighbourhood_block, association._commit)
     phase = []
+    # The sweep's last block: its positions and the number of moves.
+    last = []
+    # Per sweep: the rows of its current cycle before the wrap, and
+    # whether it has accepted a move.
+    tail = []
 
     def settle(state, block, first):
         counts["settled"] += first + (first < len(block))
-        return inner_settle(state, block, first)
+        applied = inner_settle(state, block, first)
+        if applied:
+            tail[-1] = [0, True]
+        else:
+            at, moves = last
+            tail[-1][0] += np.count_nonzero(at < moves)
+        return applied
+
+    def stabilize(state, game):
+        tail.append([0, False])
+        try:
+            return inner_stabilize(state, game)
+        finally:
+            rows, accepted = tail.pop()
+            counts["settled"] += rows if accepted else 0
 
     def random_phase(state, game, t2, patience):
         counts["phases"] += 1
@@ -564,15 +585,18 @@ def _game_counts(monkeypatch):
 
     def block(state, sums, hood, *at, drawable=False):
         counts["partitions"] += bool(phase) and drawable
-        return inner_block(state, sums, hood, *at, drawable=drawable)
+        out = inner_block(state, sums, hood, *at, drawable=drawable)
+        last[:] = out[1], hood.swap.size
+        return out
 
-    def apply(state, prop):
-        accepted = inner_apply(state, prop)
-        counts["random_accepts"] += bool(phase) and accepted
-        return accepted
+    def commit(state, *move):
+        counts["random_accepts"] += bool(phase)
+        return inner_commit(state, *move)
 
+    inner_stabilize = association.stabilize_partition
     for name, hook in (("_settle", settle), ("_random_phase", random_phase),
-                       ("_neighbourhood_block", block), ("_apply", apply)):
+                       ("_neighbourhood_block", block), ("_commit", commit),
+                       ("stabilize_partition", stabilize)):
         monkeypatch.setattr(association, name, hook)
     return counts
 
@@ -755,6 +779,11 @@ def test_drawable_block_holds_propose_move_support(desk_runs):
     assert not any(x.flags.writeable for x in hood)
 
 
+def _mask(x):
+    """A block's mask as a list, or None where its game has none."""
+    return None if x is None else x.tolist()
+
+
 def test_swap_is_valued_alike_from_either_side(desk_runs, multi_request_run,
                                                bound_runs):
     # The random phase rests on this: it values each drawable swap once,
@@ -779,9 +808,13 @@ def test_swap_is_valued_alike_from_either_side(desk_runs, multi_request_run,
                                       association._move_rows(swap, j, i),
                                       np.stack((b, a)))
             assert ahead.dv.tobytes() == back.dv.tobytes()
-            assert ahead.feasible.tolist() == back.feasible.tolist()
-            assert ahead.floor.tolist() == back.floor.tolist()
-            for q in np.flatnonzero(ahead.floor).tolist():
+            # A block holds only its game's masks: no HRD ``feasible`` and
+            # no CSD ``floor``.
+            assert _mask(ahead.feasible) == _mask(back.feasible)
+            assert _mask(ahead.floor) == _mask(back.floor)
+            flagged = ([] if ahead.floor is None
+                       else np.flatnonzero(ahead.floor).tolist())
+            for q in flagged:
                 assert ahead.value(q) == back.value(q), (game, q)
                 floor_bound += 1
     assert floor_bound > 100
@@ -792,6 +825,94 @@ def test_running_sums_track_storage_load():
     scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
     state = abcg_init(scn, demand_for(scn, storage=25.25e6))
     assert _check_moves_against_scratch(state)["csd"] > 0
+
+
+def _cased_csd_after(sums, c, out, inn, size):
+    """``CoalitionSums.after`` of CSD sides in the form that cases the
+    local row: every row of the terms table holds the local delays, the
+    local row's room is 0, and ``where`` picks the local row's value and
+    feasibility.  The reference for the one-expression form."""
+    costs, n_sbs, none = sums.costs, sums.n_sbs, sums.none
+    table = np.zeros((n_sbs + 1, sums.stride, 4))
+    table[:n_sbs, :none, 0] = costs.sqrt_ul
+    table[:n_sbs, :none, 1] = costs.sqrt_ed
+    table[:, :none, 2] = costs.task_bytes
+    table[:, :none, 3] = costs.local_delay_w
+    terms = table.reshape(-1, 4)
+    row = c * sums.stride
+    su, se, load, local = (sums.sums[c] - terms[row + out]
+                           + terms[row + inn]).T
+    is_local, empty = c == n_sbs, size == 0
+    value = np.where(is_local, local, su * su + se * se)
+    room = np.append(costs.rows.room, 0.0)
+    feasible = is_local | (load <= room[c]) | empty
+    return np.where(empty, 0.0, value), feasible
+
+
+def test_csd_sides_hold_exact_zeros_outside_their_row(desk_runs):
+    # A CSD side is valued as ``su*su + se*se + local`` and tested as ``load
+    # <= room``: the terms it adds are exact zeros (no local delay in an
+    # SBS row, no root cost in the local row) and the local row's room is
+    # +inf, so every side of every move gets the bits of the cased form.
+    states = [state for run in desk_runs for state in run]
+    for seed in range(4):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=20, n_csd=40))
+        # 250 kB of spare storage per SBS holds two 100 kB task inputs.
+        for storage in (28e6, 25.25e6):
+            init = abcg_init(scn, demand_for(scn, storage=storage))
+            states += [init, run_amnd(scn, init.demand, init_state=init)]
+    local_sides = emptied = full = 0
+    for state in states:
+        sums, n_sbs = state.sums["csd"], state.n_sbs
+        table = sums.terms.reshape(n_sbs + 1, sums.stride, 4)
+        assert not table[:n_sbs, :, 3].any() and not table[n_sbs, :, :2].any()
+        assert sums.room[n_sbs] == np.inf
+        block, _ = association._neighbourhood_block(
+            state, sums, _neighbourhood(sums.none, sums.size.size), 0)
+        step = block.swap.astype(np.int64) - 1
+        args = (block.ends.reshape(-1), np.concatenate((block.i, block.j)),
+                np.concatenate((block.j, block.i)),
+                sums.size.take(block.ends.reshape(-1))
+                + np.concatenate((step, -step)))
+        value, feasible, floor = sums.after(*args)
+        ref_value, ref_feasible = _cased_csd_after(sums, *args)
+        assert floor is None
+        assert value.tobytes() == ref_value.tobytes()
+        assert feasible.tolist() == ref_feasible.tolist()
+        local_sides += np.count_nonzero(args[0] == n_sbs)
+        emptied += np.count_nonzero(args[3] == 0)
+        full += np.count_nonzero(~feasible)
+    assert local_sides > 1000 and emptied > 100 and full > 100
+
+
+def test_desk_sweep_values_a_block_per_accept_and_one_more(monkeypatch):
+    # Desk neighbourhoods fit in one chunk, so a cycle is one block: the
+    # sweep values one block per accept and one that finds no winner.
+    blocks, sweeps = [], []
+    inner_block, inner_sweep = (association._neighbourhood_block,
+                                association.stabilize_partition)
+
+    def block(state, sums, hood, *at, drawable=False):
+        if not drawable:
+            blocks[-1] += 1
+        return inner_block(state, sums, hood, *at, drawable=drawable)
+
+    def sweep(state, game):
+        blocks.append(0)
+        accepts = inner_sweep(state, game)
+        sweeps.append((game, accepts, blocks[-1]))
+        return accepts
+
+    monkeypatch.setattr(association, "_neighbourhood_block", block)
+    monkeypatch.setattr(association, "stabilize_partition", sweep)
+    for seed in range(20):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=20, n_csd=20))
+        run_amnd(scn, demand_for(scn, seed=seed))
+    assert all(valued <= accepts + 1 for _, accepts, valued in sweeps), \
+        sweeps
+    assert {game for game, accepts, _ in sweeps if accepts} == {"hrd", "csd"}
 
 
 def test_clone_keeps_its_own_running_sums():
@@ -1041,8 +1162,8 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
     # the end of the game; the game then installs each coalition it
     # changed once.
     events, games, blocks = [], [], []
-    inner_game, inner_apply, inner_accept, inner_write = (
-        association.run_coalition_game, association._apply,
+    inner_game, inner_commit, inner_accept, inner_write = (
+        association.run_coalition_game, association._commit,
         association._accept, association._write_coalition)
 
     def game(state, game, *args, **kwargs):
@@ -1053,13 +1174,10 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
             games.pop()
             events.append(("end", game))
 
-    def apply(state, prop):
-        # A proposal applied outside ``_accept`` is not a block's.
-        accepted, is_scalar = inner_apply(state, prop), not blocks
-        if accepted:
-            events.append(("accept", prop.game, is_scalar,
-                           (prop.c_from, prop.c_to)))
-        return accepted
+    def commit(state, game, kind, a, b, *move):
+        # A move applied outside ``_accept`` is not a block's.
+        events.append(("accept", game, not blocks, (a, b)))
+        return inner_commit(state, game, kind, a, b, *move)
 
     def accept(state, block, k):
         blocks.append(k)
@@ -1073,7 +1191,7 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
             events.append(("install", game, c))
         return inner_write(state, game, c, members)
 
-    for name, hook in (("run_coalition_game", game), ("_apply", apply),
+    for name, hook in (("run_coalition_game", game), ("_commit", commit),
                        ("_accept", accept), ("_write_coalition", write)):
         monkeypatch.setattr(association, name, hook)
     for init, _ in desk_runs:
@@ -1437,7 +1555,8 @@ def _first_accepts(monkeypatch, state, game, phase, runs):
     a generator seeded by its run and cut at its first accept, which is not
     applied.  Per run: the rejections before the accept and the accepted
     move (a swap keyed by its two devices, a transfer by its device and
-    target)."""
+    target).  The library's phase accepts through ``_accept``, the
+    reference through ``_apply``; both are cut before they count."""
     inner = association._apply
 
     def apply(state, prop):
@@ -1445,7 +1564,11 @@ def _first_accepts(monkeypatch, state, game, phase, runs):
             raise _Accepted(prop)
         return inner(state, prop)
 
+    def accept(state, block, k):
+        raise _Accepted(block.proposal(k))
+
     monkeypatch.setattr(association, "_apply", apply)
+    monkeypatch.setattr(association, "_accept", accept)
     out = []
     for run in range(runs):
         state.rng_hrd = state.rng_csd = np.random.default_rng([run, 0])
@@ -1500,7 +1623,7 @@ def test_random_phase_matches_scalar_reference(monkeypatch):
         block, _ = association._neighbourhood_block(
             state, sums, _neighbourhood(sums.none, sums.size.size), 0,
             drawable=True)
-        flagged = block.floor.copy()
+        flagged = None if block.floor is None else block.floor.copy()
         win = block.improving()
         assert 1 < np.count_nonzero(win) < len(block), n
         assert game == "csd" or (flagged & win).any() and \
@@ -1617,7 +1740,7 @@ def test_chunked_sweep_matches_one_block_sweep(monkeypatch, tmp_path):
     def block(state, sums, hood, *at, drawable=False):
         out = inner(state, sums, hood, *at, drawable=drawable)
         if not drawable:
-            blocks.append(at)
+            blocks.append((*at, hood.swap.size))
         return out
 
     monkeypatch.setattr(association, "_neighbourhood_block", block)
@@ -1629,16 +1752,17 @@ def test_chunked_sweep_matches_one_block_sweep(monkeypatch, tmp_path):
     for n, (scn, demand) in enumerate(cases):
         whole = _solve_fingerprint(run_amnd(scn, demand),
                                    tmp_path / f"whole{n}.csv")
-        # Desk neighbourhoods fit in the first chunk.
-        assert all(at[1] - at[0] == association.SWEEP_CHUNK
-                   for at in blocks), blocks
+        # Desk neighbourhoods fit in the first chunk: each block is one
+        # whole cycle.
+        assert all(stop - start == moves < association.SWEEP_CHUNK
+                   for start, stop, moves in blocks), blocks
         for chunk in (1, 7, 64):
             blocks.clear()
             monkeypatch.setattr(association, "SWEEP_CHUNK", chunk)
             path = tmp_path / f"chunk{n}-{chunk}.csv"
             assert _solve_fingerprint(run_amnd(scn, demand), path) == whole
             # A chunk without a winner doubles the next one.
-            sizes = [stop - start for start, stop in blocks]
+            sizes = [stop - start for start, stop, _ in blocks]
             assert chunk * 4 in sizes, (chunk, sizes)
             monkeypatch.undo()
             monkeypatch.setattr(association, "_neighbourhood_block", block)
@@ -1648,8 +1772,8 @@ def test_chunked_sweep_matches_one_block_sweep(monkeypatch, tmp_path):
 def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):
     # Kinds of the moves that the block sweep applies.
     swept, sweeping = set(), []
-    inner_sweep, inner_apply = (association.stabilize_partition,
-                                association._apply)
+    inner_sweep, inner_commit = (association.stabilize_partition,
+                                 association._commit)
 
     def sweep(state, game):
         sweeping.append(game)
@@ -1658,14 +1782,13 @@ def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):
         finally:
             sweeping.pop()
 
-    def apply(state, prop):
-        accepted = inner_apply(state, prop)
-        if sweeping and accepted:
-            swept.add(prop.kind)
-        return accepted
+    def commit(state, game, kind, *move):
+        if sweeping:
+            swept.add(kind)
+        return inner_commit(state, game, kind, *move)
 
     monkeypatch.setattr(association, "stabilize_partition", sweep)
-    monkeypatch.setattr(association, "_apply", apply)
+    monkeypatch.setattr(association, "_commit", commit)
 
     cases = []
     for seed in range(20):
