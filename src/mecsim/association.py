@@ -6,7 +6,8 @@ computation-device game, the high-rate-device game and a reallocation of
 every coalition, once (its docstring says why once is enough).  A game
 (``run_coalition_game``) is a random phase of drawn moves
 (``_random_phase``, which samples each accept under the law of the drawn
-moves, ``_draw_weights``) and a deterministic stabilization sweep
+moves, ``_draw_weights``), on the budget that the instance fixes
+(``game_budget``), and a deterministic stabilization sweep
 (``stabilize_partition``, which visits the moves cyclically from the
 last accept).  A move transfers a device into another
 coalition or swaps two devices of different coalitions; it is accepted iff
@@ -53,13 +54,12 @@ SLACK = 1e-8
 SWEEP_CHUNK = 2048
 
 
-def default_patience(n_hrd: int, n_csd: int) -> int:
-    return 50 * (n_hrd + n_csd)
-
-
-def default_game_iters(n_hrd: int, n_csd: int) -> int:
-    # At least 1, the smallest budget a game takes, even with no device.
-    return max(1, 100 * (n_hrd + n_csd))
+def game_budget(n_hrd: int, n_csd: int) -> tuple[int, int]:
+    """``(t2, patience)`` of each game's random phase on an instance of
+    ``n_hrd`` + ``n_csd`` devices: at most ``t2`` proposals, stopping after
+    ``patience`` consecutive rejections."""
+    n = n_hrd + n_csd
+    return 100 * n, 50 * n
 
 
 @dataclass
@@ -767,7 +767,8 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     """At most ``t2`` proposals, stopping after ``patience`` consecutive
     rejections, each drawn by the law of ``_draw_weights`` and accepted as
     ``_apply`` accepts it: equal in law to a loop that draws and judges one
-    proposal at a time (``tests/reference.py``), not bit-equal to it.
+    proposal at a time (``tests/reference.py``), not bit-equal to it.  A
+    game passes the budget ``game_budget`` fixes; the tests pass others.
 
     A rejected proposal leaves the partition as it was, so the proposals up
     to the next accept are independent draws from the same drawable moves,
@@ -810,13 +811,12 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
         done += wait + 1
 
 
-def run_coalition_game(state: GameState, game: str, t2: int,
-                       patience: int | None = None) -> GameState:
-    """Random move phase (at most t2 proposals, early stop after ``patience``
-    consecutive rejections) followed by the stabilization sweep, which
-    always runs, so the game ends Nash-stable; then each coalition they
-    changed is installed, once.  Both phases apply a move through
-    ``_accept`` and ``_commit``, which appends it to the move log.
+def run_coalition_game(state: GameState, game: str) -> GameState:
+    """Random move phase, on the budget ``game_budget`` fixes for the
+    instance, followed by the stabilization sweep, which always runs, so
+    the game ends Nash-stable; then each coalition they changed is
+    installed, once.  Both phases apply a move through ``_accept`` and
+    ``_commit``, which appends it to the move log.
 
     Installs are deferred to the end of the game.  An accepted move
     (``_commit``) sorts the two touched member lists and recomputes both
@@ -831,13 +831,10 @@ def run_coalition_game(state: GameState, game: str, t2: int,
     """
     if game not in (HRD, CSD):
         raise ValueError(f"unknown game {game!r}")
-    if t2 < 1:
-        raise ValueError("t2 must be at least 1")
-    if patience is None:
-        patience = default_patience(state.demand.n_hrd, state.demand.n_csd)
     lists = _member_lists(state, game)
     if len(lists) >= 2 and sum(len(c) for c in lists) >= 1:
-        _random_phase(state, game, t2, patience)
+        _random_phase(state, game,
+                      *game_budget(state.demand.n_hrd, state.demand.n_csd))
     stabilize_partition(state, game)
     for c in sorted(state.stale[game]):
         _write_coalition(state, game, c, lists[c])
@@ -855,10 +852,10 @@ def reallocate(state: GameState) -> None:
 
 
 def run_amnd(scenario: Scenario, demand: DemandProfile, *,
-             t2: int | None = None, patience: int | None = None,
              init_state: GameState | None = None) -> GameState:
     """Best-gain init (or a clone of ``init_state``), then the
-    computation-device game, the high-rate-device game and the closed-form
+    computation-device game, the high-rate-device game, each on the budget
+    ``game_budget`` fixes for the instance, and the closed-form
     reallocation.  The returned state's trace holds the
     objective after the initializer and after each of the three stages.
 
@@ -879,11 +876,9 @@ def run_amnd(scenario: Scenario, demand: DemandProfile, *,
         state = init_state.clone()
     else:
         state = abcg_init(scenario, demand)
-    if t2 is None:
-        t2 = default_game_iters(state.demand.n_hrd, state.demand.n_csd)
-    run_coalition_game(state, CSD, t2, patience)
+    run_coalition_game(state, CSD)
     state.trace.append(state.objective)
-    run_coalition_game(state, HRD, t2, patience)
+    run_coalition_game(state, HRD)
     state.trace.append(state.objective)
     reallocate(state)
     state.trace.append(state.objective)

@@ -16,7 +16,6 @@ import numpy as np
 from .allocation import oracle_solve_p3
 from .association import abcg_init, audit_stability, run_amnd, write_move_log
 from .delays import audit_constraints
-from .domains import check
 from .experiments import (ExperimentConfig, _row_from_state,
                           config_with_overrides, emit_csv, emit_rate_csv,
                           load_config, load_csv, run_sweep, trend_check)
@@ -87,21 +86,6 @@ def _add_scenario_args(p):
         p.add_argument(flag, type=type(default), default=default, **kwargs)
 
 
-def _add_game_args(p):
-    p.add_argument("--t2", type=int, default=0,
-                   help="game proposals per run (0 = default)")
-    p.add_argument("--patience", type=int, default=0,
-                   help="consecutive rejections before early stop (0 = default)")
-
-
-def _game_budget(args):
-    """``(t2, patience)`` of ``--t2`` and ``--patience``, with 0 as None,
-    the built-in default."""
-    check("--t2", args.t2)
-    check("--patience", args.patience)
-    return args.t2 or None, args.patience or None
-
-
 def _scenario_from_args(args):
     """The scenario and demand that ``mecsim sweep`` builds for these flags."""
     config = replace(_BASE, **{field: getattr(args, flag[2:].replace("-", "_"))
@@ -113,10 +97,7 @@ def _scenario_from_args(args):
 
 def _load_or_build(args):
     if getattr(args, "scenario", None):
-        scenario, demand = load_scenario(args.scenario)
-        if demand is None:
-            raise ValueError(f"{args.scenario} holds no demand block")
-        return scenario, demand
+        return load_scenario(args.scenario)
     return _scenario_from_args(args)
 
 
@@ -145,12 +126,11 @@ def _cmd_gen(args):
 
 
 def _cmd_run(args):
-    t2, patience = _game_budget(args)
     scenario, demand = _load_or_build(args)
     if args.algorithm == "abcg":
         state = abcg_init(scenario, demand)
     else:
-        state = run_amnd(scenario, demand, t2=t2, patience=patience)
+        state = run_amnd(scenario, demand)
         print("objective trace:",
               " ".join(f"{v:.6f}" for v in state.trace))
     _print_report(args.algorithm.upper(), state)
@@ -201,13 +181,11 @@ def _cmd_trend(args):
 
 
 def _cmd_audit(args):
-    t2, patience = _game_budget(args)
     scenario, demand = _load_or_build(args)
     failures = 0
 
     state0 = abcg_init(scenario, demand)
-    final = run_amnd(scenario, demand, t2=t2, patience=patience,
-                     init_state=state0)
+    final = run_amnd(scenario, demand, init_state=state0)
     for tag, state in (("init", state0), ("final", final)):
         bad = audit_constraints(scenario, demand, state.partition,
                                 state.allocation, state.table)
@@ -281,7 +259,6 @@ def build_parser(command: str | None = None) -> _Parser:
         p.add_argument("--algorithm", choices=["abcg", "amnd"], default="amnd")
         p.add_argument("--scenario", help="scenario file from `gen`")
         _add_scenario_args(p)
-        _add_game_args(p)
         p.add_argument("--move-log",
                        help="write the accepted moves as CSV")
         p.add_argument("--rates-csv", help="dump share factors and link rates")
@@ -305,7 +282,6 @@ def build_parser(command: str | None = None) -> _Parser:
     if p := add("audit", _cmd_audit, "constraint, stability and oracle audit"):
         p.add_argument("--scenario", help="scenario file from `gen`")
         _add_scenario_args(p)
-        _add_game_args(p)
     if p := add("trend", _cmd_trend, "shape-check a sweep CSV"):
         p.add_argument("--csv", required=True)
         p.add_argument("--metric", required=True,

@@ -1,15 +1,15 @@
 """The domain of every numeric input, and the one check that enforces it.
 
 ``DOMAINS`` names each numeric field of ``SystemParams``, ``Counts``,
-``Catalog``, ``DemandProfile`` and ``ExperimentConfig``, the CLI's ``--t2``,
-and the positions and gains of a scenario file's deployment.  The
-constructors, ``ExperimentConfig.validate``, ``scenario.load_scenario`` and
-the functions that read such a value first (``zipf_popularity``,
-``place_cache``, the CLI's game budget) call ``check``, so flags, ``sweep
---set``, config files and scenario files meet one rule.  Rules that relate
-two inputs, and the checks that derived rates and costs neither overflow
-nor underflow (``radio.build_rate_table``, ``allocation.build_costs``),
-stay where they apply.
+``Catalog``, ``DemandProfile`` and ``ExperimentConfig``, and the positions
+and gains of a scenario file's deployment.  The constructors,
+``ExperimentConfig.validate``, ``scenario.load_scenario`` and the
+functions that read such a value first (``zipf_popularity``,
+``place_cache``) call ``check``, so flags, ``sweep --set``, config files
+and scenario files meet one rule.  Rules that relate two inputs, and the
+checks that derived rates and costs neither overflow nor underflow
+(``radio.build_rate_table``, ``allocation.build_costs``), stay where they
+apply.
 """
 
 import math
@@ -73,8 +73,7 @@ DOMAINS = {
                      "popularity", "grid"), _NONNEGATIVE),
     **dict.fromkeys(("a", "t1_frac"), Domain(0.0, 1.0)),
     **dict.fromkeys(("request", "cache"), Domain(0, 1, integer=True)),
-    **dict.fromkeys(("seed", "seeds", "n_hrd", "n_csd", "game_iters",
-                     "patience", "t2"), _COUNT),
+    **dict.fromkeys(("seed", "seeds", "n_hrd", "n_csd"), _COUNT),
     "m_sbs": Domain(1, integer=True, unit=" SBS per macrocell"),
     "n_mbs": Domain(1, integer=True, unit=" MBS"),
     "n_files": Domain(1, integer=True, unit=" file"),
@@ -97,11 +96,10 @@ DOMAINS = {
 
 def check(name: str, value) -> None:
     """Raise ValueError("<name> <rule>") unless ``value``, a number or an
-    array of them, lies in the domain of ``name``; a flag such as ``--t2``
-    takes the domain of ``t2``."""
+    array of them, lies in the domain of ``name``."""
     if not isinstance(value, (int, float)):
         value = np.asarray(value)
-    rule = DOMAINS[name.lstrip("-").replace("-", "_")].rule(value)
+    rule = DOMAINS[name].rule(value)
     if rule:
         raise ValueError(f"{name} {rule}")
 

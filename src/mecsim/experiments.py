@@ -72,8 +72,6 @@ class ExperimentConfig:
     edge_cps: float = _DEMAND["edge_cps"].default
     storage_bytes: float = 28e6
     cache_policy: str = "sampled"
-    game_iters: int = 0          # 0 selects the built-in default
-    patience: int = 0            # 0 selects the built-in default
     output: str = "sweep.csv"
 
     def validate(self) -> None:
@@ -150,7 +148,6 @@ def run_sweep(config: ExperimentConfig, *,
               audit: bool = False) -> list[SweepRow]:
     """Run the whole sweep; deterministic given the config."""
     config.validate()
-    t2, patience = config.game_iters or None, config.patience or None
     rows: list[SweepRow] = []
     if config.axis == "delta":
         points = [(d, d) for d in config.grid]
@@ -178,8 +175,7 @@ def run_sweep(config: ExperimentConfig, *,
                 rows.append(_row_from_state(config, axis_value, delta, seed,
                                             "ABCG", state0))
             if "AMND" in config.algorithms:
-                final = run_amnd(scn, demand, t2=t2, patience=patience,
-                                 init_state=state0)
+                final = run_amnd(scn, demand, init_state=state0)
                 if audit:
                     _assert_clean(scn, demand, final, "AMND",
                                   axis_value, delta, seed)

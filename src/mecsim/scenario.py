@@ -435,17 +435,16 @@ def _write_arrays(lines, table, arrays):
             lines.append(" ".join([_text(kind, v) for v in row]))
 
 
-def save_scenario(path, scenario: Scenario, demand=None) -> None:
-    """Write a scenario (and optionally its demand profile) to a text file."""
+def save_scenario(path, scenario: Scenario, demand) -> None:
+    """Write a scenario and its demand profile to a text file."""
     lines = [_SCENARIO_HEADER]
     _write_keys(lines, "params", _PARAMS, scenario.params)
     _write_arrays(lines, _SCENARIO_ARRAYS, vars(scenario))
-    if demand is not None:
-        lines.append("[demand]")
-        _write_keys(lines, "catalog", _CATALOG, demand.catalog)
-        _write_arrays(lines, _DEMAND_ARRAYS, dict(
-            vars(demand), popularity=demand.catalog.popularity,
-            requests=demand.request))
+    lines.append("[demand]")
+    _write_keys(lines, "catalog", _CATALOG, demand.catalog)
+    _write_arrays(lines, _DEMAND_ARRAYS, dict(
+        vars(demand), popularity=demand.catalog.popularity,
+        requests=demand.request))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -517,9 +516,10 @@ def _read_arrays(sections, table, sizes: dict) -> dict:
 
 
 def load_scenario(path):
-    """Read a scenario file; returns (scenario, demand-or-None).  A missing
-    section or key, a section off its table shape, an MBS index or 0/1
-    flag out of range, or a value outside its domain (``domains.DOMAINS``:
+    """Read a scenario file; returns (scenario, demand).  A missing
+    section or key (the ``[demand]`` line that opens the demand block
+    included), a section off its table shape, an MBS index or 0/1 flag out
+    of range, or a value outside its domain (``domains.DOMAINS``:
     positions finite, gains finite and positive) raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         sections = _parse_sections(fh.read())
@@ -528,8 +528,7 @@ def load_scenario(path):
     scenario = Scenario(params=params,
                         **_read_arrays(sections, _SCENARIO_ARRAYS, sizes))
     check_fields(scenario)
-    if "demand" not in sections:
-        return scenario, None
+    _lines(sections, "demand")
     from .content import Catalog, DemandProfile
     keys = _read_keys(sections, "catalog", _CATALOG)
     sizes["files"] = keys["n_files"]

@@ -381,11 +381,11 @@ def test_criterion_7_constraint_audit(dominance_batch, trend_rows):
             scenario, demand, state.partition, state.allocation, state.table))
         audited += 1
         for _ in range(2):
-            run_coalition_game(state, "csd", t2=2000)
+            run_coalition_game(state, "csd")
             violations.extend(audit_constraints(
                 scenario, demand, state.partition, state.allocation,
                 state.table))
-            run_coalition_game(state, "hrd", t2=2000)
+            run_coalition_game(state, "hrd")
             violations.extend(audit_constraints(
                 scenario, demand, state.partition, state.allocation,
                 state.table))

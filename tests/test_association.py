@@ -15,8 +15,9 @@ from mecsim._kernels import FEAS_TOL, IDLE_FRAC, hrd_closed_form, \
 from mecsim.allocation import coalition_value, oracle_solve_p3
 from mecsim.association import (IMPROVE_MARGIN, MoveProposal, _draw_weights,
                                 _neighbourhood, _tentative_members,
-                                abcg_init, audit_stability, reallocate,
-                                run_amnd, run_coalition_game, write_move_log)
+                                abcg_init, audit_stability, game_budget,
+                                reallocate, run_amnd, run_coalition_game,
+                                write_move_log)
 from mecsim.content import Catalog, DemandProfile
 from mecsim.delays import Allocation, audit_constraints
 from mecsim.experiments import ExperimentConfig
@@ -224,15 +225,43 @@ def test_infeasible_target_is_rejected():
     assert not accepted and not prop.feasible
 
 
-def test_game_rejects_zero_iteration_budget():
-    _, _, state = desk_state()
-    with pytest.raises(ValueError, match="t2"):
-        run_coalition_game(state, "hrd", t2=0)
+def _budget(t2=None, patience=None):
+    """A stand-in for ``association.game_budget`` that sets ``t2`` or
+    ``patience`` in place of the instance's own."""
+    def budget(n_hrd, n_csd):
+        own_t2, own_patience = game_budget(n_hrd, n_csd)
+        return (own_t2 if t2 is None else t2,
+                own_patience if patience is None else patience)
+    return budget
+
+
+def test_run_amnd_plays_each_game_on_the_instance_budget(monkeypatch):
+    # The budget has one owner: both games of a solve run their random
+    # phase on ``game_budget`` of the instance, 100 proposals and a
+    # patience of 50 per device.
+    budgets = []
+    inner = association._random_phase
+
+    def random_phase(state, game, t2, patience):
+        budgets.append((game, t2, patience))
+        return inner(state, game, t2, patience)
+
+    monkeypatch.setattr(association, "_random_phase", random_phase)
+    assert game_budget(20, 20) == (4000, 2000)
+    desk = generate_scenario(SystemParams(seed=0), Counts(n_hrd=20, n_csd=20))
+    few = generate_scenario(SystemParams(seed=1), Counts(n_hrd=3, n_csd=2))
+    for scn, demand in ((desk, demand_for(desk, seed=0)),
+                        (few, demand_for(few, seed=1, n_files=6,
+                                         storage=15.6e6))):
+        budgets.clear()
+        run_amnd(scn, demand)
+        budget = game_budget(scn.n_hrd, scn.n_csd)
+        assert budgets == [("csd", *budget), ("hrd", *budget)], scn.n_hrd
 
 
 def test_empty_deployment_solves_to_zero():
-    # No device: the default game budgets are at least 1, and every stage
-    # leaves F at 0.
+    # No device: no game holds a member to move, so no random phase runs,
+    # and every stage leaves F at 0.
     scn = generate_scenario(SystemParams(seed=0), Counts(n_hrd=0, n_csd=0))
     state = run_amnd(scn, demand_for(scn, seed=0))
     assert state.objective == 0.0 and state.trace == [0.0] * 4
@@ -242,8 +271,8 @@ def test_empty_deployment_solves_to_zero():
 
 def test_game_trace_is_monotone():
     scn, demand, state = desk_state(seed=9)
-    run_coalition_game(state, "csd", t2=500, patience=200)
-    run_coalition_game(state, "hrd", t2=500, patience=200)
+    run_coalition_game(state, "csd")
+    run_coalition_game(state, "hrd")
     objs = [row[4] for row in state.move_log]
     assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
     state.check()
@@ -251,8 +280,8 @@ def test_game_trace_is_monotone():
 
 def test_stabilized_game_passes_the_exhaustive_audit():
     scn, demand, state = desk_state(seed=11)
-    run_coalition_game(state, "csd", t2=200)
-    run_coalition_game(state, "hrd", t2=200)
+    run_coalition_game(state, "csd")
+    run_coalition_game(state, "hrd")
     assert audit_stability(state) == []
 
 
@@ -267,7 +296,8 @@ def test_patience_zero_without_stabilization_changes_nothing(monkeypatch):
     init_assoc = state.partition.hrd_sbs.copy()
     init_f = state.objective
     monkeypatch.setattr(association, "stabilize_partition", _no_sweep)
-    final = run_amnd(scn, demand, t2=100, patience=0, init_state=state)
+    monkeypatch.setattr(association, "game_budget", _budget(100, 0))
+    final = run_amnd(scn, demand, init_state=state)
     # output is the initializer followed by one reallocation
     assert final.accepted_moves == 0
     assert np.array_equal(final.partition.hrd_sbs, init_assoc)
@@ -298,8 +328,8 @@ def test_second_round_accepts_no_move():
     f, moves = state.objective, state.accepted_moves
     hrd_sbs = state.partition.hrd_sbs.copy()
     csd_sbs = state.partition.csd_sbs.copy()
-    run_coalition_game(state, "csd", t2=2000)
-    run_coalition_game(state, "hrd", t2=2000)
+    run_coalition_game(state, "csd")
+    run_coalition_game(state, "hrd")
     reallocate(state)
     assert state.accepted_moves == moves
     assert state.objective == f
@@ -665,9 +695,9 @@ def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, tmp_path):
 
     monkeypatch.setattr(association, "_random_phase", random_phase)
     for n, (scn, demand, kw) in enumerate(cases):
-        fresh = run_amnd(scn, demand, **kw)
-        cloned = run_amnd(scn, demand, init_state=abcg_init(scn, demand),
-                          **kw)
+        monkeypatch.setattr(association, "game_budget", _budget(**kw))
+        fresh = run_amnd(scn, demand)
+        cloned = run_amnd(scn, demand, init_state=abcg_init(scn, demand))
         assert _solve_fingerprint(fresh, tmp_path / "fresh.csv") == \
             _solve_fingerprint(cloned, tmp_path / "cloned.csv"), n
     ends = set()
@@ -925,8 +955,8 @@ def test_clone_keeps_its_own_running_sums():
                 for name in ("size", "sums", "ratio")]
 
     sums = arrays(twin)
-    run_coalition_game(state, "csd", t2=300)
-    run_coalition_game(state, "hrd", t2=300)
+    run_coalition_game(state, "csd")
+    run_coalition_game(state, "hrd")
     assert state.accepted_moves > 0
     assert all(np.array_equal(x, y) for x, y in zip(arrays(twin), sums))
     assert not all(np.array_equal(x, y) for x, y in zip(arrays(state), sums))
@@ -1166,10 +1196,10 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
         association.run_coalition_game, association._commit,
         association._accept, association._write_coalition)
 
-    def game(state, game, *args, **kwargs):
+    def game(state, game):
         games.append(game)
         try:
-            return inner_game(state, game, *args, **kwargs)
+            return inner_game(state, game)
         finally:
             games.pop()
             events.append(("end", game))
@@ -1197,12 +1227,13 @@ def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
     for init, _ in desk_runs:
         run_amnd(init.scenario, init.demand, init_state=init)
     # One or three devices among 15 SBSs: most coalitions are empty.
+    monkeypatch.setattr(association, "game_budget", _budget(t2=3))
     for n_hrd, n_csd, seed in ((3, 2, 16), (1, 1, 2)):
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=n_hrd, n_csd=n_csd))
         init = abcg_init(scn, demand_for(scn, seed=seed, n_files=6,
                                          storage=15.6e6))
-        association.run_coalition_game(init, "hrd", t2=3)
+        association.run_coalition_game(init, "hrd")
     accepts = installs = deferred = 0
     changed, at_end = set(), []
     for event in events:
@@ -1250,7 +1281,7 @@ def test_reallocate_is_idempotent(desk_runs, multi_request_run):
     for init in inits:
         state = init.clone()
         for game in ("csd", "hrd"):
-            run_coalition_game(state, game, t2=2000)
+            run_coalition_game(state, game)
             _assert_reallocate_idempotent(state)
             reallocate(state)
         final = run_amnd(init.scenario, init.demand, init_state=init)
@@ -1457,8 +1488,9 @@ def test_audit_matches_scratch_reference(monkeypatch, desk_runs,
     states = [init for init, _ in desk_runs + bound_runs[:3]]
     with monkeypatch.context() as unswept:
         unswept.setattr(association, "stabilize_partition", _no_sweep)
-        states += [run_amnd(init.scenario, init.demand, t2=50,
-                            init_state=init) for init, _ in desk_runs[:10]]
+        unswept.setattr(association, "game_budget", _budget(t2=50))
+        states += [run_amnd(init.scenario, init.demand, init_state=init)
+                   for init, _ in desk_runs[:10]]
     states.append(bound_final_state())
     states.append(multi_request_run[0])
     fallbacks = _count_floor_valuations(monkeypatch)
@@ -1815,13 +1847,14 @@ def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):
 
     sweeps = []
     for n, (scn, demand, kw) in enumerate(cases):
-        block = run_amnd(scn, demand, **kw)
+        monkeypatch.setattr(association, "game_budget", _budget(**kw))
+        block = run_amnd(scn, demand)
         block = _solve_fingerprint(block, tmp_path / f"block{n}.csv")
         with monkeypatch.context() as scalar:
             scalar.setattr(association, "stabilize_partition",
                            functools.partial(_scalar_stabilize,
                                              sweeps=sweeps))
-            reference = run_amnd(scn, demand, **kw)
+            reference = run_amnd(scn, demand)
         path = tmp_path / f"ref{n}.csv"
         assert block == _solve_fingerprint(reference, path), (n, kw)
     # One sweep accepts several moves, and the block sweep both kinds.

@@ -18,8 +18,7 @@ from mecsim.experiments import (CSV_COLUMNS, ExperimentConfig, SweepRow,
                                 trend_check)
 
 SMALL = ExperimentConfig(grid=(0.4, 0.6), deltas=(0.6,), seeds=(1, 2),
-                         n_hrd=8, n_csd=8, m_sbs=3, n_mbs=1,
-                         game_iters=200, patience=100)
+                         n_hrd=8, n_csd=8, m_sbs=3, n_mbs=1)
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +36,7 @@ def test_one_row_per_point_seed_algorithm(small_rows):
 
 def test_sweep_is_deterministic_to_the_byte(tmp_path):
     cfg = ExperimentConfig(grid=(0.5,), deltas=(0.6,), seeds=(4,),
-                           n_hrd=6, n_csd=6, m_sbs=2, n_mbs=1,
-                           game_iters=150, patience=80)
+                           n_hrd=6, n_csd=6, m_sbs=2, n_mbs=1)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(run_sweep(cfg), p1)
     emit_csv(run_sweep(cfg), p2)
@@ -128,8 +126,7 @@ def test_config_roundtrip_and_overrides(tmp_path):
         noise_dbm_hz=-170.0, n_hrd=7, n_csd=9, n_files=12,
         file_size_bytes=2e6, requests_per_hrd=2, task_input_bytes=5e4,
         task_cycles=2e9, local_cps=1e9, edge_cps=3e10, storage_bytes=1e7,
-        cache_policy="popular_first", game_iters=50, patience=20,
-        output="other.csv")
+        cache_policy="popular_first", output="other.csv")
     default = ExperimentConfig()
     assert all(getattr(cfg, f.name) != getattr(default, f.name)
                for f in fields(ExperimentConfig))
@@ -156,10 +153,6 @@ def test_config_validation():
         ExperimentConfig(seeds=()).validate()
     with pytest.raises(ValueError, match="algorithms"):
         ExperimentConfig(algorithms=()).validate()
-    for name in ("game_iters", "patience"):
-        with pytest.raises(ValueError, match=name):
-            ExperimentConfig(**{name: -1}).validate()
-        ExperimentConfig(**{name: 0}).validate()   # 0 is the default
 
 
 @pytest.fixture
@@ -190,22 +183,26 @@ def test_empty_algorithms_are_rejected_before_any_work(tmp_path, capsys,
     assert "algorithms" in capsys.readouterr().err
 
 
-def test_negative_game_budgets_are_usage_errors(tmp_path, capsys, solves):
-    # 0 keeps selecting the built-in default; below 0 nothing is solved.
+def test_game_budget_is_no_input(tmp_path, capsys, solves):
+    # The instance fixes each game's budget (``association.game_budget``):
+    # a flag or config field that names one is a usage error, and nothing
+    # is solved.
+    config = tmp_path / "cfg.txt"
+    config.write_text("mecsim-config v1\npatience = 3\n")
     sweep = ["sweep", "--seeds", "1", "--grid", "0.5", "--deltas", "0.6",
              "--set", "n_hrd=4", "--set", "n_csd=4", "-o",
              str(tmp_path / "s.csv")]
-    for argv, name in ((sweep + ["--set", "game_iters=-5"], "game_iters"),
-                       (sweep + ["--set", "patience=-1"], "patience"),
-                       (["run", "--t2", "-3"] + TINY, "--t2"),
-                       (["run", "--patience", "-1"] + TINY, "--patience"),
-                       (["audit", "--patience", "-1"] + TINY, "--patience"),
-                       (["audit", "--t2", "-2"] + TINY, "--t2")):
+    for argv, message in (
+            (["run", "--t2", "5"] + TINY, "unrecognized arguments: --t2 5"),
+            (["audit", "--patience", "3"] + TINY,
+             "unrecognized arguments: --patience 3"),
+            (sweep + ["--set", "game_iters=5"],
+             "unknown config field 'game_iters'"),
+            (sweep + ["--config", str(config)],
+             "unknown config field 'patience'")):
         assert main(argv) == 1, argv
-        assert name in capsys.readouterr().err, argv
+        assert message in capsys.readouterr().err, argv
     assert solves == []
-    assert main(["run", "--t2", "0", "--patience", "0"] + TINY) == 0
-    assert solves == ["run_amnd"]
 
 
 def test_empty_deployment_solves_through_every_command(tmp_path, capsys):
@@ -272,7 +269,6 @@ def test_cli_gen_run_and_trend(tmp_path, capsys):
     rates_path = tmp_path / "rates.csv"
     row_path = tmp_path / "row.csv"
     rc = main(["run", "--scenario", str(scn_path), "--algorithm", "amnd",
-               "--t2", "100", "--patience", "50",
                "--rates-csv", str(rates_path), "--row-csv", str(row_path)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -318,11 +314,11 @@ def test_cli_rejects_abbreviated_flags(capsys):
 # A few argv per command, after the command name.
 COMMAND_ARGV = {
     "gen": [["-o", "x.txt"], ["--hrd", "3", "--seed", "2", "--output", "y"]],
-    "run": [[], ["--algorithm", "abcg", "--t2", "5", "--move-log", "m.csv",
+    "run": [[], ["--algorithm", "abcg", "--move-log", "m.csv",
                  "--a", "0.7", "--cache-policy", "sampled"]],
     "sweep": [[], ["--set", "n_hrd=3", "--set", "n_csd=2", "--audit",
                    "--grid", "0.5", "--axis", "t1_frac", "-o", "s.csv"]],
-    "audit": [[], ["--seed", "3", "--patience", "7", "--scenario", "s.txt"]],
+    "audit": [[], ["--seed", "3", "--scenario", "s.txt"]],
     "trend": [["--csv", "r.csv", "--metric", "F", "--shape", "u",
                "--delta", "0.6", "--algorithm", "ABCG"]],
 }
@@ -418,8 +414,7 @@ def test_closed_stdout_is_not_an_io_error(buffered):
 
 def test_cli_audit_small_instance(tmp_path, capsys):
     rc = main(["audit", "--seed", "5", "--n-mbs", "1", "--m-sbs", "2",
-               "--hrd", "5", "--csd", "5",
-               "--t2", "150", "--patience", "80"])
+               "--hrd", "5", "--csd", "5"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "audit: CLEAN" in out

@@ -275,9 +275,8 @@ def test_scenario_roundtrip_is_bit_exact(tmp_path, desk_scenario):
 
 def test_roundtrip_of_rewritten_file_is_stable(tmp_path, desk_scenario):
     p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    save_scenario(p1, desk_scenario)
-    loaded, _ = load_scenario(p1)
-    save_scenario(p2, loaded)
+    save_scenario(p1, desk_scenario, demand_for(desk_scenario))
+    save_scenario(p2, *load_scenario(p1))
     assert p1.read_text() == p2.read_text()
 
 
@@ -338,6 +337,8 @@ MALFORMED = {
                   "hrd_cell"),
     "missing_section": (lambda t: t.replace("[csd_cell]", "[csd_cells]", 1),
                         r"\[csd_cell\]"),
+    # Every file holds its demand block.
+    "no_demand": (lambda t: t[:t.index("[demand]")], r"\[demand\]"),
     "twice": (lambda t: t.replace("[csd_cell]", "[sbs_cell]", 1), "twice"),
     "bad_token": (_edit_row("gain_sbs_csd", lambda ln: "x" + ln),
                   "gain_sbs_csd"),
