@@ -9,7 +9,7 @@ closed form here and ``allocation.allocate_csd`` run.  An HRD coalition
 couples its downlink and backhaul blocks through the rate ordering of its
 missed pairs; ``hrd_closed_form`` solves it exactly.  Every HRD share and
 value comes from ``hrd_closed_form``: the game's flagged moves, the
-running sums' refresh, the write path, the state reallocation,
+running sums' refresh, the write path of each game's allocation step,
 ``allocation.coalition_value`` and ``allocation.allocate_hrd``, so a valued
 coalition is worth its installed allocation to the last bit.
 
@@ -40,7 +40,8 @@ FEAS_TOL = 1e-9        # slack on per-SBS fraction budget sums
 BYTES_TOL = 1e-6       # slack on storage bookkeeping (bytes)
 IDLE_FRAC = 1e-8       # placeholder fraction for entries outside the association
 
-# The kernels are plain numpy; the benchmark records this as its kernel path.
+# The kernels run on Python lists, uncompiled; the benchmark records this as
+# its kernel path.
 USING_NUMBA = False
 
 # Newton steps of ``_coupled_shares``; it converges in well under 20.

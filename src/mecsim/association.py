@@ -2,17 +2,18 @@
 
 ``abcg_init`` associates every device by best channel gain with equal
 shares: the baseline, and AMND's starting point.  ``run_amnd`` runs the
-computation-device game, the high-rate-device game and a reallocation of
-every coalition, once (its docstring says why once is enough).  A game
-(``run_coalition_game``) is a random phase of drawn moves
-(``_random_phase``, which samples each accept under the law of the drawn
-moves, ``_draw_weights``), on the budget that the instance fixes
-(``game_budget``), and a deterministic stabilization sweep
-(``stabilize_partition``, which visits the moves cyclically from the
-last accept).  A move transfers a device into another
-coalition or swaps two devices of different coalitions; it is accepted iff
-both tentative coalitions are feasible and their total weighted delay
-falls by more than ``IMPROVE_MARGIN``.
+computation-device game and then the high-rate-device game, once (its
+docstring says why once is enough).  A game (``run_coalition_game``) is a
+random phase of drawn moves (``_random_phase``, which samples each accept
+under the law of the drawn moves, ``_draw_weights``), on the budget that
+the instance fixes (``game_budget``), a deterministic stabilization sweep
+(``stabilize_partition``, which visits the moves cyclically from the last
+accept), and then the allocation step of its device class
+(``reallocate``), which installs each of its coalitions' closed form.  A
+move transfers a device into another coalition or swaps two devices of
+different coalitions; it is accepted iff both tentative coalitions are
+feasible and their total weighted delay falls by more than
+``IMPROVE_MARGIN``.
 
 The state (``GameState``) couples the partition with a feasible
 allocation and every coalition's cached closed-form value.  The objective
@@ -20,7 +21,8 @@ is separable across SBSs, so a move touches two coalitions, which are
 valued from running sums (``CoalitionSums``), many moves at a time
 (``_Block``), with the moves that cannot win screened off unvalued
 (``_Block.screen``).  A block's winner is applied with the block's own
-valuation by one state-update step (``_commit``, through ``_accept``).
+valuation by one state-update step (``_commit``, through ``_accept``),
+which updates the running sums and cached values and writes no fractions.
 ``audit_stability`` checks Nash stability with the same valuer.  The tests
 draw, value and apply one proposal at a time (``tests/reference.py``,
 through ``_apply``, which tests a move and then takes the same step): the
@@ -223,9 +225,6 @@ class GameState:
     rng_hrd: np.random.Generator
     rng_csd: np.random.Generator
     sums: dict                 # game -> CoalitionSums
-    # Per game: the coalitions whose cached value and running sums are
-    # ahead of their allocation, which the game installs at its end.
-    stale: dict = field(default_factory=lambda: {HRD: set(), CSD: set()})
     fallback_hrds: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     accepted_moves: int = 0
@@ -255,7 +254,6 @@ class GameState:
             v_hrd=self.v_hrd.copy(), v_csd=self.v_csd.copy(),
             rng_hrd=rng_hrd, rng_csd=rng_csd,
             sums={game: sums.copy() for game, sums in self.sums.items()},
-            stale={game: set(c) for game, c in self.stale.items()},
             fallback_hrds=list(self.fallback_hrds), trace=list(self.trace),
             accepted_moves=self.accepted_moves, proposals=self.proposals,
             move_log=list(self.move_log),
@@ -269,11 +267,8 @@ class GameState:
         """Assert running sums, cached utilities and the objective match
         recomputation; cached utilities are checked against per-coalition
         sums of the delay model's weighted per-pair and per-device delays,
-        and no coalition may await its install."""
-        for game, stale in self.stale.items():
-            if stale:
-                raise AssertionError(f"{game} coalitions {sorted(stale)} "
-                                     f"await their install")
+        so a coalition whose installed fractions lag its cached value fails
+        as a stale utility cache."""
         for game, sums in self.sums.items():
             sums.check(_member_lists(self, game))
         rep = self.report()
@@ -432,15 +427,16 @@ def _tentative_members(lists, a: int, b: int, i: int, j: int | None):
 
 def _write_coalition(state: GameState, game: str, c: int, members) -> float:
     """Install the closed-form allocation of coalition c into the state's
-    allocation; returns its value.  Every member's fractions are written,
-    so a device that moved carries none over from its old coalition."""
+    allocation; returns its value, the one ``CoalitionSums.refresh`` gives
+    for the same member list, to the last bit.  Every member's fractions
+    are written, so a device that moved carries none over from its old
+    coalition."""
     alloc, costs = state.allocation, state.costs
     if game == HRD:
         value, _ = _kernels.hrd_alloc(costs, c, members, alloc.beta, alloc.eta)
     else:
         value, _ = _kernels.csd_alloc(costs, c, members, alloc.alpha,
                                       alloc.gamma)
-    state.stale[game].discard(c)
     return value
 
 
@@ -465,8 +461,9 @@ def _commit(state: GameState, game: str, kind: str, a: int, b: int, i: int,
     coalition ``a`` into ``b`` and, in a swap, ``j`` from ``b`` into
     ``a``), worth ``dv``: update the partition, and the running sums and
     cached values of its two coalitions from one pass over each sorted
-    member list, mark both stale, for ``run_coalition_game`` to install,
-    and log the move."""
+    member list, and log the move.  It writes no fractions: the game's
+    allocation step (``reallocate``) installs every coalition once, at the
+    game's end."""
     lists = _member_lists(state, game)
     src, dst = _tentative_members(lists, a, b, i, j)
     lists[a], lists[b] = sorted(src), sorted(dst)
@@ -478,7 +475,6 @@ def _commit(state: GameState, game: str, kind: str, a: int, b: int, i: int,
     sums = state.sums[game]
     cache[a] = sums.refresh(a, lists[a])[0]
     cache[b] = sums.refresh(b, lists[b])[0]
-    state.stale[game].update((a, b))
     state.accepted_moves += 1
     state.move_log.append((state.proposals, game, kind, dv, state.objective))
 
@@ -814,20 +810,10 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
 def run_coalition_game(state: GameState, game: str) -> GameState:
     """Random move phase, on the budget ``game_budget`` fixes for the
     instance, followed by the stabilization sweep, which always runs, so
-    the game ends Nash-stable; then each coalition they changed is
-    installed, once.  Both phases apply a move through ``_accept`` and
-    ``_commit``, which appends it to the move log.
-
-    Installs are deferred to the end of the game.  An accepted move
-    (``_commit``) sorts the two touched member lists and recomputes both
-    coalitions' running sums and cached values from one pass over each
-    (``CoalitionSums.refresh``), but writes no fractions: it marks both
-    coalitions stale, and a coalition that many moves touch is installed
-    once.  The install (``_write_coalition``) runs the matching
-    ``_kernels`` write path over the same sorted member list, so the
-    installed fractions are worth the cached value to the last bit.
-    ``GameState.check`` refuses a state with a coalition awaiting its
-    install.
+    the game ends Nash-stable, and then by the allocation step of its class
+    (``reallocate``), so the game leaves a fully installed state.  Both
+    phases apply a move through ``_accept`` and ``_commit``, which appends
+    it to the move log and installs nothing.
     """
     if game not in (HRD, CSD):
         raise ValueError(f"unknown game {game!r}")
@@ -836,52 +822,58 @@ def run_coalition_game(state: GameState, game: str) -> GameState:
         _random_phase(state, game,
                       *game_budget(state.demand.n_hrd, state.demand.n_csd))
     stabilize_partition(state, game)
-    for c in sorted(state.stale[game]):
-        _write_coalition(state, game, c, lists[c])
+    reallocate(state, game)
     return state
 
 
-def reallocate(state: GameState) -> None:
-    """Install the closed-form allocation of every SBS coalition of both
-    games, and cache its value.  A coalition a game installed already holds
-    it and gets the same bits again."""
-    for n in range(state.n_sbs):
-        for game, cache in ((CSD, state.v_csd), (HRD, state.v_hrd)):
-            cache[n] = _write_coalition(state, game, n,
-                                        _member_lists(state, game)[n])
+def reallocate(state: GameState, game: str) -> None:
+    """The allocation step of ``game``: install the closed-form allocation
+    of each of its coalitions (for CSD, the local coalition ``n_sbs`` too)
+    and cache its value.
+
+    An accepted move (``_commit``) recomputes its two coalitions' running
+    sums and cached values from one pass over each sorted member list
+    (``CoalitionSums.refresh``), but writes no fractions, so a coalition
+    that many moves touch is installed once.  The install
+    (``_write_coalition``) runs the matching ``_kernels`` write path over
+    the same sorted member list, so a coalition a move touched gets the
+    value it caches to the last bit; one that no move touched still holds
+    the initializer's equal split, and its closed form replaces it."""
+    cache = state.v_hrd if game == HRD else state.v_csd
+    for c, members in enumerate(_member_lists(state, game)):
+        cache[c] = _write_coalition(state, game, c, members)
 
 
 def run_amnd(scenario: Scenario, demand: DemandProfile, *,
              init_state: GameState | None = None) -> GameState:
     """Best-gain init (or a clone of ``init_state``), then the
-    computation-device game, the high-rate-device game, each on the budget
-    ``game_budget`` fixes for the instance, and the closed-form
-    reallocation.  The returned state's trace holds the
-    objective after the initializer and after each of the three stages.
+    computation-device game and the high-rate-device game, each on the
+    budget ``game_budget`` fixes for the instance and each ending with its
+    class's allocation step.  The returned state's trace holds the
+    objective after the initializer and after each game.
 
     AMND alternates association and allocation, but one round is all that
-    can change the state.  The computation-device game (uplink, compute,
-    storage) and the high-rate-device game (downlink, backhaul) share no
-    constraint, so they are two independent local searches, and each ends
-    with a stabilization sweep that leaves no improving transfer or swap.
-    The reallocation can only lower a coalition's value: one that a game
-    installed already holds its closed form, and every other one still
+    can change the state.  The computation-device problem (uplink,
+    compute, storage) and the high-rate-device problem (downlink,
+    backhaul) share no constraint, so each class is an independent stage:
+    its game is a local search that ends with a stabilization sweep
+    leaving no improving transfer or swap, and its allocation step follows
+    at once.  That step can only lower a coalition's value: one that a
+    move touched already holds its closed form, and every other one still
     holds the initializer's equal split, a feasible point of the problem
     that the closed form solves exactly.  Lower cached values raise the
-    ``dv`` of every later move, so a second round of either game cannot
-    accept a move, and every stage leaves the objective where it was or
+    ``dv`` of every later move of the class, and the other class's stage
+    changes nothing of this one, so a second round of either game cannot
+    accept a move, and each stage leaves the objective where it was or
     lower.
     """
     if init_state is not None:
         state = init_state.clone()
     else:
         state = abcg_init(scenario, demand)
-    run_coalition_game(state, CSD)
-    state.trace.append(state.objective)
-    run_coalition_game(state, HRD)
-    state.trace.append(state.objective)
-    reallocate(state)
-    state.trace.append(state.objective)
+    for game in (CSD, HRD):
+        run_coalition_game(state, game)
+        state.trace.append(state.objective)
     return state
 
 

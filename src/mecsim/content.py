@@ -219,11 +219,18 @@ def build_demand(catalog: Catalog, n_sbs: int, n_hrd: int, n_csd: int,
                  task_cycles: float = 1e9,
                  local_cps: float = 1.4e9,
                  edge_cps: float = 6e10,
-                 storage_bytes: float = 2 * GB,
-                 cache_policy: str = "popular_first") -> DemandProfile:
+                 storage_bytes: float = 28 * MB,
+                 cache_policy: str = "sampled") -> DemandProfile:
     """Assemble a demand profile, every device weighted 1; requests are
     drawn before cache placement so both consume the rng in a fixed
-    order."""
+    order.
+
+    The default workload is contended: storage of 28 MB per SBS, below the
+    default catalog's 20 files of 5 MB, with caches sampled by popularity
+    (5 files cached, with headroom for offloaded task inputs), so that
+    cache hits and misses both show.  Set ``storage_bytes = 2 * GB`` and
+    ``cache_policy = "popular_first"`` for an everything-cached workload.
+    """
     request = draw_requests(catalog, n_hrd, requests_per_hrd, rng)
     storage = np.full(n_sbs, float(storage_bytes))
     cache = place_cache(catalog, storage, cache_policy, rng)

@@ -36,14 +36,10 @@ class ExperimentConfig:
     """One sweep: base system + workload knobs, axis grid, seeds, algorithms.
 
     Each system and workload field takes its default from the definition
-    it feeds (``SystemParams``, ``Catalog.build``, ``build_demand``), except
-    two that make the default sweep contended: storage of 28 MB per SBS,
-    below the catalog's 20 files of 5 MB, with caches sampled by popularity
-    (5 files cached, with headroom for offloaded task inputs), so that cache
-    hits and misses both show across the grid.  The 40 computation devices
-    against 20 high-rate devices keep edge-server sharing binding.  Set
-    ``storage_bytes = 2e9`` and ``cache_policy = popular_first`` for an
-    everything-cached workload.
+    it feeds (``SystemParams``, ``Catalog.build``, ``build_demand``, whose
+    docstring says why its storage and cache policy make the workload
+    contended), except the device counts: 40 computation devices against
+    20 high-rate devices keep edge-server sharing binding.
     """
 
     axis: str = "a"
@@ -70,8 +66,8 @@ class ExperimentConfig:
     task_cycles: float = _DEMAND["task_cycles"].default
     local_cps: float = _DEMAND["local_cps"].default
     edge_cps: float = _DEMAND["edge_cps"].default
-    storage_bytes: float = 28e6
-    cache_policy: str = "sampled"
+    storage_bytes: float = _DEMAND["storage_bytes"].default
+    cache_policy: str = _DEMAND["cache_policy"].default
     output: str = "sweep.csv"
 
     def validate(self) -> None:

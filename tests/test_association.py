@@ -264,7 +264,7 @@ def test_empty_deployment_solves_to_zero():
     # and every stage leaves F at 0.
     scn = generate_scenario(SystemParams(seed=0), Counts(n_hrd=0, n_csd=0))
     state = run_amnd(scn, demand_for(scn, seed=0))
-    assert state.objective == 0.0 and state.trace == [0.0] * 4
+    assert state.objective == 0.0 and state.trace == [0.0] * 3
     assert state.proposals == 0 and audit_stability(state) == []
     state.check()
 
@@ -319,18 +319,17 @@ def test_optimizer_never_loses_to_the_initializer():
 
 
 def test_second_round_accepts_no_move():
-    # The two games share no constraint, each ends stabilized, and the
-    # reallocation only lowers cached values: another round is a no-op.
+    # The two games share no constraint, each ends stabilized, and its
+    # allocation step only lowers cached values: another round is a no-op.
     scn = generate_scenario(SystemParams(seed=21), Counts(n_hrd=10, n_csd=10))
     demand = demand_for(scn, seed=21)
     state = run_amnd(scn, demand)
-    assert len(state.trace) == 4
+    assert len(state.trace) == 3
     f, moves = state.objective, state.accepted_moves
     hrd_sbs = state.partition.hrd_sbs.copy()
     csd_sbs = state.partition.csd_sbs.copy()
     run_coalition_game(state, "csd")
     run_coalition_game(state, "hrd")
-    reallocate(state)
     assert state.accepted_moves == moves
     assert state.objective == f
     assert np.array_equal(state.partition.hrd_sbs, hrd_sbs)
@@ -1168,10 +1167,10 @@ def test_check_passes_after_evaluate_and_apply():
         prop = propose_move(state, "csd", rng)
         if evaluate_and_apply(state, prop):
             accepted += 1
-            assert state.stale["csd"] == set()
             state.check()
     assert accepted >= 2
-    # ``_apply`` alone defers the install.
+    # ``_apply`` alone installs nothing: the moved coalitions' cached values
+    # run ahead of their fractions until the game's allocation step.
     twin = state.clone()
     block, _ = association._neighbourhood_block(
         twin, twin.sums["hrd"],
@@ -1182,75 +1181,77 @@ def test_check_passes_after_evaluate_and_apply():
     prop = block.proposal(q)
     prop.dv, prop.feasible = block.value(q)
     assert association._apply(twin, prop)
-    assert twin.stale["hrd"] == {prop.c_from, prop.c_to}
-    with pytest.raises(AssertionError, match="await their install"):
+    with pytest.raises(AssertionError, match=rf"stale hrd utility cache at "
+                       rf"coalition ({prop.c_from}|{prop.c_to}):"):
         twin.check()
+    reallocate(twin, "hrd")
+    twin.check()
 
 
-def test_game_installs_each_changed_coalition_once(monkeypatch, desk_runs):
-    # Every accept of a game is a block accept, and defers its install to
-    # the end of the game; the game then installs each coalition it
-    # changed once.
-    events, games, blocks = [], [], []
-    inner_game, inner_commit, inner_accept, inner_write = (
-        association.run_coalition_game, association._commit,
-        association._accept, association._write_coalition)
+def test_solve_installs_each_coalition_once_after_its_game(monkeypatch,
+                                                         desk_runs):
+    # Every accept of a game is a block's, and installs nothing; each
+    # game's allocation step, after its last accept, installs each of its
+    # coalitions once: the n_sbs + 1 CSD ones (the local one included),
+    # then the n_sbs HRD ones.
+    events = []
+    inner_commit, inner_write = (association._commit,
+                                 association._write_coalition)
 
-    def game(state, game):
-        games.append(game)
-        try:
-            return inner_game(state, game)
-        finally:
-            games.pop()
-            events.append(("end", game))
-
-    def commit(state, game, kind, a, b, *move):
-        # A move applied outside ``_accept`` is not a block's.
-        events.append(("accept", game, not blocks, (a, b)))
-        return inner_commit(state, game, kind, a, b, *move)
-
-    def accept(state, block, k):
-        blocks.append(k)
-        try:
-            return inner_accept(state, block, k)
-        finally:
-            blocks.pop()
+    def commit(state, game, *move):
+        events.append(("accept", game))
+        return inner_commit(state, game, *move)
 
     def write(state, game, c, members):
-        if games:
-            events.append(("install", game, c))
+        events.append(("install", game, c))
         return inner_write(state, game, c, members)
 
-    for name, hook in (("run_coalition_game", game), ("_commit", commit),
-                       ("_accept", accept), ("_write_coalition", write)):
-        monkeypatch.setattr(association, name, hook)
-    for init, _ in desk_runs:
-        run_amnd(init.scenario, init.demand, init_state=init)
+    def apply(state, prop):
+        raise AssertionError("a game applied a move outside a block")
+
+    monkeypatch.setattr(association, "_commit", commit)
+    monkeypatch.setattr(association, "_write_coalition", write)
+    monkeypatch.setattr(association, "_apply", apply)
+    inits = [init for init, _ in desk_runs]
     # One or three devices among 15 SBSs: most coalitions are empty.
-    monkeypatch.setattr(association, "game_budget", _budget(t2=3))
     for n_hrd, n_csd, seed in ((3, 2, 16), (1, 1, 2)):
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=n_hrd, n_csd=n_csd))
-        init = abcg_init(scn, demand_for(scn, seed=seed, n_files=6,
-                                         storage=15.6e6))
-        association.run_coalition_game(init, "hrd")
-    accepts = installs = deferred = 0
-    changed, at_end = set(), []
-    for event in events:
-        if event[0] == "accept":
-            accepts += 1
-            changed.update((event[1], c) for c in event[3])
-        elif event[0] == "install":
-            installs += 1
-            at_end.append(event[1:])
-        else:
-            assert at_end == sorted(key for key in changed
-                                    if key[0] == event[1])
-            deferred += len(at_end)
-            changed, at_end = set(), []
-    assert installs == deferred
-    assert not any(e[0] == "accept" and e[2] for e in events)
-    assert accepts > 0 and installs < 2 * accepts
+        inits.append(abcg_init(scn, demand_for(scn, seed=seed, n_files=6,
+                                               storage=15.6e6)))
+    played = {"csd": 0, "hrd": 0}
+    for init in inits:
+        events.clear()
+        final = run_amnd(init.scenario, init.demand, init_state=init)
+        n = final.n_sbs
+        accepts = {game: events.count(("accept", game)) for game in played}
+        assert events == (
+            [("accept", "csd")] * accepts["csd"]
+            + [("install", "csd", c) for c in range(n + 1)]
+            + [("accept", "hrd")] * accepts["hrd"]
+            + [("install", "hrd", c) for c in range(n)])
+        assert sum(accepts.values()) == final.accepted_moves
+        for game, count in accepts.items():
+            played[game] += count
+    assert all(played.values()), played
+
+
+def test_each_game_leaves_its_coalitions_installed(desk_runs,
+                                                   multi_request_run):
+    # A game run on its own ends with its allocation step: every coalition
+    # of the game, the local one included, caches its closed-form value to
+    # the last bit, and the state passes its check.
+    for init in [init for init, _ in desk_runs[:5]] + [multi_request_run[0]]:
+        for game in ("csd", "hrd"):
+            state = init.clone()
+            run_coalition_game(state, game)
+            lists = state.hrd_members if game == "hrd" else state.csd_members
+            cache = state.v_hrd if game == "hrd" else state.v_csd
+            assert len(lists) == cache.size == state.n_sbs + (game == "csd")
+            for c, members in enumerate(lists):
+                assert cache[c] == coalition_value(state.costs, game, c,
+                                                   members)[0], (game, c)
+            state.check()
 
 
 def _state_bytes(state):
@@ -1261,31 +1262,30 @@ def _state_bytes(state):
                                                    "eta")]
 
 
-def _assert_reallocate_idempotent(state):
-    """Reallocate a copy of ``state`` twice: the second pass changes no
-    byte of the caches, the objective or the fractions."""
-    state = state.clone()
-    reallocate(state)
-    once = _state_bytes(state)
-    reallocate(state)
-    assert _state_bytes(state) == once
+def _assert_reallocate_idempotent(state, games):
+    """Run the allocation step of ``games``, each of which ``state`` has
+    played, on a copy of ``state``: it changes no byte of the caches, the
+    objective or the fractions."""
+    twin = state.clone()
+    for game in games:
+        reallocate(twin, game)
+    assert _state_bytes(twin) == _state_bytes(state)
 
 
 def test_reallocate_is_idempotent(desk_runs, multi_request_run):
     # Installing a coalition that already holds its closed form writes the
-    # same bits, after each game (where the HRD game changes coalitions the
-    # CSD game's reallocation installed) and after ``run_amnd``.
+    # same bits, after each game (which ended with that install) and after
+    # ``run_amnd``.
     inits = [init for init, _ in desk_runs[:10]] + [multi_request_run[0]]
     scn = generate_scenario(SystemParams(seed=1), Counts(n_hrd=20, n_csd=40))
     inits.append(abcg_init(scn, demand_for(scn)))
     for init in inits:
         state = init.clone()
-        for game in ("csd", "hrd"):
-            run_coalition_game(state, game)
-            _assert_reallocate_idempotent(state)
-            reallocate(state)
+        for played in (("csd",), ("csd", "hrd")):
+            run_coalition_game(state, played[-1])
+            _assert_reallocate_idempotent(state, played)
         final = run_amnd(init.scenario, init.demand, init_state=init)
-        _assert_reallocate_idempotent(final)
+        _assert_reallocate_idempotent(final, ("csd", "hrd"))
         for game, cache in (("hrd", final.v_hrd), ("csd", final.v_csd)):
             lists = final.hrd_members if game == "hrd" else final.csd_members
             for c, members in enumerate(lists):
@@ -1323,7 +1323,9 @@ GOLDEN_MULTI_REQUEST = (
 
 # Each game generator's final (PCG64 state, has_uint32, uinteger), CSD
 # then HRD, of the desk solves above ("multi" is ``multi_request_run``),
-# and the SHA-256 of the ``write_move_log`` file of seed 0.
+# and the SHA-256 of the ``write_move_log`` file of seed 0.  Its HRD rows'
+# objective column counts every CSD coalition's closed form, which the CSD
+# game's allocation step installs before the HRD game starts.
 GOLDEN_RNG = {
     0: ((83859812022039524749139676866599146185, 0, 0),
         (171577682909891176005746160613366480515, 0, 0)),
@@ -1339,7 +1341,7 @@ GOLDEN_RNG = {
               (81734224320607830781939111464305212474, 0, 0)),
 }
 GOLDEN_MOVE_LOG_SEED0 = \
-    "773dae64a1a42e32a86501b29eb73f7cb5b28c91f0080ec4d07068142a75c2a8"
+    "76466bc7c7aafab22479c85d378c86afaed13869c2f7899ffc0e7484908fe399"
 
 
 # The SHA-256 of the bytes of the final ``alpha``, ``gamma``, ``beta`` and
@@ -1429,22 +1431,27 @@ def test_desk_solves_are_nash_stable(desk_runs):
 def test_move_log_holds_each_accepted_move(desk_runs, multi_request_run):
     # One row per accepted move, in the order applied: its proposal's index
     # among the solve's proposals, its dv, which is the objective's step,
-    # and the objective after it; each game's last row holds the objective
-    # that the trace records after that game.
+    # and the objective after it.  A game's first row steps from the
+    # objective that the trace records before that game, and its last row
+    # is at or above the one recorded after it, which counts the game's
+    # allocation step too.
     for n, (init, final) in enumerate(desk_runs + [multi_request_run]):
         log = final.move_log
         assert len(log) == final.accepted_moves > 0, n
         index = [row[0] for row in log]
         assert 1 <= index[0] and index[-1] <= final.proposals, n
         assert all(a < b for a, b in zip(index, index[1:])), n
-        objs = [init.objective] + [row[4] for row in log]
-        assert all(b <= a for a, b in zip(objs, objs[1:])), n
-        for before, (_, _, kind, dv, after) in zip(objs, log):
-            assert kind in ("transfer", "swap")
-            assert abs((after - before) - dv) <= 1e-9 * before, n
-        for game, f in (("csd", final.trace[1]), ("hrd", final.trace[2])):
+        games = [row[1] for row in log]
+        assert games == sorted(games, key=("csd", "hrd").index), n
+        assert final.trace[0] == init.objective, n
+        for k, game in enumerate(("csd", "hrd")):
             rows = [row for row in log if row[1] == game]
-            assert not rows or rows[-1][4] == f, (n, game)
+            objs = [final.trace[k]] + [row[4] for row in rows]
+            assert all(b <= a for a, b in zip(objs, objs[1:])), (n, game)
+            for before, (_, _, kind, dv, after) in zip(objs, rows):
+                assert kind in ("transfer", "swap")
+                assert abs((after - before) - dv) <= 1e-9 * before, n
+            assert objs[-1] >= final.trace[k + 1], (n, game)
 
 
 def _scratch_audit(state):

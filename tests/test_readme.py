@@ -1,6 +1,8 @@
-"""The README's pointers into the code resolve: a renamed or deleted name
-fails here instead of leaving a stale pointer."""
+"""The README's pointers into the code, and the module-qualified ones of
+the package's docstrings and of the test reference, resolve: a renamed or
+deleted name fails here instead of leaving a stale pointer."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
@@ -13,6 +15,7 @@ from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import demand_for
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 MODULES = {m.name for m in pkgutil.iter_modules(mecsim.__path__)}
 
 
@@ -44,6 +47,27 @@ def test_readme_names_resolve():
     names = _dotted_names(README.read_text(encoding="utf-8"))
     assert len(names) >= 20, names
     for name in names:
+        _resolve(name)
+
+
+def _docstrings(path):
+    """Every docstring of the module at ``path``: its own, its classes'
+    and its functions'."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield doc
+
+
+def test_docstring_names_resolve():
+    paths = sorted(Path(mecsim.__file__).resolve().parent.glob("*.py"))
+    names = {name for path in paths + [REFERENCE]
+             for doc in _docstrings(path) for name in _dotted_names(doc)}
+    assert len(names) >= 20, names
+    for name in sorted(names):
         _resolve(name)
 
 
