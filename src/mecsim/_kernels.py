@@ -17,16 +17,19 @@ The kernels apply the closed forms to one coalition of a
 ``CoalitionCosts`` in one pass over the per-SBS lists of its ``Rows``,
 member by member in the order given, with every sum in numpy's order
 (``_sum``).  ``hrd_summary``/``csd_summary`` return a coalition's
-running-sum row, its largest device ratio, its value and its feasibility;
-``hrd_value``/``csd_value`` return ``(value, feasible)``, and
-``hrd_alloc``/``csd_alloc`` also write the members' fractions into the
-per-pair ``beta``/``eta`` and per-device ``alpha``/``gamma`` arrays of an
-``Allocation``.  The three HRD kernels share one solve per SBS and member
-list (``_hrd_solved``, memoized on the ``Rows``): a solve values,
-refreshes, installs and audits the same member lists many times, and a
-repeat costs one dictionary lookup.  An HRD coalition is always feasible;
-a CSD coalition is feasible while its task inputs fit in the SBS's spare
-storage.  CSD coalition ``n_sbs`` is the virtual coalition of locally
+running-sum row, its largest device ratio and its value;
+``hrd_value``/``csd_value`` return the value alone, and
+``hrd_alloc``/``csd_alloc`` return it and also write the members'
+fractions into the per-pair ``beta``/``eta`` and per-device
+``alpha``/``gamma`` arrays of an ``Allocation``.  The three HRD kernels
+share one solve per SBS and member list (``_hrd_solved``, memoized on the
+``Rows``): a solve values, refreshes, installs and audits the same member
+lists many times, and a repeat costs one dictionary lookup.  A value is
+one float, with +inf for an infeasible coalition (the extended-value
+convention: Boyd & Vandenberghe, *Convex Optimization*, 3.1.2).  An HRD
+coalition is always feasible; a CSD coalition is feasible while its task
+inputs fit in the SBS's spare storage, and is worth +inf once they
+overrun it.  CSD coalition ``n_sbs`` is the virtual coalition of locally
 computing devices: it is worth their local delays and holds idle
 fractions.  HRD coalitions are described by flattened request pairs:
 device ``k`` owns pairs ``pair_off[k] .. pair_off[k] + pair_cnt[k]``.
@@ -249,35 +252,35 @@ def _hrd_solved(costs, n, members):
 
 
 def hrd_summary(costs, n, members):
-    """``((sd, sb, miss), ratio, value, True)`` of the HRD coalition
-    ``members`` at SBS ``n`` (``_hrd_solved``)."""
+    """``((sd, sb, miss), ratio, value)`` of the HRD coalition ``members``
+    at SBS ``n`` (``_hrd_solved``)."""
     row, ratio, _, _, value = _hrd_solved(costs, n, members)
-    return row, ratio, value, True
+    return row, ratio, value
 
 
 def csd_summary(costs, n, members):
-    """``((su, se, load, local), 0.0, value, feasible)`` of the CSD
-    coalition ``members`` at SBS ``n``: its running-sum row (root uplink and
-    compute costs and task bytes, or in the local coalition local delays),
-    and its closed form."""
+    """``((su, se, load, local), 0.0, value)`` of the CSD coalition
+    ``members`` at SBS ``n``: its running-sum row (root uplink and compute
+    costs and task bytes, or in the local coalition local delays), and its
+    closed form, +inf where the stored bytes overrun the SBS's room."""
     rows = costs.rows
     if n == costs.n_sbs:
         local = _sum([rows.local_delay_w[k] for k in members])
-        return (0.0, 0.0, 0.0, local), 0.0, local, True
+        return (0.0, 0.0, 0.0, local), 0.0, local
     ul, ed, load = rows.sqrt_ul[n], rows.sqrt_ed[n], rows.task_bytes
     su = _sum([ul[k] for k in members])
     se = _sum([ed[k] for k in members])
     stored = _sum([load[k] for k in members])
-    return ((su, se, stored, 0.0), 0.0, su ** 2 + se ** 2,
-            stored <= rows.room[n])
+    return ((su, se, stored, 0.0), 0.0,
+            su ** 2 + se ** 2 if stored <= rows.room[n] else math.inf)
 
 
 def hrd_value(costs, n, members):
-    return _hrd_solved(costs, n, members)[4], True
+    return _hrd_solved(costs, n, members)[4]
 
 
 def csd_value(costs, n, members):
-    return csd_summary(costs, n, members)[2:]
+    return csd_summary(costs, n, members)[2]
 
 
 def hrd_alloc(costs, n, members, beta, eta):
@@ -289,19 +292,19 @@ def hrd_alloc(costs, n, members, beta, eta):
         for p in rows.span[k]:
             beta[p] = next(dl)
             eta[p] = IDLE_FRAC if hit[p] else next(bh)
-    return value, True
+    return value
 
 
 def csd_alloc(costs, n, members, alpha, gamma):
     """Writes every member's ``alpha`` and ``gamma``; a local one's are
     IDLE_FRAC."""
-    (s_u, s_e, _, _), _, value, ok = csd_summary(costs, n, members)
+    (s_u, s_e, _, _), _, value = csd_summary(costs, n, members)
     if n == costs.n_sbs:
         for k in members:
             alpha[k] = gamma[k] = IDLE_FRAC
-        return value, ok
+        return value
     ul, ed = costs.rows.sqrt_ul[n], costs.rows.sqrt_ed[n]
     for k, a, g in zip(members, root_shares([ul[k] for k in members], s_u),
                        root_shares([ed[k] for k in members], s_e)):
         alpha[k], gamma[k] = a, g
-    return value, ok
+    return value

@@ -180,12 +180,15 @@ def allocate_hrd(dl_cost, bh_cost, cached, rho):
 
 
 def coalition_value(costs: CoalitionCosts, game: str, c: int, members):
-    """(value, feasible) of the member set ``members`` as coalition ``c`` of
-    ``game`` ("hrd" or "csd"), under the closed-form allocation.
+    """The value of the member set ``members`` as coalition ``c`` of
+    ``game`` ("hrd" or "csd"), under the closed-form allocation, or
+    ``math.inf`` where it is infeasible.
 
     An HRD coalition is always feasible, and so is CSD coalition ``c ==
-    n_sbs``, the virtual coalition of locally computing devices.  Members
-    are summed in the order given, which fixes the last ulp of the value.
+    n_sbs``, the virtual coalition of locally computing devices; another
+    CSD coalition is infeasible once its task inputs overrun the SBS's
+    spare storage.  Members are summed in the order given, which fixes the
+    last ulp of the value.
     """
     kernel = _kernels.hrd_value if game == HRD else _kernels.csd_value
     return kernel(costs, c, members)

@@ -13,21 +13,22 @@ accept), and then the allocation step of its device class
 move transfers a device into another coalition or swaps two devices of
 different coalitions; it is accepted iff both tentative coalitions are
 feasible and their total weighted delay falls by more than
-``IMPROVE_MARGIN``.
+``IMPROVE_MARGIN``.  Every value is one float, +inf for an infeasible
+coalition (``_kernels``), so that test is one comparison: a move with an
+infeasible side has ``dv`` +inf.
 
 The state (``GameState``) couples the partition with a feasible
 allocation and every coalition's cached closed-form value.  The objective
 is separable across SBSs, so a move touches two coalitions, which are
 valued from running sums (``CoalitionSums``), many moves at a time
 (``_Block``), with the moves that cannot win screened off unvalued
-(``_Block.screen``).  A block's winner is applied with the block's own
-valuation by one state-update step (``_commit``, through ``_accept``),
-which updates the running sums and cached values and writes no fractions.
+(``_Block.screen``).  One step (``_commit``) counts a block's winner,
+applies it with the block's own valuation and logs it; it updates the
+running sums and cached values and writes no fractions.
 ``audit_stability`` checks Nash stability with the same valuer.  The tests
-draw, value and apply one proposal at a time (``tests/reference.py``,
-through ``_apply``, which tests a move and then takes the same step): the
-reference that the stabilization sweep matches to the last bit, and the
-random phase in law.
+draw, value and commit one proposal at a time (``tests/reference.py``, a
+block of one row through ``_commit``): the reference that the
+stabilization sweep matches to the last bit, and the random phase in law.
 """
 
 import copy
@@ -74,8 +75,7 @@ class MoveProposal:
     c_to: int
     md_from: int           # member leaving c_from
     md_to: int | None = None   # member leaving c_to (swaps only)
-    dv: float | None = None
-    feasible: bool | None = None
+    dv: float | None = None    # +inf if a tentative coalition is infeasible
 
 
 class CoalitionSums:
@@ -83,15 +83,15 @@ class CoalitionSums:
     which a move is valued in O(1).
 
     A CSD coalition is worth ``su**2 + se**2``, the squared sums of its
-    members' root uplink and root compute costs, and is feasible while its
-    stored task bytes fit in the SBS's spare storage; the virtual local
-    coalition, row ``n_sbs``, is worth its members' local delays.  Each row
-    holds only its own kind of terms: a device's local delay sits in the
-    local row alone, at 0 in every SBS row, whose root costs sit at 0 in
-    the local row, and the local row's storage room is +inf.  So ``after``
-    values every CSD side as ``su*su + se*se + local`` and tests ``load <=
-    room``, with no case for the local row: each term it adds is an exact
-    0.0, which changes no bit.  An HRD
+    members' root uplink and root compute costs, while its stored task
+    bytes fit in the SBS's spare storage, and +inf once they overrun it;
+    the virtual local coalition, row ``n_sbs``, is worth its members' local
+    delays.  Each row holds only its own kind of terms: a device's local
+    delay sits in the local row alone, at 0 in every SBS row, whose root
+    costs sit at 0 in the local row, and the local row's storage room is
+    +inf.  So ``after`` values every CSD side as ``su*su + se*se + local``
+    where ``load <= room``, and +inf elsewhere, with no case for the local
+    row: each term it adds is an exact 0.0, which changes no bit.  An HRD
     coalition is always feasible, and is worth ``sd**2 + sb**2`` (root
     downlink costs of all its pairs, root backhaul costs of its missed
     pairs) as long as no rate ordering binds, which holds iff its largest
@@ -161,16 +161,16 @@ class CoalitionSums:
 
     def refresh(self, c: int, members):
         """Recompute row ``c`` from the member list ``members``; returns the
-        coalition's closed-form ``(value, feasible)``."""
+        coalition's closed-form value."""
         self.size[c] = len(members)
-        self.sums[c], self.ratio[c], value, ok = self.summary(self.costs, c,
-                                                              members)
-        return value, ok
+        self.sums[c], self.ratio[c], value = self.summary(self.costs, c,
+                                                          members)
+        return value
 
     def check(self, lists) -> None:
         """Assert every stored row matches its member list."""
         for c, members in enumerate(lists):
-            sums, ratio, _, _ = self.summary(self.costs, c, members)
+            sums, ratio, _ = self.summary(self.costs, c, members)
             ref = np.append(sums, ratio)
             got = np.append(self.sums[c], self.ratio[c])
             if (self.size[c] != len(members)
@@ -181,13 +181,13 @@ class CoalitionSums:
                     f"{got!r} vs {ref!r}")
 
     def after(self, c, out, inn, size):
-        """(value, feasible, floor) of coalitions ``c`` once device ``out``
-        leaves and ``inn`` enters, holding ``size`` members, elementwise;
-        ``none`` in either place moves nothing.  ``floor`` is the floor
-        flag, ``ratio * sb > sd``.  HRD sides are all feasible and no
-        ordering binds on a CSD side, so those are None.  A CSD side is
-        valued by one expression, the local row included (the class
-        docstring says why)."""
+        """(value, floor) of coalitions ``c`` once device ``out`` leaves
+        and ``inn`` enters, holding ``size`` members, elementwise; ``none``
+        in either place moves nothing.  ``floor`` is the floor flag, ``ratio
+        * sb > sd``; no ordering binds on a CSD side, so there it is None.
+        A CSD side is valued by one expression, the local row included (the
+        class docstring says why), and is +inf where its stored bytes
+        overrun its room."""
         row = c * self.stride
         enter = row + inn
         x = (self.sums.take(c, axis=0) - self.terms.take(row + out, axis=0)
@@ -201,11 +201,11 @@ class CoalitionSums:
             value = np.where(miss == 0, sd2, sd2 + sb * sb)
             # The counts are exact, so an empty side has ``miss == 0``.
             floor = (miss != 0) & (ratio * sb > sd)
-            return np.where(empty, 0.0, value), None, floor
+            return np.where(empty, 0.0, value), floor
         su, se, load, local = x.T
-        feasible = (load <= self.room.take(c)) | empty
-        return (np.where(empty, 0.0, su * su + se * se + local), feasible,
-                None)
+        value = np.where(load <= self.room.take(c), su * su + se * se + local,
+                         np.inf)
+        return np.where(empty, 0.0, value), None
 
 
 @dataclass
@@ -227,7 +227,6 @@ class GameState:
     sums: dict                 # game -> CoalitionSums
     fallback_hrds: list = field(default_factory=list)
     trace: list = field(default_factory=list)
-    accepted_moves: int = 0
     proposals: int = 0
     # One row per accepted move (``_commit``); ``write_move_log`` dumps it.
     move_log: list = field(default_factory=list)
@@ -235,6 +234,10 @@ class GameState:
     @property
     def n_sbs(self) -> int:
         return self.partition.n_sbs
+
+    @property
+    def accepted_moves(self) -> int:
+        return len(self.move_log)
 
     @property
     def objective(self) -> float:
@@ -255,8 +258,7 @@ class GameState:
             rng_hrd=rng_hrd, rng_csd=rng_csd,
             sums={game: sums.copy() for game, sums in self.sums.items()},
             fallback_hrds=list(self.fallback_hrds), trace=list(self.trace),
-            accepted_moves=self.accepted_moves, proposals=self.proposals,
-            move_log=list(self.move_log),
+            proposals=self.proposals, move_log=list(self.move_log),
         )
 
     def report(self) -> DelayReport:
@@ -306,8 +308,7 @@ def _game_rngs(seed: int):
 # Initializer: strongest gain + equal shares, then the local/offload choice.
 # ---------------------------------------------------------------------------
 
-def abcg_init(scenario: Scenario, demand: DemandProfile, *,
-              table: RateTable | None = None) -> GameState:
+def abcg_init(scenario: Scenario, demand: DemandProfile) -> GameState:
     """Association by best channel gain with equal resource shares.
 
     High-rate devices pick the strongest-gain SBS among those whose backhaul
@@ -326,8 +327,7 @@ def abcg_init(scenario: Scenario, demand: DemandProfile, *,
     the storage pass goes device by device, in device order, since each
     device's room depends on the devices before it.
     """
-    if table is None:
-        table = build_rate_table(scenario)
+    table = build_rate_table(scenario)
     costs = build_costs(scenario, demand, table)
     n_sbs = scenario.n_sbs
     if n_sbs < 1:
@@ -433,50 +433,8 @@ def _write_coalition(state: GameState, game: str, c: int, members) -> float:
     coalition."""
     alloc, costs = state.allocation, state.costs
     if game == HRD:
-        value, _ = _kernels.hrd_alloc(costs, c, members, alloc.beta, alloc.eta)
-    else:
-        value, _ = _kernels.csd_alloc(costs, c, members, alloc.alpha,
-                                      alloc.gamma)
-    return value
-
-
-def _apply(state: GameState, prop: MoveProposal) -> bool:
-    """Count a valued proposal (its ``dv`` and ``feasible`` set), and apply
-    it (``_commit``) iff it is feasible and improves by more than
-    ``IMPROVE_MARGIN``; returns whether it was applied.  The one-at-a-time
-    reference (``tests/reference.py``) applies its moves here; a game
-    applies a block's winner through ``_accept``, which tests nothing
-    again."""
-    state.proposals += 1
-    accepted = bool(prop.feasible) and prop.dv < -IMPROVE_MARGIN
-    if accepted:
-        _commit(state, prop.game, prop.kind, prop.c_from, prop.c_to,
-                prop.md_from, prop.md_to, prop.dv)
-    return accepted
-
-
-def _commit(state: GameState, game: str, kind: str, a: int, b: int, i: int,
-            j: int | None, dv: float) -> None:
-    """Apply an accepted, counted move of kind ``kind`` (device ``i`` from
-    coalition ``a`` into ``b`` and, in a swap, ``j`` from ``b`` into
-    ``a``), worth ``dv``: update the partition, and the running sums and
-    cached values of its two coalitions from one pass over each sorted
-    member list, and log the move.  It writes no fractions: the game's
-    allocation step (``reallocate``) installs every coalition once, at the
-    game's end."""
-    lists = _member_lists(state, game)
-    src, dst = _tentative_members(lists, a, b, i, j)
-    lists[a], lists[b] = sorted(src), sorted(dst)
-    assoc = _association(state, game)
-    assoc[i] = b
-    if j is not None:
-        assoc[j] = a
-    cache = state.v_hrd if game == HRD else state.v_csd
-    sums = state.sums[game]
-    cache[a] = sums.refresh(a, lists[a])[0]
-    cache[b] = sums.refresh(b, lists[b])[0]
-    state.accepted_moves += 1
-    state.move_log.append((state.proposals, game, kind, dv, state.objective))
+        return _kernels.hrd_alloc(costs, c, members, alloc.beta, alloc.eta)
+    return _kernels.csd_alloc(costs, c, members, alloc.alpha, alloc.gamma)
 
 
 class _Hood(NamedTuple):
@@ -545,14 +503,14 @@ class _Block:
     as overlapping views, and one ``take`` of the cached values gives both
     sides' old values.
 
-    A block holds only its game's arrays.  A CSD block has ``feasible``,
-    both sides' storage test, and no floor flags (``floor`` is None): no
-    ordering binds on a CSD side.  An HRD block has ``floor``, each
-    proposal's floor flag, and ``floors``, each side's, sources first; its
-    ``feasible`` is None, since every HRD move is feasible.
+    ``dv`` is +inf where a side is infeasible, so ``dv < -IMPROVE_MARGIN``
+    is the whole acceptance test.  An HRD block has ``floor``, each
+    proposal's floor flag, and ``floors``, each side's, sources first; a
+    CSD block has neither (``floor`` is None), since no ordering binds on
+    a CSD side.
 
     ``improving`` finds every proposal that would be accepted.  A winner
-    is applied with the block's own valuation (``_accept``), so no move is
+    is applied with the block's own valuation (``_commit``), so no move is
     valued twice: the stabilization sweep applies the first and values the
     proposals after it again, at the new partition, in a new block; the
     random phase draws one among them all; the stability audit reports
@@ -570,15 +528,12 @@ class _Block:
         # Sources first, then destinations.
         n, sides = swap.size, ends.reshape(-1)
         moved = rows[2:5].reshape(-1)
-        value, ok, floors = sums.after(
+        value, self.floors = sums.after(
             sides, moved[:2 * n], moved[n:],
             sums.size.take(sides) + rows[:2].reshape(-1))
         self.v_src, self.v_dst = value[:n], value[n:]
-        if ok is None:
-            self.feasible, self.floors = None, floors
-            self.floor = floors[:n] | floors[n:]
-        else:
-            self.feasible, self.floor = ok[:n] & ok[n:], None
+        self.floor = None if self.floors is None else \
+            self.floors[:n] | self.floors[n:]
         old = self.cache.take(ends)
         self.dv = (self.v_src + self.v_dst) - (old[0] + old[1])
 
@@ -592,26 +547,24 @@ class _Block:
                             md_from=self.i.item(q),
                             md_to=self.j.item(q) if swap else None)
 
-    def value(self, q: int):
-        """(dv, feasible) of proposal ``q``, exact: a side where a rate
-        ordering may bind is valued by ``_kernels.hrd_value`` over its
-        tentative members (every HRD side is feasible), once, and the result
-        replaces the block's ``dv`` and clears the proposal's flag."""
-        if self.floor is None:
-            return self.dv.item(q), bool(self.feasible[q])
-        if not self.floor[q]:
-            return self.dv.item(q), True
+    def value(self, q: int) -> float:
+        """``dv`` of proposal ``q``, exact: a side where a rate ordering
+        may bind is valued by ``_kernels.hrd_value`` over its tentative
+        members, once, and the result replaces the block's ``dv`` and clears
+        the proposal's flag."""
+        if self.floor is None or not self.floor[q]:
+            return self.dv.item(q)
         n, a, b = len(self), self.a.item(q), self.b.item(q)
         t_src, t_dst = _tentative_members(
             self.lists, a, b, self.i.item(q),
             self.j.item(q) if self.swap[q] else None)
-        src = (hrd_value(self.sums.costs, a, t_src)[0] if self.floors[q]
+        src = (hrd_value(self.sums.costs, a, t_src) if self.floors[q]
                else self.v_src.item(q))
-        dst = (hrd_value(self.sums.costs, b, t_dst)[0] if self.floors[n + q]
+        dst = (hrd_value(self.sums.costs, b, t_dst) if self.floors[n + q]
                else self.v_dst.item(q))
         self.dv[q] = (src + dst) - (self.cache.item(a) + self.cache.item(b))
         self.floor[q] = False
-        return self.dv.item(q), True
+        return self.dv.item(q)
 
     def screen(self):
         """The flagged proposals of an HRD block, split into those that may
@@ -628,12 +581,10 @@ class _Block:
                 (self.floor & ~wins).nonzero()[0].tolist())
 
     def improving(self) -> np.ndarray:
-        """Which proposals ``_apply`` would accept, as a mask;
-        every flagged proposal that ``screen`` passes is valued by
+        """Which proposals improve by more than ``IMPROVE_MARGIN``, as a
+        mask; every flagged proposal that ``screen`` passes is valued by
         ``value``, and no other."""
-        if self.floor is None:
-            return self.feasible & (self.dv < -IMPROVE_MARGIN)
-        if not self.floor.any():
+        if self.floor is None or not self.floor.any():
             return self.dv < -IMPROVE_MARGIN
         for q in self.screen()[0]:
             self.value(q)
@@ -669,25 +620,30 @@ def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood: _Hood,
                   ends.take(at, axis=1)), rest
 
 
-def _accept(state: GameState, block: _Block, k: int) -> None:
+def _commit(state: GameState, block: _Block, k: int) -> None:
     """Count proposal ``k`` of ``block``, a winner, and apply it with the
-    block's own ``dv`` (``_commit``), testing nothing again."""
+    block's own ``dv``, testing nothing again: update the partition, and
+    the running sums and cached values of its two coalitions from one pass
+    over each sorted member list, and log the move.  It writes no
+    fractions: the game's allocation step (``reallocate``) installs every
+    coalition once, at the game's end."""
     state.proposals += 1
-    swap = block.swap.item(k)
-    _commit(state, block.game, "swap" if swap else "transfer",
-            block.a.item(k), block.b.item(k), block.i.item(k),
-            block.j.item(k) if swap else None, block.dv.item(k))
-
-
-def _settle(state: GameState, block: _Block, first: int) -> bool:
-    """Count the block's proposals before ``first`` as rejections, then
-    accept proposal ``first`` (``_accept``), if the block holds one; returns
-    whether a move was applied."""
-    state.proposals += first
-    if first == len(block):
-        return False
-    _accept(state, block, first)
-    return True
+    game, swap = block.game, block.swap.item(k)
+    a, b, i = block.a.item(k), block.b.item(k), block.i.item(k)
+    j = block.j.item(k) if swap else None
+    lists = _member_lists(state, game)
+    src, dst = _tentative_members(lists, a, b, i, j)
+    lists[a], lists[b] = sorted(src), sorted(dst)
+    assoc = _association(state, game)
+    assoc[i] = b
+    if j is not None:
+        assoc[j] = a
+    sums = state.sums[game]
+    block.cache[a] = sums.refresh(a, lists[a])
+    block.cache[b] = sums.refresh(b, lists[b])
+    state.move_log.append((state.proposals, game,
+                           "swap" if swap else "transfer", block.dv.item(k),
+                           state.objective))
 
 
 def stabilize_partition(state: GameState, game: str) -> int:
@@ -704,10 +660,10 @@ def stabilize_partition(state: GameState, game: str) -> int:
     while a block holds no winner and back to ``SWEEP_CHUNK`` after an
     accept, so that a sweep values the contenders of a few blocks past its
     accept, not of the whole rest; one block thus spans the end of one
-    pass and the start of the next.  A block's first winner
-    (``_Block.improving``) is applied with the block's valuation
-    (``_settle``).  A move's value does not depend on its block, so the
-    chunks change no result.
+    pass and the start of the next.  The block's proposals before its
+    first winner (``_Block.improving``) count as rejections, and the winner
+    is applied with the block's valuation (``_commit``).  A move's value
+    does not depend on its block, so the chunks change no result.
 
     The sweep accepts the moves, in order, of passes that each start at
     the first position, until a pass accepts none, and ``proposals``
@@ -726,12 +682,15 @@ def stabilize_partition(state: GameState, game: str) -> int:
         block, at = _neighbourhood_block(state, sums, hood, pos,
                                          min(pos + chunk, end))
         wins = block.improving().nonzero()[0]
-        first = wins.item(0) if wins.size else len(block)
-        if not _settle(state, block, first):
+        if not wins.size:
+            state.proposals += len(block)
             # The rows of this cycle before the wrap.
             tail += int(np.count_nonzero(at < n))
             pos, chunk = pos + chunk, 2 * chunk
             continue
+        first = wins.item(0)
+        state.proposals += first
+        _commit(state, block, first)
         applied += 1
         pos = at.item(first) % n + 1
         end, chunk, tail = pos + n, SWEEP_CHUNK, 0
@@ -761,9 +720,10 @@ def _draw_weights(size: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     """At most ``t2`` proposals, stopping after ``patience`` consecutive
-    rejections, each drawn by the law of ``_draw_weights`` and accepted as
-    ``_apply`` accepts it: equal in law to a loop that draws and judges one
-    proposal at a time (``tests/reference.py``), not bit-equal to it.  A
+    rejections, each drawn by the law of ``_draw_weights`` and accepted iff
+    it improves by more than ``IMPROVE_MARGIN``: equal in law to a loop that
+    draws and judges one proposal at a time (``tests/reference.py``), not
+    bit-equal to it.  A
     game passes the budget ``game_budget`` fixes; the tests pass others.
 
     A rejected proposal leaves the partition as it was, so the proposals up
@@ -782,8 +742,9 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     many rejections and ends the phase, as it always does at a partition
     without a winner.  Both draws come from the game's generator.
 
-    The rejections are counted, never drawn: the move log holds the
-    accepted moves only (``_commit``).
+    The rejections are counted, never drawn; the winner is counted,
+    applied and logged by ``_commit``, so the move log holds the accepted
+    moves only.
     """
     sums = state.sums[game]
     rng = state.rng_hrd if game == HRD else state.rng_csd
@@ -803,7 +764,7 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
         if wait == budget:
             return
         pick = np.searchsorted(cum, rng.random() * cum[-1], side="right")
-        _accept(state, block, wins.item(min(pick, wins.size - 1)))
+        _commit(state, block, wins.item(min(pick, wins.size - 1)))
         done += wait + 1
 
 
@@ -812,8 +773,8 @@ def run_coalition_game(state: GameState, game: str) -> GameState:
     instance, followed by the stabilization sweep, which always runs, so
     the game ends Nash-stable, and then by the allocation step of its class
     (``reallocate``), so the game leaves a fully installed state.  Both
-    phases apply a move through ``_accept`` and ``_commit``, which appends
-    it to the move log and installs nothing.
+    phases apply a move through ``_commit``, which counts it, appends it to
+    the move log and installs nothing.
     """
     if game not in (HRD, CSD):
         raise ValueError(f"unknown game {game!r}")
@@ -894,7 +855,7 @@ def audit_stability(state: GameState) -> list:
             _neighbourhood(_association(state, game).size, len(lists)), 0)
         for q in np.flatnonzero(block.improving()).tolist():
             prop = block.proposal(q)
-            prop.dv, prop.feasible = block.dv.item(q), True
+            prop.dv = block.dv.item(q)
             found.append(prop)
     return found
 

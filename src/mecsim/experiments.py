@@ -20,7 +20,6 @@ from .association import abcg_init, run_amnd
 from .content import Catalog, DemandProfile, build_demand, demand_rng
 from .delays import audit_constraints
 from .domains import check_fields
-from .radio import build_rate_table
 from .scenario import Counts, Scenario, SystemParams, generate_scenario
 
 _CONFIG_HEADER = "mecsim-config v1"
@@ -161,9 +160,7 @@ def run_sweep(config: ExperimentConfig, *,
                 scn = base
             else:
                 scn = base.with_params(**{config.axis: float(axis_value)})
-            table = build_rate_table(scn)
-
-            state0 = abcg_init(scn, demand, table=table)
+            state0 = abcg_init(scn, demand)
             if audit:
                 _assert_clean(scn, demand, state0, "ABCG",
                               axis_value, delta, seed)

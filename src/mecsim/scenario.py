@@ -172,10 +172,10 @@ class Scenario:
 
 
 def rng_streams(seed: int):
-    """Independent child generators: deployment, shadowing, LOS, demand."""
-    dep, shadow, los, demand = np.random.SeedSequence(seed).spawn(4)
-    return (np.random.default_rng(dep), np.random.default_rng(shadow),
-            np.random.default_rng(los), np.random.default_rng(demand))
+    """Independent child generators: deployment, shadowing, LOS.  Demand
+    draws have their own stream (``content.demand_rng``)."""
+    return tuple(np.random.default_rng(child)
+                 for child in np.random.SeedSequence(seed).spawn(3))
 
 
 def hex_lattice(n: int, isd_m: float) -> np.ndarray:
@@ -321,7 +321,7 @@ def generate_scenario(params: SystemParams, counts: Counts) -> Scenario:
     """
     radius = params.isd_m / 2.0
 
-    rng_dep, rng_shadow, rng_los, _ = rng_streams(params.seed)
+    rng_dep, rng_shadow, rng_los = rng_streams(params.seed)
     mbs_pos = hex_lattice(params.n_mbs, params.isd_m)
     sbs_cell = np.repeat(np.arange(params.n_mbs, dtype=np.int64), params.m_sbs)
     hrd_cell = np.arange(counts.n_hrd, dtype=np.int64) % params.n_mbs

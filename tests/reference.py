@@ -2,15 +2,16 @@
 library's games are checked against.
 
 ``propose_move`` draws one move from a game's stream, ``evaluate_and_apply``
-values it as a block of one and applies it if it wins.  The stabilization
-sweep (``association.stabilize_partition``) matches a loop of these to the
-last bit; the random phase (``association._random_phase``) matches a loop of
-these in law, and ``association._draw_weights`` states that law.
+values it as a block of one row and commits it if it wins.  The
+stabilization sweep (``association.stabilize_partition``) matches a loop of
+these to the last bit; the random phase (``association._random_phase``)
+matches a loop of these in law, and ``association._draw_weights`` states
+that law.
 
 Every library call goes through the ``association`` module, so a test that
-patches ``association._apply``, ``association._commit`` (the step that
-``_apply`` takes for an accepted move) or ``association._write_coalition``
-sees the reference's calls too.
+patches ``association._commit`` (the step that counts, applies and logs an
+accepted move) or ``association._write_coalition`` sees the reference's
+calls too.
 """
 
 import numpy as np
@@ -87,25 +88,31 @@ def propose_move(state, game: str, rng) -> MoveProposal:
     raise RuntimeError("could not sample a nonempty coalition pair")
 
 
-def _evaluate(state, prop: MoveProposal) -> None:
-    """Value a move as a block of one."""
+def _evaluate(state, prop: MoveProposal):
+    """Value a move as a block of one row, setting its ``dv`` (+inf where a
+    side is infeasible); returns the block."""
     swap, sums = np.array([prop.md_to is not None]), state.sums[prop.game]
     rows = association._move_rows(
         swap, np.array([prop.md_from]),
         np.array([prop.md_to if swap[0] else sums.none]))
     block = association._Block(state, sums, swap, rows,
                                np.array([[prop.c_from], [prop.c_to]]))
-    prop.dv, prop.feasible = block.value(0)
+    prop.dv = block.value(0)
+    return block
 
 
 def evaluate_and_apply(state, prop: MoveProposal) -> bool:
     """Accept the proposal iff both tentative coalitions are feasible and
-    their combined utility strictly improves, and install both at once;
-    reject leaves state untouched."""
-    _evaluate(state, prop)
-    accepted = association._apply(state, prop)
-    if accepted:
-        lists = association._member_lists(state, prop.game)
-        for c in (prop.c_from, prop.c_to):
-            association._write_coalition(state, prop.game, c, lists[c])
-    return accepted
+    their combined utility improves by more than
+    ``association.IMPROVE_MARGIN`` (an infeasible side makes ``dv`` +inf),
+    commit it (``association._commit``) and install both coalitions at
+    once; a rejection is counted and leaves the state otherwise untouched."""
+    block = _evaluate(state, prop)
+    if not prop.dv < -association.IMPROVE_MARGIN:
+        state.proposals += 1
+        return False
+    association._commit(state, block, 0)
+    lists = association._member_lists(state, prop.game)
+    for c in (prop.c_from, prop.c_to):
+        association._write_coalition(state, prop.game, c, lists[c])
+    return True

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -253,12 +254,12 @@ def unclamped_setup(seed=3):
 
 def test_coalition_value_trivial_cases():
     scn, demand, costs = unclamped_setup()
-    assert coalition_value(costs, "hrd", 0, []) == (0.0, True)
+    assert coalition_value(costs, "hrd", 0, []) == 0.0
     # CSD coalition n_sbs is the virtual coalition of local devices.
-    value, ok = coalition_value(costs, "csd", costs.n_sbs, [2])
+    value = coalition_value(costs, "csd", costs.n_sbs, [2])
     expected = demand.csd_weight[2] * demand.task_cycles[2] / demand.local_cps[2]
     assert value == pytest.approx(expected, rel=1e-12)
-    assert ok
+    assert math.isfinite(value)
 
 
 def test_coalition_value_matches_oracle():
@@ -267,12 +268,12 @@ def test_coalition_value_matches_oracle():
     for _ in range(20):
         n = int(rng.integers(costs.n_sbs))
         members = sorted(rng.choice(costs.n_hrd, size=3, replace=False))
-        value, ok = coalition_value(costs, "hrd", n, members)
+        value = coalition_value(costs, "hrd", n, members)
         sol = oracle_solve_p3(costs, n, members, "hrd")
-        assert ok and sol["feasible"]
+        assert math.isfinite(value) and sol["feasible"]
         assert value == pytest.approx(sol["objective"], rel=1e-6)
         members = sorted(rng.choice(costs.n_csd, size=3, replace=False))
-        value, _ = coalition_value(costs, "csd", n, members)
+        value = coalition_value(costs, "csd", n, members)
         sol = oracle_solve_p3(costs, n, members, "csd")
         assert value == pytest.approx(sol["objective"], rel=1e-6)
 
@@ -282,8 +283,8 @@ def test_storage_limit_marks_csd_coalition_infeasible():
     big = costs.spare_bytes[0] + 1.0
     costs_tight = dataclasses.replace(costs,
                                       task_bytes=np.full(costs.n_csd, big))
-    assert not coalition_value(costs_tight, "csd", 0, [0])[1]
-    assert coalition_value(costs_tight, "csd", costs.n_sbs, [0])[1]
+    assert coalition_value(costs_tight, "csd", 0, [0]) == math.inf
+    assert math.isfinite(coalition_value(costs_tight, "csd", costs.n_sbs, [0]))
 
 
 def test_equal_share_respects_rate_ordering():
@@ -315,9 +316,9 @@ def test_equal_share_value_never_beats_closed_form_when_unclamped():
             members = sorted(rng.choice(costs.n_hrd,
                                         size=int(rng.integers(1, 5)),
                                         replace=False))
-            value, ok = coalition_value(costs, "hrd", n, members)
+            value = coalition_value(costs, "hrd", n, members)
             _, _, _, es_value = equal_share_hrd(costs, n, members)
-            assert ok
+            assert math.isfinite(value)
             assert value <= es_value + 1e-9 * es_value
 
 
@@ -331,7 +332,7 @@ def _check_hrd_write_path(costs, n, members):
     # a cache hit's eta included, and leave every other pair's alone.
     stale = np.full(costs.pair_k.size, 0.5)
     beta_out, eta_out = stale.copy(), stale.copy()
-    value, ok = _kernels.hrd_alloc(costs, n, members, beta_out, eta_out)
+    value = _kernels.hrd_alloc(costs, n, members, beta_out, eta_out)
     beta, eta = allocate_hrd(costs.dl_cost[n, idx], costs.bh_cost[n, idx],
                              costs.cached[n, idx], costs.eta_min[n, ks])
     want_beta, want_eta = stale.copy(), stale.copy()
@@ -339,8 +340,8 @@ def _check_hrd_write_path(costs, n, members):
     want_eta[idx] = eta
     assert np.array_equal(beta_out, want_beta)
     assert np.array_equal(eta_out, want_eta)
-    assert ok is True
-    assert (value, ok) == _kernels.hrd_value(costs, n, members)
+    assert math.isfinite(value)
+    assert value == _kernels.hrd_value(costs, n, members)
     return beta
 
 
@@ -348,7 +349,7 @@ def _check_csd_write_path(costs, n, members):
     members = np.asarray(members, dtype=np.int64)
     stale = np.full(costs.n_csd, 0.5)
     alpha_out, gamma_out = stale.copy(), stale.copy()
-    value, ok = _kernels.csd_alloc(costs, n, members, alpha_out, gamma_out)
+    value = _kernels.csd_alloc(costs, n, members, alpha_out, gamma_out)
     alpha, gamma = allocate_csd(costs.ul_cost[n, members],
                                 costs.ed_cost[n, members])
     want_alpha, want_gamma = stale.copy(), stale.copy()
@@ -356,7 +357,7 @@ def _check_csd_write_path(costs, n, members):
     want_gamma[members] = gamma
     assert np.array_equal(alpha_out, want_alpha)
     assert np.array_equal(gamma_out, want_gamma)
-    assert (value, ok) == _kernels.csd_value(costs, n, members)
+    assert value == _kernels.csd_value(costs, n, members)
 
 
 def test_write_path_matches_public_closed_form_exactly():
@@ -369,8 +370,8 @@ def test_write_path_matches_public_closed_form_exactly():
                                    (4, [0, 9], [0.746, 1.184], False)):
         assert default_costs.eta_min[n, members] == pytest.approx(rho,
                                                                   abs=1e-3)
-        (sd, sb, _), ratio, _, _ = _kernels.hrd_summary(default_costs, n,
-                                                         members)
+        (sd, sb, _), ratio, _ = _kernels.hrd_summary(default_costs, n,
+                                                      members)
         assert ratio * sb > sd
         beta = _check_hrd_write_path(default_costs, n, members)
         assert (beta.sum() < 1.0 - 1e-3) == slack

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import gc
 import hashlib
+import math
 import weakref
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,8 +12,8 @@ import pytest
 
 import mecsim
 from mecsim import _kernels, association
-from mecsim._kernels import FEAS_TOL, IDLE_FRAC, hrd_closed_form, \
-    member_pairs
+from mecsim._kernels import BYTES_TOL, FEAS_TOL, IDLE_FRAC, \
+    hrd_closed_form, member_pairs
 from mecsim.allocation import coalition_value, oracle_solve_p3
 from mecsim.association import (IMPROVE_MARGIN, MoveProposal, _draw_weights,
                                 _neighbourhood, _tentative_members,
@@ -100,9 +102,8 @@ def test_init_filter_prefers_sustainable_backhaul():
                         r_bh=[2.0, 17.0])
     demand = demand_for(scn, n_files=4, storage=0.0, policy="popular_first",
                         seed=1)
-    table = build_rate_table(scn)
-    assert table.eta_min[0, 0] > 1.0 and table.eta_min[1, 0] <= 1.0
-    state = abcg_init(scn, demand, table=table)
+    state = abcg_init(scn, demand)
+    assert state.table.eta_min[0, 0] > 1.0 and state.table.eta_min[1, 0] <= 1.0
     assert state.partition.hrd_sbs.tolist() == [1]
     assert state.fallback_hrds == []
 
@@ -121,11 +122,11 @@ def test_init_fallback_keeps_rate_ordering():
                              state.table) == []
 
 
-def desk_state(seed=3, **kw):
+def desk_state(seed=3):
     scn = generate_scenario(SystemParams(seed=seed),
                             Counts(n_hrd=12, n_csd=12))
     demand = demand_for(scn, seed=seed)
-    return scn, demand, abcg_init(scn, demand, **kw)
+    return scn, demand, abcg_init(scn, demand)
 
 
 def test_proposals_are_reproducible():
@@ -222,7 +223,7 @@ def test_infeasible_target_is_rejected():
     assert state.csd_members[0] == [0, 1]
     prop = MoveProposal("csd", "transfer", c_from=0, c_to=1, md_from=0)
     accepted = evaluate_and_apply(state, prop)
-    assert not accepted and not prop.feasible
+    assert not accepted and prop.dv == math.inf
 
 
 def _budget(t2=None, patience=None):
@@ -420,14 +421,14 @@ def _check_moves_against_scratch(state, games=("hrd", "csd")):
             src, dst = _tentative_members(
                 state.hrd_members if game == "hrd" else state.csd_members,
                 prop.c_from, prop.c_to, prop.md_from, prop.md_to)
-            v_src, ok_src = coalition_value(state.costs, game, prop.c_from, src)
-            v_dst, ok_dst = coalition_value(state.costs, game, prop.c_to, dst)
+            v_src = coalition_value(state.costs, game, prop.c_from, src)
+            v_dst = coalition_value(state.costs, game, prop.c_to, dst)
             dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
             _evaluate(state, prop)
-            assert prop.feasible == (ok_src and ok_dst), prop
-            assert abs(prop.dv - dv) <= 1e-12 * max(1.0, abs(v_src) + abs(v_dst)), \
-                (prop, dv)
-            infeasible[game] += not prop.feasible
+            assert (prop.dv == math.inf) == (math.inf in (v_src, v_dst)), prop
+            assert prop.dv == dv or abs(prop.dv - dv) <= \
+                1e-12 * max(1.0, abs(v_src) + abs(v_dst)), (prop, dv)
+            infeasible[game] += prop.dv == math.inf
     return infeasible
 
 
@@ -446,12 +447,12 @@ def _count_floor_valuations(monkeypatch):
 
     def counted(costs, c, members):
         calls.append((c, len(members)))
-        value, ok = inner(costs, c, members)
+        value = inner(costs, c, members)
         sol = oracle_solve_p3(costs, c, members, "hrd")
-        assert ok and sol["feasible"]
+        assert math.isfinite(value) and sol["feasible"]
         assert value == pytest.approx(sol["objective"], rel=1e-9), \
             (c, members)
-        return value, ok
+        return value
 
     monkeypatch.setattr(association, "hrd_value", counted)
     return calls
@@ -463,7 +464,7 @@ def test_running_sums_fall_back_where_floors_bind(monkeypatch):
     state = bound_final_state()
     sums, c = state.sums["hrd"], np.array([3])
     none = np.array([sums.none])
-    _, _, floor = sums.after(c, none, none, sums.size[c])
+    _, floor = sums.after(c, none, none, sums.size[c])
     assert floor.tolist() == [True]
     fallbacks = _count_floor_valuations(monkeypatch)
     _check_moves_against_scratch(state, games=("csd",))
@@ -557,9 +558,9 @@ def test_screen_skips_only_moves_that_cannot_be_accepted(desk_runs,
         assert sorted(contenders + rejects) == \
             np.flatnonzero(block.floor).tolist(), n
         for q in rejects:
-            dv, feasible = block.value(q)
-            assert not feasible or dv >= -IMPROVE_MARGIN, (n, q, dv)
-            feasible_out += feasible
+            dv = block.value(q)
+            assert dv >= -IMPROVE_MARGIN, (n, q, dv)
+            feasible_out += dv < math.inf
         screened_out += len(rejects)
     assert screened_out > 1000 and feasible_out > 0
 
@@ -574,31 +575,30 @@ def _game_counts(monkeypatch):
     them)."""
     counts = dict.fromkeys(("phases", "partitions", "random_accepts",
                             "random_proposals", "settled"), 0)
-    inner_settle, inner_phase, inner_block, inner_commit = (
-        association._settle, association._random_phase,
-        association._neighbourhood_block, association._commit)
+    inner_phase, inner_block, inner_commit = (
+        association._random_phase, association._neighbourhood_block,
+        association._commit)
     phase = []
-    # The sweep's last block: its positions and the number of moves.
-    last = []
+    # The sweep's last block, its positions and the number of moves, while
+    # it has no accepted move.
+    pending = []
     # Per sweep: the rows of its current cycle before the wrap, and
     # whether it has accepted a move.
     tail = []
 
-    def settle(state, block, first):
-        counts["settled"] += first + (first < len(block))
-        applied = inner_settle(state, block, first)
-        if applied:
-            tail[-1] = [0, True]
-        else:
-            at, moves = last
+    def reject_pending():
+        """Count the pending block's rows as the sweep's rejections."""
+        if pending:
+            block, at, moves = pending.pop()
+            counts["settled"] += len(block)
             tail[-1][0] += np.count_nonzero(at < moves)
-        return applied
 
     def stabilize(state, game):
         tail.append([0, False])
         try:
             return inner_stabilize(state, game)
         finally:
+            reject_pending()
             rows, accepted = tail.pop()
             counts["settled"] += rows if accepted else 0
 
@@ -615,15 +615,23 @@ def _game_counts(monkeypatch):
     def block(state, sums, hood, *at, drawable=False):
         counts["partitions"] += bool(phase) and drawable
         out = inner_block(state, sums, hood, *at, drawable=drawable)
-        last[:] = out[1], hood.swap.size
+        if tail and not phase:
+            reject_pending()
+            pending.append((out[0], out[1], hood.swap.size))
         return out
 
-    def commit(state, *move):
-        counts["random_accepts"] += bool(phase)
-        return inner_commit(state, *move)
+    def commit(state, block, k):
+        if phase:
+            counts["random_accepts"] += 1
+        else:
+            # The sweep's winner, and its block's rows before it.
+            pending.clear()
+            counts["settled"] += k + 1
+            tail[-1] = [0, True]
+        return inner_commit(state, block, k)
 
     inner_stabilize = association.stabilize_partition
-    for name, hook in (("_settle", settle), ("_random_phase", random_phase),
+    for name, hook in (("_random_phase", random_phase),
                        ("_neighbourhood_block", block), ("_commit", commit),
                        ("stabilize_partition", stabilize)):
         monkeypatch.setattr(association, name, hook)
@@ -836,10 +844,9 @@ def test_swap_is_valued_alike_from_either_side(desk_runs, multi_request_run,
             back = association._Block(state, sums, swap,
                                       association._move_rows(swap, j, i),
                                       np.stack((b, a)))
+            # An infeasible side's +inf is in ``dv``, and a CSD block holds
+            # no ``floor``.
             assert ahead.dv.tobytes() == back.dv.tobytes()
-            # A block holds only its game's masks: no HRD ``feasible`` and
-            # no CSD ``floor``.
-            assert _mask(ahead.feasible) == _mask(back.feasible)
             assert _mask(ahead.floor) == _mask(back.floor)
             flagged = ([] if ahead.floor is None
                        else np.flatnonzero(ahead.floor).tolist())
@@ -856,10 +863,58 @@ def test_running_sums_track_storage_load():
     assert _check_moves_against_scratch(state)["csd"] > 0
 
 
+def test_an_overrun_side_makes_its_move_worth_inf():
+    # Extended value: a CSD side whose stored bytes overrun its room is
+    # worth +inf, so its move's ``dv`` is +inf, whatever the other side
+    # gains, and no block counts it as improving; the arithmetic raises no
+    # invalid-value warning.
+    overrun = gaining_swaps = 0
+    for seed in range(1, 6):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=20, n_csd=20))
+        demand = demand_for(scn, storage=25.25e6)
+        # 250 kB of spare storage per SBS holds a 100 kB and a 150 kB task
+        # input, but not two 150 kB ones, so swaps can overrun too; unequal
+        # local speeds let the local side of a swap gain.
+        n_csd = demand.n_csd
+        demand = dataclasses.replace(
+            demand,
+            task_input_bytes=np.where(np.arange(n_csd) % 2, 150e3, 100e3),
+            local_cps=demand.local_cps * np.linspace(0.5, 1.5, n_csd))
+        state = abcg_init(scn, demand)
+        sums, costs = state.sums["csd"], state.costs
+        room = costs.spare_bytes + BYTES_TOL
+        with np.errstate(invalid="raise"):
+            block, _ = association._neighbourhood_block(
+                state, sums, _neighbourhood(sums.none, sums.size.size), 0)
+            win = block.improving()
+        for q in range(len(block)):
+            prop = block.proposal(q)
+            sides = list(zip((prop.c_from, prop.c_to), _tentative_members(
+                state.csd_members, prop.c_from, prop.c_to, prop.md_from,
+                prop.md_to)))
+            over = [c < state.n_sbs
+                    and costs.task_bytes[members].sum() > room[c]
+                    for c, members in sides]
+            if not any(over):
+                assert block.dv[q] < np.inf, (seed, prop)
+                continue
+            overrun += 1
+            assert block.dv[q] == np.inf and not win[q], (seed, prop)
+            for (c, members), bad in zip(sides, over):
+                value = coalition_value(costs, "csd", c, members)
+                if bad:
+                    assert value == math.inf, (seed, prop, c)
+                elif prop.kind == "swap":
+                    gaining_swaps += value < state.v_csd[c]
+    assert overrun > 100 and gaining_swaps > 0
+
+
 def _cased_csd_after(sums, c, out, inn, size):
     """``CoalitionSums.after`` of CSD sides in the form that cases the
     local row: every row of the terms table holds the local delays, the
     local row's room is 0, and ``where`` picks the local row's value and
+    feasibility.  Returns the values, +inf where infeasible, and the
     feasibility.  The reference for the one-expression form."""
     costs, n_sbs, none = sums.costs, sums.n_sbs, sums.none
     table = np.zeros((n_sbs + 1, sums.stride, 4))
@@ -875,14 +930,14 @@ def _cased_csd_after(sums, c, out, inn, size):
     value = np.where(is_local, local, su * su + se * se)
     room = np.append(costs.rows.room, 0.0)
     feasible = is_local | (load <= room[c]) | empty
-    return np.where(empty, 0.0, value), feasible
+    return np.where(empty, 0.0, np.where(feasible, value, np.inf)), feasible
 
 
 def test_csd_sides_hold_exact_zeros_outside_their_row(desk_runs):
-    # A CSD side is valued as ``su*su + se*se + local`` and tested as ``load
-    # <= room``: the terms it adds are exact zeros (no local delay in an
-    # SBS row, no root cost in the local row) and the local row's room is
-    # +inf, so every side of every move gets the bits of the cased form.
+    # A CSD side is valued as ``su*su + se*se + local``, or +inf unless
+    # ``load <= room``: the terms it adds are exact zeros (no local delay in
+    # an SBS row, no root cost in the local row) and the local row's room
+    # is +inf, so every side of every move gets the bits of the cased form.
     states = [state for run in desk_runs for state in run]
     for seed in range(4):
         scn = generate_scenario(SystemParams(seed=seed),
@@ -904,14 +959,14 @@ def test_csd_sides_hold_exact_zeros_outside_their_row(desk_runs):
                 np.concatenate((block.j, block.i)),
                 sums.size.take(block.ends.reshape(-1))
                 + np.concatenate((step, -step)))
-        value, feasible, floor = sums.after(*args)
+        value, floor = sums.after(*args)
         ref_value, ref_feasible = _cased_csd_after(sums, *args)
         assert floor is None
         assert value.tobytes() == ref_value.tobytes()
-        assert feasible.tolist() == ref_feasible.tolist()
+        assert (value < np.inf).tolist() == ref_feasible.tolist()
         local_sides += np.count_nonzero(args[0] == n_sbs)
         emptied += np.count_nonzero(args[3] == 0)
-        full += np.count_nonzero(~feasible)
+        full += np.count_nonzero(value == np.inf)
     assert local_sides > 1000 and emptied > 100 and full > 100
 
 
@@ -1150,13 +1205,13 @@ def test_row_pass_sums_match_numpy_fancy_index_sums(desk_runs,
     for costs, game, c, members in cases:
         summary = (_kernels.hrd_summary if game == "hrd"
                    else _kernels.csd_summary)
-        sums, ratio, value, _ = summary(costs, c, members)
+        sums, ratio, value = summary(costs, c, members)
         ref_sums, ref_ratio, ref_value = _numpy_sums(costs, game, c, members)
         assert np.array(sums).tobytes() == np.array(ref_sums,
                                                     dtype=float).tobytes()
         assert np.float64(ratio).tobytes() == np.float64(ref_ratio).tobytes()
         assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
-        assert value == coalition_value(costs, game, c, members)[0]
+        assert value == coalition_value(costs, game, c, members)
 
 
 def test_check_passes_after_evaluate_and_apply():
@@ -1169,8 +1224,8 @@ def test_check_passes_after_evaluate_and_apply():
             accepted += 1
             state.check()
     assert accepted >= 2
-    # ``_apply`` alone installs nothing: the moved coalitions' cached values
-    # run ahead of their fractions until the game's allocation step.
+    # ``_commit`` alone installs nothing: the moved coalitions' cached
+    # values run ahead of their fractions until the game's allocation step.
     twin = state.clone()
     block, _ = association._neighbourhood_block(
         twin, twin.sums["hrd"],
@@ -1179,8 +1234,8 @@ def test_check_passes_after_evaluate_and_apply():
     assert wins.size
     q = wins.item(0)
     prop = block.proposal(q)
-    prop.dv, prop.feasible = block.value(q)
-    assert association._apply(twin, prop)
+    assert block.value(q) < -IMPROVE_MARGIN
+    association._commit(twin, block, q)
     with pytest.raises(AssertionError, match=rf"stale hrd utility cache at "
                        rf"coalition ({prop.c_from}|{prop.c_to}):"):
         twin.check()
@@ -1198,20 +1253,16 @@ def test_solve_installs_each_coalition_once_after_its_game(monkeypatch,
     inner_commit, inner_write = (association._commit,
                                  association._write_coalition)
 
-    def commit(state, game, *move):
-        events.append(("accept", game))
-        return inner_commit(state, game, *move)
+    def commit(state, block, k):
+        events.append(("accept", block.game))
+        return inner_commit(state, block, k)
 
     def write(state, game, c, members):
         events.append(("install", game, c))
         return inner_write(state, game, c, members)
 
-    def apply(state, prop):
-        raise AssertionError("a game applied a move outside a block")
-
     monkeypatch.setattr(association, "_commit", commit)
     monkeypatch.setattr(association, "_write_coalition", write)
-    monkeypatch.setattr(association, "_apply", apply)
     inits = [init for init, _ in desk_runs]
     # One or three devices among 15 SBSs: most coalitions are empty.
     for n_hrd, n_csd, seed in ((3, 2, 16), (1, 1, 2)):
@@ -1250,7 +1301,7 @@ def test_each_game_leaves_its_coalitions_installed(desk_runs,
             assert len(lists) == cache.size == state.n_sbs + (game == "csd")
             for c, members in enumerate(lists):
                 assert cache[c] == coalition_value(state.costs, game, c,
-                                                   members)[0], (game, c)
+                                                   members), (game, c)
             state.check()
 
 
@@ -1290,7 +1341,7 @@ def test_reallocate_is_idempotent(desk_runs, multi_request_run):
             lists = final.hrd_members if game == "hrd" else final.csd_members
             for c, members in enumerate(lists):
                 assert cache[c] == coalition_value(final.costs, game, c,
-                                                   members)[0], (game, c)
+                                                   members), (game, c)
 
 
 # Recorded with the exact coupled HRD allocation: seed, repr(F_AMND),
@@ -1476,11 +1527,11 @@ def _scratch_audit(state):
         for prop in props:
             src, dst = _tentative_members(lists, prop.c_from, prop.c_to,
                                           prop.md_from, prop.md_to)
-            v_src, ok_src = coalition_value(state.costs, game, prop.c_from,
-                                            src)
-            v_dst, ok_dst = coalition_value(state.costs, game, prop.c_to, dst)
+            v_src = coalition_value(state.costs, game, prop.c_from, src)
+            v_dst = coalition_value(state.costs, game, prop.c_to, dst)
             prop.dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
-            if ok_src and ok_dst and prop.dv < -IMPROVE_MARGIN:
+            # An infeasible side is worth +inf, and so is then ``dv``.
+            if prop.dv < -IMPROVE_MARGIN:
                 found.append(prop)
     return found
 
@@ -1507,7 +1558,7 @@ def test_audit_matches_scratch_reference(monkeypatch, desk_runs,
         assert [_move_key(p) for p in moves] == \
             [_move_key(p) for p in reference], n
         for got, ref in zip(moves, reference):
-            assert got.feasible is True
+            assert got.dv < math.inf
             assert abs(got.dv - ref.dv) <= 1e-12 * abs(ref.dv), (n, got, ref)
         found += len(moves)
     assert found
@@ -1594,20 +1645,12 @@ def _first_accepts(monkeypatch, state, game, phase, runs):
     a generator seeded by its run and cut at its first accept, which is not
     applied.  Per run: the rejections before the accept and the accepted
     move (a swap keyed by its two devices, a transfer by its device and
-    target).  The library's phase accepts through ``_accept``, the
-    reference through ``_apply``; both are cut before they count."""
-    inner = association._apply
-
-    def apply(state, prop):
-        if prop.feasible and prop.dv < -IMPROVE_MARGIN:
-            raise _Accepted(prop)
-        return inner(state, prop)
-
-    def accept(state, block, k):
+    target).  The library's phase and the reference both accept through
+    ``_commit``, which is cut before it counts."""
+    def commit(state, block, k):
         raise _Accepted(block.proposal(k))
 
-    monkeypatch.setattr(association, "_apply", apply)
-    monkeypatch.setattr(association, "_accept", accept)
+    monkeypatch.setattr(association, "_commit", commit)
     out = []
     for run in range(runs):
         state.rng_hrd = state.rng_csd = np.random.default_rng([run, 0])
@@ -1821,10 +1864,10 @@ def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):
         finally:
             sweeping.pop()
 
-    def commit(state, game, kind, *move):
+    def commit(state, block, k):
         if sweeping:
-            swept.add(kind)
-        return inner_commit(state, game, kind, *move)
+            swept.add(block.proposal(k).kind)
+        return inner_commit(state, block, k)
 
     monkeypatch.setattr(association, "stabilize_partition", sweep)
     monkeypatch.setattr(association, "_commit", commit)

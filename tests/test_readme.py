@@ -1,6 +1,7 @@
-"""The README's pointers into the code, and the module-qualified ones of
-the package's docstrings and of the test reference, resolve: a renamed or
-deleted name fails here instead of leaving a stale pointer."""
+"""The README's pointers into the code, and the module-qualified and
+private ones of the package's docstrings and of the test reference,
+resolve: a renamed or deleted name fails here instead of leaving a stale
+pointer."""
 
 import ast
 import dataclasses
@@ -62,6 +63,16 @@ def _docstrings(path):
                 yield doc
 
 
+def _resolve_private(module, name):
+    """Resolve the private name ``name`` (``_name``, ``_Name.attr``) in
+    ``module``, or in the ``mecsim`` module that its first part names."""
+    first, *rest = name.split(".")
+    obj = (importlib.import_module(f"mecsim.{first}") if first in MODULES
+           else getattr(module, first))
+    for part in rest:
+        obj = getattr(obj, part)
+
+
 def test_docstring_names_resolve():
     paths = sorted(Path(mecsim.__file__).resolve().parent.glob("*.py"))
     names = {name for path in paths + [REFERENCE]
@@ -69,6 +80,21 @@ def test_docstring_names_resolve():
     assert len(names) >= 20, names
     for name in sorted(names):
         _resolve(name)
+    # Each double-backticked private name resolves in its own module.
+    private = 0
+    for path in paths + [REFERENCE]:
+        for doc in _docstrings(path):
+            for name in re.findall(r"``(_[A-Za-z]\w*(?:\.[A-Za-z_]\w*)*)``",
+                                   doc):
+                module = importlib.import_module(
+                    "reference" if path == REFERENCE else "mecsim"
+                    if path.stem == "__init__" else f"mecsim.{path.stem}")
+                try:
+                    _resolve_private(module, name)
+                except AttributeError as err:
+                    raise AssertionError(f"{path.name}: ``{name}``") from err
+                private += 1
+    assert private >= 40, private
 
 
 def _block_after(text, label):

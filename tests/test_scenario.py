@@ -37,7 +37,7 @@ def _place_in_disc(rng, center, radius, occupied, tries):
 def _reference_scenario(params, counts, tries):
     """``generate_scenario`` placing one node at a time; returns the
     scenario's arrays by name and the generators it drew from."""
-    rng_dep, rng_shadow, rng_los, _ = gens = rng_streams(params.seed)
+    rng_dep, rng_shadow, rng_los = gens = rng_streams(params.seed)
     mbs_pos = hex_lattice(params.n_mbs, params.isd_m)
     occupied = [tuple(p) for p in mbs_pos]
     cells = ([c for c in range(params.n_mbs) for _ in range(params.m_sbs)]
