@@ -3,15 +3,14 @@
 Deterministic, seedable pipeline: scenario generation (deployments and
 quasi-static channel gains), content demand (Zipf popularity, per-SBS
 caches), per-link rates under orthogonal band/slot partitioning, delay
-evaluation, closed-form per-coalition resource allocation with a numerical
-oracle, a coalitional association game with a best-gain initializer, and a
-sweep/CSV experiment harness.
+evaluation, closed-form per-coalition resource allocation with a
+weak-duality certificate of its optimality, a coalitional association game
+with a best-gain initializer, and a sweep/CSV experiment harness.
 """
 
 from ._kernels import IDLE_FRAC, USING_NUMBA
 from .allocation import (CoalitionCosts, allocate_csd, allocate_hrd,
-                         build_costs, coalition_value, oracle_simplex_min,
-                         oracle_solve_p3)
+                         build_costs, coalition_value, oracle_solve_p3)
 from .association import (GameState, MoveProposal, abcg_init, audit_stability,
                           run_amnd, run_coalition_game)
 from .content import (Catalog, DemandProfile, build_demand, demand_rng,

@@ -1,4 +1,5 @@
-"""Per-coalition resource allocation: costs, the closed form, and its oracle.
+"""Per-coalition resource allocation: costs, the closed form, and its
+optimality certificate.
 
 ``build_costs`` turns a scenario and its demand into the full-share
 weighted delay of every (SBS, request pair) and (SBS, computation device)
@@ -11,10 +12,13 @@ its stability audit value moves from running sums
 (``association.CoalitionSums``).  ``allocate_hrd``/``allocate_csd`` are the
 same closed forms on raw cost vectors.
 
-``oracle_simplex_min`` solves one simplex block numerically (bisection on
-the budget multiplier with box clamps), and ``oracle_hrd_min`` the coupled
-HRD problem (nested bisection on the two budget multipliers).  They are the
-independent checks used by the test suite and the audit CLI.
+``oracle_solve_p3`` certifies one coalition by weak duality instead of
+solving it again: any budget multipliers >= 0 give a lower bound on its
+optimum (``dual_bound``, evaluated from the costs alone), and multipliers
+read off the closed form's shares make that bound tight to rounding.  An
+allocation whose delay lies within a small gap of the bound is optimal
+under the model's own constraints, whoever computed it; ``mecsim audit``
+and the benchmark's checks judge each coalition so.
 """
 
 import math
@@ -23,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import (BYTES_TOL, FEAS_TOL, IDLE_FRAC, _sum,
-                       hrd_closed_form, member_pairs, root_shares)
+from ._kernels import FEAS_TOL, IDLE_FRAC, _sum, hrd_closed_form, root_shares
 from .content import DemandProfile
 from .delays import BITS_PER_BYTE, request_pairs
 from .radio import RateTable, build_rate_table
@@ -233,149 +236,116 @@ def equal_share_hrd(costs: CoalitionCosts, n: int, members):
 
 
 # ---------------------------------------------------------------------------
-# Independent numerical oracle.
+# Optimality certificate: a lower bound by weak duality.
 # ---------------------------------------------------------------------------
 
-ORACLE_MAX_ITER = 240   # bisection steps of ``_multiplier``
-ORACLE_TOL = 1e-12      # budget residual that the oracles accept
+def _hrd_pairs(costs: CoalitionCosts, n: int, members):
+    """``(D, B, rho)`` of every request pair of ``members`` at SBS ``n``, in
+    member order; ``B`` is None on a hit."""
+    rows = costs.rows
+    dl, bh, hit, rho = (rows.dl_cost[n], rows.bh_cost[n], rows.cached[n],
+                        rows.eta_min[n])
+    return [(dl[p], None if hit[p] else bh[p], rho[k])
+            for k in members for p in rows.span[k]]
 
 
-def _multiplier(budget, guess: float) -> float:
-    """The multiplier at which ``budget``, a nonincreasing function of it
-    that falls from above 1 to below 1, crosses 1: bracketed from ``guess``
-    by factors of 16, then bisected on a log scale until the residual is
-    within ``ORACLE_TOL``.  Raises RuntimeError if it does not converge."""
-    lo = hi = guess
-    while budget(lo) < 1.0 and lo > 1e-300:
-        lo /= 16.0
-    while budget(hi) > 1.0 and hi < 1e300:
-        hi *= 16.0
-    for _ in range(ORACLE_MAX_ITER):
-        mid = math.sqrt(lo) * math.sqrt(hi)
-        residual = budget(mid) - 1.0
-        if abs(residual) <= ORACLE_TOL:
-            return mid
-        if residual > 0.0:
-            lo = mid
+def _hrd_multipliers(pairs, beta, eta):
+    """The budget multipliers ``(lambda, mu)`` with which the shares
+    ``beta`` (every pair) and ``eta`` (missed pairs) meet the KKT
+    conditions, fitted by least squares.
+
+    A hit or a missed pair whose ordering is slack gives ``lambda =
+    D/beta**2``, a slack missed pair also ``mu = B/eta**2``, and a bound
+    one (``eta = rho * beta``) ``lambda + rho * mu = (D + B/rho)/beta**2``;
+    each equation is divided by its right-hand side.  A budget with slack
+    has a zero multiplier (complementary slackness).  Where the equations
+    leave a direction free, the fit is the least-norm one; it is clipped
+    at 0."""
+    use_lam = math.fsum(beta) >= 1.0 - FEAS_TOL
+    use_mu = math.fsum(eta) >= 1.0 - FEAS_TOL
+    eqs, missed = [], iter(eta)
+    for (d, b, r), f in zip(pairs, beta):
+        g = None if b is None else next(missed)
+        if g is None or g > r * f * (1.0 + FEAS_TOL):
+            eqs.append((1.0, 0.0, d / (f * f)))
+            if g is not None:
+                eqs.append((0.0, 1.0, b / (g * g)))
         else:
-            hi = mid
-        if hi <= lo * (1.0 + 1e-15):
-            residual = budget(hi) - 1.0
-            break
-    if abs(residual) > 1e-7:
-        raise RuntimeError(
-            f"multiplier bisection did not converge: residual {residual:.3e}")
-    return hi
+            eqs.append((1.0, r, (d + b / r) / (f * f)))
+    saa = sab = sbb = sa = sb = 0.0
+    for a, c, y in eqs:
+        a, c = a * use_lam / y, c * use_mu / y
+        saa, sab, sbb = saa + a * a, sab + a * c, sbb + c * c
+        sa, sb = sa + a, sb + c
+    det = saa * sbb - sab * sab
+    if det > 1e-12 * saa * sbb:
+        lam, mu = (sa * sbb - sb * sab) / det, (sb * saa - sa * sab) / det
+    elif saa + sbb > 0.0:       # rank one
+        lam, mu = sa / (saa + sbb), sb / (saa + sbb)
+    else:
+        lam = mu = 0.0
+    return max(lam, 0.0), max(mu, 0.0)
 
 
-def oracle_simplex_min(cost, lo, hi):
-    """Minimize sum(cost/f) s.t. sum(f) <= 1, lo <= f <= hi, numerically.
+def dual_bound(costs: CoalitionCosts, n: int, members, kind: str,
+               multipliers) -> float:
+    """The Lagrange dual function of one coalition's problem at
+    ``multipliers``, from ``costs`` alone: a lower bound on its optimum for
+    any multipliers >= 0, > 0 for "csd" (weak duality: Boyd & Vandenberghe,
+    *Convex Optimization*, 5.2.2).
 
-    Stationarity makes every coordinate ``clip(sqrt(cost/nu), lo, hi)`` for a
-    single multiplier nu; the budget is nonincreasing in nu, so nu is found
-    by bisection (``_multiplier``).  Returns (fractions, objective).  Raises
-    ValueError for an infeasible box (sum of floors above 1) and
-    RuntimeError if the residual fails to converge.
+    For "hrd", ``(lambda, mu)`` price the downlink and backhaul budgets,
+    and each missed pair keeps its rate ordering as a constraint: a pair is
+    worth the least ``D/beta + lambda*beta + B/eta + mu*eta`` over ``beta >
+    0`` and ``eta >= rho*beta``, in three cases: a hit (no ``eta`` term),
+    a missed pair whose ordering is slack, and a bound one (``B*lambda <
+    rho**2 * D * mu``).  For "csd", ``(nu_ul, nu_ed)`` price the uplink
+    and compute budgets, and an entry is worth the least ``c/f + nu*f``
+    over ``f`` in ``[IDLE_FRAC, 1]``.
     """
-    cost = np.asarray(cost, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), cost.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), cost.shape).copy()
-    if cost.size == 0:
-        return np.empty(0), 0.0
-    if np.any(cost <= 0) or np.any(lo <= 0):
-        raise ValueError("costs and lower boxes must be positive")
-    if lo.sum() > 1.0 + FEAS_TOL:
-        raise ValueError(f"infeasible box: sum of floors = {lo.sum():.12g} > 1")
-    if hi.sum() <= 1.0:
-        f = hi.copy()
-        return f, float((cost / f).sum())
-    nu = _multiplier(
-        lambda nu: float(np.clip(np.sqrt(cost / nu), lo, hi).sum()),
-        float(np.sqrt(cost).sum()) ** 2)
-    f = np.clip(np.sqrt(cost / nu), lo, hi)
-    return f, float((cost / f).sum())
-
-
-def oracle_hrd_min(dl_cost, bh_cost, cached, rho):
-    """Minimize sum(D/beta) + sum_miss(B/eta) s.t. sum(beta) <= 1,
-    sum(eta) <= 1 and eta >= rho * beta on every missed pair, numerically.
-
-    For budget multipliers lambda and mu, stationarity gives a hit or a
-    missed pair whose ordering is slack ``beta = sqrt(D/lambda)`` (and
-    ``eta = sqrt(B/mu)``); where ``B * lambda < rho**2 * D * mu`` the
-    ordering binds, and ``beta = sqrt((D + B/rho) / (lambda + rho * mu))``,
-    ``eta = rho * beta``.  The downlink budget is nonincreasing in lambda
-    and the backhaul budget, with lambda solved for, in mu, so each is found
-    by bisection (``_multiplier``): lambda inside, for every trial mu, and
-    mu outside, each to a residual of ``ORACLE_TOL``.  lambda is 0 where
-    the downlink budget is slack even then (every pair missed).  Returns
-    (beta, eta, objective); eta is IDLE_FRAC on hits.
-    """
-    dl = np.asarray(dl_cost, dtype=float)
-    bh = np.asarray(bh_cost, dtype=float)
-    miss = ~np.asarray(cached, dtype=bool)
-    pairs = list(zip(dl.tolist(), np.where(miss, bh, np.nan).tolist(),
-                     np.broadcast_to(rho, dl.shape).tolist()))
-
-    def shares(lam, mu):
-        beta, eta = [], []
-        for d, b, r in pairs:
-            if b != b:      # a hit: no backhaul share
-                beta.append(math.sqrt(d / lam))
+    members, terms = sorted(members), []
+    if kind == CSD:
+        for cost, nu in zip((costs.ul_cost, costs.ed_cost), multipliers):
+            for c in cost[n, members].tolist():
+                f = min(1.0, max(IDLE_FRAC, math.sqrt(c / nu)))
+                terms += (c / f, nu * f)
+    elif kind == HRD:
+        lam, mu = multipliers
+        for d, b, r in _hrd_pairs(costs, n, members):
+            if b is None:
+                terms.append(2.0 * math.sqrt(d * lam))
             elif b * lam >= r * r * d * mu:
-                beta.append(math.sqrt(d / lam))
-                eta.append(math.sqrt(b / mu))
+                terms += (2.0 * math.sqrt(d * lam), 2.0 * math.sqrt(b * mu))
             else:
-                beta.append(math.sqrt((d + b / r) / (lam + r * mu)))
-                eta.append(r * beta[-1])
-        return beta, eta
-
-    def lam_at(mu):
-        if miss.all() and math.fsum(shares(0.0, mu)[0]) <= 1.0:
-            return 0.0
-        return _multiplier(lambda lam: math.fsum(shares(lam, mu)[0]),
-                           float(np.sqrt(dl).sum()) ** 2)
-
-    mu = 0.0
-    if miss.any():
-        mu = _multiplier(lambda mu: math.fsum(shares(lam_at(mu), mu)[1]),
-                         float(np.sqrt(bh[miss]).sum()) ** 2)
-    beta, eta_miss = (np.array(x) for x in shares(lam_at(mu), mu))
-    eta = np.full(dl.shape, IDLE_FRAC)
-    eta[miss] = eta_miss
-    return beta, eta, float((dl / beta).sum() + (bh[miss] / eta_miss).sum())
+                terms.append(2.0 * math.sqrt((d + b / r) * (lam + r * mu)))
+    else:
+        raise ValueError(f"unknown coalition kind {kind!r}")
+    return math.fsum(terms) - multipliers[0] - multipliers[1]
 
 
 def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str):
-    """Numerically optimal per-block fractions for one coalition at SBS n.
+    """A certified lower bound on the optimum of one coalition at SBS n.
 
-    Returns a dict: for "hrd" kind, pair indices plus beta/eta arrays and the
-    total objective (``oracle_hrd_min``), always feasible; for "csd", member
-    alpha/gamma arrays and the objective, ``feasible`` False when the
-    members' task inputs overrun the SBS's spare storage.
+    The bound is ``dual_bound`` at multipliers taken from the closed form:
+    for "csd" each block's own, ``sum(sqrt(c))**2``, and for "hrd" a fit
+    to its shares (``_hrd_multipliers``).  It holds whatever computed the
+    multipliers, so an allocation within a small gap of it is optimal.
+    Returns a dict with the bound as ``objective``, the ``multipliers`` and
+    ``feasible``, False when CSD members' task inputs overrun the SBS's
+    spare storage.
     """
-    members = np.asarray(sorted(members), dtype=np.int64)
-    if kind == "csd":
-        if members.size == 0:
-            return {"alpha": np.empty(0), "gamma": np.empty(0),
-                    "objective": 0.0, "feasible": True}
-        alpha, v_ul = oracle_simplex_min(
-            costs.ul_cost[n, members], IDLE_FRAC, 1.0)
-        gamma, v_ed = oracle_simplex_min(
-            costs.ed_cost[n, members], IDLE_FRAC, 1.0)
-        stored = costs.task_bytes[members].sum()
-        spare_ok = stored <= costs.spare_bytes[n] + BYTES_TOL
-        return {"alpha": alpha, "gamma": gamma, "objective": v_ul + v_ed,
-                "feasible": bool(spare_ok)}
-    if kind != "hrd":
+    members = sorted(members)
+    rows, feasible = costs.rows, True
+    if kind == CSD:
+        multipliers = tuple(_sum([roots[n][k] for k in members]) ** 2
+                            for roots in (rows.sqrt_ul, rows.sqrt_ed))
+        stored = _sum([rows.task_bytes[k] for k in members])
+        feasible = stored <= rows.room[n]
+    elif kind == HRD:
+        _, _, beta, eta, _ = _kernels._hrd_solved(costs, n, members)
+        multipliers = _hrd_multipliers(_hrd_pairs(costs, n, members), beta,
+                                       eta)
+    else:
         raise ValueError(f"unknown coalition kind {kind!r}")
-    if members.size == 0:
-        return {"pairs": np.empty(0, np.int64), "beta": np.empty(0),
-                "eta": np.empty(0), "objective": 0.0, "feasible": True}
-    idx, ks = member_pairs(costs, members)
-    beta, eta, value = oracle_hrd_min(costs.dl_cost[n, idx],
-                                      costs.bh_cost[n, idx],
-                                      costs.cached[n, idx],
-                                      costs.eta_min[n, ks])
-    return {"pairs": idx, "beta": beta, "eta": eta, "objective": value,
-            "feasible": True}
+    return {"objective": dual_bound(costs, n, members, kind, multipliers),
+            "multipliers": multipliers, "feasible": feasible}

@@ -33,6 +33,7 @@ stabilization sweep matches to the last bit, and the random phase in law.
 
 import copy
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,7 +42,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import hrd_value
 from .allocation import CSD, HRD, CoalitionCosts, build_costs, \
-    equal_share_hrd
+    equal_share_hrd, oracle_solve_p3
 from .content import DemandProfile
 from .delays import BITS_PER_BYTE, Allocation, DelayReport, Partition, \
     objective
@@ -265,25 +266,48 @@ class GameState:
         return objective(self.scenario, self.demand, self.partition,
                          self.allocation, self.table)
 
+    def installed_delays(self, rep: DelayReport) -> tuple:
+        """``(hrd, csd)``: each coalition's weighted delay under the delay
+        model ``rep`` (``report``), summed over its members' installed
+        fractions; the CSD array ends with the local coalition."""
+        demand, part = self.demand, self.partition
+        return (np.bincount(part.hrd_sbs[rep.pair_k],
+                            weights=demand.hrd_weight[rep.pair_k]
+                            * rep.t_hr_pair, minlength=self.n_sbs),
+                np.bincount(part.csd_sbs, weights=demand.csd_weight * rep.t_cs,
+                            minlength=self.n_sbs + 1))
+
+    def optimality_gaps(self) -> np.ndarray:
+        """The relative gap of each nonempty coalition at an SBS (per SBS,
+        HRD then CSD) between its installed delay (``installed_delays``)
+        and a certified lower bound on its optimum
+        (``allocation.oracle_solve_p3``); +inf where its members' task
+        inputs overrun the SBS's spare storage.  A gap near 0 proves the
+        installed allocation optimal."""
+        hrd_delay, csd_delay = self.installed_delays(self.report())
+        gaps = []
+        for n in range(self.n_sbs):
+            for game, members, delay in (
+                    (HRD, self.hrd_members[n], hrd_delay[n]),
+                    (CSD, self.csd_members[n], csd_delay[n])):
+                if members:
+                    sol = oracle_solve_p3(self.costs, n, members, game)
+                    bound = sol["objective"]
+                    gaps.append((delay - bound) / max(1e-12, bound)
+                                if sol["feasible"] else math.inf)
+        return np.array(gaps)
+
     def check(self) -> None:
         """Assert running sums, cached utilities and the objective match
-        recomputation; cached utilities are checked against per-coalition
-        sums of the delay model's weighted per-pair and per-device delays,
-        so a coalition whose installed fractions lag its cached value fails
-        as a stale utility cache."""
+        recomputation; cached utilities are checked against the delays of
+        the installed fractions (``installed_delays``), so a coalition whose
+        installed fractions lag its cached value fails as a stale utility
+        cache."""
         for game, sums in self.sums.items():
             sums.check(_member_lists(self, game))
         rep = self.report()
-        demand, part = self.demand, self.partition
-        refs = (
-            (HRD, self.v_hrd, np.bincount(
-                part.hrd_sbs[rep.pair_k],
-                weights=demand.hrd_weight[rep.pair_k] * rep.t_hr_pair,
-                minlength=self.n_sbs)),
-            (CSD, self.v_csd, np.bincount(
-                part.csd_sbs, weights=demand.csd_weight * rep.t_cs,
-                minlength=self.n_sbs + 1)))
-        for game, cache, ref in refs:
+        for game, cache, ref in zip((HRD, CSD), (self.v_hrd, self.v_csd),
+                                    self.installed_delays(rep)):
             stale = np.flatnonzero(np.abs(ref - cache)
                                    > CHECK_TOL * np.maximum(1.0, np.abs(ref)))
             if stale.size:

@@ -226,7 +226,10 @@ def objective(scenario: Scenario, demand: DemandProfile, partition: Partition,
     t_ul[edge] = in_bits / (alpha * table.s_ul[ns] * table.r_ul[ns, edge])
     t_ed[edge] = demand.task_cycles[edge] / (gamma * demand.edge_cps[ns])
     t_cs[edge] = t_ul[edge] + t_ed[edge]
-    local = np.setdiff1d(np.arange(n_csd), edge)
+    # A mask, not np.setdiff1d, whose first call imports numpy.ma (about
+    # 14 ms of a fresh process).
+    local = np.ones(n_csd, dtype=bool)
+    local[edge] = False
     csd_offload = float((demand.csd_weight[edge] * t_cs[edge]).sum())
     csd_local = float((demand.csd_weight[local] * t_lc[local]).sum())
     csd_total = csd_offload + csd_local
@@ -238,7 +241,7 @@ def objective(scenario: Scenario, demand: DemandProfile, partition: Partition,
         hrd_total_s=hrd_total, hrd_backhaul_s=hrd_backhaul,
         csd_total_s=csd_total, csd_local_s=csd_local,
         csd_offload_s=csd_offload,
-        n_local_csd=int(local.size), n_edge_csd=int(edge.size),
+        n_local_csd=n_csd - int(edge.size), n_edge_csd=int(edge.size),
         n_backhauled_files=n_miss,
         n_cached_hits=int(pair_k.size - n_miss),
         objective=hrd_total + csd_total,

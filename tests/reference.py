@@ -1,5 +1,6 @@
-"""The one-proposal-at-a-time coalition game move, the reference that the
-library's games are checked against.
+"""The references that the library is checked against: the
+one-proposal-at-a-time coalition game move, and the numerical optimum of a
+coalition's resource problem by bisection.
 
 ``propose_move`` draws one move from a game's stream, ``evaluate_and_apply``
 values it as a block of one row and commits it if it wins.  The
@@ -12,11 +13,21 @@ Every library call goes through the ``association`` module, so a test that
 patches ``association._commit`` (the step that counts, applies and logs an
 accepted move) or ``association._write_coalition`` sees the reference's
 calls too.
+
+``oracle_simplex_min`` solves one simplex block numerically (bisection on
+the budget multiplier with box clamps), ``oracle_hrd_min`` the coupled HRD
+problem (nested bisection on the two budget multipliers), and ``solve_p3``
+applies them to one coalition of a ``CoalitionCosts``.  They share no code
+with the closed forms or with the certificate
+(``allocation.oracle_solve_p3``), which the tests check against them.
 """
+
+import math
 
 import numpy as np
 
 from mecsim import association
+from mecsim._kernels import BYTES_TOL, FEAS_TOL, IDLE_FRAC, member_pairs
 from mecsim.association import MoveProposal
 
 MASK32 = 0xFFFFFFFF
@@ -116,3 +127,152 @@ def evaluate_and_apply(state, prop: MoveProposal) -> bool:
     for c in (prop.c_from, prop.c_to):
         association._write_coalition(state, prop.game, c, lists[c])
     return True
+
+
+# ---------------------------------------------------------------------------
+# The numerical optimum of a coalition's resource problem.
+# ---------------------------------------------------------------------------
+
+ORACLE_MAX_ITER = 240   # bisection steps of ``_multiplier``
+ORACLE_TOL = 1e-12      # budget residual that the oracles accept
+
+
+def _multiplier(budget, guess: float) -> float:
+    """The multiplier at which ``budget``, a nonincreasing function of it
+    that falls from above 1 to below 1, crosses 1: bracketed from ``guess``
+    by factors of 16, then bisected on a log scale until the residual is
+    within ``ORACLE_TOL``.  Raises RuntimeError if it does not converge."""
+    lo = hi = guess
+    while budget(lo) < 1.0 and lo > 1e-300:
+        lo /= 16.0
+    while budget(hi) > 1.0 and hi < 1e300:
+        hi *= 16.0
+    for _ in range(ORACLE_MAX_ITER):
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        residual = budget(mid) - 1.0
+        if abs(residual) <= ORACLE_TOL:
+            return mid
+        if residual > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi <= lo * (1.0 + 1e-15):
+            residual = budget(hi) - 1.0
+            break
+    if abs(residual) > 1e-7:
+        raise RuntimeError(
+            f"multiplier bisection did not converge: residual {residual:.3e}")
+    return hi
+
+
+def oracle_simplex_min(cost, lo, hi):
+    """Minimize sum(cost/f) s.t. sum(f) <= 1, lo <= f <= hi, numerically.
+
+    Stationarity makes every coordinate ``clip(sqrt(cost/nu), lo, hi)`` for a
+    single multiplier nu; the budget is nonincreasing in nu, so nu is found
+    by bisection (``_multiplier``).  Returns (fractions, objective).  Raises
+    ValueError for an infeasible box (sum of floors above 1) and
+    RuntimeError if the residual fails to converge.
+    """
+    cost = np.asarray(cost, dtype=float)
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), cost.shape).copy()
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), cost.shape).copy()
+    if cost.size == 0:
+        return np.empty(0), 0.0
+    if np.any(cost <= 0) or np.any(lo <= 0):
+        raise ValueError("costs and lower boxes must be positive")
+    if lo.sum() > 1.0 + FEAS_TOL:
+        raise ValueError(f"infeasible box: sum of floors = {lo.sum():.12g} > 1")
+    if hi.sum() <= 1.0:
+        f = hi.copy()
+        return f, float((cost / f).sum())
+    nu = _multiplier(
+        lambda nu: float(np.clip(np.sqrt(cost / nu), lo, hi).sum()),
+        float(np.sqrt(cost).sum()) ** 2)
+    f = np.clip(np.sqrt(cost / nu), lo, hi)
+    return f, float((cost / f).sum())
+
+
+def oracle_hrd_min(dl_cost, bh_cost, cached, rho):
+    """Minimize sum(D/beta) + sum_miss(B/eta) s.t. sum(beta) <= 1,
+    sum(eta) <= 1 and eta >= rho * beta on every missed pair, numerically.
+
+    For budget multipliers lambda and mu, stationarity gives a hit or a
+    missed pair whose ordering is slack ``beta = sqrt(D/lambda)`` (and
+    ``eta = sqrt(B/mu)``); where ``B * lambda < rho**2 * D * mu`` the
+    ordering binds, and ``beta = sqrt((D + B/rho) / (lambda + rho * mu))``,
+    ``eta = rho * beta``.  The downlink budget is nonincreasing in lambda
+    and the backhaul budget, with lambda solved for, in mu, so each is found
+    by bisection (``_multiplier``): lambda inside, for every trial mu, and
+    mu outside, each to a residual of ``ORACLE_TOL``.  lambda is 0 where
+    the downlink budget is slack even then (every pair missed).  Returns
+    (beta, eta, objective); eta is IDLE_FRAC on hits.
+    """
+    dl = np.asarray(dl_cost, dtype=float)
+    bh = np.asarray(bh_cost, dtype=float)
+    miss = ~np.asarray(cached, dtype=bool)
+    pairs = list(zip(dl.tolist(), np.where(miss, bh, np.nan).tolist(),
+                     np.broadcast_to(rho, dl.shape).tolist()))
+
+    def shares(lam, mu):
+        beta, eta = [], []
+        for d, b, r in pairs:
+            if b != b:      # a hit: no backhaul share
+                beta.append(math.sqrt(d / lam))
+            elif b * lam >= r * r * d * mu:
+                beta.append(math.sqrt(d / lam))
+                eta.append(math.sqrt(b / mu))
+            else:
+                beta.append(math.sqrt((d + b / r) / (lam + r * mu)))
+                eta.append(r * beta[-1])
+        return beta, eta
+
+    def lam_at(mu):
+        if miss.all() and math.fsum(shares(0.0, mu)[0]) <= 1.0:
+            return 0.0
+        return _multiplier(lambda lam: math.fsum(shares(lam, mu)[0]),
+                           float(np.sqrt(dl).sum()) ** 2)
+
+    mu = 0.0
+    if miss.any():
+        mu = _multiplier(lambda mu: math.fsum(shares(lam_at(mu), mu)[1]),
+                         float(np.sqrt(bh[miss]).sum()) ** 2)
+    beta, eta_miss = (np.array(x) for x in shares(lam_at(mu), mu))
+    eta = np.full(dl.shape, IDLE_FRAC)
+    eta[miss] = eta_miss
+    return beta, eta, float((dl / beta).sum() + (bh[miss] / eta_miss).sum())
+
+
+def solve_p3(costs, n: int, members, kind: str):
+    """Numerically optimal per-block fractions for one coalition at SBS n.
+
+    Returns a dict: for "hrd" kind, pair indices plus beta/eta arrays and the
+    total objective (``oracle_hrd_min``), always feasible; for "csd", member
+    alpha/gamma arrays and the objective, ``feasible`` False when the
+    members' task inputs overrun the SBS's spare storage.
+    """
+    members = np.asarray(sorted(members), dtype=np.int64)
+    if kind == "csd":
+        if members.size == 0:
+            return {"alpha": np.empty(0), "gamma": np.empty(0),
+                    "objective": 0.0, "feasible": True}
+        alpha, v_ul = oracle_simplex_min(
+            costs.ul_cost[n, members], IDLE_FRAC, 1.0)
+        gamma, v_ed = oracle_simplex_min(
+            costs.ed_cost[n, members], IDLE_FRAC, 1.0)
+        stored = costs.task_bytes[members].sum()
+        spare_ok = stored <= costs.spare_bytes[n] + BYTES_TOL
+        return {"alpha": alpha, "gamma": gamma, "objective": v_ul + v_ed,
+                "feasible": bool(spare_ok)}
+    if kind != "hrd":
+        raise ValueError(f"unknown coalition kind {kind!r}")
+    if members.size == 0:
+        return {"pairs": np.empty(0, np.int64), "beta": np.empty(0),
+                "eta": np.empty(0), "objective": 0.0, "feasible": True}
+    idx, ks = member_pairs(costs, members)
+    beta, eta, value = oracle_hrd_min(costs.dl_cost[n, idx],
+                                      costs.bh_cost[n, idx],
+                                      costs.cached[n, idx],
+                                      costs.eta_min[n, ks])
+    return {"pairs": idx, "beta": beta, "eta": eta, "objective": value,
+            "feasible": True}

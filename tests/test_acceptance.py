@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from mecsim._kernels import FEAS_TOL, IDLE_FRAC, member_pairs
-from mecsim.allocation import (allocate_csd, allocate_hrd, build_costs,
-                               oracle_hrd_min, oracle_simplex_min)
+from mecsim.allocation import allocate_csd, allocate_hrd, build_costs
 from mecsim.association import abcg_init, audit_stability, run_amnd, \
     run_coalition_game
 from mecsim.content import Catalog, build_demand, demand_rng, zipf_popularity
@@ -21,6 +20,7 @@ from mecsim.experiments import ExperimentConfig, run_sweep, seed_average, \
     trend_check
 from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import DESK_STORAGE, demand_for
+from reference import oracle_hrd_min, oracle_simplex_min
 
 
 def _verdict(num, label, ok, detail=""):

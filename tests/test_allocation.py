@@ -6,13 +6,14 @@ import pytest
 
 from mecsim import _kernels
 from mecsim._kernels import FEAS_TOL, IDLE_FRAC, member_pairs
-from mecsim.allocation import (allocate_csd, allocate_hrd, build_costs,
-                               coalition_value, equal_share_hrd,
-                               oracle_hrd_min, oracle_simplex_min,
-                               oracle_solve_p3)
+from mecsim.allocation import (CoalitionCosts, allocate_csd, allocate_hrd,
+                               build_costs, coalition_value, dual_bound,
+                               equal_share_hrd, oracle_solve_p3)
+from mecsim.association import abcg_init, run_amnd
 from mecsim.radio import build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import demand_for, rate_scenario
+from reference import oracle_hrd_min, oracle_simplex_min, solve_p3
 
 
 def test_equal_costs_split_evenly():
@@ -269,12 +270,12 @@ def test_coalition_value_matches_oracle():
         n = int(rng.integers(costs.n_sbs))
         members = sorted(rng.choice(costs.n_hrd, size=3, replace=False))
         value = coalition_value(costs, "hrd", n, members)
-        sol = oracle_solve_p3(costs, n, members, "hrd")
+        sol = solve_p3(costs, n, members, "hrd")
         assert math.isfinite(value) and sol["feasible"]
         assert value == pytest.approx(sol["objective"], rel=1e-6)
         members = sorted(rng.choice(costs.n_csd, size=3, replace=False))
         value = coalition_value(costs, "csd", n, members)
-        sol = oracle_solve_p3(costs, n, members, "csd")
+        sol = solve_p3(costs, n, members, "csd")
         assert value == pytest.approx(sol["objective"], rel=1e-6)
 
 
@@ -384,3 +385,120 @@ def test_write_path_matches_public_closed_form_exactly():
                 costs, n, rng.choice(costs.n_hrd, size=size, replace=False))
             _check_csd_write_path(
                 costs, n, rng.choice(costs.n_csd, size=size, replace=False))
+
+
+def _one_sbs_costs(dl, bh, cached, rho, ul, ed):
+    """A one-SBS ``CoalitionCosts`` from raw costs: HRD device k owns request
+    pair k (downlink ``dl[k]``, backhaul ``bh[k]``, ordering ``rho[k]``),
+    and CSD device k has uplink ``ul[k]`` and compute ``ed[k]``."""
+    dl, bh, rho, ul, ed = (np.asarray(x, dtype=float)[None, :]
+                           for x in (dl, bh, rho, ul, ed))
+    miss = ~np.asarray(cached, dtype=bool)[None, :]
+    m, c = dl.shape[1], ul.shape[1]
+    return CoalitionCosts(
+        pair_k=np.arange(m), pair_off=np.arange(m),
+        pair_cnt=np.ones(m, dtype=np.int64), dl_cost=dl, bh_cost=bh,
+        sqrt_dl=np.sqrt(dl), sqrt_bh=np.sqrt(bh), cached=~miss, eta_min=rho,
+        dev_sqrt_dl=np.sqrt(dl), dev_sqrt_bh=np.where(miss, np.sqrt(bh), 0.0),
+        dev_miss=miss.astype(np.int64),
+        dev_floor_ratio=np.where(miss, rho * np.sqrt(dl / bh), 0.0),
+        ul_cost=ul, ed_cost=ed, sqrt_ul=np.sqrt(ul), sqrt_ed=np.sqrt(ed),
+        local_delay_w=np.ones(c), task_bytes=np.zeros(c),
+        spare_bytes=np.ones(1), n_sbs=1, n_hrd=m, n_csd=c)
+
+
+def _shrunk_objective(costs, members, sol, kind):
+    """The objective of the reference's fractions scaled onto the budgets:
+    a feasible point, so an upper bound on the optimum."""
+    if kind == "csd":
+        return sum(float((c / (f / max(1.0, f.sum()))).sum())
+                   for c, f in ((costs.ul_cost[0, members], sol["alpha"]),
+                                (costs.ed_cost[0, members], sol["gamma"])))
+    miss = ~costs.cached[0, sol["pairs"]]
+    scale = max(1.0, sol["beta"].sum(), sol["eta"][miss].sum())
+    return scale * float((costs.dl_cost[0, sol["pairs"]] / sol["beta"]).sum()
+                         + (costs.bh_cost[0, sol["pairs"]][miss]
+                            / sol["eta"][miss]).sum())
+
+
+def test_certificate_meets_the_bisection_optimum():
+    # The bound lies below a feasible point of the independent bisection
+    # and within 1e-12 of its optimum, across hits, slack and bound missed
+    # pairs and lone missed pairs whose downlink budget is slack.  The
+    # bisection stops at a budget residual of ORACLE_TOL, either side of
+    # the budget, so its own optimum may lie below the bound by as much.
+    rng = np.random.default_rng(35)
+    seen = dict.fromkeys(("hit", "slack_miss", "bound_miss",
+                          "slack_downlink_one_pair"), 0)
+    for _ in range(300):
+        dl, bh, cached, rho = _random_hrd_coalition(rng)
+        m = dl.size
+        costs = _one_sbs_costs(dl, bh, cached, rho, 10.0 ** rng.uniform(
+            -2, 2, m), 10.0 ** rng.uniform(-2, 2, m))
+        for kind in ("hrd", "csd"):
+            bound = oracle_solve_p3(costs, 0, range(m), kind)["objective"]
+            sol = solve_p3(costs, 0, range(m), kind)
+            assert bound <= _shrunk_objective(costs, list(range(m)), sol,
+                                              kind) * (1.0 + 1e-15)
+            assert abs(bound - sol["objective"]) <= 1e-12 * bound
+        beta, eta = allocate_hrd(dl, bh, cached, rho)
+        miss = ~cached
+        bound_pairs = miss & (eta <= rho * beta * (1.0 + 1e-9))
+        seen["hit"] += bool(cached.any())
+        seen["slack_miss"] += bool((miss & ~bound_pairs).any())
+        seen["bound_miss"] += bool(bound_pairs.any())
+        seen["slack_downlink_one_pair"] += (m == 1 and bool(miss[0])
+                                            and beta.sum() < 1.0 - 1e-9)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_scaled_multipliers_only_widen_the_gap():
+    # Any multipliers give a lower bound, and the fitted ones the best
+    # nearby: scaling either or both by 2 or 0.5 never raises the bound
+    # beyond rounding (a lone CSD member's bound is flat in nu up to its
+    # cost, where the box f <= 1 binds), so no installed allocation falls
+    # below it.
+    rng = np.random.default_rng(36)
+    cases = []
+    for _ in range(100):
+        dl, bh, cached, rho = _random_hrd_coalition(rng)
+        m = dl.size
+        ul, ed = 10.0 ** rng.uniform(-2, 2, (2, m))
+        beta, eta = allocate_hrd(dl, bh, cached, rho)
+        alpha, gamma = allocate_csd(ul, ed)
+        value = {"hrd": float((dl / beta).sum()
+                              + (bh / eta)[~cached].sum()),
+                 "csd": float((ul / alpha).sum() + (ed / gamma).sum())}
+        costs = _one_sbs_costs(dl, bh, cached, rho, ul, ed)
+        cases += [(costs, 0, range(m), kind, value[kind])
+                  for kind in ("hrd", "csd")]
+    for seed in range(5):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=20, n_csd=20))
+        final = run_amnd(scn, demand_for(scn, seed=seed))
+        delays = final.installed_delays(final.report())
+        for n in range(final.n_sbs):
+            for kind, members, delay in zip(
+                    ("hrd", "csd"), (final.hrd_members[n],
+                                     final.csd_members[n]), delays):
+                if members:
+                    cases.append((final.costs, n, members, kind, delay[n]))
+    for costs, n, members, kind, value in cases:
+        sol = oracle_solve_p3(costs, n, members, kind)
+        lam, mu = sol["multipliers"]
+        assert (value - sol["objective"]) / sol["objective"] >= -1e-15
+        for f in (2.0, 0.5):
+            for scaled in ((f * lam, mu), (lam, f * mu), (f * lam, f * mu)):
+                bound = dual_bound(costs, n, members, kind, scaled)
+                assert bound <= sol["objective"] * (1.0 + 1e-15)
+                assert (value - bound) / sol["objective"] >= -1e-15
+
+
+def test_certificate_flags_every_equal_share_state():
+    # The initializer's equal split is not optimal, and the certificate
+    # sees it at every desk seed, by a wide margin.
+    for seed in range(100):
+        scn = generate_scenario(SystemParams(seed=seed),
+                                Counts(n_hrd=20, n_csd=20))
+        state = abcg_init(scn, demand_for(scn, seed=seed))
+        assert state.optimality_gaps().max() > 1e-2, seed

@@ -14,7 +14,7 @@ import mecsim
 from mecsim import _kernels, association
 from mecsim._kernels import BYTES_TOL, FEAS_TOL, IDLE_FRAC, \
     hrd_closed_form, member_pairs
-from mecsim.allocation import coalition_value, oracle_solve_p3
+from mecsim.allocation import coalition_value
 from mecsim.association import (IMPROVE_MARGIN, MoveProposal, _draw_weights,
                                 _neighbourhood, _tentative_members,
                                 abcg_init, audit_stability, game_budget,
@@ -27,7 +27,8 @@ from mecsim.radio import build_rate_table
 from mecsim.scenario import (Counts, ReadAhead, SystemParams,
                              generate_scenario)
 from conftest import demand_for, rate_scenario
-from reference import ATTEMPTS, _evaluate, evaluate_and_apply, propose_move
+from reference import (ATTEMPTS, _evaluate, evaluate_and_apply, propose_move,
+                       solve_p3)
 
 
 def single_sbs_setup(cache_bit, local_cps=1.4e9, n_hrd=1, n_csd=1):
@@ -441,14 +442,14 @@ def test_running_sums_value_every_move_like_the_closed_form(desk_runs):
 def _count_floor_valuations(monkeypatch):
     """Record ``(coalition, size)`` of every ``_kernels.hrd_value`` call the
     game makes (its flagged sides), and require each result to be feasible
-    and to equal the numerical optimum of ``oracle_solve_p3``."""
+    and to equal the numerical optimum of ``solve_p3``."""
     calls = []
     inner = association.hrd_value
 
     def counted(costs, c, members):
         calls.append((c, len(members)))
         value = inner(costs, c, members)
-        sol = oracle_solve_p3(costs, c, members, "hrd")
+        sol = solve_p3(costs, c, members, "hrd")
         assert math.isfinite(value) and sol["feasible"]
         assert value == pytest.approx(sol["objective"], rel=1e-9), \
             (c, members)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mecsim
-from mecsim import association
+from mecsim import _kernels, association
 from mecsim.association import run_amnd
 from mecsim.cli import _scenario_from_args, build_parser, main
 from mecsim.experiments import (CSV_COLUMNS, ExperimentConfig, SweepRow,
@@ -437,14 +437,39 @@ def test_cli_audit_checks_every_nonempty_coalition(seed, capsys):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_cli_audit_gap_is_the_allocators_not_the_oracles(seed, capsys):
-    # Both oracles solve to a budget residual of ORACLE_TOL, so the worst
-    # gap the audit reports is the closed forms' rounding, far below the
+    # The certificate's bound is tight to rounding, so the worst gap the
+    # audit reports is the rounding of the installed delays, far below the
     # 1e-6 gate.
     assert main(["audit", "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     gap = float(out.split("worst relative gap ")[1].split(",")[0])
-    assert 0.0 <= gap <= 1e-11
+    assert 0.0 <= gap <= 1e-13
     assert "audit: CLEAN" in out
+
+
+def test_cli_audit_fails_on_swapped_shares(monkeypatch, capsys):
+    # Two members of every offloading coalition swap their installed
+    # shares: the budgets still hold, and the cached values and running
+    # sums stay the closed form's, so only the installed delays, judged
+    # against the certified bound, show the fault.
+    inner = _kernels.csd_alloc
+
+    def swapped(costs, n, members, alpha, gamma):
+        value = inner(costs, n, members, alpha, gamma)
+        if n < costs.n_sbs and len(members) > 1:
+            i, j = members[:2]
+            alpha[i], alpha[j] = alpha[j], alpha[i]
+            gamma[i], gamma[j] = gamma[j], gamma[i]
+        return value
+
+    monkeypatch.setattr(_kernels, "csd_alloc", swapped)
+    assert main(["audit", "--seed", "1"]) == 2
+    out = capsys.readouterr().out
+    assert "constraints at final state: 0 violation(s)" in out
+    assert "stability audit: 0 improving move(s) remain" in out
+    gap = float(out.split("worst relative gap ")[1].split(",")[0])
+    assert gap > 1e-6
+    assert "audit: 1 failure(s)" in out
 
 
 def test_cli_audit_counts_remaining_moves(monkeypatch, capsys):
