@@ -9,14 +9,13 @@ with a best-gain initializer, and a sweep/CSV experiment harness.
 """
 
 from ._kernels import IDLE_FRAC, USING_NUMBA
-from .allocation import (CoalitionCosts, allocate_csd, allocate_hrd,
-                         build_costs, coalition_value, oracle_solve_p3)
-from .association import (GameState, MoveProposal, abcg_init, audit_stability,
-                          run_amnd, run_coalition_game)
+from .allocation import CoalitionCosts, build_costs, oracle_solve_p3
+from .association import (GameState, abcg_init, audit_stability, run_amnd,
+                          run_coalition_game)
 from .content import (Catalog, DemandProfile, build_demand, demand_rng,
                       draw_requests, place_cache, zipf_popularity)
 from .delays import (Allocation, DelayReport, Partition, audit_constraints,
-                     csd_delay, hrd_delay, objective)
+                     objective)
 from .experiments import (CSV_COLUMNS, ExperimentConfig, SweepRow, emit_csv,
                           load_config, load_csv, run_sweep, save_config,
                           trend_check)

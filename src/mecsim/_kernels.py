@@ -4,14 +4,16 @@ A CSD coalition's resource problem splits into two independent simplex
 blocks (uplink and edge compute), each minimizing a sum of ``cost /
 fraction`` over a unit budget.  Its optimum gives every entry the share
 ``sqrt(cost) / sum(sqrt(cost))`` and the block the value
-``sum(sqrt(cost))**2``; ``root_shares`` is that split, which every
-closed form here and ``allocation.allocate_csd`` run.  An HRD coalition
-couples its downlink and backhaul blocks through the rate ordering of its
-missed pairs; ``hrd_closed_form`` solves it exactly.  Every HRD share and
-value comes from ``hrd_closed_form``: the game's flagged moves, the
-running sums' refresh, the write path of each game's allocation step,
-``allocation.coalition_value`` and ``allocation.allocate_hrd``, so a valued
-coalition is worth its installed allocation to the last bit.
+``sum(sqrt(cost))**2``, which is also the block's budget multiplier;
+``root_shares`` is that split.  An HRD coalition couples its downlink and
+backhaul blocks through the rate ordering of its missed pairs;
+``hrd_closed_form`` solves it exactly and states the budget multipliers
+of its optimum.  Every HRD share, value and multiplier comes from
+``hrd_closed_form``: the game's flagged moves, the running sums' refresh,
+the write path of each game's allocation step and the optimality
+certificate (``allocation.oracle_solve_p3``), so a valued coalition is
+worth its installed allocation to the last bit, and is certified by the
+multipliers that solved it.
 
 The kernels apply the closed forms to one coalition of a
 ``CoalitionCosts`` in one pass over the per-SBS lists of its ``Rows``,
@@ -21,16 +23,16 @@ running-sum row, its largest device ratio and its value;
 ``hrd_value``/``csd_value`` return the value alone, and
 ``hrd_alloc``/``csd_alloc`` return it and also write the members'
 fractions into the per-pair ``beta``/``eta`` and per-device
-``alpha``/``gamma`` arrays of an ``Allocation``.  The three HRD kernels
-share one solve per SBS and member list (``_hrd_solved``, memoized on the
-``Rows``): a solve values, refreshes, installs and audits the same member
-lists many times, and a repeat costs one dictionary lookup.  A value is
-one float, with +inf for an infeasible coalition (the extended-value
-convention: Boyd & Vandenberghe, *Convex Optimization*, 3.1.2).  An HRD
-coalition is always feasible; a CSD coalition is feasible while its task
-inputs fit in the SBS's spare storage, and is worth +inf once they
-overrun it.  CSD coalition ``n_sbs`` is the virtual coalition of locally
-computing devices: it is worth their local delays and holds idle
+``alpha``/``gamma`` arrays of an ``Allocation``.  The HRD kernels and the
+certificate share one solve per SBS and member list (``_hrd_solved``,
+memoized on the ``Rows``): a solve values, refreshes, installs and audits
+the same member lists many times, and a repeat costs one dictionary
+lookup.  A value is one float, with +inf for an infeasible coalition (the
+extended-value convention: Boyd & Vandenberghe, *Convex Optimization*,
+3.1.2).  An HRD coalition is always feasible; a CSD coalition is feasible
+while its task inputs fit in the SBS's spare storage, and is worth +inf
+once they overrun it.  CSD coalition ``n_sbs`` is the virtual coalition of
+locally computing devices: it is worth their local delays and holds idle
 fractions.  HRD coalitions are described by flattened request pairs:
 device ``k`` owns pairs ``pair_off[k] .. pair_off[k] + pair_cnt[k]``.
 """
@@ -55,16 +57,6 @@ LOG_THETA_MAX = 700.0
 
 def warmup() -> None:
     """No-op: nothing is compiled.  Kept for the benchmark's set-up probe."""
-
-
-def member_pairs(costs, members):
-    """Request-pair indices of ``members``, device by device, and the device
-    owning each pair."""
-    if len(members) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    off, cnt = costs.pair_off, costs.pair_cnt
-    idx = np.concatenate([np.arange(off[m], off[m] + cnt[m]) for m in members])
-    return idx, np.repeat(members, cnt[members])
 
 
 def root_shares(roots, total):
@@ -105,11 +97,11 @@ class Rows:
 
 
 def _coupled_shares(d, miss):
-    """(beta, eta) of an HRD coalition where some ordering binds: the
-    shares at the root in ``x = log(theta)`` of ``log(S_eta / S_beta)``,
-    or, if every pair is missed and the downlink budget is slack, the
-    shares that fill the backhaul budget alone.  ``d`` and ``miss`` are
-    ``hrd_closed_form``'s inputs."""
+    """(beta, eta, (lambda, mu)) of an HRD coalition where some ordering
+    binds: the shares and multipliers at the root in ``x = log(theta)`` of
+    ``log(S_eta / S_beta)``, or, if every pair is missed and the downlink
+    budget is slack, those that fill the backhaul budget alone.  ``d`` and
+    ``miss`` are ``hrd_closed_form``'s inputs."""
     missed = {i for i, _, _ in miss}
     s_hit = _sum([v for p, v in enumerate(d) if p not in missed])
     # Per missed pair: its position, root costs, rho, binding threshold
@@ -123,10 +115,11 @@ def _coupled_shares(d, miss):
         h = [v / r for v, (_, _, _, r, _, _) in zip(g, pairs)]
         total = _sum(g)
         if _sum(h) <= total:
-            return [v / total for v in h], [v / total for v in g]
+            return ([v / total for v in h], [v / total for v in g],
+                    (0.0, total * total))
 
     def at(x):
-        """(c, e, log(S_eta / S_beta), its derivative in x) at x."""
+        """(theta, c, e, log(S_eta / S_beta), its derivative in x) at x."""
         theta = math.exp(x)
         root = math.sqrt(theta)
         c, e = list(d), []
@@ -147,14 +140,14 @@ def _coupled_shares(d, miss):
                 de += r * g
             e.append(ei)
             s_e += ei
-        return c, e, math.log(s_e / s_c), de / s_e - dc / s_c
+        return theta, c, e, math.log(s_e / s_c), de / s_e - dc / s_c
 
     # Below the smallest threshold no pair binds, and the caller has found
     # that the root lies above it.
     lo, hi = min(math.log(t) for _, _, _, _, t, _ in pairs), LOG_THETA_MAX
     x = lo
     for _ in range(NEWTON_MAX_ITER):
-        c, e, f, slope = at(x)
+        theta, c, e, f, slope = at(x)
         if f > 0.0:
             lo = x
         elif f < 0.0:
@@ -167,11 +160,13 @@ def _coupled_shares(d, miss):
         if abs(step - x) <= 1e-15 * max(1.0, abs(x)):
             break
         x = step
-    return root_shares(c, _sum(c)), root_shares(e, _sum(e))
+    total = _sum(c)
+    return (root_shares(c, total), root_shares(e, _sum(e)),
+            (total * total, theta * total * total))
 
 
 def hrd_closed_form(d, miss):
-    """(beta, eta, value) of one HRD coalition.
+    """(beta, eta, value, (lambda, mu)) of one HRD coalition.
 
     ``d`` lists the root downlink costs ``sqrt(D_p)`` of every pair and
     ``miss`` the ``(position in d, root backhaul cost sqrt(B_p), rho_p)`` of
@@ -202,17 +197,28 @@ def hrd_closed_form(d, miss):
     bound, the downlink budget may be slack instead (``lambda = 0``), with
     ``beta_p ~ sqrt((D_p + B_p / rho_p) / rho_p)`` scaled so that
     ``sum(eta) = 1``.
+
+    ``lambda`` and ``mu`` are the multipliers of the downlink and backhaul
+    budgets at that optimum, the ones with which the shares meet the KKT
+    conditions (``allocation.oracle_solve_p3`` certifies the value with
+    them): ``(sd**2, 0)`` with no missed pair, ``(sd**2, sb**2)`` where no
+    ordering binds, ``(S**2, theta * S**2)`` at the coupled root, where
+    ``S`` is the sum of the root's downlink terms, and ``(0, S_eta**2)``
+    where the downlink budget is slack, ``S_eta`` being the sum of the
+    unscaled ``eta_p``.
     """
     s_d = _sum(d)
     if not miss:
-        return root_shares(d, s_d), [], s_d * s_d
+        return root_shares(d, s_d), [], s_d * s_d, (s_d * s_d, 0.0)
     b = [s for _, s, _ in miss]
     s_b = _sum(b)
     if max([r * d[i] / s for i, s, r in miss]) * s_b <= s_d:
-        return root_shares(d, s_d), root_shares(b, s_b), s_d * s_d + s_b * s_b
-    beta, eta = _coupled_shares(d, miss)
-    return beta, eta, (_sum([x * x / f for x, f in zip(d, beta)])
-                       + _sum([s * s / f for s, f in zip(b, eta)]))
+        return (root_shares(d, s_d), root_shares(b, s_b),
+                s_d * s_d + s_b * s_b, (s_d * s_d, s_b * s_b))
+    beta, eta, multipliers = _coupled_shares(d, miss)
+    value = (_sum([x * x / f for x, f in zip(d, beta)])
+             + _sum([s * s / f for s, f in zip(b, eta)]))
+    return beta, eta, value, multipliers
 
 
 def _hrd_lists(costs, n, members):
@@ -231,10 +237,11 @@ def _hrd_lists(costs, n, members):
 
 
 def _hrd_solved(costs, n, members):
-    """``((sd, sb, miss), ratio, beta, eta, value)`` of the HRD coalition
-    ``members`` at SBS ``n``: its running-sum row (root downlink costs of
-    all pairs, root backhaul costs and count of the missed pairs), its
-    largest device ratio and ``hrd_closed_form``'s shares and value.
+    """``((sd, sb, miss), ratio, beta, eta, value, (lambda, mu))`` of the
+    HRD coalition ``members`` at SBS ``n``: its running-sum row (root
+    downlink costs of all pairs, root backhaul costs and count of the
+    missed pairs), its largest device ratio and ``hrd_closed_form``'s
+    shares, value and multipliers.
 
     Solved once per SBS and member list (in its order) on ``costs.rows``:
     the result depends on nothing else, and the lists it holds are never
@@ -254,7 +261,7 @@ def _hrd_solved(costs, n, members):
 def hrd_summary(costs, n, members):
     """``((sd, sb, miss), ratio, value)`` of the HRD coalition ``members``
     at SBS ``n`` (``_hrd_solved``)."""
-    row, ratio, _, _, value = _hrd_solved(costs, n, members)
+    row, ratio, _, _, value, _ = _hrd_solved(costs, n, members)
     return row, ratio, value
 
 
@@ -285,7 +292,7 @@ def csd_value(costs, n, members):
 
 def hrd_alloc(costs, n, members, beta, eta):
     """Writes every member pair's ``beta`` and ``eta``; a hit's is IDLE_FRAC."""
-    _, _, shares_dl, shares_bh, value = _hrd_solved(costs, n, members)
+    _, _, shares_dl, shares_bh, value, _ = _hrd_solved(costs, n, members)
     rows = costs.rows
     hit, dl, bh = rows.cached[n], iter(shares_dl), iter(shares_bh)
     for k in members:

@@ -5,20 +5,20 @@ optimality certificate.
 weighted delay of every (SBS, request pair) and (SBS, computation device)
 slot, the only inputs the closed form needs.  The closed form itself lives
 in ``_kernels``: square-root shares per CSD block (``_kernels.root_shares``)
-and the exact HRD optimum (``_kernels.hrd_closed_form``).
-``coalition_value`` values one member set from scratch with the kernels, a
-public reference that no stage of the solve calls; the coalition game and
-its stability audit value moves from running sums
-(``association.CoalitionSums``).  ``allocate_hrd``/``allocate_csd`` are the
-same closed forms on raw cost vectors.
+and the exact HRD optimum (``_kernels.hrd_closed_form``), each valued for
+one member set by ``_kernels.hrd_value``/``csd_value``; the coalition game
+and its stability audit value moves from running sums
+(``association.CoalitionSums``).
 
 ``oracle_solve_p3`` certifies one coalition by weak duality instead of
 solving it again: any budget multipliers >= 0 give a lower bound on its
-optimum (``dual_bound``, evaluated from the costs alone), and multipliers
-read off the closed form's shares make that bound tight to rounding.  An
-allocation whose delay lies within a small gap of the bound is optimal
-under the model's own constraints, whoever computed it; ``mecsim audit``
-and the benchmark's checks judge each coalition so.
+optimum (``dual_bound``, evaluated from the costs alone), and the closed
+form's own multipliers make that bound tight to rounding: a CSD block's
+is the square of its root-cost sum, and ``_kernels.hrd_closed_form``
+returns an HRD coalition's with its shares.  An allocation whose delay
+lies within a small gap of the bound is optimal under the model's own
+constraints, whoever computed it; ``mecsim audit`` and the benchmark's
+checks judge each coalition so.
 """
 
 import math
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import FEAS_TOL, IDLE_FRAC, _sum, hrd_closed_form, root_shares
+from ._kernels import IDLE_FRAC, _sum
 from .content import DemandProfile
 from .delays import BITS_PER_BYTE, request_pairs
 from .radio import RateTable, build_rate_table
@@ -152,52 +152,6 @@ def build_costs(scenario: Scenario, demand: DemandProfile,
 
 
 # ---------------------------------------------------------------------------
-# Closed forms on raw cost vectors (Theorem-style square-root shares).
-# ---------------------------------------------------------------------------
-
-def allocate_csd(ul_cost, ed_cost):
-    """Square-root-share fractions for one coalition's uplink/compute
-    blocks, by the arithmetic ``_kernels.csd_alloc`` installs."""
-    def split(cost):
-        roots = np.sqrt(np.asarray(cost, dtype=float)).reshape(-1).tolist()
-        return np.array(root_shares(roots, _sum(roots)))
-    return split(ul_cost), split(ed_cost)
-
-
-def allocate_hrd(dl_cost, bh_cost, cached, rho):
-    """Downlink/backhaul fractions for one coalition's active request pairs.
-
-    ``cached`` marks pairs with no backhaul demand; their eta stays at the
-    idle placeholder.  Every missed pair keeps ``eta >= rho * beta``, its
-    rate ordering (``rho`` is its ``eta_min``).
-    """
-    sd = np.sqrt(np.asarray(dl_cost, dtype=float))
-    pos = np.flatnonzero(~np.asarray(cached, dtype=bool))
-    sb = np.sqrt(np.asarray(bh_cost, dtype=float)[pos])
-    rho = np.asarray(rho, dtype=float)[pos]
-    beta, eta_miss, _ = hrd_closed_form(
-        sd.tolist(), list(zip(pos.tolist(), sb.tolist(), rho.tolist())))
-    eta = np.full(sd.shape, IDLE_FRAC)
-    eta[pos] = eta_miss
-    return np.array(beta), eta
-
-
-def coalition_value(costs: CoalitionCosts, game: str, c: int, members):
-    """The value of the member set ``members`` as coalition ``c`` of
-    ``game`` ("hrd" or "csd"), under the closed-form allocation, or
-    ``math.inf`` where it is infeasible.
-
-    An HRD coalition is always feasible, and so is CSD coalition ``c ==
-    n_sbs``, the virtual coalition of locally computing devices; another
-    CSD coalition is infeasible once its task inputs overrun the SBS's
-    spare storage.  Members are summed in the order given, which fixes the
-    last ulp of the value.
-    """
-    kernel = _kernels.hrd_value if game == HRD else _kernels.csd_value
-    return kernel(costs, c, members)
-
-
-# ---------------------------------------------------------------------------
 # Equal-share policy: the initializer's allocation, the ABCG baseline.
 # ---------------------------------------------------------------------------
 
@@ -249,44 +203,6 @@ def _hrd_pairs(costs: CoalitionCosts, n: int, members):
             for k in members for p in rows.span[k]]
 
 
-def _hrd_multipliers(pairs, beta, eta):
-    """The budget multipliers ``(lambda, mu)`` with which the shares
-    ``beta`` (every pair) and ``eta`` (missed pairs) meet the KKT
-    conditions, fitted by least squares.
-
-    A hit or a missed pair whose ordering is slack gives ``lambda =
-    D/beta**2``, a slack missed pair also ``mu = B/eta**2``, and a bound
-    one (``eta = rho * beta``) ``lambda + rho * mu = (D + B/rho)/beta**2``;
-    each equation is divided by its right-hand side.  A budget with slack
-    has a zero multiplier (complementary slackness).  Where the equations
-    leave a direction free, the fit is the least-norm one; it is clipped
-    at 0."""
-    use_lam = math.fsum(beta) >= 1.0 - FEAS_TOL
-    use_mu = math.fsum(eta) >= 1.0 - FEAS_TOL
-    eqs, missed = [], iter(eta)
-    for (d, b, r), f in zip(pairs, beta):
-        g = None if b is None else next(missed)
-        if g is None or g > r * f * (1.0 + FEAS_TOL):
-            eqs.append((1.0, 0.0, d / (f * f)))
-            if g is not None:
-                eqs.append((0.0, 1.0, b / (g * g)))
-        else:
-            eqs.append((1.0, r, (d + b / r) / (f * f)))
-    saa = sab = sbb = sa = sb = 0.0
-    for a, c, y in eqs:
-        a, c = a * use_lam / y, c * use_mu / y
-        saa, sab, sbb = saa + a * a, sab + a * c, sbb + c * c
-        sa, sb = sa + a, sb + c
-    det = saa * sbb - sab * sab
-    if det > 1e-12 * saa * sbb:
-        lam, mu = (sa * sbb - sb * sab) / det, (sb * saa - sa * sab) / det
-    elif saa + sbb > 0.0:       # rank one
-        lam, mu = sa / (saa + sbb), sb / (saa + sbb)
-    else:
-        lam = mu = 0.0
-    return max(lam, 0.0), max(mu, 0.0)
-
-
 def dual_bound(costs: CoalitionCosts, n: int, members, kind: str,
                multipliers) -> float:
     """The Lagrange dual function of one coalition's problem at
@@ -326,25 +242,22 @@ def dual_bound(costs: CoalitionCosts, n: int, members, kind: str,
 def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str):
     """A certified lower bound on the optimum of one coalition at SBS n.
 
-    The bound is ``dual_bound`` at multipliers taken from the closed form:
-    for "csd" each block's own, ``sum(sqrt(c))**2``, and for "hrd" a fit
-    to its shares (``_hrd_multipliers``).  It holds whatever computed the
-    multipliers, so an allocation within a small gap of it is optimal.
-    Returns a dict with the bound as ``objective``, the ``multipliers`` and
-    ``feasible``, False when CSD members' task inputs overrun the SBS's
-    spare storage.
+    The bound is ``dual_bound`` at the closed form's own budget
+    multipliers: for "csd" each block's ``sum(sqrt(c))**2``
+    (``_kernels.csd_summary``), and for "hrd" those that
+    ``_kernels.hrd_closed_form`` returns with its shares.  It holds
+    whatever computed the multipliers, so an allocation within a small gap
+    of it is optimal.  Returns a dict with the bound as ``objective``, the
+    ``multipliers`` and ``feasible``, False when CSD members' task inputs
+    overrun the SBS's spare storage.
     """
     members = sorted(members)
-    rows, feasible = costs.rows, True
     if kind == CSD:
-        multipliers = tuple(_sum([roots[n][k] for k in members]) ** 2
-                            for roots in (rows.sqrt_ul, rows.sqrt_ed))
-        stored = _sum([rows.task_bytes[k] for k in members])
-        feasible = stored <= rows.room[n]
+        (su, se, _, _), _, value = _kernels.csd_summary(costs, n, members)
+        multipliers, feasible = (su ** 2, se ** 2), value < math.inf
     elif kind == HRD:
-        _, _, beta, eta, _ = _kernels._hrd_solved(costs, n, members)
-        multipliers = _hrd_multipliers(_hrd_pairs(costs, n, members), beta,
-                                       eta)
+        multipliers = _kernels._hrd_solved(costs, n, members)[5]
+        feasible = True
     else:
         raise ValueError(f"unknown coalition kind {kind!r}")
     return {"objective": dual_bound(costs, n, members, kind, multipliers),

@@ -66,19 +66,6 @@ def game_budget(n_hrd: int, n_csd: int) -> tuple[int, int]:
     return 100 * n, 50 * n
 
 
-@dataclass
-class MoveProposal:
-    """One candidate partition update between coalitions c_from and c_to."""
-
-    game: str              # "hrd" or "csd"
-    kind: str              # "transfer" or "swap"
-    c_from: int
-    c_to: int
-    md_from: int           # member leaving c_from
-    md_to: int | None = None   # member leaving c_to (swaps only)
-    dv: float | None = None    # +inf if a tentative coalition is infeasible
-
-
 class CoalitionSums:
     """Running sums of one game's closed form, one row per coalition, from
     which a move is valued in O(1).
@@ -284,12 +271,12 @@ class GameState:
         (``allocation.oracle_solve_p3``); +inf where its members' task
         inputs overrun the SBS's spare storage.  A gap near 0 proves the
         installed allocation optimal."""
-        hrd_delay, csd_delay = self.installed_delays(self.report())
+        delay_hrd, delay_csd = self.installed_delays(self.report())
         gaps = []
         for n in range(self.n_sbs):
             for game, members, delay in (
-                    (HRD, self.hrd_members[n], hrd_delay[n]),
-                    (CSD, self.csd_members[n], csd_delay[n])):
+                    (HRD, self.hrd_members[n], delay_hrd[n]),
+                    (CSD, self.csd_members[n], delay_csd[n])):
                 if members:
                     sol = oracle_solve_p3(self.costs, n, members, game)
                     bound = sol["objective"]
@@ -563,13 +550,6 @@ class _Block:
 
     def __len__(self) -> int:
         return self.a.size
-
-    def proposal(self, q: int) -> MoveProposal:
-        swap = bool(self.swap[q])
-        return MoveProposal(self.game, "swap" if swap else "transfer",
-                            c_from=self.a.item(q), c_to=self.b.item(q),
-                            md_from=self.i.item(q),
-                            md_to=self.j.item(q) if swap else None)
 
     def value(self, q: int) -> float:
         """``dv`` of proposal ``q``, exact: a side where a rate ordering
@@ -868,9 +848,12 @@ def audit_stability(state: GameState) -> list:
     from the member lists, never from ``state.sums``, so that a stale row
     of the state's own sums cannot hide an improving move; returns the
     feasible moves that improve by more than ``IMPROVE_MARGIN``, in
-    ``_neighbourhood`` order (empty list == Nash-stable).  Only the flagged
-    moves that ``_Block.screen`` passes are valued exactly; the others
-    cannot improve."""
+    ``_neighbourhood`` order (empty list == Nash-stable), each as ``(game,
+    kind, c_from, c_to, md_from, md_to, dv)``: the device ``md_from``
+    leaves coalition ``c_from`` for ``c_to``, and in a swap ``md_to``
+    (else None) leaves ``c_to`` for ``c_from``.  Only the flagged moves
+    that ``_Block.screen`` passes are valued exactly; the others cannot
+    improve."""
     found = []
     for game in (HRD, CSD):
         lists = _member_lists(state, game)
@@ -878,9 +861,11 @@ def audit_stability(state: GameState) -> list:
             state, CoalitionSums(state.costs, game, lists),
             _neighbourhood(_association(state, game).size, len(lists)), 0)
         for q in np.flatnonzero(block.improving()).tolist():
-            prop = block.proposal(q)
-            prop.dv = block.dv.item(q)
-            found.append(prop)
+            swap = block.swap.item(q)
+            found.append((game, "swap" if swap else "transfer",
+                          block.a.item(q), block.b.item(q), block.i.item(q),
+                          block.j.item(q) if swap else None,
+                          block.dv.item(q)))
     return found
 
 

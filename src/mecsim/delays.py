@@ -93,37 +93,6 @@ class Allocation:
                           self.beta.copy(), self.eta.copy())
 
 
-def hrd_delay(table: RateTable, demand: DemandProfile, n: int, k: int, i: int,
-              beta: float, eta: float):
-    """Delivery delay components of file i to device k from SBS n.
-
-    Returns (t_dl, t_bh, t_hr): access time, backhaul time, and the total
-    that counts the backhaul term only on a cache miss.
-    """
-    size_bits = demand.catalog.file_size_bytes * BITS_PER_BYTE
-    t_dl = size_bits / (beta * table.s_dl[n] * table.r_dl[n, k])
-    t_bh = size_bits / (eta * table.s_bh[n] * table.r_bh[n])
-    cached = bool(demand.cache[n, i])
-    t_hr = t_dl if cached else t_dl + t_bh
-    return t_dl, t_bh, t_hr
-
-
-def csd_delay(table: RateTable, demand: DemandProfile, n: int, k: int,
-              alpha: float, gamma: float):
-    """Task completion components for device k; n == n_sbs means local.
-
-    Returns (t_ul, t_ed, t_lc, t_cs); the upload and edge terms are zero for
-    a local device, whose completion time is just t_lc.
-    """
-    t_lc = demand.task_cycles[k] / demand.local_cps[k]
-    if n >= table.s_ul.shape[0]:
-        return 0.0, 0.0, t_lc, t_lc
-    in_bits = demand.task_input_bytes[k] * BITS_PER_BYTE
-    t_ul = in_bits / (alpha * table.s_ul[n] * table.r_ul[n, k])
-    t_ed = demand.task_cycles[k] / (gamma * demand.edge_cps[n])
-    return t_ul, t_ed, t_lc, t_ul + t_ed
-
-
 @dataclass
 class DelayReport:
     """Per-device delay components plus the weighted aggregates."""

@@ -2,12 +2,14 @@
 
 Synthetic scenarios carry chosen channel gains (positions are dummies), which
 lets tests pin exact rates, costs and delays without fighting the channel
-draw.
+draw.  ``allocate_csd``/``allocate_hrd`` run the library's closed forms on
+raw cost vectors.
 """
 
 import numpy as np
 import pytest
 
+from mecsim._kernels import IDLE_FRAC, _sum, hrd_closed_form, root_shares
 from mecsim.content import Catalog, build_demand, demand_rng
 from mecsim.radio import REUSE, build_rate_table
 from mecsim.scenario import Counts, Scenario, SystemParams, dbm_to_mw, \
@@ -104,3 +106,31 @@ def demand_for(scenario, *, delta=0.6, n_files=20, file_size=5e6,
     return build_demand(catalog, scenario.n_sbs, scenario.n_hrd,
                         scenario.n_csd, demand_rng(seed, delta),
                         storage_bytes=storage, cache_policy=policy, **kw)
+
+
+def allocate_csd(ul_cost, ed_cost):
+    """Square-root-share fractions for one coalition's uplink/compute
+    blocks, by the arithmetic ``_kernels.csd_alloc`` installs."""
+    def split(cost):
+        roots = np.sqrt(np.asarray(cost, dtype=float)).reshape(-1).tolist()
+        return np.array(root_shares(roots, _sum(roots)))
+    return split(ul_cost), split(ed_cost)
+
+
+def allocate_hrd(dl_cost, bh_cost, cached, rho):
+    """Downlink/backhaul fractions for one coalition's active request pairs,
+    by ``_kernels.hrd_closed_form``.
+
+    ``cached`` marks pairs with no backhaul demand; their eta stays at the
+    idle placeholder.  Every missed pair keeps ``eta >= rho * beta``, its
+    rate ordering (``rho`` is its ``eta_min``).
+    """
+    sd = np.sqrt(np.asarray(dl_cost, dtype=float))
+    pos = np.flatnonzero(~np.asarray(cached, dtype=bool))
+    sb = np.sqrt(np.asarray(bh_cost, dtype=float)[pos])
+    rho = np.asarray(rho, dtype=float)[pos]
+    beta, eta_miss, _, _ = hrd_closed_form(
+        sd.tolist(), list(zip(pos.tolist(), sb.tolist(), rho.tolist())))
+    eta = np.full(sd.shape, IDLE_FRAC)
+    eta[pos] = eta_miss
+    return np.array(beta), eta

@@ -2,8 +2,9 @@
 one-proposal-at-a-time coalition game move, and the numerical optimum of a
 coalition's resource problem by bisection.
 
-``propose_move`` draws one move from a game's stream, ``evaluate_and_apply``
-values it as a block of one row and commits it if it wins.  The
+``propose_move`` draws one move (a ``MoveProposal``) from a game's stream,
+``evaluate_and_apply`` values it as a block of one row and commits it if
+it wins.  The
 stabilization sweep (``association.stabilize_partition``) matches a loop of
 these to the last bit; the random phase (``association._random_phase``)
 matches a loop of these in law, and ``association._draw_weights`` states
@@ -17,22 +18,46 @@ calls too.
 ``oracle_simplex_min`` solves one simplex block numerically (bisection on
 the budget multiplier with box clamps), ``oracle_hrd_min`` the coupled HRD
 problem (nested bisection on the two budget multipliers), and ``solve_p3``
-applies them to one coalition of a ``CoalitionCosts``.  They share no code
-with the closed forms or with the certificate
-(``allocation.oracle_solve_p3``), which the tests check against them.
+applies them to one coalition of a ``CoalitionCosts`` (its request pairs
+from ``member_pairs``).  They share no code with the closed forms or with
+the certificate (``allocation.oracle_solve_p3``), which the tests check
+against them.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from mecsim import association
-from mecsim._kernels import BYTES_TOL, FEAS_TOL, IDLE_FRAC, member_pairs
-from mecsim.association import MoveProposal
+from mecsim._kernels import BYTES_TOL, FEAS_TOL, IDLE_FRAC
 
 MASK32 = 0xFFFFFFFF
 # Attempts ``propose_move`` makes before it gives up.
 ATTEMPTS = 2048
+
+
+@dataclass
+class MoveProposal:
+    """One candidate partition update between coalitions c_from and c_to."""
+
+    game: str              # "hrd" or "csd"
+    kind: str              # "transfer" or "swap"
+    c_from: int
+    c_to: int
+    md_from: int           # member leaving c_from
+    md_to: int | None = None   # member leaving c_to (swaps only)
+    dv: float | None = None    # +inf if a tentative coalition is infeasible
+
+
+def member_pairs(costs, members):
+    """Request-pair indices of ``members``, device by device, and the device
+    owning each pair."""
+    if len(members) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    off, cnt = costs.pair_off, costs.pair_cnt
+    idx = np.concatenate([np.arange(off[m], off[m] + cnt[m]) for m in members])
+    return idx, np.repeat(members, cnt[members])
 
 
 def _bounded(u: int, n: int):

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from mecsim._kernels import FEAS_TOL, IDLE_FRAC, member_pairs
-from mecsim.allocation import allocate_csd, allocate_hrd, build_costs
+from mecsim._kernels import IDLE_FRAC
+from mecsim.allocation import build_costs
 from mecsim.association import abcg_init, audit_stability, run_amnd, \
     run_coalition_game
 from mecsim.content import Catalog, build_demand, demand_rng, zipf_popularity
@@ -19,8 +19,8 @@ from mecsim.delays import Allocation, Partition, audit_constraints, objective
 from mecsim.experiments import ExperimentConfig, run_sweep, seed_average, \
     trend_check
 from mecsim.scenario import Counts, SystemParams, generate_scenario
-from conftest import DESK_STORAGE, demand_for
-from reference import oracle_hrd_min, oracle_simplex_min
+from conftest import DESK_STORAGE, allocate_csd, allocate_hrd, demand_for
+from reference import member_pairs, oracle_hrd_min, oracle_simplex_min
 
 
 def _verdict(num, label, ok, detail=""):
@@ -190,7 +190,7 @@ def _tiny_instance(seed):
 
 def _coalition_value(costs, n, members, kind):
     """Closed-form utility of one coalition, computed from the fractions of
-    the public closed forms; None when its task inputs overrun storage.
+    the closed forms on raw costs; None when its task inputs overrun storage.
     Every HRD coalition is feasible."""
     members = sorted(members)
     if not members:

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from mecsim import _kernels
-from mecsim._kernels import FEAS_TOL, IDLE_FRAC, member_pairs
-from mecsim.allocation import (CoalitionCosts, allocate_csd, allocate_hrd,
-                               build_costs, coalition_value, dual_bound,
+from mecsim._kernels import FEAS_TOL, IDLE_FRAC
+from mecsim.allocation import (CoalitionCosts, build_costs, dual_bound,
                                equal_share_hrd, oracle_solve_p3)
 from mecsim.association import abcg_init, run_amnd
 from mecsim.radio import build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
-from conftest import demand_for, rate_scenario
-from reference import oracle_hrd_min, oracle_simplex_min, solve_p3
+from conftest import allocate_csd, allocate_hrd, demand_for, rate_scenario
+from reference import member_pairs, oracle_hrd_min, oracle_simplex_min, \
+    solve_p3
 
 
 def test_equal_costs_split_evenly():
@@ -255,9 +255,9 @@ def unclamped_setup(seed=3):
 
 def test_coalition_value_trivial_cases():
     scn, demand, costs = unclamped_setup()
-    assert coalition_value(costs, "hrd", 0, []) == 0.0
+    assert _kernels.hrd_value(costs, 0, []) == 0.0
     # CSD coalition n_sbs is the virtual coalition of local devices.
-    value = coalition_value(costs, "csd", costs.n_sbs, [2])
+    value = _kernels.csd_value(costs, costs.n_sbs, [2])
     expected = demand.csd_weight[2] * demand.task_cycles[2] / demand.local_cps[2]
     assert value == pytest.approx(expected, rel=1e-12)
     assert math.isfinite(value)
@@ -269,12 +269,12 @@ def test_coalition_value_matches_oracle():
     for _ in range(20):
         n = int(rng.integers(costs.n_sbs))
         members = sorted(rng.choice(costs.n_hrd, size=3, replace=False))
-        value = coalition_value(costs, "hrd", n, members)
+        value = _kernels.hrd_value(costs, n, members)
         sol = solve_p3(costs, n, members, "hrd")
         assert math.isfinite(value) and sol["feasible"]
         assert value == pytest.approx(sol["objective"], rel=1e-6)
         members = sorted(rng.choice(costs.n_csd, size=3, replace=False))
-        value = coalition_value(costs, "csd", n, members)
+        value = _kernels.csd_value(costs, n, members)
         sol = solve_p3(costs, n, members, "csd")
         assert value == pytest.approx(sol["objective"], rel=1e-6)
 
@@ -284,8 +284,8 @@ def test_storage_limit_marks_csd_coalition_infeasible():
     big = costs.spare_bytes[0] + 1.0
     costs_tight = dataclasses.replace(costs,
                                       task_bytes=np.full(costs.n_csd, big))
-    assert coalition_value(costs_tight, "csd", 0, [0]) == math.inf
-    assert math.isfinite(coalition_value(costs_tight, "csd", costs.n_sbs, [0]))
+    assert _kernels.csd_value(costs_tight, 0, [0]) == math.inf
+    assert math.isfinite(_kernels.csd_value(costs_tight, costs.n_sbs, [0]))
 
 
 def test_equal_share_respects_rate_ordering():
@@ -317,16 +317,16 @@ def test_equal_share_value_never_beats_closed_form_when_unclamped():
             members = sorted(rng.choice(costs.n_hrd,
                                         size=int(rng.integers(1, 5)),
                                         replace=False))
-            value = coalition_value(costs, "hrd", n, members)
+            value = _kernels.hrd_value(costs, n, members)
             _, _, _, es_value = equal_share_hrd(costs, n, members)
             assert math.isfinite(value)
             assert value <= es_value + 1e-9 * es_value
 
 
 def _check_hrd_write_path(costs, n, members):
-    """The game's HRD write path against the public closed form on raw
-    costs: fractions, value and feasibility agree exactly.  Returns the
-    public form's beta."""
+    """The game's HRD write path against the closed form on raw costs
+    (``allocate_hrd``): fractions, value and feasibility agree exactly.
+    Returns the raw form's beta."""
     members = np.asarray(members, dtype=np.int64)
     idx, ks = member_pairs(costs, members)
     # Stale fractions everywhere: the write must replace every member pair's,
@@ -437,6 +437,9 @@ def test_certificate_meets_the_bisection_optimum():
             -2, 2, m), 10.0 ** rng.uniform(-2, 2, m))
         for kind in ("hrd", "csd"):
             bound = oracle_solve_p3(costs, 0, range(m), kind)["objective"]
+            if kind == "hrd":
+                value = _kernels.hrd_value(costs, 0, range(m))
+                assert abs(bound - value) <= 1e-13 * value
             sol = solve_p3(costs, 0, range(m), kind)
             assert bound <= _shrunk_objective(costs, list(range(m)), sol,
                                               kind) * (1.0 + 1e-15)
@@ -453,8 +456,8 @@ def test_certificate_meets_the_bisection_optimum():
 
 
 def test_scaled_multipliers_only_widen_the_gap():
-    # Any multipliers give a lower bound, and the fitted ones the best
-    # nearby: scaling either or both by 2 or 0.5 never raises the bound
+    # Any multipliers give a lower bound, and the closed form's own ones
+    # the best nearby: scaling either or both by 2 or 0.5 never raises the bound
     # beyond rounding (a lone CSD member's bound is flat in nu up to its
     # cost, where the box f <= 1 binds), so no installed allocation falls
     # below it.

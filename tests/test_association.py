@@ -12,23 +12,28 @@ import pytest
 
 import mecsim
 from mecsim import _kernels, association
-from mecsim._kernels import BYTES_TOL, FEAS_TOL, IDLE_FRAC, \
-    hrd_closed_form, member_pairs
-from mecsim.allocation import coalition_value
-from mecsim.association import (IMPROVE_MARGIN, MoveProposal, _draw_weights,
+from mecsim._kernels import BYTES_TOL, FEAS_TOL, IDLE_FRAC, hrd_closed_form
+from mecsim.association import (IMPROVE_MARGIN, _draw_weights,
                                 _neighbourhood, _tentative_members,
                                 abcg_init, audit_stability, game_budget,
                                 reallocate, run_amnd, run_coalition_game,
                                 write_move_log)
-from mecsim.content import Catalog, DemandProfile
+from mecsim.content import Catalog, DemandProfile, build_demand, demand_rng
 from mecsim.delays import Allocation, audit_constraints
 from mecsim.experiments import ExperimentConfig
 from mecsim.radio import build_rate_table
 from mecsim.scenario import (Counts, ReadAhead, SystemParams,
                              generate_scenario)
 from conftest import demand_for, rate_scenario
-from reference import (ATTEMPTS, _evaluate, evaluate_and_apply, propose_move,
-                       solve_p3)
+from reference import (ATTEMPTS, MoveProposal, _evaluate, evaluate_and_apply,
+                       member_pairs, propose_move, solve_p3)
+
+
+def coalition_value(costs, game, c, members):
+    """The closed-form value of ``members`` as coalition ``c`` of ``game``
+    ("hrd" or "csd"), +inf where it is infeasible."""
+    kernel = _kernels.hrd_value if game == "hrd" else _kernels.csd_value
+    return kernel(costs, c, members)
 
 
 def single_sbs_setup(cache_bit, local_cps=1.4e9, n_hrd=1, n_csd=1):
@@ -531,7 +536,7 @@ def test_feasible_floor_bound_side_is_worth_its_relaxed_bound():
     binding = marginal = 0
     for _ in range(4000):
         d, miss = _random_hrd_side(rng)
-        beta, eta, value = hrd_closed_form(d, miss)
+        beta, eta, value, _ = hrd_closed_form(d, miss)
         sd, sb = sum(d), sum(s for _, s, _ in miss)
         relaxed = sd ** 2 + sb ** 2
         assert value >= relaxed * (1.0 - rounding), (d, miss)
@@ -803,10 +808,11 @@ def test_drawable_block_holds_propose_move_support(desk_runs):
                 block, _ = association._neighbourhood_block(
                     state, sums, _neighbourhood(sums.none, sums.size.size),
                     0, drawable=True)
-                rows = [("swap", frozenset((p.md_from, p.md_to)))
-                        if p.kind == "swap" else
-                        ("transfer", p.md_from, p.c_to)
-                        for p in map(block.proposal, range(len(block)))]
+                rows = [("swap", frozenset((i, j))) if swap else
+                        ("transfer", i, to)
+                        for swap, i, j, to in zip(
+                            block.swap.tolist(), block.i.tolist(),
+                            block.j.tolist(), block.b.tolist())]
                 support = _support(lists)
                 assert len(set(rows)) == len(rows) == len(support)
                 weights = _draw_weights(sums.size, block.a, block.b).tolist()
@@ -890,23 +896,23 @@ def test_an_overrun_side_makes_its_move_worth_inf():
                 state, sums, _neighbourhood(sums.none, sums.size.size), 0)
             win = block.improving()
         for q in range(len(block)):
-            prop = block.proposal(q)
-            sides = list(zip((prop.c_from, prop.c_to), _tentative_members(
-                state.csd_members, prop.c_from, prop.c_to, prop.md_from,
-                prop.md_to)))
+            swap, a, b = block.swap.item(q), block.a.item(q), block.b.item(q)
+            sides = list(zip((a, b), _tentative_members(
+                state.csd_members, a, b, block.i.item(q),
+                block.j.item(q) if swap else None)))
             over = [c < state.n_sbs
                     and costs.task_bytes[members].sum() > room[c]
                     for c, members in sides]
             if not any(over):
-                assert block.dv[q] < np.inf, (seed, prop)
+                assert block.dv[q] < np.inf, (seed, q)
                 continue
             overrun += 1
-            assert block.dv[q] == np.inf and not win[q], (seed, prop)
+            assert block.dv[q] == np.inf and not win[q], (seed, q)
             for (c, members), bad in zip(sides, over):
-                value = coalition_value(costs, "csd", c, members)
+                value = _kernels.csd_value(costs, c, members)
                 if bad:
-                    assert value == math.inf, (seed, prop, c)
-                elif prop.kind == "swap":
+                    assert value == math.inf, (seed, q, c)
+                elif swap:
                     gaining_swaps += value < state.v_csd[c]
     assert overrun > 100 and gaining_swaps > 0
 
@@ -1150,11 +1156,13 @@ def test_memoized_hrd_solves_equal_fresh_ones():
         for n, members in enumerate(final.hrd_members):
             assert memo[n, tuple(members)][4] == final.v_hrd[n]
         assert len(memo) > final.n_sbs
-        for (n, members), (row, ratio, beta, eta, value) in memo.items():
+        for (n, members), (row, ratio, beta, eta, value, multipliers) \
+                in memo.items():
             d, miss = _kernels._hrd_lists(final.costs, n, members)
             fresh = hrd_closed_form(d, miss)
-            assert np.array([value, *beta, *eta]).tobytes() == np.array(
-                [fresh[2], *fresh[0], *fresh[1]]).tobytes(), (n, members)
+            assert np.array([value, *beta, *eta, *multipliers]).tobytes() == \
+                np.array([fresh[2], *fresh[0], *fresh[1], *fresh[3]]
+                         ).tobytes(), (n, members)
             sums, ratio_, _ = _numpy_sums(final.costs, "hrd", n,
                                           list(members))
             assert np.array(row).tobytes() == np.array(
@@ -1178,7 +1186,7 @@ def _numpy_sums(costs, game, c, members):
     idx, _ = member_pairs(costs, arr)
     pos = np.flatnonzero(~costs.cached[c, idx])
     midx = idx[pos]
-    _, _, value = hrd_closed_form(
+    _, _, value, _ = hrd_closed_form(
         costs.sqrt_dl[c, idx].tolist(),
         list(zip(pos.tolist(), costs.sqrt_bh[c, midx].tolist(),
                  costs.eta_min[c, costs.pair_k[midx]].tolist())))
@@ -1234,11 +1242,11 @@ def test_check_passes_after_evaluate_and_apply():
     wins = block.improving().nonzero()[0]
     assert wins.size
     q = wins.item(0)
-    prop = block.proposal(q)
+    a, b = block.a.item(q), block.b.item(q)
     assert block.value(q) < -IMPROVE_MARGIN
     association._commit(twin, block, q)
     with pytest.raises(AssertionError, match=rf"stale hrd utility cache at "
-                       rf"coalition ({prop.c_from}|{prop.c_to}):"):
+                       rf"coalition ({a}|{b}):"):
         twin.check()
     reallocate(twin, "hrd")
     twin.check()
@@ -1475,6 +1483,56 @@ def test_desk_solves_match_recorded_outputs(desk_runs, multi_request_run,
         GOLDEN_MOVE_LOG_SEED0
 
 
+# The solve of seed 5 on the benchmark's large workload (80 HRD, 160 CSD,
+# 3 MBS x 10 SBS, 1000 files, two requests per HRD, 28e6 B of sampled
+# storage): F, proposals, accepted moves, both partitions, the fractions'
+# digests and the game generators' states, in the layouts above.  Its
+# neighbourhoods span several sweep chunks, which no desk solve does.
+GOLDEN_LARGE = (
+    5, "32898.64828719374", 98611, 186,
+    [7, 18, 23, 1, 12, 22, 5, 10, 21, 9, 24, 20, 6, 17, 24, 6, 17, 28, 7,
+     11, 29, 8, 14, 23, 3, 16, 29, 8, 12, 29, 6, 18, 28, 1, 13, 22, 2, 13,
+     27, 3, 12, 21, 4, 16, 25, 0, 15, 26, 9, 11, 29, 0, 4, 21, 9, 15, 26,
+     3, 18, 25, 5, 19, 4, 2, 20, 27, 2, 11, 24, 1, 19, 27, 7, 10, 28, 5,
+     14, 25, 0, 17],
+    [9, 30, 23, 30, 30, 30, 7, 16, 23, 30, 30, 30, 4, 30, 30, 30, 30, 30,
+     4, 30, 30, 30, 30, 30, 30, 30, 30, 30, 14, 30, 30, 30, 30, 30, 12,
+     24, 30, 19, 30, 30, 15, 30, 8, 30, 30, 30, 30, 30, 30, 30, 30, 30,
+     30, 30, 30, 30, 30, 6, 30, 30, 30, 30, 30, 30, 30, 30, 2, 30, 30, 0,
+     30, 30, 30, 30, 30, 5, 30, 30, 30, 30, 30, 30, 30, 27, 30, 30, 20,
+     30, 18, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30,
+     29, 30, 13, 25, 30, 30, 30, 30, 30, 21, 30, 30, 30, 30, 30, 30, 30,
+     30, 26, 30, 30, 21, 30, 30, 30, 30, 10, 30, 30, 30, 30, 30, 30, 30,
+     30, 30, 28, 3, 17, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 11,
+     29, 30, 30, 22, 1])
+GOLDEN_LARGE_FRACTIONS = (
+    "0077a02bee368681956357fe7c845852dcae534ece9c9c2a26afffd40732b476",
+    "2d37bbe6521ed21b741b464e549ef26fd1d1616ebb0570b222dd35bf998fccfb",
+    "fb1ee1987955254bfda3e06a44a4643fdcf2f8d53c81b975d13f98878f34d131",
+    "65684967b5fbd564c521c32c169cc88c364a88bdb18038f8c837013c1f26aaaa",
+)
+GOLDEN_LARGE_RNG = ((41767882014463807494534892034541227003, 0, 0),
+                    (311830170580903917382457251849609423605, 0, 0))
+
+
+def test_large_solve_matches_recorded_outputs():
+    seed, f, proposals, accepted, hrd_sbs, csd_sbs = GOLDEN_LARGE
+    scn = generate_scenario(SystemParams(seed=seed, n_mbs=3, m_sbs=10),
+                            Counts(n_hrd=80, n_csd=160))
+    demand = build_demand(Catalog.build(1000, 0.6), scn.n_sbs, 80, 160,
+                          demand_rng(seed, 0.6), requests_per_hrd=2,
+                          storage_bytes=28e6, cache_policy="sampled")
+    final = run_amnd(scn, demand, init_state=abcg_init(scn, demand))
+    assert (repr(final.objective), final.proposals,
+            final.accepted_moves) == (f, proposals, accepted)
+    assert final.partition.hrd_sbs.tobytes() == \
+        np.array(hrd_sbs, dtype=np.int64).tobytes()
+    assert final.partition.csd_sbs.tobytes() == \
+        np.array(csd_sbs, dtype=np.int64).tobytes()
+    assert _fraction_digests(final) == GOLDEN_LARGE_FRACTIONS
+    assert _rng_states(final) == GOLDEN_LARGE_RNG
+
+
 def test_desk_solves_are_nash_stable(desk_runs):
     for seed, (_, final) in enumerate(desk_runs):
         assert audit_stability(final) == [], seed
@@ -1530,16 +1588,12 @@ def _scratch_audit(state):
                                           prop.md_from, prop.md_to)
             v_src = coalition_value(state.costs, game, prop.c_from, src)
             v_dst = coalition_value(state.costs, game, prop.c_to, dst)
-            prop.dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
+            dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
             # An infeasible side is worth +inf, and so is then ``dv``.
-            if prop.dv < -IMPROVE_MARGIN:
-                found.append(prop)
+            if dv < -IMPROVE_MARGIN:
+                found.append((game, prop.kind, prop.c_from, prop.c_to,
+                              prop.md_from, prop.md_to, dv))
     return found
-
-
-def _move_key(prop):
-    return prop.game, prop.kind, prop.c_from, prop.c_to, prop.md_from, \
-        prop.md_to
 
 
 def test_audit_matches_scratch_reference(monkeypatch, desk_runs,
@@ -1556,11 +1610,12 @@ def test_audit_matches_scratch_reference(monkeypatch, desk_runs,
     found = 0
     for n, state in enumerate(states):
         moves, reference = audit_stability(state), _scratch_audit(state)
-        assert [_move_key(p) for p in moves] == \
-            [_move_key(p) for p in reference], n
+        assert [got[:-1] for got in moves] == \
+            [ref[:-1] for ref in reference], n
         for got, ref in zip(moves, reference):
-            assert got.dv < math.inf
-            assert abs(got.dv - ref.dv) <= 1e-12 * abs(ref.dv), (n, got, ref)
+            assert got[-1] < math.inf
+            assert abs(got[-1] - ref[-1]) <= 1e-12 * abs(ref[-1]), \
+                (n, got, ref)
         found += len(moves)
     assert found
     assert 3 in [c for c, _ in fallbacks]
@@ -1649,7 +1704,7 @@ def _first_accepts(monkeypatch, state, game, phase, runs):
     target).  The library's phase and the reference both accept through
     ``_commit``, which is cut before it counts."""
     def commit(state, block, k):
-        raise _Accepted(block.proposal(k))
+        raise _Accepted(block, k)
 
     monkeypatch.setattr(association, "_commit", commit)
     out = []
@@ -1658,9 +1713,10 @@ def _first_accepts(monkeypatch, state, game, phase, runs):
         state.proposals = 0
         with pytest.raises(_Accepted) as accepted:
             phase(state, game, 10 ** 6, 10 ** 6)
-        prop = accepted.value.args[0]
-        key = (frozenset((prop.md_from, prop.md_to)) if prop.kind == "swap"
-               else (prop.md_from, prop.c_to))
+        block, k = accepted.value.args
+        i = block.i.item(k)
+        key = (frozenset((i, block.j.item(k))) if block.swap.item(k)
+               else (i, block.b.item(k)))
         out.append((state.proposals, key))
     return out
 
@@ -1867,7 +1923,7 @@ def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):
 
     def commit(state, block, k):
         if sweeping:
-            swept.add(block.proposal(k).kind)
+            swept.add("swap" if block.swap.item(k) else "transfer")
         return inner_commit(state, block, k)
 
     monkeypatch.setattr(association, "stabilize_partition", sweep)

@@ -7,7 +7,7 @@ from mecsim._kernels import IDLE_FRAC
 from mecsim.association import abcg_init
 from mecsim.content import Catalog, DemandProfile
 from mecsim.delays import (Allocation, Partition, audit_constraints,
-                           csd_delay, hrd_delay, objective, request_pairs)
+                           objective, request_pairs)
 from mecsim.radio import RateTable, build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import demand_for, rate_scenario
@@ -38,41 +38,51 @@ def simple_demand(cache, n_hrd=1, n_csd=1, local_cps=1.4e9, edge_cps=6e10,
         hrd_weight=np.ones(n_hrd), csd_weight=np.ones(n_csd))
 
 
+def one_device_report(cache, beta=1.0, eta=1.0, csd_sbs=0, alpha=1.0,
+                      gamma=1.0):
+    """``objective``'s report of one HRD and one CSD under ``simple_table``:
+    the HRD is served by SBS 0, and the CSD offloads to it, or computes
+    locally where ``csd_sbs`` is 1."""
+    partition = Partition(np.array([0]), np.array([csd_sbs]), 1)
+    allocation = Allocation(alpha=np.array([alpha]), gamma=np.array([gamma]),
+                            beta=np.array([beta]), eta=np.array([eta]))
+    return objective(None, simple_demand(cache), partition, allocation,
+                     simple_table())
+
+
 def test_cached_file_skips_backhaul():
-    table = simple_table()
-    demand = simple_demand([[1]])
-    t_dl, t_bh, t_hr = hrd_delay(table, demand, 0, 0, 0, beta=0.7, eta=0.3)
-    assert t_hr == t_dl
-    assert t_bh > 0
+    hit = one_device_report([[1]], beta=0.7, eta=0.3)
+    assert hit.t_hr_pair[0] == hit.t_dl_pair[0]
+    assert hit.t_bh_pair[0] == 0.0
+    miss = one_device_report([[0]], beta=0.7, eta=0.3)
+    assert miss.t_bh_pair[0] > 0
+    assert miss.t_hr_pair[0] == miss.t_dl_pair[0] + miss.t_bh_pair[0]
 
 
 def test_download_time_direct_substitution():
     # 5 MB = 4e7 bits over beta * 1e6 Hz * 4 bits/s/Hz.
-    table = simple_table(s=1e6, r_dl=4.0)
-    demand = simple_demand([[0]])
-    t_dl, t_bh, t_hr = hrd_delay(table, demand, 0, 0, 0, beta=1.0, eta=1.0)
+    rep = one_device_report([[0]], beta=1.0, eta=1.0)
+    t_dl, t_bh, t_hr = rep.t_dl_pair[0], rep.t_bh_pair[0], rep.t_hr_pair[0]
     assert t_dl == pytest.approx(10.0)
     assert t_bh == pytest.approx(10.0)
     assert t_hr == pytest.approx(20.0)
-    half, _, _ = hrd_delay(table, demand, 0, 0, 0, beta=0.5, eta=1.0)
+    half = one_device_report([[0]], beta=0.5, eta=1.0).t_dl_pair[0]
     assert half == pytest.approx(2 * t_dl)
 
 
 def test_task_delay_components():
-    table = simple_table()
-    demand = simple_demand([[1]])
-    t_ul, t_ed, t_lc, t_cs = csd_delay(table, demand, 0, 0, alpha=1.0,
-                                       gamma=1.0)
+    rep = one_device_report([[1]], alpha=1.0, gamma=1.0)
+    t_ul, t_ed, t_lc, t_cs = rep.t_ul[0], rep.t_ed[0], rep.t_lc[0], rep.t_cs[0]
     assert t_lc == pytest.approx(1e9 / 1.4e9)
     assert t_ed == pytest.approx(1e9 / 6e10)
     assert t_cs == pytest.approx(t_ul + t_ed)
 
 
 def test_local_task_ignores_fractions():
-    table = simple_table()
-    demand = simple_demand([[1]])
     for alpha, gamma in ((0.1, 0.9), (1.0, 1.0), (IDLE_FRAC, IDLE_FRAC)):
-        t_ul, t_ed, t_lc, t_cs = csd_delay(table, demand, 1, 0, alpha, gamma)
+        rep = one_device_report([[1]], csd_sbs=1, alpha=alpha, gamma=gamma)
+        t_ul, t_ed, t_lc, t_cs = (rep.t_ul[0], rep.t_ed[0], rep.t_lc[0],
+                                  rep.t_cs[0])
         assert t_cs == t_lc == pytest.approx(1e9 / 1.4e9)
         assert t_ul == 0.0 and t_ed == 0.0
 
@@ -203,10 +213,13 @@ def test_objective_separates_over_coalitions():
                                       * table.r_bh[n])
                 sub += demand.hrd_weight[k] * t
         for k in np.nonzero(partition.csd_sbs == n)[0]:
-            _, _, t_lc, t_cs = csd_delay(table, demand, n, k,
-                                         allocation.alpha[k],
-                                         allocation.gamma[k])
-            sub += demand.csd_weight[k] * t_cs
+            t = demand.task_cycles[k] / demand.local_cps[k]
+            if n < partition.n_sbs:
+                t = (demand.task_input_bytes[k] * 8.0
+                     / (allocation.alpha[k] * table.s_ul[n] * table.r_ul[n, k])
+                     + demand.task_cycles[k]
+                     / (allocation.gamma[k] * demand.edge_cps[n]))
+            sub += demand.csd_weight[k] * t
         parts += sub
     assert parts == pytest.approx(total, rel=1e-12)
 

@@ -447,23 +447,31 @@ def test_cli_audit_gap_is_the_allocators_not_the_oracles(seed, capsys):
     assert "audit: CLEAN" in out
 
 
-def test_cli_audit_fails_on_swapped_shares(monkeypatch, capsys):
-    # Two members of every offloading coalition swap their installed
-    # shares: the budgets still hold, and the cached values and running
-    # sums stay the closed form's, so only the installed delays, judged
-    # against the certified bound, show the fault.
-    inner = _kernels.csd_alloc
+@pytest.mark.parametrize("game, seed", [("csd", 1), ("hrd", 2)],
+                         ids=["csd", "hrd"])
+def test_cli_audit_fails_on_swapped_shares(monkeypatch, capsys, game, seed):
+    # Two members of every coalition of ``game`` with two or more members
+    # swap their installed shares (a CSD member's alpha and gamma, the beta
+    # of an HRD member's first pair): the budgets still hold, and the
+    # cached values and running sums stay the closed form's, so only the
+    # installed delays, judged against the certified bound, show the
+    # fault.  The bound's multipliers come from the same solve as the
+    # unswapped shares, and still the gap sees the swap.
+    inner = getattr(_kernels, f"{game}_alloc")
 
-    def swapped(costs, n, members, alpha, gamma):
-        value = inner(costs, n, members, alpha, gamma)
+    def swapped(costs, n, members, x, y):
+        value = inner(costs, n, members, x, y)
         if n < costs.n_sbs and len(members) > 1:
             i, j = members[:2]
-            alpha[i], alpha[j] = alpha[j], alpha[i]
-            gamma[i], gamma[j] = gamma[j], gamma[i]
+            if game == "hrd":
+                i, j = costs.pair_off[i], costs.pair_off[j]
+            else:
+                y[i], y[j] = y[j], y[i]
+            x[i], x[j] = x[j], x[i]
         return value
 
-    monkeypatch.setattr(_kernels, "csd_alloc", swapped)
-    assert main(["audit", "--seed", "1"]) == 2
+    monkeypatch.setattr(_kernels, f"{game}_alloc", swapped)
+    assert main(["audit", "--seed", str(seed)]) == 2
     out = capsys.readouterr().out
     assert "constraints at final state: 0 violation(s)" in out
     assert "stability audit: 0 improving move(s) remain" in out
