@@ -1,14 +1,16 @@
-"""Per-coalition resource allocation: costs, the closed form, and its
-optimality certificate.
+"""Per-coalition resource allocation: costs, the equal split, the closed
+form, and its optimality certificate.
 
 ``build_costs`` turns a scenario and its demand into the full-share
 weighted delay of every (SBS, request pair) and (SBS, computation device)
-slot, the only inputs the closed form needs.  The closed form itself lives
-in ``_kernels``: square-root shares per CSD block (``_kernels.root_shares``)
-and the exact HRD optimum (``_kernels.hrd_closed_form``), each valued for
-one member set by ``_kernels.hrd_value``/``csd_value``; the coalition game
-and its stability audit value moves from running sums
-(``association.CoalitionSums``).
+slot, the only inputs the closed form needs.  ``equal_split`` gives the
+initializer's equal shares (the ABCG baseline) as fractions alone; their
+delays are the delay model's (``delays.objective``).  The closed form
+itself lives in ``_kernels``: square-root shares per CSD block
+(``_kernels.root_shares``) and the exact HRD optimum
+(``_kernels.hrd_closed_form``), each valued for one member set by
+``_kernels.hrd_value``/``csd_value``; the coalition game and its stability
+audit value moves from running sums (``association.CoalitionSums``).
 
 ``oracle_solve_p3`` certifies one coalition by weak duality instead of
 solving it again: any budget multipliers >= 0 give a lower bound on its
@@ -27,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from ._kernels import IDLE_FRAC, _sum
+from ._kernels import IDLE_FRAC
 from .content import DemandProfile
-from .delays import BITS_PER_BYTE, request_pairs
+from .delays import BITS_PER_BYTE, Allocation, Partition, request_pairs
 from .radio import RateTable, build_rate_table
 from .scenario import Scenario
 
@@ -152,41 +154,32 @@ def build_costs(scenario: Scenario, demand: DemandProfile,
 
 
 # ---------------------------------------------------------------------------
-# Equal-share policy: the initializer's allocation, the ABCG baseline.
+# Equal shares: the initializer's allocation, the ABCG baseline.
 # ---------------------------------------------------------------------------
 
-def equal_share_hrd(costs: CoalitionCosts, n: int, members):
-    """Equal fractions per active pair/backhauled pair, with the access
-    fraction capped so the access rate never outruns the backhaul rate.
+def equal_split(costs: CoalitionCosts, partition: Partition) -> Allocation:
+    """The initializer's equal shares at ``partition``.
 
-    Returns (pair_indices, beta, eta, value), pairs in member order; eta
-    holds IDLE_FRAC on hits.
+    Every request pair at an SBS gets the same downlink share and every
+    missed pair there the same backhaul share; a missed pair's downlink
+    share is capped at its backhaul share over ``rho``, so that its rate
+    ordering ``eta >= rho * beta`` holds, and floored at IDLE_FRAC.  Each
+    offloading computation device gets ``1 / size`` of its coalition's
+    uplink and compute.  A hit's ``eta`` and a local device's shares hold
+    IDLE_FRAC.  The delays are the delay model's (``delays.objective``).
     """
-    rows = costs.rows
-    hit, rho, span = rows.cached[n], rows.eta_min[n], rows.span
-    members = sorted(members)
-    pairs = [p for k in members for p in span[k]]
-    beta, eta, cost_bh = [], [], []
-    if pairs:
-        share = 1.0 / len(pairs)
-        missed = len(pairs) - sum(hit[p] for p in pairs)
-        eta_miss = 1.0 / missed if missed else IDLE_FRAC
-        bh = rows.bh_cost[n]
-        for k in members:
-            # Cap beta on misses so eta >= rho * beta (the rate ordering).
-            cap = eta_miss / rho[k] if rho[k] > 0 else math.inf
-            for p in span[k]:
-                if hit[p]:
-                    beta.append(share)
-                    eta.append(IDLE_FRAC)
-                else:
-                    beta.append(max(IDLE_FRAC, min(share, cap)))
-                    eta.append(eta_miss)
-                    cost_bh.append(bh[p] / eta_miss)
-    dl = rows.dl_cost[n]
-    value = _sum([dl[p] / b for p, b in zip(pairs, beta)]) + _sum(cost_bh)
-    return (np.array(pairs, dtype=np.int64), np.array(beta), np.array(eta),
-            value)
+    n_sbs, pair_k = costs.n_sbs, costs.pair_k
+    n_arr = partition.hrd_sbs[pair_k]
+    miss = ~costs.cached[n_arr, np.arange(pair_k.size)]
+    share = 1.0 / np.bincount(n_arr, minlength=n_sbs)[n_arr]
+    eta = np.full(pair_k.size, IDLE_FRAC)
+    eta[miss] = 1.0 / np.bincount(n_arr[miss], minlength=n_sbs)[n_arr[miss]]
+    cap = eta / costs.eta_min[n_arr, pair_k]
+    beta = np.where(miss, np.maximum(IDLE_FRAC, np.minimum(share, cap)), share)
+    csd_sbs = partition.csd_sbs
+    size = np.bincount(csd_sbs, minlength=n_sbs + 1)
+    alpha = np.where(csd_sbs < n_sbs, 1.0 / size[csd_sbs], IDLE_FRAC)
+    return Allocation(alpha=alpha, gamma=alpha.copy(), beta=beta, eta=eta)
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._kernels import hrd_value
+from ._kernels import IDLE_FRAC, hrd_value
 from .allocation import CSD, HRD, CoalitionCosts, build_costs, \
-    equal_share_hrd, oracle_solve_p3
+    equal_split, oracle_solve_p3
 from .content import DemandProfile
-from .delays import BITS_PER_BYTE, Allocation, DelayReport, Partition, \
-    objective
+from .delays import Allocation, DelayReport, Partition, objective
 from .radio import RateTable, build_rate_table
 from .scenario import Scenario
 
@@ -91,12 +90,11 @@ class CoalitionSums:
     stored ratio is only an upper bound, so a flag may be spurious but is
     never missed.
 
-    ``size`` and ``members`` hold each coalition's member list, and
-    ``sums`` its additive sums, one column each: ``(sd, sb, miss)`` for
-    HRD, with ``miss`` the number of missed pairs (a small count, exact as
-    a float), and ``(su, se, load, local)`` for CSD, with ``load`` the
-    stored task bytes and ``local`` the local delays, 0 outside row
-    ``n_sbs``.
+    ``size`` holds each coalition's member count, and ``sums`` its
+    additive sums, one column each: ``(sd, sb, miss)`` for HRD, with
+    ``miss`` the number of missed pairs (a small count, exact as a float),
+    and ``(su, se, load, local)`` for CSD, with ``load`` the stored task
+    bytes and ``local`` the local delays, 0 outside row ``n_sbs``.
     ``terms`` holds every device's terms at every coalition, in row ``c *
     stride + k`` for device ``k`` at coalition ``c``, and ``floor_ratio``
     its ratio in the same rows; ``ratio`` holds each coalition's largest.
@@ -334,16 +332,19 @@ def abcg_init(scenario: Scenario, demand: DemandProfile) -> GameState:
     storage.  The game generators are seeded from the scenario's seed.
 
     The gain picks (masked argmaxes, with ``np.argmax``'s first-maximum
-    tie rule) and the offload and local delays are array operations; only
-    the storage pass goes device by device, in device order, since each
-    device's room depends on the devices before it.
+    tie rule) and the equal split (``allocation.equal_split``) are array
+    operations, and every delay, the offload and local ones the choice
+    compares included, is the delay model's, from one call of
+    ``delays.objective``; only the storage pass goes device by device, in
+    device order, since each device's room depends on the devices before
+    it.  A dropped device's shares fall to IDLE_FRAC and the others keep
+    theirs, so the cached values are the delay model's to the last bit.
     """
     table = build_rate_table(scenario)
     costs = build_costs(scenario, demand, table)
     n_sbs = scenario.n_sbs
     if n_sbs < 1:
         raise ValueError("no SBS to associate with")
-    n_hrd, n_csd = demand.n_hrd, demand.n_csd
 
     # Each HRD's strongest SBS among those passing the filter, else its
     # strongest.
@@ -352,62 +353,40 @@ def abcg_init(scenario: Scenario, demand: DemandProfile) -> GameState:
     passing = ok.any(axis=0)
     hrd_sbs = np.where(passing, np.argmax(np.where(ok, gains, -np.inf), axis=0),
                        np.argmax(gains, axis=0)).astype(np.int64)
-    fallback = np.flatnonzero(~passing).tolist()
     csd_sbs = np.argmax(scenario.gain_sbs_csd, axis=0).astype(np.int64)
+    partition = Partition(hrd_sbs=hrd_sbs, csd_sbs=csd_sbs, n_sbs=n_sbs)
+    allocation = equal_split(costs, partition)
+    rep = objective(scenario, demand, partition, allocation, table)
 
-    # Equal uplink/compute split over the gain-based coalitions, then each
-    # device compares offloading at that split against local execution and
-    # takes storage, in device order, only if offloading is not slower.
-    size0 = np.bincount(csd_sbs, minlength=n_sbs).astype(float)
-    share_k = 1.0 / size0[csd_sbs]
-    in_bits = demand.task_input_bytes * BITS_PER_BYTE
-    t_off = (in_bits / (share_k * table.s_ul[csd_sbs]
-                        * table.r_ul[csd_sbs, np.arange(n_csd)])
-             + demand.task_cycles / (share_k * demand.edge_cps[csd_sbs]))
-    t_lc = demand.task_cycles / demand.local_cps
+    # Each computation device compares offloading at the equal split against
+    # local execution and takes storage, in device order, only if
+    # offloading is not slower; a drop writes ``partition.csd_sbs`` itself.
     room = costs.rows.room
     used_bytes = [0.0] * n_sbs
     task_bytes = costs.task_bytes.tolist()
     for k, (n, slower) in enumerate(zip(csd_sbs.tolist(),
-                                        (t_off > t_lc).tolist())):
+                                        (rep.t_cs > rep.t_lc).tolist())):
         if slower or not used_bytes[n] + task_bytes[k] <= room[n]:
             csd_sbs[k] = n_sbs
         else:
             used_bytes[n] += task_bytes[k]
+    local = csd_sbs == n_sbs
+    allocation.alpha[local] = allocation.gamma[local] = IDLE_FRAC
+    rep.t_cs[local] = rep.t_lc[local]
 
-    partition = Partition(hrd_sbs=hrd_sbs, csd_sbs=csd_sbs, n_sbs=n_sbs)
-    allocation = Allocation.idle(costs.pair_k.size, n_csd)
     hrd_members = partition.hrd_coalitions()
     csd_members = partition.csd_coalitions()
-
-    v_hrd = np.zeros(n_sbs)
-    for n in range(n_sbs):
-        idx, beta, eta, value = equal_share_hrd(costs, n, hrd_members[n])
-        allocation.beta[idx] = beta
-        allocation.eta[idx] = eta
-        v_hrd[n] = value
-
-    v_csd = np.zeros(n_sbs + 1)
-    for n in range(n_sbs):
-        members = np.asarray(csd_members[n], dtype=np.int64)
-        if members.size:
-            share = 1.0 / size0[n]
-            allocation.alpha[members] = share
-            allocation.gamma[members] = share
-            v_csd[n] = float((costs.ul_cost[n, members].sum()
-                              + costs.ed_cost[n, members].sum()) / share)
-    v_csd[n_sbs] = float(costs.local_delay_w[csd_members[n_sbs]].sum())
-
     rng_csd, rng_hrd = _game_rngs(scenario.params.seed)
     state = GameState(
         scenario=scenario, demand=demand, table=table, costs=costs,
         partition=partition, allocation=allocation,
         hrd_members=hrd_members, csd_members=csd_members,
-        v_hrd=v_hrd, v_csd=v_csd, rng_hrd=rng_hrd, rng_csd=rng_csd,
+        v_hrd=None, v_csd=None, rng_hrd=rng_hrd, rng_csd=rng_csd,
         sums={HRD: CoalitionSums(costs, HRD, hrd_members),
               CSD: CoalitionSums(costs, CSD, csd_members)},
-        fallback_hrds=fallback,
+        fallback_hrds=np.flatnonzero(~passing).tolist(),
     )
+    state.v_hrd, state.v_csd = state.installed_delays(rep)
     state.trace.append(state.objective)
     return state
 

@@ -205,10 +205,12 @@ def _cmd_audit(args):
     failures += len(moves)
 
     # Each nonempty final coalition's installed delay against a certified
-    # lower bound on its optimum; an overrun of storage is a failure.
+    # lower bound on its optimum; an overrun of storage is a failure.  A
+    # gap of either sign is judged by its size: a bound above a feasible
+    # delay is as wrong as a delay above the optimum.
     gaps = final.optimality_gaps()
     infeasible = int(np.isinf(gaps).sum())
-    worst_gap = float(gaps[np.isfinite(gaps)].max(initial=0.0))
+    worst_gap = float(np.abs(gaps[np.isfinite(gaps)]).max(initial=0.0))
     print(f"allocation vs oracle on {gaps.size} coalition(s): "
           f"worst relative gap {worst_gap:.3e}, {infeasible} infeasible")
     failures += infeasible

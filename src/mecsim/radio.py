@@ -36,18 +36,6 @@ class RateTable:
 def build_rate_table(scenario: Scenario) -> RateTable:
     p = scenario.params
     a, t1 = p.a, p.t1_frac
-    if a in (0.0, 1.0) or t1 in (0.0, 1.0):
-        degenerate = (
-            (a == 0.0 and (scenario.n_hrd or scenario.n_csd)) or
-            (a == 1.0 and scenario.n_hrd) or
-            (t1 == 0.0 and scenario.n_csd) or
-            (t1 == 1.0 and scenario.n_hrd)
-        )
-        if degenerate:
-            raise ValueError(
-                f"degenerate partition: a={a}, t1_frac={t1} leaves a demanded "
-                "link class without resources"
-            )
 
     # Per-cell SBS count: each SBS shares its cell's subband slice equally.
     cell_counts = np.bincount(scenario.sbs_cell, minlength=scenario.n_mbs)
@@ -66,19 +54,21 @@ def build_rate_table(scenario: Scenario) -> RateTable:
         r_dl = np.log2(1.0 + snr_dl)
         r_ul = np.log2(1.0 + snr_ul)
         r_bh = np.log2(1.0 + snr_bh)
-        eta_min = a * r_dl / ((1.0 - a) * r_bh[:, None]) if a < 1.0 \
-            else np.full_like(r_dl, np.inf)
+        eta_min = a * r_dl / ((1.0 - a) * r_bh[:, None])
 
     s_dl = a * p.w_hz * (1.0 - t1) / (REUSE * m_of_sbs)
     s_ul = a * p.w_hz * t1 / (REUSE * m_of_sbs)
     s_bh = (1.0 - a) * p.w_hz * (1.0 - t1) / (REUSE * m_of_sbs)
+    # A split of a or t1_frac at 0 or 1 (a degenerate partition) leaves some
+    # link class a zero band, which fails here only if devices demand it.
     for link, s, r, used in (("downlink", s_dl, r_dl, scenario.n_hrd),
                              ("backhaul", s_bh, r_bh, scenario.n_hrd),
                              ("uplink", s_ul, r_ul, scenario.n_csd)):
         if used and not (np.all(s > 0) and np.all((0 < r) & (r < np.inf))):
             raise ValueError(
                 f"{link} rates at a={a}, t1_frac={t1}, w_hz={p.w_hz} and "
-                "these channel gains are not finite and positive")
+                "these channel gains are not finite and positive (a "
+                "degenerate partition or a dead channel)")
     return RateTable(s_dl=s_dl, s_ul=s_ul, s_bh=s_bh,
                      r_dl=r_dl, r_ul=r_ul, r_bh=r_bh, eta_min=eta_min)
 

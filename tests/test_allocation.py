@@ -7,8 +7,9 @@ import pytest
 from mecsim import _kernels
 from mecsim._kernels import FEAS_TOL, IDLE_FRAC
 from mecsim.allocation import (CoalitionCosts, build_costs, dual_bound,
-                               equal_share_hrd, oracle_solve_p3)
+                               equal_split, oracle_solve_p3)
 from mecsim.association import abcg_init, run_amnd
+from mecsim.delays import Partition, objective
 from mecsim.radio import build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import allocate_csd, allocate_hrd, demand_for, rate_scenario
@@ -288,11 +289,29 @@ def test_storage_limit_marks_csd_coalition_infeasible():
     assert math.isfinite(_kernels.csd_value(costs_tight, costs.n_sbs, [0]))
 
 
+def _equal_split_at(scn, demand, costs, n, members):
+    """``equal_split`` with the HRDs ``members`` at SBS ``n``, every other
+    HRD at another SBS and every CSD local: the members' pair indices,
+    their ``beta`` and ``eta``, and the coalition's weighted delay, read
+    from ``objective``."""
+    hrd_sbs = np.full(costs.n_hrd, (n + 1) % costs.n_sbs)
+    hrd_sbs[members] = n
+    part = Partition(hrd_sbs=hrd_sbs, n_sbs=costs.n_sbs,
+                     csd_sbs=np.full(costs.n_csd, costs.n_sbs))
+    alloc = equal_split(costs, part)
+    rep = objective(scn, demand, part, alloc)
+    idx = np.flatnonzero(np.isin(costs.pair_k, members))
+    value = float((demand.hrd_weight[rep.pair_k[idx]]
+                   * rep.t_hr_pair[idx]).sum())
+    return idx, alloc.beta[idx], alloc.eta[idx], value
+
+
 def test_equal_share_respects_rate_ordering():
     scn, demand, costs = unclamped_setup(seed=9)
     for n in range(costs.n_sbs):
         members = list(range(min(4, costs.n_hrd)))
-        idx, beta, eta, value = equal_share_hrd(costs, n, members)
+        idx, beta, eta, value = _equal_split_at(scn, demand, costs, n,
+                                                members)
         miss = ~costs.cached[n, idx]
         ks = np.repeat(np.asarray(sorted(members)),
                        costs.pair_cnt[sorted(members)])
@@ -309,16 +328,18 @@ def test_equal_share_value_never_beats_closed_form_when_unclamped():
     # exactly, also where rate orderings bind (a = 0.9).
     scenario = generate_scenario(SystemParams(seed=2, a=0.9),
                                  Counts(n_hrd=20, n_csd=40))
+    demand = demand_for(scenario)
     rng = np.random.default_rng(2)
-    for costs in (unclamped_setup(seed=5)[2],
-                  build_costs(scenario, demand_for(scenario))):
+    for scn, demand, costs in (unclamped_setup(seed=5),
+                               (scenario, demand,
+                                build_costs(scenario, demand))):
         for _ in range(40):
             n = int(rng.integers(costs.n_sbs))
             members = sorted(rng.choice(costs.n_hrd,
                                         size=int(rng.integers(1, 5)),
                                         replace=False))
             value = _kernels.hrd_value(costs, n, members)
-            _, _, _, es_value = equal_share_hrd(costs, n, members)
+            *_, es_value = _equal_split_at(scn, demand, costs, n, members)
             assert math.isfinite(value)
             assert value <= es_value + 1e-9 * es_value
 

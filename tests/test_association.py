@@ -1533,6 +1533,106 @@ def test_large_solve_matches_recorded_outputs():
     assert _rng_states(final) == GOLDEN_LARGE_RNG
 
 
+def _large_instance(seed=5):
+    """The benchmark's large workload at ``seed``: 80 HRD, 160 CSD, 3 MBS x
+    10 SBS, 1000 files, two requests per HRD, 28e6 B of sampled storage."""
+    scn = generate_scenario(SystemParams(seed=seed, n_mbs=3, m_sbs=10),
+                            Counts(n_hrd=80, n_csd=160))
+    return scn, build_demand(Catalog.build(1000, 0.6), scn.n_sbs, 80, 160,
+                             demand_rng(seed, 0.6), requests_per_hrd=2,
+                             storage_bytes=28e6, cache_policy="sampled")
+
+
+# The ABCG states of desk seeds 0-4, of ``multi_request_run`` ("multi") and
+# of the large seed-5 solve ("large"): ``fallback_hrds``, then the SHA-256
+# of the bytes of ``hrd_sbs``, ``csd_sbs``, ``alpha``, ``gamma``, ``beta``
+# and ``eta``.
+GOLDEN_ABCG = {
+    0: ([],
+        "9123164f999fbb30c586d76ae26b45d2b3bb85e8af68280157b3f77cfe32ebfd",
+        "a7d9cea056a2c431b581f3bbd6d4b5320ad4cf289139eb2be10a77621274750a",
+        "ac857f1960f59603aa343581a2ee528d07be524dd6f8eb19ec9f1da785e34900",
+        "ac857f1960f59603aa343581a2ee528d07be524dd6f8eb19ec9f1da785e34900",
+        "0c01c34406dedd8517910db2c4d142cd186ada970519fea6789a1880bccb6260",
+        "95f1f921b8ac48c064870c9f50f5090bc684581c8a88a4b2a6913a95bfb7ad26"),
+    1: ([],
+        "635955286d4ea9e6221af6b60dc76e244d534fb047a1c5f74d6014ff4c93a602",
+        "7d3429c47c8305c780d2e5460221f3b1ca55b1410a42a4c9ea48fd1aab4b0e91",
+        "9a79b357b1b484ba36e6d653ca43b38d8b0970e235223c35cabe97e5ce4de742",
+        "9a79b357b1b484ba36e6d653ca43b38d8b0970e235223c35cabe97e5ce4de742",
+        "1df2e5721f6dc8e8fdad63276266e94d00a554db8c282d8c5fc3de25c3778f11",
+        "7a213ff88df4715596280ec1ac4ba76724ed29521aba780583ee0ed8e240e576"),
+    2: ([],
+        "dd54b311ce4ac3454a4e84865f9282f84b4346ce19ab83679284282e2e078821",
+        "778ff1ad2903b5f22ee0aa3dac5a0b78008b131b7c7d1a5586370743aa3bb165",
+        "3a4eb665b37858753e4643ed6dbf3b77d596b588502bdfdeca29e72196554888",
+        "3a4eb665b37858753e4643ed6dbf3b77d596b588502bdfdeca29e72196554888",
+        "ee005151309a0a94850f200f2f5e03553cc8de98385ebbb89d0ca1ae37f54b38",
+        "9c44375da5cc10deafd25e35e18f7f5a9f0e54b9fe097d244949e59dad1e85e6"),
+    3: ([],
+        "f9df3dcae8a87d4bbabb59d9d75ceb1bfc9940bbf0d024ff4ef205f2d219271d",
+        "fcc0580ff404d96e09babf070d4066b231ef906e2af0310e791c3916f862a28e",
+        "7d56f514e40f438d740f04e495c46b5d2fa63377c017e3a32c583c4e91d51aad",
+        "7d56f514e40f438d740f04e495c46b5d2fa63377c017e3a32c583c4e91d51aad",
+        "0cdf8106eed07ce95b56ae9660996d09f1551097d1d4d292865beadbeaccd9ce",
+        "f34ea3e8d09071db895d2cadfd5e2aa748890886c354b79a78df310fba7bbf54"),
+    4: ([],
+        "23269dcf0be656f73256954d012baf46d14d65b606c8baf52945e9f75f65d449",
+        "494d7d931b59938647b82060f5cf089c30ee839b8d5dfd58fe9f4f75e09711d7",
+        "f236621778e709d110fca7ccb3a5756fc097cfada7ef75cf6618396385785bea",
+        "f236621778e709d110fca7ccb3a5756fc097cfada7ef75cf6618396385785bea",
+        "9112bace50ba0a21d795fe8180848f4f8013330e4ccd26e33ac7c47bb1ff0355",
+        "599c8bd6a935f83ad78816b795e9fc94ca4c15a342f6472d564d1cb458150688"),
+    "multi": ([],
+        "f9df3dcae8a87d4bbabb59d9d75ceb1bfc9940bbf0d024ff4ef205f2d219271d",
+        "fcc0580ff404d96e09babf070d4066b231ef906e2af0310e791c3916f862a28e",
+        "7d56f514e40f438d740f04e495c46b5d2fa63377c017e3a32c583c4e91d51aad",
+        "7d56f514e40f438d740f04e495c46b5d2fa63377c017e3a32c583c4e91d51aad",
+        "8883cf8c1e50af999bbe6a89e6827156cb0b496b5897cd87cde0b3808189e4b1",
+        "4debe16bf40a7cf22c4b7fcae35126103ff5011453ae6576977c191308f470dd"),
+    "large": ([],
+        "12c7097c7d9b0da67a09db4a05fad70e5eb9cf7060e3ecf3212c38e6f9a78384",
+        "47a60e1b88275f9f38d667adeacd31736de42e09810469116a60058d3eb4ad12",
+        "850a0cd232e8e47d811aaf2e36d9f9f0ef1dd269fc041dfea9cbdabe9934569b",
+        "850a0cd232e8e47d811aaf2e36d9f9f0ef1dd269fc041dfea9cbdabe9934569b",
+        "337a1158440fd9a0c85323d78d6948be483aa27483c831333cf4e5e81469ff92",
+        "d43c6a2540767bed522203c3f489fbd6a2239b9e59bc4f4c61006f7ac553d6b0"),
+}
+
+
+def test_abcg_states_match_recorded_outputs(desk_runs, multi_request_run):
+    states = {seed: desk_runs[seed][0] for seed in range(5)}
+    states["multi"] = multi_request_run[0]
+    states["large"] = abcg_init(*_large_instance())
+    for key, state in states.items():
+        part, alloc = state.partition, state.allocation
+        digests = tuple(hashlib.sha256(arr.tobytes()).hexdigest() for arr in
+                        (part.hrd_sbs, part.csd_sbs, alloc.alpha, alloc.gamma,
+                         alloc.beta, alloc.eta))
+        assert (state.fallback_hrds, *digests) == GOLDEN_ABCG[key], key
+
+
+def test_abcg_values_are_the_delay_models(desk_runs, multi_request_run):
+    # The initializer caches each coalition's delay as the delay model
+    # gives it, to the last bit, also where rate orderings cap shares
+    # (a = 0.9) and where a device falls back.
+    scn = generate_scenario(SystemParams(seed=3, a=0.9),
+                            Counts(n_hrd=20, n_csd=20))
+    states = [init for init, _ in desk_runs] + [
+        multi_request_run[0], abcg_init(*_large_instance()),
+        abcg_init(scn, demand_for(scn, n_files=100, requests_per_hrd=2))]
+    params = SystemParams(a=0.9, m_sbs=2, n_mbs=1)
+    scn = rate_scenario(params, r_dl=[[12.0], [9.0]], r_ul=[[4.0], [4.0]],
+                        r_bh=[1.0, 1.0])
+    states.append(abcg_init(scn, demand_for(scn, n_files=4, storage=0.0,
+                                            policy="popular_first", seed=2)))
+    assert states[-1].fallback_hrds == [0]
+    for n, state in enumerate(states):
+        delay_hrd, delay_csd = state.installed_delays(state.report())
+        assert state.v_hrd.tobytes() == delay_hrd.tobytes(), n
+        assert state.v_csd.tobytes() == delay_csd.tobytes(), n
+
+
 def test_desk_solves_are_nash_stable(desk_runs):
     for seed, (_, final) in enumerate(desk_runs):
         assert audit_stability(final) == [], seed

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mecsim
-from mecsim import _kernels, association
+from mecsim import _kernels, allocation, association
 from mecsim.association import run_amnd
 from mecsim.cli import _scenario_from_args, build_parser, main
 from mecsim.experiments import (CSV_COLUMNS, ExperimentConfig, SweepRow,
@@ -477,6 +477,19 @@ def test_cli_audit_fails_on_swapped_shares(monkeypatch, capsys, game, seed):
     assert "stability audit: 0 improving move(s) remain" in out
     gap = float(out.split("worst relative gap ")[1].split(",")[0])
     assert gap > 1e-6
+    assert "audit: 1 failure(s)" in out
+
+
+def test_cli_audit_fails_on_a_bound_above_the_delay(monkeypatch, capsys):
+    # A bound ten times too high lies above every feasible delay, so each
+    # gap is near -0.9: the audit judges each gap's size, not its sign.
+    inner = allocation.dual_bound
+    monkeypatch.setattr(allocation, "dual_bound",
+                        lambda *args: 10.0 * inner(*args))
+    assert main(["audit", "--seed", "0"]) == 2
+    out = capsys.readouterr().out
+    gap = float(out.split("worst relative gap ")[1].split(",")[0])
+    assert gap == pytest.approx(0.9, rel=1e-12)
     assert "audit: 1 failure(s)" in out
 
 
