@@ -19,8 +19,8 @@ from .delays import (Allocation, DelayReport, Partition, audit_constraints,
 from .experiments import (CSV_COLUMNS, ExperimentConfig, SweepRow, emit_csv,
                           load_config, load_csv, run_sweep, save_config,
                           trend_check)
-from .radio import RateTable, build_rate_table, rate_bh, rate_dl, rate_ul
-from .scenario import (Counts, LinkModel, MBS_MD, MBS_SBS, SBS_MD, Scenario,
+from .radio import RateTable, build_rate_table
+from .scenario import (Counts, LinkModel, MBS_SBS, SBS_MD, Scenario,
                        SystemParams, channel_gain, generate_scenario,
                        load_scenario, los_probability, pathloss_db,
                        save_scenario)

@@ -22,16 +22,18 @@ allocation and every coalition's cached closed-form value.  The objective
 is separable across SBSs, so a move touches two coalitions, which are
 valued from running sums (``CoalitionSums``), many moves at a time
 (``_Block``), with the moves that cannot win screened off unvalued
-(``_Block.screen``).  One step (``_commit``) counts a block's winner,
-applies it with the block's own valuation and logs it; it updates the
-running sums and cached values and writes no fractions.
-``audit_stability`` checks Nash stability with the same valuer.  The tests
-draw, value and commit one proposal at a time (``tests/reference.py``, a
-block of one row through ``_commit``): the reference that the
-stabilization sweep matches to the last bit, and the random phase in law.
+(``_Block.screen``).  The sums are the game's, not the state's: each game
+builds its class's sums once, from the member lists, and passes them to
+both phases.  One step (``_commit``) counts a block's winner, applies it
+with the block's own valuation and logs it; it updates the block's running
+sums and the cached values and writes no fractions.  ``audit_stability``
+checks Nash stability with the same valuer, on sums it builds the same
+way.  The tests draw, value and commit one proposal at a time
+(``tests/reference.py``, a block of one row through ``_commit``): the
+reference that the stabilization sweep matches to the last bit, and the
+random phase in law.
 """
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -139,12 +141,6 @@ class CoalitionSums:
         for c, members in enumerate(lists):
             self.refresh(c, members)
 
-    def copy(self) -> "CoalitionSums":
-        other = copy.copy(self)
-        for name in ("size", "sums", "ratio"):
-            setattr(other, name, getattr(self, name).copy())
-        return other
-
     def refresh(self, c: int, members):
         """Recompute row ``c`` from the member list ``members``; returns the
         coalition's closed-form value."""
@@ -152,19 +148,6 @@ class CoalitionSums:
         self.sums[c], self.ratio[c], value = self.summary(self.costs, c,
                                                           members)
         return value
-
-    def check(self, lists) -> None:
-        """Assert every stored row matches its member list."""
-        for c, members in enumerate(lists):
-            sums, ratio, _ = self.summary(self.costs, c, members)
-            ref = np.append(sums, ratio)
-            got = np.append(self.sums[c], self.ratio[c])
-            if (self.size[c] != len(members)
-                    or np.any(np.abs(got - ref)
-                              > CHECK_TOL * np.maximum(1.0, np.abs(ref)))):
-                raise AssertionError(
-                    f"stale {self.game} running sums at coalition {c}: "
-                    f"{got!r} vs {ref!r}")
 
     def after(self, c, out, inn, size):
         """(value, floor) of coalitions ``c`` once device ``out`` leaves
@@ -210,7 +193,6 @@ class GameState:
     v_csd: np.ndarray          # (n_sbs + 1,)
     rng_hrd: np.random.Generator
     rng_csd: np.random.Generator
-    sums: dict                 # game -> CoalitionSums
     fallback_hrds: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     proposals: int = 0
@@ -242,7 +224,6 @@ class GameState:
             csd_members=[list(c) for c in self.csd_members],
             v_hrd=self.v_hrd.copy(), v_csd=self.v_csd.copy(),
             rng_hrd=rng_hrd, rng_csd=rng_csd,
-            sums={game: sums.copy() for game, sums in self.sums.items()},
             fallback_hrds=list(self.fallback_hrds), trace=list(self.trace),
             proposals=self.proposals, move_log=list(self.move_log),
         )
@@ -283,13 +264,12 @@ class GameState:
         return np.array(gaps)
 
     def check(self) -> None:
-        """Assert running sums, cached utilities and the objective match
+        """Assert the cached utilities and the objective match
         recomputation; cached utilities are checked against the delays of
         the installed fractions (``installed_delays``), so a coalition whose
         installed fractions lag its cached value fails as a stale utility
-        cache."""
-        for game, sums in self.sums.items():
-            sums.check(_member_lists(self, game))
+        cache.  The state holds no running sums: each game builds its own
+        (``run_coalition_game``)."""
         rep = self.report()
         for game, cache, ref in zip((HRD, CSD), (self.v_hrd, self.v_csd),
                                     self.installed_delays(rep)):
@@ -374,16 +354,13 @@ def abcg_init(scenario: Scenario, demand: DemandProfile) -> GameState:
     allocation.alpha[local] = allocation.gamma[local] = IDLE_FRAC
     rep.t_cs[local] = rep.t_lc[local]
 
-    hrd_members = partition.hrd_coalitions()
-    csd_members = partition.csd_coalitions()
     rng_csd, rng_hrd = _game_rngs(scenario.params.seed)
     state = GameState(
         scenario=scenario, demand=demand, table=table, costs=costs,
         partition=partition, allocation=allocation,
-        hrd_members=hrd_members, csd_members=csd_members,
+        hrd_members=partition.hrd_coalitions(),
+        csd_members=partition.csd_coalitions(),
         v_hrd=None, v_csd=None, rng_hrd=rng_hrd, rng_csd=rng_csd,
-        sums={HRD: CoalitionSums(costs, HRD, hrd_members),
-              CSD: CoalitionSums(costs, CSD, csd_members)},
         fallback_hrds=np.flatnonzero(~passing).tolist(),
     )
     state.v_hrd, state.v_csd = state.installed_delays(rep)
@@ -606,10 +583,10 @@ def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood: _Hood,
 def _commit(state: GameState, block: _Block, k: int) -> None:
     """Count proposal ``k`` of ``block``, a winner, and apply it with the
     block's own ``dv``, testing nothing again: update the partition, and
-    the running sums and cached values of its two coalitions from one pass
-    over each sorted member list, and log the move.  It writes no
-    fractions: the game's allocation step (``reallocate``) installs every
-    coalition once, at the game's end."""
+    the block's running sums and the cached values of its two coalitions
+    from one pass over each sorted member list, and log the move.  It
+    writes no fractions: the game's allocation step (``reallocate``)
+    installs every coalition once, at the game's end."""
     state.proposals += 1
     game, swap = block.game, block.swap.item(k)
     a, b, i = block.a.item(k), block.b.item(k), block.i.item(k)
@@ -621,18 +598,20 @@ def _commit(state: GameState, block: _Block, k: int) -> None:
     assoc[i] = b
     if j is not None:
         assoc[j] = a
-    sums = state.sums[game]
-    block.cache[a] = sums.refresh(a, lists[a])
-    block.cache[b] = sums.refresh(b, lists[b])
+    block.cache[a] = block.sums.refresh(a, lists[a])
+    block.cache[b] = block.sums.refresh(b, lists[b])
     state.move_log.append((state.proposals, game,
                            "swap" if swap else "transfer", block.dv.item(k),
                            state.objective))
 
 
-def stabilize_partition(state: GameState, game: str) -> int:
+def stabilize_partition(state: GameState, game: str,
+                        sums: CoalitionSums) -> int:
     """Deterministic local search: sweep all transfers and same-class swaps,
     applying improvements, until one full sweep finds none.  Guarantees the
-    exhaustive stability audit passes on exit.
+    exhaustive stability audit passes on exit.  ``sums`` are the running
+    sums of the game ``game`` names (``run_coalition_game``), kept current
+    by ``_commit``.
 
     A sweep visits the moves in ``_neighbourhood``'s order, cyclically:
     after an accept at position ``p`` it values ``p + 1`` to the last move
@@ -655,9 +634,7 @@ def stabilize_partition(state: GameState, game: str) -> int:
     accepts none, so the rows of the final cycle before its wrap are
     counted once more.
     """
-    sums = state.sums[game]
-    hood = _neighbourhood(_association(state, game).size,
-                          len(_member_lists(state, game)))
+    hood = _neighbourhood(sums.none, sums.size.size)
     n = hood.swap.size
     applied = tail = 0
     pos, end, chunk = 0, n, SWEEP_CHUNK
@@ -701,12 +678,13 @@ def _draw_weights(size: np.ndarray, a: np.ndarray, b: np.ndarray):
     return 2.0 / (held * size.take(a) * np.maximum(size.take(b), 1))
 
 
-def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
-    """At most ``t2`` proposals, stopping after ``patience`` consecutive
-    rejections, each drawn by the law of ``_draw_weights`` and accepted iff
-    it improves by more than ``IMPROVE_MARGIN``: equal in law to a loop that
-    draws and judges one proposal at a time (``tests/reference.py``), not
-    bit-equal to it.  A
+def _random_phase(state: GameState, sums: CoalitionSums, t2: int,
+                  patience: int) -> None:
+    """At most ``t2`` proposals of the game of the running sums ``sums``,
+    stopping after ``patience`` consecutive rejections, each drawn by the
+    law of ``_draw_weights`` and accepted iff it improves by more than
+    ``IMPROVE_MARGIN``: equal in law to a loop that draws and judges one
+    proposal at a time (``tests/reference.py``), not bit-equal to it.  A
     game passes the budget ``game_budget`` fixes; the tests pass others.
 
     A rejected proposal leaves the partition as it was, so the proposals up
@@ -729,8 +707,7 @@ def _random_phase(state: GameState, game: str, t2: int, patience: int) -> None:
     applied and logged by ``_commit``, so the move log holds the accepted
     moves only.
     """
-    sums = state.sums[game]
-    rng = state.rng_hrd if game == HRD else state.rng_csd
+    rng = state.rng_hrd if sums.game == HRD else state.rng_csd
     hood = _neighbourhood(sums.none, sums.size.size)
     done = 0
     while (budget := min(t2 - done, patience)) > 0:
@@ -756,16 +733,19 @@ def run_coalition_game(state: GameState, game: str) -> GameState:
     instance, followed by the stabilization sweep, which always runs, so
     the game ends Nash-stable, and then by the allocation step of its class
     (``reallocate``), so the game leaves a fully installed state.  Both
-    phases apply a move through ``_commit``, which counts it, appends it to
-    the move log and installs nothing.
+    phases value moves from the game's running sums, built here once from
+    the member lists, and apply a move through ``_commit``, which counts
+    it, refreshes the sums, appends it to the move log and installs
+    nothing.
     """
     if game not in (HRD, CSD):
         raise ValueError(f"unknown game {game!r}")
     lists = _member_lists(state, game)
+    sums = CoalitionSums(state.costs, game, lists)
     if len(lists) >= 2 and sum(len(c) for c in lists) >= 1:
-        _random_phase(state, game,
+        _random_phase(state, sums,
                       *game_budget(state.demand.n_hrd, state.demand.n_csd))
-    stabilize_partition(state, game)
+    stabilize_partition(state, game, sums)
     reallocate(state, game)
     return state
 
@@ -823,9 +803,8 @@ def run_amnd(scenario: Scenario, demand: DemandProfile, *,
 
 def audit_stability(state: GameState) -> list:
     """Every single transfer and same-class swap of the HRD game, then of the
-    CSD game, valued as one ``_Block`` per game from running sums rebuilt
-    from the member lists, never from ``state.sums``, so that a stale row
-    of the state's own sums cannot hide an improving move; returns the
+    CSD game, valued as one ``_Block`` per game from running sums built
+    from the member lists, as a game builds its own; returns the
     feasible moves that improve by more than ``IMPROVE_MARGIN``, in
     ``_neighbourhood`` order (empty list == Nash-stable), each as ``(game,
     kind, c_from, c_to, md_from, md_to, dv)``: the device ``md_from``

@@ -211,7 +211,7 @@ def _cmd_audit(args):
     gaps = final.optimality_gaps()
     infeasible = int(np.isinf(gaps).sum())
     worst_gap = float(np.abs(gaps[np.isfinite(gaps)]).max(initial=0.0))
-    print(f"allocation vs oracle on {gaps.size} coalition(s): "
+    print(f"allocation vs dual bound on {gaps.size} coalition(s): "
           f"worst relative gap {worst_gap:.3e}, {infeasible} infeasible")
     failures += infeasible
     if worst_gap > 1e-6:

@@ -81,13 +81,6 @@ class Allocation:
     beta: np.ndarray    # (P,) downlink band fractions
     eta: np.ndarray     # (P,) backhaul band fractions
 
-    @classmethod
-    def idle(cls, n_pairs: int, n_csd: int) -> "Allocation":
-        return cls(alpha=np.full(n_csd, IDLE_FRAC),
-                   gamma=np.full(n_csd, IDLE_FRAC),
-                   beta=np.full(n_pairs, IDLE_FRAC),
-                   eta=np.full(n_pairs, IDLE_FRAC))
-
     def copy(self) -> "Allocation":
         return Allocation(self.alpha.copy(), self.gamma.copy(),
                           self.beta.copy(), self.eta.copy())

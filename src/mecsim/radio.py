@@ -71,18 +71,3 @@ def build_rate_table(scenario: Scenario) -> RateTable:
                 "degenerate partition or a dead channel)")
     return RateTable(s_dl=s_dl, s_ul=s_ul, s_bh=s_bh,
                      r_dl=r_dl, r_ul=r_ul, r_bh=r_bh, eta_min=eta_min)
-
-
-def rate_dl(table: RateTable, n: int, k: int, beta: float) -> float:
-    """Downlink access rate in bits/s at band fraction beta."""
-    return beta * table.s_dl[n] * table.r_dl[n, k]
-
-
-def rate_ul(table: RateTable, n: int, k: int, alpha: float) -> float:
-    """Uplink access rate in bits/s at band fraction alpha."""
-    return alpha * table.s_ul[n] * table.r_ul[n, k]
-
-
-def rate_bh(table: RateTable, n: int, eta: float) -> float:
-    """Downlink backhaul rate in bits/s at band fraction eta."""
-    return eta * table.s_bh[n] * table.r_bh[n]

@@ -67,7 +67,6 @@ class LinkModel:
     street-canyon form used for SBS-to-device links.
     """
 
-    link_class: str
     los_a: float
     los_b: float
     nlos_a: float
@@ -78,9 +77,10 @@ class LinkModel:
     shadow_sd_nlos_db: float
 
 
-MBS_MD = LinkModel("mbs-md", 30.8, 24.2, 2.7, 42.8, "macro", 63.0, 6.0, 6.0)
-MBS_SBS = LinkModel("mbs-sbs", 30.2, 23.5, 16.3, 36.3, "macro", 72.0, 6.0, 6.0)
-SBS_MD = LinkModel("sbs-md", 41.1, 20.9, 32.9, 37.5, "micro", 0.0, 6.0, 4.0)
+# The model's two link classes: SBSs serve the devices, and each SBS is
+# backhauled by its nearest MBS.
+MBS_SBS = LinkModel(30.2, 23.5, 16.3, 36.3, "macro", 72.0, 6.0, 6.0)
+SBS_MD = LinkModel(41.1, 20.9, 32.9, 37.5, "micro", 0.0, 6.0, 4.0)
 
 
 def pathloss_db(model: LinkModel, d_m, los):

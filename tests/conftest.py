@@ -3,14 +3,18 @@
 Synthetic scenarios carry chosen channel gains (positions are dummies), which
 lets tests pin exact rates, costs and delays without fighting the channel
 draw.  ``allocate_csd``/``allocate_hrd`` run the library's closed forms on
-raw cost vectors.
+raw cost vectors, ``idle_allocation`` builds an allocation at IDLE_FRAC
+everywhere and ``game_sums`` a game's running sums from a state's member
+lists.
 """
 
 import numpy as np
 import pytest
 
 from mecsim._kernels import IDLE_FRAC, _sum, hrd_closed_form, root_shares
+from mecsim.association import CoalitionSums
 from mecsim.content import Catalog, build_demand, demand_rng
+from mecsim.delays import Allocation
 from mecsim.radio import REUSE, build_rate_table
 from mecsim.scenario import Counts, Scenario, SystemParams, dbm_to_mw, \
     generate_scenario
@@ -134,3 +138,19 @@ def allocate_hrd(dl_cost, bh_cost, cached, rho):
     eta = np.full(sd.shape, IDLE_FRAC)
     eta[pos] = eta_miss
     return np.array(beta), eta
+
+
+def idle_allocation(n_pairs: int, n_csd: int) -> Allocation:
+    """Every fraction of ``n_pairs`` request pairs and ``n_csd`` computation
+    devices at IDLE_FRAC."""
+    return Allocation(alpha=np.full(n_csd, IDLE_FRAC),
+                      gamma=np.full(n_csd, IDLE_FRAC),
+                      beta=np.full(n_pairs, IDLE_FRAC),
+                      eta=np.full(n_pairs, IDLE_FRAC))
+
+
+def game_sums(state, game: str) -> CoalitionSums:
+    """The running sums of ``game`` ("hrd" or "csd") at the state's member
+    lists, as ``association.run_coalition_game`` builds them."""
+    lists = state.hrd_members if game == "hrd" else state.csd_members
+    return CoalitionSums(state.costs, game, lists)

@@ -3,12 +3,12 @@ one-proposal-at-a-time coalition game move, and the numerical optimum of a
 coalition's resource problem by bisection.
 
 ``propose_move`` draws one move (a ``MoveProposal``) from a game's stream,
-``evaluate_and_apply`` values it as a block of one row and commits it if
-it wins.  The
-stabilization sweep (``association.stabilize_partition``) matches a loop of
-these to the last bit; the random phase (``association._random_phase``)
-matches a loop of these in law, and ``association._draw_weights`` states
-that law.
+``evaluate_and_apply`` values it as a block of one row, from the game's
+running sums, and commits it if it wins.  The stabilization sweep
+(``association.stabilize_partition``) matches a loop of these to the last
+bit; the random phase (``association._random_phase``) matches a loop of
+these in law, and ``association._draw_weights`` states that law.
+``check_sums`` checks a game's running sums against its member lists.
 
 Every library call goes through the ``association`` module, so a test that
 patches ``association._commit`` (the step that counts, applies and logs an
@@ -124,10 +124,26 @@ def propose_move(state, game: str, rng) -> MoveProposal:
     raise RuntimeError("could not sample a nonempty coalition pair")
 
 
-def _evaluate(state, prop: MoveProposal):
-    """Value a move as a block of one row, setting its ``dv`` (+inf where a
-    side is infeasible); returns the block."""
-    swap, sums = np.array([prop.md_to is not None]), state.sums[prop.game]
+def check_sums(sums, lists) -> None:
+    """Assert every row of the running sums ``sums`` (an
+    ``association.CoalitionSums``) matches its member list in ``lists``."""
+    for c, members in enumerate(lists):
+        ref_sums, ref_ratio, _ = sums.summary(sums.costs, c, members)
+        ref = np.append(ref_sums, ref_ratio)
+        got = np.append(sums.sums[c], sums.ratio[c])
+        if (sums.size[c] != len(members)
+                or np.any(np.abs(got - ref) > association.CHECK_TOL
+                          * np.maximum(1.0, np.abs(ref)))):
+            raise AssertionError(
+                f"stale {sums.game} running sums at coalition {c}: "
+                f"{got!r} vs {ref!r}")
+
+
+def _evaluate(state, sums, prop: MoveProposal):
+    """Value a move as a block of one row from the running sums ``sums`` of
+    its game, setting its ``dv`` (+inf where a side is infeasible); returns
+    the block."""
+    swap = np.array([prop.md_to is not None])
     rows = association._move_rows(
         swap, np.array([prop.md_from]),
         np.array([prop.md_to if swap[0] else sums.none]))
@@ -137,13 +153,15 @@ def _evaluate(state, prop: MoveProposal):
     return block
 
 
-def evaluate_and_apply(state, prop: MoveProposal) -> bool:
+def evaluate_and_apply(state, sums, prop: MoveProposal) -> bool:
     """Accept the proposal iff both tentative coalitions are feasible and
     their combined utility improves by more than
     ``association.IMPROVE_MARGIN`` (an infeasible side makes ``dv`` +inf),
-    commit it (``association._commit``) and install both coalitions at
-    once; a rejection is counted and leaves the state otherwise untouched."""
-    block = _evaluate(state, prop)
+    valued from the running sums ``sums`` of its game, commit it
+    (``association._commit``, which refreshes ``sums``) and install both
+    coalitions at once; a rejection is counted and leaves the state
+    otherwise untouched."""
+    block = _evaluate(state, sums, prop)
     if not prop.dv < -association.IMPROVE_MARGIN:
         state.proposals += 1
         return False

@@ -15,11 +15,12 @@ from mecsim.allocation import build_costs
 from mecsim.association import abcg_init, audit_stability, run_amnd, \
     run_coalition_game
 from mecsim.content import Catalog, build_demand, demand_rng, zipf_popularity
-from mecsim.delays import Allocation, Partition, audit_constraints, objective
+from mecsim.delays import Partition, audit_constraints, objective
 from mecsim.experiments import ExperimentConfig, run_sweep, seed_average, \
     trend_check
 from mecsim.scenario import Counts, SystemParams, generate_scenario
-from conftest import DESK_STORAGE, allocate_csd, allocate_hrd, demand_for
+from conftest import (DESK_STORAGE, allocate_csd, allocate_hrd, demand_for,
+                      idle_allocation)
 from reference import member_pairs, oracle_hrd_min, oracle_simplex_min
 
 
@@ -244,7 +245,7 @@ def _enumerate_optimum(scenario, demand, costs):
 def _materialize(scenario, demand, costs, hrd_assign, csd_assign):
     """Build the full allocation for one enumerated partition."""
     n_sbs = scenario.n_sbs
-    alloc = Allocation.idle(costs.pair_k.size, demand.n_csd)
+    alloc = idle_allocation(costs.pair_k.size, demand.n_csd)
     for n in range(n_sbs):
         members = sorted(k for k in range(demand.n_hrd)
                          if hrd_assign[k] == n)

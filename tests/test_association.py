@@ -13,20 +13,21 @@ import pytest
 import mecsim
 from mecsim import _kernels, association
 from mecsim._kernels import BYTES_TOL, FEAS_TOL, IDLE_FRAC, hrd_closed_form
-from mecsim.association import (IMPROVE_MARGIN, _draw_weights,
+from mecsim.association import (IMPROVE_MARGIN, GameState, _draw_weights,
                                 _neighbourhood, _tentative_members,
                                 abcg_init, audit_stability, game_budget,
                                 reallocate, run_amnd, run_coalition_game,
                                 write_move_log)
 from mecsim.content import Catalog, DemandProfile, build_demand, demand_rng
-from mecsim.delays import Allocation, audit_constraints
+from mecsim.delays import audit_constraints
 from mecsim.experiments import ExperimentConfig
 from mecsim.radio import build_rate_table
 from mecsim.scenario import (Counts, ReadAhead, SystemParams,
                              generate_scenario)
-from conftest import demand_for, rate_scenario
-from reference import (ATTEMPTS, MoveProposal, _evaluate, evaluate_and_apply,
-                       member_pairs, propose_move, solve_p3)
+from conftest import demand_for, game_sums, idle_allocation, rate_scenario
+from reference import (ATTEMPTS, MoveProposal, _evaluate, check_sums,
+                       evaluate_and_apply, member_pairs, propose_move,
+                       solve_p3)
 
 
 def coalition_value(costs, game, c, members):
@@ -181,10 +182,11 @@ def test_rejected_move_leaves_state_intact():
     before_f = state.objective
     before_beta = state.allocation.beta.copy()
     rng = np.random.default_rng(7)
+    sums = game_sums(state, "hrd")
     rejected = 0
     for _ in range(50):
         prop = propose_move(state, "hrd", rng)
-        if not evaluate_and_apply(state, prop):
+        if not evaluate_and_apply(state, sums, prop):
             rejected += 1
             assert np.array_equal(state.partition.hrd_sbs, before_assoc)
             assert state.objective == before_f
@@ -197,10 +199,11 @@ def test_rejected_move_leaves_state_intact():
 def test_accepted_move_changes_objective_by_its_gain():
     scn, demand, state = desk_state(seed=5)
     rng = np.random.default_rng(3)
+    sums = game_sums(state, "csd")
     for _ in range(300):
         prop = propose_move(state, "csd", rng)
         before = state.objective
-        if evaluate_and_apply(state, prop):
+        if evaluate_and_apply(state, sums, prop):
             # accounting identity: the cached-value delta is applied exactly,
             # and the full delay model agrees with the caches
             assert state.objective < before - 1e-12
@@ -228,7 +231,7 @@ def test_infeasible_target_is_rejected():
     state = abcg_init(scn, demand)
     assert state.csd_members[0] == [0, 1]
     prop = MoveProposal("csd", "transfer", c_from=0, c_to=1, md_from=0)
-    accepted = evaluate_and_apply(state, prop)
+    accepted = evaluate_and_apply(state, game_sums(state, "csd"), prop)
     assert not accepted and prop.dv == math.inf
 
 
@@ -249,9 +252,9 @@ def test_run_amnd_plays_each_game_on_the_instance_budget(monkeypatch):
     budgets = []
     inner = association._random_phase
 
-    def random_phase(state, game, t2, patience):
-        budgets.append((game, t2, patience))
-        return inner(state, game, t2, patience)
+    def random_phase(state, sums, t2, patience):
+        budgets.append((sums.game, t2, patience))
+        return inner(state, sums, t2, patience)
 
     monkeypatch.setattr(association, "_random_phase", random_phase)
     assert game_budget(20, 20) == (4000, 2000)
@@ -292,7 +295,7 @@ def test_stabilized_game_passes_the_exhaustive_audit():
     assert audit_stability(state) == []
 
 
-def _no_sweep(state, game):
+def _no_sweep(state, game, sums):
     """A stand-in for ``stabilize_partition`` that leaves the partition as
     the random phase left it."""
     return 0
@@ -423,6 +426,7 @@ def _check_moves_against_scratch(state, games=("hrd", "csd")):
     infeasible = {"hrd": 0, "csd": 0}
     for game in games:
         cache = state.v_hrd if game == "hrd" else state.v_csd
+        sums = game_sums(state, game)
         for prop in _moves(state, game):
             src, dst = _tentative_members(
                 state.hrd_members if game == "hrd" else state.csd_members,
@@ -430,7 +434,7 @@ def _check_moves_against_scratch(state, games=("hrd", "csd")):
             v_src = coalition_value(state.costs, game, prop.c_from, src)
             v_dst = coalition_value(state.costs, game, prop.c_to, dst)
             dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
-            _evaluate(state, prop)
+            _evaluate(state, sums, prop)
             assert (prop.dv == math.inf) == (math.inf in (v_src, v_dst)), prop
             assert prop.dv == dv or abs(prop.dv - dv) <= \
                 1e-12 * max(1.0, abs(v_src) + abs(v_dst)), (prop, dv)
@@ -468,7 +472,7 @@ def test_running_sums_fall_back_where_floors_bind(monkeypatch):
     # A rate ordering binds at SBS 3, so moves touching SBS 3 must be
     # valued over their members' pairs; every HRD move is feasible.
     state = bound_final_state()
-    sums, c = state.sums["hrd"], np.array([3])
+    sums, c = game_sums(state, "hrd"), np.array([3])
     none = np.array([sums.none])
     _, floor = sums.after(c, none, none, sums.size[c])
     assert floor.tolist() == [True]
@@ -558,7 +562,7 @@ def test_screen_skips_only_moves_that_cannot_be_accepted(desk_runs,
     screened_out = feasible_out = 0
     for n, state in enumerate(states):
         block, _ = association._neighbourhood_block(
-            state, state.sums["hrd"],
+            state, game_sums(state, "hrd"),
             _neighbourhood(state.partition.hrd_sbs.size, state.n_sbs), 0)
         contenders, rejects = block.screen()
         assert sorted(contenders + rejects) == \
@@ -599,21 +603,21 @@ def _game_counts(monkeypatch):
             counts["settled"] += len(block)
             tail[-1][0] += np.count_nonzero(at < moves)
 
-    def stabilize(state, game):
+    def stabilize(state, game, sums):
         tail.append([0, False])
         try:
-            return inner_stabilize(state, game)
+            return inner_stabilize(state, game, sums)
         finally:
             reject_pending()
             rows, accepted = tail.pop()
             counts["settled"] += rows if accepted else 0
 
-    def random_phase(state, game, t2, patience):
+    def random_phase(state, sums, t2, patience):
         counts["phases"] += 1
         before = state.proposals
-        phase.append(game)
+        phase.append(sums.game)
         try:
-            return inner_phase(state, game, t2, patience)
+            return inner_phase(state, sums, t2, patience)
         finally:
             phase.pop()
             counts["random_proposals"] += state.proposals - before
@@ -700,9 +704,9 @@ def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, tmp_path):
     phases = []
     inner = association._random_phase
 
-    def random_phase(state, game, t2, patience):
+    def random_phase(state, sums, t2, patience):
         start, rows = state.proposals, len(state.move_log)
-        inner(state, game, t2, patience)
+        inner(state, sums, t2, patience)
         accepts = [row[0] - start for row in state.move_log[rows:]]
         phases.append((state.proposals - start, accepts, t2, patience))
 
@@ -802,7 +806,7 @@ def test_drawable_block_holds_propose_move_support(desk_runs):
     for init, final in desk_runs[:5]:
         for state in (init, final):
             for game in ("hrd", "csd"):
-                sums = state.sums[game]
+                sums = game_sums(state, game)
                 lists = state.hrd_members if game == "hrd" \
                     else state.csd_members
                 block, _ = association._neighbourhood_block(
@@ -838,7 +842,7 @@ def test_swap_is_valued_alike_from_either_side(desk_runs, multi_request_run,
     floor_bound = 0
     for state in states:
         for game in ("hrd", "csd"):
-            sums = state.sums[game]
+            sums = game_sums(state, game)
             block, _ = association._neighbourhood_block(
                 state, sums, _neighbourhood(sums.none, sums.size.size), 0)
             at = np.flatnonzero(block.swap)
@@ -889,7 +893,7 @@ def test_an_overrun_side_makes_its_move_worth_inf():
             task_input_bytes=np.where(np.arange(n_csd) % 2, 150e3, 100e3),
             local_cps=demand.local_cps * np.linspace(0.5, 1.5, n_csd))
         state = abcg_init(scn, demand)
-        sums, costs = state.sums["csd"], state.costs
+        sums, costs = game_sums(state, "csd"), state.costs
         room = costs.spare_bytes + BYTES_TOL
         with np.errstate(invalid="raise"):
             block, _ = association._neighbourhood_block(
@@ -955,7 +959,7 @@ def test_csd_sides_hold_exact_zeros_outside_their_row(desk_runs):
             states += [init, run_amnd(scn, init.demand, init_state=init)]
     local_sides = emptied = full = 0
     for state in states:
-        sums, n_sbs = state.sums["csd"], state.n_sbs
+        sums, n_sbs = game_sums(state, "csd"), state.n_sbs
         table = sums.terms.reshape(n_sbs + 1, sums.stride, 4)
         assert not table[:n_sbs, :, 3].any() and not table[n_sbs, :, :2].any()
         assert sums.room[n_sbs] == np.inf
@@ -989,9 +993,9 @@ def test_desk_sweep_values_a_block_per_accept_and_one_more(monkeypatch):
             blocks[-1] += 1
         return inner_block(state, sums, hood, *at, drawable=drawable)
 
-    def sweep(state, game):
+    def sweep(state, game, sums):
         blocks.append(0)
-        accepts = inner_sweep(state, game)
+        accepts = inner_sweep(state, game, sums)
         sweeps.append((game, accepts, blocks[-1]))
         return accepts
 
@@ -1006,27 +1010,25 @@ def test_desk_sweep_values_a_block_per_accept_and_one_more(monkeypatch):
     assert {game for game, accepts, _ in sweeps if accepts} == {"hrd", "csd"}
 
 
-def test_clone_keeps_its_own_running_sums():
+def test_each_game_builds_its_own_running_sums(monkeypatch):
+    # The running sums are the game's, not the state's: the initializer
+    # and a clone build none, and a solve builds one per game, from the
+    # member lists at the game's start.
+    built = []
+    inner = association.CoalitionSums
+
+    def counted(costs, game, lists):
+        built.append(game)
+        return inner(costs, game, lists)
+
+    monkeypatch.setattr(association, "CoalitionSums", counted)
     scn, demand, state = desk_state(seed=5)
     twin = state.clone()
-
-    def arrays(state):
-        return [getattr(state.sums[game], name).copy()
-                for game in ("hrd", "csd")
-                for name in ("size", "sums", "ratio")]
-
-    sums = arrays(twin)
-    run_coalition_game(state, "csd")
-    run_coalition_game(state, "hrd")
-    assert state.accepted_moves > 0
-    assert all(np.array_equal(x, y) for x, y in zip(arrays(twin), sums))
-    assert not all(np.array_equal(x, y) for x, y in zip(arrays(state), sums))
-    twin.check()
-    state.check()
-    state.sums["hrd"].sums[0, 0] += 1.0
-    with pytest.raises(AssertionError, match="running sums"):
-        state.check()
-    twin.check()
+    assert built == []
+    final = run_amnd(scn, demand, init_state=state)
+    assert built == ["csd", "hrd"] and final.accepted_moves > 0
+    assert "sums" not in {f.name for f in dataclasses.fields(GameState)}
+    assert not any(hasattr(s, "sums") for s in (state, twin, final))
 
 
 def test_solved_state_is_freed_without_gc():
@@ -1049,7 +1051,7 @@ def _rebuilt_allocation(final):
     """``final``'s allocation rebuilt on an idle one: every final coalition
     installed by the game's write path, each worth its cached value."""
     scratch = final.clone()
-    scratch.allocation = Allocation.idle(final.costs.pair_k.size,
+    scratch.allocation = idle_allocation(final.costs.pair_k.size,
                                          final.demand.n_csd)
     for game, cache in (("hrd", final.v_hrd), ("csd", final.v_csd)):
         lists = final.hrd_members if game == "hrd" else final.csd_members
@@ -1226,18 +1228,25 @@ def test_row_pass_sums_match_numpy_fancy_index_sums(desk_runs,
 def test_check_passes_after_evaluate_and_apply():
     scn, demand, state = desk_state(seed=5)
     rng = np.random.default_rng(3)
+    sums = game_sums(state, "csd")
     accepted = 0
     for _ in range(300):
         prop = propose_move(state, "csd", rng)
-        if evaluate_and_apply(state, prop):
+        if evaluate_and_apply(state, sums, prop):
             accepted += 1
             state.check()
+            check_sums(sums, state.csd_members)
     assert accepted >= 2
+    c = int(sums.size.argmax())
+    sums.sums[c] *= 0.5
+    with pytest.raises(AssertionError,
+                       match=rf"stale csd running sums at coalition {c}:"):
+        check_sums(sums, state.csd_members)
     # ``_commit`` alone installs nothing: the moved coalitions' cached
     # values run ahead of their fractions until the game's allocation step.
     twin = state.clone()
     block, _ = association._neighbourhood_block(
-        twin, twin.sums["hrd"],
+        twin, game_sums(twin, "hrd"),
         _neighbourhood(twin.partition.hrd_sbs.size, twin.n_sbs), 0)
     wins = block.improving().nonzero()[0]
     assert wins.size
@@ -1721,60 +1730,53 @@ def test_audit_matches_scratch_reference(monkeypatch, desk_runs,
     assert 3 in [c for c, _ in fallbacks]
 
 
-def test_audit_ignores_the_state_running_sums(desk_runs):
+def test_audit_leaves_the_state_untouched(desk_runs):
     state = desk_runs[1][0].clone()
 
     def snapshot():
         alloc = state.allocation
-        return ([state.v_hrd.tobytes(), state.v_csd.tobytes(),
-                 repr(state.objective), alloc.alpha.tobytes(),
-                 alloc.gamma.tobytes(), alloc.beta.tobytes(),
-                 alloc.eta.tobytes(), state.partition.hrd_sbs.tobytes(),
-                 state.partition.csd_sbs.tobytes(), state.hrd_members,
-                 state.csd_members, state.rng_hrd.bit_generator.state,
-                 state.rng_csd.bit_generator.state]
-                + [getattr(state.sums[game], name).tobytes()
-                   for game in ("hrd", "csd")
-                   for name in ("size", "sums", "ratio")])
+        return [state.v_hrd.tobytes(), state.v_csd.tobytes(),
+                repr(state.objective), alloc.alpha.tobytes(),
+                alloc.gamma.tobytes(), alloc.beta.tobytes(),
+                alloc.eta.tobytes(), state.partition.hrd_sbs.tobytes(),
+                state.partition.csd_sbs.tobytes(), state.hrd_members,
+                state.csd_members, state.rng_hrd.bit_generator.state,
+                state.rng_csd.bit_generator.state]
 
     before = snapshot()
     moves = audit_stability(state)
     assert moves
     assert snapshot() == before
-    for game in ("hrd", "csd"):
-        c = state.sums[game].size.argmax()
-        state.sums[game].sums[c] *= 0.5
-    with pytest.raises(AssertionError, match="running sums"):
-        state.check()
-    assert audit_stability(state) == moves
 
 
-def _scalar_random_phase(state, game, t2, patience):
-    """The random phase as one loop of ``propose_move`` and
-    ``evaluate_and_apply``, one proposal at a time, on the game's own
-    generator: the reference that the rejection-free phase must equal in
-    law."""
+def _scalar_random_phase(state, sums, t2, patience):
+    """The random phase of the game of the running sums ``sums`` as one
+    loop of ``propose_move`` and ``evaluate_and_apply``, one proposal at a
+    time, on the game's own generator: the reference that the
+    rejection-free phase must equal in law."""
+    game = sums.game
     rng = state.rng_hrd if game == "hrd" else state.rng_csd
     rejections = 0
     for _ in range(t2):
         if rejections >= patience:
             break
-        if evaluate_and_apply(state, propose_move(state, game, rng)):
+        if evaluate_and_apply(state, sums, propose_move(state, game, rng)):
             rejections = 0
         else:
             rejections += 1
 
 
-def _scalar_stabilize(state, game, sweeps):
+def _scalar_stabilize(state, game, sums, sweeps):
     """The stabilization sweep as one loop of ``_moves`` and
-    ``evaluate_and_apply``, one proposal at a time: the reference that the
-    block version must equal to the last bit.  Appends each sweep's count
-    of accepted moves to ``sweeps``."""
+    ``evaluate_and_apply``, one proposal at a time, valued from the game's
+    running sums ``sums``: the reference that the block version must equal
+    to the last bit.  Appends each sweep's count of accepted moves to
+    ``sweeps``."""
     improved = True
     while improved:
         applied = 0
         for prop in _moves(state, game):
-            applied += evaluate_and_apply(state, prop)
+            applied += evaluate_and_apply(state, sums, prop)
         sweeps.append(applied)
         improved = applied > 0
 
@@ -1798,11 +1800,12 @@ class _Accepted(Exception):
 
 def _first_accepts(monkeypatch, state, game, phase, runs):
     """``runs`` random phases ``phase`` of ``game`` from ``state``, each on
-    a generator seeded by its run and cut at its first accept, which is not
-    applied.  Per run: the rejections before the accept and the accepted
-    move (a swap keyed by its two devices, a transfer by its device and
-    target).  The library's phase and the reference both accept through
-    ``_commit``, which is cut before it counts."""
+    its own running sums and on a generator seeded by its run, and cut at
+    its first accept, which is not applied.  Per run: the rejections
+    before the accept and the accepted move (a swap keyed by its two
+    devices, a transfer by its device and target).  The library's phase
+    and the reference both accept through ``_commit``, which is cut before
+    it counts."""
     def commit(state, block, k):
         raise _Accepted(block, k)
 
@@ -1812,7 +1815,7 @@ def _first_accepts(monkeypatch, state, game, phase, runs):
         state.rng_hrd = state.rng_csd = np.random.default_rng([run, 0])
         state.proposals = 0
         with pytest.raises(_Accepted) as accepted:
-            phase(state, game, 10 ** 6, 10 ** 6)
+            phase(state, game_sums(state, game), 10 ** 6, 10 ** 6)
         block, k = accepted.value.args
         i = block.i.item(k)
         key = (frozenset((i, block.j.item(k))) if block.swap.item(k)
@@ -1858,7 +1861,7 @@ def test_random_phase_matches_scalar_reference(monkeypatch):
     states.append((abcg_init(scn, demand), "csd"))
     runs = 1500
     for n, (state, game) in enumerate(states):
-        sums = state.sums[game]
+        sums = game_sums(state, game)
         block, _ = association._neighbourhood_block(
             state, sums, _neighbourhood(sums.none, sums.size.size), 0,
             drawable=True)
@@ -1911,14 +1914,15 @@ def _every_move_wins_state():
 
 def _whole_phases(state, game, phase, t2, patience, runs, side):
     """``runs`` whole random phases ``phase`` of ``game``, each from a clone
-    of ``state`` on a generator seeded by its run and ``side``.  Per run:
+    of ``state``, on running sums built from the clone and on a generator
+    seeded by its run and ``side``.  Per run:
     the end partition of the game, its number of accepts, its number of
     proposals and the number of proposals after its last accept."""
     out = []
     for run in range(runs):
         twin = state.clone()
         twin.rng_hrd = twin.rng_csd = np.random.default_rng([run, side])
-        phase(twin, game, t2, patience)
+        phase(twin, game_sums(twin, game), t2, patience)
         assoc = twin.partition.hrd_sbs if game == "hrd" \
             else twin.partition.csd_sbs
         last = twin.move_log[-1][0] if twin.move_log else 0
@@ -1946,7 +1950,7 @@ def test_whole_random_phase_matches_scalar_reference():
              "every move wins": (_every_move_wins_state(), "hrd", 2, 10 ** 6,
                                  800)}
     for name, (state, game, t2, patience, runs) in cases.items():
-        sums = state.sums[game]
+        sums = game_sums(state, game)
         block, _ = association._neighbourhood_block(
             state, sums, _neighbourhood(sums.none, sums.size.size), 0,
             drawable=True)
@@ -2014,10 +2018,10 @@ def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):
     inner_sweep, inner_commit = (association.stabilize_partition,
                                  association._commit)
 
-    def sweep(state, game):
+    def sweep(state, game, sums):
         sweeping.append(game)
         try:
-            return inner_sweep(state, game)
+            return inner_sweep(state, game, sums)
         finally:
             sweeping.pop()
 

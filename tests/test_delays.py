@@ -10,7 +10,7 @@ from mecsim.delays import (Allocation, Partition, audit_constraints,
                            objective, request_pairs)
 from mecsim.radio import RateTable, build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
-from conftest import demand_for, rate_scenario
+from conftest import demand_for, idle_allocation, rate_scenario
 
 
 def simple_table(s=1e6, r_dl=4.0, r_bh=4.0, r_ul=4.0, n_sbs=1, n_hrd=1,
@@ -101,7 +101,7 @@ def build_random_state(seed, n_sbs=3, n_hrd=5, n_csd=5, n_files=6):
         csd_sbs=rng.integers(0, n_sbs + 1, n_csd).astype(np.int64),
         n_sbs=n_sbs)
     pk, _ = request_pairs(demand)
-    allocation = Allocation.idle(pk.size, n_csd)
+    allocation = idle_allocation(pk.size, n_csd)
     for j in range(pk.size):
         allocation.beta[j] = rng.uniform(0.01, 1.0)
         allocation.eta[j] = rng.uniform(0.01, 1.0)
@@ -253,8 +253,8 @@ def test_allocation_of_another_shape_is_rejected():
     short_eta, short_gamma = allocation.copy(), allocation.copy()
     short_eta.eta = short_eta.eta[:-1]
     short_gamma.gamma = short_gamma.gamma[:-1]
-    for wrong in (Allocation.idle(pk.size + 1, demand.n_csd),
-                  Allocation.idle(pk.size, demand.n_csd - 1),
+    for wrong in (idle_allocation(pk.size + 1, demand.n_csd),
+                  idle_allocation(pk.size, demand.n_csd - 1),
                   short_eta, short_gamma):
         with pytest.raises(ValueError, match="one fraction per request pair"):
             objective(scn, demand, partition, wrong)

@@ -422,7 +422,7 @@ def test_cli_audit_small_instance(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", [1, 9, 17])
 def test_cli_audit_checks_every_nonempty_coalition(seed, capsys):
-    # The oracle comparison covers every nonempty final coalition of both
+    # The dual-bound comparison covers every nonempty final coalition of both
     # games; seed 17 ends with a rate ordering that binds.
     argv = ["audit", "--seed", str(seed)]
     assert main(argv) == 0
@@ -430,7 +430,7 @@ def test_cli_audit_checks_every_nonempty_coalition(seed, capsys):
     final = run_amnd(*_scenario_from_args(build_parser().parse_args(argv)))
     nonempty = sum(bool(members) for members in
                    final.hrd_members + final.csd_members[:final.n_sbs])
-    assert f"allocation vs oracle on {nonempty} coalition(s): " in out
+    assert f"allocation vs dual bound on {nonempty} coalition(s): " in out
     assert ", 0 infeasible\n" in out
     assert "audit: CLEAN" in out
 
@@ -497,7 +497,7 @@ def test_cli_audit_counts_remaining_moves(monkeypatch, capsys):
     # Without the stabilization sweep the random phase leaves improving
     # moves, and every one of them counts as a failure.
     monkeypatch.setattr(association, "stabilize_partition",
-                        lambda state, game: 0)
+                        lambda state, game, sums: 0)
     assert main(["audit", "--seed", "3"]) == 2
     assert "stability audit: 9 improving move(s) remain\n" in \
         capsys.readouterr().out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mecsim.radio import RateTable, build_rate_table, rate_bh, rate_dl, rate_ul
+from mecsim.radio import RateTable, build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import rate_scenario, synthetic_scenario
 
@@ -56,11 +56,16 @@ def test_rates_are_linear_in_fraction():
         s_dl=np.array([1e6]), s_ul=np.array([2e6]), s_bh=np.array([5e5]),
         r_dl=np.array([[2.0]]), r_ul=np.array([[3.0]]), r_bh=np.array([4.0]),
         eta_min=np.array([[0.1]]))
-    assert rate_dl(table, 0, 0, 0.0) == 0.0
-    assert rate_dl(table, 0, 0, 1.0) == pytest.approx(2e6)
-    assert rate_dl(table, 0, 0, 0.6) == pytest.approx(2 * rate_dl(table, 0, 0, 0.3))
-    assert rate_ul(table, 0, 0, 0.5) == pytest.approx(3e6)
-    assert rate_bh(table, 0, 0.25) == pytest.approx(0.25 * 5e5 * 4.0)
+
+    def rate_dl(beta):
+        return beta * table.s_dl[0] * table.r_dl[0, 0]
+
+    assert rate_dl(0.0) == 0.0
+    assert rate_dl(1.0) == pytest.approx(2e6)
+    assert rate_dl(0.6) == pytest.approx(2 * rate_dl(0.3))
+    assert 0.5 * table.s_ul[0] * table.r_ul[0, 0] == pytest.approx(3e6)
+    assert 0.25 * table.s_bh[0] * table.r_bh[0] == \
+        pytest.approx(0.25 * 5e5 * 4.0)
 
 
 def test_rate_ordering_closure():
@@ -76,7 +81,8 @@ def test_rate_ordering_closure():
         k = int(rng.integers(4))
         beta = float(rng.uniform(0, 1))
         eta = table.eta_min[n, k] * beta
-        assert rate_dl(table, n, k, beta) <= rate_bh(table, n, eta) * (1 + 1e-12)
+        assert beta * table.s_dl[n] * table.r_dl[n, k] <= \
+            eta * table.s_bh[n] * table.r_bh[n] * (1 + 1e-12)
 
 
 def test_band_shares_partition_the_downlink_slot():

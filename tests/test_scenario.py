@@ -6,7 +6,7 @@ import pytest
 
 from mecsim import scenario as scenario_mod
 from mecsim.cli import main
-from mecsim.scenario import (MBS_MD, MBS_SBS, SBS_MD, Counts, SystemParams,
+from mecsim.scenario import (MBS_SBS, SBS_MD, Counts, SystemParams,
                              _drop_nodes, channel_gain, generate_scenario,
                              hex_lattice, load_scenario, los_probability,
                              pathloss_db, rng_streams, save_scenario)
@@ -153,7 +153,6 @@ def test_lattice_spacing_holds_for_larger_counts():
 
 
 def test_pathloss_values_by_link_class():
-    assert pathloss_db(MBS_MD, 100.0, True) == pytest.approx(79.2)
     assert pathloss_db(SBS_MD, 10.0, False) == pytest.approx(70.4)
     assert pathloss_db(MBS_SBS, 100.0, True) == pytest.approx(77.2)
 
@@ -164,7 +163,7 @@ def test_pathloss_clamps_below_one_meter():
 
 def test_pathloss_monotone_in_distance():
     rng = np.random.default_rng(0)
-    for model in (MBS_MD, MBS_SBS, SBS_MD):
+    for model in (MBS_SBS, SBS_MD):
         for los in (True, False):
             d = np.sort(rng.uniform(1.0, 3000.0, size=200))
             pl = pathloss_db(model, d, los)
@@ -172,8 +171,8 @@ def test_pathloss_monotone_in_distance():
 
 
 def test_los_probability_limits():
-    assert los_probability(MBS_MD, 1e-9) == pytest.approx(1.0)
-    assert los_probability(MBS_MD, 18.0) == pytest.approx(1.0)
+    assert los_probability(MBS_SBS, 1e-9) == pytest.approx(1.0)
+    assert los_probability(MBS_SBS, 18.0) == pytest.approx(1.0)
 
 
 def test_los_probability_street_form_pinned_value():
@@ -185,7 +184,7 @@ def test_los_probability_street_form_pinned_value():
 def test_los_probability_within_unit_interval():
     rng = np.random.default_rng(1)
     d = rng.uniform(1e-3, 1e4, size=500)
-    for model in (MBS_MD, MBS_SBS, SBS_MD):
+    for model in (MBS_SBS, SBS_MD):
         p = los_probability(model, d)
         assert np.all((p >= 0.0) & (p <= 1.0))
 
