@@ -8,14 +8,14 @@ random phase of drawn moves (``_random_phase``, which samples each accept
 under the law of the drawn moves, ``_draw_weights``), on the budget that
 the instance fixes (``game_budget``), a deterministic stabilization sweep
 (``stabilize_partition``, which visits the moves cyclically from the last
-accept), and then the allocation step of its device class
-(``reallocate``), which installs each of its coalitions' closed form.  A
-move transfers a device into another coalition or swaps two devices of
-different coalitions; it is accepted iff both tentative coalitions are
-feasible and their total weighted delay falls by more than
-``IMPROVE_MARGIN``.  Every value is one float, +inf for an infeasible
-coalition (``_kernels``), so that test is one comparison: a move with an
-infeasible side has ``dv`` +inf.
+accept and counts each move it judges once), and then the allocation step
+of its device class (``reallocate``), which installs each of its
+coalitions' closed form.  A move transfers a device into another
+coalition or swaps two devices of different coalitions; it is accepted
+iff both tentative coalitions are feasible and their total weighted delay
+falls by more than ``IMPROVE_MARGIN``.  Every value is one float, +inf
+for an infeasible coalition (``_kernels``), so that test is one
+comparison: a move with an infeasible side has ``dv`` +inf.
 
 The state (``GameState``) couples the partition with a feasible
 allocation and every coalition's cached closed-form value.  The objective
@@ -51,7 +51,6 @@ from .radio import RateTable, build_rate_table
 from .scenario import Scenario
 
 IMPROVE_MARGIN = 1e-12   # strict-improvement threshold, avoids cycling on ties
-CHECK_TOL = 1e-9         # relative tolerance of ``GameState.check``
 # Relative allowance of the screen (``_Block.screen``) for the rounding of
 # the running sums and of the exact valuation.
 SLACK = 1e-8
@@ -262,29 +261,6 @@ class GameState:
                     gaps.append((delay - bound) / max(1e-12, bound)
                                 if sol["feasible"] else math.inf)
         return np.array(gaps)
-
-    def check(self) -> None:
-        """Assert the cached utilities and the objective match
-        recomputation; cached utilities are checked against the delays of
-        the installed fractions (``installed_delays``), so a coalition whose
-        installed fractions lag its cached value fails as a stale utility
-        cache.  The state holds no running sums: each game builds its own
-        (``run_coalition_game``)."""
-        rep = self.report()
-        for game, cache, ref in zip((HRD, CSD), (self.v_hrd, self.v_csd),
-                                    self.installed_delays(rep)):
-            stale = np.flatnonzero(np.abs(ref - cache)
-                                   > CHECK_TOL * np.maximum(1.0, np.abs(ref)))
-            if stale.size:
-                c = int(stale[0])
-                raise AssertionError(
-                    f"stale {game} utility cache at coalition {c}: "
-                    f"{cache[c]!r} vs {ref[c]!r}")
-        if abs(rep.objective - self.objective) > \
-                CHECK_TOL * max(1.0, rep.objective):
-            raise AssertionError(
-                f"objective disagrees with delay model: "
-                f"{self.objective!r} vs {rep.objective!r}")
 
 
 def _game_rngs(seed: int):
@@ -527,8 +503,8 @@ class _Block:
         return self.dv.item(q)
 
     def screen(self):
-        """The flagged proposals of an HRD block, split into those that may
-        still be accepted and those that cannot, as two index lists.
+        """The flagged proposals of an HRD block that may still be
+        accepted, as an index list; the other flagged ones cannot be.
 
         A flagged side's exact value solves the problem whose relaxation,
         without the rate orderings, is worth ``sd**2 + sb**2`` (the
@@ -537,8 +513,7 @@ class _Block:
         after ``SLACK`` times its two sides' values is taken off is
         therefore not improving."""
         wins = self.dv - SLACK * (self.v_src + self.v_dst) < -IMPROVE_MARGIN
-        return ((self.floor & wins).nonzero()[0].tolist(),
-                (self.floor & ~wins).nonzero()[0].tolist())
+        return (self.floor & wins).nonzero()[0].tolist()
 
     def improving(self) -> np.ndarray:
         """Which proposals improve by more than ``IMPROVE_MARGIN``, as a
@@ -546,7 +521,7 @@ class _Block:
         ``value``, and no other."""
         if self.floor is None or not self.floor.any():
             return self.dv < -IMPROVE_MARGIN
-        for q in self.screen()[0]:
+        for q in self.screen():
             self.value(q)
         return ~self.floor & (self.dv < -IMPROVE_MARGIN)
 
@@ -606,9 +581,9 @@ def _commit(state: GameState, block: _Block, k: int) -> None:
 
 
 def stabilize_partition(state: GameState, game: str,
-                        sums: CoalitionSums) -> int:
+                        sums: CoalitionSums) -> None:
     """Deterministic local search: sweep all transfers and same-class swaps,
-    applying improvements, until one full sweep finds none.  Guarantees the
+    applying improvements, until a whole cycle finds none.  Guarantees the
     exhaustive stability audit passes on exit.  ``sums`` are the running
     sums of the game ``game`` names (``run_coalition_game``), kept current
     by ``_commit``.
@@ -621,22 +596,17 @@ def stabilize_partition(state: GameState, game: str,
     whose positions wrap round) of ``SWEEP_CHUNK`` positions, doubling
     while a block holds no winner and back to ``SWEEP_CHUNK`` after an
     accept, so that a sweep values the contenders of a few blocks past its
-    accept, not of the whole rest; one block thus spans the end of one
-    pass and the start of the next.  The block's proposals before its
-    first winner (``_Block.improving``) count as rejections, and the winner
-    is applied with the block's valuation (``_commit``).  A move's value
-    does not depend on its block, so the chunks change no result.
+    accept, not of the whole rest.  The block's proposals before its first
+    winner (``_Block.improving``) count as rejections, and the winner is
+    applied with the block's valuation (``_commit``).  A move's value does
+    not depend on its block, so the chunks change no result.
 
-    The sweep accepts the moves, in order, of passes that each start at
-    the first position, until a pass accepts none, and ``proposals``
-    counts what those passes value.  They value the rows after the last
-    accept twice, to the end of its pass and again in the pass that
-    accepts none, so the rows of the final cycle before its wrap are
-    counted once more.
+    ``proposals`` counts each move the sweep judges once: the moves up to
+    and including each accept, in the cyclic order, then the final cycle
+    without a winner.
     """
     hood = _neighbourhood(sums.none, sums.size.size)
     n = hood.swap.size
-    applied = tail = 0
     pos, end, chunk = 0, n, SWEEP_CHUNK
     while pos < end:
         block, at = _neighbourhood_block(state, sums, hood, pos,
@@ -644,19 +614,13 @@ def stabilize_partition(state: GameState, game: str,
         wins = block.improving().nonzero()[0]
         if not wins.size:
             state.proposals += len(block)
-            # The rows of this cycle before the wrap.
-            tail += int(np.count_nonzero(at < n))
             pos, chunk = pos + chunk, 2 * chunk
             continue
         first = wins.item(0)
         state.proposals += first
         _commit(state, block, first)
-        applied += 1
         pos = at.item(first) % n + 1
-        end, chunk, tail = pos + n, SWEEP_CHUNK, 0
-    if applied:
-        state.proposals += tail
-    return applied
+        end, chunk = pos + n, SWEEP_CHUNK
 
 
 def _draw_weights(size: np.ndarray, a: np.ndarray, b: np.ndarray):

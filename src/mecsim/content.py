@@ -66,7 +66,9 @@ def _distinct_draws(catalog: Catalog, sizes, rng: np.random.Generator,
     draw one double per missing pick, zero the weights of the files found,
     take the cumulative sum over its last entry, find each double's file by
     ``bisect_right`` (numpy's ``searchsorted(side='right')``), and keep the
-    first pick of each file; repeat until ``size`` files are found.  The
+    first pick of each file; repeat until ``size`` files are found.  A
+    size's first round zeroes nothing, so its cumulative sum is built once
+    per call and shared; only a later round rebuilds it.  The
     doubles come from one read-ahead buffer (``ReadAhead``), and the
     generator ends where the consumed draws leave it, as after the
     ``rng.choice`` calls.  ``need`` names what the largest size counts in
@@ -84,23 +86,31 @@ def _distinct_draws(catalog: Catalog, sizes, rng: np.random.Generator,
                 f"{catalog.n_files} files a nonzero popularity, fewer than "
                 f"the {max(sizes)} distinct {need}")
     weights = p.tolist()
+    first = _normalized_cdf(weights)
     draws = ReadAhead(rng)
     out = []
     for size in sizes:
-        w, found = list(weights), {}
+        cdf, found = first, {}
         while len(found) < size:
+            if found:
+                w = list(weights)
+                for f in found:
+                    w[f] = 0.0
+                cdf = _normalized_cdf(w)
             u = draws.window(size - len(found)).tolist()
             draws.skip(len(u))
-            cdf = list(itertools.accumulate(w))
-            last = cdf[-1]
-            cdf = [c / last for c in cdf]
             for x in u:
                 found.setdefault(bisect.bisect_right(cdf, x))
-            for f in found:
-                w[f] = 0.0
         out.append(list(found))
     draws.release()
     return out
+
+
+def _normalized_cdf(weights):
+    """numpy's ``cdf = cumsum(p); cdf /= cdf[-1]`` on Python floats."""
+    cdf = list(itertools.accumulate(weights))
+    last = cdf[-1]
+    return [c / last for c in cdf]
 
 
 def draw_requests(catalog: Catalog, n_hrd: int, requests_per_hrd: int,

@@ -15,7 +15,7 @@ from mecsim._kernels import IDLE_FRAC, _sum, hrd_closed_form, root_shares
 from mecsim.association import CoalitionSums
 from mecsim.content import Catalog, build_demand, demand_rng
 from mecsim.delays import Allocation
-from mecsim.radio import REUSE, build_rate_table
+from mecsim.radio import REUSE
 from mecsim.scenario import Counts, Scenario, SystemParams, dbm_to_mw, \
     generate_scenario
 

@@ -8,7 +8,9 @@ running sums, and commits it if it wins.  The stabilization sweep
 (``association.stabilize_partition``) matches a loop of these to the last
 bit; the random phase (``association._random_phase``) matches a loop of
 these in law, and ``association._draw_weights`` states that law.
-``check_sums`` checks a game's running sums against its member lists.
+``check_state`` checks a state's cached values and objective against its
+installed fractions, and ``check_sums`` a game's running sums against its
+member lists.
 
 Every library call goes through the ``association`` module, so a test that
 patches ``association._commit`` (the step that counts, applies and logs an
@@ -33,6 +35,7 @@ from mecsim import association
 from mecsim._kernels import BYTES_TOL, FEAS_TOL, IDLE_FRAC
 
 MASK32 = 0xFFFFFFFF
+CHECK_TOL = 1e-9   # relative tolerance of ``check_state`` and ``check_sums``
 # Attempts ``propose_move`` makes before it gives up.
 ATTEMPTS = 2048
 
@@ -124,6 +127,29 @@ def propose_move(state, game: str, rng) -> MoveProposal:
     raise RuntimeError("could not sample a nonempty coalition pair")
 
 
+def check_state(state) -> None:
+    """Assert the cached utilities and the objective of ``state`` (an
+    ``association.GameState``) match recomputation; cached utilities are
+    checked against the delays of the installed fractions
+    (``GameState.installed_delays``), so a coalition whose installed
+    fractions lag its cached value fails as a stale utility cache."""
+    rep = state.report()
+    for game, cache, ref in zip(("hrd", "csd"), (state.v_hrd, state.v_csd),
+                                state.installed_delays(rep)):
+        stale = np.flatnonzero(np.abs(ref - cache)
+                               > CHECK_TOL * np.maximum(1.0, np.abs(ref)))
+        if stale.size:
+            c = int(stale[0])
+            raise AssertionError(
+                f"stale {game} utility cache at coalition {c}: "
+                f"{cache[c]!r} vs {ref[c]!r}")
+    if abs(rep.objective - state.objective) > \
+            CHECK_TOL * max(1.0, rep.objective):
+        raise AssertionError(
+            f"objective disagrees with delay model: "
+            f"{state.objective!r} vs {rep.objective!r}")
+
+
 def check_sums(sums, lists) -> None:
     """Assert every row of the running sums ``sums`` (an
     ``association.CoalitionSums``) matches its member list in ``lists``."""
@@ -132,7 +158,7 @@ def check_sums(sums, lists) -> None:
         ref = np.append(ref_sums, ref_ratio)
         got = np.append(sums.sums[c], sums.ratio[c])
         if (sums.size[c] != len(members)
-                or np.any(np.abs(got - ref) > association.CHECK_TOL
+                or np.any(np.abs(got - ref) > CHECK_TOL
                           * np.maximum(1.0, np.abs(ref)))):
             raise AssertionError(
                 f"stale {sums.game} running sums at coalition {c}: "

@@ -21,7 +21,8 @@ from mecsim.experiments import ExperimentConfig, run_sweep, seed_average, \
 from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import (DESK_STORAGE, allocate_csd, allocate_hrd, demand_for,
                       idle_allocation)
-from reference import member_pairs, oracle_hrd_min, oracle_simplex_min
+from reference import check_state, member_pairs, oracle_hrd_min, \
+    oracle_simplex_min
 
 
 def _verdict(num, label, ok, detail=""):
@@ -168,7 +169,7 @@ def test_criterion_4_nash_stability(dominance_batch):
     runs, _ = dominance_batch
     total_moves = 0
     for _, _, _, final, _ in runs[:20]:
-        final.check()
+        check_state(final)
         moves = audit_stability(final)
         total_moves += len(moves)
     ok = total_moves == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mecsim.radio import RateTable, build_rate_table
-from mecsim.scenario import Counts, SystemParams, generate_scenario
+from mecsim.scenario import SystemParams
 from conftest import rate_scenario, synthetic_scenario
 
 

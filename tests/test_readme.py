@@ -1,7 +1,8 @@
 """The README's pointers into the code, and the module-qualified and
 private ones of the package's docstrings and of the test reference,
 resolve: a renamed or deleted name fails here instead of leaving a stale
-pointer."""
+pointer.  Every module of the package, the tests and the benchmark reads
+each name it imports: no linter is installed, so this is the gate."""
 
 import ast
 import dataclasses
@@ -15,8 +16,9 @@ from mecsim import association, experiments
 from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import demand_for
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-REFERENCE = Path(__file__).resolve().parent / "reference.py"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+REFERENCE = ROOT / "tests" / "reference.py"
 MODULES = {m.name for m in pkgutil.iter_modules(mecsim.__path__)}
 
 
@@ -95,6 +97,32 @@ def test_docstring_names_resolve():
                     raise AssertionError(f"{path.name}: ``{name}``") from err
                 private += 1
     assert private >= 40, private
+
+
+def _unread_imports(path):
+    """The names that the module at ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_read():
+    package = Path(mecsim.__file__).resolve().parent
+    paths = [path for folder in (package, ROOT / "tests", ROOT / "perfbench")
+             for path in sorted(folder.glob("*.py"))]
+    assert len(paths) >= 25, paths
+    # The package's ``__init__`` imports only to re-export.
+    unread = {f"{path.parent.name}/{path.name}": names for path in paths
+              if path != package / "__init__.py"
+              and (names := _unread_imports(path))}
+    assert unread == {}
 
 
 def _block_after(text, label):
