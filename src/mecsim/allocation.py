@@ -31,12 +31,11 @@ import numpy as np
 from . import _kernels
 from ._kernels import IDLE_FRAC
 from .content import DemandProfile
-from .delays import BITS_PER_BYTE, Allocation, Partition, request_pairs
+from .delays import BITS_PER_BYTE, CSD, HRD, Allocation, Partition, \
+    request_pairs
 from .radio import RateTable, build_rate_table
 from .scenario import Scenario
 
-HRD = "hrd"
-CSD = "csd"
 _HRD_INPUTS = "file_size_bytes, hrd_weight, a, t1_frac or w_hz"
 
 

@@ -17,26 +17,27 @@ falls by more than ``IMPROVE_MARGIN``.  Every value is one float, +inf
 for an infeasible coalition (``_kernels``), so that test is one
 comparison: a move with an infeasible side has ``dv`` +inf.
 
-The state (``GameState``) couples the partition with a feasible
+The state (``GameState``) couples the partition, the only record of the
+association (the member lists are read from it), with a feasible
 allocation and every coalition's cached closed-form value.  The objective
 is separable across SBSs, so a move touches two coalitions, which are
 valued from running sums (``CoalitionSums``), many moves at a time
 (``_Block``), with the moves that cannot win screened off unvalued
 (``_Block.screen``).  The sums are the game's, not the state's: each game
 builds its class's sums once, from the member lists, and passes them to
-both phases.  One step (``_commit``) counts a block's winner, applies it
-with the block's own valuation and logs it; it updates the block's running
-sums and the cached values and writes no fractions.  ``audit_stability``
-checks Nash stability with the same valuer, on sums it builds the same
-way.  The tests draw, value and commit one proposal at a time
-(``tests/reference.py``, a block of one row through ``_commit``): the
+both phases.  One step (``_commit``) counts a block's winner, applies it to
+the partition with the block's own valuation and logs it; it updates the
+block's running sums and the cached values and writes no fractions.
+``audit_stability`` checks Nash stability with the same valuer, on sums it
+builds the same way.  The tests draw, value and commit one proposal at a
+time (``tests/reference.py``, a block of one row through ``_commit``): the
 reference that the stabilization sweep matches to the last bit, and the
 random phase in law.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -178,7 +179,9 @@ class CoalitionSums:
 
 @dataclass
 class GameState:
-    """Mutable optimizer state; exposed snapshots satisfy the full audit."""
+    """Mutable optimizer state; exposed snapshots satisfy the full audit.
+    The member lists are read from ``partition``, ``fallback_hrds`` from
+    ``costs``."""
 
     scenario: Scenario
     demand: DemandProfile
@@ -186,13 +189,10 @@ class GameState:
     costs: CoalitionCosts
     partition: Partition
     allocation: Allocation
-    hrd_members: list
-    csd_members: list          # length n_sbs + 1; last entry is local
     v_hrd: np.ndarray          # (n_sbs,) cached coalition utilities
     v_csd: np.ndarray          # (n_sbs + 1,)
     rng_hrd: np.random.Generator
     rng_csd: np.random.Generator
-    fallback_hrds: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     proposals: int = 0
     # One row per accepted move (``_commit``); ``write_move_log`` dumps it.
@@ -201,6 +201,18 @@ class GameState:
     @property
     def n_sbs(self) -> int:
         return self.partition.n_sbs
+
+    @property
+    def hrd_members(self) -> list:
+        return self.partition.coalitions(HRD)
+
+    @property
+    def csd_members(self) -> list:
+        return self.partition.coalitions(CSD)
+
+    @property
+    def fallback_hrds(self) -> list:
+        return np.flatnonzero(~(self.costs.eta_min <= 1.0).any(0)).tolist()
 
     @property
     def accepted_moves(self) -> int:
@@ -215,17 +227,11 @@ class GameState:
         """Independent copy; its generators restart from the scenario's
         seed."""
         rng_csd, rng_hrd = _game_rngs(self.scenario.params.seed)
-        return GameState(
-            scenario=self.scenario, demand=self.demand, table=self.table,
-            costs=self.costs, partition=self.partition.copy(),
-            allocation=self.allocation.copy(),
-            hrd_members=[list(c) for c in self.hrd_members],
-            csd_members=[list(c) for c in self.csd_members],
-            v_hrd=self.v_hrd.copy(), v_csd=self.v_csd.copy(),
-            rng_hrd=rng_hrd, rng_csd=rng_csd,
-            fallback_hrds=list(self.fallback_hrds), trace=list(self.trace),
-            proposals=self.proposals, move_log=list(self.move_log),
-        )
+        return replace(
+            self, partition=self.partition.copy(),
+            allocation=self.allocation.copy(), v_hrd=self.v_hrd.copy(),
+            v_csd=self.v_csd.copy(), rng_hrd=rng_hrd, rng_csd=rng_csd,
+            trace=list(self.trace), move_log=list(self.move_log))
 
     def report(self) -> DelayReport:
         return objective(self.scenario, self.demand, self.partition,
@@ -250,11 +256,11 @@ class GameState:
         inputs overrun the SBS's spare storage.  A gap near 0 proves the
         installed allocation optimal."""
         delay_hrd, delay_csd = self.installed_delays(self.report())
+        hrd, csd = self.hrd_members, self.csd_members
         gaps = []
         for n in range(self.n_sbs):
-            for game, members, delay in (
-                    (HRD, self.hrd_members[n], delay_hrd[n]),
-                    (CSD, self.csd_members[n], delay_csd[n])):
+            for game, members, delay in ((HRD, hrd[n], delay_hrd[n]),
+                                         (CSD, csd[n], delay_csd[n])):
                 if members:
                     sol = oracle_solve_p3(self.costs, n, members, game)
                     bound = sol["objective"]
@@ -306,8 +312,8 @@ def abcg_init(scenario: Scenario, demand: DemandProfile) -> GameState:
     # strongest.
     gains = scenario.gain_sbs_hrd
     ok = costs.eta_min <= 1.0
-    passing = ok.any(axis=0)
-    hrd_sbs = np.where(passing, np.argmax(np.where(ok, gains, -np.inf), axis=0),
+    hrd_sbs = np.where(ok.any(axis=0),
+                       np.argmax(np.where(ok, gains, -np.inf), axis=0),
                        np.argmax(gains, axis=0)).astype(np.int64)
     csd_sbs = np.argmax(scenario.gain_sbs_csd, axis=0).astype(np.int64)
     partition = Partition(hrd_sbs=hrd_sbs, csd_sbs=csd_sbs, n_sbs=n_sbs)
@@ -333,12 +339,8 @@ def abcg_init(scenario: Scenario, demand: DemandProfile) -> GameState:
     rng_csd, rng_hrd = _game_rngs(scenario.params.seed)
     state = GameState(
         scenario=scenario, demand=demand, table=table, costs=costs,
-        partition=partition, allocation=allocation,
-        hrd_members=partition.hrd_coalitions(),
-        csd_members=partition.csd_coalitions(),
-        v_hrd=None, v_csd=None, rng_hrd=rng_hrd, rng_csd=rng_csd,
-        fallback_hrds=np.flatnonzero(~passing).tolist(),
-    )
+        partition=partition, allocation=allocation, v_hrd=None, v_csd=None,
+        rng_hrd=rng_hrd, rng_csd=rng_csd)
     state.v_hrd, state.v_csd = state.installed_delays(rep)
     state.trace.append(state.objective)
     return state
@@ -450,7 +452,8 @@ class _Block:
     is the whole acceptance test.  An HRD block has ``floor``, each
     proposal's floor flag, and ``floors``, each side's, sources first; a
     CSD block has neither (``floor`` is None), since no ordering binds on
-    a CSD side.
+    a CSD side.  ``value`` reads a flagged proposal's two coalitions from
+    ``assoc``, the partition's association of the block's game.
 
     ``improving`` finds every proposal that would be accepted.  A winner
     is applied with the block's own valuation (``_commit``), so no move is
@@ -466,7 +469,7 @@ class _Block:
         self.swap, self.ends = swap, ends
         self.a, self.b = ends
         self.i, self.j = rows[2], rows[3]
-        self.lists = _member_lists(state, sums.game)
+        self.assoc = _association(state, sums.game)
         self.cache = state.v_hrd if sums.game == HRD else state.v_csd
         # Sources first, then destinations.
         n, sides = swap.size, ends.reshape(-1)
@@ -485,14 +488,15 @@ class _Block:
 
     def value(self, q: int) -> float:
         """``dv`` of proposal ``q``, exact: a side where a rate ordering
-        may bind is valued by ``_kernels.hrd_value`` over its tentative
-        members, once, and the result replaces the block's ``dv`` and clears
-        the proposal's flag."""
+        may bind is valued once by ``_kernels.hrd_value`` over its
+        tentative members, and the new ``dv`` clears the flag."""
         if self.floor is None or not self.floor[q]:
             return self.dv.item(q)
         n, a, b = len(self), self.a.item(q), self.b.item(q)
+        members = {c: (self.assoc == c).nonzero()[0].tolist()
+                   for c in (a, b)}
         t_src, t_dst = _tentative_members(
-            self.lists, a, b, self.i.item(q),
+            members, a, b, self.i.item(q),
             self.j.item(q) if self.swap[q] else None)
         src = (hrd_value(self.sums.costs, a, t_src) if self.floors[q]
                else self.v_src.item(q))
@@ -557,24 +561,22 @@ def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood: _Hood,
 
 def _commit(state: GameState, block: _Block, k: int) -> None:
     """Count proposal ``k`` of ``block``, a winner, and apply it with the
-    block's own ``dv``, testing nothing again: update the partition, and
+    block's own ``dv``, testing nothing again: write the partition, update
     the block's running sums and the cached values of its two coalitions
-    from one pass over each sorted member list, and log the move.  It
-    writes no fractions: the game's allocation step (``reallocate``)
-    installs every coalition once, at the game's end."""
+    from one pass over each one's members, read back from the partition in
+    ascending order, and log the move.  It writes no fractions: the game's
+    allocation step (``reallocate``) installs every coalition once."""
     state.proposals += 1
     game, swap = block.game, block.swap.item(k)
     a, b, i = block.a.item(k), block.b.item(k), block.i.item(k)
     j = block.j.item(k) if swap else None
-    lists = _member_lists(state, game)
-    src, dst = _tentative_members(lists, a, b, i, j)
-    lists[a], lists[b] = sorted(src), sorted(dst)
-    assoc = _association(state, game)
+    assoc = block.assoc
     assoc[i] = b
     if j is not None:
         assoc[j] = a
-    block.cache[a] = block.sums.refresh(a, lists[a])
-    block.cache[b] = block.sums.refresh(b, lists[b])
+    for c in (a, b):
+        members = (assoc == c).nonzero()[0].tolist()
+        block.cache[c] = block.sums.refresh(c, members)
     state.move_log.append((state.proposals, game,
                            "swap" if swap else "transfer", block.dv.item(k),
                            state.objective))
@@ -698,15 +700,14 @@ def run_coalition_game(state: GameState, game: str) -> GameState:
     the game ends Nash-stable, and then by the allocation step of its class
     (``reallocate``), so the game leaves a fully installed state.  Both
     phases value moves from the game's running sums, built here once from
-    the member lists, and apply a move through ``_commit``, which counts
-    it, refreshes the sums, appends it to the move log and installs
-    nothing.
+    the member lists read from the partition, and apply a move through
+    ``_commit``, which counts it, refreshes the sums, appends it to the
+    move log and installs nothing.
     """
     if game not in (HRD, CSD):
         raise ValueError(f"unknown game {game!r}")
-    lists = _member_lists(state, game)
-    sums = CoalitionSums(state.costs, game, lists)
-    if len(lists) >= 2 and sum(len(c) for c in lists) >= 1:
+    sums = CoalitionSums(state.costs, game, _member_lists(state, game))
+    if sums.size.size >= 2 and sums.size.any():
         _random_phase(state, sums,
                       *game_budget(state.demand.n_hrd, state.demand.n_csd))
     stabilize_partition(state, game, sums)
@@ -720,11 +721,11 @@ def reallocate(state: GameState, game: str) -> None:
     and cache its value.
 
     An accepted move (``_commit``) recomputes its two coalitions' running
-    sums and cached values from one pass over each sorted member list
-    (``CoalitionSums.refresh``), but writes no fractions, so a coalition
-    that many moves touch is installed once.  The install
+    sums and cached values from one pass over each one's members in
+    ascending order (``CoalitionSums.refresh``), but writes no fractions,
+    so a coalition that many moves touch is installed once.  The install
     (``_write_coalition``) runs the matching ``_kernels`` write path over
-    the same sorted member list, so a coalition a move touched gets the
+    the same member list, so a coalition a move touched gets the
     value it caches to the last bit; one that no move touched still holds
     the initializer's equal split, and its closed form replaces it."""
     cache = state.v_hrd if game == HRD else state.v_csd
@@ -766,22 +767,21 @@ def run_amnd(scenario: Scenario, demand: DemandProfile, *,
 
 
 def audit_stability(state: GameState) -> list:
-    """Every single transfer and same-class swap of the HRD game, then of the
-    CSD game, valued as one ``_Block`` per game from running sums built
-    from the member lists, as a game builds its own; returns the
-    feasible moves that improve by more than ``IMPROVE_MARGIN``, in
-    ``_neighbourhood`` order (empty list == Nash-stable), each as ``(game,
-    kind, c_from, c_to, md_from, md_to, dv)``: the device ``md_from``
-    leaves coalition ``c_from`` for ``c_to``, and in a swap ``md_to``
-    (else None) leaves ``c_to`` for ``c_from``.  Only the flagged moves
-    that ``_Block.screen`` passes are valued exactly; the others cannot
-    improve."""
+    """Every single transfer and same-class swap of the HRD game, then of
+    the CSD game, valued as one ``_Block`` per game from running sums built
+    from the member lists, as a game builds its own (the sums and the
+    moves' ends read the same partition); returns the feasible moves that
+    improve by more than ``IMPROVE_MARGIN``, in ``_neighbourhood`` order
+    (empty list == Nash-stable), each as ``(game, kind, c_from, c_to,
+    md_from, md_to, dv)``: the device ``md_from`` leaves coalition
+    ``c_from`` for ``c_to``, and in a swap ``md_to`` (else None) leaves
+    ``c_to`` for ``c_from``.  Only the flagged moves that ``_Block.screen``
+    passes are valued exactly; the others cannot improve."""
     found = []
     for game in (HRD, CSD):
-        lists = _member_lists(state, game)
+        sums = CoalitionSums(state.costs, game, _member_lists(state, game))
         block, _ = _neighbourhood_block(
-            state, CoalitionSums(state.costs, game, lists),
-            _neighbourhood(_association(state, game).size, len(lists)), 0)
+            state, sums, _neighbourhood(sums.none, sums.size.size), 0)
         for q in np.flatnonzero(block.improving()).tolist():
             swap = block.swap.item(q)
             found.append((game, "swap" if swap else "transfer",

@@ -140,8 +140,7 @@ def _cmd_run(args):
         emit_rate_csv(scenario, state.table, args.rates_csv)
         print(f"rate table written to {args.rates_csv}")
     if args.row_csv:
-        cfg = ExperimentConfig(axis="a", grid=(scenario.params.a,))
-        row = _row_from_state(cfg, scenario.params.a, demand.catalog.delta,
+        row = _row_from_state("a", scenario.params.a, demand.catalog.delta,
                               scenario.params.seed, args.algorithm.upper(),
                               state)
         emit_csv([row], args.row_csv)

@@ -20,6 +20,9 @@ from .radio import RateTable, build_rate_table
 from .scenario import Scenario
 
 BITS_PER_BYTE = 8.0
+# The two device classes, each the name of its coalition game.
+HRD = "hrd"
+CSD = "csd"
 
 
 @dataclass
@@ -51,16 +54,14 @@ class Partition:
                                   or self.csd_sbs.max() > self.n_sbs):
             raise ValueError("CSD association out of range")
 
-    def hrd_coalitions(self) -> list[list[int]]:
-        out = [[] for _ in range(self.n_sbs)]
-        for k, n in enumerate(self.hrd_sbs):
-            out[int(n)].append(k)
-        return out
-
-    def csd_coalitions(self) -> list[list[int]]:
-        out = [[] for _ in range(self.n_sbs + 1)]
-        for k, n in enumerate(self.csd_sbs):
-            out[int(n)].append(k)
+    def coalitions(self, game: str) -> list[list[int]]:
+        """Each coalition's devices in ascending order, one list per SBS of
+        the game ``game`` (``HRD`` or ``CSD``, whose last list is local)."""
+        sbs, n_coal = ((self.hrd_sbs, self.n_sbs) if game == HRD
+                       else (self.csd_sbs, self.n_sbs + 1))
+        out = [[] for _ in range(n_coal)]
+        for k, n in enumerate(sbs.tolist()):
+            out[n].append(k)
         return out
 
     def copy(self) -> "Partition":

@@ -128,11 +128,11 @@ class SweepRow:
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
-def _row_from_state(cfg, axis_value, delta, seed, algorithm,
+def _row_from_state(axis, axis_value, delta, seed, algorithm,
                     state) -> SweepRow:
     rep = state.report()
     return SweepRow(
-        axis=cfg.axis, axis_value=float(axis_value), delta=float(delta),
+        axis=axis, axis_value=float(axis_value), delta=float(delta),
         seed=int(seed), algorithm=algorithm, F=rep.objective,
         accepted_moves=state.accepted_moves,
         **{f.name: getattr(rep, f.name) for f in fields(rep)
@@ -165,15 +165,15 @@ def run_sweep(config: ExperimentConfig, *,
                 _assert_clean(scn, demand, state0, "ABCG",
                               axis_value, delta, seed)
             if "ABCG" in config.algorithms:
-                rows.append(_row_from_state(config, axis_value, delta, seed,
-                                            "ABCG", state0))
+                rows.append(_row_from_state(config.axis, axis_value, delta,
+                                            seed, "ABCG", state0))
             if "AMND" in config.algorithms:
                 final = run_amnd(scn, demand, init_state=state0)
                 if audit:
                     _assert_clean(scn, demand, final, "AMND",
                                   axis_value, delta, seed)
-                rows.append(_row_from_state(config, axis_value, delta, seed,
-                                            "AMND", final))
+                rows.append(_row_from_state(config.axis, axis_value, delta,
+                                            seed, "AMND", final))
     rows.sort(key=lambda r: (r.axis_value, r.delta, r.seed, r.algorithm))
     return rows
 

@@ -12,6 +12,7 @@ import pytest
 
 import mecsim
 from mecsim import _kernels, association
+from mecsim.allocation import oracle_solve_p3
 from mecsim._kernels import BYTES_TOL, FEAS_TOL, IDLE_FRAC, hrd_closed_form
 from mecsim.association import (IMPROVE_MARGIN, GameState, _draw_weights,
                                 _neighbourhood, _tentative_members,
@@ -403,7 +404,7 @@ def desk_runs():
 def _hood(state, game):
     """``_neighbourhood`` of ``game`` at the state's shape."""
     return _neighbourhood(association._association(state, game).size,
-                          len(association._member_lists(state, game)))
+                          state.n_sbs + (game == "csd"))
 
 
 def _move_at(state, game, q):
@@ -440,10 +441,10 @@ def _check_moves_against_scratch(state, games=("hrd", "csd")):
     for game in games:
         cache = state.v_hrd if game == "hrd" else state.v_csd
         sums = game_sums(state, game)
+        lists = state.hrd_members if game == "hrd" else state.csd_members
         for prop in _moves(state, game):
-            src, dst = _tentative_members(
-                state.hrd_members if game == "hrd" else state.csd_members,
-                prop.c_from, prop.c_to, prop.md_from, prop.md_to)
+            src, dst = _tentative_members(lists, prop.c_from, prop.c_to,
+                                          prop.md_from, prop.md_to)
             v_src = coalition_value(state.costs, game, prop.c_from, src)
             v_dst = coalition_value(state.costs, game, prop.c_to, dst)
             dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
@@ -1734,6 +1735,33 @@ def test_audit_matches_scratch_reference(monkeypatch, desk_runs,
         found += len(moves)
     assert found
     assert 3 in [c for c, _ in fallbacks]
+
+
+def test_audits_read_the_partition_they_are_given(desk_runs):
+    # HRD 0 of the final seed-3 state moves by a write to the partition
+    # alone, with nothing installed: the member lists, the certificate and
+    # the stability audit all judge the moved association.
+    state = desk_runs[3][1].clone()
+    hrd_sbs = state.partition.hrd_sbs
+    hrd_sbs[0] = (hrd_sbs[0] + 1) % state.n_sbs
+    grouping = [np.flatnonzero(hrd_sbs == n).tolist()
+                for n in range(state.n_sbs)]
+    assert state.hrd_members == grouping
+    delay_hrd, delay_csd = state.installed_delays(state.report())
+    gaps = []
+    for n in range(state.n_sbs):
+        for game, members, delay in (
+                ("hrd", grouping[n], delay_hrd[n]),
+                ("csd", state.csd_members[n], delay_csd[n])):
+            if members:
+                sol = oracle_solve_p3(state.costs, n, members, game)
+                bound = sol["objective"]
+                gaps.append((delay - bound) / max(1e-12, bound)
+                            if sol["feasible"] else math.inf)
+    assert state.optimality_gaps().tobytes() == np.array(gaps).tobytes()
+    moves = audit_stability(state)
+    assert moves and [m[:-1] for m in moves] == \
+        [m[:-1] for m in _scratch_audit(state)]
 
 
 def test_audit_leaves_the_state_untouched(desk_runs):

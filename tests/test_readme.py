@@ -2,7 +2,8 @@
 private ones of the package's docstrings and of the test reference,
 resolve: a renamed or deleted name fails here instead of leaving a stale
 pointer.  Every module of the package, the tests and the benchmark reads
-each name it imports: no linter is installed, so this is the gate."""
+each name it imports, and every function of the package reads each of its
+parameters: no linter is installed, so these tests are the gate."""
 
 import ast
 import dataclasses
@@ -123,6 +124,46 @@ def test_every_import_is_read():
               if path != package / "__init__.py"
               and (names := _unread_imports(path))}
     assert unread == {}
+
+
+# Parameters that a function keeps without reading them, with the reason.
+UNREAD_PARAMETERS = {
+    # perfbench's tracer names the phase by the positional ``args[1]``.
+    ("association.stabilize_partition", "game"),
+}
+
+
+def _unread_parameters(path):
+    """``(function, parameter)`` for each parameter that a function of the
+    module at ``path`` never reads, the function named by its qualified
+    name after the module's; ``self`` and ``cls`` are not counted."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = [a.arg for a in (args.posonlyargs + args.args
+                                          + args.kwonlyargs
+                                          + [args.vararg, args.kwarg]) if a]
+                read = {n.id for n in ast.walk(child)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                found.extend((prefix + child.name, p) for p in params
+                             if p not in read and p not in ("self", "cls"))
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
+    return found
+
+
+def test_every_parameter_is_read():
+    package = Path(mecsim.__file__).resolve().parent
+    unread = {item for path in sorted(package.glob("*.py"))
+              for item in _unread_parameters(path)}
+    assert unread == UNREAD_PARAMETERS
 
 
 def _block_after(text, label):
