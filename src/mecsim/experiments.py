@@ -12,6 +12,7 @@ file's keys and value types.
 """
 
 import inspect
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -267,13 +268,35 @@ TREND_RHO_MIN = 0.8      # |Spearman rho| a monotone trend must reach
 TREND_MIN_POINTS = 5     # grid points a trend check needs
 
 
+def _average_ranks(v) -> np.ndarray:
+    """Ranks 1..n of ``v``, tied values taking their average rank: one plus
+    the count of smaller values plus half the count of other equal ones.
+    A nan has no rank.  ``v`` has one value per grid point, so comparing
+    every pair costs little."""
+    v = np.asarray(v, dtype=float)
+    below = (v[:, None] > v).sum(axis=1)
+    tied = (v[:, None] == v).sum(axis=1)
+    return np.where(np.isnan(v), np.nan, below + (tied + 1) / 2)
+
+
+def spearman_rho(xs, ys) -> float:
+    """Spearman's rank correlation (Am. J. Psychol. 15(1), 1904): Pearson's
+    correlation of the two series' average ranks.  nan where a series has
+    no spread or holds a nan."""
+    rx, ry = _average_ranks(xs), _average_ranks(ys)
+    rx, ry = rx - rx.mean(), ry - ry.mean()
+    spread = math.sqrt((rx @ rx) * (ry @ ry))
+    return float(rx @ ry / spread) if spread > 0 else math.nan
+
+
 def trend_check(rows, metric: str, shape: str, *, algorithm: str = "AMND",
                 delta: float | None = None) -> TrendResult:
     """Shape test on the seed-averaged metric along the sweep axis.
 
     Shapes: "u" needs an interior minimum strictly below both endpoints;
-    "nonincreasing"/"nondecreasing" need a Spearman correlation of magnitude
-    at least ``TREND_RHO_MIN`` with the matching sign.  ``metric`` is a
+    "nonincreasing"/"nondecreasing" need a Spearman correlation
+    (``spearman_rho``) of magnitude at least ``TREND_RHO_MIN`` with the
+    matching sign; a flat series has none, and fails.  ``metric`` is a
     numeric CSV column.
     """
     if metric not in {f.name for f in fields(SweepRow) if f.type is not str}:
@@ -287,9 +310,7 @@ def trend_check(rows, metric: str, shape: str, *, algorithm: str = "AMND",
         passed = 0 < m < ys.size - 1 and ys[m] < ys[0] and ys[m] < ys[-1]
         detail = f"argmin at index {m}/{ys.size - 1}"
     elif shape in ("nonincreasing", "nondecreasing"):
-        # Imported here: scipy.stats takes most of ``import mecsim``'s time.
-        from scipy import stats
-        rho = float(stats.spearmanr(xs, ys).statistic)
+        rho = spearman_rho(xs, ys)
         passed = (rho <= -TREND_RHO_MIN if shape == "nonincreasing"
                   else rho >= TREND_RHO_MIN)
         detail = f"spearman rho = {rho:.3f}"

@@ -72,7 +72,7 @@ def _bounded(u: int, n: int):
     return None if m & MASK32 < (1 << 32) % n else m >> 32
 
 
-def propose_move(state, game: str, rng) -> MoveProposal:
+def propose_move(state, game: str, rng, lists=None) -> MoveProposal:
     """Draw one candidate move: two distinct coalitions holding a member; a
     member transfers into an empty one, otherwise one member from each side
     is swapped.
@@ -91,13 +91,18 @@ def propose_move(state, game: str, rng) -> MoveProposal:
 
     The fixed slot fixes which stream values an attempt reads, not the law
     of the drawn moves (``association._draw_weights``).
+
+    ``lists`` are the game's member lists, read from ``state`` when not
+    given.  A loop of draws may keep them from one draw to the next, and
+    must read them again after an accept: a rejection moves no device.
     """
     if isinstance(rng, np.random.Generator):
         def next_uint32():
             return int(rng.integers(1 << 32, dtype=np.uint32))
     else:
         next_uint32 = rng
-    lists = association._member_lists(state, game)
+    if lists is None:
+        lists = association._member_lists(state, game)
     n_coal = len(lists)
     if n_coal < 2:
         raise ValueError("need at least two coalitions to propose a move")

@@ -1787,15 +1787,19 @@ def _scalar_random_phase(state, sums, t2, patience):
     """The random phase of the game of the running sums ``sums`` as one
     loop of ``propose_move`` and ``evaluate_and_apply``, one proposal at a
     time, on the game's own generator: the reference that the
-    rejection-free phase must equal in law."""
+    rejection-free phase must equal in law.  It reads the member lists
+    again only after an accept."""
     game = sums.game
     rng = state.rng_hrd if game == "hrd" else state.rng_csd
+    lists = association._member_lists(state, game)
     rejections = 0
     for _ in range(t2):
         if rejections >= patience:
             break
-        if evaluate_and_apply(state, sums, propose_move(state, game, rng)):
+        if evaluate_and_apply(state, sums,
+                              propose_move(state, game, rng, lists)):
             rejections = 0
+            lists = association._member_lists(state, game)
         else:
             rejections += 1
 

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from dataclasses import fields
 
@@ -15,7 +16,7 @@ from mecsim.cli import _scenario_from_args, build_parser, main
 from mecsim.experiments import (CSV_COLUMNS, ExperimentConfig, SweepRow,
                                 config_with_overrides, emit_csv, load_config,
                                 load_csv, run_sweep, save_config, seed_average,
-                                trend_check)
+                                spearman_rho, trend_check)
 
 SMALL = ExperimentConfig(grid=(0.4, 0.6), deltas=(0.6,), seeds=(1, 2),
                          n_hrd=8, n_csd=8, m_sbs=3, n_mbs=1)
@@ -102,14 +103,60 @@ def test_trend_shapes_on_synthetic_series():
         trend_check(u, "hrd_total_s", "bowl")
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the start-up time; only trend_check needs it.
+@pytest.mark.parametrize("series", [[4, 4, 4, 4, 4], [9, 8, "nan", 5, 1]],
+                         ids=["flat", "nan"])
+def test_a_series_without_rho_fails_quietly(series):
+    # No spread, or a nan cell read from a CSV: no rank correlation.
+    rows = synth_rows(series)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = trend_check(rows, "hrd_total_s", "nonincreasing")
+    assert not result.passed
+    assert result.detail == "spearman rho = nan"
+
+
+def test_spearman_rho_is_scipys():
+    from scipy.stats import spearmanr
+    rng = np.random.default_rng(41)
+    checked = 0
+    while checked < 1200:
+        n = int(rng.integers(5, 31))
+        # Every other pair draws from four values, so both series tie.
+        x, y = (rng.integers(0, 4, (2, n)).astype(float) if checked % 2
+                else rng.standard_normal((2, n)))
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            continue        # no rho: scipy warns, and the flat test covers it
+        assert abs(spearman_rho(x, y) - spearmanr(x, y).statistic) <= 1e-12
+        checked += 1
+
+
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # numpy is the package's only runtime dependency: neither the import
+    # nor a Spearman-shape trend check loads any scipy module.
+    path = tmp_path / "sweep.csv"
+    emit_csv(synth_rows([9, 8, 6, 5, 1]), path)
     src = os.path.dirname(os.path.dirname(mecsim.__file__))
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import mecsim; "
-            "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src],
+    code = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+        import mecsim
+        print(scipy_modules())
+        from mecsim.cli import main
+        rc = main(["trend", "--csv", sys.argv[2], "--metric", "hrd_total_s",
+                   "--shape", "nonincreasing"])
+        print(rc, scipy_modules())
+    """)
+    out = subprocess.run([sys.executable, "-c", code, src, str(path)],
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[1] == "PASS: hrd_total_s vs axis is nonincreasing " \
+        "(spearman rho = -1.000)"
+    assert lines[-1] == "0 []"
 
 
 def test_seed_average_filters_by_algorithm_and_delta(small_rows):

@@ -3,14 +3,20 @@ private ones of the package's docstrings and of the test reference,
 resolve: a renamed or deleted name fails here instead of leaving a stale
 pointer.  Every module of the package, the tests and the benchmark reads
 each name it imports, and every function of the package reads each of its
-parameters: no linter is installed, so these tests are the gate."""
+parameters: no linter is installed, so these tests are the gate.  The
+third-party modules that the package imports are its declared
+dependencies, and those of the tests and the benchmark are covered by
+them and the ``test`` extra."""
 
 import ast
 import dataclasses
 import importlib
 import pkgutil
 import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import mecsim
 from mecsim import association, experiments
@@ -124,6 +130,38 @@ def test_every_import_is_read():
               if path != package / "__init__.py"
               and (names := _unread_imports(path))}
     assert unread == {}
+
+
+def _third_party_imports(folder):
+    """The top-level modules that the modules in ``folder`` import, other
+    than the standard library, ``mecsim`` and the folder's own modules."""
+    local = {path.stem for path in folder.glob("*.py")} | {"mecsim"}
+    found = set()
+    for path in folder.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - local - set(sys.stdlib_module_names)
+
+
+def _requirement_names(requirements):
+    """The distribution names of PEP 508 requirement strings."""
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+            for r in requirements}
+
+
+def test_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")      # Python 3.11 on
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    runtime = _requirement_names(project["dependencies"])
+    test = _requirement_names(project["optional-dependencies"]["test"])
+    package = Path(mecsim.__file__).resolve().parent
+    assert _third_party_imports(package) == runtime == {"numpy"}
+    for folder in (ROOT / "tests", ROOT / "perfbench"):
+        assert _third_party_imports(folder) <= runtime | test, folder.name
 
 
 # Parameters that a function keeps without reading them, with the reason.
