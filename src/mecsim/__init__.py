@@ -10,8 +10,8 @@ with a best-gain initializer, and a sweep/CSV experiment harness.
 
 from ._kernels import IDLE_FRAC, USING_NUMBA
 from .allocation import CoalitionCosts, build_costs, oracle_solve_p3
-from .association import (GameState, abcg_init, audit_stability, run_amnd,
-                          run_coalition_game)
+from .association import (GameState, SolveAudit, abcg_init, audit_solve,
+                          audit_stability, run_amnd, run_coalition_game)
 from .content import (Catalog, DemandProfile, build_demand, demand_rng,
                       draw_requests, place_cache, zipf_popularity)
 from .delays import (Allocation, DelayReport, Partition, audit_constraints,

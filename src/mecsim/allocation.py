@@ -1,7 +1,7 @@
 """Per-coalition resource allocation: costs, the equal split, the closed
 form, and its optimality certificate.
 
-``build_costs`` turns a scenario and its demand into the full-share
+``build_costs`` turns a demand and its rate table into the full-share
 weighted delay of every (SBS, request pair) and (SBS, computation device)
 slot, the only inputs the closed form needs.  ``equal_split`` gives the
 initializer's equal shares (the ABCG baseline) as fractions alone; their
@@ -33,8 +33,7 @@ from ._kernels import IDLE_FRAC
 from .content import DemandProfile
 from .delays import BITS_PER_BYTE, CSD, HRD, Allocation, Partition, \
     request_pairs
-from .radio import RateTable, build_rate_table
-from .scenario import Scenario
+from .radio import RateTable
 
 _HRD_INPUTS = "file_size_bytes, hrd_weight, a, t1_frac or w_hz"
 
@@ -87,10 +86,7 @@ def _per_device(ufunc, pair_values, pair_k, n_hrd):
     return out
 
 
-def build_costs(scenario: Scenario, demand: DemandProfile,
-                table: RateTable | None = None) -> CoalitionCosts:
-    if table is None:
-        table = build_rate_table(scenario)
+def build_costs(demand: DemandProfile, table: RateTable) -> CoalitionCosts:
     pair_k, pair_i = request_pairs(demand)
     cnt = np.bincount(pair_k, minlength=demand.n_hrd).astype(np.int64)
     off = np.concatenate(([0], np.cumsum(cnt)[:-1])).astype(np.int64)
@@ -239,9 +235,9 @@ def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str):
     (``_kernels.csd_summary``), and for "hrd" those that
     ``_kernels.hrd_closed_form`` returns with its shares.  It holds
     whatever computed the multipliers, so an allocation within a small gap
-    of it is optimal.  Returns a dict with the bound as ``objective``, the
-    ``multipliers`` and ``feasible``, False when CSD members' task inputs
-    overrun the SBS's spare storage.
+    of it is optimal.  Returns a dict with the bound as ``objective`` and
+    ``feasible``, False when CSD members' task inputs overrun the SBS's
+    spare storage.
     """
     members = sorted(members)
     if kind == CSD:
@@ -253,4 +249,4 @@ def oracle_solve_p3(costs: CoalitionCosts, n: int, members, kind: str):
     else:
         raise ValueError(f"unknown coalition kind {kind!r}")
     return {"objective": dual_bound(costs, n, members, kind, multipliers),
-            "multipliers": multipliers, "feasible": feasible}
+            "feasible": feasible}

@@ -29,10 +29,12 @@ both phases.  One step (``_commit``) counts a block's winner, applies it to
 the partition with the block's own valuation and logs it; it updates the
 block's running sums and the cached values and writes no fractions.
 ``audit_stability`` checks Nash stability with the same valuer, on sums it
-builds the same way.  The tests draw, value and commit one proposal at a
-time (``tests/reference.py``, a block of one row through ``_commit``): the
-reference that the stabilization sweep matches to the last bit, and the
-random phase in law.
+builds the same way.  ``audit_solve`` judges a solve, for ``mecsim audit``
+and the tests, in one record (``SolveAudit``) that states the tolerances
+(``TRACE_TOL``, ``GAP_TOL``) and counts the failures.  The tests draw,
+value and commit one proposal at a time (``tests/reference.py``, a block
+of one row through ``_commit``): the reference that the stabilization
+sweep matches to the last bit, and the random phase in law.
 """
 
 import functools
@@ -47,11 +49,17 @@ from ._kernels import IDLE_FRAC, hrd_value
 from .allocation import CSD, HRD, CoalitionCosts, build_costs, \
     equal_split, oracle_solve_p3
 from .content import DemandProfile
-from .delays import Allocation, DelayReport, Partition, objective
+from .delays import Allocation, DelayReport, Partition, audit_constraints, \
+    objective
 from .radio import RateTable, build_rate_table
 from .scenario import Scenario
 
 IMPROVE_MARGIN = 1e-12   # strict-improvement threshold, avoids cycling on ties
+# The audit's tolerances (``audit_solve``): the largest rise of the
+# objective trace from one stage to the next, and the largest size of a
+# coalition's relative gap to its dual bound (``GameState.optimality_gaps``).
+TRACE_TOL = 1e-12
+GAP_TOL = 1e-6
 # Relative allowance of the screen (``_Block.screen``) for the rounding of
 # the running sums and of the exact valuation.
 SLACK = 1e-8
@@ -179,7 +187,8 @@ class CoalitionSums:
 
 @dataclass
 class GameState:
-    """Mutable optimizer state; exposed snapshots satisfy the full audit.
+    """Mutable optimizer state; exposed snapshots satisfy the full audit
+    (``audit_solve``).
     The member lists are read from ``partition``, ``fallback_hrds`` from
     ``costs``."""
 
@@ -234,8 +243,8 @@ class GameState:
             trace=list(self.trace), move_log=list(self.move_log))
 
     def report(self) -> DelayReport:
-        return objective(self.scenario, self.demand, self.partition,
-                         self.allocation, self.table)
+        return objective(self.demand, self.partition, self.allocation,
+                         self.table)
 
     def installed_delays(self, rep: DelayReport) -> tuple:
         """``(hrd, csd)``: each coalition's weighted delay under the delay
@@ -254,7 +263,8 @@ class GameState:
         and a certified lower bound on its optimum
         (``allocation.oracle_solve_p3``); +inf where its members' task
         inputs overrun the SBS's spare storage.  A gap near 0 proves the
-        installed allocation optimal."""
+        installed allocation optimal; ``audit_solve`` holds the array and
+        judges each finite gap by its size against ``GAP_TOL``."""
         delay_hrd, delay_csd = self.installed_delays(self.report())
         hrd, csd = self.hrd_members, self.csd_members
         gaps = []
@@ -303,7 +313,7 @@ def abcg_init(scenario: Scenario, demand: DemandProfile) -> GameState:
     theirs, so the cached values are the delay model's to the last bit.
     """
     table = build_rate_table(scenario)
-    costs = build_costs(scenario, demand, table)
+    costs = build_costs(demand, table)
     n_sbs = scenario.n_sbs
     if n_sbs < 1:
         raise ValueError("no SBS to associate with")
@@ -318,7 +328,7 @@ def abcg_init(scenario: Scenario, demand: DemandProfile) -> GameState:
     csd_sbs = np.argmax(scenario.gain_sbs_csd, axis=0).astype(np.int64)
     partition = Partition(hrd_sbs=hrd_sbs, csd_sbs=csd_sbs, n_sbs=n_sbs)
     allocation = equal_split(costs, partition)
-    rep = objective(scenario, demand, partition, allocation, table)
+    rep = objective(demand, partition, allocation, table)
 
     # Each computation device compares offloading at the equal split against
     # local execution and takes storage, in device order, only if
@@ -789,6 +799,60 @@ def audit_stability(state: GameState) -> list:
                           block.j.item(q) if swap else None,
                           block.dv.item(q)))
     return found
+
+
+@dataclass(frozen=True)
+class SolveAudit:
+    """One solve, judged by every rule of ``mecsim audit`` (``audit_solve``).
+
+    ``constraints`` holds ``delays.audit_constraints``'s lines at the
+    initial and at the final state, ``worst_step`` the largest step of the
+    final state's objective trace (0.0 for a trace of one entry),
+    ``stability`` the final state's ``audit_stability`` rows and ``gaps``
+    its ``GameState.optimality_gaps``."""
+
+    constraints: tuple[list, list]
+    worst_step: float
+    stability: list
+    gaps: np.ndarray
+
+    @property
+    def monotone(self) -> bool:
+        """No stage raised the objective by more than ``TRACE_TOL``."""
+        return self.worst_step <= TRACE_TOL
+
+    @property
+    def infeasible(self) -> int:
+        """The coalitions whose stored bytes overrun their room (gap +inf)."""
+        return int(np.isinf(self.gaps).sum())
+
+    @property
+    def worst_gap(self) -> float:
+        """The largest size of a finite gap: a bound above a feasible delay
+        is as wrong as a delay above the optimum."""
+        return float(np.abs(self.gaps[np.isfinite(self.gaps)]).max(initial=0.0))
+
+    @property
+    def failures(self) -> int:
+        """The failure rule: one per constraint line, per improving move and
+        per infeasible coalition, one for a trace that rises, and one for a
+        worst gap above ``GAP_TOL``; 0 is a clean solve."""
+        return (sum(map(len, self.constraints)) + (not self.monotone)
+                + len(self.stability) + self.infeasible
+                + (self.worst_gap > GAP_TOL))
+
+
+def audit_solve(init: GameState, final: GameState) -> SolveAudit:
+    """Judge a solve from its initial state ``init`` to its final state
+    ``final``: the constraint audit of both, the final trace, the stability
+    audit and the coalitions' optimality gaps of ``final``."""
+    steps = np.diff(np.array(final.trace))
+    return SolveAudit(
+        constraints=tuple(audit_constraints(s.scenario, s.demand, s.partition,
+                                            s.allocation, s.table)
+                          for s in (init, final)),
+        worst_step=float(steps.max()) if steps.size else 0.0,
+        stability=audit_stability(final), gaps=final.optimality_gaps())
 
 
 def write_move_log(state: GameState, path) -> None:

@@ -11,10 +11,7 @@ import re
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .association import abcg_init, audit_stability, run_amnd, write_move_log
-from .delays import audit_constraints
+from .association import abcg_init, audit_solve, run_amnd, write_move_log
 from .experiments import (ExperimentConfig, _row_from_state,
                           config_with_overrides, emit_csv, emit_rate_csv,
                           load_config, load_csv, run_sweep, trend_check)
@@ -180,42 +177,20 @@ def _cmd_trend(args):
 
 def _cmd_audit(args):
     scenario, demand = _load_or_build(args)
-    failures = 0
-
-    state0 = abcg_init(scenario, demand)
-    final = run_amnd(scenario, demand, init_state=state0)
-    for tag, state in (("init", state0), ("final", final)):
-        bad = audit_constraints(scenario, demand, state.partition,
-                                state.allocation, state.table)
+    init = abcg_init(scenario, demand)
+    audit = audit_solve(init, run_amnd(scenario, demand, init_state=init))
+    for tag, bad in zip(("init", "final"), audit.constraints):
         print(f"constraints at {tag} state: {len(bad)} violation(s)")
-        failures += len(bad)
         for line in bad[:5]:
             print(f"  {line}")
-
-    steps = np.diff(np.array(final.trace))
-    worst = float(steps.max()) if steps.size else 0.0
-    mono = worst <= 1e-12
-    print(f"objective trace nonincreasing: {'yes' if mono else 'no'} "
-          f"(worst step {worst:.3e})")
-    failures += 0 if mono else 1
-
-    moves = audit_stability(final)
-    print(f"stability audit: {len(moves)} improving move(s) remain")
-    failures += len(moves)
-
-    # Each nonempty final coalition's installed delay against a certified
-    # lower bound on its optimum; an overrun of storage is a failure.  A
-    # gap of either sign is judged by its size: a bound above a feasible
-    # delay is as wrong as a delay above the optimum.
-    gaps = final.optimality_gaps()
-    infeasible = int(np.isinf(gaps).sum())
-    worst_gap = float(np.abs(gaps[np.isfinite(gaps)]).max(initial=0.0))
-    print(f"allocation vs dual bound on {gaps.size} coalition(s): "
-          f"worst relative gap {worst_gap:.3e}, {infeasible} infeasible")
-    failures += infeasible
-    if worst_gap > 1e-6:
-        failures += 1
-
+    print(f"objective trace nonincreasing: "
+          f"{'yes' if audit.monotone else 'no'} "
+          f"(worst step {audit.worst_step:.3e})")
+    print(f"stability audit: {len(audit.stability)} improving move(s) remain")
+    print(f"allocation vs dual bound on {audit.gaps.size} coalition(s): "
+          f"worst relative gap {audit.worst_gap:.3e}, "
+          f"{audit.infeasible} infeasible")
+    failures = audit.failures
     print("audit:", "CLEAN" if failures == 0 else f"{failures} failure(s)")
     return EXIT_OK if failures == 0 else EXIT_INFEASIBLE
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._kernels import FEAS_TOL, BYTES_TOL, IDLE_FRAC
 from .content import DemandProfile
-from .radio import RateTable, build_rate_table
+from .radio import RateTable
 from .scenario import Scenario
 
 BITS_PER_BYTE = 8.0
@@ -151,13 +151,10 @@ def _fraction_faults(allocation: Allocation, csd_sbs, pair_k, pair_i,
     return faults
 
 
-def objective(scenario: Scenario, demand: DemandProfile, partition: Partition,
-              allocation: Allocation, table: RateTable | None = None
-              ) -> DelayReport:
+def objective(demand: DemandProfile, partition: Partition,
+              allocation: Allocation, table: RateTable) -> DelayReport:
     """Evaluate all delay components and the weighted objective F; raises
     ValueError where the audit would report the association or a fraction."""
-    if table is None:
-        table = build_rate_table(scenario)
     partition.validate(demand.n_hrd, demand.n_csd)
     pair_k, pair_i, n_arr, miss, edge, ns = _links(partition, demand)
     bad = _fraction_faults(allocation, partition.csd_sbs, pair_k, pair_i,
@@ -213,7 +210,7 @@ def objective(scenario: Scenario, demand: DemandProfile, partition: Partition,
 
 def audit_constraints(scenario: Scenario, demand: DemandProfile,
                       partition: Partition, allocation: Allocation,
-                      table: RateTable | None = None) -> list[str]:
+                      table: RateTable) -> list[str]:
     """Check the full constraint set of one exposed state.
 
     Returns human-readable violation strings (empty list when clean):
@@ -222,8 +219,6 @@ def audit_constraints(scenario: Scenario, demand: DemandProfile,
     fraction budget sums, the access-vs-backhaul rate ordering on cache
     misses, and storage capacity including offloaded task inputs.
     """
-    if table is None:
-        table = build_rate_table(scenario)
     try:
         partition.validate(demand.n_hrd, demand.n_csd)
     except ValueError as exc:           # C1/C2/C9/C10

@@ -12,12 +12,13 @@ import pytest
 
 from mecsim._kernels import IDLE_FRAC
 from mecsim.allocation import build_costs
-from mecsim.association import abcg_init, audit_stability, run_amnd, \
-    run_coalition_game
+from mecsim.association import TRACE_TOL, abcg_init, audit_solve, \
+    run_amnd, run_coalition_game
 from mecsim.content import Catalog, build_demand, demand_rng, zipf_popularity
 from mecsim.delays import Partition, audit_constraints, objective
 from mecsim.experiments import ExperimentConfig, run_sweep, seed_average, \
     spearman_rho, trend_check
+from mecsim.radio import build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import (DESK_STORAGE, allocate_csd, allocate_hrd, demand_for,
                       idle_allocation)
@@ -159,24 +160,26 @@ def test_criterion_3_monotone_convergence(dominance_batch):
         steps = np.diff(np.array(final.trace))
         if steps.size:
             worst = max(worst, float(steps.max()))
-    ok = worst <= 1e-12
+    ok = worst <= TRACE_TOL
     _verdict(3, "monotone objective traces", ok,
              f"worst step {worst:.3e} over {len(runs)} traces")
-    assert worst <= 1e-12
+    assert worst <= TRACE_TOL
 
 
 def test_criterion_4_nash_stability(dominance_batch):
     runs, _ = dominance_batch
-    total_moves = 0
-    for _, _, _, final, _ in runs[:20]:
+    total_moves = failures = 0
+    for _, _, init, final, _ in runs[:20]:
         check_state(final)
-        moves = audit_stability(final)
-        total_moves += len(moves)
+        audit = audit_solve(init, final)
+        total_moves += len(audit.stability)
+        failures += audit.failures
     ok = total_moves == 0
     _verdict(4, "exhaustive stability audit", ok,
              f"0 improving moves over 20 runs" if ok else
              f"{total_moves} improving moves remain")
     assert total_moves == 0
+    assert failures == 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +275,8 @@ def test_criterion_5_brute_force_floor():
     gaps = []
     for seed in range(10):
         scenario, demand = _tiny_instance(seed)
-        costs = build_costs(scenario, demand)
+        table = build_rate_table(scenario)
+        costs = build_costs(demand, table)
         f_opt, argmin, values = _enumerate_optimum(scenario, demand, costs)
         final = run_amnd(scenario, demand)
         assert final.objective >= f_opt - 1e-9 * max(1.0, f_opt), seed
@@ -280,7 +284,7 @@ def test_criterion_5_brute_force_floor():
 
         # the enumerator and the delay model agree on the optimum
         partition, alloc = _materialize(scenario, demand, costs, *argmin)
-        rep = objective(scenario, demand, partition, alloc)
+        rep = objective(demand, partition, alloc, table)
         assert rep.objective == pytest.approx(f_opt, rel=1e-9)
 
         # feasibility agreement on the optimizer's own output, which holds

@@ -251,7 +251,7 @@ def unclamped_setup(seed=3):
     demand = demand_for(scn, n_files=8, file_size=5e6, storage=20.5e6,
                         policy="sampled", seed=seed, requests_per_hrd=2)
     table = build_rate_table(scn)
-    return scn, demand, build_costs(scn, demand, table)
+    return scn, demand, build_costs(demand, table)
 
 
 def test_coalition_value_trivial_cases():
@@ -299,7 +299,7 @@ def _equal_split_at(scn, demand, costs, n, members):
     part = Partition(hrd_sbs=hrd_sbs, n_sbs=costs.n_sbs,
                      csd_sbs=np.full(costs.n_csd, costs.n_sbs))
     alloc = equal_split(costs, part)
-    rep = objective(scn, demand, part, alloc)
+    rep = objective(demand, part, alloc, build_rate_table(scn))
     idx = np.flatnonzero(np.isin(costs.pair_k, members))
     value = float((demand.hrd_weight[rep.pair_k[idx]]
                    * rep.t_hr_pair[idx]).sum())
@@ -332,7 +332,8 @@ def test_equal_share_value_never_beats_closed_form_when_unclamped():
     rng = np.random.default_rng(2)
     for scn, demand, costs in (unclamped_setup(seed=5),
                                (scenario, demand,
-                                build_costs(scenario, demand))):
+                                build_costs(demand,
+                                            build_rate_table(scenario)))):
         for _ in range(40):
             n = int(rng.integers(costs.n_sbs))
             members = sorted(rng.choice(costs.n_hrd,
@@ -385,7 +386,8 @@ def _check_csd_write_path(costs, n, members):
 def test_write_path_matches_public_closed_form_exactly():
     scenario = generate_scenario(SystemParams(seed=4),
                                  Counts(n_hrd=20, n_csd=40))
-    default_costs = build_costs(scenario, demand_for(scenario))
+    default_costs = build_costs(demand_for(scenario),
+                                build_rate_table(scenario))
     # A device with rho above 1 binds its rate ordering.  At SBS 3 the
     # downlink budget stays slack; at SBS 4 both budgets bind.
     for n, members, rho, slack in ((3, [12, 15], [0.977, 1.333], True),
@@ -476,6 +478,16 @@ def test_certificate_meets_the_bisection_optimum():
     assert min(seen.values()) >= 5, seen
 
 
+def _closed_form_multipliers(costs, n, members, kind):
+    """The budget multipliers of the closed form's optimum, at which
+    ``oracle_solve_p3`` evaluates its bound."""
+    members = sorted(members)
+    if kind == "hrd":
+        return _kernels._hrd_solved(costs, n, members)[5]
+    (su, se, _, _), _, _ = _kernels.csd_summary(costs, n, members)
+    return su ** 2, se ** 2
+
+
 def test_scaled_multipliers_only_widen_the_gap():
     # Any multipliers give a lower bound, and the closed form's own ones
     # the best nearby: scaling either or both by 2 or 0.5 never raises the bound
@@ -509,7 +521,7 @@ def test_scaled_multipliers_only_widen_the_gap():
                     cases.append((final.costs, n, members, kind, delay[n]))
     for costs, n, members, kind, value in cases:
         sol = oracle_solve_p3(costs, n, members, kind)
-        lam, mu = sol["multipliers"]
+        lam, mu = _closed_form_multipliers(costs, n, members, kind)
         assert (value - sol["objective"]) / sol["objective"] >= -1e-15
         for f in (2.0, 0.5):
             for scaled in ((f * lam, mu), (lam, f * mu), (f * lam, f * mu)):

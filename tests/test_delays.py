@@ -46,7 +46,7 @@ def one_device_report(cache, beta=1.0, eta=1.0, csd_sbs=0, alpha=1.0,
     partition = Partition(np.array([0]), np.array([csd_sbs]), 1)
     allocation = Allocation(alpha=np.array([alpha]), gamma=np.array([gamma]),
                             beta=np.array([beta]), eta=np.array([eta]))
-    return objective(None, simple_demand(cache), partition, allocation,
+    return objective(simple_demand(cache), partition, allocation,
                      simple_table())
 
 
@@ -153,7 +153,7 @@ def naive_objective(scn, demand, partition, allocation, table):
 def test_objective_matches_naive_resummation(seed):
     scn, demand, partition, allocation = build_random_state(seed)
     table = build_rate_table(scn)
-    rep = objective(scn, demand, partition, allocation, table)
+    rep = objective(demand, partition, allocation, table)
     ref = naive_objective(scn, demand, partition, allocation, table)
     assert rep.objective == pytest.approx(ref, rel=1e-12)
     assert rep.objective == pytest.approx(rep.hrd_total_s + rep.csd_total_s,
@@ -172,7 +172,7 @@ def test_all_local_objective_is_sum_of_local_delays():
         edge_cps=empty_req.edge_cps, storage_bytes=empty_req.storage_bytes,
         hrd_weight=np.full(empty_req.n_hrd, 1e-300),
         csd_weight=empty_req.csd_weight)
-    rep = objective(scn, demand, partition, allocation)
+    rep = objective(demand, partition, allocation, build_rate_table(scn))
     expected = float((demand.csd_weight * demand.task_cycles
                       / demand.local_cps).sum())
     assert rep.csd_total_s == pytest.approx(expected, rel=1e-12)
@@ -184,7 +184,7 @@ def test_objective_equals_offload_gain_rearrangement():
     # Total time also equals: local-everything plus the offload differences.
     scn, demand, partition, allocation = build_random_state(13)
     table = build_rate_table(scn)
-    rep = objective(scn, demand, partition, allocation, table)
+    rep = objective(demand, partition, allocation, table)
     all_local = float((demand.csd_weight * rep.t_lc).sum())
     offload_delta = sum(
         demand.csd_weight[k] * (rep.t_ul[k] + rep.t_ed[k] - rep.t_lc[k])
@@ -197,7 +197,7 @@ def test_objective_equals_offload_gain_rearrangement():
 def test_objective_separates_over_coalitions():
     scn, demand, partition, allocation = build_random_state(17)
     table = build_rate_table(scn)
-    total = objective(scn, demand, partition, allocation, table).objective
+    total = objective(demand, partition, allocation, table).objective
     parts = 0.0
     size_bits = demand.catalog.file_size_bytes * 8.0
     pair = pair_index(demand)
@@ -227,14 +227,14 @@ def test_objective_separates_over_coalitions():
 def test_raising_a_fraction_never_raises_the_objective():
     scn, demand, partition, allocation = build_random_state(19)
     table = build_rate_table(scn)
-    base = objective(scn, demand, partition, allocation, table).objective
+    base = objective(demand, partition, allocation, table).objective
     rng = np.random.default_rng(0)
     pk, _ = request_pairs(demand)
     for _ in range(10):
         alt = allocation.copy()
         j = int(rng.integers(len(pk)))
         alt.beta[j] = min(1.0, alt.beta[j] * 1.5)
-        bumped = objective(scn, demand, partition, alt, table).objective
+        bumped = objective(demand, partition, alt, table).objective
         assert bumped <= base + 1e-12
 
 
@@ -244,7 +244,7 @@ def test_inconsistent_allocation_reports_offenders():
     n = partition.hrd_sbs[pk[0]]
     allocation.beta[0] = IDLE_FRAC * 0.5   # below the sentinel
     with pytest.raises(ValueError, match=rf"beta\[n={n},k={pk[0]},i={pi[0]}\]"):
-        objective(scn, demand, partition, allocation)
+        objective(demand, partition, allocation, build_rate_table(scn))
 
 
 def test_allocation_of_another_shape_is_rejected():
@@ -253,12 +253,13 @@ def test_allocation_of_another_shape_is_rejected():
     short_eta, short_gamma = allocation.copy(), allocation.copy()
     short_eta.eta = short_eta.eta[:-1]
     short_gamma.gamma = short_gamma.gamma[:-1]
+    table = build_rate_table(scn)
     for wrong in (idle_allocation(pk.size + 1, demand.n_csd),
                   idle_allocation(pk.size, demand.n_csd - 1),
                   short_eta, short_gamma):
         with pytest.raises(ValueError, match="one fraction per request pair"):
-            objective(scn, demand, partition, wrong)
-        msgs = audit_constraints(scn, demand, partition, wrong)
+            objective(demand, partition, wrong, table)
+        msgs = audit_constraints(scn, demand, partition, wrong, table)
         assert len(msgs) == 1
         assert msgs[0].startswith("allocation: ")
         assert "one fraction per request pair" in msgs[0]
@@ -273,8 +274,9 @@ def test_association_of_another_length_is_rejected():
         for wrong in (sbs[:-1], np.append(sbs, 0)):
             bad = dataclasses.replace(part, **{name: wrong})
             with pytest.raises(ValueError, match="association of shape"):
-                objective(scn, state.demand, bad, state.allocation)
-            msgs = audit_constraints(scn, state.demand, bad, state.allocation)
+                objective(state.demand, bad, state.allocation, state.table)
+            msgs = audit_constraints(scn, state.demand, bad, state.allocation,
+                                     state.table)
             assert len(msgs) == 1 and msgs[0].startswith("association: ")
 
 
@@ -309,13 +311,13 @@ def test_audit_accepts_valid_state_and_flags_corruption():
             if tot > 1.0:
                 allocation.eta[sel] /= tot
                 allocation.beta[sel] /= tot
-    assert audit_constraints(scn, demand, partition, allocation) == []
+    assert audit_constraints(scn, demand, partition, allocation, table) == []
 
     broken = allocation.copy()
     k0 = np.nonzero(partition.csd_sbs < partition.n_sbs)[0]
     if k0.size:
         broken.alpha[k0[0]] = 1.5
-        msgs = audit_constraints(scn, demand, partition, broken)
+        msgs = audit_constraints(scn, demand, partition, broken, table)
         assert any("box" in m or "budget" in m for m in msgs)
 
 
@@ -328,5 +330,6 @@ def test_audit_flags_storage_overrun():
         edge_cps=demand.edge_cps, storage_bytes=demand.storage_bytes,
         hrd_weight=demand.hrd_weight, csd_weight=demand.csd_weight)
     partition.csd_sbs[:] = 0
-    msgs = audit_constraints(scn, tight, partition, allocation)
+    msgs = audit_constraints(scn, tight, partition, allocation,
+                             build_rate_table(scn))
     assert any("storage" in m for m in msgs)

@@ -11,7 +11,7 @@ import pytest
 
 import mecsim
 from mecsim import _kernels, allocation, association
-from mecsim.association import run_amnd
+from mecsim.association import GAP_TOL, audit_solve, run_amnd
 from mecsim.cli import _scenario_from_args, build_parser, main
 from mecsim.experiments import (CSV_COLUMNS, ExperimentConfig, SweepRow,
                                 config_with_overrides, emit_csv, load_config,
@@ -548,6 +548,89 @@ def test_cli_audit_counts_remaining_moves(monkeypatch, capsys):
     assert main(["audit", "--seed", "3"]) == 2
     assert "stability audit: 9 improving move(s) remain\n" in \
         capsys.readouterr().out
+
+
+# SHA-256 of the standard output of ``mecsim audit`` and its exit code,
+# recorded before the audit moved into the library (``audit_solve``).  Seed
+# 17's final state has a binding rate ordering; ``gen`` then ``audit
+# --scenario`` reads a scenario file back.
+AUDIT_DIGESTS = {
+    "seed-0": ("1d955f55271bcddf2433ab851f550129"
+               "da00e47ac74709f563c97c38e9376f05", 0),
+    "seed-17": ("9663787de61008dab6cbdc517b9b018e"
+                "42453dade2e6093b1a6a5e4ddae9289b", 0),
+    "scenario": ("cf93df8856d8da9a7fec4cd6c42454e1"
+                 "0505f401d549eb7c70094196372fb8fc", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AUDIT_DIGESTS))
+def test_cli_audit_prints_the_recorded_bytes(case, tmp_path, capsys):
+    if case == "scenario":
+        path = str(tmp_path / "scenario.txt")
+        assert main(["gen", "-o", path, "--seed", "3", "--hrd", "12",
+                     "--csd", "24"]) == 0
+        capsys.readouterr()
+        argv = ["audit", "--scenario", path]
+    else:
+        argv = ["audit", "--seed", case.split("-")[1]]
+    code = main(argv)
+    out = capsys.readouterr().out.encode()
+    assert (hashlib.sha256(out).hexdigest(), code) == AUDIT_DIGESTS[case]
+
+
+def _swap_two_shares(game):
+    """``_kernels.{game}_alloc`` with the shares of the first two members of
+    every SBS coalition of two or more swapped after the install, the
+    mutant of ``test_cli_audit_fails_on_swapped_shares``."""
+    inner = getattr(_kernels, f"{game}_alloc")
+
+    def swapped(costs, n, members, x, y):
+        value = inner(costs, n, members, x, y)
+        if n < costs.n_sbs and len(members) > 1:
+            i, j = members[:2]
+            if game == "hrd":
+                i, j = costs.pair_off[i], costs.pair_off[j]
+            else:
+                y[i], y[j] = y[j], y[i]
+            x[i], x[j] = x[j], x[i]
+        return value
+
+    return swapped
+
+
+# The mutants of the failing ``test_cli_audit_*`` tests: (the patched
+# module, name and replacement, the audited seed, the part of the record
+# that fails).
+_bound = allocation.dual_bound
+AUDIT_MUTANTS = {
+    "swapped-csd": ((_kernels, "csd_alloc", _swap_two_shares("csd")), 1,
+                    lambda audit: audit.worst_gap > GAP_TOL),
+    "swapped-hrd": ((_kernels, "hrd_alloc", _swap_two_shares("hrd")), 2,
+                    lambda audit: audit.worst_gap > GAP_TOL),
+    "bound-above-delay": ((allocation, "dual_bound",
+                           lambda *args: 10.0 * _bound(*args)), 0,
+                          lambda audit: audit.worst_gap > GAP_TOL),
+    "remaining-moves": ((association, "stabilize_partition",
+                         lambda state, game, sums: 0), 3,
+                        lambda audit: len(audit.stability) > 0),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(AUDIT_MUTANTS))
+def test_audit_record_counts_the_printed_failures(mutant, monkeypatch,
+                                                  capsys):
+    patch, seed, failing = AUDIT_MUTANTS[mutant]
+    monkeypatch.setattr(*patch)
+    argv = ["audit", "--seed", str(seed)]
+    assert main(argv) == 2
+    printed = capsys.readouterr().out.rsplit("audit: ", 1)[1]
+    scenario, demand = _scenario_from_args(build_parser().parse_args(argv))
+    init = association.abcg_init(scenario, demand)
+    audit = audit_solve(init, run_amnd(scenario, demand, init_state=init))
+    assert printed == f"{audit.failures} failure(s)\n"
+    assert audit.failures > 0 and failing(audit)
+
 
 def test_cli_run_row_matches_the_sweep_row(tmp_path, capsys):
     # ``mecsim run`` builds its instance through the sweep's path, so its
