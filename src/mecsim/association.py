@@ -28,6 +28,7 @@ builds its class's sums once, from the member lists, and passes them to
 both phases.  One step (``_commit``) counts a block's winner, applies it to
 the partition with the block's own valuation and logs it; it updates the
 block's running sums and the cached values and writes no fractions.
+Each phase appends one row of its work to the state (``_log_phase``).
 ``audit_stability`` checks Nash stability with the same valuer, on sums it
 builds the same way.  ``audit_solve`` judges a solve, for ``mecsim audit``
 and the tests, in one record (``SolveAudit``) that states the tolerances
@@ -206,6 +207,8 @@ class GameState:
     proposals: int = 0
     # One row per accepted move (``_commit``); ``write_move_log`` dumps it.
     move_log: list = field(default_factory=list)
+    # Each game's work, two rows per game (``_log_phase``); none at ABCG.
+    phases: list = field(default_factory=list)
 
     @property
     def n_sbs(self) -> int:
@@ -240,7 +243,8 @@ class GameState:
             self, partition=self.partition.copy(),
             allocation=self.allocation.copy(), v_hrd=self.v_hrd.copy(),
             v_csd=self.v_csd.copy(), rng_hrd=rng_hrd, rng_csd=rng_csd,
-            trace=list(self.trace), move_log=list(self.move_log))
+            trace=list(self.trace), move_log=list(self.move_log),
+            phases=list(self.phases))
 
     def report(self) -> DelayReport:
         return objective(self.demand, self.partition, self.allocation,
@@ -473,6 +477,9 @@ class _Block:
     them all.
     """
 
+    # The flagged proposals that ``improving`` valued exactly.
+    exact = 0
+
     def __init__(self, state: GameState, sums: CoalitionSums, swap, rows,
                  ends):
         self.game, self.sums = sums.game, sums
@@ -535,7 +542,9 @@ class _Block:
         ``value``, and no other."""
         if self.floor is None or not self.floor.any():
             return self.dv < -IMPROVE_MARGIN
-        for q in self.screen():
+        contenders = self.screen()
+        self.exact = len(contenders)
+        for q in contenders:
             self.value(q)
         return ~self.floor & (self.dv < -IMPROVE_MARGIN)
 
@@ -592,6 +601,19 @@ def _commit(state: GameState, block: _Block, k: int) -> None:
                            state.objective))
 
 
+def _log_phase(state: GameState, game: str, phase: str, start: tuple,
+               blocks: int = 0, rows: int = 0, exact: int = 0) -> None:
+    """Append the row of one phase of ``game`` to ``state.phases``: ``(game,
+    phase, proposals, accepts, blocks, rows, exact)``.  ``start`` is
+    ``(proposals, accepted_moves)`` at the phase's start, so its proposals
+    and accepts are the state's own counts, taken across the phase;
+    ``blocks`` and ``rows`` are the ``_Block``s it valued and their
+    proposals, and ``exact`` the flagged proposals that ``_Block.improving``
+    valued exactly."""
+    state.phases.append((game, phase, state.proposals - start[0],
+                         state.accepted_moves - start[1], blocks, rows, exact))
+
+
 def stabilize_partition(state: GameState, game: str,
                         sums: CoalitionSums) -> None:
     """Deterministic local search: sweep all transfers and same-class swaps,
@@ -615,15 +637,20 @@ def stabilize_partition(state: GameState, game: str,
 
     ``proposals`` counts each move the sweep judges once: the moves up to
     and including each accept, in the cyclic order, then the final cycle
-    without a winner.
+    without a winner.  The sweep fills the second row of its game in
+    ``state.phases`` (``_log_phase``, phase ``"stabilize"``).
     """
     hood = _neighbourhood(sums.none, sums.size.size)
     n = hood.swap.size
+    start = state.proposals, state.accepted_moves
+    blocks = rows = exact = 0
     pos, end, chunk = 0, n, SWEEP_CHUNK
     while pos < end:
         block, at = _neighbourhood_block(state, sums, hood, pos,
                                          min(pos + chunk, end))
         wins = block.improving().nonzero()[0]
+        blocks, rows = blocks + 1, rows + len(block)
+        exact += block.exact
         if not wins.size:
             state.proposals += len(block)
             pos, chunk = pos + chunk, 2 * chunk
@@ -633,6 +660,7 @@ def stabilize_partition(state: GameState, game: str,
         _commit(state, block, first)
         pos = at.item(first) % n + 1
         end, chunk = pos + n, SWEEP_CHUNK
+    _log_phase(state, sums.game, "stabilize", start, blocks, rows, exact)
 
 
 def _draw_weights(size: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -681,27 +709,32 @@ def _random_phase(state: GameState, sums: CoalitionSums, t2: int,
 
     The rejections are counted, never drawn; the winner is counted,
     applied and logged by ``_commit``, so the move log holds the accepted
-    moves only.
+    moves only.  The phase fills the first row of its game in
+    ``state.phases`` (``_log_phase``, phase ``"random"``).
     """
     rng = state.rng_hrd if sums.game == HRD else state.rng_csd
     hood = _neighbourhood(sums.none, sums.size.size)
-    done = 0
+    start = state.proposals, state.accepted_moves
+    done = blocks = rows = exact = 0
     while (budget := min(t2 - done, patience)) > 0:
         block, _ = _neighbourhood_block(state, sums, hood, 0, drawable=True)
         wins = block.improving().nonzero()[0]
+        blocks, rows = blocks + 1, rows + len(block)
+        exact += block.exact
         if not wins.size:
             state.proposals += budget
-            return
+            break
         cum = np.cumsum(_draw_weights(sums.size,
                                       *block.ends.take(wins, axis=1)))
         p = 1.0 if wins.size == len(block) else cum[-1]
         wait = min(int(rng.geometric(p)) - 1, budget)
         state.proposals += wait
         if wait == budget:
-            return
+            break
         pick = np.searchsorted(cum, rng.random() * cum[-1], side="right")
         _commit(state, block, wins.item(min(pick, wins.size - 1)))
         done += wait + 1
+    _log_phase(state, sums.game, "random", start, blocks, rows, exact)
 
 
 def run_coalition_game(state: GameState, game: str) -> GameState:
@@ -712,7 +745,9 @@ def run_coalition_game(state: GameState, game: str) -> GameState:
     phases value moves from the game's running sums, built here once from
     the member lists read from the partition, and apply a move through
     ``_commit``, which counts it, refreshes the sums, appends it to the
-    move log and installs nothing.
+    move log and installs nothing.  Each phase appends its row of work to
+    ``state.phases``; a random phase that cannot move a device (fewer than
+    two coalitions, or no member) does not run, and its row holds zeros.
     """
     if game not in (HRD, CSD):
         raise ValueError(f"unknown game {game!r}")
@@ -720,6 +755,9 @@ def run_coalition_game(state: GameState, game: str) -> GameState:
     if sums.size.size >= 2 and sums.size.any():
         _random_phase(state, sums,
                       *game_budget(state.demand.n_hrd, state.demand.n_csd))
+    else:
+        _log_phase(state, game, "random",
+                   (state.proposals, state.accepted_moves))
     stabilize_partition(state, game, sums)
     reallocate(state, game)
     return state

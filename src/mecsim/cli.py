@@ -109,6 +109,9 @@ def _print_report(tag, state):
     print(f"  backhauled files = {rep.n_backhauled_files} "
           f"(hits: {rep.n_cached_hits})")
     print(f"  accepted moves  = {state.accepted_moves}")
+    for game, phase, proposals, accepts, blocks, rows, exact in state.phases:
+        print(f"  {game} {phase:9} proposals {proposals}, accepts {accepts}, "
+              f"blocks {blocks}, rows {rows}, exact {exact}")
     if state.fallback_hrds:
         print(f"  fallback HRDs   = {state.fallback_hrds}")
 

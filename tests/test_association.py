@@ -298,7 +298,6 @@ def test_stabilized_game_passes_the_exhaustive_audit():
 def _no_sweep(state, game, sums):
     """A stand-in for ``stabilize_partition`` that leaves the partition as
     the random phase left it."""
-    return 0
 
 
 def test_patience_zero_without_stabilization_changes_nothing(monkeypatch):
@@ -433,6 +432,19 @@ def _moves(state, game):
             yield prop
 
 
+def _scratch_value(state, lists, cache, prop):
+    """``(v_src, v_dst, dv)`` of ``prop`` at a state whose coalitions of
+    ``prop.game`` hold the members ``lists`` and cache the values
+    ``cache``, valued from scratch: one ``coalition_value`` per tentative
+    coalition, +inf where it is infeasible, and then so is ``dv``."""
+    src, dst = _tentative_members(lists, prop.c_from, prop.c_to,
+                                  prop.md_from, prop.md_to)
+    v_src = coalition_value(state.costs, prop.game, prop.c_from, src)
+    v_dst = coalition_value(state.costs, prop.game, prop.c_to, dst)
+    return v_src, v_dst, (v_src + v_dst) - (cache[prop.c_from]
+                                            + cache[prop.c_to])
+
+
 def _check_moves_against_scratch(state, games=("hrd", "csd")):
     """Every move of ``games``, valued from the running sums, against the
     from-scratch valuation of its two tentative coalitions.  Returns the
@@ -443,11 +455,7 @@ def _check_moves_against_scratch(state, games=("hrd", "csd")):
         sums = game_sums(state, game)
         lists = state.hrd_members if game == "hrd" else state.csd_members
         for prop in _moves(state, game):
-            src, dst = _tentative_members(lists, prop.c_from, prop.c_to,
-                                          prop.md_from, prop.md_to)
-            v_src = coalition_value(state.costs, game, prop.c_from, src)
-            v_dst = coalition_value(state.costs, game, prop.c_to, dst)
-            dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
+            v_src, v_dst, dv = _scratch_value(state, lists, cache, prop)
             _evaluate(state, sums, prop)
             assert (prop.dv == math.inf) == (math.inf in (v_src, v_dst)), prop
             assert prop.dv == dv or abs(prop.dv - dv) <= \
@@ -590,100 +598,85 @@ def test_screen_skips_only_moves_that_cannot_be_accepted(desk_runs,
     assert screened_out > 1000 and feasible_out > 0
 
 
-def _game_counts(monkeypatch):
-    """A solve's work by kind: ``phases`` (random phases run),
-    ``partitions`` (drawable blocks the random phases value),
-    ``random_accepts`` (moves they apply), ``random_proposals`` (proposals
-    they count), and ``settled`` (moves the stabilization sweep judges:
-    each block's rows up to and including its winner, and every row of a
-    block without one)."""
-    counts = dict.fromkeys(("phases", "partitions", "random_accepts",
-                            "random_proposals", "settled"), 0)
-    inner_phase, inner_block, inner_commit = (
-        association._random_phase, association._neighbourhood_block,
-        association._commit)
-    phase, sweeping = [], []
-    # The sweep's last block, while it has no accepted move.
-    pending = []
-
-    def reject_pending():
-        """Count the pending block's rows as the sweep's rejections."""
-        if pending:
-            counts["settled"] += len(pending.pop())
-
-    def stabilize(state, game, sums):
-        sweeping.append(game)
-        try:
-            return inner_stabilize(state, game, sums)
-        finally:
-            reject_pending()
-            sweeping.pop()
-
-    def random_phase(state, sums, t2, patience):
-        counts["phases"] += 1
-        before = state.proposals
-        phase.append(sums.game)
-        try:
-            return inner_phase(state, sums, t2, patience)
-        finally:
-            phase.pop()
-            counts["random_proposals"] += state.proposals - before
-
-    def block(state, sums, hood, *at, drawable=False):
-        counts["partitions"] += bool(phase) and drawable
-        out = inner_block(state, sums, hood, *at, drawable=drawable)
-        if sweeping:
-            reject_pending()
-            pending.append(out[0])
-        return out
-
-    def commit(state, block, k):
-        if phase:
-            counts["random_accepts"] += 1
-        elif sweeping:
-            # The sweep's winner, and its block's rows before it.
-            pending.clear()
-            counts["settled"] += k + 1
-        return inner_commit(state, block, k)
-
-    inner_stabilize = association.stabilize_partition
-    for name, hook in (("_random_phase", random_phase),
-                       ("_neighbourhood_block", block), ("_commit", commit),
-                       ("stabilize_partition", stabilize)):
-        monkeypatch.setattr(association, name, hook)
-    return counts
+def _phase_moves(state):
+    """Each row of ``state.phases``, with the number of the solve's
+    proposals before its phase and the move log rows of its accepts."""
+    log, before, out = iter(state.move_log), 0, []
+    for row in state.phases:
+        out.append((row, before, [next(log) for _ in range(row[3])]))
+        before += row[2]
+    return out
 
 
-def test_game_values_each_accepted_block_move_once(monkeypatch, desk_runs):
+def _moves_that_move(state, game):
+    """The transfers and swaps of ``game`` that move a device at the
+    state's partition: into another coalition, or with a device of
+    another coalition."""
+    assoc = (state.partition.hrd_sbs if game == "hrd"
+             else state.partition.csd_sbs)
+    n_coal = state.n_sbs + (game == "csd")
+    n, size = assoc.size, np.bincount(assoc, minlength=n_coal)
+    pairs = (n * (n - 1) - int((size * (size - 1)).sum())) // 2
+    return n * (n_coal - 1) + pairs
+
+
+def test_each_phase_records_its_work(desk_runs, multi_request_run):
+    # Each phase of a game counts its own work once, where it is done: a
+    # solve holds the rows of the CSD game's random phase and sweep, then
+    # the HRD game's, and their proposals and accepts are the solve's.
+    # The random phase values one block per accept and one more, at the
+    # partition it ends on; only an HRD side has a rate ordering to value
+    # exactly.
+    exact = 0
+    for n, (init, final) in enumerate(desk_runs + [multi_request_run]):
+        assert init.phases == [] and final.clone().phases == final.phases
+        assert [row[:2] for row in final.phases] == [
+            ("csd", "random"), ("csd", "stabilize"), ("hrd", "random"),
+            ("hrd", "stabilize")], n
+        assert sum(row[2] for row in final.phases) == final.proposals, n
+        assert sum(row[3] for row in final.phases) == final.accepted_moves, n
+        for game, phase, _, accepts, blocks, rows, valued in final.phases:
+            assert phase == "stabilize" or blocks == accepts + 1, (n, game)
+            assert 0 < blocks <= rows, (n, game, phase)
+            assert game == "hrd" or valued == 0, (n, phase)
+            exact += valued
+    assert exact > 0
+
+
+def test_game_values_each_accepted_block_move_once(desk_runs):
     # The random phase values the drawable moves once per partition, as one
     # block: once before each accept, which it applies with that block's
     # valuation, and once at the partition it ends on.  The library holds
     # no one-at-a-time draw or valuation (they live in the tests'
     # ``reference`` module), and every proposal of the sweep is a valued
-    # block row, counted once: each solve's proposals are the random
-    # phases' counted proposals plus the moves its sweeps judge.
-    counts = _game_counts(monkeypatch)
-    solves = [(init.scenario, init.demand, init) for init, _ in desk_runs]
+    # block row, counted once: after its last accept, the sweep judges
+    # each move at the partition its game ends on once.
+    finals = [final for _, final in desk_runs]
     # Few devices among 15 SBSs: most coalitions are empty.
     for seed in range(4):
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=3, n_csd=2))
-        solves.append((scn, demand_for(scn, seed=seed, n_files=6,
-                                       storage=15.6e6), None))
-    accepted = 0
-    for n, (scn, demand, init) in enumerate(solves):
-        before = counts["random_proposals"] + counts["settled"]
-        final = run_amnd(scn, demand, init_state=init)
-        accepted += final.accepted_moves
-        judged = counts["random_proposals"] + counts["settled"] - before
-        assert final.proposals == judged, n
+        finals.append(run_amnd(scn, demand_for(scn, seed=seed, n_files=6,
+                                               storage=15.6e6)))
+    tally = dict.fromkeys(("accepts", "blocks", "proposals"), 0)
+    for n, final in enumerate(finals):
+        for row, before, moves in _phase_moves(final):
+            game, phase, proposals, accepts, blocks, rows, _ = row
+            if phase == "random":
+                assert blocks == accepts + 1, (n, game)
+                for key, count in zip(tally, (accepts, blocks, proposals)):
+                    tally[key] += count
+                continue
+            assert proposals <= rows, (n, game)
+            last = moves[-1][0] if moves else before
+            assert before + proposals - last == \
+                _moves_that_move(final, game), (n, game)
     assert not any(hasattr(module, name) for module in (mecsim, association)
                    for name in ("propose_move", "evaluate_and_apply",
                                 "_evaluate", "_bounded", "ATTEMPTS", "MASK32"))
-    assert 0 < counts["random_accepts"] < accepted
-    assert counts["partitions"] == counts["random_accepts"] + counts["phases"]
+    assert 0 < tally["accepts"] < sum(f.accepted_moves for f in finals)
     # Most proposals of a phase are rejections that are counted, not drawn.
-    assert counts["random_proposals"] > 10 * counts["partitions"]
+    assert tally["proposals"] > 10 * tally["blocks"]
 
 
 def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, tmp_path):
@@ -709,21 +702,17 @@ def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, tmp_path):
     for scn, demand, _ in cases[:2]:
         cases += [(scn, demand, {"t2": 40}), (scn, demand, {"patience": 3})]
     phases = []
-    inner = association._random_phase
-
-    def random_phase(state, sums, t2, patience):
-        start, rows = state.proposals, len(state.move_log)
-        inner(state, sums, t2, patience)
-        accepts = [row[0] - start for row in state.move_log[rows:]]
-        phases.append((state.proposals - start, accepts, t2, patience))
-
-    monkeypatch.setattr(association, "_random_phase", random_phase)
     for n, (scn, demand, kw) in enumerate(cases):
         monkeypatch.setattr(association, "game_budget", _budget(**kw))
         fresh = run_amnd(scn, demand)
         cloned = run_amnd(scn, demand, init_state=abcg_init(scn, demand))
         assert _solve_fingerprint(fresh, tmp_path / "fresh.csv") == \
             _solve_fingerprint(cloned, tmp_path / "cloned.csv"), n
+        assert fresh.phases == cloned.phases, n
+        budget = association.game_budget(scn.n_hrd, scn.n_csd)
+        phases += [(row[2], [move[0] - before for move in moves], *budget)
+                   for row, before, moves in _phase_moves(fresh)
+                   if row[1] == "random"]
     ends = set()
     for counted, accepts, t2, patience in phases:
         assert accepts == sorted(set(accepts)) and accepts[:1] != [0]
@@ -988,30 +977,13 @@ def test_csd_sides_hold_exact_zeros_outside_their_row(desk_runs):
     assert local_sides > 1000 and emptied > 100 and full > 100
 
 
-def test_desk_sweep_values_a_block_per_accept_and_one_more(monkeypatch):
+def test_desk_sweep_values_a_block_per_accept_and_one_more(desk_runs):
     # Desk neighbourhoods fit in one chunk, so a cycle is one block: the
     # sweep values one block per accept and one that finds no winner.
-    blocks, sweeps = [], []
-    inner_block, inner_sweep = (association._neighbourhood_block,
-                                association.stabilize_partition)
-
-    def block(state, sums, hood, *at, drawable=False):
-        if not drawable:
-            blocks[-1] += 1
-        return inner_block(state, sums, hood, *at, drawable=drawable)
-
-    def sweep(state, game, sums):
-        blocks.append(0)
-        before = len(state.move_log)
-        inner_sweep(state, game, sums)
-        sweeps.append((game, len(state.move_log) - before, blocks[-1]))
-
-    monkeypatch.setattr(association, "_neighbourhood_block", block)
-    monkeypatch.setattr(association, "stabilize_partition", sweep)
-    for seed in range(20):
-        scn = generate_scenario(SystemParams(seed=seed),
-                                Counts(n_hrd=20, n_csd=20))
-        run_amnd(scn, demand_for(scn, seed=seed))
+    sweeps = [(game, accepts, blocks) for _, final in desk_runs
+              for game, phase, _, accepts, blocks, *_ in final.phases
+              if phase == "stabilize"]
+    assert len(sweeps) == 40
     assert all(valued <= accepts + 1 for _, accepts, valued in sweeps), \
         sweeps
     assert {game for game, accepts, _ in sweeps if accepts} == {"hrd", "csd"}
@@ -1270,23 +1242,17 @@ def test_check_passes_after_evaluate_and_apply():
 
 def test_solve_installs_each_coalition_once_after_its_game(monkeypatch,
                                                          desk_runs):
-    # Every accept of a game is a block's, and installs nothing; each
-    # game's allocation step, after its last accept, installs each of its
-    # coalitions once: the n_sbs + 1 CSD ones (the local one included),
-    # then the n_sbs HRD ones.
+    # No accept installs anything; each game's allocation step, after its
+    # last accept, installs each of its coalitions once: the n_sbs + 1 CSD
+    # ones (the local one included), then the n_sbs HRD ones.  Each
+    # install is read with the moves logged before it.
     events = []
-    inner_commit, inner_write = (association._commit,
-                                 association._write_coalition)
-
-    def commit(state, block, k):
-        events.append(("accept", block.game))
-        return inner_commit(state, block, k)
+    inner_write = association._write_coalition
 
     def write(state, game, c, members):
-        events.append(("install", game, c))
+        events.append((game, c, len(state.move_log)))
         return inner_write(state, game, c, members)
 
-    monkeypatch.setattr(association, "_commit", commit)
     monkeypatch.setattr(association, "_write_coalition", write)
     inits = [init for init, _ in desk_runs]
     # One or three devices among 15 SBSs: most coalitions are empty.
@@ -1299,14 +1265,12 @@ def test_solve_installs_each_coalition_once_after_its_game(monkeypatch,
     for init in inits:
         events.clear()
         final = run_amnd(init.scenario, init.demand, init_state=init)
-        n = final.n_sbs
-        accepts = {game: events.count(("accept", game)) for game in played}
+        n, games = final.n_sbs, [move[1] for move in final.move_log]
+        accepts = {game: games.count(game) for game in played}
+        assert games == ["csd"] * accepts["csd"] + ["hrd"] * accepts["hrd"]
         assert events == (
-            [("accept", "csd")] * accepts["csd"]
-            + [("install", "csd", c) for c in range(n + 1)]
-            + [("accept", "hrd")] * accepts["hrd"]
-            + [("install", "hrd", c) for c in range(n)])
-        assert sum(accepts.values()) == final.accepted_moves
+            [("csd", c, accepts["csd"]) for c in range(n + 1)]
+            + [("hrd", c, len(games)) for c in range(n)])
         for game, count in accepts.items():
             played[game] += count
     assert all(played.values()), played
@@ -1531,13 +1495,19 @@ GOLDEN_LARGE_RNG = ((41767882014463807494534892034541227003, 0, 0),
                     (311830170580903917382457251849609423605, 0, 0))
 
 
-def test_large_solve_matches_recorded_outputs():
-    seed, f, proposals, accepted, hrd_sbs, csd_sbs = GOLDEN_LARGE
+def _large_instance(seed=5):
+    """The benchmark's large workload at ``seed``: 80 HRD, 160 CSD, 3 MBS x
+    10 SBS, 1000 files, two requests per HRD, 28e6 B of sampled storage."""
     scn = generate_scenario(SystemParams(seed=seed, n_mbs=3, m_sbs=10),
                             Counts(n_hrd=80, n_csd=160))
-    demand = build_demand(Catalog.build(1000, 0.6), scn.n_sbs, 80, 160,
-                          demand_rng(seed, 0.6), requests_per_hrd=2,
-                          storage_bytes=28e6, cache_policy="sampled")
+    return scn, build_demand(Catalog.build(1000, 0.6), scn.n_sbs, 80, 160,
+                             demand_rng(seed, 0.6), requests_per_hrd=2,
+                             storage_bytes=28e6, cache_policy="sampled")
+
+
+def test_large_solve_matches_recorded_outputs():
+    seed, f, proposals, accepted, hrd_sbs, csd_sbs = GOLDEN_LARGE
+    scn, demand = _large_instance(seed)
     final = run_amnd(scn, demand, init_state=abcg_init(scn, demand))
     assert (repr(final.objective), final.proposals,
             final.accepted_moves) == (f, proposals, accepted)
@@ -1547,16 +1517,6 @@ def test_large_solve_matches_recorded_outputs():
         np.array(csd_sbs, dtype=np.int64).tobytes()
     assert _fraction_digests(final) == GOLDEN_LARGE_FRACTIONS
     assert _rng_states(final) == GOLDEN_LARGE_RNG
-
-
-def _large_instance(seed=5):
-    """The benchmark's large workload at ``seed``: 80 HRD, 160 CSD, 3 MBS x
-    10 SBS, 1000 files, two requests per HRD, 28e6 B of sampled storage."""
-    scn = generate_scenario(SystemParams(seed=seed, n_mbs=3, m_sbs=10),
-                            Counts(n_hrd=80, n_csd=160))
-    return scn, build_demand(Catalog.build(1000, 0.6), scn.n_sbs, 80, 160,
-                             demand_rng(seed, 0.6), requests_per_hrd=2,
-                             storage_bytes=28e6, cache_policy="sampled")
 
 
 # The ABCG states of desk seeds 0-4, of ``multi_request_run`` ("multi") and
@@ -1700,12 +1660,7 @@ def _scratch_audit(state):
                   for i in range(assoc.size) for j in range(i + 1, assoc.size)
                   if assoc[i] != assoc[j]]
         for prop in props:
-            src, dst = _tentative_members(lists, prop.c_from, prop.c_to,
-                                          prop.md_from, prop.md_to)
-            v_src = coalition_value(state.costs, game, prop.c_from, src)
-            v_dst = coalition_value(state.costs, game, prop.c_to, dst)
-            dv = (v_src + v_dst) - (cache[prop.c_from] + cache[prop.c_to])
-            # An infeasible side is worth +inf, and so is then ``dv``.
+            _, _, dv = _scratch_value(state, lists, cache, prop)
             if dv < -IMPROVE_MARGIN:
                 found.append((game, prop.kind, prop.c_from, prop.c_to,
                               prop.md_from, prop.md_to, dv))
@@ -2056,26 +2011,6 @@ def test_chunked_sweep_matches_one_block_sweep(monkeypatch, tmp_path):
 
 
 def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):
-    # Kinds of the moves that the block sweep applies.
-    swept, sweeping = set(), []
-    inner_sweep, inner_commit = (association.stabilize_partition,
-                                 association._commit)
-
-    def sweep(state, game, sums):
-        sweeping.append(game)
-        try:
-            return inner_sweep(state, game, sums)
-        finally:
-            sweeping.pop()
-
-    def commit(state, block, k):
-        if sweeping:
-            swept.add("swap" if block.swap.item(k) else "transfer")
-        return inner_commit(state, block, k)
-
-    monkeypatch.setattr(association, "stabilize_partition", sweep)
-    monkeypatch.setattr(association, "_commit", commit)
-
     cases = []
     for seed in range(20):
         scn = generate_scenario(SystemParams(seed=seed),
@@ -2099,10 +2034,13 @@ def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):
         for kw in ({"t2": 1}, {"patience": 1}, {"patience": 0}):
             cases.append((scn, demand, kw))
 
-    sweeps = []
+    # Kinds of the moves that the block sweep applies.
+    sweeps, swept = [], set()
     for n, (scn, demand, kw) in enumerate(cases):
         monkeypatch.setattr(association, "game_budget", _budget(**kw))
         block = run_amnd(scn, demand)
+        swept |= {move[2] for row, _, moves in _phase_moves(block)
+                  if row[1] == "stabilize" for move in moves}
         block = _solve_fingerprint(block, tmp_path / f"block{n}.csv")
         with monkeypatch.context() as scalar:
             scalar.setattr(association, "stabilize_partition",

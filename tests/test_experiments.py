@@ -504,20 +504,7 @@ def test_cli_audit_fails_on_swapped_shares(monkeypatch, capsys, game, seed):
     # installed delays, judged against the certified bound, show the
     # fault.  The bound's multipliers come from the same solve as the
     # unswapped shares, and still the gap sees the swap.
-    inner = getattr(_kernels, f"{game}_alloc")
-
-    def swapped(costs, n, members, x, y):
-        value = inner(costs, n, members, x, y)
-        if n < costs.n_sbs and len(members) > 1:
-            i, j = members[:2]
-            if game == "hrd":
-                i, j = costs.pair_off[i], costs.pair_off[j]
-            else:
-                y[i], y[j] = y[j], y[i]
-            x[i], x[j] = x[j], x[i]
-        return value
-
-    monkeypatch.setattr(_kernels, f"{game}_alloc", swapped)
+    monkeypatch.setattr(_kernels, f"{game}_alloc", _swap_two_shares(game))
     assert main(["audit", "--seed", str(seed)]) == 2
     out = capsys.readouterr().out
     assert "constraints at final state: 0 violation(s)" in out

@@ -207,6 +207,115 @@ def test_every_parameter_is_read():
     assert unread == UNREAD_PARAMETERS
 
 
+# The package's names that the tests patch (``setattr`` on a module), each
+# with the reason that neither ``GameState.phases``, the move log, the
+# goldens nor the one-row reference of ``tests/reference.py`` can stand in
+# for the patch.
+PATCHED_NAMES = {
+    "association._random_phase":
+        "reads the budget that each game passes its random phase; the "
+        "record holds the phase's work, not its budget",
+    "association.game_budget":
+        "plays a game on other budgets, to end phases on t2 or patience",
+    "association.stabilize_partition":
+        "leaves the random phase's partition unsettled, or plays the "
+        "one-row reference sweep in place of the block sweep",
+    "association._commit":
+        "cuts a random phase at its first accept, before it is applied",
+    "association.hrd_value":
+        "checks each exact valuation against the numerical optimum; the "
+        "record counts them, but not their coalitions or values",
+    "association.CoalitionSums":
+        "counts the running sums each game builds, which is no phase's work",
+    "association._write_coalition":
+        "reads each install with the moves logged before it; installs are "
+        "the allocation step's, not a phase's",
+    "association._neighbourhood_block":
+        "reads each sweep block's positions, to check that a chunk without "
+        "a winner doubles the next; the record sums them",
+    "association.SWEEP_CHUNK":
+        "shrinks the sweep's first chunk, which must change no result",
+    "_kernels._hrd_lists": "pairs each closed-form solve with its members",
+    "_kernels.hrd_closed_form":
+        "counts the closed-form solves, which the memo makes once per "
+        "coalition and member list; no record counts them",
+    "_kernels.csd_alloc": "the swapped-shares mutant of the audit",
+    "_kernels.hrd_alloc": "the swapped-shares mutant of the audit",
+    "allocation.dual_bound": "the bound-above-the-delay mutant of the audit",
+    "experiments.abcg_init": "counts the solves that a command makes",
+    "experiments.run_amnd": "counts the solves that a command makes",
+    "cli.abcg_init": "counts the solves that a command makes",
+    "cli.run_amnd": "counts the solves that a command makes",
+    "scenario.rng_streams":
+        "records the placement draws for the one-node-at-a-time reference",
+    "scenario._COLLOCATION_EPS_M":
+        "widens the collocation distance, so that placements collide",
+}
+# The tests and fixtures that patch names from a table, not a literal
+# module and name, with the names that their tables hold.
+PATCH_TABLES = {
+    "solves": {"experiments.abcg_init", "experiments.run_amnd",
+               "cli.abcg_init", "cli.run_amnd"},
+    "test_cli_audit_fails_on_swapped_shares": {"_kernels.csd_alloc",
+                                               "_kernels.hrd_alloc"},
+    "test_audit_record_counts_the_printed_failures": {
+        "_kernels.csd_alloc", "_kernels.hrd_alloc", "allocation.dual_bound",
+        "association.stabilize_partition"},
+}
+
+
+def _patched_names(path):
+    """``{"module.name": [test, ...]}``: what the test module at ``path``
+    patches, by the test or fixture that patches it.  A ``setattr`` call
+    whose first two arguments are a ``mecsim`` module and a string is read
+    as written; any other one stands for the names that ``PATCH_TABLES``
+    lists for its function (none, if it lists none)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {a.asname or a.name: a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "mecsim"
+               for a in node.names}
+    found = {}
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            callee = getattr(child, "func", None)
+            if getattr(callee, "attr", getattr(callee, "id", None)) \
+                    == "setattr":
+                target, name = (child.args + [None, None])[:2]
+                if isinstance(target, ast.Name) and target.id in modules \
+                        and isinstance(name, ast.Constant) \
+                        and isinstance(name.value, str):
+                    names = {f"{modules[target.id]}.{name.value}"}
+                else:
+                    names = PATCH_TABLES.get(func, {f"? {func}"})
+                for patched in names:
+                    found.setdefault(patched, []).append(func)
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_patched_names_are_listed():
+    found = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for name, tests in _patched_names(path).items():
+            found.setdefault(name, []).extend(tests)
+    stray = {name: found.get(name, "listed, never patched")
+             for name in set(found) ^ set(PATCHED_NAMES)}
+    assert stray == {}
+    for name in PATCHED_NAMES:
+        _resolve(name)
+    # The audit mutants' table is read where it is kept.
+    from test_experiments import AUDIT_MUTANTS
+    assert {f"{module.__name__.split('.')[-1]}.{name}" for (module, name, _),
+            *_ in AUDIT_MUTANTS.values()} == \
+        PATCH_TABLES["test_audit_record_counts_the_printed_failures"]
+
+
 def _block_after(text, label):
     """The first fenced block after ``label``, without its fences."""
     found = re.search(re.escape(label) + r".*?^```\n(.*?)^```", text,
