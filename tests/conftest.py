@@ -4,15 +4,16 @@ Synthetic scenarios carry chosen channel gains (positions are dummies), which
 lets tests pin exact rates, costs and delays without fighting the channel
 draw.  ``allocate_csd``/``allocate_hrd`` run the library's closed forms on
 raw cost vectors, ``idle_allocation`` builds an allocation at IDLE_FRAC
-everywhere and ``game_sums`` a game's running sums from a state's member
-lists.
+everywhere, ``game_sums`` a game's running sums from a state's member
+lists and ``whole_block`` every move of a game, valued from those sums.
 """
 
 import numpy as np
 import pytest
 
 from mecsim._kernels import IDLE_FRAC, _sum, hrd_closed_form, root_shares
-from mecsim.association import CoalitionSums
+from mecsim.association import CoalitionSums, _neighbourhood, \
+    _neighbourhood_block
 from mecsim.content import Catalog, build_demand, demand_rng
 from mecsim.delays import Allocation
 from mecsim.radio import REUSE
@@ -25,14 +26,6 @@ DESK_STORAGE = 28e6   # partial caches: 5 of 20 files plus offload headroom
 @pytest.fixture(scope="session")
 def desk_scenario():
     return generate_scenario(SystemParams(seed=7), Counts(n_hrd=20, n_csd=20))
-
-
-@pytest.fixture(scope="session")
-def desk_demand(desk_scenario):
-    catalog = Catalog.build(20, 0.6)
-    return build_demand(catalog, desk_scenario.n_sbs, 20, 20,
-                        demand_rng(7, 0.6), storage_bytes=DESK_STORAGE,
-                        cache_policy="sampled")
 
 
 def synthetic_scenario(gain_sbs_hrd, gain_sbs_csd, gain_mbs_sbs,
@@ -154,3 +147,14 @@ def game_sums(state, game: str) -> CoalitionSums:
     lists, as ``association.run_coalition_game`` builds them."""
     lists = state.hrd_members if game == "hrd" else state.csd_members
     return CoalitionSums(state.costs, game, lists)
+
+
+def whole_block(state, game: str, *, drawable: bool = False):
+    """Every move of ``game`` at the state's partition (with ``drawable``,
+    every move a random phase draws), valued as one ``_Block`` from the
+    running sums ``game_sums`` builds, which it holds as ``sums``."""
+    sums = game_sums(state, game)
+    block, _ = _neighbourhood_block(
+        state, sums, _neighbourhood(sums.none, sums.size.size), 0,
+        drawable=drawable)
+    return block

@@ -13,9 +13,8 @@ installed fractions, and ``check_sums`` a game's running sums against its
 member lists.
 
 Every library call goes through the ``association`` module, so a test that
-patches ``association._commit`` (the step that counts, applies and logs an
-accepted move) or ``association._write_coalition`` sees the reference's
-calls too.
+patches a name there (``association.hrd_value``, which values a flagged
+side exactly) sees the reference's calls too.
 
 ``oracle_simplex_min`` solves one simplex block numerically (bisection on
 the budget multiplier with box clamps), ``oracle_hrd_min`` the coupled HRD

@@ -24,7 +24,8 @@ from mecsim.delays import audit_constraints
 from mecsim.experiments import ExperimentConfig
 from mecsim.scenario import (Counts, ReadAhead, SystemParams,
                              generate_scenario)
-from conftest import demand_for, game_sums, idle_allocation, rate_scenario
+from conftest import demand_for, game_sums, idle_allocation, rate_scenario, \
+    whole_block
 from reference import (ATTEMPTS, MoveProposal, _evaluate, check_state,
                        check_sums, evaluate_and_apply, member_pairs,
                        propose_move, solve_p3)
@@ -246,27 +247,27 @@ def _budget(t2=None, patience=None):
 
 
 def test_run_amnd_plays_each_game_on_the_instance_budget(monkeypatch):
-    # The budget has one owner: both games of a solve run their random
-    # phase on ``game_budget`` of the instance, 100 proposals and a
-    # patience of 50 per device.
-    budgets = []
-    inner = association._random_phase
+    # The budget has one owner: both games of a solve ask ``game_budget``
+    # for the instance's, 100 proposals and a patience of 50 per device,
+    # and each random phase ends where that budget ends it.
+    asked = []
 
-    def random_phase(state, sums, t2, patience):
-        budgets.append((sums.game, t2, patience))
-        return inner(state, sums, t2, patience)
+    def budget(n_hrd, n_csd):
+        asked.append((n_hrd, n_csd))
+        return game_budget(n_hrd, n_csd)
 
-    monkeypatch.setattr(association, "_random_phase", random_phase)
+    monkeypatch.setattr(association, "game_budget", budget)
     assert game_budget(20, 20) == (4000, 2000)
     desk = generate_scenario(SystemParams(seed=0), Counts(n_hrd=20, n_csd=20))
     few = generate_scenario(SystemParams(seed=1), Counts(n_hrd=3, n_csd=2))
     for scn, demand in ((desk, demand_for(desk, seed=0)),
                         (few, demand_for(few, seed=1, n_files=6,
                                          storage=15.6e6))):
-        budgets.clear()
-        run_amnd(scn, demand)
-        budget = game_budget(scn.n_hrd, scn.n_csd)
-        assert budgets == [("csd", *budget), ("hrd", *budget)], scn.n_hrd
+        asked.clear()
+        state = run_amnd(scn, demand)
+        assert asked == [(scn.n_hrd, scn.n_csd)] * 2, scn.n_hrd
+        assert len(_random_phase_ends(
+            state, *game_budget(scn.n_hrd, scn.n_csd))) == 2, scn.n_hrd
 
 
 def test_empty_deployment_solves_to_zero():
@@ -295,24 +296,16 @@ def test_stabilized_game_passes_the_exhaustive_audit():
     assert audit_stability(state) == []
 
 
-def _no_sweep(state, game, sums):
-    """A stand-in for ``stabilize_partition`` that leaves the partition as
-    the random phase left it."""
-
-
-def test_patience_zero_without_stabilization_changes_nothing(monkeypatch):
+def test_patience_zero_leaves_every_accept_to_the_sweep(monkeypatch):
+    # A patience of 0 ends each random phase before it judges a move: its
+    # row holds zeros, and every accept of the solve is its sweeps'.
     scn, demand, state = desk_state(seed=13)
-    init_assoc = state.partition.hrd_sbs.copy()
-    init_f = state.objective
-    monkeypatch.setattr(association, "stabilize_partition", _no_sweep)
     monkeypatch.setattr(association, "game_budget", _budget(100, 0))
     final = run_amnd(scn, demand, init_state=state)
-    # output is the initializer followed by one reallocation
-    assert final.accepted_moves == 0
-    assert np.array_equal(final.partition.hrd_sbs, init_assoc)
-    assert final.objective <= init_f + 1e-12
-    assert audit_constraints(scn, demand, final.partition, final.allocation,
-                             final.table) == []
+    assert [row[2:] for row in final.phases if row[1] == "random"] == \
+        [(0, 0, 0, 0, 0)] * 2
+    assert sum(row[3] for row in final.phases if row[1] == "stabilize") == \
+        final.accepted_moves > 0
 
 
 def test_optimizer_never_loses_to_the_initializer():
@@ -583,9 +576,7 @@ def test_screen_skips_only_moves_that_cannot_be_accepted(desk_runs,
     states.append(bound_final_state())
     screened_out = feasible_out = 0
     for n, state in enumerate(states):
-        block, _ = association._neighbourhood_block(
-            state, game_sums(state, "hrd"),
-            _neighbourhood(state.partition.hrd_sbs.size, state.n_sbs), 0)
+        block = whole_block(state, "hrd")
         contenders = block.screen()
         flagged = np.flatnonzero(block.floor).tolist()
         assert set(contenders) <= set(flagged), n
@@ -606,6 +597,24 @@ def _phase_moves(state):
         out.append((row, before, [next(log) for _ in range(row[3])]))
         before += row[2]
     return out
+
+
+def _random_phase_ends(state, t2, patience):
+    """Check each random row of ``state.phases`` against the budget ``(t2,
+    patience)``, with its accepts read from the move log: they are in
+    order, none is its first proposal, and the phase ends when the wait
+    after its last accept reaches the budget left, ``min(t2 - done,
+    patience)``.  Returns, per row, whether ``t2`` ended it."""
+    ends = []
+    for row, before, moves in _phase_moves(state):
+        if row[1] == "random":
+            accepts = [move[0] - before for move in moves]
+            assert accepts == sorted(set(accepts)) and accepts[:1] != [0]
+            done = accepts[-1] if accepts else 0
+            assert row[2] == done + min(t2 - done, patience), \
+                (row, accepts, t2, patience)
+            ends.append(t2 - done <= patience)
+    return ends
 
 
 def _moves_that_move(state, game):
@@ -679,18 +688,15 @@ def test_game_values_each_accepted_block_move_once(desk_runs):
     assert tally["proposals"] > 10 * tally["blocks"]
 
 
-def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, tmp_path):
+def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, tmp_path,
+                                                   desk_runs):
     # The random phase counts its rejections, the tail that ends it
     # included, without drawing them, and logs only its accepts.  Read
     # against the move log, each phase ends when the wait after its last
     # accept reaches the budget left, ``min(t2 - done, patience)``; and a
     # solve from a clone of the initial state ends where a fresh solve
     # ends, generators and log included.
-    cases = []
-    for seed in range(5):
-        scn = generate_scenario(SystemParams(seed=seed),
-                                Counts(n_hrd=20, n_csd=20))
-        cases.append((scn, demand_for(scn, seed=seed), {}))
+    cases = [(init.scenario, init.demand, {}) for init, _ in desk_runs[:5]]
     for seed in (3, 4):
         scn = generate_scenario(SystemParams(seed=seed, a=0.9),
                                 Counts(n_hrd=20, n_csd=20))
@@ -701,7 +707,7 @@ def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, tmp_path):
                   {}))
     for scn, demand, _ in cases[:2]:
         cases += [(scn, demand, {"t2": 40}), (scn, demand, {"patience": 3})]
-    phases = []
+    ends = set()
     for n, (scn, demand, kw) in enumerate(cases):
         monkeypatch.setattr(association, "game_budget", _budget(**kw))
         fresh = run_amnd(scn, demand)
@@ -709,17 +715,8 @@ def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, tmp_path):
         assert _solve_fingerprint(fresh, tmp_path / "fresh.csv") == \
             _solve_fingerprint(cloned, tmp_path / "cloned.csv"), n
         assert fresh.phases == cloned.phases, n
-        budget = association.game_budget(scn.n_hrd, scn.n_csd)
-        phases += [(row[2], [move[0] - before for move in moves], *budget)
-                   for row, before, moves in _phase_moves(fresh)
-                   if row[1] == "random"]
-    ends = set()
-    for counted, accepts, t2, patience in phases:
-        assert accepts == sorted(set(accepts)) and accepts[:1] != [0]
-        done = accepts[-1] if accepts else 0
-        assert counted == done + min(t2 - done, patience), \
-            (counted, accepts, t2, patience)
-        ends.add(t2 - done <= patience)
+        ends.update(_random_phase_ends(
+            fresh, *association.game_budget(scn.n_hrd, scn.n_csd)))
     # Phases end on the game budget and on the patience alike.
     assert ends == {False, True}
 
@@ -802,12 +799,9 @@ def test_drawable_block_holds_propose_move_support(desk_runs):
     for init, final in desk_runs[:5]:
         for state in (init, final):
             for game in ("hrd", "csd"):
-                sums = game_sums(state, game)
+                block = whole_block(state, game, drawable=True)
                 lists = state.hrd_members if game == "hrd" \
                     else state.csd_members
-                block, _ = association._neighbourhood_block(
-                    state, sums, _neighbourhood(sums.none, sums.size.size),
-                    0, drawable=True)
                 rows = [("swap", frozenset((i, j))) if swap else
                         ("transfer", i, to)
                         for swap, i, j, to in zip(
@@ -815,7 +809,8 @@ def test_drawable_block_holds_propose_move_support(desk_runs):
                             block.j.tolist(), block.b.tolist())]
                 support = _support(lists)
                 assert len(set(rows)) == len(rows) == len(support)
-                weights = _draw_weights(sums.size, block.a, block.b).tolist()
+                weights = _draw_weights(block.sums.size, block.a,
+                                        block.b).tolist()
                 assert weights == [float(support[key]) for key in rows], game
     # ``_neighbourhood`` is built once per shape and shared, so read-only.
     hood = _neighbourhood(20, 15)
@@ -838,13 +833,11 @@ def test_swap_is_valued_alike_from_either_side(desk_runs, multi_request_run,
     floor_bound = 0
     for state in states:
         for game in ("hrd", "csd"):
-            sums = game_sums(state, game)
-            block, _ = association._neighbourhood_block(
-                state, sums, _neighbourhood(sums.none, sums.size.size), 0)
+            block = whole_block(state, game)
             at = np.flatnonzero(block.swap)
             a, b, i, j = (x[at] for x in (block.a, block.b, block.i,
                                           block.j))
-            swap = np.ones(at.size, dtype=bool)
+            swap, sums = np.ones(at.size, dtype=bool), block.sums
             ahead = association._Block(state, sums, swap,
                                        association._move_rows(swap, i, j),
                                        np.stack((a, b)))
@@ -889,11 +882,10 @@ def test_an_overrun_side_makes_its_move_worth_inf():
             task_input_bytes=np.where(np.arange(n_csd) % 2, 150e3, 100e3),
             local_cps=demand.local_cps * np.linspace(0.5, 1.5, n_csd))
         state = abcg_init(scn, demand)
-        sums, costs = game_sums(state, "csd"), state.costs
+        costs = state.costs
         room = costs.spare_bytes + BYTES_TOL
         with np.errstate(invalid="raise"):
-            block, _ = association._neighbourhood_block(
-                state, sums, _neighbourhood(sums.none, sums.size.size), 0)
+            block = whole_block(state, "csd")
             win = block.improving()
         for q in range(len(block)):
             swap, a, b = block.swap.item(q), block.a.item(q), block.b.item(q)
@@ -955,12 +947,11 @@ def test_csd_sides_hold_exact_zeros_outside_their_row(desk_runs):
             states += [init, run_amnd(scn, init.demand, init_state=init)]
     local_sides = emptied = full = 0
     for state in states:
-        sums, n_sbs = game_sums(state, "csd"), state.n_sbs
+        block, n_sbs = whole_block(state, "csd"), state.n_sbs
+        sums = block.sums
         table = sums.terms.reshape(n_sbs + 1, sums.stride, 4)
         assert not table[:n_sbs, :, 3].any() and not table[n_sbs, :, :2].any()
         assert sums.room[n_sbs] == np.inf
-        block, _ = association._neighbourhood_block(
-            state, sums, _neighbourhood(sums.none, sums.size.size), 0)
         step = block.swap.astype(np.int64) - 1
         args = (block.ends.reshape(-1), np.concatenate((block.i, block.j)),
                 np.concatenate((block.j, block.i)),
@@ -975,18 +966,6 @@ def test_csd_sides_hold_exact_zeros_outside_their_row(desk_runs):
         emptied += np.count_nonzero(args[3] == 0)
         full += np.count_nonzero(value == np.inf)
     assert local_sides > 1000 and emptied > 100 and full > 100
-
-
-def test_desk_sweep_values_a_block_per_accept_and_one_more(desk_runs):
-    # Desk neighbourhoods fit in one chunk, so a cycle is one block: the
-    # sweep values one block per accept and one that finds no winner.
-    sweeps = [(game, accepts, blocks) for _, final in desk_runs
-              for game, phase, _, accepts, blocks, *_ in final.phases
-              if phase == "stabilize"]
-    assert len(sweeps) == 40
-    assert all(valued <= accepts + 1 for _, accepts, valued in sweeps), \
-        sweeps
-    assert {game for game, accepts, _ in sweeps if accepts} == {"hrd", "csd"}
 
 
 def test_each_game_builds_its_own_running_sums(monkeypatch):
@@ -1224,9 +1203,7 @@ def test_check_passes_after_evaluate_and_apply():
     # ``_commit`` alone installs nothing: the moved coalitions' cached
     # values run ahead of their fractions until the game's allocation step.
     twin = state.clone()
-    block, _ = association._neighbourhood_block(
-        twin, game_sums(twin, "hrd"),
-        _neighbourhood(twin.partition.hrd_sbs.size, twin.n_sbs), 0)
+    block = whole_block(twin, "hrd")
     wins = block.improving().nonzero()[0]
     assert wins.size
     q = wins.item(0)
@@ -1670,11 +1647,14 @@ def _scratch_audit(state):
 def test_audit_matches_scratch_reference(monkeypatch, desk_runs,
                                          multi_request_run, bound_runs):
     states = [init for init, _ in desk_runs + bound_runs[:3]]
-    with monkeypatch.context() as unswept:
-        unswept.setattr(association, "stabilize_partition", _no_sweep)
-        unswept.setattr(association, "game_budget", _budget(t2=50))
-        states += [run_amnd(init.scenario, init.demand, init_state=init)
-                   for init, _ in desk_runs[:10]]
+    # ABCG states with both classes reallocated: installed at their closed
+    # forms, each still holding the improving moves the initializer left.
+    for init, _ in desk_runs[:10]:
+        states.append(init.clone())
+        for game in ("csd", "hrd"):
+            reallocate(states[-1], game)
+        check_state(states[-1])
+        assert states[-1].objective <= init.objective + 1e-12
     states.append(bound_final_state())
     states.append(multi_request_run[0])
     fallbacks = _count_floor_valuations(monkeypatch)
@@ -1738,12 +1718,12 @@ def test_audit_leaves_the_state_untouched(desk_runs):
     assert snapshot() == before
 
 
-def _scalar_random_phase(state, sums, t2, patience):
+def _scalar_random_phase(state, sums, t2, patience, *, first=False):
     """The random phase of the game of the running sums ``sums`` as one
     loop of ``propose_move`` and ``evaluate_and_apply``, one proposal at a
     time, on the game's own generator: the reference that the
     rejection-free phase must equal in law.  It reads the member lists
-    again only after an accept."""
+    again only after an accept; with ``first``, it stops at its first."""
     game = sums.game
     rng = state.rng_hrd if game == "hrd" else state.rng_csd
     lists = association._member_lists(state, game)
@@ -1753,20 +1733,22 @@ def _scalar_random_phase(state, sums, t2, patience):
             break
         if evaluate_and_apply(state, sums,
                               propose_move(state, game, rng, lists)):
+            if first:
+                break
             rejections = 0
             lists = association._member_lists(state, game)
         else:
             rejections += 1
 
 
-def _scalar_stabilize(state, game, sums, sweeps):
+def _scalar_stabilize(state, game, sums):
     """The stabilization sweep as one loop of ``_move_at`` and
     ``evaluate_and_apply``, one proposal at a time, valued from the game's
     running sums ``sums``: the reference that the block version must equal
     to the last bit.  It goes round the moves cyclically, resumes after
     each accept and stops after a whole cycle without one, and
-    ``evaluate_and_apply`` counts each move it judges.  Appends its count
-    of accepted moves to ``sweeps``."""
+    ``evaluate_and_apply`` counts each move it judges.  Returns its count
+    of accepted moves."""
     moves = _hood(state, game).swap.size
     q = quiet = applied = 0
     while quiet < moves:
@@ -1776,7 +1758,7 @@ def _scalar_stabilize(state, game, sums, sweeps):
         else:
             quiet += 1
         q = (q + 1) % moves
-    sweeps.append(applied)
+    return applied
 
 
 def _solve_fingerprint(state, path):
@@ -1792,34 +1774,24 @@ def _solve_fingerprint(state, path):
     return fingerprint + [path.read_bytes()]
 
 
-class _Accepted(Exception):
-    """Raised in place of applying the first accepted move of a phase."""
-
-
-def _first_accepts(monkeypatch, state, game, phase, runs):
-    """``runs`` random phases ``phase`` of ``game`` from ``state``, each on
-    its own running sums and on a generator seeded by its run, and cut at
-    its first accept, which is not applied.  Per run: the rejections
-    before the accept and the accepted move (a swap keyed by its two
-    devices, a transfer by its device and target).  The library's phase
-    and the reference both accept through ``_commit``, which is cut before
-    it counts."""
-    def commit(state, block, k):
-        raise _Accepted(block, k)
-
-    monkeypatch.setattr(association, "_commit", commit)
-    out = []
+def _played(state, game, phase, runs, side):
+    """``runs`` clones of ``state``, each after the random phase ``phase``
+    of ``game``, called with the clone and running sums built from it, on a
+    generator seeded by its run and ``side``."""
     for run in range(runs):
-        state.rng_hrd = state.rng_csd = np.random.default_rng([run, 0])
-        state.proposals = 0
-        with pytest.raises(_Accepted) as accepted:
-            phase(state, game_sums(state, game), 10 ** 6, 10 ** 6)
-        block, k = accepted.value.args
-        i = block.i.item(k)
-        key = (frozenset((i, block.j.item(k))) if block.swap.item(k)
-               else (i, block.b.item(k)))
-        out.append((state.proposals, key))
-    return out
+        twin = state.clone()
+        twin.rng_hrd = twin.rng_csd = np.random.default_rng([run, side])
+        phase(twin, game_sums(twin, game))
+        yield twin
+
+
+def _first_accepts(state, game, phase, runs):
+    """The first accept of ``runs`` random phases ``phase`` of ``game`` from
+    the ABCG state ``state`` (``_played``), read from the move log: the
+    rejections before it and the move, keyed by its kind and ``dv``, which
+    does not depend on the block that values it, to the last bit."""
+    return [(twin.move_log[0][0] - 1, twin.move_log[0][2:4])
+            for twin in _played(state, game, phase, runs, 0)]
 
 
 def _same_law(a, b, least=10):
@@ -1837,13 +1809,14 @@ def _same_law(a, b, least=10):
     return len(cells) < 2 or chi2_contingency(table).pvalue > 1e-4
 
 
-def test_random_phase_matches_scalar_reference(monkeypatch):
+def test_random_phase_matches_scalar_reference():
     # From fixed partitions, the number of rejections before the first
     # accept and the accepted move follow the law of the one-at-a-time
-    # loop.  Each partition has several
-    # winners of unequal weight; the HRD ones have flagged moves that win,
-    # and flagged moves that the screen rejects.  The draws are seeded, so
-    # the outcome is fixed; the critical values are generous.
+    # loop, which stops there; the library plays whole phases, on a budget
+    # that no wait reaches.  Each partition has several winners of unequal
+    # weight; the HRD ones have flagged moves that win, and flagged moves
+    # that the screen rejects.  The draws are seeded, so the outcome is
+    # fixed; the critical values are generous.
     states = []
     for seed, m_sbs, n_hrd in ((2, 3, 6), (3, 4, 8)):
         scn = generate_scenario(SystemParams(seed=seed, m_sbs=m_sbs, n_mbs=1,
@@ -1859,22 +1832,19 @@ def test_random_phase_matches_scalar_reference(monkeypatch):
     states.append((abcg_init(scn, demand), "csd"))
     runs = 1500
     for n, (state, game) in enumerate(states):
-        sums = game_sums(state, game)
-        block, _ = association._neighbourhood_block(
-            state, sums, _neighbourhood(sums.none, sums.size.size), 0,
-            drawable=True)
+        block = whole_block(state, game, drawable=True)
         flagged = None if block.floor is None else block.floor.copy()
         win = block.improving()
         assert 1 < np.count_nonzero(win) < len(block), n
         assert game == "csd" or (flagged & win).any() and \
             (flagged & ~win).any(), n
-        p = float(_draw_weights(sums.size, block.a, block.b)[win].sum())
-        with monkeypatch.context() as hooks:
-            ours = _first_accepts(hooks, state, game,
-                                  association._random_phase, runs)
-        with monkeypatch.context() as hooks:
-            theirs = _first_accepts(hooks, state, game, _scalar_random_phase,
-                                    runs)
+        p = float(_draw_weights(block.sums.size, block.a,
+                                block.b)[win].sum())
+        budget = {"t2": 10 ** 6, "patience": 10 ** 6}
+        ours = _first_accepts(state, game, functools.partial(
+            association._random_phase, **budget), runs)
+        theirs = _first_accepts(state, game, functools.partial(
+            _scalar_random_phase, first=True, **budget), runs)
         for k in range(2):
             assert _same_law([x[k] for x in ours], [x[k] for x in theirs]), \
                 (n, k)
@@ -1911,16 +1881,13 @@ def _every_move_wins_state():
 
 
 def _whole_phases(state, game, phase, t2, patience, runs, side):
-    """``runs`` whole random phases ``phase`` of ``game``, each from a clone
-    of ``state``, on running sums built from the clone and on a generator
-    seeded by its run and ``side``.  Per run:
-    the end partition of the game, its number of accepts, its number of
-    proposals and the number of proposals after its last accept."""
+    """Per run of ``_played`` with the random phase ``phase`` on the budget
+    ``(t2, patience)``: the end partition of the game, its number of
+    accepts, its number of proposals and the number of proposals after its
+    last accept."""
     out = []
-    for run in range(runs):
-        twin = state.clone()
-        twin.rng_hrd = twin.rng_csd = np.random.default_rng([run, side])
-        phase(twin, game_sums(twin, game), t2, patience)
+    for twin in _played(state, game, functools.partial(
+            phase, t2=t2, patience=patience), runs, side):
         assoc = twin.partition.hrd_sbs if game == "hrd" \
             else twin.partition.csd_sbs
         last = twin.move_log[-1][0] if twin.move_log else 0
@@ -1948,12 +1915,9 @@ def test_whole_random_phase_matches_scalar_reference():
              "every move wins": (_every_move_wins_state(), "hrd", 2, 10 ** 6,
                                  800)}
     for name, (state, game, t2, patience, runs) in cases.items():
-        sums = game_sums(state, game)
-        block, _ = association._neighbourhood_block(
-            state, sums, _neighbourhood(sums.none, sums.size.size), 0,
-            drawable=True)
+        block = whole_block(state, game, drawable=True)
         win = block.improving()
-        q = _draw_weights(sums.size, block.a, block.b)[win]
+        q = _draw_weights(block.sums.size, block.a, block.b)[win]
         assert np.unique(q).size > 1, name
         assert win.all() == (name == "every move wins"), name
         ours = _whole_phases(state, game, association._random_phase, t2,
@@ -1972,50 +1936,38 @@ def test_whole_random_phase_matches_scalar_reference():
                 (name, k)
 
 
-def test_chunked_sweep_matches_one_block_sweep(monkeypatch, tmp_path):
+def test_chunked_sweep_matches_one_block_sweep(monkeypatch, tmp_path,
+                                               desk_runs):
     # A move's value does not depend on its block, so the sweep's chunks
-    # change no result, however small the first one is.
-    blocks = []
-    inner = association._neighbourhood_block
-
-    def block(state, sums, hood, *at, drawable=False):
-        out = inner(state, sums, hood, *at, drawable=drawable)
-        if not drawable:
-            blocks.append((*at, hood.swap.size))
-        return out
-
-    monkeypatch.setattr(association, "_neighbourhood_block", block)
-    cases = []
-    for seed in range(4):
-        scn = generate_scenario(SystemParams(seed=seed),
-                                Counts(n_hrd=20, n_csd=20))
-        cases.append((scn, demand_for(scn, seed=seed)))
-    for n, (scn, demand) in enumerate(cases):
-        whole = _solve_fingerprint(run_amnd(scn, demand),
-                                   tmp_path / f"whole{n}.csv")
-        # Desk neighbourhoods fit in the first chunk: each block is one
-        # whole cycle.
-        assert all(stop - start == moves < association.SWEEP_CHUNK
-                   for start, stop, moves in blocks), blocks
-        for chunk in (1, 7, 64):
-            blocks.clear()
+    # change no result, however small the first one is.  A chunk without a
+    # winner doubles the next, so from a first chunk of c, n moves take
+    # b = ceil(log2(n / c + 1)) blocks: the final cycle, which holds no
+    # winner, takes b, and each earlier stretch up to an accept 1 to b.
+    first, accepting = association.SWEEP_CHUNK, set()
+    for seed, (init, final) in enumerate(desk_runs):
+        scn, solves = init.scenario, {first: final}
+        moves = {game: n * (scn.n_sbs + (game == "csd")) + n * (n - 1) // 2
+                 for game, n in (("hrd", scn.n_hrd), ("csd", scn.n_csd))}
+        # Desk neighbourhoods fit in the first chunk: a cycle is one block.
+        assert max(moves.values()) < first
+        for chunk in (1, 7, 64) if seed < 4 else ():
             monkeypatch.setattr(association, "SWEEP_CHUNK", chunk)
-            path = tmp_path / f"chunk{n}-{chunk}.csv"
-            assert _solve_fingerprint(run_amnd(scn, demand), path) == whole
-            # A chunk without a winner doubles the next one.
-            sizes = [stop - start for start, stop, _ in blocks]
-            assert chunk * 4 in sizes, (chunk, sizes)
-            monkeypatch.undo()
-            monkeypatch.setattr(association, "_neighbourhood_block", block)
-        blocks.clear()
+            solves[chunk] = run_amnd(scn, init.demand)
+        for chunk, state in solves.items():
+            for game, phase, _, accepts, blocks, *_ in state.phases:
+                if phase == "stabilize":
+                    b = (-(-moves[game] // chunk)).bit_length()
+                    assert accepts + b <= blocks <= (accepts + 1) * b, \
+                        (seed, chunk, game, accepts, blocks)
+                    accepting |= {game} if accepts else set()
+            assert _solve_fingerprint(state, tmp_path / "chunk.csv") == \
+                _solve_fingerprint(final, tmp_path / "whole.csv"), seed
+    assert accepting == {"hrd", "csd"}
 
 
-def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):
-    cases = []
-    for seed in range(20):
-        scn = generate_scenario(SystemParams(seed=seed),
-                                Counts(n_hrd=20, n_csd=20))
-        cases.append((scn, demand_for(scn, seed=seed), {}))
+def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path,
+                                                      desk_runs):
+    cases = [(init.scenario, init.demand, {}) for init, _ in desk_runs]
     for seed in (3, 100, 101):
         scn = generate_scenario(SystemParams(seed=seed),
                                 Counts(n_hrd=20, n_csd=20))
@@ -2034,21 +1986,28 @@ def test_stabilization_sweep_matches_scalar_reference(monkeypatch, tmp_path):
         for kw in ({"t2": 1}, {"patience": 1}, {"patience": 0}):
             cases.append((scn, demand, kw))
 
-    # Kinds of the moves that the block sweep applies.
+    # Each game is played by the library and, on a clone of the initial
+    # state, by its random phase, the one-row reference sweep and its
+    # allocation step.  The clone's generators restart from the seed,
+    # where the library's are too: no game's is drawn before it plays.
     sweeps, swept = [], set()
     for n, (scn, demand, kw) in enumerate(cases):
         monkeypatch.setattr(association, "game_budget", _budget(**kw))
-        block = run_amnd(scn, demand)
+        budget = association.game_budget(scn.n_hrd, scn.n_csd)
+        block = abcg_init(scn, demand)
+        reference = block.clone()
+        for game in ("csd", "hrd"):
+            run_coalition_game(block, game)
+            sums = game_sums(reference, game)
+            association._random_phase(reference, sums, *budget)
+            sweeps.append(_scalar_stabilize(reference, game, sums))
+            reallocate(reference, game)
+            assert _solve_fingerprint(block, tmp_path / "block.csv") == \
+                _solve_fingerprint(reference, tmp_path / "ref.csv"), \
+                (n, kw, game)
+        # The kinds of the moves that the block sweep applies.
         swept |= {move[2] for row, _, moves in _phase_moves(block)
                   if row[1] == "stabilize" for move in moves}
-        block = _solve_fingerprint(block, tmp_path / f"block{n}.csv")
-        with monkeypatch.context() as scalar:
-            scalar.setattr(association, "stabilize_partition",
-                           functools.partial(_scalar_stabilize,
-                                             sweeps=sweeps))
-            reference = run_amnd(scn, demand)
-        path = tmp_path / f"ref{n}.csv"
-        assert block == _solve_fingerprint(reference, path), (n, kw)
     # One sweep accepts several moves, and the block sweep both kinds.
     assert max(sweeps) >= 2
     assert swept == {"transfer", "swap"}

@@ -494,9 +494,8 @@ def test_cli_audit_gap_is_the_allocators_not_the_oracles(seed, capsys):
     assert "audit: CLEAN" in out
 
 
-@pytest.mark.parametrize("game, seed", [("csd", 1), ("hrd", 2)],
-                         ids=["csd", "hrd"])
-def test_cli_audit_fails_on_swapped_shares(monkeypatch, capsys, game, seed):
+@pytest.mark.parametrize("game", ["csd", "hrd"])
+def test_cli_audit_fails_on_swapped_shares(monkeypatch, capsys, game):
     # Two members of every coalition of ``game`` with two or more members
     # swap their installed shares (a CSD member's alpha and gamma, the beta
     # of an HRD member's first pair): the budgets still hold, and the
@@ -504,7 +503,7 @@ def test_cli_audit_fails_on_swapped_shares(monkeypatch, capsys, game, seed):
     # installed delays, judged against the certified bound, show the
     # fault.  The bound's multipliers come from the same solve as the
     # unswapped shares, and still the gap sees the swap.
-    monkeypatch.setattr(_kernels, f"{game}_alloc", _swap_two_shares(game))
+    seed, _ = _mutate(monkeypatch, f"swapped-{game}")
     assert main(["audit", "--seed", str(seed)]) == 2
     out = capsys.readouterr().out
     assert "constraints at final state: 0 violation(s)" in out
@@ -517,10 +516,8 @@ def test_cli_audit_fails_on_swapped_shares(monkeypatch, capsys, game, seed):
 def test_cli_audit_fails_on_a_bound_above_the_delay(monkeypatch, capsys):
     # A bound ten times too high lies above every feasible delay, so each
     # gap is near -0.9: the audit judges each gap's size, not its sign.
-    inner = allocation.dual_bound
-    monkeypatch.setattr(allocation, "dual_bound",
-                        lambda *args: 10.0 * inner(*args))
-    assert main(["audit", "--seed", "0"]) == 2
+    seed, _ = _mutate(monkeypatch, "bound-above-delay")
+    assert main(["audit", "--seed", str(seed)]) == 2
     out = capsys.readouterr().out
     gap = float(out.split("worst relative gap ")[1].split(",")[0])
     assert gap == pytest.approx(0.9, rel=1e-12)
@@ -530,9 +527,8 @@ def test_cli_audit_fails_on_a_bound_above_the_delay(monkeypatch, capsys):
 def test_cli_audit_counts_remaining_moves(monkeypatch, capsys):
     # Without the stabilization sweep the random phase leaves improving
     # moves, and every one of them counts as a failure.
-    monkeypatch.setattr(association, "stabilize_partition",
-                        lambda state, game, sums: 0)
-    assert main(["audit", "--seed", "3"]) == 2
+    seed, _ = _mutate(monkeypatch, "remaining-moves")
+    assert main(["audit", "--seed", str(seed)]) == 2
     assert "stability audit: 9 improving move(s) remain\n" in \
         capsys.readouterr().out
 
@@ -599,16 +595,23 @@ AUDIT_MUTANTS = {
                            lambda *args: 10.0 * _bound(*args)), 0,
                           lambda audit: audit.worst_gap > GAP_TOL),
     "remaining-moves": ((association, "stabilize_partition",
-                         lambda state, game, sums: 0), 3,
+                         lambda state, game, sums: None), 3,
                         lambda audit: len(audit.stability) > 0),
 }
+
+
+def _mutate(monkeypatch, mutant):
+    """Apply the patch of ``AUDIT_MUTANTS[mutant]``; returns the rest of its
+    entry, the audited seed and the part of the record that fails."""
+    patch, *rest = AUDIT_MUTANTS[mutant]
+    monkeypatch.setattr(*patch)
+    return rest
 
 
 @pytest.mark.parametrize("mutant", sorted(AUDIT_MUTANTS))
 def test_audit_record_counts_the_printed_failures(mutant, monkeypatch,
                                                   capsys):
-    patch, seed, failing = AUDIT_MUTANTS[mutant]
-    monkeypatch.setattr(*patch)
+    seed, failing = _mutate(monkeypatch, mutant)
     argv = ["audit", "--seed", str(seed)]
     assert main(argv) == 2
     printed = capsys.readouterr().out.rsplit("audit: ", 1)[1]

@@ -4,9 +4,10 @@ resolve: a renamed or deleted name fails here instead of leaving a stale
 pointer.  Every module of the package, the tests and the benchmark reads
 each name it imports, and every function of the package reads each of its
 parameters: no linter is installed, so these tests are the gate.  The
-third-party modules that the package imports are its declared
-dependencies, and those of the tests and the benchmark are covered by
-them and the ``test`` extra."""
+names of the package that the tests patch, and its private names that
+they read, are listed with a reason each.  The third-party modules that
+the package imports are its declared dependencies, and those of the
+tests and the benchmark are covered by them and the ``test`` extra."""
 
 import ast
 import dataclasses
@@ -208,20 +209,16 @@ def test_every_parameter_is_read():
 
 
 # The package's names that the tests patch (``setattr`` on a module), each
-# with the reason that neither ``GameState.phases``, the move log, the
-# goldens nor the one-row reference of ``tests/reference.py`` can stand in
-# for the patch.
+# with the reason that neither ``GameState.phases``, the move log, a public
+# call, the goldens nor the one-row reference of ``tests/reference.py`` can
+# stand in for the patch.
 PATCHED_NAMES = {
-    "association._random_phase":
-        "reads the budget that each game passes its random phase; the "
-        "record holds the phase's work, not its budget",
     "association.game_budget":
-        "plays a game on other budgets, to end phases on t2 or patience",
+        "plays a game on other budgets, to end phases on t2 or patience, "
+        "and records the budget each game asks for",
     "association.stabilize_partition":
-        "leaves the random phase's partition unsettled, or plays the "
-        "one-row reference sweep in place of the block sweep",
-    "association._commit":
-        "cuts a random phase at its first accept, before it is applied",
+        "the remaining-moves mutant of the audit, which leaves the random "
+        "phase's partition unsettled",
     "association.hrd_value":
         "checks each exact valuation against the numerical optimum; the "
         "record counts them, but not their coalitions or values",
@@ -230,22 +227,18 @@ PATCHED_NAMES = {
     "association._write_coalition":
         "reads each install with the moves logged before it; installs are "
         "the allocation step's, not a phase's",
-    "association._neighbourhood_block":
-        "reads each sweep block's positions, to check that a chunk without "
-        "a winner doubles the next; the record sums them",
     "association.SWEEP_CHUNK":
         "shrinks the sweep's first chunk, which must change no result",
     "_kernels._hrd_lists": "pairs each closed-form solve with its members",
     "_kernels.hrd_closed_form":
         "counts the closed-form solves, which the memo makes once per "
         "coalition and member list; no record counts them",
-    "_kernels.csd_alloc": "the swapped-shares mutant of the audit",
-    "_kernels.hrd_alloc": "the swapped-shares mutant of the audit",
+    **dict.fromkeys(("_kernels.csd_alloc", "_kernels.hrd_alloc"),
+                    "the swapped-shares mutant of the audit"),
     "allocation.dual_bound": "the bound-above-the-delay mutant of the audit",
-    "experiments.abcg_init": "counts the solves that a command makes",
-    "experiments.run_amnd": "counts the solves that a command makes",
-    "cli.abcg_init": "counts the solves that a command makes",
-    "cli.run_amnd": "counts the solves that a command makes",
+    **dict.fromkeys(("experiments.abcg_init", "experiments.run_amnd",
+                     "cli.abcg_init", "cli.run_amnd"),
+                    "counts the solves that a command makes"),
     "scenario.rng_streams":
         "records the placement draws for the one-node-at-a-time reference",
     "scenario._COLLOCATION_EPS_M":
@@ -256,12 +249,18 @@ PATCHED_NAMES = {
 PATCH_TABLES = {
     "solves": {"experiments.abcg_init", "experiments.run_amnd",
                "cli.abcg_init", "cli.run_amnd"},
-    "test_cli_audit_fails_on_swapped_shares": {"_kernels.csd_alloc",
-                                               "_kernels.hrd_alloc"},
-    "test_audit_record_counts_the_printed_failures": {
-        "_kernels.csd_alloc", "_kernels.hrd_alloc", "allocation.dual_bound",
-        "association.stabilize_partition"},
+    "_mutate": {"_kernels.csd_alloc", "_kernels.hrd_alloc",
+                "allocation.dual_bound", "association.stabilize_partition"},
 }
+
+
+def _mecsim_modules(tree):
+    """``{alias: module}`` of ``mecsim`` and of the modules that ``tree``
+    imports from it."""
+    return {a.asname or a.name: a.name for node in ast.walk(tree)
+            for a in getattr(node, "names", ())
+            if (isinstance(node, ast.ImportFrom) and node.module == "mecsim")
+            or (isinstance(node, ast.Import) and a.name == "mecsim")}
 
 
 def _patched_names(path):
@@ -271,9 +270,7 @@ def _patched_names(path):
     as written; any other one stands for the names that ``PATCH_TABLES``
     lists for its function (none, if it lists none)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    modules = {a.asname or a.name: a.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "mecsim"
-               for a in node.names}
+    modules = _mecsim_modules(tree)
     found = {}
 
     def visit(node, func):
@@ -299,21 +296,89 @@ def _patched_names(path):
     return found
 
 
-def test_patched_names_are_listed():
+def _stray(scan, listed):
+    """The names that ``scan`` finds in the test modules, with where it
+    finds them, that ``listed`` does not hold, and those it holds that no
+    module has: empty where the two agree.  Every listed name resolves."""
     found = {}
     for path in sorted((ROOT / "tests").glob("*.py")):
-        for name, tests in _patched_names(path).items():
-            found.setdefault(name, []).extend(tests)
-    stray = {name: found.get(name, "listed, never patched")
-             for name in set(found) ^ set(PATCHED_NAMES)}
-    assert stray == {}
-    for name in PATCHED_NAMES:
+        for name, where in scan(path).items():
+            found.setdefault(name, []).extend(where)
+    for name in listed:
         _resolve(name)
+    return {name: found.get(name, "listed, not found")
+            for name in set(found) ^ set(listed)}
+
+
+def test_patched_names_are_listed():
+    assert _stray(_patched_names, PATCHED_NAMES) == {}
     # The audit mutants' table is read where it is kept.
     from test_experiments import AUDIT_MUTANTS
     assert {f"{module.__name__.split('.')[-1]}.{name}" for (module, name, _),
-            *_ in AUDIT_MUTANTS.values()} == \
-        PATCH_TABLES["test_audit_record_counts_the_printed_failures"]
+            *_ in AUDIT_MUTANTS.values()} == PATCH_TABLES["_mutate"]
+
+
+# The private names of the package that the tests import or read: every
+# name of ``_kernels`` and each ``_``-prefixed name of another module, with
+# the reason that no public name serves the test.
+PRIVATE_READS = {
+    **dict.fromkeys(
+        ("_kernels.BYTES_TOL", "_kernels.FEAS_TOL", "_kernels.IDLE_FRAC",
+         "_kernels.csd_value", "_kernels.hrd_value", "_kernels.csd_summary",
+         "_kernels.hrd_summary", "_kernels.hrd_closed_form",
+         "_kernels._hrd_lists", "_kernels._hrd_solved", "_kernels.csd_alloc",
+         "_kernels.hrd_alloc", "_kernels._sum", "_kernels.root_shares"),
+        "the closed forms, write paths, memo, summation and tolerances that "
+        "the library values and installs a coalition by: the tests check "
+        "them against the numerical optimum and round their references by "
+        "them"),
+    **dict.fromkeys(
+        ("association._Block", "association._move_rows",
+         "association._commit", "association._member_lists",
+         "association._write_coalition"),
+        "the one-row reference (``tests/reference.py``) values a move as a "
+        "block of one, commits it and installs its two coalitions"),
+    **dict.fromkeys(
+        ("association._neighbourhood", "association._neighbourhood_block",
+         "association._association", "association._tentative_members"),
+        "every move of a game in the sweep's order, which the scalar sweep "
+        "walks, the checks value as one block and then from scratch"),
+    "association._draw_weights":
+        "the law of a drawn move, checked against ``propose_move``'s draws",
+    "association._random_phase":
+        "plays random phases from chosen partitions, on chosen budgets and "
+        "generators, and before the reference sweep",
+    "cli._scenario_from_args":
+        "the instance that ``mecsim audit`` solves, audited in the library",
+    **dict.fromkeys(
+        ("scenario._drop_nodes", "scenario._MAX_PLACEMENT_RETRIES",
+         "scenario._COLLOCATION_EPS_M"),
+        "the placement and its limits, which the one-node-at-a-time "
+        "reference checks"),
+}
+
+
+def _private_reads(path):
+    """``{"module.name": [file]}``: the private names of the package that
+    the test module at ``path`` imports from a ``mecsim`` module or reads
+    as an attribute of one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, names = _mecsim_modules(tree), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.startswith("mecsim."):
+            names |= {f"{node.module[7:]}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            owner = ast.unparse(node.value)
+            owner = modules.get(owner) or owner.partition("mecsim.")[2]
+            if owner in MODULES:
+                names.add(f"{owner}.{node.attr}")
+    return {name: [path.name] for name in names
+            if name.startswith("_") or "._" in name}
+
+
+def test_private_reads_are_listed():
+    assert _stray(_private_reads, PRIVATE_READS) == {}
 
 
 def _block_after(text, label):
