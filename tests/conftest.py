@@ -6,6 +6,8 @@ draw.  ``allocate_csd``/``allocate_hrd`` run the library's closed forms on
 raw cost vectors, ``idle_allocation`` builds an allocation at IDLE_FRAC
 everywhere, ``game_sums`` a game's running sums from a state's member
 lists and ``whole_block`` every move of a game, valued from those sums.
+``instance`` builds a seeded scenario with its demand, and ``hand_demand``
+a small demand profile field by field.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from mecsim._kernels import IDLE_FRAC, _sum, hrd_closed_form, root_shares
 from mecsim.association import CoalitionSums, _neighbourhood, \
     _neighbourhood_block
-from mecsim.content import Catalog, build_demand, demand_rng
+from mecsim.content import Catalog, DemandProfile, build_demand, demand_rng
 from mecsim.delays import Allocation
 from mecsim.radio import REUSE
 from mecsim.scenario import Counts, Scenario, SystemParams, dbm_to_mw, \
@@ -30,17 +32,13 @@ def desk_scenario():
 
 def synthetic_scenario(gain_sbs_hrd, gain_sbs_csd, gain_mbs_sbs,
                        params: SystemParams | None = None) -> Scenario:
-    """Scenario with chosen gains; one macrocell, dummy geometry."""
-    gain_sbs_hrd = np.atleast_2d(np.asarray(gain_sbs_hrd, dtype=float))
-    gain_sbs_csd = np.atleast_2d(np.asarray(gain_sbs_csd, dtype=float))
+    """Scenario with chosen gains, (n_sbs, n_dev) for the access links;
+    one macrocell, dummy geometry."""
+    gain_sbs_hrd, gain_sbs_csd = (np.atleast_2d(np.asarray(g, dtype=float))
+                                  for g in (gain_sbs_hrd, gain_sbs_csd))
     gain_mbs_sbs = np.asarray(gain_mbs_sbs, dtype=float).reshape(-1)
-    n_sbs = gain_mbs_sbs.size
-    n_hrd = gain_sbs_hrd.shape[1] if gain_sbs_hrd.size else 0
-    n_csd = gain_sbs_csd.shape[1] if gain_sbs_csd.size else 0
-    if gain_sbs_hrd.size == 0:
-        gain_sbs_hrd = np.zeros((n_sbs, 0))
-    if gain_sbs_csd.size == 0:
-        gain_sbs_csd = np.zeros((n_sbs, 0))
+    n_sbs, n_hrd, n_csd = (gain_mbs_sbs.size, gain_sbs_hrd.shape[1],
+                           gain_sbs_csd.shape[1])
     if params is None:
         params = SystemParams(m_sbs=n_sbs, n_mbs=1)
     spread = np.arange(n_sbs, dtype=float)[:, None] * [37.0, 53.0] + 11.0
@@ -82,18 +80,14 @@ def rate_scenario(params: SystemParams, r_dl, r_ul, r_bh) -> Scenario:
     ``r_dl``/``r_ul`` are (n_sbs, n_dev) arrays of target bits/s/Hz;
     ``r_bh`` is (n_sbs,).
     """
-    r_dl = np.atleast_2d(np.asarray(r_dl, dtype=float))
-    r_ul = np.atleast_2d(np.asarray(r_ul, dtype=float))
-    r_bh = np.asarray(r_bh, dtype=float).reshape(-1)
-    n_sbs = r_bh.size
-    g_hrd = np.array([[gain_for_rate(params, n_sbs, r, "dl") for r in row]
-                      for row in r_dl]) if r_dl.size else np.zeros((n_sbs, 0))
-    g_csd = np.array([[gain_for_rate(params, n_sbs, r, "ul") for r in row]
-                      for row in r_ul]) if r_ul.size else np.zeros((n_sbs, 0))
-    g_bh = np.array([gain_for_rate(params, n_sbs, r, "bh") for r in r_bh])
-    g_hrd = g_hrd.reshape(n_sbs, -1)
-    g_csd = g_csd.reshape(n_sbs, -1)
-    return synthetic_scenario(g_hrd, g_csd, g_bh, params)
+    n_sbs = np.size(r_bh)
+
+    def gains(rates, link):
+        return np.vectorize(lambda r: gain_for_rate(params, n_sbs, r, link),
+                            otypes=[float])(rates)
+
+    return synthetic_scenario(gains(r_dl, "dl"), gains(r_ul, "ul"),
+                              gains(r_bh, "bh"), params)
 
 
 def demand_for(scenario, *, delta=0.6, n_files=20, file_size=5e6,
@@ -103,6 +97,34 @@ def demand_for(scenario, *, delta=0.6, n_files=20, file_size=5e6,
     return build_demand(catalog, scenario.n_sbs, scenario.n_hrd,
                         scenario.n_csd, demand_rng(seed, delta),
                         storage_bytes=storage, cache_policy=policy, **kw)
+
+
+def instance(seed, n_hrd=20, n_csd=20, **kw):
+    """``(scenario, demand)`` of ``n_hrd`` HRDs and ``n_csd`` CSDs at
+    ``seed``: the ``SystemParams`` fields of ``kw`` set the deployment, and
+    the others go to ``demand_for``."""
+    params = {k: kw.pop(k) for k in list(kw)
+              if k in SystemParams.__dataclass_fields__}
+    scn = generate_scenario(SystemParams(seed=seed, **params),
+                            Counts(n_hrd=n_hrd, n_csd=n_csd))
+    return scn, demand_for(scn, **kw)
+
+
+def hand_demand(n_sbs, n_hrd, n_csd, n_files=2, **fields):
+    """A ``DemandProfile`` of ``n_files`` files of 5 MB, all cached at every
+    SBS, each HRD requesting the first; 100 kB tasks of 1e9 cycles, 1.4e9
+    local and 6e10 edge cycles/s, 2 GB of storage, unit weights; then
+    ``fields`` replaced."""
+    request = np.zeros((n_hrd, n_files), dtype=np.int8)
+    request[:, 0] = 1
+    return DemandProfile(**{
+        "catalog": Catalog.build(n_files, 0.6, file_size_bytes=5e6),
+        "request": request, "cache": np.ones((n_sbs, n_files), np.int8),
+        "task_input_bytes": np.full(n_csd, 1e5),
+        "task_cycles": np.full(n_csd, 1e9),
+        "local_cps": np.full(n_csd, 1.4e9), "edge_cps": np.full(n_sbs, 6e10),
+        "storage_bytes": np.full(n_sbs, 2e9), "hrd_weight": np.ones(n_hrd),
+        "csd_weight": np.ones(n_csd), **fields})
 
 
 def allocate_csd(ul_cost, ed_cost):

@@ -2,26 +2,17 @@
 one-proposal-at-a-time coalition game move, and the numerical optimum of a
 coalition's resource problem by bisection.
 
-``propose_move`` draws one move (a ``MoveProposal``) from a game's stream,
-``evaluate_and_apply`` values it as a block of one row, from the game's
-running sums, and commits it if it wins.  The stabilization sweep
+``propose_move`` draws one move and ``evaluate_and_apply`` values it as a
+block of one row and commits it if it wins: the stabilization sweep
 (``association.stabilize_partition``) matches a loop of these to the last
-bit; the random phase (``association._random_phase``) matches a loop of
-these in law, and ``association._draw_weights`` states that law.
-``check_state`` checks a state's cached values and objective against its
-installed fractions, and ``check_sums`` a game's running sums against its
-member lists.
+bit, and the random phase (``association._random_phase``) in law
+(``association._draw_weights``).  Every library call goes through the
+``association`` module, so a test that patches a name there
+(``association.hrd_value``) sees the reference's calls too.
 
-Every library call goes through the ``association`` module, so a test that
-patches a name there (``association.hrd_value``, which values a flagged
-side exactly) sees the reference's calls too.
-
-``oracle_simplex_min`` solves one simplex block numerically (bisection on
-the budget multiplier with box clamps), ``oracle_hrd_min`` the coupled HRD
-problem (nested bisection on the two budget multipliers), and ``solve_p3``
-applies them to one coalition of a ``CoalitionCosts`` (its request pairs
-from ``member_pairs``).  They share no code with the closed forms or with
-the certificate (``allocation.oracle_solve_p3``), which the tests check
+The oracles (``oracle_simplex_min``, ``oracle_hrd_min``, applied to one
+coalition by ``solve_p3``) share no code with the closed forms or with the
+certificate (``allocation.oracle_solve_p3``), which the tests check
 against them.
 """
 
@@ -76,24 +67,16 @@ def propose_move(state, game: str, rng, lists=None) -> MoveProposal:
     member transfers into an empty one, otherwise one member from each side
     is swapped.
 
-    Each attempt reads three values ``(u0, u1, u2)`` of the stream.
-    ``u0`` picks the ordered pair ``(m, n)`` by multiply-shift with bound
-    ``C * (C - 1)`` over C coalitions, ``n`` skipping ``m``; ``u1`` picks
-    the member leaving the nonempty side (``m``, unless it is empty), and
-    ``u2`` the member leaving the other side, which a transfer reads but
-    does not use.  An attempt is skipped when its pair holds no member, or
-    when a draw it uses falls in Lemire's rejection zone (``_bounded``), so
-    the pair is uniform among the pairs holding a member, and the members
-    are uniform.  ``rng`` is a ``Generator``, or a callable returning the
-    next uint32 of its stream (``next_uint32``); both draw the same moves,
-    as numpy draws each full-range uint32 with one ``next_uint32`` call.
-
-    The fixed slot fixes which stream values an attempt reads, not the law
-    of the drawn moves (``association._draw_weights``).
-
-    ``lists`` are the game's member lists, read from ``state`` when not
-    given.  A loop of draws may keep them from one draw to the next, and
-    must read them again after an accept: a rejection moves no device.
+    Each attempt reads three uint32 ``(u0, u1, u2)``: ``u0`` picks the
+    ordered pair ``(m, n)`` by multiply-shift with bound ``C * (C - 1)``
+    over C coalitions, ``n`` skipping ``m``; ``u1`` the member leaving the
+    nonempty side (``m``, unless it is empty), and ``u2`` the one leaving
+    the other side, which a transfer reads but does not use.  An attempt is
+    skipped when its pair holds no member, or when a draw it uses falls in
+    Lemire's rejection zone (``_bounded``).  ``rng`` is a ``Generator``, or
+    a callable returning the next uint32 of its stream; both draw the same
+    moves.  ``lists`` are the game's member lists, read from ``state`` when
+    not given; a loop of draws must read them again after an accept.
     """
     if isinstance(rng, np.random.Generator):
         def next_uint32():
@@ -132,11 +115,9 @@ def propose_move(state, game: str, rng, lists=None) -> MoveProposal:
 
 
 def check_state(state) -> None:
-    """Assert the cached utilities and the objective of ``state`` (an
-    ``association.GameState``) match recomputation; cached utilities are
-    checked against the delays of the installed fractions
-    (``GameState.installed_delays``), so a coalition whose installed
-    fractions lag its cached value fails as a stale utility cache."""
+    """Assert the cached utilities and the objective of ``state`` match the
+    delays of its installed fractions (``GameState.installed_delays``): a
+    coalition whose fractions lag its cached value is a stale cache."""
     rep = state.report()
     for game, cache, ref in zip(("hrd", "csd"), (state.v_hrd, state.v_csd),
                                 state.installed_delays(rep)):
@@ -184,13 +165,11 @@ def _evaluate(state, sums, prop: MoveProposal):
 
 
 def evaluate_and_apply(state, sums, prop: MoveProposal) -> bool:
-    """Accept the proposal iff both tentative coalitions are feasible and
-    their combined utility improves by more than
-    ``association.IMPROVE_MARGIN`` (an infeasible side makes ``dv`` +inf),
-    valued from the running sums ``sums`` of its game, commit it
-    (``association._commit``, which refreshes ``sums``) and install both
-    coalitions at once; a rejection is counted and leaves the state
-    otherwise untouched."""
+    """Accept the proposal iff, valued from its game's running sums
+    ``sums``, it improves by more than ``association.IMPROVE_MARGIN`` (an
+    infeasible side makes ``dv`` +inf): commit it (``association._commit``,
+    which refreshes ``sums``) and install both coalitions.  A rejection is
+    counted and changes nothing else."""
     block = _evaluate(state, sums, prop)
     if not prop.dv < -association.IMPROVE_MARGIN:
         state.proposals += 1
@@ -239,14 +218,10 @@ def _multiplier(budget, guess: float) -> float:
 
 
 def oracle_simplex_min(cost, lo, hi):
-    """Minimize sum(cost/f) s.t. sum(f) <= 1, lo <= f <= hi, numerically.
-
-    Stationarity makes every coordinate ``clip(sqrt(cost/nu), lo, hi)`` for a
-    single multiplier nu; the budget is nonincreasing in nu, so nu is found
-    by bisection (``_multiplier``).  Returns (fractions, objective).  Raises
-    ValueError for an infeasible box (sum of floors above 1) and
-    RuntimeError if the residual fails to converge.
-    """
+    """Minimize sum(cost/f) s.t. sum(f) <= 1, lo <= f <= hi, numerically:
+    every coordinate is ``clip(sqrt(cost/nu), lo, hi)`` for the multiplier
+    nu that ``_multiplier`` bisects for.  Returns (fractions, objective);
+    raises ValueError for an infeasible box (floors summing above 1)."""
     cost = np.asarray(cost, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), cost.shape).copy()
     hi = np.broadcast_to(np.asarray(hi, dtype=float), cost.shape).copy()
@@ -270,16 +245,13 @@ def oracle_hrd_min(dl_cost, bh_cost, cached, rho):
     """Minimize sum(D/beta) + sum_miss(B/eta) s.t. sum(beta) <= 1,
     sum(eta) <= 1 and eta >= rho * beta on every missed pair, numerically.
 
-    For budget multipliers lambda and mu, stationarity gives a hit or a
-    missed pair whose ordering is slack ``beta = sqrt(D/lambda)`` (and
-    ``eta = sqrt(B/mu)``); where ``B * lambda < rho**2 * D * mu`` the
-    ordering binds, and ``beta = sqrt((D + B/rho) / (lambda + rho * mu))``,
-    ``eta = rho * beta``.  The downlink budget is nonincreasing in lambda
-    and the backhaul budget, with lambda solved for, in mu, so each is found
-    by bisection (``_multiplier``): lambda inside, for every trial mu, and
-    mu outside, each to a residual of ``ORACLE_TOL``.  lambda is 0 where
-    the downlink budget is slack even then (every pair missed).  Returns
-    (beta, eta, objective); eta is IDLE_FRAC on hits.
+    For budget multipliers lambda and mu, a hit or a slack missed pair has
+    ``beta = sqrt(D/lambda)`` (and ``eta = sqrt(B/mu)``); where ``B *
+    lambda < rho**2 * D * mu`` the ordering binds, ``beta = sqrt((D +
+    B/rho) / (lambda + rho * mu))`` and ``eta = rho * beta``.  Nested
+    bisection (``_multiplier``) finds lambda for every trial mu, and mu;
+    lambda is 0 where the downlink budget is slack even then (every pair
+    missed).  Returns (beta, eta, objective); eta is IDLE_FRAC on hits.
     """
     dl = np.asarray(dl_cost, dtype=float)
     bh = np.asarray(bh_cost, dtype=float)
@@ -317,18 +289,13 @@ def oracle_hrd_min(dl_cost, bh_cost, cached, rho):
 
 
 def solve_p3(costs, n: int, members, kind: str):
-    """Numerically optimal per-block fractions for one coalition at SBS n.
-
-    Returns a dict: for "hrd" kind, pair indices plus beta/eta arrays and the
-    total objective (``oracle_hrd_min``), always feasible; for "csd", member
-    alpha/gamma arrays and the objective, ``feasible`` False when the
-    members' task inputs overrun the SBS's spare storage.
-    """
+    """Numerically optimal fractions for one coalition at SBS n, as a
+    dict: for "hrd", pair indices, beta, eta and the objective
+    (``oracle_hrd_min``), always feasible; for "csd", alpha, gamma and the
+    objective, ``feasible`` False where the task inputs overrun the SBS's
+    spare storage."""
     members = np.asarray(sorted(members), dtype=np.int64)
     if kind == "csd":
-        if members.size == 0:
-            return {"alpha": np.empty(0), "gamma": np.empty(0),
-                    "objective": 0.0, "feasible": True}
         alpha, v_ul = oracle_simplex_min(
             costs.ul_cost[n, members], IDLE_FRAC, 1.0)
         gamma, v_ed = oracle_simplex_min(
@@ -339,9 +306,6 @@ def solve_p3(costs, n: int, members, kind: str):
                 "feasible": bool(spare_ok)}
     if kind != "hrd":
         raise ValueError(f"unknown coalition kind {kind!r}")
-    if members.size == 0:
-        return {"pairs": np.empty(0, np.int64), "beta": np.empty(0),
-                "eta": np.empty(0), "objective": 0.0, "feasible": True}
     idx, ks = member_pairs(costs, members)
     beta, eta, value = oracle_hrd_min(costs.dl_cost[n, idx],
                                       costs.bh_cost[n, idx],

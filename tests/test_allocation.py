@@ -18,9 +18,8 @@ from reference import member_pairs, oracle_hrd_min, oracle_simplex_min, \
 
 
 def test_equal_costs_split_evenly():
-    alpha, gamma = allocate_csd([3.0, 3.0], [5.0, 5.0])
-    assert alpha == pytest.approx([0.5, 0.5])
-    assert gamma == pytest.approx([0.5, 0.5])
+    for shares in allocate_csd([3.0, 3.0], [5.0, 5.0]):
+        assert shares == pytest.approx([0.5, 0.5])
 
 
 def test_sqrt_weighting_against_grid_search():
@@ -34,9 +33,7 @@ def test_sqrt_weighting_against_grid_search():
 
 
 def test_singleton_gets_the_whole_block():
-    alpha, gamma = allocate_csd([7.0], [2.0])
-    assert alpha[0] == 1.0
-    assert gamma[0] == 1.0
+    assert [x.tolist() for x in allocate_csd([7.0], [2.0])] == [[1.0], [1.0]]
 
 
 def test_all_cached_coalition_needs_no_backhaul():
@@ -169,8 +166,7 @@ def test_ordering_above_one_leaves_downlink_slack():
 
 def test_fraction_scale_invariance():
     rng = np.random.default_rng(4)
-    dl = rng.uniform(0.1, 5.0, 6)
-    bh = rng.uniform(0.1, 5.0, 6)
+    dl, bh = rng.uniform(0.1, 5.0, (2, 6))
     cached = rng.random(6) < 0.4
     floors = np.full(6, 1e-6)
     b1, e1 = allocate_hrd(dl, bh, cached, floors)
@@ -183,10 +179,9 @@ def test_active_fractions_fill_the_budget_exactly():
     rng = np.random.default_rng(8)
     for _ in range(25):
         m = int(rng.integers(2, 9))
-        alpha, gamma = allocate_csd(rng.uniform(0.01, 10, m),
-                                    rng.uniform(0.01, 10, m))
-        assert abs(alpha.sum() - 1.0) <= 1e-12
-        assert abs(gamma.sum() - 1.0) <= 1e-12
+        for shares in allocate_csd(rng.uniform(0.01, 10, m),
+                                   rng.uniform(0.01, 10, m)):
+            assert abs(shares.sum() - 1.0) <= 1e-12
 
 
 def test_orderings_and_budgets_hold_pointwise():
@@ -218,8 +213,7 @@ def test_closed_form_matches_oracle_when_unclamped():
 
 def test_oracle_singleton_is_exact():
     f, obj = oracle_simplex_min([3.7], IDLE_FRAC, 1.0)
-    assert f[0] == 1.0
-    assert obj == pytest.approx(3.7)
+    assert f[0] == 1.0 and obj == pytest.approx(3.7)
 
 
 def test_oracle_accepts_marginally_binding_floor():
@@ -308,14 +302,12 @@ def _equal_split_at(scn, demand, costs, n, members):
 
 def test_equal_share_respects_rate_ordering():
     scn, demand, costs = unclamped_setup(seed=9)
+    members = list(range(min(4, costs.n_hrd)))
     for n in range(costs.n_sbs):
-        members = list(range(min(4, costs.n_hrd)))
         idx, beta, eta, value = _equal_split_at(scn, demand, costs, n,
                                                 members)
         miss = ~costs.cached[n, idx]
-        ks = np.repeat(np.asarray(sorted(members)),
-                       costs.pair_cnt[sorted(members)])
-        floors = costs.eta_min[n, ks[miss]]
+        floors = costs.eta_min[n, member_pairs(costs, members)[1][miss]]
         assert np.all(beta[miss] * floors <= eta[miss] * (1 + 1e-12))
         assert beta.sum() <= 1 + 1e-12
         if miss.any():
@@ -345,42 +337,30 @@ def test_equal_share_value_never_beats_closed_form_when_unclamped():
             assert value <= es_value + 1e-9 * es_value
 
 
-def _check_hrd_write_path(costs, n, members):
-    """The game's HRD write path against the closed form on raw costs
-    (``allocate_hrd``): fractions, value and feasibility agree exactly.
-    Returns the raw form's beta."""
+def _check_write_path(costs, game, n, members):
+    """The game's write path of ``game`` against the closed form on raw
+    costs (``allocate_hrd``, ``allocate_csd``): fractions and value agree
+    exactly.  Returns the raw form's first fractions."""
     members = np.asarray(members, dtype=np.int64)
-    idx, ks = member_pairs(costs, members)
-    # Stale fractions everywhere: the write must replace every member pair's,
-    # a cache hit's eta included, and leave every other pair's alone.
-    stale = np.full(costs.pair_k.size, 0.5)
-    beta_out, eta_out = stale.copy(), stale.copy()
-    value = _kernels.hrd_alloc(costs, n, members, beta_out, eta_out)
-    beta, eta = allocate_hrd(costs.dl_cost[n, idx], costs.bh_cost[n, idx],
-                             costs.cached[n, idx], costs.eta_min[n, ks])
-    want_beta, want_eta = stale.copy(), stale.copy()
-    want_beta[idx] = beta
-    want_eta[idx] = eta
-    assert np.array_equal(beta_out, want_beta)
-    assert np.array_equal(eta_out, want_eta)
-    assert math.isfinite(value)
-    assert value == _kernels.hrd_value(costs, n, members)
-    return beta
-
-
-def _check_csd_write_path(costs, n, members):
-    members = np.asarray(members, dtype=np.int64)
-    stale = np.full(costs.n_csd, 0.5)
-    alpha_out, gamma_out = stale.copy(), stale.copy()
-    value = _kernels.csd_alloc(costs, n, members, alpha_out, gamma_out)
-    alpha, gamma = allocate_csd(costs.ul_cost[n, members],
-                                costs.ed_cost[n, members])
-    want_alpha, want_gamma = stale.copy(), stale.copy()
-    want_alpha[members] = alpha
-    want_gamma[members] = gamma
-    assert np.array_equal(alpha_out, want_alpha)
-    assert np.array_equal(gamma_out, want_gamma)
-    assert value == _kernels.csd_value(costs, n, members)
+    if game == "hrd":
+        idx, ks = member_pairs(costs, members)
+        want = allocate_hrd(costs.dl_cost[n, idx], costs.bh_cost[n, idx],
+                            costs.cached[n, idx], costs.eta_min[n, ks])
+    else:
+        idx = members
+        want = allocate_csd(costs.ul_cost[n, members],
+                            costs.ed_cost[n, members])
+    # Stale fractions everywhere: the write must replace every member's, a
+    # cache hit's eta included, and leave every other one alone.
+    size = costs.pair_k.size if game == "hrd" else costs.n_csd
+    out = np.full((2, size), 0.5)
+    value = getattr(_kernels, f"{game}_alloc")(costs, n, members, *out)
+    ref = np.full((2, size), 0.5)
+    ref[:, idx] = want
+    assert np.array_equal(out, ref)
+    assert value == getattr(_kernels, f"{game}_value")(costs, n, members)
+    assert math.isfinite(value) or game == "csd"
+    return want[0]
 
 
 def test_write_path_matches_public_closed_form_exactly():
@@ -397,17 +377,16 @@ def test_write_path_matches_public_closed_form_exactly():
         (sd, sb, _), ratio, _ = _kernels.hrd_summary(default_costs, n,
                                                       members)
         assert ratio * sb > sd
-        beta = _check_hrd_write_path(default_costs, n, members)
+        beta = _check_write_path(default_costs, "hrd", n, members)
         assert (beta.sum() < 1.0 - 1e-3) == slack
     rng = np.random.default_rng(17)
     for costs in (unclamped_setup()[2], default_costs):
         for _ in range(30):
             n = int(rng.integers(costs.n_sbs))
             size = int(rng.integers(1, 5))
-            _check_hrd_write_path(
-                costs, n, rng.choice(costs.n_hrd, size=size, replace=False))
-            _check_csd_write_path(
-                costs, n, rng.choice(costs.n_csd, size=size, replace=False))
+            for game in ("hrd", "csd"):
+                _check_write_path(costs, game, n, rng.choice(
+                    getattr(costs, f"n_{game}"), size=size, replace=False))
 
 
 def _one_sbs_costs(dl, bh, cached, rho, ul, ed):

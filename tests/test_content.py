@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mecsim.content import (Catalog, DemandProfile, build_demand, demand_rng,
+from mecsim.content import (Catalog, build_demand, demand_rng,
                             draw_requests, place_cache, zipf_popularity)
 
 # Pinned regression vector for 20 files at exponent 0.8 (direct evaluation).
@@ -131,13 +133,8 @@ def test_demand_validation_catches_bad_profiles():
     demand = build_demand(cat, 2, 3, 2, demand_rng(0, 0.5),
                           storage_bytes=2e6)
     demand.validate()
-    broken = DemandProfile(
-        catalog=cat, request=demand.request,
-        cache=np.ones((2, 4), dtype=np.int8),   # 4 MB cached in 2 MB
-        task_input_bytes=demand.task_input_bytes,
-        task_cycles=demand.task_cycles, local_cps=demand.local_cps,
-        edge_cps=demand.edge_cps, storage_bytes=demand.storage_bytes,
-        hrd_weight=demand.hrd_weight, csd_weight=demand.csd_weight)
+    # 4 MB cached in 2 MB.
+    broken = dataclasses.replace(demand, cache=np.ones((2, 4), dtype=np.int8))
     with pytest.raises(ValueError, match="storage"):
         broken.validate()
 

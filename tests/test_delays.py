@@ -5,12 +5,11 @@ import pytest
 
 from mecsim._kernels import IDLE_FRAC
 from mecsim.association import abcg_init
-from mecsim.content import Catalog, DemandProfile
 from mecsim.delays import (Allocation, Partition, audit_constraints,
                            objective, request_pairs)
 from mecsim.radio import RateTable, build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
-from conftest import demand_for, idle_allocation, rate_scenario
+from conftest import demand_for, hand_demand, idle_allocation, rate_scenario
 
 
 def simple_table(s=1e6, r_dl=4.0, r_bh=4.0, r_ul=4.0, n_sbs=1, n_hrd=1,
@@ -21,57 +20,41 @@ def simple_table(s=1e6, r_dl=4.0, r_bh=4.0, r_ul=4.0, n_sbs=1, n_hrd=1,
         r_bh=np.full(n_sbs, r_bh), eta_min=np.full((n_sbs, n_hrd), 0.5))
 
 
-def simple_demand(cache, n_hrd=1, n_csd=1, local_cps=1.4e9, edge_cps=6e10,
-                  storage=2e9, file_size=5e6):
-    cache = np.atleast_2d(np.asarray(cache, dtype=np.int8))
-    n_sbs, n_files = cache.shape
-    catalog = Catalog.build(n_files, 0.6, file_size)
-    return DemandProfile(
-        catalog=catalog,
-        request=np.ones((n_hrd, n_files), dtype=np.int8),
-        cache=cache,
-        task_input_bytes=np.full(n_csd, 1e5),
-        task_cycles=np.full(n_csd, 1e9),
-        local_cps=np.full(n_csd, local_cps),
-        edge_cps=np.full(n_sbs, edge_cps),
-        storage_bytes=np.full(n_sbs, storage),
-        hrd_weight=np.ones(n_hrd), csd_weight=np.ones(n_csd))
-
-
 def one_device_report(cache, beta=1.0, eta=1.0, csd_sbs=0, alpha=1.0,
                       gamma=1.0):
     """``objective``'s report of one HRD and one CSD under ``simple_table``:
-    the HRD is served by SBS 0, and the CSD offloads to it, or computes
+    the HRD requests the one 5 MB file (``cache`` is its cache flag at SBS
+    0) and is served by SBS 0, and the CSD offloads to it, or computes
     locally where ``csd_sbs`` is 1."""
     partition = Partition(np.array([0]), np.array([csd_sbs]), 1)
     allocation = Allocation(alpha=np.array([alpha]), gamma=np.array([gamma]),
                             beta=np.array([beta]), eta=np.array([eta]))
-    return objective(simple_demand(cache), partition, allocation,
-                     simple_table())
+    demand = hand_demand(1, 1, 1, n_files=1, cache=np.int8([[cache]]))
+    return objective(demand, partition, allocation, simple_table())
 
 
 def test_cached_file_skips_backhaul():
-    hit = one_device_report([[1]], beta=0.7, eta=0.3)
+    hit = one_device_report(1, beta=0.7, eta=0.3)
     assert hit.t_hr_pair[0] == hit.t_dl_pair[0]
     assert hit.t_bh_pair[0] == 0.0
-    miss = one_device_report([[0]], beta=0.7, eta=0.3)
+    miss = one_device_report(0, beta=0.7, eta=0.3)
     assert miss.t_bh_pair[0] > 0
     assert miss.t_hr_pair[0] == miss.t_dl_pair[0] + miss.t_bh_pair[0]
 
 
 def test_download_time_direct_substitution():
     # 5 MB = 4e7 bits over beta * 1e6 Hz * 4 bits/s/Hz.
-    rep = one_device_report([[0]], beta=1.0, eta=1.0)
+    rep = one_device_report(0, beta=1.0, eta=1.0)
     t_dl, t_bh, t_hr = rep.t_dl_pair[0], rep.t_bh_pair[0], rep.t_hr_pair[0]
     assert t_dl == pytest.approx(10.0)
     assert t_bh == pytest.approx(10.0)
     assert t_hr == pytest.approx(20.0)
-    half = one_device_report([[0]], beta=0.5, eta=1.0).t_dl_pair[0]
+    half = one_device_report(0, beta=0.5, eta=1.0).t_dl_pair[0]
     assert half == pytest.approx(2 * t_dl)
 
 
 def test_task_delay_components():
-    rep = one_device_report([[1]], alpha=1.0, gamma=1.0)
+    rep = one_device_report(1, alpha=1.0, gamma=1.0)
     t_ul, t_ed, t_lc, t_cs = rep.t_ul[0], rep.t_ed[0], rep.t_lc[0], rep.t_cs[0]
     assert t_lc == pytest.approx(1e9 / 1.4e9)
     assert t_ed == pytest.approx(1e9 / 6e10)
@@ -80,7 +63,7 @@ def test_task_delay_components():
 
 def test_local_task_ignores_fractions():
     for alpha, gamma in ((0.1, 0.9), (1.0, 1.0), (IDLE_FRAC, IDLE_FRAC)):
-        rep = one_device_report([[1]], csd_sbs=1, alpha=alpha, gamma=gamma)
+        rep = one_device_report(1, csd_sbs=1, alpha=alpha, gamma=gamma)
         t_ul, t_ed, t_lc, t_cs = (rep.t_ul[0], rep.t_ed[0], rep.t_lc[0],
                                   rep.t_cs[0])
         assert t_cs == t_lc == pytest.approx(1e9 / 1.4e9)
@@ -118,15 +101,17 @@ def pair_index(demand):
     return {(int(k), int(i)): j for j, (k, i) in enumerate(zip(pk, pi))}
 
 
-def naive_objective(scn, demand, partition, allocation, table):
-    """Independent re-summation with explicit loops over devices and files."""
+def naive_objective(scn, demand, partition, allocation, table, only=None):
+    """Independent re-summation with explicit loops over devices and files;
+    with ``only``, over the devices of coalition ``only`` alone (the local
+    one is ``n_sbs``)."""
     total = 0.0
     size_bits = demand.catalog.file_size_bytes * 8.0
     pair = pair_index(demand)
     for k in range(demand.n_hrd):
         n = int(partition.hrd_sbs[k])
         for i in range(demand.catalog.n_files):
-            if not demand.request[k, i]:
+            if not demand.request[k, i] or only not in (None, n):
                 continue
             j = pair[k, i]
             t = size_bits / (allocation.beta[j] * table.s_dl[n]
@@ -137,6 +122,8 @@ def naive_objective(scn, demand, partition, allocation, table):
             total += demand.hrd_weight[k] * t
     for k in range(demand.n_csd):
         n = int(partition.csd_sbs[k])
+        if only not in (None, n):
+            continue
         if n == partition.n_sbs:
             total += demand.csd_weight[k] * demand.task_cycles[k] \
                 / demand.local_cps[k]
@@ -163,15 +150,9 @@ def test_objective_matches_naive_resummation(seed):
 def test_all_local_objective_is_sum_of_local_delays():
     scn, demand, partition, allocation = build_random_state(11)
     partition.csd_sbs[:] = partition.n_sbs
-    empty_req = demand
     # keep HRDs but give them zero weight so only local terms remain
-    demand = DemandProfile(
-        catalog=empty_req.catalog, request=empty_req.request,
-        cache=empty_req.cache, task_input_bytes=empty_req.task_input_bytes,
-        task_cycles=empty_req.task_cycles, local_cps=empty_req.local_cps,
-        edge_cps=empty_req.edge_cps, storage_bytes=empty_req.storage_bytes,
-        hrd_weight=np.full(empty_req.n_hrd, 1e-300),
-        csd_weight=empty_req.csd_weight)
+    demand = dataclasses.replace(demand, hrd_weight=np.full(demand.n_hrd,
+                                                            1e-300))
     rep = objective(demand, partition, allocation, build_rate_table(scn))
     expected = float((demand.csd_weight * demand.task_cycles
                       / demand.local_cps).sum())
@@ -198,30 +179,9 @@ def test_objective_separates_over_coalitions():
     scn, demand, partition, allocation = build_random_state(17)
     table = build_rate_table(scn)
     total = objective(demand, partition, allocation, table).objective
-    parts = 0.0
-    size_bits = demand.catalog.file_size_bytes * 8.0
-    pair = pair_index(demand)
-    for n in range(partition.n_sbs + 1):
-        sub = 0.0
-        for k in np.nonzero(partition.hrd_sbs == n)[0]:
-            for i in np.nonzero(demand.request[k])[0]:
-                j = pair[k, i]
-                t = size_bits / (allocation.beta[j] * table.s_dl[n]
-                                 * table.r_dl[n, k]) if n < partition.n_sbs else 0
-                if n < partition.n_sbs and not demand.cache[n, i]:
-                    t += size_bits / (allocation.eta[j] * table.s_bh[n]
-                                      * table.r_bh[n])
-                sub += demand.hrd_weight[k] * t
-        for k in np.nonzero(partition.csd_sbs == n)[0]:
-            t = demand.task_cycles[k] / demand.local_cps[k]
-            if n < partition.n_sbs:
-                t = (demand.task_input_bytes[k] * 8.0
-                     / (allocation.alpha[k] * table.s_ul[n] * table.r_ul[n, k])
-                     + demand.task_cycles[k]
-                     / (allocation.gamma[k] * demand.edge_cps[n]))
-            sub += demand.csd_weight[k] * t
-        parts += sub
-    assert parts == pytest.approx(total, rel=1e-12)
+    parts = [naive_objective(scn, demand, partition, allocation, table, n)
+             for n in range(partition.n_sbs + 1)]
+    assert sum(parts) == pytest.approx(total, rel=1e-12)
 
 
 def test_raising_a_fraction_never_raises_the_objective():
@@ -323,12 +283,8 @@ def test_audit_accepts_valid_state_and_flags_corruption():
 
 def test_audit_flags_storage_overrun():
     scn, demand, partition, allocation = build_random_state(31)
-    tight = DemandProfile(
-        catalog=demand.catalog, request=demand.request, cache=demand.cache,
-        task_input_bytes=np.full(demand.n_csd, 1e9),
-        task_cycles=demand.task_cycles, local_cps=demand.local_cps,
-        edge_cps=demand.edge_cps, storage_bytes=demand.storage_bytes,
-        hrd_weight=demand.hrd_weight, csd_weight=demand.csd_weight)
+    tight = dataclasses.replace(demand,
+                                task_input_bytes=np.full(demand.n_csd, 1e9))
     partition.csd_sbs[:] = 0
     msgs = audit_constraints(scn, tight, partition, allocation,
                              build_rate_table(scn))

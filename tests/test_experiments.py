@@ -69,23 +69,17 @@ def test_emit_rejects_empty_and_roundtrips(tmp_path, small_rows):
         for col in CSV_COLUMNS:
             x, y = getattr(a, col), getattr(b, col)
             assert type(y) is type(x), col
-            if isinstance(x, float):
-                assert y == float(format(x, ".12g")), col
-            else:
-                assert y == x, col
+            assert y == (float(format(x, ".12g")) if isinstance(x, float)
+                         else x), col
 
 
 def synth_rows(series, metric="hrd_total_s", algorithm="AMND", delta=0.6):
-    rows = []
-    for x, y in zip(np.linspace(0.1, 0.9, len(series)), series):
-        kw = dict(axis="a", axis_value=float(x), delta=delta, seed=1,
-                  algorithm=algorithm, F=0.0, hrd_total_s=0.0,
-                  hrd_backhaul_s=0.0, csd_total_s=0.0, csd_local_s=0.0,
-                  csd_offload_s=0.0, n_local_csd=0, n_edge_csd=0,
-                  n_backhauled_files=0, accepted_moves=0)
-        kw[metric] = float(y)
-        rows.append(SweepRow(**kw))
-    return rows
+    """Rows of one seed along ``a``, every number 0 but ``metric``."""
+    zero = {f.name: f.type(0) for f in fields(SweepRow)}
+    return [SweepRow(**zero | dict(axis="a", axis_value=float(x), delta=delta,
+                                   seed=1, algorithm=algorithm,
+                                   **{metric: float(y)}))
+            for x, y in zip(np.linspace(0.1, 0.9, len(series)), series)]
 
 
 def test_trend_shapes_on_synthetic_series():
@@ -107,12 +101,11 @@ def test_trend_shapes_on_synthetic_series():
                          ids=["flat", "nan"])
 def test_a_series_without_rho_fails_quietly(series):
     # No spread, or a nan cell read from a CSV: no rank correlation.
-    rows = synth_rows(series)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = trend_check(rows, "hrd_total_s", "nonincreasing")
-    assert not result.passed
-    assert result.detail == "spearman rho = nan"
+        result = trend_check(synth_rows(series), "hrd_total_s",
+                             "nonincreasing")
+    assert (result.passed, result.detail) == (False, "spearman rho = nan")
 
 
 def test_spearman_rho_is_scipys():
@@ -153,10 +146,9 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, src, str(path)],
                          capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert lines[0] == "[]"
-    assert lines[1] == "PASS: hrd_total_s vs axis is nonincreasing " \
-        "(spearman rho = -1.000)"
-    assert lines[-1] == "0 []"
+    assert (lines[0], lines[1], lines[-1]) == (
+        "[]", "PASS: hrd_total_s vs axis is nonincreasing (spearman rho = "
+        "-1.000)", "0 []")
 
 
 def test_seed_average_filters_by_algorithm_and_delta(small_rows):
@@ -184,22 +176,19 @@ def test_config_roundtrip_and_overrides(tmp_path):
     assert repr(loaded) == repr(cfg)     # (9, 4) == (9.0, 4.0), types too
     bumped = config_with_overrides(loaded, {"seeds": "1 2 3", "a": "0.3",
                                             "algorithms": "AMND"})
-    assert bumped.seeds == (1, 2, 3)
-    assert bumped.a == 0.3
-    assert bumped.algorithms == ("AMND",)
+    assert (bumped.seeds, bumped.a, bumped.algorithms) == ((1, 2, 3), 0.3,
+                                                           ("AMND",))
     with pytest.raises(ValueError, match="unknown config field"):
         config_with_overrides(loaded, {"bogus": "1"})
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="axis"):
-        ExperimentConfig(axis="power").validate()
-    with pytest.raises(ValueError, match="strictly"):
-        ExperimentConfig(grid=(0.0, 0.5)).validate()
-    with pytest.raises(ValueError, match="seed"):
-        ExperimentConfig(seeds=()).validate()
-    with pytest.raises(ValueError, match="algorithms"):
-        ExperimentConfig(algorithms=()).validate()
+    for field, value, match in (("axis", "power", "axis"),
+                                ("grid", (0.0, 0.5), "strictly"),
+                                ("seeds", (), "seed"),
+                                ("algorithms", (), "algorithms")):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**{field: value}).validate()
 
 
 @pytest.fixture
@@ -219,13 +208,14 @@ def solves(monkeypatch):
 
 
 TINY = ["--hrd", "4", "--csd", "4", "--n-mbs", "1", "--m-sbs", "2"]
+ONE_POINT = ["--seeds", "1", "--grid", "0.5", "--deltas", "0.6"]
 
 
 def test_empty_algorithms_are_rejected_before_any_work(tmp_path, capsys,
                                                         solves):
-    assert main(["sweep", "--set", "algorithms=", "--seeds", "1", "--grid",
-                 "0.5", "--deltas", "0.6", "--set", "n_hrd=4", "--set",
-                 "n_csd=4", "-o", str(tmp_path / "s.csv")]) == 1
+    assert main(["sweep", "--set", "algorithms=", *ONE_POINT, "--set",
+                 "n_hrd=4", "--set", "n_csd=4", "-o",
+                 str(tmp_path / "s.csv")]) == 1
     assert solves == []
     assert "algorithms" in capsys.readouterr().err
 
@@ -236,9 +226,8 @@ def test_game_budget_is_no_input(tmp_path, capsys, solves):
     # is solved.
     config = tmp_path / "cfg.txt"
     config.write_text("mecsim-config v1\npatience = 3\n")
-    sweep = ["sweep", "--seeds", "1", "--grid", "0.5", "--deltas", "0.6",
-             "--set", "n_hrd=4", "--set", "n_csd=4", "-o",
-             str(tmp_path / "s.csv")]
+    sweep = ["sweep", *ONE_POINT, "--set", "n_hrd=4", "--set", "n_csd=4",
+             "-o", str(tmp_path / "s.csv")]
     for argv, message in (
             (["run", "--t2", "5"] + TINY, "unrecognized arguments: --t2 5"),
             (["audit", "--patience", "3"] + TINY,
@@ -259,17 +248,13 @@ def test_empty_deployment_solves_through_every_command(tmp_path, capsys):
     assert main(["audit"] + empty) == 0
     assert "audit: CLEAN" in capsys.readouterr().out
     path = tmp_path / "s.csv"
-    assert main(["sweep", "--set", "n_hrd=0", "--set", "n_csd=0", "--seeds",
-                 "1", "--grid", "0.5", "--deltas", "0.6", "--audit", "-o",
-                 str(path)]) == 0
-    rows = load_csv(path)
-    assert [row.algorithm for row in rows] == ["ABCG", "AMND"]
-    assert all(row.F == 0.0 for row in rows)
-    capsys.readouterr()
+    assert main(["sweep", "--set", "n_hrd=0", "--set", "n_csd=0", *ONE_POINT,
+                 "--audit", "-o", str(path)]) == 0
+    assert [(row.algorithm, row.F) for row in load_csv(path)] == [
+        ("ABCG", 0.0), ("AMND", 0.0)]
 
 
-SWEEP_ONE = ["--seeds", "1", "--grid", "0.5", "--deltas", "0.6", "-o",
-             os.devnull]
+SWEEP_ONE = ONE_POINT + ["-o", os.devnull]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -292,8 +277,7 @@ def test_negative_task_sizes_are_usage_errors(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err == f"mecsim: {message}\n"
+    assert capsys.readouterr().err == f"mecsim: {message}\n"
 
 
 def test_python_m_mecsim_runs_the_command_line():
@@ -302,40 +286,26 @@ def test_python_m_mecsim_runs_the_command_line():
     proc = subprocess.run([sys.executable, "-m", "mecsim", "--help"],
                           capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert b"usage: mecsim" in proc.stdout
     # The top-level help lists every command.
     assert b"usage: mecsim [-h] {gen,run,sweep,audit,trend}" in proc.stdout
 
 
 def test_cli_gen_run_and_trend(tmp_path, capsys):
-    scn_path = tmp_path / "scn.txt"
-    rc = main(["gen", "-o", str(scn_path), "--seed", "3", "--n-mbs", "1",
-               "--m-sbs", "2", "--hrd", "4", "--csd", "4"])
-    assert rc == 0 and scn_path.exists()
-
-    rates_path = tmp_path / "rates.csv"
-    row_path = tmp_path / "row.csv"
-    rc = main(["run", "--scenario", str(scn_path), "--algorithm", "amnd",
-               "--rates-csv", str(rates_path), "--row-csv", str(row_path)])
-    assert rc == 0
+    scn, rates, row, sweep = (tmp_path / name for name in (
+        "scn.txt", "rates.csv", "row.csv", "sweep.csv"))
+    assert main(["gen", "-o", str(scn), "--seed", "3"] + TINY) == 0
+    assert main(["run", "--scenario", str(scn), "--algorithm", "amnd",
+                 "--rates-csv", str(rates), "--row-csv", str(row)]) == 0
     out = capsys.readouterr().out
     assert "[AMND] F =" in out and "objective trace:" in out
-    assert rates_path.exists()
-    assert len(rates_path.read_text().strip().split("\n")) == 3
-    row = load_csv(row_path)
-    assert len(row) == 1 and row[0].algorithm == "AMND"
-
-    csv_path = tmp_path / "sweep.csv"
-    rc = main(["sweep", "--grid", "0.3 0.5", "--deltas", "0.6", "--seeds",
-               "1", "--algorithms", "AMND", "-o", str(csv_path),
-               "--set", "n_hrd=6", "--set", "n_csd=6"]
-              + ["--axis", "a"])
-    assert rc == 0 and csv_path.exists()
-
-    # trends on a 2-point grid are a usage error (needs >= 5 grid points)
-    rc = main(["trend", "--csv", str(csv_path), "--metric", "hrd_total_s",
-               "--shape", "u"])
-    assert rc == 1
+    assert len(rates.read_text().strip().split("\n")) == 3
+    assert [r.algorithm for r in load_csv(row)] == ["AMND"]
+    assert main(["sweep", "--grid", "0.3 0.5", "--deltas", "0.6", "--seeds",
+                 "1", "--algorithms", "AMND", "-o", str(sweep), "--set",
+                 "n_hrd=6", "--set", "n_csd=6", "--axis", "a"]) == 0
+    # A trend on a 2-point grid is a usage error (it needs 5 points).
+    assert main(["trend", "--csv", str(sweep), "--metric", "hrd_total_s",
+                 "--shape", "u"]) == 1
 
 
 def test_cli_usage_errors_exit_one(capsys):
@@ -398,10 +368,9 @@ def test_cli_io_errors_exit_three(tmp_path):
                                     "n_cached_hits"])
 def test_trend_rejects_a_metric_that_is_not_a_numeric_column(
         tmp_path, capsys, metric):
-    rows = synth_rows([9, 5, 3, 4, 8])
+    rows, path = synth_rows([9, 5, 3, 4, 8]), tmp_path / "rows.csv"
     with pytest.raises(ValueError, match="numeric CSV column"):
         trend_check(rows, metric, "u")
-    path = tmp_path / "rows.csv"
     emit_csv(rows, path)
     assert main(["trend", "--csv", str(path), "--metric", metric,
                  "--shape", "u"]) == 1
@@ -453,18 +422,15 @@ def test_closed_stdout_is_not_an_io_error(buffered):
          "1", "--m-sbs", "2", "--hrd", "4", "--csd", "4"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
+    with proc.stderr:
+        assert proc.stderr.read() == b""
     assert proc.wait(timeout=60) == 141
-    assert err == b""
 
 
-def test_cli_audit_small_instance(tmp_path, capsys):
-    rc = main(["audit", "--seed", "5", "--n-mbs", "1", "--m-sbs", "2",
-               "--hrd", "5", "--csd", "5"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "audit: CLEAN" in out
+def test_cli_audit_small_instance(capsys):
+    assert main(["audit", "--seed", "5", "--n-mbs", "1", "--m-sbs", "2",
+                 "--hrd", "5", "--csd", "5"]) == 0
+    assert "audit: CLEAN" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("seed", [1, 9, 17])

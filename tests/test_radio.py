@@ -56,16 +56,10 @@ def test_rates_are_linear_in_fraction():
         s_dl=np.array([1e6]), s_ul=np.array([2e6]), s_bh=np.array([5e5]),
         r_dl=np.array([[2.0]]), r_ul=np.array([[3.0]]), r_bh=np.array([4.0]),
         eta_min=np.array([[0.1]]))
-
-    def rate_dl(beta):
-        return beta * table.s_dl[0] * table.r_dl[0, 0]
-
-    assert rate_dl(0.0) == 0.0
-    assert rate_dl(1.0) == pytest.approx(2e6)
-    assert rate_dl(0.6) == pytest.approx(2 * rate_dl(0.3))
+    rate_dl = table.s_dl[0] * table.r_dl[0, 0] * np.array([0.0, 1.0, 0.3, 0.6])
+    assert rate_dl.tolist() == pytest.approx([0.0, 2e6, 6e5, 1.2e6])
     assert 0.5 * table.s_ul[0] * table.r_ul[0, 0] == pytest.approx(3e6)
-    assert 0.25 * table.s_bh[0] * table.r_bh[0] == \
-        pytest.approx(0.25 * 5e5 * 4.0)
+    assert 0.25 * table.s_bh[0] * table.r_bh[0] == pytest.approx(5e5)
 
 
 def test_rate_ordering_closure():

@@ -7,11 +7,15 @@ parameters: no linter is installed, so these tests are the gate.  The
 names of the package that the tests patch, and its private names that
 they read, are listed with a reason each.  The third-party modules that
 the package imports are its declared dependencies, and those of the
-tests and the benchmark are covered by them and the ``test`` extra."""
+tests and the benchmark are covered by them and the ``test`` extra.  One
+AST walk of each module (``_Scan``) feeds all of these gates.  Each
+mutant of the catalogue (``tests/tools/mutants.py``) finds its text."""
 
 import ast
 import dataclasses
+import functools
 import importlib
+import importlib.util
 import pkgutil
 import re
 import sys
@@ -23,8 +27,10 @@ import mecsim
 from mecsim import association, experiments
 from mecsim.scenario import Counts, SystemParams, generate_scenario
 from conftest import demand_for
+from test_experiments import AUDIT_MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(mecsim.__file__).resolve().parent
 README = ROOT / "README.md"
 REFERENCE = ROOT / "tests" / "reference.py"
 MODULES = {m.name for m in pkgutil.iter_modules(mecsim.__path__)}
@@ -61,108 +67,177 @@ def test_readme_names_resolve():
         _resolve(name)
 
 
-def _docstrings(path):
-    """Every docstring of the module at ``path``: its own, its classes'
-    and its functions'."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)):
-            doc = ast.get_docstring(node, clean=False)
-            if doc:
-                yield doc
-
-
-def _resolve_private(module, name):
-    """Resolve the private name ``name`` (``_name``, ``_Name.attr``) in
-    ``module``, or in the ``mecsim`` module that its first part names."""
-    first, *rest = name.split(".")
-    obj = (importlib.import_module(f"mecsim.{first}") if first in MODULES
-           else getattr(module, first))
-    for part in rest:
-        obj = getattr(obj, part)
-
-
 def test_docstring_names_resolve():
-    paths = sorted(Path(mecsim.__file__).resolve().parent.glob("*.py"))
-    names = {name for path in paths + [REFERENCE]
-             for doc in _docstrings(path) for name in _dotted_names(doc)}
+    paths = sorted(PACKAGE.glob("*.py")) + [REFERENCE]
+    names = {name for path in paths for doc in _scan(path).docs
+             for name in _dotted_names(doc)}
     assert len(names) >= 20, names
     for name in sorted(names):
         _resolve(name)
-    # Each double-backticked private name resolves in its own module.
+    # Each double-backticked private name (``_name``, ``_Name.attr``)
+    # resolves in its own module, or in the ``mecsim`` module its first
+    # part names.
     private = 0
-    for path in paths + [REFERENCE]:
-        for doc in _docstrings(path):
+    for path in paths:
+        for doc in _scan(path).docs:
             for name in re.findall(r"``(_[A-Za-z]\w*(?:\.[A-Za-z_]\w*)*)``",
                                    doc):
-                module = importlib.import_module(
-                    "reference" if path == REFERENCE else "mecsim"
+                parts = name.split(".")
+                obj = importlib.import_module(
+                    f"mecsim.{parts.pop(0)}" if parts[0] in MODULES
+                    else "reference" if path == REFERENCE else "mecsim"
                     if path.stem == "__init__" else f"mecsim.{path.stem}")
-                try:
-                    _resolve_private(module, name)
-                except AttributeError as err:
-                    raise AssertionError(f"{path.name}: ``{name}``") from err
+                for part in parts:
+                    assert hasattr(obj, part), f"{path.name}: ``{name}``"
+                    obj = getattr(obj, part)
                 private += 1
     assert private >= 40, private
 
 
-def _unread_imports(path):
-    """The names that the module at ``path`` imports and never reads."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported |= {a.asname or a.name for a in node.names}
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return sorted(imported - read)
+def _spelled(module, node):
+    """The names of ``mecsim.<module>`` that ``node``, a str constant or an
+    f-string, can spell: its own name, or every name of the module that
+    the f-string's pattern matches; none for any other node."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if not isinstance(node, ast.JoinedStr) or module not in MODULES:
+        return set()
+    pattern = "".join(re.escape(v.value) if isinstance(v, ast.Constant)
+                      else r"\w+" for v in node.values)
+    return {name for name in dir(importlib.import_module(f"mecsim.{module}"))
+            if re.fullmatch(pattern, name)}
+
+
+class _Scan(ast.NodeVisitor):
+    """One walk over the module at ``path``: the names its imports bind
+    (``imported``), the names it loads (``read``), the top-level modules
+    of its absolute imports (``top``), and each ``(function, parameter)``
+    that a function never reads (``unread``; the function by its qualified
+    name after the module's, ``self`` and ``cls`` not counted).  Of the
+    ``mecsim`` modules it imports (aliases resolved): each ``module.name``
+    that a ``setattr`` patches, by the innermost functions that patch it
+    (``patched``), and each private name (any of ``_kernels``, a
+    ``_``-prefixed one elsewhere) that it imports or reads, as an attribute
+    or by ``getattr`` (``private``).  A str constant or f-string names what
+    ``_spelled`` gives; any other ``setattr`` stands for the names that
+    ``PATCH_TABLES`` lists for its function (none, if it lists none).
+    ``docs`` holds the docstrings of the module, its classes and functions."""
+
+    def __init__(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        self.file, self.scope = path.name, [path.stem]
+        self.modules = {a.asname or a.name: a.name for node in ast.walk(tree)
+                        for a in getattr(node, "names", ())
+                        if isinstance(node, ast.ImportFrom)
+                        and node.module == "mecsim"
+                        or isinstance(node, ast.Import) and a.name == "mecsim"}
+        self.imported, self.read, self.top = set(), set(), set()
+        self.unread, self.patched, self.private = [], {}, {}
+        self.docs = [doc for node in ast.walk(tree) if isinstance(node, (
+            ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and (doc := ast.get_docstring(node, clean=False))]
+        self.visit(tree)
+
+    def visit_Import(self, node):
+        self.imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        self.top |= {a.name.split(".")[0] for a in node.names}
+
+    def visit_ImportFrom(self, node):
+        if node.module != "__future__":
+            self.imported |= {a.asname or a.name for a in node.names}
+        if node.level == 0:
+            self.top.add(node.module.split(".")[0])
+            if node.module.startswith("mecsim."):
+                self._private(node.module[7:], {a.name for a in node.names})
+
+    def visit_Name(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.read.add(node.id)
+
+    def visit_FunctionDef(self, node):
+        args = node.args
+        read = {n.id for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        self.unread += [(".".join(self.scope + [node.name]), a.arg) for a in
+                        args.posonlyargs + args.args + args.kwonlyargs
+                        + [args.vararg, args.kwarg]
+                        if a and a.arg not in read | {"self", "cls"}]
+        self._enter(node)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _enter(self, node):
+        """Visit the body of ``node`` in its own scope."""
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = _enter
+
+    def visit_Attribute(self, node):
+        owner = ast.unparse(node.value)
+        self._private(self.modules.get(owner) or owner.partition("mecsim.")[2],
+                      {node.attr})
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        call = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if call in ("getattr", "setattr"):
+            target, name = (node.args + [None, None])[:2]
+            module = self.modules.get(getattr(target, "id", None))
+            names = module and _spelled(module, name)
+            if call == "getattr" and names:
+                self._private(module, names)
+            elif call == "setattr":
+                func = self.scope[-1]
+                for patched in ({f"{module}.{n}" for n in names} if names
+                                else PATCH_TABLES.get(func, {f"? {func}"})):
+                    self.patched.setdefault(patched, []).append(func)
+        self.generic_visit(node)
+
+    def _private(self, module, names):
+        if module in MODULES:
+            for name in names:
+                if module.startswith("_") or name.startswith("_"):
+                    self.private[f"{module}.{name}"] = [self.file]
+
+
+_scan = functools.cache(_Scan)
+TESTS = sorted((ROOT / "tests").glob("*.py")) + sorted(
+    (ROOT / "tests" / "tools").glob("*.py"))
 
 
 def test_every_import_is_read():
-    package = Path(mecsim.__file__).resolve().parent
-    paths = [path for folder in (package, ROOT / "tests", ROOT / "perfbench")
-             for path in sorted(folder.glob("*.py"))]
+    paths = [path for folder in (PACKAGE, ROOT / "perfbench")
+             for path in sorted(folder.glob("*.py"))] + TESTS
     assert len(paths) >= 25, paths
     # The package's ``__init__`` imports only to re-export.
     unread = {f"{path.parent.name}/{path.name}": names for path in paths
-              if path != package / "__init__.py"
-              and (names := _unread_imports(path))}
+              if path != PACKAGE / "__init__.py"
+              and (names := sorted(_scan(path).imported - _scan(path).read))}
     assert unread == {}
 
 
-def _third_party_imports(folder):
-    """The top-level modules that the modules in ``folder`` import, other
-    than the standard library, ``mecsim`` and the folder's own modules."""
-    local = {path.stem for path in folder.glob("*.py")} | {"mecsim"}
-    found = set()
-    for path in folder.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                found |= {a.name.split(".")[0] for a in node.names}
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                found.add(node.module.split(".")[0])
-    return found - local - set(sys.stdlib_module_names)
-
-
-def _requirement_names(requirements):
-    """The distribution names of PEP 508 requirement strings."""
-    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
-            for r in requirements}
+def _third_party_imports(paths):
+    """The top-level modules that the modules ``paths`` import, other than
+    the standard library, ``mecsim`` and their own modules."""
+    local = {path.stem for path in paths} | {"mecsim"}
+    return set().union(*(_scan(path).top for path in paths)) - local \
+        - set(sys.stdlib_module_names)
 
 
 def test_imports_are_the_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")      # Python 3.11 on
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
-    runtime = _requirement_names(project["dependencies"])
-    test = _requirement_names(project["optional-dependencies"]["test"])
-    package = Path(mecsim.__file__).resolve().parent
-    assert _third_party_imports(package) == runtime == {"numpy"}
-    for folder in (ROOT / "tests", ROOT / "perfbench"):
-        assert _third_party_imports(folder) <= runtime | test, folder.name
+    runtime, test = ({re.match(r"[A-Za-z0-9_.-]+", r).group().lower()
+                      .replace("-", "_") for r in requirements}
+                     for requirements in (project["dependencies"], project[
+                         "optional-dependencies"]["test"]))
+    assert _third_party_imports(list(PACKAGE.glob("*.py"))) == runtime \
+        == {"numpy"}
+    for paths in (TESTS, list((ROOT / "perfbench").glob("*.py"))):
+        assert _third_party_imports(paths) <= runtime | test, paths[0].parent
 
 
 # Parameters that a function keeps without reading them, with the reason.
@@ -175,36 +250,9 @@ UNREAD_PARAMETERS = {
 }
 
 
-def _unread_parameters(path):
-    """``(function, parameter)`` for each parameter that a function of the
-    module at ``path`` never reads, the function named by its qualified
-    name after the module's; ``self`` and ``cls`` are not counted."""
-    found = []
-
-    def visit(node, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = child.args
-                params = [a.arg for a in (args.posonlyargs + args.args
-                                          + args.kwonlyargs
-                                          + [args.vararg, args.kwarg]) if a]
-                read = {n.id for n in ast.walk(child)
-                        if isinstance(n, ast.Name)
-                        and isinstance(n.ctx, ast.Load)}
-                found.extend((prefix + child.name, p) for p in params
-                             if p not in read and p not in ("self", "cls"))
-                visit(child, f"{prefix}{child.name}.")
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
-    return found
-
-
 def test_every_parameter_is_read():
-    package = Path(mecsim.__file__).resolve().parent
-    unread = {item for path in sorted(package.glob("*.py"))
-              for item in _unread_parameters(path)}
+    unread = {item for path in sorted(PACKAGE.glob("*.py"))
+              for item in _scan(path).unread}
     assert unread == UNREAD_PARAMETERS
 
 
@@ -213,96 +261,75 @@ def test_every_parameter_is_read():
 # call, the goldens nor the one-row reference of ``tests/reference.py`` can
 # stand in for the patch.
 PATCHED_NAMES = {
-    "association.game_budget":
-        "plays a game on other budgets, to end phases on t2 or patience, "
-        "and records the budget each game asks for",
-    "association.stabilize_partition":
-        "the remaining-moves mutant of the audit, which leaves the random "
-        "phase's partition unsettled",
-    "association.hrd_value":
-        "checks each exact valuation against the numerical optimum; the "
-        "record counts them, but not their coalitions or values",
-    "association.CoalitionSums":
-        "counts the running sums each game builds, which is no phase's work",
-    "association._write_coalition":
-        "reads each install with the moves logged before it; installs are "
-        "the allocation step's, not a phase's",
-    "association.SWEEP_CHUNK":
-        "shrinks the sweep's first chunk, which must change no result",
+    "association.game_budget": "plays games on other budgets, and records "
+        "the budget each game asks for",
+    "association.stabilize_partition": "the remaining-moves audit mutant",
+    "association.hrd_value": "checks each exact valuation against the "
+        "numerical optimum, which no record holds",
+    "association.CoalitionSums": "counts the running sums each game builds",
+    "association._write_coalition": "reads each install with the moves "
+        "logged before it",
+    "association.SWEEP_CHUNK": "a smaller first sweep chunk, which must "
+        "change no result",
     "_kernels._hrd_lists": "pairs each closed-form solve with its members",
-    "_kernels.hrd_closed_form":
-        "counts the closed-form solves, which the memo makes once per "
-        "coalition and member list; no record counts them",
+    "_kernels.hrd_closed_form": "counts the closed-form solves, which no "
+        "record counts",
     **dict.fromkeys(("_kernels.csd_alloc", "_kernels.hrd_alloc"),
-                    "the swapped-shares mutant of the audit"),
-    "allocation.dual_bound": "the bound-above-the-delay mutant of the audit",
+                    "the swapped-shares audit mutants"),
+    "allocation.dual_bound": "the bound-above-the-delay audit mutant",
     **dict.fromkeys(("experiments.abcg_init", "experiments.run_amnd",
                      "cli.abcg_init", "cli.run_amnd"),
                     "counts the solves that a command makes"),
-    "scenario.rng_streams":
-        "records the placement draws for the one-node-at-a-time reference",
-    "scenario._COLLOCATION_EPS_M":
-        "widens the collocation distance, so that placements collide",
+    "scenario.rng_streams": "records the placement draws for the reference",
+    "scenario._COLLOCATION_EPS_M": "widens the collocation distance",
 }
 # The tests and fixtures that patch names from a table, not a literal
 # module and name, with the names that their tables hold.
 PATCH_TABLES = {
     "solves": {"experiments.abcg_init", "experiments.run_amnd",
                "cli.abcg_init", "cli.run_amnd"},
-    "_mutate": {"_kernels.csd_alloc", "_kernels.hrd_alloc",
-                "allocation.dual_bound", "association.stabilize_partition"},
+    "_mutate": {f"{module.__name__.split('.')[-1]}.{name}"
+                for (module, name, _), *_ in AUDIT_MUTANTS.values()},
+}
+# The private names of the package that the tests import or read, with the
+# reason that no public name serves the test.
+PRIVATE_READS = {
+    **dict.fromkeys(
+        ("_kernels.BYTES_TOL", "_kernels.FEAS_TOL", "_kernels.IDLE_FRAC",
+         "_kernels.csd_value", "_kernels.hrd_value", "_kernels.csd_summary",
+         "_kernels.hrd_summary", "_kernels.hrd_closed_form",
+         "_kernels._hrd_lists", "_kernels._hrd_solved", "_kernels.csd_alloc",
+         "_kernels.hrd_alloc", "_kernels._sum", "_kernels.root_shares"),
+        "the closed forms, write paths, memo, summation and tolerances, "
+        "checked against the numerical optimum and used by the references"),
+    **dict.fromkeys(
+        ("association._Block", "association._move_rows",
+         "association._commit", "association._member_lists",
+         "association._write_coalition"),
+        "the one-row reference values, commits and installs a move"),
+    **dict.fromkeys(
+        ("association._neighbourhood", "association._neighbourhood_block",
+         "association._association", "association._tentative_members"),
+        "every move of a game in the sweep's order, for the references"),
+    "association._draw_weights": "the law of a drawn move",
+    "association._random_phase": "random phases from chosen partitions, "
+        "budgets and generators",
+    "cli._scenario_from_args": "the instance that ``mecsim audit`` solves",
+    **dict.fromkeys(
+        ("scenario._drop_nodes", "scenario._MAX_PLACEMENT_RETRIES",
+         "scenario._COLLOCATION_EPS_M"),
+        "the placement and its limits, for the one-node-at-a-time reference"),
 }
 
 
-def _mecsim_modules(tree):
-    """``{alias: module}`` of ``mecsim`` and of the modules that ``tree``
-    imports from it."""
-    return {a.asname or a.name: a.name for node in ast.walk(tree)
-            for a in getattr(node, "names", ())
-            if (isinstance(node, ast.ImportFrom) and node.module == "mecsim")
-            or (isinstance(node, ast.Import) and a.name == "mecsim")}
-
-
-def _patched_names(path):
-    """``{"module.name": [test, ...]}``: what the test module at ``path``
-    patches, by the test or fixture that patches it.  A ``setattr`` call
-    whose first two arguments are a ``mecsim`` module and a string is read
-    as written; any other one stands for the names that ``PATCH_TABLES``
-    lists for its function (none, if it lists none)."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    modules = _mecsim_modules(tree)
+def _stray(kind, listed):
+    """The names of kind ``kind`` (``_Scan.patched`` or ``.private``) that
+    the test modules hold, with where they hold them, that ``listed`` does
+    not hold, and those it holds that no module has: empty where the two
+    agree.  Every listed name resolves."""
     found = {}
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.FunctionDef):
-                visit(child, child.name)
-                continue
-            callee = getattr(child, "func", None)
-            if getattr(callee, "attr", getattr(callee, "id", None)) \
-                    == "setattr":
-                target, name = (child.args + [None, None])[:2]
-                if isinstance(target, ast.Name) and target.id in modules \
-                        and isinstance(name, ast.Constant) \
-                        and isinstance(name.value, str):
-                    names = {f"{modules[target.id]}.{name.value}"}
-                else:
-                    names = PATCH_TABLES.get(func, {f"? {func}"})
-                for patched in names:
-                    found.setdefault(patched, []).append(func)
-            visit(child, func)
-
-    visit(tree, None)
-    return found
-
-
-def _stray(scan, listed):
-    """The names that ``scan`` finds in the test modules, with where it
-    finds them, that ``listed`` does not hold, and those it holds that no
-    module has: empty where the two agree.  Every listed name resolves."""
-    found = {}
-    for path in sorted((ROOT / "tests").glob("*.py")):
-        for name, where in scan(path).items():
+    for path in TESTS:
+        for name, where in getattr(_scan(path), kind).items():
             found.setdefault(name, []).extend(where)
     for name in listed:
         _resolve(name)
@@ -311,74 +338,23 @@ def _stray(scan, listed):
 
 
 def test_patched_names_are_listed():
-    assert _stray(_patched_names, PATCHED_NAMES) == {}
-    # The audit mutants' table is read where it is kept.
-    from test_experiments import AUDIT_MUTANTS
-    assert {f"{module.__name__.split('.')[-1]}.{name}" for (module, name, _),
-            *_ in AUDIT_MUTANTS.values()} == PATCH_TABLES["_mutate"]
-
-
-# The private names of the package that the tests import or read: every
-# name of ``_kernels`` and each ``_``-prefixed name of another module, with
-# the reason that no public name serves the test.
-PRIVATE_READS = {
-    **dict.fromkeys(
-        ("_kernels.BYTES_TOL", "_kernels.FEAS_TOL", "_kernels.IDLE_FRAC",
-         "_kernels.csd_value", "_kernels.hrd_value", "_kernels.csd_summary",
-         "_kernels.hrd_summary", "_kernels.hrd_closed_form",
-         "_kernels._hrd_lists", "_kernels._hrd_solved", "_kernels.csd_alloc",
-         "_kernels.hrd_alloc", "_kernels._sum", "_kernels.root_shares"),
-        "the closed forms, write paths, memo, summation and tolerances that "
-        "the library values and installs a coalition by: the tests check "
-        "them against the numerical optimum and round their references by "
-        "them"),
-    **dict.fromkeys(
-        ("association._Block", "association._move_rows",
-         "association._commit", "association._member_lists",
-         "association._write_coalition"),
-        "the one-row reference (``tests/reference.py``) values a move as a "
-        "block of one, commits it and installs its two coalitions"),
-    **dict.fromkeys(
-        ("association._neighbourhood", "association._neighbourhood_block",
-         "association._association", "association._tentative_members"),
-        "every move of a game in the sweep's order, which the scalar sweep "
-        "walks, the checks value as one block and then from scratch"),
-    "association._draw_weights":
-        "the law of a drawn move, checked against ``propose_move``'s draws",
-    "association._random_phase":
-        "plays random phases from chosen partitions, on chosen budgets and "
-        "generators, and before the reference sweep",
-    "cli._scenario_from_args":
-        "the instance that ``mecsim audit`` solves, audited in the library",
-    **dict.fromkeys(
-        ("scenario._drop_nodes", "scenario._MAX_PLACEMENT_RETRIES",
-         "scenario._COLLOCATION_EPS_M"),
-        "the placement and its limits, which the one-node-at-a-time "
-        "reference checks"),
-}
-
-
-def _private_reads(path):
-    """``{"module.name": [file]}``: the private names of the package that
-    the test module at ``path`` imports from a ``mecsim`` module or reads
-    as an attribute of one."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    modules, names = _mecsim_modules(tree), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module and \
-                node.module.startswith("mecsim."):
-            names |= {f"{node.module[7:]}.{a.name}" for a in node.names}
-        elif isinstance(node, ast.Attribute):
-            owner = ast.unparse(node.value)
-            owner = modules.get(owner) or owner.partition("mecsim.")[2]
-            if owner in MODULES:
-                names.add(f"{owner}.{node.attr}")
-    return {name: [path.name] for name in names
-            if name.startswith("_") or "._" in name}
+    assert _stray("patched", PATCHED_NAMES) == {}
 
 
 def test_private_reads_are_listed():
-    assert _stray(_private_reads, PRIVATE_READS) == {}
+    assert _stray("private", PRIVATE_READS) == {}
+
+
+def test_each_mutant_text_occurs_once():
+    # Code that moves takes the catalogue's search texts with it.
+    spec = importlib.util.spec_from_file_location(
+        "mutants", ROOT / "tests" / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len(mutants.MUTANTS) >= 14
+    for name, mutant in mutants.MUTANTS.items():
+        text = (PACKAGE / mutant.path).read_text(encoding="utf-8")
+        assert text.count(mutant.old) == 1, name
 
 
 def _block_after(text, label):
