@@ -337,30 +337,40 @@ def test_equal_share_value_never_beats_closed_form_when_unclamped():
             assert value <= es_value + 1e-9 * es_value
 
 
-def _check_write_path(costs, game, n, members):
-    """The game's write path of ``game`` against the closed form on raw
-    costs (``allocate_hrd``, ``allocate_csd``): fractions and value agree
-    exactly.  Returns the raw form's first fractions."""
-    members = np.asarray(members, dtype=np.int64)
-    if game == "hrd":
-        idx, ks = member_pairs(costs, members)
-        want = allocate_hrd(costs.dl_cost[n, idx], costs.bh_cost[n, idx],
-                            costs.cached[n, idx], costs.eta_min[n, ks])
-    else:
-        idx = members
-        want = allocate_csd(costs.ul_cost[n, members],
-                            costs.ed_cost[n, members])
-    # Stale fractions everywhere: the write must replace every member's, a
-    # cache hit's eta included, and leave every other one alone.
-    size = costs.pair_k.size if game == "hrd" else costs.n_csd
+def _check_stale_write(alloc, costs, n, members, size, idx, want):
+    """``alloc`` writes into two rows of ``size`` stale fractions: it must
+    replace every member's with ``want`` at ``idx``, a cache hit's eta
+    included, and leave every other one alone.  Returns its value."""
     out = np.full((2, size), 0.5)
-    value = getattr(_kernels, f"{game}_alloc")(costs, n, members, *out)
+    value = alloc(costs, n, members, *out)
     ref = np.full((2, size), 0.5)
     ref[:, idx] = want
     assert np.array_equal(out, ref)
-    assert value == getattr(_kernels, f"{game}_value")(costs, n, members)
-    assert math.isfinite(value) or game == "csd"
+    return value
+
+
+def _check_hrd_write_path(costs, n, members):
+    """The game's HRD write path against the closed form on raw costs
+    (``allocate_hrd``): fractions and value agree exactly, and the value is
+    finite.  Returns the raw form's beta."""
+    members = np.asarray(members, dtype=np.int64)
+    idx, ks = member_pairs(costs, members)
+    want = allocate_hrd(costs.dl_cost[n, idx], costs.bh_cost[n, idx],
+                        costs.cached[n, idx], costs.eta_min[n, ks])
+    value = _check_stale_write(_kernels.hrd_alloc, costs, n, members,
+                               costs.pair_k.size, idx, want)
+    assert math.isfinite(value)
+    assert value == _kernels.hrd_value(costs, n, members)
     return want[0]
+
+
+def _check_csd_write_path(costs, n, members):
+    """The game's CSD write path against ``allocate_csd`` on raw costs."""
+    members = np.asarray(members, dtype=np.int64)
+    want = allocate_csd(costs.ul_cost[n, members], costs.ed_cost[n, members])
+    value = _check_stale_write(_kernels.csd_alloc, costs, n, members,
+                               costs.n_csd, members, want)
+    assert value == _kernels.csd_value(costs, n, members)
 
 
 def test_write_path_matches_public_closed_form_exactly():
@@ -377,16 +387,17 @@ def test_write_path_matches_public_closed_form_exactly():
         (sd, sb, _), ratio, _ = _kernels.hrd_summary(default_costs, n,
                                                       members)
         assert ratio * sb > sd
-        beta = _check_write_path(default_costs, "hrd", n, members)
+        beta = _check_hrd_write_path(default_costs, n, members)
         assert (beta.sum() < 1.0 - 1e-3) == slack
     rng = np.random.default_rng(17)
     for costs in (unclamped_setup()[2], default_costs):
         for _ in range(30):
             n = int(rng.integers(costs.n_sbs))
             size = int(rng.integers(1, 5))
-            for game in ("hrd", "csd"):
-                _check_write_path(costs, game, n, rng.choice(
-                    getattr(costs, f"n_{game}"), size=size, replace=False))
+            _check_hrd_write_path(
+                costs, n, rng.choice(costs.n_hrd, size=size, replace=False))
+            _check_csd_write_path(
+                costs, n, rng.choice(costs.n_csd, size=size, replace=False))
 
 
 def _one_sbs_costs(dl, bh, cached, rho, ul, ed):

@@ -3,7 +3,6 @@ import dataclasses
 import functools
 import gc
 import hashlib
-import itertools
 import math
 import weakref
 from fractions import Fraction
@@ -1613,18 +1612,21 @@ def _scalar_first_accepts(state, game, runs):
     """``_first_accepts`` of the one-at-a-time loop: per run, on the
     generator ``_played`` gives it, moves are drawn (``propose_move``) and
     valued (``_evaluate``) until one wins.  No move is applied, so every
-    run values from one set of running sums on ``state`` itself."""
+    run values from one set of running sums on ``state`` itself, for at
+    most 10**6 proposals."""
     sums, lists = game_sums(state, game), association._member_lists(state,
                                                                     game)
     out = []
     for run in range(runs):
         rng = np.random.default_rng([run, 0])
-        for wait in itertools.count():
+        for wait in range(10 ** 6):
             prop = propose_move(state, game, rng, lists)
             _evaluate(state, sums, prop)
             if prop.dv < -IMPROVE_MARGIN:
                 out.append((wait, (prop.kind, prop.dv)))
                 break
+        else:
+            pytest.fail(f"run {run}: no accept in 10**6 proposals")
     return out
 
 

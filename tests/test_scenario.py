@@ -1,5 +1,6 @@
 import hashlib
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -19,18 +20,17 @@ SCENARIO_FIELDS = ("mbs_pos", "sbs_pos", "sbs_cell", "hrd_pos", "hrd_cell",
 
 def _place_in_disc(rng, center, radius, occupied, tries):
     """Reference for ``_drop_nodes``: one node, two scalar draws per try,
-    checked against every occupied point by ``math.hypot``.  Appends the
-    number of tries to ``tries``."""
+    checked against every occupied point by ``math.dist`` (the
+    ``math.hypot`` of the coordinate differences).  Appends the number of
+    tries to ``tries``."""
     for attempt in range(scenario_mod._MAX_PLACEMENT_RETRIES):
         r = radius * math.sqrt(rng.random())
         ang = 2.0 * math.pi * rng.random()
-        pos = np.array([center[0] + r * math.cos(ang),
-                        center[1] + r * math.sin(ang)])
-        if not occupied or min(
-            math.hypot(pos[0] - o[0], pos[1] - o[1]) for o in occupied
-        ) > scenario_mod._COLLOCATION_EPS_M:
+        pos = (center[0] + r * math.cos(ang), center[1] + r * math.sin(ang))
+        if not occupied or min(map(math.dist, repeat(pos), occupied)) > \
+                scenario_mod._COLLOCATION_EPS_M:
             tries.append(attempt + 1)
-            return pos
+            return np.array(pos)
     raise RuntimeError("could not place a node without collocation")
 
 

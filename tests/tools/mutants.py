@@ -5,14 +5,16 @@ on test data selection", IEEE Computer 11(4), 1978; Jia & Harman, "An
 analysis and survey of the development of mutation testing", IEEE TSE
 37(5), 2011).
 
-    python tests/tools/mutants.py [NAME ...] [--against REV] [--jobs N]
+    python tests/tools/mutants.py [--against REV]
 
 For the tree as it is on disk when the run starts (its tracked and
 unignored files), the runner runs the Tier-1 command once unmutated and
 once per mutant, each time in a fresh temporary copy with the mutant
-applied, and prints the ids of the tests that fail on the mutant and not
-on the unmutated copy.  The anchor gate below is deselected: an applied
-mutant has removed its own search text.  With
+applied, as many copies at once as the machine has cores, and prints the
+ids of the tests that fail on the mutant and not on the unmutated copy.
+A run that outlasts ``TIMEOUT_S`` counts as caught, under the id
+``timeout``.  The anchor gate below is deselected: an applied mutant has
+removed its own search text.  With
 ``--against REV`` it does the same for the tree of the git revision
 ``REV`` (``git archive``) and prints both columns, with the tests that
 catch a mutant in one tree only.  It exits 1 when a mutant escapes every
@@ -41,6 +43,9 @@ ROOT = Path(__file__).resolve().parents[2]
 ANCHOR_GATE = "tests/test_readme.py::test_each_mutant_text_occurs_once"
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider", "-rfE", "--deselect", ANCHOR_GATE]
+# Tier-1 runs in under a minute unmutated; a mutant that makes a loop run
+# forever is stopped here.
+TIMEOUT_S = 600
 
 
 class Mutant(NamedTuple):
@@ -185,7 +190,8 @@ def apply(mutant: Mutant, root: Path) -> None:
 def failing_tests(tree: Path, mutant):
     """The ids of the tests that fail in a fresh copy of the tree at
     ``tree`` with ``mutant`` (or none) applied, or None where the mutant's
-    search text is not found once there."""
+    search text is not found once there.  A run that outlasts
+    ``TIMEOUT_S`` fails the single id ``timeout``."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         root = Path(tmp) / "tree"
         shutil.copytree(tree, root)
@@ -195,18 +201,22 @@ def failing_tests(tree: Path, mutant):
             except ValueError:
                 return None
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        out = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
-                             capture_output=True, text=True).stdout
+        try:
+            out = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
+                                 capture_output=True, text=True,
+                                 timeout=TIMEOUT_S).stdout
+        except subprocess.TimeoutExpired:
+            return ["timeout"]
     return sorted({m.group(2) for m in re.finditer(
         r"^(FAILED|ERROR) (\S+)", out, re.M)})
 
 
-def catalogue_run(rev, names, jobs):
-    """``{name: failing ids}`` for ``names`` in the tree of ``rev``, less the
-    ids that fail there unmutated (under the key None)."""
-    keys = [None] + list(names)
+def catalogue_run(rev):
+    """``{name: failing ids}`` for every mutant in the tree of ``rev``, less
+    the ids that fail there unmutated (under the key None)."""
+    keys = [None, *MUTANTS]
     with tempfile.TemporaryDirectory(prefix="mutants-") as tree, \
-            ThreadPoolExecutor(jobs) as pool:
+            ThreadPoolExecutor(os.cpu_count()) as pool:
         _copy_tree(rev, Path(tree))
         runs = dict(zip(keys, pool.map(
             lambda k: failing_tests(Path(tree), k and MUTANTS[k]), keys)))
@@ -221,20 +231,12 @@ def _count(ids):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", metavar="NAME",
-                        help="mutants to run (default: all)")
     parser.add_argument("--against", metavar="REV",
                         help="also run the catalogue on this revision's tree")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="copies tested at once (default 1)")
     args = parser.parse_args(argv)
-    unknown = set(args.names) - set(MUTANTS)
-    if unknown:
-        parser.error(f"unknown mutant(s): {', '.join(sorted(unknown))}")
-    names = args.names or list(MUTANTS)
-    trees = {"here": catalogue_run(None, names, args.jobs)}
+    trees = {"here": catalogue_run(None)}
     if args.against:
-        trees[args.against] = catalogue_run(args.against, names, args.jobs)
+        trees[args.against] = catalogue_run(args.against)
     for tree, runs in trees.items():
         if runs[None]:
             print(f"failing unmutated at {tree}: {' '.join(runs[None])}")
@@ -244,7 +246,7 @@ def main(argv=None) -> int:
                                      for tree in reversed(trees)))
     here = trees["here"]
     there = trees.get(args.against, here)
-    for name in names:
+    for name in MUTANTS:
         print(f"{name:26}" + "".join(f"{_count(runs[name]):>13}"
                                      for runs in reversed(trees.values())))
         ours, theirs = set(here[name] or ()), set(there[name] or ())
@@ -252,7 +254,7 @@ def main(argv=None) -> int:
             mark = " " if test in ours & theirs else "+" if test in ours \
                 else "-"
             print(f"    {mark} {test}")
-    escaped = [name for name in names if not here[name]]
+    escaped = [name for name in MUTANTS if not here[name]]
     if escaped:
         print(f"escaped: {' '.join(escaped)}")
     return 1 if escaped else 0
