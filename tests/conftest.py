@@ -6,9 +6,14 @@ draw.  ``allocate_csd``/``allocate_hrd`` run the library's closed forms on
 raw cost vectors, ``idle_allocation`` builds an allocation at IDLE_FRAC
 everywhere, ``game_sums`` a game's running sums from a state's member
 lists and ``whole_block`` every move of a game, valued from those sums.
-``instance`` builds a seeded scenario with its demand, and ``hand_demand``
-a small demand profile field by field.
+``hand_demand`` builds a small demand profile field by field.  The seeded
+instances, ``instance`` and ``demand_for``, live in the fingerprint tool
+(``tests/tools/fingerprint.py``), which solves them too; this module puts
+its folder on the import path.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +21,13 @@ import pytest
 from mecsim._kernels import IDLE_FRAC, _sum, hrd_closed_form, root_shares
 from mecsim.association import CoalitionSums, _neighbourhood, \
     _neighbourhood_block
-from mecsim.content import Catalog, DemandProfile, build_demand, demand_rng
+from mecsim.content import Catalog, DemandProfile
 from mecsim.delays import Allocation
 from mecsim.radio import REUSE
 from mecsim.scenario import Counts, Scenario, SystemParams, dbm_to_mw, \
     generate_scenario
 
-DESK_STORAGE = 28e6   # partial caches: 5 of 20 files plus offload headroom
+sys.path.insert(0, str(Path(__file__).with_name("tools")))
 
 
 @pytest.fixture(scope="session")
@@ -88,26 +93,6 @@ def rate_scenario(params: SystemParams, r_dl, r_ul, r_bh) -> Scenario:
 
     return synthetic_scenario(gains(r_dl, "dl"), gains(r_ul, "ul"),
                               gains(r_bh, "bh"), params)
-
-
-def demand_for(scenario, *, delta=0.6, n_files=20, file_size=5e6,
-               storage=DESK_STORAGE, policy="sampled", seed=None, **kw):
-    catalog = Catalog.build(n_files, delta, file_size)
-    seed = scenario.params.seed if seed is None else seed
-    return build_demand(catalog, scenario.n_sbs, scenario.n_hrd,
-                        scenario.n_csd, demand_rng(seed, delta),
-                        storage_bytes=storage, cache_policy=policy, **kw)
-
-
-def instance(seed, n_hrd=20, n_csd=20, **kw):
-    """``(scenario, demand)`` of ``n_hrd`` HRDs and ``n_csd`` CSDs at
-    ``seed``: the ``SystemParams`` fields of ``kw`` set the deployment, and
-    the others go to ``demand_for``."""
-    params = {k: kw.pop(k) for k in list(kw)
-              if k in SystemParams.__dataclass_fields__}
-    scn = generate_scenario(SystemParams(seed=seed, **params),
-                            Counts(n_hrd=n_hrd, n_csd=n_csd))
-    return scn, demand_for(scn, **kw)
 
 
 def hand_demand(n_sbs, n_hrd, n_csd, n_files=2, **fields):

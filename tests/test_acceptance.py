@@ -20,8 +20,8 @@ from mecsim.experiments import ExperimentConfig, run_sweep, seed_average, \
     spearman_rho, trend_check
 from mecsim.radio import build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
-from conftest import (DESK_STORAGE, allocate_csd, allocate_hrd, demand_for,
-                      idle_allocation)
+from conftest import allocate_csd, allocate_hrd, idle_allocation
+from fingerprint import DESK_STORAGE, demand_for
 from reference import check_state, member_pairs, oracle_hrd_min, \
     oracle_simplex_min
 

@@ -12,7 +12,8 @@ from mecsim.association import abcg_init, run_amnd
 from mecsim.delays import Partition, objective
 from mecsim.radio import build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
-from conftest import allocate_csd, allocate_hrd, demand_for, rate_scenario
+from conftest import allocate_csd, allocate_hrd, rate_scenario
+from fingerprint import demand_for
 from reference import member_pairs, oracle_hrd_min, oracle_simplex_min, \
     solve_p3
 

@@ -4,8 +4,12 @@ import functools
 import gc
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,8 +27,10 @@ from mecsim.association import (IMPROVE_MARGIN, GameState, _draw_weights,
 from mecsim.delays import audit_constraints
 from mecsim.experiments import ExperimentConfig
 from mecsim.scenario import ReadAhead, SystemParams
-from conftest import demand_for, game_sums, hand_demand, idle_allocation, \
-    instance, rate_scenario, whole_block
+from conftest import game_sums, hand_demand, idle_allocation, \
+    rate_scenario, whole_block
+from fingerprint import WORKLOADS, demand_for, digest, fields, instance, \
+    line, solve, total
 from reference import (ATTEMPTS, MoveProposal, _evaluate, check_state,
                        check_sums, evaluate_and_apply, member_pairs,
                        propose_move, solve_p3)
@@ -145,28 +151,12 @@ def test_rejected_move_leaves_state_intact():
     rejected = 0
     for _ in range(50):
         # A rejection is counted, and changes nothing else.
-        before = _fingerprint(state)[1:]
+        before = fields(state, omit=("proposals",))
         if not evaluate_and_apply(state, sums,
                                   propose_move(state, "hrd", rng)):
             rejected += 1
-            assert _fingerprint(state)[1:] == before
+            assert fields(state, omit=("proposals",)) == before
     assert rejected and state.accepted_moves
-
-
-def test_accepted_move_changes_objective_by_its_gain():
-    _, _, state = desk_state(seed=5)
-    rng, sums = np.random.default_rng(3), game_sums(state, "csd")
-    for _ in range(300):
-        prop = propose_move(state, "csd", rng)
-        before = state.objective
-        if evaluate_and_apply(state, sums, prop):
-            # accounting identity: the cached-value delta is applied exactly,
-            # and the full delay model agrees with the caches
-            assert state.objective < before - 1e-12
-            check_state(state)
-            break
-    else:
-        pytest.skip("no accepted move found in 300 proposals")
 
 
 def test_infeasible_target_is_rejected():
@@ -253,11 +243,13 @@ def test_second_round_accepts_no_move():
     # allocation step only lowers cached values: another round is a no-op.
     state = run_amnd(*instance(21, 10, 10))
     assert len(state.trace) == 3
-    # All but the counts and the generators, which the random phases draw.
-    before = _fingerprint(state)[1:-2]
+    # All but the proposals, the phase rows and the generators, which the
+    # random phases count, log and draw.
+    left_out = ("proposals", "phases", "rng_csd", "rng_hrd")
+    before = fields(state, omit=left_out)
     run_coalition_game(state, "csd")
     run_coalition_game(state, "hrd")
-    assert _fingerprint(state)[1:-2] == before
+    assert fields(state, omit=left_out) == before
 
 
 def test_trace_does_not_rise_from_roundoff():
@@ -267,18 +259,12 @@ def test_trace_does_not_rise_from_roundoff():
     assert np.diff(state.trace).max() <= 1e-12
 
 
-def _solved(scn, demand):
-    """(ABCG state, AMND state) of the instance."""
-    init = abcg_init(scn, demand)
-    return init, run_amnd(scn, demand, init_state=init)
-
-
 @pytest.fixture(scope="module")
 def bound_runs():
-    """``_solved`` on the default workload at a = 0.9, seeds 0-9, where
+    """``solve`` on the default workload at a = 0.9, seeds 0-9, where
     many devices have rho above 1 and their rate orderings bind on many
     moves."""
-    return [_solved(*instance(seed, 20, 40, a=0.9)) for seed in range(10)]
+    return [solve(*instance(seed, 20, 40, a=0.9)) for seed in range(10)]
 
 
 def bound_final_state():
@@ -291,8 +277,8 @@ def bound_final_state():
 
 @pytest.fixture(scope="module")
 def desk_runs():
-    """``_solved`` on the criterion-2 desk, seeds 0-19."""
-    return [_solved(*instance(seed)) for seed in range(20)]
+    """``solve`` on the criterion-2 desk, seeds 0-19."""
+    return [solve(*instance(seed)) for seed in range(20)]
 
 
 def _hood(state, game):
@@ -401,15 +387,15 @@ def test_running_sums_fall_back_where_floors_bind(monkeypatch):
 
 @pytest.fixture(scope="module")
 def multi_request_run():
-    """``_solved`` on the desk with two requests per HRD and 100 files, so
+    """``solve`` on the desk with two requests per HRD and 100 files, so
     a device holds several missed pairs under one rho."""
-    return _solved(*instance(3, n_files=100, requests_per_hrd=2))
+    return solve(*instance(3, **WORKLOADS["multi"]))
 
 
 def test_running_sums_value_multi_request_moves(monkeypatch,
                                                 multi_request_run):
     # The same workload at a = 0.9, where rate orderings bind on many moves.
-    bound = abcg_init(*instance(3, a=0.9, n_files=100, requests_per_hrd=2))
+    bound = abcg_init(*instance(3, a=0.9, **WORKLOADS["multi"]))
     fallbacks = _count_floor_valuations(monkeypatch)
     for state in list(multi_request_run) + [bound]:
         _check_moves_against_scratch(state)
@@ -602,7 +588,7 @@ def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, desk_runs):
         monkeypatch.setattr(association, "game_budget", _budget(**kw))
         fresh = run_amnd(scn, demand)
         cloned = run_amnd(scn, demand, init_state=abcg_init(scn, demand))
-        assert _fingerprint(fresh) == _fingerprint(cloned), n
+        assert fields(fresh) == fields(cloned), n
         assert fresh.phases == cloned.phases, n
         ends.update(_random_phase_ends(
             fresh, *association.game_budget(scn.n_hrd, scn.n_csd)))
@@ -813,7 +799,7 @@ def test_csd_sides_hold_exact_zeros_outside_their_row(desk_runs):
     for seed in range(4):
         # 250 kB of spare storage per SBS holds two 100 kB task inputs.
         for storage in (28e6, 25.25e6):
-            states += _solved(*instance(seed, 20, 40, storage=storage))
+            states += solve(*instance(seed, 20, 40, storage=storage))
     local_sides = emptied = full = 0
     for state in states:
         block, n_sbs = whole_block(state, "csd"), state.n_sbs
@@ -1050,8 +1036,12 @@ def test_check_passes_after_evaluate_and_apply():
     accepted = 0
     for _ in range(300):
         prop = propose_move(state, "csd", rng)
+        before = state.objective
         if evaluate_and_apply(state, sums, prop):
+            # The cached-value delta is applied exactly, and the full delay
+            # model agrees with the caches.
             accepted += 1
+            assert state.objective < before - 1e-12
             check_state(state)
             check_sums(sums, state.csd_members)
     assert accepted >= 2
@@ -1140,7 +1130,7 @@ def _assert_reallocate_idempotent(state, games):
     twin = state.clone()
     for game in games:
         reallocate(twin, game)
-    assert _fingerprint(twin) == _fingerprint(state.clone())
+    assert fields(twin) == fields(state.clone())
 
 
 def test_reallocate_is_idempotent(desk_runs, multi_request_run):
@@ -1159,256 +1149,83 @@ def test_reallocate_is_idempotent(desk_runs, multi_request_run):
         _assert_closed_forms(final, ("hrd", "csd"))
 
 
-# Recorded with the exact coupled HRD allocation: seed, repr(F_AMND),
-# proposals, accepted moves, hrd_sbs, csd_sbs of the desk solves.
-GOLDEN_DESK = (
-    (0, "667.0660852850223", 6515, 16,
-     [0, 9, 13, 4, 8, 1, 1, 5, 10, 2, 7, 12, 2, 6, 14, 3, 9, 11, 4, 7],
-     [1, 5, 10, 15, 15, 9, 3, 15, 15, 15, 8, 12, 2, 15, 15, 15, 15, 15, 4, 7]),
-    (1, "1012.3090133361644", 9111, 35,
-     [0, 6, 12, 3, 4, 13, 0, 5, 10, 3, 7, 1, 13, 8, 12, 2, 9, 14, 2, 8],
-     [15, 15, 14, 0, 5, 11, 2, 15, 15, 3, 15, 15, 15, 8, 10, 4, 7, 15, 8, 9]),
-    (2, "669.5148483279049", 7859, 26,
-     [4, 7, 13, 2, 7, 10, 3, 5, 11, 1, 8, 6, 4, 9, 12, 1, 5, 14, 2, 0],
-     [15, 15, 14, 3, 5, 0, 15, 6, 10, 4, 15, 11, 2, 9, 12, 15, 15, 10, 15, 15]),
-    (3, "789.1552756671138", 6866, 29,
-     [0, 14, 12, 2, 8, 13, 1, 4, 10, 4, 9, 11, 3, 6, 10, 2, 7, 14, 0, 5],
-     [15, 7, 13, 14, 6, 15, 15, 5, 11, 4, 15, 15, 1, 15, 12, 3, 15, 10, 2, 9]),
-    (4, "649.8047888708849", 7801, 28,
-     [4, 9, 12, 2, 6, 11, 0, 13, 10, 4, 7, 13, 3, 14, 10, 3, 8, 2, 1, 5],
-     [11, 15, 13, 2, 5, 15, 4, 9, 15, 1, 15, 10, 0, 14, 15, 15, 6, 12, 3, 7]),
-)
-
-
-# The ``multi_request_run`` solve, in the same layout.
-GOLDEN_MULTI_REQUEST = (
-    3, "3896.178885992313", 7697, 41,
-    [0, 7, 12, 2, 8, 14, 1, 4, 11, 4, 9, 13, 3, 6, 10, 2, 7, 14, 0, 5],
-    [15, 7, 13, 14, 6, 15, 15, 5, 11, 4, 15, 15, 1, 15, 12, 3, 15, 10, 2, 9])
-
-
-# Each game generator's final (PCG64 state, has_uint32, uinteger), CSD
-# then HRD, of the desk solves above ("multi" is ``multi_request_run``),
-# and the SHA-256 of the ``write_move_log`` file of seed 0.  Its HRD rows'
+# Per recorded solve, keyed by the fingerprint tool's workload and seed
+# (desk seeds 0-4, ``multi_request_run`` and seed 5 of the large
+# workload): the line that ``fingerprint.py`` prints for it (seed,
+# repr(F_ABCG), repr(F_AMND), proposals, accepted moves and one SHA-256
+# over both states and the audit), then the ``fingerprint.digest`` of the
+# ABCG and of the AMND state.
+RECORDED_SOLVES = {
+    ("desk", 0): (
+        "0 864.1019445703862 667.0660852850223 6515 16 "
+        "3ebc7b5f4ccafffb1996eaf2bc4b959d1d18d62fc228afadf06060bf5ab81406",
+        "88b82660259b65b850217ffa2ada0c007df89954bf673eb1d37f2bae1f930b16",
+        "1fa3c55b5a7a7de29c53bcf3cb43bdb7c4849697a5525760a27405783a731450"),
+    ("desk", 1): (
+        "1 1293.3563584342448 1012.3090133361644 9111 35 "
+        "2c32a5382b5cfa26cd7202c959a3bb867d93273b9bdd2c73b9647fdf123c21d2",
+        "e60dee9a1d9cd61ecd4699997284acefc7da406df9211354471fda0720b59b00",
+        "0c81482d2cf4d62e95ca35d6f247d0e92c6e19cde9b1f1a56a2e17d66a9b39eb"),
+    ("desk", 2): (
+        "2 997.7322962569457 669.5148483279049 7859 26 "
+        "55938068d0e637909a05e3769a1b35a5fa5fac20433c220ed4389af5e804b147",
+        "d2140d794988b614bdca811786bf3b00bb341164254b8c9b6ea0c81180af4ed9",
+        "5fea3a6f242ec941c38583372fdf630541f444fd5bfd98f9984b4822d96ef2a6"),
+    ("desk", 3): (
+        "3 1508.4201884232373 789.1552756671138 6866 29 "
+        "b7039b3a3c9221a2949f60f95373a343a7559c8e5f265ed4f38e16cc8d6e5ec6",
+        "5a7b6e31fcc455be3b8a5b2aeae0a34f1d72e7f2a067bc6879524b2a17c46afa",
+        "4eb51603e5d93c4d0dfe0c1d6a29b55769d1838460792c4236fb4f5a310cb682"),
+    ("desk", 4): (
+        "4 1030.7962637891806 649.8047888708849 7801 28 "
+        "e05dc8302bed3144c5af766966c96f0cf8c1a039bdc8827d586d21489c924cdb",
+        "133f30588c0ece4d7671cb9af5f4fb3bc9f908d0985855d2f096fd6d5c0dec5b",
+        "2e9747907f5007847d8d4b628d2c1d728462926bfe7415f1ea17bcc4d227e53a"),
+    ("multi", 3): (
+        "3 6769.774108692245 3896.178885992313 7697 41 "
+        "d7cff87c32aba3d11cc796f2774ed7695305bae85858665f62902ac9c3925275",
+        "3540d3bbb8d7edcd254a7ef24c2859ec225080efb2f0a5791c6dc195f50341c1",
+        "fcb6bae0ad81c95525da1a16c340617f28adb034fe1c9c5fa897054e7ac21d08"),
+    ("large", 5): (
+        "5 43204.94127513912 32898.64828719374 94686 186 "
+        "893d2de40493d1fb7e39c4222accf7fb9f27ac97f157dfd756c1473bf95c737b",
+        "a7d9711878b73ee3d26ec682873e079ce3d41c172637f83bb1f63ee996a18f23",
+        "0a12878b0acc0af37e8ff4aa63d05be6e85a3b669bdfcfc9f5235ee427ceef63"),
+}
+# The SHA-256 of the ``write_move_log`` file of desk seed 0.  Its HRD rows'
 # objective column counts every CSD coalition's closed form, which the CSD
 # game's allocation step installs before the HRD game starts.
-GOLDEN_RNG = {
-    0: ((83859812022039524749139676866599146185, 0, 0),
-        (171577682909891176005746160613366480515, 0, 0)),
-    1: ((35980785291564339547440427002349133711, 0, 0),
-        (43023144488572247013051657932322201453, 0, 0)),
-    2: ((190969997697919746100566314232291408707, 0, 0),
-        (285786449028809158837318039036125333203, 0, 0)),
-    3: ((6991687428257118705175068534766578884, 0, 0),
-        (146326740694513934396620997093218687042, 0, 0)),
-    4: ((78624924516840777687985225879594759139, 0, 0),
-        (47338256212657138697842966483499079971, 0, 0)),
-    "multi": ((6991687428257118705175068534766578884, 0, 0),
-              (81734224320607830781939111464305212474, 0, 0)),
-}
-GOLDEN_MOVE_LOG_SEED0 = \
+MOVE_LOG_SEED0 = \
     "76466bc7c7aafab22479c85d378c86afaed13869c2f7899ffc0e7484908fe399"
 
 
-# The SHA-256 of the bytes of the final ``alpha``, ``gamma``, ``beta`` and
-# ``eta`` of the desk solves above ("multi" is ``multi_request_run``).
-GOLDEN_FRACTIONS = {
-    0: (
-        "d3e5c95223921be5a5c0a72d949fc45aef24c4fb4658bf9d604a4bdd5002001e",
-        "d3e5c95223921be5a5c0a72d949fc45aef24c4fb4658bf9d604a4bdd5002001e",
-        "e21b50a3e67c55b1dfe8e1d3feab8ba148bb4dd7478b41e603fbcc99de0bea28",
-        "f6e716cf2490c7e61278dd910a928dcdc52c731aa4804197cf2901019c4304ce",
-    ),
-    1: (
-        "2ad16d7cc56148f93429dbbfc294a1c3795a7a23aef82cbae3a3cf79ee1e5204",
-        "7863b49ff85764cf8734cdf28c3d2f054874d4801d33b7d41f9f43de2a8ab76f",
-        "79e7ba95a0183030bedca0b3a2d8da030b63fafdf1edb20be026cc365bb4fbe0",
-        "d7a808bf8d5e78980a3db5a542326ab060561421ad9c87a81f04447f0b97204e",
-    ),
-    2: (
-        "08159ee438ef6c7f24922d8ec31875cd3b3a602ece935f4f45f503f599bd4e6a",
-        "548264b2f5a26af7cba1753fbed2900c5c48b40dc5ec3653222bb2b04243ebcf",
-        "95bcdfcb500bca1f1643cba9b68c54e27535f4cce2369066c5e9950933b3c0d8",
-        "89b1bef1358c507ee0a8a2ebad4f1f5d8131a4bae5c02b88fb6d3e10097998bb",
-    ),
-    3: (
-        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
-        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
-        "53f17f3069a9e5cdef5e688169dc95158abb0a90c19bc65280c2c154c91b7aca",
-        "f3260709c665daa0ccd80d5a59beff49abbaacf92339d2d6f64a03f9e598f7c0",
-    ),
-    4: (
-        "6091e687adbe5c0e353dcd89dd20461c48207fb2d487957dbe454727e73e5634",
-        "6091e687adbe5c0e353dcd89dd20461c48207fb2d487957dbe454727e73e5634",
-        "8081480d39469d67c9bc1a3e5955593927a1d2e0bb3bada40b9761b6afa6b2be",
-        "9381cf431bd9d064afc8f10d43bc3d146b3e2e29798c2a5f2eec38d9a7a955b1",
-    ),
-    "multi": (
-        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
-        "30795028a3abea507343efa5f2ef196dd293a958d4b4aa134d1c6b9593faedea",
-        "b1ed79696bc1c9f8b37c9bd5939b19d99a8a732bb7e05abee1c591f6bce018ef",
-        "32a3f2376b604003c6122d4a819602432408365d9a9e87ff91519583d0e42823",
-    ),
-}
-
-
-def _fraction_digests(state):
-    alloc = state.allocation
-    return tuple(hashlib.sha256(getattr(alloc, name).tobytes()).hexdigest()
-                 for name in ("alpha", "gamma", "beta", "eta"))
-
-
-def _rng_states(state):
-    out = []
-    for rng in (state.rng_csd, state.rng_hrd):
-        st = rng.bit_generator.state
-        out.append((st["state"]["state"], st["has_uint32"], st["uinteger"]))
-    return tuple(out)
-
-
-def test_desk_solves_match_recorded_outputs(desk_runs, multi_request_run,
-                                            tmp_path):
-    runs = [(golden, desk_runs[golden[0]][1]) for golden in GOLDEN_DESK]
-    runs.append((GOLDEN_MULTI_REQUEST, multi_request_run[1]))
-    for (seed, f, proposals, accepted, hrd_sbs, csd_sbs), final in runs:
-        assert (repr(final.objective), final.proposals,
-                final.accepted_moves) == (f, proposals, accepted), seed
-        assert final.partition.hrd_sbs.tobytes() == \
-            np.array(hrd_sbs, dtype=np.int64).tobytes(), seed
-        assert final.partition.csd_sbs.tobytes() == \
-            np.array(csd_sbs, dtype=np.int64).tobytes(), seed
-    for seed in range(5):
-        assert _rng_states(desk_runs[seed][1]) == GOLDEN_RNG[seed], seed
-        assert _fraction_digests(desk_runs[seed][1]) == \
-            GOLDEN_FRACTIONS[seed], seed
-    assert _rng_states(multi_request_run[1]) == GOLDEN_RNG["multi"]
-    assert _fraction_digests(multi_request_run[1]) == GOLDEN_FRACTIONS["multi"]
+def test_solves_match_recorded_outputs(desk_runs, multi_request_run,
+                                       tmp_path):
+    # The large solve's neighbourhoods span several sweep chunks, which no
+    # desk solve's do.
+    runs = {("desk", seed): desk_runs[seed] for seed in range(5)}
+    runs["multi", 3] = multi_request_run
+    runs["large", 5] = solve(*instance(5, **WORKLOADS["large"]))
+    for (workload, seed), (init, final) in runs.items():
+        assert (line(seed, init, final), digest(init), digest(final)) == \
+            RECORDED_SOLVES[workload, seed], workload
     path = tmp_path / "moves.csv"
     write_move_log(desk_runs[0][1], path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        GOLDEN_MOVE_LOG_SEED0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MOVE_LOG_SEED0
 
 
-# The solve of seed 5 on the benchmark's large workload (80 HRD, 160 CSD,
-# 3 MBS x 10 SBS, 1000 files, two requests per HRD, 28e6 B of sampled
-# storage): F, proposals, accepted moves, both partitions, the fractions'
-# digests and the game generators' states, in the layouts above.  Its
-# neighbourhoods span several sweep chunks, which no desk solve does.
-GOLDEN_LARGE = (
-    5, "32898.64828719374", 94686, 186,
-    [7, 18, 23, 1, 12, 22, 5, 10, 21, 9, 24, 20, 6, 17, 24, 6, 17, 28, 7,
-     11, 29, 8, 14, 23, 3, 16, 29, 8, 12, 29, 6, 18, 28, 1, 13, 22, 2, 13,
-     27, 3, 12, 21, 4, 16, 25, 0, 15, 26, 9, 11, 29, 0, 4, 21, 9, 15, 26,
-     3, 18, 25, 5, 19, 4, 2, 20, 27, 2, 11, 24, 1, 19, 27, 7, 10, 28, 5,
-     14, 25, 0, 17],
-    [9, 30, 23, 30, 30, 30, 7, 16, 23, 30, 30, 30, 4, 30, 30, 30, 30, 30,
-     4, 30, 30, 30, 30, 30, 30, 30, 30, 30, 14, 30, 30, 30, 30, 30, 12,
-     24, 30, 19, 30, 30, 15, 30, 8, 30, 30, 30, 30, 30, 30, 30, 30, 30,
-     30, 30, 30, 30, 30, 6, 30, 30, 30, 30, 30, 30, 30, 30, 2, 30, 30, 0,
-     30, 30, 30, 30, 30, 5, 30, 30, 30, 30, 30, 30, 30, 27, 30, 30, 20,
-     30, 18, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30,
-     29, 30, 13, 25, 30, 30, 30, 30, 30, 21, 30, 30, 30, 30, 30, 30, 30,
-     30, 26, 30, 30, 21, 30, 30, 30, 30, 10, 30, 30, 30, 30, 30, 30, 30,
-     30, 30, 28, 3, 17, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 30, 11,
-     29, 30, 30, 22, 1])
-GOLDEN_LARGE_FRACTIONS = (
-    "0077a02bee368681956357fe7c845852dcae534ece9c9c2a26afffd40732b476",
-    "2d37bbe6521ed21b741b464e549ef26fd1d1616ebb0570b222dd35bf998fccfb",
-    "fb1ee1987955254bfda3e06a44a4643fdcf2f8d53c81b975d13f98878f34d131",
-    "65684967b5fbd564c521c32c169cc88c364a88bdb18038f8c837013c1f26aaaa",
-)
-GOLDEN_LARGE_RNG = ((41767882014463807494534892034541227003, 0, 0),
-                    (311830170580903917382457251849609423605, 0, 0))
-
-
-def _large_instance(seed=5):
-    """The benchmark's large workload at ``seed``: 80 HRD, 160 CSD, 3 MBS x
-    10 SBS, 1000 files, two requests per HRD, 28e6 B of sampled storage."""
-    return instance(seed, 80, 160, n_mbs=3, m_sbs=10, n_files=1000,
-                    requests_per_hrd=2, storage=28e6)
-
-
-def test_large_solve_matches_recorded_outputs():
-    seed, f, proposals, accepted, hrd_sbs, csd_sbs = GOLDEN_LARGE
-    scn, demand = _large_instance(seed)
-    final = run_amnd(scn, demand, init_state=abcg_init(scn, demand))
-    assert (repr(final.objective), final.proposals,
-            final.accepted_moves) == (f, proposals, accepted)
-    assert final.partition.hrd_sbs.tobytes() == \
-        np.array(hrd_sbs, dtype=np.int64).tobytes()
-    assert final.partition.csd_sbs.tobytes() == \
-        np.array(csd_sbs, dtype=np.int64).tobytes()
-    assert _fraction_digests(final) == GOLDEN_LARGE_FRACTIONS
-    assert _rng_states(final) == GOLDEN_LARGE_RNG
-
-
-# The ABCG states of desk seeds 0-4, of ``multi_request_run`` ("multi") and
-# of the large seed-5 solve ("large"): ``fallback_hrds``, then the SHA-256
-# of the bytes of ``hrd_sbs``, ``csd_sbs``, ``alpha``, ``gamma``, ``beta``
-# and ``eta``.
-GOLDEN_ABCG = {
-    0: ([],
-        "9123164f999fbb30c586d76ae26b45d2b3bb85e8af68280157b3f77cfe32ebfd",
-        "a7d9cea056a2c431b581f3bbd6d4b5320ad4cf289139eb2be10a77621274750a",
-        "ac857f1960f59603aa343581a2ee528d07be524dd6f8eb19ec9f1da785e34900",
-        "ac857f1960f59603aa343581a2ee528d07be524dd6f8eb19ec9f1da785e34900",
-        "0c01c34406dedd8517910db2c4d142cd186ada970519fea6789a1880bccb6260",
-        "95f1f921b8ac48c064870c9f50f5090bc684581c8a88a4b2a6913a95bfb7ad26"),
-    1: ([],
-        "635955286d4ea9e6221af6b60dc76e244d534fb047a1c5f74d6014ff4c93a602",
-        "7d3429c47c8305c780d2e5460221f3b1ca55b1410a42a4c9ea48fd1aab4b0e91",
-        "9a79b357b1b484ba36e6d653ca43b38d8b0970e235223c35cabe97e5ce4de742",
-        "9a79b357b1b484ba36e6d653ca43b38d8b0970e235223c35cabe97e5ce4de742",
-        "1df2e5721f6dc8e8fdad63276266e94d00a554db8c282d8c5fc3de25c3778f11",
-        "7a213ff88df4715596280ec1ac4ba76724ed29521aba780583ee0ed8e240e576"),
-    2: ([],
-        "dd54b311ce4ac3454a4e84865f9282f84b4346ce19ab83679284282e2e078821",
-        "778ff1ad2903b5f22ee0aa3dac5a0b78008b131b7c7d1a5586370743aa3bb165",
-        "3a4eb665b37858753e4643ed6dbf3b77d596b588502bdfdeca29e72196554888",
-        "3a4eb665b37858753e4643ed6dbf3b77d596b588502bdfdeca29e72196554888",
-        "ee005151309a0a94850f200f2f5e03553cc8de98385ebbb89d0ca1ae37f54b38",
-        "9c44375da5cc10deafd25e35e18f7f5a9f0e54b9fe097d244949e59dad1e85e6"),
-    3: ([],
-        "f9df3dcae8a87d4bbabb59d9d75ceb1bfc9940bbf0d024ff4ef205f2d219271d",
-        "fcc0580ff404d96e09babf070d4066b231ef906e2af0310e791c3916f862a28e",
-        "7d56f514e40f438d740f04e495c46b5d2fa63377c017e3a32c583c4e91d51aad",
-        "7d56f514e40f438d740f04e495c46b5d2fa63377c017e3a32c583c4e91d51aad",
-        "0cdf8106eed07ce95b56ae9660996d09f1551097d1d4d292865beadbeaccd9ce",
-        "f34ea3e8d09071db895d2cadfd5e2aa748890886c354b79a78df310fba7bbf54"),
-    4: ([],
-        "23269dcf0be656f73256954d012baf46d14d65b606c8baf52945e9f75f65d449",
-        "494d7d931b59938647b82060f5cf089c30ee839b8d5dfd58fe9f4f75e09711d7",
-        "f236621778e709d110fca7ccb3a5756fc097cfada7ef75cf6618396385785bea",
-        "f236621778e709d110fca7ccb3a5756fc097cfada7ef75cf6618396385785bea",
-        "9112bace50ba0a21d795fe8180848f4f8013330e4ccd26e33ac7c47bb1ff0355",
-        "599c8bd6a935f83ad78816b795e9fc94ca4c15a342f6472d564d1cb458150688"),
-    "multi": ([],
-        "f9df3dcae8a87d4bbabb59d9d75ceb1bfc9940bbf0d024ff4ef205f2d219271d",
-        "fcc0580ff404d96e09babf070d4066b231ef906e2af0310e791c3916f862a28e",
-        "7d56f514e40f438d740f04e495c46b5d2fa63377c017e3a32c583c4e91d51aad",
-        "7d56f514e40f438d740f04e495c46b5d2fa63377c017e3a32c583c4e91d51aad",
-        "8883cf8c1e50af999bbe6a89e6827156cb0b496b5897cd87cde0b3808189e4b1",
-        "4debe16bf40a7cf22c4b7fcae35126103ff5011453ae6576977c191308f470dd"),
-    "large": ([],
-        "12c7097c7d9b0da67a09db4a05fad70e5eb9cf7060e3ecf3212c38e6f9a78384",
-        "47a60e1b88275f9f38d667adeacd31736de42e09810469116a60058d3eb4ad12",
-        "850a0cd232e8e47d811aaf2e36d9f9f0ef1dd269fc041dfea9cbdabe9934569b",
-        "850a0cd232e8e47d811aaf2e36d9f9f0ef1dd269fc041dfea9cbdabe9934569b",
-        "337a1158440fd9a0c85323d78d6948be483aa27483c831333cf4e5e81469ff92",
-        "d43c6a2540767bed522203c3f489fbd6a2239b9e59bc4f4c61006f7ac553d6b0"),
-}
-
-
-def test_abcg_states_match_recorded_outputs(desk_runs, multi_request_run):
-    states = {seed: desk_runs[seed][0] for seed in range(5)}
-    states["multi"] = multi_request_run[0]
-    states["large"] = abcg_init(*_large_instance())
-    for key, state in states.items():
-        part, alloc = state.partition, state.allocation
-        digests = tuple(hashlib.sha256(arr.tobytes()).hexdigest() for arr in
-                        (part.hrd_sbs, part.csd_sbs, alloc.alpha, alloc.gamma,
-                         alloc.beta, alloc.eta))
-        assert (state.fallback_hrds, *digests) == GOLDEN_ABCG[key], key
+def test_fingerprint_tool_prints_the_solves_lines(desk_runs):
+    # The command line prints, for the mecsim it is given, the lines that
+    # the solves of this process make, and refuses a workload it lacks.
+    tool = [sys.executable, Path(__file__).with_name("tools") /
+            "fingerprint.py", "--seeds", "0-1", "--workload"]
+    env = dict(os.environ, PYTHONPATH=str(Path(mecsim.__file__).parents[1]))
+    out = subprocess.run(tool + ["desk"], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    lines = [line(seed, *desk_runs[seed]) for seed in (0, 1)]
+    assert out.splitlines() == lines + [total(lines)]
+    assert subprocess.run(tool + ["huge"], env=env,
+                          capture_output=True).returncode != 0
 
 
 def test_abcg_values_are_the_delay_models(desk_runs, multi_request_run):
@@ -1416,8 +1233,8 @@ def test_abcg_values_are_the_delay_models(desk_runs, multi_request_run):
     # gives it, to the last bit, also where rate orderings cap shares
     # (a = 0.9) and where a device falls back.
     states = [init for init, _ in desk_runs] + [
-        multi_request_run[0], abcg_init(*_large_instance()), abcg_init(
-            *instance(3, a=0.9, n_files=100, requests_per_hrd=2))]
+        multi_request_run[0], abcg_init(*instance(5, **WORKLOADS["large"])),
+        abcg_init(*instance(3, a=0.9, **WORKLOADS["multi"]))]
     params = SystemParams(a=0.9, m_sbs=2, n_mbs=1)
     scn = rate_scenario(params, r_dl=[[12.0], [9.0]], r_ul=[[4.0], [4.0]],
                         r_bh=[1.0, 1.0])
@@ -1526,9 +1343,9 @@ def test_audits_read_the_partition_they_are_given(desk_runs):
 
 def test_audit_leaves_the_state_untouched(desk_runs):
     state = desk_runs[1][0].clone()
-    before = _fingerprint(state)
+    before = fields(state)
     assert audit_stability(state)
-    assert _fingerprint(state) == before
+    assert fields(state) == before
 
 
 def _scalar_random_phase(state, sums, t2, patience):
@@ -1570,19 +1387,6 @@ def _scalar_stabilize(state, game, sums):
             quiet += 1
         q = (q + 1) % moves
     return applied
-
-
-def _fingerprint(state):
-    """Every output of a solve state: its proposals first, then F, the
-    trace, the move log, both partitions, the cached values and the four
-    fraction arrays, and last both generators' states."""
-    alloc, part = state.allocation, state.partition
-    return [state.proposals, repr(state.objective),
-            [repr(v) for v in state.trace], state.move_log] + [
-        x.tobytes() for x in (part.hrd_sbs, part.csd_sbs, state.v_hrd,
-                              state.v_csd, alloc.alpha, alloc.gamma,
-                              alloc.beta, alloc.eta)] + [
-        rng.bit_generator.state for rng in (state.rng_csd, state.rng_hrd)]
 
 
 def _played(state, game, phase, runs, side):
@@ -1773,7 +1577,7 @@ def test_chunked_sweep_matches_one_block_sweep(monkeypatch, desk_runs):
                     assert accepts + b <= blocks <= (accepts + 1) * b, \
                         (seed, chunk, game, accepts, blocks)
                     accepting |= {game} if accepts else set()
-            assert _fingerprint(state) == _fingerprint(final), seed
+            assert fields(state) == fields(final), seed
     assert accepting == {"hrd", "csd"}
 
 
@@ -1809,8 +1613,9 @@ def test_stabilization_sweep_matches_scalar_reference(monkeypatch,
             association._random_phase(reference, sums, *budget)
             sweeps.append(_scalar_stabilize(reference, game, sums))
             reallocate(reference, game)
-            assert _fingerprint(block) == _fingerprint(reference), \
-                (n, kw, game)
+            # The one-row reference sweep logs no phase row.
+            assert fields(block, omit=("phases",)) == \
+                fields(reference, omit=("phases",)), (n, kw, game)
         # The kinds of the moves that the block sweep applies.
         swept |= {move[2] for row, _, moves in _phase_moves(block)
                   if row[1] == "stabilize" for move in moves}

@@ -9,7 +9,8 @@ from mecsim.delays import (Allocation, Partition, audit_constraints,
                            objective, request_pairs)
 from mecsim.radio import RateTable, build_rate_table
 from mecsim.scenario import Counts, SystemParams, generate_scenario
-from conftest import demand_for, hand_demand, idle_allocation, rate_scenario
+from conftest import hand_demand, idle_allocation, rate_scenario
+from fingerprint import demand_for
 
 
 def simple_table(s=1e6, r_dl=4.0, r_bh=4.0, r_ul=4.0, n_sbs=1, n_hrd=1,
@@ -49,16 +50,21 @@ def test_download_time_direct_substitution():
     assert t_dl == pytest.approx(10.0)
     assert t_bh == pytest.approx(10.0)
     assert t_hr == pytest.approx(20.0)
-    half = one_device_report(0, beta=0.5, eta=1.0).t_dl_pair[0]
-    assert half == pytest.approx(2 * t_dl)
+    # Each rate is linear in its fraction: half the band, twice the time.
+    half = one_device_report(0, beta=0.5, eta=0.5)
+    assert half.t_dl_pair[0] == pytest.approx(2 * t_dl)
+    assert half.t_bh_pair[0] == pytest.approx(2 * t_bh)
 
 
 def test_task_delay_components():
     rep = one_device_report(1, alpha=1.0, gamma=1.0)
     t_ul, t_ed, t_lc, t_cs = rep.t_ul[0], rep.t_ed[0], rep.t_lc[0], rep.t_cs[0]
+    # 100 kB = 8e5 bits over alpha * 1e6 Hz * 4 bits/s/Hz.
+    assert t_ul == pytest.approx(0.2)
     assert t_lc == pytest.approx(1e9 / 1.4e9)
     assert t_ed == pytest.approx(1e9 / 6e10)
     assert t_cs == pytest.approx(t_ul + t_ed)
+    assert one_device_report(1, alpha=0.5).t_ul[0] == pytest.approx(2 * t_ul)
 
 
 def test_local_task_ignores_fractions():

@@ -15,7 +15,6 @@ import ast
 import dataclasses
 import functools
 import importlib
-import importlib.util
 import pkgutil
 import re
 import sys
@@ -26,7 +25,8 @@ import pytest
 import mecsim
 from mecsim import association, experiments
 from mecsim.scenario import Counts, SystemParams, generate_scenario
-from conftest import demand_for
+from fingerprint import demand_for
+from mutants import MUTANTS
 from test_experiments import AUDIT_MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -347,12 +347,8 @@ def test_private_reads_are_listed():
 
 def test_each_mutant_text_occurs_once():
     # Code that moves takes the catalogue's search texts with it.
-    spec = importlib.util.spec_from_file_location(
-        "mutants", ROOT / "tests" / "tools" / "mutants.py")
-    mutants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutants)
-    assert len(mutants.MUTANTS) >= 14
-    for name, mutant in mutants.MUTANTS.items():
+    assert len(MUTANTS) >= 14
+    for name, mutant in MUTANTS.items():
         text = (PACKAGE / mutant.path).read_text(encoding="utf-8")
         assert text.count(mutant.old) == 1, name
 

@@ -11,7 +11,7 @@ from mecsim.scenario import (MBS_SBS, SBS_MD, Counts, SystemParams,
                              _drop_nodes, channel_gain, generate_scenario,
                              hex_lattice, load_scenario, los_probability,
                              pathloss_db, rng_streams, save_scenario)
-from conftest import demand_for
+from fingerprint import demand_for
 
 SCENARIO_FIELDS = ("mbs_pos", "sbs_pos", "sbs_cell", "hrd_pos", "hrd_cell",
                    "csd_pos", "csd_cell", "gain_sbs_hrd", "gain_sbs_csd",
