@@ -1030,18 +1030,30 @@ def test_row_pass_sums_match_numpy_fancy_index_sums(desk_runs,
         assert value == coalition_value(costs, game, c, members)
 
 
-def test_check_passes_after_evaluate_and_apply():
+def test_accepted_move_changes_objective_by_its_gain():
     _, _, state = desk_state(seed=5)
     rng, sums = np.random.default_rng(3), game_sums(state, "csd")
-    accepted = 0
     for _ in range(300):
         prop = propose_move(state, "csd", rng)
         before = state.objective
         if evaluate_and_apply(state, sums, prop):
             # The cached-value delta is applied exactly, and the full delay
             # model agrees with the caches.
-            accepted += 1
             assert state.objective < before - 1e-12
+            check_state(state)
+            break
+    else:
+        pytest.fail("no accepted move in 300 proposals")
+
+
+def test_check_passes_after_evaluate_and_apply():
+    _, _, state = desk_state(seed=5)
+    rng, sums = np.random.default_rng(3), game_sums(state, "csd")
+    accepted = 0
+    for _ in range(300):
+        prop = propose_move(state, "csd", rng)
+        if evaluate_and_apply(state, sums, prop):
+            accepted += 1
             check_state(state)
             check_sums(sums, state.csd_members)
     assert accepted >= 2
@@ -1199,19 +1211,33 @@ MOVE_LOG_SEED0 = \
     "76466bc7c7aafab22479c85d378c86afaed13869c2f7899ffc0e7484908fe399"
 
 
-def test_solves_match_recorded_outputs(desk_runs, multi_request_run,
-                                       tmp_path):
-    # The large solve's neighbourhoods span several sweep chunks, which no
-    # desk solve's do.
-    runs = {("desk", seed): desk_runs[seed] for seed in range(5)}
-    runs["multi", 3] = multi_request_run
-    runs["large", 5] = solve(*instance(5, **WORKLOADS["large"]))
-    for (workload, seed), (init, final) in runs.items():
-        assert (line(seed, init, final), digest(init), digest(final)) == \
-            RECORDED_SOLVES[workload, seed], workload
+def _matches_recorded(workload, seed, init, final):
+    line_, _, final_digest = RECORDED_SOLVES[workload, seed]
+    assert (line(seed, init, final), digest(final)) == \
+        (line_, final_digest), (workload, seed)
+
+
+def test_desk_solves_match_recorded_outputs(desk_runs, multi_request_run,
+                                            tmp_path):
+    for seed in range(5):
+        _matches_recorded("desk", seed, *desk_runs[seed])
+    _matches_recorded("multi", 3, *multi_request_run)
     path = tmp_path / "moves.csv"
     write_move_log(desk_runs[0][1], path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MOVE_LOG_SEED0
+
+
+def test_large_solve_matches_recorded_outputs():
+    # Its neighbourhoods span several sweep chunks, which no desk solve's do.
+    _matches_recorded("large", 5, *solve(*instance(5, **WORKLOADS["large"])))
+
+
+def test_abcg_states_match_recorded_outputs(desk_runs, multi_request_run):
+    states = {("desk", seed): desk_runs[seed][0] for seed in range(5)}
+    states["multi", 3] = multi_request_run[0]
+    states["large", 5] = abcg_init(*instance(5, **WORKLOADS["large"]))
+    for key, state in states.items():
+        assert digest(state) == RECORDED_SOLVES[key][1], key
 
 
 def test_fingerprint_tool_prints_the_solves_lines(desk_runs):
