@@ -2,13 +2,16 @@
 one-proposal-at-a-time coalition game move, and the numerical optimum of a
 coalition's resource problem by bisection.
 
-``propose_move`` draws one move and ``evaluate_and_apply`` values it as a
-block of one row and commits it if it wins: the stabilization sweep
+``propose_move`` draws one move by the law of the random phase
+(``association._draw_weights``), with ``rng.integers``: an ordered
+coalition pair, drawn again until it holds a member, then a uniform member
+of each nonempty side.  ``evaluate_and_apply`` values a move as a block of
+one row and commits it if it wins: the stabilization sweep
 (``association.stabilize_partition``) matches a loop of these to the last
-bit, and the random phase (``association._random_phase``) in law
-(``association._draw_weights``).  Every library call goes through the
-``association`` module, so a test that patches a name there
-(``association.hrd_value``) sees the reference's calls too.
+bit, and the random phase (``association._random_phase``) in law.  Every
+library call goes through the ``association`` module, so a test that
+patches a name there (``association.hrd_value``) sees the reference's
+calls too.
 
 The oracles (``oracle_simplex_min``, ``oracle_hrd_min``, applied to one
 coalition by ``solve_p3``) share no code with the closed forms or with the
@@ -24,10 +27,7 @@ import numpy as np
 from mecsim import association
 from mecsim._kernels import BYTES_TOL, FEAS_TOL, IDLE_FRAC
 
-MASK32 = 0xFFFFFFFF
 CHECK_TOL = 1e-9   # relative tolerance of ``check_state`` and ``check_sums``
-# Attempts ``propose_move`` makes before it gives up.
-ATTEMPTS = 2048
 
 
 @dataclass
@@ -53,65 +53,37 @@ def member_pairs(costs, members):
     return idx, np.repeat(members, cnt[members])
 
 
-def _bounded(u: int, n: int):
-    """Lemire's multiply-shift of the uint32 ``u`` into [0, n), or None where
-    ``u`` falls in its rejection zone, the ``2**32 % n`` lowest products,
-    which would bias the result (Lemire, "Fast random integer generation
-    in an interval", ACM TOMACS 2019).  A bound of 1 has no zone."""
-    m = u * n
-    return None if m & MASK32 < (1 << 32) % n else m >> 32
-
-
 def propose_move(state, game: str, rng, lists=None) -> MoveProposal:
-    """Draw one candidate move: two distinct coalitions holding a member; a
-    member transfers into an empty one, otherwise one member from each side
-    is swapped.
+    """Draw one candidate move by the law of ``association._draw_weights``:
+    an ordered pair ``(m, n)`` of distinct coalitions, drawn again until it
+    holds a member, then a uniform member of each nonempty side.  The
+    member of ``m`` (of ``n`` where ``m`` is empty) transfers into an empty
+    side, or is swapped with the member of the other.
 
-    Each attempt reads three uint32 ``(u0, u1, u2)``: ``u0`` picks the
-    ordered pair ``(m, n)`` by multiply-shift with bound ``C * (C - 1)``
-    over C coalitions, ``n`` skipping ``m``; ``u1`` the member leaving the
-    nonempty side (``m``, unless it is empty), and ``u2`` the one leaving
-    the other side, which a transfer reads but does not use.  An attempt is
-    skipped when its pair holds no member, or when a draw it uses falls in
-    Lemire's rejection zone (``_bounded``).  ``rng`` is a ``Generator``, or
-    a callable returning the next uint32 of its stream; both draw the same
-    moves.  ``lists`` are the game's member lists, read from ``state`` when
-    not given; a loop of draws must read them again after an accept.
+    Each value comes from ``rng.integers(bound)``: the pair with bound
+    ``C * (C - 1)`` over C coalitions, ``n`` skipping ``m``, then the
+    leaving member and, for a swap, the other.  ``lists`` are the game's
+    member lists, read from ``state`` when not given; a loop of draws must
+    read them again after an accept.  Raises ValueError where fewer than
+    two coalitions exist or none holds a member.
     """
-    if isinstance(rng, np.random.Generator):
-        def next_uint32():
-            return int(rng.integers(1 << 32, dtype=np.uint32))
-    else:
-        next_uint32 = rng
     if lists is None:
         lists = association._member_lists(state, game)
     n_coal = len(lists)
-    if n_coal < 2:
-        raise ValueError("need at least two coalitions to propose a move")
-    pairs = n_coal * (n_coal - 1)
-    # With one nonempty coalition among C, an attempt misses it with
-    # probability (C-2)/C; the bound keeps failure negligible.
-    for _ in range(ATTEMPTS):
-        u0, u1, u2 = next_uint32(), next_uint32(), next_uint32()
-        pair = _bounded(u0, pairs)
-        if pair is None:
-            continue
-        m, n = divmod(pair, n_coal - 1)
-        if n >= m:
-            n += 1
-        if not lists[m]:
-            m, n = n, m
-        i = _bounded(u1, len(lists[m])) if lists[m] else None
-        if i is None:
-            continue
-        if not lists[n]:
-            return MoveProposal(game, "transfer", c_from=m, c_to=n,
-                                md_from=lists[m][i])
-        j = _bounded(u2, len(lists[n]))
-        if j is not None:
-            return MoveProposal(game, "swap", c_from=m, c_to=n,
-                                md_from=lists[m][i], md_to=lists[n][j])
-    raise RuntimeError("could not sample a nonempty coalition pair")
+    if n_coal < 2 or not any(lists):
+        raise ValueError("need two coalitions and a member to propose a move")
+    while True:
+        m, n = divmod(int(rng.integers(n_coal * (n_coal - 1))), n_coal - 1)
+        n += n >= m
+        if lists[m] or lists[n]:
+            break
+    if not lists[m]:
+        m, n = n, m
+    i = lists[m][int(rng.integers(len(lists[m])))]
+    if not lists[n]:
+        return MoveProposal(game, "transfer", c_from=m, c_to=n, md_from=i)
+    return MoveProposal(game, "swap", c_from=m, c_to=n, md_from=i,
+                        md_to=lists[n][int(rng.integers(len(lists[n])))])
 
 
 def check_state(state) -> None:

@@ -78,77 +78,13 @@ def _random_hrd_coalition(rng):
             rng.random(m) < 0.25, 10.0 ** rng.uniform(-1.3, 0.5, m))
 
 
-def _slsqp_hrd(dl, bh, cached, rho):
-    """(upper, own) for the coupled HRD problem solved by scipy's SLSQP:
-    the objective at its point scaled and shrunk onto the feasible set, an
-    upper bound on the optimum, and its own objective, which may lie below
-    the optimum by its constraint violation."""
-    from scipy.optimize import minimize
-    miss = np.flatnonzero(~cached)
-    p, m = dl.size, miss.size
-    jac = np.zeros((2 + m, p + m))
-    jac[0, :p] = jac[1, p:] = -1.0
-    jac[2 + np.arange(m), p + np.arange(m)] = 1.0
-    jac[2 + np.arange(m), miss] = -rho[miss]
-    ones = np.array([1.0, 1.0] + [0.0] * m)
-
-    def value(z):
-        return float((dl / z[:p]).sum() + (bh[miss] / z[p:]).sum())
-
-    def grad(z):
-        return np.concatenate((-dl / z[:p] ** 2, -bh[miss] / z[p:] ** 2))
-
-    start = np.concatenate((np.full(p, 0.5 / p / max(1.0, rho.max())),
-                            np.full(m, 0.5 / max(m, 1))))
-    res = minimize(value, start, jac=grad, method="SLSQP",
-                   bounds=[(1e-9, 1.0)] * (p + m),
-                   constraints=[{"type": "ineq", "fun": lambda z: ones + jac @ z,
-                                 "jac": lambda z: jac}],
-                   options={"ftol": 1e-14, "maxiter": 500})
-    beta = res.x[:p] / max(1.0, res.x[:p].sum())
-    eta = res.x[p:] / max(1.0, res.x[p:].sum())
-    beta[miss] = np.minimum(beta[miss], eta / rho[miss])
-    return value(np.concatenate((beta, eta))), res.fun
-
-
 def _assert_feasible(beta, eta, cached, rho):
     miss = ~cached
     assert np.all(beta > 0.0) and np.all(eta[miss] > 0.0)
+    assert np.all(eta[cached] == IDLE_FRAC)
     assert beta.sum() <= 1.0 + FEAS_TOL
     assert eta[miss].sum() <= 1.0 + FEAS_TOL
     assert np.all(eta[miss] >= rho[miss] * beta[miss] * (1.0 - FEAS_TOL))
-
-
-def test_closed_form_matches_slsqp():
-    rng = np.random.default_rng(31)
-    seen = dict.fromkeys(("hit", "unbound", "bound", "rho_above_1",
-                          "slack_downlink"), 0)
-    for _ in range(500):
-        dl, bh, cached, rho = _random_hrd_coalition(rng)
-        beta, eta = allocate_hrd(dl, bh, cached, rho)
-        _assert_feasible(beta, eta, cached, rho)
-        miss = ~cached
-        value = float((dl / beta).sum() + (bh[miss] / eta[miss]).sum())
-        upper, own = _slsqp_hrd(dl, bh, cached, rho)
-        assert own * (1.0 - 1e-9) <= value <= upper * (1.0 + 1e-12)
-        bound = eta[miss] <= rho[miss] * beta[miss] * (1.0 + 1e-9)
-        seen["hit"] += bool(cached.any())
-        seen["unbound"] += bool((~bound).any())
-        seen["bound"] += bool(bound.any())
-        seen["rho_above_1"] += bool((rho[miss] > 1.0).any())
-        seen["slack_downlink"] += bool(miss.all() and beta.sum() < 1 - 1e-9)
-    assert min(seen.values()) >= 20, seen
-
-
-def test_coupled_oracle_matches_slsqp():
-    rng = np.random.default_rng(32)
-    for _ in range(60):
-        dl, bh, cached, rho = (x[:3] for x in _random_hrd_coalition(rng))
-        beta, eta, value = oracle_hrd_min(dl, bh, cached, rho)
-        _assert_feasible(beta, eta, cached, rho)
-        assert np.all(eta[cached] == IDLE_FRAC)
-        upper, own = _slsqp_hrd(dl, bh, cached, rho)
-        assert own * (1.0 - 1e-9) <= value <= upper * (1.0 + 1e-9)
 
 
 def test_box_oracle_spends_the_budget_at_a_binding_floor():
@@ -436,36 +372,45 @@ def _shrunk_objective(costs, members, sol, kind):
 
 
 def test_certificate_meets_the_bisection_optimum():
-    # The bound lies below a feasible point of the independent bisection
-    # and within 1e-12 of its optimum, across hits, slack and bound missed
-    # pairs and lone missed pairs whose downlink budget is slack.  The
-    # bisection stops at a budget residual of ORACLE_TOL, either side of
-    # the budget, so its own optimum may lie below the bound by as much.
+    # The closed form and the independent bisection are feasible, and the
+    # bound lies below a feasible point of the bisection and within 1e-12
+    # of its optimum: by weak duality, both are optimal.  This holds across
+    # hits, slack and bound missed pairs, missed pairs with rho above 1 and
+    # all-missed coalitions whose downlink budget is slack, lone pairs
+    # among them.  The bisection stops at a budget residual of ORACLE_TOL,
+    # either side of the budget, so its own optimum may lie below the
+    # bound by as much.
     rng = np.random.default_rng(35)
-    seen = dict.fromkeys(("hit", "slack_miss", "bound_miss",
-                          "slack_downlink_one_pair"), 0)
+    seen = dict.fromkeys(("hit", "slack_miss", "bound_miss", "rho_above_1",
+                          "slack_downlink", "slack_downlink_one_pair"), 0)
     for _ in range(300):
         dl, bh, cached, rho = _random_hrd_coalition(rng)
         m = dl.size
         costs = _one_sbs_costs(dl, bh, cached, rho, 10.0 ** rng.uniform(
             -2, 2, m), 10.0 ** rng.uniform(-2, 2, m))
+        beta, eta = allocate_hrd(dl, bh, cached, rho)
+        _assert_feasible(beta, eta, cached, rho)
+        miss = ~cached
+        closed = float((dl / beta).sum() + (bh[miss] / eta[miss]).sum())
         for kind in ("hrd", "csd"):
             bound = oracle_solve_p3(costs, 0, range(m), kind)["objective"]
+            sol = solve_p3(costs, 0, range(m), kind)
             if kind == "hrd":
                 value = _kernels.hrd_value(costs, 0, range(m))
                 assert abs(bound - value) <= 1e-13 * value
-            sol = solve_p3(costs, 0, range(m), kind)
+                assert abs(bound - closed) <= 1e-12 * closed
+                _assert_feasible(sol["beta"], sol["eta"], cached, rho)
             assert bound <= _shrunk_objective(costs, list(range(m)), sol,
                                               kind) * (1.0 + 1e-15)
             assert abs(bound - sol["objective"]) <= 1e-12 * bound
-        beta, eta = allocate_hrd(dl, bh, cached, rho)
-        miss = ~cached
         bound_pairs = miss & (eta <= rho * beta * (1.0 + 1e-9))
+        slack = bool(miss.all() and beta.sum() < 1.0 - 1e-9)
         seen["hit"] += bool(cached.any())
         seen["slack_miss"] += bool((miss & ~bound_pairs).any())
         seen["bound_miss"] += bool(bound_pairs.any())
-        seen["slack_downlink_one_pair"] += (m == 1 and bool(miss[0])
-                                            and beta.sum() < 1.0 - 1e-9)
+        seen["rho_above_1"] += bool((rho[miss] > 1.0).any())
+        seen["slack_downlink"] += slack
+        seen["slack_downlink_one_pair"] += slack and m == 1
     assert min(seen.values()) >= 5, seen
 
 

@@ -31,7 +31,7 @@ from conftest import game_sums, hand_demand, idle_allocation, \
     rate_scenario, whole_block
 from fingerprint import WORKLOADS, demand_for, digest, fields, instance, \
     line, solve, total
-from reference import (ATTEMPTS, MoveProposal, _evaluate, check_state,
+from reference import (MoveProposal, _evaluate, check_state,
                        check_sums, evaluate_and_apply, member_pairs,
                        propose_move, solve_p3)
 
@@ -136,6 +136,9 @@ def test_empty_coalition_receives_a_transfer():
     for _ in range(10):
         prop = propose_move(state, "hrd", rng)
         assert (prop.kind, prop.md_from, prop.c_to) == ("transfer", 0, 1)
+    # Where no coalition holds a member, no move can be drawn.
+    with pytest.raises(ValueError, match="member"):
+        propose_move(state, "hrd", rng, [[], []])
 
 
 def test_nonempty_pair_swaps():
@@ -564,7 +567,7 @@ def test_game_values_each_accepted_block_move_once(desk_runs):
                 _moves_that_move(final, game), (n, game)
     assert not any(hasattr(module, name) for module in (mecsim, association)
                    for name in ("propose_move", "evaluate_and_apply",
-                                "_evaluate", "_bounded", "ATTEMPTS", "MASK32"))
+                                "_evaluate"))
     assert 0 < tally["accepts"] < sum(f.accepted_moves for f in finals)
     # Most proposals of a phase are rejections that are counted, not drawn.
     assert tally["proposals"] > 10 * tally["blocks"]
@@ -596,46 +599,44 @@ def test_skipped_tail_ends_where_a_logged_run_ends(monkeypatch, desk_runs):
     assert ends == {False, True}
 
 
-def _land(r: int, n: int) -> int:
-    """A uint32 that Lemire's multiply-shift with bound ``n`` maps to ``r``,
-    outside its rejection zone: the largest one, whose low product is at
-    least ``2**32 - n``."""
-    return (((r + 1) << 32) - 1) // n
-
-
 def _support(lists):
     """Every move ``propose_move`` can draw for coalitions of members
-    ``lists``, with its probability, found by feeding it one attempt per
-    slot outcome: each ordered coalition pair, each member of the side that
-    leaves (the first, unless it is empty) and each member of the other
-    side.  A swap is keyed by the set of its two devices, a transfer by its
-    device and target."""
+    ``lists``, with its probability, found by feeding it scripted draws
+    through a stub whose ``integers`` returns them: each ordered coalition
+    pair, then each member of the side that leaves (the first, unless it is
+    empty) and each member of the other side.  A swap is keyed by the set
+    of its two devices, a transfer by its device and target."""
+    def scripted(script):
+        draws = iter(script)
+
+        def integers(bound):
+            value = next(draws)
+            assert value < bound, (script, bound)
+            return value
+        return SimpleNamespace(integers=integers, rest=draws)
+
     n_coal, sizes = len(lists), [len(c) for c in lists]
-    pairs = n_coal * (n_coal - 1)
     weights = {}
-    for pair in range(pairs):
+    for pair in range(n_coal * (n_coal - 1)):
         m, n = divmod(pair, n_coal - 1)
         n += n >= m
         a, b = (m, n) if lists[m] else (n, m)
-        # An empty side's draw is read unused, so it stands for 1 outcome.
-        bound_a, bound_b = max(sizes[a], 1), max(sizes[b], 1)
-        for i in range(bound_a):
-            for j in range(bound_b):
-                slot = iter([_land(pair, pairs), _land(i, bound_a),
-                             _land(j, bound_b)])
-                try:
-                    prop = propose_move(SimpleNamespace(hrd_members=lists),
-                                        "hrd", slot.__next__)
-                except StopIteration:
-                    # No member in the pair: the next attempt is read.
-                    assert not lists[m] and not lists[n], pair
-                    continue
-                assert next(slot, None) is None
-                key = (("swap", frozenset((prop.md_from, prop.md_to)))
-                       if prop.kind == "swap" else
-                       ("transfer", prop.md_from, prop.c_to))
-                weights[key] = weights.get(key, 0) + Fraction(
-                    1, pairs * bound_a * bound_b)
+        # A transfer draws no member of its empty side.
+        scripts = [[pair, i, j][:2 + bool(sizes[b])] for i in range(sizes[a])
+                   for j in range(max(sizes[b], 1))]
+        for script in scripts or [[pair]]:
+            rng = scripted(script)
+            try:
+                prop = propose_move(None, "hrd", rng, lists)
+            except StopIteration:
+                # No member in the pair: another pair is drawn.
+                assert not scripts, pair
+                continue
+            assert next(rng.rest, None) is None
+            key = (("swap", frozenset((prop.md_from, prop.md_to)))
+                   if prop.kind == "swap" else
+                   ("transfer", prop.md_from, prop.c_to))
+            weights[key] = weights.get(key, 0) + Fraction(1, len(scripts))
     total = sum(weights.values())
     return {key: w / total for key, w in weights.items()}
 
@@ -1648,27 +1649,6 @@ def test_stabilization_sweep_matches_scalar_reference(monkeypatch,
     # One sweep accepts several moves, and the block sweep both kinds.
     assert max(sweeps) >= 2
     assert swept == {"transfer", "swap"}
-
-
-@pytest.mark.parametrize("hit", [100, ATTEMPTS - 1, ATTEMPTS, None])
-def test_window_without_a_move_reads_on_or_gives_up(hit):
-    # One device among 8 coalitions: an attempt draws a move only where its
-    # pair holds coalition 0.  ``propose_move`` reads on, attempt by
-    # attempt, to the first that does, and gives up after ``ATTEMPTS``.
-    lists = [[0]] + [[] for _ in range(7)]
-    values = [_land(8, 56)] * (3 * (ATTEMPTS + 1))
-    if hit is not None:
-        values[3 * hit] = _land(0, 56)      # the pair (0, 1)
-    stream = iter(values)
-    state = SimpleNamespace(hrd_members=lists)
-    if hit is None or hit >= ATTEMPTS:
-        with pytest.raises(RuntimeError, match="could not sample"):
-            propose_move(state, "hrd", stream.__next__)
-        return
-    prop = propose_move(state, "hrd", stream.__next__)
-    assert len(values) - len(list(stream)) == 3 * (hit + 1)
-    assert (prop.kind, prop.c_from, prop.c_to, prop.md_from) == \
-        ("transfer", 0, 1, 0)
 
 
 @pytest.mark.parametrize("held", [0, 1], ids=["doubles-0", "doubles-1"])

@@ -151,6 +151,21 @@ MUTANTS = {
         "        if not wins.size:\n"
         "            state.proposals += len(block)\n",
         "the stabilization sweep accepts no swap"),
+    "ordering-test-loose": Mutant(
+        "_kernels.py",
+        "if max([r * d[i] / s for i, s, r in miss]) * s_b <= s_d:",
+        "if max([r * d[i] / s for i, s, r in miss]) * s_b <= 2.0 * s_d:",
+        "the closed form keeps square-root shares where an ordering binds"),
+    "slack-downlink-never": Mutant(
+        "_kernels.py", "if _sum(h) <= total:", "if _sum(h) <= 0.0 * total:",
+        "an all-missed coalition never leaves its downlink budget slack"),
+    "newton-3-steps": Mutant(
+        "_kernels.py", "NEWTON_MAX_ITER = 100", "NEWTON_MAX_ITER = 3",
+        "the coupled root stops after three Newton steps"),
+    "bound-share-halved-price": Mutant(
+        "_kernels.py", "ci = math.sqrt(k / (1.0 + w))",
+        "ci = math.sqrt(k / (1.0 + 0.5 * w))",
+        "a bound pair's downlink share takes half its backhaul price"),
 }
 
 
