@@ -13,9 +13,9 @@ of its device class (``reallocate``), which installs each of its
 coalitions' closed form.  A move transfers a device into another
 coalition or swaps two devices of different coalitions; it is accepted
 iff both tentative coalitions are feasible and their total weighted delay
-falls by more than ``IMPROVE_MARGIN``.  Every value is one float, +inf
-for an infeasible coalition (``_kernels``), so that test is one
-comparison: a move with an infeasible side has ``dv`` +inf.
+falls by more than its margin (``MARGIN_REL``).  Every value is
+one float, +inf for an infeasible coalition (``_kernels``), so that test
+is one comparison: a move with an infeasible side has ``dv`` +inf.
 
 The state (``GameState``) couples the partition, the only record of the
 association (the member lists are read from it), with a feasible
@@ -64,6 +64,14 @@ GAP_TOL = 1e-6
 # Relative allowance of the screen (``_Block.screen``) for the rounding of
 # the running sums and of the exact valuation.
 SLACK = 1e-8
+# A move's gain must exceed ``IMPROVE_MARGIN`` and ``MARGIN_REL`` times its
+# two coalitions' old values: 2 * 74 u, the first-order rounding bound of
+# its ``dv`` (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+# ed., 2002, 3.1 and 4.2).  A root sum takes 33 additions in numpy's
+# pairwise order up to 2**16 terms (``_kernels._sum``) and 2 more in
+# ``CoalitionSums.after``; a value squares and adds two such sums; and
+# ``dv`` adds two values less two.
+MARGIN_REL = 2 * 74 * 2.0 ** -53
 # Rows of the first block of a stabilization sweep (``stabilize_partition``).
 SWEEP_CHUNK = 2048
 
@@ -462,12 +470,13 @@ class _Block:
     as overlapping views, and one ``take`` of the cached values gives both
     sides' old values.
 
-    ``dv`` is +inf where a side is infeasible, so ``dv < -IMPROVE_MARGIN``
-    is the whole acceptance test.  An HRD block has ``floor``, each
-    proposal's floor flag, and ``floors``, each side's, sources first; a
-    CSD block has neither (``floor`` is None), since no ordering binds on
-    a CSD side.  ``value`` reads a flagged proposal's two coalitions from
-    ``assoc``, the partition's association of the block's game.
+    ``dv`` is +inf where a side is infeasible, so ``dv < cut`` (the
+    margin, ``MARGIN_REL``) is the whole acceptance test.  An HRD block
+    has ``floor``, each proposal's floor flag, and ``floors``, each
+    side's, sources first; a CSD block has neither (``floor`` is None),
+    since no ordering binds on a CSD side.  ``value`` reads a flagged
+    proposal's two coalitions from ``assoc``, the partition's association
+    of the block's game.
 
     ``improving`` finds every proposal that would be accepted.  A winner
     is applied with the block's own valuation (``_commit``), so no move is
@@ -498,7 +507,9 @@ class _Block:
         self.floor = None if self.floors is None else \
             self.floors[:n] | self.floors[n:]
         old = self.cache.take(ends)
-        self.dv = (self.v_src + self.v_dst) - (old[0] + old[1])
+        held = old[0] + old[1]
+        self.dv = (self.v_src + self.v_dst) - held
+        self.cut = np.minimum(-MARGIN_REL * held, -IMPROVE_MARGIN)
 
     def __len__(self) -> int:
         return self.a.size
@@ -530,23 +541,23 @@ class _Block:
         A flagged side's exact value solves the problem whose relaxation,
         without the rate orderings, is worth ``sd**2 + sb**2`` (the
         block's value), so it is worth at least that, up to rounding.  A
-        proposal whose relaxed ``dv`` stays at or above ``-IMPROVE_MARGIN``
-        after ``SLACK`` times its two sides' values is taken off is
-        therefore not improving."""
-        wins = self.dv - SLACK * (self.v_src + self.v_dst) < -IMPROVE_MARGIN
+        proposal whose relaxed ``dv`` stays at or above ``cut`` after
+        ``SLACK`` times its two sides' values is taken off is therefore
+        not improving."""
+        wins = self.dv - SLACK * (self.v_src + self.v_dst) < self.cut
         return (self.floor & wins).nonzero()[0].tolist()
 
     def improving(self) -> np.ndarray:
-        """Which proposals improve by more than ``IMPROVE_MARGIN``, as a
-        mask; every flagged proposal that ``screen`` passes is valued by
+        """Which proposals would be accepted (``dv < cut``), as a mask;
+        every flagged proposal that ``screen`` passes is valued by
         ``value``, and no other."""
         if self.floor is None or not self.floor.any():
-            return self.dv < -IMPROVE_MARGIN
+            return self.dv < self.cut
         contenders = self.screen()
         self.exact = len(contenders)
         for q in contenders:
             self.value(q)
-        return ~self.floor & (self.dv < -IMPROVE_MARGIN)
+        return ~self.floor & (self.dv < self.cut)
 
 
 def _neighbourhood_block(state: GameState, sums: CoalitionSums, hood: _Hood,
@@ -686,8 +697,8 @@ def _random_phase(state: GameState, sums: CoalitionSums, t2: int,
                   patience: int) -> None:
     """At most ``t2`` proposals of the game of the running sums ``sums``,
     stopping after ``patience`` consecutive rejections, each drawn by the
-    law of ``_draw_weights`` and accepted iff it improves by more than
-    ``IMPROVE_MARGIN``: equal in law to a loop that draws and judges one
+    law of ``_draw_weights`` and accepted iff its ``dv`` falls below its
+    ``_Block``'s ``cut``: equal in law to a loop that draws and judges one
     proposal at a time (``tests/reference.py``), not bit-equal to it.  A
     game passes the budget ``game_budget`` fixes; the tests pass others.
 
@@ -819,7 +830,7 @@ def audit_stability(state: GameState) -> list:
     the CSD game, valued as one ``_Block`` per game from running sums built
     from the member lists, as a game builds its own (the sums and the
     moves' ends read the same partition); returns the feasible moves that
-    improve by more than ``IMPROVE_MARGIN``, in ``_neighbourhood`` order
+    a game would accept (``dv`` below ``cut``), in ``_neighbourhood`` order
     (empty list == Nash-stable), each as ``(game, kind, c_from, c_to,
     md_from, md_to, dv)``: the device ``md_from`` leaves coalition
     ``c_from`` for ``c_to``, and in a swap ``md_to`` (else None) leaves

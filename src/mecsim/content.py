@@ -4,11 +4,11 @@ File popularity follows a Zipf law with exponent ``delta``; requests are
 drawn per high-rate device proportionally to popularity, and each SBS cache
 is filled either greedily by popularity ("popular_first") or by popularity-
 weighted sampling ("sampled") up to its storage capacity.  ``demand_rng``
-is the demand stream of a seed at one popularity exponent; the picks read
-it ahead in batches of doubles (``scenario.ReadAhead``) and leave it where
-the one-at-a-time ``rng.choice`` calls would.  ``build_demand`` weights
-every device 1.  The demand block of a scenario file is written and read
-by ``scenario.save_scenario`` and ``load_scenario``."""
+is the demand stream of a seed at one popularity exponent; the picks draw
+from it exactly the doubles that the one-at-a-time ``rng.choice`` calls
+would (``_distinct_draws``).  ``build_demand`` weights every device 1.
+The demand block of a scenario file is written and read by
+``scenario.save_scenario`` and ``load_scenario``."""
 
 import bisect
 import itertools
@@ -19,7 +19,6 @@ import numpy as np
 
 from ._kernels import BYTES_TOL
 from .domains import check, check_fields
-from .scenario import ReadAhead
 
 # Decimal unit convention used throughout (config values are bytes).
 KB = 1e3
@@ -68,11 +67,11 @@ def _distinct_draws(catalog: Catalog, sizes, rng: np.random.Generator,
     ``bisect_right`` (numpy's ``searchsorted(side='right')``), and keep the
     first pick of each file; repeat until ``size`` files are found.  A
     size's first round zeroes nothing, so its cumulative sum is built once
-    per call and shared; only a later round rebuilds it.  The
-    doubles come from one read-ahead buffer (``ReadAhead``), and the
-    generator ends where the consumed draws leave it, as after the
-    ``rng.choice`` calls.  ``need`` names what the largest size counts in
-    the error raised when fewer files than that have a nonzero popularity.
+    per call and shared; only a later round rebuilds it.  Each round's
+    doubles are read in one call, so the generator ends where the
+    ``rng.choice`` calls leave it.  ``need`` names what the largest size
+    counts in the error raised when fewer files than that have a nonzero
+    popularity.
     """
     p = np.asarray(catalog.popularity, dtype=float)
     if sizes:
@@ -87,7 +86,6 @@ def _distinct_draws(catalog: Catalog, sizes, rng: np.random.Generator,
                 f"the {max(sizes)} distinct {need}")
     weights = p.tolist()
     first = _normalized_cdf(weights)
-    draws = ReadAhead(rng)
     out = []
     for size in sizes:
         cdf, found = first, {}
@@ -97,12 +95,9 @@ def _distinct_draws(catalog: Catalog, sizes, rng: np.random.Generator,
                 for f in found:
                     w[f] = 0.0
                 cdf = _normalized_cdf(w)
-            u = draws.window(size - len(found)).tolist()
-            draws.skip(len(u))
-            for x in u:
+            for x in rng.random(size - len(found)).tolist():
                 found.setdefault(bisect.bisect_right(cdf, x))
         out.append(list(found))
-    draws.release()
     return out
 
 

@@ -199,48 +199,6 @@ def hex_lattice(n: int, isd_m: float) -> np.ndarray:
     return np.array([[c[4], c[5]] for c in cells[:n]], dtype=float)
 
 
-class ReadAhead:
-    """A generator's stream of ``rng.random()`` doubles, read ahead in
-    batches, for the placement and demand draws, so that many draws cost
-    one numpy call.
-
-    ``window(k)`` returns the next ``k`` unread entries without consuming
-    them, reading a batch at least as long as the buffer when it runs
-    short, and ``skip(k)`` consumes them.  A batch of ``k`` makes the same
-    draws as ``k`` single draws, so ``release`` puts the generator exactly
-    where the consumed entries leave it: back at the start, then past as
-    many entries as were consumed (nothing to do when every entry read was
-    consumed).  What a caller draws through it, and the generator's end
-    state, are therefore those of drawing one entry at a time, which the
-    tests keep as the reference.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.start = rng.bit_generator.state
-        self.buf = rng.random(0)
-        self.pos = 0       # next unread entry of buf
-        self.base = 0      # entries consumed before buf[0]
-
-    def window(self, k: int) -> np.ndarray:
-        missing = self.pos + k - len(self.buf)
-        if missing > 0:
-            # Read at least as much again; keep only the unread entries.
-            more = self.rng.random(max(missing, len(self.buf)))
-            self.base += self.pos
-            self.buf = np.concatenate((self.buf[self.pos:], more))
-            self.pos = 0
-        return self.buf[self.pos:self.pos + k]
-
-    def skip(self, k: int) -> None:
-        self.pos += k
-
-    def release(self) -> None:
-        if self.pos < len(self.buf):
-            self.rng.bit_generator.state = self.start
-            self.rng.random(self.base + self.pos)
-
-
 def _first_collocation(xy: np.ndarray, first: int):
     """The index of the first point of ``xy`` from ``first`` on that lies
     within ``_COLLOCATION_EPS_M`` of an earlier point, or None.
@@ -267,40 +225,34 @@ def _drop_nodes(rng, centers: np.ndarray, radius: float,
 
     Each point takes two draws of ``rng.random()``, for its radius and its
     angle, and a collocated point is redrawn from the next two, up to
-    ``_MAX_PLACEMENT_RETRIES`` times.  The draws of all points are read at
-    once (``ReadAhead``) and one distance matrix screens them; from a
-    collocated point on, the later points are laid out again on the draws
-    that follow its rejected pair.  The points and the generator's end state
-    are therefore those of placing and checking one point at a time.
-    Positions use ``math.cos``/``math.sin``, whose results numpy's may
-    miss by an ulp.
+    ``_MAX_PLACEMENT_RETRIES`` times.  The draws of all points are read in
+    one call and one distance matrix screens them; a collocated point's
+    rejected pair is dropped, two more draws are read, and the points from
+    it on are laid out again on the draws that follow.  The points and the
+    generator's end state are therefore those of placing and checking one
+    point at a time.  Positions use ``math.cos``/``math.sin``, whose
+    results numpy's may miss by an ulp.
     """
     n, n_fixed = len(centers), len(fixed)
     xy = np.concatenate((fixed, np.empty((n, 2))))
-    draws = ReadAhead(rng)
+    u = rng.random(2 * n)
     t = rejected = 0
     while t < n:
-        u = draws.window(2 * (n - t))
-        r = radius * np.sqrt(u[0::2])
-        ang = (2.0 * math.pi * u[1::2]).tolist()
-        xy[n_fixed + t:, 0] = centers[t:, 0] + r * np.array(
-            [math.cos(a) for a in ang])
-        xy[n_fixed + t:, 1] = centers[t:, 1] + r * np.array(
-            [math.sin(a) for a in ang])
+        r = radius * np.sqrt(u[2 * t::2])
+        ang = (2.0 * math.pi * u[2 * t + 1::2]).tolist()
+        xy[n_fixed + t:] = centers[t:] + r[:, None] * np.array(
+            [(math.cos(a), math.sin(a)) for a in ang])
         bad = _first_collocation(xy, n_fixed + t)
         if bad is None:
-            draws.skip(u.size)
             break
         bad -= n_fixed
-        draws.skip(2 * (bad - t) + 2)
         rejected = rejected + 1 if bad == t else 1
         if rejected == _MAX_PLACEMENT_RETRIES:
-            draws.release()
             raise RuntimeError(
                 f"could not place a node without collocation after "
                 f"{_MAX_PLACEMENT_RETRIES} tries")
+        u = np.concatenate((u[:2 * bad], u[2 * bad + 2:], rng.random(2)))
         t = bad
-    draws.release()
     return xy[n_fixed:]
 
 
@@ -315,8 +267,8 @@ def generate_scenario(params: SystemParams, counts: Counts) -> Scenario:
     Nodes are placed in a fixed order, SBSs cell by cell, then HRDs, then
     CSDs, each resampled while it is collocated with an MBS or an earlier
     node.  The deployment stream's draws are read in one batch
-    (``_drop_nodes``) and consumed exactly as placing one node at a time
-    would consume them.  The gains must lie in the domain that
+    (``_drop_nodes``), exactly those that placing one node at a time
+    consumes.  The gains must lie in the domain that
     ``load_scenario`` applies, or ValueError names the gain and ``isd_m``.
     """
     radius = params.isd_m / 2.0
@@ -329,38 +281,30 @@ def generate_scenario(params: SystemParams, counts: Counts) -> Scenario:
     cells = np.concatenate((sbs_cell, hrd_cell, csd_cell))
     pos = _drop_nodes(rng_dep, mbs_pos[cells], radius, mbs_pos)
     n_sbs = len(sbs_cell)
-    sbs_pos = pos[:n_sbs]
-    hrd_pos = pos[n_sbs:n_sbs + counts.n_hrd]
-    csd_pos = pos[n_sbs + counts.n_hrd:]
+    sbs_pos, hrd_pos, csd_pos = np.split(pos, [n_sbs, n_sbs + counts.n_hrd])
 
     def pair_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
 
+    def draw_gains(model: LinkModel, d: np.ndarray) -> np.ndarray:
+        return channel_gain(model, d, rng_los.random(d.shape),
+                            rng_shadow.standard_normal(d.shape))
+
     # Draw order is fixed (SBS-HRD, SBS-CSD, MBS-SBS) per stream so that a
     # scenario is reproducible from the seed alone.
-    d_sh = pair_dist(sbs_pos, hrd_pos)
-    gain_sbs_hrd = channel_gain(SBS_MD, d_sh,
-                                rng_los.random(d_sh.shape),
-                                rng_shadow.standard_normal(d_sh.shape))
-    d_sc = pair_dist(sbs_pos, csd_pos)
-    gain_sbs_csd = channel_gain(SBS_MD, d_sc,
-                                rng_los.random(d_sc.shape),
-                                rng_shadow.standard_normal(d_sc.shape))
+    gain_sbs_hrd = draw_gains(SBS_MD, pair_dist(sbs_pos, hrd_pos))
+    gain_sbs_csd = draw_gains(SBS_MD, pair_dist(sbs_pos, csd_pos))
     d_ms = pair_dist(mbs_pos, sbs_pos)          # (n_mbs, n_sbs)
     backhaul_mbs = np.argmin(d_ms, axis=0).astype(np.int64)
-    d_bh = d_ms[backhaul_mbs, np.arange(len(sbs_pos))]
-    gain_mbs_sbs = channel_gain(MBS_SBS, d_bh,
-                                rng_los.random(len(sbs_pos)),
-                                rng_shadow.standard_normal(len(sbs_pos)))
+    gain_mbs_sbs = draw_gains(MBS_SBS, d_ms[backhaul_mbs, np.arange(n_sbs)])
 
     scenario = Scenario(
         params=params, mbs_pos=mbs_pos,
         sbs_pos=sbs_pos, sbs_cell=sbs_cell,
         hrd_pos=hrd_pos, hrd_cell=hrd_cell,
         csd_pos=csd_pos, csd_cell=csd_cell,
-        gain_sbs_hrd=np.asarray(gain_sbs_hrd, dtype=float).reshape(d_sh.shape),
-        gain_sbs_csd=np.asarray(gain_sbs_csd, dtype=float).reshape(d_sc.shape),
-        gain_mbs_sbs=np.asarray(gain_mbs_sbs, dtype=float).reshape(-1),
+        gain_sbs_hrd=gain_sbs_hrd, gain_sbs_csd=gain_sbs_csd,
+        gain_mbs_sbs=gain_mbs_sbs,
         backhaul_mbs=backhaul_mbs,
     )
     for name in ("gain_sbs_hrd", "gain_sbs_csd", "gain_mbs_sbs"):

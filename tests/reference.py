@@ -138,12 +138,12 @@ def _evaluate(state, sums, prop: MoveProposal):
 
 def evaluate_and_apply(state, sums, prop: MoveProposal) -> bool:
     """Accept the proposal iff, valued from its game's running sums
-    ``sums``, it improves by more than ``association.IMPROVE_MARGIN`` (an
-    infeasible side makes ``dv`` +inf): commit it (``association._commit``,
+    ``sums``, its ``dv`` falls below the block's ``cut`` (an infeasible
+    side makes ``dv`` +inf): commit it (``association._commit``,
     which refreshes ``sums``) and install both coalitions.  A rejection is
     counted and changes nothing else."""
     block = _evaluate(state, sums, prop)
-    if not prop.dv < -association.IMPROVE_MARGIN:
+    if not prop.dv < block.cut[0]:
         state.proposals += 1
         return False
     association._commit(state, block, 0)

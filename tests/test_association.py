@@ -19,14 +19,15 @@ import mecsim
 from mecsim import _kernels, association
 from mecsim.allocation import oracle_solve_p3
 from mecsim._kernels import BYTES_TOL, FEAS_TOL, IDLE_FRAC, hrd_closed_form
-from mecsim.association import (IMPROVE_MARGIN, GameState, _draw_weights,
-                                _neighbourhood, _tentative_members,
+from mecsim.association import (IMPROVE_MARGIN, MARGIN_REL, GameState,
+                                _draw_weights, _neighbourhood,
+                                _tentative_members,
                                 abcg_init, audit_stability, game_budget,
                                 reallocate, run_amnd, run_coalition_game,
                                 write_move_log)
 from mecsim.delays import audit_constraints
 from mecsim.experiments import ExperimentConfig
-from mecsim.scenario import ReadAhead, SystemParams
+from mecsim.scenario import SystemParams
 from conftest import game_sums, hand_demand, idle_allocation, \
     rate_scenario, whole_block
 from fingerprint import WORKLOADS, demand_for, digest, fields, instance, \
@@ -471,7 +472,7 @@ def test_screen_skips_only_moves_that_cannot_be_accepted(rate_bound_states):
         rejects = sorted(set(flagged) - set(contenders))
         for q in rejects:
             dv = block.value(q)
-            assert dv >= -IMPROVE_MARGIN, (n, q, dv)
+            assert dv >= block.cut[q], (n, q, dv)
             feasible_out += dv < math.inf
         screened_out += len(rejects)
     assert screened_out > 1000 and feasible_out > 0
@@ -1031,32 +1032,22 @@ def test_row_pass_sums_match_numpy_fancy_index_sums(desk_runs,
         assert value == coalition_value(costs, game, c, members)
 
 
-def test_accepted_move_changes_objective_by_its_gain():
-    _, _, state = desk_state(seed=5)
-    rng, sums = np.random.default_rng(3), game_sums(state, "csd")
-    for _ in range(300):
-        prop = propose_move(state, "csd", rng)
-        before = state.objective
-        if evaluate_and_apply(state, sums, prop):
-            # The cached-value delta is applied exactly, and the full delay
-            # model agrees with the caches.
-            assert state.objective < before - 1e-12
-            check_state(state)
-            break
-    else:
-        pytest.fail("no accepted move in 300 proposals")
-
-
 def test_check_passes_after_evaluate_and_apply():
     _, _, state = desk_state(seed=5)
     rng, sums = np.random.default_rng(3), game_sums(state, "csd")
     accepted = 0
     for _ in range(300):
         prop = propose_move(state, "csd", rng)
+        before = state.objective
         if evaluate_and_apply(state, sums, prop):
+            # An accept lowers F, and the full delay model agrees with the
+            # caches; a rejection leaves F as it was.
             accepted += 1
+            assert state.objective < before - 1e-12
             check_state(state)
             check_sums(sums, state.csd_members)
+        else:
+            assert state.objective == before
     assert accepted >= 2
     c = int(sums.size.argmax())
     sums.sums[c] *= 0.5
@@ -1069,7 +1060,7 @@ def test_check_passes_after_evaluate_and_apply():
     block = whole_block(twin, "hrd")
     q = block.improving().nonzero()[0].item(0)
     a, b = block.a.item(q), block.b.item(q)
-    assert block.value(q) < -IMPROVE_MARGIN
+    assert block.value(q) < block.cut[q]
     association._commit(twin, block, q)
     with pytest.raises(AssertionError, match=rf"stale hrd utility cache at "
                        rf"coalition ({a}|{b}):"):
@@ -1306,9 +1297,11 @@ def _scratch_audit(state):
     found = []
     for game in ("hrd", "csd"):
         lists = getattr(state, f"{game}_members")
+        cache = getattr(state, f"v_{game}")
         for prop in _moves(state, game):
             dv = _scratch_value(state, lists, prop)[2]
-            if dv < -IMPROVE_MARGIN:
+            held = cache[prop.c_from] + cache[prop.c_to]
+            if dv < -max(IMPROVE_MARGIN, MARGIN_REL * held):
                 found.append((game, prop.kind, prop.c_from, prop.c_to,
                               prop.md_from, prop.md_to, dv))
     return found
@@ -1452,8 +1445,8 @@ def _scalar_first_accepts(state, game, runs):
         rng = np.random.default_rng([run, 0])
         for wait in range(10 ** 6):
             prop = propose_move(state, game, rng, lists)
-            _evaluate(state, sums, prop)
-            if prop.dv < -IMPROVE_MARGIN:
+            block = _evaluate(state, sums, prop)
+            if prop.dv < block.cut[0]:
                 out.append((wait, (prop.kind, prop.dv)))
                 break
         else:
@@ -1649,46 +1642,3 @@ def test_stabilization_sweep_matches_scalar_reference(monkeypatch,
     # One sweep accepts several moves, and the block sweep both kinds.
     assert max(sweeps) >= 2
     assert swept == {"transfer", "swap"}
-
-
-@pytest.mark.parametrize("held", [0, 1], ids=["doubles-0", "doubles-1"])
-def test_read_ahead_follows_next_uint32(held):
-    # ``held`` uint32 draws first, so that the generator may hold half of
-    # a 64-bit output, which a double does not use.
-    def next_uint32(rng):
-        iface = rng.bit_generator.ctypes
-        return iface.next_uint32(iface.state)
-
-    def fresh():
-        rng = np.random.default_rng(np.random.SeedSequence([5, 12]))
-        for _ in range(held):
-            next_uint32(rng)
-        return rng
-
-    peek = fresh()
-    stream_values = [peek.random() for _ in range(400)]
-    # (values to read ahead, values to consume), then one scalar draw.
-    for plan in ([(0, 0)], [(1, 1)], [(4, 2)], [(7, 3)], [(9, 5), (3, 3)],
-                 [(300, 64), (10, 0), (200, 37)], [(5, 5), (6, 4), (20, 9)]):
-        ours, twin = fresh(), fresh()
-        stream, taken = ReadAhead(ours), 0
-        for ahead, used in plan:
-            assert stream.window(ahead).tolist() == \
-                stream_values[taken:taken + ahead]
-            stream.skip(used)
-            taken += used
-        twin.random(taken)
-        assert stream.window(1).item() == twin.random()
-        stream.skip(1)
-        stream.release()
-        assert ours.bit_generator.state == twin.bit_generator.state, plan
-        assert np.array_equal(ours.integers(10**6, size=5),
-                              twin.integers(10**6, size=5))
-    # No reference cycle keeps a released reader's buffer alive.
-    gc.disable()
-    try:
-        ref = weakref.ref(stream)
-        del stream
-        assert ref() is None
-    finally:
-        gc.enable()

@@ -433,6 +433,26 @@ def test_cli_audit_small_instance(capsys):
     assert "audit: CLEAN" in capsys.readouterr().out
 
 
+def test_cli_audit_ends_where_rounding_passed_for_a_gain():
+    # On this valid input the HRD sweep once cycled for ever: three HRDs
+    # rotated among three coalitions, and each swap read a dv of -3.6e-12,
+    # one ulp of its coalitions' values but above the absolute margin.  A
+    # subprocess with a timeout fails the test, where a regression would
+    # otherwise hang the suite.
+    src = os.path.dirname(os.path.dirname(mecsim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mecsim", "audit", "--seed", "119082",
+         "--hrd", "37", "--csd", "25", "--m-sbs", "6", "--n-mbs", "3",
+         "--a", "0.99", "--t1-frac", "0.1", "--isd", "300", "--files", "26",
+         "--requests-per-hrd", "3", "--storage", "0", "--delta", "0.6",
+         "--task-bytes", "1e7", "--task-cycles", "0", "--cache-policy",
+         "sampled", "--file-size", "5e6"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert "audit: CLEAN" in proc.stdout
+
+
 @pytest.mark.parametrize("seed", [1, 9, 17])
 def test_cli_audit_checks_every_nonempty_coalition(seed, capsys):
     # The dual-bound comparison covers every nonempty final coalition of both

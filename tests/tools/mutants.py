@@ -18,7 +18,9 @@ removed its own search text.  With
 ``--against REV`` it does the same for the tree of the git revision
 ``REV`` (``git archive``) and prints both columns, with the tests that
 catch a mutant in one tree only.  It exits 1 when a mutant escapes every
-test of this tree.
+test of this tree.  Stopped by SIGTERM or SIGINT, it kills every running
+Tier-1 run with the processes it started, starts no other, removes its
+temporary copies and exits 128 plus the signal's number.
 
 pytest does not collect this file; ``tests/test_readme.py`` checks that
 each mutant's search text occurs exactly once in its file
@@ -30,10 +32,12 @@ import argparse
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tarfile
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from io import BytesIO
 from pathlib import Path
@@ -46,6 +50,11 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
 # Tier-1 runs in under a minute unmutated; a mutant that makes a loop run
 # forever is stopped here.
 TIMEOUT_S = 600
+# The running Tier-1 runs, and whether the runner is stopping (``_stop``);
+# the lock orders a start against a stop.
+_RUNNING = set()
+_STOPPING = threading.Event()
+_LOCK = threading.Lock()
 
 
 class Mutant(NamedTuple):
@@ -166,6 +175,19 @@ MUTANTS = {
         "_kernels.py", "ci = math.sqrt(k / (1.0 + w))",
         "ci = math.sqrt(k / (1.0 + 0.5 * w))",
         "a bound pair's downlink share takes half its backhaul price"),
+    "margin-absolute": Mutant(
+        "association.py", "-MARGIN_REL * held", "-0.0 * held",
+        "a move is judged against the absolute margin alone, so rounding "
+        "passes for a gain"),
+    "placement-reuses-rejected-pair": Mutant(
+        "scenario.py",
+        "u = np.concatenate((u[:2 * bad], u[2 * bad + 2:], rng.random(2)))",
+        "rng.random(2)",
+        "a collocated node is laid out again on its own rejected pair"),
+    "demand-round-overdraws": Mutant(
+        "content.py", "rng.random(size - len(found))",
+        "rng.random(size - len(found) + bool(found))",
+        "a later round of a distinct pick draws one double too many"),
 }
 
 
@@ -205,8 +227,10 @@ def apply(mutant: Mutant, root: Path) -> None:
 def failing_tests(tree: Path, mutant):
     """The ids of the tests that fail in a fresh copy of the tree at
     ``tree`` with ``mutant`` (or none) applied, or None where the mutant's
-    search text is not found once there.  A run that outlasts
-    ``TIMEOUT_S`` fails the single id ``timeout``."""
+    search text is not found once there or the runner stops.  A run that
+    outlasts ``TIMEOUT_S`` fails the single id ``timeout``."""
+    if _STOPPING.is_set():
+        return None
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         root = Path(tmp) / "tree"
         shutil.copytree(tree, root)
@@ -215,15 +239,53 @@ def failing_tests(tree: Path, mutant):
                 apply(mutant, root)
             except ValueError:
                 return None
-        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-        try:
-            out = subprocess.run([sys.executable, *TIER1], cwd=root, env=env,
-                                 capture_output=True, text=True,
-                                 timeout=TIMEOUT_S).stdout
-        except subprocess.TimeoutExpired:
-            return ["timeout"]
+        out = _tier1(root)
+    if out is None:
+        return None if _STOPPING.is_set() else ["timeout"]
     return sorted({m.group(2) for m in re.finditer(
         r"^(FAILED|ERROR) (\S+)", out, re.M)})
+
+
+def _tier1(root: Path):
+    """The output of the Tier-1 command at ``root``, or None where it
+    outlasts ``TIMEOUT_S`` or the runner stops.  The run leads its own
+    process group, which is killed then, with every process it started."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    with _LOCK:
+        if _STOPPING.is_set():
+            return None
+        proc = subprocess.Popen(
+            [sys.executable, *TIER1], cwd=root, env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True)
+        _RUNNING.add(proc)
+    try:
+        out = proc.communicate(timeout=TIMEOUT_S)[0]
+    except subprocess.TimeoutExpired:
+        _kill(proc)
+        proc.communicate()
+        out = None
+    with _LOCK:
+        _RUNNING.discard(proc)
+    return None if _STOPPING.is_set() else out
+
+
+def _kill(proc) -> None:
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def _stop(signum, frame):
+    """SIGTERM or SIGINT: kill the running Tier-1 runs and start no
+    other; the ``SystemExit`` unwinds the runner, which removes its
+    copies."""
+    with _LOCK:
+        _STOPPING.set()
+        for proc in _RUNNING:
+            _kill(proc)
+    raise SystemExit(128 + signum)
 
 
 def catalogue_run(rev):
@@ -249,6 +311,8 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="REV",
                         help="also run the catalogue on this revision's tree")
     args = parser.parse_args(argv)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _stop)
     trees = {"here": catalogue_run(None)}
     if args.against:
         trees[args.against] = catalogue_run(args.against)
