@@ -1032,22 +1032,34 @@ def test_row_pass_sums_match_numpy_fancy_index_sums(desk_runs,
         assert value == coalition_value(costs, game, c, members)
 
 
+def test_accepted_move_changes_objective_by_its_gain():
+    _, _, state = desk_state(seed=5)
+    rng, sums = np.random.default_rng(3), game_sums(state, "csd")
+    for _ in range(300):
+        prop = propose_move(state, "csd", rng)
+        before = state.objective
+        if evaluate_and_apply(state, sums, prop):
+            # The cached-value delta is applied exactly, and the full delay
+            # model agrees with the caches.
+            assert state.objective < before - 1e-12
+            check_state(state)
+            break
+        # A rejection leaves F as it was.
+        assert state.objective == before
+    else:
+        pytest.fail("no accepted move in 300 proposals")
+
+
 def test_check_passes_after_evaluate_and_apply():
     _, _, state = desk_state(seed=5)
     rng, sums = np.random.default_rng(3), game_sums(state, "csd")
     accepted = 0
     for _ in range(300):
         prop = propose_move(state, "csd", rng)
-        before = state.objective
         if evaluate_and_apply(state, sums, prop):
-            # An accept lowers F, and the full delay model agrees with the
-            # caches; a rejection leaves F as it was.
             accepted += 1
-            assert state.objective < before - 1e-12
             check_state(state)
             check_sums(sums, state.csd_members)
-        else:
-            assert state.objective == before
     assert accepted >= 2
     c = int(sums.size.argmax())
     sums.sums[c] *= 0.5
